@@ -485,11 +485,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         &["bench", "scheme", "scale", "seed", "config", "results"],
     )?;
     let store = open_store(&flags)?;
-    let matching: Vec<StoredResult> = store
-        .entries()
-        .into_iter()
-        .filter(|e| matches_filters(e, &flags))
-        .collect();
+    let matching = store.entries_where(|e| matches_filters(e, &flags));
     print_result_table(&matching);
     println!("{} result(s)", matching.len());
     Ok(())
@@ -861,13 +857,9 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
     let spec = parse_grid(&flags)?;
     let grid = spec.expand();
     let copts = ClientOptions::default();
-    // One coarse scale filter on the wire, exact grid intersection here:
-    // the coordinator's read side stays a dumb store scan.
-    let filters = QueryFilters {
-        scale: Some(spec.scale),
-        ..QueryFilters::default()
-    };
-    let records = fetch(addr, &filters, &copts).map_err(|e| e.to_string())?;
+    // Every axis the grid pins to one value is filtered at the
+    // coordinator; the exact grid intersection happens here.
+    let records = fetch(addr, &QueryFilters::for_grid(&spec), &copts).map_err(|e| e.to_string())?;
     let by_spec: FastMap<JobSpec, StoredResult> =
         records.into_iter().map(|r| (r.spec, r)).collect();
     let have: Vec<&StoredResult> = grid.iter().filter_map(|j| by_spec.get(j)).collect();

@@ -237,7 +237,7 @@ impl Coordinator {
         // Resume: everything the store already holds is done before any
         // worker connects — the fabric never re-runs a stored job.
         for (i, job) in jobs.iter().enumerate() {
-            if store.get(job).is_some() {
+            if store.contains(job) {
                 state.status[i] = Slot::Done;
                 state.cache_hits += 1;
             } else {
@@ -494,12 +494,7 @@ fn handle_conn(
                     reap_expired(&mut state, Instant::now(), shared.opts.verbose);
                 }
                 Msg::Results {
-                    records: shared
-                        .store
-                        .entries()
-                        .into_iter()
-                        .filter(|r| filters.matches(r))
-                        .collect(),
+                    records: filter_store(shared.store, &filters),
                 }
             }
             Msg::Status => {
@@ -714,12 +709,9 @@ pub fn serve(
     coordinator.run(spec, store, opts)
 }
 
-/// Trivially-correct filter reuse for the read side (kept here so the
-/// CLI and tests share one definition with the protocol).
+/// The read side's one filter definition (the `Query` arm, the CLI and
+/// tests share it with the protocol): the stored results `filters`
+/// accepts, in the store's canonical order.
 pub fn filter_store(store: &ResultStore, filters: &QueryFilters) -> Vec<StoredResult> {
-    store
-        .entries()
-        .into_iter()
-        .filter(|r| filters.matches(r))
-        .collect()
+    store.entries_where(|r| filters.matches(r))
 }

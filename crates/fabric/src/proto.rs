@@ -12,7 +12,7 @@
 //! round trip bit-identical.
 
 use valley_harness::{parse_scheme, ConfigId};
-use valley_harness::{FailureKind, JobFailure, JobSpec, StoredResult, WallKind};
+use valley_harness::{FailureKind, JobFailure, JobSpec, StoredResult, SweepSpec, WallKind};
 use valley_sim::json::Json;
 use valley_sim::SimReport;
 use valley_workloads::{Benchmark, Scale};
@@ -68,6 +68,24 @@ pub struct QueryFilters {
 }
 
 impl QueryFilters {
+    /// The tightest filters that admit every job of `grid`: the scale,
+    /// and each other axis on which the grid has exactly one value. The
+    /// requester still intersects with the grid; this only keeps records
+    /// it would discard off the wire.
+    pub fn for_grid(grid: &SweepSpec) -> QueryFilters {
+        fn sole<T: Copy + PartialEq>(axis: &[T]) -> Option<T> {
+            let (&first, rest) = axis.split_first()?;
+            rest.iter().all(|&v| v == first).then_some(first)
+        }
+        QueryFilters {
+            bench: sole(&grid.benches),
+            scheme: sole(&grid.schemes),
+            scale: Some(grid.scale),
+            seed: sole(&grid.seeds),
+            config: sole(&grid.configs),
+        }
+    }
+
     /// Whether a stored result passes every set filter.
     pub fn matches(&self, r: &StoredResult) -> bool {
         self.bench.is_none_or(|b| b == r.spec.bench)

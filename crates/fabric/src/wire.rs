@@ -91,8 +91,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, WireError> {
             "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow the payload as bytes arrive: the prefix is the peer's claim,
+    // and a claim must not make this side commit 64 MiB per connection.
+    let mut payload = Vec::new();
+    if r.take(u64::from(len)).read_to_end(&mut payload)? < len as usize {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let text = std::str::from_utf8(&payload)
         .map_err(|e| WireError::Protocol(format!("frame payload is not UTF-8: {e}")))?;
     json::parse(text).map_err(|e| WireError::Protocol(format!("frame payload is not JSON: {e}")))
@@ -124,11 +128,16 @@ mod tests {
     fn short_read_mid_frame_is_an_io_error() {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Json::Str("truncated".into())).unwrap();
-        let mut cursor = &buf[..buf.len() - 3];
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
-        ));
+        // Also when the prefix claims the whole cap: the payload buffer
+        // grows with the bytes received, not with the claim.
+        let mut capped = MAX_FRAME_BYTES.to_be_bytes().to_vec();
+        capped.extend_from_slice(b"[1,");
+        for mut cursor in [&buf[..buf.len() - 3], &capped[..]] {
+            assert!(matches!(
+                read_frame(&mut cursor),
+                Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+            ));
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use valley_core::SchemeKind;
 use valley_fabric::{
-    read_frame, run_worker, write_frame, CoordOptions, Coordinator, Msg, QueryFilters, Role,
-    ServeSummary, WorkerOptions, PROTOCOL_VERSION,
+    fetch, read_frame, run_worker, shutdown, write_frame, ClientOptions, CoordOptions, Coordinator,
+    Msg, QueryFilters, Role, ServeSummary, WorkerOptions, PROTOCOL_VERSION,
 };
 use valley_harness::{
     execute_batch, run_sweep, JobFailure, ResultStore, StoredResult, SweepOptions, SweepSpec,
@@ -467,4 +467,77 @@ fn deterministic_failure_dies_after_max_attempts() {
     // The other three jobs all made it into the store.
     assert_eq!(summary.telemetry.executed, 3);
     assert_eq!(store.len(), 3);
+}
+
+/// The frame parser runs before the `hello` check, so its recursion
+/// depth is the first thing a stranger controls: 10 000 `[` as a
+/// connection's first frame used to overflow the handler thread's stack
+/// and abort the whole process, buffered results included. Now the peer
+/// is dropped as a protocol violation and the sweep completes.
+#[test]
+fn hostile_nesting_as_first_frame_leaves_the_coordinator_serving() {
+    use std::io::{Read, Write};
+    let spec = grid();
+    let tmp = TempStore::new("hostile-nesting");
+    let store = tmp.open();
+    let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
+        let payload = "[".repeat(10_000);
+        let mut hostile = TcpStream::connect(addr).expect("hostile peer connects");
+        hostile
+            .write_all(&(payload.len() as u32).to_be_bytes())
+            .and_then(|()| hostile.write_all(payload.as_bytes()))
+            .expect("hostile frame sent");
+        // No reply frame: the coordinator closes the connection.
+        let mut reply = Vec::new();
+        hostile
+            .read_to_end(&mut reply)
+            .expect("the coordinator hangs up cleanly");
+        assert!(reply.is_empty(), "a hostile frame was answered: {reply:?}");
+        run_worker(addr, &quiet("healthy")).expect("healthy worker");
+    });
+    assert!(summary.complete(), "grid incomplete: {summary:?}");
+    assert_eq!(summary.telemetry.executed, 4);
+    assert_eq!(store.len(), 4);
+}
+
+/// `fetch` sets every axis its grid pins, and the coordinator ships only
+/// what those filters admit, in the store's canonical order.
+#[test]
+fn query_ships_only_what_the_grid_filters_admit() {
+    let spec = grid();
+    let tmp = TempStore::new("query-filters");
+    let store = tmp.open();
+    run_sweep(
+        &spec,
+        &store,
+        &SweepOptions {
+            workers: Some(1),
+            verbose: false,
+            ..SweepOptions::default()
+        },
+    )
+    .expect("local sweep");
+    let opts = CoordOptions {
+        linger: true,
+        ..coord_opts()
+    };
+    let wanted = SweepSpec::new(&[Benchmark::Mt], &spec.schemes, Scale::Test);
+    let filters = QueryFilters::for_grid(&wanted);
+    assert_eq!(filters.bench, Some(Benchmark::Mt));
+    assert_eq!(filters.scheme, None);
+    let expected: Vec<StoredResult> = store
+        .entries()
+        .into_iter()
+        .filter(|r| r.spec.bench == Benchmark::Mt)
+        .collect();
+    assert_eq!(expected.len(), 2);
+    serve_while(&spec, &store, &opts, |addr| {
+        let copts = ClientOptions::default();
+        assert_eq!(fetch(addr, &filters, &copts).expect("fetch"), expected);
+        assert_eq!(
+            fetch(addr, &QueryFilters::default(), &copts).expect("fetch all"),
+            store.entries()
+        );
+        shutdown(addr, &copts).expect("shutdown");
+    });
 }

@@ -15,7 +15,9 @@ use valley_fabric::proto::{
 };
 use valley_fabric::wire::{read_frame, write_frame, WireError};
 use valley_fabric::{FailureNote, WorkerOptions};
-use valley_harness::{ConfigId, FailureKind, JobFailure, JobSpec, StoredResult, WallKind};
+use valley_harness::{
+    ConfigId, FailureKind, JobFailure, JobSpec, StoredResult, SweepSpec, WallKind,
+};
 
 const WALL_KINDS: [WallKind; 3] = [WallKind::Measured, WallKind::Averaged, WallKind::Cloned];
 use valley_sim::json::Json;
@@ -145,6 +147,70 @@ proptest! {
         prop_assert_eq!(back.wall, r.wall);
         prop_assert_eq!(back.report.epoch_hist, r.report.epoch_hist);
         prop_assert_eq!(back.report, r.report);
+    }
+
+    /// The single-record property at the size a `fetch` moves: a
+    /// 288-record `Results` frame (≈ 300 KB, where decode used to be
+    /// quadratic) decodes to the records that were encoded.
+    #[test]
+    fn results_frame_of_a_whole_store_round_trips(
+        cycles in 0u64..=u64::MAX,
+        big in (1u64 << 53)..=u64::MAX,
+        frac in 0.0f64..=1.0,
+    ) {
+        let records: Vec<StoredResult> = (0..288u64)
+            .map(|i| {
+                let n = i as usize;
+                let spec = job(n, n / 16, cycles ^ i, n / 96, n / 7);
+                StoredResult {
+                    spec,
+                    report: report(cycles.wrapping_add(i), big - i, frac, &spec),
+                    wall_ms: frac * i as f64,
+                    wall: WALL_KINDS[n % 3],
+                }
+            })
+            .collect();
+        let msg = Msg::Results { records };
+        let back = Msg::from_json(&frame_round_trip(&msg.to_json())).unwrap();
+        prop_assert!(back == msg, "a 288-record frame drifted (cycles {cycles}, big {big}, frac {frac})");
+    }
+
+    /// `QueryFilters::for_grid` pins exactly the axes on which the grid
+    /// has one value, so it admits every job of the grid.
+    #[test]
+    fn grid_filters_pin_single_valued_axes(
+        benches in collection::vec(0usize..64, 1..4),
+        schemes in collection::vec(0usize..64, 1..4),
+        seeds in collection::vec(0u64..3, 1..4),
+        configs in collection::vec(0usize..8, 1..3),
+        scale in 0usize..3,
+    ) {
+        let grid = SweepSpec {
+            benches: benches.iter().map(|&b| job(b, 0, 0, 0, 0).bench).collect(),
+            schemes: schemes.iter().map(|&s| job(0, s, 0, 0, 0).scheme).collect(),
+            seeds,
+            scale: SCALES[scale],
+            configs: configs.iter().map(|&c| CONFIGS[c % CONFIGS.len()]).collect(),
+        };
+        let filters = QueryFilters::for_grid(&grid);
+        let jobs = grid.expand();
+        let distinct = |axis: &dyn Fn(&JobSpec) -> String| {
+            jobs.iter().map(axis).collect::<std::collections::BTreeSet<_>>().len()
+        };
+        prop_assert_eq!(filters.scale, Some(grid.scale));
+        prop_assert_eq!(filters.bench.is_some(), distinct(&|j| j.bench.label().into()) == 1);
+        prop_assert_eq!(filters.scheme.is_some(), distinct(&|j| j.scheme.label().into()) == 1);
+        prop_assert_eq!(filters.seed.is_some(), distinct(&|j| j.seed.to_string()) == 1);
+        prop_assert_eq!(filters.config.is_some(), distinct(&|j| j.config.name()) == 1);
+        for spec in jobs {
+            let r = StoredResult {
+                spec,
+                report: report(1, 1 << 53, 0.5, &spec),
+                wall_ms: 0.0,
+                wall: WallKind::Measured,
+            };
+            prop_assert!(filters.matches(&r), "{filters:?} rejects {spec} of its own grid");
+        }
     }
 
     /// Every protocol message round-trips exactly through its frame.

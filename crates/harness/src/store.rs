@@ -185,6 +185,15 @@ impl ResultStore {
         (stored.spec == *spec).then(|| stored.clone())
     }
 
+    /// Whether the result of a job is present: [`get`](Self::get)'s
+    /// answer without cloning the report.
+    pub fn contains(&self, spec: &JobSpec) -> bool {
+        let index = self.index.lock().expect("store index poisoned");
+        index
+            .get(&spec.key().hash())
+            .is_some_and(|stored| stored.spec == *spec)
+    }
+
     /// Appends one result and updates the index. Writers on different
     /// shards do not contend.
     pub fn put(
@@ -221,10 +230,19 @@ impl ResultStore {
     /// All stored results, sorted by canonical key (stable across runs
     /// and insertion orders).
     pub fn entries(&self) -> Vec<StoredResult> {
-        let index = self.index.lock().expect("store index poisoned");
-        let mut all: Vec<StoredResult> = index.values().cloned().collect();
-        all.sort_by_cached_key(|r| r.spec.key().canonical().to_string());
-        all
+        self.entries_where(|_| true)
+    }
+
+    /// The stored results `keep` accepts, in [`entries`](Self::entries)
+    /// order. Only those are cloned under the index lock, and they are
+    /// sorted after it is released.
+    pub fn entries_where(&self, keep: impl Fn(&StoredResult) -> bool) -> Vec<StoredResult> {
+        let mut kept: Vec<StoredResult> = {
+            let index = self.index.lock().expect("store index poisoned");
+            index.values().filter(|r| keep(r)).cloned().collect()
+        };
+        kept.sort_by_cached_key(|r| r.spec.key().canonical().to_string());
+        kept
     }
 
     /// Per-shard (file name, size in bytes) of the on-disk store.

@@ -192,6 +192,15 @@ fn scales_do_not_shadow_each_other_in_the_store() {
     assert!(store.get(&job(Scale::Test)).is_some());
     assert!(store.get(&job(Scale::Small)).is_none());
     assert!(store.get(&job(Scale::Ref)).is_none());
+    // The clone-free presence check and the filtered listing agree.
+    for scale in [Scale::Test, Scale::Small, Scale::Ref] {
+        assert_eq!(
+            store.contains(&job(scale)),
+            store.get(&job(scale)).is_some()
+        );
+        let listed = store.entries_where(|r| r.spec.scale == scale);
+        assert_eq!(listed.len(), usize::from(scale == Scale::Test));
+    }
 }
 
 #[test]

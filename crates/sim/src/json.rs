@@ -164,24 +164,34 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// per level and runs on every inbound fabric frame before the peer has
+/// said `hello`, so depth must not be the sender's to choose; the deepest
+/// shape any record or message has is under a tenth of this.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
+///
+/// One pass, O(input bytes), recursion bounded by [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -193,7 +203,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -212,7 +222,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -226,8 +236,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -289,6 +310,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. All three are ASCII, so the run starts
+            // and ends on character boundaries of the input `&str`.
+            let rest = &self.src[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            s.push_str(&rest[..run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -339,29 +370,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Decode the next UTF-8 scalar from the input slice.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.src.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        // `get` is `None` when the fourth byte is inside a character.
+        let hex = self
+            .src
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(cp)
@@ -383,7 +406,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_integer && !text.starts_with('-') {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
@@ -441,17 +464,104 @@ mod tests {
         assert_eq!(v.to_json_string(), src);
     }
 
+    /// Every malformed input keeps its message *and byte offset*: store
+    /// corruption reports and fabric protocol errors quote both.
     #[test]
     fn errors_are_loud() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("nul").is_err());
-        assert!(parse("1 2").is_err());
-        assert!(parse(r#"{"a":1"#).is_err());
-        assert!(parse("\"\u{1}\"").is_err());
-        let e = parse("[true,?]").unwrap_err();
-        assert!(e.to_string().contains("byte 6"), "{e}");
+        let cases: &[(&str, usize, &str)] = &[
+            ("", 0, "unexpected end of input"),
+            ("{", 1, "expected '\"'"),
+            ("[1,]", 3, "unexpected character"),
+            ("nul", 0, "expected 'null'"),
+            ("1 2", 2, "trailing characters after JSON value"),
+            (r#"{"a":1"#, 6, "expected ',' or '}' in object"),
+            ("\"\u{1}\"", 1, "unescaped control character"),
+            ("[true,?]", 6, "unexpected character"),
+            // A raw control byte in the middle of a run, after ASCII and
+            // after a two-byte character (offsets are bytes, not chars).
+            ("\"abc\u{1}def\"", 4, "unescaped control character"),
+            ("\"ab\tc\"", 3, "unescaped control character"),
+            ("\"é\u{1}\"", 3, "unescaped control character"),
+            // A string cut in the middle of a run.
+            ("\"abc", 4, "unterminated string"),
+            ("\"abé", 5, "unterminated string"),
+            (r#"["x","yz"#, 8, "unterminated string"),
+            // Escapes.
+            (r#""\x""#, 2, "invalid escape sequence"),
+            (r#""\"#, 2, "invalid escape sequence"),
+            (r#""\u12"#, 3, "truncated \\u escape"),
+            (r#""\u"#, 3, "truncated \\u escape"),
+            (r#""\u12g4""#, 3, "invalid \\u escape"),
+            (r#""\u000é""#, 3, "invalid \\u escape"),
+            // Surrogates: lone high, high followed by a non-\u escape,
+            // high followed by a non-low, lone low.
+            (r#""\ud800""#, 7, "lone high surrogate"),
+            (r#""\ud800\n""#, 8, "lone high surrogate"),
+            (r#""\ud800\u0041""#, 13, "invalid low surrogate"),
+            (r#""\ud800\u12""#, 9, "truncated \\u escape"),
+            (r#""\udc00""#, 7, "invalid \\u escape"),
+        ];
+        for &(src, pos, msg) in cases {
+            let e = parse(src).expect_err(src);
+            assert_eq!((e.pos, e.msg.as_str()), (pos, msg), "input {src:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.pos, MAX_DEPTH);
+        assert!(e.msg.contains("nesting"), "{e}");
+        // Objects count too, and siblings do not: depth is nesting, not
+        // the number of containers.
+        let e = parse(&r#"{"a":"#.repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.pos, 5 * MAX_DEPTH);
+        assert!(parse(&format!("[{}[]]", "[],".repeat(4 * MAX_DEPTH))).is_ok());
+    }
+
+    /// What aborted `valley serve`: unbounded recursion on a frame of
+    /// `[`, on a handler thread's 2 MiB stack. With the cap it is an
+    /// error at the first level past [`MAX_DEPTH`], however long the run.
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let handler = std::thread::Builder::new().stack_size(2 << 20);
+        let e = handler
+            .spawn(|| parse(&"[".repeat(1_000_000)))
+            .expect("spawn")
+            .join()
+            .expect("parser must not unwind or overflow")
+            .unwrap_err();
+        assert_eq!(e.pos, MAX_DEPTH);
+    }
+
+    /// Decode is O(bytes). A per-character rescan of the remaining input
+    /// (what `string` once did) needs over ten minutes for this document
+    /// even optimized; one pass needs well under a second unoptimized, so
+    /// the limit separates the two by orders of magnitude.
+    #[test]
+    fn parse_is_linear_in_document_size() {
+        let item = format!("\"{}é\\n{}\",", "k".repeat(500), "v".repeat(500));
+        let n = 8 * 1024 * 1024 / item.len();
+        let mut doc = String::with_capacity(n * item.len() + 2);
+        doc.push('[');
+        for _ in 0..n {
+            doc.push_str(&item);
+        }
+        doc.pop();
+        doc.push(']');
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items.len(), n);
+        assert_eq!(items[n - 1].as_str().unwrap().len(), 1003);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{} bytes took {elapsed:?}",
+            doc.len()
+        );
     }
 
     #[test]
