@@ -19,9 +19,9 @@
 //! compared against the committed `BENCH_suite.json` *before* it is
 //! overwritten: if the per-job geomean of cold wall times regressed by
 //! more than `PCT` percent, the run fails. Only **measured** per-job
-//! walls are fingerprinted that way — batched lanes carry averaged
-//! shares of one batch wall (see [`valley_harness::WallKind`]), so the
-//! batched rows gate on their median sweep walls instead. Wall-clock
+//! walls are fingerprinted that way (see [`valley_harness::WallKind`]);
+//! the batched row tracks what lane dedupe saves a whole sweep, so it
+//! gates on its median sweep wall instead. Wall-clock
 //! gating is noisy by nature, so CI uses a generous threshold (25%)
 //! meant to catch real order-of-magnitude regressions, not jitter.
 
@@ -52,9 +52,7 @@ fn committed_smoke_walls(section: &str) -> Option<Vec<(String, f64)>> {
     }
 }
 
-/// Reads a batched section's committed median cold sweep wall, if
-/// present. Batched lanes only carry averaged wall shares, never
-/// measured per-job walls, so their sections gate on this median.
+/// Reads a section's committed median cold wall, if present.
 fn committed_median(section: &str) -> Option<f64> {
     let text = std::fs::read_to_string("BENCH_suite.json").ok()?;
     let v = json::parse(&text).ok()?;
@@ -89,7 +87,6 @@ fn main() {
     };
     let committed = gate_pct.and_then(|_| committed_smoke_walls("harness_smoke"));
     let committed_batched = gate_pct.and_then(|_| committed_median("harness_smoke_batched"));
-    let committed_soa = gate_pct.and_then(|_| committed_median("harness_smoke_batched_soa"));
     let committed_kbim = gate_pct.and_then(|_| committed_median("kernel_bim_bitsliced"));
     let committed_ksweep = gate_pct.and_then(|_| committed_median("kernel_entropy_sweep"));
     // The sequential rows (and the --gate comparison against committed
@@ -206,20 +203,16 @@ fn main() {
     );
     std::fs::remove_dir_all(&par_scratch).ok();
 
-    // Batched-engine smoke row: the Ref slice widened to a same-config
-    // multi-seed group (seeds 1–3 — the paper's best-of-3 shape), cold,
-    // through the lockstep batched engine. `--batch 9` makes each
-    // scheme's nine jobs (3 benches × 3 seeds) one batch: the BASE
-    // group's seeds collapse to one simulation per bench (deterministic
-    // schemes never read the seed — see `execute_batch`), the PAE group
-    // runs all nine lanes in lockstep. Per-lane results are
-    // bit-identical to the sequential rows by the engine's contract;
-    // the wall times track what batching buys on ONE worker, where
-    // lane dedupe and amortization — shared fast-forward, shared config
-    // and map, resident hot-loop state — are the only levers, not pool
-    // parallelism. Sequential and batched runs interleave and the
-    // medians are compared, so drift in machine load hits both
-    // measurements evenly.
+    // Batched smoke row: the Ref slice widened to a same-config
+    // multi-seed group (seeds 1–3 — the paper's best-of-3 shape), cold.
+    // `--batch 9` makes each scheme's nine jobs (3 benches × 3 seeds)
+    // one batch: the BASE group's seeds collapse to one simulation per
+    // bench (deterministic schemes never read the seed — see
+    // `execute_batch`), the PAE group runs all nine lanes. The wall
+    // times track what that lane dedupe buys on ONE worker, where it is
+    // the only lever, not pool parallelism. Sequential and batched runs
+    // interleave and the medians are compared, so drift in machine load
+    // hits both measurements evenly.
     const BATCH_ROUNDS: usize = 3;
     const BATCH_WIDTH: usize = 9;
     let seeds_spec = spec.clone().with_seeds(&[1, 2, 3]);
@@ -262,31 +255,30 @@ fn main() {
     for (seq, bat) in seq_cold.jobs.iter().zip(&bat_cold.jobs) {
         assert_eq!(
             seq.report, bat.report,
-            "batched engine diverged on {} — bit-identity broken",
+            "batched sweep diverged on {} — bit-identity broken",
             seq.spec
         );
     }
     // Wall attribution sanity: every sequential job carries a measured
-    // wall, and no lockstep lane claims one — batched lanes get averaged
-    // shares of the batch wall (or a zero cloned share), never a
-    // per-lane measurement, so the gate below must not fingerprint them.
+    // wall, and a batched lane is either measured (it ran) or cloned.
     assert!(
         seq_cold.jobs.iter().all(|j| j.wall.is_measured()),
         "a sequential job's wall is not flagged as measured"
     );
-    let averaged_lanes = bat_cold
-        .jobs
-        .iter()
-        .filter(|j| j.wall == WallKind::Averaged)
-        .count();
     let cloned_lanes = bat_cold
         .jobs
         .iter()
         .filter(|j| j.wall == WallKind::Cloned)
         .count();
-    assert!(
-        !bat_cold.jobs.iter().any(|j| j.wall.is_measured()),
-        "a lockstep batch lane claims a measured wall — attribution broken"
+    let measured_lanes = bat_cold
+        .jobs
+        .iter()
+        .filter(|j| j.wall.is_measured())
+        .count();
+    assert_eq!(
+        measured_lanes + cloned_lanes,
+        bat_cold.jobs.len(),
+        "a batched lane is neither measured nor cloned — attribution broken"
     );
     let median = |xs: &mut Vec<f64>| {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
@@ -298,48 +290,8 @@ fn main() {
     println!(
         "harness smoke batched (seeds 1-3, --batch {BATCH_WIDTH}, 1 worker, median of \
          {BATCH_ROUNDS}): cold {:.0} ms vs sequential {:.0} ms — {batch_speedup:.2}x \
-         ({averaged_lanes} averaged + {cloned_lanes} cloned lane walls)",
+         ({measured_lanes} measured + {cloned_lanes} cloned lane walls)",
         bat_median * 1e3,
-        seq_median * 1e3,
-    );
-
-    // Composed batch × threads smoke row: the same widened slice,
-    // `--batch 9` *and* VALLEY_SIM_THREADS=2, so each batch splits into
-    // two lockstep lane groups ticked concurrently under the shared
-    // epoch tape. Results stay bit-identical; the row tracks what the
-    // composition buys (or costs) next to the 1-thread batched row on
-    // this machine.
-    let soa_scratch =
-        std::env::temp_dir().join(format!("valley-bench-wall-soa-{}", std::process::id()));
-    std::fs::remove_dir_all(&soa_scratch).ok();
-    let soa_store = ResultStore::open(&soa_scratch).expect("composed scratch store opens");
-    std::env::set_var("VALLEY_SIM_THREADS", "2");
-    let mut soa_walls = Vec::new();
-    let mut soa_cold = None;
-    for _ in 0..BATCH_ROUNDS {
-        let r = run_sweep(&seeds_spec, &soa_store, &one_bat).expect("composed batched sweep");
-        soa_walls.push(r.wall.as_secs_f64());
-        soa_cold = Some(r);
-    }
-    match &ambient_sim_threads {
-        Some(v) => std::env::set_var("VALLEY_SIM_THREADS", v),
-        None => std::env::remove_var("VALLEY_SIM_THREADS"),
-    }
-    let soa_cold = soa_cold.expect("at least one composed round ran");
-    std::fs::remove_dir_all(&soa_scratch).ok();
-    for (seq, soa) in seq_cold.jobs.iter().zip(&soa_cold.jobs) {
-        assert_eq!(
-            seq.report, soa.report,
-            "composed batch x threads engine diverged on {} — bit-identity broken",
-            seq.spec
-        );
-    }
-    let soa_median = median(&mut soa_walls);
-    let soa_speedup = seq_median / soa_median;
-    println!(
-        "harness smoke batched soa (seeds 1-3, --batch {BATCH_WIDTH}, VALLEY_SIM_THREADS=2, \
-         median of {BATCH_ROUNDS}): cold {:.0} ms vs sequential {:.0} ms — {soa_speedup:.2}x",
-        soa_median * 1e3,
         seq_median * 1e3,
     );
 
@@ -349,7 +301,7 @@ fn main() {
     // path, where both backends run the same code). Scalar and
     // bit-sliced reps interleave round by round and the medians are
     // compared, so machine-load drift hits both measurements evenly —
-    // the same discipline as the batched-engine rows above.
+    // the same discipline as the batched row above.
     const KERNEL_ROUNDS: usize = 5;
     const KERNEL_REPS: usize = 64;
     let kernel_bim = matgen::dense_invertible(30, 1);
@@ -529,41 +481,8 @@ fn main() {
                     "speedup_vs_sequential".into(),
                     Json::Num((batch_speedup * 1e3).round() / 1e3),
                 ),
-                // Per-lane walls are *attributions* (averaged shares of
-                // one batch wall, or zero for cloned lanes), not
-                // measurements, so they are counted here rather than
-                // recorded as a `job_wall_ms` fingerprint.
-                ("averaged_lanes".into(), Json::UInt(averaged_lanes as u64)),
+                ("measured_lanes".into(), Json::UInt(measured_lanes as u64)),
                 ("cloned_lanes".into(), Json::UInt(cloned_lanes as u64)),
-            ]),
-        ),
-        (
-            "harness_smoke_batched_soa".into(),
-            Json::Obj(vec![
-                (
-                    "slice".into(),
-                    Json::Str(
-                        "mt+sp+mum x base+pae x seeds 1-3 @ ref scale, --batch 9, \
-                         VALLEY_SIM_THREADS=2, 1 worker"
-                            .into(),
-                    ),
-                ),
-                ("batch".into(), Json::UInt(BATCH_WIDTH as u64)),
-                ("sim_threads".into(), Json::UInt(2)),
-                ("jobs".into(), Json::UInt(soa_cold.jobs.len() as u64)),
-                ("rounds".into(), Json::UInt(BATCH_ROUNDS as u64)),
-                (
-                    "cold_wall_seconds_median".into(),
-                    Json::Num((soa_median * 1e6).round() / 1e6),
-                ),
-                (
-                    "sequential_wall_seconds_median".into(),
-                    Json::Num((seq_median * 1e6).round() / 1e6),
-                ),
-                (
-                    "speedup_vs_sequential".into(),
-                    Json::Num((soa_speedup * 1e3).round() / 1e3),
-                ),
             ]),
         ),
         (
@@ -642,12 +561,9 @@ fn main() {
                  (first run on this branch?)"
             ),
         }
-        // The batched rows gate on their median sweep walls, never on
-        // per-lane wall shares: lanes carry attributions of one batch
-        // wall (averaged or cloned), and fingerprinting those as
-        // per-job measurements is exactly the bug the `wall` field
-        // exists to prevent. A regressed median means the lockstep
-        // engine itself got slower.
+        // The batched row gates on its median sweep wall: what it
+        // tracks is the whole sweep's cost after lane dedupe, and a
+        // third of its lanes are zero-cost clones.
         let gate_median = |label: &str, committed: Option<f64>, fresh: f64| match committed {
             Some(old) if old > 0.0 => {
                 let ratio = fresh / old;
@@ -669,7 +585,6 @@ fn main() {
             ),
         };
         gate_median("batched", committed_batched, bat_median);
-        gate_median("batched-soa", committed_soa, soa_median);
         gate_median("kernel-bim", committed_kbim, kernel_sliced_median);
         gate_median("kernel-sweep", committed_ksweep, sweep_median);
     }

@@ -83,17 +83,17 @@ the invocation if fewer than 95% of the jobs were cache hits (CI uses
 this to prove the resume path works). `--sim-threads N` runs each
 simulation on the phase-parallel engine with N shards (bit-identical to
 sequential for every N — also settable via $VALLEY_SIM_THREADS).
-`--batch N` runs pending jobs that share a machine configuration through
-the lockstep batched engine, up to N simulations per batch (bit-identical
-per lane for every N — also settable via $VALLEY_SIM_BATCH; batch width
-is never part of a job key). `--max-shard-bytes N` auto-compacts the
-store at open when any shard
-file exceeds N bytes. `figures` reads the store only — run the matching
-sweep first. `gc` compacts the shards: duplicate keys left behind by
-`sweep --force` (only the newest survives a load anyway) and records
-orphaned by a schema change are dropped; `--expect-clean` fails if
-anything had to be removed (CI runs it after the double sweep to prove a
-clean store stays clean).
+`--batch N` groups pending jobs that share a machine configuration, up
+to N per group, and runs lanes that are the same simulation (a
+deterministic scheme swept over seeds) once (identical per lane for
+every N — also settable via $VALLEY_SIM_BATCH; batch width is never part
+of a job key). `--max-shard-bytes N` auto-compacts the store at open
+when any shard file exceeds N bytes. `figures` reads the store only —
+run the matching sweep first. `gc` compacts the shards: duplicate keys
+left behind by `sweep --force` (only the newest survives a load anyway)
+and records orphaned by a schema change are dropped; `--expect-clean`
+fails if anything had to be removed (CI runs it after the double sweep
+to prove a clean store stays clean).
 
 Fabric: `serve` expands the grid, skips stored keys, and leases the rest
 to connecting workers over std-TCP with `--lease-ms` deadlines — a
@@ -103,7 +103,7 @@ results are committed to the store in grid order, so the distributed
 store matches a local sequential sweep. `--linger` keeps the read side
 up after the grid completes, until `fetch --shutdown`. `work` executes
 leases with the unchanged local engines (`--batch`/$VALLEY_SIM_BATCH
-asks for lockstep-batchable leases, `--sim-threads`/$VALLEY_SIM_THREADS
+asks for same-machine batch leases, `--sim-threads`/$VALLEY_SIM_THREADS
 picks the intra-sim engine). `fetch` is the read-side endpoint: it
 prints the grid's stored results (or `--figures` tables) fetched from
 the coordinator — never simulating — and `--expect-cached PCT` fails
@@ -396,10 +396,11 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     }
 
     // Wall-attribution telemetry, straight from the records' `wall`
-    // field: only measured walls are genuine per-job timings; averaged
-    // walls are equal shares of a lockstep batch's wall, and cloned
-    // walls mark lanes served by an identical lane's simulation (batch
-    // width itself is pure scheduling and never part of a job key).
+    // field: measured walls are genuine per-job timings, cloned walls
+    // mark lanes served by an identical lane's simulation (batch width
+    // itself is pure scheduling and never part of a job key), and
+    // averaged walls — equal shares of one batch's wall — only come
+    // from stores written before batches timed each lane.
     let mut averaged = 0usize;
     let mut cloned = 0usize;
     for e in &scan.records {
@@ -410,9 +411,13 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
         }
     }
     if averaged + cloned > 0 {
+        let legacy = match averaged {
+            0 => String::new(),
+            n => format!(", {n} carry an older store's averaged batch wall"),
+        };
         println!(
-            "\nbatched runs: {averaged} result(s) carry an averaged batch wall, \
-             {cloned} were cloned from an identical lane ({} of {} measured)",
+            "\nbatched runs: {cloned} result(s) were cloned from an identical lane{legacy} \
+             ({} of {} measured)",
             scan.records.len() - averaged - cloned,
             scan.records.len()
         );

@@ -551,8 +551,7 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -
         }
     };
     // Same grouping as the local batched sweep: jobs in one lease share
-    // (config, scale, scheme), so the worker can run them as one
-    // `BatchSim` and per-lane results stay bit-identical.
+    // (config, scale, scheme), where seed-insensitive lanes dedupe.
     let machine = |i: usize| {
         let j = &shared.jobs[i];
         (j.config, j.scale, j.scheme)

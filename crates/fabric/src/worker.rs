@@ -5,7 +5,7 @@
 //! [`execute_batch`] for same-machine batches — so every local engine
 //! knob composes with remote execution: `VALLEY_SIM_THREADS` picks the
 //! phase-parallel engine inside each simulation, and the worker's
-//! `--batch` capacity asks the coordinator for lockstep-batchable
+//! `--batch` capacity asks the coordinator for same-machine batch
 //! leases. Panics are caught per lease and reported as structured
 //! [`JobFailure`]s, so a crashed job is re-leased with its reason
 //! attached instead of silently vanishing.
@@ -224,10 +224,8 @@ fn execute_lease(
     let elapsed = start.elapsed();
     match outcome {
         Ok(lanes) => {
-            // Same attribution rule as the local batched sweep: the
-            // executor measures what it can and flags the rest — lone
-            // jobs are measured, lockstep lanes carry an averaged share
-            // of the batch wall, cloned lanes ~0.
+            // Same attribution rule as the local batched sweep: every
+            // lane that ran is measured, cloned lanes are 0.
             summary.leases += 1;
             summary.completed += jobs.len() as u64;
             if opts.verbose {

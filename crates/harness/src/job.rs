@@ -8,10 +8,10 @@
 //! stored result can be reused by any future sweep, figure or ablation
 //! that asks for the same point of the grid.
 
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
 use valley_core::hash::FastMap;
-use valley_core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind, StackedMap};
-use valley_sim::{BatchSim, GpuConfig, GpuSim, SimReport};
+use valley_core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
+use valley_sim::{GpuConfig, GpuSim, SimReport};
 use valley_workloads::{Benchmark, Scale};
 
 /// Version of the job-key schema. Bump when the canonical key format,
@@ -263,14 +263,14 @@ pub fn execute_job(spec: &JobSpec) -> SimReport {
 
 /// How a result's `wall_ms` was obtained — stored with the record so
 /// perf fingerprints (the bench gate, `valley status`) can tell genuine
-/// measurements from batch-wall attributions.
+/// measurements from the rest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WallKind {
-    /// The job executed alone and was timed directly.
+    /// The job's simulation was timed directly.
     Measured,
-    /// The job ran as one lane of a lockstep batch: the batch wall was
-    /// split evenly over the batch's *unique* simulations, so the value
-    /// is an attribution, not a measurement.
+    /// An equal share of one batch's wall — an attribution, not a
+    /// measurement. Never written; parsed because older stores and v2
+    /// fabric peers carry it.
     Averaged,
     /// The job's report was cloned from an identical lane (a
     /// deterministic scheme swept over seeds); its marginal cost is ~0
@@ -299,8 +299,8 @@ impl WallKind {
     }
 
     /// Whether the value is a genuine single-job measurement, usable as
-    /// a perf fingerprint. Averaged and cloned walls describe scheduling
-    /// economics, not simulation speed.
+    /// a perf fingerprint. Cloned (and legacy averaged) walls describe
+    /// scheduling economics, not simulation speed.
     pub fn is_measured(self) -> bool {
         self == WallKind::Measured
     }
@@ -312,20 +312,16 @@ impl WallKind {
 pub struct LaneOutcome {
     /// The lane's simulation report.
     pub report: SimReport,
-    /// Wall milliseconds attributed to this lane. Sums to the batch's
-    /// measured wall across the lanes.
+    /// Wall milliseconds this lane's simulation took (0 for a clone).
     pub wall_ms: f64,
     /// How `wall_ms` was obtained.
     pub wall: WallKind,
 }
 
-/// Runs a batch of same-machine jobs through the lockstep batched
-/// engine ([`BatchSim`]) and returns their reports in `specs` order —
-/// each bit-identical to what [`execute_job`] would have produced for
-/// that spec alone. The lanes share one config and one address-map
-/// allocation; batch width is pure scheduling and is deliberately not
-/// part of any job key. See [`execute_batch_timed`] for the wall-clock
-/// attribution.
+/// Runs a batch of jobs and returns their reports in `specs` order —
+/// each equal to what [`execute_job`] produces for that spec alone.
+/// Batch width is pure scheduling and is deliberately not part of any
+/// job key. See [`execute_batch_timed`] for the wall-clock attribution.
 pub fn execute_batch(specs: &[JobSpec]) -> Vec<SimReport> {
     execute_batch_timed(specs)
         .into_iter()
@@ -339,34 +335,13 @@ pub fn execute_batch(specs: &[JobSpec]) -> Vec<SimReport> {
 /// same BIM for every seed (the seed is part of the job key because keys
 /// describe the request, but the deterministic schemes never read it),
 /// so a multi-seed sweep slice collapses those lanes to one and clones
-/// the report. This is where the batch engine wins big on multi-seed
-/// groups — N seeds of a deterministic scheme cost one simulation.
+/// the report — N seeds of a deterministic scheme cost one simulation.
+/// That dedupe is all a batch buys; every unique lane goes through
+/// [`execute_job`] on its own spec, one after another.
 ///
-/// Wall attribution is honest about what the engine can and cannot
-/// measure: a lone job is [`WallKind::Measured`]; a collapsed group's
-/// one executed lane is `Measured` and its clones are
-/// [`WallKind::Cloned`] at ~0 cost; lockstep lanes interleave on one
-/// clock, so each unique simulation gets an equal share of the batch
-/// wall flagged [`WallKind::Averaged`]. The shares always sum to the
-/// measured batch wall.
-///
-/// All specs must share the same [`ConfigId`] (the sweep batcher groups
-/// on (config, scale, scheme)); [`BatchSim::new`] enforces the clock
-/// agreement that actually matters.
+/// An executed lane is timed on its own and [`WallKind::Measured`]; a
+/// clone is [`WallKind::Cloned`] at 0 ms.
 pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
-    if specs.len() == 1 {
-        let start = std::time::Instant::now();
-        let report = execute_job(&specs[0]);
-        return vec![LaneOutcome {
-            report,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            wall: WallKind::Measured,
-        }];
-    }
-    debug_assert!(
-        specs.iter().all(|s| s.config == specs[0].config),
-        "batched jobs must share a machine configuration"
-    );
     // Seed only reaches the simulation through the randomized schemes'
     // BIM construction; two lanes agreeing on everything else are
     // identical runs.
@@ -374,69 +349,29 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
         let effective_seed = if s.scheme.is_randomized() { s.seed } else { 0 };
         (s.bench, s.scheme, effective_seed, s.scale, s.config)
     };
-    let mut seen: FastMap<_, usize> = FastMap::default();
-    let mut unique: Vec<&JobSpec> = Vec::new();
-    let lane_of: Vec<usize> = specs
-        .iter()
-        .map(|s| {
-            *seen.entry(identity(s)).or_insert_with(|| {
-                unique.push(s);
-                unique.len() - 1
-            })
-        })
-        .collect();
-    if unique.len() == 1 {
-        let start = std::time::Instant::now();
-        let report = execute_job(unique[0]);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        return lane_of
-            .iter()
-            .enumerate()
-            .map(|(i, _)| LaneOutcome {
-                report: report.clone(),
-                wall_ms: if i == 0 { wall_ms } else { 0.0 },
-                wall: if i == 0 {
-                    WallKind::Measured
-                } else {
-                    WallKind::Cloned
-                },
-            })
-            .collect();
-    }
-    let cfg = Arc::new(specs[0].config.gpu_config());
-    let map: Arc<dyn DramAddressMap + Send + Sync> = if specs[0].config.is_stacked() {
-        Arc::new(StackedMap::baseline())
-    } else {
-        Arc::new(GddrMap::baseline())
-    };
-    let sims = unique
-        .iter()
-        .map(|spec| {
-            let mapper = AddressMapper::build(spec.scheme, &*map, spec.seed);
-            let workload = Box::new(spec.bench.workload(spec.scale));
-            GpuSim::with_shared(Arc::clone(&cfg), mapper, Arc::clone(&map), workload)
-        })
-        .collect();
-    let start = std::time::Instant::now();
-    let reports = BatchSim::new(sims).run();
-    let share_ms = start.elapsed().as_secs_f64() * 1e3 / unique.len() as f64;
-    let mut attributed: Vec<bool> = vec![false; unique.len()];
-    lane_of
-        .into_iter()
-        .map(|l| {
-            let first = !attributed[l];
-            attributed[l] = true;
-            LaneOutcome {
-                report: reports[l].clone(),
-                wall_ms: if first { share_ms } else { 0.0 },
-                wall: if first {
-                    WallKind::Averaged
-                } else {
-                    WallKind::Cloned
-                },
+    let mut first: FastMap<_, usize> = FastMap::default();
+    let mut lanes: Vec<LaneOutcome> = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let lane = match first.entry(identity(spec)) {
+            Entry::Occupied(ran) => LaneOutcome {
+                report: lanes[*ran.get()].report.clone(),
+                wall_ms: 0.0,
+                wall: WallKind::Cloned,
+            },
+            Entry::Vacant(slot) => {
+                slot.insert(lanes.len());
+                let start = std::time::Instant::now();
+                let report = execute_job(spec);
+                LaneOutcome {
+                    report,
+                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                    wall: WallKind::Measured,
+                }
             }
-        })
-        .collect()
+        };
+        lanes.push(lane);
+    }
+    lanes
 }
 
 /// Parses a scheme label (case-insensitive) — the inverse of

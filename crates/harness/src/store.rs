@@ -60,8 +60,8 @@ pub struct StoredResult {
     pub report: SimReport,
     /// Wall time of the original execution, in milliseconds.
     pub wall_ms: f64,
-    /// How `wall_ms` was obtained (measured alone, averaged over a
-    /// lockstep batch, or ~0 for a cloned duplicate lane).
+    /// How `wall_ms` was obtained (measured, 0 for a cloned duplicate
+    /// lane, or — in older stores — averaged over a batch).
     pub wall: WallKind,
 }
 

@@ -2,7 +2,7 @@
 //! already has, run the rest on the work-stealing pool, persist every
 //! fresh result, and hand back the full grid in deterministic order.
 
-use crate::job::{execute_batch_timed, execute_job, JobSpec, SweepSpec, WallKind};
+use crate::job::{execute_batch_timed, JobSpec, SweepSpec, WallKind};
 use crate::pool;
 use crate::store::{ResultStore, StoreError};
 use std::time::{Duration, Instant};
@@ -20,13 +20,13 @@ pub struct SweepOptions {
     /// Re-run every job even if a stored result exists (the fresh result
     /// overwrites the stored one).
     pub force: bool,
-    /// Batch width for the lockstep many-sim engine: pending jobs that
-    /// share a machine (config, scale, scheme) run through one
-    /// [`valley_sim::BatchSim`] in groups of up to this many lanes.
-    /// `0` defers to the `VALLEY_SIM_BATCH` environment knob; a width
-    /// of 1 (either way) keeps the per-job sequential path. Batch width
-    /// is pure scheduling — per-lane results are bit-identical to
-    /// unbatched runs — so it is deliberately not part of job keys.
+    /// Batch width: pending jobs that share a machine (config, scale,
+    /// scheme) become one pool unit in groups of up to this many lanes,
+    /// within which lanes that are the same simulation run once (see
+    /// [`execute_batch_timed`]). `0` defers to the `VALLEY_SIM_BATCH`
+    /// environment knob; a width of 1 (either way) is one job per unit.
+    /// Batch width is pure scheduling — per-lane results are identical
+    /// to unbatched runs — so it is deliberately not part of job keys.
     pub batch: usize,
 }
 
@@ -41,8 +41,8 @@ pub struct JobOutcome {
     /// hits, this run's execution time for misses.
     pub wall_ms: f64,
     /// How `wall_ms` was obtained (see [`WallKind`]): a genuine per-job
-    /// measurement, an equal share of a lockstep batch's wall, or ~0 for
-    /// a lane cloned from an identical one.
+    /// measurement, or 0 for a lane cloned from an identical one (a
+    /// cache hit from an older store may also say `averaged`).
     pub wall: WallKind,
     /// Whether the result came from the store.
     pub cached: bool,
@@ -253,9 +253,10 @@ pub fn run_sweep(
     }
     let cache_hits = jobs.len() - todo.len();
 
-    // Phase 2: execute the misses on the work-stealing pool — one pool
-    // unit per job when unbatched, one per same-machine batch through
-    // the lockstep engine when batching is on. Phase 3 persists and
+    // Phase 2: execute the misses on the work-stealing pool, one pool
+    // unit per group of same-machine jobs: an order-preserving group-by
+    // on (config, scale, scheme), each group chunked to at most `width`
+    // lanes, so width 1 is one job per unit. Phase 3 persists and
     // assembles; failures are collected for a loud, full report (a
     // suite with holes would silently skew every figure). A store write
     // error becomes that job's failure rather than aborting the drain:
@@ -266,169 +267,102 @@ pub fn run_sweep(
     } else {
         opts.batch
     };
-    let mut failures = Vec::new();
-    if width <= 1 {
-        let workers = opts
-            .workers
-            .unwrap_or_else(|| pool::default_workers(todo.len()));
-        if opts.verbose && !todo.is_empty() {
-            eprintln!(
-                "sweep: {} jobs, {} cached, running {} on {} worker(s)",
-                jobs.len(),
-                cache_hits,
-                todo.len(),
-                workers.clamp(1, todo.len()),
-            );
+    let mut batches: Vec<Vec<usize>> = Vec::new();
+    let mut open: FastMap<
+        (
+            crate::job::ConfigId,
+            valley_workloads::Scale,
+            valley_core::SchemeKind,
+        ),
+        usize,
+    > = FastMap::default();
+    for &idx in &todo {
+        let job = &jobs[idx];
+        let key = (job.config, job.scale, job.scheme);
+        match open.get(&key) {
+            Some(&b) if batches[b].len() < width => batches[b].push(idx),
+            _ => {
+                open.insert(key, batches.len());
+                batches.push(vec![idx]);
+            }
         }
-        let results = pool::run_jobs(
+    }
+    let workers = opts
+        .workers
+        .unwrap_or_else(|| pool::default_workers(batches.len()));
+    if opts.verbose && !todo.is_empty() {
+        eprintln!(
+            "sweep: {} jobs, {} cached, running {} in {} unit(s) of <= {} on {} worker(s)",
+            jobs.len(),
+            cache_hits,
             todo.len(),
-            workers,
-            |k| {
-                let job = jobs[todo[k]];
-                let t = Instant::now();
-                let report = execute_job(&job);
-                (report, t.elapsed())
-            },
-            |done| {
-                if opts.verbose {
-                    let job = &jobs[todo[done.index]];
-                    let stolen = if done.stolen { ", stolen" } else { "" };
-                    match done.error {
-                        None => eprintln!(
-                            "  [{}/{}] {job}: {:.2?} (worker {}{stolen})",
-                            done.completed, done.total, done.elapsed, done.worker
-                        ),
-                        Some(msg) => eprintln!(
-                            "  [{}/{}] {job}: PANIC after {:.2?}: {msg}",
-                            done.completed, done.total, done.elapsed
-                        ),
-                    }
-                }
-            },
+            batches.len(),
+            width,
+            workers.clamp(1, batches.len()),
         );
-        for (k, result) in results.into_iter().enumerate() {
-            let idx = todo[k];
-            match result {
-                Ok((report, elapsed)) => {
-                    let wall_ms = elapsed.as_secs_f64() * 1e3;
+    }
+    // What a progress or failure line calls a pool unit: the job itself
+    // for a singleton, the lead job and the lane count otherwise.
+    let unit_name = |batch: &[usize]| match batch {
+        [one] => jobs[*one].to_string(),
+        _ => format!("batch x{} ({}, ...)", batch.len(), jobs[batch[0]]),
+    };
+    let results = pool::run_jobs(
+        batches.len(),
+        workers,
+        |b| {
+            let specs: Vec<JobSpec> = batches[b].iter().map(|&i| jobs[i]).collect();
+            // Wall attribution happens inside: the executor knows which
+            // lanes it ran and which it cloned.
+            execute_batch_timed(&specs)
+        },
+        |done| {
+            if opts.verbose {
+                let unit = unit_name(&batches[done.index]);
+                let stolen = if done.stolen { ", stolen" } else { "" };
+                match done.error {
+                    None => eprintln!(
+                        "  [{}/{}] {unit}: {:.2?} (worker {}{stolen})",
+                        done.completed, done.total, done.elapsed, done.worker
+                    ),
+                    Some(msg) => eprintln!(
+                        "  [{}/{}] {unit}: PANIC after {:.2?}: {msg}",
+                        done.completed, done.total, done.elapsed
+                    ),
+                }
+            }
+        },
+    );
+    let mut failures = Vec::new();
+    for (batch, result) in batches.iter().zip(results) {
+        match result {
+            Ok(lanes) => {
+                for (&idx, lane) in batch.iter().zip(lanes) {
                     record_fresh(
                         store,
                         opts,
                         idx,
-                        report,
-                        wall_ms,
-                        WallKind::Measured,
+                        lane.report,
+                        lane.wall_ms,
+                        lane.wall,
                         &jobs,
                         &mut outcomes,
                         &mut failures,
                     );
                 }
-                Err(msg) => failures.push(JobFailure::panic(jobs[idx], msg)),
             }
-        }
-    } else {
-        // Group the pending jobs into same-machine batches: an
-        // order-preserving group-by on (config, scale, scheme), each
-        // group chunked to at most `width` lanes. Benchmarks and seeds
-        // may mix freely within a batch — only the clocks must agree,
-        // and those are fixed by the config.
-        let mut batches: Vec<Vec<usize>> = Vec::new();
-        let mut open: FastMap<
-            (
-                crate::job::ConfigId,
-                valley_workloads::Scale,
-                valley_core::SchemeKind,
-            ),
-            usize,
-        > = FastMap::default();
-        for &idx in &todo {
-            let job = &jobs[idx];
-            let key = (job.config, job.scale, job.scheme);
-            match open.get(&key) {
-                Some(&b) if batches[b].len() < width => batches[b].push(idx),
-                _ => {
-                    open.insert(key, batches.len());
-                    batches.push(vec![idx]);
-                }
-            }
-        }
-        let workers = opts
-            .workers
-            .unwrap_or_else(|| pool::default_workers(batches.len()));
-        if opts.verbose && !todo.is_empty() {
-            eprintln!(
-                "sweep: {} jobs, {} cached, running {} in {} batch(es) of <= {} on {} worker(s)",
-                jobs.len(),
-                cache_hits,
-                todo.len(),
-                batches.len(),
-                width,
-                workers.clamp(1, batches.len()),
-            );
-        }
-        let results = pool::run_jobs(
-            batches.len(),
-            workers,
-            |b| {
-                let specs: Vec<JobSpec> = batches[b].iter().map(|&i| jobs[i]).collect();
-                // Wall attribution happens inside: the executor knows
-                // which lanes it measured, averaged or cloned.
-                execute_batch_timed(&specs)
-            },
-            |done| {
-                if opts.verbose {
-                    let batch = &batches[done.index];
-                    let lead = &jobs[batch[0]];
-                    let stolen = if done.stolen { ", stolen" } else { "" };
-                    match done.error {
-                        None => eprintln!(
-                            "  [{}/{}] batch x{} ({lead}, ...): {:.2?} (worker {}{stolen})",
-                            done.completed,
-                            done.total,
-                            batch.len(),
-                            done.elapsed,
-                            done.worker
-                        ),
-                        Some(msg) => eprintln!(
-                            "  [{}/{}] batch x{} ({lead}, ...): PANIC after {:.2?}: {msg}",
-                            done.completed,
-                            done.total,
-                            batch.len(),
-                            done.elapsed
-                        ),
-                    }
-                }
-            },
-        );
-        for (b, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(lanes) => {
-                    // A lane's individual wall is unobservable inside a
-                    // lockstep batch; the executor attributes an equal
-                    // share of the batch wall to each *unique* lane and
-                    // flags it [`WallKind::Averaged`] (clones are ~0),
-                    // so the stored record says what the number means.
-                    for (&idx, lane) in batches[b].iter().zip(lanes) {
-                        record_fresh(
-                            store,
-                            opts,
-                            idx,
-                            lane.report,
-                            lane.wall_ms,
-                            lane.wall,
-                            &jobs,
-                            &mut outcomes,
-                            &mut failures,
-                        );
-                    }
-                }
-                Err(msg) => {
-                    // The whole batch shares one panic: every lane in it
-                    // needs a re-run, so every lane reports the failure.
-                    for &idx in &batches[b] {
-                        failures.push(JobFailure::panic(jobs[idx], format!("batched lane: {msg}")));
-                    }
-                }
+            // The whole group shares one panic: every lane in it needs a
+            // re-run, so every lane reports the failure.
+            Err(msg) => {
+                let msg = match batch.len() {
+                    1 => msg,
+                    _ => format!("batched lane: {msg}"),
+                };
+                failures.extend(
+                    batch
+                        .iter()
+                        .map(|&idx| JobFailure::panic(jobs[idx], msg.clone())),
+                );
             }
         }
     }

@@ -4,7 +4,8 @@
 
 use valley_core::SchemeKind;
 use valley_harness::{
-    run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions, SweepOptions, SweepSpec, DEFAULT_SEED,
+    execute_batch_timed, execute_job, run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions,
+    SweepOptions, SweepSpec, WallKind, DEFAULT_SEED,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -174,6 +175,83 @@ fn batched_sweep_matches_sequential_results_and_store_state() {
     .unwrap();
     assert_eq!(resumed.cache_hits, sequential.jobs.len());
     assert_eq!(resumed.executed, 0);
+}
+
+#[test]
+fn mixed_config_batch_runs_each_lane_on_its_own_machine() {
+    // A batch is whatever slice it is handed (a fabric lease arrives
+    // unchecked): lanes on different machines, and seeds that dedupe
+    // under BASE but not under PAE, must each equal their own solo run.
+    let specs: Vec<JobSpec> = SweepSpec::new(
+        &[Benchmark::Sp],
+        &[SchemeKind::Base, SchemeKind::Pae],
+        Scale::Test,
+    )
+    .with_seeds(&[1, 2])
+    .with_configs(&[ConfigId::Table1, ConfigId::Stacked])
+    .expand();
+    let lanes = execute_batch_timed(&specs);
+    assert_eq!(lanes.len(), specs.len());
+    for (spec, lane) in specs.iter().zip(&lanes) {
+        assert_eq!(
+            lane.report.results_json(),
+            execute_job(spec).results_json(),
+            "{spec}: batched lane differs from its solo run"
+        );
+    }
+    let cloned = lanes.iter().filter(|l| l.wall == WallKind::Cloned).count();
+    assert_eq!(cloned, 2, "one BASE seed-2 clone per machine");
+}
+
+#[test]
+fn batched_lanes_are_measured_and_averaged_records_still_load() {
+    let tmp = TempStore::new("batch-wall");
+    let spec = SweepSpec::new(
+        &[Benchmark::Sp, Benchmark::Mt, Benchmark::Mum],
+        &[SchemeKind::Base, SchemeKind::Pae],
+        Scale::Test,
+    )
+    .with_seeds(&[1, 2, 3]);
+    let opts = SweepOptions {
+        batch: 9,
+        ..Default::default()
+    };
+    let swept = run_sweep(&spec, &tmp.open(), &opts).unwrap();
+    // BASE never reads the seed: two of its three seeds per bench clone.
+    let cloned = swept.jobs.iter().filter(|j| j.wall == WallKind::Cloned);
+    assert_eq!(cloned.count(), 6);
+    for j in swept.jobs.iter().filter(|j| j.wall != WallKind::Cloned) {
+        assert!(
+            j.wall.is_measured(),
+            "{}: executed lane not measured",
+            j.spec
+        );
+        assert!(j.wall_ms > 0.0, "{}: executed lane has no wall", j.spec);
+    }
+
+    // Stores written while batches split one wall evenly say `averaged`;
+    // such records are outside input and must keep loading.
+    for entry in std::fs::read_dir(&tmp.0).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(
+            &path,
+            text.replace("\"wall\":\"measured\"", "\"wall\":\"averaged\""),
+        )
+        .unwrap();
+    }
+    let resumed = run_sweep(&spec, &tmp.open(), &opts).unwrap();
+    assert_eq!(resumed.cache_hits, swept.jobs.len());
+    for (a, b) in swept.jobs.iter().zip(&resumed.jobs) {
+        assert_eq!(a.report, b.report, "{}: reloaded report differs", a.spec);
+        let expect = if a.wall.is_measured() {
+            WallKind::Averaged
+        } else {
+            a.wall
+        };
+        assert_eq!(b.wall, expect, "{}", b.spec);
+        assert_eq!(b.wall_ms, a.wall_ms, "{}", b.spec);
+    }
 }
 
 #[test]

@@ -1,115 +1,22 @@
-//! The batched many-sim engine: N independent simulations ("lanes")
-//! advanced through the sequential evented tick discipline in lockstep.
+//! Batch grouping for sweeps: the width knob ([`Batching`]) and a
+//! [`BatchSim`] that runs a group of simulations one after another.
 //!
-//! # Why batch
-//!
-//! A sweep grid's dominant axis is seeds × benchmarks over *identical*
-//! machine configurations: every job replays the same control flow over
-//! different data. Run one job at a time and each pays the full
-//! instruction-stream, branch-history and config-cache-line cost from
-//! cold. [`BatchSim`] amortizes those: all lanes share one
-//! [`GpuConfig`](crate::GpuConfig) allocation and one address map (see
-//! [`GpuSim::with_shared`]), and the driver walks the *same* engine code
-//! across the lanes cycle by cycle, so the hot loop's code and the
-//! shared immutable state stay resident while only the per-lane state
-//! differs — the CPU analogue of dispatch-wide data parallelism.
-//!
-//! # SoA hot state
-//!
-//! The per-lane mutable scalars the driver touches every cycle — the
-//! cached event horizons, the wake gates, the cached scheduler verdict,
-//! the lazy-sample watermark and the six parallelism-integrator
-//! accumulators — live in [`HotSoa`]: one contiguous cross-lane array
-//! per counter, indexed `[counter][lane]`. The shared fast-forward scan
-//! walks a handful of dense stripes instead of chasing N scattered lane
-//! structs, and a [`LaneView`] borrows a lane's stripe (plus its
-//! simulator) for the duration of a cycle body. The integrator is only
-//! materialized from its stripe at report time
-//! ([`ParallelismIntegrator::from_parts`]).
-//!
-//! # Lockstep discipline
-//!
-//! All lanes agree on the three clock ratios and the cycle safety limit
-//! (enforced by [`BatchSim::new`]), so one shared set of clock
-//! accumulators — replaying exactly the dense loop's arithmetic — serves
-//! every lane. The driver alternates two phases:
-//!
-//! * **Shared fast-forward** — when *every* active lane is provably
-//!   quiet (its wake gates, NoC/DRAM next-event caches and TB scheduler
-//!   all agree nothing can happen), the clocks skip to the earliest
-//!   event over all lanes, exactly like the sequential engine's
-//!   `fast_forward` with the minima taken across lanes.
-//! * **Lockstep epochs** — when some lane has work, the batch advances
-//!   one fixed-size epoch of core cycles. The coordinator pre-computes
-//!   the epoch's domain-tick schedule once into a shared **tick tape**
-//!   (one byte per core cycle: the NoC and DRAM tick counts, each 0 or
-//!   1 under the evented clock envelope), so lanes replay the clock
-//!   trajectory with two integer adds per cycle instead of re-running
-//!   the floating-point accumulator arithmetic per lane. Lanes are
-//!   mutually independent and the trajectory is a pure function of the
-//!   cycle index, so within the epoch each lane runs *alone* on a local
-//!   clock cursor: its own dense/skip loop, checking its quiet
-//!   conditions (the same four the sequential fast-forward uses: NoC
-//!   window, DRAM window, core-domain [`WakeGate`]s, scheduler verdict)
-//!   and jumping quiet spans straight to the earliest horizon via the
-//!   tape's prefix sums. This keeps a dense lane's working set
-//!   cache-hot for a whole epoch instead of evicting it every cycle. A
-//!   lane that is provably quiet for the entire epoch is skipped in
-//!   O(1) — the quiet predicate is monotone in the clock windows, so
-//!   holding at the epoch-end horizons covers every cycle in it. Frozen
-//!   metric samples of quiet spans are accounted lazily on wake, with
-//!   the same `sample_n` bulk arithmetic the sequential engine uses.
-//! * **Early exit** — a lane whose workload completes builds its
-//!   [`SimReport`] immediately (with the clock values at that instant,
-//!   which equal its solo run's) and drops out of the active set;
-//!   remaining lanes keep ticking.
-//!
-//! # Batch × threads composition
-//!
-//! With `VALLEY_SIM_THREADS > 1` ([`Parallelism::Shards`]) the lanes are
-//! partitioned into that many contiguous **lane groups**, each with its
-//! own SoA block and scratch, and the groups execute every lockstep
-//! epoch concurrently on worker threads behind the same spin-then-park
-//! epoch barrier the phase-parallel shard engine uses (`par::Ctrl`,
-//! generic over the published plan). Groups share nothing mutable — the
-//! coordinator alone advances the shared clocks and writes the tick
-//! tape between barriers — so the thread count, like the batch width,
-//! is pure scheduling: `valley sweep --batch N --sim-threads M` runs
-//! one coherent engine and `M` trades wall time, never results. A batch
-//! that falls back to per-lane sequential runs (single lane, or a clock
-//! envelope outside the evented discipline) still honors the threads
-//! knob lane by lane through [`GpuSim::run_with`].
-//!
-//! A lane executes a cycle body if and only if its solo sequential run
-//! would have executed that cycle densely — the quiet predicate is the
-//! sequential fast-forward's skip predicate evaluated per lane — so
-//! every lane's state trajectory, and therefore its report, is
-//! **bit-identical** to [`GpuSim::run`] on the sequential evented
-//! engine (pinned by `tests/event_driven_equivalence.rs` and the
-//! randomized battery in `crates/sim/tests/batch_equivalence.rs`, both
-//! of which sweep the batch-width × group-count grid). Batch width is
-//! pure scheduling: it trades wall time, never results, which is why
-//! the harness keeps it out of job keys.
+//! What a batch buys is decided above this crate: the harness groups
+//! same-machine jobs and runs lanes that are the *same simulation* once
+//! (see `valley_harness::execute_batch_timed`). Here a batch is nothing
+//! more than its lanes in order, each on [`GpuSim::run`].
 
-use crate::gpu::{domain_ticks, GpuSim, Parallelism, TbScheduler, METRIC_SAMPLE_INTERVAL};
-use crate::metrics::{ParallelismIntegrator, SimReport};
-use crate::par::{split_ranges, Ctrl};
-use crate::sm::SmOutbound;
-use crate::wake::WakeGate;
-use std::sync::{Arc, Mutex, RwLock};
-use valley_core::PhysAddr;
-use valley_noc::Packet;
+use crate::gpu::GpuSim;
+use crate::metrics::SimReport;
 
-/// Batch-width knob for the harness's sweep executor (see
-/// [`BatchSim`]): how many same-config jobs to drive through one
-/// lockstep batch.
+/// Batch-width knob for the harness's sweep executor: how many
+/// same-machine jobs go into one group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Batching(pub usize);
 
 impl Batching {
     /// Reads `VALLEY_SIM_BATCH`: unset, empty, `0` or `1` mean no
-    /// batching (width 1); `n > 1` means lockstep batches of up to `n`
-    /// lanes.
+    /// batching (width 1); `n > 1` means groups of up to `n` lanes.
     ///
     /// # Panics
     ///
@@ -134,12 +41,8 @@ impl Batching {
     }
 }
 
-/// N simulations advanced in lockstep — see the module docs.
-///
-/// Lanes may differ in mapper, seed and workload; they must agree on
-/// the clock ratios and cycle limit (the shared clock state). Build the
-/// lanes with [`GpuSim::with_shared`] so the config and address map are
-/// genuinely shared allocations.
+/// A group of simulations ("lanes") run in lane order. Lanes are
+/// independent and may differ in everything, machine included.
 ///
 /// ```no_run
 /// use valley_sim::BatchSim;
@@ -151,24 +54,13 @@ pub struct BatchSim {
 }
 
 impl BatchSim {
-    /// Wraps `sims` as the lanes of one lockstep batch.
+    /// Wraps `sims` as the lanes of one batch.
     ///
     /// # Panics
     ///
-    /// Panics if `sims` is empty or the lanes disagree on a clock or on
-    /// `max_cycles` (the shared lockstep state).
+    /// Panics if `sims` is empty.
     pub fn new(sims: Vec<GpuSim>) -> Self {
         assert!(!sims.is_empty(), "a batch needs at least one lane");
-        let first = Arc::clone(&sims[0].cfg);
-        for s in &sims[1..] {
-            assert!(
-                s.cfg.core_clock_ghz == first.core_clock_ghz
-                    && s.cfg.noc_clock_ghz == first.noc_clock_ghz
-                    && s.cfg.dram.clock_ghz == first.dram.clock_ghz
-                    && s.cfg.max_cycles == first.max_cycles,
-                "batch lanes must agree on clocks and the cycle limit"
-            );
-        }
         BatchSim { sims }
     }
 
@@ -177,929 +69,10 @@ impl BatchSim {
         self.sims.len()
     }
 
-    /// Runs every lane to completion and returns the per-lane reports in
-    /// lane order — each bit-identical to what that lane's
-    /// [`GpuSim::run`] would have produced on the sequential evented
-    /// engine.
-    ///
-    /// Honors `VALLEY_SIM_THREADS` (see [`Parallelism::from_env`]): with
-    /// `n > 1` the lane groups execute each lockstep epoch concurrently,
-    /// with results bit-identical for every thread count.
+    /// Runs every lane to completion through [`GpuSim::run`] (so each
+    /// honors `VALLEY_SIM_THREADS`) and returns the reports in lane
+    /// order.
     pub fn run(self) -> Vec<SimReport> {
-        self.run_with(Parallelism::from_env())
+        self.sims.into_iter().map(GpuSim::run).collect()
     }
-
-    /// [`BatchSim::run`] with an explicit [`Parallelism`] knob: the
-    /// lanes are partitioned into `par.shards()` groups (clamped to the
-    /// lane count) that tick concurrently between epoch barriers.
-    pub fn run_with(self, par: Parallelism) -> Vec<SimReport> {
-        let cfg = Arc::clone(&self.sims[0].cfg);
-        // One lane has nothing to amortize; a clock envelope outside the
-        // evented discipline (a domain faster than the core clock) is
-        // handled by the sequential engine's own dense fallback. Either
-        // way the lanes run one at a time — and still honor the threads
-        // knob individually, since `GpuSim::run_with` composes with the
-        // phase-parallel shard engine on its own.
-        if self.sims.len() == 1 || cfg.noc_per_core() > 1.0 || cfg.dram_per_core() > 1.0 {
-            return self.sims.into_iter().map(|s| s.run_with(par)).collect();
-        }
-        let groups = par.shards();
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-            .min(groups);
-        run_lockstep(self.sims, groups, threads)
-    }
-
-    /// Runs the lockstep engine with explicit group and worker-thread
-    /// counts. Primarily for the equivalence batteries, which pin the
-    /// width × groups grid and the threaded transport independently of
-    /// the machine's core count and the environment knobs.
-    #[doc(hidden)]
-    pub fn run_grouped(self, groups: usize, threads: usize) -> Vec<SimReport> {
-        let cfg = Arc::clone(&self.sims[0].cfg);
-        if self.sims.len() == 1 || cfg.noc_per_core() > 1.0 || cfg.dram_per_core() > 1.0 {
-            return self
-                .sims
-                .into_iter()
-                .map(|s| s.run_with(Parallelism::Off))
-                .collect();
-        }
-        run_lockstep(self.sims, groups, threads)
-    }
-}
-
-/// Reusable hot-loop buffers, one set per lane group (each use fully
-/// drains or clears them, so nothing leaks across lanes).
-struct Scratch {
-    deliveries: Vec<valley_noc::Delivery>,
-    completions: Vec<valley_dram::DramCompletion>,
-    replies: Vec<u64>,
-    outbound: Vec<SmOutbound>,
-    banks_buf: Vec<usize>,
-}
-
-/// The cross-lane structure-of-arrays block: every per-lane mutable
-/// scalar the lockstep driver touches on the per-cycle paths, laid out
-/// as one contiguous array per counter (`[counter][lane]`). The shared
-/// fast-forward scan reads the `ev_*` stripes sequentially; a cycle
-/// body mutates only its own lane's elements through a [`LaneView`].
-/// All arrays are fixed-size boxed slices allocated up front, so the
-/// steady-state epochs never grow them (see the alloc-audit battery).
-struct HotSoa {
-    /// Cached earliest NoC-domain event per lane (both nets), valid
-    /// while the lane is untouched — quiet cycles mutate nothing, so
-    /// the cached value stays *identical* to a fresh read; this is pure
-    /// driver economics, not an approximation. Refreshed after every
-    /// cycle body.
-    ev_noc: Box<[u64]>,
-    /// Cached earliest DRAM-domain event per lane.
-    ev_dram: Box<[u64]>,
-    /// Cached earliest core-domain event per lane (min over its gates).
-    ev_core: Box<[u64]>,
-    /// Per-lane SM wake gate (the sequential engine's `sms_next`).
-    sms_next: Box<[WakeGate]>,
-    /// Per-lane LLC-slice wake gate (the sequential `slices_next`).
-    slices_next: Box<[WakeGate]>,
-    /// Cached negative `can_progress` verdict per lane (see the
-    /// sequential engine's `sched_quiet`): exact until the lane body
-    /// runs the TB scheduler again, because quiet cycles touch no lane
-    /// state.
-    sched_quiet: Box<[bool]>,
-    /// First cycle whose metric sample is not yet accounted: every
-    /// cycle in `[idle_from, now)` was lane-quiet, so all elapsed
-    /// sampling points see the identical frozen state and are accounted
-    /// in bulk when the lane next wakes (or terminates).
-    idle_from: Box<[u64]>,
-    /// The six [`ParallelismIntegrator`] accumulators, striped per lane
-    /// and reassembled only at report time.
-    llc_busy_sum: Box<[u64]>,
-    llc_samples: Box<[u64]>,
-    chan_busy_sum: Box<[u64]>,
-    chan_samples: Box<[u64]>,
-    bank_busy_sum: Box<[u64]>,
-    bank_samples: Box<[u64]>,
-}
-
-impl HotSoa {
-    fn new(n: usize) -> Self {
-        HotSoa {
-            ev_noc: vec![0; n].into_boxed_slice(),
-            ev_dram: vec![0; n].into_boxed_slice(),
-            ev_core: vec![0; n].into_boxed_slice(),
-            sms_next: vec![WakeGate::new(); n].into_boxed_slice(),
-            slices_next: vec![WakeGate::new(); n].into_boxed_slice(),
-            sched_quiet: vec![false; n].into_boxed_slice(),
-            idle_from: vec![0; n].into_boxed_slice(),
-            llc_busy_sum: vec![0; n].into_boxed_slice(),
-            llc_samples: vec![0; n].into_boxed_slice(),
-            chan_busy_sum: vec![0; n].into_boxed_slice(),
-            chan_samples: vec![0; n].into_boxed_slice(),
-            bank_busy_sum: vec![0; n].into_boxed_slice(),
-            bank_samples: vec![0; n].into_boxed_slice(),
-        }
-    }
-
-    /// [`ParallelismIntegrator::sample`] against lane `l`'s stripe —
-    /// the identical guard structure and arithmetic, so the reassembled
-    /// integrator is bit-identical to the sequential engine's.
-    fn sample(&mut self, l: usize, busy_slices: usize, busy_channels: usize, banks: &[usize]) {
-        if busy_slices > 0 {
-            self.llc_busy_sum[l] += busy_slices as u64;
-            self.llc_samples[l] += 1;
-        }
-        if busy_channels > 0 {
-            self.chan_busy_sum[l] += busy_channels as u64;
-            self.chan_samples[l] += 1;
-        }
-        for &b in banks {
-            self.bank_busy_sum[l] += b as u64;
-            self.bank_samples[l] += 1;
-        }
-    }
-
-    /// [`ParallelismIntegrator::sample_n`] against lane `l`'s stripe.
-    fn sample_n(
-        &mut self,
-        l: usize,
-        busy_slices: usize,
-        busy_channels: usize,
-        banks: &[usize],
-        n: u64,
-    ) {
-        if n == 0 {
-            return;
-        }
-        if busy_slices > 0 {
-            self.llc_busy_sum[l] += busy_slices as u64 * n;
-            self.llc_samples[l] += n;
-        }
-        if busy_channels > 0 {
-            self.chan_busy_sum[l] += busy_channels as u64 * n;
-            self.chan_samples[l] += n;
-        }
-        for &b in banks {
-            self.bank_busy_sum[l] += b as u64 * n;
-            self.bank_samples[l] += n;
-        }
-    }
-
-    /// Materializes lane `l`'s integrator from its stripe.
-    fn integrator(&self, l: usize) -> ParallelismIntegrator {
-        ParallelismIntegrator::from_parts(
-            self.llc_busy_sum[l],
-            self.llc_samples[l],
-            self.chan_busy_sum[l],
-            self.chan_samples[l],
-            self.bank_busy_sum[l],
-            self.bank_samples[l],
-        )
-    }
-}
-
-/// One lane's cold state: the full simulator plus its TB scheduler.
-/// Everything the per-cycle paths touch besides these lives in the
-/// group's [`HotSoa`] stripes.
-struct LaneCore {
-    sim: GpuSim,
-    sched: TbScheduler,
-}
-
-/// A lane's working handle: its simulator and scheduler plus a borrow
-/// of the group's SoA block, indexed at the lane's stripe. Method
-/// bodies are the sequential engine's cycle body verbatim, with the
-/// per-run locals replaced by stripe elements.
-struct LaneView<'a> {
-    sim: &'a mut GpuSim,
-    sched: &'a mut TbScheduler,
-    soa: &'a mut HotSoa,
-    l: usize,
-}
-
-impl LaneView<'_> {
-    /// Recomputes the lane's cached event horizons from its live state.
-    fn refresh_events(&mut self) {
-        let l = self.l;
-        self.soa.ev_noc[l] = self
-            .sim
-            .req_net
-            .cached_next_event()
-            .min(self.sim.reply_net.cached_next_event());
-        self.soa.ev_dram[l] = self.sim.dram.cached_next_event();
-        self.soa.ev_core[l] = self.soa.sms_next[l]
-            .get()
-            .min(self.soa.slices_next[l].get());
-    }
-
-    /// The sequential fast-forward's skip predicate, evaluated for this
-    /// lane at the shared cycle: `true` iff executing the cycle body
-    /// would provably do nothing. Caches a negative scheduler verdict
-    /// exactly like the sequential engine (only after every clock
-    /// condition passed, mirroring its early-return order).
-    fn is_quiet(&mut self, cycle: u64, noc_cycle: u64, nt: u64, dram_cycle: u64, dt: u64) -> bool {
-        let l = self.l;
-        if noc_cycle + nt > self.soa.ev_noc[l] {
-            return false;
-        }
-        if dram_cycle + dt > self.soa.ev_dram[l] {
-            return false;
-        }
-        if self.soa.ev_core[l] <= cycle {
-            return false;
-        }
-        if !self.soa.sched_quiet[l] {
-            if self.sim.sched_can_progress(self.sched) {
-                return false;
-            }
-            self.soa.sched_quiet[l] = true;
-        }
-        true
-    }
-
-    /// Accounts the frozen-state metric samples for the quiet span
-    /// `[idle_from, up_to)` — the batched analogue of the sequential
-    /// fast-forward's `sample_n` bulk accounting.
-    fn catch_up_samples(&mut self, up_to: u64, banks_buf: &mut Vec<usize>) {
-        let l = self.l;
-        if self.soa.idle_from[l] >= up_to {
-            // Consecutive dense cycles — the common case — have an
-            // empty quiet span; skip the divisions.
-            return;
-        }
-        let samples = up_to.div_ceil(METRIC_SAMPLE_INTERVAL)
-            - self.soa.idle_from[l].div_ceil(METRIC_SAMPLE_INTERVAL);
-        if samples > 0 {
-            let busy_slices = self.sim.slices.iter().filter(|s| !s.is_idle()).count();
-            let busy_channels = self.sim.dram.busy_channels();
-            self.sim.dram.busy_banks_per_busy_channel_into(banks_buf);
-            self.soa
-                .sample_n(l, busy_slices, busy_channels, banks_buf, samples);
-        }
-        self.soa.idle_from[l] = up_to;
-    }
-
-    /// Executes one core cycle of this lane — the sequential engine's
-    /// evented cycle body verbatim, over the shared clock windows
-    /// (`nt` NoC ticks from `noc_cycle`, `dt` DRAM ticks from
-    /// `dram_cycle`). Returns `true` when the lane's workload finished
-    /// and drained this cycle.
-    fn run_cycle(
-        &mut self,
-        cycle: u64,
-        noc_cycle: u64,
-        nt: u64,
-        dram_cycle: u64,
-        dt: u64,
-        scratch: &mut Scratch,
-    ) -> bool {
-        let l = self.l;
-        let sim = &mut *self.sim;
-        let soa = &mut *self.soa;
-        let noc_end = noc_cycle + nt;
-        let dram_end = dram_cycle + dt;
-        let mut sm_activity = false;
-
-        // ---- NoC clock domain ----
-        for nc in noc_cycle..noc_end {
-            scratch.deliveries.clear();
-            sim.req_net.tick_evented(nc, &mut scratch.deliveries);
-            for d in &scratch.deliveries {
-                sim.slices[d.dst].deliver(d.payload);
-                soa.slices_next[l].wake_now();
-            }
-            scratch.deliveries.clear();
-            sim.reply_net.tick_evented(nc, &mut scratch.deliveries);
-            for d in &scratch.deliveries {
-                sim.sms[d.dst].on_reply(d.payload, &sim.txns, cycle);
-                sm_activity = true;
-                soa.sms_next[l].wake_now();
-            }
-        }
-
-        // ---- DRAM clock domain ----
-        for dc in dram_cycle..dram_end {
-            scratch.completions.clear();
-            sim.dram.tick_evented(dc, &mut scratch.completions);
-            for c in &scratch.completions {
-                let t = sim.txns.get(c.id);
-                if !t.is_store {
-                    let slice = t.slice as usize;
-                    sim.slices[slice].on_dram_completion(
-                        c.id,
-                        cycle,
-                        &mut sim.txns,
-                        &sim.mapper,
-                        &mut scratch.replies,
-                    );
-                    soa.slices_next[l].wake_now();
-                }
-            }
-        }
-
-        // ---- LLC slices ----
-        if cycle >= soa.slices_next[l].get() {
-            let mut next = u64::MAX;
-            for s in &mut sim.slices {
-                s.tick_evented(
-                    cycle,
-                    dram_end,
-                    &sim.cfg,
-                    &mut sim.dram,
-                    &mut sim.txns,
-                    &sim.mapper,
-                    &mut scratch.replies,
-                );
-                next = next.min(s.cached_next_event());
-            }
-            soa.slices_next[l].rebuild(next);
-        }
-        for txn in scratch.replies.drain(..) {
-            let t = sim.txns.get(txn);
-            sim.reply_net.inject(Packet {
-                payload: txn,
-                src: t.slice as usize,
-                dst: t.sm as usize,
-                flits: valley_noc::DATA_FLITS,
-                injected_at: noc_end,
-            });
-        }
-
-        // ---- SMs ----
-        {
-            let map = sim.map.as_ref();
-            let llc_slices = sim.cfg.llc_slices;
-            let slicer = move |addr: PhysAddr| GpuSim::slice_of(map, llc_slices, addr);
-            if cycle >= soa.sms_next[l].get() {
-                let mut next = u64::MAX;
-                for sm in &mut sim.sms {
-                    sm_activity |= sm.tick_evented(
-                        cycle,
-                        &sim.cfg,
-                        &sim.mapper,
-                        &mut sim.txns,
-                        &slicer,
-                        &mut scratch.outbound,
-                    );
-                    next = next.min(sm.cached_next_event());
-                }
-                soa.sms_next[l].rebuild(next);
-            }
-        }
-        for o in scratch.outbound.drain(..) {
-            let t = sim.txns.get(o.txn);
-            sim.req_net.inject(Packet {
-                payload: o.txn,
-                src: t.sm as usize,
-                dst: t.slice as usize,
-                flits: o.flits,
-                injected_at: noc_end,
-            });
-        }
-
-        // ---- TB scheduler ----
-        if sm_activity || self.sched.kernel.is_none() {
-            sim.schedule_tbs(&mut *self.sched, cycle);
-            soa.sched_quiet[l] = false;
-            soa.sms_next[l].wake_now();
-        }
-
-        // ---- Metrics ----
-        if cycle.is_multiple_of(METRIC_SAMPLE_INTERVAL) {
-            let busy_slices = sim.slices.iter().filter(|s| !s.is_idle()).count();
-            let busy_channels = sim.dram.busy_channels();
-            sim.dram
-                .busy_banks_per_busy_channel_into(&mut scratch.banks_buf);
-            soa.sample(l, busy_slices, busy_channels, &scratch.banks_buf);
-        }
-
-        soa.idle_from[l] = cycle + 1;
-        self.sched.finished() && sim.is_drained()
-    }
-
-    /// Settles deferred counters and builds the lane's report, exactly
-    /// as the sequential engine does after its run loop.
-    fn finish(
-        &mut self,
-        end_cycle: u64,
-        noc_end: u64,
-        dram_end: u64,
-        truncated: bool,
-    ) -> SimReport {
-        let sim = &mut *self.sim;
-        sim.req_net.flush_deferred(noc_end);
-        sim.reply_net.flush_deferred(noc_end);
-        sim.dram.flush_deferred(dram_end);
-        for sm in &mut sim.sms {
-            sm.flush_idle(end_cycle);
-        }
-        for s in &mut sim.slices {
-            s.flush_stall(end_cycle);
-        }
-        let parallelism = self.soa.integrator(self.l);
-        sim.report(end_cycle, dram_end, truncated, &parallelism, &*self.sched)
-    }
-}
-
-/// The per-epoch plan the coordinator publishes to the lane groups:
-/// the epoch's core-cycle window, the domain clocks at its start and
-/// the domain clocks at its end (for the O(1) whole-epoch quiet
-/// check). The per-cycle tick schedule travels separately in the
-/// shared tick tape.
-#[derive(Clone, Copy, Default)]
-struct BatchPlan {
-    cycle: u64,
-    epoch_end: u64,
-    noc_cycle: u64,
-    dram_cycle: u64,
-    e_ncyc: u64,
-    e_dcyc: u64,
-}
-
-/// The epoch's pre-computed domain-tick schedule. `bytes[i]` packs the
-/// NoC and DRAM tick counts for core cycle `plan.cycle + i` (bit 0 NoC,
-/// bit 1 DRAM); `nsum`/`dsum` are the running totals over `bytes[0..k]`
-/// (`len + 1` entries, `nsum[0] == 0`), so a lane can jump its local
-/// clock cursor to any offset — and binary-search the offset where a
-/// domain clock reaches an event horizon — in O(log n) instead of
-/// replaying the quiet cycles one by one. All three vectors only
-/// shrink-and-refill within their fixed capacity.
-struct TickTape {
-    bytes: Vec<u8>,
-    nsum: Vec<u32>,
-    dsum: Vec<u32>,
-}
-
-/// What a group's fast-forward scan reports to the coordinator.
-struct ScanOut {
-    all_sched_quiet: bool,
-    noc_next: u64,
-    dram_next: u64,
-    core_next: u64,
-}
-
-/// A contiguous slice of the batch's lanes plus their shared SoA block
-/// and scratch. Groups partition the lanes (`par::split_ranges`) and
-/// share nothing mutable, so they may tick an epoch concurrently.
-struct LaneGroup {
-    /// Global index of the group's first lane (local lane `l` is global
-    /// lane `base + l`).
-    base: usize,
-    lanes: Vec<LaneCore>,
-    soa: HotSoa,
-    /// Active *local* lane indices in lane order: finished lanes drop
-    /// out, the rest keep their relative order (the walk order never
-    /// affects results — lanes share nothing mutable — only locality).
-    active: Vec<usize>,
-    reports: Vec<Option<SimReport>>,
-    scratch: Scratch,
-}
-
-impl LaneGroup {
-    /// The shared fast-forward's per-group scan: evaluates (and caches)
-    /// the scheduler verdicts in lane order, bailing at the first lane
-    /// with schedulable work, and otherwise folds the group's event
-    /// horizons — read off the dense `ev_*` stripes — into minima.
-    fn scan(&mut self) -> ScanOut {
-        let mut out = ScanOut {
-            all_sched_quiet: true,
-            noc_next: u64::MAX,
-            dram_next: u64::MAX,
-            core_next: u64::MAX,
-        };
-        let LaneGroup {
-            lanes, soa, active, ..
-        } = self;
-        for &l in active.iter() {
-            if !soa.sched_quiet[l] {
-                let lane = &mut lanes[l];
-                if lane.sim.sched_can_progress(&lane.sched) {
-                    out.all_sched_quiet = false;
-                    return out;
-                }
-                soa.sched_quiet[l] = true;
-            }
-            out.noc_next = out.noc_next.min(soa.ev_noc[l]);
-            out.dram_next = out.dram_next.min(soa.ev_dram[l]);
-            out.core_next = out.core_next.min(soa.ev_core[l]);
-        }
-        out
-    }
-
-    /// Advances every active lane of this group through one lockstep
-    /// epoch. Lanes are mutually independent and the clock trajectory
-    /// is a pure function of the cycle index (skipped and dense cycles
-    /// advance the clocks identically), so each lane replays the whole
-    /// epoch alone on a local clock cursor — reading the pre-computed
-    /// tick tape instead of re-deriving the accumulator arithmetic —
-    /// before the next lane starts. That keeps a dense lane's working
-    /// set hot for `EPOCH_CYCLES` at a stretch instead of evicting it
-    /// every cycle, which is where naive cycle-interleaved batching
-    /// loses to sequential runs.
-    fn run_epoch(&mut self, plan: &BatchPlan, tape: &TickTape) {
-        debug_assert_eq!(tape.bytes.len() as u64, plan.epoch_end - plan.cycle);
-        let LaneGroup {
-            lanes,
-            soa,
-            active,
-            reports,
-            scratch,
-            ..
-        } = self;
-        active.retain(|&l| {
-            let lane = &mut lanes[l];
-            // Whole-epoch quiet in O(1): the per-cycle quiet predicate
-            // is monotone in the clock windows, so holding at the
-            // epoch's end horizons covers every cycle in it, and a
-            // quiet lane's verdict and horizons cannot change.
-            if !soa.sched_quiet[l] && !lane.sim.sched_can_progress(&lane.sched) {
-                soa.sched_quiet[l] = true;
-            }
-            if soa.sched_quiet[l]
-                && plan.e_ncyc <= soa.ev_noc[l]
-                && plan.e_dcyc <= soa.ev_dram[l]
-                && soa.ev_core[l] >= plan.epoch_end
-            {
-                return true;
-            }
-            // Dense/skip walk with a local clock cursor — the lane's
-            // own solo loop clamped to this epoch, with the tick counts
-            // read off the tape. A quiet cycle stays quiet until one of
-            // the lane's horizons is reached (the windows are monotone
-            // and nothing mutates a quiet lane), so instead of walking
-            // the quiet span byte by byte the cursor jumps straight to
-            // the earliest horizon via the tape's prefix sums — the
-            // intra-epoch analogue of the solo engine's fast-forward.
-            let mut view = LaneView {
-                sim: &mut lane.sim,
-                sched: &mut lane.sched,
-                soa: &mut *soa,
-                l,
-            };
-            let len = tape.bytes.len();
-            let mut i = 0usize;
-            let (mut c, mut ncyc, mut dcyc) = (plan.cycle, plan.noc_cycle, plan.dram_cycle);
-            while i < len {
-                let b = tape.bytes[i];
-                let nt = u64::from(b & 1);
-                let dt = u64::from(b >> 1);
-                if view.is_quiet(c, ncyc, nt, dcyc, dt) {
-                    // First offset where a domain clock would pass its
-                    // horizon: smallest k with `sum[k + 1] > horizon -
-                    // epoch base` (an event fires on the cycle whose
-                    // tick crosses the horizon, so quiet holds through
-                    // offset k - 1). `partition_point` is over the
-                    // whole monotone prefix array; quietness at `i`
-                    // guarantees every bound lands at `i + 1` or later.
-                    let tn = view.soa.ev_noc[l] - plan.noc_cycle;
-                    let off_noc = tape.nsum.partition_point(|&s| u64::from(s) <= tn) - 1;
-                    let td = view.soa.ev_dram[l] - plan.dram_cycle;
-                    let off_dram = tape.dsum.partition_point(|&s| u64::from(s) <= td) - 1;
-                    let off_core = (view.soa.ev_core[l] - plan.cycle).min(len as u64) as usize;
-                    let next = off_core.min(off_noc).min(off_dram);
-                    debug_assert!(next > i, "quiet jump must make progress");
-                    i = next;
-                    c = plan.cycle + i as u64;
-                    ncyc = plan.noc_cycle + u64::from(tape.nsum[i]);
-                    dcyc = plan.dram_cycle + u64::from(tape.dsum[i]);
-                    continue;
-                }
-                view.catch_up_samples(c, &mut scratch.banks_buf);
-                let finished = view.run_cycle(c, ncyc, nt, dcyc, dt, scratch);
-                if finished {
-                    // The local clocks at this instant equal the
-                    // lane's solo-run clocks at its termination
-                    // (same arithmetic, same executed-cycle set).
-                    reports[l] = Some(view.finish(c + 1, ncyc + nt, dcyc + dt, false));
-                    return false;
-                }
-                view.refresh_events();
-                ncyc += nt;
-                dcyc += dt;
-                c += 1;
-                i += 1;
-            }
-            true
-        });
-    }
-
-    /// Cycle safety limit: every still-active lane truncates with the
-    /// identical clock state its solo run would have truncated with.
-    fn truncate(&mut self, cycle: u64, noc_cycle: u64, dram_cycle: u64) {
-        let LaneGroup {
-            lanes,
-            soa,
-            active,
-            reports,
-            scratch,
-            ..
-        } = self;
-        for &l in active.iter() {
-            let lane = &mut lanes[l];
-            let mut view = LaneView {
-                sim: &mut lane.sim,
-                sched: &mut lane.sched,
-                soa: &mut *soa,
-                l,
-            };
-            view.catch_up_samples(cycle, &mut scratch.banks_buf);
-            reports[l] = Some(view.finish(cycle, noc_cycle, dram_cycle, true));
-        }
-        active.clear();
-    }
-}
-
-/// Core cycles per lockstep epoch: within an epoch each lane advances
-/// alone on a local clock cursor, so a dense lane's working set stays
-/// cache-hot for this many cycles at a stretch. Any value yields
-/// bit-identical results (lanes share nothing mutable and the clock
-/// trajectory is a pure function of the cycle index); the size only
-/// trades locality against how promptly an all-quiet batch reaches the
-/// shared fast-forward. Also the tick tape's capacity (one byte per
-/// cycle).
-const EPOCH_CYCLES: u64 = 32768;
-
-/// The coordinator loop shared by the inline and threaded transports:
-/// scans the groups, fast-forwards the shared clocks when every lane is
-/// quiet, pre-computes each epoch's tick tape, and hands the epoch plan
-/// to `exec` (which ticks the groups — inline, or fanned out over the
-/// `Ctrl` barrier). Returns the per-lane reports in global lane order.
-fn drive(
-    groups: &[Mutex<LaneGroup>],
-    tape: &RwLock<TickTape>,
-    noc_per_core: f64,
-    dram_per_core: f64,
-    max_cycles: u64,
-    exec: &mut dyn FnMut(&BatchPlan),
-) -> Vec<SimReport> {
-    let total: usize = groups
-        .iter()
-        .map(|g| g.lock().expect("lane group poisoned").lanes.len())
-        .sum();
-
-    // Shared clock state, replaying exactly the dense loop's arithmetic.
-    let mut cycle: u64 = 0;
-    let mut noc_acc = 0.0f64;
-    let mut dram_acc = 0.0f64;
-    let mut noc_cycle: u64 = 0;
-    let mut dram_cycle: u64 = 0;
-
-    'outer: loop {
-        crate::alloc_audit::note_cycle(cycle);
-        // ---- Shared fast-forward ----
-        // The scheduler verdicts are evaluated first (and cached — a
-        // lane untouched since the evaluation cannot change its
-        // verdict); the clock horizons are the minima over the active
-        // lanes of every group, so a skipped cycle is provably quiet
-        // for *every* lane. Workers are parked between epochs, so the
-        // group locks are uncontended here.
-        let mut any_active = false;
-        let mut all_sched_quiet = true;
-        let mut noc_next = u64::MAX;
-        let mut dram_next = u64::MAX;
-        let mut core_next = u64::MAX;
-        for g in groups {
-            let mut g = g.lock().expect("lane group poisoned");
-            if g.active.is_empty() {
-                continue;
-            }
-            any_active = true;
-            let s = g.scan();
-            if !s.all_sched_quiet {
-                all_sched_quiet = false;
-                break;
-            }
-            noc_next = noc_next.min(s.noc_next);
-            dram_next = dram_next.min(s.dram_next);
-            core_next = core_next.min(s.core_next);
-        }
-        if !any_active {
-            break;
-        }
-        if all_sched_quiet {
-            loop {
-                if core_next <= cycle {
-                    break;
-                }
-                let (na, nt) = domain_ticks(noc_acc, noc_per_core);
-                if noc_cycle + nt > noc_next {
-                    break;
-                }
-                let (da, dt) = domain_ticks(dram_acc, dram_per_core);
-                if dram_cycle + dt > dram_next {
-                    break;
-                }
-                noc_acc = na;
-                noc_cycle += nt;
-                dram_acc = da;
-                dram_cycle += dt;
-                cycle += 1;
-                if cycle >= max_cycles {
-                    break 'outer;
-                }
-            }
-        }
-
-        // ---- One lockstep epoch ----
-        // Pre-compute the epoch's domain-tick schedule once into the
-        // shared tape (and the epoch-end clocks for the O(1) quiet
-        // check), so no lane re-runs the f64 accumulator arithmetic.
-        // The tape only shrinks-and-refills within its fixed capacity.
-        let epoch_end = (cycle + EPOCH_CYCLES).min(max_cycles);
-        let plan = {
-            let mut t = tape.write().expect("tick tape poisoned");
-            t.bytes.clear();
-            t.nsum.clear();
-            t.dsum.clear();
-            t.nsum.push(0);
-            t.dsum.push(0);
-            let (mut e_nacc, mut e_ncyc) = (noc_acc, noc_cycle);
-            let (mut e_dacc, mut e_dcyc) = (dram_acc, dram_cycle);
-            for _ in cycle..epoch_end {
-                let (na, nt) = domain_ticks(e_nacc, noc_per_core);
-                e_nacc = na;
-                e_ncyc += nt;
-                let (da, dt) = domain_ticks(e_dacc, dram_per_core);
-                e_dacc = da;
-                e_dcyc += dt;
-                // Under the evented clock envelope (domain clocks no
-                // faster than the core clock) each domain ticks 0 or 1
-                // times per core cycle, so a byte holds both counts.
-                debug_assert!(nt <= 1 && dt <= 1);
-                t.bytes.push((nt as u8) | ((dt as u8) << 1));
-                t.nsum.push((e_ncyc - noc_cycle) as u32);
-                t.dsum.push((e_dcyc - dram_cycle) as u32);
-            }
-            let plan = BatchPlan {
-                cycle,
-                epoch_end,
-                noc_cycle,
-                dram_cycle,
-                e_ncyc,
-                e_dcyc,
-            };
-            noc_acc = e_nacc;
-            noc_cycle = e_ncyc;
-            dram_acc = e_dacc;
-            dram_cycle = e_dcyc;
-            plan
-        };
-        exec(&plan);
-        cycle = epoch_end;
-        if cycle >= max_cycles {
-            break;
-        }
-    }
-
-    crate::alloc_audit::window_close();
-    let mut out: Vec<Option<SimReport>> = (0..total).map(|_| None).collect();
-    for g in groups {
-        let mut g = g.lock().expect("lane group poisoned");
-        g.truncate(cycle, noc_cycle, dram_cycle);
-        let base = g.base;
-        for (l, slot) in g.reports.iter_mut().enumerate() {
-            out[base + l] = slot.take();
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every lane reported"))
-        .collect()
-}
-
-/// The lockstep driver — see the module docs for the discipline. The
-/// lanes are partitioned into `num_groups` contiguous groups (clamped
-/// to the lane count) ticked by up to `threads` OS threads; both are
-/// pure scheduling and never affect results.
-fn run_lockstep(sims: Vec<GpuSim>, num_groups: usize, threads: usize) -> Vec<SimReport> {
-    let n = sims.len();
-    let cfg = Arc::clone(&sims[0].cfg);
-    let noc_per_core = cfg.noc_per_core();
-    let dram_per_core = cfg.dram_per_core();
-    let max_cycles = cfg.max_cycles;
-    let num_groups = num_groups.clamp(1, n);
-    let threads = threads.clamp(1, num_groups);
-
-    // All cross-lane state — the SoA stripes, the tick tape, the group
-    // scratch — is allocated up front at fixed capacity, which is what
-    // lets the steady-state epochs stay allocation-free (pinned by the
-    // alloc-audit battery). Declared to the audit as a paused span so
-    // construction never counts against an armed window.
-    let (groups, tape) = {
-        let _pause = crate::alloc_audit::pause();
-        let mut cores: Vec<LaneCore> = sims
-            .into_iter()
-            .map(|sim| LaneCore {
-                sched: TbScheduler::new(sim.workload.num_kernels()),
-                sim,
-            })
-            .collect();
-        let mut groups: Vec<Mutex<LaneGroup>> = Vec::with_capacity(num_groups);
-        for r in split_ranges(n, num_groups).into_iter().rev() {
-            let base = r.start;
-            let mut lanes = cores.split_off(base);
-            let len = lanes.len();
-            let mut soa = HotSoa::new(len);
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                LaneView {
-                    sim: &mut lane.sim,
-                    sched: &mut lane.sched,
-                    soa: &mut soa,
-                    l,
-                }
-                .refresh_events();
-            }
-            let num_channels = lanes[0].sim.dram.num_channels();
-            groups.push(Mutex::new(LaneGroup {
-                base,
-                lanes,
-                soa,
-                active: (0..len).collect(),
-                reports: vec![None; len],
-                scratch: Scratch {
-                    deliveries: Vec::with_capacity(64),
-                    completions: Vec::with_capacity(64),
-                    replies: Vec::new(),
-                    outbound: Vec::new(),
-                    banks_buf: Vec::with_capacity(num_channels),
-                },
-            }));
-        }
-        groups.reverse();
-        let tape = RwLock::new(TickTape {
-            bytes: Vec::with_capacity(EPOCH_CYCLES as usize),
-            nsum: Vec::with_capacity(EPOCH_CYCLES as usize + 1),
-            dsum: Vec::with_capacity(EPOCH_CYCLES as usize + 1),
-        });
-        (groups, tape)
-    };
-
-    if threads <= 1 {
-        // Inline transport: the coordinator ticks every group itself.
-        return drive(
-            &groups,
-            &tape,
-            noc_per_core,
-            dram_per_core,
-            max_cycles,
-            &mut |plan| {
-                let t = tape.read().expect("tick tape poisoned");
-                for g in &groups {
-                    g.lock().expect("lane group poisoned").run_epoch(plan, &t);
-                }
-            },
-        );
-    }
-
-    // Threaded transport: `threads - 1` workers plus the coordinator,
-    // groups dealt round-robin, the same spin-then-park epoch barrier
-    // the phase-parallel shard engine uses. Workers hold the tape read
-    // lock only while ticking; the coordinator refills it between
-    // epochs, after `wait_done` proves every reader is parked.
-    let ctrl = Ctrl::new(threads - 1);
-    std::thread::scope(|scope| {
-        for w in 1..threads {
-            let ctrl = &ctrl;
-            let tape = &tape;
-            let groups = &groups;
-            let my: Vec<usize> = (w..groups.len()).step_by(threads).collect();
-            scope.spawn(move || {
-                let mut seen = 0u64;
-                while let Some((epoch, plan)) = ctrl.next_epoch(seen) {
-                    seen = epoch;
-                    {
-                        let t = tape.read().expect("tick tape poisoned");
-                        for &i in &my {
-                            groups[i]
-                                .lock()
-                                .expect("lane group poisoned")
-                                .run_epoch(&plan, &t);
-                        }
-                    }
-                    ctrl.done();
-                }
-            });
-        }
-        let mine: Vec<usize> = (0..groups.len()).step_by(threads).collect();
-        let reports = drive(
-            &groups,
-            &tape,
-            noc_per_core,
-            dram_per_core,
-            max_cycles,
-            &mut |plan| {
-                ctrl.publish(plan);
-                {
-                    let t = tape.read().expect("tick tape poisoned");
-                    for &i in &mine {
-                        groups[i]
-                            .lock()
-                            .expect("lane group poisoned")
-                            .run_epoch(plan, &t);
-                    }
-                }
-                ctrl.wait_done();
-            },
-        );
-        ctrl.stop();
-        reports
-    })
 }

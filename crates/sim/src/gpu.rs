@@ -89,20 +89,17 @@ impl Parallelism {
 /// println!("{} cycles", report.cycles);
 /// ```
 pub struct GpuSim {
-    /// The immutable machine description, shared by reference: the
-    /// batched engine's lanes and the harness's batch executor all point
-    /// at one `GpuConfig` allocation instead of carrying per-sim copies.
-    pub(crate) cfg: Arc<GpuConfig>,
+    pub(crate) cfg: GpuConfig,
     pub(crate) mapper: AddressMapper,
     /// The (immutable) address map for slice routing — the *same*
     /// allocation the DRAM system decodes coordinates through.
     pub(crate) map: Arc<dyn DramAddressMap + Send + Sync>,
-    pub(crate) dram: DramSystem,
-    pub(crate) req_net: Crossbar,
-    pub(crate) reply_net: Crossbar,
-    pub(crate) sms: Vec<Sm>,
-    pub(crate) slices: Vec<LlcSlice>,
-    pub(crate) txns: TxnTable,
+    dram: DramSystem,
+    req_net: Crossbar,
+    reply_net: Crossbar,
+    sms: Vec<Sm>,
+    slices: Vec<LlcSlice>,
+    txns: TxnTable,
     pub(crate) workload: Box<dyn WorkloadSource>,
 }
 
@@ -293,20 +290,7 @@ impl GpuSim {
     where
         M: DramAddressMap + Send + Sync + 'static,
     {
-        Self::with_shared(Arc::new(cfg), mapper, Arc::new(map), workload)
-    }
-
-    /// [`GpuSim::new`] over pre-shared immutable parts: the harness's
-    /// batch executor builds N same-config lanes pointing at *one*
-    /// `GpuConfig` and *one* address-map allocation, so the config cache
-    /// lines are genuinely shared across lanes instead of duplicated
-    /// per simulation.
-    pub fn with_shared(
-        cfg: Arc<GpuConfig>,
-        mapper: AddressMapper,
-        map: Arc<dyn DramAddressMap + Send + Sync>,
-        workload: Box<dyn WorkloadSource>,
-    ) -> Self {
+        let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u32, &cfg)).collect();
         let slices = (0..cfg.llc_slices)
@@ -649,7 +633,7 @@ impl GpuSim {
 
     /// Whether the TB scheduler could make progress this cycle (see
     /// [`TbScheduler::can_progress`]).
-    pub(crate) fn sched_can_progress(&mut self, sched: &TbScheduler) -> bool {
+    fn sched_can_progress(&mut self, sched: &TbScheduler) -> bool {
         sched.can_progress(&SliceSmPool(&mut self.sms), &self.cfg)
     }
 
@@ -760,7 +744,7 @@ impl GpuSim {
         }
     }
 
-    pub(crate) fn is_drained(&self) -> bool {
+    fn is_drained(&self) -> bool {
         self.sms.iter().all(Sm::is_idle)
             && self.slices.iter().all(LlcSlice::is_idle)
             && !self.dram.is_busy()
@@ -768,7 +752,7 @@ impl GpuSim {
             && !self.reply_net.is_busy()
     }
 
-    pub(crate) fn schedule_tbs(&mut self, sched: &mut TbScheduler, cycle: u64) {
+    fn schedule_tbs(&mut self, sched: &mut TbScheduler, cycle: u64) {
         sched.run(
             &mut SliceSmPool(&mut self.sms),
             self.workload.as_ref(),
@@ -777,7 +761,7 @@ impl GpuSim {
         );
     }
 
-    pub(crate) fn report(
+    fn report(
         &self,
         cycles: u64,
         dram_cycles: u64,

@@ -158,31 +158,6 @@ impl ParallelismIntegrator {
         self.bank_samples += bank_channels * n;
     }
 
-    /// Reassembles an integrator from its six raw accumulators — used by
-    /// the batched engine, which keeps the per-lane accumulators in
-    /// cross-lane SoA stripes during the run and only materializes the
-    /// integrator at report time. The accumulators must have been
-    /// produced by the same arithmetic as [`ParallelismIntegrator::sample`]
-    /// / [`ParallelismIntegrator::sample_n`] for the derived means to be
-    /// bit-identical.
-    pub(crate) fn from_parts(
-        llc_busy_sum: u64,
-        llc_samples: u64,
-        chan_busy_sum: u64,
-        chan_samples: u64,
-        bank_busy_sum: u64,
-        bank_samples: u64,
-    ) -> Self {
-        ParallelismIntegrator {
-            llc_busy_sum,
-            llc_samples,
-            chan_busy_sum,
-            chan_samples,
-            bank_busy_sum,
-            bank_samples,
-        }
-    }
-
     /// Mean number of busy LLC slices over busy samples (Figure 14a).
     pub fn llc_parallelism(&self) -> f64 {
         mean(self.llc_busy_sum, self.llc_samples)

@@ -396,9 +396,8 @@ impl SmPool for ShardSmPool<'_, '_> {
 }
 
 /// Splits `0..n` into `parts` contiguous ranges (earlier ranges one
-/// longer when `n % parts != 0`). Shared with the batched engine, which
-/// partitions lanes across groups the same way it partitions SMs here.
-pub(crate) fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+/// longer when `n % parts != 0`).
+fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     let base = n / parts;
     let extra = n % parts;
     let mut out = Vec::with_capacity(parts);
@@ -448,12 +447,7 @@ fn memory_groups(map: &dyn DramAddressMap, llc_slices: usize) -> Vec<(Vec<u16>, 
 /// then pairs every atomic update with a locked notify, so a parked
 /// peer either observes the update before waiting (the lock orders the
 /// two) or is woken by the notify — no missed-wakeup window.
-///
-/// Generic over the plan payload `P` so both epoch-barrier engines
-/// share it: this engine publishes a [`Plan`] per shard epoch, the
-/// batched many-sim engine (`crate::batch`) a lane-group plan per
-/// lockstep epoch.
-pub(crate) struct Ctrl<P> {
+struct Ctrl {
     /// Epoch counter, bumped by [`Ctrl::publish`] after the plan write.
     epoch: AtomicU64,
     /// Workers still ticking the current epoch.
@@ -461,8 +455,8 @@ pub(crate) struct Ctrl<P> {
     stop: AtomicBool,
     /// The published plan; written before the `epoch` bump (Release)
     /// and read after observing it (Acquire), the lock being needed
-    /// only because the payload is not atomic.
-    plan: Mutex<P>,
+    /// only because `Plan` is not atomic.
+    plan: Mutex<Plan>,
     /// Park-path lock: pure synchronization, no data.
     m: Mutex<()>,
     start_cv: Condvar,
@@ -470,13 +464,13 @@ pub(crate) struct Ctrl<P> {
     workers: usize,
 }
 
-impl<P: Copy + Default> Ctrl<P> {
-    pub(crate) fn new(workers: usize) -> Self {
+impl Ctrl {
+    fn new(workers: usize) -> Self {
         Ctrl {
             epoch: AtomicU64::new(0),
             remaining: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            plan: Mutex::new(P::default()),
+            plan: Mutex::new(Plan::default()),
             m: Mutex::new(()),
             start_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -485,7 +479,7 @@ impl<P: Copy + Default> Ctrl<P> {
     }
 
     /// Coordinator: publish `plan` and release the workers.
-    pub(crate) fn publish(&self, plan: &P) {
+    fn publish(&self, plan: &Plan) {
         *self.plan.lock().expect("ctrl poisoned") = *plan;
         self.remaining.store(self.workers, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::Release);
@@ -499,7 +493,7 @@ impl<P: Copy + Default> Ctrl<P> {
     /// Coordinator: wait until every worker finished the epoch — spin
     /// first, park on the Condvar only if the workers outlast the
     /// budget.
-    pub(crate) fn wait_done(&self) {
+    fn wait_done(&self) {
         for _ in 0..SPIN_ITERS {
             if self.remaining.load(Ordering::Acquire) == 0 {
                 return;
@@ -513,7 +507,7 @@ impl<P: Copy + Default> Ctrl<P> {
     }
 
     /// Coordinator: wake all workers for exit.
-    pub(crate) fn stop(&self) {
+    fn stop(&self) {
         self.stop.store(true, Ordering::Release);
         let _g = self.m.lock().expect("ctrl poisoned");
         self.start_cv.notify_all();
@@ -521,7 +515,7 @@ impl<P: Copy + Default> Ctrl<P> {
 
     /// Worker: wait for an epoch newer than `seen` (spin, then park);
     /// `None` = shut down.
-    pub(crate) fn next_epoch(&self, seen: u64) -> Option<(u64, P)> {
+    fn next_epoch(&self, seen: u64) -> Option<(u64, Plan)> {
         let ready = |this: &Self| -> Option<Option<u64>> {
             if this.stop.load(Ordering::Acquire) {
                 return Some(None);
@@ -552,7 +546,7 @@ impl<P: Copy + Default> Ctrl<P> {
     }
 
     /// Worker: report epoch completion.
-    pub(crate) fn done(&self) {
+    fn done(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last one out: lock-paired notify (see `publish`).
             let _g = self.m.lock().expect("ctrl poisoned");

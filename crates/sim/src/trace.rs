@@ -67,12 +67,7 @@ pub trait WarpProgram: Send {
 }
 
 /// A kernel launch: a grid of TBs with identical per-warp structure.
-///
-/// `Send` because the batched engine (see [`crate::BatchSim`]) moves
-/// whole lanes — simulator plus the resident kernel — to worker threads
-/// between epoch barriers; sources are plain data in every
-/// implementation.
-pub trait KernelSource: Send {
+pub trait KernelSource {
     /// Kernel name (for reports).
     fn name(&self) -> String;
 
@@ -91,10 +86,7 @@ pub trait KernelSource: Send {
 }
 
 /// A complete workload: an ordered list of kernel launches.
-///
-/// `Send` for the same reason as [`KernelSource`]: a batched lane owns
-/// its workload and may tick on any worker thread.
-pub trait WorkloadSource: Send {
+pub trait WorkloadSource {
     /// Benchmark name (e.g. "MT").
     fn name(&self) -> String;
 

@@ -1,24 +1,10 @@
-//! Randomized batched-engine equivalence battery: for random
-//! (machine configuration × mapping scheme × batch width × seeds ×
-//! workloads) points, every lane of the lockstep batched engine must
-//! reproduce its own sequential evented run's `SimReport` byte for
-//! byte — including batches whose lanes differ in workload and mapper
-//! seed, so lanes finish at different cycles and drop out of the
-//! active set at different times.
-//!
-//! The proptest shim does not shrink structurally, so on failure the
-//! message *is* the minimal reproducer: it pins the exact grid
-//! coordinates (including the diverging lane's per-lane seeds) and the
-//! first report field that diverged, which replays deterministically
-//! through `build_lane`.
+//! `BatchSim::run` is its lanes in order: one report per lane, each
+//! equal to that lane's own sequential run — for lanes that share
+//! nothing, not even the machine's clocks.
 
-use proptest::prelude::*;
 use std::sync::Arc;
-use valley_core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind};
-use valley_sim::{
-    BatchSim, GpuConfig, GpuSim, Instruction, LaneAddrs, LlcWritePolicy, Parallelism, SimReport,
-    WarpScheduler,
-};
+use valley_core::{AddressMapper, GddrMap, SchemeKind};
+use valley_sim::{BatchSim, GpuConfig, GpuSim, Instruction, LaneAddrs, Parallelism};
 use valley_workloads::{KernelSpec, Workload};
 
 /// A splitmix-style hash: cheap, deterministic instruction streams.
@@ -29,230 +15,49 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A small random workload: `kernels` kernels of `tbs` TBs × `wpb`
-/// warps, each warp a deterministic stream of loads (contiguous and
-/// strided), stores and compute derived from `seed`.
-fn micro_workload(seed: u64, kernels: usize, tbs: u64, wpb: usize) -> Workload {
-    let specs = (0..kernels)
-        .map(|k| {
-            let kseed = mix(seed ^ (k as u64) << 32);
-            let gen = Arc::new(move |tb: u64, warp: usize| {
-                let mut s = mix(kseed ^ tb.wrapping_mul(0x1_0001) ^ (warp as u64));
-                let n = 1 + (s % 10) as usize;
-                (0..n)
-                    .map(|_| {
-                        s = mix(s);
-                        let base = (s >> 8) % (1 << 22);
-                        match s % 4 {
-                            0 => Instruction::Load(LaneAddrs::contiguous(base, 32, 4)),
-                            1 => {
-                                let stride = 128 << ((s >> 32) % 5);
-                                Instruction::Load(LaneAddrs::strided(base, 16, stride))
-                            }
-                            2 => Instruction::Store(LaneAddrs::contiguous(base, 32, 4)),
-                            _ => Instruction::Compute {
-                                cycles: 1 + (s >> 16) as u32 % 8,
-                            },
-                        }
-                    })
-                    .collect()
-            });
-            KernelSpec::new(format!("k{k}"), tbs, wpb, gen)
-        })
-        .collect();
-    Workload::new("prop-micro", specs)
-}
-
-/// The per-batch machine shape (shared by every lane, as the harness's
-/// (config, scale, scheme) grouping guarantees).
-#[derive(Clone, Copy)]
-struct Shape {
-    num_sms: usize,
-    llc_slices: usize,
-    sched: WarpScheduler,
-    policy: LlcWritePolicy,
-    scheme: SchemeKind,
-}
-
-/// Builds one lane on shared config + map — the same construction path
-/// the harness's batch executor uses.
-fn build_lane(
-    cfg: &Arc<GpuConfig>,
-    map: &Arc<dyn DramAddressMap + Send + Sync>,
-    shape: Shape,
-    map_seed: u64,
-    wl: (u64, u64, usize, usize),
-) -> GpuSim {
-    let (wl_seed, tbs, wpb, kernels) = wl;
-    let mapper = AddressMapper::build(shape.scheme, &**map, map_seed);
-    GpuSim::with_shared(
-        Arc::clone(cfg),
-        mapper,
-        Arc::clone(map),
-        Box::new(micro_workload(wl_seed, kernels, tbs, wpb)),
+/// One kernel of `tbs` single-warp TBs, each a short stream of loads,
+/// stores and compute derived from `seed`.
+fn micro_workload(seed: u64, tbs: u64) -> Workload {
+    let gen = Arc::new(move |tb: u64, warp: usize| {
+        let mut s = mix(seed ^ tb.wrapping_mul(0x1_0001) ^ (warp as u64));
+        (0..1 + s % 10)
+            .map(|_| {
+                s = mix(s);
+                let base = (s >> 8) % (1 << 22);
+                match s % 3 {
+                    0 => Instruction::Load(LaneAddrs::strided(base, 16, 128 << ((s >> 32) % 5))),
+                    1 => Instruction::Store(LaneAddrs::contiguous(base, 32, 4)),
+                    _ => Instruction::Compute {
+                        cycles: 1 + (s >> 16) as u32 % 8,
+                    },
+                }
+            })
+            .collect()
+    });
+    Workload::new(
+        format!("micro-{seed}"),
+        vec![KernelSpec::new("k0", tbs, 1, gen)],
     )
 }
 
-/// Field-by-field report diff — the "first diverging trace entry" the
-/// failure message reports.
-fn first_divergence(a: &SimReport, b: &SimReport) -> String {
-    if a.cycles != b.cycles {
-        return format!("cycles: {} vs {}", a.cycles, b.cycles);
-    }
-    if a.dram != b.dram {
-        return format!("dram: {:?} vs {:?}", a.dram, b.dram);
-    }
-    if a.l1 != b.l1 {
-        return format!("l1: {:?} vs {:?}", a.l1, b.l1);
-    }
-    if a.llc != b.llc {
-        return format!("llc: {:?} vs {:?}", a.llc, b.llc);
-    }
-    if a.memory_transactions != b.memory_transactions {
-        return format!(
-            "memory_transactions: {} vs {}",
-            a.memory_transactions, b.memory_transactions
-        );
-    }
-    if a.warp_instructions != b.warp_instructions {
-        return format!(
-            "warp_instructions: {} vs {}",
-            a.warp_instructions, b.warp_instructions
-        );
-    }
-    format!("json: {} vs {}", a.results_json(), b.results_json())
+/// Lane `l`: its own workload, mapper seed and core clock.
+fn build_lane(l: u64) -> GpuSim {
+    let mut cfg = GpuConfig::table1().with_sms(2);
+    cfg.core_clock_ghz += 0.1 * l as f64;
+    let map = GddrMap::baseline();
+    let mapper = AddressMapper::build(SchemeKind::Fae, &map, l);
+    GpuSim::new(cfg, mapper, map, Box::new(micro_workload(l, 3 + l)))
 }
 
-const SLICE_CHOICES: [usize; 3] = [2, 4, 8];
-
-/// Deterministic batched(2,3,5,8) × groups(1,2,4) grid over every
-/// mapping scheme: each cell of the composed engine (lane groups ticked
-/// with `threads = groups`, so groups > 1 runs the threaded epoch
-/// barrier) must reproduce the per-lane sequential reports bit for bit.
-/// The failure message carries the full reproducer coordinates.
 #[test]
-fn batched_width_by_group_grid_matches_sequential() {
-    const WIDTHS: [usize; 4] = [2, 3, 5, 8];
-    const GROUPS: [usize; 3] = [1, 2, 4];
-    let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(GddrMap::baseline());
-    for (si, &scheme) in SchemeKind::ALL_SCHEMES.iter().enumerate() {
-        let shape = Shape {
-            num_sms: 2,
-            llc_slices: 4,
-            sched: WarpScheduler::Gto,
-            policy: LlcWritePolicy::WriteThrough,
-            scheme,
-        };
-        let mut cfg = GpuConfig::table1()
-            .with_sms(shape.num_sms)
-            .with_scheduler(shape.sched)
-            .with_llc_write_policy(shape.policy);
-        cfg.llc_slices = shape.llc_slices;
-        let cfg = Arc::new(cfg);
-        // Per-lane mapper seeds and workload seeds derive from the lane
-        // index, like a sweep's seed × benchmark axes.
-        let lane_coords: Vec<(u64, (u64, u64, usize, usize))> = (0..8)
-            .map(|lane| {
-                let l = lane as u64;
-                (l % 4, (mix(0xBA7C4 ^ ((si as u64) << 8) ^ l), 4, 1, 1))
-            })
-            .collect();
-        let goldens: Vec<SimReport> = lane_coords
-            .iter()
-            .map(|&(map_seed, wl)| {
-                build_lane(&cfg, &map, shape, map_seed, wl).run_with(Parallelism::Off)
-            })
-            .collect();
-        assert!(goldens[0].cycles > 0, "degenerate grid simulated nothing");
-        for width in WIDTHS {
-            for groups in GROUPS {
-                let sims = lane_coords[..width]
-                    .iter()
-                    .map(|&(map_seed, wl)| build_lane(&cfg, &map, shape, map_seed, wl))
-                    .collect();
-                let reports = BatchSim::new(sims).run_grouped(groups, groups);
-                for (lane, (batched, golden)) in reports.iter().zip(&goldens[..width]).enumerate() {
-                    let (map_seed, (wl_seed, ..)) = lane_coords[lane];
-                    assert!(
-                        batched.results_json() == golden.results_json(),
-                        "composed batched engine diverged: scheme={scheme:?} \
-                         width={width} groups={groups} threads={groups} lane={lane} \
-                         map_seed={map_seed} wl=(tbs=4,wpb=1,seed={wl_seed:#x},kernels=1) \
-                         sms=2 slices=4 sched=Gto policy=WriteThrough \
-                         — first divergence: {}",
-                        first_divergence(golden, batched)
-                    );
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn batched_engine_matches_sequential_for_random_grids(
-        num_sms in 1usize..7,
-        slice_idx in 0usize..3,
-        knobs in (0u8..2, 0u8..2),
-        scheme_idx in 0usize..6,
-        width in 2usize..9,
-        tbs in 1u64..14,
-        wpb in 1usize..4,
-        wl_seed in 0u64..u64::MAX,
-        kernels in 1usize..3,
-    ) {
-        let shape = Shape {
-            num_sms,
-            llc_slices: SLICE_CHOICES[slice_idx],
-            sched: if knobs.0 == 0 { WarpScheduler::Gto } else { WarpScheduler::Lrr },
-            policy: if knobs.1 == 0 { LlcWritePolicy::WriteThrough } else { LlcWritePolicy::WriteBack },
-            scheme: SchemeKind::ALL_SCHEMES[scheme_idx],
-        };
-        let mut cfg = GpuConfig::table1()
-            .with_sms(shape.num_sms)
-            .with_scheduler(shape.sched)
-            .with_llc_write_policy(shape.policy);
-        cfg.llc_slices = shape.llc_slices;
-        let cfg = Arc::new(cfg);
-        let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(GddrMap::baseline());
-        // Lanes share the machine shape but not the data: per-lane
-        // mapper seeds and workload seeds derive from the lane index,
-        // like a sweep's seed × benchmark axes.
-        let lane_coords: Vec<(u64, (u64, u64, usize, usize))> = (0..width)
-            .map(|lane| {
-                let l = lane as u64;
-                (l % 4, (mix(wl_seed ^ l), tbs, wpb, kernels))
-            })
-            .collect();
-        // Explicitly sequential baselines: `.run()` honors
-        // VALLEY_SIM_THREADS, and under that env the baseline would
-        // silently become a parallel run, no longer pinning
-        // sequential ≡ batched.
-        let goldens: Vec<SimReport> = lane_coords
-            .iter()
-            .map(|&(map_seed, wl)| {
-                build_lane(&cfg, &map, shape, map_seed, wl).run_with(Parallelism::Off)
-            })
-            .collect();
-        let sims = lane_coords
-            .iter()
-            .map(|&(map_seed, wl)| build_lane(&cfg, &map, shape, map_seed, wl))
-            .collect();
-        let reports = BatchSim::new(sims).run();
-        prop_assert!(reports.len() == width, "lane count mismatch");
-        for (lane, (batched, golden)) in reports.iter().zip(&goldens).enumerate() {
-            let (map_seed, (lane_wl_seed, ..)) = lane_coords[lane];
-            prop_assert!(
-                batched.results_json() == golden.results_json(),
-                "batched engine diverged: sms={num_sms} slices={} sched={:?} \
-                 policy={:?} scheme={:?} width={width} lane={lane} \
-                 map_seed={map_seed} wl=(tbs={tbs},wpb={wpb},seed={lane_wl_seed:#x},\
-                 kernels={kernels}) [derived from wl_seed={wl_seed:#x}] \
-                 — first divergence: {}",
-                shape.llc_slices, shape.sched, shape.policy, shape.scheme,
-                first_divergence(golden, batched)
-            );
-        }
-        prop_assert!(goldens[0].cycles > 0, "degenerate case simulated nothing");
+fn batch_reports_are_the_solo_reports_in_lane_order() {
+    const LANES: u64 = 4;
+    let reports = BatchSim::new((0..LANES).map(build_lane).collect()).run();
+    assert_eq!(reports.len(), LANES as usize);
+    for (l, batched) in (0..LANES).zip(&reports) {
+        let solo = build_lane(l).run_with(Parallelism::Off);
+        assert!(solo.cycles > 0, "lane {l} simulated nothing");
+        assert_eq!(batched.benchmark, format!("micro-{l}"), "lane order");
+        assert_eq!(batched.results_json(), solo.results_json(), "lane {l}");
     }
 }

@@ -10,24 +10,13 @@
 //! `crates/sim/tests/parallel_equivalence.rs`.
 
 use valley::core::{AddressMapper, GddrMap, SchemeKind};
-use valley::sim::{BatchSim, GpuConfig, GpuSim, SimReport};
+use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
 
 /// The shard counts the battery pins: even/odd splits of the 12 SMs and
 /// 4 memory groups, plus one (7) that leaves some shards without any
 /// memory group.
 const SHARD_COUNTS: [usize; 4] = [2, 3, 4, 7];
-
-/// The batch widths the battery pins: the minimal batch, odd widths, and
-/// one wide enough that early-finishing lanes drop out well before the
-/// batch drains.
-const BATCH_WIDTHS: [usize; 4] = [2, 3, 5, 8];
-
-/// The lane-group counts the batched grid pins: 1 is the inline SoA
-/// driver, 2 and 4 partition the lanes across concurrent groups (the
-/// batch × threads composition), including counts that don't divide
-/// the width evenly.
-const GROUP_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
     let map = GddrMap::baseline();
@@ -113,37 +102,6 @@ fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
             "{tag}: parallel({shards}) recorded no epochs"
         );
     }
-
-    // Batched lockstep engine, batched(width) × groups grid: every lane
-    // of every cell must reproduce the sequential report byte for byte.
-    for width in BATCH_WIDTHS {
-        // Env-honoring entry point — the CI matrix runs this battery
-        // under VALLEY_SIM_THREADS, composing batch × threads here.
-        let sims = (0..width).map(|_| build(bench, scheme)).collect();
-        for (lane, report) in BatchSim::new(sims).run().into_iter().enumerate() {
-            assert_eq!(
-                report.results_json(),
-                golden,
-                "{tag}: batch({width}) lane {lane} report JSON diverged from sequential"
-            );
-        }
-        // Pinned group counts, threads = groups (threaded transport for
-        // groups > 1), independent of the machine and the environment.
-        for groups in GROUP_COUNTS {
-            let sims = (0..width).map(|_| build(bench, scheme)).collect();
-            let reports = BatchSim::new(sims).run_grouped(groups, groups);
-            for (lane, report) in reports.into_iter().enumerate() {
-                assert_eq!(
-                    report.results_json(),
-                    golden,
-                    "{tag}: composed batch diverged from sequential at \
-                     width={width} groups={groups} threads={groups} lane={lane} \
-                     (rebuild with build({bench:?}, {scheme:?}) and replay \
-                     BatchSim::run_grouped({groups}, {groups}) at that width)"
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -177,24 +135,6 @@ fn threaded_transport_is_bit_identical() {
             "MT/PAE parallel({shards} shards, {threads} threads) diverged"
         );
     }
-    // Same contract for the batched engine's group transport: fewer
-    // threads than groups exercises the multi-group-per-worker path.
-    for (groups, threads) in [(4, 2), (4, 4), (3, 2)] {
-        let sims = (0..5)
-            .map(|_| build(Benchmark::Mt, SchemeKind::Pae))
-            .collect();
-        for (lane, report) in BatchSim::new(sims)
-            .run_grouped(groups, threads)
-            .into_iter()
-            .enumerate()
-        {
-            assert_eq!(
-                report.results_json(),
-                golden,
-                "MT/PAE batch(width=5, {groups} groups, {threads} threads) lane {lane} diverged"
-            );
-        }
-    }
 }
 
 #[test]
@@ -225,17 +165,6 @@ fn fcfs_scheduling_policy_equivalence() {
         fast.results_json(),
         "fcfs: parallel(4) diverged"
     );
-    for (lane, report) in BatchSim::new((0..3).map(|_| build()).collect())
-        .run()
-        .into_iter()
-        .enumerate()
-    {
-        assert_eq!(
-            report.results_json(),
-            fast.results_json(),
-            "fcfs: batch(3) lane {lane} diverged"
-        );
-    }
 }
 
 #[test]
@@ -264,56 +193,6 @@ fn stacked_memory_equivalence() {
             par.results_json(),
             fast.results_json(),
             "stacked: parallel({shards}) diverged"
-        );
-    }
-    for (lane, report) in BatchSim::new((0..4).map(|_| build()).collect())
-        .run()
-        .into_iter()
-        .enumerate()
-    {
-        assert_eq!(
-            report.results_json(),
-            fast.results_json(),
-            "stacked: batch(4) lane {lane} diverged"
-        );
-    }
-}
-
-#[test]
-fn mixed_lane_batch_is_bit_identical() {
-    // The harness batches by (config, scale, scheme) but nothing in the
-    // engine requires lanes to share a workload or mapper — pin the
-    // general case: one batch mixing benchmarks, schemes and seeds, each
-    // lane byte-identical to its solo sequential run. The lanes finish
-    // at different cycles, exercising early drop-out from the active
-    // set.
-    let cases: Vec<(Benchmark, SchemeKind, u64)> = vec![
-        (Benchmark::Mt, SchemeKind::Base, 1),
-        (Benchmark::Sp, SchemeKind::Pae, 1),
-        (Benchmark::Mum, SchemeKind::Fae, 7),
-        (Benchmark::Mt, SchemeKind::All, 3),
-    ];
-    let build_one = |&(bench, scheme, seed): &(Benchmark, SchemeKind, u64)| {
-        let map = GddrMap::baseline();
-        let mapper = AddressMapper::build(scheme, &map, seed);
-        GpuSim::new(
-            GpuConfig::table1(),
-            mapper,
-            map,
-            Box::new(bench.workload(Scale::Test)),
-        )
-    };
-    let goldens: Vec<String> = cases
-        .iter()
-        .map(|c| build_one(c).run().results_json())
-        .collect();
-    let sims = cases.iter().map(build_one).collect();
-    for (lane, report) in BatchSim::new(sims).run().into_iter().enumerate() {
-        let (bench, scheme, seed) = cases[lane];
-        assert_eq!(
-            report.results_json(),
-            goldens[lane],
-            "mixed batch lane {lane} ({bench:?}/{scheme:?}/seed {seed}) diverged"
         );
     }
 }
