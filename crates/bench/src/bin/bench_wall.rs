@@ -89,13 +89,6 @@ fn main() {
     let committed_batched = gate_pct.and_then(|_| committed_median("harness_smoke_batched"));
     let committed_kbim = gate_pct.and_then(|_| committed_median("kernel_bim_bitsliced"));
     let committed_ksweep = gate_pct.and_then(|_| committed_median("kernel_entropy_sweep"));
-    // The sequential rows (and the --gate comparison against committed
-    // sequential baselines) must run on the sequential engine even when
-    // the caller's environment sets VALLEY_SIM_THREADS; snapshot the
-    // ambient value, clear it, and restore it after the sequential
-    // sections.
-    let ambient_sim_threads = std::env::var_os("VALLEY_SIM_THREADS");
-    std::env::remove_var("VALLEY_SIM_THREADS");
     let scratch = std::env::temp_dir().join(format!("valley-bench-wall-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
 
@@ -151,57 +144,6 @@ fn main() {
         warm.wall,
         warm.cache_hits,
     );
-
-    // Parallel-mode smoke row: the same Ref slice, cold, on the
-    // phase-parallel engine (4 shards). Results are bit-identical to the
-    // sequential rows by construction (the engine's contract); the wall
-    // times track what `VALLEY_SIM_THREADS=4` buys — or costs — on this
-    // machine, next to the sequential row.
-    let par_scratch =
-        std::env::temp_dir().join(format!("valley-bench-wall-par-{}", std::process::id()));
-    std::fs::remove_dir_all(&par_scratch).ok();
-    let par_store = ResultStore::open(&par_scratch).expect("parallel scratch store opens");
-    std::env::set_var("VALLEY_SIM_THREADS", "4");
-    let par_cold = run_sweep(&spec, &par_store, &quiet).expect("parallel smoke sweep");
-    match &ambient_sim_threads {
-        Some(v) => std::env::set_var("VALLEY_SIM_THREADS", v),
-        None => std::env::remove_var("VALLEY_SIM_THREADS"),
-    }
-    for (seq, par) in cold.jobs.iter().zip(&par_cold.jobs) {
-        assert_eq!(
-            seq.report, par.report,
-            "parallel engine diverged on {} — bit-identity broken",
-            seq.spec
-        );
-    }
-    // The wake-gate subsystem's observable win: the Ref-smoke slice is
-    // memory-saturated for long stretches (MT and MUM park every SM on
-    // MSHRs while replies stream back), and the per-unit wake gates must
-    // turn those stretches into multi-cycle epochs *while replies are in
-    // flight* — the regime the old global-minimum horizon pinned at one
-    // cycle per epoch.
-    let in_flight_multi: u64 = par_cold
-        .jobs
-        .iter()
-        .map(|j| j.report.epoch_hist.in_flight_multi)
-        .sum();
-    let multi: u64 = par_cold
-        .jobs
-        .iter()
-        .map(|j| j.report.epoch_hist.multi_cycle())
-        .sum();
-    assert!(
-        in_flight_multi > 0,
-        "no multi-cycle epoch overlapped an in-flight reply anywhere in \
-         the Ref smoke slice — the per-unit wake gates are not extending \
-         the parallel engine's horizon"
-    );
-    println!(
-        "harness smoke parallel (4 shards): cold {:.2?} ({} executed; \
-         {multi} multi-cycle epochs, {in_flight_multi} with replies in flight)",
-        par_cold.wall, par_cold.executed,
-    );
-    std::fs::remove_dir_all(&par_scratch).ok();
 
     // Batched smoke row: the Ref slice widened to a same-config
     // multi-seed group (seeds 1–3 — the paper's best-of-3 shape), cold.
@@ -392,16 +334,6 @@ fn main() {
             )
         })
         .collect();
-    let par_smoke_walls = par_cold
-        .jobs
-        .iter()
-        .map(|j| {
-            (
-                format!("{}/{}", j.spec.bench, j.spec.scheme),
-                Json::Num((j.wall_ms * 1e3).round() / 1e3),
-            )
-        })
-        .collect();
     let snapshot = Json::Obj(vec![
         (
             "suite".into(),
@@ -434,27 +366,6 @@ fn main() {
                 ),
                 ("warm_cache_hits".into(), Json::UInt(warm.cache_hits as u64)),
                 ("job_wall_ms".into(), Json::Obj(smoke_walls)),
-            ]),
-        ),
-        (
-            "harness_smoke_parallel".into(),
-            Json::Obj(vec![
-                (
-                    "slice".into(),
-                    Json::Str("mt+sp+mum x base+pae @ ref scale, VALLEY_SIM_THREADS=4".into()),
-                ),
-                ("sim_threads".into(), Json::UInt(4)),
-                ("jobs".into(), Json::UInt(par_cold.jobs.len() as u64)),
-                (
-                    "cold_wall_seconds".into(),
-                    Json::Num(par_cold.wall.as_secs_f64()),
-                ),
-                ("job_wall_ms".into(), Json::Obj(par_smoke_walls)),
-                ("multi_cycle_epochs".into(), Json::UInt(multi)),
-                (
-                    "multi_cycle_epochs_with_replies_in_flight".into(),
-                    Json::UInt(in_flight_multi),
-                ),
             ]),
         ),
         (

@@ -132,7 +132,7 @@ pub fn run_spec_with_store(
     store: &ResultStore,
 ) -> Vec<valley_harness::JobOutcome> {
     // batch: 0 defers to $VALLEY_SIM_BATCH — figure-driving sweeps
-    // batch when the environment asks, exactly like VALLEY_SIM_THREADS.
+    // batch when the environment asks.
     let opts = SweepOptions {
         workers: None,
         verbose: true,
@@ -158,7 +158,7 @@ pub fn run_suite_with_store(
 ) -> Suite {
     let spec = SweepSpec::new(benches, schemes, scale);
     // batch: 0 defers to $VALLEY_SIM_BATCH — figure-driving sweeps
-    // batch when the environment asks, exactly like VALLEY_SIM_THREADS.
+    // batch when the environment asks.
     let opts = SweepOptions {
         workers: None,
         verbose: true,

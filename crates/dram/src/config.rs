@@ -88,22 +88,6 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
-    /// A lower bound, in DRAM cycles, on the time between a request
-    /// *arriving* at a channel and its completion event: even a
-    /// row-buffer hit issued the moment it arrives needs the CAS latency
-    /// plus its own data burst before the completion fires
-    /// (`finish = column command + CL + tBURST`, and the column command
-    /// never precedes arrival). ACT/PRE chains and bus contention only
-    /// push completions later.
-    ///
-    /// The phase-parallel engine uses this to bound how soon a request
-    /// enqueued *inside* an epoch could produce a completion (and hence
-    /// a reply injection) — one term of the safe-horizon's emission
-    /// gate; see `valley-sim`'s `par` module.
-    pub const fn min_completion_latency(&self) -> u64 {
-        self.timing.cl + self.timing.tburst
-    }
-
     /// The paper's baseline GDDR5 channel: 16 banks, FR-FCFS with a
     /// 64-entry queue, 924 MHz.
     pub const fn gddr5() -> Self {

@@ -31,19 +31,11 @@ use valley_core::{DramAddressMap, PhysAddr};
 /// ```
 #[derive(Debug)]
 pub struct DramSystem {
-    /// The (immutable) address map, shared by reference: every shard of
-    /// the phase-parallel engine and every lane of the batched engine
-    /// decodes through the *same* map object instead of a per-system
-    /// clone.
+    /// The (immutable) address map, shared by reference with the
+    /// simulator's slice routing instead of a per-system clone.
     map: Arc<dyn DramAddressMap + Send + Sync>,
+    /// One channel per controller of `map`, indexed by controller.
     channels: Vec<DramChannel>,
-    /// Global controller index of each owned channel, ascending. For a
-    /// full system this is the identity; a subset system (see
-    /// [`DramSystem::for_controllers`]) owns a sparse selection.
-    ctrls: Vec<usize>,
-    /// Global controller index → position in `channels`
-    /// (`usize::MAX` = not owned by this system).
-    ctrl_local: Vec<usize>,
     /// Cached minimum of the channels' next-event cycles (evented path):
     /// lets [`DramSystem::tick_evented`] skip the whole per-channel walk
     /// on quiet cycles and makes [`DramSystem::cached_next_event`] O(1)
@@ -53,69 +45,24 @@ pub struct DramSystem {
 
 impl DramSystem {
     /// Creates a system with one channel per controller of `map`.
-    pub fn new(map: Arc<dyn DramAddressMap + Send + Sync>, cfg: DramConfig) -> Self {
-        let all: Vec<usize> = (0..map.num_controllers()).collect();
-        Self::for_controllers(map, cfg, &all)
-    }
-
-    /// Creates a system owning only the given (globally-indexed, strictly
-    /// ascending) controllers of `map`. Each channel behaves exactly as
-    /// the corresponding channel of a full system; the phase-parallel
-    /// simulation engine uses this to give every shard its own
-    /// independent slice of the memory system, all decoding through one
-    /// shared address map.
     ///
     /// # Panics
     ///
-    /// Panics if the bank counts disagree, `ctrls` is empty, unsorted or
-    /// out of range.
-    pub fn for_controllers(
-        map: Arc<dyn DramAddressMap + Send + Sync>,
-        cfg: DramConfig,
-        ctrls: &[usize],
-    ) -> Self {
+    /// Panics if `cfg` and `map` disagree on the bank count.
+    pub fn new(map: Arc<dyn DramAddressMap + Send + Sync>, cfg: DramConfig) -> Self {
         assert_eq!(
             cfg.banks,
             map.banks_per_controller(),
             "channel config and address map disagree on bank count"
         );
-        assert!(
-            !ctrls.is_empty(),
-            "a DRAM system needs at least one channel"
-        );
-        assert!(
-            ctrls.windows(2).all(|w| w[0] < w[1]),
-            "controller subset must be strictly ascending"
-        );
-        assert!(
-            ctrls.last().is_some_and(|&c| c < map.num_controllers()),
-            "controller index out of range"
-        );
-        let mut ctrl_local = vec![usize::MAX; map.num_controllers()];
-        for (local, &c) in ctrls.iter().enumerate() {
-            ctrl_local[c] = local;
-        }
-        let channels = ctrls.iter().map(|_| DramChannel::new(cfg)).collect();
+        let channels = (0..map.num_controllers())
+            .map(|_| DramChannel::new(cfg))
+            .collect();
         DramSystem {
             map,
             channels,
-            ctrls: ctrls.to_vec(),
-            ctrl_local,
             cached_min: 0,
         }
-    }
-
-    /// Translates a global controller index into this system's channel
-    /// position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller is not owned by this system.
-    #[inline]
-    fn local(&self, ctrl: usize) -> usize {
-        let local = self.ctrl_local[ctrl];
-        debug_assert_ne!(local, usize::MAX, "controller {ctrl} not owned");
-        local
     }
 
     /// The number of controllers (channels/vaults).
@@ -175,21 +122,19 @@ impl DramSystem {
             is_write,
             arrival: now,
         };
-        let local = self.local(ctrl as usize);
-        let ok = self.channels[local].try_enqueue(req);
+        let ch = &mut self.channels[ctrl as usize];
+        let ok = ch.try_enqueue(req);
         if ok {
             // The channel's next-event cache may have moved earlier.
-            self.cached_min = self
-                .cached_min
-                .min(self.channels[local].cached_next_event());
+            self.cached_min = self.cached_min.min(ch.cached_next_event());
         }
         ok
     }
 
     /// Whether the channel serving `addr` can accept a request.
     pub fn can_accept(&self, addr: PhysAddr) -> bool {
-        let ch = self.local(self.map.controller_of(addr));
-        self.channels[ch].queue_len() < self.channels[ch].config().queue_capacity
+        let ch = &self.channels[self.map.controller_of(addr)];
+        ch.queue_len() < ch.config().queue_capacity
     }
 
     /// Advances all channels one DRAM cycle, pushing the completions of
@@ -250,19 +195,17 @@ impl DramSystem {
         self.cached_min
     }
 
-    /// The cached next-event cycle of one channel, by *global*
-    /// controller index — the per-channel wake query of the simulator's
-    /// wake-gate subsystem: the LLC slice's DRAM back-pressure retry
-    /// gate reasons about the individual channel blocking it, not the
-    /// system-wide minimum (which the phase-parallel safe horizon reads
-    /// via [`DramSystem::cached_next_event`]).
+    /// The cached next-event cycle of one channel, by controller index
+    /// — the per-channel wake query of the simulator's wake gates: the
+    /// LLC slice's DRAM back-pressure retry gate reasons about the
+    /// individual channel blocking it, not the system-wide minimum.
     ///
     /// # Panics
     ///
-    /// Panics if `ctrl` is out of range or not owned by this system.
+    /// Panics if `ctrl` is out of range.
     #[inline]
     pub fn channel_next_event(&self, ctrl: usize) -> u64 {
-        self.channels[self.local(ctrl)].cached_next_event()
+        self.channels[ctrl].cached_next_event()
     }
 
     /// Brings every channel's deferred counters up to date with `up_to`.
@@ -319,19 +262,14 @@ impl DramSystem {
         total
     }
 
-    /// Read access to one channel by *global* controller index (for
-    /// tests, detailed metrics and the LLC's back-pressure gate).
+    /// Read access to one channel by controller index (for tests,
+    /// detailed metrics and the LLC's back-pressure gate).
     ///
     /// # Panics
     ///
-    /// Panics if `ch` is out of range or not owned by this system.
+    /// Panics if `ch` is out of range.
     pub fn channel(&self, ch: usize) -> &DramChannel {
-        &self.channels[self.local(ch)]
-    }
-
-    /// The global controller indices of the owned channels, ascending.
-    pub fn controllers(&self) -> &[usize] {
-        &self.ctrls
+        &self.channels[ch]
     }
 }
 

@@ -13,8 +13,7 @@
 //! valley gc      [--results DIR] [--expect-clean]
 //! valley serve   --addr HOST:PORT [grid flags] [--results DIR]
 //!                [--lease-ms N] [--max-attempts N] [--linger] [--quiet]
-//! valley work    --addr HOST:PORT [--name W] [--batch N] [--sim-threads N]
-//!                [--quiet]
+//! valley work    --addr HOST:PORT [--name W] [--batch N] [--quiet]
 //! valley fetch   --addr HOST:PORT [grid flags] [--figures]
 //!                [--expect-cached PCT] [--shutdown]
 //! ```
@@ -32,7 +31,7 @@
 //! The fabric trio: `serve` leases a sweep's uncached jobs to remote
 //! workers with crash-tolerant deadlines and merges results into the
 //! store in grid order; `work` executes leases via the unchanged local
-//! engines; `fetch` is the read-side network endpoint — query and
+//! engine; `fetch` is the read-side network endpoint — query and
 //! figure tables straight from the coordinator's store, never
 //! simulating.
 
@@ -59,7 +58,7 @@ valley — sharded, resumable sweep engine for the Valley reproduction
 USAGE:
   valley sweep   [--scale test|small|ref] [--benches all|valley|nonvalley|MT,LU,..]
                  [--schemes all|BASE,PAE,..] [--seeds 1,2,3] [--configs table1,stacked,sms24]
-                 [--workers N] [--sim-threads N] [--batch N] [--results DIR]
+                 [--workers N] [--batch N] [--results DIR]
                  [--force] [--quiet] [--expect-cached PCT] [--max-shard-bytes N]
   valley status  [--results DIR] [--fabric HOST:PORT] [--lint]
   valley query   [--bench MT] [--scheme PAE] [--scale ref] [--seed 1] [--config table1]
@@ -71,7 +70,7 @@ USAGE:
                  [--seeds N,..] [--configs K,..] [--results DIR] [--lease-ms N]
                  [--retry-ms N] [--max-attempts N] [--linger] [--quiet]
                  [--max-shard-bytes N]
-  valley work    --addr HOST:PORT [--name W] [--batch N] [--sim-threads N]
+  valley work    --addr HOST:PORT [--name W] [--batch N]
                  [--connect-attempts N] [--backoff-ms N] [--quiet]
   valley fetch   --addr HOST:PORT [--scale S] [--benches B] [--schemes C]
                  [--seeds N,..] [--configs K,..] [--figures]
@@ -80,9 +79,8 @@ USAGE:
 The store defaults to $VALLEY_RESULTS_DIR, else ./results. A sweep skips
 every job already in the store; `--expect-cached 95` additionally fails
 the invocation if fewer than 95% of the jobs were cache hits (CI uses
-this to prove the resume path works). `--sim-threads N` runs each
-simulation on the phase-parallel engine with N shards (bit-identical to
-sequential for every N — also settable via $VALLEY_SIM_THREADS).
+this to prove the resume path works). Each simulation runs on one
+thread; `--workers N` is the way to use more cores.
 `--batch N` groups pending jobs that share a machine configuration, up
 to N per group, and runs lanes that are the same simulation (a
 deterministic scheme swept over seeds) once (identical per lane for
@@ -102,9 +100,8 @@ job is re-leased; duplicate completions are dropped idempotently), and
 results are committed to the store in grid order, so the distributed
 store matches a local sequential sweep. `--linger` keeps the read side
 up after the grid completes, until `fetch --shutdown`. `work` executes
-leases with the unchanged local engines (`--batch`/$VALLEY_SIM_BATCH
-asks for same-machine batch leases, `--sim-threads`/$VALLEY_SIM_THREADS
-picks the intra-sim engine). `fetch` is the read-side endpoint: it
+leases with the unchanged local engine (`--batch`/$VALLEY_SIM_BATCH
+asks for same-machine batch leases). `fetch` is the read-side endpoint: it
 prints the grid's stored results (or `--figures` tables) fetched from
 the coordinator — never simulating — and `--expect-cached PCT` fails
 unless at least PCT% of the requested grid was already served from the
@@ -254,7 +251,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             "seeds",
             "configs",
             "workers",
-            "sim-threads",
             "batch",
             "results",
             "force",
@@ -263,15 +259,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             "max-shard-bytes",
         ],
     )?;
-    if let Some(n) = flags.get("sim-threads") {
-        n.parse::<usize>()
-            .map_err(|_| format!("bad thread count '{n}' for --sim-threads"))?;
-        // `GpuSim::run` reads the knob per run; setting the env threads
-        // it through `execute_job` without widening the job key (results
-        // are bit-identical for every value, so cached results stay
-        // valid).
-        std::env::set_var("VALLEY_SIM_THREADS", n);
-    }
     let spec = parse_grid(&flags)?;
     let scale = spec.scale;
     let workers = flags
@@ -281,8 +268,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 .map_err(|_| format!("bad worker count '{w}'"))
         })
         .transpose()?;
-    // 0 defers to $VALLEY_SIM_BATCH inside run_sweep (mirroring how
-    // --sim-threads and $VALLEY_SIM_THREADS compose): the flag, when
+    // 0 defers to $VALLEY_SIM_BATCH inside run_sweep: the flag, when
     // given, wins over the environment.
     let batch = flags
         .get("batch")
@@ -786,21 +772,12 @@ fn cmd_work(args: &[String]) -> Result<(), String> {
             "addr",
             "name",
             "batch",
-            "sim-threads",
             "connect-attempts",
             "backoff-ms",
             "quiet",
         ],
     )?;
     let addr = flags.get("addr").ok_or("work needs --addr HOST:PORT")?;
-    if let Some(n) = flags.get("sim-threads") {
-        n.parse::<usize>()
-            .map_err(|_| format!("bad thread count '{n}' for --sim-threads"))?;
-        // Same contract as `sweep --sim-threads`: the intra-sim engine is
-        // bit-identical for every thread count, so it is pure scheduling
-        // and never widens a job key.
-        std::env::set_var("VALLEY_SIM_THREADS", n);
-    }
     // The lease capacity mirrors `sweep --batch`: the flag wins, else
     // $VALLEY_SIM_BATCH, else single-job leases.
     let capacity = match flags.get("batch") {

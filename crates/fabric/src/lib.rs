@@ -13,8 +13,8 @@
 //!   grid expansion order, and serves the read-side `query`/`status`
 //!   endpoints purely from the store;
 //! * [`worker`] — the worker loop: a network shell around
-//!   `execute_job`/`execute_batch`, so `--batch` and
-//!   `VALLEY_SIM_THREADS` compose with remote execution;
+//!   `execute_job`/`execute_batch`, so `--batch` composes with remote
+//!   execution;
 //! * [`client`] — read-side fetch/status/shutdown.
 //!
 //! The failure model in one sentence: a worker that panics, stalls

@@ -37,6 +37,8 @@ impl WireError {
     /// Whether this error is a read timeout (the coordinator's handler
     /// loops poll with a socket read timeout so they can notice
     /// shutdown; a timeout is "no frame yet", not a dead peer).
+    /// [`read_frame`] reports a timeout this way only when it consumed
+    /// nothing, so retrying the read is always safe.
     pub fn is_timeout(&self) -> bool {
         matches!(
             self,
@@ -80,11 +82,27 @@ pub fn write_frame(w: &mut impl Write, value: &Json) -> Result<(), WireError> {
     Ok(())
 }
 
+/// A read timeout after part of a frame was consumed: the stream
+/// position is inside the frame, so the caller must not retry as if no
+/// frame had started. Reported as a plain I/O error, not a timeout.
+fn mid_frame(e: std::io::Error) -> std::io::Error {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            std::io::Error::other(format!("peer stalled inside a frame: {e}"))
+        }
+        _ => e,
+    }
+}
+
 /// Reads one frame and parses its payload. Blocks until a full frame
-/// arrives (or the stream's read timeout fires between frames).
+/// arrives. The stream's read timeout surfaces as
+/// [`WireError::is_timeout`] only between frames (zero bytes consumed);
+/// once the first byte is in, a timeout is a non-timeout
+/// [`WireError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Json, WireError> {
     let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
+    r.read_exact(&mut len_bytes[..1])?;
+    r.read_exact(&mut len_bytes[1..]).map_err(mid_frame)?;
     let len = u32::from_be_bytes(len_bytes);
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Protocol(format!(
@@ -94,7 +112,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, WireError> {
     // Grow the payload as bytes arrive: the prefix is the peer's claim,
     // and a claim must not make this side commit 64 MiB per connection.
     let mut payload = Vec::new();
-    if r.take(u64::from(len)).read_to_end(&mut payload)? < len as usize {
+    let got = r
+        .take(u64::from(len))
+        .read_to_end(&mut payload)
+        .map_err(mid_frame)?;
+    if got < len as usize {
         return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
     }
     let text = std::str::from_utf8(&payload)
@@ -137,6 +159,36 @@ mod tests {
                 read_frame(&mut cursor),
                 Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
             ));
+        }
+    }
+
+    /// Yields its bytes, then `WouldBlock` — a socket whose read
+    /// timeout fires because the peer stopped sending.
+    struct Stalls<'a>(&'a [u8]);
+
+    impl Read for Stalls<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn timeout_is_a_timeout_only_between_frames() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Json::Str("stalled".into())).unwrap();
+        // Nothing consumed: "no frame yet", safe to poll again.
+        assert!(read_frame(&mut Stalls(&[])).unwrap_err().is_timeout());
+        // Two prefix bytes, or the prefix and half the payload: the
+        // stream is inside a frame, and a retry would misparse it.
+        for consumed in [2, 4 + (frame.len() - 4) / 2] {
+            let err = read_frame(&mut Stalls(&frame[..consumed])).unwrap_err();
+            assert!(
+                matches!(err, WireError::Io(_)) && !err.is_timeout(),
+                "stall after {consumed} bytes: {err}"
+            );
         }
     }
 

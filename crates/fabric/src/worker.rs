@@ -2,11 +2,9 @@
 //!
 //! A worker is a thin network shell around the harness's existing
 //! executors — [`execute_job`] for single-job leases and
-//! [`execute_batch`] for same-machine batches — so every local engine
-//! knob composes with remote execution: `VALLEY_SIM_THREADS` picks the
-//! phase-parallel engine inside each simulation, and the worker's
-//! `--batch` capacity asks the coordinator for same-machine batch
-//! leases. Panics are caught per lease and reported as structured
+//! [`execute_batch`] for same-machine batches — so the local batching
+//! knob composes with remote execution: the worker's `--batch` capacity
+//! asks the coordinator for same-machine batch leases. Panics are caught per lease and reported as structured
 //! [`JobFailure`]s, so a crashed job is re-leased with its reason
 //! attached instead of silently vanishing.
 

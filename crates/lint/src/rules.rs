@@ -81,7 +81,6 @@ pub const TICK_PATH_FILES: &[&str] = &[
     "crates/sim/src/sm.rs",
     "crates/sim/src/llc.rs",
     "crates/sim/src/gpu.rs",
-    "crates/sim/src/par.rs",
     "crates/sim/src/wake.rs",
     "crates/sim/src/txn.rs",
     "crates/sim/src/coalesce.rs",

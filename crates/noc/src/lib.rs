@@ -77,9 +77,8 @@ impl NocStats {
 
 /// The immutable geometry of a [`Crossbar`]: port counts and router
 /// latency. Split out from the crossbar's mutable queue/calendar state
-/// so builders stamping out many identical networks (the batched
-/// engine's lanes, the phase-parallel engine's per-shard sub-crossbars)
-/// describe the geometry once and share it by value.
+/// so builders stamping out many identical networks describe the
+/// geometry once and share it by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrossbarConfig {
     /// Number of input ports.
@@ -470,63 +469,6 @@ impl Crossbar {
                 self.events.push(Reverse((next, dst)));
             }
         }
-    }
-
-    /// The earliest NoC cycle at which output port `dst` can *complete*
-    /// a packet (push a [`Delivery`]), or `u64::MAX` when nothing is
-    /// queued there — the per-port wake query of the simulator's
-    /// wake-gate subsystem.
-    ///
-    /// Exact under the evented tick discipline: the head packet's next
-    /// flit moves at the port's scheduled time and the remaining flits
-    /// stream on consecutive cycles (a port with work moves one flit
-    /// every cycle until the packet completes), so the last flit — the
-    /// delivery — lands exactly `remaining - 1` cycles later. Packets
-    /// queued behind the head complete strictly later and never lower
-    /// the bound. After dense ticks the per-port schedule is stale and
-    /// the query degrades to 0 (conservative, never late).
-    ///
-    /// This is deliberately *later* than [`Crossbar::cached_next_event`]
-    /// (the next flit movement): a streaming reply port moves a flit
-    /// every cycle, but the attached consumer only wakes when a packet
-    /// completes. Gating consumers on deliveries instead of movements is
-    /// what lets the phase-parallel engine run multi-cycle epochs while
-    /// replies are in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range.
-    #[inline]
-    pub fn port_delivery_at(&self, dst: usize) -> u64 {
-        if self.events_dirty {
-            return 0;
-        }
-        let Some(head) = self.outputs[dst].front() else {
-            return u64::MAX;
-        };
-        let remaining = if self.in_service[dst] > 0 {
-            self.in_service[dst]
-        } else {
-            head.flits
-        };
-        debug_assert_ne!(self.port_next[dst], u64::MAX, "queued port has a schedule");
-        self.port_next[dst] + u64::from(remaining) - 1
-    }
-
-    /// The earliest NoC cycle at which *any* output port completes a
-    /// packet (`u64::MAX` = nothing queued anywhere): the minimum of
-    /// [`Crossbar::port_delivery_at`] over all ports.
-    pub fn delivery_gate(&self) -> u64 {
-        if self.queued == 0 {
-            return u64::MAX;
-        }
-        if self.events_dirty {
-            return 0;
-        }
-        (0..self.outputs.len())
-            .map(|dst| self.port_delivery_at(dst))
-            .min()
-            .unwrap_or(u64::MAX)
     }
 
     /// Total queued packets across all output ports.

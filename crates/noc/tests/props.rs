@@ -158,70 +158,6 @@ proptest! {
         prop_assert_eq!(dense.stats(), mixed.stats());
     }
 
-    /// The per-port delivery gates — the wake queries the simulator's
-    /// phase-parallel safe horizon is built on — are *exact* under the
-    /// evented discipline: no delivery ever lands before the announced
-    /// gate (never late ⇒ the horizon is safe), and whenever the gate
-    /// says "now" with no new injections since, a delivery does land
-    /// (exactness ⇒ the horizon isn't needlessly short).
-    #[test]
-    fn delivery_gate_is_exact_under_evented_ticks(
-        pkts in proptest::collection::vec((0usize..12, 0usize..8, 1u32..6, 0u64..60), 1..60),
-        latency in 0u64..5,
-    ) {
-        let mut pkts = pkts.clone();
-        pkts.sort_by_key(|p| p.3);
-        let mut xbar = Crossbar::new(12, 8, latency);
-        let mut done = Vec::new();
-        let mut next = 0;
-        for cycle in 0..600u64 {
-            while next < pkts.len() && pkts[next].3 <= cycle {
-                let (src, dst, flits, _) = pkts[next];
-                xbar.inject(Packet { payload: next as u64, src, dst, flits, injected_at: cycle });
-                next += 1;
-            }
-            let gate = xbar.delivery_gate();
-            let port_gates: Vec<u64> =
-                (0..8).map(|p| xbar.port_delivery_at(p)).collect();
-            prop_assert_eq!(
-                gate,
-                port_gates.iter().copied().min().unwrap(),
-                "gate is not the per-port minimum at cycle {}",
-                cycle
-            );
-            done.clear();
-            xbar.tick_evented(cycle, &mut done);
-            for d in &done {
-                prop_assert!(
-                    gate <= cycle,
-                    "delivery at cycle {} but gate said {} (late gate breaks \
-                     the safe horizon)",
-                    cycle,
-                    gate
-                );
-                prop_assert_eq!(
-                    port_gates[d.dst],
-                    cycle,
-                    "port {} delivered at cycle {} but its gate said {}",
-                    d.dst,
-                    cycle,
-                    port_gates[d.dst]
-                );
-            }
-            // Exactness: a port whose gate fires now must deliver now.
-            for (p, &g) in port_gates.iter().enumerate() {
-                if g == cycle {
-                    prop_assert!(
-                        done.iter().any(|d| d.dst == p),
-                        "port {} promised a delivery at cycle {} and didn't",
-                        p,
-                        cycle
-                    );
-                }
-            }
-        }
-    }
-
     /// One output port delivers at most one packet's last flit per
     /// `flits` cycles: spread destinations always finish no later than
     /// the single-destination hotspot.

@@ -69,9 +69,8 @@ impl BatchSim {
         self.sims.len()
     }
 
-    /// Runs every lane to completion through [`GpuSim::run`] (so each
-    /// honors `VALLEY_SIM_THREADS`) and returns the reports in lane
-    /// order.
+    /// Runs every lane to completion through [`GpuSim::run`] and returns
+    /// the reports in lane order.
     pub fn run(self) -> Vec<SimReport> {
         self.sims.into_iter().map(GpuSim::run).collect()
     }

@@ -12,61 +12,11 @@ use crate::wake::WakeGate;
 use std::sync::Arc;
 use valley_cache::CacheStats;
 use valley_core::{AddressMapper, DramAddressMap, PhysAddr};
-use valley_dram::{DramStats, DramSystem};
-use valley_noc::{Crossbar, NocStats, Packet};
+use valley_dram::DramSystem;
+use valley_noc::{Crossbar, Packet};
 
 /// How often (in core cycles) the parallelism metrics are sampled.
-pub(crate) const METRIC_SAMPLE_INTERVAL: u64 = 4;
-
-/// Intra-simulation parallelism knob for [`GpuSim::run`].
-///
-/// `Shards(n)` partitions the SMs and the LLC-slice/DRAM-channel pairs
-/// into `n` shards that tick concurrently between deterministic epoch
-/// barriers (see `docs/harness.md`). The result is **bit-identical** to
-/// the sequential engine for every configuration and shard count — the
-/// shard count trades wall time, never results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Single-threaded evented engine (the default).
-    Off,
-    /// Phase-parallel engine with this many shards; worker threads are
-    /// capped at the machine's available parallelism.
-    Shards(usize),
-}
-
-impl Parallelism {
-    /// Reads `VALLEY_SIM_THREADS`: unset, empty, `0` or `1` mean
-    /// [`Parallelism::Off`]; `n > 1` means [`Parallelism::Shards`]`(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a value that is not a non-negative integer, so a typo'd
-    /// environment cannot silently fall back to single-threaded runs.
-    pub fn from_env() -> Self {
-        match std::env::var("VALLEY_SIM_THREADS") {
-            Err(_) => Parallelism::Off,
-            Ok(s) if s.is_empty() => Parallelism::Off,
-            Ok(s) => {
-                let n: usize = s
-                    .parse()
-                    .unwrap_or_else(|_| panic!("VALLEY_SIM_THREADS={s} is not an integer"));
-                if n <= 1 {
-                    Parallelism::Off
-                } else {
-                    Parallelism::Shards(n)
-                }
-            }
-        }
-    }
-
-    /// The shard count this knob requests (1 = sequential).
-    pub fn shards(self) -> usize {
-        match self {
-            Parallelism::Off => 1,
-            Parallelism::Shards(n) => n.max(1),
-        }
-    }
-}
+const METRIC_SAMPLE_INTERVAL: u64 = 4;
 
 /// The complete simulated GPU.
 ///
@@ -89,55 +39,25 @@ impl Parallelism {
 /// println!("{} cycles", report.cycles);
 /// ```
 pub struct GpuSim {
-    pub(crate) cfg: GpuConfig,
-    pub(crate) mapper: AddressMapper,
+    cfg: GpuConfig,
+    mapper: AddressMapper,
     /// The (immutable) address map for slice routing — the *same*
     /// allocation the DRAM system decodes coordinates through.
-    pub(crate) map: Arc<dyn DramAddressMap + Send + Sync>,
+    map: Arc<dyn DramAddressMap + Send + Sync>,
     dram: DramSystem,
     req_net: Crossbar,
     reply_net: Crossbar,
     sms: Vec<Sm>,
     slices: Vec<LlcSlice>,
     txns: TxnTable,
-    pub(crate) workload: Box<dyn WorkloadSource>,
-}
-
-/// Uniform access to the SM population for the TB scheduler, so the
-/// identical scheduling code drives both the sequential `Vec<Sm>` and the
-/// parallel engine's sharded SMs (any divergence here would break the
-/// engines' bit-identity).
-pub(crate) trait SmPool {
-    fn num_sms(&self) -> usize;
-    /// Sum of retired TBs over all SMs.
-    fn retired_total(&self) -> u64;
-    fn can_accept(&self, sm: usize, warps_per_block: usize, tbs_limit: usize) -> bool;
-    fn assign(&mut self, sm: usize, kernel: &dyn KernelSource, tb: u64, age: u64, cycle: u64);
-}
-
-/// The sequential engine's pool: a plain slice of SMs.
-pub(crate) struct SliceSmPool<'a>(pub(crate) &'a mut [Sm]);
-
-impl SmPool for SliceSmPool<'_> {
-    fn num_sms(&self) -> usize {
-        self.0.len()
-    }
-    fn retired_total(&self) -> u64 {
-        self.0.iter().map(Sm::retired_tbs).sum()
-    }
-    fn can_accept(&self, sm: usize, warps_per_block: usize, tbs_limit: usize) -> bool {
-        self.0[sm].can_accept_tb(warps_per_block, tbs_limit)
-    }
-    fn assign(&mut self, sm: usize, kernel: &dyn KernelSource, tb: u64, age: u64, cycle: u64) {
-        self.0[sm].assign_tb(kernel, tb, age, cycle);
-    }
+    workload: Box<dyn WorkloadSource>,
 }
 
 /// Kernel-serial TB scheduler state.
-pub(crate) struct TbScheduler {
-    pub(crate) kernel_idx: usize,
+struct TbScheduler {
+    kernel_idx: usize,
     num_kernels: usize,
-    pub(crate) kernel: Option<Box<dyn KernelSource>>,
+    kernel: Option<Box<dyn KernelSource>>,
     next_tb: u64,
     total_tbs: u64,
     retired_base: u64,
@@ -164,7 +84,7 @@ enum FastForward {
 /// domain ticks elapse. Shared by `fast_forward`'s pre-check and skip
 /// loop so the two can never drift apart and break `run == run_dense`.
 #[inline]
-pub(crate) fn domain_ticks(acc: f64, per_core: f64) -> (f64, u64) {
+fn domain_ticks(acc: f64, per_core: f64) -> (f64, u64) {
     let mut a = acc + per_core;
     let mut ticks = 0u64;
     while a >= 1.0 {
@@ -175,7 +95,7 @@ pub(crate) fn domain_ticks(acc: f64, per_core: f64) -> (f64, u64) {
 }
 
 impl TbScheduler {
-    pub(crate) fn new(num_kernels: usize) -> Self {
+    fn new(num_kernels: usize) -> Self {
         TbScheduler {
             kernel_idx: 0,
             num_kernels,
@@ -189,7 +109,7 @@ impl TbScheduler {
         }
     }
 
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.kernel.is_none() && self.kernel_idx >= self.num_kernels
     }
 
@@ -198,19 +118,19 @@ impl TbScheduler {
     /// past a fully-retired kernel. When `false`, [`TbScheduler::run`]
     /// is a no-op until some SM state changes (which requires an SM or
     /// NoC event).
-    pub(crate) fn can_progress<P: SmPool>(&self, sms: &P, cfg: &GpuConfig) -> bool {
+    fn can_progress(&self, sms: &[Sm], cfg: &GpuConfig) -> bool {
         let Some(kernel) = self.kernel.as_deref() else {
             return self.kernel_idx < self.num_kernels;
         };
         if self.next_tb < self.total_tbs {
             let wpb = kernel.warps_per_block();
             let limit = cfg.tbs_per_sm(wpb);
-            if (0..sms.num_sms()).any(|i| sms.can_accept(i, wpb, limit)) {
+            if sms.iter().any(|sm| sm.can_accept_tb(wpb, limit)) {
                 return true;
             }
         }
         if self.next_tb == self.total_tbs {
-            let retired = sms.retired_total();
+            let retired: u64 = sms.iter().map(Sm::retired_tbs).sum();
             if retired - self.retired_base == self.total_tbs {
                 return true;
             }
@@ -220,16 +140,9 @@ impl TbScheduler {
 
     /// One scheduling pass: load the next kernel if none is resident,
     /// assign pending TBs round-robin to SMs with room, and advance past
-    /// the kernel once every TB retired. Identical logic drives the
-    /// sequential and the phase-parallel engines via [`SmPool`].
-    pub(crate) fn run<P: SmPool>(
-        &mut self,
-        sms: &mut P,
-        workload: &dyn WorkloadSource,
-        cfg: &GpuConfig,
-        cycle: u64,
-    ) {
-        let retired = sms.retired_total();
+    /// the kernel once every TB retired.
+    fn run(&mut self, sms: &mut [Sm], workload: &dyn WorkloadSource, cfg: &GpuConfig, cycle: u64) {
+        let retired: u64 = sms.iter().map(Sm::retired_tbs).sum();
         // Load the next kernel once the previous one fully retired.
         let mut just_loaded = false;
         if self.kernel.is_none() {
@@ -256,11 +169,11 @@ impl TbScheduler {
 
         // Assign TBs round-robin while any SM has room.
         'assign: while self.next_tb < self.total_tbs {
-            let n = sms.num_sms();
+            let n = sms.len();
             for probe in 0..n {
                 let sm = (self.rr_sm + probe) % n;
-                if sms.can_accept(sm, wpb, tbs_limit) {
-                    sms.assign(sm, kernel, self.next_tb, self.age_counter, cycle);
+                if sms[sm].can_accept_tb(wpb, tbs_limit) {
+                    sms[sm].assign_tb(kernel, self.next_tb, self.age_counter, cycle);
                     self.age_counter += 1;
                     self.next_tb += 1;
                     self.rr_sm = (sm + 1) % n;
@@ -312,7 +225,7 @@ impl GpuSim {
 
     /// The LLC slice serving a mapped address: controller-interleaved,
     /// with the low bank bit distinguishing the two slices per controller.
-    pub(crate) fn slice_of(map: &dyn DramAddressMap, llc_slices: usize, addr: PhysAddr) -> u16 {
+    fn slice_of(map: &dyn DramAddressMap, llc_slices: usize, addr: PhysAddr) -> u16 {
         let nc = map.num_controllers();
         if nc >= llc_slices {
             (map.controller_of(addr) % llc_slices) as u16
@@ -327,46 +240,15 @@ impl GpuSim {
     /// event-free cycle spans. The results — cycle count, DRAM statistics
     /// and cache statistics — are bit-identical to [`GpuSim::run_dense`];
     /// see `tests/event_driven_equivalence.rs`.
-    ///
-    /// Honors `VALLEY_SIM_THREADS` (see [`Parallelism::from_env`]): with
-    /// `n > 1` the run executes on the phase-parallel engine, whose
-    /// results are bit-identical to the sequential ones for every shard
-    /// count.
     pub fn run(self) -> SimReport {
-        let par = Parallelism::from_env();
-        self.run_with(par)
+        self.run_with_mode(true)
     }
 
-    /// [`GpuSim::run`] with an explicit [`Parallelism`] knob.
-    pub fn run_with(self, par: Parallelism) -> SimReport {
-        let shards = par.shards();
-        // The parallel engine shares the evented gates' clock-domain
-        // assumption (domain clocks no faster than the core clock); a
-        // config outside it runs sequentially, keeping results identical
-        // by construction instead of silently diverging.
-        if shards >= 2 && self.cfg.noc_per_core() <= 1.0 && self.cfg.dram_per_core() <= 1.0 {
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(shards);
-            crate::par::run_sharded(self, shards, threads)
-        } else {
-            self.run_with_mode(true)
-        }
-    }
-
-    /// Runs on the phase-parallel engine with explicit shard and worker
-    /// thread counts. Primarily for the cross-thread equivalence battery,
-    /// which pins shard counts and the threaded transport independently
-    /// of the machine's core count; `shards` must be ≥ 2.
+    /// [`GpuSim::run`]; both arguments are ignored. Kept because the
+    /// frozen `sim.sharded2_ratio` benchmark probe calls it.
     #[doc(hidden)]
-    pub fn run_sharded(self, shards: usize, threads: usize) -> SimReport {
-        assert!(shards >= 2, "the sharded engine needs at least 2 shards");
-        assert!(
-            self.cfg.noc_per_core() <= 1.0 && self.cfg.dram_per_core() <= 1.0,
-            "the sharded engine requires domain clocks no faster than the core clock"
-        );
-        crate::par::run_sharded(self, shards, threads)
+    pub fn run_sharded(self, _shards: usize, _threads: usize) -> SimReport {
+        self.run()
     }
 
     /// Runs the workload with the dense reference loop that advances every
@@ -633,8 +515,8 @@ impl GpuSim {
 
     /// Whether the TB scheduler could make progress this cycle (see
     /// [`TbScheduler::can_progress`]).
-    fn sched_can_progress(&mut self, sched: &TbScheduler) -> bool {
-        sched.can_progress(&SliceSmPool(&mut self.sms), &self.cfg)
+    fn sched_can_progress(&self, sched: &TbScheduler) -> bool {
+        sched.can_progress(&self.sms, &self.cfg)
     }
 
     /// Advances the simulation over cycles in which *no* component does
@@ -753,12 +635,7 @@ impl GpuSim {
     }
 
     fn schedule_tbs(&mut self, sched: &mut TbScheduler, cycle: u64) {
-        sched.run(
-            &mut SliceSmPool(&mut self.sms),
-            self.workload.as_ref(),
-            &self.cfg,
-            cycle,
-        );
+        sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle);
     }
 
     fn report(
@@ -769,105 +646,60 @@ impl GpuSim {
         parallelism: &ParallelismIntegrator,
         sched: &TbScheduler,
     ) -> SimReport {
-        build_report(ReportParts {
-            cfg: &self.cfg,
+        let mut l1 = CacheStats::default();
+        let mut warp_instructions = 0;
+        let mut busy = 0u64;
+        for sm in &self.sms {
+            let s = sm.l1_stats();
+            l1.hits += s.hits;
+            l1.misses += s.misses;
+            l1.evictions += s.evictions;
+            warp_instructions += sm.warp_instructions();
+            busy += sm.busy_cycles();
+        }
+        let mut llc = CacheStats::default();
+        for s in &self.slices {
+            let st = s.stats();
+            llc.hits += st.hits;
+            llc.misses += st.misses;
+            llc.evictions += st.evictions;
+        }
+        let req = self.req_net.stats();
+        let rep = self.reply_net.stats();
+        let delivered = req.delivered + rep.delivered;
+        let noc_to_core = self.cfg.core_clock_ghz / self.cfg.noc_clock_ghz;
+        let noc_latency = if delivered == 0 {
+            0.0
+        } else {
+            (req.total_latency + rep.total_latency) as f64 / delivered as f64 * noc_to_core
+        };
+        SimReport {
             benchmark: self.workload.name(),
             scheme: self.mapper.kind().label().to_string(),
             cycles,
-            dram_cycles,
             truncated,
-            parallelism,
-            kernels: sched.kernel_idx,
-            sms: &mut self.sms.iter(),
-            slices: &mut self.slices.iter(),
-            dram: self.dram.total_stats(),
-            dram_channels: self.dram.num_channels(),
-            req: self.req_net.stats(),
-            rep: self.reply_net.stats(),
+            warp_instructions,
+            thread_instructions: warp_instructions * self.cfg.warp_size as u64,
             memory_transactions: self.txns.len(),
+            l1,
+            llc,
+            noc_latency,
+            llc_parallelism: parallelism.llc_parallelism(),
+            channel_parallelism: parallelism.channel_parallelism(),
+            bank_parallelism: parallelism.bank_parallelism(),
+            dram: self.dram.total_stats(),
+            kernels: sched.kernel_idx,
+            dram_cycles,
+            dram_channels: self.dram.num_channels(),
+            core_clock_ghz: self.cfg.core_clock_ghz,
+            dram_clock_ghz: self.cfg.dram.clock_ghz,
+            num_sms: self.cfg.num_sms,
+            sm_busy_fraction: if cycles == 0 {
+                0.0
+            } else {
+                busy as f64 / (cycles * self.sms.len() as u64) as f64
+            },
             epoch_hist: EpochHist::default(),
-        })
-    }
-}
-
-/// Everything [`build_report`] aggregates; both engines feed it their
-/// components in global index order so every counter sums identically.
-pub(crate) struct ReportParts<'a> {
-    pub cfg: &'a GpuConfig,
-    pub benchmark: String,
-    pub scheme: String,
-    pub cycles: u64,
-    pub dram_cycles: u64,
-    pub truncated: bool,
-    pub parallelism: &'a ParallelismIntegrator,
-    pub kernels: usize,
-    pub sms: &'a mut dyn Iterator<Item = &'a Sm>,
-    pub slices: &'a mut dyn Iterator<Item = &'a LlcSlice>,
-    pub dram: DramStats,
-    pub dram_channels: usize,
-    pub req: NocStats,
-    pub rep: NocStats,
-    pub memory_transactions: u64,
-    /// Engine diagnostics (empty for the sequential and dense engines).
-    pub epoch_hist: EpochHist,
-}
-
-/// Assembles the final [`SimReport`] — the single aggregation routine
-/// shared by the sequential and phase-parallel engines.
-pub(crate) fn build_report(parts: ReportParts<'_>) -> SimReport {
-    let mut l1 = CacheStats::default();
-    let mut warp_instructions = 0;
-    let mut busy = 0u64;
-    let mut num_sms = 0u64;
-    for sm in parts.sms {
-        let s = sm.l1_stats();
-        l1.hits += s.hits;
-        l1.misses += s.misses;
-        l1.evictions += s.evictions;
-        warp_instructions += sm.warp_instructions();
-        busy += sm.busy_cycles();
-        num_sms += 1;
-    }
-    let mut llc = CacheStats::default();
-    for s in parts.slices {
-        let st = s.stats();
-        llc.hits += st.hits;
-        llc.misses += st.misses;
-        llc.evictions += st.evictions;
-    }
-    let delivered = parts.req.delivered + parts.rep.delivered;
-    let noc_to_core = parts.cfg.core_clock_ghz / parts.cfg.noc_clock_ghz;
-    let noc_latency = if delivered == 0 {
-        0.0
-    } else {
-        (parts.req.total_latency + parts.rep.total_latency) as f64 / delivered as f64 * noc_to_core
-    };
-    SimReport {
-        benchmark: parts.benchmark,
-        scheme: parts.scheme,
-        cycles: parts.cycles,
-        truncated: parts.truncated,
-        warp_instructions,
-        thread_instructions: warp_instructions * parts.cfg.warp_size as u64,
-        memory_transactions: parts.memory_transactions,
-        l1,
-        llc,
-        noc_latency,
-        llc_parallelism: parts.parallelism.llc_parallelism(),
-        channel_parallelism: parts.parallelism.channel_parallelism(),
-        bank_parallelism: parts.parallelism.bank_parallelism(),
-        dram: parts.dram,
-        kernels: parts.kernels,
-        dram_cycles: parts.dram_cycles,
-        dram_channels: parts.dram_channels,
-        core_clock_ghz: parts.cfg.core_clock_ghz,
-        dram_clock_ghz: parts.cfg.dram.clock_ghz,
-        num_sms: parts.cfg.num_sms,
-        sm_busy_fraction: if parts.cycles == 0 {
-            0.0
-        } else {
-            busy as f64 / (parts.cycles * num_sms) as f64
-        },
-        epoch_hist: parts.epoch_hist,
+        }
     }
 }

@@ -381,9 +381,12 @@ impl Parser<'_> {
             return Err(self.err("truncated \\u escape"));
         }
         // `get` is `None` when the fourth byte is inside a character.
+        // Four hex digits and nothing else: `from_str_radix` alone
+        // would also take a leading sign.
         let hex = self
             .src
             .get(self.pos..end)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
             .ok_or_else(|| self.err("invalid \\u escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
@@ -493,6 +496,8 @@ mod tests {
             (r#""\u"#, 3, "truncated \\u escape"),
             (r#""\u12g4""#, 3, "invalid \\u escape"),
             (r#""\u000é""#, 3, "invalid \\u escape"),
+            (r#""\u+041""#, 3, "invalid \\u escape"),
+            (r#""\u-041""#, 3, "invalid \\u escape"),
             // Surrogates: lone high, high followed by a non-\u escape,
             // high followed by a non-low, lone low.
             (r#""\ud800""#, 7, "lone high surrogate"),

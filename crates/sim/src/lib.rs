@@ -27,7 +27,6 @@ mod gpu;
 pub mod json;
 mod llc;
 mod metrics;
-mod par;
 mod sm;
 mod trace;
 mod txn;
@@ -36,7 +35,7 @@ mod wake;
 pub use batch::{BatchSim, Batching};
 pub use coalesce::{coalesce, coalesce_into};
 pub use config::{GpuConfig, LlcWritePolicy, WarpScheduler};
-pub use gpu::{GpuSim, Parallelism};
+pub use gpu::GpuSim;
 pub use metrics::{EpochHist, ParallelismIntegrator, SimReport, REPORT_SCHEMA_VERSION};
 pub use trace::{
     tb_request_addresses, Instruction, KernelSource, LaneAddrs, WarpProgram, WorkloadSource,

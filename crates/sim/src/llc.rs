@@ -214,18 +214,6 @@ impl LlcSlice {
         self.cached_next
     }
 
-    /// The earliest core cycle at which a [`LlcSlice::tick`] could emit
-    /// a *reply* without an intervening DRAM completion: the ready time
-    /// of the oldest in-flight hit (`u64::MAX` when none). All other
-    /// reply paths go through DRAM first — a tag probe books its hit
-    /// `llc_latency` (120) cycles out, far beyond any epoch — so the
-    /// phase-parallel safe horizon bounds in-epoch reply emissions by
-    /// this peek plus the DRAM-side terms; see `crate::par`.
-    #[inline]
-    pub(crate) fn next_reply_at(&self) -> u64 {
-        self.hits.front().map_or(u64::MAX, |&(ready, _)| ready)
-    }
-
     /// The DRAM back-pressure gate [`LlcSlice::tick`] step 2 maintains
     /// (`None` = the retry head, if any, has not been attempted yet) —
     /// surfaced so the wake-gate subsystem's recompute oracles can check
@@ -450,11 +438,7 @@ mod tests {
             // often, not only under saturation.
             let mut dram_cfg: DramConfig = cfg.dram;
             dram_cfg.queue_capacity = 4;
-            let mut dram = DramSystem::for_controllers(
-                std::sync::Arc::new(map),
-                dram_cfg,
-                &(0..4).collect::<Vec<_>>(),
-            );
+            let mut dram = DramSystem::new(std::sync::Arc::new(map), dram_cfg);
             let mut txns = TxnTable::new();
             let mut slice = LlcSlice::new(0, &cfg);
             let mut replies = Vec::new();

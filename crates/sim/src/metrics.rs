@@ -12,53 +12,22 @@ use valley_dram::DramStats;
 /// v2 added the [`EpochHist`] engine diagnostics.
 pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
-/// Histogram of the phase-parallel engine's epoch lengths (in core
-/// cycles) — the observability half of the per-unit wake-gate subsystem.
+/// Epoch-length histogram written by the deleted phase-parallel engine.
 ///
-/// This is **engine telemetry, not a simulation result**: it describes
-/// how the run was *executed* (how many cycles each deterministic epoch
-/// spanned), so it varies with the engine, shard count and horizon rule
-/// while every scientific field of the report stays bit-identical.
-/// Sequential and dense runs have no epochs and report an empty
-/// histogram. Accordingly it is excluded from [`SimReport`]'s equality
-/// (`PartialEq` compares *results*) and from
-/// [`SimReport::results_json`], but serialized by [`SimReport::to_json`]
-/// so stored sweeps and `bench_wall` can observe it.
+/// No engine produces one any more — every run reports the all-zero
+/// default — but stores written by that engine hold non-zero ones, and
+/// the v2 encoding carries the field, so it is decoded and re-encoded
+/// as is. It was **engine telemetry, not a simulation
+/// result**, and stays excluded from [`SimReport`]'s equality and from
+/// [`SimReport::results_json`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochHist {
-    /// Epoch counts bucketed by length: bucket `i` counts epochs whose
-    /// cycle count lies in `[2^i, 2^(i+1))` — 1, 2–3, 4–7, 8–15, … —
-    /// with the last bucket open-ended (≥ 128).
+    /// Epoch counts bucketed by length: bucket `i` counted epochs whose
+    /// cycle count lay in `[2^i, 2^(i+1))`, the last bucket open-ended.
     pub lengths: [u64; 8],
-    /// Multi-cycle epochs planned while at least one reply-net packet
-    /// was in flight. Before the per-unit wake gates this was
-    /// structurally zero: any reply in flight collapsed the safe horizon
-    /// to one cycle.
+    /// Multi-cycle epochs planned while a reply-net packet was in
+    /// flight.
     pub in_flight_multi: u64,
-}
-
-impl EpochHist {
-    /// Records one epoch of `len` cycles; `replies_in_flight` says
-    /// whether any reply-net packet was queued when the epoch was
-    /// planned.
-    pub fn record(&mut self, len: u64, replies_in_flight: bool) {
-        debug_assert!(len >= 1, "epochs span at least one cycle");
-        let bucket = (63 - len.max(1).leading_zeros() as usize).min(self.lengths.len() - 1);
-        self.lengths[bucket] += 1;
-        if len > 1 && replies_in_flight {
-            self.in_flight_multi += 1;
-        }
-    }
-
-    /// Total epochs recorded.
-    pub fn epochs(&self) -> u64 {
-        self.lengths.iter().sum()
-    }
-
-    /// Epochs spanning more than one cycle.
-    pub fn multi_cycle(&self) -> u64 {
-        self.lengths[1..].iter().sum()
-    }
 }
 
 /// Incrementally-integrated occupancy metrics (Figures 13–14).
@@ -129,35 +98,6 @@ impl ParallelismIntegrator {
         }
     }
 
-    /// [`ParallelismIntegrator::sample_n`] in pre-summed form: one sample
-    /// repeated `n` times where `bank_sum` is the total busy-bank count
-    /// over the `bank_channels` busy channels. Exactly equivalent to the
-    /// list form — the integrator only ever accumulates the list's sum
-    /// and length — and what the phase-parallel engine uses to merge
-    /// per-shard sample contributions without materializing a list.
-    pub fn sample_sums_n(
-        &mut self,
-        busy_slices: u64,
-        busy_channels: u64,
-        bank_sum: u64,
-        bank_channels: u64,
-        n: u64,
-    ) {
-        if n == 0 {
-            return;
-        }
-        if busy_slices > 0 {
-            self.llc_busy_sum += busy_slices * n;
-            self.llc_samples += n;
-        }
-        if busy_channels > 0 {
-            self.chan_busy_sum += busy_channels * n;
-            self.chan_samples += n;
-        }
-        self.bank_busy_sum += bank_sum * n;
-        self.bank_samples += bank_channels * n;
-    }
-
     /// Mean number of busy LLC slices over busy samples (Figure 14a).
     pub fn llc_parallelism(&self) -> f64 {
         mean(self.llc_busy_sum, self.llc_samples)
@@ -187,9 +127,7 @@ fn mean(sum: u64, n: u64) -> f64 {
 ///
 /// Equality compares the simulation *results* only; the
 /// [`epoch_hist`](SimReport::epoch_hist) engine diagnostics are excluded
-/// (they describe how the engine executed the run, and legitimately
-/// differ between the sequential and phase-parallel engines whose
-/// results are otherwise bit-identical).
+/// (see [`EpochHist`]).
 #[derive(Clone, Debug)]
 pub struct SimReport {
     /// Workload name.
@@ -235,9 +173,9 @@ pub struct SimReport {
     /// Fraction of cycles with at least one resident warp, averaged over
     /// SMs (GPU dynamic-power activity factor).
     pub sm_busy_fraction: f64,
-    /// Engine diagnostics: the phase-parallel engine's epoch-length
-    /// histogram (empty for sequential and dense runs). Excluded from
-    /// equality and from [`SimReport::results_json`] — see [`EpochHist`].
+    /// Engine diagnostics, all-zero unless decoded from an old store.
+    /// Excluded from equality and from [`SimReport::results_json`] —
+    /// see [`EpochHist`].
     pub epoch_hist: EpochHist,
 }
 
@@ -448,10 +386,9 @@ impl SimReport {
 
     /// The simulation *results* as a single-line JSON string — every
     /// field of [`SimReport::to_json`] except the engine diagnostics.
-    /// This is the canonical byte form the cross-engine equivalence
-    /// battery compares: bit-identical results serialize to identical
-    /// digit strings, while the epoch histogram (which legitimately
-    /// differs per engine and shard count) stays out of the comparison.
+    /// This is the canonical byte form the equivalence batteries
+    /// compare: bit-identical results serialize to identical digit
+    /// strings.
     pub fn results_json(&self) -> String {
         Json::Obj(self.result_fields()).to_json_string()
     }
@@ -635,32 +572,11 @@ mod tests {
     }
 
     #[test]
-    fn epoch_hist_buckets_by_power_of_two() {
-        let mut h = EpochHist::default();
-        for len in [1, 2, 3, 4, 7, 8, 64, 127, 128, 1000] {
-            h.record(len, false);
-        }
-        assert_eq!(h.lengths, [1, 2, 2, 1, 0, 0, 2, 2]);
-        assert_eq!(h.epochs(), 10);
-        assert_eq!(h.multi_cycle(), 9);
-        assert_eq!(h.in_flight_multi, 0);
-    }
-
-    #[test]
-    fn epoch_hist_counts_multi_cycle_epochs_under_replies() {
-        let mut h = EpochHist::default();
-        h.record(1, true); // one-cycle: never counts, replies or not
-        h.record(5, false);
-        h.record(5, true);
-        h.record(9, true);
-        assert_eq!(h.in_flight_multi, 2);
-    }
-
-    #[test]
     fn report_equality_ignores_engine_diagnostics() {
         let a = report(10);
         let mut b = report(10);
-        b.epoch_hist.record(4, true);
+        b.epoch_hist.lengths[2] = 1;
+        b.epoch_hist.in_flight_multi = 1;
         assert_eq!(a, b, "epoch telemetry must not break result equality");
         assert_eq!(a.results_json(), b.results_json());
         assert_ne!(

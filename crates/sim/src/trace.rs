@@ -56,11 +56,7 @@ impl LaneAddrs {
 }
 
 /// A lazily-generated in-order instruction stream for one warp.
-///
-/// `Send` because the phase-parallel engine (see [`crate::Parallelism`])
-/// moves resident warps to worker threads; programs are plain iterator
-/// state in every implementation.
-pub trait WarpProgram: Send {
+pub trait WarpProgram {
     /// Produces the warp's next instruction, or `None` when the warp has
     /// retired.
     fn next_instruction(&mut self) -> Option<Instruction>;

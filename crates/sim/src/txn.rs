@@ -1,23 +1,10 @@
 //! The memory-transaction table: one record per coalesced transaction,
-//! addressed by a monotonically-increasing token.
-//!
-//! The sequential engine uses a single table whose ids are plain indices.
-//! The phase-parallel engine gives every shard its own table under a
-//! distinct *namespace*: the shard index lives in the high bits of every
-//! id, so any thread can tell which shard's arena owns a token without
-//! consulting shared state, and shards allocate concurrently without
-//! synchronization. Records never cross shards by reference — the
-//! epoch coordinator copies a transaction into the destination shard's
-//! arena when it crosses the NoC (see `crate::par`), so workers only ever
-//! touch their own arena.
+//! addressed by a monotonically-increasing token (its index).
 
 use valley_core::PhysAddr;
 
 /// Sentinel warp index for transactions not tied to a warp (stores).
 pub(crate) const NO_WARP: u32 = u32::MAX;
-
-/// Bit position of the namespace (shard) tag within a transaction id.
-pub(crate) const NS_SHIFT: u32 = 48;
 
 /// One coalesced memory transaction.
 #[derive(Clone, Copy, Debug)]
@@ -38,47 +25,19 @@ pub(crate) struct Txn {
     /// row), decoded once at the LLC's DRAM hand-off so back-pressure
     /// retries don't re-decode every cycle.
     pub coords: Option<(u32, u32, u32)>,
-    /// The id this record answers to at its *origin* shard. Equal to the
-    /// record's own id for original allocations; for the parallel
-    /// engine's cross-shard copies it names the SM-side record that
-    /// replies must be routed back to.
-    pub origin: u64,
 }
 
-/// Append-only transaction table; ids are `namespace << NS_SHIFT | index`.
+/// Append-only transaction table; ids are indices.
 #[derive(Debug, Default)]
 pub(crate) struct TxnTable {
     txns: Vec<Txn>,
-    /// Namespace tag (shard index), already shifted into position.
-    ns_tag: u64,
-    /// Original (non-copy) allocations — the `memory_transactions`
-    /// count. Equals `txns.len()` except in parallel-engine arenas that
-    /// also hold cross-shard copies.
-    originals: u64,
 }
 
 impl TxnTable {
     pub(crate) fn new() -> Self {
         TxnTable {
             txns: Vec::with_capacity(1 << 16),
-            ns_tag: 0,
-            originals: 0,
         }
-    }
-
-    /// A table whose ids carry shard namespace `ns` in their high bits.
-    pub(crate) fn with_namespace(ns: u32) -> Self {
-        TxnTable {
-            txns: Vec::with_capacity(1 << 12),
-            ns_tag: u64::from(ns) << NS_SHIFT,
-            originals: 0,
-        }
-    }
-
-    /// The namespace (shard) a token belongs to.
-    #[inline]
-    pub(crate) fn namespace_of(id: u64) -> usize {
-        (id >> NS_SHIFT) as usize
     }
 
     pub(crate) fn alloc(
@@ -90,7 +49,7 @@ impl TxnTable {
         mapped: PhysAddr,
         slice: u16,
     ) -> u64 {
-        let id = self.ns_tag | self.txns.len() as u64;
+        let id = self.txns.len() as u64;
         // Arena growth is amortized pool growth, not per-tick work;
         // declare the reallocation to the allocation audit.
         let _audit_pause =
@@ -103,39 +62,23 @@ impl TxnTable {
             mapped,
             slice,
             coords: None,
-            origin: id,
         });
-        self.originals += 1;
-        id
-    }
-
-    /// Copies a foreign record into this arena (parallel engine only):
-    /// the copy remembers `origin` — the id of the source record at its
-    /// own shard — and does not count toward [`TxnTable::len`].
-    pub(crate) fn alloc_copy(&mut self, mut txn: Txn, origin: u64) -> u64 {
-        let id = self.ns_tag | self.txns.len() as u64;
-        let _audit_pause =
-            (self.txns.len() == self.txns.capacity()).then(crate::alloc_audit::pause);
-        txn.origin = origin;
-        self.txns.push(txn);
         id
     }
 
     #[inline]
     pub(crate) fn get(&self, id: u64) -> &Txn {
-        debug_assert_eq!(id & !((1 << NS_SHIFT) - 1), self.ns_tag, "foreign token");
-        &self.txns[(id & ((1 << NS_SHIFT) - 1)) as usize]
+        &self.txns[id as usize]
     }
 
     #[inline]
     pub(crate) fn get_mut(&mut self, id: u64) -> &mut Txn {
-        debug_assert_eq!(id & !((1 << NS_SHIFT) - 1), self.ns_tag, "foreign token");
-        &mut self.txns[(id & ((1 << NS_SHIFT) - 1)) as usize]
+        &mut self.txns[id as usize]
     }
 
-    /// Original (non-copy) allocations — the report's transaction count.
+    /// Transactions allocated — the report's transaction count.
     pub(crate) fn len(&self) -> u64 {
-        self.originals
+        self.txns.len() as u64
     }
 }
 
@@ -153,29 +96,6 @@ mod tests {
         assert_eq!(t.get(a).line, 0x100);
         assert!(t.get(b).is_store);
         assert_eq!(t.get(b).warp, NO_WARP);
-        assert_eq!(t.get(a).origin, a);
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn namespaced_ids_carry_their_shard() {
-        let mut t = TxnTable::with_namespace(5);
-        let a = t.alloc(0, 0, false, 0x40, PhysAddr::new(0x40), 1);
-        assert_eq!(TxnTable::namespace_of(a), 5);
-        assert_eq!(t.get(a).line, 0x40);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn copies_do_not_count_as_transactions() {
-        let mut origin = TxnTable::with_namespace(0);
-        let o = origin.alloc(7, 3, false, 0x80, PhysAddr::new(0x80), 2);
-        let mut dest = TxnTable::with_namespace(1);
-        let c = dest.alloc_copy(*origin.get(o), o);
-        assert_eq!(TxnTable::namespace_of(c), 1);
-        assert_eq!(dest.get(c).origin, o);
-        assert_eq!(dest.get(c).sm, 7);
-        assert_eq!(dest.len(), 0, "copies are not new transactions");
-        assert_eq!(origin.len(), 1);
     }
 }

@@ -1,7 +1,5 @@
-//! The wake-gate subsystem: the one discipline both drive loops use to
-//! decide when a population of units (SMs, LLC slices) can next do real
-//! work, and the per-unit queries the phase-parallel safe horizon is
-//! built from.
+//! Wake gates: how the evented drive loop decides when a population of
+//! units (SMs, LLC slices) can next do real work.
 //!
 //! A *wake gate* is a never-late lower bound: a gate over a unit
 //! population is a cycle at or before the earliest cycle at which
@@ -15,46 +13,23 @@
 //!   delivery, a DRAM fill, a TB assignment) lowers the gate to the
 //!   event's own cycle, never raising it.
 //!
-//! [`WakeGate`] packages that discipline. The sequential evented loop
-//! keeps one gate per population (SMs, slices); the phase-parallel
-//! engine keeps one *per shard* per population — exactly the minimum
-//! over the shard's own units at every epoch boundary (the walk that
-//! closed the epoch rebuilt it) — and folds them, together with the
-//! per-port delivery queries below, into its global epoch bound.
+//! [`WakeGate`] packages that discipline; the loop keeps one gate per
+//! population. Per-unit questions are answered on demand from component
+//! state rather than mirrored into an index: the slices' DRAM
+//! back-pressure `retry_gate` reads
+//! [`DramSystem::channel_next_event`] for the one channel blocking it.
 //!
-//! The rest of the subsystem is *per-unit wake queries answered on
-//! demand from component state* rather than mirrored into a separate
-//! index:
+//! # Why gates are scalars
 //!
-//! * per-reply-port packet completion times —
-//!   [`Crossbar::port_delivery_at`]/[`Crossbar::delivery_gate`]
-//!   (`valley-noc`): when each port's in-flight reply can actually wake
-//!   the SM behind it;
-//! * per-channel DRAM minima — [`DramSystem::channel_next_event`]
-//!   (`valley-dram`) behind the slices' DRAM back-pressure retry gates,
-//!   and the shard-level minimum behind the horizon's emission gate (no
-//!   completion reply can precede a channel event);
-//! * per-slice reply peeks — `LlcSlice::next_reply_at` and the
-//!   `retry_gate` the slice's own next-event cache already folds in.
+//! The first cut mirrored every unit's next-event cache into a per-unit
+//! gate array with an incrementally-maintained minimum (a lazy
+//! min-heap, then a dirty-tracked rescan). Measured on the Ref-scale
+//! smoke slice it lost 10–25% end-to-end: wake gates move *every
+//! effective cycle* during busy phases (unlike, say, DRAM bank
+//! readiness, which moves per command), so the per-unit mirror writes
+//! dominated the drive loop — and nothing ever read an individual
+//! mirrored gate, only the minima the walks already compute.
 //!
-//! # Why gates are scalars and the queries are on-demand
-//!
-//! The first cut of this subsystem mirrored every unit's next-event
-//! cache into a per-unit gate array with an incrementally-maintained
-//! minimum (a lazy min-heap, then a dirty-tracked rescan). Measured on
-//! the Ref-scale smoke slice it lost 10–25% end-to-end: wake gates
-//! move *every effective cycle* during busy phases (unlike, say, DRAM
-//! bank readiness, which moves per command), so the per-unit mirror
-//! writes dominated the drive loop — and nothing ever read an
-//! individual mirrored gate, only minima (the walks) and the per-port
-//! delivery times (the horizon), which the components answer exactly
-//! and more cheaply on demand. The scalar-gate + on-demand-query design
-//! below keeps the sequential hot loop at its pre-subsystem cost while
-//! giving the parallel engine the per-shard, per-port resolution it
-//! needed.
-//!
-//! [`Crossbar::port_delivery_at`]: valley_noc::Crossbar::port_delivery_at
-//! [`Crossbar::delivery_gate`]: valley_noc::Crossbar::delivery_gate
 //! [`DramSystem::channel_next_event`]: valley_dram::DramSystem::channel_next_event
 
 /// A never-late wake gate over a population of units (see the module
@@ -76,18 +51,9 @@ impl WakeGate {
         self.0
     }
 
-    /// Out-of-band clamp: an event at `at` may let a unit act at `at`;
-    /// the gate only ever moves earlier.
-    #[inline]
-    pub(crate) fn wake_at(&mut self, at: u64) {
-        if at < self.0 {
-            self.0 = at;
-        }
-    }
-
-    /// Out-of-band clamp to "now or ever" — the common invalidation
-    /// (deliveries, fills, assignments all force a tick on their own
-    /// cycle, and the walk gate compares with `>=`).
+    /// Out-of-band clamp to "now or ever": deliveries, fills and
+    /// assignments all force a tick on their own cycle, and the walk
+    /// gate compares with `>=`.
     #[inline]
     pub(crate) fn wake_now(&mut self) {
         self.0 = 0;
@@ -113,13 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn clamps_only_move_earlier() {
+    fn rebuild_publishes_and_wake_now_clamps() {
         let mut g = WakeGate::new();
         g.rebuild(50);
-        g.wake_at(60);
-        assert_eq!(g.get(), 50, "a later event must not raise the gate");
-        g.wake_at(20);
-        assert_eq!(g.get(), 20);
+        assert_eq!(g.get(), 50);
         g.wake_now();
         assert_eq!(g.get(), 0);
         g.rebuild(u64::MAX);
@@ -164,7 +127,7 @@ mod tests {
                     // Out-of-band event: some unit becomes actionable at
                     // the current cycle.
                     units[u % n].next = cycle;
-                    gate.wake_at(cycle);
+                    gate.wake_now();
                 }
                 let true_min = units.iter().map(|x| x.next).min().unwrap();
                 prop_assert!(

@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::{Arc, Mutex};
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs, Parallelism};
+use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs};
 use valley_workloads::{KernelSpec, Workload};
 
 /// Counts every heap allocation into the audit before delegating to the
@@ -151,7 +151,7 @@ fn evented_steady_state_allocates_nothing() {
     let _guard = audit_lock();
     let (span, paused) = audit(
         || build_sim(24, 4, 48),
-        |sim| sim.run_with(Parallelism::Off).cycles,
+        |sim| sim.run().cycles,
         |total| (total / 4, total * 3 / 4),
     );
     assert_eq!(span, 0, "evented tick loop allocated mid-run");

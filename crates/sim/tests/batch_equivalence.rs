@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_sim::{BatchSim, GpuConfig, GpuSim, Instruction, LaneAddrs, Parallelism};
+use valley_sim::{BatchSim, GpuConfig, GpuSim, Instruction, LaneAddrs};
 use valley_workloads::{KernelSpec, Workload};
 
 /// A splitmix-style hash: cheap, deterministic instruction streams.
@@ -55,7 +55,7 @@ fn batch_reports_are_the_solo_reports_in_lane_order() {
     let reports = BatchSim::new((0..LANES).map(build_lane).collect()).run();
     assert_eq!(reports.len(), LANES as usize);
     for (l, batched) in (0..LANES).zip(&reports) {
-        let solo = build_lane(l).run_with(Parallelism::Off);
+        let solo = build_lane(l).run();
         assert!(solo.cycles > 0, "lane {l} simulated nothing");
         assert_eq!(batched.benchmark, format!("micro-{l}"), "lane order");
         assert_eq!(batched.results_json(), solo.results_json(), "lane {l}");

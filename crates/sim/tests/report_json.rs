@@ -142,6 +142,32 @@ fn benchmark_names_with_special_chars_survive() {
     assert_eq!(back, r);
 }
 
+/// Stores written by the deleted phase-parallel engine hold non-zero
+/// epoch histograms in their v2 reports. Such a record still decodes,
+/// re-encodes to the same bytes, and equals the report the sequential
+/// engine writes for the same job (zero histogram) — so those stores
+/// keep resuming as cache hits.
+#[test]
+fn old_store_epoch_hist_loads_and_compares_equal() {
+    let mut sequential = report(41_137, 1 << 54, 0.5, false, "MT".into(), "BASE".into());
+    sequential.epoch_hist = EpochHist::default();
+    const ZERO: &str = r#""epoch_hist":{"lengths":[0,0,0,0,0,0,0,0],"in_flight_multi":0}"#;
+    const SHARDED: &str =
+        r#""epoch_hist":{"lengths":[30211,1207,844,96,3,0,0,0],"in_flight_multi":512}"#;
+    let zero_text = sequential.to_json();
+    assert!(zero_text.contains(ZERO), "{zero_text}");
+    let stored = zero_text.replacen(ZERO, SHARDED, 1);
+
+    let loaded = SimReport::from_json(&stored).unwrap();
+    assert_eq!(
+        loaded.epoch_hist.lengths,
+        [30211, 1207, 844, 96, 3, 0, 0, 0]
+    );
+    assert_eq!(loaded.epoch_hist.in_flight_multi, 512);
+    assert_eq!(loaded.to_json(), stored, "re-encode is not byte-for-byte");
+    assert_eq!(loaded, sequential);
+}
+
 #[test]
 fn garbage_fails_loudly() {
     assert!(SimReport::from_json("").is_err());

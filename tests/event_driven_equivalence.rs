@@ -1,22 +1,14 @@
-//! The event-driven fast path and the phase-parallel engine must both be
-//! *exact* optimizations: for any (benchmark, scheme) pair,
-//! `GpuSim::run`, the dense reference loop `GpuSim::run_dense`, and the
-//! sharded engine `GpuSim::run_sharded(n, t)` must produce bit-identical
-//! results — cycle counts, every counter, and the full `SimReport` JSON
-//! — for every shard count and worker-thread count. These tests pin that
-//! contract for a spread of workload behaviors: streaming (SP), the
-//! paper's headline valley benchmark (MT), and a pointer-chasing random
-//! workload (MUM); the randomized cross-product battery lives in
-//! `crates/sim/tests/parallel_equivalence.rs`.
+//! The event-driven fast path must be an *exact* optimization: for any
+//! (benchmark, scheme) pair, `GpuSim::run` and the dense reference loop
+//! `GpuSim::run_dense` must produce bit-identical results — cycle
+//! counts, every counter, and the full `SimReport` JSON. These tests pin
+//! that contract for a spread of workload behaviors: streaming (SP),
+//! the paper's headline valley benchmark (MT), and a pointer-chasing
+//! random workload (MUM).
 
 use valley::core::{AddressMapper, GddrMap, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
-
-/// The shard counts the battery pins: even/odd splits of the 12 SMs and
-/// 4 memory groups, plus one (7) that leaves some shards without any
-/// memory group.
-const SHARD_COUNTS: [usize; 4] = [2, 3, 4, 7];
 
 fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
     let map = GddrMap::baseline();
@@ -67,9 +59,6 @@ fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
     );
     // The full results JSON pins every remaining field (floats included
     // — bit-identical inputs serialize to identical digit strings).
-    // `results_json` is the canonical byte form of the simulation
-    // *results*; the epoch-length histogram is engine telemetry and is
-    // the one field allowed to differ between engines.
     assert_eq!(
         fast.results_json(),
         dense.results_json(),
@@ -81,27 +70,6 @@ fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
         fast.cycles > 0 && fast.memory_transactions > 0,
         "{tag}: empty run"
     );
-    // The dense reference loop has no epochs to report. (`fast` may be
-    // either engine — `run()` honors `VALLEY_SIM_THREADS`, and the CI
-    // matrix runs this battery under it.)
-    assert_eq!(dense.epoch_hist.epochs(), 0, "{tag}: dense epochs?");
-
-    // Phase-parallel engine: every shard count must reproduce the
-    // sequential report byte for byte.
-    let golden = fast.results_json();
-    for shards in SHARD_COUNTS {
-        let par = build(bench, scheme).run_sharded(shards, 1);
-        assert_eq!(par.cycles, fast.cycles, "{tag}: parallel({shards}) cycles");
-        assert_eq!(
-            par.results_json(),
-            golden,
-            "{tag}: parallel({shards}) report JSON diverged from sequential"
-        );
-        assert!(
-            par.epoch_hist.epochs() > 0,
-            "{tag}: parallel({shards}) recorded no epochs"
-        );
-    }
 }
 
 #[test]
@@ -118,23 +86,6 @@ fn valley_benchmark_base_and_pae() {
 #[test]
 fn random_benchmark_fae_scheme() {
     assert_equivalent(Benchmark::Mum, SchemeKind::Fae);
-}
-
-#[test]
-fn threaded_transport_is_bit_identical() {
-    // Worker threads are pure transport: the same shard count must give
-    // the same bytes whether the shards tick inline (threads = 1) or on
-    // parked worker threads — including more shards than threads, which
-    // exercises the multi-shard-per-worker path.
-    let golden = build(Benchmark::Mt, SchemeKind::Pae).run().results_json();
-    for (shards, threads) in [(4, 2), (4, 4), (7, 3)] {
-        let par = build(Benchmark::Mt, SchemeKind::Pae).run_sharded(shards, threads);
-        assert_eq!(
-            par.results_json(),
-            golden,
-            "MT/PAE parallel({shards} shards, {threads} threads) diverged"
-        );
-    }
 }
 
 #[test]
@@ -159,12 +110,6 @@ fn fcfs_scheduling_policy_equivalence() {
     assert_eq!(fast.dram, dense.dram, "fcfs: DRAM stats diverged");
     assert_eq!(fast.llc, dense.llc, "fcfs: LLC stats diverged");
     assert!(fast.cycles > 0 && fast.memory_transactions > 0, "empty run");
-    let par = build().run_sharded(4, 1);
-    assert_eq!(
-        par.results_json(),
-        fast.results_json(),
-        "fcfs: parallel(4) diverged"
-    );
 }
 
 #[test]
@@ -185,14 +130,4 @@ fn stacked_memory_equivalence() {
     assert_eq!(fast.cycles, dense.cycles, "stacked: cycle count diverged");
     assert_eq!(fast.dram, dense.dram, "stacked: DRAM stats diverged");
     assert_eq!(fast.llc, dense.llc, "stacked: LLC stats diverged");
-    // 64 vaults interleave across 8 slices: shards own strided channel
-    // sets here, the other memory-group topology.
-    for shards in [2, 5, 8] {
-        let par = build().run_sharded(shards, 1);
-        assert_eq!(
-            par.results_json(),
-            fast.results_json(),
-            "stacked: parallel({shards}) diverged"
-        );
-    }
 }
