@@ -173,16 +173,22 @@ pub struct DramChannel {
     busy_bank_count: u32,
     /// Next global arrival sequence number.
     next_seq: u64,
-    /// Cached earliest cycle at which [`DramChannel::tick`] does real
-    /// work (`u64::MAX` = empty channel); maintained by the evented tick
-    /// path and invalidated by [`DramChannel::try_enqueue`].
+    /// The exact next cycle at which [`DramChannel::tick`] does real
+    /// work — the earlier of the next dequeue and the next retirement
+    /// (`u64::MAX` = empty channel). Republished by every `tick`, lowered
+    /// by [`DramChannel::try_enqueue`]; [`DramChannel::tick_evented`]
+    /// no-ops below it.
     cached_next: u64,
     /// First cycle whose counter updates are still deferred.
     acct_from: u64,
-    /// Conservative (never late) next-event hint left behind by `tick`,
-    /// folded into the arbitration scan so the evented path needs no
-    /// second pass over the banks.
-    next_hint: u64,
+    /// The cycle of the next **dequeue** — the first tick whose `pick`
+    /// takes a request out of the scheduling queue (`u64::MAX` = nothing
+    /// queued). Exact: `tick` republishes it after arbitration (the next
+    /// cycle while the ready set is non-empty, else the readiness-heap
+    /// top) and [`DramChannel::try_enqueue`] lowers it like
+    /// `cached_next`. A caller refused by a full queue waits for exactly
+    /// this cycle (see [`DramChannel::next_dequeue_at`]).
+    next_dequeue: u64,
     /// Issued-but-uncompleted transactions, in issue order. The shared
     /// data bus serializes bursts, so `finish` times are strictly
     /// increasing in issue order and the retire queue is a plain FIFO —
@@ -212,7 +218,7 @@ impl DramChannel {
             next_seq: 0,
             cached_next: 0,
             acct_from: 0,
-            next_hint: 0,
+            next_dequeue: u64::MAX,
             inflight: VecDeque::with_capacity(32),
             next_act_at: 0,
             bus_free_at: 0,
@@ -303,15 +309,14 @@ impl DramChannel {
                 self.sched_heap.push(Reverse((self.banks[b].ready_at, b)));
             }
         }
-        // Evented cache: the earliest cycle this request could issue is
-        // when both it has arrived and its bank can take a command —
-        // every other potential event was already covered by the hint the
-        // last tick left behind, so the cache stays exact (never late)
+        // Evented cache and dequeue horizon: the earliest cycle this
+        // request could issue is when both it has arrived and its bank
+        // can take a command — every other potential event was already
+        // covered by what the last tick left behind, so both stay exact
         // without a rescan.
         let event = req.arrival.max(self.banks[b].ready_at);
-        if event < self.cached_next {
-            self.cached_next = event;
-        }
+        self.cached_next = self.cached_next.min(event);
+        self.next_dequeue = self.next_dequeue.min(event);
         true
     }
 
@@ -355,6 +360,17 @@ impl DramChannel {
     #[inline]
     pub fn cached_next_event(&self) -> u64 {
         self.cached_next
+    }
+
+    /// The cycle of the next dequeue: the first tick at which
+    /// [`DramChannel::queue_len`] drops (`u64::MAX` while nothing is
+    /// queued). While the queue is full nothing can be enqueued, so this
+    /// is the exact cycle a back-pressured caller's retry first succeeds
+    /// — the LLC's retry gate waits for it instead of for the channel's
+    /// next event of any kind.
+    #[inline]
+    pub fn next_dequeue_at(&self) -> u64 {
+        self.next_dequeue
     }
 
     /// The earliest DRAM cycle at or after `now` at which [`tick`] would
@@ -415,9 +431,7 @@ impl DramChannel {
         }
         self.flush_deferred(cycle);
         self.tick(cycle, done);
-        // `tick` leaves a conservative (never late) next-event hint, so no
-        // second bank scan is needed here.
-        self.cached_next = self.next_hint.max(cycle + 1);
+        debug_assert!(self.cached_next > cycle, "tick left a hint in the past");
     }
 
     /// Advances the channel to DRAM cycle `cycle`: retires finished
@@ -441,7 +455,8 @@ impl DramChannel {
             // Idle: nothing to retire or schedule (and the bus went free
             // no later than the last retired burst).
             debug_assert!(self.bus_free_at <= cycle);
-            self.next_hint = u64::MAX;
+            self.next_dequeue = u64::MAX;
+            self.cached_next = u64::MAX;
             return;
         }
 
@@ -462,18 +477,13 @@ impl DramChannel {
             });
         }
 
-        let (picked, min_ready) = self.pick(cycle);
-        let mut hint = min_ready;
-        if let Some((bank, idx)) = picked {
+        if let Some((bank, idx)) = self.pick(cycle) {
             let q = self.queues[bank]
                 .remove(idx)
                 .expect("picked index is valid");
             self.queued -= 1;
             self.unindex_picked(bank, &q);
             self.issue(q.req, cycle);
-            // The issued bank's readiness changed; its pre-issue ready_at
-            // in `min_ready` can only be early (conservative).
-            hint = hint.min(self.banks[bank].ready_at);
             // Re-index the bank at its post-issue readiness.
             if self.queues[bank].is_empty() {
                 self.banks[bank].sched = Sched::Idle;
@@ -483,26 +493,37 @@ impl DramChannel {
                     .push(Reverse((self.banks[bank].ready_at, bank)));
             }
         }
-        if let Some(f) = self.inflight.front() {
-            hint = hint.min(f.finish);
-        }
-        self.next_hint = hint;
+        // Post-pick horizons. A bank left in the ready set issues at the
+        // very next tick; otherwise the earliest heap entry (which now
+        // includes the just-issued bank) is promoted and picked on the
+        // cycle it names.
+        self.next_dequeue = if self.ready.is_empty() {
+            self.sched_heap
+                .peek()
+                .map_or(u64::MAX, |&Reverse((t, _))| t)
+        } else {
+            cycle + 1
+        };
+        self.cached_next = self
+            .inflight
+            .front()
+            .map_or(self.next_dequeue, |f| self.next_dequeue.min(f.finish));
     }
 
     /// Request arbitration over the per-bank queues. FR-FCFS: among
     /// requests whose bank can accept a command this cycle, the oldest
     /// row-buffer hit (global arrival order), then the oldest request
     /// overall. FCFS: strictly the oldest ready request. Returns the bank
-    /// and position within that bank's queue, plus a next-event hint: a
-    /// value `<= cycle` when an issue-capable bank exists, otherwise the
-    /// earliest `ready_at` over all banks with queued work.
+    /// and position within that bank's queue — `Some` exactly when the
+    /// ready set is non-empty, which is what makes the dequeue horizon
+    /// `tick` publishes exact.
     ///
     /// Indexed: banks wait in the readiness heap until their `ready_at`
     /// arrives, then move to the ready set; only ready banks are walked,
     /// and each bank's oldest row hit is a row-index lookup instead of a
     /// queue-prefix scan. The decision is bit-identical to the linear
     /// reference scan ([`DramChannel::pick_linear`]).
-    fn pick(&mut self, cycle: u64) -> (Option<(usize, usize)>, u64) {
+    fn pick(&mut self, cycle: u64) -> Option<(usize, usize)> {
         // Promote banks whose ready_at has arrived into the ready set.
         while let Some(&Reverse((t, b))) = self.sched_heap.peek() {
             if t > cycle {
@@ -539,17 +560,7 @@ impl DramChannel {
                 }
             }
         }
-        // Next-event hint: a ready bank issues now (any value <= cycle
-        // keeps the evented cache exact); otherwise the heap top is the
-        // earliest bank readiness.
-        let min_ready = if self.ready.is_empty() {
-            self.sched_heap
-                .peek()
-                .map_or(u64::MAX, |&Reverse((t, _))| t)
-        } else {
-            cycle
-        };
-        let choice = match best_hit {
+        match best_hit {
             Some((seq, b)) => {
                 // The oldest hit is very often the bank's oldest request.
                 let q = &self.queues[b];
@@ -561,8 +572,7 @@ impl DramChannel {
                 Some((b, idx))
             }
             None => oldest_ready.map(|(_, b)| (b, 0)),
-        };
-        (choice, min_ready)
+        }
     }
 
     /// Removes a just-picked (and already dequeued) request from the row
@@ -670,14 +680,12 @@ impl DramChannel {
     /// The pre-index linear arbitration — scans every bank and every
     /// queue prefix — kept verbatim as the oracle the indexed
     /// [`DramChannel::pick`] is property-tested against.
-    pub(crate) fn pick_linear(&self, cycle: u64) -> (Option<(usize, usize)>, u64) {
+    pub(crate) fn pick_linear(&self, cycle: u64) -> Option<(usize, usize)> {
         let row_hit_first = self.cfg.policy == crate::config::SchedulingPolicy::FrFcfs;
         let mut best_hit: Option<(u64, usize, usize)> = None;
         let mut oldest_ready: Option<(u64, usize)> = None;
-        let mut min_ready = u64::MAX;
         for (b, (bank, queue)) in self.banks.iter().zip(&self.queues).enumerate() {
             let Some(front) = queue.front() else { continue };
-            min_ready = min_ready.min(bank.ready_at);
             if bank.ready_at > cycle {
                 continue;
             }
@@ -697,16 +705,15 @@ impl DramChannel {
                 }
             }
         }
-        let choice = best_hit
+        best_hit
             .map(|(_, b, i)| (b, i))
-            .or(oldest_ready.map(|(_, b)| (b, 0)));
-        (choice, min_ready)
+            .or(oldest_ready.map(|(_, b)| (b, 0)))
     }
 
     /// The indexed arbitration, exposed for the oracle comparison.
     /// Promotion is idempotent at a fixed cycle, so calling this and then
     /// [`DramChannel::tick`] (which picks again) yields the same choice.
-    pub(crate) fn pick_indexed(&mut self, cycle: u64) -> (Option<(usize, usize)>, u64) {
+    pub(crate) fn pick_indexed(&mut self, cycle: u64) -> Option<(usize, usize)> {
         self.pick(cycle)
     }
 
@@ -1063,14 +1070,7 @@ mod tests {
                 }
                 let expected = ch.pick_linear(cycle);
                 let actual = ch.pick_indexed(cycle);
-                prop_assert_eq!(actual.0, expected.0, "choice diverged at cycle {}", cycle);
-                // The hint needs only its evented-cache meaning: equal
-                // when in the future, both "now" when a bank is ready.
-                if expected.1 <= cycle {
-                    prop_assert!(actual.1 <= cycle, "hint late at cycle {}", cycle);
-                } else {
-                    prop_assert_eq!(actual.1, expected.1, "hint diverged at cycle {}", cycle);
-                }
+                prop_assert_eq!(actual, expected, "choice diverged at cycle {}", cycle);
                 ch.tick(cycle, &mut done);
                 ch.assert_index_invariants();
                 if next == reqs.len() && !ch.is_busy() {
@@ -1096,6 +1096,56 @@ mod tests {
                     (0usize..16, 0usize..6, any::<bool>(), 0u64..400), 1..80)
             ) {
                 drive(&reqs, true)?;
+            }
+
+            /// The published dequeue horizon is exact: under random
+            /// traffic into a four-entry queue (so it is full most of
+            /// the time, the state the LLC's retry gate waits in), the
+            /// queue shrinks on exactly the cycles the channel named
+            /// beforehand — on the dense path and on the evented one,
+            /// which only ticks when its own hint says so.
+            #[test]
+            fn dequeue_horizon_is_the_cycle_the_queue_drops(
+                reqs in proptest::collection::vec(
+                    (0usize..16, 0usize..4, any::<bool>(), 0u64..6), 1..120),
+                evented in any::<bool>(),
+            ) {
+                let mut cfg = DramConfig::gddr5();
+                cfg.queue_capacity = 4;
+                let mut ch = DramChannel::new(cfg);
+                let mut done = Vec::new();
+                let mut next = 0;
+                let mut due = 0u64;
+                for cycle in 0..100_000u64 {
+                    // One attempt per cycle once the request's gap has
+                    // elapsed; a refused request retries every cycle.
+                    if next < reqs.len() && cycle >= due {
+                        let (bank, row, is_write, gap) = reqs[next];
+                        if ch.try_enqueue(DramRequest {
+                            id: next as u64, bank, row, is_write, arrival: cycle,
+                        }) {
+                            next += 1;
+                            due = cycle + gap;
+                        }
+                    }
+                    let horizon = ch.next_dequeue_at();
+                    prop_assert!(horizon >= cycle, "cycle {}: horizon {} already passed", cycle, horizon);
+                    prop_assert_eq!(horizon == u64::MAX, ch.queue_len() == 0);
+                    let before = ch.queue_len();
+                    if evented {
+                        ch.tick_evented(cycle, &mut done);
+                    } else {
+                        ch.tick(cycle, &mut done);
+                    }
+                    prop_assert_eq!(
+                        ch.queue_len() < before, horizon == cycle,
+                        "cycle {}: published dequeue at {}", cycle, horizon
+                    );
+                    if next == reqs.len() && !ch.is_busy() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(done.len(), reqs.len(), "requests lost");
             }
 
             /// Hot single-bank traffic maximizes queue depth and chain

@@ -9,6 +9,16 @@
 //! The model's command counters (activates, reads, writes, busy cycles)
 //! feed the Micron-style power model in `valley-power`, and its row-buffer
 //! and bank-occupancy statistics reproduce Figures 14c and 15.
+//!
+//! Besides the dense per-cycle [`DramChannel::tick`], every channel has
+//! an event-gated [`DramChannel::tick_evented`] that no-ops until the
+//! *exact* cycle of its next state change — the earlier of its next
+//! retirement and its next **dequeue** (the first tick whose arbitration
+//! takes a request out of the queue). The dequeue horizon is published
+//! on its own ([`DramChannel::next_dequeue_at`],
+//! [`DramSystem::channel_next_dequeue`]): a caller refused by a full
+//! queue can sleep until precisely that cycle instead of retrying on
+//! every channel event.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -195,17 +195,18 @@ impl DramSystem {
         self.cached_min
     }
 
-    /// The cached next-event cycle of one channel, by controller index
-    /// — the per-channel wake query of the simulator's wake gates: the
-    /// LLC slice's DRAM back-pressure retry gate reasons about the
-    /// individual channel blocking it, not the system-wide minimum.
+    /// The cycle of one channel's next dequeue, by controller index
+    /// (see [`DramChannel::next_dequeue_at`]) — the per-channel wake
+    /// query of the simulator: an LLC slice refused by a full queue
+    /// sleeps until exactly this DRAM cycle has been ticked, not until
+    /// the channel's (or the system's) next event of any kind.
     ///
     /// # Panics
     ///
     /// Panics if `ctrl` is out of range.
     #[inline]
-    pub fn channel_next_event(&self, ctrl: usize) -> u64 {
-        self.channels[ctrl].cached_next_event()
+    pub fn channel_next_dequeue(&self, ctrl: usize) -> u64 {
+        self.channels[ctrl].next_dequeue_at()
     }
 
     /// Brings every channel's deferred counters up to date with `up_to`.

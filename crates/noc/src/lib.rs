@@ -13,6 +13,17 @@
 //!
 //! Packets carry an opaque payload token. A read request is 1 flit
 //! (header + address), a 128 B data packet is 5 flits (4 data + header).
+//!
+//! Two drivers advance a [`Crossbar`]. [`Crossbar::tick`] steps every
+//! occupied port one flit per cycle — the dense oracle.
+//! [`Crossbar::tick_evented`] keeps one calendar event per *packet*:
+//! nothing observable happens between a head packet's first flit and
+//! its last, so the port's next event is the delivery cycle
+//! `max(previous delivery + 1, injected_at + router_latency) + flits - 1`
+//! and the flits are credited to the statistics at delivery (or by
+//! [`Crossbar::flush_deferred`] for a run that stops mid-packet). The
+//! two are bit-identical and hand over to each other exactly, in both
+//! directions, at any cycle.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -116,7 +127,10 @@ pub struct Crossbar {
     cfg: CrossbarConfig,
     /// Per destination: queued packets (front is in service).
     outputs: Vec<VecDeque<Packet>>,
-    /// Flits remaining for the packet in service at each output.
+    /// Flits remaining for the packet in service at each output (0 = the
+    /// head has not started). The dense path steps it per flit; the
+    /// evented path leaves it alone between deliveries and brings it up
+    /// to date only where someone looks ([`Crossbar::settle_flits`]).
     in_service: Vec<u32>,
     /// Total packets across all output queues (hot-loop early-out).
     queued: usize,
@@ -124,26 +138,19 @@ pub struct Crossbar {
     /// maintained for crossbars of ≤ 64 ports — all supported
     /// configurations). `tick` visits set bits instead of every port.
     active: u64,
-    /// Per output port: the NoC cycle of its next flit movement
-    /// (`u64::MAX` = nothing queued) — the event-queue view of the port.
-    port_next: Vec<u64>,
-    /// Ports that move a flit on the next effective cycle (mid-packet,
-    /// or a head that chains on immediately). Saturated ports move every
-    /// cycle, so they live in this bitmask instead of churning through
-    /// the calendar once per flit; only *future* movements (router
-    /// pipeline exits) pay a heap operation.
-    streaming: u64,
-    /// Calendar of future `(first-move cycle, port)` events, min-first.
-    /// Together with `port_next` and `streaming` this makes
-    /// [`Crossbar::tick_evented`] a true event queue: it jumps straight
-    /// to the next flit movement instead of re-scanning the ports.
+    /// Calendar of `(delivery cycle, port)` events, min-first: one entry
+    /// per occupied port, naming the cycle its head packet's last flit
+    /// arrives. A port moves one flit per cycle, so a head that starts
+    /// at `s` is delivered at `s + flits - 1` with nothing observable in
+    /// between — [`Crossbar::tick_evented`] jumps from delivery to
+    /// delivery instead of stepping the flits.
     events: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Set when a dense [`Crossbar::tick`] ran: the event queue no longer
+    /// Set when a dense [`Crossbar::tick`] ran: the calendar no longer
     /// reflects the port state and is rebuilt on the next evented tick.
     events_dirty: bool,
-    /// Cached earliest cycle at which the crossbar moves a flit
-    /// (`u64::MAX` = empty) — the fresh minimum of `events`, maintained
-    /// by [`Crossbar::tick_evented`] and [`Crossbar::inject`].
+    /// Cached earliest delivery cycle (`u64::MAX` = empty) — the fresh
+    /// minimum of `events`, maintained by [`Crossbar::tick_evented`] and
+    /// [`Crossbar::inject`].
     cached_next: u64,
     /// First cycle whose counter update is still deferred (evented path).
     acct_from: u64,
@@ -174,8 +181,6 @@ impl Crossbar {
             in_service: vec![0; num_dst],
             queued: 0,
             active: 0,
-            port_next: vec![u64::MAX; num_dst],
-            streaming: 0,
             events: BinaryHeap::with_capacity(num_dst),
             events_dirty: false,
             cached_next: u64::MAX,
@@ -230,65 +235,78 @@ impl Crossbar {
             return;
         }
         if was_empty {
-            // An idle port's first movement is this packet's head flit,
-            // once the router pipeline has been traversed. A busy port's
-            // schedule is unchanged (this packet waits its turn; its
-            // start time is computed when it reaches the head).
-            debug_assert_eq!(self.port_next[dst], u64::MAX);
-            let start = pkt.injected_at + self.cfg.router_latency;
-            self.port_next[dst] = start;
-            self.events.push(Reverse((start, dst)));
-            if start < self.cached_next {
-                self.cached_next = start;
-            }
+            // An idle port serves this packet as soon as the router
+            // pipeline has been traversed. A busy port's schedule is
+            // unchanged (this packet waits its turn; its delivery is
+            // scheduled when it reaches the head).
+            debug_assert_eq!(self.in_service[dst], 0);
+            let at = pkt.injected_at + self.cfg.router_latency + u64::from(pkt.flits) - 1;
+            self.events.push(Reverse((at, dst)));
+            self.cached_next = self.cached_next.min(at);
         }
     }
 
-    /// The earliest NoC cycle at or after `now` at which [`tick`] would
-    /// move a flit, or `None` when every output queue is empty. Between
-    /// `now` and that cycle, `tick` only counts cycles — callers may
-    /// replace the calls with one [`Crossbar::skip_cycles`].
-    ///
-    /// [`tick`]: Crossbar::tick
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if self.queued == 0 {
-            return None;
-        }
-        // Any port mid-packet moves a flit every cycle: event now. This
-        // scans a small contiguous counter array, much cheaper than
-        // touching the queues.
-        if self.in_service.iter().any(|&s| s > 0) {
-            return Some(now);
-        }
-        let mut next: Option<u64> = None;
-        for queue in &self.outputs {
-            let Some(head) = queue.front() else { continue };
-            let at = (head.injected_at + self.cfg.router_latency).max(now);
-            next = Some(next.map_or(at, |n| n.min(at)));
-            if at == now {
-                break;
-            }
-        }
-        next
-    }
-
-    /// Brings the cycle counter up to date with `up_to` (exclusive):
-    /// accounts every not-yet-ticked cycle the dense loop would have
-    /// counted. Call before reading [`Crossbar::stats`] when driving the
+    /// Brings the deferred counters up to date with `up_to` (exclusive):
+    /// every not-yet-ticked cycle the dense loop would have counted, and
+    /// the flits of packets still mid-transfer that it would have moved
+    /// by then. Call before reading [`Crossbar::stats`] when driving the
     /// crossbar through [`Crossbar::tick_evented`].
     pub fn flush_deferred(&mut self, up_to: u64) {
+        self.flush_cycles(up_to);
+        if !self.events_dirty {
+            self.settle_flits(up_to);
+        }
+    }
+
+    #[inline]
+    fn flush_cycles(&mut self, up_to: u64) {
         if up_to > self.acct_from {
             self.stats.cycles += up_to - self.acct_from;
             self.acct_from = up_to;
         }
     }
 
+    /// Evented → dense hand-over of the per-flit state: for every head
+    /// packet the calendar has in service, moves the flits the dense
+    /// path would have moved on cycles before `up_to` — crediting them
+    /// to the statistics and leaving the remainder in `in_service`,
+    /// exactly the state flit-stepping would have reached. Idempotent;
+    /// the calendar itself is untouched.
+    fn settle_flits(&mut self, up_to: u64) {
+        for &Reverse((at, dst)) in &self.events {
+            debug_assert!(at >= up_to, "delivery at {at} missed before {up_to}");
+            let flits = self.outputs[dst]
+                .front()
+                .expect("scheduled port has a head")
+                .flits;
+            // Flits still to move at `up_to`: the last one moves at `at`.
+            let left = (at + 1).saturating_sub(up_to).min(u64::from(flits)) as u32;
+            let uncounted = self.uncounted_flits(dst, flits);
+            if left < uncounted {
+                self.stats.flits += u64::from(uncounted - left);
+                self.in_service[dst] = left;
+            }
+        }
+    }
+
+    /// Flits of `dst`'s head packet (of `flits` flits) not yet credited
+    /// to the statistics: all of them until it starts, then what
+    /// `in_service` still holds.
+    #[inline]
+    fn uncounted_flits(&self, dst: usize, flits: u32) -> u32 {
+        match self.in_service[dst] {
+            0 => flits,
+            left => left,
+        }
+    }
+
     /// Event-queue [`Crossbar::tick`]: returns immediately (deferring the
-    /// cycle counter) while the next scheduled flit movement is in the
-    /// future, otherwise settles counters and moves exactly the due
-    /// ports' flits, popped from the calendar in ascending port order —
-    /// the identical order the dense scan produces. Bit-identical to
-    /// calling `tick` every cycle.
+    /// cycle counter) while the next delivery is in the future, otherwise
+    /// settles the counter and delivers every packet whose last flit
+    /// arrives this cycle, popped from the calendar in ascending port
+    /// order — the identical order the dense scan produces — scheduling
+    /// each port's next head as it goes. Bit-identical to calling `tick`
+    /// every cycle.
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
         if cycle < self.cached_next {
@@ -300,76 +318,58 @@ impl Crossbar {
                 return;
             }
         }
-        self.flush_deferred(cycle);
+        self.flush_cycles(cycle);
         self.stats.cycles += 1;
         self.acct_from = cycle + 1;
-        // Move every due port's flit in ascending port order — the
-        // identical order the dense scan produces — merging the
-        // streaming set with the calendar's due entries.
-        let mut mask = self.streaming;
-        loop {
-            let stream_p = if mask == 0 {
-                usize::MAX
-            } else {
-                mask.trailing_zeros() as usize
-            };
-            let heap_due = match self.events.peek() {
-                Some(&Reverse((t, p))) if t <= cycle => Some((t, p)),
-                _ => None,
-            };
-            match heap_due {
-                Some((t, p)) if p < stream_p => {
-                    self.events.pop();
-                    if self.port_next[p] != t {
-                        continue; // superseded entry (defensive)
-                    }
-                    debug_assert_eq!(t, cycle, "events fire on their scheduled cycle");
-                    self.move_flit(p, cycle, done);
-                }
-                _ if stream_p != usize::MAX => {
-                    mask &= mask - 1;
-                    debug_assert_eq!(self.port_next[stream_p], cycle);
-                    self.move_flit(stream_p, cycle, done);
-                }
-                _ => break,
+        while let Some(&Reverse((at, dst))) = self.events.peek() {
+            if at > cycle {
+                break;
             }
+            debug_assert_eq!(at, cycle, "deliveries fire on their scheduled cycle");
+            self.events.pop();
+            self.deliver_head(dst, cycle, done);
         }
-        self.cached_next = if self.streaming != 0 {
-            cycle + 1
-        } else {
-            self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t)
-        };
+        self.cached_next = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
     }
 
-    /// Rebuilds the per-port schedule after dense ticks ran: a mid-packet
-    /// port moves again at `cycle`; a waiting head starts at its
+    /// Delivers the head packet of `dst`, whose last flit arrives at
+    /// `cycle`, credits its not-yet-counted flits, and schedules the
+    /// packet behind it: the port is free from `cycle + 1`, the router
+    /// pipeline from `injected_at + router_latency`.
+    fn deliver_head(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
+        let pkt = self.outputs[dst]
+            .pop_front()
+            .expect("scheduled port has a head");
+        self.stats.flits += u64::from(self.uncounted_flits(dst, pkt.flits));
+        self.in_service[dst] = 0;
+        self.record_delivery(pkt, cycle, done);
+        if let Some(head) = self.outputs[dst].front() {
+            let start = (head.injected_at + self.cfg.router_latency).max(cycle + 1);
+            self.events
+                .push(Reverse((start + u64::from(head.flits) - 1, dst)));
+        }
+    }
+
+    /// Dense → evented hand-over: rebuilds the calendar after dense
+    /// ticks ran on every cycle before `cycle`. A mid-packet port moves
+    /// its remaining flits from `cycle` on; a waiting head starts at its
     /// router-pipeline exit (clamped to `cycle` — earlier cycles were
     /// already ticked densely).
     fn rebuild_events(&mut self, cycle: u64) {
         self.events.clear();
-        self.streaming = 0;
-        for dst in 0..self.outputs.len() {
-            let next = match self.outputs[dst].front() {
-                None => u64::MAX,
-                Some(_) if self.in_service[dst] > 0 => cycle,
-                Some(head) => (head.injected_at + self.cfg.router_latency).max(cycle),
+        for (dst, queue) in self.outputs.iter().enumerate() {
+            let Some(head) = queue.front() else { continue };
+            let at = match self.in_service[dst] {
+                0 => {
+                    (head.injected_at + self.cfg.router_latency).max(cycle) + u64::from(head.flits)
+                        - 1
+                }
+                left => cycle + u64::from(left) - 1,
             };
-            self.port_next[dst] = next;
-            if next == u64::MAX {
-                continue;
-            }
-            if next == cycle && dst < 64 {
-                self.streaming |= 1 << dst;
-            } else {
-                self.events.push(Reverse((next, dst)));
-            }
+            self.events.push(Reverse((at, dst)));
         }
         self.events_dirty = false;
-        self.cached_next = if self.streaming != 0 {
-            cycle
-        } else {
-            self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t)
-        };
+        self.cached_next = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
     }
 
     /// Advances one NoC cycle: every output port moves one flit of its
@@ -378,10 +378,16 @@ impl Crossbar {
     /// *not* cleared.
     pub fn tick(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
         debug_assert!(cycle >= self.acct_from, "ticking an already-counted cycle");
+        // Cycles an evented caller deferred before handing over.
+        self.flush_cycles(cycle);
         self.stats.cycles += 1;
         self.acct_from = cycle + 1;
-        // Dense ticks advance ports without maintaining the calendar.
-        self.events_dirty = true;
+        // Dense ticks advance ports without maintaining the calendar:
+        // take over the flits it has in service, then mark it stale.
+        if !self.events_dirty {
+            self.settle_flits(cycle);
+            self.events_dirty = true;
+        }
         self.cached_next = 0;
         if self.queued == 0 {
             return;
@@ -419,8 +425,9 @@ impl Crossbar {
     /// traversed); delivers the packet if it was the last flit.
     #[inline]
     fn transfer_flit(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
-        let queue = &mut self.outputs[dst];
-        let head = queue.front().expect("due port has a head packet");
+        let head = self.outputs[dst]
+            .front()
+            .expect("due port has a head packet");
         debug_assert!(cycle >= head.injected_at + self.cfg.router_latency);
         if self.in_service[dst] == 0 {
             self.in_service[dst] = head.flits;
@@ -428,47 +435,27 @@ impl Crossbar {
         self.in_service[dst] -= 1;
         self.stats.flits += 1;
         if self.in_service[dst] == 0 {
-            let pkt = queue.pop_front().expect("head packet exists");
-            self.queued -= 1;
-            if queue.is_empty() && dst < 64 {
-                self.active &= !(1 << dst);
-            }
-            let latency = cycle + 1 - pkt.injected_at;
-            self.stats.delivered += 1;
-            self.stats.total_latency += latency;
-            done.push(Delivery {
-                payload: pkt.payload,
-                dst,
-                latency,
-            });
+            let pkt = self.outputs[dst].pop_front().expect("head packet exists");
+            self.record_delivery(pkt, cycle, done);
         }
     }
 
-    /// [`Crossbar::transfer_flit`] plus rescheduling of the port's next
-    /// movement — the evented path's per-event work. Ports that move
-    /// again next cycle join the streaming set (no heap traffic); only
-    /// genuinely future movements enter the calendar.
-    fn move_flit(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
-        self.transfer_flit(dst, cycle, done);
-        let next = match self.outputs[dst].front() {
-            None => u64::MAX,
-            // Mid-packet: the next flit moves next cycle.
-            Some(_) if self.in_service[dst] > 0 => cycle + 1,
-            // Fresh head: next cycle at the earliest, later if its router
-            // pipeline has not been traversed yet.
-            Some(head) => (head.injected_at + self.cfg.router_latency).max(cycle + 1),
-        };
-        self.port_next[dst] = next;
-        if next == cycle + 1 && dst < 64 {
-            self.streaming |= 1 << dst;
-        } else {
-            if dst < 64 {
-                self.streaming &= !(1 << dst);
-            }
-            if next != u64::MAX {
-                self.events.push(Reverse((next, dst)));
-            }
+    /// Books the delivery of `pkt`, just popped from its output queue,
+    /// with its last flit arriving at `cycle` — what both paths share.
+    #[inline]
+    fn record_delivery(&mut self, pkt: Packet, cycle: u64, done: &mut Vec<Delivery>) {
+        self.queued -= 1;
+        if self.outputs[pkt.dst].is_empty() && pkt.dst < 64 {
+            self.active &= !(1 << pkt.dst);
         }
+        let latency = cycle + 1 - pkt.injected_at;
+        self.stats.delivered += 1;
+        self.stats.total_latency += latency;
+        done.push(Delivery {
+            payload: pkt.payload,
+            dst: pkt.dst,
+            latency,
+        });
     }
 
     /// Total queued packets across all output ports.

@@ -90,9 +90,11 @@ proptest! {
         prop_assert_eq!(xbar.stats().flits, total_flits);
     }
 
-    /// The event-queue path delivers exactly what the dense per-cycle
-    /// scan delivers — same packets, same cycles, same order, same
-    /// stats — under arbitrary staggered injection schedules.
+    /// The packet-event path delivers exactly what the dense per-cycle
+    /// flit scan delivers — same packets, same cycles, same order —
+    /// under arbitrary staggered injection schedules, and a run cut off
+    /// after any cycle (so usually mid-packet on some port) settles to
+    /// the dense statistics, flits of half-sent packets included.
     #[test]
     fn evented_is_bit_identical_to_dense(
         pkts in proptest::collection::vec((0usize..12, 0usize..8, 1u32..6, 0u64..60), 1..60),
@@ -118,18 +120,27 @@ proptest! {
             dense.tick(cycle, &mut d1);
             evented.tick_evented(cycle, &mut d2);
             prop_assert_eq!(&d1, &d2, "deliveries diverged at cycle {}", cycle);
+            let mut cut = evented.clone();
+            cut.flush_deferred(cycle + 1);
+            prop_assert_eq!(dense.stats(), cut.stats(), "run cut off after cycle {}", cycle);
         }
         evented.flush_deferred(horizon);
         prop_assert_eq!(dense.stats(), evented.stats());
         prop_assert_eq!(dense.queued_packets(), evented.queued_packets());
     }
 
-    /// Switching from dense ticks to evented ticks mid-run (the calendar
-    /// rebuild path) stays bit-identical to an all-dense run.
+    /// Switching between dense and evented ticks mid-run — in both
+    /// directions, any number of times, usually with packets half sent —
+    /// stays bit-identical to an all-dense run: the dense path takes
+    /// over the flits the calendar has in service and the calendar is
+    /// rebuilt from the flits the dense path left. Settling the live
+    /// crossbar's counters along the way changes nothing either.
     #[test]
-    fn evented_after_dense_rebuild_is_bit_identical(
+    fn hand_over_between_dense_and_evented_is_exact(
         pkts in proptest::collection::vec((0usize..8, 0usize..4, 1u32..6, 0u64..30), 1..40),
-        switch_at in 1u64..50,
+        switches in proptest::collection::vec(0u64..80, 1..6),
+        start_evented in any::<bool>(),
+        flush_every in 0u64..7,
     ) {
         let mut pkts = pkts.clone();
         pkts.sort_by_key(|p| p.3);
@@ -147,12 +158,17 @@ proptest! {
                 next += 1;
             }
             dense.tick(cycle, &mut d1);
-            if cycle < switch_at {
-                mixed.tick(cycle, &mut d2);
-            } else {
+            let flips = switches.iter().filter(|&&s| s <= cycle).count();
+            if start_evented == (flips % 2 == 0) {
                 mixed.tick_evented(cycle, &mut d2);
+            } else {
+                mixed.tick(cycle, &mut d2);
             }
             prop_assert_eq!(&d1, &d2, "deliveries diverged at cycle {}", cycle);
+            if flush_every > 0 && cycle % flush_every == 0 {
+                mixed.flush_deferred(cycle + 1);
+                prop_assert_eq!(dense.stats(), mixed.stats(), "settled after cycle {}", cycle);
+            }
         }
         mixed.flush_deferred(horizon);
         prop_assert_eq!(dense.stats(), mixed.stats());

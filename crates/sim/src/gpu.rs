@@ -8,7 +8,8 @@ use crate::metrics::{EpochHist, ParallelismIntegrator, SimReport};
 use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::TxnTable;
-use crate::wake::WakeGate;
+use crate::wake::audit::{count, Counter};
+use crate::wake::{DomainClock, WakeGate};
 use std::sync::Arc;
 use valley_cache::CacheStats;
 use valley_core::{AddressMapper, DramAddressMap, PhysAddr};
@@ -47,6 +48,9 @@ pub struct GpuSim {
     dram: DramSystem,
     req_net: Crossbar,
     reply_net: Crossbar,
+    /// The NoC and DRAM clock domains, counted in core cycles.
+    noc_clock: DomainClock,
+    dram_clock: DomainClock,
     sms: Vec<Sm>,
     slices: Vec<LlcSlice>,
     txns: TxnTable,
@@ -75,23 +79,6 @@ enum FastForward {
     Resumed,
     /// The cycle safety limit was reached while skipping.
     Truncated,
-}
-
-/// One core cycle's worth of a slower clock domain's accumulator
-/// arithmetic, exactly as the dense loop performs it (add the ratio,
-/// then repeatedly subtract 1.0 — *not* `fract`/`floor`, whose float
-/// rounding differs): returns the post-cycle accumulator and how many
-/// domain ticks elapse. Shared by `fast_forward`'s pre-check and skip
-/// loop so the two can never drift apart and break `run == run_dense`.
-#[inline]
-fn domain_ticks(acc: f64, per_core: f64) -> (f64, u64) {
-    let mut a = acc + per_core;
-    let mut ticks = 0u64;
-    while a >= 1.0 {
-        a -= 1.0;
-        ticks += 1;
-    }
-    (a, ticks)
 }
 
 impl TbScheduler {
@@ -140,14 +127,21 @@ impl TbScheduler {
 
     /// One scheduling pass: load the next kernel if none is resident,
     /// assign pending TBs round-robin to SMs with room, and advance past
-    /// the kernel once every TB retired.
-    fn run(&mut self, sms: &mut [Sm], workload: &dyn WorkloadSource, cfg: &GpuConfig, cycle: u64) {
+    /// the kernel once every TB retired. Returns whether any TB was
+    /// assigned (the only way a pass changes an SM).
+    fn run(
+        &mut self,
+        sms: &mut [Sm],
+        workload: &dyn WorkloadSource,
+        cfg: &GpuConfig,
+        cycle: u64,
+    ) -> bool {
         let retired: u64 = sms.iter().map(Sm::retired_tbs).sum();
         // Load the next kernel once the previous one fully retired.
         let mut just_loaded = false;
         if self.kernel.is_none() {
             if self.kernel_idx >= self.num_kernels {
-                return;
+                return false;
             }
             let k = workload.kernel(self.kernel_idx);
             self.total_tbs = k.num_thread_blocks();
@@ -160,7 +154,7 @@ impl TbScheduler {
         // already loaded and no retire since the last run, assignment and
         // the kernel-advance check below are provably no-ops.
         if !just_loaded && retired == self.retired_seen {
-            return;
+            return false;
         }
         self.retired_seen = retired;
         let kernel = self.kernel.as_deref().expect("kernel loaded above");
@@ -168,6 +162,7 @@ impl TbScheduler {
         let tbs_limit = cfg.tbs_per_sm(wpb);
 
         // Assign TBs round-robin while any SM has room.
+        let first_tb = self.next_tb;
         'assign: while self.next_tb < self.total_tbs {
             let n = sms.len();
             for probe in 0..n {
@@ -188,6 +183,7 @@ impl TbScheduler {
             self.kernel = None;
             self.kernel_idx += 1;
         }
+        self.next_tb > first_tb
     }
 }
 
@@ -212,6 +208,8 @@ impl GpuSim {
         GpuSim {
             req_net: Crossbar::new(cfg.num_sms, cfg.llc_slices, cfg.noc_router_latency),
             reply_net: Crossbar::new(cfg.llc_slices, cfg.num_sms, cfg.noc_router_latency),
+            noc_clock: DomainClock::new(cfg.noc_per_core()),
+            dram_clock: DomainClock::new(cfg.dram_per_core()),
             sms,
             slices,
             txns: TxnTable::new(),
@@ -260,19 +258,13 @@ impl GpuSim {
     }
 
     fn run_with_mode(mut self, event_driven: bool) -> SimReport {
-        // The event-driven gates translate DRAM-domain event times into
-        // core cycles assuming the DRAM clock is no faster than the core
-        // clock (true for every shipped config). A custom config that
-        // violates it gets the dense loop, keeping run() == run_dense()
-        // by construction instead of silently diverging.
+        // The evented loop is validated against the dense one only for a
+        // DRAM clock no faster than the core clock (true for every
+        // shipped config). A custom config that violates it gets the
+        // dense loop, keeping run() == run_dense() by construction
+        // instead of silently diverging.
         let event_driven = event_driven && self.cfg.dram_per_core() <= 1.0;
         let mut cycle: u64 = 0;
-        let mut noc_acc = 0.0f64;
-        let mut dram_acc = 0.0f64;
-        let mut noc_cycle: u64 = 0;
-        let mut dram_cycle: u64 = 0;
-        let noc_per_core = self.cfg.noc_per_core();
-        let dram_per_core = self.cfg.dram_per_core();
 
         let mut sched = TbScheduler::new(self.workload.num_kernels());
         let mut parallelism = ParallelismIntegrator::new();
@@ -291,12 +283,13 @@ impl GpuSim {
         let mut sched_quiet = false;
         // Wake gates over the SM and LLC-slice populations (see
         // `crate::wake`): rebuilt from the per-unit next-event caches
-        // whenever the corresponding walk runs, and clamped by every
-        // out-of-band invalidation (delivery, DRAM fill, reply, TB
-        // assignment). While `cycle` is below a gate, every per-unit
-        // self-gate in that walk would no-op, so the walk itself is
-        // skipped — and `fast_forward` reads the core-domain horizon in
-        // O(1) instead of scanning every component.
+        // whenever the corresponding walk runs, and lowered to a unit's
+        // fresh hint by every out-of-band source that moved it
+        // (delivery, DRAM fill, reply, TB assignment). While `cycle` is
+        // below a gate, every per-unit self-gate in that walk would
+        // no-op, so the walk itself is skipped — and `fast_forward` reads
+        // the core-domain horizon in O(1) instead of scanning every
+        // component.
         let mut sms_next = WakeGate::new();
         let mut slices_next = WakeGate::new();
 
@@ -306,12 +299,6 @@ impl GpuSim {
             if event_driven {
                 if let FastForward::Truncated = self.fast_forward(
                     &mut cycle,
-                    &mut noc_acc,
-                    &mut noc_cycle,
-                    &mut dram_acc,
-                    &mut dram_cycle,
-                    noc_per_core,
-                    dram_per_core,
                     &sched,
                     &mut sched_quiet,
                     sms_next.get().min(slices_next.get()),
@@ -326,10 +313,17 @@ impl GpuSim {
             // changed this cycle (reply delivered or tick ran).
             let mut sm_activity = false;
 
+            // ---- Clock domains: what this core cycle ticks ----
+            let noc_cycles = self.noc_clock.advance();
+            let dram_cycles = self.dram_clock.advance();
+            // Whether any unit is due this iteration (audited only: the
+            // evented loop must never spin on a cycle with nothing to do).
+            let mut due = noc_cycles.end
+                > (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event())
+                || dram_cycles.end > self.dram.cached_next_event();
+
             // ---- NoC clock domain ----
-            noc_acc += noc_per_core;
-            while noc_acc >= 1.0 {
-                noc_acc -= 1.0;
+            for noc_cycle in noc_cycles {
                 deliveries.clear();
                 if event_driven {
                     self.req_net.tick_evented(noc_cycle, &mut deliveries);
@@ -337,8 +331,9 @@ impl GpuSim {
                     self.req_net.tick(noc_cycle, &mut deliveries);
                 }
                 for d in &deliveries {
-                    self.slices[d.dst].deliver(d.payload);
-                    slices_next.wake_now();
+                    let slice = &mut self.slices[d.dst];
+                    slice.deliver(d.payload, cycle);
+                    slices_next.lower(slice.cached_next_event());
                 }
                 deliveries.clear();
                 if event_driven {
@@ -347,17 +342,15 @@ impl GpuSim {
                     self.reply_net.tick(noc_cycle, &mut deliveries);
                 }
                 for d in &deliveries {
-                    self.sms[d.dst].on_reply(d.payload, &self.txns, cycle);
+                    let sm = &mut self.sms[d.dst];
+                    sm.on_reply(d.payload, &mut self.txns, cycle);
                     sm_activity = true;
-                    sms_next.wake_now();
+                    sms_next.lower(sm.cached_next_event());
                 }
-                noc_cycle += 1;
             }
 
             // ---- DRAM clock domain ----
-            dram_acc += dram_per_core;
-            while dram_acc >= 1.0 {
-                dram_acc -= 1.0;
+            for dram_cycle in dram_cycles {
                 completions.clear();
                 if event_driven {
                     self.dram.tick_evented(dram_cycle, &mut completions);
@@ -366,32 +359,35 @@ impl GpuSim {
                 }
                 for c in &completions {
                     let t = self.txns.get(c.id);
-                    if !t.is_store {
-                        let slice = t.slice as usize;
-                        self.slices[slice].on_dram_completion(
+                    if t.is_store {
+                        // Stores and writebacks end at the DRAM.
+                        self.txns.release(c.id);
+                    } else {
+                        let slice = &mut self.slices[t.slice as usize];
+                        slice.on_dram_completion(
                             c.id,
                             cycle,
                             &mut self.txns,
                             &self.mapper,
                             &mut replies,
                         );
-                        slices_next.wake_now();
+                        slices_next.lower(slice.cached_next_event());
                     }
                 }
-                dram_cycle += 1;
             }
 
             // ---- LLC slices ----
             // Below `slices_next` every slice's own gate would no-op;
-            // skip the walk (the minimum is clamped to zero by every
-            // out-of-band slice invalidation above).
+            // skip the walk.
             if !event_driven || cycle >= slices_next.get() {
+                due = true;
+                count(Counter::SliceWalks);
                 let mut next = u64::MAX;
                 for s in &mut self.slices {
                     if event_driven {
                         s.tick_evented(
                             cycle,
-                            dram_cycle,
+                            &self.dram_clock,
                             &self.cfg,
                             &mut self.dram,
                             &mut self.txns,
@@ -402,7 +398,7 @@ impl GpuSim {
                     } else {
                         s.tick(
                             cycle,
-                            dram_cycle,
+                            &self.dram_clock,
                             &self.cfg,
                             &mut self.dram,
                             &mut self.txns,
@@ -420,7 +416,7 @@ impl GpuSim {
                     src: t.slice as usize,
                     dst: t.sm as usize,
                     flits: valley_noc::DATA_FLITS,
-                    injected_at: noc_cycle,
+                    injected_at: self.noc_clock.cycle(),
                 });
             }
 
@@ -430,6 +426,8 @@ impl GpuSim {
                 let llc_slices = self.cfg.llc_slices;
                 let slicer = move |addr: PhysAddr| Self::slice_of(map, llc_slices, addr);
                 if !event_driven || cycle >= sms_next.get() {
+                    due = true;
+                    count(Counter::SmWalks);
                     let mut next = u64::MAX;
                     for sm in &mut self.sms {
                         if event_driven {
@@ -463,7 +461,7 @@ impl GpuSim {
                     src: t.sm as usize,
                     dst: t.slice as usize,
                     flits: o.flits,
-                    injected_at: noc_cycle,
+                    injected_at: self.noc_clock.cycle(),
                 });
             }
 
@@ -473,10 +471,18 @@ impl GpuSim {
             // skip the call and its per-SM retired sum. Dense mode keeps
             // the unconditional call of the reference loop.
             if !event_driven || sm_activity || sched.kernel.is_none() {
-                self.schedule_tbs(&mut sched, cycle);
+                due |= !sched.finished();
+                if self.schedule_tbs(&mut sched, cycle) {
+                    // An assigned SM is due next cycle.
+                    sms_next.lower(cycle + 1);
+                }
                 sched_quiet = false;
-                // `assign_tb` zeroes the assigned SM's next-event cache.
-                sms_next.wake_now();
+            }
+            if event_driven {
+                count(Counter::Iterations);
+                if !due {
+                    count(Counter::IdleIterations);
+                }
             }
 
             // ---- Metrics ----
@@ -501,16 +507,16 @@ impl GpuSim {
 
         crate::alloc_audit::window_close();
         // Settle all deferred counters (no-ops after a dense run).
-        self.req_net.flush_deferred(noc_cycle);
-        self.reply_net.flush_deferred(noc_cycle);
-        self.dram.flush_deferred(dram_cycle);
+        self.req_net.flush_deferred(self.noc_clock.cycle());
+        self.reply_net.flush_deferred(self.noc_clock.cycle());
+        self.dram.flush_deferred(self.dram_clock.cycle());
         for sm in &mut self.sms {
             sm.flush_idle(cycle);
         }
         for s in &mut self.slices {
             s.flush_stall(cycle);
         }
-        self.report(cycle, dram_cycle, truncated, &parallelism, &sched)
+        self.report(cycle, truncated, &parallelism, &sched)
     }
 
     /// Whether the TB scheduler could make progress this cycle (see
@@ -520,22 +526,15 @@ impl GpuSim {
     }
 
     /// Advances the simulation over cycles in which *no* component does
-    /// any work, replaying exactly the clock-accumulator arithmetic of the
-    /// dense loop (so all results stay bit-identical) without touching any
-    /// component. Component counters need no attention here: the evented
-    /// tick paths defer and settle them lazily. Stops at the earliest
-    /// cycle at which any clock domain has a due event, the TB scheduler
-    /// can progress, or the cycle safety limit is reached.
-    #[allow(clippy::too_many_arguments)]
+    /// any work, advancing the NoC and DRAM clocks exactly as the dense
+    /// loop would (so all results stay bit-identical) without touching
+    /// any component. Component counters need no attention here: the
+    /// evented tick paths defer and settle them lazily. Stops at the
+    /// earliest cycle at which any clock domain has a due event, the TB
+    /// scheduler can progress, or the cycle safety limit is reached.
     fn fast_forward(
         &mut self,
         cycle: &mut u64,
-        noc_acc: &mut f64,
-        noc_cycle: &mut u64,
-        dram_acc: &mut f64,
-        dram_cycle: &mut u64,
-        noc_per_core: f64,
-        dram_per_core: f64,
         sched: &TbScheduler,
         sched_quiet: &mut bool,
         core_next: u64,
@@ -547,28 +546,25 @@ impl GpuSim {
             .cached_next_event()
             .min(self.reply_net.cached_next_event());
         let dram_next = self.dram.cached_next_event();
+        // One core cycle on copies of both clocks: `Some` with the
+        // advanced clocks if neither domain ticks a cycle with a due
+        // event in it, so a rejected cycle leaves no trace.
+        let quiet_cycle = |noc: DomainClock, dram: DomainClock| {
+            let (mut noc, mut dram) = (noc, dram);
+            (noc.advance().end <= noc_next && dram.advance().end <= dram_next)
+                .then_some((noc, dram))
+        };
         // Cheap pre-check: would skipping even one cycle run past a due
         // NoC or DRAM event? In memory-saturated phases (an event every
-        // DRAM cycle) this bails before the per-SM/per-slice scans below,
-        // with the exact outcome the full loop would reach — all early
+        // DRAM cycle) this bails before the scheduler scan below, with
+        // the exact outcome the full loop would reach — all early
         // returns here are mutation-free `Resumed`s.
-        {
-            let (_, nt) = domain_ticks(*noc_acc, noc_per_core);
-            if *noc_cycle + nt > noc_next {
-                return FastForward::Resumed;
-            }
-            let (_, dt) = domain_ticks(*dram_acc, dram_per_core);
-            if *dram_cycle + dt > dram_next {
-                return FastForward::Resumed;
-            }
+        if quiet_cycle(self.noc_clock, self.dram_clock).is_none() {
+            return FastForward::Resumed;
         }
         // Earliest core-domain event: the run loop's maintained minimum
-        // over the SM and slice next-event caches. These are exact,
-        // never-late hints: ticks recompute them and mutations (NoC
-        // injects, DRAM enqueues, deliveries) *lower* them to the
-        // mutation's own earliest consequence instead of
-        // blanket-invalidating, so a burst of injections to a busy port
-        // or bank no longer collapses the fast-forward window.
+        // over the SM and slice next-event caches (exact hints, see
+        // `crate::wake`).
         if core_next <= *cycle {
             return FastForward::Resumed;
         }
@@ -582,24 +578,11 @@ impl GpuSim {
         }
 
         let skip_start = *cycle;
-        loop {
-            if core_next <= *cycle {
+        while core_next > *cycle {
+            let Some((noc, dram)) = quiet_cycle(self.noc_clock, self.dram_clock) else {
                 break;
-            }
-            // Replicate the dense loop's accumulator arithmetic on copies
-            // so a rejected cycle leaves no trace.
-            let (na, nt) = domain_ticks(*noc_acc, noc_per_core);
-            if *noc_cycle + nt > noc_next {
-                break;
-            }
-            let (da, dt) = domain_ticks(*dram_acc, dram_per_core);
-            if *dram_cycle + dt > dram_next {
-                break;
-            }
-            *noc_acc = na;
-            *noc_cycle += nt;
-            *dram_acc = da;
-            *dram_cycle += dt;
+            };
+            (self.noc_clock, self.dram_clock) = (noc, dram);
             *cycle += 1;
             if *cycle >= self.cfg.max_cycles {
                 break;
@@ -634,14 +617,13 @@ impl GpuSim {
             && !self.reply_net.is_busy()
     }
 
-    fn schedule_tbs(&mut self, sched: &mut TbScheduler, cycle: u64) {
-        sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle);
+    fn schedule_tbs(&mut self, sched: &mut TbScheduler, cycle: u64) -> bool {
+        sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle)
     }
 
     fn report(
         &self,
         cycles: u64,
-        dram_cycles: u64,
         truncated: bool,
         parallelism: &ParallelismIntegrator,
         sched: &TbScheduler,
@@ -689,7 +671,7 @@ impl GpuSim {
             bank_parallelism: parallelism.bank_parallelism(),
             dram: self.dram.total_stats(),
             kernels: sched.kernel_idx,
-            dram_cycles,
+            dram_cycles: self.dram_clock.cycle(),
             dram_channels: self.dram.num_channels(),
             core_clock_ghz: self.cfg.core_clock_ghz,
             dram_clock_ghz: self.cfg.dram.clock_ghz,

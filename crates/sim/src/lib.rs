@@ -40,3 +40,5 @@ pub use metrics::{EpochHist, ParallelismIntegrator, SimReport, REPORT_SCHEMA_VER
 pub use trace::{
     tb_request_addresses, Instruction, KernelSource, LaneAddrs, WarpProgram, WorkloadSource,
 };
+#[cfg(feature = "wake-audit")]
+pub use wake::audit as wake_audit;

@@ -11,6 +11,8 @@
 
 use crate::config::{GpuConfig, LlcWritePolicy};
 use crate::txn::{TxnTable, NO_WARP};
+use crate::wake::audit::{count, Counter};
+use crate::wake::DomainClock;
 use std::collections::VecDeque;
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_core::{AddressMapper, PhysAddr};
@@ -36,20 +38,21 @@ pub(crate) struct LlcSlice {
     input_stall: Option<u64>,
     /// Version counter for `input_stall`, incremented per completion.
     fill_version: u64,
-    /// Cached earliest core cycle at which [`LlcSlice::tick`] does real
-    /// work (`u64::MAX` = nothing locally schedulable); maintained by
-    /// [`LlcSlice::tick_evented`] and invalidated by deliveries and DRAM
-    /// completions.
+    /// The exact next core cycle at which [`LlcSlice::tick`] changes
+    /// anything (`u64::MAX` = nothing locally schedulable); republished
+    /// by [`LlcSlice::tick_evented`] and lowered by the deliveries and
+    /// DRAM fills that give the slice something to do (see
+    /// `crate::wake`).
     cached_next: u64,
-    /// `Some(gate)` while the DRAM-retry head is known to be
-    /// back-pressured: the head cannot enqueue before core cycle `gate`
-    /// (the channel-event translation the last failed attempt computed).
-    /// `None` means the head — if any — has not been attempted since it
-    /// became the head and gates at the next cycle. Maintained by
-    /// [`LlcSlice::tick`] step 2, so [`LlcSlice::tick_evented`] updates
-    /// `cached_next` from this delta instead of re-deriving the gate
-    /// through the transaction table and the DRAM channel on every
-    /// effective tick (the recompute was ~10% of an MT/PAE run).
+    /// `Some(gate)` while the DRAM-retry head is back-pressured: `gate`
+    /// is the core cycle in which its channel's next dequeue is ticked,
+    /// so the head first fits then and is not re-attempted before, even
+    /// when something else wakes the slice. `None` means the head — if
+    /// any — has not been attempted since it became the head and gates
+    /// at the next cycle. Maintained by [`LlcSlice::tick`] step 2, so
+    /// [`LlcSlice::tick_evented`] updates `cached_next` from this delta
+    /// instead of re-deriving the gate through the transaction table
+    /// and the DRAM channel on every effective tick.
     retry_gate: Option<u64>,
 }
 
@@ -73,12 +76,14 @@ impl LlcSlice {
         }
     }
 
-    /// Accepts a transaction delivered by the request NoC.
-    pub(crate) fn deliver(&mut self, txn: u64) {
+    /// Accepts a transaction delivered by the request NoC in core cycle
+    /// `cycle`. Behind an MSHR-stalled head it changes nothing the slice
+    /// could act on, so the slice's hint stays where it is.
+    pub(crate) fn deliver(&mut self, txn: u64, cycle: u64) {
         let _audit_pause =
             (self.input.len() == self.input.capacity()).then(valley_core::alloc_audit::pause);
         self.input.push_back(txn);
-        self.cached_next = 0;
+        self.cached_next = self.cached_next.min(self.next_event_incremental(cycle));
     }
 
     /// Outstanding requests in this slice (the Figure 14a busy criterion).
@@ -98,61 +103,57 @@ impl LlcSlice {
     /// [`LlcSlice::tick`] would do real work, or `None` when the slice can
     /// only progress through off-slice events (DRAM completions filling
     /// MSHRs). Ticks before that cycle are no-ops.
-    /// `next_event_at` with visibility into the DRAM system: a slice
-    /// whose only pending work is a back-pressured DRAM hand-off cannot
-    /// progress before the target channel's next event (channel queues
-    /// drain only on channel ticks), so the gate extends to a
-    /// conservative core-cycle translation of that event.
     ///
     /// This is the recompute-from-scratch **oracle**: the hot path
     /// ([`LlcSlice::tick_evented`]) maintains the same value
     /// incrementally from the hit-queue/retry-head deltas of the tick it
     /// just ran (see [`LlcSlice::next_event_incremental`]); a property
-    /// test pins the two against each other.
+    /// test pins the two against each other. Whether the retry head was
+    /// attempted is state (`retry_gate`, like `hits.front()`); *when* a
+    /// refused head fits is recomputed here from the channel it waits on
+    /// and the DRAM clock as they stand — the queue must still be full
+    /// and its next dequeue must translate to the very cycle stored.
     pub(crate) fn next_event_at_with_dram(
         &self,
         now: u64,
         txns: &TxnTable,
         dram: &DramSystem,
-        dram_now: u64,
+        dram_clock: &DomainClock,
     ) -> Option<u64> {
         if !self.input.is_empty() && !self.input_stalled_now() {
             return Some(now);
         }
         let mut next: Option<u64> = None;
         if let Some(&txn) = self.dram_retry.front() {
-            let at = match txns.get(txn).coords {
-                // The head was already decoded, so at least one enqueue
-                // attempt failed; the channel queue must drain first.
-                Some((ctrl, _, _)) => {
-                    let ch = dram.channel(ctrl as usize);
-                    if ch.queue_len() < ch.config().queue_capacity {
-                        now
-                    } else {
-                        let cn = dram.channel_next_event(ctrl as usize);
-                        if cn == u64::MAX || cn <= dram_now {
-                            now
-                        } else {
-                            // `d` DRAM cycles take at least `d` core
-                            // cycles (the DRAM clock is never faster than
-                            // the core clock in any supported config) —
-                            // an early, never-late estimate.
-                            now + (cn - dram_now)
-                        }
-                    }
-                }
-                None => now,
-            };
-            if at == now {
+            let (Some(_), Some((ctrl, _, _))) = (self.retry_gate, txns.get(txn).coords) else {
+                // Not attempted since it became the head.
                 return Some(now);
-            }
-            next = Some(at);
+            };
+            assert!(
+                self.retry_head_blocked(txns, dram),
+                "a gated retry head whose channel has room"
+            );
+            // `now - 1` is the cycle `dram_clock` was last advanced in.
+            let dequeue = dram.channel_next_dequeue(ctrl as usize);
+            next = Some((now - 1).saturating_add(dram_clock.core_cycles_until(dequeue)));
         }
         if let Some(&(ready, _)) = self.hits.front() {
             let at = ready.max(now);
             next = Some(next.map_or(at, |n| n.min(at)));
         }
         next
+    }
+
+    /// Whether the DRAM-retry head has been decoded and its channel's
+    /// queue is full — what a retry gate in the future asserts.
+    fn retry_head_blocked(&self, txns: &TxnTable, dram: &DramSystem) -> bool {
+        self.dram_retry
+            .front()
+            .and_then(|&head| txns.get(head).coords)
+            .is_some_and(|(ctrl, _, _)| {
+                let ch = dram.channel(ctrl as usize);
+                ch.queue_len() >= ch.config().queue_capacity
+            })
     }
 
     /// Whether the input head is known to be MSHR-stalled with nothing
@@ -182,9 +183,12 @@ impl LlcSlice {
         self.dram_retry.push_back(wb);
     }
 
-    /// A DRAM read completed: fill the line and emit replies for every
-    /// merged waiter into `replies`. A dirty victim (write-back policy)
-    /// becomes a DRAM writeback.
+    /// A DRAM read completed in core cycle `cycle`: fill the line and
+    /// emit replies for every merged waiter into `replies`. A dirty
+    /// victim (write-back policy) becomes a DRAM writeback. The slice
+    /// itself has something to do this cycle only if an input head can
+    /// retry its lookup or the retry queue has an unattempted head (the
+    /// writeback, if nothing was queued before it).
     pub(crate) fn on_dram_completion(
         &mut self,
         txn: u64,
@@ -196,7 +200,6 @@ impl LlcSlice {
         // Settle the deferred stall accounting before the fill makes the
         // stall verdict stale (the elided cycles were stalled ones).
         self.flush_stall(cycle);
-        self.cached_next = 0;
         self.fill_version += 1;
         let line = txns.get(txn).line;
         if let Some(ev) = self.cache.fill_with(line, false) {
@@ -205,6 +208,7 @@ impl LlcSlice {
             }
         }
         self.mshr.complete_into(line, replies);
+        self.cached_next = self.cached_next.min(self.next_event_incremental(cycle));
     }
 
     /// The cached next-event cycle maintained by
@@ -223,25 +227,27 @@ impl LlcSlice {
         self.retry_gate
     }
 
-    /// The post-tick `cached_next` value, derived incrementally: the
-    /// input-head and hit-queue terms are O(1) peeks, and the DRAM
-    /// back-pressure term reuses the gate [`LlcSlice::tick`] step 2 just
-    /// computed (while it already held the channel) instead of
-    /// re-deriving it through the transaction table and the channel's
-    /// event cache. Must equal
-    /// `next_event_at_with_dram(cycle + 1, ..)` at every effective-tick
-    /// boundary — pinned by the `retry_gate` property test.
+    /// The slice's hint as of core cycle `now` (the first cycle not yet
+    /// ticked), derived incrementally: the input-head and hit-queue
+    /// terms are O(1) peeks, and the DRAM back-pressure term reuses the
+    /// gate [`LlcSlice::tick`] step 2 computed (while it already held
+    /// the channel) instead of re-deriving it through the transaction
+    /// table and the channel. The one definition of "when is this slice
+    /// next due": the tick republishes it for `cycle + 1`, and the
+    /// out-of-band sources (a delivery, a fill) lower `cached_next` to
+    /// it for their own cycle — so a source that gives the slice nothing
+    /// to do moves nothing. Must equal `next_event_at_with_dram(now, ..)`
+    /// at every effective-tick boundary — pinned by the `retry_gate`
+    /// property test.
     #[inline]
-    fn next_event_incremental(&self, cycle: u64) -> u64 {
-        let now = cycle + 1;
+    fn next_event_incremental(&self, now: u64) -> u64 {
         if !self.input.is_empty() && !self.input_stalled_now() {
             return now;
         }
         let mut next = u64::MAX;
         if !self.dram_retry.is_empty() {
-            // A blocked head gates at the channel-event translation its
-            // failed attempt computed; a fresh (unattempted) head gates
-            // at the next cycle, like the oracle's undecoded branch.
+            // A blocked head gates at the cycle its refusal computed; a
+            // fresh (unattempted) head gates at once.
             next = self.retry_gate.unwrap_or(now);
             debug_assert!(next >= now, "retry gate must not be in the past");
         }
@@ -260,7 +266,7 @@ impl LlcSlice {
     pub(crate) fn tick_evented(
         &mut self,
         cycle: u64,
-        dram_now: u64,
+        dram_clock: &DomainClock,
         cfg: &GpuConfig,
         dram: &mut DramSystem,
         txns: &mut TxnTable,
@@ -270,12 +276,13 @@ impl LlcSlice {
         if cycle < self.cached_next {
             return;
         }
+        count(Counter::SliceTicks);
         self.flush_stall(cycle);
-        self.tick(cycle, dram_now, cfg, dram, txns, mapper, replies);
-        self.cached_next = self.next_event_incremental(cycle);
+        self.tick(cycle, dram_clock, cfg, dram, txns, mapper, replies);
+        self.cached_next = self.next_event_incremental(cycle + 1);
         debug_assert_eq!(
             self.cached_next,
-            self.next_event_at_with_dram(cycle + 1, txns, dram, dram_now)
+            self.next_event_at_with_dram(cycle + 1, txns, dram, dram_clock)
                 .unwrap_or(u64::MAX),
             "incremental next-event diverged from the recompute oracle"
         );
@@ -283,11 +290,12 @@ impl LlcSlice {
 
     /// One core cycle: complete hits, retry DRAM hand-offs, process one
     /// new transaction. Load hits produce replies; misses go to DRAM.
+    /// `dram_clock` is the DRAM domain as advanced through this cycle.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
-        dram_now: u64,
+        dram_clock: &DomainClock,
         cfg: &GpuConfig,
         dram: &mut DramSystem,
         txns: &mut TxnTable,
@@ -307,34 +315,38 @@ impl LlcSlice {
 
         // 2. Drain the DRAM retry queue while the channel accepts. Each
         // head outcome updates `retry_gate`: a pop exposes a fresh head
-        // (gate unknown → next cycle); a failure records the blocked
-        // head's exact resume bound while the channel is already at hand.
-        while let Some(&txn) = self.dram_retry.front() {
-            let t = txns.get_mut(txn);
-            let (ctrl, bank, row) = match t.coords {
-                Some(c) => c,
-                None => {
-                    let c = dram.decode(t.mapped);
-                    t.coords = Some(c);
-                    c
-                }
-            };
-            if dram.try_enqueue_at(ctrl, bank, row, txn, t.is_store, dram_now) {
-                self.dram_retry.pop_front();
-                self.retry_gate = None;
-            } else {
-                // The queue is full; it cannot drain before the channel's
-                // next event. `d` DRAM cycles take at least `d` core
-                // cycles (the DRAM clock is never faster than the core
-                // clock in any supported config) — an early, never-late
-                // translation, identical to the recompute oracle's.
-                let cn = dram.channel_next_event(ctrl as usize);
-                self.retry_gate = Some(if cn <= dram_now {
-                    cycle + 1
+        // (gate unknown → next cycle); a refusal records the cycle the
+        // head first fits while the channel is already at hand. A head
+        // still behind its gate (something else woke the slice) is not
+        // offered again: its channel cannot have dequeued yet.
+        if self.retry_gate.is_some_and(|gate| cycle < gate) {
+            debug_assert!(
+                self.retry_head_blocked(txns, dram),
+                "retry gate is late: the channel dequeued before it"
+            );
+        } else {
+            while let Some(&txn) = self.dram_retry.front() {
+                let t = txns.get_mut(txn);
+                let (ctrl, bank, row) = match t.coords {
+                    Some(c) => c,
+                    None => {
+                        let c = dram.decode(t.mapped);
+                        t.coords = Some(c);
+                        c
+                    }
+                };
+                if dram.try_enqueue_at(ctrl, bank, row, txn, t.is_store, dram_clock.cycle()) {
+                    self.dram_retry.pop_front();
+                    self.retry_gate = None;
                 } else {
-                    cycle + 1 + (cn - dram_now)
-                });
-                break;
+                    // The queue is full until the channel's next dequeue;
+                    // the head fits in the core cycle that ticks it.
+                    count(Counter::RefusedEnqueues);
+                    let dequeue = dram.channel_next_dequeue(ctrl as usize);
+                    self.retry_gate =
+                        Some(cycle.saturating_add(dram_clock.core_cycles_until(dequeue)));
+                    break;
+                }
             }
         }
 
@@ -352,6 +364,7 @@ impl LlcSlice {
             self.input_stall = None;
         }
         let t = *txns.get(txn);
+        count(Counter::TagAccesses);
         if self.cache.probe(t.line) {
             self.input.pop_front();
             if t.is_store {
@@ -363,7 +376,9 @@ impl LlcSlice {
                         self.dram_retry.push_back(txn);
                     }
                     LlcWritePolicy::WriteBack => {
+                        // Absorbed: the store ends here.
                         self.cache.mark_dirty(t.line);
+                        txns.release(txn);
                     }
                 }
             } else {
@@ -383,7 +398,9 @@ impl LlcSlice {
                     self.dram_retry.push_back(txn);
                 }
                 LlcWritePolicy::WriteBack => {
-                    // Write-validate allocation: install dirty, no fetch.
+                    // Write-validate allocation: install dirty, no fetch;
+                    // the store ends here.
+                    txns.release(txn);
                     if let Some(ev) = self.cache.fill_with(t.line, true) {
                         if ev.dirty {
                             self.emit_writeback(ev.line, txns, mapper);
@@ -452,14 +469,10 @@ mod tests {
                 s
             };
             let mut pending = txn_count;
-            let dram_per_core = cfg.dram_per_core();
-            let mut dram_acc = 0.0f64;
-            let mut dram_cycle = 0u64;
+            let mut dram_clock = DomainClock::new(cfg.dram_per_core());
             for cycle in 0..6_000u64 {
                 // DRAM domain, as the GPU loop drives it.
-                dram_acc += dram_per_core;
-                while dram_acc >= 1.0 {
-                    dram_acc -= 1.0;
+                for dram_cycle in dram_clock.advance() {
                     completions.clear();
                     dram.tick_evented(dram_cycle, &mut completions);
                     for c in &completions {
@@ -467,7 +480,6 @@ mod tests {
                             slice.on_dram_completion(c.id, cycle, &mut txns, &mapper, &mut replies);
                         }
                     }
-                    dram_cycle += 1;
                 }
                 // Random delivery bursts (hot lines force MSHR merges and
                 // stalls; random stores exercise the write-through path).
@@ -478,17 +490,17 @@ mod tests {
                         let is_store = r % 5 == 0;
                         let mapped = mapper.map(valley_core::PhysAddr::new(line));
                         let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, is_store, line, mapped, 0);
-                        slice.deliver(id);
+                        slice.deliver(id, cycle);
                         pending -= 1;
                     }
                 }
                 if cycle >= slice.cached_next_event() {
                     slice.flush_stall(cycle);
-                    slice.tick(cycle, dram_cycle, &cfg, &mut dram, &mut txns, &mapper, &mut replies);
-                    let incremental = slice.next_event_incremental(cycle);
+                    slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mapper, &mut replies);
+                    let incremental = slice.next_event_incremental(cycle + 1);
                     slice.cached_next = incremental;
                     let oracle = slice
-                        .next_event_at_with_dram(cycle + 1, &txns, &dram, dram_cycle)
+                        .next_event_at_with_dram(cycle + 1, &txns, &dram, &dram_clock)
                         .unwrap_or(u64::MAX);
                     prop_assert_eq!(
                         incremental, oracle,

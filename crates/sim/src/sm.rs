@@ -109,9 +109,10 @@ pub(crate) struct Sm {
     lsu_stall: Option<u64>,
     /// Version counter for `lsu_stall`, incremented per reply.
     lsu_version: u64,
-    /// Cached earliest core cycle at which [`Sm::tick`] does real work
-    /// (`u64::MAX` = nothing locally schedulable); maintained by
-    /// [`Sm::tick_evented`] and invalidated by replies and TB assignment.
+    /// The exact next core cycle at which [`Sm::tick`] does real work
+    /// (`u64::MAX` = nothing locally schedulable); republished by
+    /// [`Sm::tick_evented`] and lowered by TB assignment and by the
+    /// replies that give the SM something to do (see `crate::wake`).
     cached_next: u64,
     /// First core cycle whose busy-counter update is still deferred.
     acct_from: u64,
@@ -171,7 +172,6 @@ impl Sm {
         // the workload handing the engine fresh input, not tick work.
         let _audit_pause = crate::alloc_audit::pause();
         self.flush_idle(cycle + 1);
-        self.cached_next = 0;
         let wpb = kernel.warps_per_block();
         let slot = self.free_tb_slots.pop().expect("caller checked capacity");
         self.tb_slots[slot as usize] = Some(TbState {
@@ -190,6 +190,7 @@ impl Sm {
             self.ready.insert((age, ws));
             self.resident_warps += 1;
         }
+        self.lower_cached_next(cycle + 1);
     }
 
     /// TBs retired so far (monotone; the scheduler reads the total).
@@ -254,6 +255,15 @@ impl Sm {
         self.cached_next
     }
 
+    /// Out-of-band wake at core cycle `now` (the first cycle not yet
+    /// ticked): lowers the hint to what [`Sm::next_event_at`] says as of
+    /// `now`, so a source that gave the SM nothing to do moves nothing.
+    #[inline]
+    fn lower_cached_next(&mut self, now: u64) {
+        let due = self.next_event_at(now).unwrap_or(u64::MAX);
+        self.cached_next = self.cached_next.min(due);
+    }
+
     /// Whether the LSU head is known to be MSHR-stalled with nothing
     /// having happened that could unblock it.
     #[inline]
@@ -276,12 +286,10 @@ impl Sm {
     }
 
     /// Handles an LLC reply for `txn`: fills the L1 line and wakes every
-    /// merged waiter.
-    pub(crate) fn on_reply(&mut self, txn: u64, txns: &TxnTable, cycle: u64) {
-        // Settle deferred accounting with the pre-reply warp population,
-        // then force a tick this cycle (the reply may wake warps).
+    /// merged waiter, whose transactions end here.
+    pub(crate) fn on_reply(&mut self, txn: u64, txns: &mut TxnTable, cycle: u64) {
+        // Settle deferred accounting with the pre-reply warp population.
         self.flush_idle(cycle);
-        self.cached_next = cycle;
         self.lsu_version += 1;
         let line = txns.get(txn).line;
         self.l1.fill(line);
@@ -289,15 +297,24 @@ impl Sm {
         waiters.clear();
         if self.mshr.complete_into(line, &mut waiters) {
             for &w in &waiters {
-                self.complete_load(w, txns, cycle);
+                self.complete_load(w, txns);
             }
         }
         waiters.clear();
         self.waiter_buf = waiters;
+        // The SM is due this cycle only if a warp can issue (one just
+        // became ready, or already was) or the LSU holds a head, which
+        // the fill un-stalls. A reply that only counts down other waits,
+        // or retires a finished warp, moves nothing.
+        self.lower_cached_next(cycle);
     }
 
-    fn complete_load(&mut self, txn: u64, txns: &TxnTable, _cycle: u64) {
+    /// A load transaction's data arrived (L1 hit latency elapsed, or
+    /// the reply came back): the transaction ends and its warp counts it
+    /// off.
+    fn complete_load(&mut self, txn: u64, txns: &mut TxnTable) {
         let warp_idx = txns.get(txn).warp;
+        txns.release(txn);
         debug_assert_ne!(warp_idx, NO_WARP, "stores never complete loads");
         let Some(warp) = self.warps[warp_idx as usize].as_mut() else {
             return;
@@ -392,7 +409,7 @@ impl Sm {
                 break;
             }
             self.hit_queue.pop_front();
-            self.complete_load(txn, txns, cycle);
+            self.complete_load(txn, txns);
         }
 
         self.lsu_tick(cycle, cfg, mapper, txns, outbound);
@@ -508,16 +525,26 @@ impl Sm {
     }
 
     /// Loose round-robin: the ready warp with the smallest slot index
-    /// strictly greater than the last-issued slot, wrapping around.
+    /// strictly greater than the last-issued slot, wrapping around. One
+    /// pass over the ready set (which is ordered by age, not slot), no
+    /// allocation: this runs per issue slot per SM per cycle.
     fn pick_lrr(&self, already: &[u32]) -> Option<u32> {
         let start = self.last_issued.map_or(0, |w| w + 1);
-        let mut slots: Vec<u32> = self.ready.iter().map(|&(_, w)| w).collect();
-        slots.sort_unstable();
-        slots
-            .iter()
-            .copied()
-            .find(|&w| w >= start && !already.contains(&w))
-            .or_else(|| slots.into_iter().find(|w| !already.contains(w)))
+        let (mut from_start, mut wrapped) = (None::<u32>, None::<u32>);
+        for &(_, w) in self.ready.iter() {
+            if already.contains(&w) {
+                continue;
+            }
+            let best = if w >= start {
+                &mut from_start
+            } else {
+                &mut wrapped
+            };
+            if best.is_none_or(|b| w < b) {
+                *best = Some(w);
+            }
+        }
+        from_start.or(wrapped)
     }
 
     fn issue_one(

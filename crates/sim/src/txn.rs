@@ -1,5 +1,8 @@
-//! The memory-transaction table: one record per coalesced transaction,
-//! addressed by a monotonically-increasing token (its index).
+//! The memory-transaction table: one record per coalesced transaction
+//! in flight, addressed by its slot index. A transaction's slot is
+//! released where the transaction ends and reused by a later one, so the
+//! table is as large as the most transactions ever in flight, not as the
+//! run is long.
 
 use valley_core::PhysAddr;
 
@@ -25,18 +28,28 @@ pub(crate) struct Txn {
     /// row), decoded once at the LLC's DRAM hand-off so back-pressure
     /// retries don't re-decode every cycle.
     pub coords: Option<(u32, u32, u32)>,
+    /// Cleared by [`TxnTable::release`]; debug builds refuse access to a
+    /// released slot.
+    live: bool,
 }
 
-/// Append-only transaction table; ids are indices.
+/// Slot-recycling transaction table; ids are slot indices.
 #[derive(Debug, Default)]
 pub(crate) struct TxnTable {
     txns: Vec<Txn>,
+    /// Released slots, reused last-released-first (deterministic, and
+    /// the warmest memory).
+    free: Vec<u32>,
+    /// Transactions ever allocated.
+    allocated: u64,
 }
 
 impl TxnTable {
     pub(crate) fn new() -> Self {
         TxnTable {
             txns: Vec::with_capacity(1 << 16),
+            free: Vec::with_capacity(1 << 12),
+            allocated: 0,
         }
     }
 
@@ -49,12 +62,8 @@ impl TxnTable {
         mapped: PhysAddr,
         slice: u16,
     ) -> u64 {
-        let id = self.txns.len() as u64;
-        // Arena growth is amortized pool growth, not per-tick work;
-        // declare the reallocation to the allocation audit.
-        let _audit_pause =
-            (self.txns.len() == self.txns.capacity()).then(crate::alloc_audit::pause);
-        self.txns.push(Txn {
+        self.allocated += 1;
+        let txn = Txn {
             sm,
             warp,
             is_store,
@@ -62,23 +71,49 @@ impl TxnTable {
             mapped,
             slice,
             coords: None,
-        });
-        id
+            live: true,
+        };
+        if let Some(slot) = self.free.pop() {
+            self.txns[slot as usize] = txn;
+            return u64::from(slot);
+        }
+        // Arena growth is amortized pool growth, not per-tick work;
+        // declare the reallocation to the allocation audit.
+        let _audit_pause =
+            (self.txns.len() == self.txns.capacity()).then(crate::alloc_audit::pause);
+        self.txns.push(txn);
+        self.txns.len() as u64 - 1
+    }
+
+    /// Ends transaction `id`: nothing holds the token any more, and its
+    /// slot goes to the next [`TxnTable::alloc`].
+    #[inline]
+    pub(crate) fn release(&mut self, id: u64) {
+        let t = &mut self.txns[id as usize];
+        debug_assert!(t.live, "transaction {id} released twice");
+        t.live = false;
+        let _audit_pause =
+            (self.free.len() == self.free.capacity()).then(crate::alloc_audit::pause);
+        self.free.push(id as u32);
     }
 
     #[inline]
     pub(crate) fn get(&self, id: u64) -> &Txn {
-        &self.txns[id as usize]
+        let t = &self.txns[id as usize];
+        debug_assert!(t.live, "transaction {id} read after its release");
+        t
     }
 
     #[inline]
     pub(crate) fn get_mut(&mut self, id: u64) -> &mut Txn {
-        &mut self.txns[id as usize]
+        let t = &mut self.txns[id as usize];
+        debug_assert!(t.live, "transaction {id} written after its release");
+        t
     }
 
-    /// Transactions allocated — the report's transaction count.
+    /// Transactions ever allocated — the report's transaction count.
     pub(crate) fn len(&self) -> u64 {
-        self.txns.len() as u64
+        self.allocated
     }
 }
 
@@ -97,5 +132,30 @@ mod tests {
         assert!(t.get(b).is_store);
         assert_eq!(t.get(b).warp, NO_WARP);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn released_slots_are_reused_and_still_counted() {
+        let mut t = TxnTable::new();
+        let a = t.alloc(0, 0, false, 0x100, PhysAddr::new(0x100), 0);
+        let b = t.alloc(0, 1, false, 0x200, PhysAddr::new(0x200), 0);
+        t.get_mut(a).coords = Some((1, 2, 3));
+        t.release(a);
+        let c = t.alloc(0, 2, false, 0x300, PhysAddr::new(0x300), 0);
+        assert_eq!(c, a, "the freed slot is handed out again");
+        assert_eq!(t.get(c).line, 0x300);
+        assert_eq!(t.get(c).coords, None, "a reused slot starts clean");
+        assert_eq!(t.get(b).line, 0x200);
+        assert_eq!(t.len(), 3, "the count is of allocations, not slots");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read after its release")]
+    fn debug_builds_refuse_a_released_slot() {
+        let mut t = TxnTable::new();
+        let a = t.alloc(0, 0, false, 0x100, PhysAddr::new(0x100), 0);
+        t.release(a);
+        let _ = t.get(a);
     }
 }

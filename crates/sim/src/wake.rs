@@ -1,23 +1,43 @@
-//! Wake gates: how the evented drive loop decides when a population of
-//! units (SMs, LLC slices) can next do real work.
+//! Wake-up discipline of the evented drive loop: when is a unit next
+//! ticked, and who says so.
 //!
-//! A *wake gate* is a never-late lower bound: a gate over a unit
-//! population is a cycle at or before the earliest cycle at which
-//! ticking any of those units does real work. Two operations maintain
-//! it exactly:
+//! **The rule: a hint is the exact cycle of the unit's next state
+//! change.** Not a lower bound that is merely never late — a unit woken
+//! before its state can change burns a tick that does nothing, and in
+//! the regime the paper is about (a few saturated channels backing up
+//! into the LLC and the NoC) those futile ticks were most of the loop.
+//! Every unit publishes `cached_next_event()`; ticking it below that
+//! cycle is a no-op by construction, and ticking it *at* that cycle
+//! changes something.
 //!
-//! * **walk rebuild** — a component walk that just ticked its units
-//!   recomputes the gate as the minimum of their (exact) per-unit
-//!   next-event caches;
-//! * **out-of-band clamp** — an event produced outside the walk (a NoC
-//!   delivery, a DRAM fill, a TB assignment) lowers the gate to the
-//!   event's own cycle, never raising it.
+//! # Wake sources and their horizons
 //!
-//! [`WakeGate`] packages that discipline; the loop keeps one gate per
-//! population. Per-unit questions are answered on demand from component
-//! state rather than mirrored into an index: the slices' DRAM
-//! back-pressure `retry_gate` reads
-//! [`DramSystem::channel_next_event`] for the one channel blocking it.
+//! | unit | woken by | horizon |
+//! |------|----------|---------|
+//! | [`DramChannel`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the readiness-heap top) and the next retirement |
+//! | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
+//! | [`Crossbar`] | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
+//! | LLC slice | its own tick | next cycle while the input head can be looked up; else the front of the hit pipeline and the DRAM-retry head's gate |
+//! | | a refused DRAM enqueue | the *retry gate*: the core cycle in which the blocking channel's next dequeue is ticked ([`DomainClock::core_cycles_until`]); a blocked head is not re-attempted before it, whatever else wakes the slice |
+//! | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
+//! | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head or queues a writeback at the head of the retry queue; else nothing (the replies leave directly) |
+//! | SM | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
+//! | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
+//! | | a TB assignment | the cycle after the assignment |
+//! | TB scheduler | SM activity (a tick or a reply) | runs in that iteration; otherwise provably a no-op |
+//!
+//! A [`WakeGate`] folds one population's hints into a scalar so the
+//! loop skips the whole walk — and `fast_forward` reads the core-domain
+//! horizon in O(1) — while nothing in it is due. It is rebuilt exactly
+//! by the walk that ticked the units and *lowered* to a unit's own
+//! fresh hint by every out-of-band source above; a source that leaves
+//! the unit's hint alone leaves the gate alone.
+//!
+//! Horizons cross clock domains through [`DomainClock`], which owns the
+//! accumulator arithmetic the dense loop performs: the run loop's
+//! per-cycle advance, `fast_forward`'s skip and the retry gate's
+//! DRAM-to-core translation all replay the same float operations, so
+//! they cannot drift apart (and `run() == run_dense()` stays exact).
 //!
 //! # Why gates are scalars
 //!
@@ -30,12 +50,14 @@
 //! dominated the drive loop — and nothing ever read an individual
 //! mirrored gate, only the minima the walks already compute.
 //!
-//! [`DramSystem::channel_next_event`]: valley_dram::DramSystem::channel_next_event
+//! [`DramChannel`]: valley_dram::DramChannel
+//! [`Crossbar`]: valley_noc::Crossbar
 
-/// A never-late wake gate over a population of units (see the module
-/// docs for the maintenance discipline). Starts at cycle 0: every unit
-/// must be offered its first tick, matching the initial state of the
-/// units' own next-event caches.
+use std::ops::Range;
+
+/// The wake gate over a population of units (see the module docs).
+/// Starts at cycle 0: every unit must be offered its first tick,
+/// matching the initial state of the units' own next-event caches.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WakeGate(u64);
 
@@ -44,19 +66,19 @@ impl WakeGate {
         WakeGate(0)
     }
 
-    /// The gate: no unit in the population does real work before this
+    /// The gate: no unit in the population changes state before this
     /// cycle.
     #[inline]
     pub(crate) fn get(self) -> u64 {
         self.0
     }
 
-    /// Out-of-band clamp to "now or ever": deliveries, fills and
-    /// assignments all force a tick on their own cycle, and the walk
-    /// gate compares with `>=`.
+    /// Out-of-band wake: a unit's hint may have moved to `at` (pass the
+    /// unit's own `cached_next_event()`); the gate follows it down and
+    /// is never raised.
     #[inline]
-    pub(crate) fn wake_now(&mut self) {
-        self.0 = 0;
+    pub(crate) fn lower(&mut self, at: u64) {
+        self.0 = self.0.min(at);
     }
 
     /// Walk rebuild: the walk that just ticked every due unit publishes
@@ -64,6 +86,120 @@ impl WakeGate {
     #[inline]
     pub(crate) fn rebuild(&mut self, min: u64) {
         self.0 = min;
+    }
+}
+
+/// A slower clock domain (NoC, DRAM) counted in core cycles: the
+/// fractional accumulator, the next domain cycle to tick and the clock
+/// ratio. One core cycle adds the ratio and ticks the domain once per
+/// whole unit accumulated — by repeated subtraction of 1.0, *not*
+/// `fract`/`floor`, whose float rounding differs — exactly as the dense
+/// loop always has.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DomainClock {
+    acc: f64,
+    cycle: u64,
+    per_core: f64,
+}
+
+impl DomainClock {
+    /// A clock at domain cycle 0 that runs `per_core` domain cycles per
+    /// core cycle.
+    pub(crate) fn new(per_core: f64) -> Self {
+        DomainClock {
+            acc: 0.0,
+            cycle: 0,
+            per_core,
+        }
+    }
+
+    /// The next domain cycle to tick.
+    #[inline]
+    pub(crate) fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// One core cycle elapses: returns the domain cycles to tick in it
+    /// (usually none or one), leaving [`DomainClock::cycle`] past them.
+    #[inline]
+    pub(crate) fn advance(&mut self) -> Range<u64> {
+        let start = self.cycle;
+        self.acc += self.per_core;
+        while self.acc >= 1.0 {
+            self.acc -= 1.0;
+            self.cycle += 1;
+        }
+        start..self.cycle
+    }
+
+    /// How many core cycles from now `domain_cycle` is ticked: 1 if the
+    /// next [`DomainClock::advance`] covers it, and so on — found by
+    /// replaying `advance` on a copy, the only translation whose float
+    /// rounding agrees with the loop's. `u64::MAX` for a domain cycle
+    /// that never comes (`u64::MAX`, an empty unit's hint).
+    pub(crate) fn core_cycles_until(&self, domain_cycle: u64) -> u64 {
+        if domain_cycle == u64::MAX {
+            return u64::MAX;
+        }
+        let mut probe = *self;
+        let mut n = 0;
+        while probe.cycle <= domain_cycle {
+            probe.advance();
+            n += 1;
+        }
+        n
+    }
+}
+
+/// Wake-efficiency counters for `tests/wake_efficiency.rs` (feature
+/// `wake-audit`, test builds only — never part of a [`SimReport`]).
+/// Per thread: a simulation runs on the thread that called it, so
+/// concurrent tests do not see each other. Without the feature
+/// [`count`](audit::count) is an empty inline body.
+///
+/// [`SimReport`]: crate::SimReport
+pub mod audit {
+    /// What the loop and the LLC slices count.
+    #[derive(Clone, Copy, Debug)]
+    pub enum Counter {
+        /// Iterations of the evented drive loop.
+        Iterations,
+        /// Iterations in which no unit was due: no NoC or DRAM event, no
+        /// slice or SM walk, no TB-scheduler pass.
+        IdleIterations,
+        /// Slice walks / SM walks the gates let through.
+        SliceWalks,
+        /// See [`Counter::SliceWalks`].
+        SmWalks,
+        /// Slice ticks that passed the slice's own gate.
+        SliceTicks,
+        /// LLC tag lookups (stall replays are not lookups).
+        TagAccesses,
+        /// DRAM enqueue attempts refused by a full channel queue.
+        RefusedEnqueues,
+    }
+
+    #[cfg(feature = "wake-audit")]
+    thread_local! {
+        static COUNTS: [std::cell::Cell<u64>; 7] = Default::default();
+    }
+
+    /// Adds one to `counter` on this thread.
+    #[inline]
+    pub(crate) fn count(counter: Counter) {
+        #[cfg(feature = "wake-audit")]
+        COUNTS.with(|c| {
+            let cell = &c[counter as usize];
+            cell.set(cell.get() + 1);
+        });
+        #[cfg(not(feature = "wake-audit"))]
+        let _ = counter;
+    }
+
+    /// Reads and zeroes this thread's `counter`.
+    #[cfg(feature = "wake-audit")]
+    pub fn take(counter: Counter) -> u64 {
+        COUNTS.with(|c| c[counter as usize].replace(0))
     }
 }
 
@@ -79,12 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_publishes_and_wake_now_clamps() {
+    fn rebuild_publishes_and_lower_only_lowers() {
         let mut g = WakeGate::new();
         g.rebuild(50);
         assert_eq!(g.get(), 50);
-        g.wake_now();
-        assert_eq!(g.get(), 0);
+        g.lower(70);
+        assert_eq!(g.get(), 50, "a later hint never raises the gate");
+        g.lower(12);
+        assert_eq!(g.get(), 12);
         g.rebuild(u64::MAX);
         assert_eq!(g.get(), u64::MAX, "an event-free population parks");
     }
@@ -124,10 +262,14 @@ mod tests {
                     }
                     cycle += 1;
                 } else {
-                    // Out-of-band event: some unit becomes actionable at
-                    // the current cycle.
-                    units[u % n].next = cycle;
-                    gate.wake_now();
+                    // Out-of-band event: some unit's hint moves (down to
+                    // the current cycle, or — a source that changes
+                    // nothing — not at all); the gate is lowered to it.
+                    let unit = &mut units[u % n];
+                    if v % 3 != 0 {
+                        unit.next = unit.next.min(cycle);
+                    }
+                    gate.lower(unit.next);
                 }
                 let true_min = units.iter().map(|x| x.next).min().unwrap();
                 prop_assert!(
@@ -138,5 +280,33 @@ mod tests {
                 );
             }
         }
+
+        /// `core_cycles_until` names the core cycle whose `advance`
+        /// ticks the asked-for domain cycle — from any starting phase,
+        /// for clocks slower and faster than the core's.
+        #[test]
+        fn core_cycles_until_matches_the_advancing_clock(
+            ratio in 0usize..5,
+            warmup in 0usize..50,
+            ahead in 0u64..80,
+        ) {
+            let ratio = [0.5, 0.66, 924.0 / 1400.0, 1.0, 1.7][ratio];
+            let mut clock = DomainClock::new(ratio);
+            for _ in 0..warmup {
+                clock.advance();
+            }
+            let target = clock.cycle() + ahead;
+            let n = clock.core_cycles_until(target);
+            prop_assert!(n >= 1);
+            for step in 1..=n {
+                let ticked = clock.advance();
+                prop_assert_eq!(ticked.contains(&target), step == n, "step {} of {}", step, n);
+            }
+        }
+    }
+
+    #[test]
+    fn a_domain_cycle_that_never_comes_is_never_reached() {
+        assert_eq!(DomainClock::new(0.66).core_cycles_until(u64::MAX), u64::MAX);
     }
 }
