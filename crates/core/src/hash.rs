@@ -24,6 +24,18 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 /// A `HashSet` with the deterministic [`FastHasher`]; see [`FastMap`].
 pub type FastSet<T> = std::collections::HashSet<T, FastBuildHasher>;
 
+/// 64-bit FNV-1a over a byte string: the content hash behind job keys
+/// and schema fingerprints, where the value itself is stored or pinned
+/// and so must never change.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 impl Hasher for FastHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {

@@ -63,6 +63,13 @@ impl SchemeKind {
         }
     }
 
+    /// Parses a [`SchemeKind::label`] (case-insensitive).
+    pub fn parse(s: &str) -> Option<SchemeKind> {
+        SchemeKind::ALL_SCHEMES
+            .into_iter()
+            .find(|k| k.label().eq_ignore_ascii_case(s))
+    }
+
     /// Whether the scheme's BIM is drawn at random (PAE/FAE/ALL) rather
     /// than fixed by construction (BASE/PM/RMP).
     pub fn is_randomized(self) -> bool {
@@ -594,6 +601,15 @@ mod tests {
         // At least some row/column output bits are non-identity.
         let non_identity = (6..30u8).filter(|&b| m.bim().row(b) != 1u64 << b).count();
         assert!(non_identity > 12, "ALL should rewrite most non-block bits");
+    }
+
+    #[test]
+    fn scheme_labels_parse() {
+        for k in SchemeKind::ALL_SCHEMES {
+            assert_eq!(SchemeKind::parse(k.label()), Some(k));
+            assert_eq!(SchemeKind::parse(&k.label().to_lowercase()), Some(k));
+        }
+        assert_eq!(SchemeKind::parse("XYZ"), None);
     }
 
     #[test]

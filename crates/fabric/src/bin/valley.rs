@@ -1,42 +1,16 @@
 //! The `valley` CLI: drive the sweep engine, its content-addressed
 //! result store, and the distributed sweep fabric from the command line.
 //!
-//! ```text
-//! valley sweep   [--scale S] [--benches B] [--schemes C] [--seeds N,..]
-//!                [--configs K,..] [--workers N] [--batch N] [--results DIR]
-//!                [--force] [--quiet] [--expect-cached PCT]
-//! valley status  [--results DIR] [--fabric HOST:PORT] [--lint]
-//! valley query   [--bench B] [--scheme C] [--scale S] [--seed N]
-//!                [--config K] [--results DIR]
-//! valley figures [--scale S] [--seed N] [--set valley|nonvalley|all]
-//!                [--results DIR]
-//! valley gc      [--results DIR] [--expect-clean]
-//! valley serve   --addr HOST:PORT [grid flags] [--results DIR]
-//!                [--lease-ms N] [--max-attempts N] [--linger] [--quiet]
-//! valley work    --addr HOST:PORT [--name W] [--batch N] [--quiet]
-//! valley fetch   --addr HOST:PORT [grid flags] [--figures]
-//!                [--expect-cached PCT] [--shutdown]
-//! ```
-//!
-//! `sweep` runs the grid (resuming from the store), `status` summarizes
-//! the store (including `--force` duplicates and orphaned-schema records
-//! awaiting `gc`) or, with `--fabric`, a live coordinator's telemetry,
-//! `query` prints matching stored results, `figures` renders the
-//! headline tables — speedup, row-buffer hit rate, channel parallelism,
-//! and the Figure 11/16 DRAM power tables (the power model is a pure
-//! function of the stored report) — *exclusively* from stored results;
-//! it never simulates. `gc` compacts the shards, dropping superseded
-//! duplicates and schema orphans.
-//!
-//! The fabric trio: `serve` leases a sweep's uncached jobs to remote
-//! workers with crash-tolerant deadlines and merges results into the
-//! store in grid order; `work` executes leases via the unchanged local
-//! engine; `fetch` is the read-side network endpoint — query and
-//! figure tables straight from the coordinator's store, never
-//! simulating.
+//! Every subcommand is one row of [`COMMANDS`]: its name, what it does,
+//! its handler and the flags it takes. The allow-list, which flags are
+//! switches and the text of `valley help` are all derived from that
+//! table, so this comment does not repeat it — run `valley help`.
+//! Nothing but `sweep` and `work` ever simulates: `status`, `query`,
+//! `figures` and `fetch` read stored results only.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use valley_core::hash::FastMap;
 use valley_core::SchemeKind;
 use valley_fabric::{
@@ -45,88 +19,249 @@ use valley_fabric::{
 };
 use valley_harness::util::{amean, hmean, row, scheme_header};
 use valley_harness::{
-    default_results_dir, parse_scheme, run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions,
-    StoredResult, SweepOptions, SweepSpec, WallKind, DEFAULT_SEED,
+    default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions, StoredResult,
+    SweepOptions, SweepSpec, WallKind, DEFAULT_SEED,
 };
 use valley_power::DramPowerModel;
 use valley_sim::Batching;
 use valley_workloads::{Benchmark, Scale};
 
-const USAGE: &str = "\
-valley — sharded, resumable sweep engine for the Valley reproduction
+/// One flag: its name without the dashes, the placeholder of the value
+/// it takes (empty for a switch) and one line of help.
+type Flag = (&'static str, &'static str, &'static str);
 
-USAGE:
-  valley sweep   [--scale test|small|ref] [--benches all|valley|nonvalley|MT,LU,..]
-                 [--schemes all|BASE,PAE,..] [--seeds 1,2,3] [--configs table1,stacked,sms24]
-                 [--workers N] [--batch N] [--results DIR]
-                 [--force] [--quiet] [--expect-cached PCT] [--max-shard-bytes N]
-  valley status  [--results DIR] [--fabric HOST:PORT] [--lint]
-  valley query   [--bench MT] [--scheme PAE] [--scale ref] [--seed 1] [--config table1]
-                 [--results DIR]
-  valley figures [--scale test|small|ref] [--seed N] [--set valley|nonvalley|all]
-                 [--results DIR]
-  valley gc      [--results DIR] [--expect-clean]
-  valley serve   --addr HOST:PORT [--scale S] [--benches B] [--schemes C]
-                 [--seeds N,..] [--configs K,..] [--results DIR] [--lease-ms N]
-                 [--retry-ms N] [--max-attempts N] [--linger] [--quiet]
-                 [--max-shard-bytes N]
-  valley work    --addr HOST:PORT [--name W] [--batch N]
-                 [--connect-attempts N] [--backoff-ms N] [--quiet]
-  valley fetch   --addr HOST:PORT [--scale S] [--benches B] [--schemes C]
-                 [--seeds N,..] [--configs K,..] [--figures]
-                 [--expect-cached PCT] [--shutdown] [--quiet]
+const ADDR: Flag = ("addr", "HOST:PORT", "the coordinator (`serve` binds it)");
+const SCALE: Flag = ("scale", "test|small|ref", "workload scale (default ref)");
+const BENCHES: Flag = (
+    "benches",
+    "all|valley|nonvalley|MT,LU,..",
+    "grid benchmarks (default all)",
+);
+const SCHEMES: Flag = ("schemes", "all|BASE,PAE,..", "grid schemes (default all)");
+const SEEDS: Flag = ("seeds", "1,2,3", "grid BIM seeds (default 1)");
+const CONFIGS: Flag = (
+    "configs",
+    "table1,stacked,sms24",
+    "grid configurations (default table1)",
+);
+const RESULTS: Flag = (
+    "results",
+    "DIR",
+    "store (default $VALLEY_RESULTS_DIR, else ./results)",
+);
+const MAX_SHARD_BYTES: Flag = (
+    "max-shard-bytes",
+    "N",
+    "compact at open if a shard file is larger",
+);
+const BATCH: Flag = (
+    "batch",
+    "N",
+    "up to N same-machine jobs per unit, identical lanes run once",
+);
+const QUIET: Flag = ("quiet", "", "print the summary lines only");
+const EXPECT_CACHED: Flag = (
+    "expect-cached",
+    "PCT",
+    "fail unless PCT% came from the store",
+);
+const SEED: Flag = ("seed", "N", "one BIM seed (`figures`: default 1)");
 
-The store defaults to $VALLEY_RESULTS_DIR, else ./results. A sweep skips
-every job already in the store; `--expect-cached 95` additionally fails
-the invocation if fewer than 95% of the jobs were cache hits (CI uses
-this to prove the resume path works). Each simulation runs on one
-thread; `--workers N` is the way to use more cores.
-`--batch N` groups pending jobs that share a machine configuration, up
-to N per group, and runs lanes that are the same simulation (a
-deterministic scheme swept over seeds) once (identical per lane for
-every N — also settable via $VALLEY_SIM_BATCH; batch width is never part
-of a job key). `--max-shard-bytes N` auto-compacts the store at open
-when any shard file exceeds N bytes. `figures` reads the store only —
-run the matching sweep first. `gc` compacts the shards: duplicate keys
-left behind by `sweep --force` (only the newest survives a load anyway)
-and records orphaned by a schema change are dropped; `--expect-clean`
-fails if anything had to be removed (CI runs it after the double sweep
-to prove a clean store stays clean).
+/// One subcommand: its name, summary and handler, the flags it fails
+/// without and the flags it accepts. The allow-list, which flags are
+/// switches and `valley help` all come from this table.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+    required: &'static [Flag],
+    flags: &'static [Flag],
+}
 
-Fabric: `serve` expands the grid, skips stored keys, and leases the rest
-to connecting workers over std-TCP with `--lease-ms` deadlines — a
-worker that panics, stalls, or disconnects mid-job loses nothing (the
-job is re-leased; duplicate completions are dropped idempotently), and
-results are committed to the store in grid order, so the distributed
-store matches a local sequential sweep. `--linger` keeps the read side
-up after the grid completes, until `fetch --shutdown`. `work` executes
-leases with the unchanged local engine (`--batch`/$VALLEY_SIM_BATCH
-asks for same-machine batch leases). `fetch` is the read-side endpoint: it
-prints the grid's stored results (or `--figures` tables) fetched from
-the coordinator — never simulating — and `--expect-cached PCT` fails
-unless at least PCT% of the requested grid was already served from the
-store (CI uses it to prove the read path is a pure cache read).";
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "sweep",
+        about: "run the grid, skipping every job already in the store",
+        run: cmd_sweep,
+        required: &[],
+        flags: &[
+            SCALE,
+            BENCHES,
+            SCHEMES,
+            SEEDS,
+            CONFIGS,
+            ("workers", "N", "threads (default one per core)"),
+            BATCH,
+            RESULTS,
+            ("force", "", "re-run stored jobs too"),
+            QUIET,
+            EXPECT_CACHED,
+            MAX_SHARD_BYTES,
+        ],
+    },
+    Command {
+        name: "status",
+        about: "summarize the store, a live coordinator, or this build's invariants",
+        run: cmd_status,
+        required: &[],
+        flags: &[
+            RESULTS,
+            (
+                "fabric",
+                "HOST:PORT",
+                "that coordinator's telemetry instead",
+            ),
+            ("lint", "", "the lint version and schema identity instead"),
+        ],
+    },
+    Command {
+        name: "query",
+        about: "print the stored results that match every given filter",
+        run: cmd_query,
+        required: &[],
+        flags: &[
+            ("bench", "MT", "benchmark filter"),
+            ("scheme", "PAE", "scheme filter"),
+            ("scale", "ref", "scale filter"),
+            SEED,
+            ("config", "table1", "configuration filter"),
+            RESULTS,
+        ],
+    },
+    Command {
+        name: "figures",
+        about: "render the headline tables from stored results only (sweep first)",
+        run: cmd_figures,
+        required: &[],
+        flags: &[
+            SCALE,
+            SEED,
+            ("set", "valley|nonvalley|all", "benchmarks (default valley)"),
+            RESULTS,
+        ],
+    },
+    Command {
+        name: "gc",
+        about: "compact the shards: drop duplicates, schema orphans and truncated tails",
+        run: cmd_gc,
+        required: &[],
+        flags: &[
+            RESULTS,
+            ("expect-clean", "", "fail if anything was removed"),
+        ],
+    },
+    Command {
+        name: "serve",
+        about: "lease the grid's uncached jobs to workers; commit results in grid order",
+        run: cmd_serve,
+        required: &[ADDR],
+        flags: &[
+            SCALE,
+            BENCHES,
+            SCHEMES,
+            SEEDS,
+            CONFIGS,
+            RESULTS,
+            ("lease-ms", "N", "lease deadline (default 60000)"),
+            ("retry-ms", "N", "backoff told to a worker that must wait"),
+            (
+                "max-attempts",
+                "N",
+                "failures before a job is dead (default 3)",
+            ),
+            ("linger", "", "answer reads until `fetch --shutdown`"),
+            QUIET,
+            MAX_SHARD_BYTES,
+        ],
+    },
+    Command {
+        name: "work",
+        about: "execute leases from a coordinator with the local engine",
+        run: cmd_work,
+        required: &[ADDR],
+        flags: &[
+            ("name", "W", "telemetry name, stable across reconnects"),
+            BATCH,
+            (
+                "connect-attempts",
+                "N",
+                "connection attempts before giving up",
+            ),
+            ("backoff-ms", "N", "first reconnect backoff, doubling"),
+            QUIET,
+        ],
+    },
+    Command {
+        name: "fetch",
+        about: "print the grid's stored results as fetched from a coordinator",
+        run: cmd_fetch,
+        required: &[ADDR],
+        flags: &[
+            SCALE,
+            BENCHES,
+            SCHEMES,
+            SEEDS,
+            CONFIGS,
+            ("figures", "", "render the figure tables too"),
+            EXPECT_CACHED,
+            ("shutdown", "", "then ask the coordinator to exit"),
+            QUIET,
+        ],
+    },
+];
+
+/// `valley help`: one synopsis per [`COMMANDS`] row, then every flag
+/// once with its help.
+fn usage() -> String {
+    let mut text =
+        String::from("valley — sharded, resumable sweep engine for the Valley reproduction\n");
+    let mut glossary: Vec<Flag> = Vec::new();
+    for cmd in COMMANDS {
+        let mut line = format!("\n  valley {:<7}", cmd.name);
+        for (n, flag) in cmd.required.iter().chain(cmd.flags).enumerate() {
+            let item = match (n < cmd.required.len(), flag.1) {
+                (true, value) => format!(" --{} {value}", flag.0),
+                (false, "") => format!(" [--{}]", flag.0),
+                (false, value) => format!(" [--{} {value}]", flag.0),
+            };
+            if line.len() + item.len() > 88 {
+                text.push_str(&line);
+                line = format!("\n{:16}", "");
+            }
+            line.push_str(&item);
+            if !glossary.iter().any(|seen| seen.0 == flag.0) {
+                glossary.push(*flag);
+            }
+        }
+        text.push_str(&format!("{line}\n{:17}{}", "", cmd.about));
+    }
+    text.push_str("\n\nFLAGS:\n");
+    for (name, _, help) in glossary {
+        text.push_str(&format!("  --{name:<17} {help}\n"));
+    }
+    text.push_str(
+        "\nBatch width ($VALLEY_SIM_BATCH when --batch is not given) is never part of a job \
+         key; seeds\nare, even for the schemes that never read them (BASE, PM, RMP) — a batch \
+         runs such lanes\nonce. `serve` re-leases the jobs of a worker that panics, stalls past \
+         its deadline or\ndisconnects, and drops duplicate completions, so the distributed \
+         store matches a local\nsequential sweep.",
+    );
+    text
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+    let Some((name, rest)) = args.split_first() else {
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "sweep" => cmd_sweep(rest),
-        "status" => cmd_status(rest),
-        "query" => cmd_query(rest),
-        "figures" => cmd_figures(rest),
-        "gc" => cmd_gc(rest),
-        "serve" => cmd_serve(rest),
-        "work" => cmd_work(rest),
-        "fetch" => cmd_fetch(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+    let result = match COMMANDS.iter().find(|cmd| cmd.name == name) {
+        Some(cmd) => Flags::parse(cmd, rest).and_then(|flags| (cmd.run)(&flags)),
+        None if matches!(name.as_str(), "help" | "--help" | "-h") => {
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
+        None => Err(format!("unknown subcommand '{name}'\n\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -137,158 +272,128 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal `--flag value` parser: returns the map and rejects unknown
-/// or valueless flags.
-fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, String> {
-    let mut flags = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected argument '{arg}'"));
-        };
-        if !allowed.contains(&name) {
-            return Err(format!("unknown flag '--{name}'"));
+/// The flags given to one subcommand, checked against its table row.
+struct Flags(BTreeMap<&'static str, String>);
+
+impl Flags {
+    /// Rejects a flag the row does not list, a value flag without its
+    /// value, and a missing required flag.
+    fn parse(cmd: &Command, args: &[String]) -> Result<Flags, String> {
+        let mut given = BTreeMap::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{arg}'"));
+            };
+            let &(flag, value, _) = cmd
+                .required
+                .iter()
+                .chain(cmd.flags)
+                .find(|flag| flag.0 == name)
+                .ok_or_else(|| format!("unknown flag '--{name}'"))?;
+            let value = match value {
+                "" => String::new(),
+                _ => it
+                    .next()
+                    .ok_or_else(|| format!("flag '--{name}' needs a value"))?
+                    .clone(),
+            };
+            given.insert(flag, value);
         }
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "force" | "quiet" | "expect-clean" | "linger" | "figures" | "shutdown" | "lint"
-        ) {
-            flags.insert(name.to_string(), String::new());
-            continue;
+        match cmd.required.iter().find(|flag| !given.contains_key(flag.0)) {
+            Some((flag, value, _)) => Err(format!("{} needs --{flag} {value}", cmd.name)),
+            None => Ok(Flags(given)),
         }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("flag '--{name}' needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
     }
-    Ok(flags)
-}
 
-fn parse_scale(flags: &BTreeMap<String, String>) -> Result<Scale, String> {
-    match flags.get("scale") {
-        None => Ok(Scale::Ref),
-        Some(s) => Scale::parse(s).ok_or_else(|| format!("unknown scale '{s}' (test|small|ref)")),
+    fn get(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
     }
-}
 
-fn parse_benches(flags: &BTreeMap<String, String>) -> Result<Vec<Benchmark>, String> {
-    match flags.get("benches").map(String::as_str) {
-        None | Some("all") => Ok(Benchmark::ALL.to_vec()),
-        Some("valley") => Ok(Benchmark::VALLEY.to_vec()),
-        Some("nonvalley") => Ok(Benchmark::NON_VALLEY.to_vec()),
-        Some(csv) => csv
-            .split(',')
-            .map(|s| Benchmark::parse(s).ok_or_else(|| format!("unknown benchmark '{s}'")))
-            .collect(),
+    fn has(&self, name: &str) -> bool {
+        self.0.contains_key(name)
     }
-}
 
-fn parse_schemes(flags: &BTreeMap<String, String>) -> Result<Vec<SchemeKind>, String> {
-    match flags.get("schemes").map(String::as_str) {
-        None | Some("all") => Ok(SchemeKind::ALL_SCHEMES.to_vec()),
-        Some(csv) => csv
-            .split(',')
-            .map(|s| parse_scheme(s).ok_or_else(|| format!("unknown scheme '{s}'")))
-            .collect(),
+    /// The flag's value as a `T`, or an error naming the flag.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.parsed_with(name, |v| v.parse().ok())
     }
-}
 
-fn parse_seeds(flags: &BTreeMap<String, String>) -> Result<Vec<u64>, String> {
-    match flags.get("seeds") {
-        None => Ok(vec![DEFAULT_SEED]),
-        Some(csv) => csv
-            .split(',')
-            .map(|s| s.parse().map_err(|_| format!("bad seed '{s}'")))
-            .collect(),
+    /// [`parsed`](Self::parsed) with the type's own name parser.
+    fn parsed_with<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| parse(v).ok_or_else(|| format!("bad value '{v}' for --{name}")))
+            .transpose()
     }
-}
 
-fn parse_configs(flags: &BTreeMap<String, String>) -> Result<Vec<ConfigId>, String> {
-    match flags.get("configs") {
-        None => Ok(vec![ConfigId::Table1]),
-        Some(csv) => csv
-            .split(',')
-            .map(|s| ConfigId::parse(s).ok_or_else(|| format!("unknown config '{s}'")))
-            .collect(),
+    /// A comma-separated list flag, each item through `parse`, or
+    /// `default` when the flag was not given.
+    fn list<T: Clone>(
+        &self,
+        name: &str,
+        default: &[T],
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        let item = |v| parse(v).ok_or_else(|| format!("bad value '{v}' for --{name}"));
+        match self.get(name) {
+            None => Ok(default.to_vec()),
+            Some(csv) => csv.split(',').map(item).collect(),
+        }
     }
 }
 
 /// Expands the sweep-shaped grid flags shared by `sweep`, `serve` and
 /// `fetch`.
-fn parse_grid(flags: &BTreeMap<String, String>) -> Result<SweepSpec, String> {
+fn parse_grid(flags: &Flags) -> Result<SweepSpec, String> {
+    let scale = flags.parsed_with("scale", Scale::parse)?;
     Ok(SweepSpec {
-        benches: parse_benches(flags)?,
-        schemes: parse_schemes(flags)?,
-        seeds: parse_seeds(flags)?,
-        scale: parse_scale(flags)?,
-        configs: parse_configs(flags)?,
+        benches: match flags.get("benches") {
+            Some("all") => Benchmark::ALL.to_vec(),
+            Some("valley") => Benchmark::VALLEY.to_vec(),
+            Some("nonvalley") => Benchmark::NON_VALLEY.to_vec(),
+            _ => flags.list("benches", &Benchmark::ALL, Benchmark::parse)?,
+        },
+        schemes: match flags.get("schemes") {
+            Some("all") => SchemeKind::ALL_SCHEMES.to_vec(),
+            _ => flags.list("schemes", &SchemeKind::ALL_SCHEMES, SchemeKind::parse)?,
+        },
+        seeds: flags.list("seeds", &[DEFAULT_SEED], |s| s.parse().ok())?,
+        scale: scale.unwrap_or(Scale::Ref),
+        configs: flags.list("configs", &[ConfigId::Table1], ConfigId::parse)?,
     })
 }
 
-fn open_store(flags: &BTreeMap<String, String>) -> Result<ResultStore, String> {
-    let dir = flags
+fn results_dir(flags: &Flags) -> std::path::PathBuf {
+    flags
         .get("results")
         .map(Into::into)
-        .unwrap_or_else(default_results_dir);
-    let max_shard_bytes = flags
-        .get("max-shard-bytes")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("bad byte count '{v}' for --max-shard-bytes"))
-        })
-        .transpose()?;
-    ResultStore::open_with_options(dir, StoreOptions { max_shard_bytes }).map_err(|e| e.to_string())
+        .unwrap_or_else(default_results_dir)
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "scale",
-            "benches",
-            "schemes",
-            "seeds",
-            "configs",
-            "workers",
-            "batch",
-            "results",
-            "force",
-            "quiet",
-            "expect-cached",
-            "max-shard-bytes",
-        ],
-    )?;
-    let spec = parse_grid(&flags)?;
+fn open_store(flags: &Flags) -> Result<ResultStore, String> {
+    let max_shard_bytes = flags.parsed("max-shard-bytes")?;
+    ResultStore::open_with_options(results_dir(flags), StoreOptions { max_shard_bytes })
+        .map_err(|e| e.to_string())
+}
+
+fn cmd_sweep(flags: &Flags) -> Result<(), String> {
+    let spec = parse_grid(flags)?;
     let scale = spec.scale;
-    let workers = flags
-        .get("workers")
-        .map(|w| {
-            w.parse::<usize>()
-                .map_err(|_| format!("bad worker count '{w}'"))
-        })
-        .transpose()?;
+    let workers = flags.parsed("workers")?;
     // 0 defers to $VALLEY_SIM_BATCH inside run_sweep: the flag, when
     // given, wins over the environment.
-    let batch = flags
-        .get("batch")
-        .map(|n| {
-            n.parse::<usize>()
-                .map_err(|_| format!("bad batch width '{n}' for --batch"))
-                .map(|n| n.max(1))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let expect_cached: Option<f64> = flags
-        .get("expect-cached")
-        .map(|p| p.parse().map_err(|_| format!("bad percentage '{p}'")))
-        .transpose()?;
+    let batch = flags.parsed("batch")?.map_or(0, |n: usize| n.max(1));
+    let expect_cached: Option<f64> = flags.parsed("expect-cached")?;
 
-    let store = open_store(&flags)?;
+    let store = open_store(flags)?;
     let opts = SweepOptions {
         workers,
-        verbose: !flags.contains_key("quiet"),
-        force: flags.contains_key("force"),
+        verbose: !flags.has("quiet"),
+        force: flags.has("force"),
         batch,
     };
     let outcome = run_sweep(&spec, &store, &opts).map_err(|e| e.to_string())?;
@@ -330,23 +435,16 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn results_dir(flags: &BTreeMap<String, String>) -> std::path::PathBuf {
-    flags
-        .get("results")
-        .map(Into::into)
-        .unwrap_or_else(default_results_dir)
-}
-
-fn cmd_status(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["results", "fabric", "lint"])?;
-    if flags.contains_key("lint") {
+fn cmd_status(flags: &Flags) -> Result<(), String> {
+    if flags.has("lint") {
         // The invariant set this build enforces: lint tool version plus
-        // the fingerprint of the pinned schema manifest. Two deployments
-        // printing the same line run under the same schema contract.
+        // the identity of every declared wire/store shape and its
+        // version. Two deployments printing the same line run under the
+        // same schema contract.
         println!(
-            "lint: valley-lint {} schema-manifest {:016x}",
+            "lint: valley-lint {} schema {:016x}",
             valley_lint::LINT_VERSION,
-            valley_lint::manifest_hash()
+            valley_fabric::schema::identity()
         );
         return Ok(());
     }
@@ -358,7 +456,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     // would slot in behind the same trait and report here).
     let be = valley_compute::backend();
     println!("compute: {} (tile width {})", be.name(), be.tile_width());
-    let dir = results_dir(&flags);
+    let dir = results_dir(flags);
     // A lenient scan instead of a strict open: a store full of schema
     // orphans should *report* its state (and point at `gc`), not error.
     let scan = valley_harness::scan(&dir).map_err(|e| e.to_string())?;
@@ -426,9 +524,8 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gc(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["results", "expect-clean"])?;
-    let dir = results_dir(&flags);
+fn cmd_gc(flags: &Flags) -> Result<(), String> {
+    let dir = results_dir(flags);
     let report = valley_harness::gc(&dir).map_err(|e| e.to_string())?;
     println!(
         "gc: {} kept, {} removed ({} duplicate(s), {} orphan(s), {} truncated tail(s)) in {}",
@@ -443,7 +540,7 @@ fn cmd_gc(args: &[String]) -> Result<(), String> {
         "{} shard(s) rewritten, {} -> {} bytes on disk",
         report.shards_rewritten, report.bytes_before, report.bytes_after
     );
-    if flags.contains_key("expect-clean") && report.removed() > 0 {
+    if flags.has("expect-clean") && report.removed() > 0 {
         return Err(format!(
             "expected a clean store but gc removed {} record(s)",
             report.removed()
@@ -455,28 +552,16 @@ fn cmd_gc(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn matches_filters(e: &StoredResult, flags: &BTreeMap<String, String>) -> bool {
-    let eq = |key: &str, actual: &str| {
-        flags
-            .get(key)
-            .is_none_or(|want| want.eq_ignore_ascii_case(actual))
+fn cmd_query(flags: &Flags) -> Result<(), String> {
+    let filters = QueryFilters {
+        bench: flags.parsed_with("bench", Benchmark::parse)?,
+        scheme: flags.parsed_with("scheme", SchemeKind::parse)?,
+        scale: flags.parsed_with("scale", Scale::parse)?,
+        seed: flags.parsed("seed")?,
+        config: flags.parsed_with("config", ConfigId::parse)?,
     };
-    eq("bench", e.spec.bench.label())
-        && eq("scheme", e.spec.scheme.label())
-        && eq("scale", e.spec.scale.name())
-        && eq("config", &e.spec.config.name())
-        && flags
-            .get("seed")
-            .is_none_or(|want| want.parse() == Ok(e.spec.seed))
-}
-
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &["bench", "scheme", "scale", "seed", "config", "results"],
-    )?;
-    let store = open_store(&flags)?;
-    let matching = store.entries_where(|e| matches_filters(e, &flags));
+    let store = open_store(flags)?;
+    let matching = store.entries_where(|e| filters.matches(e));
     print_result_table(&matching);
     println!("{} result(s)", matching.len());
     Ok(())
@@ -505,20 +590,18 @@ fn print_result_table<'a>(rows: impl IntoIterator<Item = &'a StoredResult>) {
     }
 }
 
-fn cmd_figures(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["scale", "seed", "set", "results"])?;
-    let scale = parse_scale(&flags)?;
-    let seed: u64 = match flags.get("seed") {
-        None => DEFAULT_SEED,
-        Some(s) => s.parse().map_err(|_| format!("bad seed '{s}'"))?,
-    };
-    let benches: Vec<Benchmark> = match flags.get("set").map(String::as_str) {
+fn cmd_figures(flags: &Flags) -> Result<(), String> {
+    let scale = flags
+        .parsed_with("scale", Scale::parse)?
+        .unwrap_or(Scale::Ref);
+    let seed: u64 = flags.parsed("seed")?.unwrap_or(DEFAULT_SEED);
+    let benches: Vec<Benchmark> = match flags.get("set") {
         None | Some("valley") => Benchmark::VALLEY.to_vec(),
         Some("nonvalley") => Benchmark::NON_VALLEY.to_vec(),
         Some("all") => Benchmark::ALL.to_vec(),
         Some(other) => return Err(format!("unknown set '{other}' (valley|nonvalley|all)")),
     };
-    let store = open_store(&flags)?;
+    let store = open_store(flags)?;
 
     // Pure cache read: collect every (bench, scheme) report or fail with
     // the exact sweep command that would fill the gap.
@@ -675,52 +758,28 @@ fn render_figures(suite: &BTreeMap<(Benchmark, SchemeKind), StoredResult>, bench
 // Fabric subcommands
 // ---------------------------------------------------------------------
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "addr",
-            "scale",
-            "benches",
-            "schemes",
-            "seeds",
-            "configs",
-            "results",
-            "lease-ms",
-            "retry-ms",
-            "max-attempts",
-            "linger",
-            "quiet",
-            "max-shard-bytes",
-        ],
-    )?;
-    let addr = flags
-        .get("addr")
-        .ok_or("serve needs --addr HOST:PORT (use port 0 for an ephemeral port)")?;
-    let spec = parse_grid(&flags)?;
-    let store = open_store(&flags)?;
-    let parse_u64 = |key: &str, default: u64| -> Result<u64, String> {
-        flags
-            .get(key)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad value '{v}' for --{key}"))
-            })
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    let addr = flags.get("addr").unwrap_or_default();
+    let spec = parse_grid(flags)?;
+    let store = open_store(flags)?;
     let defaults = CoordOptions::default();
     let opts = CoordOptions {
-        lease_ms: parse_u64("lease-ms", defaults.lease_ms)?.max(1),
-        retry_ms: parse_u64("retry-ms", defaults.retry_ms)?.max(1),
-        max_attempts: u32::try_from(parse_u64("max-attempts", u64::from(defaults.max_attempts))?)
-            .map_err(|_| "bad value for --max-attempts".to_string())?
+        lease_ms: flags
+            .parsed("lease-ms")?
+            .unwrap_or(defaults.lease_ms)
             .max(1),
-        linger: flags.contains_key("linger"),
-        verbose: !flags.contains_key("quiet"),
+        retry_ms: flags
+            .parsed("retry-ms")?
+            .unwrap_or(defaults.retry_ms)
+            .max(1),
+        max_attempts: flags
+            .parsed("max-attempts")?
+            .unwrap_or(defaults.max_attempts)
+            .max(1),
+        linger: flags.has("linger"),
+        verbose: !flags.has("quiet"),
     };
-    let coordinator =
-        Coordinator::bind(addr.as_str()).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let coordinator = Coordinator::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = coordinator.local_addr().map_err(|e| e.to_string())?;
     println!(
         "serve: listening on {local} — {} job(s) at scale {}{}",
@@ -765,51 +824,26 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_work(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "addr",
-            "name",
-            "batch",
-            "connect-attempts",
-            "backoff-ms",
-            "quiet",
-        ],
-    )?;
-    let addr = flags.get("addr").ok_or("work needs --addr HOST:PORT")?;
-    // The lease capacity mirrors `sweep --batch`: the flag wins, else
-    // $VALLEY_SIM_BATCH, else single-job leases.
-    let capacity = match flags.get("batch") {
-        Some(n) => n
-            .parse::<usize>()
-            .map_err(|_| format!("bad batch width '{n}' for --batch"))?
-            .max(1),
-        None => Batching::from_env().width().max(1),
-    };
+fn cmd_work(flags: &Flags) -> Result<(), String> {
+    let addr = flags.get("addr").unwrap_or_default();
     let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
-        name: flags.get("name").cloned().unwrap_or(defaults.name),
-        capacity,
+        name: flags.get("name").map_or(defaults.name, str::to_string),
+        // The lease capacity mirrors `sweep --batch`: the flag wins, else
+        // $VALLEY_SIM_BATCH, else single-job leases.
+        capacity: flags
+            .parsed("batch")?
+            .unwrap_or_else(|| Batching::from_env().width())
+            .max(1),
         connect_attempts: flags
-            .get("connect-attempts")
-            .map(|v| {
-                v.parse::<u32>()
-                    .map_err(|_| format!("bad value '{v}' for --connect-attempts"))
-            })
-            .transpose()?
+            .parsed("connect-attempts")?
             .unwrap_or(defaults.connect_attempts)
             .max(1),
         backoff_ms: flags
-            .get("backoff-ms")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad value '{v}' for --backoff-ms"))
-            })
-            .transpose()?
+            .parsed("backoff-ms")?
             .unwrap_or(defaults.backoff_ms)
             .max(1),
-        verbose: !flags.contains_key("quiet"),
+        verbose: !flags.has("quiet"),
     };
     let summary = run_worker(addr, &opts).map_err(|e| e.to_string())?;
     println!(
@@ -819,24 +853,9 @@ fn cmd_work(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fetch(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "addr",
-            "scale",
-            "benches",
-            "schemes",
-            "seeds",
-            "configs",
-            "figures",
-            "expect-cached",
-            "shutdown",
-            "quiet",
-        ],
-    )?;
-    let addr = flags.get("addr").ok_or("fetch needs --addr HOST:PORT")?;
-    let spec = parse_grid(&flags)?;
+fn cmd_fetch(flags: &Flags) -> Result<(), String> {
+    let addr = flags.get("addr").unwrap_or_default();
+    let spec = parse_grid(flags)?;
     let grid = spec.expand();
     let copts = ClientOptions::default();
     // Every axis the grid pins to one value is filtered at the
@@ -845,7 +864,7 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
     let by_spec: FastMap<JobSpec, StoredResult> =
         records.into_iter().map(|r| (r.spec, r)).collect();
     let have: Vec<&StoredResult> = grid.iter().filter_map(|j| by_spec.get(j)).collect();
-    if !flags.contains_key("quiet") {
+    if !flags.has("quiet") {
         print_result_table(have.iter().copied());
     }
     println!(
@@ -853,8 +872,7 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
         have.len(),
         grid.len()
     );
-    if let Some(p) = flags.get("expect-cached") {
-        let pct: f64 = p.parse().map_err(|_| format!("bad percentage '{p}'"))?;
+    if let Some(pct) = flags.parsed::<f64>("expect-cached")? {
         let actual = have.len() as f64 * 100.0 / grid.len().max(1) as f64;
         if actual < pct {
             return Err(format!(
@@ -864,7 +882,7 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
         }
         println!("cache check passed: {actual:.1}% ≥ {pct}%");
     }
-    if flags.contains_key("figures") {
+    if flags.has("figures") {
         let [seed] = spec.seeds[..] else {
             return Err("`fetch --figures` needs exactly one seed (--seeds N)".into());
         };
@@ -881,7 +899,7 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
         );
         render_figures(&suite, &spec.benches);
     }
-    if flags.contains_key("shutdown") {
+    if flags.has("shutdown") {
         shutdown(addr, &copts).map_err(|e| e.to_string())?;
         println!("fetch: coordinator acknowledged shutdown");
     }

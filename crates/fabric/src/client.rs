@@ -61,7 +61,7 @@ pub fn fetch(
 /// Reads the coordinator's live telemetry.
 pub fn fabric_status(addr: &str, opts: &ClientOptions) -> Result<Telemetry, FabricError> {
     match roundtrip(addr, opts, &Msg::Status)? {
-        Msg::Telemetry(t) => Ok(t),
+        Msg::Telemetry { telemetry } => Ok(telemetry),
         other => Err(WireError::Protocol(format!("status answered with {other:?}")).into()),
     }
 }

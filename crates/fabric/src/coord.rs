@@ -500,7 +500,9 @@ fn handle_conn(
             Msg::Status => {
                 let mut state = shared.state.lock().expect("fabric state");
                 reap_expired(&mut state, Instant::now(), shared.opts.verbose);
-                Msg::Telemetry(state.telemetry(shared.jobs.len() as u64))
+                Msg::Telemetry {
+                    telemetry: state.telemetry(shared.jobs.len() as u64),
+                }
             }
             Msg::Shutdown => {
                 shared.state.lock().expect("fabric state").shutdown = true;

@@ -6,8 +6,10 @@
 //! encoding — no new dependencies, no new wire vocabulary).
 //!
 //! * [`wire`] — framing: 4-byte big-endian length + one JSON value;
-//! * [`proto`] — the typed request/reply messages ([`Msg`]) and their
-//!   exact JSON round trip;
+//! * [`proto`] — the typed request/reply messages ([`Msg`]), declared
+//!   once as a tag → variant → fields table;
+//! * [`schema`] — the drift check: every declared wire/store shape's
+//!   fingerprint against the pinned `schema.manifest`;
 //! * [`coord`] — the coordinator: expands a sweep, skips stored keys,
 //!   leases jobs with crash-tolerant deadlines, commits results in
 //!   grid expansion order, and serves the read-side `query`/`status`
@@ -31,6 +33,7 @@
 pub mod client;
 pub mod coord;
 pub mod proto;
+pub mod schema;
 pub mod wire;
 pub mod worker;
 

@@ -5,23 +5,24 @@
 //! [`Role`]; after that the protocol is strict request/reply — the peer
 //! sends one frame and the coordinator answers with exactly one frame,
 //! so framing never desynchronizes and a reply can always be attributed.
-//! Job specs and reports reuse the harness's canonical field encoding
-//! (`bench`/`scheme`/`seed`/`scale`/`config`, [`SimReport::to_json_value`]),
-//! so the wire format is the store's record vocabulary over
-//! [`crate::wire`] frames — property tests pin the encode→frame→decode
-//! round trip bit-identical.
+//! Job specs, results and reports travel as the harness and simulator
+//! declare them (`JobSpec`, [`StoredResult`], `SimReport`), so the wire
+//! format is the store's record vocabulary over [`crate::wire`] frames.
+//! The layout of every message is the `tagged!` table at the bottom of
+//! this file and nowhere else; `tests/byte_goldens.rs` pins its bytes
+//! and `tests/wire_props.rs` the encode→frame→decode round trip.
 
-use valley_harness::{parse_scheme, ConfigId};
-use valley_harness::{FailureKind, JobFailure, JobSpec, StoredResult, SweepSpec, WallKind};
+use valley_core::SchemeKind;
+use valley_harness::{ConfigId, FailureKind, JobFailure, JobSpec, StoredResult, SweepSpec};
 use valley_sim::json::Json;
-use valley_sim::SimReport;
+use valley_sim::record::Codec;
 use valley_workloads::{Benchmark, Scale};
 
 /// Protocol version, carried in every [`Msg::Hello`]. A coordinator
 /// rejects mismatched peers loudly instead of misparsing their frames.
 /// v2 added the `wall` attribution field to result records (see
-/// [`WallKind`]); a v1 peer would drop it silently, so the version gates
-/// it out.
+/// [`valley_harness::WallKind`]); a v1 peer would drop it silently, so
+/// the version gates it out.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// What a connecting peer is.
@@ -58,7 +59,7 @@ pub struct QueryFilters {
     /// Benchmark filter.
     pub bench: Option<Benchmark>,
     /// Scheme filter.
-    pub scheme: Option<valley_core::SchemeKind>,
+    pub scheme: Option<SchemeKind>,
     /// Scale filter.
     pub scale: Option<Scale>,
     /// Seed filter.
@@ -217,432 +218,79 @@ pub enum Msg {
     /// Read-side telemetry request.
     Status,
     /// Reply to [`Msg::Status`].
-    Telemetry(Telemetry),
+    Telemetry {
+        /// The coordinator's counters.
+        telemetry: Telemetry,
+    },
     /// Admin: ask a lingering coordinator to exit.
     Shutdown,
 }
 
 // ---------------------------------------------------------------------
-// JSON encoding
+// Wire shapes
 // ---------------------------------------------------------------------
 
-/// Encodes a job spec with the store's canonical field vocabulary.
-pub fn job_to_json(spec: &JobSpec) -> Json {
-    Json::Obj(vec![
-        ("bench".into(), Json::Str(spec.bench.label().into())),
-        ("scheme".into(), Json::Str(spec.scheme.label().into())),
-        ("seed".into(), Json::UInt(spec.seed)),
-        ("scale".into(), Json::Str(spec.scale.name().into())),
-        ("config".into(), Json::Str(spec.config.name())),
-    ])
-}
+valley_sim::name_coded!(Role, name, Role::parse);
 
-/// Decodes [`job_to_json`]. Unknown names fail loudly — a mixed-version
-/// fleet must not silently run the wrong experiment.
-pub fn job_from_json(v: &Json) -> Result<JobSpec, String> {
-    let text = |key: &str| -> Result<&str, String> {
-        v.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("job field '{key}' missing or not a string"))
-    };
-    let bench_name = text("bench")?;
-    let bench =
-        Benchmark::parse(bench_name).ok_or_else(|| format!("unknown benchmark '{bench_name}'"))?;
-    let scheme_name = text("scheme")?;
-    let scheme =
-        parse_scheme(scheme_name).ok_or_else(|| format!("unknown scheme '{scheme_name}'"))?;
-    let scale_name = text("scale")?;
-    let scale = Scale::parse(scale_name).ok_or_else(|| format!("unknown scale '{scale_name}'"))?;
-    let config_name = text("config")?;
-    let config =
-        ConfigId::parse(config_name).ok_or_else(|| format!("unknown config '{config_name}'"))?;
-    let seed = v
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or("job field 'seed' missing or not an integer")?;
-    Ok(JobSpec {
-        bench,
-        scheme,
-        seed,
-        scale,
-        config,
-    })
-}
+valley_sim::record!(QueryFilters {
+    bench: Option<Benchmark> = "bench",
+    scheme: Option<SchemeKind> = "scheme",
+    scale: Option<Scale> = "scale",
+    seed: Option<u64> = "seed",
+    config: Option<ConfigId> = "config",
+});
 
-/// Encodes a stored result (job + wall time + attribution + report).
-pub fn record_to_json(r: &StoredResult) -> Json {
-    Json::Obj(vec![
-        ("job".into(), job_to_json(&r.spec)),
-        ("wall_ms".into(), Json::Num(r.wall_ms)),
-        ("wall".into(), Json::Str(r.wall.as_str().into())),
-        ("report".into(), r.report.to_json_value()),
-    ])
-}
+valley_sim::record!(WorkerStat {
+    name: String = "name",
+    completed: u64 = "completed",
+    failed: u64 = "failed",
+});
 
-/// Decodes [`record_to_json`].
-pub fn record_from_json(v: &Json) -> Result<StoredResult, String> {
-    let spec = job_from_json(v.get("job").ok_or("record has no job")?)?;
-    let wall_ms = v
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .ok_or("record field 'wall_ms' missing or not a number")?;
-    let wall_name = v
-        .get("wall")
-        .and_then(Json::as_str)
-        .ok_or("record field 'wall' missing or not a string")?;
-    let wall =
-        WallKind::parse(wall_name).ok_or_else(|| format!("unknown wall kind '{wall_name}'"))?;
-    let report = SimReport::from_json_value(v.get("report").ok_or("record has no report")?)?;
-    Ok(StoredResult {
-        spec,
-        report,
-        wall_ms,
-        wall,
-    })
-}
+valley_sim::record!(FailureNote {
+    job: String = "job",
+    kind: FailureKind = "kind",
+    message: String = "message",
+});
 
-fn failure_to_json(f: &JobFailure) -> Json {
-    Json::Obj(vec![
-        ("job".into(), job_to_json(&f.spec)),
-        ("kind".into(), Json::Str(f.kind.name().into())),
-        ("message".into(), Json::Str(f.message.clone())),
-    ])
-}
+valley_sim::record!(Telemetry {
+    jobs_total: u64 = "jobs_total",
+    cache_hits: u64 = "cache_hits",
+    executed: u64 = "executed",
+    active_leases: u64 = "active_leases",
+    releases: u64 = "releases",
+    duplicates: u64 = "duplicates",
+    workers: Vec<WorkerStat> = "workers",
+    failures: Vec<FailureNote> = "failures",
+});
 
-fn failure_from_json(v: &Json) -> Result<JobFailure, String> {
-    let spec = job_from_json(v.get("job").ok_or("failure has no job")?)?;
-    let kind_name = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("failure field 'kind' missing or not a string")?;
-    let kind = FailureKind::parse(kind_name)
-        .ok_or_else(|| format!("unknown failure kind '{kind_name}'"))?;
-    let message = v
-        .get("message")
-        .and_then(Json::as_str)
-        .ok_or("failure field 'message' missing or not a string")?
-        .to_string();
-    Ok(JobFailure {
-        spec,
-        kind,
-        message,
-    })
-}
-
-fn telemetry_to_json(t: &Telemetry) -> Json {
-    Json::Obj(vec![
-        ("jobs_total".into(), Json::UInt(t.jobs_total)),
-        ("cache_hits".into(), Json::UInt(t.cache_hits)),
-        ("executed".into(), Json::UInt(t.executed)),
-        ("active_leases".into(), Json::UInt(t.active_leases)),
-        ("releases".into(), Json::UInt(t.releases)),
-        ("duplicates".into(), Json::UInt(t.duplicates)),
-        (
-            "workers".into(),
-            Json::Arr(
-                t.workers
-                    .iter()
-                    .map(|w| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(w.name.clone())),
-                            ("completed".into(), Json::UInt(w.completed)),
-                            ("failed".into(), Json::UInt(w.failed)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "failures".into(),
-            Json::Arr(
-                t.failures
-                    .iter()
-                    .map(|f| {
-                        Json::Obj(vec![
-                            ("job".into(), Json::Str(f.job.clone())),
-                            ("kind".into(), Json::Str(f.kind.name().into())),
-                            ("message".into(), Json::Str(f.message.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn telemetry_from_json(v: &Json) -> Result<Telemetry, String> {
-    let int = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("telemetry field '{key}' missing or not an integer"))
-    };
-    let workers = v
-        .get("workers")
-        .and_then(Json::as_arr)
-        .ok_or("telemetry field 'workers' missing or not an array")?
-        .iter()
-        .map(|w| {
-            Ok(WorkerStat {
-                name: w
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("worker stat has no name")?
-                    .to_string(),
-                completed: w
-                    .get("completed")
-                    .and_then(Json::as_u64)
-                    .ok_or("worker stat has no completed count")?,
-                failed: w
-                    .get("failed")
-                    .and_then(Json::as_u64)
-                    .ok_or("worker stat has no failed count")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let failures = v
-        .get("failures")
-        .and_then(Json::as_arr)
-        .ok_or("telemetry field 'failures' missing or not an array")?
-        .iter()
-        .map(|f| {
-            let kind_name = f
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or("failure note has no kind")?;
-            Ok(FailureNote {
-                job: f
-                    .get("job")
-                    .and_then(Json::as_str)
-                    .ok_or("failure note has no job")?
-                    .to_string(),
-                kind: FailureKind::parse(kind_name)
-                    .ok_or_else(|| format!("unknown failure kind '{kind_name}'"))?,
-                message: f
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or("failure note has no message")?
-                    .to_string(),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(Telemetry {
-        jobs_total: int("jobs_total")?,
-        cache_hits: int("cache_hits")?,
-        executed: int("executed")?,
-        active_leases: int("active_leases")?,
-        releases: int("releases")?,
-        duplicates: int("duplicates")?,
-        workers,
-        failures,
-    })
-}
-
-fn filters_to_json(f: &QueryFilters) -> Json {
-    let mut members = Vec::new();
-    if let Some(b) = f.bench {
-        members.push(("bench".to_string(), Json::Str(b.label().into())));
-    }
-    if let Some(s) = f.scheme {
-        members.push(("scheme".to_string(), Json::Str(s.label().into())));
-    }
-    if let Some(s) = f.scale {
-        members.push(("scale".to_string(), Json::Str(s.name().into())));
-    }
-    if let Some(s) = f.seed {
-        members.push(("seed".to_string(), Json::UInt(s)));
-    }
-    if let Some(c) = f.config {
-        members.push(("config".to_string(), Json::Str(c.name())));
-    }
-    Json::Obj(members)
-}
-
-fn filters_from_json(v: &Json) -> Result<QueryFilters, String> {
-    let mut f = QueryFilters::default();
-    if let Some(name) = v.get("bench").map(|b| b.as_str().ok_or("bad bench filter")) {
-        f.bench = Some(Benchmark::parse(name?).ok_or("unknown bench filter")?);
-    }
-    if let Some(name) = v
-        .get("scheme")
-        .map(|s| s.as_str().ok_or("bad scheme filter"))
-    {
-        f.scheme = Some(parse_scheme(name?).ok_or("unknown scheme filter")?);
-    }
-    if let Some(name) = v.get("scale").map(|s| s.as_str().ok_or("bad scale filter")) {
-        f.scale = Some(Scale::parse(name?).ok_or("unknown scale filter")?);
-    }
-    if let Some(seed) = v.get("seed") {
-        f.seed = Some(seed.as_u64().ok_or("bad seed filter")?);
-    }
-    if let Some(name) = v
-        .get("config")
-        .map(|c| c.as_str().ok_or("bad config filter"))
-    {
-        f.config = Some(ConfigId::parse(name?).ok_or("unknown config filter")?);
-    }
-    Ok(f)
-}
+valley_sim::tagged!(Msg, tag "t" {
+    "hello" => Hello { version: u32 = "version", role: Role = "role", name: String = "name" },
+    "request" => Request { capacity: u64 = "capacity" },
+    "lease" => Lease {
+        lease: u64 = "lease",
+        deadline_ms: u64 = "deadline_ms",
+        jobs: Vec<JobSpec> = "jobs",
+    },
+    "wait" => Wait { retry_ms: u64 = "retry_ms" },
+    "drained" => Drained {},
+    "done" => Done { lease: u64 = "lease", results: Vec<StoredResult> = "results" },
+    "failed" => Failed { lease: u64 = "lease", failures: Vec<JobFailure> = "failures" },
+    "ack" => Ack { stored: u64 = "stored", duplicates: u64 = "duplicates" },
+    "query" => Query { filters: QueryFilters = "filters" },
+    "results" => Results { records: Vec<StoredResult> = "records" },
+    "status" => Status {},
+    "telemetry" => Telemetry { telemetry: Telemetry = "telemetry" },
+    "shutdown" => Shutdown {},
+});
 
 impl Msg {
     /// Encodes the message as one JSON value (the frame payload).
     pub fn to_json(&self) -> Json {
-        let tag = |t: &str| ("t".to_string(), Json::Str(t.into()));
-        match self {
-            Msg::Hello {
-                version,
-                role,
-                name,
-            } => Json::Obj(vec![
-                tag("hello"),
-                ("version".into(), Json::UInt(u64::from(*version))),
-                ("role".into(), Json::Str(role.name().into())),
-                ("name".into(), Json::Str(name.clone())),
-            ]),
-            Msg::Request { capacity } => Json::Obj(vec![
-                tag("request"),
-                ("capacity".into(), Json::UInt(*capacity)),
-            ]),
-            Msg::Lease {
-                lease,
-                deadline_ms,
-                jobs,
-            } => Json::Obj(vec![
-                tag("lease"),
-                ("lease".into(), Json::UInt(*lease)),
-                ("deadline_ms".into(), Json::UInt(*deadline_ms)),
-                (
-                    "jobs".into(),
-                    Json::Arr(jobs.iter().map(job_to_json).collect()),
-                ),
-            ]),
-            Msg::Wait { retry_ms } => Json::Obj(vec![
-                tag("wait"),
-                ("retry_ms".into(), Json::UInt(*retry_ms)),
-            ]),
-            Msg::Drained => Json::Obj(vec![tag("drained")]),
-            Msg::Done { lease, results } => Json::Obj(vec![
-                tag("done"),
-                ("lease".into(), Json::UInt(*lease)),
-                (
-                    "results".into(),
-                    Json::Arr(results.iter().map(record_to_json).collect()),
-                ),
-            ]),
-            Msg::Failed { lease, failures } => Json::Obj(vec![
-                tag("failed"),
-                ("lease".into(), Json::UInt(*lease)),
-                (
-                    "failures".into(),
-                    Json::Arr(failures.iter().map(failure_to_json).collect()),
-                ),
-            ]),
-            Msg::Ack { stored, duplicates } => Json::Obj(vec![
-                tag("ack"),
-                ("stored".into(), Json::UInt(*stored)),
-                ("duplicates".into(), Json::UInt(*duplicates)),
-            ]),
-            Msg::Query { filters } => Json::Obj(vec![
-                tag("query"),
-                ("filters".into(), filters_to_json(filters)),
-            ]),
-            Msg::Results { records } => Json::Obj(vec![
-                tag("results"),
-                (
-                    "records".into(),
-                    Json::Arr(records.iter().map(record_to_json).collect()),
-                ),
-            ]),
-            Msg::Status => Json::Obj(vec![tag("status")]),
-            Msg::Telemetry(t) => Json::Obj(vec![
-                tag("telemetry"),
-                ("telemetry".into(), telemetry_to_json(t)),
-            ]),
-            Msg::Shutdown => Json::Obj(vec![tag("shutdown")]),
-        }
+        self.encode()
     }
 
     /// Decodes [`Msg::to_json`]. Every malformed shape fails loudly.
     pub fn from_json(v: &Json) -> Result<Msg, String> {
-        let t = v
-            .get("t")
-            .and_then(Json::as_str)
-            .ok_or("message has no 't' tag")?;
-        let int = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("message field '{key}' missing or not an integer"))
-        };
-        let arr = |key: &str| -> Result<&[Json], String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("message field '{key}' missing or not an array"))
-        };
-        match t {
-            "hello" => {
-                let role_name = v
-                    .get("role")
-                    .and_then(Json::as_str)
-                    .ok_or("hello has no role")?;
-                Ok(Msg::Hello {
-                    version: u32::try_from(int("version")?)
-                        .map_err(|_| "hello version out of range".to_string())?,
-                    role: Role::parse(role_name)
-                        .ok_or_else(|| format!("unknown role '{role_name}'"))?,
-                    name: v
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("hello has no name")?
-                        .to_string(),
-                })
-            }
-            "request" => Ok(Msg::Request {
-                capacity: int("capacity")?,
-            }),
-            "lease" => Ok(Msg::Lease {
-                lease: int("lease")?,
-                deadline_ms: int("deadline_ms")?,
-                jobs: arr("jobs")?
-                    .iter()
-                    .map(job_from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "wait" => Ok(Msg::Wait {
-                retry_ms: int("retry_ms")?,
-            }),
-            "drained" => Ok(Msg::Drained),
-            "done" => Ok(Msg::Done {
-                lease: int("lease")?,
-                results: arr("results")?
-                    .iter()
-                    .map(record_from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "failed" => Ok(Msg::Failed {
-                lease: int("lease")?,
-                failures: arr("failures")?
-                    .iter()
-                    .map(failure_from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "ack" => Ok(Msg::Ack {
-                stored: int("stored")?,
-                duplicates: int("duplicates")?,
-            }),
-            "query" => Ok(Msg::Query {
-                filters: filters_from_json(v.get("filters").ok_or("query has no filters")?)?,
-            }),
-            "results" => Ok(Msg::Results {
-                records: arr("records")?
-                    .iter()
-                    .map(record_from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "status" => Ok(Msg::Status),
-            "telemetry" => Ok(Msg::Telemetry(telemetry_from_json(
-                v.get("telemetry").ok_or("telemetry message has no body")?,
-            )?)),
-            "shutdown" => Ok(Msg::Shutdown),
-            other => Err(format!("unknown message tag '{other}'")),
-        }
+        Msg::decode(v)
     }
 }

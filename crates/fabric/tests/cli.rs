@@ -1,5 +1,7 @@
 //! The `valley` binary's flag surface: a removed flag is rejected like
-//! any unknown one, before the subcommand does anything.
+//! any unknown one, before the subcommand does anything; a filter value
+//! that names nothing is an error, not an empty result; and `valley
+//! help` is generated from the same table that parses the flags.
 
 use std::process::Command;
 
@@ -27,4 +29,76 @@ fn removed_engine_flag_is_an_unknown_flag() {
             "{args:?} failed without naming the flag: {stderr}"
         );
     }
+}
+
+fn valley(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_valley"))
+        .args(args)
+        .output()
+        .expect("valley runs")
+}
+
+/// `query` used to string-compare raw flag values against the records,
+/// so a misspelt filter printed an empty table and exited 0.
+#[test]
+fn query_rejects_filter_values_that_name_nothing() {
+    let dir = std::env::temp_dir().join(format!("valley-cli-query-{}", std::process::id()));
+    let results = dir.to_str().expect("utf-8 temp dir");
+    for (flag, value) in [
+        ("--bench", "NOPE"),
+        ("--scheme", "NOPE"),
+        ("--scale", "huge"),
+        ("--seed", "abc"),
+        ("--config", "sms0"),
+    ] {
+        let out = valley(&["query", "--results", results, flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "query {flag} {value} succeeded");
+        assert!(
+            stderr.contains(&format!("bad value '{value}' for {flag}")),
+            "query {flag} {value} failed without naming the flag: {stderr}"
+        );
+    }
+    // Well-formed filters on an empty store are an empty answer.
+    let out = valley(&[
+        "query",
+        "--results",
+        results,
+        "--bench",
+        "mt",
+        "--seed",
+        "1",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).ends_with("0 result(s)\n"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every flag a subcommand accepts is in its `help` synopsis, switches
+/// take no value, and a required flag is demanded before anything runs.
+#[test]
+fn help_lists_what_the_parser_accepts() {
+    let out = valley(&["help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout).into_owned();
+    for listed in [
+        "valley sweep",
+        "[--max-shard-bytes N]",
+        "[--retry-ms N]",
+        "[--connect-attempts N]",
+        "[--backoff-ms N]",
+        "valley fetch   --addr HOST:PORT",
+        "[--lint]",
+    ] {
+        assert!(help.contains(listed), "help lacks `{listed}`:\n{help}");
+    }
+    // `--lint` is a switch: it must not swallow the next argument.
+    let out = valley(&["status", "--lint", "--bogus"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag '--bogus'"));
+    let out = valley(&["fetch", "--scale", "test"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("fetch needs --addr HOST:PORT"));
 }

@@ -9,10 +9,7 @@ use proptest::prelude::*;
 use valley_cache::CacheStats;
 use valley_core::SchemeKind;
 use valley_dram::DramStats;
-use valley_fabric::proto::{
-    job_from_json, job_to_json, record_from_json, record_to_json, Msg, QueryFilters, Role,
-    Telemetry, WorkerStat, PROTOCOL_VERSION,
-};
+use valley_fabric::proto::{Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTOCOL_VERSION};
 use valley_fabric::wire::{read_frame, write_frame, WireError};
 use valley_fabric::{FailureNote, WorkerOptions};
 use valley_harness::{
@@ -21,6 +18,7 @@ use valley_harness::{
 
 const WALL_KINDS: [WallKind; 3] = [WallKind::Measured, WallKind::Averaged, WallKind::Cloned];
 use valley_sim::json::Json;
+use valley_sim::record::Codec;
 use valley_sim::{EpochHist, SimReport};
 use valley_workloads::{Benchmark, Scale};
 
@@ -106,27 +104,127 @@ fn frame_round_trip(v: &Json) -> Json {
     back
 }
 
-proptest! {
-    /// Job specs survive encode → frame → decode exactly, for every
-    /// bench × scheme × scale × config and arbitrary 64-bit seeds.
-    #[test]
-    fn job_spec_round_trip(
-        bench in 0usize..64,
-        scheme in 0usize..64,
-        seed in 0u64..=u64::MAX,
-        scale in 0usize..8,
-        config in 0usize..8,
-    ) {
-        let spec = job(bench, scheme, seed, scale, config);
-        let back = job_from_json(&frame_round_trip(&job_to_json(&spec))).unwrap();
-        prop_assert_eq!(back, spec);
-    }
+/// `T`'s declared shape survives encode → frame → decode: the value
+/// compares equal and re-encodes to the same bytes (which also covers
+/// what equality leaves out — `SimReport`'s diagnostics, the exact bits
+/// of an `f64`).
+fn round_trips<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
+    let sent = value.encode();
+    let back = T::decode(&frame_round_trip(&sent)).expect("decodes");
+    assert_eq!(&back, value);
+    assert_eq!(back.encode().to_json_string(), sent.to_json_string());
+}
 
-    /// Stored results (job + report + wall time + attribution) survive
-    /// the frame round trip bit-identically — including counters above
-    /// 2^53, the exact f64 bits of `wall_ms`, and every `wall` kind.
+/// The [`Msg`] of each variant index, filled from the given numbers.
+fn message(variant: usize, n: u64, m: u64, bench: usize, frac: f64) -> Msg {
+    let spec = job(bench, bench / 2, n, bench, bench / 3);
+    match variant {
+        0 => Msg::Hello {
+            version: PROTOCOL_VERSION,
+            role: if n.is_multiple_of(2) {
+                Role::Worker
+            } else {
+                Role::Client
+            },
+            name: format!("peer-{m} \"quoted\"\n😀"),
+        },
+        1 => Msg::Request { capacity: n },
+        2 => Msg::Lease {
+            lease: n,
+            deadline_ms: m,
+            jobs: vec![spec, job(bench + 1, bench / 2, n ^ 1, bench, bench / 3)],
+        },
+        3 => Msg::Wait { retry_ms: m },
+        4 => Msg::Drained,
+        5 => Msg::Done {
+            lease: n,
+            results: vec![StoredResult {
+                spec,
+                report: report(n, (1 << 53) | n, frac, &spec),
+                wall_ms: frac * 1e4,
+                wall: WALL_KINDS[(n % 3) as usize],
+            }],
+        },
+        6 => Msg::Failed {
+            lease: n,
+            failures: vec![JobFailure {
+                spec,
+                kind: if n.is_multiple_of(2) {
+                    FailureKind::Panic
+                } else {
+                    FailureKind::StoreWrite
+                },
+                message: format!("lane {m} panicked:\n\t\"{frac}\""),
+            }],
+        },
+        7 => Msg::Ack {
+            stored: n,
+            duplicates: m,
+        },
+        8 => Msg::Query {
+            filters: QueryFilters {
+                bench: n.is_multiple_of(2).then_some(spec.bench),
+                scheme: n.is_multiple_of(3).then_some(spec.scheme),
+                scale: n.is_multiple_of(5).then_some(spec.scale),
+                seed: n.is_multiple_of(7).then_some(m),
+                config: n.is_multiple_of(11).then_some(spec.config),
+            },
+        },
+        9 => Msg::Results {
+            records: vec![StoredResult {
+                spec,
+                report: report(m, (1 << 54) | m, frac, &spec),
+                wall_ms: frac,
+                wall: WALL_KINDS[(m % 3) as usize],
+            }],
+        },
+        10 => Msg::Status,
+        11 => Msg::Telemetry {
+            telemetry: Telemetry {
+                jobs_total: n,
+                cache_hits: m,
+                executed: n / 2,
+                active_leases: n % 17,
+                releases: m / 3,
+                duplicates: m % 5,
+                workers: vec![WorkerStat {
+                    name: format!("w{m}"),
+                    completed: n / 3,
+                    failed: m / 7,
+                }],
+                failures: vec![FailureNote {
+                    job: spec.label(),
+                    kind: FailureKind::Panic,
+                    message: "index out of bounds".into(),
+                }],
+            },
+        },
+        _ => Msg::Shutdown,
+    }
+}
+
+/// The generator above reaches every row of the `Msg` table, in table
+/// order: a variant added to the table without a case here fails this
+/// test instead of going unexercised.
+#[test]
+fn generator_covers_every_msg_tag() {
+    let produced: Vec<String> = (0..Msg::TAGS.len())
+        .map(|variant| {
+            let encoded = message(variant, 7, 3, 1, 0.5).to_json();
+            encoded.get("t").and_then(Json::as_str).unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(produced, Msg::TAGS);
+}
+
+proptest! {
+    /// Every declared record survives encode → frame → decode exactly:
+    /// job specs for every bench × scheme × scale × config and arbitrary
+    /// 64-bit seeds, stored results with counters above 2^53, the exact
+    /// f64 bits of `wall_ms` and every `wall` kind, and the shapes that
+    /// only ever travel inside a message.
     #[test]
-    fn stored_result_round_trip(
+    fn every_declared_record_round_trips(
         bench in 0usize..64,
         cycles in 0u64..=u64::MAX,
         big in (1u64 << 53)..=u64::MAX,
@@ -135,18 +233,30 @@ proptest! {
         wall_kind in 0usize..3,
     ) {
         let spec = job(bench, bench / 7, cycles, bench / 3, bench / 5);
-        let r = StoredResult {
+        let stored = StoredResult {
             spec,
             report: report(cycles, big, frac, &spec),
             wall_ms,
             wall: WALL_KINDS[wall_kind],
         };
-        let back = record_from_json(&frame_round_trip(&record_to_json(&r))).unwrap();
-        prop_assert_eq!(back.spec, r.spec);
-        prop_assert_eq!(back.wall_ms.to_bits(), r.wall_ms.to_bits());
-        prop_assert_eq!(back.wall, r.wall);
-        prop_assert_eq!(back.report.epoch_hist, r.report.epoch_hist);
-        prop_assert_eq!(back.report, r.report);
+        round_trips(&spec);
+        round_trips(&stored);
+        round_trips(&stored.report);
+        round_trips(&stored.report.epoch_hist);
+        round_trips(&stored.report.l1);
+        round_trips(&stored.report.dram);
+        round_trips(&JobFailure::store_write(spec, format!("disk {big}:\n\t\"{frac}\"")));
+        for variant in [8, 11] {
+            match message(variant, cycles, big >> 11, bench, frac) {
+                Msg::Query { filters } => round_trips(&filters),
+                Msg::Telemetry { telemetry } => {
+                    round_trips(&telemetry.workers[0]);
+                    round_trips(&telemetry.failures[0]);
+                    round_trips(&telemetry);
+                }
+                other => panic!("variant {variant} is {other:?}"),
+            }
+        }
     }
 
     /// The single-record property at the size a `fetch` moves: a
@@ -216,85 +326,13 @@ proptest! {
     /// Every protocol message round-trips exactly through its frame.
     #[test]
     fn msg_round_trip(
-        variant in 0usize..13,
+        variant in 0usize..Msg::TAGS.len(),
         n in 0u64..=u64::MAX,
         m in 0u64..1_000_000,
         bench in 0usize..64,
         frac in 0.0f64..=1.0,
     ) {
-        let spec = job(bench, bench / 2, n, bench, bench / 3);
-        let msg = match variant {
-            0 => Msg::Hello {
-                version: PROTOCOL_VERSION,
-                role: if n % 2 == 0 { Role::Worker } else { Role::Client },
-                name: format!("peer-{m} \"quoted\"\n😀"),
-            },
-            1 => Msg::Request { capacity: n },
-            2 => Msg::Lease {
-                lease: n,
-                deadline_ms: m,
-                jobs: vec![spec, job(bench + 1, bench / 2, n ^ 1, bench, bench / 3)],
-            },
-            3 => Msg::Wait { retry_ms: m },
-            4 => Msg::Drained,
-            5 => Msg::Done {
-                lease: n,
-                results: vec![StoredResult {
-                    spec,
-                    report: report(n, (1 << 53) | n, frac, &spec),
-                    wall_ms: frac * 1e4,
-                    wall: WALL_KINDS[(n % 3) as usize],
-                }],
-            },
-            6 => Msg::Failed {
-                lease: n,
-                failures: vec![JobFailure {
-                    spec,
-                    kind: if n % 2 == 0 { FailureKind::Panic } else { FailureKind::StoreWrite },
-                    message: format!("lane {m} panicked:\n\t\"{frac}\""),
-                }],
-            },
-            7 => Msg::Ack { stored: n, duplicates: m },
-            8 => Msg::Query {
-                filters: QueryFilters {
-                    bench: (n % 2 == 0).then_some(spec.bench),
-                    scheme: (n % 3 == 0).then_some(spec.scheme),
-                    scale: (n % 5 == 0).then_some(spec.scale),
-                    seed: (n % 7 == 0).then_some(m),
-                    config: (n % 11 == 0).then_some(spec.config),
-                },
-            },
-            9 => Msg::Results {
-                records: vec![StoredResult {
-                    spec,
-                    report: report(m, (1 << 54) | m, frac, &spec),
-                    wall_ms: frac,
-                    wall: WALL_KINDS[(m % 3) as usize],
-                }],
-            },
-            10 => Msg::Status,
-            11 => Msg::Telemetry(Telemetry {
-                jobs_total: n,
-                cache_hits: m,
-                executed: n / 2,
-                active_leases: n % 17,
-                releases: m / 3,
-                duplicates: m % 5,
-                workers: vec![WorkerStat {
-                    name: format!("w{m}"),
-                    completed: n / 3,
-                    failed: m / 7,
-                }],
-                failures: vec![FailureNote {
-                    job: spec.label(),
-                    kind: FailureKind::Panic,
-                    message: "index out of bounds".into(),
-                }],
-            }),
-            _ => Msg::Shutdown,
-        };
-        let back = Msg::from_json(&frame_round_trip(&msg.to_json())).unwrap();
-        prop_assert_eq!(back, msg);
+        round_trips(&message(variant, n, m, bench, frac));
     }
 }
 

@@ -9,7 +9,7 @@
 //! that asks for the same point of the grid.
 
 use std::collections::hash_map::Entry;
-use valley_core::hash::FastMap;
+use valley_core::hash::{fnv1a, FastMap};
 use valley_core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
 use valley_sim::{GpuConfig, GpuSim, SimReport};
 use valley_workloads::{Benchmark, Scale};
@@ -77,6 +77,8 @@ impl ConfigId {
     }
 }
 
+valley_sim::name_coded!(ConfigId, name, ConfigId::parse);
+
 impl std::fmt::Display for ConfigId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.name())
@@ -99,6 +101,16 @@ pub struct JobSpec {
     /// The GPU/memory configuration.
     pub config: ConfigId,
 }
+
+// The job's coordinates as they travel: nested under a `job` member on
+// the fabric wire, flattened into the store line.
+valley_sim::record!(JobSpec {
+    bench: Benchmark = "bench",
+    scheme: SchemeKind = "scheme",
+    seed: u64 = "seed",
+    scale: Scale = "scale",
+    config: ConfigId = "config",
+});
 
 impl JobSpec {
     /// The job's content-addressed key.
@@ -165,16 +177,6 @@ impl JobKey {
     pub fn shard(&self, shards: usize) -> usize {
         (self.hash % shards as u64) as usize
     }
-}
-
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A sweep over the cross product of benchmarks × schemes × seeds ×
@@ -306,6 +308,8 @@ impl WallKind {
     }
 }
 
+valley_sim::name_coded!(WallKind, as_str, WallKind::parse);
+
 /// One batched lane's outcome: the report plus the lane's wall-clock
 /// attribution (see [`WallKind`]).
 #[derive(Clone, Debug)]
@@ -372,14 +376,6 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
         lanes.push(lane);
     }
     lanes
-}
-
-/// Parses a scheme label (case-insensitive) — the inverse of
-/// [`SchemeKind::label`].
-pub fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    SchemeKind::ALL_SCHEMES
-        .into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(s))
 }
 
 #[cfg(test)]
@@ -486,14 +482,5 @@ mod tests {
         assert_eq!(ConfigId::parse("sms0"), None);
         assert_eq!(ConfigId::parse("nope"), None);
         assert_eq!(ConfigId::Sms(48).gpu_config().num_sms, 48);
-    }
-
-    #[test]
-    fn scheme_labels_parse() {
-        for k in SchemeKind::ALL_SCHEMES {
-            assert_eq!(parse_scheme(k.label()), Some(k));
-            assert_eq!(parse_scheme(&k.label().to_lowercase()), Some(k));
-        }
-        assert_eq!(parse_scheme("XYZ"), None);
     }
 }

@@ -50,12 +50,12 @@ mod sweep;
 pub mod util;
 
 pub use job::{
-    execute_batch, execute_batch_timed, execute_job, parse_scheme, ConfigId, JobKey, JobSpec,
-    LaneOutcome, SweepSpec, WallKind, DEFAULT_SEED, SCHEMA_VERSION,
+    execute_batch, execute_batch_timed, execute_job, ConfigId, JobKey, JobSpec, LaneOutcome,
+    SweepSpec, WallKind, DEFAULT_SEED, SCHEMA_VERSION,
 };
 pub use store::{
-    gc, scan, GcReport, ResultStore, StoreError, StoreOptions, StoreScan, StoredResult, NUM_SHARDS,
-    STORE_VERSION,
+    gc, scan, store_line_description, GcReport, ResultStore, StoreError, StoreOptions, StoreScan,
+    StoredResult, NUM_SHARDS, STORE_VERSION,
 };
 pub use sweep::{
     run_sweep, FailureKind, JobFailure, JobOutcome, SweepError, SweepOptions, SweepOutcome,

@@ -2,7 +2,9 @@
 //!
 //! Results live under a directory (by default `results/`) as 16 JSON-
 //! lines shard files, `shard-00.jsonl` … `shard-15.jsonl`, selected by
-//! the job-key hash. Each line is one self-describing record:
+//! the job-key hash. Each line is one self-describing record — store
+//! version, content hash, then [`StoredResult`]'s declared members with
+//! the job's coordinates flattened in (see `record_line`):
 //!
 //! ```json
 //! {"v":2,"hash":"9f3c…","bench":"MT","scheme":"PAE","seed":1,
@@ -32,14 +34,14 @@
 //! every stored record. [`scan`] reports both leniently and [`gc`]
 //! compacts them away; `valley status` / `valley gc` expose them.
 
-use crate::job::{parse_scheme, ConfigId, JobKey, JobSpec, WallKind};
+use crate::job::{JobSpec, WallKind};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use valley_core::hash::FastMap;
 use valley_sim::json::{self, Json};
+use valley_sim::record::{check_version, description, Field, Members, Record};
 use valley_sim::SimReport;
-use valley_workloads::{Benchmark, Scale};
 
 /// Version of the store record layout (independent of the report schema
 /// nested inside it). v2 added the `wall` attribution field (see
@@ -64,6 +66,14 @@ pub struct StoredResult {
     /// lane, or — in older stores — averaged over a batch).
     pub wall: WallKind,
 }
+
+// The wire shape; a shard line is derived from it (see `record_line`).
+valley_sim::record!(StoredResult {
+    spec: JobSpec = "job",
+    wall_ms: f64 = "wall_ms",
+    wall: WallKind = "wall",
+    report: SimReport = "report",
+});
 
 /// Errors from opening or writing the store.
 #[derive(Debug)]
@@ -203,8 +213,14 @@ impl ResultStore {
         wall_ms: f64,
         wall: WallKind,
     ) -> Result<(), StoreError> {
+        let stored = StoredResult {
+            spec: *spec,
+            report: report.clone(),
+            wall_ms,
+            wall,
+        };
         let key = spec.key();
-        let mut line = record_json(spec, &key, report, wall_ms, wall).to_json_string();
+        let mut line = record_line(&stored).to_json_string();
         line.push('\n');
         let shard = key.shard(NUM_SHARDS);
         {
@@ -215,15 +231,10 @@ impl ResultStore {
                 .open(shard_path(&self.dir, shard))?;
             file.write_all(line.as_bytes())?;
         }
-        self.index.lock().expect("store index poisoned").insert(
-            key.hash(),
-            StoredResult {
-                spec: *spec,
-                report: report.clone(),
-                wall_ms,
-                wall,
-            },
-        );
+        self.index
+            .lock()
+            .expect("store index poisoned")
+            .insert(key.hash(), stored);
         Ok(())
     }
 
@@ -264,25 +275,37 @@ fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:02}.jsonl"))
 }
 
-fn record_json(
-    spec: &JobSpec,
-    key: &JobKey,
-    report: &SimReport,
-    wall_ms: f64,
-    wall: WallKind,
-) -> Json {
-    Json::Obj(vec![
-        ("v".into(), Json::UInt(u64::from(STORE_VERSION))),
-        ("hash".into(), Json::Str(key.hash_hex())),
-        ("bench".into(), Json::Str(spec.bench.label().into())),
-        ("scheme".into(), Json::Str(spec.scheme.label().into())),
-        ("seed".into(), Json::UInt(spec.seed)),
-        ("scale".into(), Json::Str(spec.scale.name().into())),
-        ("config".into(), Json::Str(spec.config.name())),
-        ("wall_ms".into(), Json::Num(wall_ms)),
-        ("wall".into(), Json::Str(wall.as_str().into())),
-        ("report".into(), report.to_json_value()),
-    ])
+/// The two members a shard line carries ahead of the record, and the
+/// member the record nests its job under on the wire.
+const VERSION_KEY: &str = "v";
+const HASH_KEY: &str = "hash";
+const JOB_KEY: &str = StoredResult::KEYS[0];
+const LINE: &str = "store record";
+
+/// One shard line: store version, content hash, then the record's
+/// declared members with the job's coordinates flattened in place.
+fn record_line(stored: &StoredResult) -> Json {
+    let mut wire = Members::new();
+    stored.put_fields(true, &mut wire);
+    let mut line = Members::with_capacity(2 + JobSpec::KEYS.len() + wire.len());
+    STORE_VERSION.put(VERSION_KEY, &mut line);
+    stored.spec.key().hash_hex().put(HASH_KEY, &mut line);
+    for (key, value) in wire {
+        match value {
+            Json::Obj(job) if key == JOB_KEY => line.extend(job),
+            value => line.push((key, value)),
+        }
+    }
+    Json::Obj(line)
+}
+
+/// What [`record_line`] writes, for the schema fingerprint: it moves
+/// with the line's own members and with [`StoredResult`]'s table.
+pub fn store_line_description() -> String {
+    format!(
+        "#{VERSION_KEY},{HASH_KEY}:String,flat({JOB_KEY}),{}",
+        description::<StoredResult>()
+    )
 }
 
 fn load_shard(path: &Path, index: &mut FastMap<u64, StoredResult>) -> Result<(), StoreError> {
@@ -564,57 +587,22 @@ pub fn gc(dir: &Path) -> Result<GcReport, StoreError> {
 
 /// Parses one stored record line into `(key hash, result)`.
 fn parse_record(line: &str) -> Result<(u64, StoredResult), String> {
-    let v = json::parse(line).map_err(|e| e.to_string())?;
-    let version = v
-        .get("v")
-        .and_then(Json::as_u64)
-        .ok_or("record has no version field")?;
-    if version != u64::from(STORE_VERSION) {
-        return Err(format!(
-            "record version {version} is not the supported {STORE_VERSION}; \
-             delete the store directory to regenerate"
-        ));
-    }
-    let text = |key: &str| -> Result<String, String> {
-        Ok(v.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("record field '{key}' missing or not a string"))?
-            .to_string())
+    let Json::Obj(members) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err(format!("{LINE} is not an object"));
     };
-    let bench_name = text("bench")?;
-    let bench =
-        Benchmark::parse(&bench_name).ok_or_else(|| format!("unknown benchmark '{bench_name}'"))?;
-    let scheme_name = text("scheme")?;
-    let scheme =
-        parse_scheme(&scheme_name).ok_or_else(|| format!("unknown scheme '{scheme_name}'"))?;
-    let scale_name = text("scale")?;
-    let scale = Scale::parse(&scale_name).ok_or_else(|| format!("unknown scale '{scale_name}'"))?;
-    let config_name = text("config")?;
-    let config =
-        ConfigId::parse(&config_name).ok_or_else(|| format!("unknown config '{config_name}'"))?;
-    let seed = v
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or("record field 'seed' missing or not an integer")?;
-    let wall_ms = v
-        .get("wall_ms")
-        .and_then(Json::as_f64)
-        .ok_or("record field 'wall_ms' missing or not a number")?;
-    let wall_name = text("wall")?;
-    let wall =
-        WallKind::parse(&wall_name).ok_or_else(|| format!("unknown wall kind '{wall_name}'"))?;
-    let spec = JobSpec {
-        bench,
-        scheme,
-        seed,
-        scale,
-        config,
-    };
+    // Nest the flattened coordinates back under the job member.
+    let (job, mut rest): (Members, Members) = members
+        .into_iter()
+        .partition(|(key, _)| JobSpec::KEYS.contains(&key.as_str()));
+    rest.push((JOB_KEY.to_string(), Json::Obj(job)));
+    let line = Json::Obj(rest);
+    check_version(LINE, &line, VERSION_KEY, STORE_VERSION)?;
+    let stored = StoredResult::from_obj(&line)?;
     // Recompute the content hash from the coordinates: if it disagrees
     // with the stored one, the canonical key format changed under this
     // record and serving it would be silently wrong.
-    let key = spec.key();
-    let stored_hash = text("hash")?;
+    let key = stored.spec.key();
+    let stored_hash = String::take(&line, HASH_KEY, LINE)?;
     if stored_hash != key.hash_hex() {
         return Err(format!(
             "stored hash {stored_hash} does not match recomputed {} for '{}' — \
@@ -623,15 +611,5 @@ fn parse_record(line: &str) -> Result<(u64, StoredResult), String> {
             key.canonical()
         ));
     }
-    let report = v.get("report").ok_or("record has no report")?;
-    let report = SimReport::from_json_value(report)?;
-    Ok((
-        key.hash(),
-        StoredResult {
-            spec,
-            report,
-            wall_ms,
-            wall,
-        },
-    ))
+    Ok((key.hash(), stored))
 }

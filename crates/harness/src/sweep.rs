@@ -112,6 +112,8 @@ impl FailureKind {
     }
 }
 
+valley_sim::name_coded!(FailureKind, name, FailureKind::parse);
+
 impl std::fmt::Display for FailureKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -129,6 +131,12 @@ pub struct JobFailure {
     /// Human-readable detail (panic message / store error text).
     pub message: String,
 }
+
+valley_sim::record!(JobFailure {
+    spec: JobSpec = "job",
+    kind: FailureKind = "kind",
+    message: String = "message",
+});
 
 impl JobFailure {
     /// A panic-isolation failure.

@@ -3,45 +3,28 @@
 //! Statically enforces the properties the simulator's correctness
 //! story rests on: determinism (no default-hasher maps, no unordered
 //! iteration feeding results, no wall-clock in result-affecting
-//! crates), schema stability (wire/store shapes fingerprinted against a
-//! pinned manifest), and hygiene (zero `unsafe`, no panics in tick
-//! paths). See `docs/lint.md` for the rule catalog.
+//! crates) and hygiene (zero `unsafe`, no panics in tick paths). See
+//! `docs/lint.md` for the rule catalog. (Schema stability is not a
+//! lint: the wire/store shapes are declared tables, and a test in
+//! `valley-fabric` compares their fingerprints with a pinned manifest.)
 //!
 //! The library form exists so tests can lint virtual file sets and so
-//! `valley status --lint` can report the invariant set (lint version +
-//! schema manifest hash) a deployment is running under.
+//! `valley status --lint` can report the lint version a deployment is
+//! running under.
 
 pub mod allow;
 pub mod lexer;
 pub mod rules;
-pub mod schema;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use allow::AllowEntry;
-use lexer::Lexed;
 use rules::{Diagnostic, FileCtx};
 
 /// Lint tool version; bump when rules are added/changed so stored
 /// results can be traced to the invariant set they were produced under.
-pub const LINT_VERSION: &str = "1.0.0";
-
-/// The pinned schema manifest, embedded at build time (the on-disk copy
-/// at `crates/lint/schema.manifest` takes precedence when linting, so a
-/// fresh `--bless-schema` is honored without a rebuild).
-pub const SCHEMA_MANIFEST: &str = include_str!("../schema.manifest");
-
-/// FNV-1a hash of the embedded schema manifest — the value `valley
-/// status --lint` reports.
-pub fn manifest_hash() -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in SCHEMA_MANIFEST.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub const LINT_VERSION: &str = "2.0.0";
 
 /// Result of a lint run.
 #[derive(Debug)]
@@ -61,26 +44,20 @@ impl LintOutcome {
 }
 
 /// Lints a virtual file set: `(repo-relative path, source)` pairs plus
-/// the allowlist and schema-manifest contents. This is the pure core —
-/// [`run`] feeds it the real tree, tests feed it fixtures.
+/// the allowlist contents. This is the pure core — [`run`] feeds it the
+/// real tree, tests feed it fixtures.
 pub fn lint_sources(
     files: &[(String, String)],
     allowlist_src: &str,
-    manifest_src: &str,
 ) -> Result<LintOutcome, String> {
     let entries =
         allow::parse(allowlist_src).map_err(|e| format!("lint.toml:{}: {}", e.line, e.message))?;
 
-    let lexed: Vec<(String, Lexed)> = files
-        .iter()
-        .map(|(p, src)| (p.clone(), lexer::lex(src)))
-        .collect();
-
     let mut raw: Vec<Diagnostic> = Vec::new();
-    for (path, lx) in &lexed {
+    for (path, src) in files {
         let ctx = FileCtx {
             path,
-            lexed: lx,
+            lexed: &lexer::lex(src),
             is_test_file: path.contains("/tests/")
                 || path.contains("/benches/")
                 || path.contains("/examples/"),
@@ -90,11 +67,6 @@ pub fn lint_sources(
         };
         rules::run_token_rules(&ctx, &mut raw);
     }
-    schema::check(
-        manifest_src,
-        |p| lexed.iter().find(|(path, _)| path == p).map(|(_, l)| l),
-        &mut raw,
-    );
 
     let line_text = |path: &str, line: u32| -> String {
         if line == 0 {
@@ -179,37 +151,12 @@ pub fn collect_workspace_sources(root: &Path) -> Result<Vec<(String, String)>, S
     Ok(files)
 }
 
-/// Reads the allowlist (`lint.toml`) and manifest from disk under
-/// `root` and lints the real tree. Missing allowlist = empty; missing
-/// on-disk manifest falls back to the embedded copy.
+/// Reads the allowlist (`lint.toml`) from disk under `root` and lints
+/// the real tree. Missing allowlist = empty.
 pub fn run(root: &Path) -> Result<LintOutcome, String> {
     let files = collect_workspace_sources(root)?;
     let allowlist = fs::read_to_string(root.join("lint.toml")).unwrap_or_default();
-    let manifest = fs::read_to_string(root.join("crates/lint/schema.manifest"))
-        .unwrap_or_else(|_| SCHEMA_MANIFEST.to_string());
-    lint_sources(&files, &allowlist, &manifest)
-}
-
-/// Re-pins `crates/lint/schema.manifest` from the live tree. Returns
-/// the manifest path on success; refuses shape drift without a version
-/// bump.
-pub fn bless_schema(root: &Path) -> Result<PathBuf, String> {
-    let files = collect_workspace_sources(root)?;
-    let lexed: Vec<(String, Lexed)> = files
-        .iter()
-        .filter(|(p, _)| schema::TARGETS.iter().any(|t| t.path == *p))
-        .map(|(p, src)| (p.clone(), lexer::lex(src)))
-        .collect();
-    let manifest_path = root.join("crates/lint/schema.manifest");
-    let old = fs::read_to_string(&manifest_path).ok();
-    let is_placeholder = old
-        .as_deref()
-        .is_some_and(|s| schema::parse_manifest(s).is_empty());
-    let new = schema::bless(old.as_deref().filter(|_| !is_placeholder), |p| {
-        lexed.iter().find(|(path, _)| path == p).map(|(_, l)| l)
-    })?;
-    fs::write(&manifest_path, &new).map_err(|e| format!("write schema.manifest: {e}"))?;
-    Ok(manifest_path)
+    lint_sources(&files, &allowlist)
 }
 
 /// Locates the workspace root: the nearest ancestor of `start` holding

@@ -1,28 +1,22 @@
 //! CLI entry point: `cargo run -p valley-lint -- [--expect-clean]
-//! [--bless-schema] [--root <dir>]`.
+//! [--root <dir>]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut expect_clean = false;
-    let mut bless = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--expect-clean" => expect_clean = true,
-            "--bless-schema" => bless = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root requires a path"),
             },
             "--version" => {
-                println!(
-                    "valley-lint {} (schema manifest fp={:016x})",
-                    valley_lint::LINT_VERSION,
-                    valley_lint::manifest_hash()
-                );
+                println!("valley-lint {}", valley_lint::LINT_VERSION);
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => return usage(""),
@@ -46,19 +40,6 @@ fn main() -> ExitCode {
             }
         }
     };
-
-    if bless {
-        return match valley_lint::bless_schema(&root) {
-            Ok(path) => {
-                println!("schema manifest re-pinned: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("valley-lint: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     match valley_lint::run(&root) {
         Ok(outcome) => {
@@ -95,11 +76,10 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("valley-lint: {err}");
     }
     eprintln!(
-        "usage: valley-lint [--expect-clean] [--bless-schema] [--root <dir>] [--version]\n\
+        "usage: valley-lint [--expect-clean] [--root <dir>] [--version]\n\
          \n\
-         Lints every .rs file in the workspace for determinism, schema-drift and\n\
-         hygiene invariants. Suppressions live in lint.toml at the workspace root;\n\
-         pinned wire/store shapes live in crates/lint/schema.manifest.\n\
+         Lints every .rs file in the workspace for determinism and hygiene\n\
+         invariants. Suppressions live in lint.toml at the workspace root.\n\
          See docs/lint.md for the rule catalog."
     );
     if err.is_empty() {

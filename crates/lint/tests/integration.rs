@@ -1,8 +1,8 @@
 //! Integration battery for `valley-lint`: every rule family is
 //! demonstrated on a fixture (one firing case, one allowlisted case),
-//! the schema fingerprints are shown to catch simulated drift in the
-//! *real* workspace sources, and the workspace itself is asserted
-//! clean — the same check CI runs via `--expect-clean`.
+//! and the workspace itself is asserted clean — the same check CI runs
+//! via `--expect-clean`. (Schema drift is no longer a lint: the shapes
+//! are declared tables, checked in `crates/fabric/src/schema.rs`.)
 //!
 //! Fixture sources live under `tests/fixtures/` (a directory the
 //! workspace walker skips, since fixtures contain violations on
@@ -20,7 +20,7 @@ const UNSAFE_BLOCK: &str = include_str!("fixtures/unsafe_block.rs");
 const PANIC_TICK: &str = include_str!("fixtures/panic_tick.rs");
 
 fn lint_one(path: &str, src: &str, allowlist: &str) -> LintOutcome {
-    lint_sources(&[(path.to_string(), src.to_string())], allowlist, "").expect("lint run")
+    lint_sources(&[(path.to_string(), src.to_string())], allowlist).expect("lint run")
 }
 
 fn rules_of(outcome: &LintOutcome) -> Vec<&'static str> {
@@ -145,101 +145,12 @@ fn unused_allowlist_entries_are_themselves_diagnostics() {
     );
 }
 
-// ---- Schema drift on the real sources ----
+// ---- The workspace itself ----
 
 fn workspace_root() -> PathBuf {
     valley_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above crates/lint")
 }
-
-/// The real schema-bearing sources plus the pinned manifest, with one
-/// file's contents passed through `mutate`.
-fn lint_schema_sources(mutate_path: &str, mutate: impl Fn(&str) -> String) -> LintOutcome {
-    let root = workspace_root();
-    let mut files = Vec::new();
-    let mut paths: Vec<&str> = valley_lint::schema::TARGETS
-        .iter()
-        .map(|t| t.path)
-        .collect();
-    paths.push(valley_lint::schema::WIRE_PROPS_PATH);
-    for p in paths {
-        let src = std::fs::read_to_string(root.join(p)).expect("schema source");
-        let src = if p == mutate_path { mutate(&src) } else { src };
-        files.push((p.to_string(), src));
-    }
-    let manifest =
-        std::fs::read_to_string(root.join("crates/lint/schema.manifest")).expect("manifest");
-    lint_sources(&files, "", &manifest).expect("lint run")
-}
-
-fn schema_diags(outcome: &LintOutcome) -> Vec<&Diagnostic> {
-    outcome
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "schema-drift" || d.rule == "msg-coverage")
-        .collect()
-}
-
-#[test]
-fn unmodified_schema_sources_match_the_pinned_manifest() {
-    let out = lint_schema_sources("-", |s| s.to_string());
-    assert!(
-        schema_diags(&out).is_empty(),
-        "pinned manifest must match the tree: {:?}",
-        schema_diags(&out)
-    );
-}
-
-#[test]
-fn report_field_change_without_version_bump_is_drift() {
-    // Renaming a serialized SimReport field simulates silent schema
-    // drift; the fingerprint moves while REPORT_SCHEMA_VERSION stays.
-    let out = lint_schema_sources("crates/sim/src/metrics.rs", |s| {
-        assert!(s.contains("\"cycles\""), "fixture assumption");
-        s.replace("\"cycles\"", "\"cycles_renamed\"")
-    });
-    let diags = schema_diags(&out);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "schema-drift" && d.message.contains("sim_report")),
-        "expected sim_report drift, got: {diags:?}"
-    );
-}
-
-#[test]
-fn report_field_change_with_version_bump_is_clean() {
-    let out = lint_schema_sources("crates/sim/src/metrics.rs", |s| {
-        s.replace("\"cycles\"", "\"cycles_renamed\"").replace(
-            "REPORT_SCHEMA_VERSION: u32 = 2",
-            "REPORT_SCHEMA_VERSION: u32 = 3",
-        )
-    });
-    assert!(
-        !schema_diags(&out)
-            .iter()
-            .any(|d| d.message.contains("sim_report") && d.message.contains("without")),
-        "bumped drift must pass: {:?}",
-        schema_diags(&out)
-    );
-}
-
-#[test]
-fn new_msg_variant_must_be_exercised_by_wire_props() {
-    let out = lint_schema_sources("crates/fabric/src/proto.rs", |s| {
-        assert!(s.contains("pub enum Msg {"), "fixture assumption");
-        s.replace("pub enum Msg {", "pub enum Msg {\n    Bogus,")
-    });
-    let diags = schema_diags(&out);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "msg-coverage" && d.message.contains("Bogus")),
-        "expected msg-coverage for Bogus, got: {diags:?}"
-    );
-}
-
-// ---- The workspace itself ----
 
 #[test]
 fn workspace_is_lint_clean() {

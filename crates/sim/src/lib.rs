@@ -27,6 +27,7 @@ mod gpu;
 pub mod json;
 mod llc;
 mod metrics;
+pub mod record;
 mod sm;
 mod trace;
 mod txn;

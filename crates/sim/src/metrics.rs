@@ -1,6 +1,7 @@
 //! Simulation metrics: everything the paper's evaluation figures report.
 
 use crate::json::{self, Json};
+use crate::record::{Codec, Members, Record};
 use valley_cache::CacheStats;
 use valley_dram::DramStats;
 
@@ -127,7 +128,8 @@ fn mean(sum: u64, n: u64) -> f64 {
 ///
 /// Equality compares the simulation *results* only; the
 /// [`epoch_hist`](SimReport::epoch_hist) engine diagnostics are excluded
-/// (see [`EpochHist`]).
+/// (see [`EpochHist`]). Which member is which, the wire order and the
+/// keys are declared once, in the `record!` table below.
 #[derive(Clone, Debug)]
 pub struct SimReport {
     /// Workload name.
@@ -181,55 +183,7 @@ pub struct SimReport {
 
 impl PartialEq for SimReport {
     fn eq(&self, other: &Self) -> bool {
-        // Every field except `epoch_hist` (engine telemetry — see the
-        // struct docs). Listed explicitly so adding a result field
-        // without extending the comparison is a compile error… it is
-        // not, with a plain `&&` chain — so destructure instead.
-        let SimReport {
-            benchmark,
-            scheme,
-            cycles,
-            truncated,
-            warp_instructions,
-            thread_instructions,
-            memory_transactions,
-            l1,
-            llc,
-            noc_latency,
-            llc_parallelism,
-            channel_parallelism,
-            bank_parallelism,
-            dram,
-            kernels,
-            dram_cycles,
-            dram_channels,
-            core_clock_ghz,
-            dram_clock_ghz,
-            num_sms,
-            sm_busy_fraction,
-            epoch_hist: _,
-        } = self;
-        benchmark == &other.benchmark
-            && scheme == &other.scheme
-            && cycles == &other.cycles
-            && truncated == &other.truncated
-            && warp_instructions == &other.warp_instructions
-            && thread_instructions == &other.thread_instructions
-            && memory_transactions == &other.memory_transactions
-            && l1 == &other.l1
-            && llc == &other.llc
-            && noc_latency == &other.noc_latency
-            && llc_parallelism == &other.llc_parallelism
-            && channel_parallelism == &other.channel_parallelism
-            && bank_parallelism == &other.bank_parallelism
-            && dram == &other.dram
-            && kernels == &other.kernels
-            && dram_cycles == &other.dram_cycles
-            && dram_channels == &other.dram_channels
-            && core_clock_ghz == &other.core_clock_ghz
-            && dram_clock_ghz == &other.dram_clock_ghz
-            && num_sms == &other.num_sms
-            && sm_busy_fraction == &other.sm_busy_fraction
+        self.results_eq(other)
     }
 }
 
@@ -289,88 +243,38 @@ fn per_kilo(events: u64, instructions: u64) -> f64 {
 
 // --- JSON round trip (the harness's persistent result store) ---
 
-fn cache_stats_json(s: &CacheStats) -> Json {
-    Json::Obj(vec![
-        ("hits".into(), Json::UInt(s.hits)),
-        ("misses".into(), Json::UInt(s.misses)),
-        ("evictions".into(), Json::UInt(s.evictions)),
-    ])
-}
+crate::record!(EpochHist {
+    lengths: [u64; 8] = "lengths",
+    in_flight_multi: u64 = "in_flight_multi",
+});
 
-fn dram_stats_json(s: &DramStats) -> Json {
-    Json::Obj(vec![
-        ("activates".into(), Json::UInt(s.activates)),
-        ("precharges".into(), Json::UInt(s.precharges)),
-        ("reads".into(), Json::UInt(s.reads)),
-        ("writes".into(), Json::UInt(s.writes)),
-        ("row_hits".into(), Json::UInt(s.row_hits)),
-        ("row_empties".into(), Json::UInt(s.row_empties)),
-        ("row_conflicts".into(), Json::UInt(s.row_conflicts)),
-        ("busy_cycles".into(), Json::UInt(s.busy_cycles)),
-        ("data_bus_cycles".into(), Json::UInt(s.data_bus_cycles)),
-        ("total_cycles".into(), Json::UInt(s.total_cycles)),
-        ("total_latency".into(), Json::UInt(s.total_latency)),
-    ])
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key)
-        .ok_or_else(|| format!("SimReport JSON is missing field '{key}'"))
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("SimReport field '{key}' is not an unsigned integer"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("SimReport field '{key}' is not a number"))
-}
-
-fn get_usize(v: &Json, key: &str) -> Result<usize, String> {
-    usize::try_from(get_u64(v, key)?).map_err(|_| format!("SimReport field '{key}' overflows"))
-}
-
-fn get_str(v: &Json, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("SimReport field '{key}' is not a string"))?
-        .to_string())
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("SimReport field '{key}' is not a boolean"))
-}
-
-fn cache_stats_from(v: &Json, key: &str) -> Result<CacheStats, String> {
-    let o = field(v, key)?;
-    Ok(CacheStats {
-        hits: get_u64(o, "hits")?,
-        misses: get_u64(o, "misses")?,
-        evictions: get_u64(o, "evictions")?,
-    })
-}
-
-fn dram_stats_from(v: &Json, key: &str) -> Result<DramStats, String> {
-    let o = field(v, key)?;
-    Ok(DramStats {
-        activates: get_u64(o, "activates")?,
-        precharges: get_u64(o, "precharges")?,
-        reads: get_u64(o, "reads")?,
-        writes: get_u64(o, "writes")?,
-        row_hits: get_u64(o, "row_hits")?,
-        row_empties: get_u64(o, "row_empties")?,
-        row_conflicts: get_u64(o, "row_conflicts")?,
-        busy_cycles: get_u64(o, "busy_cycles")?,
-        data_bus_cycles: get_u64(o, "data_bus_cycles")?,
-        total_cycles: get_u64(o, "total_cycles")?,
-        total_latency: get_u64(o, "total_latency")?,
-    })
+crate::record! {
+    SimReport, version "v" = REPORT_SCHEMA_VERSION {
+        benchmark: String = "benchmark",
+        scheme: String = "scheme",
+        cycles: u64 = "cycles",
+        truncated: bool = "truncated",
+        warp_instructions: u64 = "warp_instructions",
+        thread_instructions: u64 = "thread_instructions",
+        memory_transactions: u64 = "memory_transactions",
+        l1: CacheStats = "l1",
+        llc: CacheStats = "llc",
+        noc_latency: f64 = "noc_latency",
+        llc_parallelism: f64 = "llc_parallelism",
+        channel_parallelism: f64 = "channel_parallelism",
+        bank_parallelism: f64 = "bank_parallelism",
+        dram: DramStats = "dram",
+        kernels: usize = "kernels",
+        dram_cycles: u64 = "dram_cycles",
+        dram_channels: usize = "dram_channels",
+        core_clock_ghz: f64 = "core_clock_ghz",
+        dram_clock_ghz: f64 = "dram_clock_ghz",
+        num_sms: usize = "num_sms",
+        sm_busy_fraction: f64 = "sm_busy_fraction",
+    }
+    diagnostics {
+        epoch_hist: EpochHist = "epoch_hist",
+    }
 }
 
 impl SimReport {
@@ -390,77 +294,14 @@ impl SimReport {
     /// compare: bit-identical results serialize to identical digit
     /// strings.
     pub fn results_json(&self) -> String {
-        Json::Obj(self.result_fields()).to_json_string()
+        let mut results = Members::with_capacity(Self::KEYS.len());
+        self.put_fields(false, &mut results);
+        Json::Obj(results).to_json_string()
     }
 
     /// The report as a [`Json`] value (for embedding in larger records).
     pub fn to_json_value(&self) -> Json {
-        let mut fields = self.result_fields();
-        fields.push((
-            "epoch_hist".into(),
-            Json::Obj(vec![
-                (
-                    "lengths".into(),
-                    Json::Arr(
-                        self.epoch_hist
-                            .lengths
-                            .iter()
-                            .map(|&n| Json::UInt(n))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "in_flight_multi".into(),
-                    Json::UInt(self.epoch_hist.in_flight_multi),
-                ),
-            ]),
-        ));
-        Json::Obj(fields)
-    }
-
-    /// Every result field in canonical order (shared by
-    /// [`SimReport::to_json_value`] and [`SimReport::results_json`] so
-    /// the two can never drift apart).
-    fn result_fields(&self) -> Vec<(String, Json)> {
-        vec![
-            ("v".into(), Json::UInt(u64::from(REPORT_SCHEMA_VERSION))),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("scheme".into(), Json::Str(self.scheme.clone())),
-            ("cycles".into(), Json::UInt(self.cycles)),
-            ("truncated".into(), Json::Bool(self.truncated)),
-            (
-                "warp_instructions".into(),
-                Json::UInt(self.warp_instructions),
-            ),
-            (
-                "thread_instructions".into(),
-                Json::UInt(self.thread_instructions),
-            ),
-            (
-                "memory_transactions".into(),
-                Json::UInt(self.memory_transactions),
-            ),
-            ("l1".into(), cache_stats_json(&self.l1)),
-            ("llc".into(), cache_stats_json(&self.llc)),
-            ("noc_latency".into(), Json::Num(self.noc_latency)),
-            ("llc_parallelism".into(), Json::Num(self.llc_parallelism)),
-            (
-                "channel_parallelism".into(),
-                Json::Num(self.channel_parallelism),
-            ),
-            ("bank_parallelism".into(), Json::Num(self.bank_parallelism)),
-            ("dram".into(), dram_stats_json(&self.dram)),
-            ("kernels".into(), Json::UInt(self.kernels as u64)),
-            ("dram_cycles".into(), Json::UInt(self.dram_cycles)),
-            (
-                "dram_channels".into(),
-                Json::UInt(self.dram_channels as u64),
-            ),
-            ("core_clock_ghz".into(), Json::Num(self.core_clock_ghz)),
-            ("dram_clock_ghz".into(), Json::Num(self.dram_clock_ghz)),
-            ("num_sms".into(), Json::UInt(self.num_sms as u64)),
-            ("sm_busy_fraction".into(), Json::Num(self.sm_busy_fraction)),
-        ]
+        self.encode()
     }
 
     /// Deserializes a report written by [`SimReport::to_json`].
@@ -481,58 +322,7 @@ impl SimReport {
     ///
     /// Same contract as [`SimReport::from_json`].
     pub fn from_json_value(v: &Json) -> Result<SimReport, String> {
-        let version = get_u64(v, "v")?;
-        if version != u64::from(REPORT_SCHEMA_VERSION) {
-            return Err(format!(
-                "SimReport schema version {version} is not the supported \
-                 {REPORT_SCHEMA_VERSION}; re-run the sweep to regenerate stored results"
-            ));
-        }
-        let hist = field(v, "epoch_hist")?;
-        let lengths_json = field(hist, "lengths")?
-            .as_arr()
-            .ok_or("SimReport field 'epoch_hist.lengths' is not an array")?;
-        let mut lengths = [0u64; 8];
-        if lengths_json.len() != lengths.len() {
-            return Err(format!(
-                "SimReport field 'epoch_hist.lengths' has {} buckets, expected {}",
-                lengths_json.len(),
-                lengths.len()
-            ));
-        }
-        for (slot, j) in lengths.iter_mut().zip(lengths_json) {
-            *slot = j
-                .as_u64()
-                .ok_or("SimReport field 'epoch_hist.lengths' holds a non-integer")?;
-        }
-        let epoch_hist = EpochHist {
-            lengths,
-            in_flight_multi: get_u64(hist, "in_flight_multi")?,
-        };
-        Ok(SimReport {
-            benchmark: get_str(v, "benchmark")?,
-            scheme: get_str(v, "scheme")?,
-            cycles: get_u64(v, "cycles")?,
-            truncated: get_bool(v, "truncated")?,
-            warp_instructions: get_u64(v, "warp_instructions")?,
-            thread_instructions: get_u64(v, "thread_instructions")?,
-            memory_transactions: get_u64(v, "memory_transactions")?,
-            l1: cache_stats_from(v, "l1")?,
-            llc: cache_stats_from(v, "llc")?,
-            noc_latency: get_f64(v, "noc_latency")?,
-            llc_parallelism: get_f64(v, "llc_parallelism")?,
-            channel_parallelism: get_f64(v, "channel_parallelism")?,
-            bank_parallelism: get_f64(v, "bank_parallelism")?,
-            dram: dram_stats_from(v, "dram")?,
-            kernels: get_usize(v, "kernels")?,
-            dram_cycles: get_u64(v, "dram_cycles")?,
-            dram_channels: get_usize(v, "dram_channels")?,
-            core_clock_ghz: get_f64(v, "core_clock_ghz")?,
-            dram_clock_ghz: get_f64(v, "dram_clock_ghz")?,
-            num_sms: get_usize(v, "num_sms")?,
-            sm_busy_fraction: get_f64(v, "sm_busy_fraction")?,
-            epoch_hist,
-        })
+        SimReport::decode(v)
     }
 }
 

@@ -154,6 +154,8 @@ impl Benchmark {
     }
 }
 
+valley_sim::name_coded!(Benchmark, label, Benchmark::parse);
+
 impl std::fmt::Display for Benchmark {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())

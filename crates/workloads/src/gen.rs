@@ -121,6 +121,8 @@ impl Scale {
     }
 }
 
+valley_sim::name_coded!(Scale, name, Scale::parse);
+
 impl std::fmt::Display for Scale {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
