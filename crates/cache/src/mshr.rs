@@ -6,8 +6,17 @@
 //! L1s, where many warps touch the same lines in short order. The paper's
 //! L1 configuration provides 32 MSHR entries per SM (Table I).
 
-use std::collections::HashMap;
-use valley_core::hash::FastBuildHasher;
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
+use valley_core::hash::FastMap;
 
 /// Outcome of asking the MSHR file to track a miss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +48,7 @@ pub enum MshrAllocation {
 pub struct MshrFile {
     capacity: usize,
     max_merges: usize,
-    entries: HashMap<u64, Vec<u64>, FastBuildHasher>,
+    entries: FastMap<u64, Vec<u64>>,
     /// Recycled waiter lists: completing an entry via
     /// [`MshrFile::complete_into`] parks its `Vec` here so a later
     /// allocation reuses it instead of hitting the allocator.
@@ -59,7 +68,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             max_merges,
-            entries: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            entries: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             pool: Vec::new(),
         }
     }
@@ -149,6 +158,10 @@ impl MshrFile {
     /// map is unordered; sorting here keeps every consumer — debug dumps,
     /// assertions — independent of hash-iteration order).
     pub fn outstanding_lines(&self) -> Vec<u64> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "outstanding_lines() collects the keys and sort_unstable()s them on the next line before returning"
+        )]
         let mut lines: Vec<u64> = self.entries.keys().copied().collect();
         lines.sort_unstable();
         lines

@@ -1,5 +1,15 @@
 //! A set-associative cache with true-LRU replacement.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Geometry of a set-associative cache.
 ///
 /// # Examples

@@ -63,8 +63,8 @@ proptest! {
         lines in proptest::collection::vec(0u64..8, 1..60),
     ) {
         let mut m = MshrFile::new(8, 64);
-        let mut expected: std::collections::HashMap<u64, Vec<u64>> =
-            std::collections::HashMap::new();
+        let mut expected: std::collections::BTreeMap<u64, Vec<u64>> =
+            std::collections::BTreeMap::new();
         for (i, &l) in lines.iter().enumerate() {
             let line = l * 64;
             match m.allocate(line, i as u64) {

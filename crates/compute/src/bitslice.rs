@@ -16,6 +16,16 @@
 //! off-diagonal 16×16 blocks, and so on down to 1×1 — six passes of
 //! shift/XOR/mask over the 64 words, no memory traffic beyond the tile.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Tile width: addresses per tile, and bit-planes per transposed tile.
 pub const TILE: usize = 64;
 

@@ -20,6 +20,16 @@
 //! `bvr_sweep` reuses step 1 only: one transpose turns 64 per-address
 //! bit-counter updates into one `count_ones` per plane.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::bitslice::{transpose64, TILE};
 use crate::{BvrTable, ComputeBackend, ComputeScratch};
 use valley_core::entropy::{window_entropy_with_scratch, EntropyMethod};

@@ -17,10 +17,9 @@
 //! 5. combines kernels into an application profile by weighting each
 //!    kernel's per-bit `H*` with its request count.
 
-use crate::hash::FastBuildHasher;
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
-type BvrCounts = HashMap<Bvr, u32, FastBuildHasher>;
+type BvrCounts = FastMap<Bvr, u32>;
 
 /// A Bit Value Ratio: the fraction of requests in a TB for which a given
 /// address bit is 1, kept as an exact reduced fraction so that equality
@@ -432,6 +431,10 @@ pub fn window_entropy_naive_method(bvrs: &[Bvr], window: usize, method: EntropyM
                 // Sum the entropy terms in sorted order: a float sum in
                 // map-iteration order would differ run to run under a
                 // seeded hasher (and build to build under a fixed one).
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the probabilities are collected and sorted on the next line before they are summed"
+                )]
                 let mut probs: Vec<f64> = counts.values().map(|&c| c as f64 / w as f64).collect();
                 probs.sort_by(f64::total_cmp);
                 shannon_entropy(&probs)

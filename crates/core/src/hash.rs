@@ -11,17 +11,26 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Default)]
 pub struct FastHasher(u64);
 
-/// `BuildHasher` for [`FastHasher`], for `HashMap::with_hasher` use.
+/// `BuildHasher` for [`FastHasher`]: the hasher of [`FastMap`] and [`FastSet`].
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` with the deterministic [`FastHasher`]. Unlike the default
 /// `RandomState`, iteration order is a pure function of the insertion
-/// sequence — no per-process seed — which is what `valley-lint`'s
-/// `default-hasher` rule demands of every map in the workspace. Order is
-/// still arbitrary: sort before letting it reach output.
+/// sequence — no per-process seed. The workspace bans the std names
+/// (`clippy.toml`'s `disallowed-types`, see `docs/lint.md`), so this
+/// alias and [`FastSet`] are the only way to spell a hash container.
+/// Order is still arbitrary: sort before letting it reach output.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place the std map is named: every other use goes through this seedless alias"
+)]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` with the deterministic [`FastHasher`]; see [`FastMap`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place the std set is named: every other use goes through this seedless alias"
+)]
 pub type FastSet<T> = std::collections::HashSet<T, FastBuildHasher>;
 
 /// 64-bit FNV-1a over a byte string: the content hash behind job keys
@@ -60,11 +69,10 @@ impl Hasher for FastHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn distributes_and_roundtrips() {
-        let mut m: HashMap<u64, u64, FastBuildHasher> = HashMap::default();
+        let mut m: FastMap<u64, u64> = FastMap::default();
         for i in 0..10_000u64 {
             m.insert(i * 64, i);
         }

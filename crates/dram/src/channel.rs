@@ -22,6 +22,16 @@
 //! `#[cfg(test)]` as [`DramChannel::pick_linear`] and pinned by a
 //! randomized-traffic property test.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use std::cmp::Reverse;
@@ -464,6 +474,10 @@ impl DramChannel {
             if f.finish > cycle {
                 break;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "pop follows a successful front() peek in the same loop iteration; the deque cannot be empty"
+            )]
             let f = self.inflight.pop_front().expect("peeked entry exists");
             self.banks[f.bank].inflight -= 1;
             if self.banks[f.bank].inflight == 0 && self.queues[f.bank].is_empty() {
@@ -478,6 +492,10 @@ impl DramChannel {
         }
 
         if let Some((bank, idx)) = self.pick(cycle) {
+            #[expect(
+                clippy::expect_used,
+                reason = "pick() returned this (bank, idx) against the same queues one statement earlier"
+            )]
             let q = self.queues[bank]
                 .remove(idx)
                 .expect("picked index is valid");
@@ -544,6 +562,10 @@ impl DramChannel {
         let mut oldest_ready: Option<(u64, usize)> = None;
         for &b in &self.ready {
             debug_assert!(self.banks[b].ready_at <= cycle);
+            #[expect(
+                clippy::expect_used,
+                reason = "the ready set only holds banks with a non-empty queue; membership is maintained on every enqueue/dequeue"
+            )]
             let front = self.queues[b].front().expect("ready bank has queued work");
             if oldest_ready.is_none_or(|(seq, _)| front.seq < seq) {
                 oldest_ready = Some((front.seq, b));
@@ -581,12 +603,20 @@ impl DramChannel {
     /// chain head (FR-FCFS hit) or the bank's queue front — so the chain
     /// pop is a head pop.
     fn unindex_picked(&mut self, bank: usize, q: &Queued) {
+        #[expect(
+            clippy::expect_used,
+            reason = "pick() chose the bank from the ready set under the same borrow; no mutation can intervene"
+        )]
         let pos = self
             .ready
             .iter()
             .position(|&b| b == bank)
             .expect("picked bank is in the ready set");
         self.ready.swap_remove(pos);
+        #[expect(
+            clippy::expect_used,
+            reason = "row chains are indexed on enqueue and unindexed on dequeue; a queued request's row always has one"
+        )]
         let i = self.row_chains[bank]
             .iter()
             .position(|c| c.row == q.req.row)
@@ -720,7 +750,7 @@ impl DramChannel {
     /// Checks every internal invariant of the row index and readiness
     /// index against a recompute from the plain queues.
     pub(crate) fn assert_index_invariants(&self) {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         let mut total = 0;
         let mut busy = 0;
         for (b, (bank, queue)) in self.banks.iter().zip(&self.queues).enumerate() {
@@ -733,7 +763,7 @@ impl DramChannel {
                 assert!(w.0.seq < w.1.seq, "bank {b}: queue out of arrival order");
             }
             // Row chains match a recompute, link by link.
-            let mut expect: HashMap<usize, Vec<u64>> = HashMap::new();
+            let mut expect: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
             for q in queue {
                 expect.entry(q.req.row).or_default().push(q.seq);
             }

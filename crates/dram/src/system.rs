@@ -1,6 +1,16 @@
 //! A complete DRAM memory system: one [`DramChannel`] per controller,
 //! with addresses decoded through a [`DramAddressMap`].
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::channel::{DramChannel, DramCompletion, DramRequest};
 use crate::config::DramConfig;
 use crate::stats::DramStats;

@@ -101,7 +101,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "status",
-        about: "summarize the store, a live coordinator, or this build's invariants",
+        about: "summarize the store or a live coordinator",
         run: cmd_status,
         required: &[],
         flags: &[
@@ -111,7 +111,6 @@ const COMMANDS: &[Command] = &[
                 "HOST:PORT",
                 "that coordinator's telemetry instead",
             ),
-            ("lint", "", "the lint version and schema identity instead"),
         ],
     },
     Command {
@@ -436,18 +435,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_status(flags: &Flags) -> Result<(), String> {
-    if flags.has("lint") {
-        // The invariant set this build enforces: lint tool version plus
-        // the identity of every declared wire/store shape and its
-        // version. Two deployments printing the same line run under the
-        // same schema contract.
-        println!(
-            "lint: valley-lint {} schema {:016x}",
-            valley_lint::LINT_VERSION,
-            valley_fabric::schema::identity()
-        );
-        return Ok(());
-    }
     if let Some(addr) = flags.get("fabric") {
         return fabric_status_report(addr);
     }
@@ -456,6 +443,9 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
     // would slot in behind the same trait and report here).
     let be = valley_compute::backend();
     println!("compute: {} (tile width {})", be.name(), be.tile_width());
+    // One hash over every declared wire/store shape and its version: two
+    // deployments printing the same line run under the same contract.
+    println!("schema: {:016x}", valley_fabric::schema::identity());
     let dir = results_dir(flags);
     // A lenient scan instead of a strict open: a store full of schema
     // orphans should *report* its state (and point at `gc`), not error.

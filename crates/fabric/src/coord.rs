@@ -211,6 +211,10 @@ impl Coordinator {
         store: &ResultStore,
         opts: &CoordOptions,
     ) -> Result<ServeSummary, FabricError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measurement, not simulation: the serve wall time is telemetry in ServeSummary, outside every stored report"
+        )]
         let start = Instant::now();
         let jobs = spec.expand();
         let n = jobs.len();
@@ -339,7 +343,12 @@ fn advance_commit(state: &mut State, jobs: &[JobSpec], store: &ResultStore) {
 /// fetch/status poller watching a stalled sweep. A waiting worker
 /// additionally polls on [`CoordOptions::retry_ms`], which bounds how
 /// stale a deadline check can get without any timer thread.
-fn reap_expired(state: &mut State, now: Instant, verbose: bool) {
+fn reap_expired(state: &mut State, verbose: bool) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the lease clock: a deadline decides which worker runs a job, never what the job computes"
+    )]
+    let now = Instant::now();
     let expired: Vec<u64> = state
         .leases
         .iter()
@@ -491,7 +500,7 @@ fn handle_conn(
                 // while idle workers wait for them to re-queue.
                 {
                     let mut state = shared.state.lock().expect("fabric state");
-                    reap_expired(&mut state, Instant::now(), shared.opts.verbose);
+                    reap_expired(&mut state, shared.opts.verbose);
                 }
                 Msg::Results {
                     records: filter_store(shared.store, &filters),
@@ -499,7 +508,7 @@ fn handle_conn(
             }
             Msg::Status => {
                 let mut state = shared.state.lock().expect("fabric state");
-                reap_expired(&mut state, Instant::now(), shared.opts.verbose);
+                reap_expired(&mut state, shared.opts.verbose);
                 Msg::Telemetry {
                     telemetry: state.telemetry(shared.jobs.len() as u64),
                 }
@@ -532,7 +541,7 @@ fn handle_conn(
 fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -> Msg {
     let capacity = capacity.clamp(1, 4096) as usize;
     let mut state = shared.state.lock().expect("fabric state");
-    reap_expired(&mut state, Instant::now(), shared.opts.verbose);
+    reap_expired(&mut state, shared.opts.verbose);
     if state.grid_complete() || (state.pending.is_empty() && state.leases.is_empty()) {
         // The second disjunct covers an abandoned grid (dead jobs only):
         // nothing will ever become pending again, so workers go home.
@@ -581,6 +590,10 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -
     }
     let lease = state.next_lease;
     state.next_lease += 1;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the lease clock: a deadline decides which worker runs a job, never what the job computes"
+    )]
     let deadline = Instant::now() + Duration::from_millis(shared.opts.lease_ms);
     for &i in &taken {
         state.status[i] = Slot::Leased(lease);

@@ -1,7 +1,8 @@
 //! The `valley` binary's flag surface: a removed flag is rejected like
 //! any unknown one, before the subcommand does anything; a filter value
-//! that names nothing is an error, not an empty result; and `valley
-//! help` is generated from the same table that parses the flags.
+//! that names nothing is an error, not an empty result; a grid value
+//! given twice names the same jobs, not more jobs; and `valley help` is
+//! generated from the same table that parses the flags.
 
 use std::process::Command;
 
@@ -10,22 +11,27 @@ use std::process::Command;
 const REMOVED_FLAG: &str = concat!("--sim", "-threads");
 
 #[test]
-fn removed_engine_flag_is_an_unknown_flag() {
+fn removed_flags_are_unknown_flags() {
     // `work` points at a port nothing listens on: flag parsing must fail
-    // first, without a connection attempt.
-    let invocations: [&[&str]; 2] = [
-        &["sweep", "--scale", "test", REMOVED_FLAG, "2"],
-        &["work", "--addr", "127.0.0.1:9", REMOVED_FLAG, "2"],
+    // first, without a connection attempt. `--lint` was `status`'s switch
+    // for a lint tool the repo no longer has.
+    let invocations: [(&[&str], &str); 3] = [
+        (
+            &["sweep", "--scale", "test", REMOVED_FLAG, "2"],
+            REMOVED_FLAG,
+        ),
+        (
+            &["work", "--addr", "127.0.0.1:9", REMOVED_FLAG, "2"],
+            REMOVED_FLAG,
+        ),
+        (&["status", "--lint"], "--lint"),
     ];
-    for args in invocations {
-        let out = Command::new(env!("CARGO_BIN_EXE_valley"))
-            .args(args)
-            .output()
-            .expect("valley runs");
+    for (args, flag) in invocations {
+        let out = valley(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} succeeded");
         assert!(
-            stderr.contains(&format!("unknown flag '{REMOVED_FLAG}'")),
+            stderr.contains(&format!("unknown flag '{flag}'")),
             "{args:?} failed without naming the flag: {stderr}"
         );
     }
@@ -78,6 +84,48 @@ fn query_rejects_filter_values_that_name_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A repeated grid value names the same job again: one simulation, one
+/// record. Two records for one key are debris `gc --expect-clean` refuses.
+#[test]
+fn repeated_grid_values_run_one_job_and_leave_a_clean_store() {
+    let dir = std::env::temp_dir().join(format!("valley-cli-dupes-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let out = valley(&[
+        "sweep",
+        "--scale",
+        "test",
+        "--benches",
+        "MT,MT",
+        "--schemes",
+        "BASE",
+        "--seeds",
+        "1,1",
+        "--quiet",
+        "--results",
+        results,
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("sweep: 1 jobs") && stdout.contains("0 cache hit(s), 1 executed"),
+        "{stdout}"
+    );
+    let out = valley(&["gc", "--results", results, "--expect-clean"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("gc: 1 kept, 0 removed"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every flag a subcommand accepts is in its `help` synopsis, switches
 /// take no value, and a required flag is demanded before anything runs.
 #[test]
@@ -92,12 +140,12 @@ fn help_lists_what_the_parser_accepts() {
         "[--connect-attempts N]",
         "[--backoff-ms N]",
         "valley fetch   --addr HOST:PORT",
-        "[--lint]",
+        "[--quiet]",
     ] {
         assert!(help.contains(listed), "help lacks `{listed}`:\n{help}");
     }
-    // `--lint` is a switch: it must not swallow the next argument.
-    let out = valley(&["status", "--lint", "--bogus"]);
+    // `--quiet` is a switch: it must not swallow the next argument.
+    let out = valley(&["sweep", "--quiet", "--bogus"]);
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag '--bogus'"));
     let out = valley(&["fetch", "--scale", "test"]);
     assert!(String::from_utf8_lossy(&out.stderr).contains("fetch needs --addr HOST:PORT"));

@@ -223,6 +223,31 @@ fn batched_leases_match_unbatched_store() {
     );
 }
 
+/// A grid value given twice names the same job, not a second one. The
+/// coordinator matches results to grid slots by key, so a second slot
+/// for one key would never fill: the grid would not complete and the
+/// worker would never be sent home.
+#[test]
+fn repeated_grid_values_drain_with_one_record_per_key() {
+    let spec = SweepSpec::new(
+        &[Benchmark::Mt, Benchmark::Mt],
+        &[SchemeKind::Base],
+        Scale::Test,
+    )
+    .with_seeds(&[1, 1]);
+    let tmp = TempStore::new("repeated-grid");
+    let store = tmp.open();
+    let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
+        run_worker(addr, &quiet("solo")).expect("worker");
+    });
+    assert!(summary.complete(), "grid incomplete: {summary:?}");
+    assert_eq!(summary.telemetry.executed, 1);
+    assert_eq!(store.len(), 1);
+    drop(store);
+    let scan = valley_harness::scan(&tmp.0).expect("store scans");
+    assert_eq!((scan.records.len(), scan.duplicates), (1, 0));
+}
+
 /// A worker killed mid-job loses nothing: the dropped connection's
 /// lease is re-issued to a healthy worker and the grid completes with
 /// zero lost and zero duplicated results.

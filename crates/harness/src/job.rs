@@ -9,7 +9,7 @@
 //! that asks for the same point of the grid.
 
 use std::collections::hash_map::Entry;
-use valley_core::hash::{fnv1a, FastMap};
+use valley_core::hash::{fnv1a, FastMap, FastSet};
 use valley_core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
 use valley_sim::{GpuConfig, GpuSim, SimReport};
 use valley_workloads::{Benchmark, Scale};
@@ -223,21 +223,28 @@ impl SweepSpec {
     }
 
     /// Expands the grid into concrete jobs, deterministically ordered.
+    /// A value repeated on an axis (`--seeds 1,1`) names the same jobs
+    /// again, not more jobs: each distinct job is yielded once, at its
+    /// first position, so no caller ever holds two slots for one key.
     pub fn expand(&self) -> Vec<JobSpec> {
         let mut jobs = Vec::with_capacity(
             self.configs.len() * self.benches.len() * self.schemes.len() * self.seeds.len(),
         );
+        let mut seen = FastSet::default();
         for &config in &self.configs {
             for &bench in &self.benches {
                 for &scheme in &self.schemes {
                     for &seed in &self.seeds {
-                        jobs.push(JobSpec {
+                        let job = JobSpec {
                             bench,
                             scheme,
                             seed,
                             scale: self.scale,
                             config,
-                        });
+                        };
+                        if seen.insert(job) {
+                            jobs.push(job);
+                        }
                     }
                 }
             }
@@ -364,6 +371,10 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
             },
             Entry::Vacant(slot) => {
                 slot.insert(lanes.len());
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "measurement, not simulation: the lane's wall_ms is stored beside the report and never enters it"
+                )]
                 let start = std::time::Instant::now();
                 let report = execute_job(spec);
                 LaneOutcome {
@@ -439,7 +450,6 @@ mod tests {
 
     #[test]
     fn full_grid_has_no_hash_collisions() {
-        use std::collections::HashMap;
         let spec = SweepSpec {
             benches: Benchmark::ALL.to_vec(),
             schemes: SchemeKind::ALL_SCHEMES.to_vec(),
@@ -449,7 +459,7 @@ mod tests {
         };
         let jobs = spec.expand();
         assert_eq!(jobs.len(), 16 * 6 * 3 * 3);
-        let mut seen: HashMap<u64, String> = HashMap::new();
+        let mut seen: FastMap<u64, String> = FastMap::default();
         for j in jobs {
             let k = j.key();
             if let Some(prev) = seen.insert(k.hash(), k.canonical().to_string()) {
@@ -472,6 +482,25 @@ mod tests {
         assert_eq!(jobs[1].scheme, SchemeKind::Pae);
         assert_eq!(jobs[2].bench, Benchmark::Sp);
         assert_eq!(s.expand(), jobs);
+    }
+
+    #[test]
+    fn repeated_axis_values_expand_to_each_job_once() {
+        let s = SweepSpec::new(
+            &[Benchmark::Mt, Benchmark::Sp, Benchmark::Mt],
+            &[SchemeKind::Base],
+            Scale::Test,
+        )
+        .with_seeds(&[2, 1, 2])
+        .with_configs(&[ConfigId::Table1, ConfigId::Table1]);
+        let got: Vec<_> = s.expand().iter().map(|j| (j.bench, j.seed)).collect();
+        let want = [
+            (Benchmark::Mt, 2),
+            (Benchmark::Mt, 1),
+            (Benchmark::Sp, 2),
+            (Benchmark::Sp, 1),
+        ];
+        assert_eq!(got, want, "first-occurrence order, no repeats");
     }
 
     #[test]

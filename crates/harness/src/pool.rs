@@ -80,6 +80,10 @@ where
             let on_done = &on_done;
             scope.spawn(move || {
                 while let Some((job, stolen)) = next_job(deques, w) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "measurement: the elapsed time goes to the on_done callback only"
+                    )]
                     let start = Instant::now();
                     let result = catch_unwind(AssertUnwindSafe(|| run(job)))
                         .map_err(|panic| panic_message(panic.as_ref()));

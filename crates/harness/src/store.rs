@@ -248,6 +248,10 @@ impl ResultStore {
     /// order. Only those are cloned under the index lock, and they are
     /// sorted after it is released.
     pub fn entries_where(&self, keep: impl Fn(&StoredResult) -> bool) -> Vec<StoredResult> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "entries_where() clones the kept values and sorts them by canonical job key before returning"
+        )]
         let mut kept: Vec<StoredResult> = {
             let index = self.index.lock().expect("store index poisoned");
             index.values().filter(|r| keep(r)).cloned().collect()
@@ -410,6 +414,10 @@ pub fn scan(dir: &Path) -> Result<StoreScan, StoreError> {
             }
         }
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scan() drains the dedup index and sorts records by canonical job key before returning"
+    )]
     let mut records: Vec<StoredResult> = index.into_values().collect();
     records.sort_by_cached_key(|r| r.spec.key().canonical().to_string());
     out.records = records;

@@ -238,6 +238,10 @@ pub fn run_sweep(
     store: &ResultStore,
     opts: &SweepOptions,
 ) -> Result<SweepOutcome, SweepError> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement, not simulation: the sweep's wall time is telemetry in SweepOutcome, outside every stored report"
+    )]
     let start = Instant::now();
     let jobs = spec.expand();
 

@@ -25,6 +25,15 @@
 //! two are bit-identical and hand over to each other exactly, in both
 //! directions, at any cycle.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -275,6 +284,10 @@ impl Crossbar {
     fn settle_flits(&mut self, up_to: u64) {
         for &Reverse((at, dst)) in &self.events {
             debug_assert!(at >= up_to, "delivery at {at} missed before {up_to}");
+            #[expect(
+                clippy::expect_used,
+                reason = "the calendar holds one entry per non-empty port: pushed when a packet enters an empty port or becomes the head, popped only together with that head"
+            )]
             let flits = self.outputs[dst]
                 .front()
                 .expect("scheduled port has a head")
@@ -337,6 +350,10 @@ impl Crossbar {
     /// packet behind it: the port is free from `cycle + 1`, the router
     /// pipeline from `injected_at + router_latency`.
     fn deliver_head(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the calendar holds one entry per non-empty port: pushed when a packet enters an empty port or becomes the head, popped only together with that head"
+        )]
         let pkt = self.outputs[dst]
             .pop_front()
             .expect("scheduled port has a head");
@@ -425,6 +442,10 @@ impl Crossbar {
     /// traversed); delivers the packet if it was the last flit.
     #[inline]
     fn transfer_flit(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "transfer_flit is only called by tick_port right after its own front() peek on the same port succeeded"
+        )]
         let head = self.outputs[dst]
             .front()
             .expect("due port has a head packet");
@@ -435,6 +456,10 @@ impl Crossbar {
         self.in_service[dst] -= 1;
         self.stats.flits += 1;
         if self.in_service[dst] == 0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "pop follows the front() peek at the top of transfer_flit; nothing in between removes from the queue"
+            )]
             let pkt = self.outputs[dst].pop_front().expect("head packet exists");
             self.record_delivery(pkt, cycle, done);
         }

@@ -8,6 +8,16 @@
 //! valley. The paper's address-mapping unit sits *directly after* this
 //! stage.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::trace::LaneAddrs;
 
 /// Coalesces lane addresses into unique line-aligned transaction

@@ -2,6 +2,16 @@
 //! LLC slices and the DRAM system, advanced cycle by cycle across their
 //! three clock domains (core 1.4 GHz, NoC 700 MHz, DRAM 924 MHz).
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::GpuConfig;
 use crate::llc::LlcSlice;
 use crate::metrics::{EpochHist, ParallelismIntegrator, SimReport};
@@ -157,6 +167,10 @@ impl TbScheduler {
             return false;
         }
         self.retired_seen = retired;
+        #[expect(
+            clippy::expect_used,
+            reason = "the same function loads the kernel and early-returns when none is resident before reaching this line"
+        )]
         let kernel = self.kernel.as_deref().expect("kernel loaded above");
         let wpb = kernel.warps_per_block();
         let tbs_limit = cfg.tbs_per_sm(wpb);

@@ -9,6 +9,16 @@
 //! (default) and write-back/write-validate, whose dirty evictions
 //! generate their own DRAM writebacks.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::{GpuConfig, LlcWritePolicy};
 use crate::txn::{TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};

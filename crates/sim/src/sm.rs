@@ -2,6 +2,16 @@
 //! scheduler (2 issue slots), the memory coalescer, and the per-SM L1 data
 //! cache with MSHRs.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
 use crate::trace::{Instruction, KernelSource, WarpProgram};
@@ -173,12 +183,20 @@ impl Sm {
         let _audit_pause = crate::alloc_audit::pause();
         self.flush_idle(cycle + 1);
         let wpb = kernel.warps_per_block();
+        #[expect(
+            clippy::expect_used,
+            reason = "assign_tb is only called after can_accept_tb(); free slot stacks are non-empty by that check"
+        )]
         let slot = self.free_tb_slots.pop().expect("caller checked capacity");
         self.tb_slots[slot as usize] = Some(TbState {
             warps_left: wpb as u32,
         });
         self.resident_tbs += 1;
         for w in 0..wpb {
+            #[expect(
+                clippy::expect_used,
+                reason = "assign_tb is only called after can_accept_tb(); free slot stacks are non-empty by that check"
+            )]
             let ws = self.free_warp_slots.pop().expect("caller checked capacity");
             self.warps[ws as usize] = Some(Warp {
                 tb_slot: slot,
@@ -332,12 +350,20 @@ impl Sm {
     }
 
     fn retire_warp(&mut self, warp_idx: u32) {
+        #[expect(
+            clippy::expect_used,
+            reason = "both callers (complete_load, issue_one) looked this warp up in self.warps just before retiring it"
+        )]
         let warp = self.warps[warp_idx as usize]
             .take()
             .expect("retiring a live warp");
         self.free_warp_slots.push(warp_idx);
         self.resident_warps -= 1;
         let tb = warp.tb_slot;
+        #[expect(
+            clippy::expect_used,
+            reason = "a live warp's thread block stays resident until its last warp retires; this is that accounting"
+        )]
         let state = self.tb_slots[tb as usize]
             .as_mut()
             .expect("warp's TB is resident");
@@ -556,6 +582,10 @@ impl Sm {
         txns: &mut TxnTable,
         slice_of: &dyn Fn(PhysAddr) -> u16,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the ready set holds live warps only: a warp is removed from it before it retires and frees its slot"
+        )]
         let warp = self.warps[w as usize]
             .as_mut()
             .expect("ready warps are live");

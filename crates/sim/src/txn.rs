@@ -4,6 +4,16 @@
 //! table is as large as the most transactions ever in flight, not as the
 //! run is long.
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use valley_core::PhysAddr;
 
 /// Sentinel warp index for transactions not tied to a warp (stores).

@@ -53,6 +53,16 @@
 //! [`DramChannel`]: valley_dram::DramChannel
 //! [`Crossbar`]: valley_noc::Crossbar
 
+// no-panic-tick (docs/lint.md): this code runs every simulated cycle.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::ops::Range;
 
 /// The wake gate over a population of units (see the module docs).

@@ -46,6 +46,10 @@ fn trace_violation(size: usize) {
     }
 }
 
+#[expect(
+    unsafe_code,
+    reason = "the counting global allocator must implement the unsafe GlobalAlloc trait; it only counts and delegates to System, and lives in a test-only binary"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         trace_violation(layout.size());

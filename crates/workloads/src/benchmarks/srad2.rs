@@ -88,7 +88,7 @@ mod tests {
         let addrs = valley_sim::tb_request_addresses(k.as_ref(), 0, 128);
         // After 128 B coalescing, the +4 B east loads collapse onto the
         // center lines: expect far fewer unique lines than raw lane count.
-        let unique: std::collections::HashSet<u64> = addrs.iter().copied().collect();
+        let unique: std::collections::BTreeSet<u64> = addrs.iter().copied().collect();
         assert!(unique.len() < addrs.len());
     }
 }
