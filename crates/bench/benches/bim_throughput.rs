@@ -2,59 +2,10 @@
 //! `Bim::apply` per coalesced transaction. The hardware analogue is a
 //! single-cycle XOR tree (Figure 7); this bench confirms the software
 //! model is cheap enough to run inside the simulator's hot loop.
-//!
-//! The batch group pits the scalar per-address loop against the
-//! bit-sliced tile path of `valley-compute`. The mapping schemes are
-//! identity-heavy and ride the sparse fast path, which used to be the
-//! *only* thing this bench measured; the dense full-rank and half-dense
-//! matrices from `matgen` are the cases where the bit-sliced win (or a
-//! sparse-path regression) actually shows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use valley_compute::{matgen, ComputeBackend, ComputeScratch, CpuBackend};
-use valley_core::{AddressMapper, Bim, GddrMap, SchemeKind};
-
-/// One batch of pseudo-random 30-bit addresses (the profiler feeds the
-/// kernels thousands of coalesced lines per TB).
-fn addr_batch(len: usize) -> Vec<u64> {
-    let mut a = 0x1234_5678u64;
-    (0..len)
-        .map(|_| {
-            a = (a.wrapping_mul(0x9e37_79b9) ^ a) & 0x3fff_ffff;
-            a
-        })
-        .collect()
-}
-
-fn bim_batch(c: &mut Criterion) {
-    let map = GddrMap::baseline();
-    let addrs = addr_batch(4096);
-    let scalar = CpuBackend::with_sparse_cutoff(usize::MAX);
-    let sliced = CpuBackend::with_sparse_cutoff(0);
-    let mut group = c.benchmark_group("bim_apply_batch");
-    let cases: Vec<(&str, Bim)> = vec![
-        ("dense30", matgen::dense_invertible(30, 1)),
-        ("half_dense30", matgen::half_dense_invertible(30, 1)),
-        (
-            "sparse_all",
-            AddressMapper::build(SchemeKind::All, &map, 1).bim().clone(),
-        ),
-    ];
-    for (label, bim) in &cases {
-        for (cfg, be) in [("scalar", &scalar), ("bitsliced", &sliced)] {
-            let mut out = Vec::new();
-            let mut scratch = ComputeScratch::new();
-            group.bench_function(format!("{label}_{cfg}"), |b| {
-                b.iter(|| {
-                    be.bim_apply_batch(black_box(bim), black_box(&addrs), &mut out, &mut scratch);
-                    black_box(out.last().copied())
-                })
-            });
-        }
-    }
-    group.finish();
-}
+use valley_core::{AddressMapper, GddrMap, SchemeKind};
 
 fn bim_throughput(c: &mut Criterion) {
     let map = GddrMap::baseline();
@@ -91,5 +42,5 @@ fn bim_throughput(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bim_throughput, bim_batch);
+criterion_group!(benches, bim_throughput);
 criterion_main!(benches);

@@ -55,12 +55,9 @@ fn entropy_metric(c: &mut Criterion) {
     });
 }
 
-/// The vectorized compute plane against its scalar oracles: transposed
-/// all-bits-at-once BVR accumulation vs 30 per-bit scans, and the
-/// bit-major window-entropy sweep with reused scratch.
-fn compute_sweeps(c: &mut Criterion) {
-    use valley_compute::{backend, BvrTable, ComputeScratch};
-
+/// Tile-transposed bit counting (`TbBitStats::from_addrs`) against the
+/// per-address `record` reference it is property-tested against.
+fn bit_counting(c: &mut Criterion) {
     let addrs: Vec<u64> = {
         let mut a = 0x1357_9bdfu64;
         (0..4096)
@@ -71,8 +68,7 @@ fn compute_sweeps(c: &mut Criterion) {
             .collect()
     };
 
-    // Scalar oracle: TbBitStats::record loops all 30 bits per address.
-    c.bench_function("bvr_accumulate_4096addrs_scalar", |b| {
+    c.bench_function("bvr_accumulate_4096addrs_record", |b| {
         b.iter(|| {
             let mut stats = TbBitStats::new(0, 30);
             for &a in &addrs {
@@ -81,36 +77,13 @@ fn compute_sweeps(c: &mut Criterion) {
             black_box(stats.requests())
         })
     });
-    c.bench_function("bvr_accumulate_4096addrs_bitsliced", |b| {
-        let mut scratch = ComputeScratch::new();
+    c.bench_function("bvr_accumulate_4096addrs_tiles", |b| {
         b.iter(|| {
-            let mut ones = [0u64; 30];
-            backend().bvr_sweep(black_box(&addrs), &mut ones, &mut scratch);
-            black_box(ones[29])
-        })
-    });
-
-    // All 30 bit rows of a 1024-TB kernel in one sweep (the fig05/fig10
-    // inner loop after the profiler rewire).
-    let rows: Vec<Vec<Bvr>> = (0..30)
-        .map(|bit| (0..1024u64).map(|i| Bvr::new((i + bit) % 13, 16)).collect())
-        .collect();
-    let table = BvrTable::from_bit_rows(&rows, 1024);
-    c.bench_function("window_entropy_sweep_30bits_1024tbs_w12", |b| {
-        let mut scratch = ComputeScratch::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            backend().window_entropy_sweep(
-                black_box(&table),
-                12,
-                EntropyMethod::MixtureBvr,
-                &mut out,
-                &mut scratch,
-            );
-            black_box(out.last().copied())
+            let stats = TbBitStats::from_addrs(0, 30, black_box(&addrs).iter().copied());
+            black_box(stats.requests())
         })
     });
 }
 
-criterion_group!(benches, entropy_metric, compute_sweeps);
+criterion_group!(benches, entropy_metric, bit_counting);
 criterion_main!(benches);

@@ -26,18 +26,10 @@ fn main() {
     eprintln!("running non-valley suite (6 benchmarks x 6 schemes)...");
     let nonvalley = run_suite(&Benchmark::NON_VALLEY, &schemes, Scale::Ref);
 
-    figures::fig11(&valley);
-    figures::fig12(&valley, "Figure 12: speedup over BASE (valley benchmarks)");
-    figures::fig13a(&valley);
-    figures::fig13b(&valley);
-    figures::fig14(&valley);
-    figures::fig15(&valley);
-    figures::fig16(&valley);
-    figures::fig17(&valley);
-    figures::fig12(
-        &nonvalley,
-        "Figure 20: speedup over BASE (non-valley benchmarks)",
-    );
+    let fig12 = "Figure 12: speedup over BASE (valley benchmarks)";
+    let fig20 = "Figure 20: speedup over BASE (non-valley benchmarks)";
+    print!("{}", figures::all_tables(&valley, fig12));
+    print!("{}", figures::fig12_text(&nonvalley, fig20));
 
     println!("\n(figures 18 and 19 are longer sweeps; run fig18_sensitivity and");
     println!(" fig19_bim_sensitivity; Table I/II via table1_config / table2_workloads)");

@@ -10,6 +10,6 @@ use valley_workloads::{Benchmark, Scale};
 
 fn main() {
     let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
-    figures::fig11(&suite);
+    print!("{}", figures::fig11(&suite));
     println!("\npaper: PAE +3% DRAM power, FAE +35%, ALL +45%, PM +8%, RMP +16%");
 }

@@ -9,6 +9,5 @@ use valley_workloads::{Benchmark, Scale};
 
 fn main() {
     let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
-    figures::fig13a(&suite);
-    figures::fig13b(&suite);
+    print!("{}{}", figures::fig13a(&suite), figures::fig13b(&suite));
 }

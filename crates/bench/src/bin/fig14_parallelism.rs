@@ -9,5 +9,5 @@ use valley_workloads::{Benchmark, Scale};
 
 fn main() {
     let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
-    figures::fig14(&suite);
+    print!("{}", figures::fig14(&suite));
 }

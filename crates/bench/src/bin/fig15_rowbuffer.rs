@@ -10,6 +10,6 @@ use valley_workloads::{Benchmark, Scale};
 
 fn main() {
     let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
-    figures::fig15(&suite);
+    print!("{}", figures::fig15(&suite));
     println!("\npaper shape: PAE has the highest average hit rate; FAE/ALL degrade it");
 }

@@ -11,7 +11,7 @@ use valley_workloads::{Benchmark, Scale};
 fn main() {
     let schemes = all_schemes();
     let suite = run_suite(&Benchmark::VALLEY, &schemes, Scale::Ref);
-    figures::fig16(&suite);
+    print!("{}", figures::fig16(&suite));
 
     println!("\nper-benchmark activate power (Watts):");
     let model = DramPowerModel::gddr5();

@@ -10,6 +10,6 @@ use valley_workloads::{Benchmark, Scale};
 
 fn main() {
     let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
-    figures::fig17(&suite);
+    print!("{}", figures::fig17(&suite));
     println!("\npaper: PAE 1.39x, FAE 1.36x, ALL 1.31x over BASE; PAE/PM = 1.25x");
 }

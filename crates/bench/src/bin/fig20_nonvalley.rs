@@ -9,9 +9,7 @@ use valley_workloads::{Benchmark, Scale};
 
 fn main() {
     let suite = run_suite(&Benchmark::NON_VALLEY, &all_schemes(), Scale::Ref);
-    figures::fig12(
-        &suite,
-        "Figure 20: speedup over BASE (non-valley benchmarks)",
-    );
+    let title = "Figure 20: speedup over BASE (non-valley benchmarks)";
+    print!("{}", figures::fig12_text(&suite, title));
     println!("\npaper: all schemes within a few percent of BASE on this group");
 }

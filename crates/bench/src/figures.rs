@@ -1,221 +1,11 @@
-//! Shared figure printers: each function renders one paper artifact from
-//! a previously-run [`Suite`], so `all_experiments` can run the
-//! simulations once and print everything.
+//! Shared figure printers. The tables over a [`Suite`](crate::Suite) of
+//! reports live in `valley_harness::figures` (the `valley` CLI renders
+//! them from stored results) and are re-exported here beside the two
+//! worked examples that need no simulation.
 
-use crate::{amean, hmean, row, scheme_header, speedup, Suite};
-use valley_core::SchemeKind;
-use valley_power::{perf_per_watt, DramPowerModel};
-use valley_sim::SimReport;
-use valley_workloads::Benchmark;
-
-fn schemes_of(suite: &Suite) -> Vec<SchemeKind> {
-    let mut s: Vec<SchemeKind> = suite.keys().map(|&(_, s)| s).collect();
-    s.sort();
-    s.dedup();
-    // Present in the paper's order.
-    SchemeKind::ALL_SCHEMES
-        .into_iter()
-        .filter(|k| s.contains(k))
-        .collect()
-}
-
-fn benches_of(suite: &Suite) -> Vec<Benchmark> {
-    let mut b: Vec<Benchmark> = suite.keys().map(|&(b, _)| b).collect();
-    b.sort();
-    b.dedup();
-    Benchmark::ALL
-        .into_iter()
-        .filter(|x| b.contains(x))
-        .collect()
-}
-
-/// Generic per-benchmark × per-scheme metric table with a final
-/// aggregate row (`agg` = arithmetic or harmonic mean).
-fn metric_table(
-    title: &str,
-    suite: &Suite,
-    metric: impl Fn(&SimReport) -> f64,
-    agg: impl Fn(&[f64]) -> f64,
-    agg_label: &str,
-    precision: usize,
-) {
-    let schemes = schemes_of(suite);
-    let benches = benches_of(suite);
-    println!("\n{title}");
-    println!("{}", scheme_header("bench", &schemes, 8));
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for &b in &benches {
-        let vals: Vec<f64> = schemes.iter().map(|&s| metric(&suite[&(b, s)])).collect();
-        for (c, v) in vals.iter().enumerate() {
-            cols[c].push(*v);
-        }
-        println!("{}", row(b.label(), &vals, 8, precision));
-    }
-    let aggs: Vec<f64> = cols.iter().map(|c| agg(c)).collect();
-    println!("{}", row(agg_label, &aggs, 8, precision));
-}
-
-/// Figure 11: normalized execution time vs normalized DRAM power,
-/// averaged over the suite's benchmarks.
-pub fn fig11(suite: &Suite) {
-    let schemes = schemes_of(suite);
-    let benches = benches_of(suite);
-    let model = DramPowerModel::gddr5();
-    println!("\nFigure 11: normalized execution time vs normalized DRAM power");
-    println!(
-        "{:<8}{:>16}{:>18}",
-        "scheme", "norm exec time", "norm DRAM power"
-    );
-    for &s in &schemes {
-        let mut times = Vec::new();
-        let mut powers = Vec::new();
-        for &b in &benches {
-            let base = &suite[&(b, SchemeKind::Base)];
-            let r = &suite[&(b, s)];
-            times.push(r.cycles as f64 / base.cycles as f64);
-            powers.push(model.evaluate(r).total() / model.evaluate(base).total());
-        }
-        println!(
-            "{:<8}{:>16.3}{:>18.3}",
-            s.label(),
-            amean(&times),
-            amean(&powers)
-        );
-    }
-}
-
-/// Figure 12 (or 20 for the non-valley suite): speedup over BASE.
-pub fn fig12(suite: &Suite, title: &str) {
-    print!("{}", fig12_text(suite, title));
-}
-
-/// [`fig12`] as a string — golden tests pin this byte-for-byte against
-/// pre-harness-refactor snapshots, so the formatting must not drift.
-pub fn fig12_text(suite: &Suite, title: &str) -> String {
-    fig12_render(suite, title).0
-}
-
-/// The per-scheme HMEAN speedups of the suite, in the same scheme order
-/// as [`fig12_text`]'s columns — the single source for both the table's
-/// HMEAN row and any headline context lines.
-pub fn fig12_hmeans(suite: &Suite) -> Vec<(SchemeKind, f64)> {
-    fig12_render(suite, "").1
-}
-
-fn fig12_render(suite: &Suite, title: &str) -> (String, Vec<(SchemeKind, f64)>) {
-    let schemes = schemes_of(suite);
-    let benches = benches_of(suite);
-    let mut out = String::new();
-    out.push_str(&format!("\n{title}\n"));
-    out.push_str(&format!("{}\n", scheme_header("bench", &schemes, 8)));
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for &b in &benches {
-        let vals: Vec<f64> = schemes.iter().map(|&s| speedup(suite, b, s)).collect();
-        for (c, v) in vals.iter().enumerate() {
-            cols[c].push(*v);
-        }
-        out.push_str(&format!("{}\n", row(b.label(), &vals, 8, 2)));
-    }
-    let hm: Vec<f64> = cols.iter().map(|c| hmean(c)).collect();
-    out.push_str(&format!("{}\n", row("HMEAN", &hm, 8, 2)));
-    (out, schemes.into_iter().zip(hm).collect())
-}
-
-/// Figure 13a: mean NoC packet latency in core cycles.
-pub fn fig13a(suite: &Suite) {
-    metric_table(
-        "Figure 13a: average NoC packet latency (core cycles)",
-        suite,
-        |r| r.noc_latency,
-        amean,
-        "AVG",
-        1,
-    );
-}
-
-/// Figure 13b: LLC miss rate (%).
-pub fn fig13b(suite: &Suite) {
-    metric_table(
-        "Figure 13b: LLC miss rate (%)",
-        suite,
-        |r| r.llc_miss_rate() * 100.0,
-        amean,
-        "AVG",
-        1,
-    );
-}
-
-/// Figure 14a/b/c: LLC-, channel- and bank-level parallelism.
-pub fn fig14(suite: &Suite) {
-    metric_table(
-        "Figure 14a: LLC-level parallelism (busy slices)",
-        suite,
-        |r| r.llc_parallelism,
-        amean,
-        "AVG",
-        2,
-    );
-    metric_table(
-        "Figure 14b: channel-level parallelism (busy channels)",
-        suite,
-        |r| r.channel_parallelism,
-        amean,
-        "AVG",
-        2,
-    );
-    metric_table(
-        "Figure 14c: bank-level parallelism (busy banks per busy channel)",
-        suite,
-        |r| r.bank_parallelism,
-        amean,
-        "AVG",
-        2,
-    );
-}
-
-/// Figure 15: DRAM row-buffer hit rate (%).
-pub fn fig15(suite: &Suite) {
-    metric_table(
-        "Figure 15: DRAM row-buffer hit rate (%)",
-        suite,
-        |r| r.row_buffer_hit_rate() * 100.0,
-        amean,
-        "AVG",
-        1,
-    );
-}
-
-/// Figure 16: DRAM power breakdown, averaged over benchmarks.
-pub fn fig16(suite: &Suite) {
-    let schemes = schemes_of(suite);
-    let benches = benches_of(suite);
-    let model = DramPowerModel::gddr5();
-    println!("\nFigure 16: DRAM power breakdown (Watts), averaged over benchmarks");
-    println!(
-        "{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}",
-        "scheme", "background", "activate", "read", "write", "total"
-    );
-    for &s in &schemes {
-        let (mut bg, mut act, mut rd, mut wr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for &b in &benches {
-            let p = model.evaluate(&suite[&(b, s)]);
-            bg.push(p.background);
-            act.push(p.activate);
-            rd.push(p.read);
-            wr.push(p.write);
-        }
-        let (bg, act, rd, wr) = (amean(&bg), amean(&act), amean(&rd), amean(&wr));
-        println!(
-            "{:<8}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>12.1}",
-            s.label(),
-            bg,
-            act,
-            rd,
-            wr,
-            bg + act + rd + wr
-        );
-    }
-}
+pub use valley_harness::figures::{
+    all_tables, fig11, fig12_hmeans, fig12_text, fig13a, fig13b, fig14, fig15, fig16, fig17,
+};
 
 /// Figure 2 / Section II worked example: row-major vs column-major TB
 /// allocation, the DRAM channel distribution each produces, the PM
@@ -313,38 +103,25 @@ pub fn fig02_text() -> String {
 
 /// Figure 3 worked example: window-based entropy of 8 TBs whose BVRs
 /// are 0,0,1,1,0,0,1,1 under window sizes 2 and 4, plus footnote 1's
-/// window. The sweep runs through the [`valley_compute::ComputeBackend`]
-/// trait (a one-bit [`valley_compute::BvrTable`]); the golden test pins
-/// the output byte-for-byte against the scalar-era snapshot.
+/// window. The golden test pins the output byte-for-byte.
 ///
 /// # Panics
 ///
 /// Panics if the computed entropies stop reproducing the paper's values
 /// (the asserts are part of the figure's claim).
 pub fn fig03_text() -> String {
-    use valley_compute::{backend, BvrTable, ComputeScratch};
-    use valley_core::entropy::{shannon_entropy, Bvr, EntropyMethod};
+    use valley_core::entropy::{shannon_entropy, window_entropy_method, Bvr, EntropyMethod};
 
     let bvrs: Vec<Bvr> = [0u64, 0, 1, 1, 0, 0, 1, 1]
         .iter()
         .map(|&o| Bvr::new(o, 1))
         .collect();
-    let table = BvrTable::from_bit_rows(&[bvrs], 8);
-    let mut scratch = ComputeScratch::new();
-    let mut sweep = Vec::new();
 
     let mut out = String::new();
     out.push_str("Figure 3: sorted TB BVRs = 0 0 1 1 0 0 1 1\n\n");
     let mut stars = Vec::new();
     for w in [2usize, 4] {
-        backend().window_entropy_sweep(
-            &table,
-            w,
-            EntropyMethod::MixtureBvr,
-            &mut sweep,
-            &mut scratch,
-        );
-        let h = sweep[0];
+        let h = window_entropy_method(&bvrs, w, EntropyMethod::MixtureBvr);
         stars.push(h);
         out.push_str(&format!("window size {w}: H* = {h:.4}\n"));
     }
@@ -359,26 +136,4 @@ pub fn fig03_text() -> String {
     assert!((stars[0] - 3.0 / 7.0).abs() < 1e-12);
     assert!((stars[1] - 1.0).abs() < 1e-12);
     out
-}
-
-/// Figure 17: normalized performance per Watt.
-pub fn fig17(suite: &Suite) {
-    let schemes = schemes_of(suite);
-    let benches = benches_of(suite);
-    println!("\nFigure 17: normalized performance per Watt (GPU + DRAM)");
-    println!("{}", scheme_header("bench", &schemes, 8));
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for &b in &benches {
-        let base = &suite[&(b, SchemeKind::Base)];
-        let vals: Vec<f64> = schemes
-            .iter()
-            .map(|&s| perf_per_watt(&suite[&(b, s)], base))
-            .collect();
-        for (c, v) in vals.iter().enumerate() {
-            cols[c].push(*v);
-        }
-        println!("{}", row(b.label(), &vals, 8, 2));
-    }
-    let hm: Vec<f64> = cols.iter().map(|c| hmean(c)).collect();
-    println!("{}", row("HMEAN", &hm, 8, 2));
 }

@@ -19,7 +19,6 @@
 
 pub mod figures;
 
-use std::collections::BTreeMap;
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
 use valley_harness::{
     execute_job, run_sweep, ConfigId, JobSpec, ResultStore, SweepOptions, SweepSpec,
@@ -27,6 +26,7 @@ use valley_harness::{
 use valley_sim::{GpuConfig, GpuSim, SimReport};
 use valley_workloads::{Benchmark, Scale};
 
+pub use valley_harness::figures::{speedup, Suite};
 pub use valley_harness::util::{amean, hmean, row, scheme_header};
 pub use valley_harness::DEFAULT_SEED;
 
@@ -80,9 +80,6 @@ pub fn run_one_stacked(bench: Benchmark, scheme: SchemeKind, seed: u64, scale: S
     })
 }
 
-/// A suite of simulation results keyed by (benchmark, scheme).
-pub type Suite = BTreeMap<(Benchmark, SchemeKind), SimReport>;
-
 /// Runs the cross product of `benches × schemes` through the sweep
 /// harness against the default result store ([`default_results_dir`]):
 /// already-stored jobs are served from disk, the rest run in parallel on
@@ -131,13 +128,11 @@ pub fn run_spec_with_store(
     spec: &SweepSpec,
     store: &ResultStore,
 ) -> Vec<valley_harness::JobOutcome> {
-    // batch: 0 defers to $VALLEY_SIM_BATCH — figure-driving sweeps
-    // batch when the environment asks.
     let opts = SweepOptions {
         workers: None,
         verbose: true,
         force: false,
-        batch: 0,
+        batch: 1,
     };
     match run_sweep(spec, store, &opts) {
         Ok(outcome) => outcome.jobs,
@@ -157,13 +152,11 @@ pub fn run_suite_with_store(
     store: &ResultStore,
 ) -> Suite {
     let spec = SweepSpec::new(benches, schemes, scale);
-    // batch: 0 defers to $VALLEY_SIM_BATCH — figure-driving sweeps
-    // batch when the environment asks.
     let opts = SweepOptions {
         workers: None,
         verbose: true,
         force: false,
-        batch: 0,
+        batch: 1,
     };
     match run_sweep(&spec, store, &opts) {
         Ok(outcome) => outcome
@@ -178,16 +171,6 @@ pub fn run_suite_with_store(
 /// The six schemes in the paper's presentation order.
 pub fn all_schemes() -> Vec<SchemeKind> {
     SchemeKind::ALL_SCHEMES.to_vec()
-}
-
-/// Speedup of `scheme` over BASE for `bench` within a suite.
-///
-/// # Panics
-///
-/// Panics if either run is missing from the suite.
-pub fn speedup(suite: &Suite, bench: Benchmark, scheme: SchemeKind) -> f64 {
-    let base = &suite[&(bench, SchemeKind::Base)];
-    suite[&(bench, scheme)].speedup_over(base)
 }
 
 #[cfg(test)]

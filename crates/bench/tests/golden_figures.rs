@@ -24,8 +24,7 @@ fn fig02_output_is_byte_identical_to_pre_refactor_snapshot() {
 
 #[test]
 fn fig03_output_is_byte_identical_to_pre_compute_snapshot() {
-    // Captured from the scalar `window_entropy` path before the sweep
-    // moved behind the valley-compute backend.
+    // Captured from `window_entropy_method`, which `fig03_text` calls.
     assert_eq!(
         figures::fig03_text(),
         include_str!("golden/fig03_window_entropy.txt")

@@ -1,207 +1,103 @@
-//! # valley-compute
-//!
-//! Vectorized implementations of the Valley analytics plane — the pure
-//! data-parallel math behind the paper's entropy metric (Section III) and
-//! BIM address mapping (Section IV): batch [`valley_core::Bim`]
-//! application, per-bit BVR accumulation, and per-bit window-entropy
-//! sweeps.
-//!
-//! Everything sits behind the [`ComputeBackend`] trait so a GPU (wgpu)
-//! backend can slot in later; the first implementation is [`CpuBackend`],
-//! a bit-sliced CPU path (see [`bitslice`](transpose64) for the tile
-//! layout and `docs/compute.md` for the full design). The scalar code in
-//! `valley-core` remains the semantic oracle: the property batteries in
-//! `tests/props.rs` pin bit-exact equivalence — BVRs are exact reduced
-//! fractions and the entropy sweep replays the scalar arithmetic
-//! statement for statement, so equality is `==`, not "approximately".
-//!
-//! All kernels take caller-provided [`ComputeScratch`] and reach zero
-//! steady-state allocations once buffers hit their high-water mark
-//! (`tests/alloc_audit.rs` proves this with a counting allocator, the
-//! same gate the sim tick loops use).
+//! The shell the frozen repo benchmark links: `benchmark/src/layers.rs`
+//! names these six items for its `compute.*` probes. Each is a few lines
+//! over `valley-core`, which holds the one implementation of the paper's
+//! math. No workspace crate may depend on this one (`tests/lint_wiring.rs`);
+//! the `benchmark` PR of ROADMAP item one deletes it with the probes.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-mod bitslice;
-mod cpu;
-pub mod matgen;
-
-pub use bitslice::{transpose64, TILE};
-pub use cpu::CpuBackend;
-
-use valley_core::entropy::{Bvr, EntropyMethod, EntropyScratch, TbBitStats};
+use valley_core::entropy::{window_entropy_method, Bvr, EntropyMethod, TbBitStats};
 use valley_core::Bim;
 
-/// Caller-provided scratch for the [`ComputeBackend`] kernels: two tile
-/// buffers, the column masks of the matrix being applied, and the
-/// window-entropy rolling-scan buffers. One scratch serves any sequence
-/// of kernel calls; nothing is retained between calls except capacity.
-#[derive(Clone, Debug)]
-pub struct ComputeScratch {
-    pub(crate) tile_in: [u64; TILE],
-    pub(crate) tile_out: [u64; TILE],
-    pub(crate) columns: [u64; TILE],
-    pub(crate) entropy: EntropyScratch,
+#[doc(hidden)]
+pub struct CpuBackend;
+
+#[doc(hidden)]
+pub fn backend() -> &'static CpuBackend {
+    &CpuBackend
 }
+
+#[doc(hidden)]
+pub struct ComputeScratch;
 
 impl ComputeScratch {
-    /// Creates an empty scratch; heap buffers grow on first use.
+    #[doc(hidden)]
     pub fn new() -> Self {
-        ComputeScratch {
-            tile_in: [0; TILE],
-            tile_out: [0; TILE],
-            columns: [0; TILE],
-            entropy: EntropyScratch::new(),
-        }
+        ComputeScratch
     }
 }
 
-impl Default for ComputeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A bit-major table of BVR values: row `b` holds the BVRs of address bit
-/// `b` across all active TBs, in ascending TB-identifier order (the
-/// scheduler order Equation 2 assumes). This is the input layout of
-/// [`ComputeBackend::window_entropy_sweep`] — bit-major so each sweep row
-/// is contiguous, which is also the buffer a GPU backend would upload.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BvrTable {
-    bits: usize,
-    tbs: usize,
-    /// Row-major by bit: `values[b * tbs + t]`.
-    values: Vec<Bvr>,
-    requests: u64,
-}
+/// Per address bit, the BVRs of the active TBs in identifier order —
+/// `kernel_entropy_method`'s preamble.
+#[doc(hidden)]
+pub struct BvrTable(Vec<Vec<Bvr>>);
 
 impl BvrTable {
-    /// Builds the table from per-TB statistics, mirroring
-    /// [`valley_core::entropy::kernel_entropy_method`]'s preamble: TBs
-    /// with zero requests are skipped, the rest are sorted by identifier,
-    /// and the bit count comes from the first active TB.
+    #[doc(hidden)]
     pub fn from_tb_stats(tbs: &[TbBitStats]) -> Self {
         let mut active: Vec<&TbBitStats> = tbs.iter().filter(|t| t.requests() > 0).collect();
         active.sort_by_key(|t| t.tb_id());
-        let bits = active.first().map_or(0, |t| t.addr_bits()) as usize;
-        let requests: u64 = active.iter().map(|t| t.requests()).sum();
-        let mut values = Vec::with_capacity(bits * active.len());
-        for b in 0..bits {
-            for t in &active {
-                values.push(Bvr::new(t.ones(b as u8), t.requests()));
-            }
-        }
-        BvrTable {
-            bits,
-            tbs: active.len(),
-            values,
-            requests,
-        }
-    }
-
-    /// Builds the table from explicit per-bit BVR rows (each row already
-    /// in TB order). All rows must have the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows are ragged.
-    pub fn from_bit_rows(rows: &[Vec<Bvr>], requests: u64) -> Self {
-        let tbs = rows.first().map_or(0, |r| r.len());
-        assert!(
-            rows.iter().all(|r| r.len() == tbs),
-            "BvrTable rows must all have the same TB count"
-        );
-        let mut values = Vec::with_capacity(rows.len() * tbs);
-        for row in rows {
-            values.extend_from_slice(row);
-        }
-        BvrTable {
-            bits: rows.len(),
-            tbs,
-            values,
-            requests,
-        }
-    }
-
-    /// Number of address bits (table rows).
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-
-    /// Number of active TBs (table columns).
-    pub fn tbs(&self) -> usize {
-        self.tbs
-    }
-
-    /// Total requests across the active TBs (the kernel weight).
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// The BVRs of address bit `b` across TBs, in TB-identifier order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of range.
-    pub fn bit_row(&self, b: usize) -> &[Bvr] {
-        &self.values[b * self.tbs..(b + 1) * self.tbs]
+        let bits = active.first().map_or(0, |t| t.addr_bits());
+        BvrTable(
+            (0..bits)
+                .map(|b| active.iter().filter_map(|t| t.bvr(b)).collect())
+                .collect(),
+        )
     }
 }
 
-/// A batch-analytics backend: the three data-parallel kernels of the
-/// Valley analytics plane. Implementations must be semantically
-/// bit-exact with the scalar `valley-core` code — consumers treat the
-/// backends as interchangeable, and figure outputs are byte-compared.
-pub trait ComputeBackend: Send + Sync {
-    /// Backend name for telemetry (e.g. the `valley status` report).
-    fn name(&self) -> &'static str;
-
-    /// Addresses processed per internal tile (1 for a pure scalar
-    /// backend).
-    fn tile_width(&self) -> usize;
-
-    /// Applies `bim` to every address in `addrs`, replacing the contents
-    /// of `out` with the mapped addresses in order. Must equal
-    /// `addrs.iter().map(|&a| bim.apply(a))` bit for bit.
-    fn bim_apply_batch(
+impl CpuBackend {
+    #[doc(hidden)]
+    pub fn bim_apply_batch(
         &self,
         bim: &Bim,
         addrs: &[u64],
         out: &mut Vec<u64>,
-        scratch: &mut ComputeScratch,
-    );
+        _scratch: &mut ComputeScratch,
+    ) {
+        out.clear();
+        out.extend(addrs.iter().map(|&a| bim.apply(a)));
+    }
 
-    /// Accumulates per-bit 1-counts over `addrs`: `ones[b]` grows by the
-    /// number of addresses with bit `b` set. Accumulation (`+=`) lets
-    /// callers stream arbitrarily many batches into `u64` counters —
-    /// totals past 2³² are exercised by the property battery.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `ones.len() > 64`.
-    fn bvr_sweep(&self, addrs: &[u64], ones: &mut [u64], scratch: &mut ComputeScratch);
-
-    /// Computes the window-based entropy `H*` (Equation 2) of every bit
-    /// row in `table`, replacing the contents of `out` with one value per
-    /// bit. Must equal `window_entropy_method(table.bit_row(b), ..)` bit
-    /// for bit.
-    fn window_entropy_sweep(
+    #[doc(hidden)]
+    pub fn window_entropy_sweep(
         &self,
         table: &BvrTable,
         window: usize,
         method: EntropyMethod,
         out: &mut Vec<f64>,
-        scratch: &mut ComputeScratch,
-    );
+        _scratch: &mut ComputeScratch,
+    ) {
+        out.clear();
+        for row in &table.0 {
+            out.push(window_entropy_method(row, window, method));
+        }
+    }
 }
 
-/// The process-wide compute backend: the bit-sliced CPU path. Consumers
-/// (figure binaries, the simulator's scheme-application path, the
-/// workload profiler) route through this; a future GPU backend would be
-/// selected here.
-pub fn backend() -> &'static dyn ComputeBackend {
-    static CPU: CpuBackend = CpuBackend::new();
-    &CPU
+#[doc(hidden)]
+pub mod matgen {
+    use valley_core::Bim;
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Seeded random `n × n` rows of density ≈ 3/4, rerolled until full rank.
+    #[doc(hidden)]
+    pub fn dense_invertible(n: u8, seed: u64) -> Bim {
+        assert!((1..=64).contains(&n), "matrix dimension must be 1..=64");
+        let limit = u64::MAX >> (64 - u32::from(n));
+        let mut state = seed ^ 0xa076_1d64_78bd_642f;
+        loop {
+            let rows = (0..n)
+                .map(|_| (splitmix(&mut state) | splitmix(&mut state)) & limit)
+                .collect();
+            if let Ok(m) = Bim::checked_invertible(rows) {
+                return m;
+            }
+        }
+    }
 }

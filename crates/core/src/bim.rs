@@ -185,22 +185,6 @@ impl Bim {
         self.rows[i as usize]
     }
 
-    /// The cached mask of output bits whose row is the identity row
-    /// (`row(i) == 1 << i`). [`Bim::apply`] copies these bits with a single
-    /// AND; batch kernels (`valley-compute`) use the same cache to copy
-    /// identity planes instead of XOR-reducing them.
-    #[inline]
-    pub fn identity_rows_mask(&self) -> u64 {
-        self.identity_mask
-    }
-
-    /// The cached non-identity rows as `(output bit, mask)` pairs — the only
-    /// rows that need parity evaluation. Sorted by output bit.
-    #[inline]
-    pub fn special_rows(&self) -> &[(u8, u64)] {
-        &self.special
-    }
-
     /// Replaces the row for output bit `i`.
     ///
     /// # Panics

@@ -103,6 +103,36 @@ pub fn shannon_entropy(probs: &[f64]) -> f64 {
         .sum::<f64>()
 }
 
+/// Addresses per counting tile, and bit planes per transposed tile.
+const TILE: usize = 64;
+
+/// In-place 64×64 bit-matrix transpose: on input, word `i` is row `i`
+/// (bit `j` = column `j`); on output, word `i` is the former column `i`.
+/// Involutive. The classic recursive block swap (Hacker's Delight §7-3):
+/// swap the two off-diagonal 32×32 blocks, then the four off-diagonal
+/// 16×16 blocks, and so on down to 1×1 — six passes of shift/XOR/mask
+/// over the 64 words.
+fn transpose64(a: &mut [u64; TILE]) {
+    let mut j: usize = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k: usize = 0;
+        while k < TILE {
+            // Hacker's Delight writes this block swap for MSB-first
+            // columns; with our LSB-first convention (bit j of word i =
+            // column j of row i) the swapped halves trade places: the
+            // *high* bits of the low word exchange with the *low* bits of
+            // the high word.
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
 /// Per-TB, per-bit 1-value counts — the raw material of the BVR.
 ///
 /// Build one per TB, feed it every (post-coalescing) request address the
@@ -125,30 +155,34 @@ impl TbBitStats {
     }
 
     /// Builds statistics from an iterator of request addresses.
+    ///
+    /// Counts by tiles of 64 addresses: one bit-matrix transpose turns 64
+    /// per-address bit-counter updates into one `count_ones` per bit
+    /// plane. The ragged tail goes through [`TbBitStats::record`], the
+    /// per-address reference `tests/props.rs` compares this against.
     pub fn from_addrs<I: IntoIterator<Item = u64>>(tb_id: u64, addr_bits: u8, addrs: I) -> Self {
         let mut s = TbBitStats::new(tb_id, addr_bits);
-        for a in addrs {
-            s.record(a);
-        }
-        s
-    }
-
-    /// Builds statistics from pre-accumulated per-bit 1-counts, e.g. the
-    /// transposed-tile BVR sweep in `valley-compute`. `ones[b]` is the
-    /// number of the `requests` addresses with bit `b` set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count exceeds `requests`.
-    pub fn from_counts(tb_id: u64, requests: u64, ones: Vec<u64>) -> Self {
-        assert!(
-            ones.iter().all(|&c| c <= requests),
-            "per-bit 1-count exceeds the request count"
-        );
-        TbBitStats {
-            tb_id,
-            requests,
-            ones,
+        let mut addrs = addrs.into_iter();
+        let mut tile = [0u64; TILE];
+        loop {
+            // `zip` asks the tile for a slot first, so a full tile does
+            // not pull (and lose) a 65th address.
+            let mut filled = 0;
+            for (slot, a) in tile.iter_mut().zip(addrs.by_ref()) {
+                *slot = a;
+                filled += 1;
+            }
+            if filled < TILE {
+                for &a in &tile[..filled] {
+                    s.record(a);
+                }
+                return s;
+            }
+            transpose64(&mut tile);
+            s.requests += TILE as u64;
+            for (count, plane) in s.ones.iter_mut().zip(&tile) {
+                *count += u64::from(plane.count_ones());
+            }
         }
     }
 
@@ -174,16 +208,6 @@ impl TbBitStats {
     /// Number of address bits tracked.
     pub fn addr_bits(&self) -> u8 {
         self.ones.len() as u8
-    }
-
-    /// The raw 1-count of address bit `bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is out of range.
-    #[inline]
-    pub fn ones(&self, bit: u8) -> u64 {
-        self.ones[bit as usize]
     }
 
     /// The BVR of address bit `bit`, or `None` if no requests were recorded.
@@ -282,23 +306,6 @@ pub fn window_entropy(bvrs: &[Bvr], window: usize) -> f64 {
     window_entropy_method(bvrs, window, EntropyMethod::MixtureBvr)
 }
 
-/// Reusable buffers for [`window_entropy_with_scratch`]. One scratch can
-/// serve any mix of bits, windows and methods; buffers grow to the largest
-/// input seen and are then reused allocation-free, which is what lets the
-/// `valley-compute` entropy sweep run with zero steady-state allocations.
-#[derive(Clone, Debug, Default)]
-pub struct EntropyScratch {
-    prefix: Vec<f64>,
-    counts: BvrCounts,
-}
-
-impl EntropyScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// [`window_entropy`] with an explicit per-window entropy method.
 ///
 /// Runs in O(n) for both methods (the naive per-window recomputation is
@@ -311,19 +318,6 @@ impl EntropyScratch {
 /// round-off plus the ≤1e-9 table interpolation error (the property
 /// tests in `tests/props.rs` pin this).
 pub fn window_entropy_method(bvrs: &[Bvr], window: usize, method: EntropyMethod) -> f64 {
-    window_entropy_with_scratch(bvrs, window, method, &mut EntropyScratch::new())
-}
-
-/// [`window_entropy_method`] with caller-provided scratch buffers. The
-/// arithmetic is identical statement for statement — same prefix sums, same
-/// rolling updates, same table lookups — so the result is bit-exactly equal
-/// to the allocating variant; only the buffers' origin differs.
-pub fn window_entropy_with_scratch(
-    bvrs: &[Bvr],
-    window: usize,
-    method: EntropyMethod,
-    scratch: &mut EntropyScratch,
-) -> f64 {
     if bvrs.is_empty() {
         return 0.0;
     }
@@ -334,9 +328,7 @@ pub fn window_entropy_with_scratch(
             // Prefix sums: window sums are two lookups, and the bounded
             // cancellation error keeps results within round-off of the
             // naive per-window summation.
-            let prefix = &mut scratch.prefix;
-            prefix.clear();
-            prefix.reserve(bvrs.len() + 1);
+            let mut prefix = Vec::with_capacity(bvrs.len() + 1);
             let mut acc = 0.0f64;
             prefix.push(0.0);
             for v in bvrs {
@@ -362,8 +354,7 @@ pub fn window_entropy_with_scratch(
                     f64::from(c) * f64::from(c).ln()
                 }
             };
-            let counts = &mut scratch.counts;
-            counts.clear();
+            let mut counts = BvrCounts::default();
             let mut s = 0.0f64; // Σ c·ln c over the current window
             for &v in &bvrs[..w] {
                 let c = counts.entry(v).or_insert(0);
@@ -610,6 +601,71 @@ pub fn global_mean_profile(apps: &[EntropyProfile]) -> EntropyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn naive_transpose(a: &[u64; TILE]) -> [u64; TILE] {
+        let mut out = [0u64; TILE];
+        for (i, row) in a.iter().enumerate() {
+            for (j, out_row) in out.iter_mut().enumerate() {
+                *out_row |= ((row >> j) & 1) << i;
+            }
+        }
+        out
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn transpose_matches_naive_orientation() {
+        let mut state = 0xdead_beefu64;
+        for case in 0..50 {
+            let mut tile = [0u64; TILE];
+            for w in tile.iter_mut() {
+                *w = splitmix(&mut state);
+            }
+            let expect = naive_transpose(&tile);
+            let mut got = tile;
+            transpose64(&mut got);
+            assert_eq!(got, expect, "case {case}");
+        }
+    }
+
+    #[test]
+    fn transpose_is_involutive() {
+        let mut state = 42u64;
+        let mut tile = [0u64; TILE];
+        for w in tile.iter_mut() {
+            *w = splitmix(&mut state);
+        }
+        let orig = tile;
+        transpose64(&mut tile);
+        transpose64(&mut tile);
+        assert_eq!(tile, orig);
+    }
+
+    #[test]
+    fn transpose_fixes_the_diagonal_and_swaps_single_bits() {
+        let mut diag = [0u64; TILE];
+        for (i, w) in diag.iter_mut().enumerate() {
+            *w = 1u64 << i;
+        }
+        let orig = diag;
+        transpose64(&mut diag);
+        assert_eq!(diag, orig);
+        for (r, c) in [(0usize, 0usize), (0, 63), (63, 0), (17, 41), (63, 63)] {
+            let mut tile = [0u64; TILE];
+            tile[r] = 1u64 << c;
+            transpose64(&mut tile);
+            let mut expect = [0u64; TILE];
+            expect[c] = 1u64 << r;
+            assert_eq!(tile, expect, "bit ({r}, {c})");
+        }
+    }
 
     #[test]
     fn bvr_reduction_and_equality() {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use valley_core::entropy::{
     binary_entropy, binary_entropy_fast, window_entropy, window_entropy_method,
-    window_entropy_naive_method, Bvr, EntropyMethod,
+    window_entropy_naive_method, Bvr, EntropyMethod, TbBitStats,
 };
 use valley_core::{AddressMapper, Bim, DramAddressMap, GddrMap, PhysAddr, SchemeKind, StackedMap};
 
@@ -88,6 +88,21 @@ proptest! {
         let f = |x: u64| m.bim().apply(x);
         prop_assert_eq!(f(a ^ b), f(a) ^ f(b));
         prop_assert_eq!(f(0), 0);
+    }
+
+    /// `TbBitStats::from_addrs` counts by transposed 64-address tiles;
+    /// per-address `record` is the reference. Equal for every bit width
+    /// and stream length: empty, ragged tail only, whole tiles, both.
+    #[test]
+    fn tile_counting_matches_per_address_record(
+        addrs in proptest::collection::vec(any::<u64>(), 0..300),
+        bits in 1u8..=64,
+    ) {
+        let mut reference = TbBitStats::new(7, bits);
+        for &a in &addrs {
+            reference.record(a);
+        }
+        prop_assert_eq!(TbBitStats::from_addrs(7, bits, addrs.iter().copied()), reference);
     }
 
     /// Window-based entropy is always within [0, 1] for both methods.

@@ -17,13 +17,11 @@ use valley_fabric::{
     fabric_status, fetch, run_worker, shutdown, ClientOptions, CoordOptions, Coordinator,
     QueryFilters, WorkerOptions,
 };
-use valley_harness::util::{amean, hmean, row, scheme_header};
+use valley_harness::figures::{all_tables, Suite};
 use valley_harness::{
     default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions, StoredResult,
     SweepOptions, SweepSpec, WallKind, DEFAULT_SEED,
 };
-use valley_power::DramPowerModel;
-use valley_sim::Batching;
 use valley_workloads::{Benchmark, Scale};
 
 /// One flag: its name without the dashes, the placeholder of the value
@@ -239,11 +237,11 @@ fn usage() -> String {
         text.push_str(&format!("  --{name:<17} {help}\n"));
     }
     text.push_str(
-        "\nBatch width ($VALLEY_SIM_BATCH when --batch is not given) is never part of a job \
-         key; seeds\nare, even for the schemes that never read them (BASE, PM, RMP) — a batch \
-         runs such lanes\nonce. `serve` re-leases the jobs of a worker that panics, stalls past \
-         its deadline or\ndisconnects, and drops duplicate completions, so the distributed \
-         store matches a local\nsequential sweep.",
+        "\nBatch width (--batch, default one job per unit) is never part of a job key; seeds \
+         are, even\nfor the schemes that never read them (BASE, PM, RMP) — a batch runs such \
+         lanes once. `serve`\nre-leases the jobs of a worker that panics, stalls past its \
+         deadline or disconnects, and drops\nduplicate completions, so the distributed store \
+         matches a local sequential sweep.",
     );
     text
 }
@@ -383,9 +381,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let spec = parse_grid(flags)?;
     let scale = spec.scale;
     let workers = flags.parsed("workers")?;
-    // 0 defers to $VALLEY_SIM_BATCH inside run_sweep: the flag, when
-    // given, wins over the environment.
-    let batch = flags.parsed("batch")?.map_or(0, |n: usize| n.max(1));
+    let batch = flags.parsed("batch")?.unwrap_or(1);
     let expect_cached: Option<f64> = flags.parsed("expect-cached")?;
 
     let store = open_store(flags)?;
@@ -438,11 +434,6 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
     if let Some(addr) = flags.get("fabric") {
         return fabric_status_report(addr);
     }
-    // Which analytics compute plane this build runs its BIM/entropy
-    // sweeps on (today always the bit-sliced CPU backend; a GPU backend
-    // would slot in behind the same trait and report here).
-    let be = valley_compute::backend();
-    println!("compute: {} (tile width {})", be.name(), be.tile_width());
     // One hash over every declared wire/store shape and its version: two
     // deployments printing the same line run under the same contract.
     println!("schema: {:016x}", valley_fabric::schema::identity());
@@ -594,21 +585,31 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
     let store = open_store(flags)?;
 
     // Pure cache read: collect every (bench, scheme) report or fail with
-    // the exact sweep command that would fill the gap.
+    // the exact sweep command that would fill the gap (`sweep` defaults
+    // to every benchmark and scheme, but to `DEFAULT_SEED`).
+    let mut fill = format!("valley sweep --scale {scale}");
+    if seed != DEFAULT_SEED {
+        fill.push_str(&format!(" --seeds {seed}"));
+    }
+    if let Some(dir) = flags.get("results") {
+        fill.push_str(&format!(" --results {dir}"));
+    }
     let suite = collect_suite(
         &benches,
         scale,
         seed,
         |job| store.get(job),
-        &format!("run `valley sweep --scale {scale}` first — figures never simulate"),
+        &format!("run `{fill}` first — figures never simulate"),
     )?;
     println!(
         "figures from store {} (scale {scale}, seed {seed}; pure cache read)",
         store.dir().display()
     );
-    render_figures(&suite, &benches);
+    print!("{}", all_tables(&suite, FIG12_TITLE));
     Ok(())
 }
+
+const FIG12_TITLE: &str = "Figure 12/20: speedup over BASE";
 
 /// Collects the complete (bench × scheme) suite the figure tables need,
 /// from any result source — the local store for `figures`, a fetched
@@ -620,14 +621,14 @@ fn collect_suite(
     seed: u64,
     get: impl Fn(&JobSpec) -> Option<StoredResult>,
     hint: &str,
-) -> Result<BTreeMap<(Benchmark, SchemeKind), StoredResult>, String> {
-    let mut suite = BTreeMap::new();
+) -> Result<Suite, String> {
+    let mut suite = Suite::new();
     let mut missing = Vec::new();
     let spec = SweepSpec::new(benches, &SchemeKind::ALL_SCHEMES, scale).with_seeds(&[seed]);
     for job in spec.expand() {
         match get(&job) {
             Some(e) => {
-                suite.insert((job.bench, job.scheme), e);
+                suite.insert((job.bench, job.scheme), e.report);
             }
             None => missing.push(job.label()),
         }
@@ -641,107 +642,6 @@ fn collect_suite(
         ));
     }
     Ok(suite)
-}
-
-/// Renders the headline figure tables from a complete suite (shared by
-/// `figures` and `fetch --figures` — neither ever simulates).
-fn render_figures(suite: &BTreeMap<(Benchmark, SchemeKind), StoredResult>, benches: &[Benchmark]) {
-    let schemes = SchemeKind::ALL_SCHEMES;
-    let table = |title: &str,
-                 metric: &dyn Fn(&StoredResult) -> f64,
-                 agg: &dyn Fn(&[f64]) -> f64,
-                 agg_label: &str,
-                 precision: usize| {
-        println!("\n{title}");
-        println!("{}", scheme_header("bench", &schemes, 8));
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-        for &b in benches {
-            let vals: Vec<f64> = schemes.iter().map(|&s| metric(&suite[&(b, s)])).collect();
-            for (c, v) in vals.iter().enumerate() {
-                cols[c].push(*v);
-            }
-            println!("{}", row(b.label(), &vals, 8, precision));
-        }
-        let aggs: Vec<f64> = cols.iter().map(|c| agg(c)).collect();
-        println!("{}", row(agg_label, &aggs, 8, precision));
-    };
-
-    table(
-        "Speedup over BASE (Figure 12/20)",
-        &|e| {
-            let base = &suite[&(e.spec.bench, SchemeKind::Base)];
-            e.report.speedup_over(&base.report)
-        },
-        &hmean,
-        "HMEAN",
-        2,
-    );
-    table(
-        "DRAM row-buffer hit rate % (Figure 15)",
-        &|e| e.report.row_buffer_hit_rate() * 100.0,
-        &amean,
-        "AVG",
-        1,
-    );
-    table(
-        "Channel-level parallelism (Figure 14b)",
-        &|e| e.report.channel_parallelism,
-        &amean,
-        "AVG",
-        2,
-    );
-
-    // Power tables (Figures 11/16): the DRAM power model is a pure
-    // function of the stored report, so these render from the store
-    // like everything else — `figures` never simulates, for power
-    // either.
-    let model = DramPowerModel::gddr5();
-    println!("\nNormalized execution time vs normalized DRAM power (Figure 11)");
-    println!(
-        "{:<8}{:>16}{:>18}",
-        "scheme", "norm exec time", "norm DRAM power"
-    );
-    for &s in &schemes {
-        let mut times = Vec::new();
-        let mut powers = Vec::new();
-        for &b in benches {
-            let base = &suite[&(b, SchemeKind::Base)].report;
-            let r = &suite[&(b, s)].report;
-            times.push(r.cycles as f64 / base.cycles as f64);
-            powers.push(model.evaluate(r).total() / model.evaluate(base).total());
-        }
-        println!(
-            "{:<8}{:>16.3}{:>18.3}",
-            s.label(),
-            amean(&times),
-            amean(&powers)
-        );
-    }
-    println!("\nDRAM power breakdown in Watts, averaged over benchmarks (Figure 16)");
-    println!(
-        "{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}",
-        "scheme", "background", "activate", "read", "write", "total"
-    );
-    for &s in &schemes {
-        let (mut bg, mut act, mut rd, mut wr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for &b in benches {
-            let p = model.evaluate(&suite[&(b, s)].report);
-            bg.push(p.background);
-            act.push(p.activate);
-            rd.push(p.read);
-            wr.push(p.write);
-        }
-        let (bg, act, rd, wr) = (amean(&bg), amean(&act), amean(&rd), amean(&wr));
-        println!(
-            "{:<8}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>12.1}",
-            s.label(),
-            bg,
-            act,
-            rd,
-            wr,
-            bg + act + rd + wr
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -819,12 +719,8 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
     let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
         name: flags.get("name").map_or(defaults.name, str::to_string),
-        // The lease capacity mirrors `sweep --batch`: the flag wins, else
-        // $VALLEY_SIM_BATCH, else single-job leases.
-        capacity: flags
-            .parsed("batch")?
-            .unwrap_or_else(|| Batching::from_env().width())
-            .max(1),
+        // The lease capacity mirrors `sweep --batch`.
+        capacity: flags.parsed("batch")?.unwrap_or(defaults.capacity).max(1),
         connect_attempts: flags
             .parsed("connect-attempts")?
             .unwrap_or(defaults.connect_attempts)
@@ -887,7 +783,7 @@ fn cmd_fetch(flags: &Flags) -> Result<(), String> {
             "figures fetched from {addr} (scale {}, seed {seed}; pure cache read)",
             spec.scale
         );
-        render_figures(&suite, &spec.benches);
+        print!("{}", all_tables(&suite, FIG12_TITLE));
     }
     if flags.has("shutdown") {
         shutdown(addr, &copts).map_err(|e| e.to_string())?;

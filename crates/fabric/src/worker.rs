@@ -15,6 +15,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
+use valley_harness::pool::panic_message;
 use valley_harness::{execute_batch_timed, JobFailure, JobSpec, StoredResult};
 
 /// Options controlling one worker run.
@@ -262,12 +263,4 @@ fn execute_lease(
             }
         }
     }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|m| (*m).to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }

@@ -1,7 +1,8 @@
 //! The `valley` binary's flag surface: a removed flag is rejected like
 //! any unknown one, before the subcommand does anything; a filter value
 //! that names nothing is an error, not an empty result; a grid value
-//! given twice names the same jobs, not more jobs; and `valley help` is
+//! given twice names the same jobs, not more jobs; the command `figures`
+//! prints for a missing result fills the gap; and `valley help` is
 //! generated from the same table that parses the flags.
 
 use std::process::Command;
@@ -123,6 +124,44 @@ fn repeated_grid_values_run_one_job_and_leave_a_clean_store() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("gc: 1 kept, 0 removed"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `figures` on a store without the requested seed names the sweep that
+/// fills the gap: after running the printed command, `figures` renders.
+#[test]
+fn figures_hint_is_the_sweep_that_fills_the_gap() {
+    let dir = std::env::temp_dir().join(format!("valley-cli-hint-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // The default store too, so a hint without `--results` stays in `dir`.
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_valley"))
+            .args(args)
+            .env("VALLEY_RESULTS_DIR", &dir)
+            .output()
+            .expect("valley runs")
+    };
+    let figures = ["figures", "--scale", "test", "--seed", "7"];
+    let out = run(&figures);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "figures rendered an empty store");
+    let hint = stderr.split('`').nth(1).expect("a command in backticks");
+    let mut words = hint.split_whitespace();
+    assert_eq!(words.next(), Some("valley"), "{stderr}");
+    let sweep: Vec<&str> = words.collect();
+    let out = run(&sweep);
+    assert!(
+        out.status.success(),
+        "`{hint}`: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run(&figures);
+    assert!(
+        out.status.success(),
+        "after `{hint}`: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("HMEAN"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod figures;
 mod job;
 pub mod pool;
 mod store;

@@ -136,7 +136,8 @@ fn next_job(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, bool)
     }
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic's payload (`panic!`'s message).
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     panic
         .downcast_ref::<&str>()
         .map(|m| (*m).to_string())

@@ -312,58 +312,100 @@ pub fn store_line_description() -> String {
     )
 }
 
+/// A shard file's text, or `None` if the shard was never written.
+fn read_shard(path: &Path) -> Result<Option<String>, StoreError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// What one line of a shard is. The three readers — strict
+/// [`ResultStore::open`], lenient [`scan`], compacting [`gc`] — differ
+/// only in what they do with a class. The defects carry the cause.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one value exists at a time and nearly every line is a record; boxing it would allocate per line"
+)]
+enum Line {
+    /// A valid record and its key hash.
+    Record(u64, StoredResult),
+    /// Whitespace only.
+    Blank,
+    /// An invalid final line without its newline: the signature of a run
+    /// killed mid-append.
+    TornTail(String),
+    /// Well-formed JSON that is not a valid record — the debris of a
+    /// schema change (key format, names, store or report version).
+    Orphan(String),
+    /// Anything else: real corruption, which no reader papers over.
+    Garbage(String),
+}
+
+/// Classifies every line of a shard's text, yielding `(line number,
+/// class)` with lines numbered from 1.
+fn classify(text: &str) -> impl Iterator<Item = (usize, Line)> + '_ {
+    let mut lines = text.lines().zip(1..).peekable();
+    std::iter::from_fn(move || {
+        let (line, n) = lines.next()?;
+        let class = if line.trim().is_empty() {
+            Line::Blank
+        } else {
+            match parse_record(line) {
+                Ok((hash, stored)) => Line::Record(hash, stored),
+                Err(cause) if lines.peek().is_none() && !text.ends_with('\n') => {
+                    Line::TornTail(cause)
+                }
+                Err(cause) if json::parse(line).is_ok() => Line::Orphan(cause),
+                Err(cause) => Line::Garbage(cause),
+            }
+        };
+        Some((n, class))
+    })
+}
+
+fn corrupt(path: &Path, n: usize, cause: &str) -> StoreError {
+    StoreError::Corrupt(format!("{} line {n}: {cause}", path.display()))
+}
+
 fn load_shard(path: &Path, index: &mut FastMap<u64, StoredResult>) -> Result<(), StoreError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
+    let Some(text) = read_shard(path)? else {
+        return Ok(());
     };
-    let lines: Vec<&str> = text.lines().collect();
-    for (n, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_record(line) {
-            Ok((hash, stored)) => {
+    for (n, class) in classify(&text) {
+        match class {
+            Line::Record(hash, stored) => {
                 index.insert(hash, stored);
             }
-            Err(cause) => {
-                // A truncated final line is the signature of a run killed
-                // mid-append; drop it (the job will re-run). Anything
-                // else is real corruption and must not be papered over.
-                let is_last = n + 1 == lines.len() && !text.ends_with('\n');
-                if is_last {
+            Line::Blank => {}
+            // Dropped: the job simply re-runs.
+            Line::TornTail(cause) => {
+                eprintln!(
+                    "warning: dropping truncated final record in {} ({cause})",
+                    path.display()
+                );
+                // Cut the partial line off the file as well: the store
+                // appends, so leaving it would weld the next record onto
+                // the fragment — one permanently corrupt interior line
+                // that fails every later open. On a read-only store the
+                // repair is impossible but the weld hazard is moot
+                // (appends would fail too), so warn and skip.
+                let keep = text.rfind('\n').map_or(0, |i| i + 1) as u64;
+                if let Err(e) = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(path)
+                    .and_then(|f| f.set_len(keep))
+                {
                     eprintln!(
-                        "warning: dropping truncated final record in {} ({cause})",
+                        "warning: could not truncate {} to {keep} bytes ({e}); \
+                         run `valley gc` before the next append",
                         path.display()
                     );
-                    // Cut the partial line off the file as well: the
-                    // store appends, so leaving it would weld the next
-                    // record onto the fragment — one permanently corrupt
-                    // interior line that fails every later open. On a
-                    // read-only store the repair is impossible but the
-                    // weld hazard is moot (appends would fail too), so
-                    // fall back to the old warn-and-skip behavior.
-                    let keep = text.rfind('\n').map_or(0, |i| i + 1) as u64;
-                    if let Err(e) = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(path)
-                        .and_then(|f| f.set_len(keep))
-                    {
-                        eprintln!(
-                            "warning: could not truncate {} to {keep} bytes ({e}); \
-                             run `valley gc` before the next append",
-                            path.display()
-                        );
-                    }
-                } else {
-                    return Err(StoreError::Corrupt(format!(
-                        "{} line {}: {cause}",
-                        path.display(),
-                        n + 1
-                    )));
                 }
             }
+            // Strict: schema drift is as fatal here as corruption.
+            Line::Orphan(cause) | Line::Garbage(cause) => return Err(corrupt(path, n, &cause)),
         }
     }
     Ok(())
@@ -424,45 +466,29 @@ pub fn scan(dir: &Path) -> Result<StoreScan, StoreError> {
     Ok(out)
 }
 
-/// Per-shard lenient scan: classifies every line and returns the valid
+/// Per-shard lenient scan: counts the defects and returns the valid
 /// records (latest occurrence per key) in first-seen order.
 #[allow(clippy::type_complexity)]
 fn scan_shard(path: &Path) -> Result<(Vec<(u64, StoredResult)>, StoreScan), StoreError> {
     let mut stats = StoreScan::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), stats)),
-        Err(e) => return Err(e.into()),
+    let Some(text) = read_shard(path)? else {
+        return Ok((Vec::new(), stats));
     };
-    let lines: Vec<&str> = text.lines().collect();
     let mut order: Vec<u64> = Vec::new();
     let mut latest: FastMap<u64, StoredResult> = FastMap::default();
-    for (n, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_record(line) {
-            Ok((hash, stored)) => {
+    for (n, class) in classify(&text) {
+        match class {
+            Line::Record(hash, stored) => {
                 if latest.insert(hash, stored).is_some() {
                     stats.duplicates += 1;
                 } else {
                     order.push(hash);
                 }
             }
-            Err(cause) => {
-                let is_last = n + 1 == lines.len() && !text.ends_with('\n');
-                if is_last {
-                    stats.truncated += 1;
-                } else if json::parse(line).is_ok() {
-                    stats.orphans += 1;
-                } else {
-                    return Err(StoreError::Corrupt(format!(
-                        "{} line {}: {cause}",
-                        path.display(),
-                        n + 1
-                    )));
-                }
-            }
+            Line::Blank => {}
+            Line::TornTail(_) => stats.truncated += 1,
+            Line::Orphan(_) => stats.orphans += 1,
+            Line::Garbage(cause) => return Err(corrupt(path, n, &cause)),
         }
     }
     let records = order
@@ -513,58 +539,33 @@ pub fn gc(dir: &Path) -> Result<GcReport, StoreError> {
     // agree with [`scan`] (and the last-write-wins index) about which
     // record survives.
     let mut texts: Vec<Option<String>> = Vec::with_capacity(NUM_SHARDS);
-    let mut classes: Vec<Vec<Option<u64>>> = Vec::with_capacity(NUM_SHARDS);
+    let mut records: Vec<Vec<(usize, u64)>> = vec![Vec::new(); NUM_SHARDS];
     let mut dirty: Vec<bool> = vec![false; NUM_SHARDS];
     let mut last_of: FastMap<u64, (usize, usize)> = FastMap::default();
     for shard in 0..NUM_SHARDS {
         let path = shard_path(dir, shard);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                texts.push(None);
-                classes.push(Vec::new());
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        report.bytes_before += text.len() as u64;
-        let lines: Vec<&str> = text.lines().collect();
-        let mut shard_classes: Vec<Option<u64>> = Vec::with_capacity(lines.len());
-        for (n, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                shard_classes.push(None);
-                dirty[shard] = true;
-                continue;
-            }
-            match parse_record(line) {
-                Ok((hash, _)) => {
+        let text = read_shard(&path)?;
+        for (n, class) in classify(text.as_deref().unwrap_or_default()) {
+            match class {
+                Line::Record(hash, _) => {
                     if let Some((ps, _)) = last_of.insert(hash, (shard, n)) {
                         report.duplicates_removed += 1;
                         dirty[ps] = true;
                         dirty[shard] = true;
                     }
-                    shard_classes.push(Some(hash));
+                    records[shard].push((n, hash));
+                    continue;
                 }
-                Err(cause) => {
-                    let is_last = n + 1 == lines.len() && !text.ends_with('\n');
-                    if is_last {
-                        report.truncated_removed += 1;
-                    } else if json::parse(line).is_ok() {
-                        report.orphans_removed += 1;
-                    } else {
-                        return Err(StoreError::Corrupt(format!(
-                            "{} line {}: {cause}",
-                            path.display(),
-                            n + 1
-                        )));
-                    }
-                    shard_classes.push(None);
-                    dirty[shard] = true;
-                }
+                Line::Blank => {}
+                Line::TornTail(_) => report.truncated_removed += 1,
+                Line::Orphan(_) => report.orphans_removed += 1,
+                Line::Garbage(cause) => return Err(corrupt(&path, n, &cause)),
             }
+            // Every line that is not a record is dropped by the rewrite.
+            dirty[shard] = true;
         }
-        texts.push(Some(text));
-        classes.push(shard_classes);
+        report.bytes_before += text.as_ref().map_or(0, |t| t.len() as u64);
+        texts.push(text);
     }
     report.kept = last_of.len();
 
@@ -577,10 +578,11 @@ pub fn gc(dir: &Path) -> Result<GcReport, StoreError> {
             continue;
         }
         let path = shard_path(dir, shard);
+        let lines: Vec<&str> = text.lines().collect();
         let mut compact = String::with_capacity(text.len());
-        for (n, line) in text.lines().enumerate() {
-            if classes[shard][n].is_some_and(|h| last_of[&h] == (shard, n)) {
-                compact.push_str(line);
+        for &(n, hash) in &records[shard] {
+            if last_of[&hash] == (shard, n) {
+                compact.push_str(lines[n - 1]);
                 compact.push('\n');
             }
         }

@@ -7,7 +7,7 @@ use crate::pool;
 use crate::store::{ResultStore, StoreError};
 use std::time::{Duration, Instant};
 use valley_core::hash::FastMap;
-use valley_sim::{Batching, SimReport};
+use valley_sim::SimReport;
 
 /// Options controlling one sweep run.
 #[derive(Clone, Debug, Default)]
@@ -23,8 +23,7 @@ pub struct SweepOptions {
     /// Batch width: pending jobs that share a machine (config, scale,
     /// scheme) become one pool unit in groups of up to this many lanes,
     /// within which lanes that are the same simulation run once (see
-    /// [`execute_batch_timed`]). `0` defers to the `VALLEY_SIM_BATCH`
-    /// environment knob; a width of 1 (either way) is one job per unit.
+    /// [`execute_batch_timed`]). `0` and `1` both mean one job per unit.
     /// Batch width is pure scheduling — per-lane results are identical
     /// to unbatched runs — so it is deliberately not part of job keys.
     pub batch: usize,
@@ -274,11 +273,7 @@ pub fn run_sweep(
     // error becomes that job's failure rather than aborting the drain:
     // the remaining computed results still get persisted and every
     // failure is reported together.
-    let width = if opts.batch == 0 {
-        Batching::from_env().width()
-    } else {
-        opts.batch
-    };
+    let width = opts.batch.max(1);
     let mut batches: Vec<Vec<usize>> = Vec::new();
     let mut open: FastMap<
         (

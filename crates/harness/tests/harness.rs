@@ -516,6 +516,71 @@ fn gc_drops_orphaned_schema_records_and_truncated_tails() {
 }
 
 #[test]
+fn mixed_debris_in_one_shard_is_counted_alike_by_scan_gc_and_open() {
+    // A `--force` duplicate, an orphan and a torn tail share a shard:
+    // the lenient scan (`valley status`), gc and the strict open after
+    // gc each read it with their own policy and must agree on the counts.
+    let tmp = TempStore::new("mixed-debris");
+    let spec = SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test);
+    {
+        let store = tmp.open();
+        run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+        let forced = SweepOptions {
+            force: true,
+            ..Default::default()
+        };
+        run_sweep(&spec, &store, &forced).unwrap();
+    }
+    let shard = populated_shard(&tmp.0);
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let newest = text.lines().last().unwrap();
+    let orphan = newest.replacen("\"hash\":\"", "\"hash\":\"feed", 1);
+    let half = &newest[..newest.len() / 2];
+    std::fs::write(&shard, format!("{text}{orphan}\n{half}")).unwrap();
+
+    assert!(
+        ResultStore::open(&tmp.0).is_err(),
+        "open stays strict about the orphan"
+    );
+    let scan = valley_harness::scan(&tmp.0).unwrap();
+    assert_eq!(
+        (
+            scan.records.len(),
+            scan.duplicates,
+            scan.orphans,
+            scan.truncated
+        ),
+        (1, 1, 1, 1)
+    );
+    let report = valley_harness::gc(&tmp.0).unwrap();
+    assert_eq!(
+        (
+            report.kept,
+            report.duplicates_removed,
+            report.orphans_removed,
+            report.truncated_removed
+        ),
+        (1, 1, 1, 1)
+    );
+    // The survivor is the forced re-run's line: the last occurrence wins.
+    assert_eq!(
+        std::fs::read_to_string(&shard).unwrap(),
+        format!("{newest}\n")
+    );
+    assert_eq!(tmp.open().len(), 1);
+    let scan = valley_harness::scan(&tmp.0).unwrap();
+    assert_eq!(
+        (
+            scan.records.len(),
+            scan.duplicates,
+            scan.orphans,
+            scan.truncated
+        ),
+        (1, 0, 0, 0)
+    );
+}
+
+#[test]
 fn gc_removes_cross_shard_duplicates_scan_reports() {
     // Same-key records normally share a shard, but a hand-edited or
     // partially restored store may not; `scan` counts such duplicates,

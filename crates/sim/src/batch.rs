@@ -1,5 +1,5 @@
-//! Batch grouping for sweeps: the width knob ([`Batching`]) and a
-//! [`BatchSim`] that runs a group of simulations one after another.
+//! Batch grouping for sweeps: a [`BatchSim`] runs a group of simulations
+//! one after another.
 //!
 //! What a batch buys is decided above this crate: the harness groups
 //! same-machine jobs and runs lanes that are the *same simulation* once
@@ -8,38 +8,6 @@
 
 use crate::gpu::GpuSim;
 use crate::metrics::SimReport;
-
-/// Batch-width knob for the harness's sweep executor: how many
-/// same-machine jobs go into one group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Batching(pub usize);
-
-impl Batching {
-    /// Reads `VALLEY_SIM_BATCH`: unset, empty, `0` or `1` mean no
-    /// batching (width 1); `n > 1` means groups of up to `n` lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a value that is not a non-negative integer, so a typo'd
-    /// environment cannot silently fall back to unbatched runs.
-    pub fn from_env() -> Self {
-        match std::env::var("VALLEY_SIM_BATCH") {
-            Err(_) => Batching(1),
-            Ok(s) if s.is_empty() => Batching(1),
-            Ok(s) => {
-                let n: usize = s
-                    .parse()
-                    .unwrap_or_else(|_| panic!("VALLEY_SIM_BATCH={s} is not an integer"));
-                Batching(n.max(1))
-            }
-        }
-    }
-
-    /// The batch width this knob requests (1 = unbatched).
-    pub fn width(self) -> usize {
-        self.0.max(1)
-    }
-}
 
 /// A group of simulations ("lanes") run in lane order. Lanes are
 /// independent and may differ in everything, machine included.

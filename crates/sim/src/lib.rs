@@ -33,7 +33,7 @@ mod trace;
 mod txn;
 mod wake;
 
-pub use batch::{BatchSim, Batching};
+pub use batch::BatchSim;
 pub use coalesce::{coalesce, coalesce_into};
 pub use config::{GpuConfig, LlcWritePolicy, WarpScheduler};
 pub use gpu::GpuSim;

@@ -19,7 +19,6 @@ use crate::txn::{TxnTable, NO_WARP};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
-use valley_compute::{backend, ComputeScratch};
 use valley_core::{AddressMapper, PhysAddr};
 
 /// A NoC request emitted by an SM (to be injected by the GPU top level).
@@ -97,10 +96,6 @@ pub(crate) struct Sm {
     mem_queue: VecDeque<u64>,
     /// Reusable coalescing output (issue path, allocation-free).
     lines_buf: Vec<u64>,
-    /// Reusable batch-mapped addresses for `lines_buf` (issue path).
-    mapped_buf: Vec<u64>,
-    /// Scratch for the compute backend's batch scheme application.
-    compute_scratch: ComputeScratch,
     /// Reusable MSHR-waiter drain buffer (reply path, allocation-free).
     waiter_buf: Vec<u64>,
     l1: SetAssocCache,
@@ -143,8 +138,6 @@ impl Sm {
             last_issued: None,
             mem_queue: VecDeque::with_capacity(64),
             lines_buf: Vec::with_capacity(32),
-            mapped_buf: Vec::with_capacity(32),
-            compute_scratch: ComputeScratch::new(),
             waiter_buf: Vec::with_capacity(8),
             l1: SetAssocCache::new(cfg.l1),
             mshr: MshrFile::new(cfg.l1_mshrs, cfg.l1_mshr_merges),
@@ -624,23 +617,11 @@ impl Sm {
                 }
                 warp.outstanding_loads = lines.len() as u32;
                 self.ready.remove(&(age, w));
-                // Scheme application goes through the compute backend in
-                // one batch per instruction; sub-tile batches (≤ 32
-                // coalesced lines) take its scalar path, so the mapped
-                // addresses are bit-identical to per-line `mapper.map`.
-                let mut mapped = std::mem::take(&mut self.mapped_buf);
-                backend().bim_apply_batch(
-                    mapper.bim(),
-                    &lines,
-                    &mut mapped,
-                    &mut self.compute_scratch,
-                );
-                for (&line, &m) in lines.iter().zip(&mapped) {
-                    let m = PhysAddr::new(m);
+                for &line in &lines {
+                    let m = mapper.map(PhysAddr::new(line));
                     let txn = txns.alloc(self.id, w, false, line, m, slice_of(m));
                     self.mem_queue.push_back(txn);
                 }
-                self.mapped_buf = mapped;
                 self.lines_buf = lines;
             }
             Some(Instruction::Store(lanes)) => {
@@ -648,19 +629,11 @@ impl Sm {
                 // Fire-and-forget: the warp stays ready.
                 let mut lines = std::mem::take(&mut self.lines_buf);
                 coalesce_into(&lanes, cfg.line_bytes, &mut lines);
-                let mut mapped = std::mem::take(&mut self.mapped_buf);
-                backend().bim_apply_batch(
-                    mapper.bim(),
-                    &lines,
-                    &mut mapped,
-                    &mut self.compute_scratch,
-                );
-                for (&line, &m) in lines.iter().zip(&mapped) {
-                    let m = PhysAddr::new(m);
+                for &line in &lines {
+                    let m = mapper.map(PhysAddr::new(line));
                     let txn = txns.alloc(self.id, NO_WARP, true, line, m, slice_of(m));
                     self.mem_queue.push_back(txn);
                 }
-                self.mapped_buf = mapped;
                 self.lines_buf = lines;
             }
         }
