@@ -1,8 +1,7 @@
 //! # valley-bench
 //!
 //! The experiment layer: shared figure printers used by the per-figure
-//! binaries in `src/bin/` (one per table/figure of the paper) and by the
-//! Criterion micro-benchmarks in `benches/`.
+//! binaries in `src/bin/` (one per table/figure of the paper).
 //!
 //! Since the `valley-harness` refactor this crate is a *thin consumer*
 //! of the sweep engine: [`run_suite`] builds a
@@ -42,20 +41,6 @@ pub fn run_one(bench: Benchmark, scheme: SchemeKind, seed: u64, scale: Scale) ->
     })
 }
 
-/// Runs one simulation with an explicit GPU configuration (SM sweeps).
-pub fn run_one_with(
-    bench: Benchmark,
-    scheme: SchemeKind,
-    seed: u64,
-    scale: Scale,
-    cfg: GpuConfig,
-) -> SimReport {
-    let map = GddrMap::baseline();
-    let mapper = AddressMapper::build(scheme, &map, seed);
-    let sim = GpuSim::new(cfg, mapper, map, Box::new(bench.workload(scale)));
-    sim.run()
-}
-
 /// Runs one simulation with an explicit, possibly hand-built mapper
 /// (ablations: density-constrained or profile-guided BIMs).
 pub fn run_custom(
@@ -68,23 +53,11 @@ pub fn run_custom(
     GpuSim::new(cfg, mapper, map, Box::new(bench.workload(scale))).run()
 }
 
-/// Runs one simulation on the 3D-stacked memory configuration
-/// (Figure 18, rightmost group).
-pub fn run_one_stacked(bench: Benchmark, scheme: SchemeKind, seed: u64, scale: Scale) -> SimReport {
-    execute_job(&JobSpec {
-        bench,
-        scheme,
-        seed,
-        scale,
-        config: ConfigId::Stacked,
-    })
-}
-
 /// Runs the cross product of `benches × schemes` through the sweep
 /// harness against the default result store ([`default_results_dir`]):
 /// already-stored jobs are served from disk, the rest run in parallel on
-/// the work-stealing pool with per-job panic isolation, and every fresh
-/// result is persisted for the next consumer.
+/// the thread pool with per-job panic isolation, and every fresh result
+/// is persisted for the next consumer.
 ///
 /// # Panics
 ///

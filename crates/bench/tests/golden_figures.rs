@@ -4,7 +4,7 @@
 //! *pre-refactor* binaries (commit `8d907f2`, direct `run_suite` driver,
 //! Test scale). The harness-backed paths must reproduce them
 //! byte-for-byte — both on a cold store (fresh simulation through the
-//! work-stealing pool) and on a warm store (pure cache read through the
+//! thread pool) and on a warm store (pure cache read through the
 //! JSON round trip), so the store's serialization provably does not
 //! perturb a single digit of any figure.
 

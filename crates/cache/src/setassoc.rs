@@ -215,11 +215,6 @@ impl SetAssocCache {
         self.geom.config()
     }
 
-    /// The precomputed geometry.
-    pub fn geometry(&self) -> &CacheGeometry {
-        &self.geom
-    }
-
     /// The line-aligned address containing `addr`.
     #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
@@ -353,11 +348,6 @@ impl SetAssocCache {
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets the statistics (the contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 

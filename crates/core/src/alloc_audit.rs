@@ -27,8 +27,6 @@ mod imp {
     pub static SPAN_ALLOCS: AtomicU64 = AtomicU64::new(0);
     /// Allocations observed while armed but paused (the declared sites).
     pub static PAUSED_ALLOCS: AtomicU64 = AtomicU64::new(0);
-    /// All allocations since process start (proves the counter works).
-    pub static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
     /// Cycle window [start, end) in which the audit is armed.
     pub static WINDOW_START: AtomicU64 = AtomicU64::new(u64::MAX);
     pub static WINDOW_END: AtomicU64 = AtomicU64::new(u64::MAX);
@@ -67,7 +65,6 @@ pub fn pause() -> PauseGuard {
 pub fn on_alloc() {
     #[cfg(feature = "alloc-audit")]
     {
-        imp::TOTAL_ALLOCS.fetch_add(1, imp::relaxed());
         if imp::ARMED.load(imp::relaxed()) {
             if imp::PAUSE_DEPTH.load(imp::relaxed()) == 0 {
                 imp::SPAN_ALLOCS.fetch_add(1, imp::relaxed());
@@ -148,15 +145,6 @@ pub fn span_allocs() -> u64 {
 pub fn paused_allocs() -> u64 {
     #[cfg(feature = "alloc-audit")]
     return imp::PAUSED_ALLOCS.load(imp::relaxed());
-    #[cfg(not(feature = "alloc-audit"))]
-    0
-}
-
-/// All allocations since process start.
-#[inline]
-pub fn total_allocs() -> u64 {
-    #[cfg(feature = "alloc-audit")]
-    return imp::TOTAL_ALLOCS.load(imp::relaxed());
     #[cfg(not(feature = "alloc-audit"))]
     0
 }

@@ -250,51 +250,6 @@ pub fn binary_entropy(p: f64) -> f64 {
     -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
 }
 
-/// Resolution of the [`binary_entropy_fast`] lookup table: knots at
-/// multiples of 2⁻¹⁶. A power of two keeps every dyadic rational — which
-/// is what window means of 0/1-valued BVRs produce — exactly on a knot,
-/// so those inputs return the *exact* entropy, bit for bit.
-const BE_TABLE_INTERVALS: usize = 1 << 16;
-
-/// Outside `[1/16, 15/16]` the curvature of H(p) blows up (H″ ~ 1/p) and
-/// linear interpolation degrades, so the fast path falls back to the
-/// exact formula there. Inside, the interpolation error is bounded by
-/// max|H″|·h²/8 ≈ 7.2e-10 (h = 2⁻¹⁶, |H″| ≤ 1/(ln2·(1/16)(15/16))).
-const BE_EXACT_BELOW: f64 = 1.0 / 16.0;
-const BE_EXACT_ABOVE: f64 = 15.0 / 16.0;
-
-fn be_table() -> &'static [f64] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        (0..=BE_TABLE_INTERVALS)
-            .map(|i| binary_entropy(i as f64 / BE_TABLE_INTERVALS as f64))
-            .collect()
-    })
-}
-
-/// Table-driven [`binary_entropy`]: linear interpolation over a 2¹⁶-knot
-/// lookup table in the mid range, the exact two-`log2` formula near the
-/// endpoints. Absolute error ≤ 1e-9 everywhere (property-tested against
-/// the exact formula in `tests/props.rs`), and *exact* on knots —
-/// including every multiple of 2⁻¹⁶, hence every window-mean of binary
-/// BVRs with power-of-two window sizes.
-///
-/// This is the mixture method's small-window hot path: at w = 12 the
-/// O(n) rolling scan is two table lookups per window instead of two
-/// `log2` evaluations.
-#[inline]
-pub fn binary_entropy_fast(p: f64) -> f64 {
-    if !(BE_EXACT_BELOW..=BE_EXACT_ABOVE).contains(&p) {
-        return binary_entropy(p);
-    }
-    let table = be_table();
-    let x = p * BE_TABLE_INTERVALS as f64;
-    let i = x as usize; // p ≤ 15/16 < 1, so i + 1 stays in bounds
-    let t = x - i as f64;
-    table[i] + t * (table[i + 1] - table[i])
-}
-
 /// Window-based entropy of one address bit, per Equation 2:
 /// the mean over all sliding windows of the window entropies, using the
 /// default [`EntropyMethod::MixtureBvr`].
@@ -310,13 +265,10 @@ pub fn window_entropy(bvrs: &[Bvr], window: usize) -> f64 {
 ///
 /// Runs in O(n) for both methods (the naive per-window recomputation is
 /// O(n·w)): [`EntropyMethod::MixtureBvr`] evaluates window means from a
-/// prefix-sum array through the table-driven [`binary_entropy_fast`]
-/// (lifting the small-window w=12 case that was bounded by two `log2`
-/// calls per window), and [`EntropyMethod::DistinctBvr`] slides a value
+/// prefix-sum array, and [`EntropyMethod::DistinctBvr`] slides a value
 /// count-map while rolling the `Σ c·ln c` term of the window entropy.
 /// Results match [`window_entropy_naive_method`] to floating-point
-/// round-off plus the ≤1e-9 table interpolation error (the property
-/// tests in `tests/props.rs` pin this).
+/// round-off (the property tests in `tests/props.rs` pin this).
 pub fn window_entropy_method(bvrs: &[Bvr], window: usize, method: EntropyMethod) -> f64 {
     if bvrs.is_empty() {
         return 0.0;
@@ -338,7 +290,7 @@ pub fn window_entropy_method(bvrs: &[Bvr], window: usize, method: EntropyMethod)
             let mut sum = 0.0;
             for start in 0..num_windows {
                 let p = (prefix[start + w] - prefix[start]) / w as f64;
-                sum += binary_entropy_fast(p);
+                sum += binary_entropy(p);
             }
             sum
         }
@@ -792,29 +744,6 @@ mod tests {
         assert_eq!(binary_entropy(1.0), 0.0);
         assert!((binary_entropy(0.5) - 1.0).abs() < 1e-12);
         assert!((binary_entropy(1.0 / 3.0) - 0.918295).abs() < 1e-5);
-    }
-
-    #[test]
-    fn fast_binary_entropy_is_exact_on_knots_and_endpoints() {
-        // Dyadic rationals are table knots: the fast path must be
-        // *bit-identical* there, which is what keeps window entropies of
-        // 0/1-valued BVRs (the paper's worked examples) exact.
-        for k in [0u32, 1, 2, 4096, 16384, 32768, 49152, 65535, 65536] {
-            let p = f64::from(k) / 65536.0;
-            assert_eq!(binary_entropy_fast(p), binary_entropy(p), "p = {p}");
-        }
-        assert_eq!(binary_entropy_fast(0.0), 0.0);
-        assert_eq!(binary_entropy_fast(1.0), 0.0);
-        assert_eq!(binary_entropy_fast(0.5), 1.0);
-    }
-
-    #[test]
-    fn fast_binary_entropy_stays_close_between_knots() {
-        for i in 0..10_000 {
-            let p = (i as f64 + 0.37) / 10_000.0;
-            let d = (binary_entropy_fast(p) - binary_entropy(p)).abs();
-            assert!(d <= 1e-9, "p = {p}: err {d}");
-        }
     }
 
     #[test]

@@ -383,51 +383,21 @@ impl DramChannel {
         self.next_dequeue
     }
 
-    /// The earliest DRAM cycle at or after `now` at which [`tick`] would
-    /// do real work (retire a completion or issue a command), or `None`
-    /// when the channel is empty. Between `now` and that cycle, every
-    /// `tick` is a pure counter update — callers may replace the calls
-    /// with one [`DramChannel::skip_idle`].
-    ///
-    /// [`tick`]: DramChannel::tick
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        let mut next = self.inflight.front().map(|f| f.finish.max(now));
-        for (bank, queue) in self.banks.iter().zip(&self.queues) {
-            if queue.is_empty() {
-                continue;
-            }
-            let ready = bank.ready_at.max(now);
-            next = Some(next.map_or(ready, |n| n.min(ready)));
-            if ready == now {
-                break; // cannot get earlier than `now`
-            }
-        }
-        next
-    }
-
-    /// Accounts `n` DRAM cycles starting at `from` during which the
-    /// channel provably does nothing (see [`DramChannel::next_event_at`]),
-    /// updating the same counters `n` dense [`tick`] calls would have.
-    ///
-    /// [`tick`]: DramChannel::tick
-    pub fn skip_idle(&mut self, from: u64, n: u64) {
-        self.stats.total_cycles += n;
-        if self.is_busy() {
-            self.stats.busy_cycles += n;
-        }
-        self.stats.data_bus_cycles += self.bus_free_at.saturating_sub(from).min(n);
-        // These cycles are now accounted; keep the deferral cursor in
-        // sync so a later flush cannot double-count them.
-        self.acct_from = self.acct_from.max(from + n);
-    }
-
     /// Brings the per-cycle counters up to date with `up_to` (exclusive),
     /// accounting every not-yet-ticked cycle exactly as the dense loop
-    /// would have. Call before reading [`DramChannel::stats`] when
-    /// driving the channel through [`DramChannel::tick_evented`].
+    /// would have: nothing retires or issues below the cached next event,
+    /// so those ticks are pure counter updates. Call before reading
+    /// [`DramChannel::stats`] when driving the channel through
+    /// [`DramChannel::tick_evented`].
     pub fn flush_deferred(&mut self, up_to: u64) {
         if up_to > self.acct_from {
-            self.skip_idle(self.acct_from, up_to - self.acct_from);
+            let n = up_to - self.acct_from;
+            self.stats.total_cycles += n;
+            if self.is_busy() {
+                self.stats.busy_cycles += n;
+            }
+            self.stats.data_bus_cycles += self.bus_free_at.saturating_sub(self.acct_from).min(n);
+            self.acct_from = up_to;
         }
     }
 
@@ -1023,42 +993,47 @@ mod tests {
     #[test]
     fn next_event_tracks_inflight_and_bank_readiness() {
         let mut ch = chan();
-        assert_eq!(ch.next_event_at(0), None);
-        ch.try_enqueue(req(1, 0, 5));
-        // Queued request, bank idle: the event is now.
-        assert_eq!(ch.next_event_at(3), Some(3));
         let mut done = Vec::new();
-        ch.tick(3, &mut done);
-        // Issued at 3: in flight until 31, bank busy until col+tccd.
-        let next = ch.next_event_at(4).expect("in-flight work");
-        assert!(next > 4);
-        // Skipping to the event and ticking there must complete it.
-        ch.skip_idle(4, next - 4);
-        ch.tick(next, &mut done);
-        assert_eq!(done.len(), 1, "the skipped-to event retires the request");
+        ch.tick_evented(0, &mut done);
+        assert_eq!(ch.cached_next_event(), u64::MAX, "an empty channel parks");
+        // Queued request, bank idle: the event is its arrival.
+        ch.try_enqueue(DramRequest {
+            arrival: 3,
+            ..req(1, 0, 5)
+        });
+        assert_eq!(ch.cached_next_event(), 3);
+        ch.tick_evented(3, &mut done);
+        // Issued at 3 with nothing left queued: the hint names the
+        // retirement cycle, and every tick before it is a no-op.
+        let next = ch.cached_next_event();
+        assert!(next > 4 && next < u64::MAX);
+        for c in 4..next {
+            ch.tick_evented(c, &mut done);
+        }
+        assert!(done.is_empty());
+        ch.tick_evented(next, &mut done);
+        assert_eq!(done.len(), 1, "the hinted cycle retires the request");
+        assert_eq!(done[0].finish, next);
     }
 
     #[test]
-    fn skip_idle_matches_dense_counters() {
-        // Drive one request, then compare dense ticking vs skipping over
-        // the quiet window.
+    fn evented_ticks_match_dense_counters() {
+        // Drive one request, then compare dense ticking vs evented
+        // ticking with one flush over the quiet windows.
         let mut dense = chan();
-        let mut skip = chan();
+        let mut evented = chan();
         dense.try_enqueue(req(1, 0, 5));
-        skip.try_enqueue(req(1, 0, 5));
+        evented.try_enqueue(req(1, 0, 5));
         let mut d1 = Vec::new();
         let mut d2 = Vec::new();
         for c in 0..60 {
             dense.tick(c, &mut d1);
+            evented.tick_evented(c, &mut d2);
         }
-        // Event-driven: tick cycle 0 (issue), skip to the completion.
-        skip.tick(0, &mut d2);
-        let ev = skip.next_event_at(1).unwrap();
-        skip.skip_idle(1, ev - 1);
-        skip.tick(ev, &mut d2);
-        skip.skip_idle(ev + 1, 60 - ev - 1);
+        assert_ne!(dense.stats(), evented.stats(), "the tail is deferred");
+        evented.flush_deferred(60);
         assert_eq!(d1, d2);
-        assert_eq!(dense.stats(), skip.stats());
+        assert_eq!(dense.stats(), evented.stats());
     }
 
     mod indexed_pick_oracle {

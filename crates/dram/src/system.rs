@@ -90,11 +90,6 @@ impl DramSystem {
         self.channels[0].config()
     }
 
-    /// The controller a mapped address is routed to.
-    pub fn channel_of(&self, addr: PhysAddr) -> usize {
-        self.map.controller_of(addr)
-    }
-
     /// Decodes a mapped address into `(controller, bank, row)` once, so
     /// callers that may retry an enqueue for many cycles (the LLC's DRAM
     /// hand-off) can cache the coordinates instead of paying the address
@@ -141,44 +136,12 @@ impl DramSystem {
         ok
     }
 
-    /// Whether the channel serving `addr` can accept a request.
-    pub fn can_accept(&self, addr: PhysAddr) -> bool {
-        let ch = &self.channels[self.map.controller_of(addr)];
-        ch.queue_len() < ch.config().queue_capacity
-    }
-
     /// Advances all channels one DRAM cycle, pushing the completions of
     /// every channel (tagged with the enqueue tokens) into `done`, which
     /// is *not* cleared.
     pub fn tick(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
         for ch in &mut self.channels {
             ch.tick(cycle, done);
-        }
-    }
-
-    /// The earliest DRAM cycle at or after `now` at which any channel
-    /// would do real work, or `None` when the whole system is empty. See
-    /// [`DramChannel::next_event_at`].
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        for ch in &self.channels {
-            if let Some(t) = ch.next_event_at(now) {
-                next = Some(next.map_or(t, |n| n.min(t)));
-                if t == now {
-                    break;
-                }
-            }
-        }
-        next
-    }
-
-    /// Accounts `n` provably event-free DRAM cycles starting at `from`
-    /// on every channel (the bulk equivalent of `n` dense [`tick`]s).
-    ///
-    /// [`tick`]: DramSystem::tick
-    pub fn skip_idle(&mut self, from: u64, n: u64) {
-        for ch in &mut self.channels {
-            ch.skip_idle(from, n);
         }
     }
 
@@ -239,16 +202,8 @@ impl DramSystem {
 
     /// Per-channel bank-level-parallelism samples: for each *busy*
     /// channel, the number of banks with outstanding requests
-    /// (Figure 14c is the time-average of these).
-    pub fn busy_banks_per_busy_channel(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.busy_banks_per_busy_channel_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`DramSystem::busy_banks_per_busy_channel`] for per-sample use in
-    /// the simulator hot loop; clears and refills `out`.
+    /// (Figure 14c is the time-average of these). Clears and refills
+    /// `out` — the simulator samples in its hot loop, allocation-free.
     pub fn busy_banks_per_busy_channel_into(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(
@@ -257,11 +212,6 @@ impl DramSystem {
                 .filter(|c| c.is_busy())
                 .map(DramChannel::busy_banks),
         );
-    }
-
-    /// Per-channel statistics.
-    pub fn channel_stats(&self) -> Vec<DramStats> {
-        self.channels.iter().map(DramChannel::stats).collect()
     }
 
     /// Statistics aggregated over all channels.
@@ -298,9 +248,7 @@ mod tests {
         let mut s = sys();
         // Channel bits are 9..8 in the baseline map.
         for ch in 0..4u64 {
-            let addr = PhysAddr::new(ch << 8);
-            assert_eq!(s.channel_of(addr), ch as usize);
-            assert!(s.try_enqueue(addr, ch, false, 0));
+            assert!(s.try_enqueue(PhysAddr::new(ch << 8), ch, false, 0));
         }
         assert_eq!(s.busy_channels(), 4);
         let mut done = Vec::new();
@@ -309,8 +257,8 @@ mod tests {
         }
         assert_eq!(done.len(), 4);
         // All four channels saw exactly one read.
-        for st in s.channel_stats() {
-            assert_eq!(st.reads, 1);
+        for ch in 0..4 {
+            assert_eq!(s.channel(ch).stats().reads, 1);
         }
     }
 
@@ -336,7 +284,8 @@ mod tests {
         // Two banks on channel 0 only.
         s.try_enqueue(PhysAddr::new(0 << 10), 1, false, 0);
         s.try_enqueue(PhysAddr::new(1 << 10), 2, false, 0);
-        let samples = s.busy_banks_per_busy_channel();
+        let mut samples = Vec::new();
+        s.busy_banks_per_busy_channel_into(&mut samples);
         assert_eq!(samples, vec![2]);
     }
 

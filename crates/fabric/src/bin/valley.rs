@@ -19,8 +19,8 @@ use valley_fabric::{
 };
 use valley_harness::figures::{all_tables, Suite};
 use valley_harness::{
-    default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions, StoredResult,
-    SweepOptions, SweepSpec, WallKind, DEFAULT_SEED,
+    default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoredResult, SweepOptions,
+    SweepSpec, WallKind, DEFAULT_SEED,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -46,11 +46,6 @@ const RESULTS: Flag = (
     "results",
     "DIR",
     "store (default $VALLEY_RESULTS_DIR, else ./results)",
-);
-const MAX_SHARD_BYTES: Flag = (
-    "max-shard-bytes",
-    "N",
-    "compact at open if a shard file is larger",
 );
 const BATCH: Flag = (
     "batch",
@@ -94,7 +89,6 @@ const COMMANDS: &[Command] = &[
             ("force", "", "re-run stored jobs too"),
             QUIET,
             EXPECT_CACHED,
-            MAX_SHARD_BYTES,
         ],
     },
     Command {
@@ -168,7 +162,6 @@ const COMMANDS: &[Command] = &[
             ),
             ("linger", "", "answer reads until `fetch --shutdown`"),
             QUIET,
-            MAX_SHARD_BYTES,
         ],
     },
     Command {
@@ -274,7 +267,7 @@ struct Flags(BTreeMap<&'static str, String>);
 
 impl Flags {
     /// Rejects a flag the row does not list, a value flag without its
-    /// value, and a missing required flag.
+    /// value, a flag given twice, and a missing required flag.
     fn parse(cmd: &Command, args: &[String]) -> Result<Flags, String> {
         let mut given = BTreeMap::new();
         let mut it = args.iter();
@@ -295,7 +288,9 @@ impl Flags {
                     .ok_or_else(|| format!("flag '--{name}' needs a value"))?
                     .clone(),
             };
-            given.insert(flag, value);
+            if given.insert(flag, value).is_some() {
+                return Err(format!("flag '--{name}' given twice"));
+            }
         }
         match cmd.required.iter().find(|flag| !given.contains_key(flag.0)) {
             Some((flag, value, _)) => Err(format!("{} needs --{flag} {value}", cmd.name)),
@@ -372,9 +367,7 @@ fn results_dir(flags: &Flags) -> std::path::PathBuf {
 }
 
 fn open_store(flags: &Flags) -> Result<ResultStore, String> {
-    let max_shard_bytes = flags.parsed("max-shard-bytes")?;
-    ResultStore::open_with_options(results_dir(flags), StoreOptions { max_shard_bytes })
-        .map_err(|e| e.to_string())
+    ResultStore::open(results_dir(flags)).map_err(|e| e.to_string())
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), String> {

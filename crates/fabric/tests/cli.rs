@@ -1,7 +1,8 @@
 //! The `valley` binary's flag surface: a removed flag is rejected like
 //! any unknown one, before the subcommand does anything; a filter value
-//! that names nothing is an error, not an empty result; a grid value
-//! given twice names the same jobs, not more jobs; the command `figures`
+//! that names nothing is an error, not an empty result; a flag given
+//! twice is an error, not the last value winning; a grid value given
+//! twice names the same jobs, not more jobs; the command `figures`
 //! prints for a missing result fills the gap; and `valley help` is
 //! generated from the same table that parses the flags.
 
@@ -82,6 +83,31 @@ fn query_rejects_filter_values_that_name_nothing() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).ends_with("0 result(s)\n"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--seeds 1 --seeds 2` used to run seed 2 only: the second value
+/// overwrote the first without a word (`--seeds 1,2` is the spelling).
+#[test]
+fn a_flag_given_twice_is_an_error_that_names_it() {
+    // Nothing may run; the store is named so that a sweep that does
+    // get past the parser leaves nothing in the working directory.
+    let dir = std::env::temp_dir().join(format!("valley-cli-twice-{}", std::process::id()));
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let sweep = ["sweep", "--scale", "test", "--results", results];
+    for (twice, flag) in [
+        (&["--seeds", "1", "--seeds", "2"][..], "--seeds"),
+        (&["--quiet", "--quiet"][..], "--quiet"),
+    ] {
+        let args = [&sweep[..], twice].concat();
+        let out = valley(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            stderr.contains(&format!("flag '{flag}' given twice")),
+            "{args:?} failed without naming the flag: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -174,7 +200,7 @@ fn help_lists_what_the_parser_accepts() {
     let help = String::from_utf8_lossy(&out.stdout).into_owned();
     for listed in [
         "valley sweep",
-        "[--max-shard-bytes N]",
+        "[--expect-cached PCT]",
         "[--retry-ms N]",
         "[--connect-attempts N]",
         "[--backoff-ms N]",

@@ -6,9 +6,9 @@
 //! * a **job model** ([`SweepSpec`] → content-hashed [`JobSpec`]s /
 //!   [`JobKey`]s) that expands the paper's experiment grid — benchmark ×
 //!   scheme × BIM seed × scale × GPU config — deterministically;
-//! * a **work-stealing thread pool** ([`pool`]) with per-job panic
-//!   isolation, progress reporting, and result ordering that is
-//!   independent of the worker count;
+//! * a **thread pool** ([`pool`]) with per-job panic isolation, progress
+//!   reporting, and result ordering that is independent of the worker
+//!   count;
 //! * a **persistent content-addressed result store** ([`ResultStore`]):
 //!   16 JSON-lines shards under `results/`, keyed by job hash, so
 //!   re-running a sweep skips completed jobs (*resume*) and figure
@@ -55,8 +55,8 @@ pub use job::{
     SweepSpec, WallKind, DEFAULT_SEED, SCHEMA_VERSION,
 };
 pub use store::{
-    gc, scan, store_line_description, GcReport, ResultStore, StoreError, StoreOptions, StoreScan,
-    StoredResult, NUM_SHARDS, STORE_VERSION,
+    gc, scan, store_line_description, GcReport, ResultStore, StoreError, StoreScan, StoredResult,
+    NUM_SHARDS, STORE_VERSION,
 };
 pub use sweep::{
     run_sweep, FailureKind, JobFailure, JobOutcome, SweepError, SweepOptions, SweepOutcome,

@@ -1,19 +1,17 @@
-//! A std-only work-stealing thread pool for coarse simulation jobs.
+//! A std-only thread pool for coarse simulation jobs.
 //!
-//! Each worker owns a deque seeded with a stripe of the job indices; it
-//! pops work from its own front and, when empty, steals from the back of
-//! the fullest other deque. Stealing matters here because jobs are wildly
-//! uneven (a DRAM-saturated MUM run is ~10× an SP run): a static
-//! partition would leave workers idle behind one slow stripe.
+//! The queue is a cursor over the submission order: an idle worker takes
+//! the next index. Jobs are wildly uneven (a DRAM-saturated MUM run is
+//! ~10× an SP run), and handing them out one at a time is greedy list
+//! scheduling — no worker idles while a job is unclaimed.
 //!
 //! Guarantees:
 //!
 //! * **Panic isolation** — a panicking job becomes an `Err` at its index;
-//!   the worker that caught it keeps draining the queues.
+//!   the worker that caught it keeps draining the queue.
 //! * **Deterministic ordering** — results are addressed by job index, so
-//!   the output is identical for any worker count or steal interleaving.
+//!   the output is identical for any worker count or interleaving.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -35,8 +33,6 @@ pub struct JobDone<'a> {
     pub total: usize,
     /// Worker that executed the job.
     pub worker: usize,
-    /// Whether the job was stolen from another worker's deque.
-    pub stolen: bool,
 }
 
 /// A sensible worker count for `jobs` independent jobs: all available
@@ -49,8 +45,8 @@ pub fn default_workers(jobs: usize) -> usize {
         .max(1)
 }
 
-/// Runs `total` jobs on `workers` threads with work stealing, returning
-/// one result per job **in submission order** regardless of scheduling.
+/// Runs `total` jobs on `workers` threads, returning one result per job
+/// **in submission order** regardless of scheduling.
 /// A job that panics yields `Err(message)` at its index.
 pub fn run_jobs<T, F, C>(total: usize, workers: usize, run: F, on_done: C) -> Vec<Result<T, String>>
 where
@@ -63,43 +59,43 @@ where
     }
     let workers = workers.clamp(1, total);
 
-    // Striped initial distribution: job i starts in deque i % workers.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..total).step_by(workers).collect()))
-        .collect();
+    // The next unclaimed job. Relaxed: the index publishes no data (the
+    // jobs are the caller's `Sync` closure; results go through `slots`).
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..total).map(|_| Mutex::new(None)).collect();
     let completed = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let deques = &deques;
+            let next = &next;
             let slots = &slots;
             let completed = &completed;
             let run = &run;
             let on_done = &on_done;
-            scope.spawn(move || {
-                while let Some((job, stolen)) = next_job(deques, w) {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "measurement: the elapsed time goes to the on_done callback only"
-                    )]
-                    let start = Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(|| run(job)))
-                        .map_err(|panic| panic_message(panic.as_ref()));
-                    let elapsed = start.elapsed();
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    on_done(JobDone {
-                        index: job,
-                        error: result.as_ref().err().map(String::as_str),
-                        elapsed,
-                        completed: done,
-                        total,
-                        worker: w,
-                        stolen,
-                    });
-                    *slots[job].lock().expect("result slot poisoned") = Some(result);
+            scope.spawn(move || loop {
+                let job = next.fetch_add(1, Ordering::Relaxed);
+                if job >= total {
+                    break;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "measurement: the elapsed time goes to the on_done callback only"
+                )]
+                let start = Instant::now();
+                let result = catch_unwind(AssertUnwindSafe(|| run(job)))
+                    .map_err(|panic| panic_message(panic.as_ref()));
+                let elapsed = start.elapsed();
+                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                on_done(JobDone {
+                    index: job,
+                    error: result.as_ref().err().map(String::as_str),
+                    elapsed,
+                    completed: done,
+                    total,
+                    worker: w,
+                });
+                *slots[job].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -112,28 +108,6 @@ where
                 .expect("every job index was executed exactly once")
         })
         .collect()
-}
-
-/// Pops the next job for worker `w`: own deque front first, else steal
-/// from the back of the fullest other deque.
-fn next_job(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, bool)> {
-    if let Some(job) = deques[w].lock().expect("deque poisoned").pop_front() {
-        return Some((job, false));
-    }
-    loop {
-        // Pick the currently fullest victim; re-check until every deque
-        // is observed empty (a victim can drain between len() and lock).
-        let victim = (0..deques.len())
-            .filter(|&v| v != w)
-            .map(|v| (deques[v].lock().expect("deque poisoned").len(), v))
-            .max()?;
-        if victim.0 == 0 {
-            return None;
-        }
-        if let Some(job) = deques[victim.1].lock().expect("deque poisoned").pop_back() {
-            return Some((job, true));
-        }
-    }
 }
 
 /// The text of a caught panic's payload (`panic!`'s message).
@@ -181,31 +155,35 @@ mod tests {
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // Worker 0's stripe contains one long job; the short jobs behind
-        // it must be stolen by the idle workers. With 2 workers and the
-        // long job first in stripe 0, completion requires stealing.
-        let stolen = AtomicUsize::new(0);
+    fn a_long_job_does_not_hold_up_the_queue() {
+        // Job 0 occupies one of two workers until the other 15 jobs are
+        // done: the second worker must get through all of them alone.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let long_job_finished_last = std::sync::atomic::AtomicBool::new(false);
         let out = run_jobs(
             16,
             2,
             |i| {
                 if i == 0 {
-                    std::thread::sleep(Duration::from_millis(50));
+                    let rx = rx.lock().unwrap();
+                    for _ in 1..16 {
+                        rx.recv_timeout(Duration::from_secs(30))
+                            .expect("the queue stalled behind the long job");
+                    }
                 }
                 i
             },
             |d| {
-                if d.stolen {
-                    stolen.fetch_add(1, Ordering::Relaxed);
+                if d.index == 0 {
+                    long_job_finished_last.store(d.completed == d.total, Ordering::Relaxed);
+                } else {
+                    tx.lock().unwrap().send(()).unwrap();
                 }
             },
         );
         assert_eq!(out.len(), 16);
-        assert!(
-            stolen.load(Ordering::Relaxed) > 0,
-            "no jobs were stolen from the blocked worker's deque"
-        );
+        assert!(long_job_finished_last.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -111,54 +111,11 @@ pub struct ResultStore {
     shard_locks: Vec<Mutex<()>>,
 }
 
-/// Options for [`ResultStore::open_with_options`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StoreOptions {
-    /// Auto-gc threshold: when any shard file exceeds this many bytes at
-    /// open, the store is compacted ([`gc`]) before loading — `--force`
-    /// duplicates, orphaned-schema records and truncated tails are the
-    /// only removable mass, so live results are never dropped. A shard
-    /// still over the limit after compaction is reported with a warning
-    /// (its bytes are live data) but does not fail the open.
-    pub max_shard_bytes: Option<u64>,
-}
-
 impl ResultStore {
     /// Opens (creating if needed) the store at `dir` and loads its index.
     pub fn open(dir: impl Into<PathBuf>) -> Result<ResultStore, StoreError> {
-        Self::open_with_options(dir, StoreOptions::default())
-    }
-
-    /// [`ResultStore::open`] with explicit [`StoreOptions`] (the
-    /// `--max-shard-bytes` auto-gc threshold).
-    pub fn open_with_options(
-        dir: impl Into<PathBuf>,
-        opts: StoreOptions,
-    ) -> Result<ResultStore, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        if let Some(limit) = opts.max_shard_bytes {
-            let oversized = |dir: &Path| {
-                (0..NUM_SHARDS)
-                    .any(|s| std::fs::metadata(shard_path(dir, s)).map_or(0, |m| m.len()) > limit)
-            };
-            if oversized(&dir) {
-                let report = gc(&dir)?;
-                eprintln!(
-                    "note: store shard over {limit} bytes triggered auto-gc: \
-                     {} record(s) removed, {} -> {} bytes",
-                    report.removed(),
-                    report.bytes_before,
-                    report.bytes_after
-                );
-                if oversized(&dir) {
-                    eprintln!(
-                        "warning: a shard still exceeds {limit} bytes after gc; \
-                         the excess is live results (raise the limit or prune jobs)"
-                    );
-                }
-            }
-        }
         let mut index = FastMap::default();
         for shard in 0..NUM_SHARDS {
             load_shard(&shard_path(&dir, shard), &mut index)?;

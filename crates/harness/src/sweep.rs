@@ -1,6 +1,6 @@
 //! Sweep orchestration: expand a [`SweepSpec`], serve what the store
-//! already has, run the rest on the work-stealing pool, persist every
-//! fresh result, and hand back the full grid in deterministic order.
+//! already has, run the rest on the thread pool, persist every fresh
+//! result, and hand back the full grid in deterministic order.
 
 use crate::job::{execute_batch_timed, JobSpec, SweepSpec, WallKind};
 use crate::pool;
@@ -48,7 +48,7 @@ pub struct JobOutcome {
 }
 
 /// The result of a sweep: every job of the spec, in expansion order
-/// (independent of worker count and steal interleaving).
+/// (independent of worker count and interleaving).
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
     /// Per-job outcomes in [`SweepSpec::expand`] order.
@@ -69,14 +69,6 @@ impl SweepOutcome {
         } else {
             self.cache_hits as f64 / self.jobs.len() as f64
         }
-    }
-
-    /// The report for one (already-expanded) job spec, if present.
-    pub fn report_of(&self, spec: &JobSpec) -> Option<&SimReport> {
-        self.jobs
-            .iter()
-            .find(|j| j.spec == *spec)
-            .map(|j| &j.report)
     }
 }
 
@@ -264,7 +256,7 @@ pub fn run_sweep(
     }
     let cache_hits = jobs.len() - todo.len();
 
-    // Phase 2: execute the misses on the work-stealing pool, one pool
+    // Phase 2: execute the misses on the thread pool, one pool
     // unit per group of same-machine jobs: an order-preserving group-by
     // on (config, scale, scheme), each group chunked to at most `width`
     // lanes, so width 1 is one job per unit. Phase 3 persists and
@@ -326,10 +318,9 @@ pub fn run_sweep(
         |done| {
             if opts.verbose {
                 let unit = unit_name(&batches[done.index]);
-                let stolen = if done.stolen { ", stolen" } else { "" };
                 match done.error {
                     None => eprintln!(
-                        "  [{}/{}] {unit}: {:.2?} (worker {}{stolen})",
+                        "  [{}/{}] {unit}: {:.2?} (worker {})",
                         done.completed, done.total, done.elapsed, done.worker
                     ),
                     Some(msg) => eprintln!(

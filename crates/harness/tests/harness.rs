@@ -4,8 +4,8 @@
 
 use valley_core::SchemeKind;
 use valley_harness::{
-    execute_batch_timed, execute_job, run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions,
-    SweepOptions, SweepSpec, WallKind, DEFAULT_SEED,
+    execute_batch_timed, execute_job, run_sweep, ConfigId, JobSpec, ResultStore, SweepOptions,
+    SweepSpec, WallKind, DEFAULT_SEED,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -614,124 +614,6 @@ fn gc_removes_cross_shard_duplicates_scan_reports() {
     assert_eq!((scan.records.len(), scan.duplicates), (1, 0));
     let store = tmp.open();
     assert_eq!(store.len(), 1);
-}
-
-#[test]
-fn max_shard_bytes_auto_gcs_on_open() {
-    let tmp = TempStore::new("auto-gc");
-    let spec = SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test);
-    {
-        let store = tmp.open();
-        run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
-        // Pile up `--force` duplicates — the removable mass auto-gc
-        // exists to shed.
-        let forced = SweepOptions {
-            force: true,
-            ..Default::default()
-        };
-        for _ in 0..3 {
-            run_sweep(&spec, &store, &forced).unwrap();
-        }
-    }
-    let shard = populated_shard(&tmp.0);
-    let bloated = std::fs::metadata(&shard).unwrap().len();
-    // Records differ slightly in length (the serialized `wall_ms` float
-    // has a run-dependent digit count), so derive the trigger threshold
-    // from the total only: half the bloated size is comfortably above
-    // one surviving record (~a quarter, ± float digits) and below the
-    // four-record pile.
-    let limit = bloated / 2;
-
-    // A generous limit leaves the store untouched.
-    {
-        let store = ResultStore::open_with_options(
-            &tmp.0,
-            StoreOptions {
-                max_shard_bytes: Some(bloated + 1),
-            },
-        )
-        .unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(std::fs::metadata(&shard).unwrap().len(), bloated);
-    }
-
-    // A limit under the bloat triggers compaction at open; the surviving
-    // record is the newest, exactly as a plain `gc` would keep.
-    {
-        let store = ResultStore::open_with_options(
-            &tmp.0,
-            StoreOptions {
-                max_shard_bytes: Some(limit),
-            },
-        )
-        .unwrap();
-        assert_eq!(store.len(), 1, "auto-gc must not drop live results");
-        let after = std::fs::metadata(&shard).unwrap().len();
-        assert!(
-            after <= limit,
-            "auto-gc left {after} bytes (> limit {limit})"
-        );
-        let out = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
-        assert_eq!(out.cache_hits, 1, "compacted store still serves the job");
-    }
-
-    // A limit below even the live data compacts what it can, warns, and
-    // still opens (live results are never sacrificed to the threshold).
-    {
-        let store = ResultStore::open_with_options(
-            &tmp.0,
-            StoreOptions {
-                max_shard_bytes: Some(8),
-            },
-        )
-        .unwrap();
-        assert_eq!(store.len(), 1);
-    }
-}
-
-#[test]
-fn max_shard_bytes_auto_gc_keeps_truncated_tail_semantics() {
-    // Auto-gc rides the same compaction as `valley gc`; a truncated tail
-    // (crash mid-append) must still be dropped cleanly — alongside the
-    // existing truncated-tail tests above — and interior corruption must
-    // still fail loudly even when the limit triggers.
-    let tmp = TempStore::new("auto-gc-trunc");
-    let spec = SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test);
-    {
-        let store = tmp.open();
-        run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
-    }
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
-    let record = text.trim_end();
-    let half = &record[..record.len() / 2];
-    std::fs::write(&shard, format!("{record}\n{half}")).unwrap();
-
-    let store = ResultStore::open_with_options(
-        &tmp.0,
-        StoreOptions {
-            max_shard_bytes: Some(1),
-        },
-    )
-    .unwrap();
-    assert_eq!(store.len(), 1);
-    let after = std::fs::read_to_string(&shard).unwrap();
-    assert!(
-        after.ends_with('\n') && after.lines().count() == 1,
-        "auto-gc must cut the truncated tail"
-    );
-    drop(store);
-
-    // Interior garbage is real corruption: auto-gc must not paper over
-    // it, whatever the limit says.
-    std::fs::write(&shard, format!("{record}\nnot json at all\n{record}\n")).unwrap();
-    let err = ResultStore::open_with_options(
-        &tmp.0,
-        StoreOptions {
-            max_shard_bytes: Some(1),
-        },
-    );
-    assert!(err.is_err(), "interior corruption must stay fatal");
 }
 
 fn populated_shard(dir: &std::path::Path) -> std::path::PathBuf {

@@ -203,16 +203,6 @@ impl Crossbar {
         self.cfg
     }
 
-    /// Number of input ports.
-    pub fn num_sources(&self) -> usize {
-        self.cfg.num_src
-    }
-
-    /// Number of output ports.
-    pub fn num_destinations(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Injects a packet; `injected_at` is overwritten with the current
     /// injection timestamp by the caller's clock discipline (pass the
     /// current NoC cycle in the field).

@@ -20,6 +20,7 @@ use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::TxnTable;
 use crate::wake::audit::{count, Counter};
 use crate::wake::{DomainClock, WakeGate};
+use std::ops::Range;
 use std::sync::Arc;
 use valley_cache::CacheStats;
 use valley_core::{AddressMapper, DramAddressMap, PhysAddr};
@@ -77,18 +78,10 @@ struct TbScheduler {
     retired_base: u64,
     rr_sm: usize,
     age_counter: u64,
-    /// Total retired TBs observed at the last `schedule_tbs` run. While a
-    /// kernel is loaded and this is unchanged, no SM capacity was freed,
-    /// so `schedule_tbs` would provably be a no-op and is skipped.
+    /// Total retired TBs observed by the last [`TbScheduler::run`]. While
+    /// a kernel is loaded and this is unchanged, no SM capacity was freed
+    /// and the pass returns at once.
     retired_seen: u64,
-}
-
-/// Outcome of one fast-forward attempt.
-enum FastForward {
-    /// Simulation resumes densely at the current cycle.
-    Resumed,
-    /// The cycle safety limit was reached while skipping.
-    Truncated,
 }
 
 impl TbScheduler {
@@ -110,35 +103,19 @@ impl TbScheduler {
         self.kernel.is_none() && self.kernel_idx >= self.num_kernels
     }
 
-    /// Whether the scheduler could make progress this cycle: load the
-    /// next kernel, place a pending TB on an SM with room, or advance
-    /// past a fully-retired kernel. When `false`, [`TbScheduler::run`]
-    /// is a no-op until some SM state changes (which requires an SM or
-    /// NoC event).
-    fn can_progress(&self, sms: &[Sm], cfg: &GpuConfig) -> bool {
-        let Some(kernel) = self.kernel.as_deref() else {
-            return self.kernel_idx < self.num_kernels;
-        };
-        if self.next_tb < self.total_tbs {
-            let wpb = kernel.warps_per_block();
-            let limit = cfg.tbs_per_sm(wpb);
-            if sms.iter().any(|sm| sm.can_accept_tb(wpb, limit)) {
-                return true;
-            }
-        }
-        if self.next_tb == self.total_tbs {
-            let retired: u64 = sms.iter().map(Sm::retired_tbs).sum();
-            if retired - self.retired_base == self.total_tbs {
-                return true;
-            }
-        }
-        false
-    }
-
     /// One scheduling pass: load the next kernel if none is resident,
     /// assign pending TBs round-robin to SMs with room, and advance past
     /// the kernel once every TB retired. Returns whether any TB was
     /// assigned (the only way a pass changes an SM).
+    ///
+    /// **Invariant the evented loop skips cycles on:** a pass leaves a
+    /// resident kernel with no pending TB that fits any SM (the assignment
+    /// loop below runs until none does) and not fully retired (or it
+    /// would have been advanced past). Only a TB retirement changes
+    /// either, and a TB retires inside an SM tick or a reply — SM
+    /// activity, after which the loop runs a pass in the same iteration.
+    /// So between SM events the only thing a pass could do is load a
+    /// kernel: `kernel.is_none() && !finished()` is the whole question.
     fn run(
         &mut self,
         sms: &mut [Sm],
@@ -290,39 +267,52 @@ impl GpuSim {
         let mut completions: Vec<valley_dram::DramCompletion> = Vec::with_capacity(64);
         let mut banks_buf: Vec<usize> = Vec::with_capacity(self.dram.num_channels());
         let mut truncated = false;
-        // Whether `sched_can_progress` is known to be false (cached by
-        // `fast_forward`): exact while no SM ticked, no reply was
-        // delivered and `schedule_tbs` did not run, since those are the
-        // only ways SM capacity or kernel state can change.
-        let mut sched_quiet = false;
+        // The cycle of the previous iteration: the state it left is what
+        // every parallelism sampling point in `[sampled_to, cycle)` sees.
+        let mut sampled_to: u64 = 0;
         // Wake gates over the SM and LLC-slice populations (see
         // `crate::wake`): rebuilt from the per-unit next-event caches
         // whenever the corresponding walk runs, and lowered to a unit's
         // fresh hint by every out-of-band source that moved it
         // (delivery, DRAM fill, reply, TB assignment). While `cycle` is
         // below a gate, every per-unit self-gate in that walk would
-        // no-op, so the walk itself is skipped — and `fast_forward` reads
-        // the core-domain horizon in O(1) instead of scanning every
-        // component.
+        // no-op, so the walk itself is skipped — and the fast-forward
+        // below reads the core-domain horizon in O(1) instead of scanning
+        // every component.
         let mut sms_next = WakeGate::new();
         let mut slices_next = WakeGate::new();
 
         'outer: loop {
             crate::alloc_audit::note_cycle(cycle);
             // ---- Fast-forward over globally event-free cycles ----
-            if event_driven {
-                if let FastForward::Truncated = self.fast_forward(
-                    &mut cycle,
-                    &sched,
-                    &mut sched_quiet,
-                    sms_next.get().min(slices_next.get()),
-                    &mut parallelism,
-                    &mut banks_buf,
-                ) {
-                    truncated = true;
-                    break 'outer;
+            // Unless a kernel is waiting to be loaded (all the scheduler
+            // can want between SM events, see `TbScheduler::run`), skip
+            // to the core-domain gate, advancing the NoC and DRAM clocks
+            // exactly as the dense loop would — on copies, so the cycle
+            // in which either domain ticks a due event leaves no trace
+            // and is run in full below. Component counters need no
+            // attention: the evented ticks defer and settle them lazily.
+            let kernel_to_load = sched.kernel.is_none() && !sched.finished();
+            if event_driven && !kernel_to_load {
+                let core_next = sms_next.get().min(slices_next.get());
+                let noc_next =
+                    (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
+                let dram_next = self.dram.cached_next_event();
+                while cycle < core_next {
+                    let (mut noc, mut dram) = (self.noc_clock, self.dram_clock);
+                    if noc.advance().end > noc_next || dram.advance().end > dram_next {
+                        break;
+                    }
+                    (self.noc_clock, self.dram_clock) = (noc, dram);
+                    cycle += 1;
+                    if cycle >= self.cfg.max_cycles {
+                        truncated = true;
+                        break 'outer;
+                    }
                 }
             }
+            self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
+            sampled_to = cycle;
             // True once any SM's scheduling-relevant state may have
             // changed this cycle (reply delivered or tick ran).
             let mut sm_activity = false;
@@ -480,31 +470,22 @@ impl GpuSim {
             }
 
             // ---- TB scheduler ----
-            // With no SM activity and a kernel loaded, `schedule_tbs` is
-            // provably a no-op (its retired-count early-out would fire);
-            // skip the call and its per-SM retired sum. Dense mode keeps
-            // the unconditional call of the reference loop.
+            // With no SM activity and a kernel loaded, a pass is provably
+            // a no-op (see `TbScheduler::run`); skip the call and its
+            // per-SM retired sum. Dense mode keeps the unconditional call
+            // of the reference loop.
             if !event_driven || sm_activity || sched.kernel.is_none() {
                 due |= !sched.finished();
-                if self.schedule_tbs(&mut sched, cycle) {
+                if sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle) {
                     // An assigned SM is due next cycle.
                     sms_next.lower(cycle + 1);
                 }
-                sched_quiet = false;
             }
             if event_driven {
                 count(Counter::Iterations);
                 if !due {
                     count(Counter::IdleIterations);
                 }
-            }
-
-            // ---- Metrics ----
-            if cycle.is_multiple_of(METRIC_SAMPLE_INTERVAL) {
-                let busy_slices = self.slices.iter().filter(|s| !s.is_idle()).count();
-                let busy_channels = self.dram.busy_channels();
-                self.dram.busy_banks_per_busy_channel_into(&mut banks_buf);
-                parallelism.sample(busy_slices, busy_channels, &banks_buf);
             }
 
             cycle += 1;
@@ -520,6 +501,7 @@ impl GpuSim {
         }
 
         crate::alloc_audit::window_close();
+        self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
         // Settle all deferred counters (no-ops after a dense run).
         self.req_net.flush_deferred(self.noc_clock.cycle());
         self.reply_net.flush_deferred(self.noc_clock.cycle());
@@ -533,93 +515,23 @@ impl GpuSim {
         self.report(cycle, truncated, &parallelism, &sched)
     }
 
-    /// Whether the TB scheduler could make progress this cycle (see
-    /// [`TbScheduler::can_progress`]).
-    fn sched_can_progress(&self, sched: &TbScheduler) -> bool {
-        sched.can_progress(&self.sms, &self.cfg)
-    }
-
-    /// Advances the simulation over cycles in which *no* component does
-    /// any work, advancing the NoC and DRAM clocks exactly as the dense
-    /// loop would (so all results stay bit-identical) without touching
-    /// any component. Component counters need no attention here: the
-    /// evented tick paths defer and settle them lazily. Stops at the
-    /// earliest cycle at which any clock domain has a due event, the TB
-    /// scheduler can progress, or the cycle safety limit is reached.
-    fn fast_forward(
-        &mut self,
-        cycle: &mut u64,
-        sched: &TbScheduler,
-        sched_quiet: &mut bool,
-        core_next: u64,
+    /// Records the parallelism sampling points (the multiples of
+    /// [`METRIC_SAMPLE_INTERVAL`]) that fall in `cycles`, all of which see
+    /// the state as it stands: the one the iteration at `cycles.start`
+    /// left, unchanged until the loop next runs a cycle at `cycles.end`.
+    fn sample_parallelism(
+        &self,
         parallelism: &mut ParallelismIntegrator,
         banks_buf: &mut Vec<usize>,
-    ) -> FastForward {
-        let noc_next = self
-            .req_net
-            .cached_next_event()
-            .min(self.reply_net.cached_next_event());
-        let dram_next = self.dram.cached_next_event();
-        // One core cycle on copies of both clocks: `Some` with the
-        // advanced clocks if neither domain ticks a cycle with a due
-        // event in it, so a rejected cycle leaves no trace.
-        let quiet_cycle = |noc: DomainClock, dram: DomainClock| {
-            let (mut noc, mut dram) = (noc, dram);
-            (noc.advance().end <= noc_next && dram.advance().end <= dram_next)
-                .then_some((noc, dram))
-        };
-        // Cheap pre-check: would skipping even one cycle run past a due
-        // NoC or DRAM event? In memory-saturated phases (an event every
-        // DRAM cycle) this bails before the scheduler scan below, with
-        // the exact outcome the full loop would reach — all early
-        // returns here are mutation-free `Resumed`s.
-        if quiet_cycle(self.noc_clock, self.dram_clock).is_none() {
-            return FastForward::Resumed;
-        }
-        // Earliest core-domain event: the run loop's maintained minimum
-        // over the SM and slice next-event caches (exact hints, see
-        // `crate::wake`).
-        if core_next <= *cycle {
-            return FastForward::Resumed;
-        }
-        if !*sched_quiet {
-            if self.sched_can_progress(sched) {
-                return FastForward::Resumed;
-            }
-            // Cache the negative verdict; the run loop clears it on any
-            // SM activity or `schedule_tbs` run.
-            *sched_quiet = true;
-        }
-
-        let skip_start = *cycle;
-        while core_next > *cycle {
-            let Some((noc, dram)) = quiet_cycle(self.noc_clock, self.dram_clock) else {
-                break;
-            };
-            (self.noc_clock, self.dram_clock) = (noc, dram);
-            *cycle += 1;
-            if *cycle >= self.cfg.max_cycles {
-                break;
-            }
-        }
-
-        let skipped = *cycle - skip_start;
-        if skipped > 0 {
-            // Sampling points that elapsed in [skip_start, cycle) all see
-            // the same frozen state.
-            let samples = (skip_start + skipped).div_ceil(METRIC_SAMPLE_INTERVAL)
-                - skip_start.div_ceil(METRIC_SAMPLE_INTERVAL);
-            if samples > 0 {
-                let busy_slices = self.slices.iter().filter(|s| !s.is_idle()).count();
-                let busy_channels = self.dram.busy_channels();
-                self.dram.busy_banks_per_busy_channel_into(banks_buf);
-                parallelism.sample_n(busy_slices, busy_channels, banks_buf, samples);
-            }
-        }
-        if *cycle >= self.cfg.max_cycles {
-            FastForward::Truncated
-        } else {
-            FastForward::Resumed
+        cycles: Range<u64>,
+    ) {
+        let samples = cycles.end.div_ceil(METRIC_SAMPLE_INTERVAL)
+            - cycles.start.div_ceil(METRIC_SAMPLE_INTERVAL);
+        if samples > 0 {
+            let busy_slices = self.slices.iter().filter(|s| !s.is_idle()).count();
+            let busy_channels = self.dram.busy_channels();
+            self.dram.busy_banks_per_busy_channel_into(banks_buf);
+            parallelism.sample_n(busy_slices, busy_channels, banks_buf, samples);
         }
     }
 
@@ -629,10 +541,6 @@ impl GpuSim {
             && !self.dram.is_busy()
             && !self.req_net.is_busy()
             && !self.reply_net.is_busy()
-    }
-
-    fn schedule_tbs(&mut self, sched: &mut TbScheduler, cycle: u64) -> bool {
-        sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle)
     }
 
     fn report(

@@ -42,12 +42,11 @@ pub(crate) struct LlcSlice {
     dram_retry: VecDeque<u64>,
     /// First core cycle whose stall-retry miss counter is still deferred.
     acct_from: u64,
-    /// When `Some(v)`: the input head is MSHR-stalled and nothing that
-    /// could unblock it has happened since version `v` (DRAM completions
-    /// are the only events that free this slice's MSHRs or fill lines).
-    input_stall: Option<u64>,
-    /// Version counter for `input_stall`, incremented per completion.
-    fill_version: u64,
+    /// The input head is MSHR-stalled and no DRAM completion has arrived
+    /// since (completions are the only events that free this slice's
+    /// MSHRs or fill lines). Set by the stalled allocation, cleared by
+    /// [`LlcSlice::on_dram_completion`].
+    input_stalled: bool,
     /// The exact next core cycle at which [`LlcSlice::tick`] changes
     /// anything (`u64::MAX` = nothing locally schedulable); republished
     /// by [`LlcSlice::tick_evented`] and lowered by the deliveries and
@@ -79,8 +78,7 @@ impl LlcSlice {
             hits: VecDeque::with_capacity(32),
             dram_retry: VecDeque::with_capacity(32),
             acct_from: 0,
-            input_stall: None,
-            fill_version: 0,
+            input_stalled: false,
             cached_next: 0,
             retry_gate: None,
         }
@@ -96,7 +94,8 @@ impl LlcSlice {
         self.cached_next = self.cached_next.min(self.next_event_incremental(cycle));
     }
 
-    /// Outstanding requests in this slice (the Figure 14a busy criterion).
+    /// Outstanding requests in this slice (non-zero is what Figure 14a
+    /// counts as busy).
     pub(crate) fn outstanding(&self) -> usize {
         self.input.len() + self.hits.len() + self.dram_retry.len() + self.mshr.len()
     }
@@ -130,7 +129,7 @@ impl LlcSlice {
         dram: &DramSystem,
         dram_clock: &DomainClock,
     ) -> Option<u64> {
-        if !self.input.is_empty() && !self.input_stalled_now() {
+        if !self.input.is_empty() && !self.input_stalled {
             return Some(now);
         }
         let mut next: Option<u64> = None;
@@ -166,18 +165,11 @@ impl LlcSlice {
             })
     }
 
-    /// Whether the input head is known to be MSHR-stalled with nothing
-    /// having happened that could unblock it.
-    #[inline]
-    fn input_stalled_now(&self) -> bool {
-        self.input_stall == Some(self.fill_version)
-    }
-
     /// Replays the deferred one-retry-miss-per-cycle accounting for
     /// elided stalled cycles up to `up_to` (exclusive).
     pub(crate) fn flush_stall(&mut self, up_to: u64) {
         if up_to > self.acct_from {
-            if self.input_stalled_now() {
+            if self.input_stalled {
                 self.cache.record_retry_misses(up_to - self.acct_from);
             }
             self.acct_from = up_to;
@@ -210,7 +202,7 @@ impl LlcSlice {
         // Settle the deferred stall accounting before the fill makes the
         // stall verdict stale (the elided cycles were stalled ones).
         self.flush_stall(cycle);
-        self.fill_version += 1;
+        self.input_stalled = false;
         let line = txns.get(txn).line;
         if let Some(ev) = self.cache.fill_with(line, false) {
             if ev.dirty {
@@ -251,7 +243,7 @@ impl LlcSlice {
     /// property test.
     #[inline]
     fn next_event_incremental(&self, now: u64) -> u64 {
-        if !self.input.is_empty() && !self.input_stalled_now() {
+        if !self.input.is_empty() && !self.input_stalled {
             return now;
         }
         let mut next = u64::MAX;
@@ -364,14 +356,11 @@ impl LlcSlice {
         let Some(&txn) = self.input.front() else {
             return;
         };
-        if let Some(v) = self.input_stall {
-            if v == self.fill_version {
-                // Still MSHR-stalled: replay the probe's miss counter
-                // (the dense retry would probe, miss and stall again).
-                self.cache.record_retry_miss();
-                return;
-            }
-            self.input_stall = None;
+        if self.input_stalled {
+            // Still MSHR-stalled: replay the probe's miss counter (the
+            // dense retry would probe, miss and stall again).
+            self.cache.record_retry_miss();
+            return;
         }
         let t = *txns.get(txn);
         count(Counter::TagAccesses);
@@ -433,7 +422,7 @@ impl LlcSlice {
             MshrAllocation::Stalled => {
                 // Head-of-line stall: cache the verdict until the next
                 // DRAM completion, so retries cost one counter update.
-                self.input_stall = Some(self.fill_version);
+                self.input_stalled = true;
             }
         }
     }

@@ -54,27 +54,12 @@ impl ParallelismIntegrator {
         Self::default()
     }
 
-    /// Records one sample: `busy_slices` LLC slices with outstanding
-    /// requests, `busy_channels` DRAM channels with outstanding requests,
-    /// and per-busy-channel busy-bank counts.
-    pub fn sample(&mut self, busy_slices: usize, busy_channels: usize, banks_per_busy: &[usize]) {
-        if busy_slices > 0 {
-            self.llc_busy_sum += busy_slices as u64;
-            self.llc_samples += 1;
-        }
-        if busy_channels > 0 {
-            self.chan_busy_sum += busy_channels as u64;
-            self.chan_samples += 1;
-        }
-        for &b in banks_per_busy {
-            self.bank_busy_sum += b as u64;
-            self.bank_samples += 1;
-        }
-    }
-
-    /// Records the same sample `n` times — used by the event-driven fast
-    /// path, where the sampled state is provably constant over a skipped
-    /// window and each elapsed sampling point contributes one sample.
+    /// Records `n` identical samples: `busy_slices` LLC slices with
+    /// outstanding requests, `busy_channels` DRAM channels with
+    /// outstanding requests, and per-busy-channel busy-bank counts. The
+    /// drive loop passes the sampling points that elapsed since it last
+    /// changed any state (one per dense cycle, a whole skipped window in
+    /// the evented loop).
     pub fn sample_n(
         &mut self,
         busy_slices: usize,
@@ -82,9 +67,6 @@ impl ParallelismIntegrator {
         banks_per_busy: &[usize],
         n: u64,
     ) {
-        if n == 0 {
-            return;
-        }
         if busy_slices > 0 {
             self.llc_busy_sum += busy_slices as u64 * n;
             self.llc_samples += n;
@@ -400,9 +382,9 @@ mod tests {
     #[test]
     fn integrator_averages_over_busy_samples() {
         let mut p = ParallelismIntegrator::new();
-        p.sample(2, 1, &[4]);
-        p.sample(0, 0, &[]); // idle sample: ignored
-        p.sample(4, 3, &[2, 6, 4]);
+        p.sample_n(2, 1, &[4], 1);
+        p.sample_n(0, 0, &[], 1); // idle sample: ignored
+        p.sample_n(4, 3, &[2, 6, 4], 1);
         assert!((p.llc_parallelism() - 3.0).abs() < 1e-12);
         assert!((p.channel_parallelism() - 2.0).abs() < 1e-12);
         assert!((p.bank_parallelism() - 4.0).abs() < 1e-12);

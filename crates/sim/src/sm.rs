@@ -106,14 +106,11 @@ pub(crate) struct Sm {
     free_tb_slots: Vec<u32>,
     resident_tbs: usize,
     resident_warps: usize,
-    /// When `Some(v)`: the LSU head is MSHR-stalled and nothing that
-    /// could unblock it has happened since version `v` — the retry is
-    /// answered with a counter update alone. Bumping [`Sm::on_reply`]
-    /// invalidates the cache (replies are the only events that free
-    /// MSHRs or fill lines).
-    lsu_stall: Option<u64>,
-    /// Version counter for `lsu_stall`, incremented per reply.
-    lsu_version: u64,
+    /// The LSU head is MSHR-stalled and no reply has arrived since —
+    /// replies are the only events that free MSHRs or fill lines, so the
+    /// retry is answered with a counter update alone. Set by the stalled
+    /// allocation, cleared by [`Sm::on_reply`].
+    lsu_stalled: bool,
     /// The exact next core cycle at which [`Sm::tick`] does real work
     /// (`u64::MAX` = nothing locally schedulable); republished by
     /// [`Sm::tick_evented`] and lowered by TB assignment and by the
@@ -146,8 +143,7 @@ impl Sm {
             free_tb_slots: (0..cfg.max_tbs_per_sm as u32).rev().collect(),
             resident_tbs: 0,
             resident_warps: 0,
-            lsu_stall: None,
-            lsu_version: 0,
+            lsu_stalled: false,
             cached_next: 0,
             acct_from: 0,
             warp_instructions: 0,
@@ -233,12 +229,12 @@ impl Sm {
     /// would do real work (wake a warp, finish a hit, run the LSU or issue
     /// an instruction), or `None` when only off-SM events (NoC replies)
     /// can make progress. Between `now` and the returned cycle every tick
-    /// is a pure busy-counter update — see [`Sm::skip_idle`].
+    /// is a pure busy-counter update — see [`Sm::flush_idle`].
     pub(crate) fn next_event_at(&self, now: u64) -> Option<u64> {
         // A non-empty LSU queue is only an every-cycle event while it can
         // make progress; a stall-cached head just counts a retry miss per
         // cycle, which flush_idle replays in bulk.
-        if (!self.mem_queue.is_empty() && !self.lsu_stalled_now()) || !self.ready.is_empty() {
+        if (!self.mem_queue.is_empty() && !self.lsu_stalled) || !self.ready.is_empty() {
             return Some(now);
         }
         let mut next: Option<u64> = None;
@@ -250,14 +246,6 @@ impl Sm {
             next = Some(next.map_or(at, |n| n.min(at)));
         }
         next
-    }
-
-    /// Accounts `n` provably event-free core cycles (the bulk equivalent
-    /// of `n` dense no-op [`Sm::tick`]s).
-    pub(crate) fn skip_idle(&mut self, n: u64) {
-        if self.resident_warps > 0 {
-            self.busy_cycles += n;
-        }
     }
 
     /// The cached next-event cycle maintained by [`Sm::tick_evented`].
@@ -275,22 +263,18 @@ impl Sm {
         self.cached_next = self.cached_next.min(due);
     }
 
-    /// Whether the LSU head is known to be MSHR-stalled with nothing
-    /// having happened that could unblock it.
-    #[inline]
-    fn lsu_stalled_now(&self) -> bool {
-        self.lsu_stall == Some(self.lsu_version)
-    }
-
-    /// Brings the deferred counters up to date with `up_to` (exclusive):
-    /// the busy counter (current warp population) and, while the LSU is
-    /// stall-cached, the one retry miss per elided cycle the dense loop
-    /// would have recorded.
+    /// Brings the deferred counters up to date with `up_to` (exclusive) —
+    /// the bulk equivalent of the dense no-op [`Sm::tick`]s elided since
+    /// `acct_from`: the busy counter (current warp population) and, while
+    /// the LSU is stall-cached, one retry miss per cycle.
     pub(crate) fn flush_idle(&mut self, up_to: u64) {
         if up_to > self.acct_from {
-            self.skip_idle(up_to - self.acct_from);
-            if self.lsu_stalled_now() {
-                self.l1.record_retry_misses(up_to - self.acct_from);
+            let n = up_to - self.acct_from;
+            if self.resident_warps > 0 {
+                self.busy_cycles += n;
+            }
+            if self.lsu_stalled {
+                self.l1.record_retry_misses(n);
             }
             self.acct_from = up_to;
         }
@@ -301,7 +285,7 @@ impl Sm {
     pub(crate) fn on_reply(&mut self, txn: u64, txns: &mut TxnTable, cycle: u64) {
         // Settle deferred accounting with the pre-reply warp population.
         self.flush_idle(cycle);
-        self.lsu_version += 1;
+        self.lsu_stalled = false;
         let line = txns.get(txn).line;
         self.l1.fill(line);
         let mut waiters = std::mem::take(&mut self.waiter_buf);
@@ -372,8 +356,8 @@ impl Sm {
     /// Event-gated [`Sm::tick`]: a no-op (with the busy counter deferred)
     /// while the cached next-event cycle is in the future. Bit-identical
     /// to ticking densely every cycle. Returns whether the tick actually
-    /// ran — the driver uses this to prove the TB scheduler's view of SM
-    /// capacity is unchanged and skip its per-SM scans.
+    /// ran — only then can a TB have retired, so the driver runs the TB
+    /// scheduler only then (or after a reply).
     #[inline]
     pub(crate) fn tick_evented(
         &mut self,
@@ -448,14 +432,11 @@ impl Sm {
         let Some(&txn) = self.mem_queue.front() else {
             return;
         };
-        if let Some(v) = self.lsu_stall {
-            if v == self.lsu_version {
-                // Still stalled: replay the probe's miss counter (the
-                // dense retry would probe, miss and stall again).
-                self.l1.record_retry_miss();
-                return;
-            }
-            self.lsu_stall = None;
+        if self.lsu_stalled {
+            // Still stalled: replay the probe's miss counter (the dense
+            // retry would probe, miss and stall again).
+            self.l1.record_retry_miss();
+            return;
         }
         let info = txns.get(txn);
         if info.is_store {
@@ -489,7 +470,7 @@ impl Sm {
                 // Head-of-line: resource stall. Cache the verdict — it
                 // cannot change until a reply frees an MSHR or fills the
                 // line — so retries cost one counter update.
-                self.lsu_stall = Some(self.lsu_version);
+                self.lsu_stalled = true;
             }
         }
     }

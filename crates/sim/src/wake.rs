@@ -24,18 +24,19 @@
 //! | SM | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
 //! | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
 //! | | a TB assignment | the cycle after the assignment |
-//! | TB scheduler | SM activity (a tick or a reply) | runs in that iteration; otherwise provably a no-op |
+//! | TB scheduler | SM activity (a tick or a reply) | runs in that iteration: only a TB retirement frees capacity or ends a kernel |
+//! | | a kernel to be loaded | the next cycle — a loaded kernel has nothing for the scheduler between SM events; the loop asks only whether a kernel is to be loaded |
 //!
 //! A [`WakeGate`] folds one population's hints into a scalar so the
-//! loop skips the whole walk — and `fast_forward` reads the core-domain
-//! horizon in O(1) — while nothing in it is due. It is rebuilt exactly
-//! by the walk that ticked the units and *lowered* to a unit's own
-//! fresh hint by every out-of-band source above; a source that leaves
-//! the unit's hint alone leaves the gate alone.
+//! loop skips the whole walk — and its fast-forward reads the
+//! core-domain horizon in O(1) — while nothing in it is due. It is
+//! rebuilt exactly by the walk that ticked the units and *lowered* to a
+//! unit's own fresh hint by every out-of-band source above; a source
+//! that leaves the unit's hint alone leaves the gate alone.
 //!
 //! Horizons cross clock domains through [`DomainClock`], which owns the
 //! accumulator arithmetic the dense loop performs: the run loop's
-//! per-cycle advance, `fast_forward`'s skip and the retry gate's
+//! per-cycle advance, the fast-forward's skip and the retry gate's
 //! DRAM-to-core translation all replay the same float operations, so
 //! they cannot drift apart (and `run() == run_dense()` stays exact).
 //!

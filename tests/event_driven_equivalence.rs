@@ -11,14 +11,17 @@ use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
 
 fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
+    build_limited(bench, scheme, GpuConfig::table1().max_cycles)
+}
+
+fn build_limited(bench: Benchmark, scheme: SchemeKind, max_cycles: u64) -> GpuSim {
     let map = GddrMap::baseline();
     let mapper = AddressMapper::build(scheme, &map, 1);
-    GpuSim::new(
-        GpuConfig::table1(),
-        mapper,
-        map,
-        Box::new(bench.workload(Scale::Test)),
-    )
+    let cfg = GpuConfig {
+        max_cycles,
+        ..GpuConfig::table1()
+    };
+    GpuSim::new(cfg, mapper, map, Box::new(bench.workload(Scale::Test)))
 }
 
 fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
@@ -130,4 +133,33 @@ fn stacked_memory_equivalence() {
     assert_eq!(fast.cycles, dense.cycles, "stacked: cycle count diverged");
     assert_eq!(fast.dram, dense.dram, "stacked: DRAM stats diverged");
     assert_eq!(fast.llc, dense.llc, "stacked: LLC stats diverged");
+}
+
+/// The truncation exit: a run cut at the cycle safety limit — the
+/// fast-forward stopping at it, packets cut mid-transfer, DRAM's deferred
+/// counters flushed mid-burst — must report what the dense loop reports
+/// for the same limit. Cut points are spread over the whole run and
+/// bracket the untruncated length.
+#[test]
+fn truncated_runs_match_dense_at_every_cut() {
+    for (bench, scheme) in [
+        (Benchmark::Mt, SchemeKind::Base),
+        (Benchmark::Sp, SchemeKind::Pae),
+        (Benchmark::Mum, SchemeKind::Fae),
+        (Benchmark::Lps, SchemeKind::Base),
+    ] {
+        let full = build(bench, scheme).run().cycles;
+        let step = (full / 100).max(1);
+        let cuts = (0..full)
+            .step_by(step as usize)
+            .chain([full - 1, full, full + 1]);
+        for limit in cuts {
+            let fast = build_limited(bench, scheme, limit).run();
+            let dense = build_limited(bench, scheme, limit).run_dense();
+            let tag = format!("{bench:?}/{scheme:?} cut at {limit} of {full}");
+            assert_eq!(fast.truncated, dense.truncated, "{tag}: truncation");
+            assert_eq!(fast.truncated, limit < full, "{tag}: truncated flag");
+            assert_eq!(fast.results_json(), dense.results_json(), "{tag}");
+        }
+    }
 }
