@@ -6,8 +6,8 @@
 //!
 //! The output of this binary is the basis of `EXPERIMENTS.md`.
 
-use valley_bench::{all_schemes, figures, run_suite};
-use valley_core::DramAddressMap;
+use valley_bench::{figures, run_suite};
+use valley_core::{DramAddressMap, SchemeKind};
 use valley_sim::WorkloadSource;
 use valley_workloads::{analysis, Benchmark, Scale};
 
@@ -20,7 +20,7 @@ fn main() {
     entropy_figures();
 
     // --- Simulation suites ---
-    let schemes = all_schemes();
+    let schemes = SchemeKind::ALL_SCHEMES;
     eprintln!("running valley suite (10 benchmarks x 6 schemes)...");
     let valley = run_suite(&Benchmark::VALLEY, &schemes, Scale::Ref);
     eprintln!("running non-valley suite (6 benchmarks x 6 schemes)...");

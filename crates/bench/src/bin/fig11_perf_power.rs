@@ -5,11 +5,12 @@
 //! ALL are slightly faster but pay +35% / +45% DRAM power; PM and RMP sit
 //! between BASE and PAE on performance.
 
-use valley_bench::{all_schemes, figures, run_suite};
+use valley_bench::{figures, run_suite};
+use valley_core::SchemeKind;
 use valley_workloads::{Benchmark, Scale};
 
 fn main() {
-    let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
+    let suite = run_suite(&Benchmark::VALLEY, &SchemeKind::ALL_SCHEMES, Scale::Ref);
     print!("{}", figures::fig11(&suite));
     println!("\npaper: PAE +3% DRAM power, FAE +35%, ALL +45%, PM +8%, RMP +16%");
 }

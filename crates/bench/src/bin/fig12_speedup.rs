@@ -9,12 +9,12 @@
 //! figure binary needing the same grid — is a pure cache read. The table
 //! rendering is pinned byte-for-byte by the golden tests.
 
-use valley_bench::{all_schemes, figures, run_suite};
+use valley_bench::{figures, run_suite};
 use valley_core::SchemeKind;
 use valley_workloads::{Benchmark, Scale};
 
 fn main() {
-    let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
+    let suite = run_suite(&Benchmark::VALLEY, &SchemeKind::ALL_SCHEMES, Scale::Ref);
 
     print!(
         "{}",

@@ -4,10 +4,11 @@
 //! Paper shape: PAE/FAE/ALL dramatically reduce NoC packet latency and
 //! substantially reduce the LLC miss rate by de-hot-spotting the slices.
 
-use valley_bench::{all_schemes, figures, run_suite};
+use valley_bench::{figures, run_suite};
+use valley_core::SchemeKind;
 use valley_workloads::{Benchmark, Scale};
 
 fn main() {
-    let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
+    let suite = run_suite(&Benchmark::VALLEY, &SchemeKind::ALL_SCHEMES, Scale::Ref);
     print!("{}{}", figures::fig13a(&suite), figures::fig13b(&suite));
 }

@@ -5,11 +5,12 @@
 //! locality by scattering column-bit-differing (same-row) requests to
 //! different banks.
 
-use valley_bench::{all_schemes, figures, run_suite};
+use valley_bench::{figures, run_suite};
+use valley_core::SchemeKind;
 use valley_workloads::{Benchmark, Scale};
 
 fn main() {
-    let suite = run_suite(&Benchmark::VALLEY, &all_schemes(), Scale::Ref);
+    let suite = run_suite(&Benchmark::VALLEY, &SchemeKind::ALL_SCHEMES, Scale::Ref);
     print!("{}", figures::fig15(&suite));
     println!("\npaper shape: PAE has the highest average hit rate; FAE/ALL degrade it");
 }

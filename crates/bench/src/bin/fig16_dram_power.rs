@@ -4,12 +4,13 @@
 //! Paper shape: address mapping primarily moves the **activate**
 //! component; FAE and ALL increase it substantially, PAE stays near BASE.
 
-use valley_bench::{all_schemes, figures, run_suite};
+use valley_bench::{figures, run_suite};
+use valley_core::SchemeKind;
 use valley_power::DramPowerModel;
 use valley_workloads::{Benchmark, Scale};
 
 fn main() {
-    let schemes = all_schemes();
+    let schemes = SchemeKind::ALL_SCHEMES;
     let suite = run_suite(&Benchmark::VALLEY, &schemes, Scale::Ref);
     print!("{}", figures::fig16(&suite));
 

@@ -15,7 +15,7 @@
 //! result store instead of being silently re-simulated.
 
 use std::collections::BTreeMap;
-use valley_bench::{all_schemes, hmean, run_spec, DEFAULT_SEED};
+use valley_bench::{hmean, run_spec, DEFAULT_SEED};
 use valley_core::SchemeKind;
 use valley_harness::{ConfigId, JobOutcome, SweepSpec};
 use valley_workloads::{Benchmark, Scale};
@@ -28,7 +28,7 @@ const SUBSET: [Benchmark; 4] = [
 ];
 
 fn main() {
-    let schemes = all_schemes();
+    let schemes = SchemeKind::ALL_SCHEMES;
     // GpuConfig::table1() has 12 SMs, so the 12-SM point *is* the
     // baseline config — sharing its cache key with every other figure.
     let configs = [

@@ -53,11 +53,18 @@ pub fn run_custom(
     GpuSim::new(cfg, mapper, map, Box::new(bench.workload(scale))).run()
 }
 
+/// Opens the default result store ([`valley_harness::default_results_dir`]).
+fn default_store() -> ResultStore {
+    let dir = valley_harness::default_results_dir();
+    ResultStore::open(&dir)
+        .unwrap_or_else(|e| panic!("cannot open result store {}: {e}", dir.display()))
+}
+
 /// Runs the cross product of `benches × schemes` through the sweep
-/// harness against the default result store ([`default_results_dir`]):
-/// already-stored jobs are served from disk, the rest run in parallel on
-/// the thread pool with per-job panic isolation, and every fresh result
-/// is persisted for the next consumer.
+/// harness against the default result store: already-stored jobs are
+/// served from disk, the rest run in parallel on the thread pool with
+/// per-job panic isolation, and every fresh result is persisted for the
+/// next consumer.
 ///
 /// # Panics
 ///
@@ -66,10 +73,7 @@ pub fn run_custom(
 /// every downstream figure), or if the result store cannot be
 /// opened/written.
 pub fn run_suite(benches: &[Benchmark], schemes: &[SchemeKind], scale: Scale) -> Suite {
-    let dir = valley_harness::default_results_dir();
-    let store = ResultStore::open(&dir)
-        .unwrap_or_else(|e| panic!("cannot open result store {}: {e}", dir.display()));
-    run_suite_with_store(benches, schemes, scale, &store)
+    run_suite_with_store(benches, schemes, scale, &default_store())
 }
 
 /// Runs an arbitrary [`SweepSpec`] — any benchmarks × schemes × seeds ×
@@ -84,15 +88,12 @@ pub fn run_suite(benches: &[Benchmark], schemes: &[SchemeKind], scale: Scale) ->
 /// Panics if any job fails or the store cannot be opened/written (same
 /// contract as [`run_suite`]).
 pub fn run_spec(spec: &SweepSpec) -> Vec<valley_harness::JobOutcome> {
-    let dir = valley_harness::default_results_dir();
-    let store = ResultStore::open(&dir)
-        .unwrap_or_else(|e| panic!("cannot open result store {}: {e}", dir.display()));
-    run_spec_with_store(spec, &store)
+    run_spec_with_store(spec, &default_store())
 }
 
 /// [`run_spec`] against an already-open store — callers running several
 /// specs (fig19's BASE reference + multi-seed grid) open and parse the
-/// shards once instead of once per spec.
+/// store once instead of once per spec.
 ///
 /// # Panics
 ///
@@ -124,26 +125,10 @@ pub fn run_suite_with_store(
     scale: Scale,
     store: &ResultStore,
 ) -> Suite {
-    let spec = SweepSpec::new(benches, schemes, scale);
-    let opts = SweepOptions {
-        workers: None,
-        verbose: true,
-        force: false,
-        batch: 1,
-    };
-    match run_sweep(&spec, store, &opts) {
-        Ok(outcome) => outcome
-            .jobs
-            .into_iter()
-            .map(|j| ((j.spec.bench, j.spec.scheme), j.report))
-            .collect(),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The six schemes in the paper's presentation order.
-pub fn all_schemes() -> Vec<SchemeKind> {
-    SchemeKind::ALL_SCHEMES.to_vec()
+    run_spec_with_store(&SweepSpec::new(benches, schemes, scale), store)
+        .into_iter()
+        .map(|j| ((j.spec.bench, j.spec.scheme), j.report))
+        .collect()
 }
 
 #[cfg(test)]

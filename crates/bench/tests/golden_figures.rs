@@ -8,7 +8,8 @@
 //! JSON round trip), so the store's serialization provably does not
 //! perturb a single digit of any figure.
 
-use valley_bench::{all_schemes, figures, run_suite_with_store};
+use valley_bench::{figures, run_suite_with_store};
+use valley_core::SchemeKind;
 use valley_harness::ResultStore;
 use valley_workloads::{Benchmark, Scale};
 
@@ -40,7 +41,12 @@ fn fig12_harness_output_is_byte_identical_cold_and_cached() {
     let store = ResultStore::open(&dir).expect("store opens");
 
     // Cold: every job simulated through the harness pool.
-    let suite = run_suite_with_store(&Benchmark::VALLEY, &all_schemes(), Scale::Test, &store);
+    let suite = run_suite_with_store(
+        &Benchmark::VALLEY,
+        &SchemeKind::ALL_SCHEMES,
+        Scale::Test,
+        &store,
+    );
     assert_eq!(
         figures::fig12_text(&suite, FIG12_TITLE),
         golden,
@@ -51,8 +57,16 @@ fn fig12_harness_output_is_byte_identical_cold_and_cached() {
     // so the reports have been through the JSON round trip on disk).
     drop(store);
     let store = ResultStore::open(&dir).expect("store reopens");
-    assert_eq!(store.len(), Benchmark::VALLEY.len() * all_schemes().len());
-    let cached = run_suite_with_store(&Benchmark::VALLEY, &all_schemes(), Scale::Test, &store);
+    assert_eq!(
+        store.len(),
+        Benchmark::VALLEY.len() * SchemeKind::ALL_SCHEMES.len()
+    );
+    let cached = run_suite_with_store(
+        &Benchmark::VALLEY,
+        &SchemeKind::ALL_SCHEMES,
+        Scale::Test,
+        &store,
+    );
     assert_eq!(
         figures::fig12_text(&cached, FIG12_TITLE),
         golden,

@@ -20,7 +20,7 @@ use valley_fabric::{
 use valley_harness::figures::{all_tables, Suite};
 use valley_harness::{
     default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoredResult, SweepOptions,
-    SweepSpec, WallKind, DEFAULT_SEED,
+    SweepSpec, WallKind, DEFAULT_SEED, STORE_FILE,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -133,7 +133,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "gc",
-        about: "compact the shards: drop duplicates, schema orphans and truncated tails",
+        about: "compact the store: drop duplicates, schema orphans and truncated tails",
         run: cmd_gc,
         required: &[],
         flags: &[
@@ -203,8 +203,7 @@ const COMMANDS: &[Command] = &[
 /// `valley help`: one synopsis per [`COMMANDS`] row, then every flag
 /// once with its help.
 fn usage() -> String {
-    let mut text =
-        String::from("valley — sharded, resumable sweep engine for the Valley reproduction\n");
+    let mut text = String::from("valley — resumable sweep engine for the Valley reproduction\n");
     let mut glossary: Vec<Flag> = Vec::new();
     for cmd in COMMANDS {
         let mut line = format!("\n  valley {:<7}", cmd.name);
@@ -481,12 +480,7 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
         );
     }
 
-    let total: u64 = scan.shard_bytes.iter().sum();
-    let populated = scan.shard_bytes.iter().filter(|&&b| b > 0).count();
-    println!(
-        "\nshards: {populated}/{} populated, {total} bytes on disk",
-        scan.shard_bytes.len()
-    );
+    println!("\n{STORE_FILE}: {} bytes on disk", scan.bytes);
     println!(
         "hygiene: {} duplicate record(s) (--force debris), {} orphaned-schema record(s), \
          {} truncated tail(s)",
@@ -511,8 +505,8 @@ fn cmd_gc(flags: &Flags) -> Result<(), String> {
         dir.display(),
     );
     println!(
-        "{} shard(s) rewritten, {} -> {} bytes on disk",
-        report.shards_rewritten, report.bytes_before, report.bytes_after
+        "{STORE_FILE}: {} -> {} bytes on disk",
+        report.bytes_before, report.bytes_after
     );
     if flags.has("expect-clean") && report.removed() > 0 {
         return Err(format!(

@@ -4,10 +4,11 @@
 //!
 //! ## Lease lifecycle
 //!
-//! A worker's `Request` pops up to `capacity` pending jobs that share a
-//! machine (config × scale × scheme — the same grouping the local
-//! batched sweep uses, so `execute_batch` applies unchanged) and wraps
-//! them in a lease with a deadline. Three things can happen:
+//! A worker's `Request` takes up to `capacity` pending jobs that share a
+//! machine (config × scale × scheme — `take_unit`, the grouping rule the
+//! local batched sweep cuts its grid with, so `execute_batch_timed`
+//! applies unchanged) and wraps them in a lease with a deadline. Three
+//! things can happen:
 //!
 //! * **`Done`** — the results are accepted (idempotently: a job that
 //!   was already completed by a faster replica counts as a duplicate
@@ -26,12 +27,13 @@
 //!
 //! ## Determinism
 //!
-//! Fresh results are buffered and committed to the store **in grid
-//! expansion order** (an in-order commit cursor), no matter which
-//! worker finishes first — so the shard files a distributed sweep
-//! produces are identical to a local sequential `valley sweep`'s,
-//! modulo only the measured `wall_ms` values. The loopback test pins
-//! exactly that.
+//! Fresh results go through the harness's [`Committer`] — the one the
+//! local sweep uses — which appends them to the store **in grid
+//! expansion order**, no matter which worker finishes first: the file is
+//! the grid in expansion order, identical to a local sequential `valley
+//! sweep`'s modulo only the measured `wall_ms` values, and a coordinator
+//! killed mid-sweep leaves the finished prefix for its restart to resume
+//! from. The loopback and CLI tests pin exactly that.
 //!
 //! ## Read side
 //!
@@ -49,8 +51,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use valley_core::hash::FastMap;
-use valley_harness::{JobFailure, JobSpec, ResultStore, StoredResult, SweepSpec, WallKind};
-use valley_sim::SimReport;
+use valley_harness::{
+    take_unit, Committer, JobFailure, JobSpec, ResultStore, StoredResult, SweepSpec,
+};
 
 /// Options controlling one serve run.
 #[derive(Clone, Debug)]
@@ -118,16 +121,15 @@ struct LeaseEntry {
     deadline: Instant,
 }
 
-struct State {
+struct State<'a> {
     status: Vec<Slot>,
     pending: VecDeque<usize>,
     // BTreeMap: reap_expired/release_conn iterate these maps and requeue
     // jobs, so iteration order is scheduling order — keep it ordered.
     leases: BTreeMap<u64, LeaseEntry>,
     next_lease: u64,
-    /// Fresh results awaiting the in-order commit cursor.
-    buffered: BTreeMap<usize, (SimReport, f64, WallKind)>,
-    next_commit: usize,
+    /// Writes fresh results to the store in grid order.
+    commit: Committer<'a>,
     attempts: Vec<u32>,
     cache_hits: u64,
     executed: u64,
@@ -140,7 +142,7 @@ struct State {
     shutdown: bool,
 }
 
-impl State {
+impl State<'_> {
     fn grid_complete(&self) -> bool {
         self.status
             .iter()
@@ -172,7 +174,7 @@ impl State {
 struct Shared<'a> {
     jobs: Vec<JobSpec>,
     index_of: FastMap<JobSpec, usize>,
-    state: Mutex<State>,
+    state: Mutex<State<'a>>,
     store: &'a ResultStore,
     opts: &'a CoordOptions,
     finished: AtomicBool,
@@ -226,8 +228,7 @@ impl Coordinator {
             pending: VecDeque::new(),
             leases: BTreeMap::new(),
             next_lease: 1,
-            buffered: BTreeMap::new(),
-            next_commit: 0,
+            commit: Committer::new(store, n),
             attempts: vec![0; n],
             cache_hits: 0,
             executed: 0,
@@ -244,11 +245,11 @@ impl Coordinator {
             if store.contains(job) {
                 state.status[i] = Slot::Done;
                 state.cache_hits += 1;
+                settle(&mut state, &index_of, i, None);
             } else {
                 state.pending.push_back(i);
             }
         }
-        advance_commit(&mut state, &jobs, store);
         if opts.verbose {
             eprintln!(
                 "serve: {} job(s), {} cached, {} to lease",
@@ -306,34 +307,29 @@ impl Coordinator {
     }
 }
 
-/// Advances the in-order commit cursor: every contiguous completed job
-/// at the cursor is flushed to the store (dead jobs are skipped), so
-/// shard append order equals grid expansion order regardless of which
-/// worker finished first. A store write failure demotes the job to a
-/// structured dead entry rather than wedging the cursor.
-fn advance_commit(state: &mut State, jobs: &[JobSpec], store: &ResultStore) {
-    while state.next_commit < jobs.len() {
-        let i = state.next_commit;
-        match state.status[i] {
-            Slot::Dead => {}
-            Slot::Done => {
-                if let Some((report, wall_ms, wall)) = state.buffered.remove(&i) {
-                    if let Err(e) = store.put(&jobs[i], &report, wall_ms, wall) {
-                        let failure = JobFailure::store_write(jobs[i], e.to_string());
-                        state.failures.push(FailureNote {
-                            job: jobs[i].label(),
-                            kind: failure.kind,
-                            message: failure.message.clone(),
-                        });
-                        state.status[i] = Slot::Dead;
-                        state.dead.push(failure);
-                        state.executed -= 1;
-                    }
-                }
-            }
-            Slot::Pending | Slot::Leased(_) => break,
-        }
-        state.next_commit += 1;
+/// Settles grid slot `i` with the committer — a fresh result to write in
+/// its turn, or nothing (already stored, or dead) — and demotes the jobs
+/// whose store write that flushed and failed to structured dead entries
+/// (they had counted as executed).
+fn settle(
+    state: &mut State<'_>,
+    index_of: &FastMap<JobSpec, usize>,
+    i: usize,
+    fresh: Option<StoredResult>,
+) {
+    let unwritten = match fresh {
+        Some(result) => state.commit.complete(i, result),
+        None => state.commit.skip(i),
+    };
+    for failure in unwritten {
+        state.failures.push(FailureNote {
+            job: failure.spec.label(),
+            kind: failure.kind,
+            message: failure.message.clone(),
+        });
+        state.status[index_of[&failure.spec]] = Slot::Dead;
+        state.dead.push(failure);
+        state.executed -= 1;
     }
 }
 
@@ -343,7 +339,7 @@ fn advance_commit(state: &mut State, jobs: &[JobSpec], store: &ResultStore) {
 /// fetch/status poller watching a stalled sweep. A waiting worker
 /// additionally polls on [`CoordOptions::retry_ms`], which bounds how
 /// stale a deadline check can get without any timer thread.
-fn reap_expired(state: &mut State, verbose: bool) {
+fn reap_expired(state: &mut State<'_>, verbose: bool) {
     #[expect(
         clippy::disallowed_methods,
         reason = "the lease clock: a deadline decides which worker runs a job, never what the job computes"
@@ -369,9 +365,9 @@ fn reap_expired(state: &mut State, verbose: bool) {
 }
 
 /// Puts a dropped lease's unfinished jobs back at the front of the
-/// queue (oldest grid positions first, which keeps the in-order commit
-/// buffer small) and counts the re-leases.
-fn requeue_lease_jobs(state: &mut State, lease: &LeaseEntry, id: u64) {
+/// queue (oldest grid positions first, which keeps few results waiting
+/// for their turn at the store) and counts the re-leases.
+fn requeue_lease_jobs(state: &mut State<'_>, lease: &LeaseEntry, id: u64) {
     for &i in lease.jobs.iter().rev() {
         if state.status[i] == Slot::Leased(id) {
             state.status[i] = Slot::Pending;
@@ -550,43 +546,19 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -
     // The pending deque can hold stale indices: a reaped lease's job
     // re-queues as pending, and a later stale `Done` for it flips the
     // status to done while the queue slot remains. Leasing such a job
-    // again would double-execute it, so skip anything no longer pending.
-    let first = loop {
-        let Some(i) = state.pending.pop_front() else {
-            return Msg::Wait {
-                retry_ms: shared.opts.retry_ms,
-            };
+    // again would double-execute it, so only what is still pending is
+    // live. Same grouping as the local batched sweep: jobs in one lease
+    // share (config, scale, scheme), where seed-insensitive lanes dedupe.
+    let State {
+        pending, status, ..
+    } = &mut *state;
+    let taken = take_unit(pending, capacity, &shared.jobs, |i| {
+        status[i] == Slot::Pending
+    });
+    if taken.is_empty() {
+        return Msg::Wait {
+            retry_ms: shared.opts.retry_ms,
         };
-        if state.status[i] == Slot::Pending {
-            break i;
-        }
-    };
-    // Same grouping as the local batched sweep: jobs in one lease share
-    // (config, scale, scheme), where seed-insensitive lanes dedupe.
-    let machine = |i: usize| {
-        let j = &shared.jobs[i];
-        (j.config, j.scale, j.scheme)
-    };
-    let mut taken = vec![first];
-    if capacity > 1 {
-        let mut rest = VecDeque::new();
-        while taken.len() < capacity {
-            let Some(i) = state.pending.pop_front() else {
-                break;
-            };
-            if state.status[i] != Slot::Pending {
-                continue;
-            }
-            if machine(i) == machine(first) {
-                taken.push(i);
-            } else {
-                rest.push_back(i);
-            }
-        }
-        // Non-matching jobs keep their queue order ahead of the tail.
-        while let Some(i) = rest.pop_back() {
-            state.pending.push_front(i);
-        }
     }
     let lease = state.next_lease;
     state.next_lease += 1;
@@ -621,8 +593,8 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -
     }
 }
 
-/// Accepts a lease's results idempotently and advances the in-order
-/// store commit.
+/// Accepts a lease's results idempotently and hands them to the
+/// committer.
 fn handle_done(shared: &Shared<'_>, worker: &str, lease: u64, results: Vec<StoredResult>) -> Msg {
     let mut state = shared.state.lock().expect("fabric state");
     let mut stored = 0u64;
@@ -642,10 +614,10 @@ fn handle_done(shared: &Shared<'_>, worker: &str, lease: u64, results: Vec<Store
             Slot::Done | Slot::Dead => duplicates += 1,
             _ => {
                 state.status[i] = Slot::Done;
-                state.buffered.insert(i, (r.report, r.wall_ms, r.wall));
                 state.executed += 1;
                 stored += 1;
                 state.workers.entry(worker.to_string()).or_insert((0, 0)).0 += 1;
+                settle(&mut state, &shared.index_of, i, Some(r));
             }
         }
     }
@@ -656,12 +628,11 @@ fn handle_done(shared: &Shared<'_>, worker: &str, lease: u64, results: Vec<Store
     if let Some(entry) = state.leases.remove(&lease) {
         requeue_lease_jobs(&mut state, &entry, lease);
     }
-    advance_commit(&mut state, &shared.jobs, shared.store);
     if shared.opts.verbose {
         eprintln!(
             "serve: lease {lease} done by {worker}: {stored} stored, {duplicates} duplicate(s) \
              ({} / {} committed)",
-            state.next_commit,
+            state.commit.committed(),
             shared.jobs.len()
         );
     }
@@ -692,6 +663,7 @@ fn handle_failed(shared: &Shared<'_>, worker: &str, lease: u64, failures: Vec<Jo
         if state.attempts[i] >= shared.opts.max_attempts {
             state.status[i] = Slot::Dead;
             state.dead.push(failure);
+            settle(&mut state, &shared.index_of, i, None);
         } else {
             state.status[i] = Slot::Pending;
             state.pending.push_front(i);
@@ -701,7 +673,6 @@ fn handle_failed(shared: &Shared<'_>, worker: &str, lease: u64, failures: Vec<Jo
     if let Some(entry) = entry {
         requeue_lease_jobs(&mut state, &entry, lease);
     }
-    advance_commit(&mut state, &shared.jobs, shared.store);
     if shared.opts.verbose {
         eprintln!("serve: lease {lease} FAILED on {worker}: {acked} job(s) affected");
     }
@@ -709,18 +680,6 @@ fn handle_failed(shared: &Shared<'_>, worker: &str, lease: u64, failures: Vec<Jo
         stored: 0,
         duplicates: 0,
     }
-}
-
-/// Convenience: bind, run, and summarize in one call (what `valley
-/// serve` does).
-pub fn serve(
-    addr: impl ToSocketAddrs,
-    spec: &SweepSpec,
-    store: &ResultStore,
-    opts: &CoordOptions,
-) -> Result<ServeSummary, FabricError> {
-    let coordinator = Coordinator::bind(addr)?;
-    coordinator.run(spec, store, opts)
 }
 
 /// The read side's one filter definition (the `Query` arm, the CLI and

@@ -15,7 +15,7 @@
 //!   grid expansion order, and serves the read-side `query`/`status`
 //!   endpoints purely from the store;
 //! * [`worker`] — the worker loop: a network shell around
-//!   `execute_job`/`execute_batch`, so `--batch` composes with remote
+//!   `execute_batch_timed`, so `--batch` composes with remote
 //!   execution;
 //! * [`client`] — read-side fetch/status/shutdown.
 //!
@@ -38,7 +38,7 @@ pub mod wire;
 pub mod worker;
 
 pub use client::{fabric_status, fetch, shutdown, ClientOptions};
-pub use coord::{serve, CoordOptions, Coordinator, ServeSummary};
+pub use coord::{CoordOptions, Coordinator, ServeSummary};
 pub use proto::{FailureNote, Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTOCOL_VERSION};
 pub use wire::{read_frame, write_frame, WireError, MAX_FRAME_BYTES};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

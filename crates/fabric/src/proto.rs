@@ -170,7 +170,7 @@ pub enum Msg {
         /// Milliseconds until the coordinator may re-lease these jobs.
         deadline_ms: u64,
         /// The leased jobs (all sharing config × scale × scheme, so the
-        /// worker can run them through `execute_batch`).
+        /// worker can run them through `execute_batch_timed`).
         jobs: Vec<JobSpec>,
     },
     /// Coordinator has jobs outstanding but none available; retry after

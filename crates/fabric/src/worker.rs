@@ -1,12 +1,13 @@
 //! The fabric worker: lease, execute, report, repeat.
 //!
-//! A worker is a thin network shell around the harness's existing
-//! executors — [`execute_job`] for single-job leases and
-//! [`execute_batch`] for same-machine batches — so the local batching
-//! knob composes with remote execution: the worker's `--batch` capacity
-//! asks the coordinator for same-machine batch leases. Panics are caught per lease and reported as structured
-//! [`JobFailure`]s, so a crashed job is re-leased with its reason
-//! attached instead of silently vanishing.
+//! A worker is a thin network shell around the harness's executor,
+//! [`execute_batch_timed`] — a lease is a same-machine batch, of one job
+//! or of many — so the local batching knob composes with remote
+//! execution: the worker's `--batch` capacity asks the coordinator for
+//! same-machine batch leases, and what the executor returns is what
+//! travels in `Done`. Panics are caught per lease and reported as
+//! structured [`JobFailure`]s, so a crashed job is re-leased with its
+//! reason attached instead of silently vanishing.
 
 use crate::proto::{Msg, Role, PROTOCOL_VERSION};
 use crate::wire::{read_frame, write_frame, WireError};
@@ -16,7 +17,7 @@ use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use valley_harness::pool::panic_message;
-use valley_harness::{execute_batch_timed, JobFailure, JobSpec, StoredResult};
+use valley_harness::{execute_batch_timed, JobFailure, JobSpec};
 
 /// Options controlling one worker run.
 #[derive(Clone, Debug)]
@@ -226,27 +227,13 @@ fn execute_lease(
     let outcome = catch_unwind(AssertUnwindSafe(|| execute_batch_timed(jobs)));
     let elapsed = start.elapsed();
     match outcome {
-        Ok(lanes) => {
-            // Same attribution rule as the local batched sweep: every
-            // lane that ran is measured, cloned lanes are 0.
+        Ok(results) => {
             summary.leases += 1;
             summary.completed += jobs.len() as u64;
             if opts.verbose {
                 eprintln!("work: lease {lease} done in {elapsed:.2?}");
             }
-            Msg::Done {
-                lease,
-                results: jobs
-                    .iter()
-                    .zip(lanes)
-                    .map(|(&spec, lane)| StoredResult {
-                        spec,
-                        report: lane.report,
-                        wall_ms: lane.wall_ms,
-                        wall: lane.wall,
-                    })
-                    .collect(),
-            }
+            Msg::Done { lease, results }
         }
         Err(panic) => {
             let message = panic_message(panic.as_ref());

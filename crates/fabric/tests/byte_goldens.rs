@@ -14,7 +14,7 @@ use valley_fabric::proto::{Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTO
 use valley_fabric::wire::{read_frame, write_frame};
 use valley_fabric::FailureNote;
 use valley_harness::{
-    ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, StoredResult, WallKind, NUM_SHARDS,
+    ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, StoredResult, WallKind, STORE_FILE,
 };
 use valley_sim::json;
 use valley_sim::{EpochHist, SimReport};
@@ -228,10 +228,6 @@ impl Drop for TempDir {
     }
 }
 
-fn shard_file(dir: &std::path::Path, spec: &JobSpec) -> std::path::PathBuf {
-    dir.join(format!("shard-{:02}.jsonl", spec.key().shard(NUM_SHARDS)))
-}
-
 /// Full equality, including the diagnostics `SimReport`'s `PartialEq`
 /// leaves out.
 fn assert_same(got: &StoredResult, want: &StoredResult) {
@@ -248,13 +244,13 @@ fn store_line_bytes_are_pinned() {
         .unwrap()
         .put(&want.spec, &want.report, want.wall_ms, want.wall)
         .unwrap();
-    let line = std::fs::read_to_string(shard_file(&written.0, &want.spec)).unwrap();
+    let line = std::fs::read_to_string(written.0.join(STORE_FILE)).unwrap();
     assert_eq!(line, format!("{}\n", golden("store.line")));
 
     let read = TempDir::new("open");
     std::fs::create_dir_all(&read.0).unwrap();
     std::fs::write(
-        shard_file(&read.0, &want.spec),
+        read.0.join(STORE_FILE),
         format!("{}\n", golden("store.line")),
     )
     .unwrap();

@@ -3,10 +3,20 @@
 //! that names nothing is an error, not an empty result; a flag given
 //! twice is an error, not the last value winning; a grid value given
 //! twice names the same jobs, not more jobs; the command `figures`
-//! prints for a missing result fills the gap; and `valley help` is
-//! generated from the same table that parses the flags.
+//! prints for a missing result fills the gap; `valley help` is
+//! generated from the same table that parses the flags; and a `sweep`
+//! or a `serve` killed mid-grid keeps the prefix it finished, which the
+//! next run resumes from.
 
-use std::process::Command;
+mod common;
+
+use common::{filed_jobs, normalized_store};
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use valley_core::SchemeKind;
+use valley_harness::{JobSpec, ResultStore, SweepSpec, STORE_FILE};
+use valley_workloads::{Benchmark, Scale};
 
 /// The flag that selected the deleted phase-parallel engine. Spelled in
 /// two pieces so a grep for the removed name finds nothing in the tree.
@@ -214,4 +224,168 @@ fn help_lists_what_the_parser_accepts() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag '--bogus'"));
     let out = valley(&["fetch", "--scale", "test"]);
     assert!(String::from_utf8_lossy(&out.stderr).contains("fetch needs --addr HOST:PORT"));
+}
+
+/// The grid the kill tests run (every benchmark under two schemes: a
+/// debug-build sweep of it takes seconds, a kill lands well inside it).
+const GRID: [&str; 4] = ["--scale", "test", "--schemes", "BASE,PAE"];
+
+/// [`GRID`] in expansion order.
+fn test_grid() -> Vec<JobSpec> {
+    let schemes = [SchemeKind::Base, SchemeKind::Pae];
+    SweepSpec::new(&Benchmark::ALL, &schemes, Scale::Test).expand()
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("valley-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// An uninterrupted sequential `valley sweep` of [`GRID`] into `dir`.
+fn sequential_sweep(dir: &Path) -> std::process::Output {
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let args = ["sweep", "--workers", "1", "--quiet", "--results", results];
+    let out = valley(&[&args[..], &GRID].concat());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// The reproducer: a sweep SIGKILLed after its third progress line used
+/// to leave an empty directory — nothing was persisted until the last
+/// job returned. Now the store holds the finished prefix of the grid, in
+/// grid order, and the re-run resumes from it to the file an
+/// uninterrupted sweep writes.
+#[test]
+fn a_killed_sweep_keeps_what_it_finished_and_resumes_from_it() {
+    let dir = fresh_dir("killed-sweep");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_valley"))
+        .args(["sweep", "--workers", "1", "--results", results])
+        .args(GRID)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("valley runs");
+    let progress = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let reached = progress
+        .lines()
+        .map_while(Result::ok)
+        .any(|line| line.contains("[3/"));
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reaped");
+    assert!(reached, "the sweep never printed its third progress line");
+
+    let grid = test_grid();
+    let kept = ResultStore::open(&dir).expect("killed store opens").len();
+    assert!(
+        (3..grid.len()).contains(&kept),
+        "{kept} of {} results survived a kill after [3/",
+        grid.len()
+    );
+    assert_eq!(filed_jobs(&dir), grid[..kept], "not the grid's prefix");
+
+    let resumed = sequential_sweep(&dir);
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    let hits = format!("{kept} cache hit(s), {} executed", grid.len() - kept);
+    assert!(stdout.contains(&hits), "expected `{hits}`: {stdout}");
+
+    let whole = fresh_dir("unkilled-sweep");
+    sequential_sweep(&whole);
+    assert_eq!(filed_jobs(&whole), grid);
+    assert_eq!(normalized_store(&dir), normalized_store(&whole));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&whole).ok();
+}
+
+/// Kills its process when dropped, so a failed assertion leaves none.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+/// Starts `valley serve` on an ephemeral port over `dir`; returns it with
+/// its stdout and the address off its `serve: listening on` line.
+fn spawn_serve(dir: &Path) -> (Reaped, BufReader<std::process::ChildStdout>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_valley"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--quiet"])
+        .args(GRID)
+        .arg("--results")
+        .arg(dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("valley serve runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout
+        .read_line(&mut line)
+        .expect("serve prints its address");
+    let addr = line
+        .strip_prefix("serve: listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in `{line}`"))
+        .to_string();
+    (Reaped(child), stdout, addr)
+}
+
+fn spawn_work(addr: &str) -> Reaped {
+    let child = Command::new(env!("CARGO_BIN_EXE_valley"))
+        .args(["work", "--addr", addr, "--quiet"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("valley work runs");
+    Reaped(child)
+}
+
+/// The restart half of "kill the coordinator mid-commit-cursor": a
+/// coordinator SIGKILLed once the store file has a line leaves the
+/// committed prefix behind, and a restart on the same directory with a
+/// fresh worker resumes to the file a local sequential sweep writes.
+#[test]
+fn a_killed_coordinator_restarts_to_the_local_sequential_store() {
+    let dir = fresh_dir("killed-serve");
+    {
+        let (coordinator, _stdout, addr) = spawn_serve(&dir);
+        let _worker = spawn_work(&addr);
+        let file = dir.join(STORE_FILE);
+        let committed = (0..30_000).any(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::fs::read_to_string(&file).is_ok_and(|text| text.contains('\n'))
+        });
+        assert!(committed, "nothing was committed within a minute");
+        drop(coordinator); // SIGKILL
+    }
+    // The kill landed mid-grid: a prefix is on disk and work is left.
+    let grid = test_grid();
+    let kept = ResultStore::open(&dir).expect("killed store opens").len();
+    assert!((1..grid.len()).contains(&kept), "{kept} of {}", grid.len());
+    assert_eq!(filed_jobs(&dir), grid[..kept], "not the grid's prefix");
+
+    let (mut coordinator, stdout, addr) = spawn_serve(&dir);
+    let mut worker = spawn_work(&addr);
+    let summary: String = stdout.lines().map_while(Result::ok).collect();
+    assert!(
+        coordinator.0.wait().expect("serve exits").success(),
+        "{summary}"
+    );
+    assert!(worker.0.wait().expect("work exits").success());
+    let hits = format!("{kept} cache hit(s), {} executed", grid.len() - kept);
+    assert!(summary.contains(&hits), "expected `{hits}`: {summary}");
+
+    let local = fresh_dir("local-for-serve");
+    sequential_sweep(&local);
+    assert_eq!(filed_jobs(&dir), grid);
+    assert_eq!(normalized_store(&dir), normalized_store(&local));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&local).ok();
 }

@@ -1,11 +1,14 @@
 //! End-to-end fabric tests over 127.0.0.1: a coordinator and in-process
 //! workers exercising the real TCP protocol. Pins the two headline
-//! guarantees — a distributed sweep's store is identical to a local
-//! sequential sweep's (shard-for-shard, modulo only the `wall_ms` value
-//! and its `wall` attribution), and a worker killed mid-job loses
+//! guarantees — a distributed sweep's store file is identical to a local
+//! sequential sweep's (the grid in expansion order, modulo only the
+//! `wall_ms` value and its `wall` attribution), and a worker killed mid-job loses
 //! nothing: its lease is re-issued and the grid completes with zero
 //! lost and zero duplicated results.
 
+mod common;
+
+use common::{filed_jobs, normalized_store};
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use valley_core::SchemeKind;
@@ -14,8 +17,8 @@ use valley_fabric::{
     Msg, QueryFilters, Role, ServeSummary, WorkerOptions, PROTOCOL_VERSION,
 };
 use valley_harness::{
-    execute_batch, run_sweep, JobFailure, ResultStore, StoredResult, SweepOptions, SweepSpec,
-    WallKind,
+    execute_batch_timed, run_sweep, JobFailure, JobSpec, ResultStore, StoredResult, SweepOptions,
+    SweepSpec,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -95,7 +98,7 @@ impl RawPeer {
         Msg::from_json(&reply).expect("raw peer decodes")
     }
 
-    fn lease(&mut self, capacity: u64) -> (u64, Vec<valley_harness::JobSpec>) {
+    fn lease(&mut self, capacity: u64) -> (u64, Vec<JobSpec>) {
         match self.roundtrip(&Msg::Request { capacity }) {
             Msg::Lease { lease, jobs, .. } => (lease, jobs),
             other => panic!("expected a lease, got {other:?}"),
@@ -120,34 +123,9 @@ fn serve_while(
     })
 }
 
-/// Replaces the `wall_ms` value and its `wall` attribution — the only
-/// fields of a stored record that depend on how (and how fast) the job
-/// was executed rather than on what it computed — with placeholders.
-fn normalize_wall(line: &str) -> String {
-    let mut out = line.to_string();
-    for (field, placeholder) in [("\"wall_ms\":", "0"), ("\"wall\":", "\"x\"")] {
-        let start = out.find(field).expect("record has wall fields") + field.len();
-        let end = start + out[start..].find(',').expect("wall field is not last");
-        out = format!("{}{placeholder}{}", &out[..start], &out[end..]);
-    }
-    out
-}
-
-/// Both stores' shard files, as (file name → wall-normalized contents).
-fn normalized_shards(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<String>> {
-    let mut shards = std::collections::BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("store dir lists") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(entry.path()).expect("shard reads");
-        shards.insert(name, text.lines().map(normalize_wall).collect());
-    }
-    shards
-}
-
 /// Tentpole acceptance: a sweep distributed over two loopback workers
-/// produces shard files identical to a local sequential sweep's — same
-/// file names, same records, same order — modulo only `wall_ms`.
+/// produces a store file identical to a local sequential sweep's — same
+/// records, in grid expansion order — modulo only `wall_ms`.
 #[test]
 fn distributed_store_matches_local_sequential_sweep() {
     let spec = grid();
@@ -177,7 +155,12 @@ fn distributed_store_matches_local_sequential_sweep() {
     assert_eq!(summary.telemetry.executed, 4);
     assert_eq!(summary.telemetry.cache_hits, 0);
     assert_eq!(summary.telemetry.duplicates, 0);
-    assert_eq!(normalized_shards(&local.0), normalized_shards(&remote.0));
+    assert_eq!(normalized_store(&local.0), normalized_store(&remote.0));
+    assert_eq!(
+        filed_jobs(&remote.0),
+        spec.expand(),
+        "the file is not the grid in order"
+    );
 
     // Resume: a second serve over the full store completes without any
     // worker connecting at all.
@@ -217,8 +200,8 @@ fn batched_leases_match_unbatched_store() {
     });
     assert!(summary.complete());
     assert_eq!(
-        normalized_shards(&single.0),
-        normalized_shards(&batched.0),
+        normalized_store(&single.0),
+        normalized_store(&batched.0),
         "lease batching changed the stored results"
     );
 }
@@ -308,16 +291,7 @@ fn expired_lease_is_reaped_and_late_completion_is_idempotent() {
         run_worker(addr, &quiet("healthy")).expect("healthy worker");
         // The stale completion arrives after the job is already done:
         // dropped idempotently, reported in the ack.
-        let results = execute_batch(&jobs)
-            .into_iter()
-            .zip(&jobs)
-            .map(|(report, &spec)| StoredResult {
-                spec,
-                report,
-                wall_ms: 1.0,
-                wall: WallKind::Measured,
-            })
-            .collect();
+        let results = execute_batch_timed(&jobs);
         match stalled.roundtrip(&Msg::Done { lease, results }) {
             Msg::Ack { stored, duplicates } => {
                 assert_eq!(stored, 0, "a stale result was stored twice");
@@ -381,16 +355,7 @@ fn query_path_reaps_expired_leases() {
         // reaped; the jobs re-queued at query time, so the results are
         // accepted through the stale-done path.
         for (lease, jobs) in [(lease_a, jobs_a), (lease_b, jobs_b)] {
-            let results = execute_batch(&jobs)
-                .into_iter()
-                .zip(&jobs)
-                .map(|(report, &spec)| StoredResult {
-                    spec,
-                    report,
-                    wall_ms: 1.0,
-                    wall: WallKind::Measured,
-                })
-                .collect();
+            let results = execute_batch_timed(&jobs);
             match victim.roundtrip(&Msg::Done { lease, results }) {
                 Msg::Ack { stored, duplicates } => {
                     assert_eq!(stored, 2, "a late completion was lost");

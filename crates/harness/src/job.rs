@@ -8,6 +8,7 @@
 //! stored result can be reused by any future sweep, figure or ablation
 //! that asks for the same point of the grid.
 
+use crate::store::StoredResult;
 use std::collections::hash_map::Entry;
 use valley_core::hash::{fnv1a, FastMap, FastSet};
 use valley_core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
@@ -135,7 +136,7 @@ impl std::fmt::Display for JobSpec {
 
 /// The content-addressed identity of a job: a canonical key string (the
 /// exact experiment coordinates plus [`SCHEMA_VERSION`]) and its 64-bit
-/// FNV-1a hash, which addresses the store and selects the shard.
+/// FNV-1a hash, which addresses the store.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct JobKey {
     canonical: String,
@@ -171,11 +172,6 @@ impl JobKey {
     /// The hash in fixed-width hex (file-name and JSON friendly).
     pub fn hash_hex(&self) -> String {
         format!("{:016x}", self.hash)
-    }
-
-    /// Which of `shards` store shards this key lands in.
-    pub fn shard(&self, shards: usize) -> usize {
-        (self.hash % shards as u64) as usize
     }
 }
 
@@ -306,41 +302,14 @@ impl WallKind {
             _ => None,
         }
     }
-
-    /// Whether the value is a genuine single-job measurement, usable as
-    /// a perf fingerprint. Cloned (and legacy averaged) walls describe
-    /// scheduling economics, not simulation speed.
-    pub fn is_measured(self) -> bool {
-        self == WallKind::Measured
-    }
 }
 
 valley_sim::name_coded!(WallKind, as_str, WallKind::parse);
 
-/// One batched lane's outcome: the report plus the lane's wall-clock
-/// attribution (see [`WallKind`]).
-#[derive(Clone, Debug)]
-pub struct LaneOutcome {
-    /// The lane's simulation report.
-    pub report: SimReport,
-    /// Wall milliseconds this lane's simulation took (0 for a clone).
-    pub wall_ms: f64,
-    /// How `wall_ms` was obtained.
-    pub wall: WallKind,
-}
-
-/// Runs a batch of jobs and returns their reports in `specs` order —
-/// each equal to what [`execute_job`] produces for that spec alone.
-/// Batch width is pure scheduling and is deliberately not part of any
-/// job key. See [`execute_batch_timed`] for the wall-clock attribution.
-pub fn execute_batch(specs: &[JobSpec]) -> Vec<SimReport> {
-    execute_batch_timed(specs)
-        .into_iter()
-        .map(|o| o.report)
-        .collect()
-}
-
-/// [`execute_batch`] with per-lane wall attribution.
+/// Runs a batch of jobs and returns their results in `specs` order —
+/// each report equal to what [`execute_job`] produces for that spec
+/// alone, each record ready for the store. Batch width is pure
+/// scheduling and is deliberately not part of any job key.
 ///
 /// Lanes that are the *same simulation* run once: BASE/PM/RMP build the
 /// same BIM for every seed (the seed is part of the job key because keys
@@ -352,7 +321,7 @@ pub fn execute_batch(specs: &[JobSpec]) -> Vec<SimReport> {
 ///
 /// An executed lane is timed on its own and [`WallKind::Measured`]; a
 /// clone is [`WallKind::Cloned`] at 0 ms.
-pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
+pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<StoredResult> {
     // Seed only reaches the simulation through the randomized schemes'
     // BIM construction; two lanes agreeing on everything else are
     // identical runs.
@@ -361,10 +330,11 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
         (s.bench, s.scheme, effective_seed, s.scale, s.config)
     };
     let mut first: FastMap<_, usize> = FastMap::default();
-    let mut lanes: Vec<LaneOutcome> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let lane = match first.entry(identity(spec)) {
-            Entry::Occupied(ran) => LaneOutcome {
+    let mut lanes: Vec<StoredResult> = Vec::with_capacity(specs.len());
+    for &spec in specs {
+        let lane = match first.entry(identity(&spec)) {
+            Entry::Occupied(ran) => StoredResult {
+                spec,
                 report: lanes[*ran.get()].report.clone(),
                 wall_ms: 0.0,
                 wall: WallKind::Cloned,
@@ -376,8 +346,9 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
                     reason = "measurement, not simulation: the lane's wall_ms is stored beside the report and never enters it"
                 )]
                 let start = std::time::Instant::now();
-                let report = execute_job(spec);
-                LaneOutcome {
+                let report = execute_job(&spec);
+                StoredResult {
+                    spec,
                     report,
                     wall_ms: start.elapsed().as_secs_f64() * 1e3,
                     wall: WallKind::Measured,
@@ -413,7 +384,6 @@ mod tests {
             format!("schema={SCHEMA_VERSION};bench=MT;scheme=PAE;seed=1;scale=test;config=table1")
         );
         assert_eq!(k1.hash_hex().len(), 16);
-        assert!(k1.shard(16) < 16);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # valley-harness
 //!
-//! The sharded, resumable sweep engine behind every figure, table and
+//! The resumable sweep engine behind every figure, table and
 //! ablation of the Valley reproduction:
 //!
 //! * a **job model** ([`SweepSpec`] → content-hashed [`JobSpec`]s /
@@ -10,12 +10,14 @@
 //!   reporting, and result ordering that is independent of the worker
 //!   count;
 //! * a **persistent content-addressed result store** ([`ResultStore`]):
-//!   16 JSON-lines shards under `results/`, keyed by job hash, so
-//!   re-running a sweep skips completed jobs (*resume*) and figure
-//!   regeneration is a pure cache read;
+//!   one append-only JSON-lines file under `results/`, keyed by job
+//!   hash and written in grid order as jobs finish (the [`Committer`]),
+//!   so a killed sweep keeps what it finished, re-running a sweep skips
+//!   completed jobs (*resume*) and figure regeneration is a pure cache
+//!   read;
 //! * the `valley` CLI (`sweep`, `status`, `query`, `figures`, `gc` —
 //!   the latter compacts `--force` duplicates and orphaned-schema
-//!   records out of the shards).
+//!   records out of the file).
 //!
 //! `valley-bench`'s `run_suite` and the per-figure binaries are thin
 //! consumers of [`run_sweep`]; see `docs/harness.md` for the store
@@ -51,15 +53,16 @@ mod sweep;
 pub mod util;
 
 pub use job::{
-    execute_batch, execute_batch_timed, execute_job, ConfigId, JobKey, JobSpec, LaneOutcome,
-    SweepSpec, WallKind, DEFAULT_SEED, SCHEMA_VERSION,
+    execute_batch_timed, execute_job, ConfigId, JobKey, JobSpec, SweepSpec, WallKind, DEFAULT_SEED,
+    SCHEMA_VERSION,
 };
 pub use store::{
     gc, scan, store_line_description, GcReport, ResultStore, StoreError, StoreScan, StoredResult,
-    NUM_SHARDS, STORE_VERSION,
+    STORE_FILE, STORE_VERSION,
 };
 pub use sweep::{
-    run_sweep, FailureKind, JobFailure, JobOutcome, SweepError, SweepOptions, SweepOutcome,
+    run_sweep, take_unit, Committer, FailureKind, JobFailure, JobOutcome, SweepError, SweepOptions,
+    SweepOutcome,
 };
 
 use std::path::PathBuf;

@@ -1,10 +1,10 @@
 //! The persistent, content-addressed result store.
 //!
-//! Results live under a directory (by default `results/`) as 16 JSON-
-//! lines shard files, `shard-00.jsonl` … `shard-15.jsonl`, selected by
-//! the job-key hash. Each line is one self-describing record — store
-//! version, content hash, then [`StoredResult`]'s declared members with
-//! the job's coordinates flattened in (see `record_line`):
+//! Results live under a directory (by default `results/`) in one
+//! append-only JSON-lines file, [`STORE_FILE`]. Each line is one
+//! self-describing record — store version, content hash, then
+//! [`StoredResult`]'s declared members with the job's coordinates
+//! flattened in (see `record_line`):
 //!
 //! ```json
 //! {"v":2,"hash":"9f3c…","bench":"MT","scheme":"PAE","seed":1,
@@ -12,21 +12,27 @@
 //!  "report":{…}}
 //! ```
 //!
-//! Appends are atomic per shard (a mutex per shard file — writers on
-//! different shards never contend), so a sweep can pour results in from
-//! every worker thread. On open, all shards are read into an in-memory
-//! index; a re-run sweep then skips every job whose key is already
-//! present (*resume*), and figure regeneration is a pure cache read.
+//! One mutex covers the index and the file, so an append is atomic. A
+//! sweep's records are appended by its one committer
+//! ([`crate::sweep::Committer`]) in grid order as jobs finish: a cold
+//! sweep's file *is* `SweepSpec::expand()` order, and a killed sweep
+//! keeps the prefix it finished. On open the file is read into an
+//! in-memory index; a re-run sweep then skips every job whose key is
+//! already present (*resume*), and figure regeneration is a pure cache
+//! read.
 //!
 //! Failure policy — **loud**: a record with an unknown store version, a
 //! report with a mismatched schema version, a hash that does not match
 //! its own coordinates (the canonical key format changed), or corrupt
-//! JSON anywhere but the final line of a shard all fail `open` with a
-//! precise message. The one tolerated defect is a truncated *final*
-//! line, the signature of a run killed mid-append; it is dropped with a
-//! warning — and **physically truncated from the shard file**, so a
-//! later append cannot weld a fresh record onto the partial line and
-//! corrupt both permanently — and the job simply re-runs.
+//! JSON anywhere but the final line all fail `open` with a precise
+//! message. The one tolerated defect is a truncated *final* line, the
+//! signature of a run killed mid-append; it is dropped with a warning —
+//! and **physically truncated from the file**, so a later append cannot
+//! weld a fresh record onto the partial line and corrupt both
+//! permanently — and the job simply re-runs. A directory still holding
+//! the `shard-NN.jsonl` files of the earlier 16-shard layout is refused
+//! with the one-line migration (the records are unchanged) instead of
+//! being read as empty and silently re-simulated.
 //!
 //! Two append-only defects accumulate instead of failing: `--force`
 //! re-runs append duplicate records for the same [`JobKey`] (only the
@@ -49,8 +55,8 @@ use valley_sim::SimReport;
 /// averages, so they are orphaned rather than reinterpreted.
 pub const STORE_VERSION: u32 = 2;
 
-/// Number of shard files. Also the modulus of [`JobKey::shard`].
-pub const NUM_SHARDS: usize = 16;
+/// Name of the one append-only JSON-lines file under the store directory.
+pub const STORE_FILE: &str = "results.jsonl";
 
 /// One stored result: the job's coordinates, its report, and how long
 /// the simulation took when it actually ran.
@@ -67,7 +73,7 @@ pub struct StoredResult {
     pub wall: WallKind,
 }
 
-// The wire shape; a shard line is derived from it (see `record_line`).
+// The wire shape; a store line is derived from it (see `record_line`).
 valley_sim::record!(StoredResult {
     spec: JobSpec = "job",
     wall_ms: f64 = "wall_ms",
@@ -80,9 +86,12 @@ valley_sim::record!(StoredResult {
 pub enum StoreError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// A shard contains an invalid record; the message names the file,
+    /// The file contains an invalid record; the message names the file,
     /// line and cause.
     Corrupt(String),
+    /// The directory holds the `shard-NN.jsonl` files of the earlier
+    /// 16-shard layout.
+    Sharded(PathBuf),
 }
 
 impl std::fmt::Display for StoreError {
@@ -90,6 +99,14 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "result store I/O error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "result store is corrupt: {msg}"),
+            StoreError::Sharded(dir) => write!(
+                f,
+                "result store {} holds shard-NN.jsonl files of the 16-shard layout; migrate it \
+                 (the records are unchanged) with `cd {} && cat shard-*.jsonl > {STORE_FILE} && \
+                 rm shard-*.jsonl`",
+                dir.display(),
+                dir.display()
+            ),
         }
     }
 }
@@ -107,8 +124,8 @@ impl From<std::io::Error> for StoreError {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
+    /// Guards the file as well: an append happens under it.
     index: Mutex<FastMap<u64, StoredResult>>,
-    shard_locks: Vec<Mutex<()>>,
 }
 
 impl ResultStore {
@@ -116,14 +133,49 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> Result<ResultStore, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        let path = dir.join(STORE_FILE);
+        let text = read_store(&dir)?;
         let mut index = FastMap::default();
-        for shard in 0..NUM_SHARDS {
-            load_shard(&shard_path(&dir, shard), &mut index)?;
+        for (n, class) in classify(&text) {
+            match class {
+                Line::Record(hash, stored) => {
+                    index.insert(hash, stored);
+                }
+                Line::Blank => {}
+                // Dropped: the job simply re-runs.
+                Line::TornTail(cause) => {
+                    eprintln!(
+                        "warning: dropping truncated final record in {} ({cause})",
+                        path.display()
+                    );
+                    // Cut the partial line off the file as well: the store
+                    // appends, so leaving it would weld the next record onto
+                    // the fragment — one permanently corrupt interior line
+                    // that fails every later open. On a read-only store the
+                    // repair is impossible but the weld hazard is moot
+                    // (appends would fail too), so warn and skip.
+                    let keep = text.rfind('\n').map_or(0, |i| i + 1) as u64;
+                    if let Err(e) = std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&path)
+                        .and_then(|f| f.set_len(keep))
+                    {
+                        eprintln!(
+                            "warning: could not truncate {} to {keep} bytes ({e}); \
+                             run `valley gc` before the next append",
+                            path.display()
+                        );
+                    }
+                }
+                // Strict: schema drift is as fatal here as corruption.
+                Line::Orphan(cause) | Line::Garbage(cause) => {
+                    return Err(corrupt(&path, n, &cause))
+                }
+            }
         }
         Ok(ResultStore {
             dir,
             index: Mutex::new(index),
-            shard_locks: (0..NUM_SHARDS).map(|_| Mutex::new(())).collect(),
         })
     }
 
@@ -161,8 +213,9 @@ impl ResultStore {
             .is_some_and(|stored| stored.spec == *spec)
     }
 
-    /// Appends one result and updates the index. Writers on different
-    /// shards do not contend.
+    /// Appends one result and updates the index. The file is opened and
+    /// closed per record: a handle held across [`gc`]'s rename would
+    /// write to the unlinked file.
     pub fn put(
         &self,
         spec: &JobSpec,
@@ -176,22 +229,15 @@ impl ResultStore {
             wall_ms,
             wall,
         };
-        let key = spec.key();
         let mut line = record_line(&stored).to_json_string();
         line.push('\n');
-        let shard = key.shard(NUM_SHARDS);
-        {
-            let _guard = self.shard_locks[shard].lock().expect("shard lock poisoned");
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(shard_path(&self.dir, shard))?;
-            file.write_all(line.as_bytes())?;
-        }
-        self.index
-            .lock()
-            .expect("store index poisoned")
-            .insert(key.hash(), stored);
+        let mut index = self.index.lock().expect("store index poisoned");
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.dir.join(STORE_FILE))?
+            .write_all(line.as_bytes())?;
+        index.insert(spec.key().hash(), stored);
         Ok(())
     }
 
@@ -217,33 +263,21 @@ impl ResultStore {
         kept
     }
 
-    /// Per-shard (file name, size in bytes) of the on-disk store.
+    /// (file name, size in bytes) of the on-disk store: one entry.
     pub fn shard_sizes(&self) -> Vec<(String, u64)> {
-        (0..NUM_SHARDS)
-            .map(|s| {
-                let path = shard_path(&self.dir, s);
-                let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                (
-                    path.file_name().unwrap().to_string_lossy().into_owned(),
-                    bytes,
-                )
-            })
-            .collect()
+        let bytes = std::fs::metadata(self.dir.join(STORE_FILE)).map_or(0, |m| m.len());
+        vec![(STORE_FILE.to_string(), bytes)]
     }
 }
 
-fn shard_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:02}.jsonl"))
-}
-
-/// The two members a shard line carries ahead of the record, and the
+/// The two members a store line carries ahead of the record, and the
 /// member the record nests its job under on the wire.
 const VERSION_KEY: &str = "v";
 const HASH_KEY: &str = "hash";
 const JOB_KEY: &str = StoredResult::KEYS[0];
 const LINE: &str = "store record";
 
-/// One shard line: store version, content hash, then the record's
+/// One store line: store version, content hash, then the record's
 /// declared members with the job's coordinates flattened in place.
 fn record_line(stored: &StoredResult) -> Json {
     let mut wire = Members::new();
@@ -269,16 +303,28 @@ pub fn store_line_description() -> String {
     )
 }
 
-/// A shard file's text, or `None` if the shard was never written.
-fn read_shard(path: &Path) -> Result<Option<String>, StoreError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+/// The text of `dir`'s store file (empty if it was never written). A
+/// directory of the 16-shard layout is refused: read as empty, it would
+/// be silently re-simulated.
+fn read_store(dir: &Path) -> Result<String, StoreError> {
+    let sharded = std::fs::read_dir(dir).is_ok_and(|entries| {
+        entries.flatten().any(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("shard-") && name.ends_with(".jsonl")
+        })
+    });
+    if sharded {
+        return Err(StoreError::Sharded(dir.to_path_buf()));
+    }
+    match std::fs::read_to_string(dir.join(STORE_FILE)) {
+        Ok(text) => Ok(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
         Err(e) => Err(e.into()),
     }
 }
 
-/// What one line of a shard is. The three readers — strict
+/// What one line of the store file is. The three readers — strict
 /// [`ResultStore::open`], lenient [`scan`], compacting [`gc`] — differ
 /// only in what they do with a class. The defects carry the cause.
 #[expect(
@@ -300,7 +346,7 @@ enum Line {
     Garbage(String),
 }
 
-/// Classifies every line of a shard's text, yielding `(line number,
+/// Classifies every line of the store file's text, yielding `(line number,
 /// class)` with lines numbered from 1.
 fn classify(text: &str) -> impl Iterator<Item = (usize, Line)> + '_ {
     let mut lines = text.lines().zip(1..).peekable();
@@ -326,55 +372,14 @@ fn corrupt(path: &Path, n: usize, cause: &str) -> StoreError {
     StoreError::Corrupt(format!("{} line {n}: {cause}", path.display()))
 }
 
-fn load_shard(path: &Path, index: &mut FastMap<u64, StoredResult>) -> Result<(), StoreError> {
-    let Some(text) = read_shard(path)? else {
-        return Ok(());
-    };
-    for (n, class) in classify(&text) {
-        match class {
-            Line::Record(hash, stored) => {
-                index.insert(hash, stored);
-            }
-            Line::Blank => {}
-            // Dropped: the job simply re-runs.
-            Line::TornTail(cause) => {
-                eprintln!(
-                    "warning: dropping truncated final record in {} ({cause})",
-                    path.display()
-                );
-                // Cut the partial line off the file as well: the store
-                // appends, so leaving it would weld the next record onto
-                // the fragment — one permanently corrupt interior line
-                // that fails every later open. On a read-only store the
-                // repair is impossible but the weld hazard is moot
-                // (appends would fail too), so warn and skip.
-                let keep = text.rfind('\n').map_or(0, |i| i + 1) as u64;
-                if let Err(e) = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .and_then(|f| f.set_len(keep))
-                {
-                    eprintln!(
-                        "warning: could not truncate {} to {keep} bytes ({e}); \
-                         run `valley gc` before the next append",
-                        path.display()
-                    );
-                }
-            }
-            // Strict: schema drift is as fatal here as corruption.
-            Line::Orphan(cause) | Line::Garbage(cause) => return Err(corrupt(path, n, &cause)),
-        }
-    }
-    Ok(())
-}
-
 /// What a lenient pass over a store directory found. Unlike
 /// [`ResultStore::open`], the scan does not fail on records orphaned by
 /// a schema change — it counts them, so `valley status` can report a
 /// store that needs [`gc`] instead of erroring out.
 #[derive(Clone, Debug, Default)]
 pub struct StoreScan {
-    /// Unique valid records (last write wins, like the in-memory index).
+    /// Unique valid records (last write wins, like the in-memory index)
+    /// in file order: what [`gc`] would leave.
     pub records: Vec<StoredResult>,
     /// Valid records superseded by a later record with the same key
     /// (`sweep --force` re-runs append; they accumulate until `gc`).
@@ -383,91 +388,52 @@ pub struct StoreScan {
     /// debris of a schema change (job-key format, benchmark/scheme/scale
     /// names, store or report version).
     pub orphans: usize,
-    /// Truncated final lines (crash mid-append), at most one per shard.
+    /// Truncated final lines (crash mid-append): 0 or 1.
     pub truncated: usize,
-    /// On-disk size of each shard file in bytes (missing shard = 0),
-    /// indexed by shard number — so consumers need not re-derive the
-    /// shard file naming the store owns.
-    pub shard_bytes: Vec<u64>,
+    /// On-disk size of the store file in bytes (missing file = 0).
+    pub bytes: u64,
 }
 
-/// Scans all shards of `dir` leniently. Interior non-JSON garbage is
+/// Scans the store file of `dir` leniently. Interior non-JSON garbage is
 /// still a hard error — it is not schema drift, and silently dropping it
 /// would paper over real corruption.
 pub fn scan(dir: &Path) -> Result<StoreScan, StoreError> {
-    let mut out = StoreScan::default();
-    let mut index: FastMap<u64, StoredResult> = FastMap::default();
-    for shard in 0..NUM_SHARDS {
-        let path = shard_path(dir, shard);
-        let (records, stats) = scan_shard(&path)?;
-        out.shard_bytes
-            .push(std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
-        out.duplicates += stats.duplicates;
-        out.orphans += stats.orphans;
-        out.truncated += stats.truncated;
-        for (hash, stored) in records {
-            if index.insert(hash, stored).is_some() {
-                // Same-key records always land in the same shard, but a
-                // hand-edited store could violate that; count it anyway.
-                out.duplicates += 1;
-            }
-        }
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "scan() drains the dedup index and sorts records by canonical job key before returning"
-    )]
-    let mut records: Vec<StoredResult> = index.into_values().collect();
-    records.sort_by_cached_key(|r| r.spec.key().canonical().to_string());
-    out.records = records;
-    Ok(out)
-}
-
-/// Per-shard lenient scan: counts the defects and returns the valid
-/// records (latest occurrence per key) in first-seen order.
-#[allow(clippy::type_complexity)]
-fn scan_shard(path: &Path) -> Result<(Vec<(u64, StoredResult)>, StoreScan), StoreError> {
-    let mut stats = StoreScan::default();
-    let Some(text) = read_shard(path)? else {
-        return Ok((Vec::new(), stats));
+    let text = read_store(dir)?;
+    let mut out = StoreScan {
+        bytes: text.len() as u64,
+        ..StoreScan::default()
     };
-    let mut order: Vec<u64> = Vec::new();
-    let mut latest: FastMap<u64, StoredResult> = FastMap::default();
+    // Line number of each key's last record.
+    let mut last_of: FastMap<u64, usize> = FastMap::default();
+    let mut found: Vec<(usize, u64, StoredResult)> = Vec::new();
     for (n, class) in classify(&text) {
         match class {
             Line::Record(hash, stored) => {
-                if latest.insert(hash, stored).is_some() {
-                    stats.duplicates += 1;
-                } else {
-                    order.push(hash);
-                }
+                out.duplicates += usize::from(last_of.insert(hash, n).is_some());
+                found.push((n, hash, stored));
             }
             Line::Blank => {}
-            Line::TornTail(_) => stats.truncated += 1,
-            Line::Orphan(_) => stats.orphans += 1,
-            Line::Garbage(cause) => return Err(corrupt(path, n, &cause)),
+            Line::TornTail(_) => out.truncated += 1,
+            Line::Orphan(_) => out.orphans += 1,
+            Line::Garbage(cause) => return Err(corrupt(&dir.join(STORE_FILE), n, &cause)),
         }
     }
-    let records = order
-        .into_iter()
-        .map(|h| (h, latest.remove(&h).expect("ordered hash was inserted")))
-        .collect();
-    Ok((records, stats))
+    found.retain(|(n, hash, _)| last_of[hash] == *n);
+    out.records = found.into_iter().map(|(_, _, stored)| stored).collect();
+    Ok(out)
 }
 
 /// The result of one [`gc`] compaction pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Records kept across all shards.
+    /// Records kept.
     pub kept: usize,
     /// Superseded duplicate records removed (`--force` debris).
     pub duplicates_removed: usize,
     /// Orphaned-schema records removed.
     pub orphans_removed: usize,
-    /// Truncated final lines removed (at most one per shard).
+    /// Truncated final lines removed: 0 or 1.
     pub truncated_removed: usize,
-    /// Shard files rewritten (clean shards are left untouched).
-    pub shards_rewritten: usize,
     /// On-disk size before and after, in bytes.
     pub bytes_before: u64,
     /// See `bytes_before`.
@@ -481,74 +447,51 @@ impl GcReport {
     }
 }
 
-/// Compacts the store at `dir`: rewrites every shard that contains
-/// duplicate keys (keeping the newest record), orphaned-schema records
-/// or a truncated final line. Record order is otherwise preserved, and
-/// each shard is replaced atomically (write to a temporary file, then
-/// rename), so a crash mid-gc leaves either the old or the new shard.
-/// Clean shards are not touched. Interior non-JSON corruption still
-/// fails loudly, exactly as [`ResultStore::open`] would.
+/// Compacts the store at `dir`: if the file contains duplicate keys
+/// (the newest record of each is kept), orphaned-schema records, blank
+/// lines or a truncated final line, it is rewritten without them. Record
+/// order is otherwise preserved, and the whole file is replaced
+/// atomically (write to a temporary file, then rename), so a crash
+/// mid-gc leaves either the old or the new file. A clean file is not
+/// touched. Interior non-JSON corruption still fails loudly, exactly as
+/// [`ResultStore::open`] would.
 pub fn gc(dir: &Path) -> Result<GcReport, StoreError> {
-    let mut report = GcReport::default();
-    // Phase 1: read and classify every shard, tracking the globally last
-    // occurrence of each key — same-key records normally share a shard,
-    // but a hand-edited or partially restored store may not, and gc must
-    // agree with [`scan`] (and the last-write-wins index) about which
-    // record survives.
-    let mut texts: Vec<Option<String>> = Vec::with_capacity(NUM_SHARDS);
-    let mut records: Vec<Vec<(usize, u64)>> = vec![Vec::new(); NUM_SHARDS];
-    let mut dirty: Vec<bool> = vec![false; NUM_SHARDS];
-    let mut last_of: FastMap<u64, (usize, usize)> = FastMap::default();
-    for shard in 0..NUM_SHARDS {
-        let path = shard_path(dir, shard);
-        let text = read_shard(&path)?;
-        for (n, class) in classify(text.as_deref().unwrap_or_default()) {
-            match class {
-                Line::Record(hash, _) => {
-                    if let Some((ps, _)) = last_of.insert(hash, (shard, n)) {
-                        report.duplicates_removed += 1;
-                        dirty[ps] = true;
-                        dirty[shard] = true;
-                    }
-                    records[shard].push((n, hash));
-                    continue;
-                }
-                Line::Blank => {}
-                Line::TornTail(_) => report.truncated_removed += 1,
-                Line::Orphan(_) => report.orphans_removed += 1,
-                Line::Garbage(cause) => return Err(corrupt(&path, n, &cause)),
+    let path = dir.join(STORE_FILE);
+    let text = read_store(dir)?;
+    let mut report = GcReport {
+        bytes_before: text.len() as u64,
+        ..GcReport::default()
+    };
+    // Line number of each key's last record, and of every record line.
+    let mut last_of: FastMap<u64, usize> = FastMap::default();
+    let mut records: Vec<(usize, u64)> = Vec::new();
+    for (n, class) in classify(&text) {
+        match class {
+            Line::Record(hash, _) => {
+                report.duplicates_removed += usize::from(last_of.insert(hash, n).is_some());
+                records.push((n, hash));
             }
-            // Every line that is not a record is dropped by the rewrite.
-            dirty[shard] = true;
+            Line::Blank => {}
+            Line::TornTail(_) => report.truncated_removed += 1,
+            Line::Orphan(_) => report.orphans_removed += 1,
+            Line::Garbage(cause) => return Err(corrupt(&path, n, &cause)),
         }
-        report.bytes_before += text.as_ref().map_or(0, |t| t.len() as u64);
-        texts.push(text);
     }
     report.kept = last_of.len();
-
-    // Phase 2: rewrite the dirty shards, keeping each key's (globally)
-    // last occurrence in its original position order.
-    for shard in 0..NUM_SHARDS {
-        let Some(text) = &texts[shard] else { continue };
-        if !dirty[shard] {
-            report.bytes_after += text.len() as u64;
-            continue;
+    let lines: Vec<&str> = text.lines().collect();
+    let mut compact = String::with_capacity(text.len());
+    for (n, hash) in records {
+        if last_of[&hash] == n {
+            compact.push_str(lines[n - 1]);
+            compact.push('\n');
         }
-        let path = shard_path(dir, shard);
-        let lines: Vec<&str> = text.lines().collect();
-        let mut compact = String::with_capacity(text.len());
-        for &(n, hash) in &records[shard] {
-            if last_of[&hash] == (shard, n) {
-                compact.push_str(lines[n - 1]);
-                compact.push('\n');
-            }
-        }
+    }
+    if compact != text {
         let tmp = path.with_extension("jsonl.tmp");
         std::fs::write(&tmp, &compact)?;
         std::fs::rename(&tmp, &path)?;
-        report.bytes_after += compact.len() as u64;
-        report.shards_rewritten += 1;
     }
+    report.bytes_after = compact.len() as u64;
     Ok(report)
 }
 

@@ -1,12 +1,14 @@
 //! Sweep orchestration: expand a [`SweepSpec`], serve what the store
-//! already has, run the rest on the thread pool, persist every fresh
-//! result, and hand back the full grid in deterministic order.
+//! already has, run the rest on the thread pool, commit every fresh
+//! result in grid order as it finishes (the [`Committer`]), and hand
+//! back the full grid in deterministic order.
 
 use crate::job::{execute_batch_timed, JobSpec, SweepSpec, WallKind};
 use crate::pool;
-use crate::store::{ResultStore, StoreError};
+use crate::store::{ResultStore, StoreError, StoredResult};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use valley_core::hash::FastMap;
 use valley_sim::SimReport;
 
 /// Options controlling one sweep run.
@@ -189,41 +191,115 @@ impl From<StoreError> for SweepError {
     }
 }
 
-/// Persists one freshly computed report and slots its outcome; a store
-/// write error becomes that job's failure.
-#[allow(clippy::too_many_arguments)]
-fn record_fresh(
-    store: &ResultStore,
-    opts: &SweepOptions,
-    idx: usize,
-    report: SimReport,
-    wall_ms: f64,
-    wall: WallKind,
+/// One grid slot's turn at the store.
+#[derive(Debug)]
+enum Turn {
+    /// Still running, leased or queued: everything behind it waits.
+    Open,
+    /// Nothing to write: already stored, dead, or written.
+    Settled,
+    /// A fresh result waiting for every slot before it to settle.
+    Fresh(Box<StoredResult>),
+}
+
+/// The one writer of a sweep's results: fresh results are appended to
+/// the store in grid order, each as soon as every slot before it is
+/// settled — so at any moment the store holds the finished prefix of the
+/// grid, whichever worker finished first, and a killed sweep keeps it.
+/// The local sweep and the fabric coordinator share it.
+#[derive(Debug)]
+pub struct Committer<'a> {
+    store: &'a ResultStore,
+    slots: Vec<Turn>,
+    /// The first slot not yet settled.
+    next: usize,
+}
+
+impl<'a> Committer<'a> {
+    /// A committer for a grid of `slots` jobs, all open.
+    pub fn new(store: &'a ResultStore, slots: usize) -> Self {
+        Committer {
+            store,
+            slots: (0..slots).map(|_| Turn::Open).collect(),
+            next: 0,
+        }
+    }
+
+    /// Slots settled so far from the front of the grid.
+    pub fn committed(&self) -> usize {
+        self.next
+    }
+
+    /// Slot `idx` has nothing to write (already stored, or dead) and
+    /// gives up its turn. Returns what [`complete`](Self::complete) does.
+    pub fn skip(&mut self, idx: usize) -> Vec<JobFailure> {
+        self.settle(idx, Turn::Settled)
+    }
+
+    /// Slot `idx` finished with a fresh `result`. Flushes the settled
+    /// prefix of the grid to the store and returns the store-write
+    /// failures of what it flushed — a failed write gives up its turn
+    /// rather than wedging the slots behind it.
+    pub fn complete(&mut self, idx: usize, result: StoredResult) -> Vec<JobFailure> {
+        self.settle(idx, Turn::Fresh(Box::new(result)))
+    }
+
+    fn settle(&mut self, idx: usize, turn: Turn) -> Vec<JobFailure> {
+        debug_assert!(
+            matches!(self.slots[idx], Turn::Open),
+            "slot {idx} settled twice"
+        );
+        self.slots[idx] = turn;
+        let mut failures = Vec::new();
+        while let Some(slot) = self.slots.get_mut(self.next) {
+            if matches!(slot, Turn::Open) {
+                break;
+            }
+            if let Turn::Fresh(r) = std::mem::replace(slot, Turn::Settled) {
+                if let Err(e) = self.store.put(&r.spec, &r.report, r.wall_ms, r.wall) {
+                    failures.push(JobFailure::store_write(r.spec, e.to_string()));
+                }
+            }
+            self.next += 1;
+        }
+        failures
+    }
+}
+
+/// Takes the next unit of work off `pending`: the first live job plus,
+/// up to `width` in all, the live jobs behind it that share its machine
+/// (config, scale, scheme — within which identical lanes run once, see
+/// [`execute_batch_timed`]). Jobs passed over keep their order; indices
+/// that are no longer `live` are dropped on the way. Empty when nothing
+/// live is pending. Width 0 and 1 both mean one job per unit.
+pub fn take_unit(
+    pending: &mut VecDeque<usize>,
+    width: usize,
     jobs: &[JobSpec],
-    outcomes: &mut [Option<JobOutcome>],
-    failures: &mut Vec<JobFailure>,
-) {
-    let job = jobs[idx];
-    if let Err(e) = store.put(&job, &report, wall_ms, wall) {
-        failures.push(JobFailure::store_write(job, e.to_string()));
-        return;
+    live: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let machine = |i: usize| (jobs[i].config, jobs[i].scale, jobs[i].scheme);
+    let mut unit: Vec<usize> = Vec::new();
+    let mut passed = Vec::new();
+    while unit.len() < width.max(1) {
+        let Some(i) = pending.pop_front() else { break };
+        match unit.first() {
+            _ if !live(i) => {}
+            Some(&lead) if machine(i) != machine(lead) => passed.push(i),
+            _ => unit.push(i),
+        }
     }
-    if opts.verbose && report.truncated {
-        eprintln!("  WARNING: {job} hit the cycle limit");
+    for i in passed.into_iter().rev() {
+        pending.push_front(i);
     }
-    outcomes[idx] = Some(JobOutcome {
-        spec: job,
-        report,
-        wall_ms,
-        wall,
-        cached: false,
-    });
+    unit
 }
 
 /// Runs a sweep against a store: cache hits are served without
 /// simulation, misses run in parallel with per-job panic isolation
 /// (per-batch when batching via [`SweepOptions::batch`]), and every
-/// fresh result is persisted before the function returns.
+/// fresh result is committed in grid order as its unit finishes — the
+/// store always holds the finished prefix of the grid.
 pub fn run_sweep(
     spec: &SweepSpec,
     store: &ResultStore,
@@ -236,88 +312,88 @@ pub fn run_sweep(
     let start = Instant::now();
     let jobs = spec.expand();
 
-    // Phase 1: serve from the store.
-    let mut outcomes: Vec<Option<JobOutcome>> = Vec::with_capacity(jobs.len());
-    let mut todo: Vec<usize> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match (!opts.force).then(|| store.get(job)).flatten() {
-            Some(stored) => outcomes.push(Some(JobOutcome {
-                spec: *job,
-                report: stored.report,
-                wall_ms: stored.wall_ms,
-                wall: stored.wall,
-                cached: true,
-            })),
-            None => {
-                outcomes.push(None);
-                todo.push(i);
-            }
+    // Phase 1: what the store already has is settled. Failures are
+    // collected for a loud, full report (a suite with holes would
+    // silently skew every figure); a store write error becomes that
+    // job's failure rather than aborting the sweep, so the remaining
+    // results still get persisted and every failure is reported together.
+    let mut committer = Committer::new(store, jobs.len());
+    let mut failures: Vec<JobFailure> = Vec::new();
+    let mut pending: VecDeque<usize> = VecDeque::new();
+    let cached: Vec<bool> = jobs
+        .iter()
+        .map(|job| !opts.force && store.contains(job))
+        .collect();
+    for (i, &hit) in cached.iter().enumerate() {
+        if hit {
+            failures.extend(committer.skip(i));
+        } else {
+            pending.push_back(i);
         }
     }
-    let cache_hits = jobs.len() - todo.len();
+    let todo = pending.len();
+    let cache_hits = jobs.len() - todo;
 
-    // Phase 2: execute the misses on the thread pool, one pool
-    // unit per group of same-machine jobs: an order-preserving group-by
-    // on (config, scale, scheme), each group chunked to at most `width`
-    // lanes, so width 1 is one job per unit. Phase 3 persists and
-    // assembles; failures are collected for a loud, full report (a
-    // suite with holes would silently skew every figure). A store write
-    // error becomes that job's failure rather than aborting the drain:
-    // the remaining computed results still get persisted and every
-    // failure is reported together.
+    // Phase 2: execute the misses on the thread pool, one pool unit per
+    // group of same-machine jobs (see `take_unit`), each handing its
+    // lanes to the committer before it reports done.
     let width = opts.batch.max(1);
-    let mut batches: Vec<Vec<usize>> = Vec::new();
-    let mut open: FastMap<
-        (
-            crate::job::ConfigId,
-            valley_workloads::Scale,
-            valley_core::SchemeKind,
-        ),
-        usize,
-    > = FastMap::default();
-    for &idx in &todo {
-        let job = &jobs[idx];
-        let key = (job.config, job.scale, job.scheme);
-        match open.get(&key) {
-            Some(&b) if batches[b].len() < width => batches[b].push(idx),
-            _ => {
-                open.insert(key, batches.len());
-                batches.push(vec![idx]);
-            }
-        }
-    }
+    let units: Vec<Vec<usize>> =
+        std::iter::from_fn(|| Some(take_unit(&mut pending, width, &jobs, |_| true)))
+            .take_while(|unit| !unit.is_empty())
+            .collect();
     let workers = opts
         .workers
-        .unwrap_or_else(|| pool::default_workers(batches.len()));
-    if opts.verbose && !todo.is_empty() {
+        .unwrap_or_else(|| pool::default_workers(units.len()));
+    if opts.verbose && todo > 0 {
         eprintln!(
             "sweep: {} jobs, {} cached, running {} in {} unit(s) of <= {} on {} worker(s)",
             jobs.len(),
             cache_hits,
-            todo.len(),
-            batches.len(),
+            todo,
+            units.len(),
             width,
-            workers.clamp(1, batches.len()),
+            workers.clamp(1, units.len()),
         );
     }
     // What a progress or failure line calls a pool unit: the job itself
     // for a singleton, the lead job and the lane count otherwise.
-    let unit_name = |batch: &[usize]| match batch {
+    let unit_name = |unit: &[usize]| match unit {
         [one] => jobs[*one].to_string(),
-        _ => format!("batch x{} ({}, ...)", batch.len(), jobs[batch[0]]),
+        _ => format!("batch x{} ({}, ...)", unit.len(), jobs[unit[0]]),
     };
-    let results = pool::run_jobs(
-        batches.len(),
+    let commit = Mutex::new((committer, failures));
+    pool::run_jobs(
+        units.len(),
         workers,
-        |b| {
-            let specs: Vec<JobSpec> = batches[b].iter().map(|&i| jobs[i]).collect();
+        |u| {
+            let specs: Vec<JobSpec> = units[u].iter().map(|&i| jobs[i]).collect();
             // Wall attribution happens inside: the executor knows which
             // lanes it ran and which it cloned.
-            execute_batch_timed(&specs)
+            let lanes = execute_batch_timed(&specs);
+            let (committer, failures) = &mut *commit.lock().expect("committer poisoned");
+            for (&idx, lane) in units[u].iter().zip(lanes) {
+                failures.extend(committer.complete(idx, lane));
+            }
         },
         |done| {
+            let unit = &units[done.index];
+            if let Some(msg) = done.error {
+                // The whole unit shares one panic: every lane in it needs
+                // a re-run, so every lane reports the failure and gives up
+                // its turn at the store.
+                let msg = match unit.len() {
+                    1 => msg.to_string(),
+                    _ => format!("batched lane: {msg}"),
+                };
+                let (committer, failures) = &mut *commit.lock().expect("committer poisoned");
+                for &idx in unit {
+                    failures.push(JobFailure::panic(jobs[idx], msg.clone()));
+                    failures.extend(committer.skip(idx));
+                }
+            }
             if opts.verbose {
-                let unit = unit_name(&batches[done.index]);
+                let unit = unit_name(unit);
                 match done.error {
                     None => eprintln!(
                         "  [{}/{}] {unit}: {:.2?} (worker {})",
@@ -331,51 +407,33 @@ pub fn run_sweep(
             }
         },
     );
-    let mut failures = Vec::new();
-    for (batch, result) in batches.iter().zip(results) {
-        match result {
-            Ok(lanes) => {
-                for (&idx, lane) in batch.iter().zip(lanes) {
-                    record_fresh(
-                        store,
-                        opts,
-                        idx,
-                        lane.report,
-                        lane.wall_ms,
-                        lane.wall,
-                        &jobs,
-                        &mut outcomes,
-                        &mut failures,
-                    );
-                }
-            }
-            // The whole group shares one panic: every lane in it needs a
-            // re-run, so every lane reports the failure.
-            Err(msg) => {
-                let msg = match batch.len() {
-                    1 => msg,
-                    _ => format!("batched lane: {msg}"),
-                };
-                failures.extend(
-                    batch
-                        .iter()
-                        .map(|&idx| JobFailure::panic(jobs[idx], msg.clone())),
-                );
-            }
-        }
-    }
+    let (_, failures) = commit.into_inner().expect("committer poisoned");
     if !failures.is_empty() {
         return Err(SweepError::Failures(failures));
     }
 
-    let executed = jobs.len() - cache_hits;
+    // Phase 3: the full grid, read back from the store.
+    let outcomes = jobs
+        .iter()
+        .zip(cached)
+        .map(|(job, cached)| {
+            let stored = store.get(job).expect("every non-failed job is stored");
+            if opts.verbose && !cached && stored.report.truncated {
+                eprintln!("  WARNING: {job} hit the cycle limit");
+            }
+            JobOutcome {
+                spec: stored.spec,
+                report: stored.report,
+                wall_ms: stored.wall_ms,
+                wall: stored.wall,
+                cached,
+            }
+        })
+        .collect();
     Ok(SweepOutcome {
-        jobs: outcomes
-            .into_iter()
-            .map(|o| o.expect("every non-failed job has an outcome"))
-            .collect(),
+        jobs: outcomes,
         cache_hits,
-        executed,
+        executed: todo,
         wall: start.elapsed(),
     })
 }

@@ -5,7 +5,7 @@
 use valley_core::SchemeKind;
 use valley_harness::{
     execute_batch_timed, execute_job, run_sweep, ConfigId, JobSpec, ResultStore, SweepOptions,
-    SweepSpec, WallKind, DEFAULT_SEED,
+    SweepSpec, WallKind, DEFAULT_SEED, STORE_FILE,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -221,8 +221,9 @@ fn batched_lanes_are_measured_and_averaged_records_still_load() {
     let cloned = swept.jobs.iter().filter(|j| j.wall == WallKind::Cloned);
     assert_eq!(cloned.count(), 6);
     for j in swept.jobs.iter().filter(|j| j.wall != WallKind::Cloned) {
-        assert!(
-            j.wall.is_measured(),
+        assert_eq!(
+            j.wall,
+            WallKind::Measured,
             "{}: executed lane not measured",
             j.spec
         );
@@ -231,20 +232,18 @@ fn batched_lanes_are_measured_and_averaged_records_still_load() {
 
     // Stores written while batches split one wall evenly say `averaged`;
     // such records are outside input and must keep loading.
-    for entry in std::fs::read_dir(&tmp.0).unwrap() {
-        let path = entry.unwrap().path();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(
-            &path,
-            text.replace("\"wall\":\"measured\"", "\"wall\":\"averaged\""),
-        )
-        .unwrap();
-    }
+    let path = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(
+        &path,
+        text.replace("\"wall\":\"measured\"", "\"wall\":\"averaged\""),
+    )
+    .unwrap();
     let resumed = run_sweep(&spec, &tmp.open(), &opts).unwrap();
     assert_eq!(resumed.cache_hits, swept.jobs.len());
     for (a, b) in swept.jobs.iter().zip(&resumed.jobs) {
         assert_eq!(a.report, b.report, "{}: reloaded report differs", a.spec);
-        let expect = if a.wall.is_measured() {
+        let expect = if a.wall == WallKind::Measured {
             WallKind::Averaged
         } else {
             a.wall
@@ -312,10 +311,10 @@ fn unknown_store_version_fails_loudly() {
         )
         .unwrap();
     }
-    // Rewrite the populated shard's record to claim a future version.
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
-    std::fs::write(&shard, text.replacen("{\"v\":2,", "{\"v\":99,", 1)).unwrap();
+    // Rewrite the record to claim a future version.
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
+    std::fs::write(&file, text.replacen("{\"v\":2,", "{\"v\":99,", 1)).unwrap();
     let err = ResultStore::open(&tmp.0).unwrap_err();
     assert!(err.to_string().contains("version 99"), "wrong error: {err}");
 }
@@ -332,10 +331,10 @@ fn truncated_final_line_is_dropped_not_fatal() {
         )
         .unwrap();
     }
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
     // Simulate a crash mid-append: keep half of the (only) record.
-    std::fs::write(&shard, &text[..text.len() / 2]).unwrap();
+    std::fs::write(&file, &text[..text.len() / 2]).unwrap();
     let store = ResultStore::open(&tmp.0).unwrap();
     assert_eq!(store.len(), 0, "truncated record must not be served");
     // And the sweep simply re-runs the job.
@@ -353,9 +352,7 @@ fn corrupt_interior_line_is_fatal() {
     let tmp = TempStore::new("corrupt");
     {
         let store = tmp.open();
-        // Two Test-scale jobs whose keys land in the same shard would be
-        // ideal, but shard placement is hash-driven; instead append the
-        // garbage line *before* a valid record in the same file.
+        // The garbage line goes *before* a valid record.
         run_sweep(
             &SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test),
             &store,
@@ -363,9 +360,9 @@ fn corrupt_interior_line_is_fatal() {
         )
         .unwrap();
     }
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
-    std::fs::write(&shard, format!("this is not json\n{text}")).unwrap();
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
+    std::fs::write(&file, format!("this is not json\n{text}")).unwrap();
     let err = ResultStore::open(&tmp.0).unwrap_err();
     assert!(err.to_string().contains("line 1"), "wrong error: {err}");
 }
@@ -373,7 +370,7 @@ fn corrupt_interior_line_is_fatal() {
 #[test]
 fn interior_truncated_line_is_fatal() {
     // A line truncated by a crash is only tolerable as the *final*
-    // unterminated line; the same fragment in the interior of a shard
+    // unterminated line; the same fragment in the interior of the file
     // (i.e. followed by more records) is real corruption and must fail
     // the open loudly, naming the line.
     let tmp = TempStore::new("interior-trunc");
@@ -386,19 +383,19 @@ fn interior_truncated_line_is_fatal() {
         )
         .unwrap();
     }
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
     let record = text.trim_end();
     let half = &record[..record.len() / 2];
-    // Shard layout: [truncated fragment]\n[valid record]\n — terminated.
-    std::fs::write(&shard, format!("{half}\n{record}\n")).unwrap();
+    // File layout: [truncated fragment]\n[valid record]\n — terminated.
+    std::fs::write(&file, format!("{half}\n{record}\n")).unwrap();
     let err = ResultStore::open(&tmp.0).unwrap_err();
     assert!(err.to_string().contains("line 1"), "wrong error: {err}");
 
     // The same fragment as the final line but *newline-terminated* is
     // interior-equivalent (the append that wrote the newline finished),
     // so it must also be fatal.
-    std::fs::write(&shard, format!("{record}\n{half}\n")).unwrap();
+    std::fs::write(&file, format!("{record}\n{half}\n")).unwrap();
     let err = ResultStore::open(&tmp.0).unwrap_err();
     assert!(err.to_string().contains("line 2"), "wrong error: {err}");
 }
@@ -415,16 +412,16 @@ fn truncated_tail_is_cut_so_later_appends_cannot_weld() {
         let store = tmp.open();
         run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
     }
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
-    std::fs::write(&shard, &text[..text.len() / 2]).unwrap();
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
+    std::fs::write(&file, &text[..text.len() / 2]).unwrap();
 
     // Open drops the fragment from the file itself...
     {
         let store = tmp.open();
         assert_eq!(store.len(), 0);
         assert_eq!(
-            std::fs::metadata(&shard).unwrap().len(),
+            std::fs::metadata(&file).unwrap().len(),
             0,
             "the partial line must be truncated from disk"
         );
@@ -473,7 +470,7 @@ fn gc_compacts_force_duplicates() {
     // A second gc is a no-op.
     let report = valley_harness::gc(&tmp.0).unwrap();
     assert_eq!(report.removed(), 0);
-    assert_eq!(report.shards_rewritten, 0);
+    assert_eq!(report.bytes_after, report.bytes_before);
 }
 
 #[test]
@@ -486,13 +483,13 @@ fn gc_drops_orphaned_schema_records_and_truncated_tails() {
     }
     // Forge an orphan (a well-formed record whose stored hash no longer
     // matches its coordinates — the signature of a schema change) and a
-    // truncated tail in the same shard.
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
+    // truncated tail in the file.
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
     let record = text.trim_end();
     let orphan = record.replacen("\"hash\":\"", "\"hash\":\"feed", 1);
     let half = &record[..record.len() / 2];
-    std::fs::write(&shard, format!("{orphan}\n{record}\n{half}")).unwrap();
+    std::fs::write(&file, format!("{orphan}\n{record}\n{half}")).unwrap();
 
     // Strict open refuses the orphan; the lenient scan counts it.
     assert!(ResultStore::open(&tmp.0).is_err());
@@ -516,8 +513,8 @@ fn gc_drops_orphaned_schema_records_and_truncated_tails() {
 }
 
 #[test]
-fn mixed_debris_in_one_shard_is_counted_alike_by_scan_gc_and_open() {
-    // A `--force` duplicate, an orphan and a torn tail share a shard:
+fn mixed_debris_in_one_file_is_counted_alike_by_scan_gc_and_open() {
+    // A `--force` duplicate, an orphan and a torn tail share the file:
     // the lenient scan (`valley status`), gc and the strict open after
     // gc each read it with their own policy and must agree on the counts.
     let tmp = TempStore::new("mixed-debris");
@@ -531,12 +528,12 @@ fn mixed_debris_in_one_shard_is_counted_alike_by_scan_gc_and_open() {
         };
         run_sweep(&spec, &store, &forced).unwrap();
     }
-    let shard = populated_shard(&tmp.0);
-    let text = std::fs::read_to_string(&shard).unwrap();
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
     let newest = text.lines().last().unwrap();
     let orphan = newest.replacen("\"hash\":\"", "\"hash\":\"feed", 1);
     let half = &newest[..newest.len() / 2];
-    std::fs::write(&shard, format!("{text}{orphan}\n{half}")).unwrap();
+    std::fs::write(&file, format!("{text}{orphan}\n{half}")).unwrap();
 
     assert!(
         ResultStore::open(&tmp.0).is_err(),
@@ -564,7 +561,7 @@ fn mixed_debris_in_one_shard_is_counted_alike_by_scan_gc_and_open() {
     );
     // The survivor is the forced re-run's line: the last occurrence wins.
     assert_eq!(
-        std::fs::read_to_string(&shard).unwrap(),
+        std::fs::read_to_string(&file).unwrap(),
         format!("{newest}\n")
     );
     assert_eq!(tmp.open().len(), 1);
@@ -580,47 +577,65 @@ fn mixed_debris_in_one_shard_is_counted_alike_by_scan_gc_and_open() {
     );
 }
 
+/// A directory written by the 16-shard layout is refused by every
+/// reader with the migration command, not read as empty (and silently
+/// re-simulated); after the migration it opens and is clean.
 #[test]
-fn gc_removes_cross_shard_duplicates_scan_reports() {
-    // Same-key records normally share a shard, but a hand-edited or
-    // partially restored store may not; `scan` counts such duplicates,
-    // so `gc` must be able to remove them (keeping the globally newest)
-    // or the two would disagree about the same store forever.
-    let tmp = TempStore::new("gc-cross-shard");
-    let spec = SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test);
-    {
-        let store = tmp.open();
-        run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+fn sharded_layout_is_refused_with_the_migration_line() {
+    let tmp = TempStore::new("sharded");
+    let spec = small_spec();
+    run_sweep(&spec, &tmp.open(), &SweepOptions::default()).unwrap();
+    // Deal the records out the way the old layout kept them.
+    let file = tmp.0.join(STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
+    std::fs::remove_file(&file).unwrap();
+    for (i, line) in text.lines().enumerate() {
+        let shard = tmp.0.join(format!("shard-{:02}.jsonl", 3 * i));
+        std::fs::write(shard, format!("{line}\n")).unwrap();
     }
-    let shard = populated_shard(&tmp.0);
-    let record = std::fs::read_to_string(&shard).unwrap();
-    // Copy the record into a different (wrong, but parseable) shard.
-    let other = if shard.ends_with("shard-00.jsonl") {
-        tmp.0.join("shard-01.jsonl")
-    } else {
-        tmp.0.join("shard-00.jsonl")
-    };
-    std::fs::write(&other, &record).unwrap();
+    let migration = format!("cat shard-*.jsonl > {STORE_FILE} && rm shard-*.jsonl");
+    for refusal in [
+        ResultStore::open(&tmp.0).unwrap_err(),
+        valley_harness::scan(&tmp.0).unwrap_err(),
+        valley_harness::gc(&tmp.0).unwrap_err(),
+    ] {
+        let msg = refusal.to_string();
+        assert!(msg.contains(&migration), "no migration line: {msg}");
+    }
+    assert!(!file.exists(), "a refusal must not touch the directory");
 
-    let scan = valley_harness::scan(&tmp.0).unwrap();
-    assert_eq!((scan.records.len(), scan.duplicates), (1, 1));
-
-    let report = valley_harness::gc(&tmp.0).unwrap();
-    assert_eq!(report.kept, 1);
-    assert_eq!(report.duplicates_removed, 1);
-
-    // After gc, scan and store agree the store is clean.
-    let scan = valley_harness::scan(&tmp.0).unwrap();
-    assert_eq!((scan.records.len(), scan.duplicates), (1, 0));
-    let store = tmp.open();
-    assert_eq!(store.len(), 1);
+    let status = std::process::Command::new("sh")
+        .arg("-c")
+        .arg(&migration)
+        .current_dir(&tmp.0)
+        .status()
+        .unwrap();
+    assert!(status.success());
+    assert_eq!(valley_harness::gc(&tmp.0).unwrap().removed(), 0);
+    let again = run_sweep(&spec, &tmp.open(), &SweepOptions::default()).unwrap();
+    assert_eq!((again.cache_hits, again.executed), (4, 0));
 }
 
-fn populated_shard(dir: &std::path::Path) -> std::path::PathBuf {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| std::fs::metadata(p).map(|m| m.len() > 0).unwrap_or(false))
-        .expect("one shard is populated")
+/// A cold sweep's file is the grid in expansion order, whatever the
+/// worker count or batch width.
+#[test]
+fn cold_sweep_file_is_the_grid_in_expansion_order() {
+    let spec = SweepSpec::new(
+        &[Benchmark::Sp, Benchmark::Mt],
+        &[SchemeKind::Base, SchemeKind::Pae],
+        Scale::Test,
+    )
+    .with_seeds(&[1, 2]);
+    for (workers, batch) in [(1, 1), (3, 1), (2, 4)] {
+        let tmp = TempStore::new(&format!("order-{workers}-{batch}"));
+        let opts = SweepOptions {
+            workers: Some(workers),
+            batch,
+            ..Default::default()
+        };
+        run_sweep(&spec, &tmp.open(), &opts).unwrap();
+        let scan = valley_harness::scan(&tmp.0).unwrap();
+        let filed: Vec<JobSpec> = scan.records.iter().map(|r| r.spec).collect();
+        assert_eq!(filed, spec.expand(), "workers {workers}, batch {batch}");
+    }
 }

@@ -22,8 +22,8 @@
 //! `max(previous delivery + 1, injected_at + router_latency) + flits - 1`
 //! and the flits are credited to the statistics at delivery (or by
 //! [`Crossbar::flush_deferred`] for a run that stops mid-packet). The
-//! two are bit-identical and hand over to each other exactly, in both
-//! directions, at any cycle.
+//! two are bit-identical; a crossbar is driven by one of them for a
+//! whole run, never switched in between.
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -143,10 +143,6 @@ pub struct Crossbar {
     in_service: Vec<u32>,
     /// Total packets across all output queues (hot-loop early-out).
     queued: usize,
-    /// Bitmask of output ports with at least one queued packet (only
-    /// maintained for crossbars of ≤ 64 ports — all supported
-    /// configurations). `tick` visits set bits instead of every port.
-    active: u64,
     /// Calendar of `(delivery cycle, port)` events, min-first: one entry
     /// per occupied port, naming the cycle its head packet's last flit
     /// arrives. A port moves one flit per cycle, so a head that starts
@@ -154,9 +150,9 @@ pub struct Crossbar {
     /// between — [`Crossbar::tick_evented`] jumps from delivery to
     /// delivery instead of stepping the flits.
     events: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Set when a dense [`Crossbar::tick`] ran: the calendar no longer
-    /// reflects the port state and is rebuilt on the next evented tick.
-    events_dirty: bool,
+    /// Set by the first dense [`Crossbar::tick`]: this run steps the
+    /// ports flit by flit and keeps no calendar.
+    dense: bool,
     /// Cached earliest delivery cycle (`u64::MAX` = empty) — the fresh
     /// minimum of `events`, maintained by [`Crossbar::tick_evented`] and
     /// [`Crossbar::inject`].
@@ -189,9 +185,8 @@ impl Crossbar {
             outputs: vec![VecDeque::with_capacity(32); num_dst],
             in_service: vec![0; num_dst],
             queued: 0,
-            active: 0,
             events: BinaryHeap::with_capacity(num_dst),
-            events_dirty: false,
+            dense: false,
             cached_next: u64::MAX,
             acct_from: 0,
             stats: NocStats::default(),
@@ -224,16 +219,7 @@ impl Crossbar {
             .then(valley_core::alloc_audit::pause);
         self.outputs[dst].push_back(pkt);
         self.queued += 1;
-        if dst < 64 {
-            self.active |= 1 << dst;
-        }
-        if self.events_dirty {
-            // Dense ticks ran since the last evented one; the event view
-            // is rebuilt wholesale on the next evented tick.
-            self.cached_next = 0;
-            return;
-        }
-        if was_empty {
+        if was_empty && !self.dense {
             // An idle port serves this packet as soon as the router
             // pipeline has been traversed. A busy port's schedule is
             // unchanged (this packet waits its turn; its delivery is
@@ -252,7 +238,7 @@ impl Crossbar {
     /// crossbar through [`Crossbar::tick_evented`].
     pub fn flush_deferred(&mut self, up_to: u64) {
         self.flush_cycles(up_to);
-        if !self.events_dirty {
+        if !self.dense {
             self.settle_flits(up_to);
         }
     }
@@ -265,12 +251,11 @@ impl Crossbar {
         }
     }
 
-    /// Evented → dense hand-over of the per-flit state: for every head
-    /// packet the calendar has in service, moves the flits the dense
-    /// path would have moved on cycles before `up_to` — crediting them
-    /// to the statistics and leaving the remainder in `in_service`,
-    /// exactly the state flit-stepping would have reached. Idempotent;
-    /// the calendar itself is untouched.
+    /// For every head packet the calendar has in service, moves the
+    /// flits the dense path would have moved on cycles before `up_to` —
+    /// crediting them to the statistics and leaving the remainder in
+    /// `in_service`, exactly the state flit-stepping would have reached.
+    /// Idempotent; the calendar itself is untouched.
     fn settle_flits(&mut self, up_to: u64) {
         for &Reverse((at, dst)) in &self.events {
             debug_assert!(at >= up_to, "delivery at {at} missed before {up_to}");
@@ -312,14 +297,9 @@ impl Crossbar {
     /// every cycle.
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
+        debug_assert!(!self.dense, "evented tick on a densely driven crossbar");
         if cycle < self.cached_next {
             return;
-        }
-        if self.events_dirty {
-            self.rebuild_events(cycle);
-            if cycle < self.cached_next {
-                return;
-            }
         }
         self.flush_cycles(cycle);
         self.stats.cycles += 1;
@@ -357,61 +337,27 @@ impl Crossbar {
         }
     }
 
-    /// Dense → evented hand-over: rebuilds the calendar after dense
-    /// ticks ran on every cycle before `cycle`. A mid-packet port moves
-    /// its remaining flits from `cycle` on; a waiting head starts at its
-    /// router-pipeline exit (clamped to `cycle` — earlier cycles were
-    /// already ticked densely).
-    fn rebuild_events(&mut self, cycle: u64) {
-        self.events.clear();
-        for (dst, queue) in self.outputs.iter().enumerate() {
-            let Some(head) = queue.front() else { continue };
-            let at = match self.in_service[dst] {
-                0 => {
-                    (head.injected_at + self.cfg.router_latency).max(cycle) + u64::from(head.flits)
-                        - 1
-                }
-                left => cycle + u64::from(left) - 1,
-            };
-            self.events.push(Reverse((at, dst)));
-        }
-        self.events_dirty = false;
-        self.cached_next = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
-    }
-
     /// Advances one NoC cycle: every output port moves one flit of its
     /// head packet (once the router latency has elapsed). Packets whose
     /// last flit arrived this cycle are pushed into `done`, which is
     /// *not* cleared.
     pub fn tick(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
         debug_assert!(cycle >= self.acct_from, "ticking an already-counted cycle");
-        // Cycles an evented caller deferred before handing over.
-        self.flush_cycles(cycle);
+        if !self.dense {
+            debug_assert_eq!(self.acct_from, 0, "dense tick after evented ones");
+            // Dense ticks step the ports themselves: drop what injections
+            // before this first tick put on the calendar, and keep none.
+            self.dense = true;
+            self.events.clear();
+            self.cached_next = 0;
+        }
         self.stats.cycles += 1;
         self.acct_from = cycle + 1;
-        // Dense ticks advance ports without maintaining the calendar:
-        // take over the flits it has in service, then mark it stale.
-        if !self.events_dirty {
-            self.settle_flits(cycle);
-            self.events_dirty = true;
-        }
-        self.cached_next = 0;
         if self.queued == 0 {
             return;
         }
-        if self.outputs.len() <= 64 {
-            // Visit only occupied ports, in ascending order (identical
-            // delivery order to the full scan).
-            let mut mask = self.active;
-            while mask != 0 {
-                let dst = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.tick_port(dst, cycle, done);
-            }
-        } else {
-            for dst in 0..self.outputs.len() {
-                self.tick_port(dst, cycle, done);
-            }
+        for dst in 0..self.outputs.len() {
+            self.tick_port(dst, cycle, done);
         }
     }
 
@@ -460,9 +406,6 @@ impl Crossbar {
     #[inline]
     fn record_delivery(&mut self, pkt: Packet, cycle: u64, done: &mut Vec<Delivery>) {
         self.queued -= 1;
-        if self.outputs[pkt.dst].is_empty() && pkt.dst < 64 {
-            self.active &= !(1 << pkt.dst);
-        }
         let latency = cycle + 1 - pkt.injected_at;
         self.stats.delivered += 1;
         self.stats.total_latency += latency;

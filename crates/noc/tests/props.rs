@@ -129,51 +129,6 @@ proptest! {
         prop_assert_eq!(dense.queued_packets(), evented.queued_packets());
     }
 
-    /// Switching between dense and evented ticks mid-run — in both
-    /// directions, any number of times, usually with packets half sent —
-    /// stays bit-identical to an all-dense run: the dense path takes
-    /// over the flits the calendar has in service and the calendar is
-    /// rebuilt from the flits the dense path left. Settling the live
-    /// crossbar's counters along the way changes nothing either.
-    #[test]
-    fn hand_over_between_dense_and_evented_is_exact(
-        pkts in proptest::collection::vec((0usize..8, 0usize..4, 1u32..6, 0u64..30), 1..40),
-        switches in proptest::collection::vec(0u64..80, 1..6),
-        start_evented in any::<bool>(),
-        flush_every in 0u64..7,
-    ) {
-        let mut pkts = pkts.clone();
-        pkts.sort_by_key(|p| p.3);
-        let mut dense = Crossbar::new(8, 4, 3);
-        let mut mixed = Crossbar::new(8, 4, 3);
-        let (mut d1, mut d2) = (Vec::new(), Vec::new());
-        let mut next = 0;
-        let horizon = 400u64;
-        for cycle in 0..horizon {
-            while next < pkts.len() && pkts[next].3 <= cycle {
-                let (src, dst, flits, _) = pkts[next];
-                let pkt = Packet { payload: next as u64, src, dst, flits, injected_at: cycle };
-                dense.inject(pkt);
-                mixed.inject(pkt);
-                next += 1;
-            }
-            dense.tick(cycle, &mut d1);
-            let flips = switches.iter().filter(|&&s| s <= cycle).count();
-            if start_evented == (flips % 2 == 0) {
-                mixed.tick_evented(cycle, &mut d2);
-            } else {
-                mixed.tick(cycle, &mut d2);
-            }
-            prop_assert_eq!(&d1, &d2, "deliveries diverged at cycle {}", cycle);
-            if flush_every > 0 && cycle % flush_every == 0 {
-                mixed.flush_deferred(cycle + 1);
-                prop_assert_eq!(dense.stats(), mixed.stats(), "settled after cycle {}", cycle);
-            }
-        }
-        mixed.flush_deferred(horizon);
-        prop_assert_eq!(dense.stats(), mixed.stats());
-    }
-
     /// One output port delivers at most one packet's last flit per
     /// `flits` cycles: spread destinations always finish no later than
     /// the single-destination hotspot.

@@ -264,7 +264,10 @@ impl LlcSlice {
     /// counters, so there is nothing to defer). Bit-identical to ticking
     /// densely every cycle.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "forwards `tick`'s borrows of the simulator's shared state"
+    )]
     pub(crate) fn tick_evented(
         &mut self,
         cycle: u64,
@@ -293,7 +296,10 @@ impl LlcSlice {
     /// One core cycle: complete hits, retry DRAM hand-offs, process one
     /// new transaction. Load hits produce replies; misses go to DRAM.
     /// `dram_clock` is the DRAM domain as advanced through this cycle.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the slice borrows the simulator's shared state (DRAM, its clock, transactions, mapper) per call; bundling the borrows in a struct built every cycle buys nothing"
+    )]
     pub(crate) fn tick(
         &mut self,
         cycle: u64,

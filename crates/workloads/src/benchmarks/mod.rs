@@ -29,7 +29,10 @@ use crate::workload::Workload;
 
 /// Identifies one of the paper's 16 benchmarks (Table II).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)] // the variants are the benchmark names themselves
+#[expect(
+    missing_docs,
+    reason = "the variants are the benchmark names themselves"
+)]
 pub enum Benchmark {
     Mt,
     Lu,

@@ -12,7 +12,7 @@
 //! * [`sim`] — the full GPU memory-system simulator;
 //! * [`workloads`] — the 16 synthetic GPU-compute benchmarks;
 //! * [`power`] — DRAM and GPU power models;
-//! * [`harness`] — the sharded, resumable sweep engine and its
+//! * [`harness`] — the resumable sweep engine and its
 //!   content-addressed result store (see `docs/harness.md`);
 //! * [`fabric`] — the distributed sweep fabric: `valley serve` /
 //!   `valley work` coordinator/worker protocol with crash-tolerant job
