@@ -16,4 +16,4 @@ mod mshr;
 mod setassoc;
 
 pub use mshr::{MshrAllocation, MshrFile};
-pub use setassoc::{CacheConfig, CacheGeometry, CacheStats, Eviction, SetAssocCache};
+pub use setassoc::{CacheConfig, CacheStats, Eviction, SetAssocCache};

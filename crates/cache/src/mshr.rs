@@ -88,11 +88,6 @@ impl MshrFile {
         self.entries.is_empty()
     }
 
-    /// Whether all entry slots are in use.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
     /// Whether `line` is already being fetched.
     pub fn contains(&self, line: u64) -> bool {
         self.entries.contains_key(&line)
@@ -153,19 +148,6 @@ impl MshrFile {
             None => false,
         }
     }
-
-    /// The outstanding line addresses, in ascending order (the backing
-    /// map is unordered; sorting here keeps every consumer — debug dumps,
-    /// assertions — independent of hash-iteration order).
-    pub fn outstanding_lines(&self) -> Vec<u64> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "outstanding_lines() collects the keys and sort_unstable()s them on the next line before returning"
-        )]
-        let mut lines: Vec<u64> = self.entries.keys().copied().collect();
-        lines.sort_unstable();
-        lines
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +179,7 @@ mod tests {
         let mut m = MshrFile::new(2, 8);
         m.allocate(0x000, 1);
         m.allocate(0x040, 2);
-        assert!(m.is_full());
+        assert_eq!(m.len(), m.capacity());
         assert_eq!(m.allocate(0x080, 3), MshrAllocation::Stalled);
         // Merging into an existing entry still works at capacity.
         assert_eq!(m.allocate(0x000, 4), MshrAllocation::Merged);
@@ -215,13 +197,5 @@ mod tests {
     fn complete_unknown_line_is_none() {
         let mut m = MshrFile::new(2, 2);
         assert_eq!(m.complete(0xdead), None);
-    }
-
-    #[test]
-    fn outstanding_lines_iterates_all() {
-        let mut m = MshrFile::new(4, 2);
-        m.allocate(0x80, 2);
-        m.allocate(0x40, 1);
-        assert_eq!(m.outstanding_lines(), vec![0x40, 0x80]);
     }
 }

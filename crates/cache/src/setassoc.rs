@@ -106,48 +106,6 @@ impl CacheStats {
     }
 }
 
-/// The immutable side of a set-associative cache: the configured
-/// [`CacheConfig`] plus the derived indexing constants (line shift, set
-/// mask), computed once. [`SetAssocCache`] holds one of these next to
-/// its mutable state (tags, LRU order, counters) — the config/state
-/// split that lets many same-config caches (the batched engine's lanes,
-/// one L1 per SM) derive their geometry from a single precomputed
-/// value instead of each redoing the arithmetic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheGeometry {
-    cfg: CacheConfig,
-    line_shift: u32,
-    set_mask: u64,
-}
-
-impl CacheGeometry {
-    /// Precomputes the indexing constants for `cfg`.
-    pub fn new(cfg: CacheConfig) -> Self {
-        CacheGeometry {
-            cfg,
-            line_shift: cfg.line_bytes().trailing_zeros(),
-            set_mask: cfg.sets() as u64 - 1,
-        }
-    }
-
-    /// The source configuration.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
-    }
-
-    /// The line-aligned address containing `addr`.
-    #[inline]
-    pub fn line_addr(&self, addr: u64) -> u64 {
-        addr >> self.line_shift << self.line_shift
-    }
-
-    /// The set index of a line-aligned address.
-    #[inline]
-    pub fn set_index(&self, line: u64) -> usize {
-        ((line >> self.line_shift) & self.set_mask) as usize
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Line {
     addr: u64,
@@ -184,8 +142,11 @@ pub struct Eviction {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    /// Immutable geometry (see [`CacheGeometry`]).
-    geom: CacheGeometry,
+    cfg: CacheConfig,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// Set count minus one (the set count is a power of two).
+    set_mask: u64,
     /// Per set: resident lines in LRU order (front = MRU).
     sets: Vec<Vec<Line>>,
     stats: CacheStats,
@@ -194,17 +155,10 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::with_geometry(CacheGeometry::new(cfg))
-    }
-
-    /// Creates an empty cache over a precomputed [`CacheGeometry`] —
-    /// builders constructing many identical caches (per-SM L1s, the
-    /// batched engine's lanes) derive the geometry once and stamp out
-    /// state-only instances.
-    pub fn with_geometry(geom: CacheGeometry) -> Self {
-        let cfg = geom.config();
         SetAssocCache {
-            geom,
+            cfg,
+            line_shift: cfg.line_bytes().trailing_zeros(),
+            set_mask: cfg.sets() as u64 - 1,
             sets: vec![Vec::with_capacity(cfg.assoc()); cfg.sets()],
             stats: CacheStats::default(),
         }
@@ -212,54 +166,54 @@ impl SetAssocCache {
 
     /// The configured geometry.
     pub fn config(&self) -> CacheConfig {
-        self.geom.config()
+        self.cfg
     }
 
     /// The line-aligned address containing `addr`.
     #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
-        self.geom.line_addr(addr)
+        addr >> self.line_shift << self.line_shift
     }
 
     #[inline]
     fn set_index(&self, line: u64) -> usize {
-        self.geom.set_index(line)
+        ((line >> self.line_shift) & self.set_mask) as usize
     }
 
-    /// Looks up `addr`; on a hit the line becomes most-recently used.
-    /// Returns `true` on hit. Updates the statistics.
+    /// Looks up `addr` and counts the lookup: [`SetAssocCache::lookup`]
+    /// followed by [`SetAssocCache::count`]. Returns `true` on hit.
     pub fn probe(&mut self, addr: u64) -> bool {
+        let hit = self.lookup(addr);
+        self.count(hit);
+        hit
+    }
+
+    /// Looks up `addr` without touching the statistics; on a hit the
+    /// line becomes most-recently used (a miss changes nothing). For a
+    /// requester that may have to stall on the outcome and look the
+    /// address up again: it counts the lookup that lets it proceed, with
+    /// [`SetAssocCache::count`], and no other.
+    pub fn lookup(&mut self, addr: u64) -> bool {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
         let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|l| l.addr == line) {
-            // Promote to MRU with one in-place rotation (equivalent to
-            // remove + insert-at-front, at half the moves).
-            ways[..=pos].rotate_right(1);
+        let Some(pos) = ways.iter().position(|l| l.addr == line) else {
+            return false;
+        };
+        // Promote to MRU with one in-place rotation (equivalent to
+        // remove + insert-at-front, at half the moves).
+        ways[..=pos].rotate_right(1);
+        true
+    }
+
+    /// Counts one lookup with the given outcome.
+    #[inline]
+    pub fn count(&mut self, hit: bool) {
+        if hit {
             self.stats.hits += 1;
-            true
         } else {
             self.stats.misses += 1;
-            false
         }
-    }
-
-    /// Replays the statistics side effect of a missing [`probe`] without
-    /// performing the lookup — for retry paths that can prove the outcome
-    /// is unchanged since the last real probe (a miss mutates no LRU
-    /// state, so the counter is the probe's only effect).
-    ///
-    /// [`probe`]: SetAssocCache::probe
-    #[inline]
-    pub fn record_retry_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
-    /// Bulk form of [`SetAssocCache::record_retry_miss`] for deferred
-    /// accounting of `n` elided retry cycles.
-    #[inline]
-    pub fn record_retry_misses(&mut self, n: u64) {
-        self.stats.misses += n;
     }
 
     /// Checks residency without touching LRU state or statistics.
@@ -283,7 +237,7 @@ impl SetAssocCache {
     pub fn fill_with(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
-        let assoc = self.geom.config().assoc();
+        let assoc = self.cfg.assoc();
         let ways = &mut self.sets[set];
         if let Some(pos) = ways.iter().position(|l| l.addr == line) {
             ways[..=pos].rotate_right(1);
@@ -320,20 +274,6 @@ impl SetAssocCache {
         if let Some(pos) = ways.iter().position(|l| l.addr == line) {
             ways[..=pos].rotate_right(1);
             ways[0].dirty = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes the line containing `addr` if resident; returns whether a
-    /// line was removed.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|l| l.addr == line) {
-            ways.remove(pos);
             true
         } else {
             false
@@ -386,6 +326,20 @@ mod tests {
     }
 
     #[test]
+    fn lookup_promotes_to_mru_and_counts_nothing() {
+        let mut c = tiny();
+        c.fill(0x000);
+        c.fill(0x100);
+        assert!(!c.lookup(0x200));
+        assert!(c.lookup(0x000)); // now MRU, so the fill evicts 0x100
+        assert_eq!(c.stats(), CacheStats::default());
+        assert_eq!(c.fill(0x200), Some(0x100));
+        c.count(true);
+        c.count(false);
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+    }
+
+    #[test]
     fn same_line_offsets_hit() {
         let mut c = tiny();
         c.fill(0x80);
@@ -423,15 +377,6 @@ mod tests {
             c.fill(i * 64);
         }
         assert!(c.occupancy() <= 4); // 2 sets x 2 ways
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.fill(0x40);
-        assert!(c.invalidate(0x40));
-        assert!(!c.contains(0x40));
-        assert!(!c.invalidate(0x40));
     }
 
     #[test]

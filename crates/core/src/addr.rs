@@ -50,28 +50,6 @@ impl PhysAddr {
         assert!(bit < 64);
         (self.0 >> bit) & 1 == 1
     }
-
-    /// Returns the address with bit `bit` set to `value`.
-    #[inline]
-    pub const fn with_bit(self, bit: u8, value: bool) -> Self {
-        let mask = 1u64 << bit;
-        if value {
-            PhysAddr(self.0 | mask)
-        } else {
-            PhysAddr(self.0 & !mask)
-        }
-    }
-
-    /// Aligns the address down to a power-of-two `block` size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not a power of two.
-    #[inline]
-    pub fn align_down(self, block: u64) -> Self {
-        assert!(block.is_power_of_two(), "block size must be a power of two");
-        PhysAddr(self.0 & !(block - 1))
-    }
 }
 
 impl fmt::Debug for PhysAddr {
@@ -217,22 +195,6 @@ mod tests {
         let a = PhysAddr::new(0b1010);
         assert!(a.bit(1));
         assert!(!a.bit(0));
-        assert_eq!(a.with_bit(0, true).raw(), 0b1011);
-        assert_eq!(a.with_bit(3, false).raw(), 0b0010);
-        // Setting a bit to its current value is a no-op.
-        assert_eq!(a.with_bit(1, true), a);
-    }
-
-    #[test]
-    fn phys_addr_align() {
-        assert_eq!(PhysAddr::new(0x12f).align_down(64).raw(), 0x100);
-        assert_eq!(PhysAddr::new(0x100).align_down(64).raw(), 0x100);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn phys_addr_align_requires_pow2() {
-        let _ = PhysAddr::new(0).align_down(48);
     }
 
     #[test]

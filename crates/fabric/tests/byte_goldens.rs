@@ -17,7 +17,7 @@ use valley_harness::{
     ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, StoredResult, WallKind, STORE_FILE,
 };
 use valley_sim::json;
-use valley_sim::{EpochHist, SimReport};
+use valley_sim::SimReport;
 use valley_workloads::{Benchmark, Scale};
 
 const FIXTURE: &str = include_str!("fixtures/byte_goldens.txt");
@@ -85,10 +85,6 @@ fn stored() -> StoredResult {
             dram_clock_ghz: 0.924,
             num_sms: 24,
             sm_busy_fraction: 0.987_654_321,
-            epoch_hist: EpochHist {
-                lengths: [30_211, 1_207, 844, 96, 3, 0, 0, u64::MAX],
-                in_flight_multi: 512,
-            },
         },
         wall_ms: 139.437_5,
         wall: WallKind::Measured,
@@ -228,11 +224,9 @@ impl Drop for TempDir {
     }
 }
 
-/// Full equality, including the diagnostics `SimReport`'s `PartialEq`
-/// leaves out.
+/// Equality, down to the bits of the wall.
 fn assert_same(got: &StoredResult, want: &StoredResult) {
     assert_eq!(got, want);
-    assert_eq!(got.report.epoch_hist, want.report.epoch_hist);
     assert_eq!(got.wall_ms.to_bits(), want.wall_ms.to_bits());
 }
 
@@ -269,7 +263,6 @@ fn report_bytes_are_pinned() {
     );
     let back = SimReport::from_json(golden("report.to_json")).unwrap();
     assert_eq!(back, report);
-    assert_eq!(back.epoch_hist, report.epoch_hist);
 }
 
 #[test]
@@ -287,8 +280,6 @@ fn every_msg_variant_frames_to_its_pinned_payload() {
         let back = Msg::from_json(&read_frame(&mut frame.as_slice()).unwrap()).unwrap();
         assert_eq!(back, msg, "{name} decode");
         let parsed = Msg::from_json(&json::parse(payload).unwrap()).unwrap();
-        // Byte-for-byte re-encode also covers `epoch_hist`, which
-        // `Msg`'s equality does not see.
         assert_eq!(parsed.to_json().to_json_string(), payload, "{name}");
     }
 }

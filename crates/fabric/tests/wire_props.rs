@@ -19,7 +19,7 @@ use valley_harness::{
 const WALL_KINDS: [WallKind; 3] = [WallKind::Measured, WallKind::Averaged, WallKind::Cloned];
 use valley_sim::json::Json;
 use valley_sim::record::Codec;
-use valley_sim::{EpochHist, SimReport};
+use valley_sim::SimReport;
 use valley_workloads::{Benchmark, Scale};
 
 const SCALES: [Scale; 3] = [Scale::Test, Scale::Small, Scale::Ref];
@@ -85,10 +85,6 @@ fn report(cycles: u64, big: u64, frac: f64, spec: &JobSpec) -> SimReport {
         dram_clock_ghz: 0.924,
         num_sms: 12,
         sm_busy_fraction: frac,
-        epoch_hist: EpochHist {
-            lengths: [cycles, big / 7, cycles / 3, 1, 0, 2, big / 11, 8],
-            in_flight_multi: cycles / 5,
-        },
     }
 }
 
@@ -106,8 +102,7 @@ fn frame_round_trip(v: &Json) -> Json {
 
 /// `T`'s declared shape survives encode → frame → decode: the value
 /// compares equal and re-encodes to the same bytes (which also covers
-/// what equality leaves out — `SimReport`'s diagnostics, the exact bits
-/// of an `f64`).
+/// what equality leaves out — the exact bits of an `f64`).
 fn round_trips<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
     let sent = value.encode();
     let back = T::decode(&frame_round_trip(&sent)).expect("decodes");
@@ -242,7 +237,6 @@ proptest! {
         round_trips(&spec);
         round_trips(&stored);
         round_trips(&stored.report);
-        round_trips(&stored.report.epoch_hist);
         round_trips(&stored.report.l1);
         round_trips(&stored.report.dram);
         round_trips(&JobFailure::store_write(spec, format!("disk {big}:\n\t\"{frac}\"")));

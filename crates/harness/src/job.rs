@@ -21,9 +21,13 @@ use valley_workloads::{Benchmark, Scale};
 /// instead of silently serving stale results.
 ///
 /// v2: stored reports gained the epoch-histogram engine diagnostics
-/// (report schema v2), so v1 records no longer parse; run `valley gc`
-/// to drop them and re-sweep.
-pub const SCHEMA_VERSION: u32 = 2;
+/// (report schema v2), so v1 records no longer parse.
+///
+/// v3: a cache lookup is counted once per transaction — `l1.misses`
+/// and `llc.misses` mean something else than in a v2 record — and the
+/// report lost `epoch_hist` (report schema v3), so v2 records no longer
+/// parse; run `valley gc` to drop them and re-sweep.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The BIM seed used for the headline results (the paper generates three
 /// random BIMs per scheme and reports the best; Figure 19 shows the

@@ -9,7 +9,7 @@
 //! ```json
 //! {"v":2,"hash":"9f3c…","bench":"MT","scheme":"PAE","seed":1,
 //!  "scale":"ref","config":"table1","wall_ms":139.4,"wall":"measured",
-//!  "report":{…}}
+//!  "report":{"v":3,…}}
 //! ```
 //!
 //! One mutex covers the index and the file, so an append is atomic. A
@@ -281,7 +281,7 @@ const LINE: &str = "store record";
 /// declared members with the job's coordinates flattened in place.
 fn record_line(stored: &StoredResult) -> Json {
     let mut wire = Members::new();
-    stored.put_fields(true, &mut wire);
+    stored.put_fields(&mut wire);
     let mut line = Members::with_capacity(2 + JobSpec::KEYS.len() + wire.len());
     STORE_VERSION.put(VERSION_KEY, &mut line);
     stored.spec.key().hash_hex().put(HASH_KEY, &mut line);

@@ -20,10 +20,9 @@
 //! nothing observable happens between a head packet's first flit and
 //! its last, so the port's next event is the delivery cycle
 //! `max(previous delivery + 1, injected_at + router_latency) + flits - 1`
-//! and the flits are credited to the statistics at delivery (or by
-//! [`Crossbar::flush_deferred`] for a run that stops mid-packet). The
-//! two are bit-identical; a crossbar is driven by one of them for a
-//! whole run, never switched in between.
+//! [`NocStats`] counts a packet, its latency and its flits when it is
+//! delivered, on both paths. The two are bit-identical; a crossbar is
+//! driven by one of them for a whole run, never switched in between.
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -78,7 +77,7 @@ pub struct NocStats {
     pub delivered: u64,
     /// Sum of packet latencies in NoC cycles.
     pub total_latency: u64,
-    /// Flits transferred.
+    /// Flits of delivered packets.
     pub flits: u64,
     /// NoC cycles observed.
     pub cycles: u64,
@@ -93,20 +92,6 @@ impl NocStats {
             self.total_latency as f64 / self.delivered as f64
         }
     }
-}
-
-/// The immutable geometry of a [`Crossbar`]: port counts and router
-/// latency. Split out from the crossbar's mutable queue/calendar state
-/// so builders stamping out many identical networks describe the
-/// geometry once and share it by value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrossbarConfig {
-    /// Number of input ports.
-    pub num_src: usize,
-    /// Number of output ports.
-    pub num_dst: usize,
-    /// Fixed pipeline-traversal latency added to every packet.
-    pub router_latency: u64,
 }
 
 /// A `sources × destinations` crossbar with output-port queuing.
@@ -132,14 +117,14 @@ pub struct CrossbarConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Crossbar {
-    /// Immutable geometry (see [`CrossbarConfig`]).
-    cfg: CrossbarConfig,
+    /// Number of input ports.
+    num_src: usize,
+    /// Fixed pipeline-traversal latency added to every packet.
+    router_latency: u64,
     /// Per destination: queued packets (front is in service).
     outputs: Vec<VecDeque<Packet>>,
-    /// Flits remaining for the packet in service at each output (0 = the
-    /// head has not started). The dense path steps it per flit; the
-    /// evented path leaves it alone between deliveries and brings it up
-    /// to date only where someone looks ([`Crossbar::settle_flits`]).
+    /// Dense path only: flits remaining for the packet in service at
+    /// each output (0 = the head has not started).
     in_service: Vec<u32>,
     /// Total packets across all output queues (hot-loop early-out).
     queued: usize,
@@ -167,19 +152,10 @@ impl Crossbar {
     /// ports and a fixed `router_latency` (cycles of pipeline traversal
     /// added to every packet).
     pub fn new(num_src: usize, num_dst: usize, router_latency: u64) -> Self {
-        Self::with_config(CrossbarConfig {
-            num_src,
-            num_dst,
-            router_latency,
-        })
-    }
-
-    /// [`Crossbar::new`] over a pre-built [`CrossbarConfig`] geometry.
-    pub fn with_config(cfg: CrossbarConfig) -> Self {
-        assert!(cfg.num_src > 0 && cfg.num_dst > 0);
-        let num_dst = cfg.num_dst;
+        assert!(num_src > 0 && num_dst > 0);
         Crossbar {
-            cfg,
+            num_src,
+            router_latency,
             // Sized for steady state: output queues grow from zero on
             // every fresh crossbar otherwise (one realloc ladder per run).
             outputs: vec![VecDeque::with_capacity(32); num_dst],
@@ -193,11 +169,6 @@ impl Crossbar {
         }
     }
 
-    /// The immutable geometry.
-    pub fn config(&self) -> CrossbarConfig {
-        self.cfg
-    }
-
     /// Injects a packet; `injected_at` is overwritten with the current
     /// injection timestamp by the caller's clock discipline (pass the
     /// current NoC cycle in the field).
@@ -207,7 +178,7 @@ impl Crossbar {
     /// Panics if the source or destination port is out of range or the
     /// packet has zero flits.
     pub fn inject(&mut self, pkt: Packet) {
-        assert!(pkt.src < self.cfg.num_src, "source port out of range");
+        assert!(pkt.src < self.num_src, "source port out of range");
         assert!(
             pkt.dst < self.outputs.len(),
             "destination port out of range"
@@ -224,67 +195,21 @@ impl Crossbar {
             // pipeline has been traversed. A busy port's schedule is
             // unchanged (this packet waits its turn; its delivery is
             // scheduled when it reaches the head).
-            debug_assert_eq!(self.in_service[dst], 0);
-            let at = pkt.injected_at + self.cfg.router_latency + u64::from(pkt.flits) - 1;
+            let at = pkt.injected_at + self.router_latency + u64::from(pkt.flits) - 1;
             self.events.push(Reverse((at, dst)));
             self.cached_next = self.cached_next.min(at);
         }
     }
 
-    /// Brings the deferred counters up to date with `up_to` (exclusive):
-    /// every not-yet-ticked cycle the dense loop would have counted, and
-    /// the flits of packets still mid-transfer that it would have moved
-    /// by then. Call before reading [`Crossbar::stats`] when driving the
+    /// Brings the deferred cycle counter up to date with `up_to`
+    /// (exclusive): every not-yet-ticked cycle the dense loop would have
+    /// counted. Call before reading [`Crossbar::stats`] when driving the
     /// crossbar through [`Crossbar::tick_evented`].
-    pub fn flush_deferred(&mut self, up_to: u64) {
-        self.flush_cycles(up_to);
-        if !self.dense {
-            self.settle_flits(up_to);
-        }
-    }
-
     #[inline]
-    fn flush_cycles(&mut self, up_to: u64) {
+    pub fn flush_deferred(&mut self, up_to: u64) {
         if up_to > self.acct_from {
             self.stats.cycles += up_to - self.acct_from;
             self.acct_from = up_to;
-        }
-    }
-
-    /// For every head packet the calendar has in service, moves the
-    /// flits the dense path would have moved on cycles before `up_to` —
-    /// crediting them to the statistics and leaving the remainder in
-    /// `in_service`, exactly the state flit-stepping would have reached.
-    /// Idempotent; the calendar itself is untouched.
-    fn settle_flits(&mut self, up_to: u64) {
-        for &Reverse((at, dst)) in &self.events {
-            debug_assert!(at >= up_to, "delivery at {at} missed before {up_to}");
-            #[expect(
-                clippy::expect_used,
-                reason = "the calendar holds one entry per non-empty port: pushed when a packet enters an empty port or becomes the head, popped only together with that head"
-            )]
-            let flits = self.outputs[dst]
-                .front()
-                .expect("scheduled port has a head")
-                .flits;
-            // Flits still to move at `up_to`: the last one moves at `at`.
-            let left = (at + 1).saturating_sub(up_to).min(u64::from(flits)) as u32;
-            let uncounted = self.uncounted_flits(dst, flits);
-            if left < uncounted {
-                self.stats.flits += u64::from(uncounted - left);
-                self.in_service[dst] = left;
-            }
-        }
-    }
-
-    /// Flits of `dst`'s head packet (of `flits` flits) not yet credited
-    /// to the statistics: all of them until it starts, then what
-    /// `in_service` still holds.
-    #[inline]
-    fn uncounted_flits(&self, dst: usize, flits: u32) -> u32 {
-        match self.in_service[dst] {
-            0 => flits,
-            left => left,
         }
     }
 
@@ -301,7 +226,7 @@ impl Crossbar {
         if cycle < self.cached_next {
             return;
         }
-        self.flush_cycles(cycle);
+        self.flush_deferred(cycle);
         self.stats.cycles += 1;
         self.acct_from = cycle + 1;
         while let Some(&Reverse((at, dst))) = self.events.peek() {
@@ -316,9 +241,9 @@ impl Crossbar {
     }
 
     /// Delivers the head packet of `dst`, whose last flit arrives at
-    /// `cycle`, credits its not-yet-counted flits, and schedules the
-    /// packet behind it: the port is free from `cycle + 1`, the router
-    /// pipeline from `injected_at + router_latency`.
+    /// `cycle`, and schedules the packet behind it: the port is free
+    /// from `cycle + 1`, the router pipeline from
+    /// `injected_at + router_latency`.
     fn deliver_head(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
         #[expect(
             clippy::expect_used,
@@ -327,11 +252,9 @@ impl Crossbar {
         let pkt = self.outputs[dst]
             .pop_front()
             .expect("scheduled port has a head");
-        self.stats.flits += u64::from(self.uncounted_flits(dst, pkt.flits));
-        self.in_service[dst] = 0;
         self.record_delivery(pkt, cycle, done);
         if let Some(head) = self.outputs[dst].front() {
-            let start = (head.injected_at + self.cfg.router_latency).max(cycle + 1);
+            let start = (head.injected_at + self.router_latency).max(cycle + 1);
             self.events
                 .push(Reverse((start + u64::from(head.flits) - 1, dst)));
         }
@@ -368,7 +291,7 @@ impl Crossbar {
         };
         // Router pipeline: a packet only starts moving flits after
         // router_latency cycles from injection.
-        if cycle < head.injected_at + self.cfg.router_latency {
+        if cycle < head.injected_at + self.router_latency {
             return;
         }
         self.transfer_flit(dst, cycle, done);
@@ -385,12 +308,11 @@ impl Crossbar {
         let head = self.outputs[dst]
             .front()
             .expect("due port has a head packet");
-        debug_assert!(cycle >= head.injected_at + self.cfg.router_latency);
+        debug_assert!(cycle >= head.injected_at + self.router_latency);
         if self.in_service[dst] == 0 {
             self.in_service[dst] = head.flits;
         }
         self.in_service[dst] -= 1;
-        self.stats.flits += 1;
         if self.in_service[dst] == 0 {
             #[expect(
                 clippy::expect_used,
@@ -409,6 +331,7 @@ impl Crossbar {
         let latency = cycle + 1 - pkt.injected_at;
         self.stats.delivered += 1;
         self.stats.total_latency += latency;
+        self.stats.flits += u64::from(pkt.flits);
         done.push(Delivery {
             payload: pkt.payload,
             dst: pkt.dst,

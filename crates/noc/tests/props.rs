@@ -94,7 +94,8 @@ proptest! {
     /// flit scan delivers — same packets, same cycles, same order —
     /// under arbitrary staggered injection schedules, and a run cut off
     /// after any cycle (so usually mid-packet on some port) settles to
-    /// the dense statistics, flits of half-sent packets included.
+    /// the dense statistics: both paths count a packet when it is
+    /// delivered.
     #[test]
     fn evented_is_bit_identical_to_dense(
         pkts in proptest::collection::vec((0usize..12, 0usize..8, 1u32..6, 0u64..60), 1..60),

@@ -218,7 +218,6 @@ mod tests {
             dram_clock_ghz: 0.924,
             num_sms: 12,
             sm_busy_fraction: 0.8,
-            epoch_hist: valley_sim::EpochHist::default(),
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::config::GpuConfig;
 use crate::llc::LlcSlice;
-use crate::metrics::{EpochHist, ParallelismIntegrator, SimReport};
+use crate::metrics::{ParallelismIntegrator, SimReport};
 use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::TxnTable;
@@ -509,9 +509,6 @@ impl GpuSim {
         for sm in &mut self.sms {
             sm.flush_idle(cycle);
         }
-        for s in &mut self.slices {
-            s.flush_stall(cycle);
-        }
         self.report(cycle, truncated, &parallelism, &sched)
     }
 
@@ -570,6 +567,16 @@ impl GpuSim {
         }
         let req = self.req_net.stats();
         let rep = self.reply_net.stats();
+        // Conservation laws of a run that drained: every load is looked
+        // up once in its L1, every delivered request once in its slice,
+        // and every transaction ended exactly once.
+        if !truncated {
+            debug_assert_eq!(l1.accesses(), self.txns.len() - self.txns.stores());
+            debug_assert_eq!(llc.accesses(), req.delivered);
+            debug_assert_eq!(self.txns.live(), 0, "a transaction never ended");
+            debug_assert_eq!(self.req_net.queued_packets(), 0);
+            debug_assert_eq!(self.reply_net.queued_packets(), 0);
+        }
         let delivered = req.delivered + rep.delivered;
         let noc_to_core = self.cfg.core_clock_ghz / self.cfg.noc_clock_ghz;
         let noc_latency = if delivered == 0 {
@@ -603,7 +610,6 @@ impl GpuSim {
             } else {
                 busy as f64 / (cycles * self.sms.len() as u64) as f64
             },
-            epoch_hist: EpochHist::default(),
         }
     }
 }

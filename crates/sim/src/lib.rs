@@ -37,7 +37,7 @@ pub use batch::BatchSim;
 pub use coalesce::{coalesce, coalesce_into};
 pub use config::{GpuConfig, LlcWritePolicy, WarpScheduler};
 pub use gpu::GpuSim;
-pub use metrics::{EpochHist, ParallelismIntegrator, SimReport, REPORT_SCHEMA_VERSION};
+pub use metrics::{ParallelismIntegrator, SimReport, REPORT_SCHEMA_VERSION};
 pub use trace::{
     tb_request_addresses, Instruction, KernelSource, LaneAddrs, WarpProgram, WorkloadSource,
 };

@@ -40,12 +40,11 @@ pub(crate) struct LlcSlice {
     hits: VecDeque<(u64, u64)>,
     /// Transactions waiting for a free DRAM queue slot.
     dram_retry: VecDeque<u64>,
-    /// First core cycle whose stall-retry miss counter is still deferred.
-    acct_from: u64,
     /// The input head is MSHR-stalled and no DRAM completion has arrived
     /// since (completions are the only events that free this slice's
-    /// MSHRs or fill lines). Set by the stalled allocation, cleared by
-    /// [`LlcSlice::on_dram_completion`].
+    /// MSHRs or fill lines), so retries cost nothing: the head is looked
+    /// up again once a completion clears this. Set by the stalled
+    /// allocation, cleared by [`LlcSlice::on_dram_completion`].
     input_stalled: bool,
     /// The exact next core cycle at which [`LlcSlice::tick`] changes
     /// anything (`u64::MAX` = nothing locally schedulable); republished
@@ -77,7 +76,6 @@ impl LlcSlice {
             input: VecDeque::with_capacity(64),
             hits: VecDeque::with_capacity(32),
             dram_retry: VecDeque::with_capacity(32),
-            acct_from: 0,
             input_stalled: false,
             cached_next: 0,
             retry_gate: None,
@@ -165,24 +163,18 @@ impl LlcSlice {
             })
     }
 
-    /// Replays the deferred one-retry-miss-per-cycle accounting for
-    /// elided stalled cycles up to `up_to` (exclusive).
-    pub(crate) fn flush_stall(&mut self, up_to: u64) {
-        if up_to > self.acct_from {
-            if self.input_stalled {
-                self.cache.record_retry_misses(up_to - self.acct_from);
-            }
-            self.acct_from = up_to;
-        }
+    /// Queues `txn` for the DRAM hand-off.
+    fn send_to_dram(&mut self, txn: u64) {
+        let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
+            .then(valley_core::alloc_audit::pause);
+        self.dram_retry.push_back(txn);
     }
 
     /// Creates a DRAM writeback transaction for a dirty victim line.
     fn emit_writeback(&mut self, victim: u64, txns: &mut TxnTable, mapper: &AddressMapper) {
         let mapped = mapper.map(PhysAddr::new(victim));
         let wb = txns.alloc(0, NO_WARP, true, victim, mapped, self.id);
-        let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
-            .then(valley_core::alloc_audit::pause);
-        self.dram_retry.push_back(wb);
+        self.send_to_dram(wb);
     }
 
     /// A DRAM read completed in core cycle `cycle`: fill the line and
@@ -199,9 +191,6 @@ impl LlcSlice {
         mapper: &AddressMapper,
         replies: &mut Vec<u64>,
     ) {
-        // Settle the deferred stall accounting before the fill makes the
-        // stall verdict stale (the elided cycles were stalled ones).
-        self.flush_stall(cycle);
         self.input_stalled = false;
         let line = txns.get(txn).line;
         if let Some(ev) = self.cache.fill_with(line, false) {
@@ -282,7 +271,6 @@ impl LlcSlice {
             return;
         }
         count(Counter::SliceTicks);
-        self.flush_stall(cycle);
         self.tick(cycle, dram_clock, cfg, dram, txns, mapper, replies);
         self.cached_next = self.next_event_incremental(cycle + 1);
         debug_assert_eq!(
@@ -295,7 +283,9 @@ impl LlcSlice {
 
     /// One core cycle: complete hits, retry DRAM hand-offs, process one
     /// new transaction. Load hits produce replies; misses go to DRAM.
-    /// `dram_clock` is the DRAM domain as advanced through this cycle.
+    /// A transaction's lookup is counted once, in the cycle it leaves
+    /// the input head. `dram_clock` is the DRAM domain as advanced
+    /// through this cycle.
     #[expect(
         clippy::too_many_arguments,
         reason = "the slice borrows the simulator's shared state (DRAM, its clock, transactions, mapper) per call; bundling the borrows in a struct built every cycle buys nothing"
@@ -310,8 +300,6 @@ impl LlcSlice {
         mapper: &AddressMapper,
         replies: &mut Vec<u64>,
     ) {
-        debug_assert!(cycle >= self.acct_from, "ticking an already-counted cycle");
-        self.acct_from = cycle + 1;
         // 1. Hits whose latency elapsed.
         while let Some(&(ready, txn)) = self.hits.front() {
             if ready > cycle {
@@ -363,72 +351,49 @@ impl LlcSlice {
             return;
         };
         if self.input_stalled {
-            // Still MSHR-stalled: replay the probe's miss counter (the
-            // dense retry would probe, miss and stall again).
-            self.cache.record_retry_miss();
             return;
         }
         let t = *txns.get(txn);
         count(Counter::TagAccesses);
-        if self.cache.probe(t.line) {
-            self.input.pop_front();
-            if t.is_store {
-                match cfg.llc_write_policy {
-                    LlcWritePolicy::WriteThrough => {
-                        // Update the line, forward the write.
-                        let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
-                            .then(valley_core::alloc_audit::pause);
-                        self.dram_retry.push_back(txn);
-                    }
-                    LlcWritePolicy::WriteBack => {
-                        // Absorbed: the store ends here.
-                        self.cache.mark_dirty(t.line);
-                        txns.release(txn);
-                    }
+        let hit = self.cache.lookup(t.line);
+        if !hit && !t.is_store {
+            match self.mshr.allocate(t.line, txn) {
+                MshrAllocation::NewEntry => self.send_to_dram(txn),
+                MshrAllocation::Merged => {}
+                MshrAllocation::Stalled => {
+                    // Head-of-line stall: cache the verdict until the next
+                    // DRAM completion, so retries cost nothing.
+                    self.input_stalled = true;
+                    return;
                 }
-            } else {
+            }
+        }
+        self.cache.count(hit);
+        self.input.pop_front();
+        if !t.is_store {
+            if hit {
                 let _audit_pause =
                     (self.hits.len() == self.hits.capacity()).then(valley_core::alloc_audit::pause);
                 self.hits.push_back((cycle + cfg.llc_latency, txn));
             }
             return;
         }
-        if t.is_store {
-            self.input.pop_front();
-            match cfg.llc_write_policy {
-                LlcWritePolicy::WriteThrough => {
-                    // Write no-allocate: straight to DRAM.
-                    let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
-                        .then(valley_core::alloc_audit::pause);
-                    self.dram_retry.push_back(txn);
-                }
-                LlcWritePolicy::WriteBack => {
-                    // Write-validate allocation: install dirty, no fetch;
-                    // the store ends here.
-                    txns.release(txn);
-                    if let Some(ev) = self.cache.fill_with(t.line, true) {
-                        if ev.dirty {
-                            self.emit_writeback(ev.line, txns, mapper);
-                        }
+        match cfg.llc_write_policy {
+            // Write-through, no-allocate: a hit updates the line, and
+            // either way the write goes on to DRAM.
+            LlcWritePolicy::WriteThrough => self.send_to_dram(txn),
+            // Write-back: the store ends here, absorbed by the resident
+            // line or by a write-validate allocation (install dirty, no
+            // fetch).
+            LlcWritePolicy::WriteBack => {
+                txns.release(txn);
+                if hit {
+                    self.cache.mark_dirty(t.line);
+                } else if let Some(ev) = self.cache.fill_with(t.line, true) {
+                    if ev.dirty {
+                        self.emit_writeback(ev.line, txns, mapper);
                     }
                 }
-            }
-            return;
-        }
-        match self.mshr.allocate(t.line, txn) {
-            MshrAllocation::NewEntry => {
-                self.input.pop_front();
-                let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
-                    .then(valley_core::alloc_audit::pause);
-                self.dram_retry.push_back(txn);
-            }
-            MshrAllocation::Merged => {
-                self.input.pop_front();
-            }
-            MshrAllocation::Stalled => {
-                // Head-of-line stall: cache the verdict until the next
-                // DRAM completion, so retries cost one counter update.
-                self.input_stalled = true;
             }
         }
     }
@@ -441,6 +406,54 @@ mod tests {
     use proptest::prelude::*;
     use valley_core::{GddrMap, SchemeKind};
     use valley_dram::DramConfig;
+
+    /// The un-stall path: a load stalled on a full merge list is looked
+    /// up again after the fill and counted as the hit it then is — not
+    /// as a miss when it stalled and a hit when it left.
+    #[test]
+    fn a_head_filled_while_stalled_is_counted_as_one_hit() {
+        let mut cfg = GpuConfig::table1();
+        cfg.llc_mshr_merges = 1;
+        let map = GddrMap::baseline();
+        let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
+        let mut dram = DramSystem::new(std::sync::Arc::new(map), cfg.dram);
+        let dram_clock = DomainClock::new(cfg.dram_per_core());
+        let mut txns = TxnTable::new();
+        let mut slice = LlcSlice::new(0, &cfg);
+        let mut replies = Vec::new();
+        let line = 0x4000;
+        let mapped = mapper.map(PhysAddr::new(line));
+        let [first, second] = [0, 1].map(|warp| txns.alloc(0, warp, false, line, mapped, 0));
+        slice.deliver(first, 0);
+        slice.deliver(second, 0);
+        for cycle in 0..4 {
+            slice.tick(
+                cycle,
+                &dram_clock,
+                &cfg,
+                &mut dram,
+                &mut txns,
+                &mapper,
+                &mut replies,
+            );
+        }
+        assert!(slice.input_stalled, "the merge list holds one waiter");
+        assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
+
+        slice.on_dram_completion(first, 4, &mut txns, &mapper, &mut replies);
+        assert_eq!(replies, [first]);
+        slice.tick(
+            4,
+            &dram_clock,
+            &cfg,
+            &mut dram,
+            &mut txns,
+            &mapper,
+            &mut replies,
+        );
+        assert!(slice.input.is_empty());
+        assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
+    }
 
     // Random slice traffic: the incrementally-maintained next-event
     // cache must equal the recompute-from-scratch oracle after every
@@ -500,7 +513,6 @@ mod tests {
                     }
                 }
                 if cycle >= slice.cached_next_event() {
-                    slice.flush_stall(cycle);
                     slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mapper, &mut replies);
                     let incremental = slice.next_event_incremental(cycle + 1);
                     slice.cached_next = incremental;

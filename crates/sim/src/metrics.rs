@@ -1,7 +1,7 @@
 //! Simulation metrics: everything the paper's evaluation figures report.
 
 use crate::json::{self, Json};
-use crate::record::{Codec, Members, Record};
+use crate::record::Codec;
 use valley_cache::CacheStats;
 use valley_dram::DramStats;
 
@@ -10,26 +10,12 @@ use valley_dram::DramStats;
 /// then fail loudly in [`SimReport::from_json`] instead of silently
 /// misparsing into the new shape.
 ///
-/// v2 added the [`EpochHist`] engine diagnostics.
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
-
-/// Epoch-length histogram written by the deleted phase-parallel engine.
-///
-/// No engine produces one any more — every run reports the all-zero
-/// default — but stores written by that engine hold non-zero ones, and
-/// the v2 encoding carries the field, so it is decoded and re-encoded
-/// as is. It was **engine telemetry, not a simulation
-/// result**, and stays excluded from [`SimReport`]'s equality and from
-/// [`SimReport::results_json`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochHist {
-    /// Epoch counts bucketed by length: bucket `i` counted epochs whose
-    /// cycle count lay in `[2^i, 2^(i+1))`, the last bucket open-ended.
-    pub lengths: [u64; 8],
-    /// Multi-cycle epochs planned while a reply-net packet was in
-    /// flight.
-    pub in_flight_multi: u64,
-}
+/// v2 carried an `epoch_hist` member, the telemetry of the deleted
+/// phase-parallel engine. v3 drops it, and counts a cache lookup once
+/// per transaction: `l1.misses` and `llc.misses` no longer grow by one
+/// for every cycle an MSHR-stalled queue head waited, so `hits + misses`
+/// is the number of lookups made.
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// Incrementally-integrated occupancy metrics (Figures 13–14).
 ///
@@ -108,11 +94,9 @@ fn mean(sum: u64, n: u64) -> f64 {
 /// The complete result of one simulation run — the raw material for every
 /// evaluation figure.
 ///
-/// Equality compares the simulation *results* only; the
-/// [`epoch_hist`](SimReport::epoch_hist) engine diagnostics are excluded
-/// (see [`EpochHist`]). Which member is which, the wire order and the
-/// keys are declared once, in the `record!` table below.
-#[derive(Clone, Debug)]
+/// The wire order and the keys are declared once, in the `record!`
+/// table below.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Workload name.
     pub benchmark: String,
@@ -128,9 +112,11 @@ pub struct SimReport {
     pub thread_instructions: u64,
     /// Coalesced memory transactions created.
     pub memory_transactions: u64,
-    /// Aggregated L1 statistics over all SMs.
+    /// Aggregated L1 statistics over all SMs: one lookup per load
+    /// transaction.
     pub l1: CacheStats,
-    /// Aggregated LLC statistics over all slices.
+    /// Aggregated LLC statistics over all slices: one lookup per
+    /// transaction the request network delivered.
     pub llc: CacheStats,
     /// Mean NoC packet latency in **core** cycles (request + reply nets).
     pub noc_latency: f64,
@@ -157,16 +143,6 @@ pub struct SimReport {
     /// Fraction of cycles with at least one resident warp, averaged over
     /// SMs (GPU dynamic-power activity factor).
     pub sm_busy_fraction: f64,
-    /// Engine diagnostics, all-zero unless decoded from an old store.
-    /// Excluded from equality and from [`SimReport::results_json`] —
-    /// see [`EpochHist`].
-    pub epoch_hist: EpochHist,
-}
-
-impl PartialEq for SimReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.results_eq(other)
-    }
 }
 
 impl SimReport {
@@ -225,11 +201,6 @@ fn per_kilo(events: u64, instructions: u64) -> f64 {
 
 // --- JSON round trip (the harness's persistent result store) ---
 
-crate::record!(EpochHist {
-    lengths: [u64; 8] = "lengths",
-    in_flight_multi: u64 = "in_flight_multi",
-});
-
 crate::record! {
     SimReport, version "v" = REPORT_SCHEMA_VERSION {
         benchmark: String = "benchmark",
@@ -254,14 +225,10 @@ crate::record! {
         num_sms: usize = "num_sms",
         sm_busy_fraction: f64 = "sm_busy_fraction",
     }
-    diagnostics {
-        epoch_hist: EpochHist = "epoch_hist",
-    }
 }
 
 impl SimReport {
-    /// Serializes the report as a versioned single-line JSON object,
-    /// including the [`EpochHist`] engine diagnostics.
+    /// Serializes the report as a versioned single-line JSON object.
     ///
     /// The inverse is [`SimReport::from_json`]; the two are pinned by a
     /// round-trip property test. Every counter is written as an exact
@@ -270,15 +237,11 @@ impl SimReport {
         self.to_json_value().to_json_string()
     }
 
-    /// The simulation *results* as a single-line JSON string — every
-    /// field of [`SimReport::to_json`] except the engine diagnostics.
-    /// This is the canonical byte form the equivalence batteries
-    /// compare: bit-identical results serialize to identical digit
-    /// strings.
+    /// [`SimReport::to_json`] under the name the equivalence batteries
+    /// compare by: every member of the report is a simulation result,
+    /// and bit-identical results serialize to identical digit strings.
     pub fn results_json(&self) -> String {
-        let mut results = Members::with_capacity(Self::KEYS.len());
-        self.put_fields(false, &mut results);
-        Json::Obj(results).to_json_string()
+        self.to_json()
     }
 
     /// The report as a [`Json`] value (for embedding in larger records).
@@ -339,26 +302,7 @@ mod tests {
             dram_clock_ghz: 0.924,
             num_sms: 12,
             sm_busy_fraction: 0.9,
-            epoch_hist: EpochHist::default(),
         }
-    }
-
-    #[test]
-    fn report_equality_ignores_engine_diagnostics() {
-        let a = report(10);
-        let mut b = report(10);
-        b.epoch_hist.lengths[2] = 1;
-        b.epoch_hist.in_flight_multi = 1;
-        assert_eq!(a, b, "epoch telemetry must not break result equality");
-        assert_eq!(a.results_json(), b.results_json());
-        assert_ne!(
-            a.to_json(),
-            b.to_json(),
-            "the full serialization does carry the histogram"
-        );
-        let mut c = report(10);
-        c.cycles += 1;
-        assert_ne!(a, c, "result fields still compare");
     }
 
     #[test]

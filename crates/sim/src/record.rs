@@ -4,9 +4,9 @@
 //! line, a fabric message — is declared once, as `field: Type = "key"`
 //! lines in wire order ([`record!`](crate::record!) for structs,
 //! [`tagged!`](crate::tagged!) for tagged enums). The declaration
-//! generates the writer, the parser, the results-only equality and the
-//! description that [`fingerprint`] hashes, so the four cannot drift
-//! apart and "add a field" is one line plus a version bump.
+//! generates the writer, the parser and the description that
+//! [`fingerprint`] hashes, so the three cannot drift apart and "add a
+//! field" is one line plus a version bump.
 //!
 //! [`Codec`] is the value ↔ [`Json`] mapping of the leaf kinds and of
 //! declared records; [`Field`] adds what only an object member can do
@@ -88,14 +88,11 @@ pub trait Record: Codec {
     const NAME: &'static str;
     /// Every member key, in wire order.
     const KEYS: &'static [&'static str];
-    /// Appends the members in wire order; the ones declared under
-    /// `diagnostics` only when asked for.
-    fn put_fields(&self, diagnostics: bool, out: &mut Members);
+    /// Appends the members in wire order.
+    fn put_fields(&self, out: &mut Members);
     /// Reads the declared members of `obj`, ignoring any others; a
     /// declared version other than the supported one fails first.
     fn from_obj(obj: &Json) -> Result<Self, String>;
-    /// Equality over every member not declared under `diagnostics`.
-    fn results_eq(&self, other: &Self) -> bool;
     /// Appends the canonical description of the table: keys, kinds and
     /// order, with nested shapes spelled out — except a nested shape
     /// that carries its own version, which is named only (its version
@@ -226,10 +223,8 @@ macro_rules! name_coded {
 name_coded!(SchemeKind, label, SchemeKind::parse);
 
 /// Declares a struct's record shape: `field: Type = "key"` lines in wire
-/// order, optionally behind a constant version member, optionally
-/// followed by a `diagnostics` block of members that are written and
-/// read like the rest but stay out of [`Record::results_eq`] and of
-/// `put_fields(false, ..)`. Implements [`Record`] and [`Codec`].
+/// order, optionally behind a constant version member. Implements
+/// [`Record`] and [`Codec`].
 ///
 /// ```
 /// use valley_sim::record::{Codec, Record};
@@ -252,32 +247,21 @@ macro_rules! record {
         $name:ident $(, version $vkey:literal = $version:tt)? {
             $($field:ident : $ty:ty = $key:literal),* $(,)?
         }
-        $(diagnostics {
-            $($dfield:ident : $dty:ty = $dkey:literal),* $(,)?
-        })?
     ) => {
         impl $crate::record::Record for $name {
             const NAME: &'static str = stringify!($name);
-            const KEYS: &'static [&'static str] = &[$($vkey,)? $($key,)* $($($dkey,)*)?];
+            const KEYS: &'static [&'static str] = &[$($vkey,)? $($key,)*];
 
-            fn put_fields(&self, diagnostics: bool, out: &mut $crate::record::Members) {
+            fn put_fields(&self, out: &mut $crate::record::Members) {
                 $($crate::record::Field::put(&$version, $vkey, out);)?
                 $($crate::record::Field::put(&self.$field, $key, out);)*
-                if diagnostics {
-                    $($($crate::record::Field::put(&self.$dfield, $dkey, out);)*)?
-                }
             }
 
             fn from_obj(obj: &$crate::json::Json) -> Result<Self, String> {
                 $($crate::record::check_version(Self::NAME, obj, $vkey, $version)?;)?
                 Ok($name {
                     $($field: $crate::record::Field::take(obj, $key, Self::NAME)?,)*
-                    $($($dfield: $crate::record::Field::take(obj, $dkey, Self::NAME)?,)*)?
                 })
-            }
-
-            fn results_eq(&self, other: &Self) -> bool {
-                true $(&& self.$field == other.$field)*
             }
 
             fn describe(out: &mut String) {
@@ -288,11 +272,6 @@ macro_rules! record {
                     <$ty as $crate::record::Field>::kind(out);
                     out.push(',');
                 )*
-                $($(
-                    out.push_str(concat!("~", $dkey, ":"));
-                    <$dty as $crate::record::Field>::kind(out);
-                    out.push(',');
-                )*)?
                 out.push('}');
             }
         }
@@ -310,7 +289,7 @@ macro_rules! record {
             fn encode(&self) -> $crate::json::Json {
                 let keys = <Self as $crate::record::Record>::KEYS.len();
                 let mut out = $crate::record::Members::with_capacity(keys);
-                $crate::record::Record::put_fields(self, true, &mut out);
+                $crate::record::Record::put_fields(self, &mut out);
                 $crate::json::Json::Obj(out)
             }
 

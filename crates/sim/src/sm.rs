@@ -107,9 +107,10 @@ pub(crate) struct Sm {
     resident_tbs: usize,
     resident_warps: usize,
     /// The LSU head is MSHR-stalled and no reply has arrived since —
-    /// replies are the only events that free MSHRs or fill lines, so the
-    /// retry is answered with a counter update alone. Set by the stalled
-    /// allocation, cleared by [`Sm::on_reply`].
+    /// replies are the only events that free MSHRs or fill lines, so
+    /// retries cost nothing: the head is looked up again once a reply
+    /// clears this. Set by the stalled allocation, cleared by
+    /// [`Sm::on_reply`].
     lsu_stalled: bool,
     /// The exact next core cycle at which [`Sm::tick`] does real work
     /// (`u64::MAX` = nothing locally schedulable); republished by
@@ -232,8 +233,7 @@ impl Sm {
     /// is a pure busy-counter update — see [`Sm::flush_idle`].
     pub(crate) fn next_event_at(&self, now: u64) -> Option<u64> {
         // A non-empty LSU queue is only an every-cycle event while it can
-        // make progress; a stall-cached head just counts a retry miss per
-        // cycle, which flush_idle replays in bulk.
+        // make progress; a stall-cached head does nothing until a reply.
         if (!self.mem_queue.is_empty() && !self.lsu_stalled) || !self.ready.is_empty() {
             return Some(now);
         }
@@ -263,18 +263,14 @@ impl Sm {
         self.cached_next = self.cached_next.min(due);
     }
 
-    /// Brings the deferred counters up to date with `up_to` (exclusive) —
-    /// the bulk equivalent of the dense no-op [`Sm::tick`]s elided since
-    /// `acct_from`: the busy counter (current warp population) and, while
-    /// the LSU is stall-cached, one retry miss per cycle.
+    /// Brings the deferred busy counter up to date with `up_to`
+    /// (exclusive) — the bulk equivalent of the dense no-op
+    /// [`Sm::tick`]s elided since `acct_from`, counted with the current
+    /// warp population.
     pub(crate) fn flush_idle(&mut self, up_to: u64) {
         if up_to > self.acct_from {
-            let n = up_to - self.acct_from;
             if self.resident_warps > 0 {
-                self.busy_cycles += n;
-            }
-            if self.lsu_stalled {
-                self.l1.record_retry_misses(n);
+                self.busy_cycles += up_to - self.acct_from;
             }
             self.acct_from = up_to;
         }
@@ -420,7 +416,8 @@ impl Sm {
     }
 
     /// The load-store unit: one coalesced transaction per cycle through
-    /// the L1.
+    /// the L1. A load's lookup is counted once, in the cycle it leaves
+    /// the queue head; stores pass through without one.
     fn lsu_tick(
         &mut self,
         cycle: u64,
@@ -433,9 +430,6 @@ impl Sm {
             return;
         };
         if self.lsu_stalled {
-            // Still stalled: replay the probe's miss counter (the dense
-            // retry would probe, miss and stall again).
-            self.l1.record_retry_miss();
             return;
         }
         let info = txns.get(txn);
@@ -449,30 +443,28 @@ impl Sm {
             return;
         }
         let line = info.line;
-        if self.l1.probe(line) {
-            self.mem_queue.pop_front();
+        let hit = self.l1.lookup(line);
+        if hit {
             let lat = cfg.l1_hit_latency + mapper.latency_cycles() as u64;
             self.hit_queue.push_back((cycle + lat, txn));
-            return;
-        }
-        match self.mshr.allocate(line, txn) {
-            MshrAllocation::NewEntry => {
-                self.mem_queue.pop_front();
-                outbound.push(SmOutbound {
+        } else {
+            match self.mshr.allocate(line, txn) {
+                MshrAllocation::NewEntry => outbound.push(SmOutbound {
                     txn,
                     flits: valley_noc::REQUEST_FLITS,
-                });
-            }
-            MshrAllocation::Merged => {
-                self.mem_queue.pop_front();
-            }
-            MshrAllocation::Stalled => {
-                // Head-of-line: resource stall. Cache the verdict — it
-                // cannot change until a reply frees an MSHR or fills the
-                // line — so retries cost one counter update.
-                self.lsu_stalled = true;
+                }),
+                MshrAllocation::Merged => {}
+                MshrAllocation::Stalled => {
+                    // Head-of-line: resource stall. Cache the verdict — it
+                    // cannot change until a reply frees an MSHR or fills
+                    // the line — so retries cost nothing.
+                    self.lsu_stalled = true;
+                    return;
+                }
             }
         }
+        self.l1.count(hit);
+        self.mem_queue.pop_front();
     }
 
     /// Warp issue: pick by the configured policy (GTO or LRR), up to

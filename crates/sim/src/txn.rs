@@ -52,6 +52,8 @@ pub(crate) struct TxnTable {
     free: Vec<u32>,
     /// Transactions ever allocated.
     allocated: u64,
+    /// Of those, the stores (writebacks included).
+    stores: u64,
 }
 
 impl TxnTable {
@@ -60,6 +62,7 @@ impl TxnTable {
             txns: Vec::with_capacity(1 << 16),
             free: Vec::with_capacity(1 << 12),
             allocated: 0,
+            stores: 0,
         }
     }
 
@@ -73,6 +76,7 @@ impl TxnTable {
         slice: u16,
     ) -> u64 {
         self.allocated += 1;
+        self.stores += u64::from(is_store);
         let txn = Txn {
             sm,
             warp,
@@ -125,6 +129,16 @@ impl TxnTable {
     pub(crate) fn len(&self) -> u64 {
         self.allocated
     }
+
+    /// Stores ever allocated; the rest of [`TxnTable::len`] are loads.
+    pub(crate) fn stores(&self) -> u64 {
+        self.stores
+    }
+
+    /// Transactions allocated and not yet released.
+    pub(crate) fn live(&self) -> usize {
+        self.txns.len() - self.free.len()
+    }
 }
 
 #[cfg(test)]
@@ -141,7 +155,7 @@ mod tests {
         assert_eq!(t.get(a).line, 0x100);
         assert!(t.get(b).is_store);
         assert_eq!(t.get(b).warp, NO_WARP);
-        assert_eq!(t.len(), 2);
+        assert_eq!((t.len(), t.stores(), t.live()), (2, 1, 2));
     }
 
     #[test]
@@ -157,6 +171,7 @@ mod tests {
         assert_eq!(t.get(c).coords, None, "a reused slot starts clean");
         assert_eq!(t.get(b).line, 0x200);
         assert_eq!(t.len(), 3, "the count is of allocations, not slots");
+        assert_eq!(t.live(), 2);
     }
 
     #[test]

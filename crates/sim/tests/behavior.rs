@@ -63,6 +63,36 @@ fn mshr_merges_cross_warp_misses() {
 }
 
 #[test]
+fn a_stalled_lookup_is_counted_once() {
+    // One MSHR per L1 and per LLC slice, and 48 warps (12 TBs, one per
+    // SM) each loading its own line of one slice and one DRAM bank: LSU
+    // and slice-input heads stall for hundreds of cycles at a time. A
+    // lookup is counted when its transaction leaves the head, however
+    // long it waited there.
+    const WARPS: u64 = 48;
+    let sim = || {
+        let gen: Gen = Arc::new(|tb, w| {
+            let line = (tb * 4 + w as u64) << 20;
+            vec![Instruction::Load(LaneAddrs::contiguous(line, 32, 4))]
+        });
+        let map = GddrMap::baseline();
+        let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
+        let mut cfg = GpuConfig::table1();
+        cfg.l1_mshrs = 1;
+        cfg.llc_mshrs = 1;
+        GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 12, 4)))
+    };
+    for r in [sim().run(), sim().run_dense()] {
+        assert!(!r.truncated);
+        assert!(r.cycles > 1_000, "the heads did stall: {}", r.cycles);
+        assert_eq!(r.memory_transactions, WARPS);
+        assert_eq!((r.l1.hits, r.l1.misses), (0, WARPS));
+        assert_eq!((r.llc.hits, r.llc.misses), (0, WARPS));
+        assert_eq!(r.dram.reads, WARPS);
+    }
+}
+
+#[test]
 fn stores_are_write_through_to_dram() {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Store(LaneAddrs::contiguous(0x8000, 32, 4))]);
     let r = run_workload(single_kernel(gen, 1, 1));

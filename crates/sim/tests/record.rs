@@ -1,9 +1,9 @@
 //! The record layer on toy shapes: what the declared table generates
-//! (wire order, `None` omitted, diagnostics outside results, the version
-//! member, loud decode errors) and what its fingerprint sees.
+//! (wire order, `None` omitted, the version member, loud decode errors)
+//! and what its fingerprint sees.
 
 use valley_sim::json::{self, Json};
-use valley_sim::record::{description, fingerprint, Codec, Members, Record};
+use valley_sim::record::{description, fingerprint, Codec, Record};
 use valley_sim::{record, tagged};
 
 /// A toy shape per property the fingerprint must see. `Base` is the
@@ -63,16 +63,11 @@ record!(InnerWider {
     n: u64 = "n",
     m: u64 = "m"
 });
-record!(Base { a: u64 = "a", b: f64 = "b", inner: Inner = "inner", note: Option<String> = "note" }
-    diagnostics { debug: Vec<u32> = "debug" });
-record!(Renamed { a: u64 = "a", b: f64 = "bee", inner: Inner = "inner", note: Option<String> = "note" }
-    diagnostics { debug: Vec<u32> = "debug" });
-record!(Reordered { b: f64 = "b", a: u64 = "a", inner: Inner = "inner", note: Option<String> = "note" }
-    diagnostics { debug: Vec<u32> = "debug" });
-record!(Rekinded { a: u64 = "a", b: u64 = "b", inner: Inner = "inner", note: Option<String> = "note" }
-    diagnostics { debug: Vec<u32> = "debug" });
-record!(Nested { a: u64 = "a", b: f64 = "b", inner: InnerWider = "inner", note: Option<String> = "note" }
-    diagnostics { debug: Vec<u32> = "debug" });
+record!(Base { a: u64 = "a", b: f64 = "b", inner: Inner = "inner", note: Option<String> = "note", debug: Vec<u32> = "debug" });
+record!(Renamed { a: u64 = "a", b: f64 = "bee", inner: Inner = "inner", note: Option<String> = "note", debug: Vec<u32> = "debug" });
+record!(Reordered { b: f64 = "b", a: u64 = "a", inner: Inner = "inner", note: Option<String> = "note", debug: Vec<u32> = "debug" });
+record!(Rekinded { a: u64 = "a", b: u64 = "b", inner: Inner = "inner", note: Option<String> = "note", debug: Vec<u32> = "debug" });
+record!(Nested { a: u64 = "a", b: f64 = "b", inner: InnerWider = "inner", note: Option<String> = "note", debug: Vec<u32> = "debug" });
 record!(Versioned, version "v" = 7u32 { n: u64 = "n" });
 record!(Holder {
     held: Versioned = "held"
@@ -101,7 +96,7 @@ fn body<R: Record>() -> String {
 fn fingerprint_sees_key_order_kind_and_nested_shape() {
     assert_eq!(
         description::<Base>(),
-        "Base{a:u64,b:f64,inner:Inner{n:u64,},note:opt<String>,~debug:vec<u32>,}"
+        "Base{a:u64,b:f64,inner:Inner{n:u64,},note:opt<String>,debug:vec<u32>,}"
     );
     let base = fingerprint(&body::<Base>());
     // The last three are what a scan for string literals in the
@@ -137,21 +132,6 @@ fn records_write_wire_order_and_omit_none() {
     );
     assert_eq!(Base::decode(&b.encode()), Ok(b));
     assert_eq!(Base::KEYS, ["a", "b", "inner", "note", "debug"]);
-}
-
-#[test]
-fn diagnostics_stay_out_of_results() {
-    let mut other = base();
-    other.debug.clear();
-    assert!(base().results_eq(&other));
-    other.a = 0;
-    assert!(!base().results_eq(&other));
-    let mut results = Members::new();
-    base().put_fields(false, &mut results);
-    assert_eq!(
-        Json::Obj(results).to_json_string(),
-        r#"{"a":18446744073709551615,"b":0.5,"inner":{"n":1}}"#
-    );
 }
 
 #[test]

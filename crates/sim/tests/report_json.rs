@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use valley_cache::CacheStats;
 use valley_dram::DramStats;
-use valley_sim::{EpochHist, SimReport, REPORT_SCHEMA_VERSION};
+use valley_sim::{SimReport, REPORT_SCHEMA_VERSION};
 
 fn report(
     cycles: u64,
@@ -56,19 +56,6 @@ fn report(
         dram_clock_ghz: 0.924,
         num_sms: 12,
         sm_busy_fraction: frac,
-        epoch_hist: EpochHist {
-            lengths: [
-                cycles,
-                big / 7,
-                cycles / 3,
-                1,
-                0,
-                2,
-                big / 11,
-                u64::from(truncated),
-            ],
-            in_flight_multi: cycles / 5,
-        },
     }
 }
 
@@ -84,10 +71,9 @@ proptest! {
     ) {
         let r = report(cycles, big, frac, truncated, "MT".into(), "PAE".into());
         let back = SimReport::from_json(&r.to_json()).unwrap();
-        // `PartialEq` deliberately ignores the engine diagnostics, so
-        // the histogram round trip is pinned separately.
-        prop_assert_eq!(back.epoch_hist, r.epoch_hist);
-        prop_assert_eq!(back, r);
+        prop_assert_eq!(&back, &r);
+        // Two names, one encoding: every member is a result.
+        prop_assert_eq!(r.results_json(), r.to_json());
     }
 
     /// Any version tag other than the current one is rejected with a
@@ -142,30 +128,24 @@ fn benchmark_names_with_special_chars_survive() {
     assert_eq!(back, r);
 }
 
-/// Stores written by the deleted phase-parallel engine hold non-zero
-/// epoch histograms in their v2 reports. Such a record still decodes,
-/// re-encodes to the same bytes, and equals the report the sequential
-/// engine writes for the same job (zero histogram) — so those stores
-/// keep resuming as cache hits.
+/// A v2 report — what every store written before the lookup-counting
+/// change holds, `epoch_hist` member and all — is refused with both
+/// versions named, never read as a v3 one whose miss counters mean
+/// something else.
 #[test]
-fn old_store_epoch_hist_loads_and_compares_equal() {
-    let mut sequential = report(41_137, 1 << 54, 0.5, false, "MT".into(), "BASE".into());
-    sequential.epoch_hist = EpochHist::default();
-    const ZERO: &str = r#""epoch_hist":{"lengths":[0,0,0,0,0,0,0,0],"in_flight_multi":0}"#;
-    const SHARDED: &str =
-        r#""epoch_hist":{"lengths":[30211,1207,844,96,3,0,0,0],"in_flight_multi":512}"#;
-    let zero_text = sequential.to_json();
-    assert!(zero_text.contains(ZERO), "{zero_text}");
-    let stored = zero_text.replacen(ZERO, SHARDED, 1);
-
-    let loaded = SimReport::from_json(&stored).unwrap();
-    assert_eq!(
-        loaded.epoch_hist.lengths,
-        [30211, 1207, 844, 96, 3, 0, 0, 0]
+fn a_v2_report_is_refused_naming_both_versions() {
+    let now = report(41_137, 1 << 54, 0.5, false, "MT".into(), "BASE".into()).to_json();
+    let v2 = format!(
+        r#"{},"epoch_hist":{{"lengths":[0,0,0,0,0,0,0,0],"in_flight_multi":0}}}}"#,
+        now.strip_suffix('}').unwrap()
+    )
+    .replacen(r#"{"v":3,"#, r#"{"v":2,"#, 1);
+    assert!(v2.starts_with(r#"{"v":2,"#), "{v2}");
+    let err = SimReport::from_json(&v2).unwrap_err();
+    assert!(
+        err.starts_with("SimReport schema version 2 is not the supported 3"),
+        "{err}"
     );
-    assert_eq!(loaded.epoch_hist.in_flight_multi, 512);
-    assert_eq!(loaded.to_json(), stored, "re-encode is not byte-for-byte");
-    assert_eq!(loaded, sequential);
 }
 
 #[test]

@@ -87,8 +87,10 @@ fn metrics_are_sane() {
         assert!(r.llc_parallelism >= 0.0 && r.llc_parallelism <= 8.0);
         assert!(r.channel_parallelism >= 0.0 && r.channel_parallelism <= 4.0);
         assert!(r.bank_parallelism >= 0.0 && r.bank_parallelism <= 16.0);
-        // Conservation: every DRAM access stems from an LLC access.
-        assert!(r.dram.accesses() <= r.llc.accesses() + r.llc.misses);
+        // Conservation: a transaction is looked up in the LLC at most
+        // once, and every DRAM read fetches a line some lookup missed.
+        assert!(r.llc.accesses() <= r.memory_transactions);
+        assert!(r.dram.reads <= r.llc.misses);
         // L1 sees at least as many accesses as LLC load traffic.
         assert!(r.l1.accesses() > 0);
     }
