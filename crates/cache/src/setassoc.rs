@@ -147,19 +147,27 @@ pub struct SetAssocCache {
     line_shift: u32,
     /// Set count minus one (the set count is a power of two).
     set_mask: u64,
-    /// Per set: resident lines in LRU order (front = MRU).
-    sets: Vec<Vec<Line>>,
+    /// `sets × assoc` slots; set `s` is `lines[s * assoc..][..len[s]]`,
+    /// its resident lines in LRU order (front = MRU).
+    lines: Vec<Line>,
+    /// Per set: resident line count.
+    len: Vec<usize>,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
+        let empty = Line {
+            addr: 0,
+            dirty: false,
+        };
         SetAssocCache {
             cfg,
             line_shift: cfg.line_bytes().trailing_zeros(),
             set_mask: cfg.sets() as u64 - 1,
-            sets: vec![Vec::with_capacity(cfg.assoc()); cfg.sets()],
+            lines: vec![empty; cfg.sets() * cfg.assoc()],
+            len: vec![0; cfg.sets()],
             stats: CacheStats::default(),
         }
     }
@@ -180,6 +188,25 @@ impl SetAssocCache {
         ((line >> self.line_shift) & self.set_mask) as usize
     }
 
+    /// The set of `line` and, if `line` is resident, its way (0 = MRU).
+    #[inline]
+    fn find(&self, line: u64) -> (usize, Option<usize>) {
+        let set = self.set_index(line);
+        let ways = &self.lines[set * self.cfg.assoc()..][..self.len[set]];
+        (set, ways.iter().position(|l| l.addr == line))
+    }
+
+    /// Moves way `pos` of `set` to the MRU front with one in-place
+    /// rotation (remove + insert-at-front at half the moves) and returns
+    /// it.
+    #[inline]
+    fn promote(&mut self, set: usize, pos: usize) -> &mut Line {
+        let start = set * self.cfg.assoc();
+        let ways = &mut self.lines[start..=start + pos];
+        ways.rotate_right(1);
+        &mut ways[0]
+    }
+
     /// Looks up `addr` and counts the lookup: [`SetAssocCache::lookup`]
     /// followed by [`SetAssocCache::count`]. Returns `true` on hit.
     pub fn probe(&mut self, addr: u64) -> bool {
@@ -194,15 +221,11 @@ impl SetAssocCache {
     /// address up again: it counts the lookup that lets it proceed, with
     /// [`SetAssocCache::count`], and no other.
     pub fn lookup(&mut self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        let Some(pos) = ways.iter().position(|l| l.addr == line) else {
+        let (set, pos) = self.find(self.line_addr(addr));
+        let Some(pos) = pos else {
             return false;
         };
-        // Promote to MRU with one in-place rotation (equivalent to
-        // remove + insert-at-front, at half the moves).
-        ways[..=pos].rotate_right(1);
+        self.promote(set, pos);
         true
     }
 
@@ -218,10 +241,7 @@ impl SetAssocCache {
 
     /// Checks residency without touching LRU state or statistics.
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        self.sets[self.set_index(line)]
-            .iter()
-            .any(|l| l.addr == line)
+        self.find(self.line_addr(addr)).1.is_some()
     }
 
     /// Installs the line containing `addr` as MRU (clean), returning the
@@ -236,31 +256,26 @@ impl SetAssocCache {
     /// Re-filling a resident line refreshes LRU and ORs in `dirty`.
     pub fn fill_with(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
         let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let assoc = self.cfg.assoc();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|l| l.addr == line) {
-            ways[..=pos].rotate_right(1);
-            ways[0].dirty |= dirty;
+        let (set, pos) = self.find(line);
+        if let Some(pos) = pos {
+            self.promote(set, pos).dirty |= dirty;
             return None;
         }
-        if ways.len() == assoc {
-            // Rotate the LRU victim to the front and overwrite it in
-            // place — one move pass instead of pop + insert-at-front.
+        // Rotate the LRU victim (or, in a set with a free way, the first
+        // free slot) to the front and overwrite it in place — one move
+        // pass instead of pop + insert-at-front.
+        let len = self.len[set];
+        let full = len == self.cfg.assoc();
+        let slot = self.promote(set, if full { len - 1 } else { len });
+        let victim = std::mem::replace(slot, Line { addr: line, dirty });
+        if full {
             self.stats.evictions += 1;
-            ways.rotate_right(1);
-            let victim = ways[0];
-            ways[0] = Line { addr: line, dirty };
             Some(Eviction {
                 line: victim.addr,
                 dirty: victim.dirty,
             })
         } else {
-            // Cold sets grow their way vectors lazily toward `assoc`;
-            // that warm-up growth is declared to the allocation audit.
-            let _audit_pause =
-                (ways.len() == ways.capacity()).then(valley_core::alloc_audit::pause);
-            ways.insert(0, Line { addr: line, dirty });
+            self.len[set] += 1;
             None
         }
     }
@@ -268,21 +283,17 @@ impl SetAssocCache {
     /// Marks the line containing `addr` dirty (write hit in a write-back
     /// cache) and promotes it to MRU. Returns `false` if not resident.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|l| l.addr == line) {
-            ways[..=pos].rotate_right(1);
-            ways[0].dirty = true;
-            true
-        } else {
-            false
-        }
+        let (set, pos) = self.find(self.line_addr(addr));
+        let Some(pos) = pos else {
+            return false;
+        };
+        self.promote(set, pos).dirty = true;
+        true
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len.iter().sum()
     }
 
     /// Accumulated statistics.

@@ -1,9 +1,143 @@
 //! Property-based tests for the cache and MSHR substrates.
 
 use proptest::prelude::*;
-use valley_cache::{CacheConfig, MshrAllocation, MshrFile, SetAssocCache};
+use std::collections::VecDeque;
+use valley_cache::{CacheConfig, CacheStats, Eviction, MshrAllocation, MshrFile, SetAssocCache};
+
+/// A naive true-LRU cache: per set, a queue of `(line, dirty)` with the
+/// most recently used line at the front. Shares no code with
+/// `SetAssocCache`.
+struct LruModel {
+    line_bytes: u64,
+    assoc: usize,
+    sets: Vec<VecDeque<(u64, bool)>>,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn new(cfg: CacheConfig) -> Self {
+        LruModel {
+            line_bytes: cfg.line_bytes(),
+            assoc: cfg.assoc(),
+            sets: vec![VecDeque::new(); cfg.sets()],
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// The set of `addr`'s line, its line address, and the line's
+    /// position in the set if resident.
+    fn locate(&mut self, addr: u64) -> (&mut VecDeque<(u64, bool)>, u64, Option<usize>) {
+        let index = addr / self.line_bytes;
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[(index % n) as usize];
+        let line = index * self.line_bytes;
+        let pos = set.iter().position(|&(l, _)| l == line);
+        (set, line, pos)
+    }
+
+    /// Moves the line at `pos` to the front, ORing in `dirty`.
+    fn touch(set: &mut VecDeque<(u64, bool)>, pos: usize, dirty: bool) {
+        let (line, was_dirty) = set.remove(pos).unwrap();
+        set.push_front((line, was_dirty || dirty));
+    }
+
+    fn lookup(&mut self, addr: u64) -> bool {
+        let (set, _, pos) = self.locate(addr);
+        pos.inspect(|&p| Self::touch(set, p, false)).is_some()
+    }
+
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+    }
+
+    fn contains(&mut self, addr: u64) -> bool {
+        self.locate(addr).2.is_some()
+    }
+
+    fn fill_with(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
+        let assoc = self.assoc;
+        let (set, line, pos) = self.locate(addr);
+        if let Some(p) = pos {
+            Self::touch(set, p, dirty);
+            return None;
+        }
+        let victim = (set.len() == assoc).then(|| set.pop_back().unwrap());
+        set.push_front((line, dirty));
+        let (line, dirty) = victim?;
+        self.stats.evictions += 1;
+        Some(Eviction { line, dirty })
+    }
+
+    fn mark_dirty(&mut self, addr: u64) -> bool {
+        let (set, _, pos) = self.locate(addr);
+        pos.inspect(|&p| Self::touch(set, p, true)).is_some()
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(VecDeque::len).sum()
+    }
+}
 
 proptest! {
+    /// Every operation returns what the naive LRU model returns, and
+    /// statistics and occupancy agree after each one: over random
+    /// geometries (1..=16 ways, 1..=64 sets) and both shipped configs.
+    #[test]
+    fn matches_a_naive_lru_model(
+        shape in 0usize..6,
+        assoc in 1usize..=16,
+        set_bits in 0u32..=6,
+        line_shift in 5u32..=8,
+        ops in proptest::collection::vec((0u8..7, any::<u64>()), 1..400),
+    ) {
+        let cfg = match shape {
+            0 => CacheConfig::new(16 * 1024, 4, 128), // the paper's L1
+            1 => CacheConfig::new(64 * 1024, 8, 128), // one LLC slice
+            _ => CacheConfig::new((assoc as u64) << (set_bits + line_shift), assoc, 1 << line_shift),
+        };
+        // Four times the capacity, so sets fill, evict and re-hit.
+        let span = 4 * (cfg.sets() * cfg.assoc()) as u64 * cfg.line_bytes();
+        let mut cache = SetAssocCache::new(cfg);
+        let mut model = LruModel::new(cfg);
+        for (i, &(op, raw)) in ops.iter().enumerate() {
+            let addr = raw % span;
+            match op {
+                0 => prop_assert_eq!(cache.lookup(addr), model.lookup(addr), "op {} lookup {:#x}", i, addr),
+                1 => {
+                    let hit = raw >> 63 == 1;
+                    cache.count(hit);
+                    model.count(hit);
+                }
+                2 => {
+                    let hit = model.lookup(addr);
+                    model.count(hit);
+                    prop_assert_eq!(cache.probe(addr), hit, "op {} probe {:#x}", i, addr);
+                }
+                3 => prop_assert_eq!(
+                    cache.fill(addr),
+                    model.fill_with(addr, false).map(|e| e.line),
+                    "op {} fill {:#x}", i, addr
+                ),
+                4 => {
+                    let dirty = raw >> 63 == 1;
+                    prop_assert_eq!(
+                        cache.fill_with(addr, dirty),
+                        model.fill_with(addr, dirty),
+                        "op {} fill_with {:#x} {}", i, addr, dirty
+                    );
+                }
+                5 => prop_assert_eq!(cache.mark_dirty(addr), model.mark_dirty(addr), "op {} mark_dirty {:#x}", i, addr),
+                _ => prop_assert_eq!(cache.contains(addr), model.contains(addr), "op {} contains {:#x}", i, addr),
+            }
+            prop_assert_eq!(cache.stats(), model.stats, "op {} stats", i);
+            prop_assert_eq!(cache.occupancy(), model.occupancy(), "op {} occupancy", i);
+        }
+    }
+
     /// Occupancy never exceeds capacity, regardless of the fill stream.
     #[test]
     fn occupancy_bounded(addrs in proptest::collection::vec(0u64..(1 << 20), 1..200)) {

@@ -7,7 +7,7 @@
 //! the audit test binary reports every heap allocation to [`on_alloc`];
 //! the drive loops report their cycle to [`note_cycle`]; and the few
 //! *legitimate* allocation sites inside the measured window — workload
-//! instruction generation handing over fresh lane-address vectors,
+//! generation building a warp's instruction stream at TB assignment,
 //! transaction-arena growth, kernel loading — bracket themselves with
 //! [`pause`], declaring "this is input generation or pool growth, not
 //! engine work". The audit tests then assert the engine allocates

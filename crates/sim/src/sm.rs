@@ -167,9 +167,10 @@ impl Sm {
     /// of this cycle (with the pre-assignment warp population) before the
     /// new warps land.
     pub(crate) fn assign_tb(&mut self, kernel: &dyn KernelSource, tb: u64, age: u64, cycle: u64) {
-        // Workload input generation: `warp_program` boxes each warp's
-        // instruction stream. Declared to the allocation audit — this is
-        // the workload handing the engine fresh input, not tick work.
+        // Workload input generation: `warp_program` builds and boxes each
+        // warp's instruction stream (issue then only moves instructions
+        // out of it). Declared to the allocation audit — this is the
+        // workload handing the engine fresh input, not tick work.
         let _audit_pause = crate::alloc_audit::pause();
         self.flush_idle(cycle + 1);
         let wpb = kernel.warps_per_block();
@@ -557,14 +558,7 @@ impl Sm {
             .expect("ready warps are live");
         let age = warp.age;
         self.last_issued = Some(w);
-        // Workload input generation: the program may allocate the lane
-        // address vector of a memory instruction. Declared to the
-        // allocation audit — see `crate::alloc_audit`.
-        let inst = {
-            let _audit_pause = crate::alloc_audit::pause();
-            warp.program.next_instruction()
-        };
-        match inst {
+        match warp.program.next_instruction() {
             None => {
                 warp.finished = true;
                 self.ready.remove(&(age, w));

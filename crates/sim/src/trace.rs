@@ -2,10 +2,12 @@
 //!
 //! A workload is a sequence of kernels; a kernel is a grid of thread
 //! blocks (TBs); each TB contributes `warps_per_block` warps; each warp is
-//! an in-order stream of [`Instruction`]s produced lazily by a
-//! [`WarpProgram`] (so billion-instruction workloads never materialize in
-//! memory). `valley-workloads` implements these traits for the paper's 16
-//! benchmarks; the simulator and the entropy analyzer both consume them.
+//! an in-order stream of [`Instruction`]s handed out by a [`WarpProgram`].
+//! `valley-workloads` implements these traits for the paper's 16
+//! benchmarks and builds a warp's whole stream when its TB is assigned;
+//! the stream stays small because a memory instruction's lanes are a
+//! closed form ([`LaneAddrs::Affine`]), with an address vector only for
+//! gathers. The simulator and the entropy analyzer both consume them.
 
 /// One warp-level instruction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,34 +30,87 @@ pub enum Instruction {
 
 /// The per-lane byte addresses of one memory instruction (up to the warp
 /// size; inactive lanes are simply absent).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct LaneAddrs(pub Vec<u64>);
+///
+/// Equality is structural: an `Affine` and an `Explicit` value naming the
+/// same lanes compare unequal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LaneAddrs {
+    /// Lane `l` touches `base + l * step`, for `l` in `0..lanes` — every
+    /// contiguous and strided access.
+    Affine {
+        /// Address of lane 0.
+        base: u64,
+        /// Bytes between consecutive lanes (0 is a broadcast).
+        step: u64,
+        /// Number of active lanes.
+        lanes: usize,
+    },
+    /// One address per lane, for gathers.
+    Explicit(Vec<u64>),
+}
 
 impl LaneAddrs {
     /// A fully-coalesced access: `lanes` consecutive `elem_bytes` elements
     /// starting at `base` (the common `a[tid]` pattern).
     pub fn contiguous(base: u64, lanes: usize, elem_bytes: u64) -> Self {
-        LaneAddrs((0..lanes as u64).map(|l| base + l * elem_bytes).collect())
+        LaneAddrs::Affine {
+            base,
+            step: elem_bytes,
+            lanes,
+        }
     }
 
     /// A strided access: lane `l` touches `base + l * stride_bytes`
     /// (column-major array walks, the paper's problem pattern).
     pub fn strided(base: u64, lanes: usize, stride_bytes: u64) -> Self {
-        LaneAddrs((0..lanes as u64).map(|l| base + l * stride_bytes).collect())
+        LaneAddrs::Affine {
+            base,
+            step: stride_bytes,
+            lanes,
+        }
+    }
+
+    /// A gather: lane `l` touches `addrs[l]`.
+    pub fn explicit(addrs: Vec<u64>) -> Self {
+        LaneAddrs::Explicit(addrs)
     }
 
     /// Number of active lanes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match self {
+            LaneAddrs::Affine { lanes, .. } => *lanes,
+            LaneAddrs::Explicit(addrs) => addrs.len(),
+        }
     }
 
     /// Whether no lanes are active.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+
+    /// The address of lane `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= self.len()`.
+    pub fn lane(&self, l: usize) -> u64 {
+        match self {
+            LaneAddrs::Affine { base, step, lanes } => {
+                assert!(l < *lanes, "lane {l} of a {lanes}-lane access");
+                base + l as u64 * step
+            }
+            LaneAddrs::Explicit(addrs) => addrs[l],
+        }
+    }
+
+    /// The lanes' addresses in lane order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len()).map(|l| self.lane(l))
     }
 }
 
-/// A lazily-generated in-order instruction stream for one warp.
+/// An in-order instruction stream for one warp, pulled one instruction
+/// per issue.
 pub trait WarpProgram {
     /// Produces the warp's next instruction, or `None` when the warp has
     /// retired.
@@ -99,14 +154,13 @@ pub trait WorkloadSource {
 /// memory requests that reach the memory system, i.e. post-coalescing).
 pub fn tb_request_addresses(kernel: &dyn KernelSource, tb: u64, line_bytes: u64) -> Vec<u64> {
     let mut out = Vec::new();
+    let mut lines = Vec::new();
     for w in 0..kernel.warps_per_block() {
         let mut prog = kernel.warp_program(tb, w);
         while let Some(inst) = prog.next_instruction() {
-            match inst {
-                Instruction::Load(a) | Instruction::Store(a) => {
-                    out.extend(crate::coalesce::coalesce(&a, line_bytes));
-                }
-                Instruction::Compute { .. } => {}
+            if let Instruction::Load(a) | Instruction::Store(a) = inst {
+                crate::coalesce::coalesce_into(&a, line_bytes, &mut lines);
+                out.extend_from_slice(&lines);
             }
         }
     }
@@ -120,7 +174,7 @@ mod tests {
     #[test]
     fn contiguous_lane_addrs() {
         let a = LaneAddrs::contiguous(0x100, 4, 4);
-        assert_eq!(a.0, vec![0x100, 0x104, 0x108, 0x10c]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [0x100, 0x104, 0x108, 0x10c]);
         assert_eq!(a.len(), 4);
         assert!(!a.is_empty());
     }
@@ -128,7 +182,15 @@ mod tests {
     #[test]
     fn strided_lane_addrs() {
         let a = LaneAddrs::strided(0, 3, 0x1000);
-        assert_eq!(a.0, vec![0, 0x1000, 0x2000]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [0, 0x1000, 0x2000]);
+        assert!(LaneAddrs::strided(0, 0, 0x1000).is_empty());
+    }
+
+    #[test]
+    fn explicit_lane_addrs() {
+        let a = LaneAddrs::explicit(vec![0x300, 0x100]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [0x300, 0x100]);
+        assert_eq!(a.len(), 2);
     }
 
     struct OneLoad(bool);

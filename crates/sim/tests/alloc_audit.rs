@@ -6,10 +6,10 @@
 //! an audit window over a mid-run span (away from construction and
 //! from report building at termination) and re-runs, asserting that no
 //! unpaused allocation landed inside the window. Allocations the
-//! engines legitimately perform mid-run — workload instruction
-//! generation, arena growth — are bracketed with `alloc_audit::pause`
-//! at their sites and surface in `paused_allocs`, which the tests also
-//! check to prove the window actually armed.
+//! engines legitimately perform mid-run — building a warp's instruction
+//! stream at TB assignment, arena growth — are bracketed with
+//! `alloc_audit::pause` at their sites and surface in `paused_allocs`,
+//! which the tests also check to prove the window actually armed.
 //!
 //! Requires `--features alloc-audit`; without it the hooks are empty
 //! and this file compiles to nothing.
@@ -107,19 +107,40 @@ fn sustained_workload(tbs: u64, warps: usize, insts: usize) -> Workload {
     Workload::new("audit", vec![KernelSpec::new("k", tbs, warps, gen)])
 }
 
-fn build_sim(tbs: u64, warps: usize, insts: usize) -> GpuSim {
-    build_sim_with(GpuConfig::table1(), tbs, warps, insts)
+/// BFS-shaped gathers: coalesced node loads, 32-lane loads from explicit
+/// scattered addresses and 16-lane explicit scattered stores, so the
+/// issue path moves and drops `LaneAddrs::Explicit` vectors mid-run.
+fn gather_workload(tbs: u64, warps: usize, insts: usize) -> Workload {
+    let gen = Arc::new(move |tb: u64, warp: usize| {
+        let base = (tb << 22) | ((warp as u64) << 14);
+        // A fixed multiplicative hash scatters lanes over 8 MiB.
+        let scatter = |i: usize, lanes: usize| -> Vec<u64> {
+            (0..lanes as u64)
+                .map(|l| {
+                    let h = (base ^ ((i as u64) << 5) ^ l).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    (1 << 28) + (h >> 47) * 64
+                })
+                .collect()
+        };
+        (0..insts)
+            .map(|i| match i % 3 {
+                0 => Instruction::Load(LaneAddrs::contiguous(base + i as u64 * 128, 32, 4)),
+                1 => Instruction::Load(LaneAddrs::explicit(scatter(i, 32))),
+                _ => Instruction::Store(LaneAddrs::explicit(scatter(i, 16))),
+            })
+            .collect()
+    });
+    Workload::new("gather", vec![KernelSpec::new("k", tbs, warps, gen)])
 }
 
-fn build_sim_with(cfg: GpuConfig, tbs: u64, warps: usize, insts: usize) -> GpuSim {
+fn build_sim(tbs: u64, warps: usize, insts: usize) -> GpuSim {
+    build_sim_with(GpuConfig::table1(), sustained_workload(tbs, warps, insts))
+}
+
+fn build_sim_with(cfg: GpuConfig, workload: Workload) -> GpuSim {
     let map = GddrMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-    GpuSim::new(
-        cfg,
-        mapper,
-        map,
-        Box::new(sustained_workload(tbs, warps, insts)),
-    )
+    GpuSim::new(cfg, mapper, map, Box::new(workload))
 }
 
 /// Runs `run` twice: once unaudited to learn the total cycle count,
@@ -174,10 +195,30 @@ fn lrr_steady_state_allocates_nothing() {
     let mut cfg = GpuConfig::table1();
     cfg.scheduler = WarpScheduler::Lrr;
     let (span, paused) = audit(
-        || build_sim_with(cfg.clone(), 24, 4, 48),
+        || build_sim_with(cfg.clone(), sustained_workload(24, 4, 48)),
         |sim| sim.run().cycles,
         |total| (total / 4, total * 3 / 4),
     );
     assert_eq!(span, 0, "LRR issue path allocated mid-run");
     assert!(paused > 0, "window never armed or no declared sites fired");
+}
+
+/// Gathers (`LaneAddrs::Explicit`) are built with the warp's stream at TB
+/// assignment; issuing them moves the vector out and coalesces it into
+/// the SM's reused buffer, allocating nothing on either drive loop.
+#[test]
+fn gather_steady_state_allocates_nothing() {
+    let _guard = audit_lock();
+    let build = || build_sim_with(GpuConfig::table1(), gather_workload(24, 4, 48));
+    for (name, run) in [
+        ("run", (|sim: GpuSim| sim.run().cycles) as fn(GpuSim) -> u64),
+        ("run_dense", |sim: GpuSim| sim.run_dense().cycles),
+    ] {
+        let (span, paused) = audit(build, run, |total| (total / 4, total * 3 / 4));
+        assert_eq!(span, 0, "{name}: gather issue path allocated mid-run");
+        assert!(
+            paused > 0,
+            "{name}: window never armed or no declared sites fired"
+        );
+    }
 }

@@ -50,7 +50,7 @@ pub fn workload(scale: Scale) -> Workload {
                 let updates: Vec<u64> = (0..WARP / 2)
                     .map(|_| dist + rng.random_range(0..4 * 1024 * 1024 / 64) * 64)
                     .collect();
-                insts.push(Instruction::Store(valley_sim::LaneAddrs(updates)));
+                insts.push(Instruction::Store(valley_sim::LaneAddrs::explicit(updates)));
                 insts
             });
             KernelSpec::new(format!("bfs_level{level}"), tbs, 8, gen)
@@ -101,7 +101,7 @@ mod tests {
         let mut scattered = false;
         while let Some(i) = p.next_instruction() {
             if let Instruction::Store(a) = i {
-                if a.0.len() == WARP / 2 {
+                if a.len() == WARP / 2 {
                     scattered = true;
                 }
             }

@@ -73,11 +73,11 @@ mod tests {
             let k = w.kernel(s);
             let mut p = k.warp_program(0, 0);
             let a = match p.next_instruction().unwrap() {
-                Instruction::Load(a) => a.0[0],
+                Instruction::Load(a) => a.lane(0),
                 other => panic!("expected load, got {other:?}"),
             };
             let b = match p.next_instruction().unwrap() {
-                Instruction::Load(b) => b.0[0],
+                Instruction::Load(b) => b.lane(0),
                 other => panic!("expected load, got {other:?}"),
             };
             assert_eq!(a ^ b, expected);

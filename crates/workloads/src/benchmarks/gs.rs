@@ -105,7 +105,7 @@ mod tests {
         };
         let strided_stores = insts
             .iter()
-            .filter(|i| matches!(i, Instruction::Store(a) if a.0[1] - a.0[0] == PITCH))
+            .filter(|i| matches!(i, Instruction::Store(a) if a.lane(1) - a.lane(0) == PITCH))
             .count();
         assert_eq!(strided_stores, 1);
     }

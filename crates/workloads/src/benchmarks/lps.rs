@@ -95,7 +95,7 @@ mod tests {
         let first = p.next_instruction().unwrap();
         let second = p.next_instruction().unwrap();
         match (first, second) {
-            (Instruction::Load(a), Instruction::Load(b)) => assert_eq!(a.0[0], b.0[0]),
+            (Instruction::Load(a), Instruction::Load(b)) => assert_eq!(a.lane(0), b.lane(0)),
             other => panic!("expected loads, got {other:?}"),
         }
     }

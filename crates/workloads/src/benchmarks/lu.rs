@@ -75,7 +75,7 @@ mod tests {
         let k = w.kernel(0);
         let mut p = k.warp_program(0, 0);
         match p.next_instruction().unwrap() {
-            Instruction::Load(a) => assert_eq!(a.0[1] - a.0[0], PITCH),
+            Instruction::Load(a) => assert_eq!(a.lane(1) - a.lane(0), PITCH),
             other => panic!("expected strided load, got {other:?}"),
         }
     }
@@ -87,7 +87,7 @@ mod tests {
         let first = |warp: usize| {
             let mut p = k.warp_program(0, warp);
             match p.next_instruction().unwrap() {
-                Instruction::Load(a) => a.0[0],
+                Instruction::Load(a) => a.lane(0),
                 other => panic!("expected load, got {other:?}"),
             }
         };

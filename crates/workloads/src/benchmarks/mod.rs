@@ -216,7 +216,7 @@ mod tests {
                 while let Some(i) = p.next_instruction() {
                     insts += 1;
                     if let Instruction::Load(a) | Instruction::Store(a) = i {
-                        for &addr in &a.0 {
+                        for addr in a.iter() {
                             assert!(
                                 addr < (1 << 30),
                                 "{b}: address {addr:#x} outside 1 GB space"

@@ -88,7 +88,7 @@ mod tests {
         while let Some(i) = p.next_instruction() {
             if let Instruction::Store(a) = i {
                 saw_store = true;
-                assert_eq!(a.0[1] - a.0[0], PITCH_B);
+                assert_eq!(a.lane(1) - a.lane(0), PITCH_B);
             }
         }
         assert!(saw_store);

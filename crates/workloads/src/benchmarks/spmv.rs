@@ -67,9 +67,9 @@ mod tests {
         let mut saw_gather = false;
         while let Some(i) = p.next_instruction() {
             if let Instruction::Load(a) = i {
-                if a.0.len() == WARP {
-                    let min = *a.0.iter().min().unwrap();
-                    let max = *a.0.iter().max().unwrap();
+                if a.len() == WARP {
+                    let min = a.iter().min().unwrap();
+                    let max = a.iter().max().unwrap();
                     if max - min > 4096 {
                         saw_gather = true;
                         assert!(max < region(1) + X_BYTES);

@@ -75,7 +75,7 @@ mod tests {
             let k = w.kernel(ki);
             let mut p = k.warp_program(0, 0);
             match p.next_instruction().unwrap() {
-                Instruction::Load(a) => assert_eq!(a.0[1] - a.0[0], PITCH),
+                Instruction::Load(a) => assert_eq!(a.lane(1) - a.lane(0), PITCH),
                 other => panic!("expected strided load, got {other:?}"),
             }
         }

@@ -68,7 +68,7 @@ pub fn store_strided(base: u64, stride: u64) -> Instruction {
 
 /// A gather load from explicit per-lane addresses.
 pub fn load_gather(addrs: Vec<u64>) -> Instruction {
-    Instruction::Load(LaneAddrs(addrs))
+    Instruction::Load(LaneAddrs::explicit(addrs))
 }
 
 /// Workload sizing: `Test` keeps traces tiny for unit/integration tests;
@@ -163,12 +163,12 @@ mod tests {
         match load_contig(0x100, F32) {
             Instruction::Load(a) => {
                 assert_eq!(a.len(), 32);
-                assert_eq!(a.0[1] - a.0[0], 4);
+                assert_eq!(a.lane(1) - a.lane(0), 4);
             }
             _ => panic!("expected load"),
         }
         match store_strided(0, 4096) {
-            Instruction::Store(a) => assert_eq!(a.0[31], 31 * 4096),
+            Instruction::Store(a) => assert_eq!(a.lane(31), 31 * 4096),
             _ => panic!("expected store"),
         }
     }
