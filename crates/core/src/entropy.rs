@@ -468,7 +468,7 @@ impl EntropyProfile {
     }
 
     /// Renders the profile as a small ASCII bar chart (MSB on the left,
-    /// like Figure 5), e.g. for the experiment binaries.
+    /// like Figure 5), as `valley figures --fig fig05_entropy` prints it.
     pub fn ascii_chart(&self, lo_bit: u8, hi_bit: u8) -> String {
         let mut out = String::new();
         for level in (0..5).rev() {

@@ -17,11 +17,12 @@ use valley_fabric::{
     fabric_status, fetch, run_worker, shutdown, ClientOptions, CoordOptions, Coordinator,
     QueryFilters, WorkerOptions,
 };
-use valley_harness::figures::{all_tables, Suite};
+use valley_harness::figures::{all_tables, Figure, Reports, Suite, FIGURES};
 use valley_harness::{
     default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoredResult, SweepOptions,
     SweepSpec, WallKind, DEFAULT_SEED, STORE_FILE,
 };
+use valley_sim::SimReport;
 use valley_workloads::{Benchmark, Scale};
 
 /// One flag: its name without the dashes, the placeholder of the value
@@ -121,13 +122,18 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "figures",
-        about: "render the headline tables from stored results only (sweep first)",
+        about: "render the paper's tables and figures from stored results only (sweep first)",
         run: cmd_figures,
         required: &[],
         flags: &[
             SCALE,
             SEED,
             ("set", "valley|nonvalley|all", "benchmarks (default valley)"),
+            (
+                "fig",
+                "NAME,..|all",
+                "these tables and figures instead (an unknown NAME lists them)",
+            ),
             RESULTS,
         ],
     },
@@ -563,6 +569,39 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
         .parsed_with("scale", Scale::parse)?
         .unwrap_or(Scale::Ref);
     let seed: u64 = flags.parsed("seed")?.unwrap_or(DEFAULT_SEED);
+    // Pure cache read: collect every report or fail with the exact sweep
+    // command that would fill the gap.
+    let hint = |spec: &SweepSpec| {
+        let line = sweep_line(spec, flags.get("results"));
+        format!("run `{line}` first — figures never simulate")
+    };
+    let header = |store: &ResultStore| {
+        println!(
+            "figures from store {} (scale {scale}, seed {seed}; pure cache read)",
+            store.dir().display()
+        );
+    };
+    if let Some(names) = flags.get("fig") {
+        if flags.has("set") {
+            return Err("--fig and --set cannot be combined: --fig names the tables itself".into());
+        }
+        let rows = parse_figs(names)?;
+        let mut specs: Vec<SweepSpec> = Vec::new();
+        for spec in rows.iter().flat_map(|row| (row.grid)(scale, seed)) {
+            if !specs.contains(&spec) {
+                specs.push(spec);
+            }
+        }
+        let store = open_store(flags)?;
+        let reports: Reports = collect(&specs, |job| store.get(job), hint)?
+            .into_iter()
+            .collect();
+        header(&store);
+        for row in rows {
+            print!("{}", (row.render)(scale, seed, &reports));
+        }
+        return Ok(());
+    }
     let benches: Vec<Benchmark> = match flags.get("set") {
         None | Some("valley") => Benchmark::VALLEY.to_vec(),
         Some("nonvalley") => Benchmark::NON_VALLEY.to_vec(),
@@ -570,38 +609,74 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
         Some(other) => return Err(format!("unknown set '{other}' (valley|nonvalley|all)")),
     };
     let store = open_store(flags)?;
-
-    // Pure cache read: collect every (bench, scheme) report or fail with
-    // the exact sweep command that would fill the gap (`sweep` defaults
-    // to every benchmark and scheme, but to `DEFAULT_SEED`).
-    let mut fill = format!("valley sweep --scale {scale}");
-    if seed != DEFAULT_SEED {
-        fill.push_str(&format!(" --seeds {seed}"));
-    }
-    if let Some(dir) = flags.get("results") {
-        fill.push_str(&format!(" --results {dir}"));
-    }
+    // `sweep` defaults to every benchmark, so that is the sweep it names.
+    let every_bench = suite_spec(&Benchmark::ALL, scale, seed);
     let suite = collect_suite(
         &benches,
         scale,
         seed,
         |job| store.get(job),
-        &format!("run `{fill}` first — figures never simulate"),
+        &hint(&every_bench),
     )?;
-    println!(
-        "figures from store {} (scale {scale}, seed {seed}; pure cache read)",
-        store.dir().display()
-    );
+    header(&store);
     print!("{}", all_tables(&suite, FIG12_TITLE));
     Ok(())
 }
 
 const FIG12_TITLE: &str = "Figure 12/20: speedup over BASE";
 
-/// Collects the complete (bench × scheme) suite the figure tables need,
-/// from any result source — the local store for `figures`, a fetched
-/// record set for `fetch --figures`. Fails with the first gap and the
-/// caller's hint for filling it.
+/// The registry rows `--fig` names, in the order given; `all` is every
+/// row.
+fn parse_figs(names: &str) -> Result<Vec<&'static Figure>, String> {
+    if names == "all" {
+        return Ok(FIGURES.iter().collect());
+    }
+    names
+        .split(',')
+        .map(|name| {
+            FIGURES.iter().find(|row| row.name == name).ok_or_else(|| {
+                let known: Vec<&str> = FIGURES.iter().map(|row| row.name).collect();
+                format!("unknown figure '{name}' (all|{})", known.join("|"))
+            })
+        })
+        .collect()
+}
+
+/// The `valley sweep` command that runs exactly `spec`'s jobs: every
+/// axis at `sweep`'s default is left out.
+fn sweep_line(spec: &SweepSpec, results: Option<&str>) -> String {
+    let csv = |items: Vec<String>| items.join(",");
+    let mut line = format!("valley sweep --scale {}", spec.scale);
+    if spec.benches != Benchmark::ALL {
+        let benches = spec.benches.iter().map(|b| b.label().to_string());
+        line.push_str(&format!(" --benches {}", csv(benches.collect())));
+    }
+    if spec.schemes != SchemeKind::ALL_SCHEMES {
+        let schemes = spec.schemes.iter().map(|s| s.label().to_string());
+        line.push_str(&format!(" --schemes {}", csv(schemes.collect())));
+    }
+    if spec.seeds != [DEFAULT_SEED] {
+        let seeds = spec.seeds.iter().map(u64::to_string);
+        line.push_str(&format!(" --seeds {}", csv(seeds.collect())));
+    }
+    if spec.configs != [ConfigId::Table1] {
+        let configs = spec.configs.iter().map(|c| c.name());
+        line.push_str(&format!(" --configs {}", csv(configs.collect())));
+    }
+    if let Some(dir) = results {
+        line.push_str(&format!(" --results {dir}"));
+    }
+    line
+}
+
+/// Every scheme on `benches` at one seed: the grid `--set` and `fetch
+/// --figures` render.
+fn suite_spec(benches: &[Benchmark], scale: Scale, seed: u64) -> SweepSpec {
+    SweepSpec::new(benches, &SchemeKind::ALL_SCHEMES, scale).with_seeds(&[seed])
+}
+
+/// Collects the complete (bench × scheme) suite the figure tables need
+/// through [`collect`], with the caller's hint for filling a gap.
 fn collect_suite(
     benches: &[Benchmark],
     scale: Scale,
@@ -609,26 +684,48 @@ fn collect_suite(
     get: impl Fn(&JobSpec) -> Option<StoredResult>,
     hint: &str,
 ) -> Result<Suite, String> {
-    let mut suite = Suite::new();
-    let mut missing = Vec::new();
-    let spec = SweepSpec::new(benches, &SchemeKind::ALL_SCHEMES, scale).with_seeds(&[seed]);
-    for job in spec.expand() {
-        match get(&job) {
-            Some(e) => {
-                suite.insert((job.bench, job.scheme), e.report);
+    let jobs = collect(&[suite_spec(benches, scale, seed)], get, |_| hint.into())?;
+    Ok(jobs
+        .into_iter()
+        .map(|(job, report)| ((job.bench, job.scheme), report))
+        .collect())
+}
+
+/// Collects every job of `specs`, in grid order, from any result source
+/// — the local store for `figures`, a fetched record set for `fetch
+/// --figures`. Fails with one line per spec that has a gap: its first
+/// missing job and `hint(spec)` for filling it.
+fn collect(
+    specs: &[SweepSpec],
+    get: impl Fn(&JobSpec) -> Option<StoredResult>,
+    hint: impl Fn(&SweepSpec) -> String,
+) -> Result<Vec<(JobSpec, SimReport)>, String> {
+    let mut jobs = Vec::new();
+    let mut gaps = Vec::new();
+    for spec in specs {
+        let grid = spec.expand();
+        let mut missing = Vec::new();
+        for job in &grid {
+            match get(job) {
+                Some(e) => jobs.push((*job, e.report)),
+                None => missing.push(job),
             }
-            None => missing.push(job.label()),
+        }
+        if let Some(first) = missing.first() {
+            gaps.push(format!(
+                "{} of {} results missing (e.g. {}); {}",
+                missing.len(),
+                grid.len(),
+                first.label(),
+                hint(spec),
+            ));
         }
     }
-    if !missing.is_empty() {
-        return Err(format!(
-            "{} of {} results missing (e.g. {}); {hint}",
-            missing.len(),
-            benches.len() * SchemeKind::ALL_SCHEMES.len(),
-            missing[0],
-        ));
+    if gaps.is_empty() {
+        Ok(jobs)
+    } else {
+        Err(gaps.join("\n"))
     }
-    Ok(suite)
 }
 
 // ---------------------------------------------------------------------

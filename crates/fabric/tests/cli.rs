@@ -2,8 +2,8 @@
 //! any unknown one, before the subcommand does anything; a filter value
 //! that names nothing is an error, not an empty result; a flag given
 //! twice is an error, not the last value winning; a grid value given
-//! twice names the same jobs, not more jobs; the command `figures`
-//! prints for a missing result fills the gap; `valley help` is
+//! twice names the same jobs, not more jobs; the commands `figures`
+//! prints for missing results fill the gap, for every registry row; `valley help` is
 //! generated from the same table that parses the flags; and a `sweep`
 //! or a `serve` killed mid-grid keeps the prefix it finished, which the
 //! next run resumes from.
@@ -15,6 +15,7 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use valley_core::SchemeKind;
+use valley_harness::figures::FIGURES;
 use valley_harness::{JobSpec, ResultStore, SweepSpec, STORE_FILE};
 use valley_workloads::{Benchmark, Scale};
 
@@ -163,8 +164,10 @@ fn repeated_grid_values_run_one_job_and_leave_a_clean_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `figures` on a store without the requested seed names the sweep that
-/// fills the gap: after running the printed command, `figures` renders.
+/// `figures` on a store without the requested jobs names the sweeps that
+/// fill the gap, one per grid: after running every printed command, it
+/// renders. The inputs are the `--set` tables and each registry row that
+/// reads the store, sharing one store.
 #[test]
 fn figures_hint_is_the_sweep_that_fills_the_gap() {
     let dir = std::env::temp_dir().join(format!("valley-cli-hint-{}", std::process::id()));
@@ -177,27 +180,53 @@ fn figures_hint_is_the_sweep_that_fills_the_gap() {
             .output()
             .expect("valley runs")
     };
-    let figures = ["figures", "--scale", "test", "--seed", "7"];
-    let out = run(&figures);
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(!out.status.success(), "figures rendered an empty store");
-    let hint = stderr.split('`').nth(1).expect("a command in backticks");
-    let mut words = hint.split_whitespace();
-    assert_eq!(words.next(), Some("valley"), "{stderr}");
-    let sweep: Vec<&str> = words.collect();
-    let out = run(&sweep);
-    assert!(
-        out.status.success(),
-        "`{hint}`: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = run(&figures);
-    assert!(
-        out.status.success(),
-        "after `{hint}`: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("HMEAN"));
+    let at = ["--scale", "test", "--seed", "7"];
+    let mut inputs: Vec<(Vec<&str>, usize)> = FIGURES
+        .iter()
+        .map(|row| (row.name, (row.grid)(Scale::Test, 7).len()))
+        .filter(|&(_, grids)| grids > 0)
+        .map(|(name, grids)| ([&["figures", "--fig", name][..], &at].concat(), grids))
+        .collect();
+    inputs.push(([&["figures"][..], &at].concat(), 1));
+
+    // On the empty store every input fails, naming one sweep per grid.
+    let hints: Vec<Vec<String>> = inputs
+        .iter()
+        .map(|(figures, grids)| {
+            let out = run(figures);
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(!out.status.success(), "{figures:?} rendered an empty store");
+            let hints: Vec<String> = stderr
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .map(Into::into)
+                .collect();
+            assert_eq!(hints.len(), *grids, "{figures:?}: {stderr}");
+            hints
+        })
+        .collect();
+    for ((figures, _), hints) in inputs.iter().zip(hints) {
+        for hint in hints {
+            let mut words = hint.split_whitespace();
+            assert_eq!(words.next(), Some("valley"), "{hint}");
+            let sweep: Vec<&str> = words.collect();
+            let out = run(&sweep);
+            assert!(
+                out.status.success(),
+                "`{hint}`: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        let out = run(figures);
+        assert!(
+            out.status.success(),
+            "{figures:?} after its hints: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.lines().count() > 2, "{figures:?}: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

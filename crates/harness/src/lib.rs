@@ -15,13 +15,15 @@
 //!   so a killed sweep keeps what it finished, re-running a sweep skips
 //!   completed jobs (*resume*) and figure regeneration is a pure cache
 //!   read;
+//! * the **figure registry** ([`figures::FIGURES`]): every table and
+//!   figure of the paper's evaluation as a name, the sweeps it reads and
+//!   a render function, which `valley figures --fig` prints from the
+//!   store without simulating;
 //! * the `valley` CLI (`sweep`, `status`, `query`, `figures`, `gc` —
 //!   the latter compacts `--force` duplicates and orphaned-schema
 //!   records out of the file).
 //!
-//! `valley-bench`'s `run_suite` and the per-figure binaries are thin
-//! consumers of [`run_sweep`]; see `docs/harness.md` for the store
-//! format and resume semantics.
+//! See `docs/harness.md` for the store format and resume semantics.
 //!
 //! ## Quick start
 //!
@@ -50,7 +52,6 @@ mod job;
 pub mod pool;
 mod store;
 mod sweep;
-pub mod util;
 
 pub use job::{
     execute_batch_timed, execute_job, ConfigId, JobKey, JobSpec, SweepSpec, WallKind, DEFAULT_SEED,

@@ -92,6 +92,27 @@ mod tests {
         }
     }
 
+    /// Figure 5's classification is the paper's: at Ref scale, with the
+    /// SM-count window and the BASE map, the valley detector finds a
+    /// valley in exactly Table II's top group, and in the SRAD2K1 and
+    /// DWT2DK1 kernels the paper shows beside it.
+    #[test]
+    fn the_valley_detector_splits_the_benchmarks_like_the_paper() {
+        let map = GddrMap::baseline();
+        let (targets, candidates) = (map.target_field_bits(), map.non_block_bits());
+        let has_valley = |w: &dyn WorkloadSource| {
+            application_profile(w, 12, None).has_valley(&targets, &candidates, 0.25)
+        };
+        for bench in Benchmark::ALL {
+            let w = bench.workload(Scale::Ref);
+            assert_eq!(has_valley(&w), bench.has_valley(), "{bench:?}");
+        }
+        for bench in [Benchmark::Srad2, Benchmark::Dwt2d] {
+            let k1 = bench.workload(Scale::Ref).single_kernel(0);
+            assert!(has_valley(&k1), "{}", k1.name());
+        }
+    }
+
     #[test]
     fn profiles_are_normalized() {
         let w = Benchmark::Mt.workload(Scale::Test);

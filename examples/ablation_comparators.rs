@@ -7,11 +7,16 @@
 //! * **RMP-profile** — RMP re-derived from *this suite's* measured global
 //!   entropy profile instead of the paper's fixed bits 8-11/15/16,
 //!   showing how fragile static remapping is to the profiling set.
+//!
+//! Run with: `cargo run --release --example ablation_comparators`
 
-use valley_bench::{hmean, run_custom, run_one, DEFAULT_SEED};
-use valley_core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind};
-use valley_sim::GpuConfig;
-use valley_workloads::{analysis, Benchmark, Scale};
+mod common;
+
+use common::{hmean, run};
+use valley::core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind};
+use valley::harness::DEFAULT_SEED;
+use valley::sim::GpuConfig;
+use valley::workloads::{analysis, Benchmark, Scale};
 
 const SUBSET: [Benchmark; 4] = [
     Benchmark::Mt,
@@ -25,13 +30,14 @@ fn main() {
     let mut base_cycles = std::collections::BTreeMap::new();
     for b in SUBSET {
         eprintln!("  BASE / {b} ...");
-        base_cycles.insert(b, run_one(b, SchemeKind::Base, 0, Scale::Ref).cycles);
+        let base = AddressMapper::build(SchemeKind::Base, &map, 0);
+        base_cycles.insert(b, run(b, base, GpuConfig::table1()).cycles);
     }
     let eval = |name: &str, mapper: AddressMapper| {
         let mut speedups = Vec::new();
         for b in SUBSET {
             eprintln!("  {name} / {b} ...");
-            let r = run_custom(b, mapper.clone(), GpuConfig::table1(), Scale::Ref);
+            let r = run(b, mapper.clone(), GpuConfig::table1());
             speedups.push(base_cycles[&b] as f64 / r.cycles as f64);
         }
         println!("{:<14}{:>10.2}", name, hmean(&speedups));
@@ -42,7 +48,7 @@ fn main() {
         .iter()
         .map(|b| analysis::application_profile(&b.workload(Scale::Ref), 12, None))
         .collect();
-    let global = valley_core::entropy::global_mean_profile(&profiles);
+    let global = valley::core::entropy::global_mean_profile(&profiles);
     let hot = global.top_bits(&map.non_block_bits(), map.target_field_bits().len());
     println!("suite-derived RMP hot bits: {hot:?} (paper used 8-11, 15, 16)\n");
 

@@ -11,11 +11,16 @@
 //!     bit with probability proportional to its *measured* window entropy
 //!     instead of uniformly. With enough density the uniform scheme
 //!     already saturates, so guidance mainly helps at low densities.
+//!
+//! Run with: `cargo run --release --example ablation_design_space`
 
-use valley_bench::{hmean, run_custom, run_one, DEFAULT_SEED};
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_sim::GpuConfig;
-use valley_workloads::{analysis, Benchmark, Scale};
+mod common;
+
+use common::{hmean, run};
+use valley::core::{AddressMapper, GddrMap, SchemeKind};
+use valley::harness::DEFAULT_SEED;
+use valley::sim::GpuConfig;
+use valley::workloads::{analysis, Benchmark, Scale};
 
 const SUBSET: [Benchmark; 3] = [Benchmark::Mt, Benchmark::Nw, Benchmark::Sp];
 
@@ -24,13 +29,14 @@ fn main() {
     let mut base_cycles = std::collections::BTreeMap::new();
     for b in SUBSET {
         eprintln!("  BASE / {b} ...");
-        base_cycles.insert(b, run_one(b, SchemeKind::Base, 0, Scale::Ref).cycles);
+        let base = AddressMapper::build(SchemeKind::Base, &map, 0);
+        base_cycles.insert(b, run(b, base, GpuConfig::table1()).cycles);
     }
     let speedup_of = |mapper: AddressMapper| {
         let gates = mapper.bim().xor_gate_count();
         let mut speedups = Vec::new();
         for b in SUBSET {
-            let r = run_custom(b, mapper.clone(), GpuConfig::table1(), Scale::Ref);
+            let r = run(b, mapper.clone(), GpuConfig::table1());
             speedups.push(base_cycles[&b] as f64 / r.cycles as f64);
         }
         (hmean(&speedups), gates)
@@ -53,7 +59,7 @@ fn main() {
         .iter()
         .map(|b| analysis::application_profile(&b.workload(Scale::Ref), 12, None))
         .collect();
-    let global = valley_core::entropy::global_mean_profile(&profiles);
+    let global = valley::core::entropy::global_mean_profile(&profiles);
     for (name, mapper) in [
         (
             "uniform PAE",

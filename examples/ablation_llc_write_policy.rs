@@ -7,12 +7,17 @@
 //! for the paper's thesis: does the mapping-scheme ordering survive the
 //! policy change? (It should — the valley is in the *addresses*, not in
 //! the write policy.)
+//!
+//! Run with: `cargo run --release --example ablation_llc_write_policy`
 
-use valley_bench::{hmean, run_custom, DEFAULT_SEED};
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_power::DramPowerModel;
-use valley_sim::{GpuConfig, LlcWritePolicy};
-use valley_workloads::{Benchmark, Scale};
+mod common;
+
+use common::{hmean, run};
+use valley::core::{AddressMapper, GddrMap, SchemeKind};
+use valley::harness::DEFAULT_SEED;
+use valley::power::DramPowerModel;
+use valley::sim::{GpuConfig, LlcWritePolicy};
+use valley::workloads::Benchmark;
 
 const SUBSET: [Benchmark; 3] = [Benchmark::Mt, Benchmark::Srad2, Benchmark::Dwt2d];
 
@@ -33,11 +38,10 @@ fn main() {
         let mut base_cycles = std::collections::BTreeMap::new();
         for b in SUBSET {
             eprintln!("  {pname} / BASE / {b} ...");
-            let r = run_custom(
+            let r = run(
                 b,
                 AddressMapper::build(SchemeKind::Base, &map, 0),
                 cfg.clone(),
-                Scale::Ref,
             );
             base_cycles.insert(b, r.cycles);
         }
@@ -52,11 +56,10 @@ fn main() {
             let mut power = Vec::new();
             for b in SUBSET {
                 eprintln!("  {pname} / {scheme} / {b} ...");
-                let r = run_custom(
+                let r = run(
                     b,
                     AddressMapper::build(scheme, &map, DEFAULT_SEED),
                     cfg.clone(),
-                    Scale::Ref,
                 );
                 speedups.push(base_cycles[&b] as f64 / r.cycles as f64);
                 writes += r.dram.writes;

@@ -7,12 +7,17 @@
 //!
 //! * warp scheduler: GTO (paper) vs loose round-robin (LRR);
 //! * DRAM scheduler: FR-FCFS (paper) vs plain FCFS.
+//!
+//! Run with: `cargo run --release --example ablation_substrate`
 
-use valley_bench::{hmean, run_custom, DEFAULT_SEED};
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_dram::SchedulingPolicy;
-use valley_sim::{GpuConfig, WarpScheduler};
-use valley_workloads::{Benchmark, Scale};
+mod common;
+
+use common::{hmean, run};
+use valley::core::{AddressMapper, GddrMap, SchemeKind};
+use valley::dram::SchedulingPolicy;
+use valley::harness::DEFAULT_SEED;
+use valley::sim::{GpuConfig, WarpScheduler};
+use valley::workloads::Benchmark;
 
 const SUBSET: [Benchmark; 3] = [Benchmark::Mt, Benchmark::Srad2, Benchmark::Sp];
 
@@ -23,17 +28,15 @@ fn run_pair(warp: WarpScheduler, dram: SchedulingPolicy) -> (f64, f64) {
     let mut speedups = Vec::new();
     let mut hitrates = Vec::new();
     for b in SUBSET {
-        let base = run_custom(
+        let base = run(
             b,
             AddressMapper::build(SchemeKind::Base, &map, 0),
             cfg.clone(),
-            Scale::Ref,
         );
-        let pae = run_custom(
+        let pae = run(
             b,
             AddressMapper::build(SchemeKind::Pae, &map, DEFAULT_SEED),
             cfg.clone(),
-            Scale::Ref,
         );
         speedups.push(pae.speedup_over(&base));
         hitrates.push(pae.row_buffer_hit_rate());

@@ -4,7 +4,7 @@
 //! phases (Section III-B, DWT2D vs DWT2DK1) and answers with a single
 //! static Broad BIM robust to that movement. The natural follow-up (cf.
 //! the cited DReAM work) is to *re-derive* the BIM at each kernel
-//! boundary from that kernel's own entropy profile. This binary
+//! boundary from that kernel's own entropy profile. This example
 //! estimates the ceiling of such a scheme:
 //!
 //! * **static PAE** — one BIM for the whole application (the paper);
@@ -16,11 +16,13 @@
 //! Adaptive kernel runs are chained as independent simulations, which
 //! forfeits cross-kernel cache warmth (a second, smaller handicap on top
 //! of the remap penalty; the static run keeps its warmth).
+//!
+//! Run with: `cargo run --release --example ext_adaptive_remap`
 
-use valley_bench::{run_one, DEFAULT_SEED};
-use valley_core::{AddressMapper, SchemeKind};
-use valley_sim::GpuConfig;
-use valley_workloads::{analysis, Benchmark, Scale};
+use valley::core::{AddressMapper, GddrMap, SchemeKind};
+use valley::harness::{execute_job, ConfigId, JobSpec, DEFAULT_SEED};
+use valley::sim::{GpuConfig, GpuSim, WorkloadSource};
+use valley::workloads::{analysis, Benchmark, Scale};
 
 /// Flat cost charged per remap (cycles): a placeholder for data
 /// migration / mapping-table switch overhead.
@@ -35,17 +37,24 @@ fn main() {
         "bench", "BASE cyc", "static PAE", "adaptive", "remaps"
     );
     for b in SUBSET {
+        let job = |scheme, seed| JobSpec {
+            bench: b,
+            scheme,
+            seed,
+            scale: Scale::Ref,
+            config: ConfigId::Table1,
+        };
         eprintln!("  {b}: BASE ...");
-        let base = run_one(b, SchemeKind::Base, 0, Scale::Ref);
+        let base = execute_job(&job(SchemeKind::Base, 0));
         eprintln!("  {b}: static PAE ...");
-        let statik = run_one(b, SchemeKind::Pae, DEFAULT_SEED, Scale::Ref);
+        let statik = execute_job(&job(SchemeKind::Pae, DEFAULT_SEED));
 
         // Adaptive: per-kernel guided BIM.
         let workload = b.workload(Scale::Ref);
-        let map = valley_core::GddrMap::baseline();
+        let map = GddrMap::baseline();
         let mut total = 0u64;
         let mut remaps = 0u64;
-        let kernels = valley_sim::WorkloadSource::num_kernels(&workload);
+        let kernels = workload.num_kernels();
         for k in 0..kernels {
             let single = workload.single_kernel(k);
             let profile = analysis::application_profile(&single, 12, None);
@@ -53,10 +62,7 @@ fn main() {
                 AddressMapper::guided(SchemeKind::Pae, &map, profile.per_bit(), DEFAULT_SEED);
             remaps += 1;
             eprintln!("  {b}: adaptive kernel {k}/{kernels} ...");
-            let r = {
-                let map2 = valley_core::GddrMap::baseline();
-                valley_sim::GpuSim::new(GpuConfig::table1(), mapper, map2, Box::new(single)).run()
-            };
+            let r = GpuSim::new(GpuConfig::table1(), mapper, map, Box::new(single)).run();
             total += r.cycles;
         }
         let adaptive = total + remaps * REMAP_PENALTY;
