@@ -6,7 +6,7 @@
 //! eight LLC slices (64 KB, 8-way) of Table I.
 //!
 //! The crate is deliberately policy-free: it models *presence* and
-//! *replacement* only. Latency, write policies and the memory-hierarchy
+//! *replacement* only. Latency, the write policy and the memory-hierarchy
 //! wiring live in `valley-sim`, which composes these parts.
 
 #![warn(missing_docs)]
@@ -16,4 +16,4 @@ mod mshr;
 mod setassoc;
 
 pub use mshr::{MshrAllocation, MshrFile};
-pub use setassoc::{CacheConfig, CacheStats, Eviction, SetAssocCache};
+pub use setassoc::{CacheConfig, CacheStats, SetAssocCache};

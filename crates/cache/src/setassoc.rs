@@ -106,28 +106,11 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Line {
-    addr: u64,
-    dirty: bool,
-}
-
-/// A line evicted by a fill, with its dirty status (write-back caches
-/// must flush dirty victims to the next level).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Eviction {
-    /// The evicted line-aligned address.
-    pub line: u64,
-    /// Whether the line held unwritten-back data.
-    pub dirty: bool,
-}
-
-/// A set-associative cache with true-LRU replacement and per-line dirty
-/// tracking.
+/// A set-associative cache with true-LRU replacement.
 ///
 /// Tags are full line addresses, so the structure never aliases. The cache
-/// stores presence and dirtiness only (no data), which is all a timing
-/// simulator needs.
+/// stores presence only (no data), which is all a timing simulator needs;
+/// a line is its tag.
 ///
 /// # Examples
 ///
@@ -148,8 +131,8 @@ pub struct SetAssocCache {
     /// Set count minus one (the set count is a power of two).
     set_mask: u64,
     /// `sets × assoc` slots; set `s` is `lines[s * assoc..][..len[s]]`,
-    /// its resident lines in LRU order (front = MRU).
-    lines: Vec<Line>,
+    /// its resident line addresses in LRU order (front = MRU).
+    lines: Vec<u64>,
     /// Per set: resident line count.
     len: Vec<usize>,
     stats: CacheStats,
@@ -158,15 +141,11 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
-        let empty = Line {
-            addr: 0,
-            dirty: false,
-        };
         SetAssocCache {
             cfg,
             line_shift: cfg.line_bytes().trailing_zeros(),
             set_mask: cfg.sets() as u64 - 1,
-            lines: vec![empty; cfg.sets() * cfg.assoc()],
+            lines: vec![0; cfg.sets() * cfg.assoc()],
             len: vec![0; cfg.sets()],
             stats: CacheStats::default(),
         }
@@ -193,14 +172,14 @@ impl SetAssocCache {
     fn find(&self, line: u64) -> (usize, Option<usize>) {
         let set = self.set_index(line);
         let ways = &self.lines[set * self.cfg.assoc()..][..self.len[set]];
-        (set, ways.iter().position(|l| l.addr == line))
+        (set, ways.iter().position(|&l| l == line))
     }
 
     /// Moves way `pos` of `set` to the MRU front with one in-place
     /// rotation (remove + insert-at-front at half the moves) and returns
     /// it.
     #[inline]
-    fn promote(&mut self, set: usize, pos: usize) -> &mut Line {
+    fn promote(&mut self, set: usize, pos: usize) -> &mut u64 {
         let start = set * self.cfg.assoc();
         let ways = &mut self.lines[start..=start + pos];
         ways.rotate_right(1);
@@ -244,21 +223,14 @@ impl SetAssocCache {
         self.find(self.line_addr(addr)).1.is_some()
     }
 
-    /// Installs the line containing `addr` as MRU (clean), returning the
-    /// evicted line address if the set was full. Filling an
-    /// already-resident line just refreshes its LRU position.
+    /// Installs the line containing `addr` as MRU, returning the evicted
+    /// line address if the set was full. Filling an already-resident line
+    /// just refreshes its LRU position.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        self.fill_with(addr, false).map(|e| e.line)
-    }
-
-    /// Installs the line containing `addr` as MRU with the given dirty
-    /// status, returning the full [`Eviction`] record of any victim.
-    /// Re-filling a resident line refreshes LRU and ORs in `dirty`.
-    pub fn fill_with(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
         let line = self.line_addr(addr);
         let (set, pos) = self.find(line);
         if let Some(pos) = pos {
-            self.promote(set, pos).dirty |= dirty;
+            self.promote(set, pos);
             return None;
         }
         // Rotate the LRU victim (or, in a set with a free way, the first
@@ -267,28 +239,14 @@ impl SetAssocCache {
         let len = self.len[set];
         let full = len == self.cfg.assoc();
         let slot = self.promote(set, if full { len - 1 } else { len });
-        let victim = std::mem::replace(slot, Line { addr: line, dirty });
+        let victim = std::mem::replace(slot, line);
         if full {
             self.stats.evictions += 1;
-            Some(Eviction {
-                line: victim.addr,
-                dirty: victim.dirty,
-            })
+            Some(victim)
         } else {
             self.len[set] += 1;
             None
         }
-    }
-
-    /// Marks the line containing `addr` dirty (write hit in a write-back
-    /// cache) and promotes it to MRU. Returns `false` if not resident.
-    pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let (set, pos) = self.find(self.line_addr(addr));
-        let Some(pos) = pos else {
-            return false;
-        };
-        self.promote(set, pos).dirty = true;
-        true
     }
 
     /// Number of resident lines.
@@ -400,31 +358,6 @@ mod tests {
         c.fill(0x100);
         c.fill(0x200);
         assert!(c.contains(0x040));
-    }
-
-    #[test]
-    fn dirty_tracking_roundtrip() {
-        let mut c = tiny();
-        c.fill(0x000); // clean fill
-        assert!(c.mark_dirty(0x000));
-        assert!(!c.mark_dirty(0x999_940)); // not resident
-                                           // Evicting the dirty line reports it dirty.
-        c.fill(0x100); // same set
-        let ev = c.fill_with(0x200, false).expect("set is full");
-        assert_eq!(ev.line, 0x000);
-        assert!(ev.dirty, "mark_dirty promoted 0x000 to MRU; 0x100 ... ");
-    }
-
-    #[test]
-    fn fill_with_dirty_sticks_until_eviction() {
-        let mut c = tiny();
-        assert!(c.fill_with(0x000, true).is_none());
-        // Re-filling clean must not clear the dirty bit.
-        assert!(c.fill_with(0x000, false).is_none());
-        c.fill(0x100); // set now [0x100, 0x000(dirty)]
-        let ev = c.fill_with(0x200, false).expect("set is full");
-        assert_eq!(ev.line, 0x000, "LRU victim");
-        assert!(ev.dirty, "dirty bit survived the clean re-fill");
     }
 
     #[test]

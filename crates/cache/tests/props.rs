@@ -2,15 +2,15 @@
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use valley_cache::{CacheConfig, CacheStats, Eviction, MshrAllocation, MshrFile, SetAssocCache};
+use valley_cache::{CacheConfig, CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 
-/// A naive true-LRU cache: per set, a queue of `(line, dirty)` with the
+/// A naive true-LRU cache: per set, a queue of line addresses with the
 /// most recently used line at the front. Shares no code with
 /// `SetAssocCache`.
 struct LruModel {
     line_bytes: u64,
     assoc: usize,
-    sets: Vec<VecDeque<(u64, bool)>>,
+    sets: Vec<VecDeque<u64>>,
     stats: CacheStats,
 }
 
@@ -26,24 +26,24 @@ impl LruModel {
 
     /// The set of `addr`'s line, its line address, and the line's
     /// position in the set if resident.
-    fn locate(&mut self, addr: u64) -> (&mut VecDeque<(u64, bool)>, u64, Option<usize>) {
+    fn locate(&mut self, addr: u64) -> (&mut VecDeque<u64>, u64, Option<usize>) {
         let index = addr / self.line_bytes;
         let n = self.sets.len() as u64;
         let set = &mut self.sets[(index % n) as usize];
         let line = index * self.line_bytes;
-        let pos = set.iter().position(|&(l, _)| l == line);
+        let pos = set.iter().position(|&l| l == line);
         (set, line, pos)
     }
 
-    /// Moves the line at `pos` to the front, ORing in `dirty`.
-    fn touch(set: &mut VecDeque<(u64, bool)>, pos: usize, dirty: bool) {
-        let (line, was_dirty) = set.remove(pos).unwrap();
-        set.push_front((line, was_dirty || dirty));
+    /// Moves the line at `pos` to the front.
+    fn touch(set: &mut VecDeque<u64>, pos: usize) {
+        let line = set.remove(pos).unwrap();
+        set.push_front(line);
     }
 
     fn lookup(&mut self, addr: u64) -> bool {
         let (set, _, pos) = self.locate(addr);
-        pos.inspect(|&p| Self::touch(set, p, false)).is_some()
+        pos.inspect(|&p| Self::touch(set, p)).is_some()
     }
 
     fn count(&mut self, hit: bool) {
@@ -58,23 +58,17 @@ impl LruModel {
         self.locate(addr).2.is_some()
     }
 
-    fn fill_with(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
+    fn fill(&mut self, addr: u64) -> Option<u64> {
         let assoc = self.assoc;
         let (set, line, pos) = self.locate(addr);
         if let Some(p) = pos {
-            Self::touch(set, p, dirty);
+            Self::touch(set, p);
             return None;
         }
         let victim = (set.len() == assoc).then(|| set.pop_back().unwrap());
-        set.push_front((line, dirty));
-        let (line, dirty) = victim?;
-        self.stats.evictions += 1;
-        Some(Eviction { line, dirty })
-    }
-
-    fn mark_dirty(&mut self, addr: u64) -> bool {
-        let (set, _, pos) = self.locate(addr);
-        pos.inspect(|&p| Self::touch(set, p, true)).is_some()
+        set.push_front(line);
+        self.stats.evictions += u64::from(victim.is_some());
+        victim
     }
 
     fn occupancy(&self) -> usize {
@@ -92,7 +86,7 @@ proptest! {
         assoc in 1usize..=16,
         set_bits in 0u32..=6,
         line_shift in 5u32..=8,
-        ops in proptest::collection::vec((0u8..7, any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..400),
     ) {
         let cfg = match shape {
             0 => CacheConfig::new(16 * 1024, 4, 128), // the paper's L1
@@ -117,20 +111,7 @@ proptest! {
                     model.count(hit);
                     prop_assert_eq!(cache.probe(addr), hit, "op {} probe {:#x}", i, addr);
                 }
-                3 => prop_assert_eq!(
-                    cache.fill(addr),
-                    model.fill_with(addr, false).map(|e| e.line),
-                    "op {} fill {:#x}", i, addr
-                ),
-                4 => {
-                    let dirty = raw >> 63 == 1;
-                    prop_assert_eq!(
-                        cache.fill_with(addr, dirty),
-                        model.fill_with(addr, dirty),
-                        "op {} fill_with {:#x} {}", i, addr, dirty
-                    );
-                }
-                5 => prop_assert_eq!(cache.mark_dirty(addr), model.mark_dirty(addr), "op {} mark_dirty {:#x}", i, addr),
+                3 => prop_assert_eq!(cache.fill(addr), model.fill(addr), "op {} fill {:#x}", i, addr),
                 _ => prop_assert_eq!(cache.contains(addr), model.contains(addr), "op {} contains {:#x}", i, addr),
             }
             prop_assert_eq!(cache.stats(), model.stats, "op {} stats", i);

@@ -457,16 +457,6 @@ impl EntropyProfile {
         self.valley_score(target_bits, candidate_bits) > threshold
     }
 
-    /// The `k` bits with the highest entropy among `candidate_bits`
-    /// (used to derive RMP's source bits from a measured profile).
-    pub fn top_bits(&self, candidate_bits: &[u8], k: usize) -> Vec<u8> {
-        let mut bits: Vec<u8> = candidate_bits.to_vec();
-        bits.sort_by(|&a, &b| self.bit(b).partial_cmp(&self.bit(a)).unwrap());
-        let mut out: Vec<u8> = bits.into_iter().take(k).collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Renders the profile as a small ASCII bar chart (MSB on the left,
     /// like Figure 5), as `valley figures --fig fig05_entropy` prints it.
     pub fn ascii_chart(&self, lo_bit: u8, hi_bit: u8) -> String {
@@ -530,24 +520,6 @@ pub fn application_entropy(kernels: &[EntropyProfile]) -> EntropyProfile {
         }
     }
     EntropyProfile::from_per_bit(per_bit, total)
-}
-
-/// Aggregates many application profiles into a global average profile
-/// (used in Section IV-B to choose RMP's source bits across all
-/// benchmarks). Each application contributes equally.
-pub fn global_mean_profile(apps: &[EntropyProfile]) -> EntropyProfile {
-    if apps.is_empty() {
-        return EntropyProfile::from_per_bit(Vec::new(), 0);
-    }
-    let bits = apps.iter().map(|a| a.per_bit().len()).max().unwrap_or(0);
-    let mut per_bit = vec![0.0; bits];
-    for a in apps {
-        for (b, &h) in a.per_bit().iter().enumerate() {
-            per_bit[b] += h / apps.len() as f64;
-        }
-    }
-    let requests = apps.iter().map(|a| a.requests()).sum();
-    EntropyProfile::from_per_bit(per_bit, requests)
 }
 
 #[cfg(test)]
@@ -790,25 +762,6 @@ mod tests {
         // A flat high profile has no valley.
         let flat = EntropyProfile::from_per_bit(vec![0.9; 30], 1000);
         assert!(!flat.has_valley(&targets, &candidates, 0.25));
-    }
-
-    #[test]
-    fn top_bits_picks_highest() {
-        let mut per_bit = vec![0.1; 30];
-        for &b in &[8, 9, 10, 11, 15, 16] {
-            per_bit[b] = 0.95;
-        }
-        let p = EntropyProfile::from_per_bit(per_bit, 1);
-        let cand: Vec<u8> = (6..30).collect();
-        assert_eq!(p.top_bits(&cand, 6), vec![8, 9, 10, 11, 15, 16]);
-    }
-
-    #[test]
-    fn global_mean_is_unweighted() {
-        let a = EntropyProfile::from_per_bit(vec![1.0], 1_000_000);
-        let b = EntropyProfile::from_per_bit(vec![0.0], 1);
-        let g = global_mean_profile(&[a, b]);
-        assert!((g.bit(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

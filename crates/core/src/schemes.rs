@@ -153,106 +153,6 @@ impl AddressMapper {
         }
     }
 
-    /// Builds an RMP mapper from a measured entropy profile: the
-    /// `target` bits are fed from the bits with the highest average
-    /// entropy (Section IV-B derives these from the aggregate profile of
-    /// all benchmarks).
-    pub fn rmp_from_hot_bits(map: &dyn DramAddressMap, hot_bits: &[u8]) -> Self {
-        let bim = build_rmp(map, hot_bits);
-        let inverse = bim.inverse().expect("permutation matrices are invertible");
-        AddressMapper {
-            kind: SchemeKind::Rmp,
-            bim,
-            inverse,
-            latency: 1,
-            seed: 0,
-        }
-    }
-
-    /// Builds the *minimalist open-page* remap of Kaseridis et al.
-    /// (cited by the paper as a Remap-strategy instance): the channel and
-    /// bank fields move just above the block offset, so consecutive
-    /// cache lines interleave across channels/banks at the finest
-    /// granularity while whole rows stay together. A pure permutation —
-    /// helpful for streaming CPU-style access, but no help against
-    /// entropy valleys.
-    pub fn minimalist_open_page(map: &dyn DramAddressMap) -> Self {
-        let targets = map.target_field_bits();
-        let sources: Vec<u8> = (map.block_bits()..map.block_bits() + targets.len() as u8).collect();
-        let bim = build_rmp(map, &sources);
-        let inverse = bim.inverse().expect("permutation matrices are invertible");
-        AddressMapper {
-            kind: SchemeKind::Rmp,
-            bim,
-            inverse,
-            latency: 1,
-            seed: 0,
-        }
-    }
-
-    /// Builds a PAE variant whose target rows each harvest exactly
-    /// `density` randomly-chosen page-address bits (instead of an
-    /// expected half of them). Used by the density ablation: too few
-    /// inputs make the scheme fragile to where the entropy happens to
-    /// sit; more inputs cost XOR gates (see `Bim::xor_gate_count`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is zero or not strictly below the page-bit
-    /// count (at full density every target row selects the same mask, so
-    /// the matrix is singular by construction).
-    pub fn pae_with_density(map: &dyn DramAddressMap, seed: u64, density: usize) -> Self {
-        let inputs = map.page_address_bits();
-        assert!(
-            density >= 1 && density < inputs.len(),
-            "density must be within the input-bit count (full density is singular)"
-        );
-        let bim = build_broad_density(map, &inputs, &map.target_field_bits(), seed, density);
-        let inverse = bim.inverse().expect("density construction is invertible");
-        AddressMapper {
-            kind: SchemeKind::Pae,
-            bim,
-            inverse,
-            latency: 1,
-            seed,
-        }
-    }
-
-    /// Builds a profile-guided Broad scheme: each candidate input bit is
-    /// included with probability proportional to its *measured* window
-    /// entropy (`weights[bit]`, e.g. from
-    /// `valley_workloads::analysis::application_profile`). An extension
-    /// of the paper's design space: instead of sampling page bits
-    /// uniformly, harvest preferentially where the entropy actually is.
-    ///
-    /// `kind` selects the input field: [`SchemeKind::Pae`] restricts to
-    /// page bits, [`SchemeKind::Fae`] uses the full non-block address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is not PAE or FAE, or `weights` is shorter than
-    /// the address width.
-    pub fn guided(kind: SchemeKind, map: &dyn DramAddressMap, weights: &[f64], seed: u64) -> Self {
-        let inputs = match kind {
-            SchemeKind::Pae => map.page_address_bits(),
-            SchemeKind::Fae => map.non_block_bits(),
-            other => panic!("guided construction supports PAE/FAE, not {other}"),
-        };
-        assert!(
-            weights.len() >= map.addr_bits() as usize,
-            "need one weight per address bit"
-        );
-        let bim = build_broad_weighted(map, &inputs, weights, &map.target_field_bits(), seed);
-        let inverse = bim.inverse().expect("guided construction is invertible");
-        AddressMapper {
-            kind,
-            bim,
-            inverse,
-            latency: 1,
-            seed,
-        }
-    }
-
     /// Wraps an explicit invertible BIM (for experiments with hand-built
     /// matrices).
     ///
@@ -398,83 +298,6 @@ fn build_broad(map: &dyn DramAddressMap, inputs: &[u8], targets: &[u8], seed: u6
     panic!("failed to sample an invertible Broad BIM (astronomically unlikely)");
 }
 
-/// Broad strategy with a fixed number of inputs per target row.
-fn build_broad_density(
-    map: &dyn DramAddressMap,
-    inputs: &[u8],
-    targets: &[u8],
-    seed: u64,
-    density: usize,
-) -> Bim {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xde75);
-    for _ in 0..10_000 {
-        let mut bim = Bim::identity(map.addr_bits());
-        for &t in targets {
-            // The row always contains its own bit (as in Figure 6d),
-            // which keeps the target-column submatrix near-identity and
-            // invertibility likely; then sample `density - 1` distinct
-            // other inputs (partial Fisher-Yates).
-            let mut pool: Vec<u8> = inputs.iter().copied().filter(|&b| b != t).collect();
-            let mut mask = 1u64 << t;
-            for k in 0..density - 1 {
-                let j = k + rng.random_range(0..pool.len() - k);
-                pool.swap(k, j);
-                mask |= 1u64 << pool[k];
-            }
-            bim.set_row(t, mask);
-        }
-        if bim.is_invertible() {
-            return bim;
-        }
-    }
-    panic!("failed to sample an invertible density-constrained BIM");
-}
-
-/// Broad strategy with per-bit inclusion probabilities derived from a
-/// measured entropy profile: `p(bit) = 0.08 + 0.84 * weight(bit)/max`.
-fn build_broad_weighted(
-    map: &dyn DramAddressMap,
-    inputs: &[u8],
-    weights: &[f64],
-    targets: &[u8],
-    seed: u64,
-) -> Bim {
-    let max_w = inputs
-        .iter()
-        .map(|&b| weights[b as usize])
-        .fold(0.0f64, f64::max)
-        .max(1e-9);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x91de);
-    for _ in 0..10_000 {
-        let mut bim = Bim::identity(map.addr_bits());
-        for &t in targets {
-            // Own bit always included (Figure 6d's Broad structure): the
-            // target-column submatrix stays near-identity, so weights
-            // concentrated far from the target bits still yield an
-            // invertible matrix.
-            let mut mask = 1u64 << t;
-            for &i in inputs {
-                let p = 0.08 + 0.84 * (weights[i as usize] / max_w);
-                if i != t && rng.random_bool(p.clamp(0.0, 1.0)) {
-                    mask |= 1u64 << i;
-                }
-            }
-            if mask.count_ones() < 2 {
-                let mut b = t;
-                while b == t {
-                    b = inputs[rng.random_range(0..inputs.len())];
-                }
-                mask |= 1u64 << b;
-            }
-            bim.set_row(t, mask);
-        }
-        if bim.is_invertible() {
-            return bim;
-        }
-    }
-    panic!("failed to sample an invertible weighted BIM");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,18 +354,6 @@ mod tests {
             .map(|&t| m.bim().row(t).trailing_zeros() as u8)
             .collect();
         assert_eq!(sources, vec![8, 9, 10, 11, 15, 16]);
-        assert!(m.bim().is_invertible());
-    }
-
-    #[test]
-    fn rmp_from_custom_hot_bits() {
-        let m = AddressMapper::rmp_from_hot_bits(&map(), &[20, 21, 22, 23, 24, 25]);
-        let sources: Vec<u8> = map()
-            .target_field_bits()
-            .iter()
-            .map(|&t| m.bim().row(t).trailing_zeros() as u8)
-            .collect();
-        assert_eq!(sources, vec![20, 21, 22, 23, 24, 25]);
         assert!(m.bim().is_invertible());
     }
 
@@ -659,75 +470,6 @@ mod tests {
             let a = PhysAddr::new(0x0fed_cba9 & 0x3fff_ffff);
             assert_eq!(m.unmap(m.map(a)), a);
         }
-    }
-
-    #[test]
-    fn minimalist_open_page_moves_targets_to_low_bits() {
-        let dm = map();
-        let m = AddressMapper::minimalist_open_page(&dm);
-        assert!(m.bim().is_invertible());
-        // The six target bits now source from bits 6..12 (just above the
-        // block offset), and every row is a single-one permutation row.
-        for (k, &t) in dm.target_field_bits().iter().enumerate() {
-            let row = m.bim().row(t);
-            assert_eq!(row.count_ones(), 1);
-            assert_eq!(row.trailing_zeros() as u8, 6 + k as u8);
-        }
-        // Consecutive 64 B blocks alternate channels under this map.
-        let a = m.map(PhysAddr::new(0));
-        let b = m.map(PhysAddr::new(64));
-        assert_ne!(dm.controller_of(a), dm.controller_of(b));
-    }
-
-    #[test]
-    fn density_constructor_uses_exact_row_weight() {
-        let dm = map();
-        for density in [2usize, 4, 8, 16] {
-            let m = AddressMapper::pae_with_density(&dm, 3, density);
-            assert!(m.bim().is_invertible());
-            for &t in &dm.target_field_bits() {
-                assert_eq!(
-                    m.bim().row(t).count_ones() as usize,
-                    density,
-                    "density {density} row has wrong weight"
-                );
-            }
-            let a = PhysAddr::new(0x2468_ace0 & 0x3fff_ffff);
-            assert_eq!(m.unmap(m.map(a)), a);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "density must be within")]
-    fn density_zero_rejected() {
-        let _ = AddressMapper::pae_with_density(&map(), 1, 0);
-    }
-
-    #[test]
-    fn guided_constructor_prefers_high_entropy_bits() {
-        let dm = map();
-        // Give all the weight to bits 24..=29: across seeds, guided rows
-        // must select those bits far more often than the near-zero ones.
-        let mut weights = vec![0.01f64; 30];
-        weights[24..30].fill(1.0);
-        let mut hot = 0u32;
-        let mut cold = 0u32;
-        for seed in 0..20 {
-            let m = AddressMapper::guided(SchemeKind::Pae, &dm, &weights, seed);
-            assert!(m.bim().is_invertible());
-            for &t in &dm.target_field_bits() {
-                let row = m.bim().row(t);
-                hot += (row >> 24 & 0x3f).count_ones();
-                cold += (row >> 18 & 0x3f).count_ones();
-            }
-        }
-        assert!(hot > 3 * cold, "hot {hot} vs cold {cold}");
-    }
-
-    #[test]
-    #[should_panic(expected = "guided construction supports PAE/FAE")]
-    fn guided_rejects_non_broad_kinds() {
-        let _ = AddressMapper::guided(SchemeKind::Pm, &map(), &[0.5; 30], 1);
     }
 
     #[test]

@@ -11,15 +11,20 @@ use valley_core::{AddressMapper, Bim, DramAddressMap, GddrMap, PhysAddr, SchemeK
 const ADDR_MASK: u64 = (1 << 30) - 1;
 
 proptest! {
-    /// Any scheme, any seed: the constructed BIM is invertible and
-    /// map∘unmap is the identity on arbitrary addresses.
+    /// Any scheme, any seed, either shipped map (GDDR5 for Figures
+    /// 11–17, 3D-stacked for Figure 18): the constructed BIM is
+    /// invertible and map∘unmap is the identity on arbitrary addresses.
     #[test]
-    fn schemes_are_bijections(seed in 0u64..1_000, raw in 0u64..=ADDR_MASK) {
-        let map = GddrMap::baseline();
+    fn schemes_are_bijections(seed in 0u64..1_000, stacked in any::<bool>(), raw in any::<u64>()) {
+        let map: Box<dyn DramAddressMap> = if stacked {
+            Box::new(StackedMap::baseline())
+        } else {
+            Box::new(GddrMap::baseline())
+        };
+        let a = PhysAddr::new(raw & ((1 << map.addr_bits()) - 1));
         for kind in SchemeKind::ALL_SCHEMES {
-            let m = AddressMapper::build(kind, &map, seed % 16);
+            let m = AddressMapper::build(kind, map.as_ref(), seed);
             prop_assert!(m.bim().is_invertible());
-            let a = PhysAddr::new(raw);
             prop_assert_eq!(m.unmap(m.map(a)), a);
         }
     }

@@ -4,7 +4,7 @@
 //! The scheduler keeps **per-bank request queues** so arbitration only
 //! examines banks that can accept a command this cycle, instead of
 //! scanning one global queue; a global sequence number preserves the exact
-//! FR-FCFS/FCFS ordering semantics of a single arrival-ordered queue.
+//! FR-FCFS ordering semantics of a single arrival-ordered queue.
 //!
 //! On top of the queues sit two **indexes** that make arbitration cheap:
 //!
@@ -505,7 +505,7 @@ impl DramChannel {
     /// Request arbitration over the per-bank queues. FR-FCFS: among
     /// requests whose bank can accept a command this cycle, the oldest
     /// row-buffer hit (global arrival order), then the oldest request
-    /// overall. FCFS: strictly the oldest ready request. Returns the bank
+    /// overall. Returns the bank
     /// and position within that bank's queue — `Some` exactly when the
     /// ready set is non-empty, which is what makes the dequeue horizon
     /// `tick` publishes exact.
@@ -531,7 +531,6 @@ impl DramChannel {
             self.banks[b].sched = Sched::Ready;
             self.ready.push(b);
         }
-        let row_hit_first = self.cfg.policy == crate::config::SchedulingPolicy::FrFcfs;
         let mut best_hit: Option<(u64, usize)> = None;
         let mut oldest_ready: Option<(u64, usize)> = None;
         for &b in &self.ready {
@@ -544,14 +543,12 @@ impl DramChannel {
             if oldest_ready.is_none_or(|(seq, _)| front.seq < seq) {
                 oldest_ready = Some((front.seq, b));
             }
-            if row_hit_first {
-                if let Some(open) = self.banks[b].open_row {
-                    // The oldest hit of a bank is its open row's chain
-                    // head (arrival order), if the row has queued work.
-                    if let Some(c) = self.row_chains[b].iter().find(|c| c.row == open) {
-                        if best_hit.is_none_or(|(seq, _)| c.head < seq) {
-                            best_hit = Some((c.head, b));
-                        }
+            if let Some(open) = self.banks[b].open_row {
+                // The oldest hit of a bank is its open row's chain head
+                // (arrival order), if the row has queued work.
+                if let Some(c) = self.row_chains[b].iter().find(|c| c.row == open) {
+                    if best_hit.is_none_or(|(seq, _)| c.head < seq) {
+                        best_hit = Some((c.head, b));
                     }
                 }
             }
@@ -685,7 +682,6 @@ impl DramChannel {
     /// queue prefix — kept verbatim as the oracle the indexed
     /// [`DramChannel::pick`] is property-tested against.
     pub(crate) fn pick_linear(&self, cycle: u64) -> Option<(usize, usize)> {
-        let row_hit_first = self.cfg.policy == crate::config::SchedulingPolicy::FrFcfs;
         let mut best_hit: Option<(u64, usize, usize)> = None;
         let mut oldest_ready: Option<(u64, usize)> = None;
         for (b, (bank, queue)) in self.banks.iter().zip(&self.queues).enumerate() {
@@ -696,15 +692,10 @@ impl DramChannel {
             if oldest_ready.is_none_or(|(seq, _)| front.seq < seq) {
                 oldest_ready = Some((front.seq, b));
             }
-            if row_hit_first {
-                if let Some(open) = bank.open_row {
-                    for (i, q) in queue.iter().enumerate() {
-                        if q.req.row == open {
-                            if best_hit.is_none_or(|(seq, _, _)| q.seq < seq) {
-                                best_hit = Some((q.seq, b, i));
-                            }
-                            break;
-                        }
+            if let Some(open) = bank.open_row {
+                if let Some((i, q)) = queue.iter().enumerate().find(|(_, q)| q.req.row == open) {
+                    if best_hit.is_none_or(|(seq, _, _)| q.seq < seq) {
+                        best_hit = Some((q.seq, b, i));
                     }
                 }
             }
@@ -1042,21 +1033,16 @@ mod tests {
 
     mod indexed_pick_oracle {
         use super::*;
-        use crate::config::SchedulingPolicy;
         use proptest::prelude::*;
 
         /// Drives a channel through randomized traffic (random banks,
-        /// rows, arrival times and both scheduling policies), asserting
+        /// rows and arrival times), asserting
         /// before every tick that the indexed `pick` chooses exactly what
         /// the linear oracle would, and after every enqueue/tick (which
         /// covers issue and retire) that the row index, readiness heap
         /// and ready set match a recompute from the plain queues.
-        fn drive(reqs: &[(usize, usize, bool, u64)], fcfs: bool) -> Result<(), TestCaseError> {
-            let mut cfg = DramConfig::gddr5();
-            if fcfs {
-                cfg.policy = SchedulingPolicy::Fcfs;
-            }
-            let mut ch = DramChannel::new(cfg);
+        fn drive(reqs: &[(usize, usize, bool, u64)]) -> Result<(), TestCaseError> {
+            let mut ch = DramChannel::new(DramConfig::gddr5());
             let mut reqs: Vec<(usize, usize, bool, u64)> = reqs.to_vec();
             reqs.sort_by_key(|r| r.3);
             let mut next = 0;
@@ -1096,15 +1082,7 @@ mod tests {
                 reqs in proptest::collection::vec(
                     (0usize..16, 0usize..6, any::<bool>(), 0u64..400), 1..80)
             ) {
-                drive(&reqs, false)?;
-            }
-
-            #[test]
-            fn fcfs_matches_linear_oracle(
-                reqs in proptest::collection::vec(
-                    (0usize..16, 0usize..6, any::<bool>(), 0u64..400), 1..80)
-            ) {
-                drive(&reqs, true)?;
+                drive(&reqs)?;
             }
 
             /// The published dequeue horizon is exact: under random
@@ -1164,7 +1142,7 @@ mod tests {
                 reqs in proptest::collection::vec(
                     (0usize..2, 0usize..3, any::<bool>(), 0u64..100), 1..70)
             ) {
-                drive(&reqs, false)?;
+                drive(&reqs)?;
             }
         }
     }

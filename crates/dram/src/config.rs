@@ -55,31 +55,18 @@ impl DramTiming {
     }
 }
 
-/// Memory-request scheduling policy of a channel's controller.
-///
-/// The paper's baseline is FR-FCFS (Rixner et al.); plain FCFS is
-/// provided for the scheduling-orthogonality ablation — the paper argues
-/// mapping and scheduling are orthogonal, so the mapping gains should
-/// survive a scheduler change.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedulingPolicy {
-    /// First-Ready First-Come-First-Served: oldest row-buffer hit first,
-    /// then oldest request.
-    #[default]
-    FrFcfs,
-    /// Strict arrival order (among requests whose bank is ready).
-    Fcfs,
-}
-
 /// Configuration of one DRAM channel (or 3D-stacked vault).
+///
+/// Every channel schedules FR-FCFS (Rixner et al.), as in the paper:
+/// the oldest row-buffer hit first, then the oldest request whose bank
+/// is ready. The policy is not configurable; the fields size and time
+/// the channel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DramConfig {
     /// Number of banks in the channel.
     pub banks: usize,
     /// Scheduling queue capacity.
     pub queue_capacity: usize,
-    /// Request scheduling policy.
-    pub policy: SchedulingPolicy,
     /// Command timing.
     pub timing: DramTiming,
     /// DRAM clock frequency in GHz (used by callers for clock-domain
@@ -94,7 +81,6 @@ impl DramConfig {
         DramConfig {
             banks: 16,
             queue_capacity: 64,
-            policy: SchedulingPolicy::FrFcfs,
             timing: DramTiming::gddr5(),
             clock_ghz: 0.924,
         }
@@ -106,7 +92,6 @@ impl DramConfig {
         DramConfig {
             banks: 16,
             queue_capacity: 16,
-            policy: SchedulingPolicy::FrFcfs,
             timing: DramTiming::stacked_vault(),
             clock_ghz: 1.25,
         }

@@ -29,6 +29,6 @@ mod stats;
 mod system;
 
 pub use channel::{DramChannel, DramCompletion, DramRequest, RowBufferOutcome};
-pub use config::{DramConfig, DramTiming, SchedulingPolicy};
+pub use config::{DramConfig, DramTiming};
 pub use stats::DramStats;
 pub use system::DramSystem;

@@ -3,44 +3,14 @@
 use valley_cache::CacheConfig;
 use valley_dram::DramConfig;
 
-/// Warp scheduling policy of the SM's issue stage.
-///
-/// The paper assumes GTO and sets the entropy window to the SM count
-/// because GTO drains TBs roughly in assignment order; LRR is provided
-/// for sensitivity studies (it interleaves older and younger TBs, which
-/// widens the set of concurrently-issuing TBs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WarpScheduler {
-    /// Greedy-Then-Oldest (Rogers et al.): stick with the last-issued
-    /// warp until it stalls, then pick the oldest ready warp.
-    #[default]
-    Gto,
-    /// Loose round-robin over the ready warps.
-    Lrr,
-}
-
-/// Write policy of the LLC slices.
-///
-/// The reproduction's default is write-through/no-allocate (simplest
-/// model consistent with the paper's store behavior); write-back with
-/// write-validate allocation is provided as a design-space knob — it
-/// filters store traffic from DRAM at the cost of dirty-eviction
-/// writebacks whose addresses the mapping scheme also spreads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum LlcWritePolicy {
-    /// Stores update the LLC and are forwarded to DRAM immediately.
-    #[default]
-    WriteThrough,
-    /// Stores allocate dirty lines; DRAM sees writes only on eviction.
-    WriteBack,
-}
-
 /// Complete configuration of the simulated GPU (Table I).
 ///
 /// The defaults reproduce the paper's baseline: 12 SMs at 1.4 GHz with 48
 /// warps / 1536 threads each, GTO scheduling with 2 issue slots, a 16 KB
-/// 4-way L1 with 32 MSHRs per SM, a 512 KB LLC in 8 slices (120-cycle
-/// latency), a 12×8 crossbar at 700 MHz, and 4 GDDR5 channels at 924 MHz.
+/// 4-way L1 with 32 MSHRs per SM, a 512 KB write-through LLC in 8 slices
+/// (120-cycle latency), a 12×8 crossbar at 700 MHz, and 4 FR-FCFS GDDR5
+/// channels at 924 MHz. The scheduling and write policies are the
+/// paper's and not configurable; the fields size and clock the machine.
 #[derive(Clone, Debug)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
@@ -55,8 +25,6 @@ pub struct GpuConfig {
     pub warp_size: usize,
     /// Instructions issued per SM per cycle (2 warp schedulers).
     pub issue_width: usize,
-    /// Warp scheduling policy (Table I: GTO).
-    pub scheduler: WarpScheduler,
     /// Per-SM L1 data cache geometry.
     pub l1: CacheConfig,
     /// L1 MSHR entries per SM.
@@ -71,8 +39,6 @@ pub struct GpuConfig {
     pub llc_slice: CacheConfig,
     /// LLC access latency in core cycles (Table I: 120).
     pub llc_latency: u64,
-    /// LLC write policy.
-    pub llc_write_policy: LlcWritePolicy,
     /// LLC MSHR entries per slice.
     pub llc_mshrs: usize,
     /// Maximum merged waiters per LLC MSHR entry.
@@ -101,7 +67,6 @@ impl GpuConfig {
             max_tbs_per_sm: 8,
             warp_size: 32,
             issue_width: 2,
-            scheduler: WarpScheduler::Gto,
             l1: CacheConfig::new(16 * 1024, 4, 128),
             l1_mshrs: 32,
             l1_mshr_merges: 8,
@@ -109,7 +74,6 @@ impl GpuConfig {
             llc_slices: 8,
             llc_slice: CacheConfig::new(64 * 1024, 8, 128),
             llc_latency: 120,
-            llc_write_policy: LlcWritePolicy::WriteThrough,
             llc_mshrs: 64,
             llc_mshr_merges: 8,
             noc_router_latency: 4,
@@ -126,18 +90,6 @@ impl GpuConfig {
     pub fn with_sms(mut self, num_sms: usize) -> Self {
         assert!(num_sms > 0);
         self.num_sms = num_sms;
-        self
-    }
-
-    /// The baseline with a different LLC write policy (ablation studies).
-    pub fn with_llc_write_policy(mut self, policy: LlcWritePolicy) -> Self {
-        self.llc_write_policy = policy;
-        self
-    }
-
-    /// The baseline with a different warp scheduler (ablation studies).
-    pub fn with_scheduler(mut self, scheduler: WarpScheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 

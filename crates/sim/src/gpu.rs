@@ -193,9 +193,7 @@ impl GpuSim {
         let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u32, &cfg)).collect();
-        let slices = (0..cfg.llc_slices)
-            .map(|i| LlcSlice::new(i as u16, &cfg))
-            .collect();
+        let slices = (0..cfg.llc_slices).map(|_| LlcSlice::new(&cfg)).collect();
         GpuSim {
             req_net: Crossbar::new(cfg.num_sms, cfg.llc_slices, cfg.noc_router_latency),
             reply_net: Crossbar::new(cfg.llc_slices, cfg.num_sms, cfg.noc_router_latency),
@@ -364,17 +362,11 @@ impl GpuSim {
                 for c in &completions {
                     let t = self.txns.get(c.id);
                     if t.is_store {
-                        // Stores and writebacks end at the DRAM.
+                        // Stores end at the DRAM.
                         self.txns.release(c.id);
                     } else {
                         let slice = &mut self.slices[t.slice as usize];
-                        slice.on_dram_completion(
-                            c.id,
-                            cycle,
-                            &mut self.txns,
-                            &self.mapper,
-                            &mut replies,
-                        );
+                        slice.on_dram_completion(t.line, cycle, &mut replies);
                         slices_next.lower(slice.cached_next_event());
                     }
                 }
@@ -395,7 +387,6 @@ impl GpuSim {
                             &self.cfg,
                             &mut self.dram,
                             &mut self.txns,
-                            &self.mapper,
                             &mut replies,
                         );
                         next = next.min(s.cached_next_event());
@@ -406,7 +397,6 @@ impl GpuSim {
                             &self.cfg,
                             &mut self.dram,
                             &mut self.txns,
-                            &self.mapper,
                             &mut replies,
                         );
                     }
@@ -567,12 +557,15 @@ impl GpuSim {
         }
         let req = self.req_net.stats();
         let rep = self.reply_net.stats();
+        let dram = self.dram.total_stats();
         // Conservation laws of a run that drained: every load is looked
         // up once in its L1, every delivered request once in its slice,
+        // every store is written to DRAM once (the LLC is write-through),
         // and every transaction ended exactly once.
         if !truncated {
             debug_assert_eq!(l1.accesses(), self.txns.len() - self.txns.stores());
             debug_assert_eq!(llc.accesses(), req.delivered);
+            debug_assert_eq!(dram.writes, self.txns.stores());
             debug_assert_eq!(self.txns.live(), 0, "a transaction never ended");
             debug_assert_eq!(self.req_net.queued_packets(), 0);
             debug_assert_eq!(self.reply_net.queued_packets(), 0);
@@ -598,7 +591,7 @@ impl GpuSim {
             llc_parallelism: parallelism.llc_parallelism(),
             channel_parallelism: parallelism.channel_parallelism(),
             bank_parallelism: parallelism.bank_parallelism(),
-            dram: self.dram.total_stats(),
+            dram,
             kernels: sched.kernel_idx,
             dram_cycles: self.dram_clock.cycle(),
             dram_channels: self.dram.num_channels(),

@@ -35,7 +35,7 @@ mod wake;
 
 pub use batch::BatchSim;
 pub use coalesce::{coalesce, coalesce_into};
-pub use config::{GpuConfig, LlcWritePolicy, WarpScheduler};
+pub use config::GpuConfig;
 pub use gpu::GpuSim;
 pub use metrics::{ParallelismIntegrator, SimReport, REPORT_SCHEMA_VERSION};
 pub use trace::{

@@ -4,10 +4,9 @@
 //! (Table I); the slice index is derived from the *mapped* address, so
 //! address mapping directly controls LLC-level parallelism (Figure 14a).
 //!
-//! Two write policies are supported (see
-//! [`LlcWritePolicy`](crate::LlcWritePolicy)): write-through/no-allocate
-//! (default) and write-back/write-validate, whose dirty evictions
-//! generate their own DRAM writebacks.
+//! Stores are write-through/no-allocate: a hit updates the line, and
+//! either way the store goes on to DRAM, so every store reaches DRAM
+//! exactly once and no line is ever dirty.
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -19,19 +18,16 @@
     clippy::unimplemented
 )]
 
-use crate::config::{GpuConfig, LlcWritePolicy};
-use crate::txn::{TxnTable, NO_WARP};
+use crate::config::GpuConfig;
+use crate::txn::TxnTable;
 use crate::wake::audit::{count, Counter};
 use crate::wake::DomainClock;
 use std::collections::VecDeque;
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
-use valley_core::{AddressMapper, PhysAddr};
 use valley_dram::DramSystem;
 
 /// One LLC slice (64 KB, 8-way in the baseline; 120-cycle latency).
 pub(crate) struct LlcSlice {
-    /// This slice's index (needed to tag self-generated writeback txns).
-    id: u16,
     cache: SetAssocCache,
     mshr: MshrFile,
     /// Transactions delivered by the NoC awaiting tag access.
@@ -65,9 +61,8 @@ pub(crate) struct LlcSlice {
 }
 
 impl LlcSlice {
-    pub(crate) fn new(id: u16, cfg: &GpuConfig) -> Self {
+    pub(crate) fn new(cfg: &GpuConfig) -> Self {
         LlcSlice {
-            id,
             cache: SetAssocCache::new(cfg.llc_slice),
             mshr: MshrFile::new(cfg.llc_mshrs, cfg.llc_mshr_merges),
             // Steady-state sized up front: every simulation run builds
@@ -170,34 +165,13 @@ impl LlcSlice {
         self.dram_retry.push_back(txn);
     }
 
-    /// Creates a DRAM writeback transaction for a dirty victim line.
-    fn emit_writeback(&mut self, victim: u64, txns: &mut TxnTable, mapper: &AddressMapper) {
-        let mapped = mapper.map(PhysAddr::new(victim));
-        let wb = txns.alloc(0, NO_WARP, true, victim, mapped, self.id);
-        self.send_to_dram(wb);
-    }
-
-    /// A DRAM read completed in core cycle `cycle`: fill the line and
-    /// emit replies for every merged waiter into `replies`. A dirty
-    /// victim (write-back policy) becomes a DRAM writeback. The slice
-    /// itself has something to do this cycle only if an input head can
-    /// retry its lookup or the retry queue has an unattempted head (the
-    /// writeback, if nothing was queued before it).
-    pub(crate) fn on_dram_completion(
-        &mut self,
-        txn: u64,
-        cycle: u64,
-        txns: &mut TxnTable,
-        mapper: &AddressMapper,
-        replies: &mut Vec<u64>,
-    ) {
+    /// A DRAM read of `line` completed in core cycle `cycle`: fill the
+    /// line and emit replies for every merged waiter into `replies`. The
+    /// slice itself has something to do this cycle only if an input head
+    /// can retry its lookup.
+    pub(crate) fn on_dram_completion(&mut self, line: u64, cycle: u64, replies: &mut Vec<u64>) {
         self.input_stalled = false;
-        let line = txns.get(txn).line;
-        if let Some(ev) = self.cache.fill_with(line, false) {
-            if ev.dirty {
-                self.emit_writeback(ev.line, txns, mapper);
-            }
-        }
+        self.cache.fill(line);
         self.mshr.complete_into(line, replies);
         self.cached_next = self.cached_next.min(self.next_event_incremental(cycle));
     }
@@ -253,10 +227,6 @@ impl LlcSlice {
     /// counters, so there is nothing to defer). Bit-identical to ticking
     /// densely every cycle.
     #[inline]
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "forwards `tick`'s borrows of the simulator's shared state"
-    )]
     pub(crate) fn tick_evented(
         &mut self,
         cycle: u64,
@@ -264,14 +234,13 @@ impl LlcSlice {
         cfg: &GpuConfig,
         dram: &mut DramSystem,
         txns: &mut TxnTable,
-        mapper: &AddressMapper,
         replies: &mut Vec<u64>,
     ) {
         if cycle < self.cached_next {
             return;
         }
         count(Counter::SliceTicks);
-        self.tick(cycle, dram_clock, cfg, dram, txns, mapper, replies);
+        self.tick(cycle, dram_clock, cfg, dram, txns, replies);
         self.cached_next = self.next_event_incremental(cycle + 1);
         debug_assert_eq!(
             self.cached_next,
@@ -286,10 +255,6 @@ impl LlcSlice {
     /// A transaction's lookup is counted once, in the cycle it leaves
     /// the input head. `dram_clock` is the DRAM domain as advanced
     /// through this cycle.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the slice borrows the simulator's shared state (DRAM, its clock, transactions, mapper) per call; bundling the borrows in a struct built every cycle buys nothing"
-    )]
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
@@ -297,7 +262,6 @@ impl LlcSlice {
         cfg: &GpuConfig,
         dram: &mut DramSystem,
         txns: &mut TxnTable,
-        mapper: &AddressMapper,
         replies: &mut Vec<u64>,
     ) {
         // 1. Hits whose latency elapsed.
@@ -370,31 +334,14 @@ impl LlcSlice {
         }
         self.cache.count(hit);
         self.input.pop_front();
-        if !t.is_store {
-            if hit {
-                let _audit_pause =
-                    (self.hits.len() == self.hits.capacity()).then(valley_core::alloc_audit::pause);
-                self.hits.push_back((cycle + cfg.llc_latency, txn));
-            }
-            return;
-        }
-        match cfg.llc_write_policy {
+        if t.is_store {
             // Write-through, no-allocate: a hit updates the line, and
             // either way the write goes on to DRAM.
-            LlcWritePolicy::WriteThrough => self.send_to_dram(txn),
-            // Write-back: the store ends here, absorbed by the resident
-            // line or by a write-validate allocation (install dirty, no
-            // fetch).
-            LlcWritePolicy::WriteBack => {
-                txns.release(txn);
-                if hit {
-                    self.cache.mark_dirty(t.line);
-                } else if let Some(ev) = self.cache.fill_with(t.line, true) {
-                    if ev.dirty {
-                        self.emit_writeback(ev.line, txns, mapper);
-                    }
-                }
-            }
+            self.send_to_dram(txn);
+        } else if hit {
+            let _audit_pause =
+                (self.hits.len() == self.hits.capacity()).then(valley_core::alloc_audit::pause);
+            self.hits.push_back((cycle + cfg.llc_latency, txn));
         }
     }
 }
@@ -404,7 +351,7 @@ mod tests {
     use super::*;
     use crate::txn::NO_WARP;
     use proptest::prelude::*;
-    use valley_core::{GddrMap, SchemeKind};
+    use valley_core::{AddressMapper, GddrMap, PhysAddr, SchemeKind};
     use valley_dram::DramConfig;
 
     /// The un-stall path: a load stalled on a full merge list is looked
@@ -419,7 +366,7 @@ mod tests {
         let mut dram = DramSystem::new(std::sync::Arc::new(map), cfg.dram);
         let dram_clock = DomainClock::new(cfg.dram_per_core());
         let mut txns = TxnTable::new();
-        let mut slice = LlcSlice::new(0, &cfg);
+        let mut slice = LlcSlice::new(&cfg);
         let mut replies = Vec::new();
         let line = 0x4000;
         let mapped = mapper.map(PhysAddr::new(line));
@@ -427,30 +374,14 @@ mod tests {
         slice.deliver(first, 0);
         slice.deliver(second, 0);
         for cycle in 0..4 {
-            slice.tick(
-                cycle,
-                &dram_clock,
-                &cfg,
-                &mut dram,
-                &mut txns,
-                &mapper,
-                &mut replies,
-            );
+            slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mut replies);
         }
         assert!(slice.input_stalled, "the merge list holds one waiter");
         assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
 
-        slice.on_dram_completion(first, 4, &mut txns, &mapper, &mut replies);
+        slice.on_dram_completion(line, 4, &mut replies);
         assert_eq!(replies, [first]);
-        slice.tick(
-            4,
-            &dram_clock,
-            &cfg,
-            &mut dram,
-            &mut txns,
-            &mapper,
-            &mut replies,
-        );
+        slice.tick(4, &dram_clock, &cfg, &mut dram, &mut txns, &mut replies);
         assert!(slice.input.is_empty());
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
     }
@@ -475,7 +406,7 @@ mod tests {
             dram_cfg.queue_capacity = 4;
             let mut dram = DramSystem::new(std::sync::Arc::new(map), dram_cfg);
             let mut txns = TxnTable::new();
-            let mut slice = LlcSlice::new(0, &cfg);
+            let mut slice = LlcSlice::new(&cfg);
             let mut replies = Vec::new();
             let mut completions: Vec<valley_dram::DramCompletion> = Vec::new();
 
@@ -494,8 +425,9 @@ mod tests {
                     completions.clear();
                     dram.tick_evented(dram_cycle, &mut completions);
                     for c in &completions {
-                        if !txns.get(c.id).is_store {
-                            slice.on_dram_completion(c.id, cycle, &mut txns, &mapper, &mut replies);
+                        let t = txns.get(c.id);
+                        if !t.is_store {
+                            slice.on_dram_completion(t.line, cycle, &mut replies);
                         }
                     }
                 }
@@ -513,7 +445,7 @@ mod tests {
                     }
                 }
                 if cycle >= slice.cached_next_event() {
-                    slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mapper, &mut replies);
+                    slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mut replies);
                     let incremental = slice.next_event_incremental(cycle + 1);
                     slice.cached_next = incremental;
                     let oracle = slice

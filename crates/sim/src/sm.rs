@@ -468,8 +468,8 @@ impl Sm {
         self.mem_queue.pop_front();
     }
 
-    /// Warp issue: pick by the configured policy (GTO or LRR), up to
-    /// `issue_width` distinct warps per cycle.
+    /// Warp issue: pick by GTO (Table I), up to `issue_width` distinct
+    /// warps per cycle.
     fn issue_tick(
         &mut self,
         cycle: u64,
@@ -489,11 +489,9 @@ impl Sm {
         let mut issued = [u32::MAX; MAX_ISSUE];
         for slot in 0..cfg.issue_width {
             let already = &issued[..slot];
-            let pick = match cfg.scheduler {
-                crate::config::WarpScheduler::Gto => self.pick_gto(already),
-                crate::config::WarpScheduler::Lrr => self.pick_lrr(already),
+            let Some(w) = self.pick_gto(already) else {
+                break;
             };
-            let Some(w) = pick else { break };
             issued[slot] = w;
             self.issue_one(w, cycle, cfg, mapper, txns, slice_of);
         }
@@ -515,29 +513,6 @@ impl Sm {
             .iter()
             .map(|&(_, w)| w)
             .find(|w| !already.contains(w))
-    }
-
-    /// Loose round-robin: the ready warp with the smallest slot index
-    /// strictly greater than the last-issued slot, wrapping around. One
-    /// pass over the ready set (which is ordered by age, not slot), no
-    /// allocation: this runs per issue slot per SM per cycle.
-    fn pick_lrr(&self, already: &[u32]) -> Option<u32> {
-        let start = self.last_issued.map_or(0, |w| w + 1);
-        let (mut from_start, mut wrapped) = (None::<u32>, None::<u32>);
-        for &(_, w) in self.ready.iter() {
-            if already.contains(&w) {
-                continue;
-            }
-            let best = if w >= start {
-                &mut from_start
-            } else {
-                &mut wrapped
-            };
-            if best.is_none_or(|b| w < b) {
-                *best = Some(w);
-            }
-        }
-        from_start.or(wrapped)
     }
 
     fn issue_one(

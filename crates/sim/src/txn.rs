@@ -52,7 +52,7 @@ pub(crate) struct TxnTable {
     free: Vec<u32>,
     /// Transactions ever allocated.
     allocated: u64,
-    /// Of those, the stores (writebacks included).
+    /// Of those, the stores.
     stores: u64,
 }
 

@@ -20,7 +20,7 @@
 //! | LLC slice | its own tick | next cycle while the input head can be looked up; else the front of the hit pipeline and the DRAM-retry head's gate |
 //! | | a refused DRAM enqueue | the *retry gate*: the core cycle in which the blocking channel's next dequeue is ticked ([`DomainClock::core_cycles_until`]); a blocked head is not re-attempted before it, whatever else wakes the slice |
 //! | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
-//! | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head or queues a writeback at the head of the retry queue; else nothing (the replies leave directly) |
+//! | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
 //! | SM | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
 //! | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
 //! | | a TB assignment | the cycle after the assignment |

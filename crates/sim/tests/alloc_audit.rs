@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::{Arc, Mutex};
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs, WarpScheduler};
+use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs};
 use valley_workloads::{KernelSpec, Workload};
 
 /// Counts every heap allocation into the audit before delegating to the
@@ -184,22 +184,6 @@ fn evented_steady_state_allocates_nothing() {
         |total| (total / 4, total * 3 / 4),
     );
     assert_eq!(span, 0, "evented tick loop allocated mid-run");
-    assert!(paused > 0, "window never armed or no declared sites fired");
-}
-
-/// The loose-round-robin warp pick runs per issue slot like GTO's and
-/// must be as allocation-free.
-#[test]
-fn lrr_steady_state_allocates_nothing() {
-    let _guard = audit_lock();
-    let mut cfg = GpuConfig::table1();
-    cfg.scheduler = WarpScheduler::Lrr;
-    let (span, paused) = audit(
-        || build_sim_with(cfg.clone(), sustained_workload(24, 4, 48)),
-        |sim| sim.run().cycles,
-        |total| (total / 4, total * 3 / 4),
-    );
-    assert_eq!(span, 0, "LRR issue path allocated mid-run");
     assert!(paused > 0, "window never armed or no declared sites fired");
 }
 

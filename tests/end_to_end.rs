@@ -162,54 +162,6 @@ fn stacked_memory_configuration_runs() {
 }
 
 #[test]
-fn alternative_substrate_policies_run() {
-    use valley::dram::SchedulingPolicy;
-    use valley::sim::WarpScheduler;
-    let map = GddrMap::baseline();
-    let mut cfg = GpuConfig::table1().with_scheduler(WarpScheduler::Lrr);
-    cfg.dram.policy = SchedulingPolicy::Fcfs;
-    let mapper = AddressMapper::build(SchemeKind::Pae, &map, 1);
-    let sim = GpuSim::new(
-        cfg,
-        mapper,
-        map,
-        Box::new(Benchmark::Mt.workload(Scale::Test)),
-    );
-    let r = sim.run();
-    assert!(!r.truncated);
-    assert!(r.cycles > 0);
-    // LRR + FCFS must still retire every transaction.
-    assert!(r.dram.accesses() > 0);
-}
-
-#[test]
-fn fcfs_degrades_row_locality_vs_frfcfs() {
-    use valley::dram::SchedulingPolicy;
-    let map = GddrMap::baseline();
-    let run_policy = |policy: SchedulingPolicy| {
-        let mut cfg = GpuConfig::table1();
-        cfg.dram.policy = policy;
-        let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-        GpuSim::new(
-            cfg,
-            mapper,
-            map,
-            Box::new(Benchmark::Srad2.workload(Scale::Test)),
-        )
-        .run()
-    };
-    let fr = run_policy(SchedulingPolicy::FrFcfs);
-    let fcfs = run_policy(SchedulingPolicy::Fcfs);
-    // Row-hit-first reordering can only help (or tie on) row locality.
-    assert!(
-        fr.row_buffer_hit_rate() >= fcfs.row_buffer_hit_rate() - 0.02,
-        "FR-FCFS {:.3} vs FCFS {:.3}",
-        fr.row_buffer_hit_rate(),
-        fcfs.row_buffer_hit_rate()
-    );
-}
-
-#[test]
 fn sm_count_sweep_runs() {
     for sms in [12usize, 24, 48] {
         let map = GddrMap::baseline();

@@ -92,30 +92,6 @@ fn random_benchmark_fae_scheme() {
 }
 
 #[test]
-fn fcfs_scheduling_policy_equivalence() {
-    // The indexed bank scheduler serves both arbitration policies; pin
-    // the FCFS path (the scheduling-orthogonality ablation) end to end.
-    let build = || {
-        let mut cfg = GpuConfig::table1();
-        cfg.dram.policy = valley::dram::SchedulingPolicy::Fcfs;
-        let map = GddrMap::baseline();
-        let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
-        GpuSim::new(
-            cfg,
-            mapper,
-            map,
-            Box::new(Benchmark::Mt.workload(Scale::Test)),
-        )
-    };
-    let fast = build().run();
-    let dense = build().run_dense();
-    assert_eq!(fast.cycles, dense.cycles, "fcfs: cycle count diverged");
-    assert_eq!(fast.dram, dense.dram, "fcfs: DRAM stats diverged");
-    assert_eq!(fast.llc, dense.llc, "fcfs: LLC stats diverged");
-    assert!(fast.cycles > 0 && fast.memory_transactions > 0, "empty run");
-}
-
-#[test]
 fn stacked_memory_equivalence() {
     use valley::core::StackedMap;
     let build = || {
