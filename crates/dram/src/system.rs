@@ -90,10 +90,11 @@ impl DramSystem {
         self.channels[0].config()
     }
 
-    /// Decodes a mapped address into `(controller, bank, row)` once, so
-    /// callers that may retry an enqueue for many cycles (the LLC's DRAM
-    /// hand-off) can cache the coordinates instead of paying the address
-    /// map's virtual decode on every attempt.
+    /// Decodes a mapped address into `(controller, bank, row)`, the
+    /// coordinates [`DramSystem::try_enqueue_at`] takes. The simulator
+    /// decodes once per transaction, at issue, and keeps the coordinates
+    /// in its transaction record, so a back-pressured hand-off that
+    /// retries for many cycles never decodes again.
     pub fn decode(&self, addr: PhysAddr) -> (u32, u32, u32) {
         (
             self.map.controller_of(addr) as u32,

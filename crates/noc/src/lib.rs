@@ -14,6 +14,13 @@
 //! Packets carry an opaque payload token. A read request is 1 flit
 //! (header + address), a 128 B data packet is 5 flits (4 data + header).
 //!
+//! A queued packet is a 24-byte entry — payload, injection cycle and
+//! flit count — not the 40-byte [`Packet`]: its source is checked at
+//! [`Crossbar::inject`] and never read again, and its destination is the
+//! index of the queue it waits in. When a mapping concentrates traffic on
+//! one slice, tens of thousands of packets wait at one output port, so
+//! the entry's width is most of what the crossbar holds.
+//!
 //! Two drivers advance a [`Crossbar`]. [`Crossbar::tick`] steps every
 //! occupied port one flit per cycle — the dense oracle.
 //! [`Crossbar::tick_evented`] keeps one calendar event per *packet*:
@@ -70,6 +77,16 @@ pub struct Delivery {
     pub latency: u64,
 }
 
+/// A packet waiting in an output queue: what delivery reads of it.
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    payload: u64,
+    injected_at: u64,
+    flits: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Queued>() == 24);
+
 /// Latency and utilization counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NocStats {
@@ -122,7 +139,7 @@ pub struct Crossbar {
     /// Fixed pipeline-traversal latency added to every packet.
     router_latency: u64,
     /// Per destination: queued packets (front is in service).
-    outputs: Vec<VecDeque<Packet>>,
+    outputs: Vec<VecDeque<Queued>>,
     /// Dense path only: flits remaining for the packet in service at
     /// each output (0 = the head has not started).
     in_service: Vec<u32>,
@@ -188,7 +205,11 @@ impl Crossbar {
         let was_empty = self.outputs[dst].is_empty();
         let _audit_pause = (self.outputs[dst].len() == self.outputs[dst].capacity())
             .then(valley_core::alloc_audit::pause);
-        self.outputs[dst].push_back(pkt);
+        self.outputs[dst].push_back(Queued {
+            payload: pkt.payload,
+            injected_at: pkt.injected_at,
+            flits: pkt.flits,
+        });
         self.queued += 1;
         if was_empty && !self.dense {
             // An idle port serves this packet as soon as the router
@@ -252,7 +273,7 @@ impl Crossbar {
         let pkt = self.outputs[dst]
             .pop_front()
             .expect("scheduled port has a head");
-        self.record_delivery(pkt, cycle, done);
+        self.record_delivery(dst, pkt, cycle, done);
         if let Some(head) = self.outputs[dst].front() {
             let start = (head.injected_at + self.router_latency).max(cycle + 1);
             self.events
@@ -319,14 +340,14 @@ impl Crossbar {
                 reason = "pop follows the front() peek at the top of transfer_flit; nothing in between removes from the queue"
             )]
             let pkt = self.outputs[dst].pop_front().expect("head packet exists");
-            self.record_delivery(pkt, cycle, done);
+            self.record_delivery(dst, pkt, cycle, done);
         }
     }
 
-    /// Books the delivery of `pkt`, just popped from its output queue,
+    /// Books the delivery of `pkt`, just popped from output port `dst`,
     /// with its last flit arriving at `cycle` — what both paths share.
     #[inline]
-    fn record_delivery(&mut self, pkt: Packet, cycle: u64, done: &mut Vec<Delivery>) {
+    fn record_delivery(&mut self, dst: usize, pkt: Queued, cycle: u64, done: &mut Vec<Delivery>) {
         self.queued -= 1;
         let latency = cycle + 1 - pkt.injected_at;
         self.stats.delivered += 1;
@@ -334,7 +355,7 @@ impl Crossbar {
         self.stats.flits += u64::from(pkt.flits);
         done.push(Delivery {
             payload: pkt.payload,
-            dst: pkt.dst,
+            dst,
             latency,
         });
     }

@@ -17,7 +17,7 @@ use crate::llc::LlcSlice;
 use crate::metrics::{ParallelismIntegrator, SimReport};
 use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
-use crate::txn::TxnTable;
+use crate::txn::{Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
 use crate::wake::{DomainClock, WakeGate};
 use std::ops::Range;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use valley_cache::CacheStats;
 use valley_core::{AddressMapper, DramAddressMap, PhysAddr};
 use valley_dram::DramSystem;
-use valley_noc::{Crossbar, Packet};
+use valley_noc::{Crossbar, Packet, DATA_FLITS, REQUEST_FLITS};
 
 /// How often (in core cycles) the parallelism metrics are sampled.
 const METRIC_SAMPLE_INTERVAL: u64 = 4;
@@ -53,8 +53,9 @@ const METRIC_SAMPLE_INTERVAL: u64 = 4;
 pub struct GpuSim {
     cfg: GpuConfig,
     mapper: AddressMapper,
-    /// The (immutable) address map for slice routing — the *same*
-    /// allocation the DRAM system decodes coordinates through.
+    /// The (immutable) address map every transaction is routed through
+    /// at issue (`GpuSim::route`) — the *same* allocation the DRAM
+    /// system holds.
     map: Arc<dyn DramAddressMap + Send + Sync>,
     dram: DramSystem,
     req_net: Crossbar,
@@ -181,6 +182,12 @@ impl TbScheduler {
 impl GpuSim {
     /// Creates a simulator for `workload` under the mapping scheme
     /// `mapper`, decoding DRAM coordinates through `map`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if an SM, warp, slice, controller or
+    /// bank index would not fit 16 bits or a row index 32 — the widths of
+    /// the per-transaction record.
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -190,9 +197,32 @@ impl GpuSim {
     where
         M: DramAddressMap + Send + Sync + 'static,
     {
+        // A transaction record names its SM, warp, slice, controller and
+        // bank in 16 bits and its row in 32 (`crate::txn`).
+        let fits = |field: &str, n: usize, max: u64| {
+            assert!(
+                n as u64 <= max,
+                "{field} = {n} does not fit a transaction record (at most {max})"
+            );
+        };
+        let index16 = 1 << 16;
+        fits("num_sms", cfg.num_sms, index16);
+        fits(
+            "max_warps_per_sm (below the NO_WARP sentinel)",
+            cfg.max_warps_per_sm,
+            u64::from(NO_WARP),
+        );
+        fits("llc_slices", cfg.llc_slices, index16);
+        fits("DRAM controllers", map.num_controllers(), index16);
+        fits(
+            "DRAM banks per controller",
+            map.banks_per_controller(),
+            index16,
+        );
+        fits("DRAM rows per bank", map.rows_per_bank(), 1 << 32);
         let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
-        let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u32, &cfg)).collect();
+        let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u16, &cfg)).collect();
         let slices = (0..cfg.llc_slices).map(|_| LlcSlice::new(&cfg)).collect();
         GpuSim {
             req_net: Crossbar::new(cfg.num_sms, cfg.llc_slices, cfg.noc_router_latency),
@@ -210,15 +240,31 @@ impl GpuSim {
         }
     }
 
-    /// The LLC slice serving a mapped address: controller-interleaved,
-    /// with the low bank bit distinguishing the two slices per controller.
-    fn slice_of(map: &dyn DramAddressMap, llc_slices: usize, addr: PhysAddr) -> u16 {
-        let nc = map.num_controllers();
-        if nc >= llc_slices {
-            (map.controller_of(addr) % llc_slices) as u16
+    /// Decodes a mapped address into its [`Route`], once per transaction
+    /// at issue: its DRAM controller, bank and row in one pass of three
+    /// calls over the address map, and the LLC slice serving it —
+    /// controller-interleaved, with the low bank bit distinguishing the
+    /// slices of one controller. `controllers` is the map's controller
+    /// count; [`GpuSim::new`] checked that every index fits its field.
+    fn route(
+        map: &dyn DramAddressMap,
+        controllers: usize,
+        llc_slices: usize,
+        addr: PhysAddr,
+    ) -> Route {
+        let ctrl = map.controller_of(addr);
+        let bank = map.bank_of(addr);
+        let slice = if controllers >= llc_slices {
+            ctrl % llc_slices
         } else {
-            let per = llc_slices / nc;
-            (map.controller_of(addr) * per + (map.bank_of(addr) % per)) as u16
+            let per = llc_slices / controllers;
+            ctrl * per + bank % per
+        };
+        Route {
+            slice: slice as u16,
+            ctrl: ctrl as u16,
+            bank: bank as u16,
+            row: map.row_of(addr) as u32,
         }
     }
 
@@ -386,7 +432,7 @@ impl GpuSim {
                             &self.dram_clock,
                             &self.cfg,
                             &mut self.dram,
-                            &mut self.txns,
+                            &self.txns,
                             &mut replies,
                         );
                         next = next.min(s.cached_next_event());
@@ -396,7 +442,7 @@ impl GpuSim {
                             &self.dram_clock,
                             &self.cfg,
                             &mut self.dram,
-                            &mut self.txns,
+                            &self.txns,
                             &mut replies,
                         );
                     }
@@ -407,9 +453,9 @@ impl GpuSim {
                 let t = self.txns.get(txn);
                 self.reply_net.inject(Packet {
                     payload: txn,
-                    src: t.slice as usize,
-                    dst: t.sm as usize,
-                    flits: valley_noc::DATA_FLITS,
+                    src: usize::from(t.slice),
+                    dst: usize::from(t.sm),
+                    flits: DATA_FLITS,
                     injected_at: self.noc_clock.cycle(),
                 });
             }
@@ -417,8 +463,8 @@ impl GpuSim {
             // ---- SMs ----
             {
                 let map = self.map.as_ref();
-                let llc_slices = self.cfg.llc_slices;
-                let slicer = move |addr: PhysAddr| Self::slice_of(map, llc_slices, addr);
+                let (controllers, llc_slices) = (self.dram.num_channels(), self.cfg.llc_slices);
+                let router = move |addr: PhysAddr| Self::route(map, controllers, llc_slices, addr);
                 if !event_driven || cycle >= sms_next.get() {
                     due = true;
                     count(Counter::SmWalks);
@@ -430,7 +476,7 @@ impl GpuSim {
                                 &self.cfg,
                                 &self.mapper,
                                 &mut self.txns,
-                                &slicer,
+                                &router,
                                 &mut outbound,
                             );
                             next = next.min(sm.cached_next_event());
@@ -440,7 +486,7 @@ impl GpuSim {
                                 &self.cfg,
                                 &self.mapper,
                                 &mut self.txns,
-                                &slicer,
+                                &router,
                                 &mut outbound,
                             );
                         }
@@ -452,8 +498,8 @@ impl GpuSim {
                 let t = self.txns.get(o.txn);
                 self.req_net.inject(Packet {
                     payload: o.txn,
-                    src: t.sm as usize,
-                    dst: t.slice as usize,
+                    src: usize::from(t.sm),
+                    dst: usize::from(t.slice),
                     flits: o.flits,
                     injected_at: self.noc_clock.cycle(),
                 });
@@ -560,12 +606,27 @@ impl GpuSim {
         let dram = self.dram.total_stats();
         // Conservation laws of a run that drained: every load is looked
         // up once in its L1, every delivered request once in its slice,
-        // every store is written to DRAM once (the LLC is write-through),
-        // and every transaction ended exactly once.
+        // every store is written to DRAM once (the LLC is write-through)
+        // and every DRAM read filled an LLC MSHR entry. Every store
+        // crosses the request network as a data packet and ends at DRAM;
+        // every other request is a load, answered by one data packet on
+        // the reply network. Every transaction ended exactly once.
         if !truncated {
-            debug_assert_eq!(l1.accesses(), self.txns.len() - self.txns.stores());
+            let stores = self.txns.stores();
+            let loads_delivered = req.delivered - stores;
+            debug_assert_eq!(l1.accesses(), self.txns.len() - stores);
             debug_assert_eq!(llc.accesses(), req.delivered);
-            debug_assert_eq!(dram.writes, self.txns.stores());
+            debug_assert_eq!(dram.writes, stores);
+            debug_assert_eq!(
+                dram.reads,
+                self.slices.iter().map(LlcSlice::mshr_entries).sum::<u64>()
+            );
+            debug_assert_eq!(rep.delivered, loads_delivered);
+            debug_assert_eq!(
+                req.flits,
+                u64::from(DATA_FLITS) * stores + u64::from(REQUEST_FLITS) * loads_delivered
+            );
+            debug_assert_eq!(rep.flits, u64::from(DATA_FLITS) * rep.delivered);
             debug_assert_eq!(self.txns.live(), 0, "a transaction never ended");
             debug_assert_eq!(self.req_net.queued_packets(), 0);
             debug_assert_eq!(self.reply_net.queued_packets(), 0);
@@ -603,6 +664,64 @@ impl GpuSim {
             } else {
                 busy as f64 / (cycles * self.sms.len() as u64) as f64
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use valley_core::{GddrMap, SchemeKind, StackedMap};
+    use valley_dram::DramConfig;
+
+    /// The slice formula as it stood before the route was decoded at
+    /// issue: its oracle.
+    fn slice_oracle(map: &dyn DramAddressMap, llc_slices: usize, addr: PhysAddr) -> usize {
+        let nc = map.num_controllers();
+        if nc >= llc_slices {
+            map.controller_of(addr) % llc_slices
+        } else {
+            let per = llc_slices / nc;
+            map.controller_of(addr) * per + map.bank_of(addr) % per
+        }
+    }
+
+    /// The issue-time route of `line` under every scheme over `map` is
+    /// the DRAM system's own decode of the mapped address, plus the
+    /// slice oracle — with no index narrowed away.
+    fn route_is_the_decode<M>(
+        map: M,
+        dram: DramConfig,
+        seed: u64,
+        line: u64,
+    ) -> Result<(), TestCaseError>
+    where
+        M: DramAddressMap + Copy + Send + Sync + 'static,
+    {
+        let llc_slices = GpuConfig::table1().llc_slices;
+        let dram = DramSystem::new(Arc::new(map), dram);
+        for kind in SchemeKind::ALL_SCHEMES {
+            let mapped = AddressMapper::build(kind, &map, seed).map(PhysAddr::new(line));
+            let (ctrl, bank, row) = dram.decode(mapped);
+            let want = Route {
+                slice: u16::try_from(slice_oracle(&map, llc_slices, mapped)).unwrap(),
+                ctrl: u16::try_from(ctrl).unwrap(),
+                bank: u16::try_from(bank).unwrap(),
+                row,
+            };
+            let got = GpuSim::route(&map, dram.num_channels(), llc_slices, mapped);
+            prop_assert_eq!(got, want, "{:?}, seed {}, line {:#x}", kind, seed, line);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn the_issue_time_route_is_the_dram_decode(seed in 0u64..1_000, line in 0u64..(1 << 23)) {
+            let line = line << 7;
+            route_is_the_decode(GddrMap::baseline(), DramConfig::gddr5(), seed, line)?;
+            route_is_the_decode(StackedMap::baseline(), DramConfig::stacked_vault(), seed, line)?;
         }
     }
 }

@@ -36,6 +36,9 @@ pub(crate) struct LlcSlice {
     hits: VecDeque<(u64, u64)>,
     /// Transactions waiting for a free DRAM queue slot.
     dram_retry: VecDeque<u64>,
+    /// MSHR entries opened, each by a load miss that goes on to DRAM as
+    /// one read — checked against the DRAM read count, not reported.
+    mshr_entries: u64,
     /// The input head is MSHR-stalled and no DRAM completion has arrived
     /// since (completions are the only events that free this slice's
     /// MSHRs or fill lines), so retries cost nothing: the head is looked
@@ -71,6 +74,7 @@ impl LlcSlice {
             input: VecDeque::with_capacity(64),
             hits: VecDeque::with_capacity(32),
             dram_retry: VecDeque::with_capacity(32),
+            mshr_entries: 0,
             input_stalled: false,
             cached_next: 0,
             retry_gate: None,
@@ -101,6 +105,11 @@ impl LlcSlice {
         self.cache.stats()
     }
 
+    /// MSHR entries opened so far: the DRAM reads this slice issued.
+    pub(crate) fn mshr_entries(&self) -> u64 {
+        self.mshr_entries
+    }
+
     /// The earliest core cycle at or after `now` at which
     /// [`LlcSlice::tick`] would do real work, or `None` when the slice can
     /// only progress through off-slice events (DRAM completions filling
@@ -127,16 +136,16 @@ impl LlcSlice {
         }
         let mut next: Option<u64> = None;
         if let Some(&txn) = self.dram_retry.front() {
-            let (Some(_), Some((ctrl, _, _))) = (self.retry_gate, txns.get(txn).coords) else {
+            if self.retry_gate.is_none() {
                 // Not attempted since it became the head.
                 return Some(now);
-            };
+            }
             assert!(
                 self.retry_head_blocked(txns, dram),
                 "a gated retry head whose channel has room"
             );
             // `now - 1` is the cycle `dram_clock` was last advanced in.
-            let dequeue = dram.channel_next_dequeue(ctrl as usize);
+            let dequeue = dram.channel_next_dequeue(usize::from(txns.get(txn).ctrl));
             next = Some((now - 1).saturating_add(dram_clock.core_cycles_until(dequeue)));
         }
         if let Some(&(ready, _)) = self.hits.front() {
@@ -146,16 +155,13 @@ impl LlcSlice {
         next
     }
 
-    /// Whether the DRAM-retry head has been decoded and its channel's
-    /// queue is full — what a retry gate in the future asserts.
+    /// Whether there is a DRAM-retry head and its channel's queue is
+    /// full — what a retry gate in the future asserts.
     fn retry_head_blocked(&self, txns: &TxnTable, dram: &DramSystem) -> bool {
-        self.dram_retry
-            .front()
-            .and_then(|&head| txns.get(head).coords)
-            .is_some_and(|(ctrl, _, _)| {
-                let ch = dram.channel(ctrl as usize);
-                ch.queue_len() >= ch.config().queue_capacity
-            })
+        self.dram_retry.front().is_some_and(|&head| {
+            let ch = dram.channel(usize::from(txns.get(head).ctrl));
+            ch.queue_len() >= ch.config().queue_capacity
+        })
     }
 
     /// Queues `txn` for the DRAM hand-off.
@@ -233,7 +239,7 @@ impl LlcSlice {
         dram_clock: &DomainClock,
         cfg: &GpuConfig,
         dram: &mut DramSystem,
-        txns: &mut TxnTable,
+        txns: &TxnTable,
         replies: &mut Vec<u64>,
     ) {
         if cycle < self.cached_next {
@@ -261,7 +267,7 @@ impl LlcSlice {
         dram_clock: &DomainClock,
         cfg: &GpuConfig,
         dram: &mut DramSystem,
-        txns: &mut TxnTable,
+        txns: &TxnTable,
         replies: &mut Vec<u64>,
     ) {
         // 1. Hits whose latency elapsed.
@@ -286,23 +292,16 @@ impl LlcSlice {
             );
         } else {
             while let Some(&txn) = self.dram_retry.front() {
-                let t = txns.get_mut(txn);
-                let (ctrl, bank, row) = match t.coords {
-                    Some(c) => c,
-                    None => {
-                        let c = dram.decode(t.mapped);
-                        t.coords = Some(c);
-                        c
-                    }
-                };
-                if dram.try_enqueue_at(ctrl, bank, row, txn, t.is_store, dram_clock.cycle()) {
+                let t = txns.get(txn);
+                let (ctrl, bank) = (u32::from(t.ctrl), u32::from(t.bank));
+                if dram.try_enqueue_at(ctrl, bank, t.row, txn, t.is_store, dram_clock.cycle()) {
                     self.dram_retry.pop_front();
                     self.retry_gate = None;
                 } else {
                     // The queue is full until the channel's next dequeue;
                     // the head fits in the core cycle that ticks it.
                     count(Counter::RefusedEnqueues);
-                    let dequeue = dram.channel_next_dequeue(ctrl as usize);
+                    let dequeue = dram.channel_next_dequeue(usize::from(t.ctrl));
                     self.retry_gate =
                         Some(cycle.saturating_add(dram_clock.core_cycles_until(dequeue)));
                     break;
@@ -322,7 +321,10 @@ impl LlcSlice {
         let hit = self.cache.lookup(t.line);
         if !hit && !t.is_store {
             match self.mshr.allocate(t.line, txn) {
-                MshrAllocation::NewEntry => self.send_to_dram(txn),
+                MshrAllocation::NewEntry => {
+                    self.mshr_entries += 1;
+                    self.send_to_dram(txn);
+                }
                 MshrAllocation::Merged => {}
                 MshrAllocation::Stalled => {
                     // Head-of-line stall: cache the verdict until the next
@@ -349,10 +351,21 @@ impl LlcSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::NO_WARP;
+    use crate::txn::{Route, NO_WARP};
     use proptest::prelude::*;
     use valley_core::{AddressMapper, GddrMap, PhysAddr, SchemeKind};
     use valley_dram::DramConfig;
+
+    /// The route of `line` under `mapper` — slice 0, the slice under test.
+    fn route(mapper: &AddressMapper, dram: &DramSystem, line: u64) -> Route {
+        let (ctrl, bank, row) = dram.decode(mapper.map(PhysAddr::new(line)));
+        Route {
+            slice: 0,
+            ctrl: ctrl as u16,
+            bank: bank as u16,
+            row,
+        }
+    }
 
     /// The un-stall path: a load stalled on a full merge list is looked
     /// up again after the fill and counted as the hit it then is — not
@@ -369,19 +382,19 @@ mod tests {
         let mut slice = LlcSlice::new(&cfg);
         let mut replies = Vec::new();
         let line = 0x4000;
-        let mapped = mapper.map(PhysAddr::new(line));
-        let [first, second] = [0, 1].map(|warp| txns.alloc(0, warp, false, line, mapped, 0));
+        let to = route(&mapper, &dram, line);
+        let [first, second] = [0, 1].map(|warp| txns.alloc(0, warp, false, line, to));
         slice.deliver(first, 0);
         slice.deliver(second, 0);
         for cycle in 0..4 {
-            slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mut replies);
+            slice.tick(cycle, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
         }
         assert!(slice.input_stalled, "the merge list holds one waiter");
         assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
 
         slice.on_dram_completion(line, 4, &mut replies);
         assert_eq!(replies, [first]);
-        slice.tick(4, &dram_clock, &cfg, &mut dram, &mut txns, &mut replies);
+        slice.tick(4, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
         assert!(slice.input.is_empty());
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
     }
@@ -438,14 +451,14 @@ mod tests {
                         let r = next_mix();
                         let line = (r % 64) << 7;
                         let is_store = r % 5 == 0;
-                        let mapped = mapper.map(valley_core::PhysAddr::new(line));
-                        let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, is_store, line, mapped, 0);
+                        let to = route(&mapper, &dram, line);
+                        let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, is_store, line, to);
                         slice.deliver(id, cycle);
                         pending -= 1;
                     }
                 }
                 if cycle >= slice.cached_next_event() {
-                    slice.tick(cycle, &dram_clock, &cfg, &mut dram, &mut txns, &mut replies);
+                    slice.tick(cycle, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
                     let incremental = slice.next_event_incremental(cycle + 1);
                     slice.cached_next = incremental;
                     let oracle = slice

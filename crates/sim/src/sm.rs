@@ -15,7 +15,7 @@
 use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
 use crate::trace::{Instruction, KernelSource, WarpProgram};
-use crate::txn::{TxnTable, NO_WARP};
+use crate::txn::{Route, TxnTable, NO_WARP};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
@@ -84,7 +84,7 @@ struct Warp {
 
 /// Per-SM issue and memory-path state.
 pub(crate) struct Sm {
-    id: u32,
+    id: u16,
     warps: Vec<Option<Warp>>,
     free_warp_slots: Vec<u32>,
     /// Warps able to issue, keyed by (age, slot) — GTO's oldest-first order.
@@ -126,7 +126,7 @@ pub(crate) struct Sm {
 }
 
 impl Sm {
-    pub(crate) fn new(id: u32, cfg: &GpuConfig) -> Self {
+    pub(crate) fn new(id: u16, cfg: &GpuConfig) -> Self {
         Sm {
             id,
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
@@ -305,9 +305,10 @@ impl Sm {
     /// the reply came back): the transaction ends and its warp counts it
     /// off.
     fn complete_load(&mut self, txn: u64, txns: &mut TxnTable) {
-        let warp_idx = txns.get(txn).warp;
+        let warp = txns.get(txn).warp;
         txns.release(txn);
-        debug_assert_ne!(warp_idx, NO_WARP, "stores never complete loads");
+        debug_assert_ne!(warp, NO_WARP, "stores never complete loads");
+        let warp_idx = u32::from(warp);
         let Some(warp) = self.warps[warp_idx as usize].as_mut() else {
             return;
         };
@@ -362,14 +363,14 @@ impl Sm {
         cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
-        slice_of: &dyn Fn(PhysAddr) -> u16,
+        route: &dyn Fn(PhysAddr) -> Route,
         outbound: &mut Vec<SmOutbound>,
     ) -> bool {
         if cycle < self.cached_next {
             return false;
         }
         self.flush_idle(cycle);
-        self.tick(cycle, cfg, mapper, txns, slice_of, outbound);
+        self.tick(cycle, cfg, mapper, txns, route, outbound);
         self.cached_next = self.next_event_at(cycle + 1).unwrap_or(u64::MAX);
         true
     }
@@ -382,7 +383,7 @@ impl Sm {
         cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
-        slice_of: &dyn Fn(PhysAddr) -> u16,
+        route: &dyn Fn(PhysAddr) -> Route,
         outbound: &mut Vec<SmOutbound>,
     ) {
         debug_assert!(cycle >= self.acct_from, "ticking an already-counted cycle");
@@ -413,7 +414,7 @@ impl Sm {
         }
 
         self.lsu_tick(cycle, cfg, mapper, txns, outbound);
-        self.issue_tick(cycle, cfg, mapper, txns, slice_of);
+        self.issue_tick(cycle, cfg, mapper, txns, route);
     }
 
     /// The load-store unit: one coalesced transaction per cycle through
@@ -476,7 +477,7 @@ impl Sm {
         cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
-        slice_of: &dyn Fn(PhysAddr) -> u16,
+        route: &dyn Fn(PhysAddr) -> Route,
     ) {
         // Stack buffer: issue_width is tiny (2 in Table I) and this runs
         // for every SM every cycle — no heap traffic allowed here.
@@ -493,7 +494,7 @@ impl Sm {
                 break;
             };
             issued[slot] = w;
-            self.issue_one(w, cycle, cfg, mapper, txns, slice_of);
+            self.issue_one(w, cycle, cfg, mapper, txns, route);
         }
     }
 
@@ -522,7 +523,7 @@ impl Sm {
         cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
-        slice_of: &dyn Fn(PhysAddr) -> u16,
+        route: &dyn Fn(PhysAddr) -> Route,
     ) {
         #[expect(
             clippy::expect_used,
@@ -560,8 +561,8 @@ impl Sm {
                 warp.outstanding_loads = lines.len() as u32;
                 self.ready.remove(&(age, w));
                 for &line in &lines {
-                    let m = mapper.map(PhysAddr::new(line));
-                    let txn = txns.alloc(self.id, w, false, line, m, slice_of(m));
+                    let to = route(mapper.map(PhysAddr::new(line)));
+                    let txn = txns.alloc(self.id, w as u16, false, line, to);
                     self.mem_queue.push_back(txn);
                 }
                 self.lines_buf = lines;
@@ -572,8 +573,8 @@ impl Sm {
                 let mut lines = std::mem::take(&mut self.lines_buf);
                 coalesce_into(&lanes, cfg.line_bytes, &mut lines);
                 for &line in &lines {
-                    let m = mapper.map(PhysAddr::new(line));
-                    let txn = txns.alloc(self.id, NO_WARP, true, line, m, slice_of(m));
+                    let to = route(mapper.map(PhysAddr::new(line)));
+                    let txn = txns.alloc(self.id, NO_WARP, true, line, to);
                     self.mem_queue.push_back(txn);
                 }
                 self.lines_buf = lines;

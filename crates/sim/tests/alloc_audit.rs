@@ -11,21 +11,48 @@
 //! `alloc_audit::pause` at their sites and surface in `paused_allocs`,
 //! which the tests also check to prove the window actually armed.
 //!
+//! The same allocator also keeps the live heap bytes and their
+//! high-water mark, which pins the footprint of a transaction in flight
+//! (`a_store_in_flight_costs_under_72_heap_bytes`).
+//!
 //! Requires `--features alloc-audit`; without it the hooks are empty
 //! and this file compiles to nothing.
 #![cfg(feature = "alloc-audit")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
 use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs};
 use valley_workloads::{KernelSpec, Workload};
 
 /// Counts every heap allocation into the audit before delegating to the
-/// system allocator. Frees are not interesting — the claim is about
-/// acquiring memory in the steady state, and a free implies a matching
-/// earlier alloc anyway.
+/// system allocator, and keeps the live heap bytes and their
+/// high-water mark. Frees only lower the live bytes — the zero-alloc
+/// claim is about acquiring memory in the steady state, and a free
+/// implies a matching earlier alloc anyway.
 struct CountingAlloc;
+
+/// Heap bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The most `LIVE` has been since the last [`reset_peak`].
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+/// Restarts the high-water mark from the live bytes; returns them.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
 
 /// Prints a backtrace for the first few violating allocations, so a
 /// failing run names the offending site instead of just a count. The
@@ -54,22 +81,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         trace_violation(layout.size());
         alloc_audit::on_alloc();
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         trace_violation(layout.size());
         alloc_audit::on_alloc();
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         trace_violation(layout.size());
         alloc_audit::on_alloc();
+        // A block that changes size: the live bytes move by the
+        // difference (growth in place or by remapping, not a copy).
+        if new_size > layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            shrink(layout.size() - new_size);
+        }
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -205,4 +242,50 @@ fn gather_steady_state_allocates_nothing() {
             "{name}: window never armed or no declared sites fired"
         );
     }
+}
+
+/// A store flood at one LLC slice: 16 TBs of 8 warps, spread over the 12
+/// SMs, each warp issuing 32 stores whose 32 lanes stride 2 KiB. Every
+/// line has channel bits 9..8 and bank bit 10 clear, so under BASE all
+/// 131 072 stores go to slice 0 and queue at its request-crossbar port,
+/// which drains one 5-flit store per 10 core cycles. The SMs issue the
+/// flood in about 16 K cycles, so at its peak more than 98 % of it is in
+/// flight at once.
+///
+/// The heap high-water mark over building and running that machine,
+/// divided by the stores, is what a store in flight costs: its
+/// transaction record, its crossbar queue entry and its slot in the
+/// SMs' LSU queues, with the fixed cost of the machine spread thin.
+/// Measured: 101.6 bytes with a 48-byte record and the whole 40-byte
+/// packet queued, 61.6 bytes with the 24-byte record and 24-byte queue
+/// entry.
+#[test]
+fn a_store_in_flight_costs_under_72_heap_bytes() {
+    let _guard = audit_lock();
+    const TBS: u64 = 16;
+    const WARPS: usize = 8;
+    const INSTS: u64 = 32;
+    let gen = Arc::new(|tb: u64, warp: usize| {
+        (0..INSTS)
+            .map(|i| {
+                let base = (tb << 24) | ((warp as u64) << 20) | (i << 16);
+                Instruction::Store(LaneAddrs::strided(base, 32, 2048))
+            })
+            .collect()
+    });
+    let flood = Workload::new("flood", vec![KernelSpec::new("k", TBS, WARPS, gen)]);
+    let stores = TBS * WARPS as u64 * INSTS * 32;
+    let before = reset_peak();
+    let report = build_sim_with(GpuConfig::table1(), flood).run();
+    let per_store = (PEAK.load(Ordering::Relaxed) - before) as f64 / stores as f64;
+    assert_eq!(report.dram.writes, stores, "every store reached DRAM");
+    assert!(
+        report.noc_latency > 100_000.0,
+        "the stores queued at one port (mean latency {} core cycles)",
+        report.noc_latency
+    );
+    assert!(
+        per_store < 72.0,
+        "{per_store:.1} heap bytes per store in flight"
+    );
 }

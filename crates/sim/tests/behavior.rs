@@ -195,3 +195,28 @@ fn report_labels_carry_workload_and_scheme() {
     assert_eq!(r.dram_channels, 4);
     assert_eq!(r.num_sms, 12);
 }
+
+/// Builds a one-instruction machine under `cfg`.
+fn build(cfg: GpuConfig) -> GpuSim {
+    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
+    let map = GddrMap::baseline();
+    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
+    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, 1)))
+}
+
+/// A transaction record holds an SM or warp index in 16 bits: a machine
+/// whose indices would not fit is refused at construction, naming the
+/// field, instead of silently aliasing SMs.
+#[test]
+#[should_panic(expected = "num_sms = 70000 does not fit")]
+fn an_sm_count_a_transaction_cannot_name_is_refused() {
+    let _ = build(GpuConfig::table1().with_sms(70_000));
+}
+
+#[test]
+#[should_panic(expected = "max_warps_per_sm (below the NO_WARP sentinel) = 65536")]
+fn a_warp_slot_equal_to_the_store_sentinel_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.max_warps_per_sm = 1 << 16;
+    let _ = build(cfg);
+}
