@@ -48,11 +48,9 @@ const RESULTS: Flag = (
     "DIR",
     "store (default $VALLEY_RESULTS_DIR, else ./results)",
 );
-const BATCH: Flag = (
-    "batch",
-    "N",
-    "up to N same-machine jobs per unit, identical lanes run once",
-);
+// Inert and hidden: kept only because benchmark/'s multiseed_batched
+// passes `--batch 9`; ROADMAP item one's benchmark PR removes it.
+const BATCH: Flag = ("batch", "N", "");
 const QUIET: Flag = ("quiet", "", "print the summary lines only");
 const EXPECT_CACHED: Flag = (
     "expect-cached",
@@ -177,7 +175,6 @@ const COMMANDS: &[Command] = &[
         required: &[ADDR],
         flags: &[
             ("name", "W", "telemetry name, stable across reconnects"),
-            BATCH,
             (
                 "connect-attempts",
                 "N",
@@ -207,13 +204,14 @@ const COMMANDS: &[Command] = &[
 ];
 
 /// `valley help`: one synopsis per [`COMMANDS`] row, then every flag
-/// once with its help.
+/// once with its help. A flag without help is hidden.
 fn usage() -> String {
     let mut text = String::from("valley — resumable sweep engine for the Valley reproduction\n");
     let mut glossary: Vec<Flag> = Vec::new();
     for cmd in COMMANDS {
         let mut line = format!("\n  valley {:<7}", cmd.name);
-        for (n, flag) in cmd.required.iter().chain(cmd.flags).enumerate() {
+        let flags = cmd.required.iter().chain(cmd.flags).enumerate();
+        for (n, flag) in flags.filter(|(_, flag)| !flag.2.is_empty()) {
             let item = match (n < cmd.required.len(), flag.1) {
                 (true, value) => format!(" --{} {value}", flag.0),
                 (false, "") => format!(" [--{}]", flag.0),
@@ -235,10 +233,10 @@ fn usage() -> String {
         text.push_str(&format!("  --{name:<17} {help}\n"));
     }
     text.push_str(
-        "\nBatch width (--batch, default one job per unit) is never part of a job key; seeds \
-         are, even\nfor the schemes that never read them (BASE, PM, RMP) — a batch runs such \
-         lanes once. `serve`\nre-leases the jobs of a worker that panics, stalls past its \
-         deadline or disconnects, and drops\nduplicate completions, so the distributed store \
+        "\nSeeds are part of every job key, even for the schemes that never read them (BASE, PM, \
+         RMP):\nsuch a scheme's seeds are one simulation, which always runs once and is stored \
+         under each key.\n`serve` re-leases the jobs of a worker that panics, stalls past its \
+         deadline or disconnects,\nand drops duplicate completions, so the distributed store \
          matches a local sequential sweep.",
     );
     text
@@ -379,7 +377,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let spec = parse_grid(flags)?;
     let scale = spec.scale;
     let workers = flags.parsed("workers")?;
-    let batch = flags.parsed("batch")?.unwrap_or(1);
+    flags.parsed::<usize>("batch")?; // inert, see BATCH
     let expect_cached: Option<f64> = flags.parsed("expect-cached")?;
 
     let store = open_store(flags)?;
@@ -387,7 +385,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         workers,
         verbose: !flags.has("quiet"),
         force: flags.has("force"),
-        batch,
     };
     let outcome = run_sweep(&spec, &store, &opts).map_err(|e| e.to_string())?;
 
@@ -460,28 +457,17 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
 
     // Wall-attribution telemetry, straight from the records' `wall`
     // field: measured walls are genuine per-job timings, cloned walls
-    // mark lanes served by an identical lane's simulation (batch width
-    // itself is pure scheduling and never part of a job key), and
-    // averaged walls — equal shares of one batch's wall — only come
-    // from stores written before batches timed each lane.
-    let mut averaged = 0usize;
-    let mut cloned = 0usize;
-    for e in &scan.records {
-        match e.wall {
-            WallKind::Measured => {}
-            WallKind::Averaged => averaged += 1,
-            WallKind::Cloned => cloned += 1,
-        }
-    }
-    if averaged + cloned > 0 {
-        let legacy = match averaged {
-            0 => String::new(),
-            n => format!(", {n} carry an older store's averaged batch wall"),
-        };
+    // mark lanes served by an identical lane's simulation.
+    let cloned = scan
+        .records
+        .iter()
+        .filter(|e| e.wall == WallKind::Cloned)
+        .count();
+    if cloned > 0 {
         println!(
-            "\nbatched runs: {cloned} result(s) were cloned from an identical lane{legacy} \
+            "\nlane dedupe: {cloned} result(s) were cloned from an identical lane \
              ({} of {} measured)",
-            scan.records.len() - averaged - cloned,
+            scan.records.len() - cloned,
             scan.records.len()
         );
     }
@@ -803,8 +789,6 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
     let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
         name: flags.get("name").map_or(defaults.name, str::to_string),
-        // The lease capacity mirrors `sweep --batch`.
-        capacity: flags.parsed("batch")?.unwrap_or(defaults.capacity).max(1),
         connect_attempts: flags
             .parsed("connect-attempts")?
             .unwrap_or(defaults.connect_attempts)

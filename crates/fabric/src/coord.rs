@@ -4,11 +4,11 @@
 //!
 //! ## Lease lifecycle
 //!
-//! A worker's `Request` takes up to `capacity` pending jobs that share a
-//! machine (config × scale × scheme — `take_unit`, the grouping rule the
-//! local batched sweep cuts its grid with, so `execute_batch_timed`
-//! applies unchanged) and wraps them in a lease with a deadline. Three
-//! things can happen:
+//! A worker's `Request` takes one simulation off the queue — the next
+//! pending job and the pending jobs right behind it that are the same
+//! run (`take_unit`, the unit the local sweep hands its thread pool, so
+//! `execute_batch_timed` runs it once) — and wraps it in a lease with a
+//! deadline. Three things can happen:
 //!
 //! * **`Done`** — the results are accepted (idempotently: a job that
 //!   was already completed by a faster replica counts as a duplicate
@@ -479,7 +479,7 @@ fn handle_conn(
                     "first frame on a connection must be hello".into(),
                 ))
             }
-            Msg::Request { capacity } => handle_request(shared, conn, &peer_name, capacity),
+            Msg::Request => handle_request(shared, conn, &peer_name),
             Msg::Done { lease, results } => {
                 let reply = handle_done(shared, &peer_name, lease, results);
                 maybe_finish(shared, wake_addr);
@@ -532,10 +532,9 @@ fn handle_conn(
     }
 }
 
-/// Grants a lease of up to `capacity` same-machine pending jobs, or
-/// tells the worker to wait / go home.
-fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -> Msg {
-    let capacity = capacity.clamp(1, 4096) as usize;
+/// Grants a lease on the next pending simulation, or tells the worker
+/// to wait / go home.
+fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str) -> Msg {
     let mut state = shared.state.lock().expect("fabric state");
     reap_expired(&mut state, shared.opts.verbose);
     if state.grid_complete() || (state.pending.is_empty() && state.leases.is_empty()) {
@@ -547,14 +546,11 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -
     // re-queues as pending, and a later stale `Done` for it flips the
     // status to done while the queue slot remains. Leasing such a job
     // again would double-execute it, so only what is still pending is
-    // live. Same grouping as the local batched sweep: jobs in one lease
-    // share (config, scale, scheme), where seed-insensitive lanes dedupe.
+    // live. Same unit as the local sweep: one simulation.
     let State {
         pending, status, ..
     } = &mut *state;
-    let taken = take_unit(pending, capacity, &shared.jobs, |i| {
-        status[i] == Slot::Pending
-    });
+    let taken = take_unit(pending, &shared.jobs, |i| status[i] == Slot::Pending);
     if taken.is_empty() {
         return Msg::Wait {
             retry_ms: shared.opts.retry_ms,

@@ -15,8 +15,7 @@
 //!   grid expansion order, and serves the read-side `query`/`status`
 //!   endpoints purely from the store;
 //! * [`worker`] — the worker loop: a network shell around
-//!   `execute_batch_timed`, so `--batch` composes with remote
-//!   execution;
+//!   `execute_batch_timed`, one simulation per lease;
 //! * [`client`] — read-side fetch/status/shutdown.
 //!
 //! The failure model in one sentence: a worker that panics, stalls

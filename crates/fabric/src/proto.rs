@@ -22,8 +22,9 @@ use valley_workloads::{Benchmark, Scale};
 /// rejects mismatched peers loudly instead of misparsing their frames.
 /// v2 added the `wall` attribution field to result records (see
 /// [`valley_harness::WallKind`]); a v1 peer would drop it silently, so
-/// the version gates it out.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// the version gates it out. v3 dropped `request`'s `capacity`: a lease
+/// is always one simulation.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// What a connecting peer is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,20 +158,17 @@ pub enum Msg {
         /// Peer name (telemetry key for workers).
         name: String,
     },
-    /// Worker asks for work; `capacity` is the widest same-machine batch
-    /// it will accept (its `--batch` width).
-    Request {
-        /// Maximum jobs per lease.
-        capacity: u64,
-    },
-    /// Coordinator grants a lease on a batch of same-machine jobs.
+    /// Worker asks for work.
+    Request,
+    /// Coordinator grants a lease on one simulation.
     Lease {
         /// Lease id, echoed back in [`Msg::Done`] / [`Msg::Failed`].
         lease: u64,
         /// Milliseconds until the coordinator may re-lease these jobs.
         deadline_ms: u64,
-        /// The leased jobs (all sharing config × scale × scheme, so the
-        /// worker can run them through `execute_batch_timed`).
+        /// The leased jobs: one job, or the seeds of a deterministic
+        /// scheme that are the same simulation (`JobSpec::simulation`),
+        /// which `execute_batch_timed` runs once.
         jobs: Vec<JobSpec>,
     },
     /// Coordinator has jobs outstanding but none available; retry after
@@ -188,7 +186,7 @@ pub enum Msg {
         /// One result per leased job.
         results: Vec<StoredResult>,
     },
-    /// Worker reports a structured failure for a leased batch; the
+    /// Worker reports a structured failure for a lease; the
     /// coordinator re-leases the jobs (up to its attempt cap) with the
     /// reason attached to telemetry.
     Failed {
@@ -265,7 +263,7 @@ valley_sim::record!(Telemetry {
 
 valley_sim::tagged!(Msg, tag "t" {
     "hello" => Hello { version: u32 = "version", role: Role = "role", name: String = "name" },
-    "request" => Request { capacity: u64 = "capacity" },
+    "request" => Request {},
     "lease" => Lease {
         lease: u64 = "lease",
         deadline_ms: u64 = "deadline_ms",

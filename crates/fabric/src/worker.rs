@@ -1,11 +1,10 @@
 //! The fabric worker: lease, execute, report, repeat.
 //!
 //! A worker is a thin network shell around the harness's executor,
-//! [`execute_batch_timed`] — a lease is a same-machine batch, of one job
-//! or of many — so the local batching knob composes with remote
-//! execution: the worker's `--batch` capacity asks the coordinator for
-//! same-machine batch leases, and what the executor returns is what
-//! travels in `Done`. Panics are caught per lease and reported as
+//! [`execute_batch_timed`]: a lease is one simulation (a job, or the
+//! seeds of a deterministic scheme, which run once), exactly the unit a
+//! local sweep hands its thread pool, and what the executor returns is
+//! what travels in `Done`. Panics are caught per lease and reported as
 //! structured [`JobFailure`]s, so a crashed job is re-leased with its
 //! reason attached instead of silently vanishing.
 
@@ -24,9 +23,6 @@ use valley_harness::{execute_batch_timed, JobFailure, JobSpec};
 pub struct WorkerOptions {
     /// Telemetry name (stable across reconnects).
     pub name: String,
-    /// Widest same-machine batch to accept per lease (the distributed
-    /// analogue of `valley sweep --batch`).
-    pub capacity: usize,
     /// Connection attempts before giving up (the coordinator may start
     /// after the worker).
     pub connect_attempts: u32,
@@ -41,7 +37,6 @@ impl Default for WorkerOptions {
     fn default() -> Self {
         WorkerOptions {
             name: format!("worker-{}", std::process::id()),
-            capacity: 1,
             connect_attempts: 25,
             backoff_ms: 200,
             verbose: false,
@@ -155,9 +150,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Fab
             };
         ever_connected = true;
         loop {
-            let reply = match conn.roundtrip(&Msg::Request {
-                capacity: opts.capacity.max(1) as u64,
-            }) {
+            let reply = match conn.roundtrip(&Msg::Request) {
                 Ok(reply) => reply,
                 Err(WireError::Io(_)) if reconnects_left > 1 => {
                     // The coordinator went away mid-conversation; any

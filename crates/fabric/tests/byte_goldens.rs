@@ -110,7 +110,7 @@ fn messages() -> Vec<(&'static str, Msg)> {
                 name: "w-1 \"quoted\"\n😀".into(),
             },
         ),
-        ("msg.request", Msg::Request { capacity: 9 }),
+        ("msg.request", Msg::Request),
         (
             "msg.lease",
             Msg::Lease {

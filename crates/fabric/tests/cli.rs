@@ -1,5 +1,6 @@
 //! The `valley` binary's flag surface: a removed flag is rejected like
-//! any unknown one, before the subcommand does anything; a filter value
+//! any unknown one, before the subcommand does anything; `sweep --batch`
+//! parses but changes nothing; a filter value
 //! that names nothing is an error, not an empty result; a flag given
 //! twice is an error, not the last value winning; a grid value given
 //! twice names the same jobs, not more jobs; the commands `figures`
@@ -10,7 +11,7 @@
 
 mod common;
 
-use common::{filed_jobs, normalized_store};
+use common::{filed_jobs, normalized_store, without_wall_ms};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -27,8 +28,9 @@ const REMOVED_FLAG: &str = concat!("--sim", "-threads");
 fn removed_flags_are_unknown_flags() {
     // `work` points at a port nothing listens on: flag parsing must fail
     // first, without a connection attempt. `--lint` was `status`'s switch
-    // for a lint tool the repo no longer has.
-    let invocations: [(&[&str], &str); 3] = [
+    // for a lint tool the repo no longer has; `work --batch` asked for
+    // leases wider than one simulation.
+    let invocations: [(&[&str], &str); 4] = [
         (
             &["sweep", "--scale", "test", REMOVED_FLAG, "2"],
             REMOVED_FLAG,
@@ -38,6 +40,10 @@ fn removed_flags_are_unknown_flags() {
             REMOVED_FLAG,
         ),
         (&["status", "--lint"], "--lint"),
+        (
+            &["work", "--addr", "127.0.0.1:9", "--batch", "2"],
+            "--batch",
+        ),
     ];
     for (args, flag) in invocations {
         let out = valley(args);
@@ -47,6 +53,58 @@ fn removed_flags_are_unknown_flags() {
             stderr.contains(&format!("unknown flag '{flag}'")),
             "{args:?} failed without naming the flag: {stderr}"
         );
+    }
+}
+
+/// `sweep --batch N` still parses, so a bad value is still an error,
+/// but it changes nothing: every sweep runs each simulation once, and
+/// the store is the default sweep's, cloned lanes included.
+#[test]
+fn sweep_batch_is_inert_and_hidden() {
+    let grid = [
+        "--scale",
+        "test",
+        "--benches",
+        "SP,MT",
+        "--schemes",
+        "BASE,PAE",
+        "--seeds",
+        "1,2",
+        "--quiet",
+        "--results",
+    ];
+    let (plain, batched) = (fresh_dir("batch-plain"), fresh_dir("batch-nine"));
+    for (dir, extra) in [(&plain, &[][..]), (&batched, &["--batch", "9"][..])] {
+        let args = [
+            &["sweep"][..],
+            &grid,
+            &[dir.to_str().expect("utf-8")],
+            extra,
+        ]
+        .concat();
+        let out = valley(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert_eq!(without_wall_ms(&plain), without_wall_ms(&batched));
+    let cloned = without_wall_ms(&plain)
+        .into_iter()
+        .filter(|r| r.contains("\"wall\":\"cloned\""))
+        .count();
+    assert_eq!(cloned, 2, "BASE's second seed of each bench is a clone");
+
+    let out = valley(&["sweep", "--scale", "test", "--batch", "x"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad value 'x' for --batch"));
+    let help = String::from_utf8_lossy(&valley(&["help"]).stdout).into_owned();
+    assert!(
+        !help.contains("--batch"),
+        "help lists the inert flag:\n{help}"
+    );
+    for dir in [plain, batched] {
+        std::fs::remove_dir_all(dir).ok();
     }
 }
 

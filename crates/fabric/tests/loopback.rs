@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{filed_jobs, normalized_store};
+use common::{filed_jobs, normalized_store, without_wall_ms};
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use valley_core::SchemeKind;
@@ -44,8 +44,7 @@ impl Drop for TempStore {
     }
 }
 
-/// Four test-scale jobs in two same-machine groups (config × scale ×
-/// scheme), so `--batch 2` leases exercise the grouped path.
+/// Four test-scale jobs, each its own simulation (one lease each).
 fn grid() -> SweepSpec {
     SweepSpec::new(
         &[Benchmark::Sp, Benchmark::Mt],
@@ -98,8 +97,8 @@ impl RawPeer {
         Msg::from_json(&reply).expect("raw peer decodes")
     }
 
-    fn lease(&mut self, capacity: u64) -> (u64, Vec<JobSpec>) {
-        match self.roundtrip(&Msg::Request { capacity }) {
+    fn lease(&mut self) -> (u64, Vec<JobSpec>) {
+        match self.roundtrip(&Msg::Request) {
             Msg::Lease { lease, jobs, .. } => (lease, jobs),
             other => panic!("expected a lease, got {other:?}"),
         }
@@ -175,35 +174,29 @@ fn distributed_store_matches_local_sequential_sweep() {
     assert_eq!(resumed.telemetry.executed, 0);
 }
 
-/// Batched leases (`capacity > 1`) group same-machine jobs and produce
-/// the same store as single-job leases.
+/// Over a multi-seed grid, a lease is one simulation: BASE's seeds run
+/// once and the others are cloned, so two default workers store exactly
+/// the local sweep's records — `wall` kinds included — modulo `wall_ms`.
 #[test]
-fn batched_leases_match_unbatched_store() {
-    let spec = grid();
-    let single = TempStore::new("single-lease");
-    let store = single.open();
-    serve_while(&spec, &store, &coord_opts(), |addr| {
-        run_worker(addr, &quiet("solo")).expect("worker");
-    });
+fn multi_seed_leases_store_the_local_sweeps_records() {
+    let spec = grid().with_seeds(&[1, 2, 3]);
+    let local = TempStore::new("seeds-local");
+    run_sweep(&spec, &local.open(), &SweepOptions::default()).expect("local sweep");
 
-    let batched = TempStore::new("batched-lease");
-    let bstore = batched.open();
-    let summary = serve_while(&spec, &bstore, &coord_opts(), |addr| {
-        run_worker(
-            addr,
-            &WorkerOptions {
-                capacity: 2,
-                ..quiet("wide")
-            },
-        )
-        .expect("batched worker");
+    let remote = TempStore::new("seeds-remote");
+    let store = remote.open();
+    let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
+        std::thread::scope(|s| {
+            s.spawn(|| run_worker(addr, &quiet("w1")).expect("worker 1"));
+            s.spawn(|| run_worker(addr, &quiet("w2")).expect("worker 2"));
+        });
     });
-    assert!(summary.complete());
-    assert_eq!(
-        normalized_store(&single.0),
-        normalized_store(&batched.0),
-        "lease batching changed the stored results"
-    );
+    assert!(summary.complete(), "grid incomplete: {summary:?}");
+    assert_eq!(summary.telemetry.executed, 12);
+    let records = without_wall_ms(&remote.0);
+    assert_eq!(records, without_wall_ms(&local.0));
+    let cloned = records.iter().filter(|r| r.contains("\"wall\":\"cloned\""));
+    assert_eq!(cloned.count(), 4, "two BASE seeds per bench run as clones");
 }
 
 /// A grid value given twice names the same job, not a second one. The
@@ -242,7 +235,7 @@ fn killed_worker_mid_job_loses_nothing() {
     let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
         // The victim takes a lease and dies without reporting.
         let mut victim = RawPeer::connect(addr, "victim");
-        let (_lease, jobs) = victim.lease(1);
+        let (_lease, jobs) = victim.lease();
         assert_eq!(jobs.len(), 1);
         drop(victim);
         // A healthy worker drains the whole grid, including the
@@ -284,7 +277,7 @@ fn expired_lease_is_reaped_and_late_completion_is_idempotent() {
     };
     let summary = serve_while(&spec, &store, &opts, |addr| {
         let mut stalled = RawPeer::connect(addr, "stalled");
-        let (lease, jobs) = stalled.lease(1);
+        let (lease, jobs) = stalled.lease();
         // Outlive the deadline, then let a healthy worker drain the
         // grid (re-leasing our job on its first request).
         std::thread::sleep(std::time::Duration::from_millis(120));
@@ -332,15 +325,13 @@ fn query_path_reaps_expired_leases() {
         ..coord_opts()
     };
     let summary = serve_while(&spec, &store, &opts, |addr| {
-        // The victim leases the whole grid (two same-machine leases of
-        // two jobs each), then stalls past both deadlines.
+        // The victim leases the whole grid (four one-job leases), then
+        // stalls past every deadline.
         let mut victim = RawPeer::connect(addr, "victim");
-        let (lease_a, jobs_a) = victim.lease(2);
-        let (lease_b, jobs_b) = victim.lease(2);
-        assert_eq!(
-            jobs_a.len() + jobs_b.len(),
-            4,
-            "the grid was not fully leased"
+        let leases: Vec<(u64, Vec<JobSpec>)> = (0..4).map(|_| victim.lease()).collect();
+        assert!(
+            leases.iter().all(|(_, jobs)| jobs.len() == 1),
+            "the grid was not leased one job at a time"
         );
         std::thread::sleep(std::time::Duration::from_millis(120));
         // A fetch-only watcher triggers the reap: no Request, no Status.
@@ -354,11 +345,11 @@ fn query_path_reaps_expired_leases() {
         // The victim's late completions arrive after its leases were
         // reaped; the jobs re-queued at query time, so the results are
         // accepted through the stale-done path.
-        for (lease, jobs) in [(lease_a, jobs_a), (lease_b, jobs_b)] {
+        for (lease, jobs) in leases {
             let results = execute_batch_timed(&jobs);
             match victim.roundtrip(&Msg::Done { lease, results }) {
                 Msg::Ack { stored, duplicates } => {
-                    assert_eq!(stored, 2, "a late completion was lost");
+                    assert_eq!(stored, 1, "a late completion was lost");
                     assert_eq!(duplicates, 0);
                 }
                 other => panic!("expected an ack, got {other:?}"),
@@ -389,7 +380,7 @@ fn structured_failure_is_re_leased_with_reason() {
     let store = tmp.open();
     let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
         let mut flaky = RawPeer::connect(addr, "flaky");
-        let (lease, jobs) = flaky.lease(1);
+        let (lease, jobs) = flaky.lease();
         let failures = jobs
             .iter()
             .map(|&spec| JobFailure::panic(spec, "injected crash".to_string()))
@@ -433,7 +424,7 @@ fn deterministic_failure_dies_after_max_attempts() {
     };
     let summary = serve_while(&spec, &store, &opts, |addr| {
         let mut flaky = RawPeer::connect(addr, "flaky");
-        let (mut lease, jobs) = flaky.lease(1);
+        let (mut lease, jobs) = flaky.lease();
         let poisoned = jobs[0];
         for attempt in 0..2 {
             let failures = vec![JobFailure::panic(poisoned, "always crashes".to_string())];
@@ -444,7 +435,7 @@ fn deterministic_failure_dies_after_max_attempts() {
             if attempt == 0 {
                 // Re-lease the same job (it went back to the queue
                 // front) and fail it a second, final time.
-                let (release, rejobs) = flaky.lease(1);
+                let (release, rejobs) = flaky.lease();
                 assert_eq!(rejobs, jobs, "the failed job was not re-leased first");
                 lease = release;
             }

@@ -16,7 +16,7 @@ use valley_harness::{
     ConfigId, FailureKind, JobFailure, JobSpec, StoredResult, SweepSpec, WallKind,
 };
 
-const WALL_KINDS: [WallKind; 3] = [WallKind::Measured, WallKind::Averaged, WallKind::Cloned];
+const WALL_KINDS: [WallKind; 2] = [WallKind::Measured, WallKind::Cloned];
 use valley_sim::json::Json;
 use valley_sim::record::Codec;
 use valley_sim::SimReport;
@@ -123,7 +123,7 @@ fn message(variant: usize, n: u64, m: u64, bench: usize, frac: f64) -> Msg {
             },
             name: format!("peer-{m} \"quoted\"\n😀"),
         },
-        1 => Msg::Request { capacity: n },
+        1 => Msg::Request,
         2 => Msg::Lease {
             lease: n,
             deadline_ms: m,
@@ -137,7 +137,7 @@ fn message(variant: usize, n: u64, m: u64, bench: usize, frac: f64) -> Msg {
                 spec,
                 report: report(n, (1 << 53) | n, frac, &spec),
                 wall_ms: frac * 1e4,
-                wall: WALL_KINDS[(n % 3) as usize],
+                wall: WALL_KINDS[(n % 2) as usize],
             }],
         },
         6 => Msg::Failed {
@@ -170,7 +170,7 @@ fn message(variant: usize, n: u64, m: u64, bench: usize, frac: f64) -> Msg {
                 spec,
                 report: report(m, (1 << 54) | m, frac, &spec),
                 wall_ms: frac,
-                wall: WALL_KINDS[(m % 3) as usize],
+                wall: WALL_KINDS[(m % 2) as usize],
             }],
         },
         10 => Msg::Status,
@@ -225,7 +225,7 @@ proptest! {
         big in (1u64 << 53)..=u64::MAX,
         frac in 0.0f64..=1.0,
         wall_ms in 0.0f64..1e9,
-        wall_kind in 0usize..3,
+        wall_kind in 0usize..2,
     ) {
         let spec = job(bench, bench / 7, cycles, bench / 3, bench / 5);
         let stored = StoredResult {
@@ -270,7 +270,7 @@ proptest! {
                     spec,
                     report: report(cycles.wrapping_add(i), big - i, frac, &spec),
                     wall_ms: frac * i as f64,
-                    wall: WALL_KINDS[n % 3],
+                    wall: WALL_KINDS[n % 2],
                 }
             })
             .collect();

@@ -130,6 +130,22 @@ impl JobSpec {
             self.bench, self.scheme, self.seed, self.scale, self.config
         )
     }
+
+    /// The simulation this job runs: the job itself with the seed zeroed
+    /// unless the scheme reads it. The seed only reaches a simulation
+    /// through the randomized schemes' BIM construction, so BASE, PM and
+    /// RMP build the same machine for every seed; two jobs with equal
+    /// `simulation()`s are the same run and produce the same report.
+    pub fn simulation(&self) -> JobSpec {
+        JobSpec {
+            seed: if self.scheme.is_randomized() {
+                self.seed
+            } else {
+                0
+            },
+            ..*self
+        }
+    }
 }
 
 impl std::fmt::Display for JobSpec {
@@ -277,10 +293,6 @@ pub fn execute_job(spec: &JobSpec) -> SimReport {
 pub enum WallKind {
     /// The job's simulation was timed directly.
     Measured,
-    /// An equal share of one batch's wall — an attribution, not a
-    /// measurement. Never written; parsed because older stores and v2
-    /// fabric peers carry it.
-    Averaged,
     /// The job's report was cloned from an identical lane (a
     /// deterministic scheme swept over seeds); its marginal cost is ~0
     /// and the stored value is 0.
@@ -292,7 +304,6 @@ impl WallKind {
     pub fn as_str(self) -> &'static str {
         match self {
             WallKind::Measured => "measured",
-            WallKind::Averaged => "averaged",
             WallKind::Cloned => "cloned",
         }
     }
@@ -301,7 +312,6 @@ impl WallKind {
     pub fn parse(s: &str) -> Option<WallKind> {
         match s {
             "measured" => Some(WallKind::Measured),
-            "averaged" => Some(WallKind::Averaged),
             "cloned" => Some(WallKind::Cloned),
             _ => None,
         }
@@ -310,33 +320,25 @@ impl WallKind {
 
 valley_sim::name_coded!(WallKind, as_str, WallKind::parse);
 
-/// Runs a batch of jobs and returns their results in `specs` order —
-/// each report equal to what [`execute_job`] produces for that spec
-/// alone, each record ready for the store. Batch width is pure
-/// scheduling and is deliberately not part of any job key.
+/// Runs a slice of jobs (a sweep unit, a fabric lease, or any slice) and
+/// returns their results in `specs` order — each report equal to what
+/// [`execute_job`] produces for that spec alone, each record ready for
+/// the store.
 ///
-/// Lanes that are the *same simulation* run once: BASE/PM/RMP build the
-/// same BIM for every seed (the seed is part of the job key because keys
-/// describe the request, but the deterministic schemes never read it),
-/// so a multi-seed sweep slice collapses those lanes to one and clones
-/// the report — N seeds of a deterministic scheme cost one simulation.
-/// That dedupe is all a batch buys; every unique lane goes through
-/// [`execute_job`] on its own spec, one after another.
+/// Lanes that are the same simulation ([`JobSpec::simulation`]) run
+/// once: BASE/PM/RMP build the same BIM for every seed (the seed is part
+/// of the job key because keys describe the request, but those schemes
+/// never read it), so N seeds of a deterministic scheme cost one
+/// simulation and the other lanes clone its report. Every unique lane
+/// goes through [`execute_job`] on its own spec, one after another.
 ///
 /// An executed lane is timed on its own and [`WallKind::Measured`]; a
 /// clone is [`WallKind::Cloned`] at 0 ms.
 pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<StoredResult> {
-    // Seed only reaches the simulation through the randomized schemes'
-    // BIM construction; two lanes agreeing on everything else are
-    // identical runs.
-    let identity = |s: &JobSpec| {
-        let effective_seed = if s.scheme.is_randomized() { s.seed } else { 0 };
-        (s.bench, s.scheme, effective_seed, s.scale, s.config)
-    };
-    let mut first: FastMap<_, usize> = FastMap::default();
+    let mut first: FastMap<JobSpec, usize> = FastMap::default();
     let mut lanes: Vec<StoredResult> = Vec::with_capacity(specs.len());
     for &spec in specs {
-        let lane = match first.entry(identity(&spec)) {
+        let lane = match first.entry(spec.simulation()) {
             Entry::Occupied(ran) => StoredResult {
                 spec,
                 report: lanes[*ran.get()].report.clone(),

@@ -68,8 +68,8 @@ pub struct StoredResult {
     pub report: SimReport,
     /// Wall time of the original execution, in milliseconds.
     pub wall_ms: f64,
-    /// How `wall_ms` was obtained (measured, 0 for a cloned duplicate
-    /// lane, or — in older stores — averaged over a batch).
+    /// How `wall_ms` was obtained (measured, or 0 for a cloned duplicate
+    /// lane).
     pub wall: WallKind,
 }
 

@@ -22,13 +22,6 @@ pub struct SweepOptions {
     /// Re-run every job even if a stored result exists (the fresh result
     /// overwrites the stored one).
     pub force: bool,
-    /// Batch width: pending jobs that share a machine (config, scale,
-    /// scheme) become one pool unit in groups of up to this many lanes,
-    /// within which lanes that are the same simulation run once (see
-    /// [`execute_batch_timed`]). `0` and `1` both mean one job per unit.
-    /// Batch width is pure scheduling — per-lane results are identical
-    /// to unbatched runs — so it is deliberately not part of job keys.
-    pub batch: usize,
 }
 
 /// One job's outcome within a sweep.
@@ -42,8 +35,7 @@ pub struct JobOutcome {
     /// hits, this run's execution time for misses.
     pub wall_ms: f64,
     /// How `wall_ms` was obtained (see [`WallKind`]): a genuine per-job
-    /// measurement, or 0 for a lane cloned from an identical one (a
-    /// cache hit from an older store may also say `averaged`).
+    /// measurement, or 0 for a lane cloned from an identical one.
     pub wall: WallKind,
     /// Whether the result came from the store.
     pub cached: bool,
@@ -266,40 +258,35 @@ impl<'a> Committer<'a> {
     }
 }
 
-/// Takes the next unit of work off `pending`: the first live job plus,
-/// up to `width` in all, the live jobs behind it that share its machine
-/// (config, scale, scheme — within which identical lanes run once, see
-/// [`execute_batch_timed`]). Jobs passed over keep their order; indices
-/// that are no longer `live` are dropped on the way. Empty when nothing
-/// live is pending. Width 0 and 1 both mean one job per unit.
+/// Takes the next unit of work off `pending`: one simulation. That is
+/// the first live job plus every live job right behind it that is the
+/// same simulation ([`JobSpec::simulation`]), which
+/// [`execute_batch_timed`] runs once. Seeds are the innermost axis of
+/// [`SweepSpec::expand`], so a deterministic scheme's seeds are adjacent
+/// and units come off in grid order. Indices that are no longer `live`
+/// are dropped on the way. Empty when nothing live is pending.
 pub fn take_unit(
     pending: &mut VecDeque<usize>,
-    width: usize,
     jobs: &[JobSpec],
     live: impl Fn(usize) -> bool,
 ) -> Vec<usize> {
-    let machine = |i: usize| (jobs[i].config, jobs[i].scale, jobs[i].scheme);
     let mut unit: Vec<usize> = Vec::new();
-    let mut passed = Vec::new();
-    while unit.len() < width.max(1) {
-        let Some(i) = pending.pop_front() else { break };
+    while let Some(&i) = pending.front() {
         match unit.first() {
             _ if !live(i) => {}
-            Some(&lead) if machine(i) != machine(lead) => passed.push(i),
+            Some(&lead) if jobs[i].simulation() != jobs[lead].simulation() => break,
             _ => unit.push(i),
         }
-    }
-    for i in passed.into_iter().rev() {
-        pending.push_front(i);
+        pending.pop_front();
     }
     unit
 }
 
 /// Runs a sweep against a store: cache hits are served without
-/// simulation, misses run in parallel with per-job panic isolation
-/// (per-batch when batching via [`SweepOptions::batch`]), and every
-/// fresh result is committed in grid order as its unit finishes — the
-/// store always holds the finished prefix of the grid.
+/// simulation, misses run in parallel one simulation per pool unit (see
+/// [`take_unit`]) with per-unit panic isolation, and every fresh result
+/// is committed in grid order as its unit finishes — the store always
+/// holds the finished prefix of the grid.
 pub fn run_sweep(
     spec: &SweepSpec,
     store: &ResultStore,
@@ -335,11 +322,10 @@ pub fn run_sweep(
     let cache_hits = jobs.len() - todo;
 
     // Phase 2: execute the misses on the thread pool, one pool unit per
-    // group of same-machine jobs (see `take_unit`), each handing its
-    // lanes to the committer before it reports done.
-    let width = opts.batch.max(1);
+    // simulation (see `take_unit`), each handing its lanes to the
+    // committer before it reports done.
     let units: Vec<Vec<usize>> =
-        std::iter::from_fn(|| Some(take_unit(&mut pending, width, &jobs, |_| true)))
+        std::iter::from_fn(|| Some(take_unit(&mut pending, &jobs, |_| true)))
             .take_while(|unit| !unit.is_empty())
             .collect();
     let workers = opts
@@ -347,20 +333,19 @@ pub fn run_sweep(
         .unwrap_or_else(|| pool::default_workers(units.len()));
     if opts.verbose && todo > 0 {
         eprintln!(
-            "sweep: {} jobs, {} cached, running {} in {} unit(s) of <= {} on {} worker(s)",
+            "sweep: {} jobs, {} cached, running {} jobs as {} simulation(s) on {} worker(s)",
             jobs.len(),
             cache_hits,
             todo,
             units.len(),
-            width,
             workers.clamp(1, units.len()),
         );
     }
-    // What a progress or failure line calls a pool unit: the job itself
-    // for a singleton, the lead job and the lane count otherwise.
+    // What a progress or failure line calls a pool unit: its lead job,
+    // and how many more seeds it serves.
     let unit_name = |unit: &[usize]| match unit {
         [one] => jobs[*one].to_string(),
-        _ => format!("batch x{} ({}, ...)", unit.len(), jobs[unit[0]]),
+        _ => format!("{} (+{} seed(s))", jobs[unit[0]], unit.len() - 1),
     };
     let commit = Mutex::new((committer, failures));
     pool::run_jobs(
@@ -379,16 +364,12 @@ pub fn run_sweep(
         |done| {
             let unit = &units[done.index];
             if let Some(msg) = done.error {
-                // The whole unit shares one panic: every lane in it needs
+                // The whole unit is one simulation: every lane in it needs
                 // a re-run, so every lane reports the failure and gives up
                 // its turn at the store.
-                let msg = match unit.len() {
-                    1 => msg.to_string(),
-                    _ => format!("batched lane: {msg}"),
-                };
                 let (committer, failures) = &mut *commit.lock().expect("committer poisoned");
                 for &idx in unit {
-                    failures.push(JobFailure::panic(jobs[idx], msg.clone()));
+                    failures.push(JobFailure::panic(jobs[idx], msg));
                     failures.extend(committer.skip(idx));
                 }
             }

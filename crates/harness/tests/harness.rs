@@ -115,66 +115,36 @@ fn results_are_deterministic_across_worker_counts() {
 }
 
 #[test]
-fn batched_sweep_matches_sequential_results_and_store_state() {
-    // Batch width is pure scheduling: a batched sweep must produce the
-    // same reports under the same job keys as a sequential one, and a
-    // later unbatched sweep over the batched store must be all cache
-    // hits (the keys deliberately carry no batch width).
-    let seq_tmp = TempStore::new("batch-seq");
-    let bat_tmp = TempStore::new("batch-bat");
-    // Two configs and seeds so the batcher has to group: same-machine
-    // jobs batch together, different machines never share a batch.
+fn a_default_sweep_runs_each_distinct_simulation_once() {
+    // BASE never reads the seed, so its three seeds per (bench, config)
+    // are one simulation; PAE's are three. Two configs, so a BASE unit
+    // must never swallow the other machine's lanes.
+    let tmp = TempStore::new("dedupe");
     let spec = SweepSpec::new(
         &[Benchmark::Sp, Benchmark::Mt, Benchmark::Mum],
         &[SchemeKind::Base, SchemeKind::Pae],
         Scale::Test,
     )
-    .with_seeds(&[1, 2])
+    .with_seeds(&[1, 2, 3])
     .with_configs(&[ConfigId::Table1, ConfigId::Stacked]);
-    let sequential = run_sweep(
-        &spec,
-        &seq_tmp.open(),
-        &SweepOptions {
-            batch: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let bat_store = bat_tmp.open();
-    for width in [2, 3, 5] {
-        let batched = run_sweep(
-            &spec,
-            &bat_store,
-            &SweepOptions {
-                batch: width,
-                force: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(batched.executed, sequential.jobs.len());
-        for (a, b) in sequential.jobs.iter().zip(&batched.jobs) {
-            assert_eq!(a.spec, b.spec, "job order depends on batching");
-            assert_eq!(
-                a.report.results_json(),
-                b.report.results_json(),
-                "{}: batch({width}) report differs from sequential",
-                a.spec
-            );
+    let swept = run_sweep(&spec, &tmp.open(), &SweepOptions::default()).unwrap();
+    assert_eq!((swept.executed, swept.jobs.len()), (36, 36));
+    let distinct: valley_core::hash::FastSet<JobSpec> =
+        spec.expand().iter().map(JobSpec::simulation).collect();
+    assert_eq!(distinct.len(), 2 * 3 + 2 * 3 * 3);
+    let measured = swept.jobs.iter().filter(|j| j.wall == WallKind::Measured);
+    assert_eq!(measured.count(), distinct.len());
+    for j in &swept.jobs {
+        assert_eq!(
+            j.report.results_json(),
+            execute_job(&j.spec).results_json(),
+            "{}: swept report differs from its solo run",
+            j.spec
+        );
+        if j.wall == WallKind::Cloned {
+            assert_eq!(j.wall_ms, 0.0, "{}: a clone costs nothing", j.spec);
         }
     }
-    // Resume from the batched store without batching: all hits.
-    let resumed = run_sweep(
-        &spec,
-        &bat_store,
-        &SweepOptions {
-            batch: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(resumed.cache_hits, sequential.jobs.len());
-    assert_eq!(resumed.executed, 0);
 }
 
 #[test]
@@ -204,19 +174,15 @@ fn mixed_config_batch_runs_each_lane_on_its_own_machine() {
 }
 
 #[test]
-fn batched_lanes_are_measured_and_averaged_records_still_load() {
-    let tmp = TempStore::new("batch-wall");
+fn executed_lanes_are_measured_and_an_unknown_wall_kind_is_refused() {
+    let tmp = TempStore::new("wall-kinds");
     let spec = SweepSpec::new(
         &[Benchmark::Sp, Benchmark::Mt, Benchmark::Mum],
         &[SchemeKind::Base, SchemeKind::Pae],
         Scale::Test,
     )
     .with_seeds(&[1, 2, 3]);
-    let opts = SweepOptions {
-        batch: 9,
-        ..Default::default()
-    };
-    let swept = run_sweep(&spec, &tmp.open(), &opts).unwrap();
+    let swept = run_sweep(&spec, &tmp.open(), &SweepOptions::default()).unwrap();
     // BASE never reads the seed: two of its three seeds per bench clone.
     let cloned = swept.jobs.iter().filter(|j| j.wall == WallKind::Cloned);
     assert_eq!(cloned.count(), 6);
@@ -230,8 +196,8 @@ fn batched_lanes_are_measured_and_averaged_records_still_load() {
         assert!(j.wall_ms > 0.0, "{}: executed lane has no wall", j.spec);
     }
 
-    // Stores written while batches split one wall evenly say `averaged`;
-    // such records are outside input and must keep loading.
+    // No store this code could write says anything else: a wall kind
+    // it does not know fails loudly instead of loading as something.
     let path = tmp.0.join(STORE_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(
@@ -239,18 +205,12 @@ fn batched_lanes_are_measured_and_averaged_records_still_load() {
         text.replace("\"wall\":\"measured\"", "\"wall\":\"averaged\""),
     )
     .unwrap();
-    let resumed = run_sweep(&spec, &tmp.open(), &opts).unwrap();
-    assert_eq!(resumed.cache_hits, swept.jobs.len());
-    for (a, b) in swept.jobs.iter().zip(&resumed.jobs) {
-        assert_eq!(a.report, b.report, "{}: reloaded report differs", a.spec);
-        let expect = if a.wall == WallKind::Measured {
-            WallKind::Averaged
-        } else {
-            a.wall
-        };
-        assert_eq!(b.wall, expect, "{}", b.spec);
-        assert_eq!(b.wall_ms, a.wall_ms, "{}", b.spec);
-    }
+    let err = ResultStore::open(&tmp.0).expect_err("an unknown wall kind loads");
+    assert!(
+        err.to_string()
+            .contains("line 1: StoredResult field 'wall': unknown WallKind"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -649,7 +609,7 @@ fn sharded_layout_is_refused_with_the_migration_line() {
 }
 
 /// A cold sweep's file is the grid in expansion order, whatever the
-/// worker count or batch width.
+/// worker count.
 #[test]
 fn cold_sweep_file_is_the_grid_in_expansion_order() {
     let spec = SweepSpec::new(
@@ -658,16 +618,15 @@ fn cold_sweep_file_is_the_grid_in_expansion_order() {
         Scale::Test,
     )
     .with_seeds(&[1, 2]);
-    for (workers, batch) in [(1, 1), (3, 1), (2, 4)] {
-        let tmp = TempStore::new(&format!("order-{workers}-{batch}"));
+    for workers in [1, 2, 3] {
+        let tmp = TempStore::new(&format!("order-{workers}"));
         let opts = SweepOptions {
             workers: Some(workers),
-            batch,
             ..Default::default()
         };
         run_sweep(&spec, &tmp.open(), &opts).unwrap();
         let scan = valley_harness::scan(&tmp.0).unwrap();
         let filed: Vec<JobSpec> = scan.records.iter().map(|r| r.spec).collect();
-        assert_eq!(filed, spec.expand(), "workers {workers}, batch {batch}");
+        assert_eq!(filed, spec.expand(), "workers {workers}");
     }
 }

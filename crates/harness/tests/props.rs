@@ -1,10 +1,10 @@
 //! Property tests for the sweep layer's two shared rules: the
 //! [`Committer`] (the store always holds the settled prefix's fresh
-//! results, in expansion order) and [`take_unit`] (the one grouping rule
-//! behind pool units and fabric leases).
+//! results, in expansion order) and [`take_unit`] (one simulation: the
+//! unit behind pool units and fabric leases).
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 use valley_core::SchemeKind;
 use valley_harness::{
@@ -151,45 +151,50 @@ proptest! {
         prop_assert!(store.is_empty());
     }
 
-    /// Draining `pending` through `take_unit` yields the units of an
-    /// order-preserving group-by on the machine, each group chunked to
-    /// `width`, over the live jobs only.
+    /// Draining `pending` through `take_unit` yields the maximal runs
+    /// of one simulation over the live jobs: a dead index neither joins
+    /// nor splits a run, BASE's seeds share a unit, and each seed of a
+    /// randomized scheme is a unit of its own.
     #[test]
-    fn take_unit_is_the_chunked_group_by(
-        lanes in proptest::collection::vec((0usize..2, 0usize..3, any::<bool>()), 0..40),
-        width in 0usize..6,
+    fn units_are_maximal_runs_of_one_simulation(
+        lanes in proptest::collection::vec(
+            (0usize..2, 0usize..2, 0u64..3, any::<bool>()),
+            0..40,
+        ),
     ) {
         let configs = [ConfigId::Table1, ConfigId::Stacked];
+        let schemes = [SchemeKind::Base, SchemeKind::Pae];
         let jobs: Vec<JobSpec> = lanes
             .iter()
-            .enumerate()
-            .map(|(i, &(config, scheme, _))| JobSpec {
+            .map(|&(config, scheme, seed, _)| JobSpec {
                 bench: Benchmark::Sp,
-                scheme: SchemeKind::ALL_SCHEMES[scheme],
-                seed: i as u64,
+                scheme: schemes[scheme],
+                seed,
                 scale: Scale::Test,
                 config: configs[config],
             })
             .collect();
-        let live = |i: usize| lanes[i].2;
+        let live = |i: usize| lanes[i].3;
 
+        // Two live jobs run once together iff they agree on everything
+        // but a seed BASE never reads.
+        let same_run = |a: usize, b: usize| {
+            let (ca, sa, seed_a, _) = lanes[a];
+            let (cb, sb, seed_b, _) = lanes[b];
+            ca == cb && sa == sb && (schemes[sa] == SchemeKind::Base || seed_a == seed_b)
+        };
         let mut want: Vec<Vec<usize>> = Vec::new();
-        let mut open: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         for i in (0..jobs.len()).filter(|&i| live(i)) {
-            let key = (lanes[i].0, lanes[i].1);
-            match open.get(&key) {
-                Some(&u) if want[u].len() < width.max(1) => want[u].push(i),
-                _ => {
-                    open.insert(key, want.len());
-                    want.push(vec![i]);
-                }
+            match want.last_mut() {
+                Some(unit) if same_run(unit[0], i) => unit.push(i),
+                _ => want.push(vec![i]),
             }
         }
 
         let mut pending: VecDeque<usize> = (0..jobs.len()).collect();
         let mut got: Vec<Vec<usize>> = Vec::new();
         loop {
-            let unit = take_unit(&mut pending, width, &jobs, live);
+            let unit = take_unit(&mut pending, &jobs, live);
             if unit.is_empty() {
                 break;
             }
