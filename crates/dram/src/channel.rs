@@ -1,30 +1,22 @@
 //! A single DRAM channel: banks, open-page row buffers and an FR-FCFS
 //! scheduler (Rixner et al.), as configured in Table I.
 //!
-//! The scheduler keeps **per-bank request queues** so arbitration only
-//! examines banks that can accept a command this cycle, instead of
-//! scanning one global queue; a global sequence number preserves the exact
-//! FR-FCFS ordering semantics of a single arrival-ordered queue.
+//! Requests wait in **per-bank queues** in arrival order; a global sequence
+//! number keeps the FR-FCFS order of one arrival-ordered queue. Each bank
+//! caches its *hit*, the queue position of its oldest request to the open
+//! row. Arbitration is **one pass over the banks with queued work**: a bank
+//! that can take a command offers its front (its oldest request) and its
+//! hit; the oldest hit wins, and without one the oldest front. The same
+//! pass notes whether a second bank was ready and the earliest `ready_at`
+//! of the rest, which is all the dequeue horizon needs. An issued request
+//! was the oldest of its row from its position on, so the bank's new hit
+//! is the first entry from there on to the now-open row.
 //!
-//! On top of the queues sit two **indexes** that make arbitration cheap:
-//!
-//! * a per-bank *row index* — for every (bank, row) with queued work, an
-//!   intrusive chain of the queued requests to that row in arrival order —
-//!   so the oldest row-buffer hit of a bank is one lookup instead of a
-//!   queue-prefix scan, and an ACT needs no recount of the new row's hits;
-//! * a *readiness heap* of `(ready_at, bank)` — banks whose next command
-//!   time is still in the future wait in the heap and are promoted into a
-//!   small ready set exactly when their `ready_at` arrives, so `pick` only
-//!   walks banks that can actually accept a command this cycle.
-//!
-//! Both indexes are pure accelerators: the scheduling decision is
-//! bit-identical to the linear scan they replaced, which is kept under
-//! `#[cfg(test)]` as [`DramChannel::pick_linear`] and pinned by a
-//! randomized-traffic property test. They pay: driving `pick` with that
-//! linear scan instead is bit-identical on all 96 ref-scale records but
-//! slower on the valley grid in 10 of 10 alternating pairs — 4.390 →
-//! 4.815 s median wall (+9.4 %), ratios 1.03–1.27 (measured by ISSUE
-//! 23's requester while sizing it; not re-measured here).
+//! The banks with queued work are a `u64` bitmask walked by its set bits:
+//! a variant that scanned every bank was slower on both ref-scale grids.
+//! The choice is bit-identical to the plain scan of every bank and queue
+//! prefix, [`DramChannel::pick_linear`], kept under `#[cfg(test)]` and
+//! pinned by property tests on both shipped configurations.
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -38,8 +30,7 @@
 
 use crate::config::DramConfig;
 use crate::stats::DramStats;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A memory transaction presented to a channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,26 +61,13 @@ pub struct DramCompletion {
 
 /// How a column access found the row buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RowBufferOutcome {
+enum RowBufferOutcome {
     /// The addressed row was already open.
     Hit,
     /// The bank was idle; only an ACT was needed.
     Empty,
     /// A different row was open; PRE + ACT were needed.
     Conflict,
-}
-
-/// Where a bank currently sits in the scheduler's readiness index.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum Sched {
-    /// No queued work; the bank is invisible to arbitration.
-    #[default]
-    Idle,
-    /// Queued work, but `ready_at` is in the future: one entry in the
-    /// readiness heap.
-    Heap,
-    /// Queued work and `ready_at` has arrived: member of the ready set.
-    Ready,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -101,35 +79,26 @@ struct Bank {
     act_at: u64,
     /// Transactions issued from this bank and not yet completed.
     inflight: u32,
-    /// Readiness-index membership (see [`Sched`]).
-    sched: Sched,
+    /// Position in this bank's queue of its oldest request to `open_row`.
+    hit: Option<usize>,
 }
 
-/// Chain-link sentinel: no younger request to the same (bank, row).
-const NO_SEQ: u64 = u64::MAX;
-
-/// A queued request plus its global arrival order and its intrusive
-/// same-row chain link (the row index's linked list runs through the
-/// queue entries themselves, so the index needs no per-row allocation).
+/// A queued request plus its global arrival order.
 #[derive(Clone, Copy, Debug)]
 struct Queued {
     seq: u64,
     req: DramRequest,
-    /// Seq of the next younger queued request to the same bank and row,
-    /// or [`NO_SEQ`].
-    next_same_row: u64,
 }
 
-/// One (bank, row) chain of the row index: the queued requests to `row`,
-/// oldest first, linked through [`Queued::next_same_row`].
-#[derive(Clone, Copy, Debug)]
-struct RowChain {
-    row: usize,
-    /// Oldest queued seq to this row (the FR-FCFS hit candidate).
-    head: u64,
-    /// Youngest queued seq (chain append point).
-    tail: u64,
-    len: u32,
+/// What one arbitration pass found.
+struct Arbitration {
+    /// The FR-FCFS choice: bank and position within its queue.
+    choice: Option<(usize, usize)>,
+    /// Whether a bank other than the chosen one can accept a command.
+    other_ready: bool,
+    /// The earliest `ready_at` among queued banks that cannot accept a
+    /// command yet (`u64::MAX` if none).
+    next_ready: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -169,17 +138,9 @@ pub struct DramChannel {
     /// Per-bank scheduling queues, each in arrival order (seqs strictly
     /// increasing front to back).
     queues: Vec<VecDeque<Queued>>,
-    /// Per-bank row index: one [`RowChain`] per row with queued work.
-    /// Linear-searched by row — a bank rarely holds more than a handful
-    /// of distinct rows, and the search runs on enqueue/issue, not per
-    /// tick.
-    row_chains: Vec<Vec<RowChain>>,
-    /// Readiness heap: `(ready_at, bank)` for every bank in
-    /// [`Sched::Heap`] state, min-first.
-    sched_heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Banks whose `ready_at` has arrived and that still hold queued
-    /// work ([`Sched::Ready`]); the only banks `pick` walks.
-    ready: Vec<usize>,
+    /// Bit `b` is set exactly when bank `b`'s queue is non-empty; the
+    /// only banks `pick` walks.
+    queued_banks: u64,
     /// Total requests across all per-bank queues.
     queued: usize,
     /// Banks with at least one outstanding (queued or in-flight) request,
@@ -198,8 +159,8 @@ pub struct DramChannel {
     /// The cycle of the next **dequeue** — the first tick whose `pick`
     /// takes a request out of the scheduling queue (`u64::MAX` = nothing
     /// queued). Exact: `tick` republishes it after arbitration (the next
-    /// cycle while the ready set is non-empty, else the readiness-heap
-    /// top) and [`DramChannel::try_enqueue`] lowers it like
+    /// cycle while another bank is ready, else the earliest `ready_at` of
+    /// a queued bank) and [`DramChannel::try_enqueue`] lowers it like
     /// `cached_next`. A caller refused by a full queue waits for exactly
     /// this cycle (see [`DramChannel::next_dequeue_at`]).
     next_dequeue: u64,
@@ -217,16 +178,23 @@ pub struct DramChannel {
 
 impl DramChannel {
     /// Creates an idle channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than 64 banks (the width of
+    /// the `queued_banks` bitmask).
     pub fn new(cfg: DramConfig) -> Self {
+        assert!(
+            cfg.banks <= 64,
+            "queued_banks is a u64 bitmask: at most 64 banks per channel"
+        );
         DramChannel {
             banks: vec![Bank::default(); cfg.banks],
             // Sized for steady state (the whole channel holds at most
             // `queue_capacity` queued requests): fresh channels otherwise
             // pay a per-bank realloc ladder on every simulation run.
             queues: vec![VecDeque::with_capacity(16); cfg.banks],
-            row_chains: vec![Vec::with_capacity(8); cfg.banks],
-            sched_heap: BinaryHeap::with_capacity(cfg.banks),
-            ready: Vec::with_capacity(cfg.banks),
+            queued_banks: 0,
             queued: 0,
             busy_bank_count: 0,
             next_seq: 0,
@@ -271,57 +239,12 @@ impl DramChannel {
         // mark, not per-tick work; declare it to the allocation audit.
         let _audit_pause = (self.queues[b].len() == self.queues[b].capacity())
             .then(valley_core::alloc_audit::pause);
-        self.queues[b].push_back(Queued {
-            seq,
-            req,
-            next_same_row: NO_SEQ,
-        });
+        self.queues[b].push_back(Queued { seq, req });
         self.queued += 1;
-        // Row index: append to the (bank, row) chain.
-        match self.row_chains[b].iter().position(|c| c.row == req.row) {
-            Some(i) => {
-                let chain = &mut self.row_chains[b][i];
-                let tail_seq = chain.tail;
-                chain.tail = seq;
-                chain.len += 1;
-                // Same-row streams append right behind the chain tail, so
-                // the tail is usually the queue's previous back entry.
-                let q = &mut self.queues[b];
-                let prev = q.len() - 2;
-                let t = if q[prev].seq == tail_seq {
-                    prev
-                } else {
-                    Self::index_of_seq(q, tail_seq)
-                };
-                q[t].next_same_row = seq;
-            }
-            None => {
-                let _audit_pause = (self.row_chains[b].len() == self.row_chains[b].capacity())
-                    .then(valley_core::alloc_audit::pause);
-                self.row_chains[b].push(RowChain {
-                    row: req.row,
-                    head: seq,
-                    tail: seq,
-                    len: 1,
-                });
-            }
-        }
-        // Readiness index: a previously empty bank becomes schedulable at
-        // its (possibly past) `ready_at`. A bank that is already ready by
-        // the request's own arrival — the common case under spread
-        // traffic, where banks drain and idle between requests — goes
-        // straight to the ready set: every future pick cycle is at or
-        // after `arrival`, so the promotion the heap would perform is a
-        // foregone conclusion and both heap operations can be skipped.
-        if was_empty {
-            debug_assert_eq!(self.banks[b].sched, Sched::Idle);
-            if self.banks[b].ready_at <= req.arrival {
-                self.banks[b].sched = Sched::Ready;
-                self.ready.push(b);
-            } else {
-                self.banks[b].sched = Sched::Heap;
-                self.sched_heap.push(Reverse((self.banks[b].ready_at, b)));
-            }
+        self.queued_banks |= 1 << b;
+        let bank = &mut self.banks[b];
+        if bank.hit.is_none() && bank.open_row == Some(req.row) {
+            bank.hit = Some(self.queues[b].len() - 1);
         }
         // Evented cache and dequeue horizon: the earliest cycle this
         // request could issue is when both it has arrived and its bank
@@ -334,15 +257,6 @@ impl DramChannel {
         true
     }
 
-    /// Position of `seq` within a bank queue (seqs are strictly
-    /// increasing, so this is a binary search).
-    #[inline]
-    fn index_of_seq(queue: &VecDeque<Queued>, seq: u64) -> usize {
-        let i = queue.partition_point(|q| q.seq < seq);
-        debug_assert_eq!(queue[i].seq, seq);
-        i
-    }
-
     /// Number of queued (not yet scheduled) requests.
     pub fn queue_len(&self) -> usize {
         self.queued
@@ -351,11 +265,6 @@ impl DramChannel {
     /// Whether any request is queued or in flight.
     pub fn is_busy(&self) -> bool {
         self.queued > 0 || !self.inflight.is_empty()
-    }
-
-    /// Total outstanding requests (queued + in flight).
-    pub fn outstanding(&self) -> usize {
-        self.queued + self.inflight.len()
     }
 
     /// Number of distinct banks with at least one outstanding request —
@@ -465,7 +374,9 @@ impl DramChannel {
             });
         }
 
-        if let Some((bank, idx)) = self.pick(cycle) {
+        let arb = self.pick(cycle);
+        let mut next_ready = arb.next_ready;
+        if let Some((bank, idx)) = arb.choice {
             #[expect(
                 clippy::expect_used,
                 reason = "pick() returned this (bank, idx) against the same queues one statement earlier"
@@ -474,27 +385,25 @@ impl DramChannel {
                 .remove(idx)
                 .expect("picked index is valid");
             self.queued -= 1;
-            self.unindex_picked(bank, &q);
             self.issue(q.req, cycle);
-            // Re-index the bank at its post-issue readiness.
-            if self.queues[bank].is_empty() {
-                self.banks[bank].sched = Sched::Idle;
+            // The issued request was the oldest of its row at or after
+            // `idx` (the open row's oldest on a hit, else the front), and
+            // its row is now the open one.
+            let queue = &self.queues[bank];
+            self.banks[bank].hit = (idx..queue.len()).find(|&i| queue[i].req.row == q.req.row);
+            if queue.is_empty() {
+                self.queued_banks &= !(1 << bank);
             } else {
-                self.banks[bank].sched = Sched::Heap;
-                self.sched_heap
-                    .push(Reverse((self.banks[bank].ready_at, bank)));
+                next_ready = next_ready.min(self.banks[bank].ready_at);
             }
         }
-        // Post-pick horizons. A bank left in the ready set issues at the
-        // very next tick; otherwise the earliest heap entry (which now
-        // includes the just-issued bank) is promoted and picked on the
-        // cycle it names.
-        self.next_dequeue = if self.ready.is_empty() {
-            self.sched_heap
-                .peek()
-                .map_or(u64::MAX, |&Reverse((t, _))| t)
-        } else {
+        // Post-pick horizons: another ready bank issues at the very next
+        // tick; otherwise the earliest queued bank's `ready_at` (the
+        // just-issued one included) names the next dequeue.
+        self.next_dequeue = if arb.other_ready {
             cycle + 1
+        } else {
+            next_ready
         };
         self.cached_next = self
             .inflight
@@ -502,105 +411,42 @@ impl DramChannel {
             .map_or(self.next_dequeue, |f| self.next_dequeue.min(f.finish));
     }
 
-    /// Request arbitration over the per-bank queues. FR-FCFS: among
-    /// requests whose bank can accept a command this cycle, the oldest
-    /// row-buffer hit (global arrival order), then the oldest request
-    /// overall. Returns the bank
-    /// and position within that bank's queue — `Some` exactly when the
-    /// ready set is non-empty, which is what makes the dequeue horizon
-    /// `tick` publishes exact.
-    ///
-    /// Indexed: banks wait in the readiness heap until their `ready_at`
-    /// arrives, then move to the ready set; only ready banks are walked,
-    /// and each bank's oldest row hit is a row-index lookup instead of a
-    /// queue-prefix scan. The decision is bit-identical to the linear
-    /// reference scan ([`DramChannel::pick_linear`]).
-    fn pick(&mut self, cycle: u64) -> Option<(usize, usize)> {
-        // Promote banks whose ready_at has arrived into the ready set.
-        while let Some(&Reverse((t, b))) = self.sched_heap.peek() {
-            if t > cycle {
-                break;
-            }
-            self.sched_heap.pop();
-            if self.banks[b].sched != Sched::Heap || self.banks[b].ready_at != t {
-                // Defensive: the state machine keeps exactly one fresh
-                // entry per Heap-state bank, so this never fires; lazy
-                // invalidation keeps a stale entry harmless regardless.
+    /// FR-FCFS arbitration: among requests whose bank can accept a command
+    /// this cycle, the oldest row-buffer hit (global arrival order), then
+    /// the oldest request overall.
+    fn pick(&self, cycle: u64) -> Arbitration {
+        let mut best_hit: Option<(u64, usize, usize)> = None;
+        let mut oldest_ready: Option<(u64, usize)> = None;
+        let mut ready = 0u32;
+        let mut next_ready = u64::MAX;
+        let mut set = self.queued_banks;
+        while set != 0 {
+            let b = set.trailing_zeros() as usize;
+            set &= set - 1;
+            let bank = &self.banks[b];
+            if bank.ready_at > cycle {
+                next_ready = next_ready.min(bank.ready_at);
                 continue;
             }
-            self.banks[b].sched = Sched::Ready;
-            self.ready.push(b);
-        }
-        let mut best_hit: Option<(u64, usize)> = None;
-        let mut oldest_ready: Option<(u64, usize)> = None;
-        for &b in &self.ready {
-            debug_assert!(self.banks[b].ready_at <= cycle);
-            #[expect(
-                clippy::expect_used,
-                reason = "the ready set only holds banks with a non-empty queue; membership is maintained on every enqueue/dequeue"
-            )]
-            let front = self.queues[b].front().expect("ready bank has queued work");
-            if oldest_ready.is_none_or(|(seq, _)| front.seq < seq) {
-                oldest_ready = Some((front.seq, b));
+            ready += 1;
+            let queue = &self.queues[b];
+            let front = queue[0].seq;
+            if oldest_ready.is_none_or(|(seq, _)| front < seq) {
+                oldest_ready = Some((front, b));
             }
-            if let Some(open) = self.banks[b].open_row {
-                // The oldest hit of a bank is its open row's chain head
-                // (arrival order), if the row has queued work.
-                if let Some(c) = self.row_chains[b].iter().find(|c| c.row == open) {
-                    if best_hit.is_none_or(|(seq, _)| c.head < seq) {
-                        best_hit = Some((c.head, b));
-                    }
+            if let Some(i) = bank.hit {
+                let seq = queue[i].seq;
+                if best_hit.is_none_or(|(s, _, _)| seq < s) {
+                    best_hit = Some((seq, b, i));
                 }
             }
         }
-        match best_hit {
-            Some((seq, b)) => {
-                // The oldest hit is very often the bank's oldest request.
-                let q = &self.queues[b];
-                let idx = if q.front().is_some_and(|f| f.seq == seq) {
-                    0
-                } else {
-                    Self::index_of_seq(q, seq)
-                };
-                Some((b, idx))
-            }
-            None => oldest_ready.map(|(_, b)| (b, 0)),
-        }
-    }
-
-    /// Removes a just-picked (and already dequeued) request from the row
-    /// index and the ready set. The picked request is always the oldest
-    /// queued request to its row within its bank — either the open row's
-    /// chain head (FR-FCFS hit) or the bank's queue front — so the chain
-    /// pop is a head pop.
-    fn unindex_picked(&mut self, bank: usize, q: &Queued) {
-        #[expect(
-            clippy::expect_used,
-            reason = "pick() chose the bank from the ready set under the same borrow; no mutation can intervene"
-        )]
-        let pos = self
-            .ready
-            .iter()
-            .position(|&b| b == bank)
-            .expect("picked bank is in the ready set");
-        self.ready.swap_remove(pos);
-        #[expect(
-            clippy::expect_used,
-            reason = "row chains are indexed on enqueue and unindexed on dequeue; a queued request's row always has one"
-        )]
-        let i = self.row_chains[bank]
-            .iter()
-            .position(|c| c.row == q.req.row)
-            .expect("queued row has a chain");
-        let chain = &mut self.row_chains[bank][i];
-        debug_assert_eq!(chain.head, q.seq, "picked request is its row's oldest");
-        if chain.len == 1 {
-            debug_assert_eq!(q.next_same_row, NO_SEQ);
-            self.row_chains[bank].swap_remove(i);
-        } else {
-            chain.len -= 1;
-            chain.head = q.next_same_row;
-            debug_assert_ne!(chain.head, NO_SEQ);
+        Arbitration {
+            choice: best_hit
+                .map(|(_, b, i)| (b, i))
+                .or(oldest_ready.map(|(_, b)| (b, 0))),
+            other_ready: ready > 1,
+            next_ready,
         }
     }
 
@@ -645,8 +491,6 @@ impl DramChannel {
         let data_end = data_start + t.tburst;
         self.bus_free_at = data_end;
 
-        // Remaining hits against the (possibly new) open row are whatever
-        // the row index holds for `req.row` — no recount needed on an ACT.
         bank.open_row = Some(req.row);
         bank.ready_at = col_at + t.tccd;
         bank.inflight += 1;
@@ -705,99 +549,31 @@ impl DramChannel {
             .or(oldest_ready.map(|(_, b)| (b, 0)))
     }
 
-    /// The indexed arbitration, exposed for the oracle comparison.
-    /// Promotion is idempotent at a fixed cycle, so calling this and then
-    /// [`DramChannel::tick`] (which picks again) yields the same choice.
-    pub(crate) fn pick_indexed(&mut self, cycle: u64) -> Option<(usize, usize)> {
-        self.pick(cycle)
-    }
-
-    /// Checks every internal invariant of the row index and readiness
-    /// index against a recompute from the plain queues.
+    /// Checks every cached scheduling field (`hit`, `queued_banks` and
+    /// the counters) against a recompute from the plain queues.
     pub(crate) fn assert_index_invariants(&self) {
-        use std::collections::BTreeMap;
         let mut total = 0;
         let mut busy = 0;
+        let mut queued_banks = 0u64;
         for (b, (bank, queue)) in self.banks.iter().zip(&self.queues).enumerate() {
             total += queue.len();
             if !queue.is_empty() || bank.inflight > 0 {
                 busy += 1;
             }
-            // Queue is strictly arrival-ordered.
+            if !queue.is_empty() {
+                queued_banks |= 1 << b;
+            }
             for w in queue.iter().zip(queue.iter().skip(1)) {
                 assert!(w.0.seq < w.1.seq, "bank {b}: queue out of arrival order");
             }
-            // Row chains match a recompute, link by link.
-            let mut expect: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-            for q in queue {
-                expect.entry(q.req.row).or_default().push(q.seq);
-            }
-            assert_eq!(
-                self.row_chains[b].len(),
-                expect.len(),
-                "bank {b}: chain count"
-            );
-            for chain in &self.row_chains[b] {
-                let seqs = expect.get(&chain.row).expect("chain for a queued row");
-                assert_eq!(chain.head, seqs[0], "bank {b} row {}: head", chain.row);
-                assert_eq!(
-                    chain.tail,
-                    *seqs.last().expect("nonempty"),
-                    "bank {b} row {}: tail",
-                    chain.row
-                );
-                assert_eq!(chain.len as usize, seqs.len(), "bank {b}: chain len");
-                let mut cur = chain.head;
-                for (k, &s) in seqs.iter().enumerate() {
-                    assert_eq!(cur, s, "bank {b} row {}: link {k}", chain.row);
-                    cur = self.queues[b][Self::index_of_seq(&self.queues[b], s)].next_same_row;
-                }
-                assert_eq!(cur, NO_SEQ, "bank {b} row {}: chain tail link", chain.row);
-            }
-            // Scheduling state matches queue occupancy.
-            match bank.sched {
-                Sched::Idle => assert!(queue.is_empty(), "bank {b}: Idle with queued work"),
-                Sched::Heap | Sched::Ready => {
-                    assert!(!queue.is_empty(), "bank {b}: indexed without queued work")
-                }
-            }
+            let hit = bank
+                .open_row
+                .and_then(|open| queue.iter().position(|q| q.req.row == open));
+            assert_eq!(bank.hit, hit, "bank {b}: cached hit");
         }
+        assert_eq!(self.queued_banks, queued_banks, "queued bank mask");
         assert_eq!(self.queued, total, "queued counter");
         assert_eq!(self.busy_bank_count as usize, busy, "busy bank counter");
-        // The ready set holds exactly the Ready-state banks, once each.
-        let mut ready = self.ready.clone();
-        ready.sort_unstable();
-        ready.dedup();
-        assert_eq!(ready.len(), self.ready.len(), "duplicate ready entries");
-        for &b in &self.ready {
-            assert_eq!(self.banks[b].sched, Sched::Ready, "ready set stale");
-        }
-        let ready_banks = self
-            .banks
-            .iter()
-            .filter(|bk| bk.sched == Sched::Ready)
-            .count();
-        assert_eq!(self.ready.len(), ready_banks, "ready set incomplete");
-        // The heap holds exactly one fresh entry per Heap-state bank.
-        let entries: Vec<(u64, usize)> = self.sched_heap.iter().map(|&Reverse(e)| e).collect();
-        let heap_banks: Vec<usize> = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(_, bk)| bk.sched == Sched::Heap)
-            .map(|(b, _)| b)
-            .collect();
-        assert_eq!(entries.len(), heap_banks.len(), "stale heap entries");
-        for b in heap_banks {
-            assert_eq!(
-                entries
-                    .iter()
-                    .filter(|&&(t, eb)| eb == b && t == self.banks[b].ready_at)
-                    .count(),
-                1,
-                "bank {b}: heap entry missing or stale"
-            );
-        }
     }
 }
 
@@ -930,6 +706,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "queued_banks")]
+    fn more_banks_than_the_queued_mask_holds_is_refused() {
+        DramChannel::new(DramConfig {
+            banks: 65,
+            ..DramConfig::gddr5()
+        });
+    }
+
+    #[test]
     fn queue_backpressure() {
         let mut ch = chan();
         let cap = ch.config().queue_capacity;
@@ -947,7 +732,7 @@ mod tests {
         ch.try_enqueue(req(2, 3, 1));
         ch.try_enqueue(req(3, 7, 0));
         assert_eq!(ch.busy_banks(), 2);
-        assert_eq!(ch.outstanding(), 3);
+        assert_eq!(ch.queue_len(), 3);
         assert!(ch.is_busy());
     }
 
@@ -973,7 +758,58 @@ mod tests {
         ch.try_enqueue(req(1, 0, 0));
         let _ = run(&mut ch, 0, 100);
         assert_eq!(ch.stats().total_latency, 28);
-        assert!((ch.stats().mean_latency() - 28.0).abs() < 1e-12);
+    }
+
+    /// Issues every queued request of `ch` (ticking from `from`), checking
+    /// the cached scheduling fields after each tick; returns the ids in
+    /// issue order, which the FIFO retire queue preserves.
+    fn drain_checked(ch: &mut DramChannel, from: u64) -> Vec<u64> {
+        let mut done = Vec::new();
+        for c in from..from + 1000 {
+            ch.tick(c, &mut done);
+            ch.assert_index_invariants();
+        }
+        assert!(!ch.is_busy());
+        done.iter().map(|d| d.id).collect()
+    }
+
+    #[test]
+    fn hit_from_mid_queue_hands_over_to_its_younger_row_mate() {
+        let mut ch = chan();
+        ch.try_enqueue(req(1, 0, 1));
+        let _ = run(&mut ch, 0, 40);
+        // Row 1 is open: 3 is the hit behind the older conflict 2, and 5
+        // is the next request to row 1, behind another conflict.
+        for (id, row) in [(2, 9), (3, 1), (4, 9), (5, 1)] {
+            ch.try_enqueue(DramRequest {
+                arrival: 40,
+                ..req(id, 0, row)
+            });
+        }
+        assert_eq!(ch.banks[0].hit, Some(1));
+        ch.tick(40, &mut Vec::new());
+        assert_eq!(ch.banks[0].hit, Some(2), "5 sits behind 2 and 4");
+        assert_eq!(drain_checked(&mut ch, 41), vec![3, 5, 2, 4]);
+    }
+
+    #[test]
+    fn conflict_act_makes_the_new_rows_oldest_the_hit() {
+        let mut ch = chan();
+        ch.try_enqueue(req(1, 0, 1));
+        let _ = run(&mut ch, 0, 40);
+        // No hit for open row 1: the front 2 issues with PRE + ACT to row
+        // 2, whose next request 4 sits behind the front 3.
+        for (id, row) in [(2, 2), (3, 3), (4, 2)] {
+            ch.try_enqueue(DramRequest {
+                arrival: 40,
+                ..req(id, 0, row)
+            });
+        }
+        assert_eq!(ch.banks[0].hit, None);
+        ch.tick(40, &mut Vec::new());
+        assert_eq!(ch.stats().row_conflicts, 1);
+        assert_eq!(ch.banks[0].hit, Some(1), "4 sits behind 3");
+        assert_eq!(drain_checked(&mut ch, 41), vec![2, 4, 3]);
     }
 
     #[test]
@@ -1035,14 +871,26 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Drives a channel through randomized traffic (random banks,
-        /// rows and arrival times), asserting
-        /// before every tick that the indexed `pick` chooses exactly what
-        /// the linear oracle would, and after every enqueue/tick (which
-        /// covers issue and retire) that the row index, readiness heap
-        /// and ready set match a recompute from the plain queues.
+        /// Drives a channel of each shipped configuration (GDDR5, and the
+        /// stacked vault's 16-entry queue, 16-cycle bursts and DDR3-like
+        /// timings) through randomized traffic (random banks, rows and
+        /// arrival times), asserting before every tick that `pick`
+        /// chooses exactly what the linear oracle would, and after every
+        /// enqueue/tick (which covers issue and retire) that the cached
+        /// hits and the queued-bank mask match a recompute from the plain
+        /// queues.
         fn drive(reqs: &[(usize, usize, bool, u64)]) -> Result<(), TestCaseError> {
-            let mut ch = DramChannel::new(DramConfig::gddr5());
+            for cfg in [DramConfig::gddr5(), DramConfig::stacked_vault()] {
+                drive_one(cfg, reqs)?;
+            }
+            Ok(())
+        }
+
+        fn drive_one(
+            cfg: DramConfig,
+            reqs: &[(usize, usize, bool, u64)],
+        ) -> Result<(), TestCaseError> {
+            let mut ch = DramChannel::new(cfg);
             let mut reqs: Vec<(usize, usize, bool, u64)> = reqs.to_vec();
             reqs.sort_by_key(|r| r.3);
             let mut next = 0;
@@ -1064,7 +912,7 @@ mod tests {
                     next += 1;
                 }
                 let expected = ch.pick_linear(cycle);
-                let actual = ch.pick_indexed(cycle);
+                let actual = ch.pick(cycle).choice;
                 prop_assert_eq!(actual, expected, "choice diverged at cycle {}", cycle);
                 ch.tick(cycle, &mut done);
                 ch.assert_index_invariants();
@@ -1114,6 +962,7 @@ mod tests {
                             next += 1;
                             due = cycle + gap;
                         }
+                        ch.assert_index_invariants();
                     }
                     let horizon = ch.next_dequeue_at();
                     prop_assert!(horizon >= cycle, "cycle {}: horizon {} already passed", cycle, horizon);
@@ -1124,6 +973,7 @@ mod tests {
                     } else {
                         ch.tick(cycle, &mut done);
                     }
+                    ch.assert_index_invariants();
                     prop_assert_eq!(
                         ch.queue_len() < before, horizon == cycle,
                         "cycle {}: published dequeue at {}", cycle, horizon
@@ -1135,8 +985,8 @@ mod tests {
                 prop_assert_eq!(done.len(), reqs.len(), "requests lost");
             }
 
-            /// Hot single-bank traffic maximizes queue depth and chain
-            /// length — the regime the prefix scan used to pay for.
+            /// Hot single-bank traffic maximizes queue depth and the
+            /// distance of a bank's hit from its front.
             #[test]
             fn hot_bank_matches_linear_oracle(
                 reqs in proptest::collection::vec(

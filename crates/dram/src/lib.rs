@@ -28,7 +28,7 @@ mod config;
 mod stats;
 mod system;
 
-pub use channel::{DramChannel, DramCompletion, DramRequest, RowBufferOutcome};
+pub use channel::{DramChannel, DramCompletion, DramRequest};
 pub use config::{DramConfig, DramTiming};
 pub use stats::DramStats;
 pub use system::DramSystem;

@@ -51,24 +51,6 @@ impl DramStats {
         self.reads + self.writes
     }
 
-    /// Mean request latency in DRAM cycles (0 when idle).
-    pub fn mean_latency(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.accesses() as f64
-        }
-    }
-
-    /// Data-bus utilization in `[0, 1]` over the observed cycles.
-    pub fn bus_utilization(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.data_bus_cycles as f64 / self.total_cycles as f64
-        }
-    }
-
     /// Accumulates another channel's counters into this one
     /// (used to aggregate a whole memory system).
     pub fn merge(&mut self, other: &DramStats) {
@@ -91,27 +73,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_rate_and_latency() {
+    fn hit_rate_and_accesses() {
         let s = DramStats {
             row_hits: 6,
             row_empties: 2,
             row_conflicts: 2,
             reads: 8,
             writes: 2,
-            total_latency: 200,
             ..Default::default()
         };
         assert!((s.row_buffer_hit_rate() - 0.6).abs() < 1e-12);
         assert_eq!(s.accesses(), 10);
-        assert!((s.mean_latency() - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_zero_not_nan() {
         let s = DramStats::default();
         assert_eq!(s.row_buffer_hit_rate(), 0.0);
-        assert_eq!(s.mean_latency(), 0.0);
-        assert_eq!(s.bus_utilization(), 0.0);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::str::FromStr;
 use valley_core::hash::FastMap;
 use valley_core::SchemeKind;
 use valley_fabric::{
-    fabric_status, fetch, run_worker, shutdown, ClientOptions, CoordOptions, Coordinator,
-    QueryFilters, WorkerOptions,
+    fabric_status, fetch, run_worker, shutdown, CoordOptions, Coordinator, QueryFilters,
+    WorkerOptions,
 };
 use valley_harness::figures::{all_tables, Figure, Reports, Suite, FIGURES};
 use valley_harness::{
@@ -158,12 +158,6 @@ const COMMANDS: &[Command] = &[
             CONFIGS,
             RESULTS,
             ("lease-ms", "N", "lease deadline (default 60000)"),
-            ("retry-ms", "N", "backoff told to a worker that must wait"),
-            (
-                "max-attempts",
-                "N",
-                "failures before a job is dead (default 3)",
-            ),
             ("linger", "", "answer reads until `fetch --shutdown`"),
             QUIET,
         ],
@@ -175,12 +169,6 @@ const COMMANDS: &[Command] = &[
         required: &[ADDR],
         flags: &[
             ("name", "W", "telemetry name, stable across reconnects"),
-            (
-                "connect-attempts",
-                "N",
-                "connection attempts before giving up",
-            ),
-            ("backoff-ms", "N", "first reconnect backoff, doubling"),
             QUIET,
         ],
     },
@@ -728,14 +716,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             .parsed("lease-ms")?
             .unwrap_or(defaults.lease_ms)
             .max(1),
-        retry_ms: flags
-            .parsed("retry-ms")?
-            .unwrap_or(defaults.retry_ms)
-            .max(1),
-        max_attempts: flags
-            .parsed("max-attempts")?
-            .unwrap_or(defaults.max_attempts)
-            .max(1),
         linger: flags.has("linger"),
         verbose: !flags.has("quiet"),
     };
@@ -789,14 +769,6 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
     let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
         name: flags.get("name").map_or(defaults.name, str::to_string),
-        connect_attempts: flags
-            .parsed("connect-attempts")?
-            .unwrap_or(defaults.connect_attempts)
-            .max(1),
-        backoff_ms: flags
-            .parsed("backoff-ms")?
-            .unwrap_or(defaults.backoff_ms)
-            .max(1),
         verbose: !flags.has("quiet"),
     };
     let summary = run_worker(addr, &opts).map_err(|e| e.to_string())?;
@@ -811,10 +783,9 @@ fn cmd_fetch(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").unwrap_or_default();
     let spec = parse_grid(flags)?;
     let grid = spec.expand();
-    let copts = ClientOptions::default();
     // Every axis the grid pins to one value is filtered at the
     // coordinator; the exact grid intersection happens here.
-    let records = fetch(addr, &QueryFilters::for_grid(&spec), &copts).map_err(|e| e.to_string())?;
+    let records = fetch(addr, &QueryFilters::for_grid(&spec)).map_err(|e| e.to_string())?;
     let by_spec: FastMap<JobSpec, StoredResult> =
         records.into_iter().map(|r| (r.spec, r)).collect();
     let have: Vec<&StoredResult> = grid.iter().filter_map(|j| by_spec.get(j)).collect();
@@ -854,7 +825,7 @@ fn cmd_fetch(flags: &Flags) -> Result<(), String> {
         print!("{}", all_tables(&suite, FIG12_TITLE));
     }
     if flags.has("shutdown") {
-        shutdown(addr, &copts).map_err(|e| e.to_string())?;
+        shutdown(addr).map_err(|e| e.to_string())?;
         println!("fetch: coordinator acknowledged shutdown");
     }
     Ok(())
@@ -862,7 +833,7 @@ fn cmd_fetch(flags: &Flags) -> Result<(), String> {
 
 /// Renders live coordinator telemetry (`valley status --fabric`).
 fn fabric_status_report(addr: &str) -> Result<(), String> {
-    let t = fabric_status(addr, &ClientOptions::default()).map_err(|e| e.to_string())?;
+    let t = fabric_status(addr).map_err(|e| e.to_string())?;
     println!(
         "fabric {addr}: {}/{} job(s) stored ({} cache hit(s), {} executed)",
         t.cache_hits + t.executed,

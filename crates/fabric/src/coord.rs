@@ -16,7 +16,7 @@
 //!   stored twice) and the lease is retired.
 //! * **`Failed`** — the worker's panic isolation tripped. The jobs go
 //!   back to the queue with the structured [`JobFailure`] attached to
-//!   telemetry; after [`CoordOptions::max_attempts`] failures a job is
+//!   telemetry; after [`MAX_ATTEMPTS`] failures a job is
 //!   declared dead and reported in the serve summary instead of
 //!   looping forever.
 //! * **Nothing** — the worker disconnected or its deadline passed.
@@ -55,17 +55,20 @@ use valley_harness::{
     take_unit, Committer, JobFailure, JobSpec, ResultStore, StoredResult, SweepSpec,
 };
 
+/// Backoff in milliseconds suggested to workers when every pending job
+/// is leased.
+const RETRY_MS: u64 = 500;
+
+/// Structured failures tolerated per job before it is declared dead (a
+/// deterministic panic would otherwise re-lease forever).
+pub const MAX_ATTEMPTS: u32 = 3;
+
 /// Options controlling one serve run.
 #[derive(Clone, Debug)]
 pub struct CoordOptions {
     /// Lease deadline: a leased job whose worker neither completes nor
     /// fails it within this window is re-leased to the next requester.
     pub lease_ms: u64,
-    /// Backoff suggested to workers when every pending job is leased.
-    pub retry_ms: u64,
-    /// Structured failures tolerated per job before it is declared dead
-    /// (a deterministic panic would otherwise re-lease forever).
-    pub max_attempts: u32,
     /// Keep serving read-side queries after the grid completes, until a
     /// `Shutdown` frame arrives. Without it the coordinator exits as
     /// soon as every job is stored.
@@ -78,8 +81,6 @@ impl Default for CoordOptions {
     fn default() -> Self {
         CoordOptions {
             lease_ms: 60_000,
-            retry_ms: 500,
-            max_attempts: 3,
             linger: false,
             verbose: false,
         }
@@ -337,7 +338,7 @@ fn settle(
 /// `Request` path and from every read-side frame — `Status` and `Query`
 /// alike — so deadlines stay honest even when the only traffic is a
 /// fetch/status poller watching a stalled sweep. A waiting worker
-/// additionally polls on [`CoordOptions::retry_ms`], which bounds how
+/// additionally polls on [`RETRY_MS`], which bounds how
 /// stale a deadline check can get without any timer thread.
 fn reap_expired(state: &mut State<'_>, verbose: bool) {
     #[expect(
@@ -552,9 +553,7 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str) -> Msg {
     } = &mut *state;
     let taken = take_unit(pending, &shared.jobs, |i| status[i] == Slot::Pending);
     if taken.is_empty() {
-        return Msg::Wait {
-            retry_ms: shared.opts.retry_ms,
-        };
+        return Msg::Wait { retry_ms: RETRY_MS };
     }
     let lease = state.next_lease;
     state.next_lease += 1;
@@ -656,7 +655,7 @@ fn handle_failed(shared: &Shared<'_>, worker: &str, lease: u64, failures: Vec<Jo
             message: failure.message.clone(),
         });
         state.attempts[i] += 1;
-        if state.attempts[i] >= shared.opts.max_attempts {
+        if state.attempts[i] >= MAX_ATTEMPTS {
             state.status[i] = Slot::Dead;
             state.dead.push(failure);
             settle(&mut state, &shared.index_of, i, None);

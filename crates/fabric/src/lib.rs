@@ -36,8 +36,8 @@ pub mod schema;
 pub mod wire;
 pub mod worker;
 
-pub use client::{fabric_status, fetch, shutdown, ClientOptions};
-pub use coord::{CoordOptions, Coordinator, ServeSummary};
+pub use client::{fabric_status, fetch, shutdown};
+pub use coord::{CoordOptions, Coordinator, ServeSummary, MAX_ATTEMPTS};
 pub use proto::{FailureNote, Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTOCOL_VERSION};
 pub use wire::{read_frame, write_frame, WireError, MAX_FRAME_BYTES};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

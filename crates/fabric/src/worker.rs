@@ -18,17 +18,19 @@ use std::time::{Duration, Instant};
 use valley_harness::pool::panic_message;
 use valley_harness::{execute_batch_timed, JobFailure, JobSpec};
 
+/// Connection attempts before a worker gives up (the coordinator may
+/// start after the worker).
+const CONNECT_ATTEMPTS: u32 = 25;
+
+/// Base reconnect backoff in milliseconds (doubles per attempt, capped
+/// at 5 s).
+const BACKOFF_MS: u64 = 200;
+
 /// Options controlling one worker run.
 #[derive(Clone, Debug)]
 pub struct WorkerOptions {
     /// Telemetry name (stable across reconnects).
     pub name: String,
-    /// Connection attempts before giving up (the coordinator may start
-    /// after the worker).
-    pub connect_attempts: u32,
-    /// Base reconnect backoff in milliseconds (doubles per attempt,
-    /// capped at 5 s).
-    pub backoff_ms: u64,
     /// Print per-lease progress to stderr.
     pub verbose: bool,
 }
@@ -37,8 +39,6 @@ impl Default for WorkerOptions {
     fn default() -> Self {
         WorkerOptions {
             name: format!("worker-{}", std::process::id()),
-            connect_attempts: 25,
-            backoff_ms: 200,
             verbose: false,
         }
     }
@@ -89,16 +89,15 @@ impl Conn {
     }
 }
 
-/// Connects with exponential backoff — the coordinator may not be up
-/// yet (CI starts both concurrently).
+/// Connects with exponential backoff from [`BACKOFF_MS`] — the
+/// coordinator may not be up yet (CI starts both concurrently).
 pub(crate) fn connect_with_backoff(
     addr: &str,
     name: &str,
     role: Role,
     attempts: u32,
-    backoff_ms: u64,
 ) -> Result<Conn, FabricError> {
-    let mut delay = Duration::from_millis(backoff_ms.max(1));
+    let mut delay = Duration::from_millis(BACKOFF_MS);
     let mut last: Option<WireError> = None;
     for attempt in 0..attempts.max(1) {
         match Conn::open(addr, name, role) {
@@ -122,7 +121,7 @@ pub(crate) fn connect_with_backoff(
 /// to deliver late are dropped idempotently.
 pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, FabricError> {
     let mut summary = WorkerSummary::default();
-    let mut reconnects_left = opts.connect_attempts;
+    let mut reconnects_left = CONNECT_ATTEMPTS;
     let mut ever_connected = false;
     'session: loop {
         // Reconnects after a successful session get a short budget: an
@@ -134,20 +133,19 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerSummary, Fab
         } else {
             reconnects_left
         };
-        let mut conn =
-            match connect_with_backoff(addr, &opts.name, Role::Worker, attempts, opts.backoff_ms) {
-                Ok(conn) => conn,
-                Err(FabricError::Wire(WireError::Io(_))) if ever_connected => {
-                    if opts.verbose {
-                        eprintln!(
-                            "work: coordinator gone after {} lease(s) — serve complete",
-                            summary.leases
-                        );
-                    }
-                    return Ok(summary);
+        let mut conn = match connect_with_backoff(addr, &opts.name, Role::Worker, attempts) {
+            Ok(conn) => conn,
+            Err(FabricError::Wire(WireError::Io(_))) if ever_connected => {
+                if opts.verbose {
+                    eprintln!(
+                        "work: coordinator gone after {} lease(s) — serve complete",
+                        summary.leases
+                    );
                 }
-                Err(e) => return Err(e),
-            };
+                return Ok(summary);
+            }
+            Err(e) => return Err(e),
+        };
         ever_connected = true;
         loop {
             let reply = match conn.roundtrip(&Msg::Request) {

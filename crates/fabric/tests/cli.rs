@@ -29,8 +29,9 @@ fn removed_flags_are_unknown_flags() {
     // `work` points at a port nothing listens on: flag parsing must fail
     // first, without a connection attempt. `--lint` was `status`'s switch
     // for a lint tool the repo no longer has; `work --batch` asked for
-    // leases wider than one simulation.
-    let invocations: [(&[&str], &str); 4] = [
+    // leases wider than one simulation. The last four set fabric retry
+    // and backoff numbers that are constants now.
+    let invocations: [(&[&str], &str); 8] = [
         (
             &["sweep", "--scale", "test", REMOVED_FLAG, "2"],
             REMOVED_FLAG,
@@ -43,6 +44,22 @@ fn removed_flags_are_unknown_flags() {
         (
             &["work", "--addr", "127.0.0.1:9", "--batch", "2"],
             "--batch",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:9", "--retry-ms", "5"],
+            "--retry-ms",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:9", "--max-attempts", "2"],
+            "--max-attempts",
+        ),
+        (
+            &["work", "--addr", "127.0.0.1:9", "--connect-attempts", "2"],
+            "--connect-attempts",
+        ),
+        (
+            &["work", "--addr", "127.0.0.1:9", "--backoff-ms", "5"],
+            "--backoff-ms",
         ),
     ];
     for (args, flag) in invocations {
@@ -298,9 +315,9 @@ fn help_lists_what_the_parser_accepts() {
     for listed in [
         "valley sweep",
         "[--expect-cached PCT]",
-        "[--retry-ms N]",
-        "[--connect-attempts N]",
-        "[--backoff-ms N]",
+        "[--lease-ms N]",
+        "[--linger]",
+        "[--name W]",
         "valley fetch   --addr HOST:PORT",
         "[--quiet]",
     ] {

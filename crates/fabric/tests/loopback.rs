@@ -13,8 +13,8 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use valley_core::SchemeKind;
 use valley_fabric::{
-    fetch, read_frame, run_worker, shutdown, write_frame, ClientOptions, CoordOptions, Coordinator,
-    Msg, QueryFilters, Role, ServeSummary, WorkerOptions, PROTOCOL_VERSION,
+    fetch, read_frame, run_worker, shutdown, write_frame, CoordOptions, Coordinator, Msg,
+    QueryFilters, Role, ServeSummary, WorkerOptions, MAX_ATTEMPTS, PROTOCOL_VERSION,
 };
 use valley_harness::{
     execute_batch_timed, run_sweep, JobFailure, JobSpec, ResultStore, StoredResult, SweepOptions,
@@ -57,7 +57,6 @@ fn quiet(worker: &str) -> WorkerOptions {
     WorkerOptions {
         name: worker.to_string(),
         verbose: false,
-        ..WorkerOptions::default()
     }
 }
 
@@ -411,30 +410,26 @@ fn structured_failure_is_re_leased_with_reason() {
 }
 
 /// A job that fails deterministically on every attempt is declared dead
-/// after `max_attempts` instead of re-leasing forever; the rest of the
+/// after `MAX_ATTEMPTS` instead of re-leasing forever; the rest of the
 /// grid still completes and the serve reports the dead job.
 #[test]
 fn deterministic_failure_dies_after_max_attempts() {
     let spec = grid();
     let tmp = TempStore::new("dead");
     let store = tmp.open();
-    let opts = CoordOptions {
-        max_attempts: 2,
-        ..coord_opts()
-    };
-    let summary = serve_while(&spec, &store, &opts, |addr| {
+    let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
         let mut flaky = RawPeer::connect(addr, "flaky");
         let (mut lease, jobs) = flaky.lease();
         let poisoned = jobs[0];
-        for attempt in 0..2 {
+        for attempt in 1..=MAX_ATTEMPTS {
             let failures = vec![JobFailure::panic(poisoned, "always crashes".to_string())];
             match flaky.roundtrip(&Msg::Failed { lease, failures }) {
                 Msg::Ack { .. } => {}
                 other => panic!("expected an ack, got {other:?}"),
             }
-            if attempt == 0 {
+            if attempt < MAX_ATTEMPTS {
                 // Re-lease the same job (it went back to the queue
-                // front) and fail it a second, final time.
+                // front) and fail it again, the last time for good.
                 let (release, rejobs) = flaky.lease();
                 assert_eq!(rejobs, jobs, "the failed job was not re-leased first");
                 lease = release;
@@ -513,12 +508,11 @@ fn query_ships_only_what_the_grid_filters_admit() {
         .collect();
     assert_eq!(expected.len(), 2);
     serve_while(&spec, &store, &opts, |addr| {
-        let copts = ClientOptions::default();
-        assert_eq!(fetch(addr, &filters, &copts).expect("fetch"), expected);
+        assert_eq!(fetch(addr, &filters).expect("fetch"), expected);
         assert_eq!(
-            fetch(addr, &QueryFilters::default(), &copts).expect("fetch all"),
+            fetch(addr, &QueryFilters::default()).expect("fetch all"),
             store.entries()
         );
-        shutdown(addr, &copts).expect("shutdown");
+        shutdown(addr).expect("shutdown");
     });
 }

@@ -14,7 +14,7 @@
 //!
 //! | unit | woken by | horizon |
 //! |------|----------|---------|
-//! | [`DramChannel`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the readiness-heap top) and the next retirement |
+//! | [`DramChannel`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
 //! | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
 //! | [`Crossbar`] | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
 //! | LLC slice | its own tick | next cycle while the input head can be looked up; else the front of the hit pipeline and the DRAM-retry head's gate |
