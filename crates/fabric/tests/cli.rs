@@ -4,7 +4,8 @@
 //! that names nothing is an error, not an empty result; a flag given
 //! twice is an error, not the last value winning; a grid value given
 //! twice names the same jobs, not more jobs; the commands `figures`
-//! prints for missing results fill the gap, for every registry row; `valley help` is
+//! prints for missing results fill the gap, for every registry row; the
+//! rows that need no store render as the pinned paper has them; `valley help` is
 //! generated from the same table that parses the flags; and a `sweep`
 //! or a `serve` killed mid-grid keeps the prefix it finished, which the
 //! next run resumes from.
@@ -302,6 +303,74 @@ fn figures_hint_is_the_sweep_that_fills_the_gap() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.lines().count() > 2, "{figures:?}: {stdout}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The whole paper, pinned: `valley figures --fig all --scale ref` after
+/// its header line, which names the store. CI fills the ref grids and
+/// diffs every row against it; a change that moves a published number
+/// regenerates it and shows the moved lines in its diff.
+const PAPER_REF: &str = include_str!("golden/paper_ref.txt");
+
+/// The rows that read no jobs render with no store, so this suite holds
+/// them to their sections of [`PAPER_REF`], in registry order.
+#[test]
+fn analytic_rows_render_as_pinned_in_the_paper_golden() {
+    let dir = fresh_dir("analytic");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let mut at = 0;
+    for row in FIGURES
+        .iter()
+        .filter(|row| (row.grid)(Scale::Ref, 1).is_empty())
+    {
+        let args = ["figures", "--fig", row.name, "--scale", "ref"];
+        let out = valley(&[&args[..], &["--results", results]].concat());
+        assert!(
+            out.status.success(),
+            "{}: {}",
+            row.name,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let (_, body) = stdout.split_once('\n').expect("a header line");
+        let found = PAPER_REF[at..]
+            .find(body)
+            .unwrap_or_else(|| panic!("{} is not as pinned:\n{body}", row.name));
+        at += found + body.len();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--fig` names registry rows only, and chooses the tables itself.
+#[test]
+fn fig_rejects_an_unknown_name_and_set() {
+    // Named, so a render that gets past the parser leaves nothing in the
+    // working directory.
+    let dir = fresh_dir("rejects");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let out = valley(&[
+        "figures",
+        "--fig",
+        "fig12_speedup,fig99",
+        "--results",
+        results,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("unknown figure 'fig99'"), "{stderr}");
+    for listed in ["table1_config", "fig12_speedup", "ablation_entropy_window"] {
+        assert!(stderr.contains(listed), "{listed} unlisted: {stderr}");
+    }
+
+    let args = ["figures", "--fig", "fig02_motivation", "--set", "all"];
+    let out = valley(&[&args[..], &["--results", results]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(
+        stderr.contains("--fig") && stderr.contains("--set"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "rendered before refusing");
     std::fs::remove_dir_all(&dir).ok();
 }
 

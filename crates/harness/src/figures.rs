@@ -295,17 +295,25 @@ fn metric_table(
     precision: usize,
 ) -> (String, Vec<(SchemeKind, f64)>) {
     let schemes = schemes_of(suite);
-    let mut out = format!("\n{title}\n{}\n", scheme_header("bench", &schemes, 8));
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for b in benches_of(suite) {
-        let vals: Vec<f64> = schemes.iter().map(|&s| metric(b, s)).collect();
-        for (c, v) in vals.iter().enumerate() {
-            cols[c].push(*v);
-        }
-        out.push_str(&format!("{}\n", row(b.label(), &vals, 8, precision)));
+    let mut rows: Vec<(&str, Vec<f64>)> = benches_of(suite)
+        .into_iter()
+        .map(|b| (b.label(), schemes.iter().map(|&s| metric(b, s)).collect()))
+        .collect();
+    let aggs: Vec<f64> = (0..schemes.len())
+        .map(|c| agg(&rows.iter().map(|(_, vals)| vals[c]).collect::<Vec<_>>()))
+        .collect();
+    rows.push((agg_label, aggs.clone()));
+    // Columns are 8 wide, wider when a value needs it: a space always
+    // separates two values, however large (Figure 13a's latencies).
+    let width = rows
+        .iter()
+        .flat_map(|(_, vals)| vals)
+        .map(|v| format!("{v:.precision$}").len() + 1)
+        .fold(8, usize::max);
+    let mut out = format!("\n{title}\n{}\n", scheme_header("bench", &schemes, width));
+    for (label, vals) in &rows {
+        out.push_str(&format!("{}\n", row(label, vals, width, precision)));
     }
-    let aggs: Vec<f64> = cols.iter().map(|c| agg(c)).collect();
-    out.push_str(&format!("{}\n", row(agg_label, &aggs, 8, precision)));
     (out, schemes.into_iter().zip(aggs).collect())
 }
 
@@ -353,7 +361,7 @@ fn fig11(suite: &Suite) -> String {
 }
 
 /// Figure 12 (or 20 for the non-valley suite): speedup over BASE, and
-/// the per-scheme HMEAN row in column order. The golden test pins the
+/// the per-scheme HMEAN row in column order. The paper golden pins the
 /// table byte-for-byte, so the formatting must not drift.
 fn fig12(suite: &Suite, title: &str) -> (String, Vec<(SchemeKind, f64)>) {
     let metric = |b, s| speedup(suite, b, s);
