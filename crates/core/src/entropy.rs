@@ -9,9 +9,15 @@
 //!    memory requests (order-free);
 //! 2. sorts TBs by identifier (the TB scheduler issues them in order);
 //! 3. slides a window of `w` TBs (`w` ≈ the number of TBs co-executing,
-//!    heuristically the SM count) and computes the Shannon entropy of the
-//!    distinct BVR values inside each window, with logarithm base `v` =
-//!    the number of distinct values (Equation 1, so H ∈ [0, 1]);
+//!    heuristically the SM count) and scores each window's entropy
+//!    `H_W` ∈ [0, 1]. Every caller in the product — Figures 3, 5 and 10,
+//!    the window ablation and the benchmark probes — runs
+//!    [`EntropyMethod::MixtureBvr`]: the binary entropy of the window's
+//!    mean BVR, the probability that an in-flight request has the bit
+//!    set. The literal reading of the paper's footnote 1, the Shannon
+//!    entropy of the distinct BVR values in the window with logarithm
+//!    base `v` = their count (Equation 1), is
+//!    [`EntropyMethod::DistinctBvr`];
 //! 4. averages the per-window entropies over all `n − w + 1` windows
 //!    (Equation 2) to obtain the window-based entropy `H*` of the bit;
 //! 5. combines kernels into an application profile by weighting each

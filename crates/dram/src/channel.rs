@@ -161,8 +161,9 @@ pub struct DramChannel {
     /// queued). Exact: `tick` republishes it after arbitration (the next
     /// cycle while another bank is ready, else the earliest `ready_at` of
     /// a queued bank) and [`DramChannel::try_enqueue`] lowers it like
-    /// `cached_next`. A caller refused by a full queue waits for exactly
-    /// this cycle (see [`DramChannel::next_dequeue_at`]).
+    /// `cached_next`. It is the dequeue half of the channel's own
+    /// wake-up, `cached_next`; a caller refused by a full queue watches
+    /// [`DramChannel::queue_len`] instead.
     next_dequeue: u64,
     /// Issued-but-uncompleted transactions, in issue order. The shared
     /// data bus serializes bursts, so `finish` times are strictly
@@ -210,6 +211,7 @@ impl DramChannel {
     }
 
     /// The channel configuration.
+    #[inline]
     pub fn config(&self) -> &DramConfig {
         &self.cfg
     }
@@ -258,6 +260,7 @@ impl DramChannel {
     }
 
     /// Number of queued (not yet scheduled) requests.
+    #[inline]
     pub fn queue_len(&self) -> usize {
         self.queued
     }
@@ -283,17 +286,6 @@ impl DramChannel {
     #[inline]
     pub fn cached_next_event(&self) -> u64 {
         self.cached_next
-    }
-
-    /// The cycle of the next dequeue: the first tick at which
-    /// [`DramChannel::queue_len`] drops (`u64::MAX` while nothing is
-    /// queued). While the queue is full nothing can be enqueued, so this
-    /// is the exact cycle a back-pressured caller's retry first succeeds
-    /// — the LLC's retry gate waits for it instead of for the channel's
-    /// next event of any kind.
-    #[inline]
-    pub fn next_dequeue_at(&self) -> u64 {
-        self.next_dequeue
     }
 
     /// Brings the per-cycle counters up to date with `up_to` (exclusive),
@@ -522,6 +514,13 @@ impl DramChannel {
 
 #[cfg(test)]
 impl DramChannel {
+    /// The cycle of the next dequeue: the first tick at which
+    /// [`DramChannel::queue_len`] drops (`u64::MAX` while nothing is
+    /// queued) — what the horizon test pins.
+    pub(crate) fn next_dequeue_at(&self) -> u64 {
+        self.next_dequeue
+    }
+
     /// The pre-index linear arbitration — scans every bank and every
     /// queue prefix — kept verbatim as the oracle the indexed
     /// [`DramChannel::pick`] is property-tested against.
@@ -933,12 +932,13 @@ mod tests {
                 drive(&reqs)?;
             }
 
-            /// The published dequeue horizon is exact: under random
-            /// traffic into a four-entry queue (so it is full most of
-            /// the time, the state the LLC's retry gate waits in), the
-            /// queue shrinks on exactly the cycles the channel named
-            /// beforehand — on the dense path and on the evented one,
-            /// which only ticks when its own hint says so.
+            /// The dequeue horizon is exact: under random traffic into
+            /// a four-entry queue (so it is full most of the time, the
+            /// state a parked LLC slice waits in), the queue shrinks on
+            /// exactly the cycles the channel named beforehand — on the
+            /// dense path and on the evented one, which only ticks when
+            /// its own hint (the horizon's minimum with the next
+            /// retirement) says so.
             #[test]
             fn dequeue_horizon_is_the_cycle_the_queue_drops(
                 reqs in proptest::collection::vec(

@@ -14,11 +14,10 @@
 //! an event-gated [`DramChannel::tick_evented`] that no-ops until the
 //! *exact* cycle of its next state change — the earlier of its next
 //! retirement and its next **dequeue** (the first tick whose arbitration
-//! takes a request out of the queue). The dequeue horizon is published
-//! on its own ([`DramChannel::next_dequeue_at`],
-//! [`DramSystem::channel_next_dequeue`]): a caller refused by a full
-//! queue can sleep until precisely that cycle instead of retrying on
-//! every channel event.
+//! takes a request out of the queue). A caller refused by a full queue
+//! ([`DramChannel::try_enqueue`] returns `false` and changes nothing)
+//! waits until [`DramChannel::queue_len`] drops below the configured
+//! `queue_capacity`, which only a tick does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

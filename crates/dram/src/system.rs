@@ -169,20 +169,6 @@ impl DramSystem {
         self.cached_min
     }
 
-    /// The cycle of one channel's next dequeue, by controller index
-    /// (see [`DramChannel::next_dequeue_at`]) — the per-channel wake
-    /// query of the simulator: an LLC slice refused by a full queue
-    /// sleeps until exactly this DRAM cycle has been ticked, not until
-    /// the channel's (or the system's) next event of any kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctrl` is out of range.
-    #[inline]
-    pub fn channel_next_dequeue(&self, ctrl: usize) -> u64 {
-        self.channels[ctrl].next_dequeue_at()
-    }
-
     /// Brings every channel's deferred counters up to date with `up_to`.
     pub fn flush_deferred(&mut self, up_to: u64) {
         for ch in &mut self.channels {
@@ -225,11 +211,12 @@ impl DramSystem {
     }
 
     /// Read access to one channel by controller index (for tests,
-    /// detailed metrics and the LLC's back-pressure gate).
+    /// detailed metrics and the LLC's check for a free queue slot).
     ///
     /// # Panics
     ///
     /// Panics if `ch` is out of range.
+    #[inline]
     pub fn channel(&self, ch: usize) -> &DramChannel {
         &self.channels[ch]
     }

@@ -96,8 +96,6 @@ pub struct NocStats {
     pub total_latency: u64,
     /// Flits of delivered packets.
     pub flits: u64,
-    /// NoC cycles observed.
-    pub cycles: u64,
 }
 
 impl NocStats {
@@ -159,8 +157,6 @@ pub struct Crossbar {
     /// minimum of `events`, maintained by [`Crossbar::tick_evented`] and
     /// [`Crossbar::inject`].
     cached_next: u64,
-    /// First cycle whose counter update is still deferred (evented path).
-    acct_from: u64,
     stats: NocStats,
 }
 
@@ -181,7 +177,6 @@ impl Crossbar {
             events: BinaryHeap::with_capacity(num_dst),
             dense: false,
             cached_next: u64::MAX,
-            acct_from: 0,
             stats: NocStats::default(),
         }
     }
@@ -222,34 +217,25 @@ impl Crossbar {
         }
     }
 
-    /// Brings the deferred cycle counter up to date with `up_to`
-    /// (exclusive): every not-yet-ticked cycle the dense loop would have
-    /// counted. Call before reading [`Crossbar::stats`] when driving the
-    /// crossbar through [`Crossbar::tick_evented`].
+    /// Does nothing: the crossbar counts only deliveries, so no counter
+    /// is ever deferred. Kept because the frozen `noc.*` benchmark probes
+    /// call it.
+    #[doc(hidden)]
     #[inline]
-    pub fn flush_deferred(&mut self, up_to: u64) {
-        if up_to > self.acct_from {
-            self.stats.cycles += up_to - self.acct_from;
-            self.acct_from = up_to;
-        }
-    }
+    pub fn flush_deferred(&mut self, _up_to: u64) {}
 
-    /// Event-queue [`Crossbar::tick`]: returns immediately (deferring the
-    /// cycle counter) while the next delivery is in the future, otherwise
-    /// settles the counter and delivers every packet whose last flit
-    /// arrives this cycle, popped from the calendar in ascending port
-    /// order — the identical order the dense scan produces — scheduling
-    /// each port's next head as it goes. Bit-identical to calling `tick`
-    /// every cycle.
+    /// Event-queue [`Crossbar::tick`]: returns immediately while the next
+    /// delivery is in the future, otherwise delivers every packet whose
+    /// last flit arrives this cycle, popped from the calendar in
+    /// ascending port order — the identical order the dense scan
+    /// produces — scheduling each port's next head as it goes.
+    /// Bit-identical to calling `tick` every cycle.
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
         debug_assert!(!self.dense, "evented tick on a densely driven crossbar");
         if cycle < self.cached_next {
             return;
         }
-        self.flush_deferred(cycle);
-        self.stats.cycles += 1;
-        self.acct_from = cycle + 1;
         while let Some(&Reverse((at, dst))) = self.events.peek() {
             if at > cycle {
                 break;
@@ -286,17 +272,13 @@ impl Crossbar {
     /// last flit arrived this cycle are pushed into `done`, which is
     /// *not* cleared.
     pub fn tick(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
-        debug_assert!(cycle >= self.acct_from, "ticking an already-counted cycle");
         if !self.dense {
-            debug_assert_eq!(self.acct_from, 0, "dense tick after evented ones");
             // Dense ticks step the ports themselves: drop what injections
             // before this first tick put on the calendar, and keep none.
             self.dense = true;
             self.events.clear();
             self.cached_next = 0;
         }
-        self.stats.cycles += 1;
-        self.acct_from = cycle + 1;
         if self.queued == 0 {
             return;
         }

@@ -13,7 +13,7 @@
 )]
 
 use crate::config::GpuConfig;
-use crate::llc::LlcSlice;
+use crate::llc::{has_room, LlcSlice};
 use crate::metrics::{ParallelismIntegrator, SimReport};
 use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
@@ -187,7 +187,8 @@ impl GpuSim {
     ///
     /// Panics, naming the field, if an SM, warp, slice, controller or
     /// bank index would not fit 16 bits or a row index 32 — the widths of
-    /// the per-transaction record.
+    /// the per-transaction record — or if there are more than 64 LLC
+    /// slices, the width of the drive loop's parked-slice mask.
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -220,6 +221,11 @@ impl GpuSim {
             index16,
         );
         fits("DRAM rows per bank", map.rows_per_bank(), 1 << 32);
+        assert!(
+            cfg.llc_slices <= 64,
+            "llc_slices = {} exceeds the 64 slices of the parked-slice mask",
+            cfg.llc_slices
+        );
         let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u16, &cfg)).collect();
@@ -293,12 +299,6 @@ impl GpuSim {
     }
 
     fn run_with_mode(mut self, event_driven: bool) -> SimReport {
-        // The evented loop is validated against the dense one only for a
-        // DRAM clock no faster than the core clock (true for every
-        // shipped config). A custom config that violates it gets the
-        // dense loop, keeping run() == run_dense() by construction
-        // instead of silently diverging.
-        let event_driven = event_driven && self.cfg.dram_per_core() <= 1.0;
         let mut cycle: u64 = 0;
 
         let mut sched = TbScheduler::new(self.workload.num_kernels());
@@ -325,6 +325,10 @@ impl GpuSim {
         // every component.
         let mut sms_next = WakeGate::new();
         let mut slices_next = WakeGate::new();
+        // Bit `i` set: slice `i` is parked on a full DRAM channel. Set by
+        // the slice walk when a tick leaves the slice parked (only a tick
+        // parks one) and cleared by `GpuSim::unpark_freed`.
+        let mut parked: u64 = 0;
 
         'outer: loop {
             crate::alloc_audit::note_cycle(cycle);
@@ -364,11 +368,13 @@ impl GpuSim {
             // ---- Clock domains: what this core cycle ticks ----
             let noc_cycles = self.noc_clock.advance();
             let dram_cycles = self.dram_clock.advance();
+            // Only a DRAM event frees a queue slot.
+            let dram_due = dram_cycles.end > self.dram.cached_next_event();
             // Whether any unit is due this iteration (audited only: the
             // evented loop must never spin on a cycle with nothing to do).
             let mut due = noc_cycles.end
                 > (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event())
-                || dram_cycles.end > self.dram.cached_next_event();
+                || dram_due;
 
             // ---- NoC clock domain ----
             for noc_cycle in noc_cycles {
@@ -417,6 +423,9 @@ impl GpuSim {
                     }
                 }
             }
+            if dram_due && parked != 0 {
+                parked = self.unpark_freed(parked, cycle, &mut slices_next);
+            }
 
             // ---- LLC slices ----
             // Below `slices_next` every slice's own gate would no-op;
@@ -425,9 +434,9 @@ impl GpuSim {
                 due = true;
                 count(Counter::SliceWalks);
                 let mut next = u64::MAX;
-                for s in &mut self.slices {
+                for (i, s) in self.slices.iter_mut().enumerate() {
                     if event_driven {
-                        s.tick_evented(
+                        let ticked = s.tick_evented(
                             cycle,
                             &self.dram_clock,
                             &self.cfg,
@@ -435,8 +444,14 @@ impl GpuSim {
                             &self.txns,
                             &mut replies,
                         );
+                        if ticked && s.parked_on().is_some() {
+                            parked |= 1 << i;
+                        }
                         next = next.min(s.cached_next_event());
                     } else {
+                        // The dense reference retries a refused head
+                        // every cycle: a refusal changes no state.
+                        s.unpark(cycle);
                         s.tick(
                             cycle,
                             &self.dram_clock,
@@ -539,13 +554,33 @@ impl GpuSim {
         crate::alloc_audit::window_close();
         self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
         // Settle all deferred counters (no-ops after a dense run).
-        self.req_net.flush_deferred(self.noc_clock.cycle());
-        self.reply_net.flush_deferred(self.noc_clock.cycle());
         self.dram.flush_deferred(self.dram_clock.cycle());
         for sm in &mut self.sms {
             sm.flush_idle(cycle);
         }
         self.report(cycle, truncated, &parallelism, &sched)
+    }
+
+    /// A DRAM phase may have freed the slot a parked slice waits for:
+    /// unparks every slice in the `parked` mask whose channel now has
+    /// room, due in `cycle`, and returns the mask of those still parked.
+    /// Out of line: it runs on few iterations, and keeping it out of
+    /// the drive loop keeps that loop's body small.
+    #[inline(never)]
+    fn unpark_freed(&mut self, parked: u64, cycle: u64, slices_next: &mut WakeGate) -> u64 {
+        let mut still = parked;
+        let mut waiting = parked;
+        while waiting != 0 {
+            let i = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let slice = &mut self.slices[i];
+            if slice.parked_on().is_some_and(|ch| has_room(&self.dram, ch)) {
+                slice.unpark(cycle);
+                slices_next.lower(cycle);
+                still &= !(1 << i);
+            }
+        }
+        still
     }
 
     /// Records the parallelism sampling points (the multiples of

@@ -26,6 +26,14 @@ use std::collections::VecDeque;
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_dram::DramSystem;
 
+/// Whether DRAM channel `ctrl`'s queue has a free slot: what a slice
+/// parked on it waits for.
+#[inline]
+pub(crate) fn has_room(dram: &DramSystem, ctrl: usize) -> bool {
+    let ch = dram.channel(ctrl);
+    ch.queue_len() < ch.config().queue_capacity
+}
+
 /// One LLC slice (64 KB, 8-way in the baseline; 120-cycle latency).
 pub(crate) struct LlcSlice {
     cache: SetAssocCache,
@@ -48,19 +56,16 @@ pub(crate) struct LlcSlice {
     /// The exact next core cycle at which [`LlcSlice::tick`] changes
     /// anything (`u64::MAX` = nothing locally schedulable); republished
     /// by [`LlcSlice::tick_evented`] and lowered by the deliveries and
-    /// DRAM fills that give the slice something to do (see
-    /// `crate::wake`).
+    /// DRAM fills that give the slice something to do, and by
+    /// [`LlcSlice::unpark`] (see `crate::wake`).
     cached_next: u64,
-    /// `Some(gate)` while the DRAM-retry head is back-pressured: `gate`
-    /// is the core cycle in which its channel's next dequeue is ticked,
-    /// so the head first fits then and is not re-attempted before, even
-    /// when something else wakes the slice. `None` means the head — if
-    /// any — has not been attempted since it became the head and gates
-    /// at the next cycle. Maintained by [`LlcSlice::tick`] step 2, so
-    /// [`LlcSlice::tick_evented`] updates `cached_next` from this delta
-    /// instead of re-deriving the gate through the transaction table
-    /// and the DRAM channel on every effective tick.
-    retry_gate: Option<u64>,
+    /// `Some(ctrl)` while the DRAM-retry head is parked: DRAM channel
+    /// `ctrl` refused it with a full queue, and only a dequeue there can
+    /// let it in. A parked head publishes no wake-up and is not offered
+    /// again, whatever else wakes the slice, until the drive loop sees a
+    /// free slot in that channel and calls [`LlcSlice::unpark`]. Set by
+    /// [`LlcSlice::tick`] step 2.
+    parked_on: Option<u16>,
 }
 
 impl LlcSlice {
@@ -77,7 +82,7 @@ impl LlcSlice {
             mshr_entries: 0,
             input_stalled: false,
             cached_next: 0,
-            retry_gate: None,
+            parked_on: None,
         }
     }
 
@@ -88,7 +93,7 @@ impl LlcSlice {
         let _audit_pause =
             (self.input.len() == self.input.capacity()).then(valley_core::alloc_audit::pause);
         self.input.push_back(txn);
-        self.cached_next = self.cached_next.min(self.next_event_incremental(cycle));
+        self.cached_next = self.cached_next.min(self.next_event_at(cycle));
     }
 
     /// Outstanding requests in this slice (non-zero is what Figure 14a
@@ -110,60 +115,6 @@ impl LlcSlice {
         self.mshr_entries
     }
 
-    /// The earliest core cycle at or after `now` at which
-    /// [`LlcSlice::tick`] would do real work, or `None` when the slice can
-    /// only progress through off-slice events (DRAM completions filling
-    /// MSHRs). Ticks before that cycle are no-ops.
-    ///
-    /// This is the recompute-from-scratch **oracle**: the hot path
-    /// ([`LlcSlice::tick_evented`]) maintains the same value
-    /// incrementally from the hit-queue/retry-head deltas of the tick it
-    /// just ran (see [`LlcSlice::next_event_incremental`]); a property
-    /// test pins the two against each other. Whether the retry head was
-    /// attempted is state (`retry_gate`, like `hits.front()`); *when* a
-    /// refused head fits is recomputed here from the channel it waits on
-    /// and the DRAM clock as they stand — the queue must still be full
-    /// and its next dequeue must translate to the very cycle stored.
-    pub(crate) fn next_event_at_with_dram(
-        &self,
-        now: u64,
-        txns: &TxnTable,
-        dram: &DramSystem,
-        dram_clock: &DomainClock,
-    ) -> Option<u64> {
-        if !self.input.is_empty() && !self.input_stalled {
-            return Some(now);
-        }
-        let mut next: Option<u64> = None;
-        if let Some(&txn) = self.dram_retry.front() {
-            if self.retry_gate.is_none() {
-                // Not attempted since it became the head.
-                return Some(now);
-            }
-            assert!(
-                self.retry_head_blocked(txns, dram),
-                "a gated retry head whose channel has room"
-            );
-            // `now - 1` is the cycle `dram_clock` was last advanced in.
-            let dequeue = dram.channel_next_dequeue(usize::from(txns.get(txn).ctrl));
-            next = Some((now - 1).saturating_add(dram_clock.core_cycles_until(dequeue)));
-        }
-        if let Some(&(ready, _)) = self.hits.front() {
-            let at = ready.max(now);
-            next = Some(next.map_or(at, |n| n.min(at)));
-        }
-        next
-    }
-
-    /// Whether there is a DRAM-retry head and its channel's queue is
-    /// full — what a retry gate in the future asserts.
-    fn retry_head_blocked(&self, txns: &TxnTable, dram: &DramSystem) -> bool {
-        self.dram_retry.front().is_some_and(|&head| {
-            let ch = dram.channel(usize::from(txns.get(head).ctrl));
-            ch.queue_len() >= ch.config().queue_capacity
-        })
-    }
-
     /// Queues `txn` for the DRAM hand-off.
     fn send_to_dram(&mut self, txn: u64) {
         let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
@@ -179,7 +130,21 @@ impl LlcSlice {
         self.input_stalled = false;
         self.cache.fill(line);
         self.mshr.complete_into(line, replies);
-        self.cached_next = self.cached_next.min(self.next_event_incremental(cycle));
+        self.cached_next = self.cached_next.min(self.next_event_at(cycle));
+    }
+
+    /// The DRAM channel whose full queue the retry head is parked on.
+    #[inline]
+    pub(crate) fn parked_on(&self) -> Option<usize> {
+        self.parked_on.map(usize::from)
+    }
+
+    /// Offers the retry head again from core cycle `cycle`: the evented
+    /// loop calls this once the channel the slice is parked on has a
+    /// free slot, the dense reference before every tick.
+    pub(crate) fn unpark(&mut self, cycle: u64) {
+        self.parked_on = None;
+        self.cached_next = self.cached_next.min(self.next_event_at(cycle));
     }
 
     /// The cached next-event cycle maintained by
@@ -189,38 +154,21 @@ impl LlcSlice {
         self.cached_next
     }
 
-    /// The DRAM back-pressure gate [`LlcSlice::tick`] step 2 maintains
-    /// (`None` = the retry head, if any, has not been attempted yet) —
-    /// surfaced so the wake-gate subsystem's recompute oracles can check
-    /// the shared index against the slice's own bookkeeping.
-    #[cfg(test)]
-    pub(crate) fn retry_gate(&self) -> Option<u64> {
-        self.retry_gate
-    }
-
     /// The slice's hint as of core cycle `now` (the first cycle not yet
-    /// ticked), derived incrementally: the input-head and hit-queue
-    /// terms are O(1) peeks, and the DRAM back-pressure term reuses the
-    /// gate [`LlcSlice::tick`] step 2 computed (while it already held
-    /// the channel) instead of re-deriving it through the transaction
-    /// table and the channel. The one definition of "when is this slice
-    /// next due": the tick republishes it for `cycle + 1`, and the
-    /// out-of-band sources (a delivery, a fill) lower `cached_next` to
-    /// it for their own cycle — so a source that gives the slice nothing
-    /// to do moves nothing. Must equal `next_event_at_with_dram(now, ..)`
-    /// at every effective-tick boundary — pinned by the `retry_gate`
-    /// property test.
+    /// ticked): now while the input head can be looked up or an unparked
+    /// retry head waits, else the front of the hit pipeline. The one
+    /// definition of "when is this slice next due": the tick republishes
+    /// it for `cycle + 1`, and the out-of-band sources (a delivery, a
+    /// fill, an unpark) lower `cached_next` to it for their own cycle —
+    /// so a source that gives the slice nothing to do moves nothing.
     #[inline]
-    fn next_event_incremental(&self, now: u64) -> u64 {
+    fn next_event_at(&self, now: u64) -> u64 {
         if !self.input.is_empty() && !self.input_stalled {
             return now;
         }
         let mut next = u64::MAX;
-        if !self.dram_retry.is_empty() {
-            // A blocked head gates at the cycle its refusal computed; a
-            // fresh (unattempted) head gates at once.
-            next = self.retry_gate.unwrap_or(now);
-            debug_assert!(next >= now, "retry gate must not be in the past");
+        if !self.dram_retry.is_empty() && self.parked_on.is_none() {
+            next = now;
         }
         if let Some(&(ready, _)) = self.hits.front() {
             next = next.min(ready.max(now));
@@ -231,7 +179,7 @@ impl LlcSlice {
     /// Event-gated [`LlcSlice::tick`]: a no-op while the cached
     /// next-event cycle is in the future (the slice has no per-cycle
     /// counters, so there is nothing to defer). Bit-identical to ticking
-    /// densely every cycle.
+    /// densely every cycle. Returns whether the slice ticked.
     #[inline]
     pub(crate) fn tick_evented(
         &mut self,
@@ -241,19 +189,14 @@ impl LlcSlice {
         dram: &mut DramSystem,
         txns: &TxnTable,
         replies: &mut Vec<u64>,
-    ) {
+    ) -> bool {
         if cycle < self.cached_next {
-            return;
+            return false;
         }
         count(Counter::SliceTicks);
         self.tick(cycle, dram_clock, cfg, dram, txns, replies);
-        self.cached_next = self.next_event_incremental(cycle + 1);
-        debug_assert_eq!(
-            self.cached_next,
-            self.next_event_at_with_dram(cycle + 1, txns, dram, dram_clock)
-                .unwrap_or(u64::MAX),
-            "incremental next-event diverged from the recompute oracle"
-        );
+        self.cached_next = self.next_event_at(cycle + 1);
+        true
     }
 
     /// One core cycle: complete hits, retry DRAM hand-offs, process one
@@ -279,16 +222,13 @@ impl LlcSlice {
             replies.push(txn);
         }
 
-        // 2. Drain the DRAM retry queue while the channel accepts. Each
-        // head outcome updates `retry_gate`: a pop exposes a fresh head
-        // (gate unknown → next cycle); a refusal records the cycle the
-        // head first fits while the channel is already at hand. A head
-        // still behind its gate (something else woke the slice) is not
-        // offered again: its channel cannot have dequeued yet.
-        if self.retry_gate.is_some_and(|gate| cycle < gate) {
+        // 2. Drain the DRAM retry queue while the channel accepts. A
+        // refusal parks the slice on that channel: its queue is full, so
+        // the head is not offered again until the drive loop unparks it.
+        if let Some(ctrl) = self.parked_on {
             debug_assert!(
-                self.retry_head_blocked(txns, dram),
-                "retry gate is late: the channel dequeued before it"
+                !has_room(dram, usize::from(ctrl)),
+                "a parked slice's channel has room"
             );
         } else {
             while let Some(&txn) = self.dram_retry.front() {
@@ -296,14 +236,9 @@ impl LlcSlice {
                 let (ctrl, bank) = (u32::from(t.ctrl), u32::from(t.bank));
                 if dram.try_enqueue_at(ctrl, bank, t.row, txn, t.is_store, dram_clock.cycle()) {
                     self.dram_retry.pop_front();
-                    self.retry_gate = None;
                 } else {
-                    // The queue is full until the channel's next dequeue;
-                    // the head fits in the core cycle that ticks it.
                     count(Counter::RefusedEnqueues);
-                    let dequeue = dram.channel_next_dequeue(usize::from(t.ctrl));
-                    self.retry_gate =
-                        Some(cycle.saturating_add(dram_clock.core_cycles_until(dequeue)));
+                    self.parked_on = Some(t.ctrl);
                     break;
                 }
             }
@@ -399,29 +334,81 @@ mod tests {
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
     }
 
-    // Random slice traffic: the incrementally-maintained next-event
-    // cache must equal the recompute-from-scratch oracle after every
-    // effective tick — including the DRAM back-pressure translation,
-    // which is the term the incremental path avoids re-deriving.
+    /// A slice with its own DRAM system: the unit the park property
+    /// drives twice over the same traffic.
+    struct Rig {
+        slice: LlcSlice,
+        dram: DramSystem,
+        replies: Vec<u64>,
+        completions: Vec<valley_dram::DramCompletion>,
+    }
+
+    impl Rig {
+        fn new(cfg: &GpuConfig, dram_cfg: DramConfig) -> Self {
+            Rig {
+                slice: LlcSlice::new(cfg),
+                dram: DramSystem::new(std::sync::Arc::new(GddrMap::baseline()), dram_cfg),
+                replies: Vec::new(),
+                completions: Vec::new(),
+            }
+        }
+
+        /// The DRAM domain's cycles `dram_cycles`, fills delivered to the
+        /// slice in core cycle `cycle`.
+        fn tick_dram(
+            &mut self,
+            dram_cycles: std::ops::Range<u64>,
+            evented: bool,
+            cycle: u64,
+            txns: &TxnTable,
+        ) {
+            for dram_cycle in dram_cycles {
+                self.completions.clear();
+                if evented {
+                    self.dram.tick_evented(dram_cycle, &mut self.completions);
+                } else {
+                    self.dram.tick(dram_cycle, &mut self.completions);
+                }
+                for c in &self.completions {
+                    let t = txns.get(c.id);
+                    if !t.is_store {
+                        self.slice
+                            .on_dram_completion(t.line, cycle, &mut self.replies);
+                    }
+                }
+            }
+        }
+
+        /// What the DRAM hand-off has done so far: the transactions still
+        /// waiting in the slice, and each channel's queue.
+        fn hand_off(&self) -> (usize, Vec<usize>) {
+            let queues = (0..self.dram.num_channels())
+                .map(|c| self.dram.channel(c).queue_len())
+                .collect();
+            (self.slice.dram_retry.len(), queues)
+        }
+    }
+
+    // Random slice traffic through a 2-entry DRAM queue, so refusals are
+    // common: the slice driven as the evented loop drives it — ticked at
+    // its own hint, parked by a refusal, unparked once its channel has
+    // room — must hand DRAM the same transactions in the same cycles as
+    // a shadow slice ticked densely that retries its head every cycle.
     proptest! {
         #[test]
-        fn incremental_next_event_matches_oracle(
+        fn a_parked_slice_enqueues_when_an_every_cycle_retry_does(
             seed in 0u64..u64::MAX,
-            txn_count in 1usize..60,
+            txn_count in 1usize..200,
             burst in 1u64..6,
         ) {
             let cfg = GpuConfig::table1();
             let map = GddrMap::baseline();
             let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
-            // A tiny queue so back-pressure (the retry-gate path) is hit
-            // often, not only under saturation.
             let mut dram_cfg: DramConfig = cfg.dram;
-            dram_cfg.queue_capacity = 4;
-            let mut dram = DramSystem::new(std::sync::Arc::new(map), dram_cfg);
+            dram_cfg.queue_capacity = 2;
+            let mut parked = Rig::new(&cfg, dram_cfg);
+            let mut shadow = Rig::new(&cfg, dram_cfg);
             let mut txns = TxnTable::new();
-            let mut slice = LlcSlice::new(&cfg);
-            let mut replies = Vec::new();
-            let mut completions: Vec<valley_dram::DramCompletion> = Vec::new();
 
             let mut s = seed;
             let mut next_mix = || {
@@ -433,17 +420,9 @@ mod tests {
             let mut pending = txn_count;
             let mut dram_clock = DomainClock::new(cfg.dram_per_core());
             for cycle in 0..6_000u64 {
-                // DRAM domain, as the GPU loop drives it.
-                for dram_cycle in dram_clock.advance() {
-                    completions.clear();
-                    dram.tick_evented(dram_cycle, &mut completions);
-                    for c in &completions {
-                        let t = txns.get(c.id);
-                        if !t.is_store {
-                            slice.on_dram_completion(t.line, cycle, &mut replies);
-                        }
-                    }
-                }
+                let dram_cycles = dram_clock.advance();
+                parked.tick_dram(dram_cycles.clone(), true, cycle, &txns);
+                shadow.tick_dram(dram_cycles, false, cycle, &txns);
                 // Random delivery bursts (hot lines force MSHR merges and
                 // stalls; random stores exercise the write-through path).
                 if pending > 0 && next_mix() % 3 == 0 {
@@ -451,42 +430,44 @@ mod tests {
                         let r = next_mix();
                         let line = (r % 64) << 7;
                         let is_store = r % 5 == 0;
-                        let to = route(&mapper, &dram, line);
+                        let to = route(&mapper, &parked.dram, line);
                         let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, is_store, line, to);
-                        slice.deliver(id, cycle);
+                        parked.slice.deliver(id, cycle);
+                        shadow.slice.deliver(id, cycle);
                         pending -= 1;
                     }
                 }
-                if cycle >= slice.cached_next_event() {
-                    slice.tick(cycle, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
-                    let incremental = slice.next_event_incremental(cycle + 1);
-                    slice.cached_next = incremental;
-                    let oracle = slice
-                        .next_event_at_with_dram(cycle + 1, &txns, &dram, &dram_clock)
-                        .unwrap_or(u64::MAX);
-                    prop_assert_eq!(
-                        incremental, oracle,
-                        "cycle {}: incremental {} vs oracle {}", cycle, incremental, oracle
-                    );
-                    // The retry gate feeds the wake-gate subsystem
-                    // through `cached_next`: a blocked DRAM hand-off
-                    // must never gate in the past, and the slice's
-                    // published gate can never sit beyond it.
-                    if let Some(g) = slice.retry_gate() {
-                        prop_assert!(g > cycle, "cycle {}: retry gate {} in the past", cycle, g);
-                        prop_assert!(
-                            incremental <= g,
-                            "cycle {}: published gate {} ignores the blocked retry head at {}",
-                            cycle, incremental, g
-                        );
+                // The loop's unpark, after the DRAM phase.
+                if let Some(ch) = parked.slice.parked_on() {
+                    if has_room(&parked.dram, ch) {
+                        parked.slice.unpark(cycle);
                     }
                 }
-                replies.clear();
-                if pending == 0 && slice.is_idle() && !dram.is_busy() {
+                let Rig { slice, dram, replies, .. } = &mut parked;
+                slice.tick_evented(cycle, &dram_clock, &cfg, dram, &txns, replies);
+                let Rig { slice, dram, replies, .. } = &mut shadow;
+                slice.unpark(cycle);
+                slice.tick(cycle, &dram_clock, &cfg, dram, &txns, replies);
+
+                if let Some(ch) = parked.slice.parked_on() {
+                    prop_assert!(
+                        !has_room(&parked.dram, ch),
+                        "cycle {}: parked on channel {}, which has room", cycle, ch
+                    );
+                }
+                prop_assert_eq!(
+                    parked.hand_off(), shadow.hand_off(),
+                    "cycle {}: the DRAM hand-off diverged", cycle
+                );
+                prop_assert_eq!(&parked.replies, &shadow.replies, "cycle {}", cycle);
+                parked.replies.clear();
+                shadow.replies.clear();
+                if pending == 0 && parked.slice.is_idle() && !parked.dram.is_busy() {
                     break;
                 }
             }
             prop_assert!(pending == 0, "traffic never fully delivered");
+            prop_assert!(shadow.slice.is_idle() && !shadow.dram.is_busy());
         }
     }
 }

@@ -17,8 +17,9 @@
 //! | [`DramChannel`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
 //! | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
 //! | [`Crossbar`] | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
-//! | LLC slice | its own tick | next cycle while the input head can be looked up; else the front of the hit pipeline and the DRAM-retry head's gate |
-//! | | a refused DRAM enqueue | the *retry gate*: the core cycle in which the blocking channel's next dequeue is ticked ([`DomainClock::core_cycles_until`]); a blocked head is not re-attempted before it, whatever else wakes the slice |
+//! | LLC slice | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
+//! | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
+//! | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase |
 //! | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
 //! | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
 //! | SM | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
@@ -40,11 +41,14 @@
 //! unit's own fresh hint by every out-of-band source above; a source
 //! that leaves the unit's hint alone leaves the gate alone.
 //!
-//! Horizons cross clock domains through [`DomainClock`], which owns the
+//! Clock domains advance through [`DomainClock`], which owns the
 //! accumulator arithmetic the dense loop performs: the run loop's
-//! per-cycle advance, the fast-forward's skip and the retry gate's
-//! DRAM-to-core translation all replay the same float operations, so
-//! they cannot drift apart (and `run() == run_dense()` stays exact).
+//! per-cycle advance and the fast-forward's skip replay the same float
+//! operations, so they cannot drift apart (and `run() == run_dense()`
+//! stays exact). No horizon is translated between domains: the loop
+//! stops its fast-forward at any NoC or DRAM event and learns of the
+//! rest — a freed DRAM slot included — by looking after that domain's
+//! phase.
 //!
 //! # Why gates are scalars
 //!
@@ -106,7 +110,7 @@ impl WakeGate {
     }
 }
 
-/// A slower clock domain (NoC, DRAM) counted in core cycles: the
+/// A second clock domain (NoC, DRAM) counted in core cycles: the
 /// fractional accumulator, the next domain cycle to tick and the clock
 /// ratio. One core cycle adds the ratio and ticks the domain once per
 /// whole unit accumulated — by repeated subtraction of 1.0, *not*
@@ -147,24 +151,6 @@ impl DomainClock {
             self.cycle += 1;
         }
         start..self.cycle
-    }
-
-    /// How many core cycles from now `domain_cycle` is ticked: 1 if the
-    /// next [`DomainClock::advance`] covers it, and so on — found by
-    /// replaying `advance` on a copy, the only translation whose float
-    /// rounding agrees with the loop's. `u64::MAX` for a domain cycle
-    /// that never comes (`u64::MAX`, an empty unit's hint).
-    pub(crate) fn core_cycles_until(&self, domain_cycle: u64) -> u64 {
-        if domain_cycle == u64::MAX {
-            return u64::MAX;
-        }
-        let mut probe = *self;
-        let mut n = 0;
-        while probe.cycle <= domain_cycle {
-            probe.advance();
-            n += 1;
-        }
-        n
     }
 }
 
@@ -297,33 +283,5 @@ mod tests {
                 );
             }
         }
-
-        /// `core_cycles_until` names the core cycle whose `advance`
-        /// ticks the asked-for domain cycle — from any starting phase,
-        /// for clocks slower and faster than the core's.
-        #[test]
-        fn core_cycles_until_matches_the_advancing_clock(
-            ratio in 0usize..5,
-            warmup in 0usize..50,
-            ahead in 0u64..80,
-        ) {
-            let ratio = [0.5, 0.66, 924.0 / 1400.0, 1.0, 1.7][ratio];
-            let mut clock = DomainClock::new(ratio);
-            for _ in 0..warmup {
-                clock.advance();
-            }
-            let target = clock.cycle() + ahead;
-            let n = clock.core_cycles_until(target);
-            prop_assert!(n >= 1);
-            for step in 1..=n {
-                let ticked = clock.advance();
-                prop_assert_eq!(ticked.contains(&target), step == n, "step {} of {}", step, n);
-            }
-        }
-    }
-
-    #[test]
-    fn a_domain_cycle_that_never_comes_is_never_reached() {
-        assert_eq!(DomainClock::new(0.66).core_cycles_until(u64::MAX), u64::MAX);
     }
 }

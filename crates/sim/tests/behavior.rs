@@ -220,3 +220,13 @@ fn a_warp_slot_equal_to_the_store_sentinel_is_refused() {
     cfg.max_warps_per_sm = 1 << 16;
     let _ = build(cfg);
 }
+
+/// The drive loop tracks parked LLC slices in a 64-bit mask: a machine
+/// with more slices is refused at construction, naming the field.
+#[test]
+#[should_panic(expected = "llc_slices = 65 exceeds the 64 slices")]
+fn more_slices_than_the_parked_mask_holds_are_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.llc_slices = 65;
+    let _ = build(cfg);
+}

@@ -4,11 +4,17 @@
 //! exist under `--features wake-audit`; without it this file compiles
 //! to nothing.
 //!
-//! The three cases are the ones the wake-ups were tuned on: MT/BASE is
-//! the paper's valley at its worst (one channel saturated, every slice
-//! back-pressured, the regime where a slice woken by the wrong event
-//! is refused over and over), LPS/BASE is a milder valley with stores,
-//! SRAD2/PAE is spread traffic with the most transactions in flight.
+//! The three cases are the ones the wake-ups were tuned on, at
+//! `Scale::Ref`, where back-pressure is real: MT/BASE is the paper's
+//! valley at its worst (one channel saturated, every slice refused
+//! more often than DRAM issues a command — the regime where a slice
+//! woken by the wrong event is refused over and over), LPS/BASE is a
+//! milder valley with stores, SRAD2/PAE is spread traffic with the
+//! most transactions in flight.
+//!
+//! Each count is pinned exactly. A change to when a unit wakes moves
+//! one of them, and the diff of this file then shows by how much; the
+//! bounds below say which direction is a regression.
 #![cfg(feature = "wake-audit")]
 
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
@@ -16,14 +22,24 @@ use valley_sim::wake_audit::{take, Counter};
 use valley_sim::{GpuConfig, GpuSim};
 use valley_workloads::{Benchmark, Scale};
 
-fn assert_wakes_only_for_work(bench: Benchmark, scheme: SchemeKind) {
+/// What one evented run counted.
+#[derive(Debug, PartialEq, Eq)]
+struct Wakes {
+    iterations: u64,
+    idle_iterations: u64,
+    slice_ticks: u64,
+    tag_accesses: u64,
+    refused_enqueues: u64,
+}
+
+fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
     let map = GddrMap::baseline();
     let mapper = AddressMapper::build(scheme, &map, 1);
     let sim = GpuSim::new(
         GpuConfig::table1(),
         mapper,
         map,
-        Box::new(bench.workload(Scale::Small)),
+        Box::new(bench.workload(Scale::Ref)),
     );
     // Counters are per thread; zero whatever an earlier run left here.
     for c in [
@@ -37,45 +53,81 @@ fn assert_wakes_only_for_work(bench: Benchmark, scheme: SchemeKind) {
     }
     let report = sim.run();
     let tag = format!("{bench:?}/{scheme:?}");
-    let iterations = take(Counter::Iterations);
-    let idle = take(Counter::IdleIterations);
-    let slice_ticks = take(Counter::SliceTicks);
-    let tag_accesses = take(Counter::TagAccesses);
-    let refused = take(Counter::RefusedEnqueues);
+    let got = Wakes {
+        iterations: take(Counter::Iterations),
+        idle_iterations: take(Counter::IdleIterations),
+        slice_ticks: take(Counter::SliceTicks),
+        tag_accesses: take(Counter::TagAccesses),
+        refused_enqueues: take(Counter::RefusedEnqueues),
+    };
     let issues = report.dram.reads + report.dram.writes;
     eprintln!(
-        "{tag}: {} cycles, {iterations} iterations ({idle} idle), {slice_ticks} slice ticks for \
-         {tag_accesses} tag accesses, {refused} refused enqueues for {issues} DRAM issues and {} \
-         transactions",
+        "{tag}: {} cycles, {got:?}, {issues} DRAM issues, {} transactions",
         report.cycles, report.memory_transactions
     );
-    assert!(iterations > 0 && tag_accesses > 0, "{tag}: nothing counted");
     assert!(
-        iterations <= report.cycles,
+        got.iterations <= report.cycles,
         "{tag}: more iterations than cycles"
     );
-    assert_eq!(idle, 0, "{tag}: iterations in which no unit was due");
-    assert!(
-        slice_ticks <= 3 * tag_accesses,
-        "{tag}: {slice_ticks} effective slice ticks for {tag_accesses} tag accesses"
+    assert_eq!(
+        got.idle_iterations, 0,
+        "{tag}: iterations in which no unit was due"
     );
     assert!(
-        refused <= 2 * issues + report.memory_transactions,
-        "{tag}: {refused} refused enqueues for {issues} DRAM issues"
+        got.slice_ticks <= 3 * got.tag_accesses,
+        "{tag}: {} effective slice ticks for {} tag accesses",
+        got.slice_ticks,
+        got.tag_accesses
     );
+    assert!(
+        got.refused_enqueues <= 2 * issues + report.memory_transactions,
+        "{tag}: {} refused enqueues for {issues} DRAM issues",
+        got.refused_enqueues
+    );
+    assert_eq!(got, want, "{tag}: the wake-up counts moved");
 }
 
 #[test]
 fn saturated_valley_mt_base() {
-    assert_wakes_only_for_work(Benchmark::Mt, SchemeKind::Base);
+    assert_wakes(
+        Benchmark::Mt,
+        SchemeKind::Base,
+        Wakes {
+            iterations: 409_522,
+            idle_iterations: 0,
+            slice_ticks: 380_312,
+            tag_accesses: 136_464,
+            refused_enqueues: 240_736,
+        },
+    );
 }
 
 #[test]
 fn valley_with_stores_lps_base() {
-    assert_wakes_only_for_work(Benchmark::Lps, SchemeKind::Base);
+    assert_wakes(
+        Benchmark::Lps,
+        SchemeKind::Base,
+        Wakes {
+            iterations: 436_813,
+            idle_iterations: 0,
+            slice_ticks: 213_279,
+            tag_accesses: 151_953,
+            refused_enqueues: 68_183,
+        },
+    );
 }
 
 #[test]
 fn spread_traffic_srad2_pae() {
-    assert_wakes_only_for_work(Benchmark::Srad2, SchemeKind::Pae);
+    assert_wakes(
+        Benchmark::Srad2,
+        SchemeKind::Pae,
+        Wakes {
+            iterations: 522_064,
+            idle_iterations: 0,
+            slice_ticks: 1_004_934,
+            tag_accesses: 519_598,
+            refused_enqueues: 243_001,
+        },
+    );
 }

@@ -11,23 +11,31 @@ use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
 
 fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
-    build_limited(bench, scheme, GpuConfig::table1().max_cycles)
+    build_with(bench, scheme, GpuConfig::table1())
 }
 
 fn build_limited(bench: Benchmark, scheme: SchemeKind, max_cycles: u64) -> GpuSim {
-    let map = GddrMap::baseline();
-    let mapper = AddressMapper::build(scheme, &map, 1);
     let cfg = GpuConfig {
         max_cycles,
         ..GpuConfig::table1()
     };
+    build_with(bench, scheme, cfg)
+}
+
+fn build_with(bench: Benchmark, scheme: SchemeKind, cfg: GpuConfig) -> GpuSim {
+    let map = GddrMap::baseline();
+    let mapper = AddressMapper::build(scheme, &map, 1);
     GpuSim::new(cfg, mapper, map, Box::new(bench.workload(Scale::Test)))
 }
 
 fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
-    let fast: SimReport = build(bench, scheme).run();
-    let dense: SimReport = build(bench, scheme).run_dense();
-    let tag = format!("{bench:?}/{scheme:?}");
+    assert_equivalent_with(bench, scheme, &GpuConfig::table1(), "");
+}
+
+fn assert_equivalent_with(bench: Benchmark, scheme: SchemeKind, cfg: &GpuConfig, note: &str) {
+    let fast: SimReport = build_with(bench, scheme, cfg.clone()).run();
+    let dense: SimReport = build_with(bench, scheme, cfg.clone()).run_dense();
+    let tag = format!("{bench:?}/{scheme:?}{note}");
     assert_eq!(fast.cycles, dense.cycles, "{tag}: cycle count diverged");
     assert_eq!(fast.dram, dense.dram, "{tag}: DRAM stats diverged");
     assert_eq!(fast.l1, dense.l1, "{tag}: L1 stats diverged");
@@ -89,6 +97,26 @@ fn valley_benchmark_base_and_pae() {
 #[test]
 fn random_benchmark_fae_scheme() {
     assert_equivalent(Benchmark::Mum, SchemeKind::Fae);
+}
+
+/// A DRAM clock above the core clock ticks several DRAM cycles in some
+/// core cycles; the evented loop runs it like any other, with no dense
+/// fallback.
+#[test]
+fn dram_clocks_above_the_core_clock() {
+    for dram_ghz in [1.5, 2.0, 3.3] {
+        let mut cfg = GpuConfig::table1();
+        cfg.dram.clock_ghz = dram_ghz;
+        assert!(cfg.dram_per_core() > 1.0);
+        for (bench, scheme) in [
+            (Benchmark::Mt, SchemeKind::Base),
+            (Benchmark::Lps, SchemeKind::Base),
+            (Benchmark::Srad2, SchemeKind::Pae),
+            (Benchmark::Mum, SchemeKind::All),
+        ] {
+            assert_equivalent_with(bench, scheme, &cfg, &format!(" at DRAM {dram_ghz} GHz"));
+        }
+    }
 }
 
 #[test]
