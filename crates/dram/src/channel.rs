@@ -44,7 +44,8 @@ pub struct DramRequest {
     /// Whether this is a write (writes return a completion when the data
     /// is accepted; reads when the data burst finishes).
     pub is_write: bool,
-    /// Arrival time in DRAM cycles (for latency accounting).
+    /// Arrival time in DRAM cycles, the cycle of the enqueue: the
+    /// earliest cycle [`DramChannel::tick_evented`] wakes for it.
     pub arrival: u64,
 }
 
@@ -107,7 +108,6 @@ struct InFlight {
     id: u64,
     bank: usize,
     is_write: bool,
-    arrival: u64,
 }
 
 /// One DRAM channel with FR-FCFS scheduling and an open-page policy.
@@ -154,8 +154,6 @@ pub struct DramChannel {
     /// by [`DramChannel::try_enqueue`]; [`DramChannel::tick_evented`]
     /// no-ops below it.
     cached_next: u64,
-    /// First cycle whose counter updates are still deferred.
-    acct_from: u64,
     /// The cycle of the next **dequeue** — the first tick whose `pick`
     /// takes a request out of the scheduling queue (`u64::MAX` = nothing
     /// queued). Exact: `tick` republishes it after arbitration (the next
@@ -200,7 +198,6 @@ impl DramChannel {
             busy_bank_count: 0,
             next_seq: 0,
             cached_next: 0,
-            acct_from: 0,
             next_dequeue: u64::MAX,
             inflight: VecDeque::with_capacity(32),
             next_act_at: 0,
@@ -227,9 +224,6 @@ impl DramChannel {
         if self.queued >= self.cfg.queue_capacity {
             return false;
         }
-        // Counter deferral (evented path): the cycles before this arrival
-        // must be accounted with the channel's *pre-enqueue* busy state.
-        self.flush_deferred(req.arrival);
         let seq = self.next_seq;
         self.next_seq += 1;
         let b = req.bank;
@@ -288,33 +282,15 @@ impl DramChannel {
         self.cached_next
     }
 
-    /// Brings the per-cycle counters up to date with `up_to` (exclusive),
-    /// accounting every not-yet-ticked cycle exactly as the dense loop
-    /// would have: nothing retires or issues below the cached next event,
-    /// so those ticks are pure counter updates. Call before reading
-    /// [`DramChannel::stats`] when driving the channel through
-    /// [`DramChannel::tick_evented`].
-    pub fn flush_deferred(&mut self, up_to: u64) {
-        if up_to > self.acct_from {
-            let n = up_to - self.acct_from;
-            self.stats.total_cycles += n;
-            if self.is_busy() {
-                self.stats.busy_cycles += n;
-            }
-            self.stats.data_bus_cycles += self.bus_free_at.saturating_sub(self.acct_from).min(n);
-            self.acct_from = up_to;
-        }
-    }
-
-    /// Event-gated [`DramChannel::tick`]: a no-op (with counters
-    /// deferred) while the cached next-event cycle is in the future.
-    /// Bit-identical to ticking densely every cycle.
+    /// Event-gated [`DramChannel::tick`]: a no-op while the cached
+    /// next-event cycle is in the future. A tick below it changes no
+    /// state, so this is bit-identical to ticking densely every cycle,
+    /// [`DramChannel::stats`] included.
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
         if cycle < self.cached_next {
             return;
         }
-        self.flush_deferred(cycle);
         self.tick(cycle, done);
         debug_assert!(self.cached_next > cycle, "tick left a hint in the past");
     }
@@ -324,18 +300,6 @@ impl DramChannel {
     /// most one new column access (FR-FCFS: oldest row-hit first,
     /// otherwise oldest).
     pub fn tick(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
-        // Count this cycle unless an out-of-band flush (an enqueue whose
-        // arrival stamp ran ahead of the tick cursor) already settled it.
-        if cycle >= self.acct_from {
-            self.stats.total_cycles += 1;
-            self.acct_from = cycle + 1;
-            if self.is_busy() {
-                self.stats.busy_cycles += 1;
-                if self.bus_free_at > cycle {
-                    self.stats.data_bus_cycles += 1;
-                }
-            }
-        }
         if self.queued == 0 && self.inflight.is_empty() {
             // Idle: nothing to retire or schedule (and the bus went free
             // no later than the last retired burst).
@@ -358,7 +322,6 @@ impl DramChannel {
             if self.banks[f.bank].inflight == 0 && self.queues[f.bank].is_empty() {
                 self.busy_bank_count -= 1;
             }
-            self.stats.total_latency += f.finish.saturating_sub(f.arrival);
             done.push(DramCompletion {
                 id: f.id,
                 finish: f.finish,
@@ -469,7 +432,6 @@ impl DramChannel {
                 let act_at = (pre_at + t.trp).max(self.next_act_at);
                 bank.act_at = act_at;
                 self.next_act_at = act_at + t.trrd;
-                self.stats.precharges += 1;
                 self.stats.activates += 1;
                 act_at + t.trcd
             }
@@ -507,7 +469,6 @@ impl DramChannel {
             id: req.id,
             bank: req.bank,
             is_write: req.is_write,
-            arrival: req.arrival,
         });
     }
 }
@@ -627,8 +588,7 @@ mod tests {
         let conf_done = run(&mut conflict, 0, 300);
         assert!(hit_done[1].finish < conf_done[1].finish);
         assert_eq!(hit.stats().row_hits, 1);
-        assert_eq!(conflict.stats().row_conflicts, 1);
-        assert_eq!(conflict.stats().precharges, 1);
+        assert_eq!(conflict.stats().row_conflicts, 1, "one PRE + ACT");
     }
 
     #[test]
@@ -751,14 +711,6 @@ mod tests {
         assert_eq!(ch.stats().reads, 0);
     }
 
-    #[test]
-    fn latency_accounting_uses_arrival() {
-        let mut ch = chan();
-        ch.try_enqueue(req(1, 0, 0));
-        let _ = run(&mut ch, 0, 100);
-        assert_eq!(ch.stats().total_latency, 28);
-    }
-
     /// Issues every queued request of `ch` (ticking from `from`), checking
     /// the cached scheduling fields after each tick; returns the ids in
     /// issue order, which the FIFO retire queue preserves.
@@ -816,8 +768,6 @@ mod tests {
         let mut ch = chan();
         let _ = run(&mut ch, 0, 10);
         assert!(!ch.is_busy());
-        assert_eq!(ch.stats().busy_cycles, 0);
-        assert_eq!(ch.stats().total_cycles, 10);
     }
 
     #[test]
@@ -848,22 +798,23 @@ mod tests {
 
     #[test]
     fn evented_ticks_match_dense_counters() {
-        // Drive one request, then compare dense ticking vs evented
-        // ticking with one flush over the quiet windows.
+        // Nothing is deferred: the counters agree after every tick, quiet
+        // ones included.
         let mut dense = chan();
         let mut evented = chan();
-        dense.try_enqueue(req(1, 0, 5));
-        evented.try_enqueue(req(1, 0, 5));
         let mut d1 = Vec::new();
         let mut d2 = Vec::new();
-        for c in 0..60 {
+        for (id, bank, row) in [(1, 0, 5), (2, 0, 6), (3, 1, 5)] {
+            dense.try_enqueue(req(id, bank, row));
+            evented.try_enqueue(req(id, bank, row));
+        }
+        for c in 0..200 {
             dense.tick(c, &mut d1);
             evented.tick_evented(c, &mut d2);
+            assert_eq!(dense.stats(), evented.stats(), "cycle {c}");
+            assert_eq!(d1, d2, "cycle {c}");
         }
-        assert_ne!(dense.stats(), evented.stats(), "the tail is deferred");
-        evented.flush_deferred(60);
-        assert_eq!(d1, d2);
-        assert_eq!(dense.stats(), evented.stats());
+        assert_eq!(d1.len(), 3);
     }
 
     mod indexed_pick_oracle {

@@ -6,9 +6,9 @@
 //! channels, 16 banks/channel, 12-12-12 CL-tRCD-tRP), plus the 3D-stacked
 //! (stack/vault) configuration of Section VI-D.
 //!
-//! The model's command counters (activates, reads, writes, busy cycles)
-//! feed the Micron-style power model in `valley-power`, and its row-buffer
-//! and bank-occupancy statistics reproduce Figures 14c and 15.
+//! The model's command counters (activates, reads, writes) feed the
+//! Micron-style power model in `valley-power`, and its row-buffer and
+//! bank-occupancy statistics reproduce Figures 14c and 15.
 //!
 //! Besides the dense per-cycle [`DramChannel::tick`], every channel has
 //! an event-gated [`DramChannel::tick_evented`] that no-ops until the

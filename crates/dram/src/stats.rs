@@ -1,17 +1,17 @@
-//! DRAM activity counters consumed by the power model and the
-//! row-buffer / parallelism figures.
+//! DRAM command counters consumed by the power model and the
+//! row-buffer figures.
 
-/// Command and occupancy counters for one DRAM channel.
+/// Command counters for one DRAM channel.
 ///
 /// `row_hits / (row_hits + row_empties + row_conflicts)` is the row-buffer
 /// hit rate of Figure 15; `activates` drives the activate-power component
-/// of Figure 16.
+/// of Figure 16. There is no auto-precharge: a row conflict takes a PRE
+/// and an ACT, an idle bank an ACT, so `activates == row_empties +
+/// row_conflicts`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// ACT commands issued.
     pub activates: u64,
-    /// PRE commands issued (row conflicts; auto-precharge is not used).
-    pub precharges: u64,
     /// Read column commands.
     pub reads: u64,
     /// Write column commands.
@@ -22,16 +22,6 @@ pub struct DramStats {
     pub row_empties: u64,
     /// Column accesses that required closing another row first.
     pub row_conflicts: u64,
-    /// DRAM cycles in which the channel had at least one request queued or
-    /// in flight.
-    pub busy_cycles: u64,
-    /// DRAM cycles in which the data bus transferred data.
-    pub data_bus_cycles: u64,
-    /// Total DRAM cycles observed.
-    pub total_cycles: u64,
-    /// Sum over completed requests of (completion - arrival), in DRAM
-    /// cycles; divide by `reads + writes` for the mean service latency.
-    pub total_latency: u64,
 }
 
 impl DramStats {
@@ -55,16 +45,11 @@ impl DramStats {
     /// (used to aggregate a whole memory system).
     pub fn merge(&mut self, other: &DramStats) {
         self.activates += other.activates;
-        self.precharges += other.precharges;
         self.reads += other.reads;
         self.writes += other.writes;
         self.row_hits += other.row_hits;
         self.row_empties += other.row_empties;
         self.row_conflicts += other.row_conflicts;
-        self.busy_cycles += other.busy_cycles;
-        self.data_bus_cycles += other.data_bus_cycles;
-        self.total_cycles += other.total_cycles;
-        self.total_latency += other.total_latency;
     }
 }
 

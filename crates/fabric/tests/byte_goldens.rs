@@ -67,16 +67,11 @@ fn stored() -> StoredResult {
             bank_parallelism: 1e-7,
             dram: DramStats {
                 activates: 9_001,
-                precharges: 8_990,
                 reads: 135_161,
                 writes: 65_536,
                 row_hits: 191_696,
                 row_empties: 11,
                 row_conflicts: 8_990,
-                busy_cycles: 27_000,
-                data_bus_cycles: 401_394,
-                total_cycles: 162_900,
-                total_latency: u64::MAX - 1,
             },
             kernels: 2,
             dram_cycles: 27_150,

@@ -67,16 +67,11 @@ fn report(cycles: u64, big: u64, frac: f64, spec: &JobSpec) -> SimReport {
         bank_parallelism: frac * 16.0,
         dram: DramStats {
             activates: big,
-            precharges: big / 2,
             reads: cycles,
             writes: cycles / 3,
             row_hits: 5,
             row_empties: 6,
             row_conflicts: 7,
-            busy_cycles: big,
-            data_bus_cycles: big / 5,
-            total_cycles: big,
-            total_latency: big,
         },
         kernels: (cycles % 97) as usize,
         dram_cycles: big,

@@ -27,7 +27,10 @@ use valley_workloads::{Benchmark, Scale};
 /// and `llc.misses` mean something else than in a v2 record — and the
 /// report lost `epoch_hist` (report schema v3), so v2 records no longer
 /// parse; run `valley gc` to drop them and re-sweep.
-pub const SCHEMA_VERSION: u32 = 3;
+///
+/// v4: the report's `dram` object lost five counters nothing read
+/// (report schema v4), so v3 records no longer parse.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The BIM seed used for the headline results (the paper generates three
 /// random BIMs per scheme and reports the best; Figure 19 shows the

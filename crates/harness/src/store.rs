@@ -9,7 +9,7 @@
 //! ```json
 //! {"v":2,"hash":"9f3c…","bench":"MT","scheme":"PAE","seed":1,
 //!  "scale":"ref","config":"table1","wall_ms":139.4,"wall":"measured",
-//!  "report":{"v":3,…}}
+//!  "report":{"v":4,…}}
 //! ```
 //!
 //! One mutex covers the index and the file, so an append is atomic. A

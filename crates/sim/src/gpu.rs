@@ -553,8 +553,7 @@ impl GpuSim {
 
         crate::alloc_audit::window_close();
         self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
-        // Settle all deferred counters (no-ops after a dense run).
-        self.dram.flush_deferred(self.dram_clock.cycle());
+        // Settle the SMs' deferred busy cycles (no-ops after a dense run).
         for sm in &mut self.sms {
             sm.flush_idle(cycle);
         }
@@ -645,7 +644,9 @@ impl GpuSim {
         // and every DRAM read filled an LLC MSHR entry. Every store
         // crosses the request network as a data packet and ends at DRAM;
         // every other request is a load, answered by one data packet on
-        // the reply network. Every transaction ended exactly once.
+        // the reply network. Every transaction ended exactly once. Every
+        // DRAM column access finds its row open, idle or holding another
+        // row, and the last two take one ACT each.
         if !truncated {
             let stores = self.txns.stores();
             let loads_delivered = req.delivered - stores;
@@ -656,6 +657,11 @@ impl GpuSim {
                 dram.reads,
                 self.slices.iter().map(LlcSlice::mshr_entries).sum::<u64>()
             );
+            debug_assert_eq!(
+                dram.reads + dram.writes,
+                dram.row_hits + dram.row_empties + dram.row_conflicts
+            );
+            debug_assert_eq!(dram.activates, dram.row_empties + dram.row_conflicts);
             debug_assert_eq!(rep.delivered, loads_delivered);
             debug_assert_eq!(
                 req.flits,

@@ -15,7 +15,12 @@ use valley_dram::DramStats;
 /// per transaction: `l1.misses` and `llc.misses` no longer grow by one
 /// for every cycle an MSHR-stalled queue head waited, so `hits + misses`
 /// is the number of lookups made.
-pub const REPORT_SCHEMA_VERSION: u32 = 3;
+///
+/// v4 drops five `dram` members: `precharges` (always `row_conflicts`),
+/// `total_cycles` (always `dram_cycles × dram_channels`), `busy_cycles`
+/// and `data_bus_cycles` (Figure 14b's channel parallelism carries the
+/// same occupancy) and `total_latency`, none of which anything read.
+pub const REPORT_SCHEMA_VERSION: u32 = 4;
 
 /// Incrementally-integrated occupancy metrics (Figures 13–14).
 ///

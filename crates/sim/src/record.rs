@@ -369,14 +369,9 @@ record!(CacheStats {
 
 record!(DramStats {
     activates: u64 = "activates",
-    precharges: u64 = "precharges",
     reads: u64 = "reads",
     writes: u64 = "writes",
     row_hits: u64 = "row_hits",
     row_empties: u64 = "row_empties",
     row_conflicts: u64 = "row_conflicts",
-    busy_cycles: u64 = "busy_cycles",
-    data_bus_cycles: u64 = "data_bus_cycles",
-    total_cycles: u64 = "total_cycles",
-    total_latency: u64 = "total_latency",
 });

@@ -28,11 +28,12 @@
 //! | TB scheduler | SM activity (a tick or a reply) | runs in that iteration: only a TB retirement frees capacity or ends a kernel |
 //! | | a kernel to be loaded | the next cycle — a loaded kernel has nothing for the scheduler between SM events; the loop asks only whether a kernel is to be loaded |
 //!
-//! Below its hint a unit owes nothing but elapsed time — the SM's busy
-//! cycles, the crossbar's and the DRAM channel's cycle counts — which
-//! its next tick or the end of the run settles in one addition. No row
-//! defers a cache counter: a stalled queue head counts nothing, and its
-//! lookup is counted once, in the cycle it leaves the head.
+//! Below its hint a unit owes nothing but elapsed time, and only the SM
+//! counts it: its busy cycles, which its next tick or the end of the
+//! run settles in one addition. The crossbar and the DRAM channels
+//! change no state below their hints. No row defers a cache counter: a
+//! stalled queue head counts nothing, and its lookup is counted once,
+//! in the cycle it leaves the head.
 //!
 //! A [`WakeGate`] folds one population's hints into a scalar so the
 //! loop skips the whole walk — and its fast-forward reads the

@@ -38,16 +38,11 @@ fn report(
         bank_parallelism: frac * 16.0,
         dram: DramStats {
             activates: big,
-            precharges: big / 2,
             reads: cycles,
             writes: cycles / 3,
             row_hits: 5,
             row_empties: 6,
             row_conflicts: 7,
-            busy_cycles: big,
-            data_bus_cycles: big / 5,
-            total_cycles: big,
-            total_latency: big,
         },
         kernels: (cycles % 97) as usize,
         dram_cycles: big,
@@ -130,7 +125,7 @@ fn benchmark_names_with_special_chars_survive() {
 
 /// A v2 report — what every store written before the lookup-counting
 /// change holds, `epoch_hist` member and all — is refused with both
-/// versions named, never read as a v3 one whose miss counters mean
+/// versions named, never read as a current one whose miss counters mean
 /// something else.
 #[test]
 fn a_v2_report_is_refused_naming_both_versions() {
@@ -139,11 +134,17 @@ fn a_v2_report_is_refused_naming_both_versions() {
         r#"{},"epoch_hist":{{"lengths":[0,0,0,0,0,0,0,0],"in_flight_multi":0}}}}"#,
         now.strip_suffix('}').unwrap()
     )
-    .replacen(r#"{"v":3,"#, r#"{"v":2,"#, 1);
+    .replacen(
+        &format!(r#"{{"v":{REPORT_SCHEMA_VERSION},"#),
+        r#"{"v":2,"#,
+        1,
+    );
     assert!(v2.starts_with(r#"{"v":2,"#), "{v2}");
     let err = SimReport::from_json(&v2).unwrap_err();
     assert!(
-        err.starts_with("SimReport schema version 2 is not the supported 3"),
+        err.starts_with(&format!(
+            "SimReport schema version 2 is not the supported {REPORT_SCHEMA_VERSION}"
+        )),
         "{err}"
     );
 }

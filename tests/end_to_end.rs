@@ -28,30 +28,7 @@ fn every_benchmark_terminates_under_every_scheme() {
             assert!(r.warp_instructions > 0, "{bench}: no instructions issued");
             assert!(r.memory_transactions > 0, "{bench}: no memory traffic");
 
-            // Conservation laws of the DRAM counters: every column access
-            // is exactly one of hit / empty / conflict, an ACT opens every
-            // non-hit and a PRE closes every conflict.
-            let d = &r.dram;
             let at = format!("{bench}/{scheme}");
-            assert_eq!(
-                d.reads + d.writes,
-                d.row_hits + d.row_empties + d.row_conflicts,
-                "{at}: column accesses vs row outcomes"
-            );
-            assert_eq!(d.activates, d.row_empties + d.row_conflicts, "{at}: ACTs");
-            assert_eq!(d.precharges, d.row_conflicts, "{at}: PREs");
-            assert!(
-                d.data_bus_cycles <= d.busy_cycles && d.busy_cycles <= d.total_cycles,
-                "{at}: bus {} <= busy {} <= total {}",
-                d.data_bus_cycles,
-                d.busy_cycles,
-                d.total_cycles
-            );
-            assert_eq!(
-                d.total_cycles,
-                r.dram_cycles * r.dram_channels as u64,
-                "{at}: every channel observes every DRAM cycle"
-            );
             assert_eq!(
                 r.thread_instructions,
                 32 * r.warp_instructions,

@@ -140,8 +140,9 @@ fn stacked_memory_equivalence() {
 }
 
 /// The truncation exit: a run cut at the cycle safety limit — the
-/// fast-forward stopping at it, packets cut mid-transfer, DRAM's deferred
-/// counters flushed mid-burst — must report what the dense loop reports
+/// fast-forward stopping at it, packets and DRAM bursts cut
+/// mid-transfer, the SMs' deferred busy cycles settled at the cut —
+/// must report what the dense loop reports
 /// for the same limit. Cut points are spread over the whole run and
 /// bracket the untruncated length.
 #[test]
