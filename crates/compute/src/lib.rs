@@ -4,7 +4,7 @@
 //! math. No workspace crate may depend on this one (`tests/lint_wiring.rs`);
 //! the `benchmark` PR of ROADMAP item one deletes it with the probes.
 
-use valley_core::entropy::{window_entropy_method, Bvr, EntropyMethod, TbBitStats};
+use valley_core::entropy::{window_entropy, Bvr, EntropyMethod, TbBitStats};
 use valley_core::Bim;
 
 #[doc(hidden)]
@@ -26,7 +26,7 @@ impl ComputeScratch {
 }
 
 /// Per address bit, the BVRs of the active TBs in identifier order —
-/// `kernel_entropy_method`'s preamble.
+/// `kernel_entropy`'s preamble.
 #[doc(hidden)]
 pub struct BvrTable(Vec<Vec<Bvr>>);
 
@@ -62,13 +62,13 @@ impl CpuBackend {
         &self,
         table: &BvrTable,
         window: usize,
-        method: EntropyMethod,
+        _method: EntropyMethod,
         out: &mut Vec<f64>,
         _scratch: &mut ComputeScratch,
     ) {
         out.clear();
         for row in &table.0 {
-            out.push(window_entropy_method(row, window, method));
+            out.push(window_entropy(row, window));
         }
     }
 }

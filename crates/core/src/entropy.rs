@@ -10,27 +10,20 @@
 //! 2. sorts TBs by identifier (the TB scheduler issues them in order);
 //! 3. slides a window of `w` TBs (`w` ≈ the number of TBs co-executing,
 //!    heuristically the SM count) and scores each window's entropy
-//!    `H_W` ∈ [0, 1]. Every caller in the product — Figures 3, 5 and 10,
-//!    the window ablation and the benchmark probes — runs
-//!    [`EntropyMethod::MixtureBvr`]: the binary entropy of the window's
-//!    mean BVR, the probability that an in-flight request has the bit
-//!    set. The literal reading of the paper's footnote 1, the Shannon
-//!    entropy of the distinct BVR values in the window with logarithm
-//!    base `v` = their count (Equation 1), is
-//!    [`EntropyMethod::DistinctBvr`];
+//!    `H_W` ∈ [0, 1] as the binary entropy of the window's mean BVR: the
+//!    probability that an in-flight request has the bit set. A bit that
+//!    toggles inside every TB (BVR 0.5) scores 1 as well as one that
+//!    differs between TBs, the paper's intra- and inter-TB entropy. On
+//!    BVRs of exactly 0 or 1, the paper's worked examples (Figure 3 and
+//!    footnote 1), this equals Equation 1: the [`shannon_entropy`] of the
+//!    window's value frequencies with logarithm base `v`;
 //! 4. averages the per-window entropies over all `n − w + 1` windows
 //!    (Equation 2) to obtain the window-based entropy `H*` of the bit;
 //! 5. combines kernels into an application profile by weighting each
 //!    kernel's per-bit `H*` with its request count.
 
-use crate::hash::FastMap;
-
-type BvrCounts = FastMap<Bvr, u32>;
-
 /// A Bit Value Ratio: the fraction of requests in a TB for which a given
-/// address bit is 1, kept as an exact reduced fraction so that equality
-/// between windows is exact (floats would make "distinct BVR values"
-/// fragile).
+/// address bit is 1.
 ///
 /// # Examples
 ///
@@ -40,14 +33,11 @@ type BvrCounts = FastMap<Bvr, u32>;
 /// assert_eq!(Bvr::new(2, 4), Bvr::new(1, 2));
 /// assert_eq!(Bvr::new(2, 4).value(), 0.5);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Bvr {
-    ones: u64,
-    total: u64,
-}
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Bvr(f64);
 
 impl Bvr {
-    /// Creates the ratio `ones / total`, reduced to lowest terms.
+    /// Creates the ratio `ones / total`.
     ///
     /// # Panics
     ///
@@ -55,30 +45,13 @@ impl Bvr {
     pub fn new(ones: u64, total: u64) -> Self {
         assert!(total > 0, "BVR requires at least one request");
         assert!(ones <= total, "BVR cannot exceed 1");
-        let g = gcd(ones.max(1), total);
-        if ones == 0 {
-            Bvr { ones: 0, total: 1 }
-        } else {
-            Bvr {
-                ones: ones / g,
-                total: total / g,
-            }
-        }
+        Bvr(ones as f64 / total as f64)
     }
 
     /// The ratio as a floating-point number in `[0, 1]`.
     pub fn value(self) -> f64 {
-        self.ones as f64 / self.total as f64
+        self.0
     }
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 /// Shannon entropy of a discrete distribution with logarithm base `v`
@@ -226,26 +199,12 @@ impl TbBitStats {
     }
 }
 
-/// How the per-window entropy `H_W` of Equation 2 is computed from the
-/// window's BVR values. The paper's worked examples (Figure 3 and
-/// footnote 1) only exercise BVRs of exactly 0 or 1, where both
-/// interpretations coincide; they differ for fractional BVRs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The one metric of [`window_entropy`]. Kept only because the frozen
+/// benchmark probe passes it to `valley-compute`, which ignores it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EntropyMethod {
-    /// Binary entropy of the window-mean BVR: the probability that an
-    /// in-flight request has this bit set is the average of the TBs'
-    /// BVRs, and `H_W` is the entropy of that Bernoulli variable. This
-    /// captures both intra-TB entropy (a bit toggling inside every TB
-    /// gives BVR 0.5 → H 1) and inter-TB entropy, matching the paper's
-    /// framing of the two entropy sources — the default.
-    #[default]
     MixtureBvr,
-    /// Shannon entropy (log base v) over the *distinct BVR values* in
-    /// the window, exactly as written in the paper's footnote 1. With
-    /// idealized synthetic traces, identical fractional BVRs collapse to
-    /// a single value and score zero, so this variant underestimates
-    /// intra-TB entropy on perfectly regular patterns.
-    DistinctBvr,
 }
 
 /// Binary (Bernoulli) entropy of probability `p`, in bits.
@@ -256,140 +215,51 @@ pub fn binary_entropy(p: f64) -> f64 {
     -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
 }
 
-/// Window-based entropy of one address bit, per Equation 2:
-/// the mean over all sliding windows of the window entropies, using the
-/// default [`EntropyMethod::MixtureBvr`].
+/// Window-based entropy of one address bit, per Equation 2: the mean
+/// over all sliding windows of the binary entropy of the window's mean
+/// BVR.
 ///
 /// `bvrs` must be in ascending TB-identifier order. If there are fewer TBs
 /// than the window size, a single window containing all TBs is used.
-/// Returns 0 for an empty slice.
+/// Returns 0 for an empty slice. Runs in O(n): window sums are two
+/// lookups in a prefix-sum array, whose bounded cancellation error keeps
+/// the result within round-off of [`window_entropy_naive`] (the property
+/// tests in `tests/props.rs` pin this).
 pub fn window_entropy(bvrs: &[Bvr], window: usize) -> f64 {
-    window_entropy_method(bvrs, window, EntropyMethod::MixtureBvr)
-}
-
-/// [`window_entropy`] with an explicit per-window entropy method.
-///
-/// Runs in O(n) for both methods (the naive per-window recomputation is
-/// O(n·w)): [`EntropyMethod::MixtureBvr`] evaluates window means from a
-/// prefix-sum array, and [`EntropyMethod::DistinctBvr`] slides a value
-/// count-map while rolling the `Σ c·ln c` term of the window entropy.
-/// Results match [`window_entropy_naive_method`] to floating-point
-/// round-off (the property tests in `tests/props.rs` pin this).
-pub fn window_entropy_method(bvrs: &[Bvr], window: usize, method: EntropyMethod) -> f64 {
     if bvrs.is_empty() {
         return 0.0;
     }
     let w = window.max(1).min(bvrs.len());
     let num_windows = bvrs.len() - w + 1;
-    let sum = match method {
-        EntropyMethod::MixtureBvr => {
-            // Prefix sums: window sums are two lookups, and the bounded
-            // cancellation error keeps results within round-off of the
-            // naive per-window summation.
-            let mut prefix = Vec::with_capacity(bvrs.len() + 1);
-            let mut acc = 0.0f64;
-            prefix.push(0.0);
-            for v in bvrs {
-                acc += v.value();
-                prefix.push(acc);
-            }
-            let mut sum = 0.0;
-            for start in 0..num_windows {
-                let p = (prefix[start + w] - prefix[start]) / w as f64;
-                sum += binary_entropy(p);
-            }
-            sum
-        }
-        EntropyMethod::DistinctBvr => {
-            // For a window with distinct-value counts c_i (Σ c_i = w) the
-            // base-v Shannon entropy is (ln w − S/w) / ln v with
-            // S = Σ c_i·ln c_i and v the number of distinct values. Both
-            // S and v update in O(1) amortized as the window slides.
-            let c_lnc = |c: u32| -> f64 {
-                if c <= 1 {
-                    0.0
-                } else {
-                    f64::from(c) * f64::from(c).ln()
-                }
-            };
-            let mut counts = BvrCounts::default();
-            let mut s = 0.0f64; // Σ c·ln c over the current window
-            for &v in &bvrs[..w] {
-                let c = counts.entry(v).or_insert(0);
-                s += -c_lnc(*c);
-                *c += 1;
-                s += c_lnc(*c);
-            }
-            let ln_w = (w as f64).ln();
-            let window_h = |s: f64, v: usize| -> f64 {
-                if v <= 1 {
-                    0.0
-                } else {
-                    (ln_w - s / w as f64) / (v as f64).ln()
-                }
-            };
-            let mut sum = window_h(s, counts.len());
-            for start in 1..num_windows {
-                let out = bvrs[start - 1];
-                let c = counts
-                    .get_mut(&out)
-                    .expect("outgoing value is in the window");
-                s -= c_lnc(*c);
-                *c -= 1;
-                s += c_lnc(*c);
-                if *c == 0 {
-                    counts.remove(&out);
-                }
-                let inc = bvrs[start + w - 1];
-                let c = counts.entry(inc).or_insert(0);
-                s -= c_lnc(*c);
-                *c += 1;
-                s += c_lnc(*c);
-                sum += window_h(s, counts.len());
-            }
-            sum
-        }
-    };
+    let mut prefix = Vec::with_capacity(bvrs.len() + 1);
+    let mut acc = 0.0f64;
+    prefix.push(0.0);
+    for v in bvrs {
+        acc += v.value();
+        prefix.push(acc);
+    }
+    let mut sum = 0.0;
+    for start in 0..num_windows {
+        let p = (prefix[start + w] - prefix[start]) / w as f64;
+        sum += binary_entropy(p);
+    }
     sum / num_windows as f64
 }
 
-/// The reference O(n·w) implementation of [`window_entropy_method`]:
-/// recomputes every window from scratch. Kept as the oracle for the
-/// rolling implementation's property tests and as an unambiguous
-/// statement of the metric's definition.
-pub fn window_entropy_naive_method(bvrs: &[Bvr], window: usize, method: EntropyMethod) -> f64 {
+/// The reference O(n·w) implementation of [`window_entropy`]: recomputes
+/// every window from scratch. Kept as the oracle for the prefix-sum
+/// implementation's property tests and as an unambiguous statement of
+/// the metric's definition.
+pub fn window_entropy_naive(bvrs: &[Bvr], window: usize) -> f64 {
     if bvrs.is_empty() {
         return 0.0;
     }
     let w = window.max(1).min(bvrs.len());
     let num_windows = bvrs.len() - w + 1;
-    let mut sum = 0.0;
-    let mut counts = BvrCounts::default();
-    for start in 0..num_windows {
-        let win = &bvrs[start..start + w];
-        sum += match method {
-            EntropyMethod::MixtureBvr => {
-                let p = win.iter().map(|v| v.value()).sum::<f64>() / w as f64;
-                binary_entropy(p)
-            }
-            EntropyMethod::DistinctBvr => {
-                counts.clear();
-                for &v in win {
-                    *counts.entry(v).or_insert(0) += 1;
-                }
-                // Sum the entropy terms in sorted order: a float sum in
-                // map-iteration order would differ run to run under a
-                // seeded hasher (and build to build under a fixed one).
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the probabilities are collected and sorted on the next line before they are summed"
-                )]
-                let mut probs: Vec<f64> = counts.values().map(|&c| c as f64 / w as f64).collect();
-                probs.sort_by(f64::total_cmp);
-                shannon_entropy(&probs)
-            }
-        };
-    }
+    let sum: f64 = bvrs
+        .windows(w)
+        .map(|win| binary_entropy(win.iter().map(|v| v.value()).sum::<f64>() / w as f64))
+        .sum();
     sum / num_windows as f64
 }
 
@@ -483,19 +353,10 @@ impl EntropyProfile {
 }
 
 /// Computes the per-bit window-based entropy of one kernel from its TB
-/// statistics (Equation 2) with the default method. TBs with zero
-/// requests are skipped. The TBs are sorted by identifier internally,
-/// matching the in-order TB scheduler.
+/// statistics (Equation 2). TBs with zero requests are skipped. The TBs
+/// are sorted by identifier internally, matching the in-order TB
+/// scheduler.
 pub fn kernel_entropy(tbs: &[TbBitStats], window: usize) -> EntropyProfile {
-    kernel_entropy_method(tbs, window, EntropyMethod::MixtureBvr)
-}
-
-/// [`kernel_entropy`] with an explicit per-window entropy method.
-pub fn kernel_entropy_method(
-    tbs: &[TbBitStats],
-    window: usize,
-    method: EntropyMethod,
-) -> EntropyProfile {
     let mut active: Vec<&TbBitStats> = tbs.iter().filter(|t| t.requests() > 0).collect();
     active.sort_by_key(|t| t.tb_id());
     let addr_bits = active.first().map_or(0, |t| t.addr_bits());
@@ -503,7 +364,7 @@ pub fn kernel_entropy_method(
     let per_bit = (0..addr_bits)
         .map(|b| {
             let bvrs: Vec<Bvr> = active.iter().map(|t| t.bvr(b).unwrap()).collect();
-            window_entropy_method(&bvrs, window, method)
+            window_entropy(&bvrs, window)
         })
         .collect();
     EntropyProfile::from_per_bit(per_bit, requests)
@@ -598,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn bvr_reduction_and_equality() {
+    fn bvr_is_the_ratio() {
         assert_eq!(Bvr::new(2, 4), Bvr::new(3, 6));
         assert_eq!(Bvr::new(0, 5), Bvr::new(0, 7));
         assert_eq!(Bvr::new(5, 5), Bvr::new(3, 3));
@@ -676,44 +537,40 @@ mod tests {
         assert!((p.bit(3) - binary_entropy(0.25)).abs() < 1e-12);
         assert_eq!(p.bit(0), 0.0);
         assert_eq!(p.requests(), 6);
-        // The distinct-BVR variant sees two unique values -> entropy 1.
-        let a2 = TbBitStats::from_addrs(0, 8, [0b0000, 0b1000, 0b0000, 0b1000]);
-        let b2 = TbBitStats::from_addrs(1, 8, [0b0000, 0b0000]);
-        let pd = kernel_entropy_method(&[a2, b2], 2, EntropyMethod::DistinctBvr);
-        assert!((pd.bit(3) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn methods_agree_on_binary_bvrs() {
-        // With BVRs of exactly 0/1 (the paper's worked examples) the two
-        // interpretations coincide. Tolerance: odd windows hit
-        // non-dyadic means (1/3, 2/3), where the mixture path's lookup
-        // table carries its ≤1e-9 interpolation error.
-        let bvrs: Vec<Bvr> = [0, 0, 1, 1, 0, 0, 1, 1]
-            .iter()
-            .map(|&o| Bvr::new(o, 1))
-            .collect();
+    fn equals_equation1_on_binary_bvrs() {
+        // On BVRs of exactly 0/1 (the paper's worked examples) H* is the
+        // mean over windows of Equation 1: the Shannon entropy of the
+        // window's value frequencies, logarithm base v (footnote 1).
+        let ones = [0u64, 0, 1, 1, 0, 0, 1, 1];
+        let bvrs: Vec<Bvr> = ones.iter().map(|&o| Bvr::new(o, 1)).collect();
         for w in [2, 3, 4] {
-            let a = window_entropy_method(&bvrs, w, EntropyMethod::MixtureBvr);
-            let b = window_entropy_method(&bvrs, w, EntropyMethod::DistinctBvr);
-            assert!((a - b).abs() < 1e-9, "w={w}: {a} vs {b}");
+            let windows: Vec<f64> = ones
+                .windows(w)
+                .map(|win| {
+                    let set = win.iter().filter(|&&o| o == 1).count();
+                    let probs: Vec<f64> = [w - set, set]
+                        .into_iter()
+                        .filter(|&c| c > 0)
+                        .map(|c| c as f64 / w as f64)
+                        .collect();
+                    shannon_entropy(&probs)
+                })
+                .collect();
+            let literal = windows.iter().sum::<f64>() / windows.len() as f64;
+            let h = window_entropy(&bvrs, w);
+            assert!((h - literal).abs() < 1e-12, "w={w}: {h} vs {literal}");
         }
     }
 
     #[test]
     fn mixture_rewards_intra_tb_variability() {
-        // Every TB toggles the bit internally: BVR 0.5 for all. The
-        // mixture method reports full entropy; the strict distinct-value
-        // method collapses to zero (one unique value).
+        // Every TB toggles the bit internally: BVR 0.5 for all, full
+        // entropy.
         let bvrs = vec![Bvr::new(1, 2); 20];
-        assert_eq!(
-            window_entropy_method(&bvrs, 12, EntropyMethod::MixtureBvr),
-            1.0
-        );
-        assert_eq!(
-            window_entropy_method(&bvrs, 12, EntropyMethod::DistinctBvr),
-            0.0
-        );
+        assert_eq!(window_entropy(&bvrs, 12), 1.0);
     }
 
     #[test]

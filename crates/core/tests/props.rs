@@ -2,10 +2,7 @@
 //! window-based entropy metric.
 
 use proptest::prelude::*;
-use valley_core::entropy::{
-    window_entropy, window_entropy_method, window_entropy_naive_method, Bvr, EntropyMethod,
-    TbBitStats,
-};
+use valley_core::entropy::{window_entropy, window_entropy_naive, Bvr, TbBitStats};
 use valley_core::{AddressMapper, Bim, DramAddressMap, GddrMap, PhysAddr, SchemeKind, StackedMap};
 
 const ADDR_MASK: u64 = (1 << 30) - 1;
@@ -110,22 +107,22 @@ proptest! {
         prop_assert_eq!(TbBitStats::from_addrs(7, bits, addrs.iter().copied()), reference);
     }
 
-    /// Window-based entropy is always within [0, 1] for both methods.
+    /// Window-based entropy is always within [0, 1], and so is the naive
+    /// reference.
     #[test]
     fn entropy_is_normalized(
         ones in proptest::collection::vec(0u64..=8, 1..40),
         window in 1usize..16,
     ) {
         let bvrs: Vec<Bvr> = ones.iter().map(|&o| Bvr::new(o, 8)).collect();
-        for method in [EntropyMethod::MixtureBvr, EntropyMethod::DistinctBvr] {
-            let h = window_entropy_method(&bvrs, window, method);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&h), "{method:?}: {h}");
+        for h in [window_entropy(&bvrs, window), window_entropy_naive(&bvrs, window)] {
+            prop_assert!((0.0..=1.0 + 1e-9).contains(&h), "{h}");
         }
     }
 
-    /// The O(n) rolling window entropy matches the naive O(n·w)
-    /// reference on arbitrary BVR slices, for both methods and window
-    /// sizes (including windows larger than the slice).
+    /// The O(n) prefix-sum window entropy matches the naive O(n·w)
+    /// reference on arbitrary BVR slices and window sizes (including
+    /// windows larger than the slice).
     #[test]
     fn rolling_entropy_matches_naive(
         pairs in proptest::collection::vec((0u64..=12, 1u64..=12), 1..120),
@@ -135,14 +132,12 @@ proptest! {
             .iter()
             .map(|&(ones, total)| Bvr::new(ones.min(total), total))
             .collect();
-        for method in [EntropyMethod::MixtureBvr, EntropyMethod::DistinctBvr] {
-            let rolling = window_entropy_method(&bvrs, window, method);
-            let naive = window_entropy_naive_method(&bvrs, window, method);
-            prop_assert!(
-                (rolling - naive).abs() < 1e-12,
-                "{method:?} w={window}: rolling {rolling} vs naive {naive}"
-            );
-        }
+        let rolling = window_entropy(&bvrs, window);
+        let naive = window_entropy_naive(&bvrs, window);
+        prop_assert!(
+            (rolling - naive).abs() < 1e-12,
+            "w={window}: rolling {rolling} vs naive {naive}"
+        );
     }
 
     /// Entropy is invariant under reversing the TB order (windows slide
@@ -166,10 +161,7 @@ proptest! {
         let v = if one { Bvr::new(1, 1) } else { Bvr::new(0, 1) };
         let bvrs = vec![v; n];
         prop_assert_eq!(window_entropy(&bvrs, window), 0.0);
-        prop_assert_eq!(
-            window_entropy_method(&bvrs, window, EntropyMethod::DistinctBvr),
-            0.0
-        );
+        prop_assert_eq!(window_entropy_naive(&bvrs, window), 0.0);
     }
 
     /// DRAM decode stays within the geometry for arbitrary addresses,

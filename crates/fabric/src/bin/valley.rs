@@ -17,7 +17,7 @@ use valley_fabric::{
     fabric_status, fetch, run_worker, shutdown, CoordOptions, Coordinator, QueryFilters,
     WorkerOptions,
 };
-use valley_harness::figures::{all_tables, Figure, Reports, Suite, FIGURES};
+use valley_harness::figures::{all_tables, suite_spec, Figure, Reports, Suite, FIGURES};
 use valley_harness::{
     default_results_dir, run_sweep, ConfigId, JobSpec, ResultStore, StoredResult, SweepOptions,
     SweepSpec, WallKind, DEFAULT_SEED, STORE_FILE,
@@ -641,12 +641,6 @@ fn sweep_line(spec: &SweepSpec, results: Option<&str>) -> String {
         line.push_str(&format!(" --results {dir}"));
     }
     line
-}
-
-/// Every scheme on `benches` at one seed: the grid `--set` and `fetch
-/// --figures` render.
-fn suite_spec(benches: &[Benchmark], scale: Scale, seed: u64) -> SweepSpec {
-    SweepSpec::new(benches, &SchemeKind::ALL_SCHEMES, scale).with_seeds(&[seed])
 }
 
 /// Collects the complete (bench × scheme) suite the figure tables need

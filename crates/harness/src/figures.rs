@@ -176,8 +176,10 @@ fn no_grid(_: Scale, _: u64) -> Vec<SweepSpec> {
     Vec::new()
 }
 
-/// Every scheme on `benches` at one seed on the Table I machine.
-fn suite_spec(benches: &[Benchmark], scale: Scale, seed: u64) -> SweepSpec {
+/// Every scheme on `benches` at one seed on the Table I machine: the
+/// grid most rows read, and the one `valley figures --set` and `valley
+/// fetch --figures` render.
+pub fn suite_spec(benches: &[Benchmark], scale: Scale, seed: u64) -> SweepSpec {
     SweepSpec::new(benches, &SchemeKind::ALL_SCHEMES, scale).with_seeds(&[seed])
 }
 
@@ -809,7 +811,7 @@ fn fig02() -> String {
 /// Panics if the computed entropies stop reproducing the paper's values
 /// (the asserts are part of the figure's claim).
 fn fig03() -> String {
-    use valley_core::entropy::{shannon_entropy, window_entropy_method, Bvr, EntropyMethod};
+    use valley_core::entropy::{shannon_entropy, window_entropy, Bvr};
 
     let bvrs: Vec<Bvr> = [0u64, 0, 1, 1, 0, 0, 1, 1]
         .iter()
@@ -820,7 +822,7 @@ fn fig03() -> String {
     out.push_str("Figure 3: sorted TB BVRs = 0 0 1 1 0 0 1 1\n\n");
     let mut stars = Vec::new();
     for w in [2usize, 4] {
-        let h = window_entropy_method(&bvrs, w, EntropyMethod::MixtureBvr);
+        let h = window_entropy(&bvrs, w);
         stars.push(h);
         out.push_str(&format!("window size {w}: H* = {h:.4}\n"));
     }
