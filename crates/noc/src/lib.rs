@@ -14,12 +14,14 @@
 //! Packets carry an opaque payload token. A read request is 1 flit
 //! (header + address), a 128 B data packet is 5 flits (4 data + header).
 //!
-//! A queued packet is a 24-byte entry — payload, injection cycle and
-//! flit count — not the 40-byte [`Packet`]: its source is checked at
-//! [`Crossbar::inject`] and never read again, and its destination is the
-//! index of the queue it waits in. When a mapping concentrates traffic on
-//! one slice, tens of thousands of packets wait at one output port, so
-//! the entry's width is most of what the crossbar holds.
+//! A queued packet is a 12-byte entry — payload, injection cycle and
+//! flit count, 32 bits each — not the 40-byte [`Packet`]: its source is
+//! checked at [`Crossbar::inject`] and never read again, and its
+//! destination is the index of the queue it waits in. When a mapping
+//! concentrates traffic on one slice, tens of thousands of packets wait
+//! at one output port, so the entry's width is most of what the crossbar
+//! holds. [`Crossbar::inject`] refuses a payload or injection cycle that
+//! does not fit 32 bits; [`Packet`] and [`Delivery`] keep theirs in 64.
 //!
 //! Two drivers advance a [`Crossbar`]. [`Crossbar::tick`] steps every
 //! occupied port one flit per cycle — the dense oracle.
@@ -62,7 +64,8 @@ pub struct Packet {
     pub dst: usize,
     /// Packet size in flits ([`REQUEST_FLITS`] or [`DATA_FLITS`]).
     pub flits: u32,
-    /// NoC cycle at which the packet was injected (set by the crossbar).
+    /// NoC cycle at which the packet was injected, stamped by the caller
+    /// with its current NoC cycle; the crossbar only reads it.
     pub injected_at: u64,
 }
 
@@ -77,15 +80,16 @@ pub struct Delivery {
     pub latency: u64,
 }
 
-/// A packet waiting in an output queue: what delivery reads of it.
+/// A packet waiting in an output queue: what delivery reads of it, each
+/// field narrowed to 32 bits by [`Crossbar::inject`].
 #[derive(Clone, Copy, Debug)]
 struct Queued {
-    payload: u64,
-    injected_at: u64,
+    payload: u32,
+    injected_at: u32,
     flits: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Queued>() == 24);
+const _: () = assert!(std::mem::size_of::<Queued>() == 12);
 
 /// Latency and utilization counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -181,14 +185,15 @@ impl Crossbar {
         }
     }
 
-    /// Injects a packet; `injected_at` is overwritten with the current
-    /// injection timestamp by the caller's clock discipline (pass the
-    /// current NoC cycle in the field).
+    /// Injects a packet. The caller stamps `injected_at` with the current
+    /// NoC cycle; the crossbar reads it as the packet's injection time and
+    /// never changes it.
     ///
     /// # Panics
     ///
-    /// Panics if the source or destination port is out of range or the
-    /// packet has zero flits.
+    /// Panics if the source or destination port is out of range, the
+    /// packet has zero flits, or its payload or `injected_at` does not fit
+    /// the 32 bits of a queue entry.
     pub fn inject(&mut self, pkt: Packet) {
         assert!(pkt.src < self.num_src, "source port out of range");
         assert!(
@@ -196,13 +201,24 @@ impl Crossbar {
             "destination port out of range"
         );
         assert!(pkt.flits > 0, "packets must have at least one flit");
+        let fits = |v: u64| v <= u64::from(u32::MAX);
+        assert!(
+            fits(pkt.payload),
+            "payload {} does not fit a 32-bit queue entry",
+            pkt.payload
+        );
+        assert!(
+            fits(pkt.injected_at),
+            "injected_at {} does not fit a 32-bit queue entry",
+            pkt.injected_at
+        );
         let dst = pkt.dst;
         let was_empty = self.outputs[dst].is_empty();
         let _audit_pause = (self.outputs[dst].len() == self.outputs[dst].capacity())
             .then(valley_core::alloc_audit::pause);
         self.outputs[dst].push_back(Queued {
-            payload: pkt.payload,
-            injected_at: pkt.injected_at,
+            payload: pkt.payload as u32,
+            injected_at: pkt.injected_at as u32,
             flits: pkt.flits,
         });
         self.queued += 1;
@@ -261,7 +277,7 @@ impl Crossbar {
             .expect("scheduled port has a head");
         self.record_delivery(dst, pkt, cycle, done);
         if let Some(head) = self.outputs[dst].front() {
-            let start = (head.injected_at + self.router_latency).max(cycle + 1);
+            let start = (u64::from(head.injected_at) + self.router_latency).max(cycle + 1);
             self.events
                 .push(Reverse((start + u64::from(head.flits) - 1, dst)));
         }
@@ -294,7 +310,7 @@ impl Crossbar {
         };
         // Router pipeline: a packet only starts moving flits after
         // router_latency cycles from injection.
-        if cycle < head.injected_at + self.router_latency {
+        if cycle < u64::from(head.injected_at) + self.router_latency {
             return;
         }
         self.transfer_flit(dst, cycle, done);
@@ -311,7 +327,7 @@ impl Crossbar {
         let head = self.outputs[dst]
             .front()
             .expect("due port has a head packet");
-        debug_assert!(cycle >= head.injected_at + self.router_latency);
+        debug_assert!(cycle >= u64::from(head.injected_at) + self.router_latency);
         if self.in_service[dst] == 0 {
             self.in_service[dst] = head.flits;
         }
@@ -331,12 +347,12 @@ impl Crossbar {
     #[inline]
     fn record_delivery(&mut self, dst: usize, pkt: Queued, cycle: u64, done: &mut Vec<Delivery>) {
         self.queued -= 1;
-        let latency = cycle + 1 - pkt.injected_at;
+        let latency = cycle + 1 - u64::from(pkt.injected_at);
         self.stats.delivered += 1;
         self.stats.total_latency += latency;
         self.stats.flits += u64::from(pkt.flits);
         done.push(Delivery {
-            payload: pkt.payload,
+            payload: u64::from(pkt.payload),
             dst,
             latency,
         });
@@ -502,6 +518,51 @@ mod tests {
         assert_eq!(x.stats().flits, 5);
         assert!(!x.is_busy());
         assert_eq!(x.queued_packets(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload 4294967296 does not fit a 32-bit queue entry")]
+    fn inject_refuses_a_payload_past_32_bits() {
+        let mut x = xbar();
+        x.inject(Packet {
+            payload: u64::from(u32::MAX) + 1,
+            src: 0,
+            dst: 0,
+            flits: 1,
+            injected_at: 0,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "injected_at 4294967296 does not fit a 32-bit queue entry")]
+    fn inject_refuses_a_stamp_past_32_bits() {
+        let mut x = xbar();
+        x.inject(Packet {
+            payload: 0,
+            src: 0,
+            dst: 0,
+            flits: 1,
+            injected_at: u64::from(u32::MAX) + 1,
+        });
+    }
+
+    #[test]
+    fn the_widest_payload_and_stamp_come_back_whole() {
+        let mut x = xbar();
+        let at = u64::from(u32::MAX);
+        x.inject(Packet {
+            payload: u64::from(u32::MAX),
+            src: 0,
+            dst: 0,
+            flits: 1,
+            injected_at: at,
+        });
+        let mut out = Vec::new();
+        for c in at..at + 10 {
+            x.tick(c, &mut out);
+        }
+        assert_eq!(out[0].payload, u64::from(u32::MAX));
+        assert_eq!(out[0].latency, 5);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::llc::{has_room, LlcSlice};
 use crate::metrics::{ParallelismIntegrator, SimReport};
 use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
-use crate::txn::{Route, TxnTable, NO_WARP};
+use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
 use crate::wake::{DomainClock, WakeGate};
 use std::ops::Range;
@@ -185,10 +185,12 @@ impl GpuSim {
     ///
     /// # Panics
     ///
-    /// Panics, naming the field, if an SM, warp, slice, controller or
-    /// bank index would not fit 16 bits or a row index 32 — the widths of
-    /// the per-transaction record — or if there are more than 64 LLC
-    /// slices, the width of the drive loop's parked-slice mask.
+    /// Panics, naming the field, if an SM, warp or controller index would
+    /// not fit 16 bits, a slice or bank index 8 or a row index 32 — the
+    /// widths of the per-transaction record — if there are more than 64
+    /// LLC slices, the width of the drive loop's parked-slice mask, or if
+    /// a NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
+    /// injection stamp.
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -198,33 +200,41 @@ impl GpuSim {
     where
         M: DramAddressMap + Send + Sync + 'static,
     {
-        // A transaction record names its SM, warp, slice, controller and
-        // bank in 16 bits and its row in 32 (`crate::txn`).
+        // A transaction record names its SM, warp and controller in 16
+        // bits, its slice and bank in 8 and its row in 32 (`crate::txn`).
         let fits = |field: &str, n: usize, max: u64| {
             assert!(
                 n as u64 <= max,
                 "{field} = {n} does not fit a transaction record (at most {max})"
             );
         };
-        let index16 = 1 << 16;
+        let (index8, index16) = (1 << 8, 1 << 16);
         fits("num_sms", cfg.num_sms, index16);
         fits(
             "max_warps_per_sm (below the NO_WARP sentinel)",
             cfg.max_warps_per_sm,
             u64::from(NO_WARP),
         );
-        fits("llc_slices", cfg.llc_slices, index16);
+        fits("llc_slices", cfg.llc_slices, index8);
         fits("DRAM controllers", map.num_controllers(), index16);
         fits(
             "DRAM banks per controller",
             map.banks_per_controller(),
-            index16,
+            index8,
         );
         fits("DRAM rows per bank", map.rows_per_bank(), 1 << 32);
         assert!(
             cfg.llc_slices <= 64,
             "llc_slices = {} exceeds the 64 slices of the parked-slice mask",
             cfg.llc_slices
+        );
+        // The crossbars queue a packet with its injection NoC cycle in
+        // 32 bits; a run stops before core cycle `max_cycles`.
+        let last_stamp = (cfg.max_cycles as f64 * cfg.noc_per_core()).ceil();
+        assert!(
+            last_stamp < f64::from(u32::MAX),
+            "max_cycles = {} reaches NoC cycle {last_stamp}, past the crossbar's 32-bit injection stamp",
+            cfg.max_cycles
         );
         let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
@@ -237,7 +247,7 @@ impl GpuSim {
             dram_clock: DomainClock::new(cfg.dram_per_core()),
             sms,
             slices,
-            txns: TxnTable::new(),
+            txns: TxnTable::new(cfg.line_bytes),
             workload,
             mapper,
             map,
@@ -267,9 +277,9 @@ impl GpuSim {
             ctrl * per + bank % per
         };
         Route {
-            slice: slice as u16,
+            slice: slice as u8,
             ctrl: ctrl as u16,
-            bank: bank as u16,
+            bank: bank as u8,
             row: map.row_of(addr) as u32,
         }
     }
@@ -386,7 +396,7 @@ impl GpuSim {
                 }
                 for d in &deliveries {
                     let slice = &mut self.slices[d.dst];
-                    slice.deliver(d.payload, cycle);
+                    slice.deliver(id_of(d.payload), cycle);
                     slices_next.lower(slice.cached_next_event());
                 }
                 deliveries.clear();
@@ -397,7 +407,7 @@ impl GpuSim {
                 }
                 for d in &deliveries {
                     let sm = &mut self.sms[d.dst];
-                    sm.on_reply(d.payload, &mut self.txns, cycle);
+                    sm.on_reply(id_of(d.payload), &mut self.txns, cycle);
                     sm_activity = true;
                     sms_next.lower(sm.cached_next_event());
                 }
@@ -412,13 +422,14 @@ impl GpuSim {
                     self.dram.tick(dram_cycle, &mut completions);
                 }
                 for c in &completions {
-                    let t = self.txns.get(c.id);
-                    if t.is_store {
+                    let id = id_of(c.id);
+                    let t = self.txns.get(id);
+                    if t.is_store() {
                         // Stores end at the DRAM.
-                        self.txns.release(c.id);
+                        self.txns.release(id);
                     } else {
-                        let slice = &mut self.slices[t.slice as usize];
-                        slice.on_dram_completion(t.line, cycle, &mut replies);
+                        let slice = &mut self.slices[usize::from(t.slice)];
+                        slice.on_dram_completion(self.txns.line(id), cycle, &mut replies);
                         slices_next.lower(slice.cached_next_event());
                     }
                 }
@@ -465,7 +476,7 @@ impl GpuSim {
                 slices_next.rebuild(next);
             }
             for txn in replies.drain(..) {
-                let t = self.txns.get(txn);
+                let t = self.txns.get(id_of(txn));
                 self.reply_net.inject(Packet {
                     payload: txn,
                     src: usize::from(t.slice),
@@ -512,7 +523,7 @@ impl GpuSim {
             for o in outbound.drain(..) {
                 let t = self.txns.get(o.txn);
                 self.req_net.inject(Packet {
-                    payload: o.txn,
+                    payload: u64::from(o.txn),
                     src: usize::from(t.sm),
                     dst: usize::from(t.slice),
                     flits: o.flits,
@@ -746,9 +757,9 @@ mod tests {
             let mapped = AddressMapper::build(kind, &map, seed).map(PhysAddr::new(line));
             let (ctrl, bank, row) = dram.decode(mapped);
             let want = Route {
-                slice: u16::try_from(slice_oracle(&map, llc_slices, mapped)).unwrap(),
+                slice: u8::try_from(slice_oracle(&map, llc_slices, mapped)).unwrap(),
                 ctrl: u16::try_from(ctrl).unwrap(),
-                bank: u16::try_from(bank).unwrap(),
+                bank: u8::try_from(bank).unwrap(),
                 row,
             };
             let got = GpuSim::route(&map, dram.num_channels(), llc_slices, mapped);

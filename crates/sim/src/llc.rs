@@ -39,11 +39,11 @@ pub(crate) struct LlcSlice {
     cache: SetAssocCache,
     mshr: MshrFile,
     /// Transactions delivered by the NoC awaiting tag access.
-    input: VecDeque<u64>,
+    input: VecDeque<u32>,
     /// Hits in flight: (ready cycle, txn).
-    hits: VecDeque<(u64, u64)>,
+    hits: VecDeque<(u64, u32)>,
     /// Transactions waiting for a free DRAM queue slot.
-    dram_retry: VecDeque<u64>,
+    dram_retry: VecDeque<u32>,
     /// MSHR entries opened, each by a load miss that goes on to DRAM as
     /// one read — checked against the DRAM read count, not reported.
     mshr_entries: u64,
@@ -89,7 +89,7 @@ impl LlcSlice {
     /// Accepts a transaction delivered by the request NoC in core cycle
     /// `cycle`. Behind an MSHR-stalled head it changes nothing the slice
     /// could act on, so the slice's hint stays where it is.
-    pub(crate) fn deliver(&mut self, txn: u64, cycle: u64) {
+    pub(crate) fn deliver(&mut self, txn: u32, cycle: u64) {
         let _audit_pause =
             (self.input.len() == self.input.capacity()).then(valley_core::alloc_audit::pause);
         self.input.push_back(txn);
@@ -116,7 +116,7 @@ impl LlcSlice {
     }
 
     /// Queues `txn` for the DRAM hand-off.
-    fn send_to_dram(&mut self, txn: u64) {
+    fn send_to_dram(&mut self, txn: u32) {
         let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
             .then(valley_core::alloc_audit::pause);
         self.dram_retry.push_back(txn);
@@ -219,7 +219,7 @@ impl LlcSlice {
                 break;
             }
             self.hits.pop_front();
-            replies.push(txn);
+            replies.push(u64::from(txn));
         }
 
         // 2. Drain the DRAM retry queue while the channel accepts. A
@@ -234,7 +234,8 @@ impl LlcSlice {
             while let Some(&txn) = self.dram_retry.front() {
                 let t = txns.get(txn);
                 let (ctrl, bank) = (u32::from(t.ctrl), u32::from(t.bank));
-                if dram.try_enqueue_at(ctrl, bank, t.row, txn, t.is_store, dram_clock.cycle()) {
+                let (id, is_store) = (u64::from(txn), t.is_store());
+                if dram.try_enqueue_at(ctrl, bank, t.row, id, is_store, dram_clock.cycle()) {
                     self.dram_retry.pop_front();
                 } else {
                     count(Counter::RefusedEnqueues);
@@ -251,11 +252,12 @@ impl LlcSlice {
         if self.input_stalled {
             return;
         }
-        let t = *txns.get(txn);
+        let is_store = txns.get(txn).is_store();
+        let line = txns.line(txn);
         count(Counter::TagAccesses);
-        let hit = self.cache.lookup(t.line);
-        if !hit && !t.is_store {
-            match self.mshr.allocate(t.line, txn) {
+        let hit = self.cache.lookup(line);
+        if !hit && !is_store {
+            match self.mshr.allocate(line, u64::from(txn)) {
                 MshrAllocation::NewEntry => {
                     self.mshr_entries += 1;
                     self.send_to_dram(txn);
@@ -271,7 +273,7 @@ impl LlcSlice {
         }
         self.cache.count(hit);
         self.input.pop_front();
-        if t.is_store {
+        if is_store {
             // Write-through, no-allocate: a hit updates the line, and
             // either way the write goes on to DRAM.
             self.send_to_dram(txn);
@@ -286,7 +288,7 @@ impl LlcSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{Route, NO_WARP};
+    use crate::txn::{id_of, Route, NO_WARP};
     use proptest::prelude::*;
     use valley_core::{AddressMapper, GddrMap, PhysAddr, SchemeKind};
     use valley_dram::DramConfig;
@@ -297,7 +299,7 @@ mod tests {
         Route {
             slice: 0,
             ctrl: ctrl as u16,
-            bank: bank as u16,
+            bank: bank as u8,
             row,
         }
     }
@@ -313,12 +315,12 @@ mod tests {
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
         let mut dram = DramSystem::new(std::sync::Arc::new(map), cfg.dram);
         let dram_clock = DomainClock::new(cfg.dram_per_core());
-        let mut txns = TxnTable::new();
+        let mut txns = TxnTable::new(cfg.line_bytes);
         let mut slice = LlcSlice::new(&cfg);
         let mut replies = Vec::new();
         let line = 0x4000;
         let to = route(&mapper, &dram, line);
-        let [first, second] = [0, 1].map(|warp| txns.alloc(0, warp, false, line, to));
+        let [first, second] = [0, 1].map(|warp| txns.alloc(0, warp, line, to));
         slice.deliver(first, 0);
         slice.deliver(second, 0);
         for cycle in 0..4 {
@@ -328,7 +330,7 @@ mod tests {
         assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
 
         slice.on_dram_completion(line, 4, &mut replies);
-        assert_eq!(replies, [first]);
+        assert_eq!(replies, [u64::from(first)]);
         slice.tick(4, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
         assert!(slice.input.is_empty());
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
@@ -370,10 +372,10 @@ mod tests {
                     self.dram.tick(dram_cycle, &mut self.completions);
                 }
                 for c in &self.completions {
-                    let t = txns.get(c.id);
-                    if !t.is_store {
+                    let id = id_of(c.id);
+                    if !txns.get(id).is_store() {
                         self.slice
-                            .on_dram_completion(t.line, cycle, &mut self.replies);
+                            .on_dram_completion(txns.line(id), cycle, &mut self.replies);
                     }
                 }
             }
@@ -408,7 +410,7 @@ mod tests {
             dram_cfg.queue_capacity = 2;
             let mut parked = Rig::new(&cfg, dram_cfg);
             let mut shadow = Rig::new(&cfg, dram_cfg);
-            let mut txns = TxnTable::new();
+            let mut txns = TxnTable::new(cfg.line_bytes);
 
             let mut s = seed;
             let mut next_mix = || {
@@ -431,7 +433,7 @@ mod tests {
                         let line = (r % 64) << 7;
                         let is_store = r % 5 == 0;
                         let to = route(&mapper, &parked.dram, line);
-                        let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, is_store, line, to);
+                        let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, line, to);
                         parked.slice.deliver(id, cycle);
                         shadow.slice.deliver(id, cycle);
                         pending -= 1;

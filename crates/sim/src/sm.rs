@@ -15,7 +15,7 @@
 use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
 use crate::trace::{Instruction, KernelSource, WarpProgram};
-use crate::txn::{Route, TxnTable, NO_WARP};
+use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
@@ -24,8 +24,8 @@ use valley_core::{AddressMapper, PhysAddr};
 /// A NoC request emitted by an SM (to be injected by the GPU top level).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SmOutbound {
-    /// Transaction token.
-    pub txn: u64,
+    /// Transaction id.
+    pub txn: u32,
     /// Packet size in flits.
     pub flits: u32,
 }
@@ -93,15 +93,16 @@ pub(crate) struct Sm {
     wake: BinaryHeap<Reverse<(u64, u32)>>,
     last_issued: Option<u32>,
     /// Coalesced transactions awaiting the L1 (LSU queue; 1/cycle).
-    mem_queue: VecDeque<u64>,
+    mem_queue: VecDeque<u32>,
     /// Reusable coalescing output (issue path, allocation-free).
     lines_buf: Vec<u64>,
-    /// Reusable MSHR-waiter drain buffer (reply path, allocation-free).
+    /// Reusable MSHR-waiter drain buffer (reply path, allocation-free):
+    /// the waiters' transaction ids as the MSHR file's `u64` tokens.
     waiter_buf: Vec<u64>,
     l1: SetAssocCache,
     mshr: MshrFile,
     /// L1 hits in flight: (ready cycle, txn).
-    hit_queue: VecDeque<(u64, u64)>,
+    hit_queue: VecDeque<(u64, u32)>,
     tb_slots: Vec<Option<TbState>>,
     free_tb_slots: Vec<u32>,
     resident_tbs: usize,
@@ -279,17 +280,17 @@ impl Sm {
 
     /// Handles an LLC reply for `txn`: fills the L1 line and wakes every
     /// merged waiter, whose transactions end here.
-    pub(crate) fn on_reply(&mut self, txn: u64, txns: &mut TxnTable, cycle: u64) {
+    pub(crate) fn on_reply(&mut self, txn: u32, txns: &mut TxnTable, cycle: u64) {
         // Settle deferred accounting with the pre-reply warp population.
         self.flush_idle(cycle);
         self.lsu_stalled = false;
-        let line = txns.get(txn).line;
+        let line = txns.line(txn);
         self.l1.fill(line);
         let mut waiters = std::mem::take(&mut self.waiter_buf);
         waiters.clear();
         if self.mshr.complete_into(line, &mut waiters) {
             for &w in &waiters {
-                self.complete_load(w, txns);
+                self.complete_load(id_of(w), txns);
             }
         }
         waiters.clear();
@@ -304,7 +305,7 @@ impl Sm {
     /// A load transaction's data arrived (L1 hit latency elapsed, or
     /// the reply came back): the transaction ends and its warp counts it
     /// off.
-    fn complete_load(&mut self, txn: u64, txns: &mut TxnTable) {
+    fn complete_load(&mut self, txn: u32, txns: &mut TxnTable) {
         let warp = txns.get(txn).warp;
         txns.release(txn);
         debug_assert_ne!(warp, NO_WARP, "stores never complete loads");
@@ -434,8 +435,7 @@ impl Sm {
         if self.lsu_stalled {
             return;
         }
-        let info = txns.get(txn);
-        if info.is_store {
+        if txns.get(txn).is_store() {
             // Write-through, no-allocate: straight to the LLC, carrying data.
             self.mem_queue.pop_front();
             outbound.push(SmOutbound {
@@ -444,13 +444,13 @@ impl Sm {
             });
             return;
         }
-        let line = info.line;
+        let line = txns.line(txn);
         let hit = self.l1.lookup(line);
         if hit {
             let lat = cfg.l1_hit_latency + mapper.latency_cycles() as u64;
             self.hit_queue.push_back((cycle + lat, txn));
         } else {
-            match self.mshr.allocate(line, txn) {
+            match self.mshr.allocate(line, u64::from(txn)) {
                 MshrAllocation::NewEntry => outbound.push(SmOutbound {
                     txn,
                     flits: valley_noc::REQUEST_FLITS,
@@ -562,7 +562,7 @@ impl Sm {
                 self.ready.remove(&(age, w));
                 for &line in &lines {
                     let to = route(mapper.map(PhysAddr::new(line)));
-                    let txn = txns.alloc(self.id, w as u16, false, line, to);
+                    let txn = txns.alloc(self.id, w as u16, line, to);
                     self.mem_queue.push_back(txn);
                 }
                 self.lines_buf = lines;
@@ -574,7 +574,7 @@ impl Sm {
                 coalesce_into(&lanes, cfg.line_bytes, &mut lines);
                 for &line in &lines {
                     let to = route(mapper.map(PhysAddr::new(line)));
-                    let txn = txns.alloc(self.id, NO_WARP, true, line, to);
+                    let txn = txns.alloc(self.id, NO_WARP, line, to);
                     self.mem_queue.push_back(txn);
                 }
                 self.lines_buf = lines;

@@ -3,7 +3,7 @@
 //! serialization, all observable through the `SimReport` counters.
 
 use std::sync::Arc;
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
+use valley_core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind};
 use valley_sim::{GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
 use valley_workloads::{KernelSpec, Workload};
 
@@ -229,4 +229,102 @@ fn more_slices_than_the_parked_mask_holds_are_refused() {
     let mut cfg = GpuConfig::table1();
     cfg.llc_slices = 65;
     let _ = build(cfg);
+}
+
+/// A transaction record holds its LLC slice and DRAM bank in 8 bits: a
+/// machine with more slices is refused by name before the parked-slice
+/// mask is consulted.
+#[test]
+#[should_panic(expected = "llc_slices = 257 does not fit a transaction record (at most 256)")]
+fn a_slice_index_over_8_bits_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.llc_slices = 257;
+    let _ = build(cfg);
+}
+
+/// The baseline GDDR5 map, claiming `.1` banks per controller.
+#[derive(Debug)]
+struct ManyBanks(GddrMap, usize);
+
+impl DramAddressMap for ManyBanks {
+    fn addr_bits(&self) -> u8 {
+        self.0.addr_bits()
+    }
+    fn block_bits(&self) -> u8 {
+        self.0.block_bits()
+    }
+    fn controller_of(&self, addr: PhysAddr) -> usize {
+        self.0.controller_of(addr)
+    }
+    fn bank_of(&self, addr: PhysAddr) -> usize {
+        self.0.bank_of(addr)
+    }
+    fn row_of(&self, addr: PhysAddr) -> usize {
+        self.0.row_of(addr)
+    }
+    fn column_of(&self, addr: PhysAddr) -> usize {
+        self.0.column_of(addr)
+    }
+    fn num_controllers(&self) -> usize {
+        self.0.num_controllers()
+    }
+    fn banks_per_controller(&self) -> usize {
+        self.1
+    }
+    fn rows_per_bank(&self) -> usize {
+        self.0.rows_per_bank()
+    }
+    fn columns_per_row(&self) -> usize {
+        self.0.columns_per_row()
+    }
+    fn controller_bits(&self) -> Vec<u8> {
+        self.0.controller_bits()
+    }
+    fn bank_bits(&self) -> Vec<u8> {
+        self.0.bank_bits()
+    }
+    fn row_bits(&self) -> Vec<u8> {
+        self.0.row_bits()
+    }
+    fn column_bits(&self) -> Vec<u8> {
+        self.0.column_bits()
+    }
+}
+
+#[test]
+#[should_panic(
+    expected = "DRAM banks per controller = 512 does not fit a transaction record (at most 256)"
+)]
+fn a_bank_index_over_8_bits_is_refused() {
+    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
+    let map = GddrMap::baseline();
+    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
+    let _ = GpuSim::new(
+        GpuConfig::table1(),
+        mapper,
+        ManyBanks(map, 512),
+        Box::new(single_kernel(gen, 1, 1)),
+    );
+}
+
+/// The crossbars queue a packet with its injection NoC cycle in 32 bits:
+/// a cycle limit whose NoC cycles would pass that is refused. At Table
+/// I's clocks (NoC at half the core clock) 2^33 core cycles reach NoC
+/// cycle 2^32 and are refused; a limit just below is accepted.
+#[test]
+#[should_panic(
+    expected = "max_cycles = 8589934592 reaches NoC cycle 4294967296, past the crossbar's 32-bit injection stamp"
+)]
+fn a_cycle_limit_past_the_32_bit_noc_stamp_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.max_cycles = 1 << 33;
+    let _ = build(cfg);
+}
+
+#[test]
+fn the_last_cycle_limit_the_noc_stamp_holds_is_accepted() {
+    let mut cfg = GpuConfig::table1();
+    cfg.max_cycles = (1 << 33) - 4;
+    let r = build(cfg).run();
+    assert!(!r.truncated);
 }
