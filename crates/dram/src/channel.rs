@@ -45,7 +45,8 @@ pub struct DramRequest {
     /// is accepted; reads when the data burst finishes).
     pub is_write: bool,
     /// Arrival time in DRAM cycles, the cycle of the enqueue: the
-    /// earliest cycle [`DramChannel::tick_evented`] wakes for it.
+    /// earliest cycle the channel's hint,
+    /// [`DramChannel::cached_next_event`], names for it.
     pub arrival: u64,
 }
 
@@ -151,8 +152,8 @@ pub struct DramChannel {
     /// The exact next cycle at which [`DramChannel::tick`] does real
     /// work — the earlier of the next dequeue and the next retirement
     /// (`u64::MAX` = empty channel). Republished by every `tick`, lowered
-    /// by [`DramChannel::try_enqueue`]; [`DramChannel::tick_evented`]
-    /// no-ops below it.
+    /// by [`DramChannel::try_enqueue`]; a tick below it changes nothing,
+    /// so [`crate::DramSystem::tick_evented`] skips those.
     cached_next: u64,
     /// The cycle of the next **dequeue** — the first tick whose `pick`
     /// takes a request out of the scheduling queue (`u64::MAX` = nothing
@@ -275,30 +276,20 @@ impl DramChannel {
         self.stats
     }
 
-    /// The cached next-event cycle maintained by
-    /// [`DramChannel::tick_evented`] (`u64::MAX` = empty channel).
+    /// The exact next cycle at which [`DramChannel::tick`] changes
+    /// anything (`u64::MAX` = empty channel): every tick republishes it.
+    /// A tick below it changes no state, [`DramChannel::stats`] included,
+    /// so skipping those is bit-identical to ticking every cycle.
     #[inline]
     pub fn cached_next_event(&self) -> u64 {
         self.cached_next
     }
 
-    /// Event-gated [`DramChannel::tick`]: a no-op while the cached
-    /// next-event cycle is in the future. A tick below it changes no
-    /// state, so this is bit-identical to ticking densely every cycle,
-    /// [`DramChannel::stats`] included.
-    #[inline]
-    pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
-        if cycle < self.cached_next {
-            return;
-        }
-        self.tick(cycle, done);
-        debug_assert!(self.cached_next > cycle, "tick left a hint in the past");
-    }
-
     /// Advances the channel to DRAM cycle `cycle`: retires finished
-    /// transactions into `done` (which is *not* cleared) and schedules at
+    /// transactions into `done` (which is *not* cleared), schedules at
     /// most one new column access (FR-FCFS: oldest row-hit first,
-    /// otherwise oldest).
+    /// otherwise oldest) and republishes
+    /// [`DramChannel::cached_next_event`].
     pub fn tick(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
         if self.queued == 0 && self.inflight.is_empty() {
             // Idle: nothing to retire or schedule (and the bus went free
@@ -553,6 +544,19 @@ mod tests {
         done
     }
 
+    /// The gate [`crate::DramSystem::tick_evented`] puts on each channel:
+    /// a tick only from the channel's own hint on, which it must move past
+    /// the cycle it ran.
+    fn tick_gated(ch: &mut DramChannel, cycle: u64, done: &mut Vec<DramCompletion>) {
+        if cycle >= ch.cached_next_event() {
+            ch.tick(cycle, done);
+            assert!(
+                ch.cached_next_event() > cycle,
+                "tick left a hint in the past"
+            );
+        }
+    }
+
     fn req(id: u64, bank: usize, row: usize) -> DramRequest {
         DramRequest {
             id,
@@ -774,7 +778,7 @@ mod tests {
     fn next_event_tracks_inflight_and_bank_readiness() {
         let mut ch = chan();
         let mut done = Vec::new();
-        ch.tick_evented(0, &mut done);
+        tick_gated(&mut ch, 0, &mut done);
         assert_eq!(ch.cached_next_event(), u64::MAX, "an empty channel parks");
         // Queued request, bank idle: the event is its arrival.
         ch.try_enqueue(DramRequest {
@@ -782,16 +786,16 @@ mod tests {
             ..req(1, 0, 5)
         });
         assert_eq!(ch.cached_next_event(), 3);
-        ch.tick_evented(3, &mut done);
+        tick_gated(&mut ch, 3, &mut done);
         // Issued at 3 with nothing left queued: the hint names the
         // retirement cycle, and every tick before it is a no-op.
         let next = ch.cached_next_event();
         assert!(next > 4 && next < u64::MAX);
         for c in 4..next {
-            ch.tick_evented(c, &mut done);
+            tick_gated(&mut ch, c, &mut done);
         }
         assert!(done.is_empty());
-        ch.tick_evented(next, &mut done);
+        tick_gated(&mut ch, next, &mut done);
         assert_eq!(done.len(), 1, "the hinted cycle retires the request");
         assert_eq!(done[0].finish, next);
     }
@@ -810,7 +814,7 @@ mod tests {
         }
         for c in 0..200 {
             dense.tick(c, &mut d1);
-            evented.tick_evented(c, &mut d2);
+            tick_gated(&mut evented, c, &mut d2);
             assert_eq!(dense.stats(), evented.stats(), "cycle {c}");
             assert_eq!(d1, d2, "cycle {c}");
         }
@@ -920,7 +924,7 @@ mod tests {
                     prop_assert_eq!(horizon == u64::MAX, ch.queue_len() == 0);
                     let before = ch.queue_len();
                     if evented {
-                        ch.tick_evented(cycle, &mut done);
+                        tick_gated(&mut ch, cycle, &mut done);
                     } else {
                         ch.tick(cycle, &mut done);
                     }

@@ -10,13 +10,15 @@
 //! Micron-style power model in `valley-power`, and its row-buffer and
 //! bank-occupancy statistics reproduce Figures 14c and 15.
 //!
-//! Besides the dense per-cycle [`DramChannel::tick`], every channel has
-//! an event-gated [`DramChannel::tick_evented`] that no-ops until the
-//! *exact* cycle of its next state change — the earlier of its next
-//! retirement and its next **dequeue** (the first tick whose arbitration
-//! takes a request out of the queue). A caller refused by a full queue
-//! ([`DramChannel::try_enqueue`] returns `false` and changes nothing)
-//! waits until [`DramChannel::queue_len`] drops below the configured
+//! Every channel has one per-cycle [`DramChannel::tick`], which
+//! republishes [`DramChannel::cached_next_event`]: the *exact* cycle of
+//! its next state change — the earlier of its next retirement and its
+//! next **dequeue** (the first tick whose arbitration takes a request out
+//! of the queue). A tick below it changes nothing, so
+//! [`DramSystem::tick_evented`] ticks a channel only from that cycle
+//! on. A caller refused by a full queue ([`DramChannel::try_enqueue`]
+//! returns `false` and changes nothing) waits until
+//! [`DramChannel::queue_len`] drops below the configured
 //! `queue_capacity`, which only a tick does.
 
 #![warn(missing_docs)]

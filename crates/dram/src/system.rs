@@ -147,8 +147,10 @@ impl DramSystem {
     }
 
     /// Event-gated [`DramSystem::tick`]: a single-branch no-op until the
-    /// earliest channel event, then each channel no-ops until its own
-    /// cached next-event cycle.
+    /// earliest channel event, then ticks only the channels whose
+    /// [`DramChannel::cached_next_event`] is due. A channel changes no
+    /// state below its hint, so this is bit-identical to
+    /// [`DramSystem::tick`].
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
         if cycle < self.cached_min {
@@ -156,7 +158,13 @@ impl DramSystem {
         }
         let mut min = u64::MAX;
         for ch in &mut self.channels {
-            ch.tick_evented(cycle, done);
+            if cycle >= ch.cached_next_event() {
+                ch.tick(cycle, done);
+                debug_assert!(
+                    ch.cached_next_event() > cycle,
+                    "tick left a hint in the past"
+                );
+            }
             min = min.min(ch.cached_next_event());
         }
         self.cached_min = min;
@@ -164,7 +172,7 @@ impl DramSystem {
 
     /// The earliest cached next-event cycle over all channels
     /// (`u64::MAX` when every channel is empty). Exact under the evented
-    /// tick discipline — see [`DramChannel::tick_evented`].
+    /// tick discipline — see [`DramSystem::tick_evented`].
     pub fn cached_next_event(&self) -> u64 {
         self.cached_min
     }

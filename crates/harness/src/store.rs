@@ -401,6 +401,12 @@ pub struct StoreScan {
 /// would paper over real corruption.
 pub fn scan(dir: &Path) -> Result<StoreScan, StoreError> {
     let text = read_store(dir)?;
+    Ok(tally(&text, &dir.join(STORE_FILE))?.0)
+}
+
+/// The pass [`scan`] and [`gc`] share over the store text read from
+/// `path`: the scan, with the line number of each record it keeps.
+fn tally(text: &str, path: &Path) -> Result<(StoreScan, Vec<usize>), StoreError> {
     let mut out = StoreScan {
         bytes: text.len() as u64,
         ..StoreScan::default()
@@ -408,7 +414,7 @@ pub fn scan(dir: &Path) -> Result<StoreScan, StoreError> {
     // Line number of each key's last record.
     let mut last_of: FastMap<u64, usize> = FastMap::default();
     let mut found: Vec<(usize, u64, StoredResult)> = Vec::new();
-    for (n, class) in classify(&text) {
+    for (n, class) in classify(text) {
         match class {
             Line::Record(hash, stored) => {
                 out.duplicates += usize::from(last_of.insert(hash, n).is_some());
@@ -417,12 +423,16 @@ pub fn scan(dir: &Path) -> Result<StoreScan, StoreError> {
             Line::Blank => {}
             Line::TornTail(_) => out.truncated += 1,
             Line::Orphan(_) => out.orphans += 1,
-            Line::Garbage(cause) => return Err(corrupt(&dir.join(STORE_FILE), n, &cause)),
+            Line::Garbage(cause) => return Err(corrupt(path, n, &cause)),
         }
     }
-    found.retain(|(n, hash, _)| last_of[hash] == *n);
-    out.records = found.into_iter().map(|(_, _, stored)| stored).collect();
-    Ok(out)
+    let (kept, records) = found
+        .into_iter()
+        .filter(|(n, hash, _)| last_of[hash] == *n)
+        .map(|(n, _, stored)| (n, stored))
+        .unzip();
+    out.records = records;
+    Ok((out, kept))
 }
 
 /// The result of one [`gc`] compaction pass.
@@ -460,41 +470,26 @@ impl GcReport {
 pub fn gc(dir: &Path) -> Result<GcReport, StoreError> {
     let path = dir.join(STORE_FILE);
     let text = read_store(dir)?;
-    let mut report = GcReport {
-        bytes_before: text.len() as u64,
-        ..GcReport::default()
-    };
-    // Line number of each key's last record, and of every record line.
-    let mut last_of: FastMap<u64, usize> = FastMap::default();
-    let mut records: Vec<(usize, u64)> = Vec::new();
-    for (n, class) in classify(&text) {
-        match class {
-            Line::Record(hash, _) => {
-                report.duplicates_removed += usize::from(last_of.insert(hash, n).is_some());
-                records.push((n, hash));
-            }
-            Line::Blank => {}
-            Line::TornTail(_) => report.truncated_removed += 1,
-            Line::Orphan(_) => report.orphans_removed += 1,
-            Line::Garbage(cause) => return Err(corrupt(&path, n, &cause)),
-        }
-    }
-    report.kept = last_of.len();
+    let (found, kept) = tally(&text, &path)?;
     let lines: Vec<&str> = text.lines().collect();
     let mut compact = String::with_capacity(text.len());
-    for (n, hash) in records {
-        if last_of[&hash] == n {
-            compact.push_str(lines[n - 1]);
-            compact.push('\n');
-        }
+    for &n in &kept {
+        compact.push_str(lines[n - 1]);
+        compact.push('\n');
     }
     if compact != text {
         let tmp = path.with_extension("jsonl.tmp");
         std::fs::write(&tmp, &compact)?;
         std::fs::rename(&tmp, &path)?;
     }
-    report.bytes_after = compact.len() as u64;
-    Ok(report)
+    Ok(GcReport {
+        kept: kept.len(),
+        duplicates_removed: found.duplicates,
+        orphans_removed: found.orphans,
+        truncated_removed: found.truncated,
+        bytes_before: found.bytes,
+        bytes_after: compact.len() as u64,
+    })
 }
 
 /// Parses one stored record line into `(key hash, result)`.

@@ -23,7 +23,7 @@ pub struct GpuConfig {
     pub max_tbs_per_sm: usize,
     /// Threads per warp.
     pub warp_size: usize,
-    /// Instructions issued per SM per cycle (2 warp schedulers).
+    /// Instructions issued per SM per cycle (2 warp schedulers); 1 to 8.
     pub issue_width: usize,
     /// Per-SM L1 data cache geometry.
     pub l1: CacheConfig,

@@ -15,7 +15,7 @@
 use crate::config::GpuConfig;
 use crate::llc::{has_room, LlcSlice};
 use crate::metrics::{ParallelismIntegrator, SimReport};
-use crate::sm::{Sm, SmOutbound};
+use crate::sm::{Sm, SmOutbound, MAX_ISSUE};
 use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
@@ -188,9 +188,9 @@ impl GpuSim {
     /// Panics, naming the field, if an SM, warp or controller index would
     /// not fit 16 bits, a slice or bank index 8 or a row index 32 — the
     /// widths of the per-transaction record — if there are more than 64
-    /// LLC slices, the width of the drive loop's parked-slice mask, or if
-    /// a NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
-    /// injection stamp.
+    /// LLC slices, the width of the drive loop's parked-slice mask, if a
+    /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
+    /// injection stamp, or if `issue_width` is not in `1..=8`.
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -235,6 +235,11 @@ impl GpuSim {
             last_stamp < f64::from(u32::MAX),
             "max_cycles = {} reaches NoC cycle {last_stamp}, past the crossbar's 32-bit injection stamp",
             cfg.max_cycles
+        );
+        assert!(
+            (1..=MAX_ISSUE).contains(&cfg.issue_width),
+            "issue_width = {} is outside the supported 1..={MAX_ISSUE}",
+            cfg.issue_width
         );
         let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
@@ -348,8 +353,8 @@ impl GpuSim {
             // to the core-domain gate, advancing the NoC and DRAM clocks
             // exactly as the dense loop would — on copies, so the cycle
             // in which either domain ticks a due event leaves no trace
-            // and is run in full below. Component counters need no
-            // attention: the evented ticks defer and settle them lazily.
+            // and is run in full below. No unit owes anything for the
+            // cycles skipped.
             let kernel_to_load = sched.kernel.is_none() && !sched.finished();
             if event_driven && !kernel_to_load {
                 let core_next = sms_next.get().min(slices_next.get());
@@ -439,30 +444,20 @@ impl GpuSim {
             }
 
             // ---- LLC slices ----
-            // Below `slices_next` every slice's own gate would no-op;
-            // skip the walk.
+            // The evented loop ticks a slice at its hint, and skips the
+            // walk below `slices_next`, where no slice is due.
             if !event_driven || cycle >= slices_next.get() {
                 due = true;
                 count(Counter::SliceWalks);
                 let mut next = u64::MAX;
                 for (i, s) in self.slices.iter_mut().enumerate() {
-                    if event_driven {
-                        let ticked = s.tick_evented(
-                            cycle,
-                            &self.dram_clock,
-                            &self.cfg,
-                            &mut self.dram,
-                            &self.txns,
-                            &mut replies,
-                        );
-                        if ticked && s.parked_on().is_some() {
-                            parked |= 1 << i;
-                        }
-                        next = next.min(s.cached_next_event());
-                    } else {
+                    if !event_driven {
                         // The dense reference retries a refused head
                         // every cycle: a refusal changes no state.
                         s.unpark(cycle);
+                    }
+                    if !event_driven || cycle >= s.cached_next_event() {
+                        count(Counter::SliceTicks);
                         s.tick(
                             cycle,
                             &self.dram_clock,
@@ -471,7 +466,11 @@ impl GpuSim {
                             &self.txns,
                             &mut replies,
                         );
+                        if s.parked_on().is_some() {
+                            parked |= 1 << i;
+                        }
                     }
+                    next = next.min(s.cached_next_event());
                 }
                 slices_next.rebuild(next);
             }
@@ -491,22 +490,14 @@ impl GpuSim {
                 let map = self.map.as_ref();
                 let (controllers, llc_slices) = (self.dram.num_channels(), self.cfg.llc_slices);
                 let router = move |addr: PhysAddr| Self::route(map, controllers, llc_slices, addr);
+                // The evented loop ticks an SM at its hint, and skips the
+                // walk below `sms_next`, where no SM is due.
                 if !event_driven || cycle >= sms_next.get() {
                     due = true;
                     count(Counter::SmWalks);
                     let mut next = u64::MAX;
                     for sm in &mut self.sms {
-                        if event_driven {
-                            sm_activity |= sm.tick_evented(
-                                cycle,
-                                &self.cfg,
-                                &self.mapper,
-                                &mut self.txns,
-                                &router,
-                                &mut outbound,
-                            );
-                            next = next.min(sm.cached_next_event());
-                        } else {
+                        if !event_driven || cycle >= sm.cached_next_event() {
                             sm.tick(
                                 cycle,
                                 &self.cfg,
@@ -515,7 +506,9 @@ impl GpuSim {
                                 &router,
                                 &mut outbound,
                             );
+                            sm_activity = true;
                         }
+                        next = next.min(sm.cached_next_event());
                     }
                     sms_next.rebuild(next);
                 }
@@ -534,9 +527,9 @@ impl GpuSim {
             // ---- TB scheduler ----
             // With no SM activity and a kernel loaded, a pass is provably
             // a no-op (see `TbScheduler::run`); skip the call and its
-            // per-SM retired sum. Dense mode keeps the unconditional call
-            // of the reference loop.
-            if !event_driven || sm_activity || sched.kernel.is_none() {
+            // per-SM retired sum. The dense loop ticks every SM, so it
+            // runs a pass every cycle.
+            if sm_activity || sched.kernel.is_none() {
                 due |= !sched.finished();
                 if sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle) {
                     // An assigned SM is due next cycle.
@@ -564,10 +557,6 @@ impl GpuSim {
 
         crate::alloc_audit::window_close();
         self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
-        // Settle the SMs' deferred busy cycles (no-ops after a dense run).
-        for sm in &mut self.sms {
-            sm.flush_idle(cycle);
-        }
         self.report(cycle, truncated, &parallelism, &sched)
     }
 
@@ -637,7 +626,7 @@ impl GpuSim {
             l1.misses += s.misses;
             l1.evictions += s.evictions;
             warp_instructions += sm.warp_instructions();
-            busy += sm.busy_cycles();
+            busy += sm.busy_cycles(cycles);
         }
         let mut llc = CacheStats::default();
         for s in &self.slices {

@@ -55,9 +55,9 @@ pub(crate) struct LlcSlice {
     input_stalled: bool,
     /// The exact next core cycle at which [`LlcSlice::tick`] changes
     /// anything (`u64::MAX` = nothing locally schedulable); republished
-    /// by [`LlcSlice::tick_evented`] and lowered by the deliveries and
-    /// DRAM fills that give the slice something to do, and by
-    /// [`LlcSlice::unpark`] (see `crate::wake`).
+    /// by every tick and lowered by the deliveries and DRAM fills that
+    /// give the slice something to do, and by [`LlcSlice::unpark`] (see
+    /// `crate::wake`).
     cached_next: u64,
     /// `Some(ctrl)` while the DRAM-retry head is parked: DRAM channel
     /// `ctrl` refused it with a full queue, and only a dequeue there can
@@ -147,8 +147,7 @@ impl LlcSlice {
         self.cached_next = self.cached_next.min(self.next_event_at(cycle));
     }
 
-    /// The cached next-event cycle maintained by
-    /// [`LlcSlice::tick_evented`].
+    /// The cached next-event cycle republished by [`LlcSlice::tick`].
     #[inline]
     pub(crate) fn cached_next_event(&self) -> u64 {
         self.cached_next
@@ -176,34 +175,12 @@ impl LlcSlice {
         next
     }
 
-    /// Event-gated [`LlcSlice::tick`]: a no-op while the cached
-    /// next-event cycle is in the future (the slice has no per-cycle
-    /// counters, so there is nothing to defer). Bit-identical to ticking
-    /// densely every cycle. Returns whether the slice ticked.
-    #[inline]
-    pub(crate) fn tick_evented(
-        &mut self,
-        cycle: u64,
-        dram_clock: &DomainClock,
-        cfg: &GpuConfig,
-        dram: &mut DramSystem,
-        txns: &TxnTable,
-        replies: &mut Vec<u64>,
-    ) -> bool {
-        if cycle < self.cached_next {
-            return false;
-        }
-        count(Counter::SliceTicks);
-        self.tick(cycle, dram_clock, cfg, dram, txns, replies);
-        self.cached_next = self.next_event_at(cycle + 1);
-        true
-    }
-
     /// One core cycle: complete hits, retry DRAM hand-offs, process one
     /// new transaction. Load hits produce replies; misses go to DRAM.
-    /// A transaction's lookup is counted once, in the cycle it leaves
-    /// the input head. `dram_clock` is the DRAM domain as advanced
-    /// through this cycle.
+    /// `dram_clock` is the DRAM domain as advanced through this cycle.
+    /// The driving loop may skip the cycles below
+    /// [`LlcSlice::cached_next_event`], which the tick republishes for the
+    /// next cycle.
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
@@ -246,6 +223,14 @@ impl LlcSlice {
         }
 
         // 3. Tag access: one transaction per cycle.
+        self.tag_access(cycle, cfg, txns);
+        self.cached_next = self.next_event_at(cycle + 1);
+    }
+
+    /// Step 3 of [`LlcSlice::tick`]: looks up the input head. A
+    /// transaction's lookup is counted once, in the cycle it leaves the
+    /// input head.
+    fn tag_access(&mut self, cycle: u64, cfg: &GpuConfig, txns: &TxnTable) {
         let Some(&txn) = self.input.front() else {
             return;
         };
@@ -446,7 +431,9 @@ mod tests {
                     }
                 }
                 let Rig { slice, dram, replies, .. } = &mut parked;
-                slice.tick_evented(cycle, &dram_clock, &cfg, dram, &txns, replies);
+                if cycle >= slice.cached_next_event() {
+                    slice.tick(cycle, &dram_clock, &cfg, dram, &txns, replies);
+                }
                 let Rig { slice, dram, replies, .. } = &mut shadow;
                 slice.unpark(cycle);
                 slice.tick(cycle, &dram_clock, &cfg, dram, &txns, replies);

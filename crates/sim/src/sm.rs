@@ -21,6 +21,10 @@ use std::collections::{BinaryHeap, VecDeque};
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_core::{AddressMapper, PhysAddr};
 
+/// The widest issue [`Sm::tick`] supports: its per-cycle record of the
+/// warps issued is a stack array this long.
+pub(crate) const MAX_ISSUE: usize = 8;
+
 /// A NoC request emitted by an SM (to be injected by the GPU top level).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SmOutbound {
@@ -114,14 +118,17 @@ pub(crate) struct Sm {
     /// [`Sm::on_reply`].
     lsu_stalled: bool,
     /// The exact next core cycle at which [`Sm::tick`] does real work
-    /// (`u64::MAX` = nothing locally schedulable); republished by
-    /// [`Sm::tick_evented`] and lowered by TB assignment and by the
-    /// replies that give the SM something to do (see `crate::wake`).
+    /// (`u64::MAX` = nothing locally schedulable); republished by every
+    /// tick and lowered by TB assignment and by the replies that give the
+    /// SM something to do (see `crate::wake`).
     cached_next: u64,
-    /// First core cycle whose busy-counter update is still deferred.
-    acct_from: u64,
+    /// First core cycle of the current busy span: the first tick that saw
+    /// a resident warp since `resident_warps` last left 0.
+    busy_since: u64,
     // Statistics.
     warp_instructions: u64,
+    /// Core cycles of the closed busy spans: ticks that saw a resident
+    /// warp, counted when the last one retires.
     busy_cycles: u64,
     retired_tbs: u64,
 }
@@ -147,7 +154,7 @@ impl Sm {
             resident_warps: 0,
             lsu_stalled: false,
             cached_next: 0,
-            acct_from: 0,
+            busy_since: 0,
             warp_instructions: 0,
             busy_cycles: 0,
             retired_tbs: 0,
@@ -164,16 +171,17 @@ impl Sm {
 
     /// Assigns TB `tb` of `kernel`, creating its warps with age `age`.
     /// `cycle` is the current core cycle: TB assignment happens after the
-    /// SM phase, so deferred busy accounting is settled through the end
-    /// of this cycle (with the pre-assignment warp population) before the
-    /// new warps land.
+    /// SM phase, so an SM that had no warp starts a busy span at the next
+    /// cycle's tick.
     pub(crate) fn assign_tb(&mut self, kernel: &dyn KernelSource, tb: u64, age: u64, cycle: u64) {
         // Workload input generation: `warp_program` builds and boxes each
         // warp's instruction stream (issue then only moves instructions
         // out of it). Declared to the allocation audit — this is the
         // workload handing the engine fresh input, not tick work.
         let _audit_pause = crate::alloc_audit::pause();
-        self.flush_idle(cycle + 1);
+        if self.resident_warps == 0 {
+            self.busy_since = cycle + 1;
+        }
         let wpb = kernel.warps_per_block();
         #[expect(
             clippy::expect_used,
@@ -224,15 +232,31 @@ impl Sm {
         self.warp_instructions
     }
 
-    pub(crate) fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+    /// Core cycles before `end` whose tick saw a resident warp: the closed
+    /// busy spans plus the open one, cut at `end` (the first cycle not
+    /// ticked — the end of a run, truncated or not).
+    pub(crate) fn busy_cycles(&self, end: u64) -> u64 {
+        let open = if self.resident_warps > 0 {
+            end.saturating_sub(self.busy_since)
+        } else {
+            0
+        };
+        self.busy_cycles + open
+    }
+
+    /// Closes the busy span at `end` (exclusive) when the SM, busy before
+    /// (`was_busy`), just retired its last warp.
+    fn close_busy_span(&mut self, was_busy: bool, end: u64) {
+        if was_busy && self.resident_warps == 0 {
+            self.busy_cycles += end - self.busy_since;
+        }
     }
 
     /// The earliest core cycle at or after `now` at which [`Sm::tick`]
     /// would do real work (wake a warp, finish a hit, run the LSU or issue
     /// an instruction), or `None` when only off-SM events (NoC replies)
-    /// can make progress. Between `now` and the returned cycle every tick
-    /// is a pure busy-counter update — see [`Sm::flush_idle`].
+    /// can make progress. Every tick before the returned cycle would
+    /// change nothing.
     pub(crate) fn next_event_at(&self, now: u64) -> Option<u64> {
         // A non-empty LSU queue is only an every-cycle event while it can
         // make progress; a stall-cached head does nothing until a reply.
@@ -250,7 +274,7 @@ impl Sm {
         next
     }
 
-    /// The cached next-event cycle maintained by [`Sm::tick_evented`].
+    /// The cached next-event cycle republished by [`Sm::tick`].
     #[inline]
     pub(crate) fn cached_next_event(&self) -> u64 {
         self.cached_next
@@ -265,24 +289,12 @@ impl Sm {
         self.cached_next = self.cached_next.min(due);
     }
 
-    /// Brings the deferred busy counter up to date with `up_to`
-    /// (exclusive) — the bulk equivalent of the dense no-op
-    /// [`Sm::tick`]s elided since `acct_from`, counted with the current
-    /// warp population.
-    pub(crate) fn flush_idle(&mut self, up_to: u64) {
-        if up_to > self.acct_from {
-            if self.resident_warps > 0 {
-                self.busy_cycles += up_to - self.acct_from;
-            }
-            self.acct_from = up_to;
-        }
-    }
-
     /// Handles an LLC reply for `txn`: fills the L1 line and wakes every
-    /// merged waiter, whose transactions end here.
+    /// merged waiter, whose transactions end here. The reply lands before
+    /// this cycle's tick, so a warp it retires was last resident in the
+    /// cycle before.
     pub(crate) fn on_reply(&mut self, txn: u32, txns: &mut TxnTable, cycle: u64) {
-        // Settle deferred accounting with the pre-reply warp population.
-        self.flush_idle(cycle);
+        let was_busy = self.resident_warps > 0;
         self.lsu_stalled = false;
         let line = txns.line(txn);
         self.l1.fill(line);
@@ -295,6 +307,7 @@ impl Sm {
         }
         waiters.clear();
         self.waiter_buf = waiters;
+        self.close_busy_span(was_busy, cycle);
         // The SM is due this cycle only if a warp can issue (one just
         // became ready, or already was) or the LSU holds a head, which
         // the fill un-stalls. A reply that only counts down other waits,
@@ -352,32 +365,10 @@ impl Sm {
         }
     }
 
-    /// Event-gated [`Sm::tick`]: a no-op (with the busy counter deferred)
-    /// while the cached next-event cycle is in the future. Bit-identical
-    /// to ticking densely every cycle. Returns whether the tick actually
-    /// ran — only then can a TB have retired, so the driver runs the TB
-    /// scheduler only then (or after a reply).
-    #[inline]
-    pub(crate) fn tick_evented(
-        &mut self,
-        cycle: u64,
-        cfg: &GpuConfig,
-        mapper: &AddressMapper,
-        txns: &mut TxnTable,
-        route: &dyn Fn(PhysAddr) -> Route,
-        outbound: &mut Vec<SmOutbound>,
-    ) -> bool {
-        if cycle < self.cached_next {
-            return false;
-        }
-        self.flush_idle(cycle);
-        self.tick(cycle, cfg, mapper, txns, route, outbound);
-        self.cached_next = self.next_event_at(cycle + 1).unwrap_or(u64::MAX);
-        true
-    }
-
     /// One core cycle: wake compute-stalled warps, finish L1 hits, run the
-    /// LSU, and issue up to `issue_width` instructions via GTO.
+    /// LSU, and issue up to `issue_width` instructions via GTO. The driving
+    /// loop may skip the cycles below [`Sm::cached_next_event`], which the
+    /// tick republishes for the next cycle.
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
@@ -387,11 +378,7 @@ impl Sm {
         route: &dyn Fn(PhysAddr) -> Route,
         outbound: &mut Vec<SmOutbound>,
     ) {
-        debug_assert!(cycle >= self.acct_from, "ticking an already-counted cycle");
-        if self.resident_warps > 0 {
-            self.busy_cycles += 1;
-        }
-        self.acct_from = cycle + 1;
+        let was_busy = self.resident_warps > 0;
 
         // Wake compute-stalled warps.
         while let Some(&Reverse((when, w))) = self.wake.peek() {
@@ -416,6 +403,8 @@ impl Sm {
 
         self.lsu_tick(cycle, cfg, mapper, txns, outbound);
         self.issue_tick(cycle, cfg, mapper, txns, route);
+        self.close_busy_span(was_busy, cycle + 1);
+        self.cached_next = self.next_event_at(cycle + 1).unwrap_or(u64::MAX);
     }
 
     /// The load-store unit: one coalesced transaction per cycle through
@@ -479,14 +468,8 @@ impl Sm {
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
     ) {
-        // Stack buffer: issue_width is tiny (2 in Table I) and this runs
-        // for every SM every cycle — no heap traffic allowed here.
-        const MAX_ISSUE: usize = 8;
-        assert!(
-            cfg.issue_width <= MAX_ISSUE,
-            "issue_width {} exceeds the supported maximum of {MAX_ISSUE}",
-            cfg.issue_width
-        );
+        // Stack buffer: this runs for every SM every cycle — no heap
+        // traffic allowed here. `GpuSim::new` checked the width fits.
         let mut issued = [u32::MAX; MAX_ISSUE];
         for slot in 0..cfg.issue_width {
             let already = &issued[..slot];
@@ -580,5 +563,202 @@ impl Sm {
                 self.lines_buf = lines;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::LaneAddrs;
+    use valley_core::{GddrMap, SchemeKind};
+
+    /// Core cycles from an SM's request to its reply.
+    const REPLY_LATENCY: u64 = 20;
+
+    /// A warp replaying a fixed instruction list.
+    struct Script(std::vec::IntoIter<Instruction>);
+
+    impl WarpProgram for Script {
+        fn next_instruction(&mut self) -> Option<Instruction> {
+            self.0.next()
+        }
+    }
+
+    /// A kernel whose every warp runs `program`; the driver below assigns
+    /// its thread blocks by hand.
+    struct Kernel {
+        warps: usize,
+        program: Vec<Instruction>,
+    }
+
+    impl KernelSource for Kernel {
+        fn name(&self) -> String {
+            "busy".into()
+        }
+        fn num_thread_blocks(&self) -> u64 {
+            u64::MAX
+        }
+        fn warps_per_block(&self) -> usize {
+            self.warps
+        }
+        fn warp_program(&self, _tb: u64, _warp: usize) -> Box<dyn WarpProgram> {
+            Box::new(Script(self.program.clone().into_iter()))
+        }
+    }
+
+    fn load(line: u64) -> Instruction {
+        Instruction::Load(LaneAddrs::contiguous(line << 7, 32, 4))
+    }
+
+    /// How often each residency edge occurred in a drive.
+    #[derive(Debug, Default)]
+    struct Edges {
+        /// Checks made while a warp was resident: cuts mid-span.
+        cuts_mid_span: u64,
+        /// A reply retired the last warp.
+        emptied_by_reply: u64,
+        /// A tick retired the last warp.
+        emptied_by_tick: u64,
+        /// A TB landed in the cycle whose tick retired the last warp.
+        assigned_as_emptied: u64,
+    }
+
+    /// Drives one SM by hand in the GPU loop's order — the cycle's replies
+    /// land, the SM ticks, then TBs are assigned — until `tbs` thread
+    /// blocks of `kernel` have drained. `assign(cycle, emptied)` says
+    /// whether to assign the next TB after `cycle`'s tick (`emptied`: that
+    /// tick retired the SM's last warp); `after_tick` may edit the SM.
+    ///
+    /// The oracle counts the ticks that see a resident warp. Before and
+    /// after every tick, the SM's busy cycles cut there must equal it.
+    fn drive(
+        kernel: &Kernel,
+        tbs: u64,
+        assign: impl Fn(u64, bool) -> bool,
+        after_tick: impl Fn(&mut Sm),
+    ) -> Edges {
+        let cfg = GpuConfig::table1();
+        let map = GddrMap::baseline();
+        let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
+        let route = |_: PhysAddr| Route {
+            slice: 0,
+            ctrl: 0,
+            bank: 0,
+            row: 0,
+        };
+        let mut sm = Sm::new(0, &cfg);
+        let mut txns = TxnTable::new(cfg.line_bytes);
+        let mut outbound = Vec::new();
+        let mut replies: VecDeque<(u64, u32)> = VecDeque::new();
+        let (mut assigned, mut ticked_busy) = (0, 0);
+        let mut edges = Edges::default();
+        for cycle in 0..10_000 {
+            while let Some(&(at, txn)) = replies.front() {
+                if at > cycle {
+                    break;
+                }
+                replies.pop_front();
+                let was_busy = sm.resident_warps > 0;
+                sm.on_reply(txn, &mut txns, cycle);
+                edges.emptied_by_reply += u64::from(was_busy && sm.resident_warps == 0);
+            }
+            assert_eq!(
+                sm.busy_cycles(cycle),
+                ticked_busy,
+                "cut at {cycle}, before its tick"
+            );
+            edges.cuts_mid_span += u64::from(sm.resident_warps > 0);
+
+            let was_busy = sm.resident_warps > 0;
+            ticked_busy += u64::from(was_busy);
+            sm.tick(cycle, &cfg, &mapper, &mut txns, &route, &mut outbound);
+            after_tick(&mut sm);
+            let emptied = was_busy && sm.resident_warps == 0;
+            edges.emptied_by_tick += u64::from(emptied);
+            for o in outbound.drain(..) {
+                if txns.get(o.txn).is_store() {
+                    txns.release(o.txn);
+                } else {
+                    replies.push_back((cycle + REPLY_LATENCY, o.txn));
+                }
+            }
+            if assigned < tbs && assign(cycle, emptied) {
+                assert!(sm.can_accept_tb(kernel.warps, cfg.max_tbs_per_sm));
+                sm.assign_tb(kernel, assigned, assigned, cycle);
+                assigned += 1;
+                edges.assigned_as_emptied += u64::from(emptied);
+            }
+            assert_eq!(
+                sm.busy_cycles(cycle + 1),
+                ticked_busy,
+                "cut at {}",
+                cycle + 1
+            );
+
+            if assigned == tbs && sm.is_idle() && replies.is_empty() {
+                assert_eq!(txns.live(), 0);
+                return edges;
+            }
+        }
+        panic!("the SM never drained");
+    }
+
+    /// Overlapping TBs, an idle gap and a late TB: the cut falls inside
+    /// busy spans and idle gaps alike, and the last warp of each span
+    /// retires in a tick (it issues its end of stream there).
+    #[test]
+    fn busy_cycles_match_the_ticks_that_see_a_warp_at_every_cut() {
+        let kernel = Kernel {
+            warps: 2,
+            program: vec![
+                Instruction::Compute { cycles: 3 },
+                load(1),
+                Instruction::Compute { cycles: 2 },
+                load(1),
+                Instruction::Store(LaneAddrs::contiguous(1 << 12, 32, 4)),
+                load(2),
+                Instruction::Compute { cycles: 5 },
+            ],
+        };
+        let edges = drive(&kernel, 3, |c, _| [0, 4, 400].contains(&c), |_| {});
+        assert!(edges.cuts_mid_span > 0, "{edges:?}");
+        assert_eq!(edges.emptied_by_tick, 2, "{edges:?}");
+    }
+
+    /// A TB assigned in the cycle whose tick retired the SM's last warp:
+    /// that cycle was busy, the next is the first of a new span.
+    #[test]
+    fn a_tb_assigned_as_the_sm_empties_starts_the_next_cycle() {
+        let kernel = Kernel {
+            warps: 1,
+            program: vec![load(3), Instruction::Compute { cycles: 1 }],
+        };
+        let edges = drive(&kernel, 3, |c, emptied| c == 0 || emptied, |_| {});
+        assert_eq!(edges.assigned_as_emptied, 2, "{edges:?}");
+        assert_eq!(edges.emptied_by_tick, 3, "{edges:?}");
+    }
+
+    /// A reply that retires the SM's last warp lands before its cycle's
+    /// tick, so the span ends with the cycle before. GTO never issues a
+    /// warp's end of stream while its loads are in flight, so the test
+    /// marks the waiting warp finished by hand, the state the reply path
+    /// retires from. The second TB's loads hit the filled L1, so its
+    /// warps retire in a tick, from the hit pipeline.
+    #[test]
+    fn a_reply_that_retires_the_last_warp_ends_the_span_before_its_cycle() {
+        let kernel = Kernel {
+            warps: 2,
+            program: vec![load(4), load(5)],
+        };
+        let finish_waiters = |sm: &mut Sm| {
+            for warp in sm.warps.iter_mut().flatten() {
+                if warp.outstanding_loads > 0 {
+                    warp.finished = true;
+                }
+            }
+        };
+        let edges = drive(&kernel, 2, |c, _| [0, 100].contains(&c), finish_waiters);
+        assert_eq!(edges.emptied_by_reply, 1, "{edges:?}");
+        assert_eq!(edges.emptied_by_tick, 1, "{edges:?}");
     }
 }

@@ -10,30 +10,34 @@
 //! cycle is a no-op by construction, and ticking it *at* that cycle
 //! changes something.
 //!
+//! An SM, LLC slice or DRAM channel has one `tick`, which republishes the
+//! hint before it returns; the loop that drives the population gates it
+//! (the dense reference ticks every unit every cycle instead). The
+//! crossbar alone keeps two ticks, because its per-packet calendar and
+//! the per-flit oracle are two algorithms.
+//!
 //! # Wake sources and their horizons
 //!
-//! | unit | woken by | horizon |
-//! |------|----------|---------|
-//! | [`DramChannel`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
-//! | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
-//! | [`Crossbar`] | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
-//! | LLC slice | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
-//! | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
-//! | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase |
-//! | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
-//! | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
-//! | SM | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
-//! | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
-//! | | a TB assignment | the cycle after the assignment |
-//! | TB scheduler | SM activity (a tick or a reply) | runs in that iteration: only a TB retirement frees capacity or ends a kernel |
-//! | | a kernel to be loaded | the next cycle — a loaded kernel has nothing for the scheduler between SM events; the loop asks only whether a kernel is to be loaded |
+//! | unit | gated by | woken by | horizon |
+//! |------|----------|----------|---------|
+//! | [`DramChannel`] | [`DramSystem::tick_evented`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
+//! | | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
+//! | [`Crossbar`] | its own [`Crossbar::tick_evented`] | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
+//! | LLC slice | the slice walk and its [`WakeGate`] | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
+//! | | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
+//! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase |
+//! | | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
+//! | | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
+//! | SM | the SM walk and its [`WakeGate`] | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
+//! | | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
+//! | | | a TB assignment | the cycle after the assignment |
+//! | TB scheduler | the drive loop | SM activity (a tick or a reply) | runs in that iteration: only a TB retirement frees capacity or ends a kernel |
+//! | | | a kernel to be loaded | the next cycle — a loaded kernel has nothing for the scheduler between SM events; the loop asks only whether a kernel is to be loaded |
 //!
-//! Below its hint a unit owes nothing but elapsed time, and only the SM
-//! counts it: its busy cycles, which its next tick or the end of the
-//! run settles in one addition. The crossbar and the DRAM channels
-//! change no state below their hints. No row defers a cache counter: a
-//! stalled queue head counts nothing, and its lookup is counted once,
-//! in the cycle it leaves the head.
+//! Below its hint a unit owes nothing. No unit defers a counter: the SM
+//! counts its busy cycles when its first warp lands and when its last
+//! one retires, a stalled queue head counts nothing, and its lookup is
+//! counted once, in the cycle it leaves the head.
 //!
 //! A [`WakeGate`] folds one population's hints into a scalar so the
 //! loop skips the whole walk — and its fast-forward reads the
@@ -63,7 +67,9 @@
 //! mirrored gate, only the minima the walks already compute.
 //!
 //! [`DramChannel`]: valley_dram::DramChannel
+//! [`DramSystem::tick_evented`]: valley_dram::DramSystem::tick_evented
 //! [`Crossbar`]: valley_noc::Crossbar
+//! [`Crossbar::tick_evented`]: valley_noc::Crossbar::tick_evented
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(

@@ -242,6 +242,27 @@ fn a_slice_index_over_8_bits_is_refused() {
     let _ = build(cfg);
 }
 
+/// An SM issues through a fixed 8-slot record per cycle, so a wider
+/// issue is refused at construction, naming the field, not at the first
+/// tick.
+#[test]
+#[should_panic(expected = "issue_width = 9 is outside the supported 1..=8")]
+fn an_issue_width_past_the_issue_record_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.issue_width = 9;
+    let _ = build(cfg);
+}
+
+/// An SM that issues nothing would spin until the cycle limit and report
+/// a truncated run with no instruction: refused at construction.
+#[test]
+#[should_panic(expected = "issue_width = 0 is outside the supported 1..=8")]
+fn a_zero_issue_width_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.issue_width = 0;
+    let _ = build(cfg);
+}
+
 /// The baseline GDDR5 map, claiming `.1` banks per controller.
 #[derive(Debug)]
 struct ManyBanks(GddrMap, usize);
