@@ -296,7 +296,7 @@ fn record_line(stored: &StoredResult) -> Json {
     Json::Obj(line)
 }
 
-/// What [`record_line`] writes, for the schema fingerprint: it moves
+/// What `record_line` writes, for the schema fingerprint: it moves
 /// with the line's own members and with [`StoredResult`]'s table.
 pub fn store_line_description() -> String {
     format!(

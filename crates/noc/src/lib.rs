@@ -23,6 +23,16 @@
 //! holds. [`Crossbar::inject`] refuses a payload or injection cycle that
 //! does not fit 32 bits; [`Packet`] and [`Delivery`] keep theirs in 64.
 //!
+//! A crossbar keeps its output queues in one pool of 64-entry blocks.
+//! A port's queue is a chain of blocks, and a block goes back to the
+//! pool as soon as its port has read it out, for any port to take (a
+//! port that empties keeps one block for its next packet). A
+//! valley's flood often moves from port to port — MT under the baseline
+//! mapping queues up to 29,142 packets at one slice's port, then at the
+//! next — so the crossbar holds the packets queued at once, plus at
+//! most two partly used blocks per port, not the sum of every port's
+//! high-water mark, which one queue per port would keep.
+//!
 //! Two drivers advance a [`Crossbar`]. [`Crossbar::tick`] steps every
 //! occupied port one flit per cycle — the dense oracle.
 //! [`Crossbar::tick_evented`] keeps one calendar event per *packet*:
@@ -45,8 +55,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod pool;
+
+use pool::PortQueues;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Flit count of a request packet (header + address only).
 pub const REQUEST_FLITS: u32 = 1;
@@ -82,7 +95,7 @@ pub struct Delivery {
 
 /// A packet waiting in an output queue: what delivery reads of it, each
 /// field narrowed to 32 bits by [`Crossbar::inject`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Queued {
     payload: u32,
     injected_at: u32,
@@ -140,8 +153,9 @@ pub struct Crossbar {
     num_src: usize,
     /// Fixed pipeline-traversal latency added to every packet.
     router_latency: u64,
-    /// Per destination: queued packets (front is in service).
-    outputs: Vec<VecDeque<Queued>>,
+    /// Per destination: queued packets (front is in service), in one
+    /// pool of blocks shared by the ports.
+    outputs: PortQueues,
     /// Dense path only: flits remaining for the packet in service at
     /// each output (0 = the head has not started).
     in_service: Vec<u32>,
@@ -173,9 +187,10 @@ impl Crossbar {
         Crossbar {
             num_src,
             router_latency,
-            // Sized for steady state: output queues grow from zero on
-            // every fresh crossbar otherwise (one realloc ladder per run).
-            outputs: vec![VecDeque::with_capacity(32); num_dst],
+            // The pool grows to the most blocks in use at once — the
+            // packets queued at once, plus at most two partly used
+            // blocks per port — whichever ports they queue at.
+            outputs: PortQueues::new(num_dst),
             in_service: vec![0; num_dst],
             queued: 0,
             events: BinaryHeap::with_capacity(num_dst),
@@ -197,7 +212,7 @@ impl Crossbar {
     pub fn inject(&mut self, pkt: Packet) {
         assert!(pkt.src < self.num_src, "source port out of range");
         assert!(
-            pkt.dst < self.outputs.len(),
+            pkt.dst < self.outputs.ports(),
             "destination port out of range"
         );
         assert!(pkt.flits > 0, "packets must have at least one flit");
@@ -213,14 +228,15 @@ impl Crossbar {
             pkt.injected_at
         );
         let dst = pkt.dst;
-        let was_empty = self.outputs[dst].is_empty();
-        let _audit_pause = (self.outputs[dst].len() == self.outputs[dst].capacity())
-            .then(valley_core::alloc_audit::pause);
-        self.outputs[dst].push_back(Queued {
-            payload: pkt.payload as u32,
-            injected_at: pkt.injected_at as u32,
-            flits: pkt.flits,
-        });
+        let was_empty = self.outputs.is_empty(dst);
+        self.outputs.push_back(
+            dst,
+            Queued {
+                payload: pkt.payload as u32,
+                injected_at: pkt.injected_at as u32,
+                flits: pkt.flits,
+            },
+        );
         self.queued += 1;
         if was_empty && !self.dense {
             // An idle port serves this packet as soon as the router
@@ -272,11 +288,12 @@ impl Crossbar {
             clippy::expect_used,
             reason = "the calendar holds one entry per non-empty port: pushed when a packet enters an empty port or becomes the head, popped only together with that head"
         )]
-        let pkt = self.outputs[dst]
-            .pop_front()
+        let pkt = self
+            .outputs
+            .pop_front(dst)
             .expect("scheduled port has a head");
         self.record_delivery(dst, pkt, cycle, done);
-        if let Some(head) = self.outputs[dst].front() {
+        if let Some(head) = self.outputs.front(dst) {
             let start = (u64::from(head.injected_at) + self.router_latency).max(cycle + 1);
             self.events
                 .push(Reverse((start + u64::from(head.flits) - 1, dst)));
@@ -298,14 +315,14 @@ impl Crossbar {
         if self.queued == 0 {
             return;
         }
-        for dst in 0..self.outputs.len() {
+        for dst in 0..self.outputs.ports() {
             self.tick_port(dst, cycle, done);
         }
     }
 
     #[inline]
     fn tick_port(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
-        let Some(head) = self.outputs[dst].front() else {
+        let Some(head) = self.outputs.front(dst) else {
             return;
         };
         // Router pipeline: a packet only starts moving flits after
@@ -324,9 +341,7 @@ impl Crossbar {
             clippy::expect_used,
             reason = "transfer_flit is only called by tick_port right after its own front() peek on the same port succeeded"
         )]
-        let head = self.outputs[dst]
-            .front()
-            .expect("due port has a head packet");
+        let head = self.outputs.front(dst).expect("due port has a head packet");
         debug_assert!(cycle >= u64::from(head.injected_at) + self.router_latency);
         if self.in_service[dst] == 0 {
             self.in_service[dst] = head.flits;
@@ -337,7 +352,7 @@ impl Crossbar {
                 clippy::expect_used,
                 reason = "pop follows the front() peek at the top of transfer_flit; nothing in between removes from the queue"
             )]
-            let pkt = self.outputs[dst].pop_front().expect("head packet exists");
+            let pkt = self.outputs.pop_front(dst).expect("head packet exists");
             self.record_delivery(dst, pkt, cycle, done);
         }
     }

@@ -190,7 +190,10 @@ impl GpuSim {
     /// widths of the per-transaction record — if there are more than 64
     /// LLC slices, the width of the drive loop's parked-slice mask, if a
     /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
-    /// injection stamp, or if `issue_width` is not in `1..=8`.
+    /// injection stamp, if `issue_width` is not in `1..=8`, if `num_sms`
+    /// or `llc_slices` is 0, or if a kernel's thread block does not fit
+    /// an empty SM (more warps than `max_warps_per_sm` or more threads
+    /// than `max_threads_per_sm`).
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -200,6 +203,9 @@ impl GpuSim {
     where
         M: DramAddressMap + Send + Sync + 'static,
     {
+        for (field, n) in [("num_sms", cfg.num_sms), ("llc_slices", cfg.llc_slices)] {
+            assert!(n >= 1, "{field} = 0: the machine needs at least one");
+        }
         // A transaction record names its SM, warp and controller in 16
         // bits, its slice and bank in 8 and its row in 32 (`crate::txn`).
         let fits = |field: &str, n: usize, max: u64| {
@@ -241,6 +247,23 @@ impl GpuSim {
             "issue_width = {} is outside the supported 1..={MAX_ISSUE}",
             cfg.issue_width
         );
+        // A thread block is resident on one SM: one that cannot fit an
+        // empty SM would never be assigned, and the run would idle to
+        // `max_cycles`.
+        for k in 0..workload.num_kernels() {
+            let warps = workload.kernel(k).warps_per_block();
+            assert!(
+                warps <= cfg.max_warps_per_sm,
+                "kernel {k}: {warps} warps per thread block exceed max_warps_per_sm = {}",
+                cfg.max_warps_per_sm
+            );
+            assert!(
+                warps * cfg.warp_size <= cfg.max_threads_per_sm,
+                "kernel {k}: {} threads per thread block exceed max_threads_per_sm = {}",
+                warps * cfg.warp_size,
+                cfg.max_threads_per_sm
+            );
+        }
         let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
         let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u16, &cfg)).collect();

@@ -16,6 +16,13 @@
 //! them costs. `GpuSim::new` refuses a configuration whose SM, warp,
 //! slice, controller, bank or row indices would not fit, and
 //! [`TxnTable::alloc`] a line past the 32-bit line number.
+//!
+//! The free list lives in the released records: a released slot's
+//! `line` field names the slot released before it, so the table needs
+//! no side vector of free slots, which would grow to the most slots
+//! ever released at once. With the crossbar's pooled queues, a store
+//! in flight costs ≈ 34 heap bytes (`tests/alloc_audit.rs` pins it
+//! under 44).
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -29,6 +36,9 @@
 
 /// Sentinel warp index for transactions not tied to a warp (stores).
 pub(crate) const NO_WARP: u16 = u16::MAX;
+
+/// End of the free list: no slot is released.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Where a transaction goes: the LLC slice and the DRAM coordinates of
 /// its mapped address, decoded once at issue.
@@ -48,7 +58,8 @@ pub(crate) struct Route {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Txn {
     /// Line number of the original (pre-mapping) address: the cache and
-    /// MSHR key, shifted right by the line size ([`TxnTable::line`]).
+    /// MSHR key, shifted right by the line size ([`TxnTable::line`]). In
+    /// a released slot, the next slot of the free list.
     line: u32,
     /// DRAM row of the mapped address.
     pub row: u32,
@@ -92,9 +103,14 @@ pub(crate) struct TxnTable {
     /// build.
     #[cfg(debug_assertions)]
     live: Vec<bool>,
-    /// Released slots, reused last-released-first (deterministic, and
-    /// the warmest memory).
-    free: Vec<u32>,
+    /// The last slot released, or [`NO_SLOT`]: the head of the free
+    /// list, which runs through the released records themselves, each
+    /// naming the slot released before it in its `line` field. Slots are
+    /// reused last-released-first (deterministic, and the warmest
+    /// memory).
+    free: u32,
+    /// Slots on the free list.
+    free_len: usize,
     /// log2 of the line size: a line address is its line number shifted
     /// left by this.
     line_shift: u32,
@@ -119,7 +135,8 @@ impl TxnTable {
             txns: Vec::with_capacity(1 << 16),
             #[cfg(debug_assertions)]
             live: Vec::with_capacity(1 << 16),
-            free: Vec::with_capacity(1 << 12),
+            free: NO_SLOT,
+            free_len: 0,
             line_shift: line_bytes.trailing_zeros(),
             allocated: 0,
             stores: 0,
@@ -156,7 +173,10 @@ impl TxnTable {
         };
         self.allocated += 1;
         self.stores += u64::from(txn.is_store());
-        if let Some(slot) = self.free.pop() {
+        if self.free != NO_SLOT {
+            let slot = self.free;
+            self.free = self.txns[slot as usize].line;
+            self.free_len -= 1;
             self.txns[slot as usize] = txn;
             #[cfg(debug_assertions)]
             {
@@ -188,9 +208,9 @@ impl TxnTable {
             debug_assert!(*live, "transaction {id} released twice");
             *live = false;
         }
-        let _audit_pause =
-            (self.free.len() == self.free.capacity()).then(crate::alloc_audit::pause);
-        self.free.push(id);
+        self.txns[id as usize].line = self.free;
+        self.free = id;
+        self.free_len += 1;
     }
 
     #[inline]
@@ -221,7 +241,7 @@ impl TxnTable {
 
     /// Transactions allocated and not yet released.
     pub(crate) fn live(&self) -> usize {
-        self.txns.len() - self.free.len()
+        self.txns.len() - self.free_len
     }
 }
 
@@ -271,6 +291,20 @@ mod tests {
         assert_eq!(t.line(b), 0x200);
         assert_eq!(t.len(), 3, "the count is of allocations, not slots");
         assert_eq!(t.live(), 2);
+    }
+
+    #[test]
+    fn released_slots_come_back_last_released_first() {
+        let mut t = TxnTable::new(128);
+        let ids: Vec<u32> = (0..5).map(|i| t.alloc(0, 0, i << 7, route(0, 0))).collect();
+        for &id in &[ids[3], ids[0], ids[4]] {
+            t.release(id);
+        }
+        assert_eq!(t.live(), 2);
+        let again: Vec<u32> = (0..4).map(|_| t.alloc(0, 0, 0, route(0, 0))).collect();
+        assert_eq!(again, [ids[4], ids[0], ids[3], 5], "then a new slot");
+        assert_eq!(t.live(), 6);
+        assert_eq!(t.line(ids[1]), 1 << 7, "a live record is untouched");
     }
 
     #[test]

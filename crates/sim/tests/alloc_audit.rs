@@ -13,7 +13,10 @@
 //!
 //! The same allocator also keeps the live heap bytes and their
 //! high-water mark, which pins the footprint of a transaction in flight
-//! (`a_store_in_flight_costs_under_44_heap_bytes`).
+//! (`a_store_in_flight_costs_under_44_heap_bytes`), that of a flood
+//! moving from crossbar port to crossbar port
+//! (`a_flood_moving_from_port_to_port_costs_what_one_port_holds`) and
+//! that of the valley's worst case, ref-scale MT under BASE and RMP.
 //!
 //! Requires `--features alloc-audit`; without it the hooks are empty
 //! and this file compiles to nothing.
@@ -23,8 +26,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
-use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs};
-use valley_workloads::{KernelSpec, Workload};
+use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
+use valley_workloads::{Benchmark, KernelSpec, Scale, Workload};
 
 /// Counts every heap allocation into the audit before delegating to the
 /// system allocator, and keeps the live heap bytes and their
@@ -175,9 +178,25 @@ fn build_sim(tbs: u64, warps: usize, insts: usize) -> GpuSim {
 }
 
 fn build_sim_with(cfg: GpuConfig, workload: Workload) -> GpuSim {
+    build_sim_under(SchemeKind::Base, cfg, workload)
+}
+
+fn build_sim_under(scheme: SchemeKind, cfg: GpuConfig, workload: Workload) -> GpuSim {
     let map = GddrMap::baseline();
-    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
+    let mapper = AddressMapper::build(scheme, &map, 0);
     GpuSim::new(cfg, mapper, map, Box::new(workload))
+}
+
+/// Builds and runs `workload` under `scheme` on Table I's machine;
+/// returns the report and the heap high-water mark over the building
+/// and the run, above the heap bytes live before it.
+fn heap_high_water(scheme: SchemeKind, workload: Workload) -> (SimReport, u64) {
+    // Disarm a window an audit left set, so that no violation trace
+    // allocates inside the measurement.
+    alloc_audit::set_window(u64::MAX, u64::MAX);
+    let before = reset_peak();
+    let report = build_sim_under(scheme, GpuConfig::table1(), workload).run();
+    (report, PEAK.load(Ordering::Relaxed) - before)
 }
 
 /// Runs `run` twice: once unaudited to learn the total cycle count,
@@ -260,7 +279,11 @@ fn gather_steady_state_allocates_nothing() {
 /// record and the whole 40-byte packet queued; 61.6 bytes with a
 /// 24-byte record and 24-byte queue entry; 37.5 bytes with the 16-byte
 /// record, the 12-byte queue entry and `u32` ids in the SM queues (38.5
-/// in a debug build, which keeps a liveness byte per record slot).
+/// in a debug build, which keeps a liveness byte per record slot); 33.7
+/// bytes (34.7) with the crossbar's ports queuing in one pool of blocks
+/// and the record table's free list threaded through its released
+/// slots, which drops the side vector of free slots and the queue's
+/// rounding up to a power of two.
 #[test]
 fn a_store_in_flight_costs_under_44_heap_bytes() {
     let _guard = audit_lock();
@@ -277,9 +300,8 @@ fn a_store_in_flight_costs_under_44_heap_bytes() {
     });
     let flood = Workload::new("flood", vec![KernelSpec::new("k", TBS, WARPS, gen)]);
     let stores = TBS * WARPS as u64 * INSTS * 32;
-    let before = reset_peak();
-    let report = build_sim_with(GpuConfig::table1(), flood).run();
-    let per_store = (PEAK.load(Ordering::Relaxed) - before) as f64 / stores as f64;
+    let (report, peak) = heap_high_water(SchemeKind::Base, flood);
+    let per_store = peak as f64 / stores as f64;
     assert_eq!(report.dram.writes, stores, "every store reached DRAM");
     assert!(
         report.noc_latency > 100_000.0,
@@ -290,4 +312,81 @@ fn a_store_in_flight_costs_under_44_heap_bytes() {
         per_store < 44.0,
         "{per_store:.1} heap bytes per store in flight"
     );
+}
+
+/// Stores per warp of one [`rotating_flood`] kernel.
+const ROTATING_INSTS: u64 = 16;
+
+/// MT/BASE's pattern: `kernels` kernels in a row, kernel `k` flooding
+/// the request-crossbar port of LLC slice `2k` with 16 TBs of 8 warps,
+/// each warp issuing 16 stores whose 32 lanes stride 2 KiB (channel
+/// bits 9..8 = `k`, bank bit 10 clear), 65 536 stores a kernel. Every
+/// warp ends with a load of its own line in the same slice, which
+/// queues behind the kernel's stores: the kernel retires, and the next
+/// one starts, only once its port has drained.
+fn rotating_flood(kernels: u64) -> Workload {
+    let specs = (0..kernels)
+        .map(|k| {
+            let gen = Arc::new(move |tb: u64, warp: usize| {
+                let base = |i: u64| (tb << 24) | ((warp as u64) << 20) | (i << 16) | (k << 8);
+                (0..ROTATING_INSTS)
+                    .map(|i| Instruction::Store(LaneAddrs::strided(base(i), 32, 2048)))
+                    .chain([Instruction::Load(LaneAddrs::contiguous(
+                        base(ROTATING_INSTS),
+                        32,
+                        4,
+                    ))])
+                    .collect()
+            });
+            KernelSpec::new(format!("k{k}"), 16, 8, gen)
+        })
+        .collect();
+    Workload::new("rotating flood", specs)
+}
+
+/// A flood that moves from port to port holds what is queued at once,
+/// not every port's high-water mark: four [`rotating_flood`] kernels,
+/// each queuing tens of thousands of stores at its own port, leave a
+/// heap high-water mark within 10 % of one such kernel alone (measured
+/// 3.74 against 3.58 MB in a debug build). One queue per port keeps each
+/// drained port's capacity, and the four kernels then cost 6.61 MB
+/// against the one's 4.01.
+#[test]
+fn a_flood_moving_from_port_to_port_costs_what_one_port_holds() {
+    let _guard = audit_lock();
+    let (one, one_peak) = heap_high_water(SchemeKind::Base, rotating_flood(1));
+    let (four, four_peak) = heap_high_water(SchemeKind::Base, rotating_flood(4));
+    let stores = 16 * 8 * ROTATING_INSTS * 32;
+    assert_eq!(one.dram.writes, stores, "every store reached DRAM");
+    assert_eq!(four.dram.writes, 4 * stores, "every store reached DRAM");
+    assert!(
+        four.noc_latency > 10_000.0,
+        "the stores queued (mean latency {} core cycles)",
+        four.noc_latency
+    );
+    assert!(
+        four_peak as f64 <= 1.1 * one_peak as f64,
+        "four kernels: {four_peak} heap bytes at most, one kernel alone: {one_peak}"
+    );
+}
+
+/// The heap high-water mark of one ref-scale MT simulation, the
+/// valley's worst case, from building the machine on. Measured in a
+/// debug build: 2.03 MB under BASE and 2.37 MB under RMP, where one
+/// queue per crossbar port and a side vector of free record slots held
+/// 3.30 and 3.38 MB. The bounds sit about 10 % above.
+#[test]
+fn ref_mt_base_heap_high_water_stays_under_2_2_mb() {
+    let _guard = audit_lock();
+    let (report, peak) = heap_high_water(SchemeKind::Base, Benchmark::Mt.workload(Scale::Ref));
+    assert!(!report.truncated);
+    assert!(peak < 2_200_000, "MT/BASE heap high-water {peak} bytes");
+}
+
+#[test]
+fn ref_mt_rmp_heap_high_water_stays_under_2_6_mb() {
+    let _guard = audit_lock();
+    let (report, peak) = heap_high_water(SchemeKind::Rmp, Benchmark::Mt.workload(Scale::Ref));
+    assert!(!report.truncated);
+    assert!(peak < 2_600_000, "MT/RMP heap high-water {peak} bytes");
 }

@@ -198,10 +198,16 @@ fn report_labels_carry_workload_and_scheme() {
 
 /// Builds a one-instruction machine under `cfg`.
 fn build(cfg: GpuConfig) -> GpuSim {
+    build_with(cfg, 1)
+}
+
+/// Builds a one-TB, one-instruction machine under `cfg` with `warps`
+/// warps in the TB.
+fn build_with(cfg: GpuConfig, warps: usize) -> GpuSim {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
     let map = GddrMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, 1)))
+    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, warps)))
 }
 
 /// A transaction record holds an SM or warp index in 16 bits: a machine
@@ -326,6 +332,53 @@ fn a_bank_index_over_8_bits_is_refused() {
         ManyBanks(map, 512),
         Box::new(single_kernel(gen, 1, 1)),
     );
+}
+
+/// A machine needs an SM and an LLC slice: a zero count is refused by
+/// name at construction, not by a bare assertion inside the crossbar.
+#[test]
+#[should_panic(expected = "num_sms = 0: the machine needs at least one")]
+fn a_machine_without_sms_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.num_sms = 0;
+    let _ = build(cfg);
+}
+
+#[test]
+#[should_panic(expected = "llc_slices = 0: the machine needs at least one")]
+fn a_machine_without_llc_slices_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.llc_slices = 0;
+    let _ = build(cfg);
+}
+
+/// A thread block is resident on one SM. One that cannot fit an empty
+/// SM would never be assigned, and the run would idle to `max_cycles`
+/// and report a truncated run with no instruction: refused at
+/// construction, naming the kernel and the limit. Table I's SM holds 48
+/// warps and 1536 threads.
+#[test]
+#[should_panic(expected = "kernel 1: 64 warps per thread block exceed max_warps_per_sm = 48")]
+fn a_thread_block_wider_than_an_sm_in_warps_is_refused() {
+    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
+    let w = Workload::new(
+        "wide",
+        vec![
+            KernelSpec::new("fits", 1, 48, gen.clone()),
+            KernelSpec::new("wide", 1, 64, gen),
+        ],
+    );
+    let _ = run_workload(w);
+}
+
+#[test]
+#[should_panic(
+    expected = "kernel 0: 1536 threads per thread block exceed max_threads_per_sm = 1024"
+)]
+fn a_thread_block_wider_than_an_sm_in_threads_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.max_threads_per_sm = 1024;
+    let _ = build_with(cfg, 48);
 }
 
 /// The crossbars queue a packet with its injection NoC cycle in 32 bits:
