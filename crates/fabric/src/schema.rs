@@ -8,6 +8,10 @@
 //! (readers would misparse old data instead of rejecting it), and a
 //! legitimate change is: edit the table, bump the constant, run the
 //! test, paste the line it prints.
+//!
+//! The manifest's `records` lines pin what the records *say* rather than
+//! their shape: one per `SCHEMA_VERSION`, the digest of CI's ref fill
+//! under it ([`records`] reads them; [`check`] skips them).
 
 use crate::proto::{Msg, PROTOCOL_VERSION};
 use valley_core::SchemeKind;
@@ -87,8 +91,42 @@ pub fn identity() -> u64 {
     fingerprint(&lines.join("\n"))
 }
 
+/// What starts a `records` line of the manifest.
+const RECORDS: &str = "records ";
+
+/// The `records v<version> fp=<digest>` lines of the manifest text, in
+/// file order: the job-key version each one pins and the digest of the
+/// ref records CI fills under it.
+///
+/// # Errors
+///
+/// The first `records` line that does not read `records v<u32>
+/// fp=<64 hex digits>`.
+pub fn records(manifest: &str) -> Result<Vec<(u32, &str)>, String> {
+    manifest
+        .lines()
+        .filter(|line| line.starts_with(RECORDS))
+        .map(|line| {
+            let mut words = line.split_whitespace().skip(1);
+            let version = words.next().and_then(|v| v.strip_prefix('v')?.parse().ok());
+            let digest = words.next().and_then(|fp| fp.strip_prefix("fp="));
+            match (version, digest, words.next()) {
+                (Some(version), Some(digest), None)
+                    if digest.len() == 64 && digest.bytes().all(|b| b.is_ascii_hexdigit()) =>
+                {
+                    Ok((version, digest))
+                }
+                _ => Err(format!(
+                    "malformed manifest line `{line}`: want `records v<version> fp=<sha256>`"
+                )),
+            }
+        })
+        .collect()
+}
+
 /// Compares `pins` with the manifest text (`name v<version>
-/// fp=<16 hex digits>` lines; `#` starts a comment).
+/// fp=<16 hex digits>` lines; `#` starts a comment). `records` lines are
+/// not shapes, and are skipped.
 ///
 /// # Errors
 ///
@@ -99,7 +137,8 @@ pub fn identity() -> u64 {
 pub fn check(pins: &[Pin], manifest: &str) -> Result<(), String> {
     let mut problems = Vec::new();
     for pin in pins {
-        let pinned = manifest.lines().find_map(|line| {
+        let mut shapes = manifest.lines().filter(|line| !line.starts_with(RECORDS));
+        let pinned = shapes.find_map(|line| {
             let mut words = line.split_whitespace();
             let version = words
                 .next()

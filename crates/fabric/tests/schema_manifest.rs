@@ -3,7 +3,7 @@
 //! build declares, and — on a toy pin — what the check says in each of
 //! the ways the two can disagree.
 
-use valley_fabric::schema::{check, pins, Pin};
+use valley_fabric::schema::{check, pins, records, Pin};
 
 /// The drift check itself: the committed manifest against the
 /// tables this build declares.
@@ -54,4 +54,24 @@ fn drift_with_a_bump_prints_the_line_to_commit() {
         unpinned.ends_with("\ntoy v3 fp=00000000000000ab"),
         "{unpinned}"
     );
+}
+
+#[test]
+fn records_lines_are_not_shapes() {
+    let digest = "ab".repeat(32);
+    let manifest = format!("{PINNED}records v2 fp={digest}\nrecords v3 fp={digest}\n");
+    assert_eq!(check(&pin(2, 0xaa), &manifest), Ok(()));
+    assert_eq!(
+        records(&manifest),
+        Ok(vec![(2, digest.as_str()), (3, digest.as_str())])
+    );
+    assert_eq!(records(PINNED), Ok(vec![]));
+    for bad in [
+        "records v2 fp=ab",
+        "records 2 fp=",
+        "records v2 fp=00 extra",
+    ] {
+        let err = records(bad).unwrap_err();
+        assert!(err.contains(bad), "{err}");
+    }
 }

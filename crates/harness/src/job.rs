@@ -18,7 +18,10 @@ use valley_workloads::{Benchmark, Scale};
 /// Version of the job-key schema. Bump when the canonical key format,
 /// the simulator's observable semantics, or the stored record layout
 /// changes incompatibly: old store entries then fail loudly on load
-/// instead of silently serving stale results.
+/// instead of silently serving stale results. `crates/fabric/schema.manifest`
+/// keeps one `records` line per version, the digest of the ref records
+/// CI fills under it; a change that moves one of them bumps this and
+/// appends a line.
 ///
 /// v2: stored reports gained the epoch-histogram engine diagnostics
 /// (report schema v2), so v1 records no longer parse.

@@ -33,15 +33,17 @@
 //! most two partly used blocks per port, not the sum of every port's
 //! high-water mark, which one queue per port would keep.
 //!
-//! Two drivers advance a [`Crossbar`]. [`Crossbar::tick`] steps every
-//! occupied port one flit per cycle — the dense oracle.
-//! [`Crossbar::tick_evented`] keeps one calendar event per *packet*:
-//! nothing observable happens between a head packet's first flit and
-//! its last, so the port's next event is the delivery cycle
-//! `max(previous delivery + 1, injected_at + router_latency) + flits - 1`
+//! A [`Crossbar`] has one driver, [`Crossbar::tick`], which keeps one
+//! calendar event per *packet*: nothing observable happens between a
+//! head packet's first flit and its last, so the port's next event is
+//! the delivery cycle
+//! `max(previous delivery + 1, injected_at + router_latency) + flits - 1`.
+//! [`Crossbar::cached_next_event`] names the earliest one, and a tick
+//! below it delivers nothing, so the drive loop gates the crossbar on it
+//! as it gates every other unit; the dense loop ticks it every cycle.
 //! [`NocStats`] counts a packet, its latency and its flits when it is
-//! delivered, on both paths. The two are bit-identical; a crossbar is
-//! driven by one of them for a whole run, never switched in between.
+//! delivered. `tests/props.rs` checks the calendar against a
+//! flit-stepped reference.
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -156,23 +158,17 @@ pub struct Crossbar {
     /// Per destination: queued packets (front is in service), in one
     /// pool of blocks shared by the ports.
     outputs: PortQueues,
-    /// Dense path only: flits remaining for the packet in service at
-    /// each output (0 = the head has not started).
-    in_service: Vec<u32>,
-    /// Total packets across all output queues (hot-loop early-out).
+    /// Total packets across all output queues.
     queued: usize,
     /// Calendar of `(delivery cycle, port)` events, min-first: one entry
     /// per occupied port, naming the cycle its head packet's last flit
     /// arrives. A port moves one flit per cycle, so a head that starts
     /// at `s` is delivered at `s + flits - 1` with nothing observable in
-    /// between — [`Crossbar::tick_evented`] jumps from delivery to
-    /// delivery instead of stepping the flits.
+    /// between — [`Crossbar::tick`] jumps from delivery to delivery
+    /// instead of stepping the flits.
     events: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Set by the first dense [`Crossbar::tick`]: this run steps the
-    /// ports flit by flit and keeps no calendar.
-    dense: bool,
     /// Cached earliest delivery cycle (`u64::MAX` = empty) — the fresh
-    /// minimum of `events`, maintained by [`Crossbar::tick_evented`] and
+    /// minimum of `events`, maintained by [`Crossbar::tick`] and
     /// [`Crossbar::inject`].
     cached_next: u64,
     stats: NocStats,
@@ -182,8 +178,14 @@ impl Crossbar {
     /// Creates a crossbar with `num_src` input ports, `num_dst` output
     /// ports and a fixed `router_latency` (cycles of pipeline traversal
     /// added to every packet).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming it, if either port count is 0.
     pub fn new(num_src: usize, num_dst: usize, router_latency: u64) -> Self {
-        assert!(num_src > 0 && num_dst > 0);
+        for (field, n) in [("num_src", num_src), ("num_dst", num_dst)] {
+            assert!(n > 0, "{field} = 0: a crossbar needs at least one port");
+        }
         Crossbar {
             num_src,
             router_latency,
@@ -191,10 +193,8 @@ impl Crossbar {
             // packets queued at once, plus at most two partly used
             // blocks per port — whichever ports they queue at.
             outputs: PortQueues::new(num_dst),
-            in_service: vec![0; num_dst],
             queued: 0,
             events: BinaryHeap::with_capacity(num_dst),
-            dense: false,
             cached_next: u64::MAX,
             stats: NocStats::default(),
         }
@@ -238,7 +238,7 @@ impl Crossbar {
             },
         );
         self.queued += 1;
-        if was_empty && !self.dense {
+        if was_empty {
             // An idle port serves this packet as soon as the router
             // pipeline has been traversed. A busy port's schedule is
             // unchanged (this packet waits its turn; its delivery is
@@ -256,18 +256,28 @@ impl Crossbar {
     #[inline]
     pub fn flush_deferred(&mut self, _up_to: u64) {}
 
-    /// Event-queue [`Crossbar::tick`]: returns immediately while the next
-    /// delivery is in the future, otherwise delivers every packet whose
-    /// last flit arrives this cycle, popped from the calendar in
-    /// ascending port order — the identical order the dense scan
-    /// produces — scheduling each port's next head as it goes.
-    /// Bit-identical to calling `tick` every cycle.
+    /// [`Crossbar::tick`] behind its own gate: does nothing below
+    /// [`Crossbar::cached_next_event`]. Kept because the frozen `noc.*`
+    /// benchmark probes call it; the drive loops gate the crossbar
+    /// themselves.
+    #[doc(hidden)]
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
-        debug_assert!(!self.dense, "evented tick on a densely driven crossbar");
-        if cycle < self.cached_next {
-            return;
+        if cycle >= self.cached_next {
+            self.tick(cycle, done);
         }
+    }
+
+    /// Advances to NoC cycle `cycle`: delivers every packet whose last
+    /// flit arrives this cycle, in ascending port order, and schedules
+    /// each port's next head as it goes. Deliveries are pushed into
+    /// `done`, which is *not* cleared.
+    ///
+    /// Below [`Crossbar::cached_next_event`] a tick delivers nothing and
+    /// changes nothing, so a driver may skip those cycles; it must not
+    /// skip the cycle the hint names.
+    #[inline]
+    pub fn tick(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
         while let Some(&Reverse((at, dst))) = self.events.peek() {
             if at > cycle {
                 break;
@@ -300,65 +310,8 @@ impl Crossbar {
         }
     }
 
-    /// Advances one NoC cycle: every output port moves one flit of its
-    /// head packet (once the router latency has elapsed). Packets whose
-    /// last flit arrived this cycle are pushed into `done`, which is
-    /// *not* cleared.
-    pub fn tick(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
-        if !self.dense {
-            // Dense ticks step the ports themselves: drop what injections
-            // before this first tick put on the calendar, and keep none.
-            self.dense = true;
-            self.events.clear();
-            self.cached_next = 0;
-        }
-        if self.queued == 0 {
-            return;
-        }
-        for dst in 0..self.outputs.ports() {
-            self.tick_port(dst, cycle, done);
-        }
-    }
-
-    #[inline]
-    fn tick_port(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
-        let Some(head) = self.outputs.front(dst) else {
-            return;
-        };
-        // Router pipeline: a packet only starts moving flits after
-        // router_latency cycles from injection.
-        if cycle < u64::from(head.injected_at) + self.router_latency {
-            return;
-        }
-        self.transfer_flit(dst, cycle, done);
-    }
-
-    /// Moves one flit on a due port (head present, router pipeline
-    /// traversed); delivers the packet if it was the last flit.
-    #[inline]
-    fn transfer_flit(&mut self, dst: usize, cycle: u64, done: &mut Vec<Delivery>) {
-        #[expect(
-            clippy::expect_used,
-            reason = "transfer_flit is only called by tick_port right after its own front() peek on the same port succeeded"
-        )]
-        let head = self.outputs.front(dst).expect("due port has a head packet");
-        debug_assert!(cycle >= u64::from(head.injected_at) + self.router_latency);
-        if self.in_service[dst] == 0 {
-            self.in_service[dst] = head.flits;
-        }
-        self.in_service[dst] -= 1;
-        if self.in_service[dst] == 0 {
-            #[expect(
-                clippy::expect_used,
-                reason = "pop follows the front() peek at the top of transfer_flit; nothing in between removes from the queue"
-            )]
-            let pkt = self.outputs.pop_front(dst).expect("head packet exists");
-            self.record_delivery(dst, pkt, cycle, done);
-        }
-    }
-
     /// Books the delivery of `pkt`, just popped from output port `dst`,
-    /// with its last flit arriving at `cycle` — what both paths share.
+    /// with its last flit arriving at `cycle`.
     #[inline]
     fn record_delivery(&mut self, dst: usize, pkt: Queued, cycle: u64, done: &mut Vec<Delivery>) {
         self.queued -= 1;
@@ -388,8 +341,8 @@ impl Crossbar {
         self.stats
     }
 
-    /// The cached next-event cycle maintained by
-    /// [`Crossbar::tick_evented`] (`u64::MAX` = empty crossbar).
+    /// The cycle of the next delivery, maintained by [`Crossbar::tick`]
+    /// and [`Crossbar::inject`] (`u64::MAX` = empty crossbar).
     #[inline]
     pub fn cached_next_event(&self) -> u64 {
         self.cached_next
@@ -578,6 +531,12 @@ mod tests {
         }
         assert_eq!(out[0].payload, u64::from(u32::MAX));
         assert_eq!(out[0].latency, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_dst = 0: a crossbar needs at least one port")]
+    fn new_names_a_zero_port_count() {
+        let _ = Crossbar::new(12, 0, 4);
     }
 
     #[test]

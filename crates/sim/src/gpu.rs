@@ -367,6 +367,10 @@ impl GpuSim {
         // the slice walk when a tick leaves the slice parked (only a tick
         // parks one) and cleared by `GpuSim::unpark_freed`.
         let mut parked: u64 = 0;
+        // Whether a unit (or a population's walk) whose hint is `next` is
+        // ticked at `now`: the evented loop ticks it at its hint, the
+        // dense loop every cycle. Below its hint a tick changes nothing.
+        let ticks = |now: u64, next: u64| !event_driven || now >= next;
 
         'outer: loop {
             crate::alloc_audit::note_cycle(cycle);
@@ -416,28 +420,24 @@ impl GpuSim {
 
             // ---- NoC clock domain ----
             for noc_cycle in noc_cycles {
-                deliveries.clear();
-                if event_driven {
-                    self.req_net.tick_evented(noc_cycle, &mut deliveries);
-                } else {
+                if ticks(noc_cycle, self.req_net.cached_next_event()) {
+                    deliveries.clear();
                     self.req_net.tick(noc_cycle, &mut deliveries);
+                    for d in &deliveries {
+                        let slice = &mut self.slices[d.dst];
+                        slice.deliver(id_of(d.payload), cycle);
+                        slices_next.lower(slice.cached_next_event());
+                    }
                 }
-                for d in &deliveries {
-                    let slice = &mut self.slices[d.dst];
-                    slice.deliver(id_of(d.payload), cycle);
-                    slices_next.lower(slice.cached_next_event());
-                }
-                deliveries.clear();
-                if event_driven {
-                    self.reply_net.tick_evented(noc_cycle, &mut deliveries);
-                } else {
+                if ticks(noc_cycle, self.reply_net.cached_next_event()) {
+                    deliveries.clear();
                     self.reply_net.tick(noc_cycle, &mut deliveries);
-                }
-                for d in &deliveries {
-                    let sm = &mut self.sms[d.dst];
-                    sm.on_reply(id_of(d.payload), &mut self.txns, cycle);
-                    sm_activity = true;
-                    sms_next.lower(sm.cached_next_event());
+                    for d in &deliveries {
+                        let sm = &mut self.sms[d.dst];
+                        sm.on_reply(id_of(d.payload), &mut self.txns, cycle);
+                        sm_activity = true;
+                        sms_next.lower(sm.cached_next_event());
+                    }
                 }
             }
 
@@ -469,7 +469,7 @@ impl GpuSim {
             // ---- LLC slices ----
             // The evented loop ticks a slice at its hint, and skips the
             // walk below `slices_next`, where no slice is due.
-            if !event_driven || cycle >= slices_next.get() {
+            if ticks(cycle, slices_next.get()) {
                 due = true;
                 count(Counter::SliceWalks);
                 let mut next = u64::MAX;
@@ -479,7 +479,7 @@ impl GpuSim {
                         // every cycle: a refusal changes no state.
                         s.unpark(cycle);
                     }
-                    if !event_driven || cycle >= s.cached_next_event() {
+                    if ticks(cycle, s.cached_next_event()) {
                         count(Counter::SliceTicks);
                         s.tick(
                             cycle,
@@ -515,12 +515,12 @@ impl GpuSim {
                 let router = move |addr: PhysAddr| Self::route(map, controllers, llc_slices, addr);
                 // The evented loop ticks an SM at its hint, and skips the
                 // walk below `sms_next`, where no SM is due.
-                if !event_driven || cycle >= sms_next.get() {
+                if ticks(cycle, sms_next.get()) {
                     due = true;
                     count(Counter::SmWalks);
                     let mut next = u64::MAX;
                     for sm in &mut self.sms {
-                        if !event_driven || cycle >= sm.cached_next_event() {
+                        if ticks(cycle, sm.cached_next_event()) {
                             sm.tick(
                                 cycle,
                                 &self.cfg,

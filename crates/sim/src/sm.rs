@@ -82,8 +82,10 @@ struct Warp {
     /// TB assignment time: GTO's "oldest" order (ties broken by slot).
     age: u64,
     program: Box<dyn WarpProgram>,
+    /// Loads in flight. A warp waiting on one is not ready, so it never
+    /// issues its end of stream with loads in flight: it retires in the
+    /// tick that issues it.
     outstanding_loads: u32,
-    finished: bool,
 }
 
 /// Per-SM issue and memory-path state.
@@ -203,7 +205,6 @@ impl Sm {
                 age,
                 program: kernel.warp_program(tb, w),
                 outstanding_loads: 0,
-                finished: false,
             });
             self.ready.insert((age, ws));
             self.resident_warps += 1;
@@ -244,14 +245,6 @@ impl Sm {
         self.busy_cycles + open
     }
 
-    /// Closes the busy span at `end` (exclusive) when the SM, busy before
-    /// (`was_busy`), just retired its last warp.
-    fn close_busy_span(&mut self, was_busy: bool, end: u64) {
-        if was_busy && self.resident_warps == 0 {
-            self.busy_cycles += end - self.busy_since;
-        }
-    }
-
     /// The earliest core cycle at or after `now` at which [`Sm::tick`]
     /// would do real work (wake a warp, finish a hit, run the LSU or issue
     /// an instruction), or `None` when only off-SM events (NoC replies)
@@ -290,11 +283,9 @@ impl Sm {
     }
 
     /// Handles an LLC reply for `txn`: fills the L1 line and wakes every
-    /// merged waiter, whose transactions end here. The reply lands before
-    /// this cycle's tick, so a warp it retires was last resident in the
-    /// cycle before.
+    /// merged waiter, whose transactions end here. A reply readies warps
+    /// but retires none.
     pub(crate) fn on_reply(&mut self, txn: u32, txns: &mut TxnTable, cycle: u64) {
-        let was_busy = self.resident_warps > 0;
         self.lsu_stalled = false;
         let line = txns.line(txn);
         self.l1.fill(line);
@@ -307,17 +298,16 @@ impl Sm {
         }
         waiters.clear();
         self.waiter_buf = waiters;
-        self.close_busy_span(was_busy, cycle);
         // The SM is due this cycle only if a warp can issue (one just
         // became ready, or already was) or the LSU holds a head, which
-        // the fill un-stalls. A reply that only counts down other waits,
-        // or retires a finished warp, moves nothing.
+        // the fill un-stalls. A reply that only counts down other waits
+        // moves nothing.
         self.lower_cached_next(cycle);
     }
 
     /// A load transaction's data arrived (L1 hit latency elapsed, or
     /// the reply came back): the transaction ends and its warp counts it
-    /// off.
+    /// off, ready again once the last one is in.
     fn complete_load(&mut self, txn: u32, txns: &mut TxnTable) {
         let warp = txns.get(txn).warp;
         txns.release(txn);
@@ -329,19 +319,15 @@ impl Sm {
         debug_assert!(warp.outstanding_loads > 0);
         warp.outstanding_loads -= 1;
         if warp.outstanding_loads == 0 {
-            if warp.finished {
-                self.retire_warp(warp_idx);
-            } else {
-                let age = warp.age;
-                self.ready.insert((age, warp_idx));
-            }
+            let age = warp.age;
+            self.ready.insert((age, warp_idx));
         }
     }
 
     fn retire_warp(&mut self, warp_idx: u32) {
         #[expect(
             clippy::expect_used,
-            reason = "both callers (complete_load, issue_one) looked this warp up in self.warps just before retiring it"
+            reason = "the one caller, issue_one, looked this warp up in self.warps just before retiring it"
         )]
         let warp = self.warps[warp_idx as usize]
             .take()
@@ -387,7 +373,6 @@ impl Sm {
             }
             self.wake.pop();
             if let Some(warp) = self.warps[w as usize].as_ref() {
-                debug_assert!(!warp.finished);
                 self.ready.insert((warp.age, w));
             }
         }
@@ -403,7 +388,10 @@ impl Sm {
 
         self.lsu_tick(cycle, cfg, mapper, txns, outbound);
         self.issue_tick(cycle, cfg, mapper, txns, route);
-        self.close_busy_span(was_busy, cycle + 1);
+        if was_busy && self.resident_warps == 0 {
+            // The last warp retired: the busy span ends with this cycle.
+            self.busy_cycles += cycle + 1 - self.busy_since;
+        }
         self.cached_next = self.next_event_at(cycle + 1).unwrap_or(u64::MAX);
     }
 
@@ -519,11 +507,9 @@ impl Sm {
         self.last_issued = Some(w);
         match warp.program.next_instruction() {
             None => {
-                warp.finished = true;
+                debug_assert_eq!(warp.outstanding_loads, 0, "a ready warp waits on no load");
                 self.ready.remove(&(age, w));
-                if warp.outstanding_loads == 0 {
-                    self.retire_warp(w);
-                }
+                self.retire_warp(w);
             }
             Some(Instruction::Compute { cycles }) => {
                 self.warp_instructions += 1;
@@ -615,8 +601,6 @@ mod tests {
     struct Edges {
         /// Checks made while a warp was resident: cuts mid-span.
         cuts_mid_span: u64,
-        /// A reply retired the last warp.
-        emptied_by_reply: u64,
         /// A tick retired the last warp.
         emptied_by_tick: u64,
         /// A TB landed in the cycle whose tick retired the last warp.
@@ -627,16 +611,12 @@ mod tests {
     /// land, the SM ticks, then TBs are assigned — until `tbs` thread
     /// blocks of `kernel` have drained. `assign(cycle, emptied)` says
     /// whether to assign the next TB after `cycle`'s tick (`emptied`: that
-    /// tick retired the SM's last warp); `after_tick` may edit the SM.
+    /// tick retired the SM's last warp).
     ///
     /// The oracle counts the ticks that see a resident warp. Before and
-    /// after every tick, the SM's busy cycles cut there must equal it.
-    fn drive(
-        kernel: &Kernel,
-        tbs: u64,
-        assign: impl Fn(u64, bool) -> bool,
-        after_tick: impl Fn(&mut Sm),
-    ) -> Edges {
+    /// after every tick, the SM's busy cycles cut there must equal it. A
+    /// reply never retires a warp: only a tick ends a busy span.
+    fn drive(kernel: &Kernel, tbs: u64, assign: impl Fn(u64, bool) -> bool) -> Edges {
         let cfg = GpuConfig::table1();
         let map = GddrMap::baseline();
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
@@ -658,9 +638,9 @@ mod tests {
                     break;
                 }
                 replies.pop_front();
-                let was_busy = sm.resident_warps > 0;
+                let resident = sm.resident_warps;
                 sm.on_reply(txn, &mut txns, cycle);
-                edges.emptied_by_reply += u64::from(was_busy && sm.resident_warps == 0);
+                assert_eq!(sm.resident_warps, resident, "a reply retired a warp");
             }
             assert_eq!(
                 sm.busy_cycles(cycle),
@@ -672,7 +652,6 @@ mod tests {
             let was_busy = sm.resident_warps > 0;
             ticked_busy += u64::from(was_busy);
             sm.tick(cycle, &cfg, &mapper, &mut txns, &route, &mut outbound);
-            after_tick(&mut sm);
             let emptied = was_busy && sm.resident_warps == 0;
             edges.emptied_by_tick += u64::from(emptied);
             for o in outbound.drain(..) {
@@ -720,7 +699,7 @@ mod tests {
                 Instruction::Compute { cycles: 5 },
             ],
         };
-        let edges = drive(&kernel, 3, |c, _| [0, 4, 400].contains(&c), |_| {});
+        let edges = drive(&kernel, 3, |c, _| [0, 4, 400].contains(&c));
         assert!(edges.cuts_mid_span > 0, "{edges:?}");
         assert_eq!(edges.emptied_by_tick, 2, "{edges:?}");
     }
@@ -733,32 +712,23 @@ mod tests {
             warps: 1,
             program: vec![load(3), Instruction::Compute { cycles: 1 }],
         };
-        let edges = drive(&kernel, 3, |c, emptied| c == 0 || emptied, |_| {});
+        let edges = drive(&kernel, 3, |c, emptied| c == 0 || emptied);
         assert_eq!(edges.assigned_as_emptied, 2, "{edges:?}");
         assert_eq!(edges.emptied_by_tick, 3, "{edges:?}");
     }
 
-    /// A reply that retires the SM's last warp lands before its cycle's
-    /// tick, so the span ends with the cycle before. GTO never issues a
-    /// warp's end of stream while its loads are in flight, so the test
-    /// marks the waiting warp finished by hand, the state the reply path
-    /// retires from. The second TB's loads hit the filled L1, so its
-    /// warps retire in a tick, from the hit pipeline.
+    /// A warp whose last instruction is a load is ready again when the
+    /// reply lands and retires in that cycle's tick, issuing its end of
+    /// stream: the span ends with that tick, never at the reply. The
+    /// second TB's loads hit the filled L1, so its warps are readied
+    /// from the hit pipeline instead.
     #[test]
-    fn a_reply_that_retires_the_last_warp_ends_the_span_before_its_cycle() {
+    fn a_warp_ending_in_a_load_retires_in_the_tick_after_its_reply() {
         let kernel = Kernel {
             warps: 2,
             program: vec![load(4), load(5)],
         };
-        let finish_waiters = |sm: &mut Sm| {
-            for warp in sm.warps.iter_mut().flatten() {
-                if warp.outstanding_loads > 0 {
-                    warp.finished = true;
-                }
-            }
-        };
-        let edges = drive(&kernel, 2, |c, _| [0, 100].contains(&c), finish_waiters);
-        assert_eq!(edges.emptied_by_reply, 1, "{edges:?}");
-        assert_eq!(edges.emptied_by_tick, 1, "{edges:?}");
+        let edges = drive(&kernel, 2, |c, _| [0, 100].contains(&c));
+        assert_eq!(edges.emptied_by_tick, 2, "{edges:?}");
     }
 }

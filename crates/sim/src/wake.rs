@@ -10,11 +10,10 @@
 //! cycle is a no-op by construction, and ticking it *at* that cycle
 //! changes something.
 //!
-//! An SM, LLC slice or DRAM channel has one `tick`, which republishes the
-//! hint before it returns; the loop that drives the population gates it
-//! (the dense reference ticks every unit every cycle instead). The
-//! crossbar alone keeps two ticks, because its per-packet calendar and
-//! the per-flit oracle are two algorithms.
+//! Every unit — SM, LLC slice, DRAM channel, crossbar — has one `tick`,
+//! which republishes the hint before it returns; the loop that drives
+//! the population gates it (the dense reference ticks every unit every
+//! cycle instead).
 //!
 //! # Wake sources and their horizons
 //!
@@ -22,7 +21,7 @@
 //! |------|----------|----------|---------|
 //! | [`DramChannel`] | [`DramSystem::tick_evented`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
 //! | | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
-//! | [`Crossbar`] | its own [`Crossbar::tick_evented`] | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
+//! | [`Crossbar`] | the NoC phase of the drive loop | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
 //! | LLC slice | the slice walk and its [`WakeGate`] | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
 //! | | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
 //! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase |
@@ -69,7 +68,6 @@
 //! [`DramChannel`]: valley_dram::DramChannel
 //! [`DramSystem::tick_evented`]: valley_dram::DramSystem::tick_evented
 //! [`Crossbar`]: valley_noc::Crossbar
-//! [`Crossbar::tick_evented`]: valley_noc::Crossbar::tick_evented
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
