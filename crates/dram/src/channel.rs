@@ -153,7 +153,7 @@ pub struct DramChannel {
     /// work — the earlier of the next dequeue and the next retirement
     /// (`u64::MAX` = empty channel). Republished by every `tick`, lowered
     /// by [`DramChannel::try_enqueue`]; a tick below it changes nothing,
-    /// so [`crate::DramSystem::tick_evented`] skips those.
+    /// so a gated [`crate::DramSystem::tick`] skips those.
     cached_next: u64,
     /// The cycle of the next **dequeue** — the first tick whose `pick`
     /// takes a request out of the scheduling queue (`u64::MAX` = nothing
@@ -544,7 +544,7 @@ mod tests {
         done
     }
 
-    /// The gate [`crate::DramSystem::tick_evented`] puts on each channel:
+    /// The hint gate [`crate::DramSystem::tick`] puts on each channel:
     /// a tick only from the channel's own hint on, which it must move past
     /// the cycle it ran.
     fn tick_gated(ch: &mut DramChannel, cycle: u64, done: &mut Vec<DramCompletion>) {

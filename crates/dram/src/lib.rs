@@ -15,11 +15,12 @@
 //! its next state change — the earlier of its next retirement and its
 //! next **dequeue** (the first tick whose arbitration takes a request out
 //! of the queue). A tick below it changes nothing, so
-//! [`DramSystem::tick_evented`] ticks a channel only from that cycle
-//! on. A caller refused by a full queue ([`DramChannel::try_enqueue`]
-//! returns `false` and changes nothing) waits until
-//! [`DramChannel::queue_len`] drops below the configured
-//! `queue_capacity`, which only a tick does.
+//! [`DramSystem::tick`] takes the caller's gate: under
+//! `|now, next| now >= next` it ticks a channel only from that cycle
+//! on, under `|_, _| true` every cycle, with the same results. A caller
+//! refused by a full queue ([`DramChannel::try_enqueue`] returns `false`
+//! and changes nothing) waits until [`DramChannel::queue_len`] drops
+//! below the configured `queue_capacity`, which only a tick does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -35,7 +35,7 @@ use valley_core::{DramAddressMap, PhysAddr};
 /// assert!(sys.try_enqueue(PhysAddr::new(0x1234_5678 & 0x3fff_ffff), 1, false, 0));
 /// let mut done = Vec::new();
 /// for cycle in 0..200 {
-///     sys.tick(cycle, &mut done);
+///     sys.tick(cycle, &mut done, |now, next| now >= next);
 /// }
 /// assert_eq!(done.len(), 1);
 /// ```
@@ -46,10 +46,10 @@ pub struct DramSystem {
     map: Arc<dyn DramAddressMap + Send + Sync>,
     /// One channel per controller of `map`, indexed by controller.
     channels: Vec<DramChannel>,
-    /// Cached minimum of the channels' next-event cycles (evented path):
-    /// lets [`DramSystem::tick_evented`] skip the whole per-channel walk
-    /// on quiet cycles and makes [`DramSystem::cached_next_event`] O(1)
-    /// instead of a scan — which matters at 64 stacked vaults.
+    /// Cached minimum of the channels' next-event cycles: lets a gated
+    /// [`DramSystem::tick`] skip the whole per-channel walk on quiet
+    /// cycles and makes [`DramSystem::cached_next_event`] O(1) instead of
+    /// a scan — which matters at 64 stacked vaults.
     cached_min: u64,
 }
 
@@ -137,49 +137,50 @@ impl DramSystem {
         ok
     }
 
-    /// Advances all channels one DRAM cycle, pushing the completions of
-    /// every channel (tagged with the enqueue tokens) into `done`, which
-    /// is *not* cleared.
-    pub fn tick(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
-        for ch in &mut self.channels {
-            ch.tick(cycle, done);
-        }
-    }
-
-    /// Event-gated [`DramSystem::tick`]: a single-branch no-op until the
-    /// earliest channel event, then ticks only the channels whose
-    /// [`DramChannel::cached_next_event`] is due. A channel changes no
-    /// state below its hint, so this is bit-identical to
-    /// [`DramSystem::tick`].
+    /// Advances the system to DRAM cycle `cycle`, pushing every channel's
+    /// completions (tagged with the enqueue tokens) into `done`, which is
+    /// *not* cleared. The system, then each channel, ticks only where the
+    /// caller's gate `ticks(cycle, hint)` admits: at its hint under
+    /// `|now, next| now >= next`, every cycle under `|_, _| true` — the
+    /// same results, as a channel changes nothing below its hint.
     #[inline]
-    pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
-        if cycle < self.cached_min {
+    pub fn tick(
+        &mut self,
+        cycle: u64,
+        done: &mut Vec<DramCompletion>,
+        ticks: impl Fn(u64, u64) -> bool,
+    ) {
+        if !ticks(cycle, self.cached_min) {
             return;
         }
         let mut min = u64::MAX;
         for ch in &mut self.channels {
-            if cycle >= ch.cached_next_event() {
+            if ticks(cycle, ch.cached_next_event()) {
                 ch.tick(cycle, done);
-                debug_assert!(
-                    ch.cached_next_event() > cycle,
-                    "tick left a hint in the past"
-                );
+                debug_assert!(ch.cached_next_event() > cycle, "a hint in the past");
             }
             min = min.min(ch.cached_next_event());
         }
         self.cached_min = min;
     }
 
+    /// [`DramSystem::tick`] under the hint gate. Kept because the frozen
+    /// `dram.*` benchmark probe calls it.
+    #[doc(hidden)]
+    #[inline]
+    pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<DramCompletion>) {
+        self.tick(cycle, done, |now, next| now >= next);
+    }
+
     /// The earliest cached next-event cycle over all channels
-    /// (`u64::MAX` when every channel is empty). Exact under the evented
-    /// tick discipline — see [`DramSystem::tick_evented`].
+    /// (`u64::MAX` when every channel is empty), kept exact by
+    /// [`DramSystem::tick`] and [`DramSystem::try_enqueue_at`].
     pub fn cached_next_event(&self) -> u64 {
         self.cached_min
     }
 
-    /// Does nothing: a channel changes no state on a cycle it skips, so
-    /// no counter is ever deferred. Kept because the frozen `dram.*`
-    /// benchmark probe calls it.
+    /// Does nothing: a channel defers no counter. Kept because the frozen
+    /// `dram.*` benchmark probe calls it.
     #[doc(hidden)]
     #[inline]
     pub fn flush_deferred(&mut self, _up_to: u64) {}
@@ -249,7 +250,7 @@ mod tests {
         assert_eq!(s.busy_channels(), 4);
         let mut done = Vec::new();
         for c in 0..100 {
-            s.tick(c, &mut done);
+            s.tick(c, &mut done, |_, _| true);
         }
         assert_eq!(done.len(), 4);
         // All four channels saw exactly one read.
@@ -266,7 +267,7 @@ mod tests {
         }
         let mut done = Vec::new();
         for c in 0..300 {
-            s.tick(c, &mut done);
+            s.tick(c, &mut done, |_, _| true);
         }
         let total = s.total_stats();
         assert_eq!(total.accesses(), 8);

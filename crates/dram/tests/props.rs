@@ -1,8 +1,12 @@
 //! Property-based tests for the DRAM channel: conservation, bus
-//! exclusivity and timing monotonicity under arbitrary request streams.
+//! exclusivity and timing monotonicity under arbitrary request streams;
+//! and for the DRAM system's gate: ticked every cycle or at its hints,
+//! it does the same thing.
 
 use proptest::prelude::*;
-use valley_dram::{DramChannel, DramCompletion, DramConfig, DramRequest};
+use std::sync::Arc;
+use valley_core::{DramAddressMap, GddrMap, PhysAddr, StackedMap};
+use valley_dram::{DramChannel, DramCompletion, DramConfig, DramRequest, DramSystem};
 
 fn run_to_completion(ch: &mut DramChannel, n: usize) -> Vec<DramCompletion> {
     let mut done = Vec::new();
@@ -114,5 +118,102 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&hr));
         prop_assert_eq!(s.activates, 1, "single-row stream needs one ACT");
         prop_assert!(hr > 0.9 || n < 12);
+    }
+}
+
+/// One DRAM system per gate, fed the same requests.
+struct Gated {
+    sys: DramSystem,
+    done: Vec<DramCompletion>,
+}
+
+impl Gated {
+    fn new(map: &Arc<dyn DramAddressMap + Send + Sync>, cfg: DramConfig) -> Self {
+        Gated {
+            sys: DramSystem::new(Arc::clone(map), cfg),
+            done: Vec::new(),
+        }
+    }
+
+    /// Per channel: queue length, statistics and hint.
+    fn channels(&self) -> Vec<(usize, valley_dram::DramStats, u64)> {
+        (0..self.sys.num_channels())
+            .map(|c| {
+                let ch = self.sys.channel(c);
+                (ch.queue_len(), ch.stats(), ch.cached_next_event())
+            })
+            .collect()
+    }
+}
+
+/// Offers `reqs` — (pool index, write, cycles to wait before offering
+/// it) — in order to a system ticked every cycle and one ticked at its
+/// hints, a refused request being offered again the next cycle. Every
+/// cycle both must accept the same requests, emit the same completions
+/// in the same order, hold the same queues and statistics per channel,
+/// and publish as the system's hint the minimum of its channels' hints.
+fn gates_agree(
+    map: Arc<dyn DramAddressMap + Send + Sync>,
+    mut cfg: DramConfig,
+    capacity: usize,
+    pool: &[u64],
+    reqs: &[(usize, bool, u64)],
+) -> Result<(), TestCaseError> {
+    cfg.queue_capacity = capacity;
+    let mask = (1u64 << map.addr_bits()) - 1;
+    let mut dense = Gated::new(&map, cfg);
+    let mut hinted = Gated::new(&map, cfg);
+    let (mut next, mut offer_at) = (0, reqs.first().map_or(0, |r| r.2));
+    for cycle in 0..200_000u64 {
+        while let Some(&(slot, is_write, _)) = reqs.get(next) {
+            if cycle < offer_at {
+                break;
+            }
+            let addr = PhysAddr::new(pool[slot % pool.len()] & mask);
+            let id = next as u64;
+            let took = dense.sys.try_enqueue(addr, id, is_write, cycle);
+            prop_assert_eq!(took, hinted.sys.try_enqueue(addr, id, is_write, cycle));
+            if !took {
+                break;
+            }
+            next += 1;
+            offer_at = cycle + reqs.get(next).map_or(0, |r| r.2);
+        }
+        dense.sys.tick(cycle, &mut dense.done, |_, _| true);
+        hinted
+            .sys
+            .tick(cycle, &mut hinted.done, |now, next| now >= next);
+        prop_assert_eq!(&dense.done, &hinted.done, "cycle {}: completions", cycle);
+        prop_assert_eq!(dense.channels(), hinted.channels(), "cycle {}", cycle);
+        for g in [&dense, &hinted] {
+            let min = g.channels().iter().map(|c| c.2).min();
+            prop_assert_eq!(Some(g.sys.cached_next_event()), min, "cycle {}", cycle);
+        }
+        if next == reqs.len() && !dense.sys.is_busy() && !hinted.sys.is_busy() {
+            prop_assert_eq!(dense.done.len(), reqs.len(), "every request completes once");
+            return Ok(());
+        }
+    }
+    Err(TestCaseError::Fail("the DRAM system never drained".into()))
+}
+
+proptest! {
+    /// The 4-channel GDDR5 system and the 64-vault stacked one, behind
+    /// queues of 1 to 4 entries so that refusals are common. A pool of a
+    /// few addresses concentrates the traffic on a few channels and banks.
+    #[test]
+    fn the_open_gate_and_the_hint_gate_agree(
+        capacity in 1usize..5,
+        pool in proptest::collection::vec(any::<u64>(), 1..8),
+        reqs in proptest::collection::vec((0usize..8, any::<bool>(), 0u64..4), 1..120),
+    ) {
+        gates_agree(Arc::new(GddrMap::baseline()), DramConfig::gddr5(), capacity, &pool, &reqs)?;
+        gates_agree(
+            Arc::new(StackedMap::baseline()),
+            DramConfig::stacked_vault(),
+            capacity,
+            &pool,
+            &reqs,
+        )?;
     }
 }

@@ -29,10 +29,12 @@
 //! signature of a run killed mid-append; it is dropped with a warning —
 //! and **physically truncated from the file**, so a later append cannot
 //! weld a fresh record onto the partial line and corrupt both
-//! permanently — and the job simply re-runs. A directory still holding
-//! the `shard-NN.jsonl` files of the earlier 16-shard layout is refused
-//! with the one-line migration (the records are unchanged) instead of
-//! being read as empty and silently re-simulated.
+//! permanently — and the job simply re-runs. A final record that lost
+//! only its newline is whole: `open` **writes the newline back** and
+//! serves it, so the next append starts on a fresh line. A directory
+//! still holding the `shard-NN.jsonl` files of the earlier 16-shard
+//! layout is refused with the one-line migration (the records are
+//! unchanged) instead of being read as empty and silently re-simulated.
 //!
 //! Two append-only defects accumulate instead of failing: `--force`
 //! re-runs append duplicate records for the same [`JobKey`] (only the
@@ -136,6 +138,7 @@ impl ResultStore {
         let path = dir.join(STORE_FILE);
         let text = read_store(&dir)?;
         let mut index = FastMap::default();
+        let mut torn = false;
         for (n, class) in classify(&text) {
             match class {
                 Line::Record(hash, stored) => {
@@ -148,29 +151,39 @@ impl ResultStore {
                         "warning: dropping truncated final record in {} ({cause})",
                         path.display()
                     );
-                    // Cut the partial line off the file as well: the store
-                    // appends, so leaving it would weld the next record onto
-                    // the fragment — one permanently corrupt interior line
-                    // that fails every later open. On a read-only store the
-                    // repair is impossible but the weld hazard is moot
-                    // (appends would fail too), so warn and skip.
-                    let keep = text.rfind('\n').map_or(0, |i| i + 1) as u64;
-                    if let Err(e) = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .and_then(|f| f.set_len(keep))
-                    {
-                        eprintln!(
-                            "warning: could not truncate {} to {keep} bytes ({e}); \
-                             run `valley gc` before the next append",
-                            path.display()
-                        );
-                    }
+                    torn = true;
                 }
                 // Strict: schema drift is as fatal here as corruption.
                 Line::Orphan(cause) | Line::Garbage(cause) => {
                     return Err(corrupt(&path, n, &cause))
                 }
+            }
+        }
+        if !text.is_empty() && !text.ends_with('\n') {
+            // The file ends mid-line and the store appends, so leaving it
+            // would weld the next record onto that line — one permanently
+            // corrupt interior line that fails every later open. A torn
+            // tail is cut off; a whole record that lost only its newline
+            // gets it back. On a read-only store the repair is impossible
+            // but the weld hazard is moot (appends would fail too), so
+            // warn and go on.
+            let keep = text.rfind('\n').map_or(0, |i| i + 1) as u64;
+            let repaired = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .and_then(|mut f| {
+                    if torn {
+                        f.set_len(keep)
+                    } else {
+                        f.write_all(b"\n")
+                    }
+                });
+            if let Err(e) = repaired {
+                eprintln!(
+                    "warning: could not end {} on a whole line ({e}); \
+                     run `valley gc` before the next append",
+                    path.display()
+                );
             }
         }
         Ok(ResultStore {

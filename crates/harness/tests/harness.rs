@@ -393,6 +393,50 @@ fn truncated_tail_is_cut_so_later_appends_cannot_weld() {
     assert_eq!(store.len(), 1);
 }
 
+/// A store file cut anywhere inside its last line — a crash mid-append,
+/// or a record that lost only its newline — must open, serve only whole
+/// records and end on a line boundary, so the next append neither welds
+/// onto the cut line nor is lost: every cut of a 3-record store, then one
+/// more `put`, reopens with every record.
+#[test]
+fn a_cut_anywhere_in_the_last_line_leaves_a_store_that_appends_cleanly() {
+    let tmp = TempStore::new("cut-last-line");
+    let job = |seed| JobSpec {
+        bench: Benchmark::Sp,
+        scheme: SchemeKind::Pae,
+        seed,
+        scale: Scale::Test,
+        config: ConfigId::Table1,
+    };
+    let report = execute_job(&job(1));
+    {
+        let store = tmp.open();
+        for seed in 1..=3 {
+            store
+                .put(&job(seed), &report, 1.0, WallKind::Measured)
+                .unwrap();
+        }
+    }
+    let file = tmp.0.join(STORE_FILE);
+    let full = std::fs::read_to_string(&file).unwrap();
+    let last = full[..full.len() - 1].rfind('\n').unwrap() + 1;
+    for cut in last..full.len() {
+        std::fs::write(&file, &full[..cut]).unwrap();
+        let whole = if cut == full.len() - 1 { 3 } else { 2 };
+        let store = tmp.open();
+        assert_eq!(store.len(), whole, "cut at byte {cut}");
+        assert!((1..=whole as u64).all(|seed| store.contains(&job(seed))));
+        store
+            .put(&job(4), &report, 1.0, WallKind::Measured)
+            .unwrap();
+        drop(store);
+        let reopened = ResultStore::open(&tmp.0)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: the append welded: {e}"));
+        assert_eq!(reopened.len(), whole + 1, "cut at byte {cut}");
+        assert_eq!(reopened.get(&job(4)).unwrap().report, report);
+    }
+}
+
 #[test]
 fn gc_compacts_force_duplicates() {
     let tmp = TempStore::new("gc-dups");

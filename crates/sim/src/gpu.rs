@@ -190,10 +190,11 @@ impl GpuSim {
     /// widths of the per-transaction record — if there are more than 64
     /// LLC slices, the width of the drive loop's parked-slice mask, if a
     /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
-    /// injection stamp, if `issue_width` is not in `1..=8`, if `num_sms`
-    /// or `llc_slices` is 0, or if a kernel's thread block does not fit
-    /// an empty SM (more warps than `max_warps_per_sm` or more threads
-    /// than `max_threads_per_sm`).
+    /// injection stamp, if `issue_width` is not in `1..=8`, if `num_sms`,
+    /// `llc_slices`, `dram.queue_capacity` or the controller count is 0,
+    /// if fewer controllers than slices do not divide `llc_slices`, or if
+    /// a kernel's thread block does not fit an empty SM (more warps than
+    /// `max_warps_per_sm` or more threads than `max_threads_per_sm`).
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -203,7 +204,13 @@ impl GpuSim {
     where
         M: DramAddressMap + Send + Sync + 'static,
     {
-        for (field, n) in [("num_sms", cfg.num_sms), ("llc_slices", cfg.llc_slices)] {
+        let (controllers, slices) = (map.num_controllers(), cfg.llc_slices);
+        for (field, n) in [
+            ("num_sms", cfg.num_sms),
+            ("llc_slices", slices),
+            ("dram.queue_capacity", cfg.dram.queue_capacity),
+            ("DRAM controllers", controllers),
+        ] {
             assert!(n >= 1, "{field} = 0: the machine needs at least one");
         }
         // A transaction record names its SM, warp and controller in 16
@@ -221,8 +228,8 @@ impl GpuSim {
             cfg.max_warps_per_sm,
             u64::from(NO_WARP),
         );
-        fits("llc_slices", cfg.llc_slices, index8);
-        fits("DRAM controllers", map.num_controllers(), index16);
+        fits("llc_slices", slices, index8);
+        fits("DRAM controllers", controllers, index16);
         fits(
             "DRAM banks per controller",
             map.banks_per_controller(),
@@ -230,9 +237,13 @@ impl GpuSim {
         );
         fits("DRAM rows per bank", map.rows_per_bank(), 1 << 32);
         assert!(
-            cfg.llc_slices <= 64,
-            "llc_slices = {} exceeds the 64 slices of the parked-slice mask",
-            cfg.llc_slices
+            slices <= 64,
+            "llc_slices = {slices} exceeds the 64 slices of the parked-slice mask"
+        );
+        // `GpuSim::route` never uses a remainder of slices.
+        assert!(
+            controllers >= slices || slices % controllers == 0,
+            "{controllers} DRAM controllers do not divide llc_slices = {slices}"
         );
         // The crossbars queue a packet with its injection NoC cycle in
         // 32 bits; a run stops before core cycle `max_cycles`.
@@ -312,13 +323,12 @@ impl GpuSim {
         }
     }
 
-    /// Runs the workload to completion (or to the cycle safety limit) and
-    /// returns the collected metrics, fast-forwarding over provably
-    /// event-free cycle spans. The results — cycle count, DRAM statistics
-    /// and cache statistics — are bit-identical to [`GpuSim::run_dense`];
-    /// see `tests/event_driven_equivalence.rs`.
+    /// Runs the workload to completion (or to the cycle safety limit),
+    /// ticking each unit at its hint and skipping event-free cycles, and
+    /// returns a report bit-identical to [`GpuSim::run_dense`]'s (see
+    /// `tests/event_driven_equivalence.rs`).
     pub fn run(self) -> SimReport {
-        self.run_with_mode(true)
+        self.run_gated(|now, next| now >= next)
     }
 
     /// [`GpuSim::run`]; both arguments are ignored. Kept because the
@@ -328,15 +338,17 @@ impl GpuSim {
         self.run()
     }
 
-    /// Runs the workload with the dense reference loop that advances every
-    /// component one cycle at a time — the oracle the event-driven fast
-    /// path is validated against (and the perf baseline it is measured
-    /// against).
+    /// The dense reference: [`GpuSim::run`] with every gate open, each
+    /// unit ticked every cycle — the oracle the hints are checked against.
     pub fn run_dense(self) -> SimReport {
-        self.run_with_mode(false)
+        self.run_gated(|_, _| true)
     }
 
-    fn run_with_mode(mut self, event_driven: bool) -> SimReport {
+    /// The drive loop. `ticks(now, next)` is its one gate: whether a unit,
+    /// a walk or the DRAM system whose hint is `next` ticks at `now`, and
+    /// whether the fast-forward stops there. Below its hint a tick
+    /// changes nothing, so any gate that admits the hint gives one result.
+    fn run_gated(mut self, ticks: impl Fn(u64, u64) -> bool + Copy) -> SimReport {
         let mut cycle: u64 = 0;
 
         let mut sched = TbScheduler::new(self.workload.num_kernels());
@@ -353,42 +365,34 @@ impl GpuSim {
         // every parallelism sampling point in `[sampled_to, cycle)` sees.
         let mut sampled_to: u64 = 0;
         // Wake gates over the SM and LLC-slice populations (see
-        // `crate::wake`): rebuilt from the per-unit next-event caches
-        // whenever the corresponding walk runs, and lowered to a unit's
-        // fresh hint by every out-of-band source that moved it
-        // (delivery, DRAM fill, reply, TB assignment). While `cycle` is
-        // below a gate, every per-unit self-gate in that walk would
-        // no-op, so the walk itself is skipped — and the fast-forward
-        // below reads the core-domain horizon in O(1) instead of scanning
-        // every component.
+        // `crate::wake`): rebuilt by their walk, lowered to a unit's fresh
+        // hint by every out-of-band source that moved it. Below a gate its
+        // walk is skipped, and the fast-forward reads the core-domain
+        // horizon in O(1).
         let mut sms_next = WakeGate::new();
         let mut slices_next = WakeGate::new();
         // Bit `i` set: slice `i` is parked on a full DRAM channel. Set by
         // the slice walk when a tick leaves the slice parked (only a tick
         // parks one) and cleared by `GpuSim::unpark_freed`.
         let mut parked: u64 = 0;
-        // Whether a unit (or a population's walk) whose hint is `next` is
-        // ticked at `now`: the evented loop ticks it at its hint, the
-        // dense loop every cycle. Below its hint a tick changes nothing.
-        let ticks = |now: u64, next: u64| !event_driven || now >= next;
 
         'outer: loop {
             crate::alloc_audit::note_cycle(cycle);
             // ---- Fast-forward over globally event-free cycles ----
             // Unless a kernel is waiting to be loaded (all the scheduler
             // can want between SM events, see `TbScheduler::run`), skip
-            // to the core-domain gate, advancing the NoC and DRAM clocks
-            // exactly as the dense loop would — on copies, so the cycle
-            // in which either domain ticks a due event leaves no trace
-            // and is run in full below. No unit owes anything for the
-            // cycles skipped.
+            // to the core-domain gate (the open gate skips nothing),
+            // advancing the NoC and DRAM clocks cycle by cycle — on
+            // copies, so the cycle in which either domain ticks a due
+            // event leaves no trace and is run in full below. No unit owes
+            // anything for the cycles skipped.
             let kernel_to_load = sched.kernel.is_none() && !sched.finished();
-            if event_driven && !kernel_to_load {
+            if !kernel_to_load {
                 let core_next = sms_next.get().min(slices_next.get());
                 let noc_next =
                     (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
                 let dram_next = self.dram.cached_next_event();
-                while cycle < core_next {
+                while !ticks(cycle, core_next) {
                     let (mut noc, mut dram) = (self.noc_clock, self.dram_clock);
                     if noc.advance().end > noc_next || dram.advance().end > dram_next {
                         break;
@@ -412,8 +416,8 @@ impl GpuSim {
             let dram_cycles = self.dram_clock.advance();
             // Only a DRAM event frees a queue slot.
             let dram_due = dram_cycles.end > self.dram.cached_next_event();
-            // Whether any unit is due this iteration (audited only: the
-            // evented loop must never spin on a cycle with nothing to do).
+            // Whether any unit is due this iteration (audited only: under
+            // the hint gate no iteration spins on a cycle with nothing due).
             let mut due = noc_cycles.end
                 > (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event())
                 || dram_due;
@@ -444,11 +448,7 @@ impl GpuSim {
             // ---- DRAM clock domain ----
             for dram_cycle in dram_cycles {
                 completions.clear();
-                if event_driven {
-                    self.dram.tick_evented(dram_cycle, &mut completions);
-                } else {
-                    self.dram.tick(dram_cycle, &mut completions);
-                }
+                self.dram.tick(dram_cycle, &mut completions, ticks);
                 for c in &completions {
                     let id = id_of(c.id);
                     let t = self.txns.get(id);
@@ -467,16 +467,17 @@ impl GpuSim {
             }
 
             // ---- LLC slices ----
-            // The evented loop ticks a slice at its hint, and skips the
-            // walk below `slices_next`, where no slice is due.
+            // The hint gate ticks a slice at its hint, and skips the walk
+            // below `slices_next`, where no slice is due.
             if ticks(cycle, slices_next.get()) {
                 due = true;
                 count(Counter::SliceWalks);
                 let mut next = u64::MAX;
                 for (i, s) in self.slices.iter_mut().enumerate() {
-                    if !event_driven {
-                        // The dense reference retries a refused head
-                        // every cycle: a refusal changes no state.
+                    // A parked head has no hint (`u64::MAX`): only the open
+                    // gate retries it, every cycle — a refusal changes no
+                    // state — which is the oracle for `unpark_freed`.
+                    if ticks(cycle, u64::MAX) && s.parked_on().is_some() {
                         s.unpark(cycle);
                     }
                     if ticks(cycle, s.cached_next_event()) {
@@ -513,8 +514,8 @@ impl GpuSim {
                 let map = self.map.as_ref();
                 let (controllers, llc_slices) = (self.dram.num_channels(), self.cfg.llc_slices);
                 let router = move |addr: PhysAddr| Self::route(map, controllers, llc_slices, addr);
-                // The evented loop ticks an SM at its hint, and skips the
-                // walk below `sms_next`, where no SM is due.
+                // The hint gate ticks an SM at its hint, and skips the walk
+                // below `sms_next`, where no SM is due.
                 if ticks(cycle, sms_next.get()) {
                     due = true;
                     count(Counter::SmWalks);
@@ -550,7 +551,7 @@ impl GpuSim {
             // ---- TB scheduler ----
             // With no SM activity and a kernel loaded, a pass is provably
             // a no-op (see `TbScheduler::run`); skip the call and its
-            // per-SM retired sum. The dense loop ticks every SM, so it
+            // per-SM retired sum. The open gate ticks every SM, so it
             // runs a pass every cycle.
             if sm_activity || sched.kernel.is_none() {
                 due |= !sched.finished();
@@ -559,11 +560,9 @@ impl GpuSim {
                     sms_next.lower(cycle + 1);
                 }
             }
-            if event_driven {
-                count(Counter::Iterations);
-                if !due {
-                    count(Counter::IdleIterations);
-                }
+            count(Counter::Iterations);
+            if !due {
+                count(Counter::IdleIterations);
             }
 
             cycle += 1;

@@ -139,9 +139,9 @@ impl LlcSlice {
         self.parked_on.map(usize::from)
     }
 
-    /// Offers the retry head again from core cycle `cycle`: the evented
-    /// loop calls this once the channel the slice is parked on has a
-    /// free slot, the dense reference before every tick.
+    /// Offers the retry head again from core cycle `cycle`: the drive
+    /// loop calls this once the channel the slice is parked on has a free
+    /// slot, and under the open gate before every tick.
     pub(crate) fn unpark(&mut self, cycle: u64) {
         self.parked_on = None;
         self.cached_next = self.cached_next.min(self.next_event_at(cycle));
@@ -340,22 +340,18 @@ mod tests {
             }
         }
 
-        /// The DRAM domain's cycles `dram_cycles`, fills delivered to the
-        /// slice in core cycle `cycle`.
+        /// The DRAM domain's cycles `dram_cycles` under the gate `ticks`,
+        /// fills delivered to the slice in core cycle `cycle`.
         fn tick_dram(
             &mut self,
             dram_cycles: std::ops::Range<u64>,
-            evented: bool,
+            ticks: impl Fn(u64, u64) -> bool + Copy,
             cycle: u64,
             txns: &TxnTable,
         ) {
             for dram_cycle in dram_cycles {
                 self.completions.clear();
-                if evented {
-                    self.dram.tick_evented(dram_cycle, &mut self.completions);
-                } else {
-                    self.dram.tick(dram_cycle, &mut self.completions);
-                }
+                self.dram.tick(dram_cycle, &mut self.completions, ticks);
                 for c in &self.completions {
                     let id = id_of(c.id);
                     if !txns.get(id).is_store() {
@@ -408,8 +404,8 @@ mod tests {
             let mut dram_clock = DomainClock::new(cfg.dram_per_core());
             for cycle in 0..6_000u64 {
                 let dram_cycles = dram_clock.advance();
-                parked.tick_dram(dram_cycles.clone(), true, cycle, &txns);
-                shadow.tick_dram(dram_cycles, false, cycle, &txns);
+                parked.tick_dram(dram_cycles.clone(), |now, next| now >= next, cycle, &txns);
+                shadow.tick_dram(dram_cycles, |_, _| true, cycle, &txns);
                 // Random delivery bursts (hot lines force MSHR merges and
                 // stalls; random stores exercise the write-through path).
                 if pending > 0 && next_mix() % 3 == 0 {

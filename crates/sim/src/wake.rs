@@ -1,5 +1,5 @@
-//! Wake-up discipline of the evented drive loop: when is a unit next
-//! ticked, and who says so.
+//! Wake-up discipline of the drive loop: when is a unit next ticked,
+//! and who says so.
 //!
 //! **The rule: a hint is the exact cycle of the unit's next state
 //! change.** Not a lower bound that is merely never late — a unit woken
@@ -12,19 +12,21 @@
 //!
 //! Every unit — SM, LLC slice, DRAM channel, crossbar — has one `tick`,
 //! which republishes the hint before it returns; the loop that drives
-//! the population gates it (the dense reference ticks every unit every
-//! cycle instead).
+//! the population gates it. There is one drive loop and one gate,
+//! `ticks(now, hint)`: [`GpuSim::run`] passes `now >= hint`, and the
+//! dense reference [`GpuSim::run_dense`] is the same loop with the gate
+//! open (`true`), ticking every unit every cycle and skipping none.
 //!
 //! # Wake sources and their horizons
 //!
 //! | unit | gated by | woken by | horizon |
 //! |------|----------|----------|---------|
-//! | [`DramChannel`] | [`DramSystem::tick_evented`] | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
+//! | [`DramChannel`] | [`DramSystem::tick`], through the loop's gate | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
 //! | | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
 //! | [`Crossbar`] | the NoC phase of the drive loop | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
 //! | LLC slice | the slice walk and its [`WakeGate`] | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
 //! | | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
-//! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase |
+//! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase; the open gate retries a parked head every cycle instead, which is the oracle for this unpark |
 //! | | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
 //! | | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
 //! | SM | the SM walk and its [`WakeGate`] | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
@@ -66,7 +68,9 @@
 //! mirrored gate, only the minima the walks already compute.
 //!
 //! [`DramChannel`]: valley_dram::DramChannel
-//! [`DramSystem::tick_evented`]: valley_dram::DramSystem::tick_evented
+//! [`DramSystem::tick`]: valley_dram::DramSystem::tick
+//! [`GpuSim::run`]: crate::GpuSim::run
+//! [`GpuSim::run_dense`]: crate::GpuSim::run_dense
 //! [`Crossbar`]: valley_noc::Crossbar
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
@@ -167,10 +171,11 @@ impl DomainClock {
 ///
 /// [`SimReport`]: crate::SimReport
 pub mod audit {
-    /// What the loop and the LLC slices count.
+    /// What the loop and the LLC slices count, in both loops; only
+    /// runs under the hint gate are read.
     #[derive(Clone, Copy, Debug)]
     pub enum Counter {
-        /// Iterations of the evented drive loop.
+        /// Iterations of the drive loop.
         Iterations,
         /// Iterations in which no unit was due: no NoC or DRAM event, no
         /// slice or SM walk, no TB-scheduler pass.

@@ -269,53 +269,74 @@ fn a_zero_issue_width_is_refused() {
     let _ = build(cfg);
 }
 
-/// The baseline GDDR5 map, claiming `.1` banks per controller.
+/// The baseline GDDR5 map, claiming `controllers` controllers of `banks`
+/// banks each.
 #[derive(Debug)]
-struct ManyBanks(GddrMap, usize);
+struct Reshaped {
+    map: GddrMap,
+    controllers: usize,
+    banks: usize,
+}
 
-impl DramAddressMap for ManyBanks {
+impl DramAddressMap for Reshaped {
     fn addr_bits(&self) -> u8 {
-        self.0.addr_bits()
+        self.map.addr_bits()
     }
     fn block_bits(&self) -> u8 {
-        self.0.block_bits()
+        self.map.block_bits()
     }
     fn controller_of(&self, addr: PhysAddr) -> usize {
-        self.0.controller_of(addr)
+        self.map.controller_of(addr)
     }
     fn bank_of(&self, addr: PhysAddr) -> usize {
-        self.0.bank_of(addr)
+        self.map.bank_of(addr)
     }
     fn row_of(&self, addr: PhysAddr) -> usize {
-        self.0.row_of(addr)
+        self.map.row_of(addr)
     }
     fn column_of(&self, addr: PhysAddr) -> usize {
-        self.0.column_of(addr)
+        self.map.column_of(addr)
     }
     fn num_controllers(&self) -> usize {
-        self.0.num_controllers()
+        self.controllers
     }
     fn banks_per_controller(&self) -> usize {
-        self.1
+        self.banks
     }
     fn rows_per_bank(&self) -> usize {
-        self.0.rows_per_bank()
+        self.map.rows_per_bank()
     }
     fn columns_per_row(&self) -> usize {
-        self.0.columns_per_row()
+        self.map.columns_per_row()
     }
     fn controller_bits(&self) -> Vec<u8> {
-        self.0.controller_bits()
+        self.map.controller_bits()
     }
     fn bank_bits(&self) -> Vec<u8> {
-        self.0.bank_bits()
+        self.map.bank_bits()
     }
     fn row_bits(&self) -> Vec<u8> {
-        self.0.row_bits()
+        self.map.row_bits()
     }
     fn column_bits(&self) -> Vec<u8> {
-        self.0.column_bits()
+        self.map.column_bits()
     }
+}
+
+/// Builds a one-instruction Table I machine over the baseline map
+/// reshaped to `controllers` controllers of `banks` banks.
+fn build_reshaped(controllers: usize, banks: usize) -> GpuSim {
+    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
+    let map = GddrMap::baseline();
+    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
+    let mut cfg = GpuConfig::table1();
+    cfg.dram.banks = banks;
+    let map = Reshaped {
+        map,
+        controllers,
+        banks,
+    };
+    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, 1)))
 }
 
 #[test]
@@ -323,15 +344,33 @@ impl DramAddressMap for ManyBanks {
     expected = "DRAM banks per controller = 512 does not fit a transaction record (at most 256)"
 )]
 fn a_bank_index_over_8_bits_is_refused() {
-    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
-    let map = GddrMap::baseline();
-    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-    let _ = GpuSim::new(
-        GpuConfig::table1(),
-        mapper,
-        ManyBanks(map, 512),
-        Box::new(single_kernel(gen, 1, 1)),
-    );
+    let _ = build_reshaped(4, 512);
+}
+
+/// `GpuSim::route` sends each controller's traffic to its own slices;
+/// with no controller there is nowhere to route.
+#[test]
+#[should_panic(expected = "DRAM controllers = 0: the machine needs at least one")]
+fn a_map_without_controllers_is_refused() {
+    let _ = build_reshaped(0, 16);
+}
+
+/// Fewer controllers than slices each own `llc_slices / controllers`
+/// slices: 3 controllers over 8 slices would leave slices 6 and 7 idle.
+#[test]
+#[should_panic(expected = "3 DRAM controllers do not divide llc_slices = 8")]
+fn controllers_that_leave_slices_unused_are_refused() {
+    let _ = build_reshaped(3, 16);
+}
+
+/// A DRAM queue with no slot refuses every request: a slice would park
+/// on it for good and the run idle to `max_cycles`.
+#[test]
+#[should_panic(expected = "dram.queue_capacity = 0: the machine needs at least one")]
+fn a_dram_queue_without_slots_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.dram.queue_capacity = 0;
+    let _ = build(cfg);
 }
 
 /// A machine needs an SM and an LLC slice: a zero count is refused by

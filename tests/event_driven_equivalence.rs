@@ -4,9 +4,10 @@
 //! counts, every counter, and the full `SimReport` JSON. These tests pin
 //! that contract for a spread of workload behaviors: streaming (SP),
 //! the paper's headline valley benchmark (MT), and a pointer-chasing
-//! random workload (MUM).
+//! random workload (MUM), on the Table I machine and the 64-vault
+//! stacked one.
 
-use valley::core::{AddressMapper, GddrMap, SchemeKind};
+use valley::core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
 
@@ -28,6 +29,18 @@ fn build_with(bench: Benchmark, scheme: SchemeKind, cfg: GpuConfig, scale: Scale
     GpuSim::new(cfg, mapper, map, Box::new(bench.workload(scale)))
 }
 
+/// The 3D-stacked machine: 64 SMs over 64 vaults.
+fn build_stacked(bench: Benchmark, scheme: SchemeKind, scale: Scale) -> GpuSim {
+    let map = StackedMap::baseline();
+    let mapper = AddressMapper::build(scheme, &map, 1);
+    GpuSim::new(
+        GpuConfig::stacked(),
+        mapper,
+        map,
+        Box::new(bench.workload(scale)),
+    )
+}
+
 fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
     assert_equivalent_with(bench, scheme, &GpuConfig::table1(), Scale::Test, "");
 }
@@ -39,9 +52,17 @@ fn assert_equivalent_with(
     scale: Scale,
     note: &str,
 ) {
-    let fast: SimReport = build_with(bench, scheme, cfg.clone(), scale).run();
-    let dense: SimReport = build_with(bench, scheme, cfg.clone(), scale).run_dense();
-    let tag = format!("{bench:?}/{scheme:?}{note}");
+    assert_same(
+        || build_with(bench, scheme, cfg.clone(), scale),
+        &format!("{bench:?}/{scheme:?}{note}"),
+    );
+}
+
+/// `run()` and `run_dense()` of the machine `build` makes agree on every
+/// counter and on the whole results JSON.
+fn assert_same(build: impl Fn() -> GpuSim, tag: &str) {
+    let fast: SimReport = build().run();
+    let dense: SimReport = build().run_dense();
     assert_eq!(fast.cycles, dense.cycles, "{tag}: cycle count diverged");
     assert_eq!(fast.dram, dense.dram, "{tag}: DRAM stats diverged");
     assert_eq!(fast.l1, dense.l1, "{tag}: L1 stats diverged");
@@ -156,22 +177,27 @@ fn dram_clocks_above_the_core_clock() {
 
 #[test]
 fn stacked_memory_equivalence() {
-    use valley::core::StackedMap;
-    let build = || {
-        let map = StackedMap::baseline();
-        let mapper = AddressMapper::build(SchemeKind::Pae, &map, 1);
-        GpuSim::new(
-            GpuConfig::stacked(),
-            mapper,
-            map,
-            Box::new(Benchmark::Sp.workload(Scale::Test)),
-        )
-    };
-    let fast = build().run();
-    let dense = build().run_dense();
-    assert_eq!(fast.cycles, dense.cycles, "stacked: cycle count diverged");
-    assert_eq!(fast.dram, dense.dram, "stacked: DRAM stats diverged");
-    assert_eq!(fast.llc, dense.llc, "stacked: LLC stats diverged");
+    assert_same(
+        || build_stacked(Benchmark::Sp, SchemeKind::Pae, Scale::Test),
+        "Sp/Pae stacked",
+    );
+}
+
+/// The 64-vault machine at `Scale::Ref` on the deepest valley (MT/BASE)
+/// and a streaming run under PAE. About two seconds in release; CI runs
+/// it with `--ignored`.
+#[test]
+#[ignore = "ref scale: run in release with --ignored"]
+fn stacked_runs_at_ref_scale() {
+    for (bench, scheme) in [
+        (Benchmark::Mt, SchemeKind::Base),
+        (Benchmark::Sp, SchemeKind::Pae),
+    ] {
+        assert_same(
+            || build_stacked(bench, scheme, Scale::Ref),
+            &format!("{bench:?}/{scheme:?} stacked at ref scale"),
+        );
+    }
 }
 
 /// The truncation exit: a run cut at the cycle safety limit — the
