@@ -31,7 +31,8 @@
 //! mapping queues up to 29,142 packets at one slice's port, then at the
 //! next — so the crossbar holds the packets queued at once, plus at
 //! most two partly used blocks per port, not the sum of every port's
-//! high-water mark, which one queue per port would keep.
+//! high-water mark, which one queue per port would keep. Each block is
+//! its own allocation, so growing the pool moves no block.
 //!
 //! A [`Crossbar`] has one driver, [`Crossbar::tick`], which keeps one
 //! calendar event per *packet*: nothing observable happens between a

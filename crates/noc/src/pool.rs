@@ -10,6 +10,12 @@
 //! at most one partly read and one partly written block per port — not
 //! the sum of every port's high-water mark, which one `VecDeque` per
 //! port would keep.
+//!
+//! Each block is its own allocation, so the pool grows without moving a
+//! block. A pool in one `Vec<Block>` would copy itself at a doubling
+//! wherever the allocator cannot extend it in place and leave the freed
+//! copy resident: the 60-job ref valley sweep's peak RSS moved by
+//! 0.35 MB with the heap layout of unrelated allocations.
 
 use crate::Queued;
 
@@ -60,7 +66,11 @@ const NO_BLOCK: Port = Port {
 /// One FIFO per output port over a shared pool of blocks.
 #[derive(Clone, Debug)]
 pub(crate) struct PortQueues {
-    blocks: Vec<Block>,
+    #[expect(
+        clippy::vec_box,
+        reason = "a boxed block never moves when the pool grows (module docs)"
+    )]
+    blocks: Vec<Box<Block>>,
     /// First block of the free chain (`NIL` = none free).
     free: u32,
     ports: Vec<Port>,
@@ -157,14 +167,13 @@ impl PortQueues {
             self.free = self.blocks[b as usize].next;
             return b;
         }
-        // Pool growth is amortized, not per-tick work; declare the
-        // reallocation to the allocation audit.
-        let _audit_pause =
-            (self.blocks.len() == self.blocks.capacity()).then(valley_core::alloc_audit::pause);
-        self.blocks.push(Block {
+        // Pool growth is amortized, not per-tick work; declare the new
+        // block to the allocation audit.
+        let _audit_pause = valley_core::alloc_audit::pause();
+        self.blocks.push(Box::new(Block {
             entries: [Queued::default(); BLOCK],
             next: NIL,
-        });
+        }));
         // A block index: 2^32 blocks would be 3 TiB of them.
         (self.blocks.len() - 1) as u32
     }

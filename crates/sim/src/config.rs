@@ -87,8 +87,12 @@ impl GpuConfig {
 
     /// The baseline with a different SM count (Figure 18's 12/24/48-SM
     /// sweep). The memory system is unchanged, as in the paper.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `num_sms` is 0.
     pub fn with_sms(mut self, num_sms: usize) -> Self {
-        assert!(num_sms > 0);
+        assert!(num_sms > 0, "num_sms = 0: the machine needs at least one");
         self.num_sms = num_sms;
         self
     }

@@ -69,20 +69,26 @@ pub struct GpuSim {
     workload: Box<dyn WorkloadSource>,
 }
 
-/// Kernel-serial TB scheduler state.
+/// Kernel-serial TB scheduler: one kernel resident at a time, its thread
+/// blocks handed round-robin to the SMs with room. A unit like the others:
+/// the drive loop runs [`TbScheduler::tick`] where its gate admits
+/// [`TbScheduler::cached_next_event`].
 struct TbScheduler {
     kernel_idx: usize,
     num_kernels: usize,
     kernel: Option<Box<dyn KernelSource>>,
     next_tb: u64,
     total_tbs: u64,
-    retired_base: u64,
+    /// TBs of the loaded kernel retired, as the SMs report them.
+    retired: u64,
     rr_sm: usize,
     age_counter: u64,
-    /// Total retired TBs observed by the last [`TbScheduler::run`]. While
-    /// a kernel is loaded and this is unchanged, no SM capacity was freed
-    /// and the pass returns at once.
-    retired_seen: u64,
+    /// The exact next cycle at which a pass changes anything: 0 (the
+    /// first kernel to load), the cycle an SM retired a TB (room freed,
+    /// perhaps the kernel finished), the cycle after a kernel finished
+    /// while another remains; else `u64::MAX`. Only a retirement frees an
+    /// SM slot, and a pass assigns until none fits.
+    next: u64,
 }
 
 impl TbScheduler {
@@ -93,10 +99,10 @@ impl TbScheduler {
             kernel: None,
             next_tb: 0,
             total_tbs: 0,
-            retired_base: 0,
+            retired: 0,
             rr_sm: 0,
             age_counter: 0,
-            retired_seen: 0,
+            next: 0,
         }
     }
 
@@ -104,52 +110,43 @@ impl TbScheduler {
         self.kernel.is_none() && self.kernel_idx >= self.num_kernels
     }
 
+    #[inline]
+    fn cached_next_event(&self) -> u64 {
+        self.next
+    }
+
+    /// An SM's tick at `cycle` retired `tbs` thread blocks of the loaded
+    /// kernel: a pass is due that cycle.
+    #[inline]
+    fn retire(&mut self, tbs: u64, cycle: u64) {
+        if tbs > 0 {
+            self.retired += tbs;
+            self.next = self.next.min(cycle);
+        }
+    }
+
     /// One scheduling pass: load the next kernel if none is resident,
     /// assign pending TBs round-robin to SMs with room, and advance past
     /// the kernel once every TB retired. Returns whether any TB was
     /// assigned (the only way a pass changes an SM).
-    ///
-    /// **Invariant the evented loop skips cycles on:** a pass leaves a
-    /// resident kernel with no pending TB that fits any SM (the assignment
-    /// loop below runs until none does) and not fully retired (or it
-    /// would have been advanced past). Only a TB retirement changes
-    /// either, and a TB retires inside an SM tick or a reply — SM
-    /// activity, after which the loop runs a pass in the same iteration.
-    /// So between SM events the only thing a pass could do is load a
-    /// kernel: `kernel.is_none() && !finished()` is the whole question.
-    fn run(
+    fn tick(
         &mut self,
         sms: &mut [Sm],
         workload: &dyn WorkloadSource,
         cfg: &GpuConfig,
         cycle: u64,
     ) -> bool {
-        let retired: u64 = sms.iter().map(Sm::retired_tbs).sum();
-        // Load the next kernel once the previous one fully retired.
-        let mut just_loaded = false;
-        if self.kernel.is_none() {
-            if self.kernel_idx >= self.num_kernels {
-                return false;
-            }
+        self.next = u64::MAX;
+        if self.kernel.is_none() && self.kernel_idx < self.num_kernels {
             let k = workload.kernel(self.kernel_idx);
             self.total_tbs = k.num_thread_blocks();
             self.next_tb = 0;
-            self.retired_base = retired;
+            self.retired = 0;
             self.kernel = Some(k);
-            just_loaded = true;
         }
-        // SM capacity only changes when a TB retires; with the kernel
-        // already loaded and no retire since the last run, assignment and
-        // the kernel-advance check below are provably no-ops.
-        if !just_loaded && retired == self.retired_seen {
+        let Some(kernel) = self.kernel.as_deref() else {
             return false;
-        }
-        self.retired_seen = retired;
-        #[expect(
-            clippy::expect_used,
-            reason = "the same function loads the kernel and early-returns when none is resident before reaching this line"
-        )]
-        let kernel = self.kernel.as_deref().expect("kernel loaded above");
+        };
         let wpb = kernel.warps_per_block();
         let tbs_limit = cfg.tbs_per_sm(wpb);
 
@@ -170,10 +167,14 @@ impl TbScheduler {
             break;
         }
 
-        // Advance to the next kernel when every TB retired.
-        if self.next_tb == self.total_tbs && retired - self.retired_base == self.total_tbs {
+        // Advance to the next kernel when every TB retired; it loads in
+        // the next cycle's pass.
+        if self.next_tb == self.total_tbs && self.retired == self.total_tbs {
             self.kernel = None;
             self.kernel_idx += 1;
+            if self.kernel_idx < self.num_kernels {
+                self.next = cycle + 1;
+            }
         }
         self.next_tb > first_tb
     }
@@ -192,7 +193,9 @@ impl GpuSim {
     /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
     /// injection stamp, if `issue_width` is not in `1..=8`, if `num_sms`,
     /// `llc_slices`, `dram.queue_capacity` or the controller count is 0,
-    /// if fewer controllers than slices do not divide `llc_slices`, or if
+    /// if fewer controllers than slices do not divide `llc_slices`, if
+    /// `line_bytes` is not the L1's, the LLC slice's and a data packet's
+    /// line (`(DATA_FLITS - 1) x 32` bytes), or if
     /// a kernel's thread block does not fit an empty SM (more warps than
     /// `max_warps_per_sm` or more threads than `max_threads_per_sm`).
     pub fn new<M>(
@@ -253,6 +256,19 @@ impl GpuSim {
             "max_cycles = {} reaches NoC cycle {last_stamp}, past the crossbar's 32-bit injection stamp",
             cfg.max_cycles
         );
+        // The caches hold lines and a data packet carries one behind its
+        // header, in 32-byte flits.
+        for (field, bytes) in [
+            ("l1.line_bytes()", cfg.l1.line_bytes()),
+            ("llc_slice.line_bytes()", cfg.llc_slice.line_bytes()),
+            ("(DATA_FLITS - 1) x 32", (u64::from(DATA_FLITS) - 1) * 32),
+        ] {
+            assert!(
+                cfg.line_bytes == bytes,
+                "line_bytes = {} differs from {field} = {bytes}",
+                cfg.line_bytes
+            );
+        }
         assert!(
             (1..=MAX_ISSUE).contains(&cfg.issue_width),
             "issue_width = {} is outside the supported 1..={MAX_ISSUE}",
@@ -379,37 +395,29 @@ impl GpuSim {
         'outer: loop {
             crate::alloc_audit::note_cycle(cycle);
             // ---- Fast-forward over globally event-free cycles ----
-            // Unless a kernel is waiting to be loaded (all the scheduler
-            // can want between SM events, see `TbScheduler::run`), skip
-            // to the core-domain gate (the open gate skips nothing),
+            // Skip to the core-domain gate (the open gate skips nothing),
             // advancing the NoC and DRAM clocks cycle by cycle — on
             // copies, so the cycle in which either domain ticks a due
             // event leaves no trace and is run in full below. No unit owes
             // anything for the cycles skipped.
-            let kernel_to_load = sched.kernel.is_none() && !sched.finished();
-            if !kernel_to_load {
-                let core_next = sms_next.get().min(slices_next.get());
-                let noc_next =
-                    (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
-                let dram_next = self.dram.cached_next_event();
-                while !ticks(cycle, core_next) {
-                    let (mut noc, mut dram) = (self.noc_clock, self.dram_clock);
-                    if noc.advance().end > noc_next || dram.advance().end > dram_next {
-                        break;
-                    }
-                    (self.noc_clock, self.dram_clock) = (noc, dram);
-                    cycle += 1;
-                    if cycle >= self.cfg.max_cycles {
-                        truncated = true;
-                        break 'outer;
-                    }
+            let core_next = (sms_next.get().min(slices_next.get())).min(sched.cached_next_event());
+            let noc_next =
+                (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
+            let dram_next = self.dram.cached_next_event();
+            while !ticks(cycle, core_next) {
+                let (mut noc, mut dram) = (self.noc_clock, self.dram_clock);
+                if noc.advance().end > noc_next || dram.advance().end > dram_next {
+                    break;
+                }
+                (self.noc_clock, self.dram_clock) = (noc, dram);
+                cycle += 1;
+                if cycle >= self.cfg.max_cycles {
+                    truncated = true;
+                    break 'outer;
                 }
             }
             self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
             sampled_to = cycle;
-            // True once any SM's scheduling-relevant state may have
-            // changed this cycle (reply delivered or tick ran).
-            let mut sm_activity = false;
 
             // ---- Clock domains: what this core cycle ticks ----
             let noc_cycles = self.noc_clock.advance();
@@ -439,7 +447,6 @@ impl GpuSim {
                     for d in &deliveries {
                         let sm = &mut self.sms[d.dst];
                         sm.on_reply(id_of(d.payload), &mut self.txns, cycle);
-                        sm_activity = true;
                         sms_next.lower(sm.cached_next_event());
                     }
                 }
@@ -522,7 +529,7 @@ impl GpuSim {
                     let mut next = u64::MAX;
                     for sm in &mut self.sms {
                         if ticks(cycle, sm.cached_next_event()) {
-                            sm.tick(
+                            let retired = sm.tick(
                                 cycle,
                                 &self.cfg,
                                 &self.mapper,
@@ -530,7 +537,7 @@ impl GpuSim {
                                 &router,
                                 &mut outbound,
                             );
-                            sm_activity = true;
+                            sched.retire(retired, cycle);
                         }
                         next = next.min(sm.cached_next_event());
                     }
@@ -549,13 +556,10 @@ impl GpuSim {
             }
 
             // ---- TB scheduler ----
-            // With no SM activity and a kernel loaded, a pass is provably
-            // a no-op (see `TbScheduler::run`); skip the call and its
-            // per-SM retired sum. The open gate ticks every SM, so it
-            // runs a pass every cycle.
-            if sm_activity || sched.kernel.is_none() {
-                due |= !sched.finished();
-                if sched.run(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle) {
+            if ticks(cycle, sched.cached_next_event()) {
+                due = true;
+                count(Counter::SchedulerPasses);
+                if sched.tick(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle) {
                     // An assigned SM is due next cycle.
                     sms_next.lower(cycle + 1);
                 }

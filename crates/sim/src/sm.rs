@@ -132,7 +132,6 @@ pub(crate) struct Sm {
     /// Core cycles of the closed busy spans: ticks that saw a resident
     /// warp, counted when the last one retires.
     busy_cycles: u64,
-    retired_tbs: u64,
 }
 
 impl Sm {
@@ -159,7 +158,6 @@ impl Sm {
             busy_since: 0,
             warp_instructions: 0,
             busy_cycles: 0,
-            retired_tbs: 0,
         }
     }
 
@@ -210,11 +208,6 @@ impl Sm {
             self.resident_warps += 1;
         }
         self.lower_cached_next(cycle + 1);
-    }
-
-    /// TBs retired so far (monotone; the scheduler reads the total).
-    pub(crate) fn retired_tbs(&self) -> u64 {
-        self.retired_tbs
     }
 
     /// Whether the SM holds no warps and has no memory work in flight.
@@ -324,7 +317,8 @@ impl Sm {
         }
     }
 
-    fn retire_warp(&mut self, warp_idx: u32) {
+    /// Retires a warp; returns whether it was its thread block's last.
+    fn retire_warp(&mut self, warp_idx: u32) -> bool {
         #[expect(
             clippy::expect_used,
             reason = "the one caller, issue_one, looked this warp up in self.warps just before retiring it"
@@ -343,18 +337,20 @@ impl Sm {
             .as_mut()
             .expect("warp's TB is resident");
         state.warps_left -= 1;
-        if state.warps_left == 0 {
+        let tb_done = state.warps_left == 0;
+        if tb_done {
             self.tb_slots[tb as usize] = None;
             self.free_tb_slots.push(tb);
             self.resident_tbs -= 1;
-            self.retired_tbs += 1;
         }
+        tb_done
     }
 
     /// One core cycle: wake compute-stalled warps, finish L1 hits, run the
-    /// LSU, and issue up to `issue_width` instructions via GTO. The driving
-    /// loop may skip the cycles below [`Sm::cached_next_event`], which the
-    /// tick republishes for the next cycle.
+    /// LSU, and issue up to `issue_width` instructions via GTO. Returns the
+    /// thread blocks retired, for the TB scheduler: only a tick retires one.
+    /// The driving loop may skip the cycles below [`Sm::cached_next_event`],
+    /// which the tick republishes for the next cycle.
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
@@ -363,7 +359,7 @@ impl Sm {
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
         outbound: &mut Vec<SmOutbound>,
-    ) {
+    ) -> u64 {
         let was_busy = self.resident_warps > 0;
 
         // Wake compute-stalled warps.
@@ -387,12 +383,13 @@ impl Sm {
         }
 
         self.lsu_tick(cycle, cfg, mapper, txns, outbound);
-        self.issue_tick(cycle, cfg, mapper, txns, route);
+        let retired = self.issue_tick(cycle, cfg, mapper, txns, route);
         if was_busy && self.resident_warps == 0 {
             // The last warp retired: the busy span ends with this cycle.
             self.busy_cycles += cycle + 1 - self.busy_since;
         }
         self.cached_next = self.next_event_at(cycle + 1).unwrap_or(u64::MAX);
+        retired
     }
 
     /// The load-store unit: one coalesced transaction per cycle through
@@ -447,7 +444,7 @@ impl Sm {
     }
 
     /// Warp issue: pick by GTO (Table I), up to `issue_width` distinct
-    /// warps per cycle.
+    /// warps per cycle. Returns the thread blocks retired.
     fn issue_tick(
         &mut self,
         cycle: u64,
@@ -455,18 +452,20 @@ impl Sm {
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
-    ) {
+    ) -> u64 {
         // Stack buffer: this runs for every SM every cycle — no heap
         // traffic allowed here. `GpuSim::new` checked the width fits.
         let mut issued = [u32::MAX; MAX_ISSUE];
+        let mut retired = 0;
         for slot in 0..cfg.issue_width {
             let already = &issued[..slot];
             let Some(w) = self.pick_gto(already) else {
                 break;
             };
             issued[slot] = w;
-            self.issue_one(w, cycle, cfg, mapper, txns, route);
+            retired += u64::from(self.issue_one(w, cycle, cfg, mapper, txns, route));
         }
+        retired
     }
 
     /// GTO: greedily stick with the last-issued warp, otherwise the
@@ -487,6 +486,7 @@ impl Sm {
             .find(|w| !already.contains(w))
     }
 
+    /// Issues warp `w`'s next instruction; true if that retired its TB.
     fn issue_one(
         &mut self,
         w: u32,
@@ -495,7 +495,7 @@ impl Sm {
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
-    ) {
+    ) -> bool {
         #[expect(
             clippy::expect_used,
             reason = "the ready set holds live warps only: a warp is removed from it before it retires and frees its slot"
@@ -509,7 +509,7 @@ impl Sm {
             None => {
                 debug_assert_eq!(warp.outstanding_loads, 0, "a ready warp waits on no load");
                 self.ready.remove(&(age, w));
-                self.retire_warp(w);
+                return self.retire_warp(w);
             }
             Some(Instruction::Compute { cycles }) => {
                 self.warp_instructions += 1;
@@ -525,7 +525,7 @@ impl Sm {
                     self.lines_buf = lines;
                     self.ready.remove(&(age, w));
                     self.wake.push(Reverse((cycle + 1, w)));
-                    return;
+                    return false;
                 }
                 warp.outstanding_loads = lines.len() as u32;
                 self.ready.remove(&(age, w));
@@ -549,6 +549,7 @@ impl Sm {
                 self.lines_buf = lines;
             }
         }
+        false
     }
 }
 
@@ -615,7 +616,8 @@ mod tests {
     ///
     /// The oracle counts the ticks that see a resident warp. Before and
     /// after every tick, the SM's busy cycles cut there must equal it. A
-    /// reply never retires a warp: only a tick ends a busy span.
+    /// reply never retires a warp: only a tick ends a busy span, and the
+    /// ticks report every thread block retired, once.
     fn drive(kernel: &Kernel, tbs: u64, assign: impl Fn(u64, bool) -> bool) -> Edges {
         let cfg = GpuConfig::table1();
         let map = GddrMap::baseline();
@@ -630,7 +632,7 @@ mod tests {
         let mut txns = TxnTable::new(cfg.line_bytes);
         let mut outbound = Vec::new();
         let mut replies: VecDeque<(u64, u32)> = VecDeque::new();
-        let (mut assigned, mut ticked_busy) = (0, 0);
+        let (mut assigned, mut retired, mut ticked_busy) = (0, 0, 0);
         let mut edges = Edges::default();
         for cycle in 0..10_000 {
             while let Some(&(at, txn)) = replies.front() {
@@ -651,7 +653,7 @@ mod tests {
 
             let was_busy = sm.resident_warps > 0;
             ticked_busy += u64::from(was_busy);
-            sm.tick(cycle, &cfg, &mapper, &mut txns, &route, &mut outbound);
+            retired += sm.tick(cycle, &cfg, &mapper, &mut txns, &route, &mut outbound);
             let emptied = was_busy && sm.resident_warps == 0;
             edges.emptied_by_tick += u64::from(emptied);
             for o in outbound.drain(..) {
@@ -676,6 +678,7 @@ mod tests {
 
             if assigned == tbs && sm.is_idle() && replies.is_empty() {
                 assert_eq!(txns.live(), 0);
+                assert_eq!(retired, tbs, "thread blocks reported retired");
                 return edges;
             }
         }

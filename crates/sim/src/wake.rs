@@ -10,12 +10,13 @@
 //! cycle is a no-op by construction, and ticking it *at* that cycle
 //! changes something.
 //!
-//! Every unit — SM, LLC slice, DRAM channel, crossbar — has one `tick`,
-//! which republishes the hint before it returns; the loop that drives
-//! the population gates it. There is one drive loop and one gate,
-//! `ticks(now, hint)`: [`GpuSim::run`] passes `now >= hint`, and the
-//! dense reference [`GpuSim::run_dense`] is the same loop with the gate
-//! open (`true`), ticking every unit every cycle and skipping none.
+//! Every unit — SM, LLC slice, DRAM channel, crossbar, TB scheduler —
+//! has one `tick`, which republishes the hint before it returns; the
+//! loop that drives the population gates it. There is one drive loop
+//! and one gate, `ticks(now, hint)`: [`GpuSim::run`] passes `now >=
+//! hint`, and the dense reference [`GpuSim::run_dense`] is the same loop
+//! with the gate open (`true`), ticking every unit every cycle and
+//! skipping none.
 //!
 //! # Wake sources and their horizons
 //!
@@ -32,8 +33,7 @@
 //! | SM | the SM walk and its [`WakeGate`] | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
 //! | | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
 //! | | | a TB assignment | the cycle after the assignment |
-//! | TB scheduler | the drive loop | SM activity (a tick or a reply) | runs in that iteration: only a TB retirement frees capacity or ends a kernel |
-//! | | | a kernel to be loaded | the next cycle — a loaded kernel has nothing for the scheduler between SM events; the loop asks only whether a kernel is to be loaded |
+//! | TB scheduler | the drive loop's gate | a TB retirement, reported by the SM tick; a finished kernel, by its own pass | that cycle for a retirement, which alone frees room or finishes a kernel (a reply retires no warp); the next cycle for a finished kernel, to load the next one if any; else none — a pass assigns until no SM has room |
 //!
 //! Below its hint a unit owes nothing. No unit defers a counter: the SM
 //! counts its busy cycles when its first warp lands and when its last
@@ -190,11 +190,13 @@ pub mod audit {
         TagAccesses,
         /// DRAM enqueue attempts refused by a full channel queue.
         RefusedEnqueues,
+        /// TB-scheduler passes the loop's gate let through.
+        SchedulerPasses,
     }
 
     #[cfg(feature = "wake-audit")]
     thread_local! {
-        static COUNTS: [std::cell::Cell<u64>; 7] = Default::default();
+        static COUNTS: [std::cell::Cell<u64>; 8] = Default::default();
     }
 
     /// Adds one to `counter` on this thread.

@@ -3,6 +3,7 @@
 //! serialization, all observable through the `SimReport` counters.
 
 use std::sync::Arc;
+use valley_cache::CacheConfig;
 use valley_core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind};
 use valley_sim::{GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
 use valley_workloads::{KernelSpec, Workload};
@@ -383,11 +384,49 @@ fn a_machine_without_sms_is_refused() {
     let _ = build(cfg);
 }
 
+/// The same refusal, by name, from the SM-count builder.
+#[test]
+#[should_panic(expected = "num_sms = 0: the machine needs at least one")]
+fn a_zero_sm_count_is_refused_by_the_builder() {
+    let _ = GpuConfig::table1().with_sms(0);
+}
+
 #[test]
 #[should_panic(expected = "llc_slices = 0: the machine needs at least one")]
 fn a_machine_without_llc_slices_is_refused() {
     let mut cfg = GpuConfig::table1();
     cfg.llc_slices = 0;
+    let _ = build(cfg);
+}
+
+/// A transaction is one line: the L1 and the LLC index by it and a data
+/// packet carries it in 32-byte flits behind its header. A `line_bytes`
+/// any of them disagrees with is refused by name, not run against
+/// caches and packets of another line size.
+#[test]
+#[should_panic(expected = "line_bytes = 64 differs from l1.line_bytes() = 128")]
+fn a_line_size_the_l1_disagrees_with_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.line_bytes = 64;
+    let _ = build(cfg);
+}
+
+#[test]
+#[should_panic(expected = "line_bytes = 64 differs from llc_slice.line_bytes() = 128")]
+fn a_line_size_the_llc_disagrees_with_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.line_bytes = 64;
+    cfg.l1 = CacheConfig::new(16 * 1024, 4, 64);
+    let _ = build(cfg);
+}
+
+#[test]
+#[should_panic(expected = "line_bytes = 256 differs from (DATA_FLITS - 1) x 32 = 128")]
+fn a_line_size_a_data_packet_disagrees_with_is_refused() {
+    let mut cfg = GpuConfig::table1();
+    cfg.line_bytes = 256;
+    cfg.l1 = CacheConfig::new(16 * 1024, 4, 256);
+    cfg.llc_slice = CacheConfig::new(64 * 1024, 8, 256);
     let _ = build(cfg);
 }
 

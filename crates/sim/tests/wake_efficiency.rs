@@ -19,7 +19,7 @@
 
 use valley_core::{AddressMapper, GddrMap, SchemeKind};
 use valley_sim::wake_audit::{take, Counter};
-use valley_sim::{GpuConfig, GpuSim};
+use valley_sim::{GpuConfig, GpuSim, WorkloadSource};
 use valley_workloads::{Benchmark, Scale};
 
 /// What one evented run counted.
@@ -30,17 +30,18 @@ struct Wakes {
     slice_ticks: u64,
     tag_accesses: u64,
     refused_enqueues: u64,
+    scheduler_passes: u64,
 }
 
 fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
     let map = GddrMap::baseline();
     let mapper = AddressMapper::build(scheme, &map, 1);
-    let sim = GpuSim::new(
-        GpuConfig::table1(),
-        mapper,
-        map,
-        Box::new(bench.workload(Scale::Ref)),
-    );
+    let workload = bench.workload(Scale::Ref);
+    let kernels = workload.num_kernels() as u64;
+    let tbs: u64 = (0..workload.num_kernels())
+        .map(|k| workload.kernel(k).num_thread_blocks())
+        .sum();
+    let sim = GpuSim::new(GpuConfig::table1(), mapper, map, Box::new(workload));
     // Counters are per thread; zero whatever an earlier run left here.
     for c in [
         Counter::Iterations,
@@ -48,6 +49,7 @@ fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
         Counter::SliceTicks,
         Counter::TagAccesses,
         Counter::RefusedEnqueues,
+        Counter::SchedulerPasses,
     ] {
         take(c);
     }
@@ -59,6 +61,7 @@ fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
         slice_ticks: take(Counter::SliceTicks),
         tag_accesses: take(Counter::TagAccesses),
         refused_enqueues: take(Counter::RefusedEnqueues),
+        scheduler_passes: take(Counter::SchedulerPasses),
     };
     let issues = report.dram.reads + report.dram.writes;
     eprintln!(
@@ -84,6 +87,13 @@ fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
         "{tag}: {} refused enqueues for {issues} DRAM issues",
         got.refused_enqueues
     );
+    // A pass runs at the first load, in a cycle that retired a TB, and
+    // in the cycle after a finished kernel.
+    assert!(
+        got.scheduler_passes <= tbs + kernels + 1,
+        "{tag}: {} scheduler passes for {tbs} thread blocks in {kernels} kernels",
+        got.scheduler_passes
+    );
     assert_eq!(got, want, "{tag}: the wake-up counts moved");
 }
 
@@ -98,6 +108,7 @@ fn saturated_valley_mt_base() {
             slice_ticks: 380_312,
             tag_accesses: 136_464,
             refused_enqueues: 240_736,
+            scheduler_passes: 514,
         },
     );
 }
@@ -113,6 +124,7 @@ fn valley_with_stores_lps_base() {
             slice_ticks: 213_279,
             tag_accesses: 151_953,
             refused_enqueues: 68_183,
+            scheduler_passes: 2_038,
         },
     );
 }
@@ -128,6 +140,7 @@ fn spread_traffic_srad2_pae() {
             slice_ticks: 1_004_934,
             tag_accesses: 519_598,
             refused_enqueues: 243_001,
+            scheduler_passes: 397,
         },
     );
 }
