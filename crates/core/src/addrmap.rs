@@ -1,15 +1,17 @@
 //! DRAM address maps: how a flat physical address selects channel, bank,
 //! row and column in the memory system.
 //!
-//! Two concrete maps are provided:
+//! One type, [`DramMap`], holds both organizations the paper evaluates as
+//! data: each index is read from at most two bit ranges of the address.
 //!
-//! * [`GddrMap`] — the paper's baseline 1 GB Hynix GDDR5 layout (Figure 4):
-//!   4 channels, 16 banks/channel, 4 K rows/bank, 64 columns/row and a 64 B
-//!   DRAM block. The exact figure in the paper source is typographically
-//!   garbled; the layout below is reconstructed from the paper's explicit
-//!   textual constraints (channel bits 8–9, lowest bank bit 10, RMP's six
-//!   bank+channel bits; see `DESIGN.md` §2.1).
-//! * [`StackedMap`] — the 3D-stacked configuration of Section VI-D:
+//! * [`DramMap::baseline`] — the paper's baseline 1 GB Hynix GDDR5 layout
+//!   (Figure 4): 4 channels, 16 banks/channel, 4 K rows/bank, 64
+//!   columns/row and a 64 B DRAM block. The exact figure in the paper
+//!   source is typographically garbled; the layout is reconstructed from
+//!   the paper's explicit textual constraints: the entropy valley sits on
+//!   channel bits 8–9 and bank bit 10, and RMP remaps six bank+channel
+//!   bits.
+//! * [`DramMap::stacked`] — the 3D-stacked configuration of Section VI-D:
 //!   4 stacks × 16 vaults × 16 banks, where the mapping schemes randomize
 //!   2 stack + 4 vault + 4 bank bits.
 
@@ -41,9 +43,6 @@ pub trait DramAddressMap: std::fmt::Debug {
     /// The DRAM row selected by `addr`.
     fn row_of(&self, addr: PhysAddr) -> usize;
 
-    /// The column within the row selected by `addr`.
-    fn column_of(&self, addr: PhysAddr) -> usize;
-
     /// Number of independent controllers (channels or vaults).
     fn num_controllers(&self) -> usize;
 
@@ -53,9 +52,6 @@ pub trait DramAddressMap: std::fmt::Debug {
     /// Number of rows per bank.
     fn rows_per_bank(&self) -> usize;
 
-    /// Number of columns per row.
-    fn columns_per_row(&self) -> usize;
-
     /// Absolute bit positions of the controller-selection field(s), LSB first.
     fn controller_bits(&self) -> Vec<u8>;
 
@@ -64,9 +60,6 @@ pub trait DramAddressMap: std::fmt::Debug {
 
     /// Absolute bit positions of the row field, LSB first.
     fn row_bits(&self) -> Vec<u8>;
-
-    /// Absolute bit positions of the column field(s), LSB first.
-    fn column_bits(&self) -> Vec<u8>;
 
     /// The output bits rewritten by the paper's mapping schemes:
     /// controller + bank selection bits, LSB first.
@@ -90,298 +83,212 @@ pub trait DramAddressMap: std::fmt::Debug {
     fn non_block_bits(&self) -> Vec<u8> {
         (self.block_bits()..self.addr_bits()).collect()
     }
+}
 
-    /// Total capacity in bytes implied by the address width.
-    fn capacity_bytes(&self) -> u64 {
-        1u64 << self.addr_bits()
+/// One DRAM index, read from at most two bit ranges of the address: `lo`
+/// gives the index's low bits, `hi` (if any) the bits above them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Field {
+    lo: BitField,
+    hi: Option<BitField>,
+}
+
+impl Field {
+    /// The index held in `width` address bits from `lsb` up.
+    const fn one(lsb: u8, width: u8) -> Self {
+        Field {
+            lo: BitField::new(lsb, width),
+            hi: None,
+        }
+    }
+
+    /// The index whose low bits are the range `lo` and whose high bits
+    /// are the range `hi`, each `(lsb, width)`.
+    const fn two(lo: (u8, u8), hi: (u8, u8)) -> Self {
+        Field {
+            lo: BitField::new(lo.0, lo.1),
+            hi: Some(BitField::new(hi.0, hi.1)),
+        }
+    }
+
+    #[inline]
+    fn extract(self, raw: u64) -> usize {
+        let hi = match self.hi {
+            Some(hi) => hi.extract(raw) << self.lo.width(),
+            None => 0,
+        };
+        (hi | self.lo.extract(raw)) as usize
+    }
+
+    fn cardinality(self) -> usize {
+        let width = self.lo.width() + self.hi.map_or(0, BitField::width);
+        1 << width
+    }
+
+    /// The field's address bits, ascending.
+    fn bits(self) -> Vec<u8> {
+        let mut bits: Vec<u8> = self.lo.bits().collect();
+        bits.extend(self.hi.into_iter().flat_map(BitField::bits));
+        bits.sort_unstable();
+        bits
     }
 }
 
-/// The paper's baseline Hynix GDDR5 address map (Figure 4).
+/// A DRAM address map: where the controller, bank, row and column indices
+/// sit in the address, above a block offset.
 ///
-/// Layout (LSB → MSB):
+/// The baseline GDDR5 layout (LSB → MSB), its column split in two:
 ///
 /// ```text
 /// | block[5:0] | col_lo[7:6] | channel[9:8] | bank[13:10] | col_hi[17:14] | row[29:18] |
 /// ```
 ///
-/// # Examples
-///
-/// ```
-/// use valley_core::{DramAddressMap, GddrMap, PhysAddr};
-///
-/// let map = GddrMap::baseline();
-/// let a = PhysAddr::new(0b01_0000_0000); // bit 8 set
-/// assert_eq!(map.controller_of(a), 1);
-/// assert_eq!(map.bank_of(a), 0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GddrMap {
-    block: BitField,
-    col_lo: BitField,
-    channel: BitField,
-    bank: BitField,
-    col_hi: BitField,
-    row: BitField,
-}
-
-impl GddrMap {
-    /// The 1 GB baseline configuration used throughout the paper's
-    /// evaluation (Table I): 4 channels, 16 banks, 4 K rows, 64 columns.
-    pub const fn baseline() -> Self {
-        GddrMap {
-            block: BitField::new(0, 6),
-            col_lo: BitField::new(6, 2),
-            channel: BitField::new(8, 2),
-            bank: BitField::new(10, 4),
-            col_hi: BitField::new(14, 4),
-            row: BitField::new(18, 12),
-        }
-    }
-
-    /// The channel field (bits 9..=8 in the baseline).
-    pub const fn channel_field(&self) -> BitField {
-        self.channel
-    }
-
-    /// The bank field (bits 13..=10 in the baseline).
-    pub const fn bank_field(&self) -> BitField {
-        self.bank
-    }
-
-    /// The row field (bits 29..=18 in the baseline).
-    pub const fn row_field(&self) -> BitField {
-        self.row
-    }
-
-    /// The block-offset field (bits 5..=0 in the baseline).
-    pub const fn block_field(&self) -> BitField {
-        self.block
-    }
-
-    /// Reconstructs the full column index from its split low/high fields.
-    pub const fn column_fields(&self) -> (BitField, BitField) {
-        (self.col_lo, self.col_hi)
-    }
-}
-
-impl Default for GddrMap {
-    fn default() -> Self {
-        GddrMap::baseline()
-    }
-}
-
-impl DramAddressMap for GddrMap {
-    fn addr_bits(&self) -> u8 {
-        30
-    }
-
-    fn block_bits(&self) -> u8 {
-        self.block.width()
-    }
-
-    fn controller_of(&self, addr: PhysAddr) -> usize {
-        self.channel.extract(addr.raw()) as usize
-    }
-
-    fn bank_of(&self, addr: PhysAddr) -> usize {
-        self.bank.extract(addr.raw()) as usize
-    }
-
-    fn row_of(&self, addr: PhysAddr) -> usize {
-        self.row.extract(addr.raw()) as usize
-    }
-
-    fn column_of(&self, addr: PhysAddr) -> usize {
-        let lo = self.col_lo.extract(addr.raw());
-        let hi = self.col_hi.extract(addr.raw());
-        ((hi << self.col_lo.width()) | lo) as usize
-    }
-
-    fn num_controllers(&self) -> usize {
-        self.channel.cardinality() as usize
-    }
-
-    fn banks_per_controller(&self) -> usize {
-        self.bank.cardinality() as usize
-    }
-
-    fn rows_per_bank(&self) -> usize {
-        self.row.cardinality() as usize
-    }
-
-    fn columns_per_row(&self) -> usize {
-        (self.col_lo.cardinality() * self.col_hi.cardinality()) as usize
-    }
-
-    fn controller_bits(&self) -> Vec<u8> {
-        self.channel.bits().collect()
-    }
-
-    fn bank_bits(&self) -> Vec<u8> {
-        self.bank.bits().collect()
-    }
-
-    fn row_bits(&self) -> Vec<u8> {
-        self.row.bits().collect()
-    }
-
-    fn column_bits(&self) -> Vec<u8> {
-        self.col_lo.bits().chain(self.col_hi.bits()).collect()
-    }
-}
-
-/// The 3D-stacked memory address map of Section VI-D.
-///
-/// 4 stacks × 16 vaults/stack × 16 banks/vault; each vault is an independent
-/// controller (64 controllers total). Layout (LSB → MSB):
+/// The 3D-stacked layout, whose controller is the global vault index
+/// `vault | stack << 4` (stack-major, so consecutive stacks interleave at
+/// the coarser granularity):
 ///
 /// ```text
 /// | block[5:0] | stack[7:6] | vault[11:8] | bank[15:12] | col[19:16] | row[29:20] |
 /// ```
 ///
-/// The mapping schemes randomize the 2 stack + 4 vault + 4 bank bits, matching
-/// the paper's "2 channel bits, 4 vault bits and 4 bank bits".
+/// # Examples
+///
+/// ```
+/// use valley_core::{DramAddressMap, DramMap, PhysAddr};
+///
+/// let map = DramMap::baseline();
+/// let a = PhysAddr::new(0b01_0000_0000); // bit 8 set
+/// assert_eq!(map.controller_of(a), 1);
+/// assert_eq!(map.bank_of(a), 0);
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StackedMap {
-    block: BitField,
-    stack: BitField,
-    vault: BitField,
-    bank: BitField,
-    col: BitField,
-    row: BitField,
+pub struct DramMap {
+    addr_bits: u8,
+    block_bits: u8,
+    controller: Field,
+    bank: Field,
+    row: Field,
+    column: Field,
 }
 
-impl StackedMap {
-    /// The 4-stack configuration used in Figure 18 (rightmost bars).
+impl DramMap {
+    /// The 1 GB baseline configuration used throughout the paper's
+    /// evaluation (Table I): 4 channels, 16 banks, 4 K rows, 64 columns.
     pub const fn baseline() -> Self {
-        StackedMap {
-            block: BitField::new(0, 6),
-            stack: BitField::new(6, 2),
-            vault: BitField::new(8, 4),
-            bank: BitField::new(12, 4),
-            col: BitField::new(16, 4),
-            row: BitField::new(20, 10),
+        DramMap {
+            addr_bits: 30,
+            block_bits: 6,
+            controller: Field::one(8, 2),
+            bank: Field::one(10, 4),
+            row: Field::one(18, 12),
+            column: Field::two((6, 2), (14, 4)),
         }
     }
 
-    /// The stack-selection field (bits 7..=6).
-    pub const fn stack_field(&self) -> BitField {
-        self.stack
+    /// The 4-stack configuration used in Figure 18 (rightmost bars):
+    /// 64 vaults (4 stacks × 16) of 16 banks, 1 K rows, 16 columns.
+    pub const fn stacked() -> Self {
+        DramMap {
+            addr_bits: 30,
+            block_bits: 6,
+            controller: Field::two((8, 4), (6, 2)),
+            bank: Field::one(12, 4),
+            row: Field::one(20, 10),
+            column: Field::one(16, 4),
+        }
     }
 
-    /// The vault-selection field (bits 11..=8).
-    pub const fn vault_field(&self) -> BitField {
-        self.vault
+    /// The column within the row selected by `addr`.
+    pub fn column_of(&self, addr: PhysAddr) -> usize {
+        self.column.extract(addr.raw())
     }
 
-    /// The stack index selected by `addr` (0..4).
-    pub fn stack_of(&self, addr: PhysAddr) -> usize {
-        self.stack.extract(addr.raw()) as usize
+    /// Number of columns per row.
+    pub fn columns_per_row(&self) -> usize {
+        self.column.cardinality()
     }
 
-    /// The vault index within its stack selected by `addr` (0..16).
-    pub fn vault_of(&self, addr: PhysAddr) -> usize {
-        self.vault.extract(addr.raw()) as usize
+    /// Absolute bit positions of the column field(s), LSB first.
+    pub fn column_bits(&self) -> Vec<u8> {
+        self.column.bits()
+    }
+
+    /// Total capacity in bytes implied by the address width.
+    pub fn capacity_bytes(&self) -> u64 {
+        1u64 << self.addr_bits
     }
 }
 
-impl Default for StackedMap {
-    fn default() -> Self {
-        StackedMap::baseline()
-    }
-}
+/// The old name of [`DramMap`]. Kept because the frozen benchmark's
+/// probes name `GddrMap::baseline()`.
+#[doc(hidden)]
+pub type GddrMap = DramMap;
 
-impl DramAddressMap for StackedMap {
+impl DramAddressMap for DramMap {
     fn addr_bits(&self) -> u8 {
-        30
+        self.addr_bits
     }
 
     fn block_bits(&self) -> u8 {
-        self.block.width()
+        self.block_bits
     }
 
     fn controller_of(&self, addr: PhysAddr) -> usize {
-        // Global vault index: stack-major so that consecutive stacks
-        // interleave at the coarser granularity.
-        self.stack_of(addr) * self.vault.cardinality() as usize + self.vault_of(addr)
+        self.controller.extract(addr.raw())
     }
 
     fn bank_of(&self, addr: PhysAddr) -> usize {
-        self.bank.extract(addr.raw()) as usize
+        self.bank.extract(addr.raw())
     }
 
     fn row_of(&self, addr: PhysAddr) -> usize {
-        self.row.extract(addr.raw()) as usize
-    }
-
-    fn column_of(&self, addr: PhysAddr) -> usize {
-        self.col.extract(addr.raw()) as usize
+        self.row.extract(addr.raw())
     }
 
     fn num_controllers(&self) -> usize {
-        (self.stack.cardinality() * self.vault.cardinality()) as usize
+        self.controller.cardinality()
     }
 
     fn banks_per_controller(&self) -> usize {
-        self.bank.cardinality() as usize
+        self.bank.cardinality()
     }
 
     fn rows_per_bank(&self) -> usize {
-        self.row.cardinality() as usize
-    }
-
-    fn columns_per_row(&self) -> usize {
-        self.col.cardinality() as usize
+        self.row.cardinality()
     }
 
     fn controller_bits(&self) -> Vec<u8> {
-        self.stack.bits().chain(self.vault.bits()).collect()
+        self.controller.bits()
     }
 
     fn bank_bits(&self) -> Vec<u8> {
-        self.bank.bits().collect()
+        self.bank.bits()
     }
 
     fn row_bits(&self) -> Vec<u8> {
-        self.row.bits().collect()
-    }
-
-    fn column_bits(&self) -> Vec<u8> {
-        self.col.bits().collect()
+        self.row.bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn baseline_geometry_matches_table1() {
-        let m = GddrMap::baseline();
+        let m = DramMap::baseline();
         assert_eq!(m.num_controllers(), 4);
         assert_eq!(m.banks_per_controller(), 16);
         assert_eq!(m.rows_per_bank(), 4096);
         assert_eq!(m.columns_per_row(), 64);
         assert_eq!(m.capacity_bytes(), 1 << 30); // 1 GB
-                                                 // Fields tile the 30-bit address exactly.
-        let total: u32 = [
-            m.block_field().width(),
-            m.column_fields().0.width(),
-            m.channel_field().width(),
-            m.bank_field().width(),
-            m.column_fields().1.width(),
-            m.row_field().width(),
-        ]
-        .iter()
-        .map(|&w| w as u32)
-        .sum();
-        assert_eq!(total, 30);
     }
 
     #[test]
     fn baseline_bit_positions_match_paper_text() {
-        let m = GddrMap::baseline();
+        let m = DramMap::baseline();
         // "entropy valley for channel bits 8-9 and bank bit 10"
         assert_eq!(m.controller_bits(), vec![8, 9]);
         assert_eq!(m.bank_bits(), vec![10, 11, 12, 13]);
@@ -391,7 +298,7 @@ mod tests {
 
     #[test]
     fn field_extraction_is_consistent_with_bits() {
-        let m = GddrMap::baseline();
+        let m = DramMap::baseline();
         // Walking each bank bit changes the bank index by the right power
         // of two.
         for (i, bit) in m.bank_bits().into_iter().enumerate() {
@@ -404,7 +311,7 @@ mod tests {
 
     #[test]
     fn column_is_split_across_two_fields() {
-        let m = GddrMap::baseline();
+        let m = DramMap::baseline();
         // col_lo at bits 7..6, col_hi at 17..14.
         let a = PhysAddr::new((0b11 << 6) | (0b1010 << 14));
         assert_eq!(m.column_of(a), (0b1010 << 2) | 0b11);
@@ -413,7 +320,7 @@ mod tests {
 
     #[test]
     fn page_bits_are_row_bank_channel() {
-        let m = GddrMap::baseline();
+        let m = DramMap::baseline();
         let mut expect: Vec<u8> = (8..14).chain(18..30).collect();
         expect.sort_unstable();
         assert_eq!(m.page_address_bits(), expect);
@@ -422,32 +329,71 @@ mod tests {
 
     #[test]
     fn stacked_geometry() {
-        let m = StackedMap::baseline();
+        let m = DramMap::stacked();
         assert_eq!(m.num_controllers(), 64); // 4 stacks x 16 vaults
         assert_eq!(m.banks_per_controller(), 16);
+        assert_eq!(m.rows_per_bank(), 1024);
+        assert_eq!(m.columns_per_row(), 16);
+        assert_eq!(m.controller_bits(), (6..12).collect::<Vec<u8>>());
         assert_eq!(m.target_field_bits(), (6..16).collect::<Vec<u8>>());
         assert_eq!(m.capacity_bytes(), 1 << 30);
     }
 
     #[test]
     fn stacked_controller_is_stack_major() {
-        let m = StackedMap::baseline();
+        let m = DramMap::stacked();
         let a = PhysAddr::new(1 << 6); // stack 1, vault 0
         assert_eq!(m.controller_of(a), 16);
         let b = PhysAddr::new(1 << 8); // stack 0, vault 1
         assert_eq!(m.controller_of(b), 1);
     }
 
+    /// The (block offset, column, controller, bank, row) of `raw`.
+    fn coordinates(m: &DramMap, raw: u64) -> [usize; 5] {
+        let a = PhysAddr::new(raw);
+        [
+            (raw & ((1 << m.block_bits()) - 1)) as usize,
+            m.column_of(a),
+            m.controller_of(a),
+            m.bank_of(a),
+            m.row_of(a),
+        ]
+    }
+
+    /// Both layouts tile the address: the index ranges multiply out to
+    /// the capacity, every address bit belongs to exactly one index, and
+    /// every decoded index is in range.
     #[test]
-    fn maps_are_exhaustive_partitions() {
-        // Every address decodes to in-range coordinates.
-        let m = GddrMap::baseline();
-        for &raw in &[0u64, 0x3fff_ffff, 0x1234_5678, 0x2aaa_aaaa] {
-            let a = PhysAddr::new(raw);
-            assert!(m.controller_of(a) < m.num_controllers());
-            assert!(m.bank_of(a) < m.banks_per_controller());
-            assert!(m.row_of(a) < m.rows_per_bank());
-            assert!(m.column_of(a) < m.columns_per_row());
+    fn both_layouts_tile_the_address() {
+        let mut rng = StdRng::seed_from_u64(46);
+        for m in [DramMap::baseline(), DramMap::stacked()] {
+            let sizes = [
+                1 << m.block_bits(),
+                m.columns_per_row(),
+                m.num_controllers(),
+                m.banks_per_controller(),
+                m.rows_per_bank(),
+            ];
+            assert_eq!(
+                sizes.iter().product::<usize>() as u64,
+                m.capacity_bytes(),
+                "{m:?}"
+            );
+            for _ in 0..64 {
+                let raw = rng.random::<u64>() & (m.capacity_bytes() - 1);
+                let at = coordinates(&m, raw);
+                for (index, size) in at.iter().zip(sizes) {
+                    assert!(*index < size, "{m:?}: {raw:#x} decodes to {at:?}");
+                }
+                for bit in 0..m.addr_bits() {
+                    let flipped = coordinates(&m, raw ^ (1 << bit));
+                    let moved = at.iter().zip(&flipped).filter(|(a, b)| a != b).count();
+                    assert_eq!(
+                        moved, 1,
+                        "{m:?}: bit {bit} of {raw:#x} moves {moved} indices"
+                    );
+                }
+            }
         }
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! * [`PhysAddr`] / [`BitField`] — physical addresses and bit-field
 //!   manipulation over the 30-bit GDDR5 address space;
-//! * [`GddrMap`] / [`StackedMap`] — the baseline Hynix GDDR5 address map
-//!   (Figure 4) and the 3D-stacked variant of Section VI-D, behind the
-//!   [`DramAddressMap`] trait;
+//! * [`DramMap`] — the DRAM address map, built as the baseline Hynix
+//!   GDDR5 layout (Figure 4) or the 3D-stacked variant of Section VI-D,
+//!   behind the [`DramAddressMap`] trait;
 //! * [`Bim`] — Binary Invertible Matrices over GF(2), the unified
 //!   representation of all AND/XOR address mappings (Section IV-A);
 //! * [`AddressMapper`] / [`SchemeKind`] — the six mapping schemes evaluated
@@ -21,9 +21,9 @@
 //! ## Quick start
 //!
 //! ```
-//! use valley_core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind};
+//! use valley_core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 //!
-//! let dram = GddrMap::baseline();
+//! let dram = DramMap::baseline();
 //! let pae = AddressMapper::build(SchemeKind::Pae, &dram, 1);
 //!
 //! // A column-major access stream that the BASE map would pin to channel 0:
@@ -53,7 +53,7 @@ pub mod hash;
 mod schemes;
 
 pub use addr::{BitField, PhysAddr};
-pub use addrmap::{DramAddressMap, GddrMap, StackedMap};
+pub use addrmap::{DramAddressMap, DramMap, GddrMap};
 pub use bim::{Bim, BimError};
 pub use entropy::EntropyProfile;
 pub use schemes::{AddressMapper, SchemeKind};

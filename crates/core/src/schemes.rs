@@ -92,9 +92,9 @@ impl std::fmt::Display for SchemeKind {
 /// # Examples
 ///
 /// ```
-/// use valley_core::{AddressMapper, GddrMap, PhysAddr, SchemeKind};
+/// use valley_core::{AddressMapper, DramMap, PhysAddr, SchemeKind};
 ///
-/// let map = GddrMap::baseline();
+/// let map = DramMap::baseline();
 /// let pae = AddressMapper::build(SchemeKind::Pae, &map, 1);
 /// let a = PhysAddr::new(0x1234_5678 & 0x3fff_ffff);
 /// let mapped = pae.map(a);
@@ -301,10 +301,10 @@ fn build_broad(map: &dyn DramAddressMap, inputs: &[u8], targets: &[u8], seed: u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addrmap::{GddrMap, StackedMap};
+    use crate::addrmap::DramMap;
 
-    fn map() -> GddrMap {
-        GddrMap::baseline()
+    fn map() -> DramMap {
+        DramMap::baseline()
     }
 
     #[test]
@@ -461,7 +461,7 @@ mod tests {
 
     #[test]
     fn schemes_build_for_stacked_map() {
-        let sm = StackedMap::baseline();
+        let sm = DramMap::stacked();
         for kind in SchemeKind::ALL_SCHEMES {
             let m = AddressMapper::build(kind, &sm, 5);
             assert!(m.bim().is_invertible());

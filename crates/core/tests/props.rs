@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use valley_core::entropy::{window_entropy, window_entropy_naive, Bvr, TbBitStats};
-use valley_core::{AddressMapper, Bim, DramAddressMap, GddrMap, PhysAddr, SchemeKind, StackedMap};
+use valley_core::{AddressMapper, Bim, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 
 const ADDR_MASK: u64 = (1 << 30) - 1;
 
@@ -13,14 +13,10 @@ proptest! {
     /// invertible and map∘unmap is the identity on arbitrary addresses.
     #[test]
     fn schemes_are_bijections(seed in 0u64..1_000, stacked in any::<bool>(), raw in any::<u64>()) {
-        let map: Box<dyn DramAddressMap> = if stacked {
-            Box::new(StackedMap::baseline())
-        } else {
-            Box::new(GddrMap::baseline())
-        };
+        let map = if stacked { DramMap::stacked() } else { DramMap::baseline() };
         let a = PhysAddr::new(raw & ((1 << map.addr_bits()) - 1));
         for kind in SchemeKind::ALL_SCHEMES {
-            let m = AddressMapper::build(kind, map.as_ref(), seed);
+            let m = AddressMapper::build(kind, &map, seed);
             prop_assert!(m.bim().is_invertible());
             prop_assert_eq!(m.unmap(m.map(a)), a);
         }
@@ -29,7 +25,7 @@ proptest! {
     /// Block-offset bits are never altered by any scheme.
     #[test]
     fn block_bits_preserved(seed in 0u64..16, raw in 0u64..=ADDR_MASK) {
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         for kind in SchemeKind::ALL_SCHEMES {
             let m = AddressMapper::build(kind, &map, seed);
             let mapped = m.map(PhysAddr::new(raw));
@@ -42,7 +38,7 @@ proptest! {
     /// the row-locality preservation behind Figure 15).
     #[test]
     fn pae_moves_same_row_groups_together(seed in 0u64..16, raw in 0u64..=ADDR_MASK) {
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let m = AddressMapper::build(SchemeKind::Pae, &map, seed);
         // Flip a column bit (6,7,14..17): the mapped pair must differ in
         // exactly that bit.
@@ -58,10 +54,10 @@ proptest! {
     #[test]
     fn mapping_stays_in_address_space(seed in 0u64..16, raw in 0u64..=ADDR_MASK) {
         for kind in SchemeKind::ALL_SCHEMES {
-            let gddr = GddrMap::baseline();
+            let gddr = DramMap::baseline();
             let m = AddressMapper::build(kind, &gddr, seed);
             prop_assert!(m.map(PhysAddr::new(raw)).raw() <= ADDR_MASK);
-            let stacked = StackedMap::baseline();
+            let stacked = DramMap::stacked();
             let m = AddressMapper::build(kind, &stacked, seed);
             prop_assert!(m.map(PhysAddr::new(raw)).raw() <= ADDR_MASK);
         }
@@ -85,7 +81,7 @@ proptest! {
     /// apply() distributes over XOR: BIMs are linear maps over GF(2).
     #[test]
     fn bim_is_linear(a in 0u64..(1 << 20), b in 0u64..(1 << 20), seed in 0u64..16) {
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let m = AddressMapper::build(SchemeKind::Fae, &map, seed);
         let f = |x: u64| m.bim().apply(x);
         prop_assert_eq!(f(a ^ b), f(a) ^ f(b));
@@ -169,14 +165,12 @@ proptest! {
     #[test]
     fn decode_in_range(raw in 0u64..=ADDR_MASK) {
         let a = PhysAddr::new(raw);
-        let g = GddrMap::baseline();
-        prop_assert!(g.controller_of(a) < g.num_controllers());
-        prop_assert!(g.bank_of(a) < g.banks_per_controller());
-        prop_assert!(g.row_of(a) < g.rows_per_bank());
-        prop_assert!(g.column_of(a) < g.columns_per_row());
-        let s = StackedMap::baseline();
-        prop_assert!(s.controller_of(a) < s.num_controllers());
-        prop_assert!(s.bank_of(a) < s.banks_per_controller());
+        for m in [DramMap::baseline(), DramMap::stacked()] {
+            prop_assert!(m.controller_of(a) < m.num_controllers());
+            prop_assert!(m.bank_of(a) < m.banks_per_controller());
+            prop_assert!(m.row_of(a) < m.rows_per_bank());
+            prop_assert!(m.column_of(a) < m.columns_per_row());
+        }
     }
 
     /// Two distinct addresses never collide after mapping (spot-check of
@@ -184,7 +178,7 @@ proptest! {
     #[test]
     fn no_pairwise_collisions(x in 0u64..=ADDR_MASK, y in 0u64..=ADDR_MASK, seed in 0u64..8) {
         prop_assume!(x != y);
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         for kind in [SchemeKind::Pae, SchemeKind::Fae, SchemeKind::All] {
             let m = AddressMapper::build(kind, &map, seed);
             prop_assert_ne!(m.map(PhysAddr::new(x)), m.map(PhysAddr::new(y)));

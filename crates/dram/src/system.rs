@@ -27,11 +27,11 @@ use valley_core::{DramAddressMap, PhysAddr};
 /// # Examples
 ///
 /// ```
-/// use valley_core::GddrMap;
+/// use valley_core::DramMap;
 /// use valley_dram::{DramConfig, DramSystem};
 /// use valley_core::PhysAddr;
 ///
-/// let mut sys = DramSystem::new(std::sync::Arc::new(GddrMap::baseline()), DramConfig::gddr5());
+/// let mut sys = DramSystem::new(std::sync::Arc::new(DramMap::baseline()), DramConfig::gddr5());
 /// assert!(sys.try_enqueue(PhysAddr::new(0x1234_5678 & 0x3fff_ffff), 1, false, 0));
 /// let mut done = Vec::new();
 /// for cycle in 0..200 {
@@ -41,8 +41,8 @@ use valley_core::{DramAddressMap, PhysAddr};
 /// ```
 #[derive(Debug)]
 pub struct DramSystem {
-    /// The (immutable) address map, shared by reference with the
-    /// simulator's slice routing instead of a per-system clone.
+    /// The (immutable) address map: [`DramSystem::decode`] is the one
+    /// place an address becomes DRAM coordinates.
     map: Arc<dyn DramAddressMap + Send + Sync>,
     /// One channel per controller of `map`, indexed by controller.
     channels: Vec<DramChannel>,
@@ -76,13 +76,9 @@ impl DramSystem {
     }
 
     /// The number of controllers (channels/vaults).
+    #[inline]
     pub fn num_channels(&self) -> usize {
         self.channels.len()
-    }
-
-    /// The address map used for decoding.
-    pub fn map(&self) -> &dyn DramAddressMap {
-        self.map.as_ref()
     }
 
     /// The per-channel configuration.
@@ -95,6 +91,7 @@ impl DramSystem {
     /// decodes once per transaction, at issue, and keeps the coordinates
     /// in its transaction record, so a back-pressured hand-off that
     /// retries for many cycles never decodes again.
+    #[inline]
     pub fn decode(&self, addr: PhysAddr) -> (u32, u32, u32) {
         (
             self.map.controller_of(addr) as u32,
@@ -234,10 +231,10 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valley_core::GddrMap;
+    use valley_core::DramMap;
 
     fn sys() -> DramSystem {
-        DramSystem::new(Arc::new(GddrMap::baseline()), DramConfig::gddr5())
+        DramSystem::new(Arc::new(DramMap::baseline()), DramConfig::gddr5())
     }
 
     #[test]
@@ -291,6 +288,6 @@ mod tests {
     fn config_mismatch_is_rejected() {
         let mut bad = DramConfig::gddr5();
         bad.banks = 8;
-        let _ = DramSystem::new(Arc::new(GddrMap::baseline()), bad);
+        let _ = DramSystem::new(Arc::new(DramMap::baseline()), bad);
     }
 }

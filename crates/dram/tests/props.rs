@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use valley_core::{DramAddressMap, GddrMap, PhysAddr, StackedMap};
+use valley_core::{DramAddressMap, DramMap, PhysAddr};
 use valley_dram::{DramChannel, DramCompletion, DramConfig, DramRequest, DramSystem};
 
 fn run_to_completion(ch: &mut DramChannel, n: usize) -> Vec<DramCompletion> {
@@ -128,9 +128,9 @@ struct Gated {
 }
 
 impl Gated {
-    fn new(map: &Arc<dyn DramAddressMap + Send + Sync>, cfg: DramConfig) -> Self {
+    fn new(map: DramMap, cfg: DramConfig) -> Self {
         Gated {
-            sys: DramSystem::new(Arc::clone(map), cfg),
+            sys: DramSystem::new(Arc::new(map), cfg),
             done: Vec::new(),
         }
     }
@@ -153,7 +153,7 @@ impl Gated {
 /// in the same order, hold the same queues and statistics per channel,
 /// and publish as the system's hint the minimum of its channels' hints.
 fn gates_agree(
-    map: Arc<dyn DramAddressMap + Send + Sync>,
+    map: DramMap,
     mut cfg: DramConfig,
     capacity: usize,
     pool: &[u64],
@@ -161,8 +161,8 @@ fn gates_agree(
 ) -> Result<(), TestCaseError> {
     cfg.queue_capacity = capacity;
     let mask = (1u64 << map.addr_bits()) - 1;
-    let mut dense = Gated::new(&map, cfg);
-    let mut hinted = Gated::new(&map, cfg);
+    let mut dense = Gated::new(map, cfg);
+    let mut hinted = Gated::new(map, cfg);
     let (mut next, mut offer_at) = (0, reqs.first().map_or(0, |r| r.2));
     for cycle in 0..200_000u64 {
         while let Some(&(slot, is_write, _)) = reqs.get(next) {
@@ -207,13 +207,7 @@ proptest! {
         pool in proptest::collection::vec(any::<u64>(), 1..8),
         reqs in proptest::collection::vec((0usize..8, any::<bool>(), 0u64..4), 1..120),
     ) {
-        gates_agree(Arc::new(GddrMap::baseline()), DramConfig::gddr5(), capacity, &pool, &reqs)?;
-        gates_agree(
-            Arc::new(StackedMap::baseline()),
-            DramConfig::stacked_vault(),
-            capacity,
-            &pool,
-            &reqs,
-        )?;
+        gates_agree(DramMap::baseline(), DramConfig::gddr5(), capacity, &pool, &reqs)?;
+        gates_agree(DramMap::stacked(), DramConfig::stacked_vault(), capacity, &pool, &reqs)?;
     }
 }

@@ -126,6 +126,35 @@ fn sweep_batch_is_inert_and_hidden() {
     }
 }
 
+/// An SM count the simulator refuses (a transaction record names its
+/// SM in 16 bits) is refused at the flag, before any job starts.
+#[test]
+fn an_unsupported_sm_count_fails_at_the_flag() {
+    let dir = fresh_dir("sms-too-many");
+    let results = dir.to_str().expect("utf-8");
+    let out = valley(&[
+        "sweep",
+        "--scale",
+        "test",
+        "--benches",
+        "SP",
+        "--schemes",
+        "BASE,PAE",
+        "--configs",
+        "sms70000",
+        "--quiet",
+        "--results",
+        results,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the sweep ran: {stderr}");
+    assert!(
+        stderr.contains("bad value 'sms70000' for --configs"),
+        "the sweep failed without naming the flag: {stderr}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 fn valley(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_valley"))
         .args(args)

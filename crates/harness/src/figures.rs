@@ -16,7 +16,7 @@
 use crate::{ConfigId, JobSpec, SweepSpec};
 use std::collections::BTreeMap;
 use valley_core::hash::FastMap;
-use valley_core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind};
+use valley_core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
 use valley_power::{perf_per_watt, DramPowerModel};
 use valley_sim::{GpuConfig, SimReport, WorkloadSource};
 use valley_workloads::{analysis, Benchmark, Scale};
@@ -581,7 +581,7 @@ fn fig19(scale: Scale, seed: u64, reports: &Reports) -> String {
 /// Table I: the simulated GPU architecture, as configured.
 fn table1() -> String {
     let c = GpuConfig::table1();
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let t = c.dram.timing;
     let lines = [
         "Table I: simulated GPU architecture".to_string(),
@@ -662,7 +662,8 @@ fn paper_row(b: Benchmark) -> (f64, f64, u64, f64) {
 }
 
 /// Table II: workload characterization under BASE beside the paper's
-/// values (the traces are scaled; see DESIGN.md).
+/// values (the synthetic traces are scaled down, so instruction counts
+/// and per-kilo-instruction rates differ from the paper's).
 fn table2(scale: Scale, seed: u64, reports: &Reports) -> String {
     let header = |cols: [&str; 9]| {
         format!(
@@ -852,7 +853,7 @@ const ENTROPY_AXIS: &str = "bits 29 (left) .. 6 (right); bank+channel bits are 8
 /// the SRAD2K1 and DWT2DK1 kernels under the BASE map, with the mean
 /// over the bank and channel bits and the valley score.
 fn fig05(scale: Scale) -> String {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let candidates = map.non_block_bits();
 
@@ -889,7 +890,7 @@ fn fig05(scale: Scale) -> String {
 ///
 /// Panics if PAE or FAE stops lifting the valley (part of the claim).
 fn fig10(scale: Scale, seed: u64) -> String {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let mt = Benchmark::Mt.workload(scale);
 
@@ -925,7 +926,7 @@ fn fig10(scale: Scale, seed: u64) -> String {
 /// a window under-reports inter-TB entropy (Figure 3 at application
 /// scale); past the real TB concurrency the profile saturates.
 fn ablation_entropy_window(scale: Scale) -> String {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let candidates = map.non_block_bits();
     let mt = Benchmark::Mt.workload(scale);

@@ -11,7 +11,7 @@
 use crate::store::StoredResult;
 use std::collections::hash_map::Entry;
 use valley_core::hash::{fnv1a, FastMap, FastSet};
-use valley_core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
+use valley_core::{AddressMapper, DramMap, SchemeKind};
 use valley_sim::{GpuConfig, GpuSim, SimReport};
 use valley_workloads::{Benchmark, Scale};
 
@@ -61,14 +61,17 @@ impl ConfigId {
         }
     }
 
-    /// Parses a [`ConfigId::name`] string.
+    /// Parses a [`ConfigId::name`] string. An SM count the simulator
+    /// cannot build (0, or more than [`GpuSim::MAX_SMS`]) names nothing.
     pub fn parse(s: &str) -> Option<ConfigId> {
         match s {
             "table1" => Some(ConfigId::Table1),
             "stacked" => Some(ConfigId::Stacked),
             _ => {
                 let n: u32 = s.strip_prefix("sms")?.parse().ok()?;
-                (n > 0).then_some(ConfigId::Sms(n))
+                (1..=GpuSim::MAX_SMS)
+                    .contains(&(n as usize))
+                    .then_some(ConfigId::Sms(n))
             }
         }
     }
@@ -82,9 +85,12 @@ impl ConfigId {
         }
     }
 
-    /// Whether this configuration uses the 3D-stacked address map.
-    pub fn is_stacked(self) -> bool {
-        self == ConfigId::Stacked
+    /// The DRAM address map of this configuration's memory system.
+    pub fn dram_map(self) -> DramMap {
+        match self {
+            ConfigId::Stacked => DramMap::stacked(),
+            ConfigId::Table1 | ConfigId::Sms(_) => DramMap::baseline(),
+        }
     }
 }
 
@@ -279,17 +285,10 @@ impl SweepSpec {
 /// place the harness touches the simulator; everything above it deals in
 /// keys and stored results.
 pub fn execute_job(spec: &JobSpec) -> SimReport {
-    let cfg = spec.config.gpu_config();
+    let map = spec.config.dram_map();
+    let mapper = AddressMapper::build(spec.scheme, &map, spec.seed);
     let workload = Box::new(spec.bench.workload(spec.scale));
-    if spec.config.is_stacked() {
-        let map = StackedMap::baseline();
-        let mapper = AddressMapper::build(spec.scheme, &map, spec.seed);
-        GpuSim::new(cfg, mapper, map, workload).run()
-    } else {
-        let map = GddrMap::baseline();
-        let mapper = AddressMapper::build(spec.scheme, &map, spec.seed);
-        GpuSim::new(cfg, mapper, map, workload).run()
-    }
+    GpuSim::new(spec.config.gpu_config(), mapper, map, workload).run()
 }
 
 /// How a result's `wall_ms` was obtained — stored with the record so
@@ -491,6 +490,8 @@ mod tests {
             assert_eq!(ConfigId::parse(&c.name()), Some(c));
         }
         assert_eq!(ConfigId::parse("sms0"), None);
+        assert_eq!(ConfigId::parse("sms65536"), Some(ConfigId::Sms(65_536)));
+        assert_eq!(ConfigId::parse("sms65537"), None);
         assert_eq!(ConfigId::parse("nope"), None);
         assert_eq!(ConfigId::Sms(48).gpu_config().num_sms, 48);
     }

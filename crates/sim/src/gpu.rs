@@ -40,11 +40,11 @@ const METRIC_SAMPLE_INTERVAL: u64 = 4;
 /// See `valley-workloads` and the `quickstart` example; a minimal run:
 ///
 /// ```no_run
-/// use valley_core::{AddressMapper, GddrMap, SchemeKind};
+/// use valley_core::{AddressMapper, DramMap, SchemeKind};
 /// use valley_sim::{GpuConfig, GpuSim};
 /// # fn workload() -> Box<dyn valley_sim::WorkloadSource> { unimplemented!() }
 ///
-/// let map = GddrMap::baseline();
+/// let map = DramMap::baseline();
 /// let mapper = AddressMapper::build(SchemeKind::Pae, &map, 1);
 /// let sim = GpuSim::new(GpuConfig::table1(), mapper, map, workload());
 /// let report = sim.run();
@@ -53,10 +53,8 @@ const METRIC_SAMPLE_INTERVAL: u64 = 4;
 pub struct GpuSim {
     cfg: GpuConfig,
     mapper: AddressMapper,
-    /// The (immutable) address map every transaction is routed through
-    /// at issue (`GpuSim::route`) — the *same* allocation the DRAM
-    /// system holds.
-    map: Arc<dyn DramAddressMap + Send + Sync>,
+    /// The DRAM system, whose decode routes every transaction at issue
+    /// (`GpuSim::route`).
     dram: DramSystem,
     req_net: Crossbar,
     reply_net: Crossbar,
@@ -181,6 +179,10 @@ impl TbScheduler {
 }
 
 impl GpuSim {
+    /// The most SMs a machine may have: a transaction record names its SM
+    /// in 16 bits.
+    pub const MAX_SMS: usize = 1 << 16;
+
     /// Creates a simulator for `workload` under the mapping scheme
     /// `mapper`, decoding DRAM coordinates through `map`.
     ///
@@ -225,7 +227,7 @@ impl GpuSim {
             );
         };
         let (index8, index16) = (1 << 8, 1 << 16);
-        fits("num_sms", cfg.num_sms, index16);
+        fits("num_sms", cfg.num_sms, Self::MAX_SMS as u64);
         fits(
             "max_warps_per_sm (below the NO_WARP sentinel)",
             cfg.max_warps_per_sm,
@@ -291,8 +293,7 @@ impl GpuSim {
                 cfg.max_threads_per_sm
             );
         }
-        let map: Arc<dyn DramAddressMap + Send + Sync> = Arc::new(map);
-        let dram = DramSystem::new(Arc::clone(&map), cfg.dram);
+        let dram = DramSystem::new(Arc::new(map), cfg.dram);
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u16, &cfg)).collect();
         let slices = (0..cfg.llc_slices).map(|_| LlcSlice::new(&cfg)).collect();
         GpuSim {
@@ -305,26 +306,19 @@ impl GpuSim {
             txns: TxnTable::new(cfg.line_bytes),
             workload,
             mapper,
-            map,
             dram,
             cfg,
         }
     }
 
-    /// Decodes a mapped address into its [`Route`], once per transaction
-    /// at issue: its DRAM controller, bank and row in one pass of three
-    /// calls over the address map, and the LLC slice serving it —
-    /// controller-interleaved, with the low bank bit distinguishing the
-    /// slices of one controller. `controllers` is the map's controller
-    /// count; [`GpuSim::new`] checked that every index fits its field.
-    fn route(
-        map: &dyn DramAddressMap,
-        controllers: usize,
-        llc_slices: usize,
-        addr: PhysAddr,
-    ) -> Route {
-        let ctrl = map.controller_of(addr);
-        let bank = map.bank_of(addr);
+    /// Routes a mapped address, once per transaction at issue: the DRAM
+    /// system's decode gives its controller, bank and row, and the LLC
+    /// slice serving it is controller-interleaved, with the low bank bit
+    /// distinguishing the slices of one controller. [`GpuSim::new`]
+    /// checked that every index fits its field.
+    fn route(dram: &DramSystem, llc_slices: usize, addr: PhysAddr) -> Route {
+        let (ctrl, bank, row) = dram.decode(addr);
+        let (ctrl, bank, controllers) = (ctrl as usize, bank as usize, dram.num_channels());
         let slice = if controllers >= llc_slices {
             ctrl % llc_slices
         } else {
@@ -335,7 +329,7 @@ impl GpuSim {
             slice: slice as u8,
             ctrl: ctrl as u16,
             bank: bank as u8,
-            row: map.row_of(addr) as u32,
+            row,
         }
     }
 
@@ -518,9 +512,8 @@ impl GpuSim {
 
             // ---- SMs ----
             {
-                let map = self.map.as_ref();
-                let (controllers, llc_slices) = (self.dram.num_channels(), self.cfg.llc_slices);
-                let router = move |addr: PhysAddr| Self::route(map, controllers, llc_slices, addr);
+                let (dram, llc_slices) = (&self.dram, self.cfg.llc_slices);
+                let router = move |addr: PhysAddr| Self::route(dram, llc_slices, addr);
                 // The hint gate ticks an SM at its hint, and skips the walk
                 // below `sms_next`, where no SM is due.
                 if ticks(cycle, sms_next.get()) {
@@ -739,12 +732,12 @@ impl GpuSim {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use valley_core::{GddrMap, SchemeKind, StackedMap};
+    use valley_core::{DramMap, SchemeKind};
     use valley_dram::DramConfig;
 
     /// The slice formula as it stood before the route was decoded at
     /// issue: its oracle.
-    fn slice_oracle(map: &dyn DramAddressMap, llc_slices: usize, addr: PhysAddr) -> usize {
+    fn slice_oracle(map: &DramMap, llc_slices: usize, addr: PhysAddr) -> usize {
         let nc = map.num_controllers();
         if nc >= llc_slices {
             map.controller_of(addr) % llc_slices
@@ -755,29 +748,25 @@ mod tests {
     }
 
     /// The issue-time route of `line` under every scheme over `map` is
-    /// the DRAM system's own decode of the mapped address, plus the
-    /// slice oracle — with no index narrowed away.
-    fn route_is_the_decode<M>(
-        map: M,
+    /// the map's own decode of the mapped address, plus the slice
+    /// oracle — with no index narrowed away.
+    fn route_is_the_decode(
+        map: DramMap,
         dram: DramConfig,
         seed: u64,
         line: u64,
-    ) -> Result<(), TestCaseError>
-    where
-        M: DramAddressMap + Copy + Send + Sync + 'static,
-    {
+    ) -> Result<(), TestCaseError> {
         let llc_slices = GpuConfig::table1().llc_slices;
         let dram = DramSystem::new(Arc::new(map), dram);
         for kind in SchemeKind::ALL_SCHEMES {
             let mapped = AddressMapper::build(kind, &map, seed).map(PhysAddr::new(line));
-            let (ctrl, bank, row) = dram.decode(mapped);
             let want = Route {
                 slice: u8::try_from(slice_oracle(&map, llc_slices, mapped)).unwrap(),
-                ctrl: u16::try_from(ctrl).unwrap(),
-                bank: u8::try_from(bank).unwrap(),
-                row,
+                ctrl: u16::try_from(map.controller_of(mapped)).unwrap(),
+                bank: u8::try_from(map.bank_of(mapped)).unwrap(),
+                row: u32::try_from(map.row_of(mapped)).unwrap(),
             };
-            let got = GpuSim::route(&map, dram.num_channels(), llc_slices, mapped);
+            let got = GpuSim::route(&dram, llc_slices, mapped);
             prop_assert_eq!(got, want, "{:?}, seed {}, line {:#x}", kind, seed, line);
         }
         Ok(())
@@ -787,8 +776,8 @@ mod tests {
         #[test]
         fn the_issue_time_route_is_the_dram_decode(seed in 0u64..1_000, line in 0u64..(1 << 23)) {
             let line = line << 7;
-            route_is_the_decode(GddrMap::baseline(), DramConfig::gddr5(), seed, line)?;
-            route_is_the_decode(StackedMap::baseline(), DramConfig::stacked_vault(), seed, line)?;
+            route_is_the_decode(DramMap::baseline(), DramConfig::gddr5(), seed, line)?;
+            route_is_the_decode(DramMap::stacked(), DramConfig::stacked_vault(), seed, line)?;
         }
     }
 }

@@ -275,7 +275,7 @@ mod tests {
     use super::*;
     use crate::txn::{id_of, Route, NO_WARP};
     use proptest::prelude::*;
-    use valley_core::{AddressMapper, GddrMap, PhysAddr, SchemeKind};
+    use valley_core::{AddressMapper, DramMap, PhysAddr, SchemeKind};
     use valley_dram::DramConfig;
 
     /// The route of `line` under `mapper` — slice 0, the slice under test.
@@ -296,7 +296,7 @@ mod tests {
     fn a_head_filled_while_stalled_is_counted_as_one_hit() {
         let mut cfg = GpuConfig::table1();
         cfg.llc_mshr_merges = 1;
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
         let mut dram = DramSystem::new(std::sync::Arc::new(map), cfg.dram);
         let dram_clock = DomainClock::new(cfg.dram_per_core());
@@ -334,7 +334,7 @@ mod tests {
         fn new(cfg: &GpuConfig, dram_cfg: DramConfig) -> Self {
             Rig {
                 slice: LlcSlice::new(cfg),
-                dram: DramSystem::new(std::sync::Arc::new(GddrMap::baseline()), dram_cfg),
+                dram: DramSystem::new(std::sync::Arc::new(DramMap::baseline()), dram_cfg),
                 replies: Vec::new(),
                 completions: Vec::new(),
             }
@@ -385,7 +385,7 @@ mod tests {
             burst in 1u64..6,
         ) {
             let cfg = GpuConfig::table1();
-            let map = GddrMap::baseline();
+            let map = DramMap::baseline();
             let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
             let mut dram_cfg: DramConfig = cfg.dram;
             dram_cfg.queue_capacity = 2;

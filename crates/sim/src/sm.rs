@@ -557,7 +557,7 @@ impl Sm {
 mod tests {
     use super::*;
     use crate::trace::LaneAddrs;
-    use valley_core::{GddrMap, SchemeKind};
+    use valley_core::{DramMap, SchemeKind};
 
     /// Core cycles from an SM's request to its reply.
     const REPLY_LATENCY: u64 = 20;
@@ -620,7 +620,7 @@ mod tests {
     /// ticks report every thread block retired, once.
     fn drive(kernel: &Kernel, tbs: u64, assign: impl Fn(u64, bool) -> bool) -> Edges {
         let cfg = GpuConfig::table1();
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
         let route = |_: PhysAddr| Route {
             slice: 0,

@@ -25,7 +25,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
+use valley_core::{AddressMapper, DramMap, SchemeKind};
 use valley_sim::{alloc_audit, GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
 use valley_workloads::{Benchmark, KernelSpec, Scale, Workload};
 
@@ -182,7 +182,7 @@ fn build_sim_with(cfg: GpuConfig, workload: Workload) -> GpuSim {
 }
 
 fn build_sim_under(scheme: SchemeKind, cfg: GpuConfig, workload: Workload) -> GpuSim {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(scheme, &map, 0);
     GpuSim::new(cfg, mapper, map, Box::new(workload))
 }

@@ -3,7 +3,7 @@
 //! nothing, not even the machine's clocks.
 
 use std::sync::Arc;
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
+use valley_core::{AddressMapper, DramMap, SchemeKind};
 use valley_sim::{BatchSim, GpuConfig, GpuSim, Instruction, LaneAddrs};
 use valley_workloads::{KernelSpec, Workload};
 
@@ -44,7 +44,7 @@ fn micro_workload(seed: u64, tbs: u64) -> Workload {
 fn build_lane(l: u64) -> GpuSim {
     let mut cfg = GpuConfig::table1().with_sms(2);
     cfg.core_clock_ghz += 0.1 * l as f64;
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Fae, &map, l);
     GpuSim::new(cfg, mapper, map, Box::new(micro_workload(l, 3 + l)))
 }

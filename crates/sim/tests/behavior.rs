@@ -4,14 +4,14 @@
 
 use std::sync::Arc;
 use valley_cache::CacheConfig;
-use valley_core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind};
+use valley_core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 use valley_sim::{GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
 use valley_workloads::{KernelSpec, Workload};
 
 type Gen = Arc<dyn Fn(u64, usize) -> Vec<Instruction> + Send + Sync>;
 
 fn run_workload(w: Workload) -> SimReport {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
     GpuSim::new(GpuConfig::table1(), mapper, map, Box::new(w)).run()
 }
@@ -76,7 +76,7 @@ fn a_stalled_lookup_is_counted_once() {
             let line = (tb * 4 + w as u64) << 20;
             vec![Instruction::Load(LaneAddrs::contiguous(line, 32, 4))]
         });
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
         let mut cfg = GpuConfig::table1();
         cfg.l1_mshrs = 1;
@@ -206,7 +206,7 @@ fn build(cfg: GpuConfig) -> GpuSim {
 /// warps in the TB.
 fn build_with(cfg: GpuConfig, warps: usize) -> GpuSim {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
     GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, warps)))
 }
@@ -274,7 +274,7 @@ fn a_zero_issue_width_is_refused() {
 /// banks each.
 #[derive(Debug)]
 struct Reshaped {
-    map: GddrMap,
+    map: DramMap,
     controllers: usize,
     banks: usize,
 }
@@ -295,9 +295,6 @@ impl DramAddressMap for Reshaped {
     fn row_of(&self, addr: PhysAddr) -> usize {
         self.map.row_of(addr)
     }
-    fn column_of(&self, addr: PhysAddr) -> usize {
-        self.map.column_of(addr)
-    }
     fn num_controllers(&self) -> usize {
         self.controllers
     }
@@ -306,9 +303,6 @@ impl DramAddressMap for Reshaped {
     }
     fn rows_per_bank(&self) -> usize {
         self.map.rows_per_bank()
-    }
-    fn columns_per_row(&self) -> usize {
-        self.map.columns_per_row()
     }
     fn controller_bits(&self) -> Vec<u8> {
         self.map.controller_bits()
@@ -319,16 +313,13 @@ impl DramAddressMap for Reshaped {
     fn row_bits(&self) -> Vec<u8> {
         self.map.row_bits()
     }
-    fn column_bits(&self) -> Vec<u8> {
-        self.map.column_bits()
-    }
 }
 
 /// Builds a one-instruction Table I machine over the baseline map
 /// reshaped to `controllers` controllers of `banks` banks.
 fn build_reshaped(controllers: usize, banks: usize) -> GpuSim {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
     let mut cfg = GpuConfig::table1();
     cfg.dram.banks = banks;

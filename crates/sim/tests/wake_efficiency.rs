@@ -17,7 +17,7 @@
 //! bounds below say which direction is a regression.
 #![cfg(feature = "wake-audit")]
 
-use valley_core::{AddressMapper, GddrMap, SchemeKind};
+use valley_core::{AddressMapper, DramMap, SchemeKind};
 use valley_sim::wake_audit::{take, Counter};
 use valley_sim::{GpuConfig, GpuSim, WorkloadSource};
 use valley_workloads::{Benchmark, Scale};
@@ -34,7 +34,7 @@ struct Wakes {
 }
 
 fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(scheme, &map, 1);
     let workload = bench.workload(Scale::Ref);
     let kernels = workload.num_kernels() as u64;

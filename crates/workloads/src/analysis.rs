@@ -64,7 +64,7 @@ mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
     use crate::gen::Scale;
-    use valley_core::{DramAddressMap, GddrMap, SchemeKind};
+    use valley_core::{DramAddressMap, DramMap, SchemeKind};
 
     /// Figures 5 and 10 as an assertion, whichever counting kernel is
     /// underneath: the channel/bank bits of the valley benchmarks are
@@ -72,7 +72,7 @@ mod tests {
     /// benchmark has no valley for any scheme to fill.
     #[test]
     fn entropy_valley_is_present_under_base_and_filled_by_pae_and_fae() {
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let targets = map.target_field_bits();
         let target_mean = |bench: Benchmark, kind: SchemeKind| {
             let mapper = AddressMapper::build(kind, &map, 1);
@@ -98,7 +98,7 @@ mod tests {
     /// DWT2DK1 kernels the paper shows beside it.
     #[test]
     fn the_valley_detector_splits_the_benchmarks_like_the_paper() {
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let (targets, candidates) = (map.target_field_bits(), map.non_block_bits());
         let has_valley = |w: &dyn WorkloadSource| {
             application_profile(w, 12, None).has_valley(&targets, &candidates, 0.25)
@@ -128,7 +128,7 @@ mod tests {
     fn mapping_changes_the_profile() {
         let w = Benchmark::Mt.workload(Scale::Test);
         let base = application_profile(&w, 12, None);
-        let map = GddrMap::baseline();
+        let map = DramMap::baseline();
         let pae = AddressMapper::build(SchemeKind::Pae, &map, 1);
         let mapped = application_profile(&w, 12, Some(&pae));
         assert_ne!(base.per_bit(), mapped.per_bit());

@@ -74,8 +74,9 @@ pub fn load_gather(addrs: Vec<u64>) -> Instruction {
 /// Workload sizing: `Test` keeps traces tiny for unit/integration tests;
 /// `Ref` is the scaled-down-but-representative configuration used by the
 /// experiment harness (the paper's billion-instruction runs are scaled to
-/// simulator-friendly footprints; address *structure* is preserved, see
-/// DESIGN.md §2.5). `Small` uses the test-sized footprints but lives in
+/// simulator-friendly footprints; the address *structure* — which bits
+/// vary within a thread block, across the TB window and across kernels —
+/// is preserved). `Small` uses the test-sized footprints but lives in
 /// its own sweep namespace: CI and smoke sweeps run the *complete*
 /// benchmark × scheme grid at `Small` without touching (or being
 /// shadowed by) `Ref` results in the content-addressed store.

@@ -1,8 +1,9 @@
 //! # valley-workloads
 //!
 //! The 16 GPU-compute benchmarks of the paper's Table II, recreated as
-//! deterministic synthetic trace generators (CUDA binaries and GPGPU-sim
-//! traces are not available; DESIGN.md §2.5 documents the substitution).
+//! deterministic synthetic trace generators (the paper's CUDA binaries and
+//! GPGPU-sim traces are not available, so each generator reproduces its
+//! benchmark's access pattern instead).
 //! Each benchmark preserves the *address structure* that drives the
 //! paper's results — which bits vary inside a thread block, across the
 //! concurrently-scheduled TB window, and across kernels — while scaling

@@ -5,12 +5,12 @@
 //!
 //! Run with: `cargo run --release --example custom_mapping_scheme`
 
-use valley::core::{AddressMapper, Bim, DramAddressMap, GddrMap, SchemeKind};
+use valley::core::{AddressMapper, Bim, DramAddressMap, DramMap, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim};
 use valley::workloads::{Benchmark, Scale};
 
 fn main() {
-    let dram = GddrMap::baseline();
+    let dram = DramMap::baseline();
 
     // A hand-built Broad-strategy BIM: each channel/bank output bit XORs
     // its own bit with two row bits chosen by hand (a "poor man's PAE").

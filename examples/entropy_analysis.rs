@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example entropy_analysis`
 
 use std::sync::Arc;
-use valley::core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind};
+use valley::core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
 use valley::sim::{Instruction, LaneAddrs};
 use valley::workloads::{analysis, KernelSpec, Workload};
 
@@ -27,7 +27,7 @@ fn main() {
         vec![KernelSpec::new("colwalk", 64, 8, gen)],
     );
 
-    let dram = GddrMap::baseline();
+    let dram = DramMap::baseline();
     let targets = dram.target_field_bits();
     let candidates = dram.non_block_bits();
     let window = 12; // TBs co-executing, the paper's SM-count heuristic

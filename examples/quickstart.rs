@@ -5,14 +5,14 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use valley::core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind};
+use valley::core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim};
 use valley::workloads::{Benchmark, Scale};
 
 fn main() {
     // 1. The baseline Hynix GDDR5 address map (Figure 4) and the PAE
     //    mapping scheme built for it.
-    let dram = GddrMap::baseline();
+    let dram = DramMap::baseline();
     let base = AddressMapper::build(SchemeKind::Base, &dram, 0);
     let pae = AddressMapper::build(SchemeKind::Pae, &dram, 1);
 

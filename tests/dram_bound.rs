@@ -19,7 +19,8 @@
 //! bank. A DRAM model that moves data faster than its bus or reopens a
 //! row faster than its array allows fails here, whatever the drive loop.
 
-use valley::core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind, StackedMap};
+use valley::core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
+use valley::harness::ConfigId;
 use valley::sim::{coalesce_into, GpuConfig, GpuSim, Instruction, WorkloadSource};
 use valley::workloads::{Benchmark, Scale};
 
@@ -58,12 +59,7 @@ fn traffic(workload: &dyn WorkloadSource, line_bytes: u64) -> Traffic {
 
 /// The bound for `traffic` under `scheme` on the machine `cfg` + `map`,
 /// in DRAM cycles: the channel term and the bank term.
-fn bound<M: DramAddressMap>(
-    traffic: &Traffic,
-    scheme: SchemeKind,
-    cfg: &GpuConfig,
-    map: &M,
-) -> (u64, u64) {
+fn bound(traffic: &Traffic, scheme: SchemeKind, cfg: &GpuConfig, map: &DramMap) -> (u64, u64) {
     let t = cfg.dram.timing;
     let mapper = AddressMapper::build(scheme, map, 1);
     let banks = map.banks_per_controller();
@@ -93,44 +89,15 @@ fn bound<M: DramAddressMap>(
     (channel, bank)
 }
 
-/// Which machine a job runs on.
-#[derive(Clone, Copy, Debug)]
-enum Machine {
-    Table1,
-    Stacked,
-}
-
-/// Runs `bench` under each of `schemes` on `machine` at `scale` and
-/// checks each run's DRAM cycles against the bound. Returns the
-/// smallest ratio of DRAM cycles to bound seen.
-fn check(bench: Benchmark, schemes: &[SchemeKind], machine: Machine, scale: Scale) -> f64 {
-    match machine {
-        Machine::Table1 => {
-            let (cfg, map) = (GpuConfig::table1(), GddrMap::baseline());
-            check_on(bench, schemes, machine, cfg, map, scale)
-        }
-        Machine::Stacked => {
-            let (cfg, map) = (GpuConfig::stacked(), StackedMap::baseline());
-            check_on(bench, schemes, machine, cfg, map, scale)
-        }
-    }
-}
-
-fn check_on<M>(
-    bench: Benchmark,
-    schemes: &[SchemeKind],
-    machine: Machine,
-    cfg: GpuConfig,
-    map: M,
-    scale: Scale,
-) -> f64
-where
-    M: DramAddressMap + Copy + Send + Sync + 'static,
-{
+/// Runs `bench` under each of `schemes` on the machine `config` names at
+/// `scale` and checks each run's DRAM cycles against the bound. Returns
+/// the smallest ratio of DRAM cycles to bound seen.
+fn check(bench: Benchmark, schemes: &[SchemeKind], config: ConfigId, scale: Scale) -> f64 {
+    let (cfg, map) = (config.gpu_config(), config.dram_map());
     let traffic = traffic(&bench.workload(scale), cfg.line_bytes);
     let mut tightest = f64::INFINITY;
     for &scheme in schemes {
-        let tag = format!("{bench:?}/{scheme:?} on {machine:?} at {scale:?}");
+        let tag = format!("{bench:?}/{scheme:?} on {config} at {scale:?}");
         let (channel, bank) = bound(&traffic, scheme, &cfg, &map);
         let mapper = AddressMapper::build(scheme, &map, 1);
         let report = GpuSim::new(cfg.clone(), mapper, map, Box::new(bench.workload(scale))).run();
@@ -153,18 +120,18 @@ where
 fn dram_time_reaches_the_trace_bound_at_test_scale() {
     let both = [SchemeKind::Base, SchemeKind::Pae];
     for bench in Benchmark::VALLEY {
-        check(bench, &both, Machine::Table1, Scale::Test);
+        check(bench, &both, ConfigId::Table1, Scale::Test);
     }
     check(
         Benchmark::Mt,
         &[SchemeKind::Base],
-        Machine::Stacked,
+        ConfigId::Stacked,
         Scale::Test,
     );
     check(
         Benchmark::Sp,
         &[SchemeKind::Pae],
-        Machine::Stacked,
+        ConfigId::Stacked,
         Scale::Test,
     );
 }
@@ -176,8 +143,8 @@ fn dram_time_reaches_the_trace_bound_at_test_scale() {
 fn dram_time_reaches_the_trace_bound_on_the_whole_ref_grid() {
     let mut tightest = f64::INFINITY;
     for bench in Benchmark::ALL {
-        for machine in [Machine::Table1, Machine::Stacked] {
-            tightest = tightest.min(check(bench, &SchemeKind::ALL_SCHEMES, machine, Scale::Ref));
+        for config in [ConfigId::Table1, ConfigId::Stacked] {
+            tightest = tightest.min(check(bench, &SchemeKind::ALL_SCHEMES, config, Scale::Ref));
         }
     }
     eprintln!("tightest DRAM cycles / bound: {tightest:.4}");

@@ -1,20 +1,24 @@
 //! End-to-end integration tests: the full pipeline (workload → coalescer
 //! → mapper → L1 → NoC → LLC → DRAM) at test scale.
 
-use valley::core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
-use valley::sim::{GpuConfig, GpuSim, SimReport};
+use valley::core::SchemeKind;
+use valley::harness::{execute_job, ConfigId, JobSpec};
+use valley::sim::SimReport;
 use valley::workloads::{Benchmark, Scale};
 
 fn run(bench: Benchmark, scheme: SchemeKind, seed: u64) -> SimReport {
-    let map = GddrMap::baseline();
-    let mapper = AddressMapper::build(scheme, &map, seed);
-    let sim = GpuSim::new(
-        GpuConfig::table1(),
-        mapper,
-        map,
-        Box::new(bench.workload(Scale::Test)),
-    );
-    sim.run()
+    run_on(ConfigId::Table1, bench, scheme, seed)
+}
+
+/// `bench` under `scheme` at test scale on the machine `config` names.
+fn run_on(config: ConfigId, bench: Benchmark, scheme: SchemeKind, seed: u64) -> SimReport {
+    execute_job(&JobSpec {
+        bench,
+        scheme,
+        seed,
+        scale: Scale::Test,
+        config,
+    })
 }
 
 #[test]
@@ -124,15 +128,7 @@ fn pae_raises_channel_parallelism_on_mt() {
 
 #[test]
 fn stacked_memory_configuration_runs() {
-    let map = StackedMap::baseline();
-    let mapper = AddressMapper::build(SchemeKind::Pae, &map, 1);
-    let sim = GpuSim::new(
-        GpuConfig::stacked(),
-        mapper,
-        map,
-        Box::new(Benchmark::Sp.workload(Scale::Test)),
-    );
-    let r = sim.run();
+    let r = run_on(ConfigId::Stacked, Benchmark::Sp, SchemeKind::Pae, 1);
     assert!(!r.truncated);
     assert_eq!(r.dram_channels, 64);
     assert!(r.cycles > 0);
@@ -140,17 +136,9 @@ fn stacked_memory_configuration_runs() {
 
 #[test]
 fn sm_count_sweep_runs() {
-    for sms in [12usize, 24, 48] {
-        let map = GddrMap::baseline();
-        let mapper = AddressMapper::build(SchemeKind::Fae, &map, 1);
-        let sim = GpuSim::new(
-            GpuConfig::table1().with_sms(sms),
-            mapper,
-            map,
-            Box::new(Benchmark::Hs.workload(Scale::Test)),
-        );
-        let r = sim.run();
+    for sms in [12, 24, 48] {
+        let r = run_on(ConfigId::Sms(sms), Benchmark::Hs, SchemeKind::Fae, 1);
         assert!(!r.truncated, "{sms} SMs truncated");
-        assert_eq!(r.num_sms, sms);
+        assert_eq!(r.num_sms, sms as usize);
     }
 }

@@ -7,12 +7,18 @@
 //! random workload (MUM), on the Table I machine and the 64-vault
 //! stacked one.
 
-use valley::core::{AddressMapper, GddrMap, SchemeKind, StackedMap};
+use valley::core::{AddressMapper, DramMap, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
 
 fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
-    build_with(bench, scheme, GpuConfig::table1(), Scale::Test)
+    build_with(
+        bench,
+        scheme,
+        GpuConfig::table1(),
+        DramMap::baseline(),
+        Scale::Test,
+    )
 }
 
 fn build_limited(bench: Benchmark, scheme: SchemeKind, max_cycles: u64) -> GpuSim {
@@ -20,40 +26,37 @@ fn build_limited(bench: Benchmark, scheme: SchemeKind, max_cycles: u64) -> GpuSi
         max_cycles,
         ..GpuConfig::table1()
     };
-    build_with(bench, scheme, cfg, Scale::Test)
+    build_with(bench, scheme, cfg, DramMap::baseline(), Scale::Test)
 }
 
-fn build_with(bench: Benchmark, scheme: SchemeKind, cfg: GpuConfig, scale: Scale) -> GpuSim {
-    let map = GddrMap::baseline();
+/// The machine `cfg` over `map` (Table I over the baseline map, or the
+/// 64-SM stacked machine over its 64 vaults).
+fn build_with(
+    bench: Benchmark,
+    scheme: SchemeKind,
+    cfg: GpuConfig,
+    map: DramMap,
+    scale: Scale,
+) -> GpuSim {
     let mapper = AddressMapper::build(scheme, &map, 1);
     GpuSim::new(cfg, mapper, map, Box::new(bench.workload(scale)))
 }
 
-/// The 3D-stacked machine: 64 SMs over 64 vaults.
-fn build_stacked(bench: Benchmark, scheme: SchemeKind, scale: Scale) -> GpuSim {
-    let map = StackedMap::baseline();
-    let mapper = AddressMapper::build(scheme, &map, 1);
-    GpuSim::new(
-        GpuConfig::stacked(),
-        mapper,
-        map,
-        Box::new(bench.workload(scale)),
-    )
-}
-
 fn assert_equivalent(bench: Benchmark, scheme: SchemeKind) {
-    assert_equivalent_with(bench, scheme, &GpuConfig::table1(), Scale::Test, "");
+    let table1 = GpuConfig::table1();
+    assert_equivalent_with(bench, scheme, &table1, DramMap::baseline(), Scale::Test, "");
 }
 
 fn assert_equivalent_with(
     bench: Benchmark,
     scheme: SchemeKind,
     cfg: &GpuConfig,
+    map: DramMap,
     scale: Scale,
     note: &str,
 ) {
     assert_same(
-        || build_with(bench, scheme, cfg.clone(), scale),
+        || build_with(bench, scheme, cfg.clone(), map, scale),
         &format!("{bench:?}/{scheme:?}{note}"),
     );
 }
@@ -143,6 +146,7 @@ fn wake_audit_runs_at_ref_scale() {
             bench,
             scheme,
             &GpuConfig::table1(),
+            DramMap::baseline(),
             Scale::Ref,
             " at ref scale",
         );
@@ -168,6 +172,7 @@ fn dram_clocks_above_the_core_clock() {
                 bench,
                 scheme,
                 &cfg,
+                DramMap::baseline(),
                 Scale::Test,
                 &format!(" at DRAM {dram_ghz} GHz"),
             );
@@ -177,9 +182,13 @@ fn dram_clocks_above_the_core_clock() {
 
 #[test]
 fn stacked_memory_equivalence() {
-    assert_same(
-        || build_stacked(Benchmark::Sp, SchemeKind::Pae, Scale::Test),
-        "Sp/Pae stacked",
+    assert_equivalent_with(
+        Benchmark::Sp,
+        SchemeKind::Pae,
+        &GpuConfig::stacked(),
+        DramMap::stacked(),
+        Scale::Test,
+        " stacked",
     );
 }
 
@@ -193,9 +202,13 @@ fn stacked_runs_at_ref_scale() {
         (Benchmark::Mt, SchemeKind::Base),
         (Benchmark::Sp, SchemeKind::Pae),
     ] {
-        assert_same(
-            || build_stacked(bench, scheme, Scale::Ref),
-            &format!("{bench:?}/{scheme:?} stacked at ref scale"),
+        assert_equivalent_with(
+            bench,
+            scheme,
+            &GpuConfig::stacked(),
+            DramMap::stacked(),
+            Scale::Ref,
+            " stacked at ref scale",
         );
     }
 }

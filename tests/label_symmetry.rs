@@ -7,7 +7,7 @@
 //! `results_json()` bit-identical — an oracle that shares no code with
 //! the model it checks.
 
-use valley::core::{AddressMapper, DramAddressMap, GddrMap, PhysAddr, SchemeKind};
+use valley::core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim};
 use valley::workloads::{Benchmark, Scale};
 
@@ -47,9 +47,6 @@ impl<M: DramAddressMap> DramAddressMap for Relabeled<M> {
             Relabel::Bank(_) => self.inner.row_of(addr),
         }
     }
-    fn column_of(&self, addr: PhysAddr) -> usize {
-        self.inner.column_of(addr)
-    }
     fn num_controllers(&self) -> usize {
         self.inner.num_controllers()
     }
@@ -59,9 +56,6 @@ impl<M: DramAddressMap> DramAddressMap for Relabeled<M> {
     fn rows_per_bank(&self) -> usize {
         self.inner.rows_per_bank()
     }
-    fn columns_per_row(&self) -> usize {
-        self.inner.columns_per_row()
-    }
     fn controller_bits(&self) -> Vec<u8> {
         self.inner.controller_bits()
     }
@@ -70,9 +64,6 @@ impl<M: DramAddressMap> DramAddressMap for Relabeled<M> {
     }
     fn row_bits(&self) -> Vec<u8> {
         self.inner.row_bits()
-    }
-    fn column_bits(&self) -> Vec<u8> {
-        self.inner.column_bits()
     }
 }
 
@@ -95,7 +86,7 @@ where
 /// Runs `bench` under `scheme` on the baseline map and under each
 /// renaming, and asserts every run's results equal the baseline's.
 fn assert_symmetric(bench: Benchmark, scheme: SchemeKind, scale: Scale, relabels: &[Relabel]) {
-    let inner = GddrMap::baseline();
+    let inner = DramMap::baseline();
     let want = results(inner, bench, scheme, scale);
     for &relabel in relabels {
         let got = results(Relabeled { inner, relabel }, bench, scheme, scale);

@@ -3,7 +3,8 @@
 //! it. A new crate that forgets `[lints] workspace = true` would build,
 //! test and pass clippy with every rule off — so the opt-in is checked
 //! here, where the tier-1 suite sees it. So is the rule that nothing in
-//! the workspace depends on the `valley-compute` shell.
+//! the workspace depends on the `valley-compute` shell, and that no
+//! hidden shim kept for the frozen benchmark outlives its last call.
 
 use std::path::{Path, PathBuf};
 
@@ -80,5 +81,41 @@ fn every_package_inherits_the_workspace_lints() {
     assert!(
         shadowing.is_empty(),
         "per-crate clippy configuration shadows the root clippy.toml: {shadowing:?}"
+    );
+}
+
+/// Every `#[doc(hidden)]` item the workspace keeps only because the
+/// frozen benchmark (`benchmark/src`) calls it, with the text of that
+/// call. Once the benchmark stops naming one, the shim has no caller:
+/// delete it, and its line here, in the same change.
+const BENCHMARK_SHIMS: [(&str, &str); 8] = [
+    ("Crossbar::tick_evented", "xbar.tick_evented("),
+    ("Crossbar::flush_deferred", "xbar.flush_deferred("),
+    ("DramSystem::tick_evented", "sys.tick_evented("),
+    ("DramSystem::flush_deferred", "sys.flush_deferred("),
+    ("GpuSim::run_sharded", ".run_sharded("),
+    ("ResultStore::shard_sizes", ".shard_sizes("),
+    ("EntropyMethod", "EntropyMethod"),
+    ("GddrMap", "GddrMap"),
+];
+
+#[test]
+fn every_benchmark_shim_still_has_a_caller() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmark/src");
+    let mut text = String::new();
+    for entry in std::fs::read_dir(&src).expect("benchmark/src lists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            text += &std::fs::read_to_string(&path).expect("benchmark source reads");
+        }
+    }
+    let orphans: Vec<&str> = BENCHMARK_SHIMS
+        .iter()
+        .filter(|(_, call)| !text.contains(call))
+        .map(|(item, _)| *item)
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "benchmark/src no longer calls {orphans:?}: delete each hidden shim with its last call"
     );
 }

@@ -2,13 +2,13 @@
 //! tell a consistent story, and the power model must react to the
 //! simulator's counters the way the paper describes.
 
-use valley::core::{AddressMapper, DramAddressMap, GddrMap, SchemeKind};
+use valley::core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
 use valley::power::DramPowerModel;
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{analysis, Benchmark, Scale};
 
 fn run(bench: Benchmark, scheme: SchemeKind, seed: u64) -> SimReport {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mapper = AddressMapper::build(scheme, &map, seed);
     GpuSim::new(
         GpuConfig::table1(),
@@ -24,7 +24,7 @@ fn valley_classification_matches_paper_groups() {
     // The entropy analyzer must classify all ten valley benchmarks as
     // valleys and none of the six non-valley ones (Figure 5's split),
     // at reference scale with the paper's window of 12.
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let candidates = map.non_block_bits();
     for b in Benchmark::ALL {
@@ -41,7 +41,7 @@ fn valley_classification_matches_paper_groups() {
 
 #[test]
 fn pae_lifts_target_bit_entropy_without_touching_rows() {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let mt = Benchmark::Mt.workload(Scale::Test);
     let base = analysis::application_profile(&mt, 12, None);
@@ -59,7 +59,7 @@ fn pae_lifts_target_bit_entropy_without_touching_rows() {
 
 #[test]
 fn all_rewrites_every_non_block_bit_profile() {
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let mt = Benchmark::Mt.workload(Scale::Test);
     let base = analysis::application_profile(&mt, 12, None);
     let all_mapper = AddressMapper::build(SchemeKind::All, &map, 1);
@@ -99,7 +99,7 @@ fn mapper_latency_is_charged() {
     // BASE has a 0-cycle mapping unit; every other scheme pays 1 cycle
     // on the L1 hit path. On an L1-resident workload the BASE run must
     // not be slower than the identity-with-latency run.
-    let map = GddrMap::baseline();
+    let map = DramMap::baseline();
     let base = run(Benchmark::Nn, SchemeKind::Base, 0);
     // An identity BIM wrapped as a non-BASE scheme: same mapping, 1-cycle
     // latency.
