@@ -295,13 +295,6 @@ impl Bim {
         Bim::from_parts(self.n, rows)
     }
 
-    /// The number of ones in the matrix — a proxy for the XOR-gate count of
-    /// the hardware realization (each row with `k` ones needs `k-1`
-    /// two-input XOR gates).
-    pub fn popcount(&self) -> u32 {
-        self.rows.iter().map(|r| r.count_ones()).sum()
-    }
-
     /// An estimate of the two-input XOR gates required in hardware.
     pub fn xor_gate_count(&self) -> u32 {
         self.rows
@@ -497,7 +490,6 @@ mod tests {
         m.set_row(0, 0b111111); // 6 inputs -> 5 gates, depth 3
         assert_eq!(m.xor_gate_count(), 5);
         assert_eq!(m.xor_tree_depth(), 3);
-        assert_eq!(m.popcount(), 5 + 6);
     }
 
     #[test]

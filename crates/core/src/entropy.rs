@@ -82,36 +82,6 @@ pub fn shannon_entropy(probs: &[f64]) -> f64 {
         .sum::<f64>()
 }
 
-/// Addresses per counting tile, and bit planes per transposed tile.
-const TILE: usize = 64;
-
-/// In-place 64×64 bit-matrix transpose: on input, word `i` is row `i`
-/// (bit `j` = column `j`); on output, word `i` is the former column `i`.
-/// Involutive. The classic recursive block swap (Hacker's Delight §7-3):
-/// swap the two off-diagonal 32×32 blocks, then the four off-diagonal
-/// 16×16 blocks, and so on down to 1×1 — six passes of shift/XOR/mask
-/// over the 64 words.
-fn transpose64(a: &mut [u64; TILE]) {
-    let mut j: usize = 32;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k: usize = 0;
-        while k < TILE {
-            // Hacker's Delight writes this block swap for MSB-first
-            // columns; with our LSB-first convention (bit j of word i =
-            // column j of row i) the swapped halves trade places: the
-            // *high* bits of the low word exchange with the *low* bits of
-            // the high word.
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-}
-
 /// Per-TB, per-bit 1-value counts — the raw material of the BVR.
 ///
 /// Build one per TB, feed it every (post-coalescing) request address the
@@ -133,36 +103,14 @@ impl TbBitStats {
         }
     }
 
-    /// Builds statistics from an iterator of request addresses.
-    ///
-    /// Counts by tiles of 64 addresses: one bit-matrix transpose turns 64
-    /// per-address bit-counter updates into one `count_ones` per bit
-    /// plane. The ragged tail goes through [`TbBitStats::record`], the
-    /// per-address reference `tests/props.rs` compares this against.
+    /// Builds statistics from an iterator of request addresses, one
+    /// [`TbBitStats::record`] per address.
     pub fn from_addrs<I: IntoIterator<Item = u64>>(tb_id: u64, addr_bits: u8, addrs: I) -> Self {
         let mut s = TbBitStats::new(tb_id, addr_bits);
-        let mut addrs = addrs.into_iter();
-        let mut tile = [0u64; TILE];
-        loop {
-            // `zip` asks the tile for a slot first, so a full tile does
-            // not pull (and lose) a 65th address.
-            let mut filled = 0;
-            for (slot, a) in tile.iter_mut().zip(addrs.by_ref()) {
-                *slot = a;
-                filled += 1;
-            }
-            if filled < TILE {
-                for &a in &tile[..filled] {
-                    s.record(a);
-                }
-                return s;
-            }
-            transpose64(&mut tile);
-            s.requests += TILE as u64;
-            for (count, plane) in s.ones.iter_mut().zip(&tile) {
-                *count += u64::from(plane.count_ones());
-            }
+        for a in addrs {
+            s.record(a);
         }
+        s
     }
 
     /// Records one request address.
@@ -221,36 +169,8 @@ pub fn binary_entropy(p: f64) -> f64 {
 ///
 /// `bvrs` must be in ascending TB-identifier order. If there are fewer TBs
 /// than the window size, a single window containing all TBs is used.
-/// Returns 0 for an empty slice. Runs in O(n): window sums are two
-/// lookups in a prefix-sum array, whose bounded cancellation error keeps
-/// the result within round-off of [`window_entropy_naive`] (the property
-/// tests in `tests/props.rs` pin this).
+/// Returns 0 for an empty slice.
 pub fn window_entropy(bvrs: &[Bvr], window: usize) -> f64 {
-    if bvrs.is_empty() {
-        return 0.0;
-    }
-    let w = window.max(1).min(bvrs.len());
-    let num_windows = bvrs.len() - w + 1;
-    let mut prefix = Vec::with_capacity(bvrs.len() + 1);
-    let mut acc = 0.0f64;
-    prefix.push(0.0);
-    for v in bvrs {
-        acc += v.value();
-        prefix.push(acc);
-    }
-    let mut sum = 0.0;
-    for start in 0..num_windows {
-        let p = (prefix[start + w] - prefix[start]) / w as f64;
-        sum += binary_entropy(p);
-    }
-    sum / num_windows as f64
-}
-
-/// The reference O(n·w) implementation of [`window_entropy`]: recomputes
-/// every window from scratch. Kept as the oracle for the prefix-sum
-/// implementation's property tests and as an unambiguous statement of
-/// the metric's definition.
-pub fn window_entropy_naive(bvrs: &[Bvr], window: usize) -> f64 {
     if bvrs.is_empty() {
         return 0.0;
     }
@@ -392,71 +312,6 @@ pub fn application_entropy(kernels: &[EntropyProfile]) -> EntropyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive_transpose(a: &[u64; TILE]) -> [u64; TILE] {
-        let mut out = [0u64; TILE];
-        for (i, row) in a.iter().enumerate() {
-            for (j, out_row) in out.iter_mut().enumerate() {
-                *out_row |= ((row >> j) & 1) << i;
-            }
-        }
-        out
-    }
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    #[test]
-    fn transpose_matches_naive_orientation() {
-        let mut state = 0xdead_beefu64;
-        for case in 0..50 {
-            let mut tile = [0u64; TILE];
-            for w in tile.iter_mut() {
-                *w = splitmix(&mut state);
-            }
-            let expect = naive_transpose(&tile);
-            let mut got = tile;
-            transpose64(&mut got);
-            assert_eq!(got, expect, "case {case}");
-        }
-    }
-
-    #[test]
-    fn transpose_is_involutive() {
-        let mut state = 42u64;
-        let mut tile = [0u64; TILE];
-        for w in tile.iter_mut() {
-            *w = splitmix(&mut state);
-        }
-        let orig = tile;
-        transpose64(&mut tile);
-        transpose64(&mut tile);
-        assert_eq!(tile, orig);
-    }
-
-    #[test]
-    fn transpose_fixes_the_diagonal_and_swaps_single_bits() {
-        let mut diag = [0u64; TILE];
-        for (i, w) in diag.iter_mut().enumerate() {
-            *w = 1u64 << i;
-        }
-        let orig = diag;
-        transpose64(&mut diag);
-        assert_eq!(diag, orig);
-        for (r, c) in [(0usize, 0usize), (0, 63), (63, 0), (17, 41), (63, 63)] {
-            let mut tile = [0u64; TILE];
-            tile[r] = 1u64 << c;
-            transpose64(&mut tile);
-            let mut expect = [0u64; TILE];
-            expect[c] = 1u64 << r;
-            assert_eq!(tile, expect, "bit ({r}, {c})");
-        }
-    }
 
     #[test]
     fn bvr_is_the_ratio() {

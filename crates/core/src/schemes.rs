@@ -109,7 +109,6 @@ pub struct AddressMapper {
     bim: Bim,
     inverse: Bim,
     latency: u32,
-    seed: u64,
 }
 
 impl AddressMapper {
@@ -149,7 +148,6 @@ impl AddressMapper {
             bim,
             inverse,
             latency,
-            seed,
         }
     }
 
@@ -166,7 +164,6 @@ impl AddressMapper {
             bim,
             inverse,
             latency,
-            seed: 0,
         }
     }
 
@@ -191,11 +188,6 @@ impl AddressMapper {
     /// (0 for BASE, 1 for everything else, per Section V).
     pub fn latency_cycles(&self) -> u32 {
         self.latency
-    }
-
-    /// The seed used for randomized construction (0 for fixed schemes).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Read access to the underlying matrix.

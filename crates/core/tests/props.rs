@@ -2,7 +2,7 @@
 //! window-based entropy metric.
 
 use proptest::prelude::*;
-use valley_core::entropy::{window_entropy, window_entropy_naive, Bvr, TbBitStats};
+use valley_core::entropy::{shannon_entropy, window_entropy, Bvr};
 use valley_core::{AddressMapper, Bim, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 
 const ADDR_MASK: u64 = (1 << 30) - 1;
@@ -88,52 +88,38 @@ proptest! {
         prop_assert_eq!(f(0), 0);
     }
 
-    /// `TbBitStats::from_addrs` counts by transposed 64-address tiles;
-    /// per-address `record` is the reference. Equal for every bit width
-    /// and stream length: empty, ragged tail only, whole tiles, both.
-    #[test]
-    fn tile_counting_matches_per_address_record(
-        addrs in proptest::collection::vec(any::<u64>(), 0..300),
-        bits in 1u8..=64,
-    ) {
-        let mut reference = TbBitStats::new(7, bits);
-        for &a in &addrs {
-            reference.record(a);
-        }
-        prop_assert_eq!(TbBitStats::from_addrs(7, bits, addrs.iter().copied()), reference);
-    }
-
-    /// Window-based entropy is always within [0, 1], and so is the naive
-    /// reference.
+    /// Window-based entropy is always within [0, 1].
     #[test]
     fn entropy_is_normalized(
         ones in proptest::collection::vec(0u64..=8, 1..40),
         window in 1usize..16,
     ) {
         let bvrs: Vec<Bvr> = ones.iter().map(|&o| Bvr::new(o, 8)).collect();
-        for h in [window_entropy(&bvrs, window), window_entropy_naive(&bvrs, window)] {
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&h), "{h}");
-        }
+        let h = window_entropy(&bvrs, window);
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&h), "{h}");
     }
 
-    /// The O(n) prefix-sum window entropy matches the naive O(n·w)
-    /// reference on arbitrary BVR slices and window sizes (including
-    /// windows larger than the slice).
+    /// On BVRs of exactly 0 or 1, `window_entropy` is Equation 1
+    /// averaged over the windows: the Shannon entropy of each window's
+    /// value frequencies (`ones/w`, `zeros/w`), base 2. That path shares
+    /// no code with the binary entropy of the window's mean BVR.
     #[test]
-    fn rolling_entropy_matches_naive(
-        pairs in proptest::collection::vec((0u64..=12, 1u64..=12), 1..120),
+    fn window_entropy_is_equation_1_on_binary_bvrs(
+        bits in proptest::collection::vec(any::<bool>(), 1..120),
         window in 1usize..40,
     ) {
-        let bvrs: Vec<Bvr> = pairs
-            .iter()
-            .map(|&(ones, total)| Bvr::new(ones.min(total), total))
+        let bvrs: Vec<Bvr> = bits.iter().map(|&b| Bvr::new(u64::from(b), 1)).collect();
+        let w = window.min(bits.len());
+        let per_window: Vec<f64> = bits
+            .windows(w)
+            .map(|win| {
+                let ones = win.iter().filter(|&&b| b).count() as f64;
+                shannon_entropy(&[ones / w as f64, (w as f64 - ones) / w as f64])
+            })
             .collect();
-        let rolling = window_entropy(&bvrs, window);
-        let naive = window_entropy_naive(&bvrs, window);
-        prop_assert!(
-            (rolling - naive).abs() < 1e-12,
-            "w={window}: rolling {rolling} vs naive {naive}"
-        );
+        let equation_1 = per_window.iter().sum::<f64>() / per_window.len() as f64;
+        let h = window_entropy(&bvrs, window);
+        prop_assert!((h - equation_1).abs() < 1e-12, "w={window}: {h} vs {equation_1}");
     }
 
     /// Entropy is invariant under reversing the TB order (windows slide
@@ -157,7 +143,6 @@ proptest! {
         let v = if one { Bvr::new(1, 1) } else { Bvr::new(0, 1) };
         let bvrs = vec![v; n];
         prop_assert_eq!(window_entropy(&bvrs, window), 0.0);
-        prop_assert_eq!(window_entropy_naive(&bvrs, window), 0.0);
     }
 
     /// DRAM decode stays within the geometry for arbitrary addresses,

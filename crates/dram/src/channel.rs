@@ -123,7 +123,7 @@ struct InFlight {
 /// ```
 /// use valley_dram::{DramChannel, DramConfig, DramRequest};
 ///
-/// let mut ch = DramChannel::new(DramConfig::gddr5());
+/// let mut ch = DramChannel::new(DramConfig::gddr5(), 16);
 /// ch.try_enqueue(DramRequest { id: 1, bank: 0, row: 7, is_write: false, arrival: 0 });
 /// let mut done = Vec::new();
 /// for cycle in 0..200 {
@@ -177,23 +177,23 @@ pub struct DramChannel {
 }
 
 impl DramChannel {
-    /// Creates an idle channel.
+    /// Creates an idle channel of `banks` banks.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has more than 64 banks (the width of
-    /// the `queued_banks` bitmask).
-    pub fn new(cfg: DramConfig) -> Self {
+    /// Panics if `banks` is over 64 (the width of the `queued_banks`
+    /// bitmask).
+    pub fn new(cfg: DramConfig, banks: usize) -> Self {
         assert!(
-            cfg.banks <= 64,
+            banks <= 64,
             "queued_banks is a u64 bitmask: at most 64 banks per channel"
         );
         DramChannel {
-            banks: vec![Bank::default(); cfg.banks],
+            banks: vec![Bank::default(); banks],
             // Sized for steady state (the whole channel holds at most
             // `queue_capacity` queued requests): fresh channels otherwise
             // pay a per-bank realloc ladder on every simulation run.
-            queues: vec![VecDeque::with_capacity(16); cfg.banks],
+            queues: vec![VecDeque::with_capacity(16); banks],
             queued_banks: 0,
             queued: 0,
             busy_bank_count: 0,
@@ -221,7 +221,7 @@ impl DramChannel {
     ///
     /// Panics if the request's bank index is out of range.
     pub fn try_enqueue(&mut self, req: DramRequest) -> bool {
-        assert!(req.bank < self.cfg.banks, "bank index out of range");
+        assert!(req.bank < self.banks.len(), "bank index out of range");
         if self.queued >= self.cfg.queue_capacity {
             return false;
         }
@@ -533,7 +533,7 @@ mod tests {
     use super::*;
 
     fn chan() -> DramChannel {
-        DramChannel::new(DramConfig::gddr5())
+        DramChannel::new(DramConfig::gddr5(), 16)
     }
 
     fn run(ch: &mut DramChannel, from: u64, to: u64) -> Vec<DramCompletion> {
@@ -671,10 +671,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "queued_banks")]
     fn more_banks_than_the_queued_mask_holds_is_refused() {
-        DramChannel::new(DramConfig {
-            banks: 65,
-            ..DramConfig::gddr5()
-        });
+        DramChannel::new(DramConfig::gddr5(), 65);
     }
 
     #[test]
@@ -844,7 +841,7 @@ mod tests {
             cfg: DramConfig,
             reqs: &[(usize, usize, bool, u64)],
         ) -> Result<(), TestCaseError> {
-            let mut ch = DramChannel::new(cfg);
+            let mut ch = DramChannel::new(cfg, 16);
             let mut reqs: Vec<(usize, usize, bool, u64)> = reqs.to_vec();
             reqs.sort_by_key(|r| r.3);
             let mut next = 0;
@@ -902,7 +899,7 @@ mod tests {
             ) {
                 let mut cfg = DramConfig::gddr5();
                 cfg.queue_capacity = 4;
-                let mut ch = DramChannel::new(cfg);
+                let mut ch = DramChannel::new(cfg, 16);
                 let mut done = Vec::new();
                 let mut next = 0;
                 let mut due = 0u64;

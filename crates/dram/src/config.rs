@@ -60,11 +60,10 @@ impl DramTiming {
 /// Every channel schedules FR-FCFS (Rixner et al.), as in the paper:
 /// the oldest row-buffer hit first, then the oldest request whose bank
 /// is ready. The policy is not configurable; the fields size and time
-/// the channel.
+/// the channel. Its bank count is the address map's
+/// (`DramAddressMap::banks_per_controller`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DramConfig {
-    /// Number of banks in the channel.
-    pub banks: usize,
     /// Scheduling queue capacity.
     pub queue_capacity: usize,
     /// Command timing.
@@ -75,22 +74,20 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
-    /// The paper's baseline GDDR5 channel: 16 banks, FR-FCFS with a
-    /// 64-entry queue, 924 MHz.
+    /// The paper's baseline GDDR5 channel: FR-FCFS with a 64-entry queue,
+    /// 924 MHz.
     pub const fn gddr5() -> Self {
         DramConfig {
-            banks: 16,
             queue_capacity: 64,
             timing: DramTiming::gddr5(),
             clock_ghz: 0.924,
         }
     }
 
-    /// One vault of the 3D-stacked configuration: 16 banks, 1.25 GHz TSV
-    /// clock, smaller per-vault queue.
+    /// One vault of the 3D-stacked configuration: 1.25 GHz TSV clock,
+    /// smaller per-vault queue.
     pub const fn stacked_vault() -> Self {
         DramConfig {
-            banks: 16,
             queue_capacity: 16,
             timing: DramTiming::stacked_vault(),
             clock_ghz: 1.25,
@@ -107,7 +104,6 @@ mod tests {
         let t = DramTiming::gddr5();
         assert_eq!((t.cl, t.trcd, t.trp), (12, 12, 12));
         let c = DramConfig::gddr5();
-        assert_eq!(c.banks, 16);
         assert!((c.clock_ghz - 0.924).abs() < 1e-9);
         // 32 B/cycle x 0.924 GHz x 4 channels = 118.3 GB/s.
         let bw = 32.0 * c.clock_ghz * 4.0;

@@ -54,19 +54,17 @@ pub struct DramSystem {
 }
 
 impl DramSystem {
-    /// Creates a system with one channel per controller of `map`.
+    /// Creates a system with one channel per controller of `map`, each
+    /// with the map's banks.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` and `map` disagree on the bank count.
+    /// Panics if the map has more than 64 banks per controller (see
+    /// [`DramChannel::new`]).
     pub fn new(map: Arc<dyn DramAddressMap + Send + Sync>, cfg: DramConfig) -> Self {
-        assert_eq!(
-            cfg.banks,
-            map.banks_per_controller(),
-            "channel config and address map disagree on bank count"
-        );
+        let banks = map.banks_per_controller();
         let channels = (0..map.num_controllers())
-            .map(|_| DramChannel::new(cfg))
+            .map(|_| DramChannel::new(cfg, banks))
             .collect();
         DramSystem {
             map,
@@ -281,13 +279,5 @@ mod tests {
         let mut samples = Vec::new();
         s.busy_banks_per_busy_channel_into(&mut samples);
         assert_eq!(samples, vec![2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "disagree on bank count")]
-    fn config_mismatch_is_rejected() {
-        let mut bad = DramConfig::gddr5();
-        bad.banks = 8;
-        let _ = DramSystem::new(Arc::new(DramMap::baseline()), bad);
     }
 }

@@ -23,7 +23,7 @@ proptest! {
     /// Every enqueued request completes exactly once, with its own id.
     #[test]
     fn conservation(reqs in proptest::collection::vec((0usize..16, 0usize..64, any::<bool>()), 1..60)) {
-        let mut ch = DramChannel::new(DramConfig::gddr5());
+        let mut ch = DramChannel::new(DramConfig::gddr5(), 16);
         let mut accepted = Vec::new();
         for (i, &(bank, row, w)) in reqs.iter().enumerate() {
             if ch.try_enqueue(DramRequest {
@@ -53,7 +53,7 @@ proptest! {
     /// least tburst cycles apart.
     #[test]
     fn bus_exclusivity(reqs in proptest::collection::vec((0usize..16, 0usize..8), 2..40)) {
-        let mut ch = DramChannel::new(DramConfig::gddr5());
+        let mut ch = DramChannel::new(DramConfig::gddr5(), 16);
         let mut n = 0;
         for (i, &(bank, row)) in reqs.iter().enumerate() {
             if ch.try_enqueue(DramRequest {
@@ -78,7 +78,7 @@ proptest! {
     /// than the uncontended single-request latency.
     #[test]
     fn latency_lower_bound(reqs in proptest::collection::vec((0usize..16, 0usize..8), 1..30)) {
-        let mut ch = DramChannel::new(DramConfig::gddr5());
+        let mut ch = DramChannel::new(DramConfig::gddr5(), 16);
         let mut n = 0;
         for (i, &(bank, row)) in reqs.iter().enumerate() {
             if ch.try_enqueue(DramRequest {
@@ -102,7 +102,7 @@ proptest! {
     /// to one bank approach a perfect hit rate.
     #[test]
     fn hit_rate_bounds(n in 2usize..40) {
-        let mut ch = DramChannel::new(DramConfig::gddr5());
+        let mut ch = DramChannel::new(DramConfig::gddr5(), 16);
         for i in 0..n {
             ch.try_enqueue(DramRequest {
                 id: i as u64,

@@ -370,6 +370,22 @@ fn analytic_rows_render_as_pinned_in_the_paper_golden() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Figure 10 prints what a seed's BIMs measure: under seed 7 PAE lifts
+/// MT's channel/bank bits by less than the 0.2 the paper's seed-1 trend
+/// holds (`paper_trends.rs`), and the row used to panic on it.
+#[test]
+fn fig10_renders_under_every_seed() {
+    let dir = fresh_dir("fig10-seed7");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let args = ["figures", "--fig", "fig10_mt_entropy", "--scale", "ref"];
+    let out = valley(&[&args[..], &["--seed", "7", "--results", results]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "seed 7: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("mean target-bit entropy: BASE"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--fig` names registry rows only, and chooses the tables itself.
 #[test]
 fn fig_rejects_an_unknown_name_and_set() {

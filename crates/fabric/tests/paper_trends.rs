@@ -100,6 +100,26 @@ fn fig16_dram_power_rises_with_the_bits_a_scheme_rewrites() {
     }
 }
 
+/// Figure 10: on MT, PAE and FAE lift the channel/bank bits' mean
+/// entropy well above BASE's valley.
+#[test]
+fn fig10_pae_and_fae_lift_the_valley() {
+    // `mean target-bit entropy: BASE 0.42 -> PAE 0.88, FAE 1.00`
+    let line = PAPER_REF
+        .lines()
+        .find_map(|l| l.strip_prefix("mean target-bit entropy: "))
+        .expect("Figure 10's mean target-bit entropy line");
+    let h = |scheme: &str| -> f64 {
+        let (_, after) = line.split_once(&format!("{scheme} ")).expect(scheme);
+        let value = after.split([' ', ',']).next().expect(scheme);
+        value.parse().expect("a number")
+    };
+    let base = h("BASE");
+    for scheme in ["PAE", "FAE"] {
+        assert!(h(scheme) >= base + 0.2, "{line}");
+    }
+}
+
 /// The paper's causal chain: Figure 5's valley score splits the
 /// benchmarks into Figure 12's set and Figure 20's, and the speedup PAE
 /// buys splits them the same way.

@@ -883,12 +883,10 @@ fn fig05(scale: Scale) -> String {
     out
 }
 
-/// Figure 10: MT's entropy under the six schemes. PAE and FAE must lift
-/// the valley in the channel/bank bits (8–13).
-///
-/// # Panics
-///
-/// Panics if PAE or FAE stops lifting the valley (part of the claim).
+/// Figure 10: MT's entropy under the six schemes, and the mean entropy
+/// of the channel/bank bits (8–13) that PAE and FAE lift. It prints
+/// whatever the seed's BIMs measure: the paper's lift is checked on the
+/// seed-1 render, by `valley-fabric`'s `paper_trends.rs`.
 fn fig10(scale: Scale, seed: u64) -> String {
     let map = DramMap::baseline();
     let targets = map.target_field_bits();
@@ -917,8 +915,6 @@ fn fig10(scale: Scale, seed: u64) -> String {
     out.push_str(&format!(
         "mean target-bit entropy: BASE {base:.2} -> PAE {pae:.2}, FAE {fae:.2}\n"
     ));
-    assert!(pae > base + 0.2, "PAE must lift the valley");
-    assert!(fae > base + 0.2, "FAE must lift the valley");
     out
 }
 

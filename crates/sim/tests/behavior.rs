@@ -321,8 +321,7 @@ fn build_reshaped(controllers: usize, banks: usize) -> GpuSim {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
     let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-    let mut cfg = GpuConfig::table1();
-    cfg.dram.banks = banks;
+    let cfg = GpuConfig::table1();
     let map = Reshaped {
         map,
         controllers,

@@ -30,15 +30,10 @@ pub fn kernel_profile(
     let tbs: Vec<TbBitStats> = (0..kernel.num_thread_blocks())
         .map(|tb| {
             let addrs = tb_request_addresses(kernel.as_ref(), tb, ENTROPY_GRANULARITY);
-            // Chosen per TB, not per address: a branch inside the iterator
-            // keeps `from_addrs` from filling its tiles at copy speed.
-            match mapper {
-                Some(m) => {
-                    let mapped = addrs.into_iter().map(|a| m.map(PhysAddr::new(a)).raw());
-                    TbBitStats::from_addrs(tb, ADDR_BITS, mapped)
-                }
-                None => TbBitStats::from_addrs(tb, ADDR_BITS, addrs),
-            }
+            let mapped = addrs
+                .into_iter()
+                .map(|a| mapper.map_or(a, |m| m.map(PhysAddr::new(a)).raw()));
+            TbBitStats::from_addrs(tb, ADDR_BITS, mapped)
         })
         .collect();
     kernel_entropy(&tbs, window)
@@ -66,10 +61,9 @@ mod tests {
     use crate::gen::Scale;
     use valley_core::{DramAddressMap, DramMap, SchemeKind};
 
-    /// Figures 5 and 10 as an assertion, whichever counting kernel is
-    /// underneath: the channel/bank bits of the valley benchmarks are
-    /// starved under BASE and filled by PAE and FAE, and a non-valley
-    /// benchmark has no valley for any scheme to fill.
+    /// Figures 5 and 10 as an assertion: the channel/bank bits of the
+    /// valley benchmarks are starved under BASE and filled by PAE and FAE,
+    /// and a non-valley benchmark has no valley for any scheme to fill.
     #[test]
     fn entropy_valley_is_present_under_base_and_filled_by_pae_and_fae() {
         let map = DramMap::baseline();

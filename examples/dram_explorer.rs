@@ -6,6 +6,9 @@
 
 use valley::dram::{DramChannel, DramConfig, DramRequest};
 
+/// Banks per GDDR5 channel (Table I).
+const BANKS: usize = 16;
+
 fn drain(ch: &mut DramChannel, until: u64) -> Vec<(u64, u64)> {
     let mut done = Vec::new();
     let mut buf = Vec::new();
@@ -21,7 +24,7 @@ fn drain(ch: &mut DramChannel, until: u64) -> Vec<(u64, u64)> {
 
 fn main() {
     // Stream A: 16 accesses to the same row of one bank (pure row hits).
-    let mut same_row = DramChannel::new(DramConfig::gddr5());
+    let mut same_row = DramChannel::new(DramConfig::gddr5(), BANKS);
     for i in 0..16 {
         same_row.try_enqueue(DramRequest {
             id: i,
@@ -41,7 +44,7 @@ fn main() {
     );
 
     // Stream B: 16 accesses alternating two rows of one bank (conflicts).
-    let mut ping_pong = DramChannel::new(DramConfig::gddr5());
+    let mut ping_pong = DramChannel::new(DramConfig::gddr5(), BANKS);
     for i in 0..16 {
         ping_pong.try_enqueue(DramRequest {
             id: i,
@@ -63,7 +66,7 @@ fn main() {
     println!("   stream activates each row once, not 8 times)");
 
     // Stream C: 16 accesses spread over 16 banks (bank-level parallelism).
-    let mut banked = DramChannel::new(DramConfig::gddr5());
+    let mut banked = DramChannel::new(DramConfig::gddr5(), BANKS);
     for i in 0..16 {
         banked.try_enqueue(DramRequest {
             id: i,

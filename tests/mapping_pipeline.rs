@@ -45,9 +45,15 @@ fn pae_lifts_target_bit_entropy_without_touching_rows() {
     let targets = map.target_field_bits();
     let mt = Benchmark::Mt.workload(Scale::Test);
     let base = analysis::application_profile(&mt, 12, None);
-    let pae_mapper = AddressMapper::build(SchemeKind::Pae, &map, 1);
-    let pae = analysis::application_profile(&mt, 12, Some(&pae_mapper));
-    assert!(pae.mean_over(&targets) > base.mean_over(&targets) + 0.2);
+    let profile = |kind| {
+        let mapper = AddressMapper::build(kind, &map, 1);
+        analysis::application_profile(&mt, 12, Some(&mapper))
+    };
+    let pae = profile(SchemeKind::Pae);
+    for (kind, p) in [("PAE", &pae), ("FAE", &profile(SchemeKind::Fae))] {
+        let (h, floor) = (p.mean_over(&targets), base.mean_over(&targets));
+        assert!(h > floor + 0.2, "{kind} {h:.2} vs BASE {floor:.2}");
+    }
     // PAE leaves column bits untouched: bits 6,7 and 14..17 identical.
     for b in [6u8, 7, 14, 15, 16, 17] {
         assert!(
