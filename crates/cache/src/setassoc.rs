@@ -36,7 +36,7 @@ impl CacheConfig {
     ///
     /// Panics unless `line_bytes` is a power of two and the capacity is an
     /// exact multiple of `assoc * line_bytes`.
-    pub fn new(size_bytes: u64, assoc: usize, line_bytes: u64) -> Self {
+    pub const fn new(size_bytes: u64, assoc: usize, line_bytes: u64) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -59,22 +59,22 @@ impl CacheConfig {
     }
 
     /// Total capacity in bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub const fn size_bytes(&self) -> u64 {
         self.size_bytes
     }
 
     /// Number of ways.
-    pub fn assoc(&self) -> usize {
+    pub const fn assoc(&self) -> usize {
         self.assoc
     }
 
     /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
+    pub const fn line_bytes(&self) -> u64 {
         self.line_bytes
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    pub const fn sets(&self) -> usize {
         (self.size_bytes / (self.assoc as u64 * self.line_bytes)) as usize
     }
 }

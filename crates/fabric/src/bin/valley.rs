@@ -258,7 +258,8 @@ struct Flags(BTreeMap<&'static str, String>);
 
 impl Flags {
     /// Rejects a flag the row does not list, a value flag without its
-    /// value, a flag given twice, and a missing required flag.
+    /// value (or followed by another flag), a flag given twice, and a
+    /// missing required flag.
     fn parse(cmd: &Command, args: &[String]) -> Result<Flags, String> {
         let mut given = BTreeMap::new();
         let mut it = args.iter();
@@ -274,8 +275,10 @@ impl Flags {
                 .ok_or_else(|| format!("unknown flag '--{name}'"))?;
             let value = match value {
                 "" => String::new(),
+                // A value never starts with `--`: that is the next flag.
                 _ => it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag '--{name}' needs a value"))?
                     .clone(),
             };

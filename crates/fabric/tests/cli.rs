@@ -227,6 +227,29 @@ fn a_flag_given_twice_is_an_error_that_names_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `gc --results --expect-clean` used to take `--expect-clean` as the
+/// store's path: it made a directory of that name, skipped the clean
+/// check and exited 0. A value flag followed by a flag has no value.
+#[test]
+fn a_value_flag_followed_by_a_flag_needs_a_value() {
+    // Run where a store named after the next flag would land.
+    let dir = fresh_dir("swallowed");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_valley"))
+        .args(["gc", "--results", "--expect-clean"])
+        .current_dir(&dir)
+        .output()
+        .expect("valley runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "gc ran: {stderr}");
+    assert!(
+        stderr.contains("flag '--results' needs a value"),
+        "gc failed without naming the flag: {stderr}"
+    );
+    assert!(!dir.join("--expect-clean").exists(), "a store was made");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A repeated grid value names the same job again: one simulation, one
 /// record. Two records for one key are debris `gc --expect-clean` refuses.
 #[test]

@@ -17,7 +17,7 @@ use crate::{ConfigId, JobSpec, SweepSpec};
 use std::collections::BTreeMap;
 use valley_core::hash::FastMap;
 use valley_core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
-use valley_power::{perf_per_watt, DramPowerModel};
+use valley_power::{dram_power, perf_per_watt};
 use valley_sim::{GpuConfig, SimReport, WorkloadSource};
 use valley_workloads::{analysis, Benchmark, Scale};
 
@@ -338,7 +338,6 @@ fn report_table(
 /// averaged over the suite's benchmarks.
 fn fig11(suite: &Suite) -> String {
     let benches = benches_of(suite);
-    let model = DramPowerModel::gddr5();
     let mut out = format!(
         "\nFigure 11: normalized execution time vs normalized DRAM power\n{:<8}{:>16}{:>18}\n",
         "scheme", "norm exec time", "norm DRAM power"
@@ -350,7 +349,7 @@ fn fig11(suite: &Suite) -> String {
             let base = &suite[&(b, SchemeKind::Base)];
             let r = &suite[&(b, s)];
             times.push(r.cycles as f64 / base.cycles as f64);
-            powers.push(model.evaluate(r).total() / model.evaluate(base).total());
+            powers.push(dram_power(r).total() / dram_power(base).total());
         }
         out.push_str(&format!(
             "{:<8}{:>16.3}{:>18.3}\n",
@@ -435,7 +434,6 @@ fn fig15(suite: &Suite) -> String {
 /// Figure 16: DRAM power breakdown, averaged over benchmarks.
 fn fig16(suite: &Suite) -> String {
     let benches = benches_of(suite);
-    let model = DramPowerModel::gddr5();
     let mut out = format!(
         "\nFigure 16: DRAM power breakdown (Watts), averaged over benchmarks\n\
          {:<8}{:>12}{:>12}{:>12}{:>12}{:>12}\n",
@@ -444,7 +442,7 @@ fn fig16(suite: &Suite) -> String {
     for s in schemes_of(suite) {
         let (mut bg, mut act, mut rd, mut wr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for &b in &benches {
-            let p = model.evaluate(&suite[&(b, s)]);
+            let p = dram_power(&suite[&(b, s)]);
             bg.push(p.background);
             act.push(p.activate);
             rd.push(p.read);
@@ -467,7 +465,6 @@ fn fig16(suite: &Suite) -> String {
 /// Figure 16 and the per-benchmark activate power it averages: the
 /// component address mapping moves.
 fn fig16_with_activate(suite: &Suite) -> String {
-    let model = DramPowerModel::gddr5();
     let schemes = schemes_of(suite);
     let mut out = fig16(suite) + "\nper-benchmark activate power (Watts):\n";
     out.push_str(&format!("{:<8}", "bench"));
@@ -478,10 +475,7 @@ fn fig16_with_activate(suite: &Suite) -> String {
     for b in benches_of(suite) {
         out.push_str(&format!("{:<8}", b.label()));
         for &s in &schemes {
-            out.push_str(&format!(
-                "{:>8.1}",
-                model.evaluate(&suite[&(b, s)]).activate
-            ));
+            out.push_str(&format!("{:>8.1}", dram_power(&suite[&(b, s)]).activate));
         }
         out.push('\n');
     }
@@ -587,19 +581,20 @@ fn table1() -> String {
         "Table I: simulated GPU architecture".to_string(),
         "--- SM configuration".to_string(),
         format!("  SMs:                {}", c.num_sms),
-        format!("  core clock:         {} GHz", c.core_clock_ghz),
-        format!("  warp size:          {}", c.warp_size),
+        format!("  core clock:         {} GHz", GpuConfig::CORE_CLOCK_GHZ),
+        format!("  warp size:          {}", GpuConfig::WARP_SIZE),
         format!(
             "  max warps/threads:  {} warps, {} threads per SM",
-            c.max_warps_per_sm, c.max_threads_per_sm
+            GpuConfig::MAX_WARPS_PER_SM,
+            GpuConfig::MAX_WARPS_PER_SM * GpuConfig::WARP_SIZE
         ),
-        format!("  schedulers:         {} (GTO)", c.issue_width),
+        format!("  schedulers:         {} (GTO)", GpuConfig::ISSUE_WIDTH),
         format!(
             "  L1 data cache:      {} KB, {}-way, {} sets, {} B lines, {} MSHRs",
-            c.l1.size_bytes() / 1024,
-            c.l1.assoc(),
-            c.l1.sets(),
-            c.l1.line_bytes(),
+            GpuConfig::L1.size_bytes() / 1024,
+            GpuConfig::L1.assoc(),
+            GpuConfig::L1.sets(),
+            GpuConfig::L1.line_bytes(),
             c.l1_mshrs
         ),
         format!(
@@ -608,7 +603,7 @@ fn table1() -> String {
             c.llc_slices,
             c.llc_slice.size_bytes() / 1024,
             c.llc_slice.assoc(),
-            c.llc_latency
+            GpuConfig::LLC_LATENCY
         ),
         format!(
             "  NoC:                {}x{} crossbar @ {} GHz, 32 B channels",

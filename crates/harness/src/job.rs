@@ -62,13 +62,18 @@ impl ConfigId {
     }
 
     /// Parses a [`ConfigId::name`] string. An SM count the simulator
-    /// cannot build (0, or more than [`GpuSim::MAX_SMS`]) names nothing.
+    /// cannot build (0, or more than [`GpuSim::MAX_SMS`]) names nothing,
+    /// and Table I's own SM count names [`ConfigId::Table1`]: one machine
+    /// has one job key.
     pub fn parse(s: &str) -> Option<ConfigId> {
         match s {
             "table1" => Some(ConfigId::Table1),
             "stacked" => Some(ConfigId::Stacked),
             _ => {
                 let n: u32 = s.strip_prefix("sms")?.parse().ok()?;
+                if n as usize == GpuConfig::table1().num_sms {
+                    return Some(ConfigId::Table1);
+                }
                 (1..=GpuSim::MAX_SMS)
                     .contains(&(n as usize))
                     .then_some(ConfigId::Sms(n))
@@ -490,6 +495,7 @@ mod tests {
             assert_eq!(ConfigId::parse(&c.name()), Some(c));
         }
         assert_eq!(ConfigId::parse("sms0"), None);
+        assert_eq!(ConfigId::parse("sms12"), Some(ConfigId::Table1));
         assert_eq!(ConfigId::parse("sms65536"), Some(ConfigId::Sms(65_536)));
         assert_eq!(ConfigId::parse("sms65537"), None);
         assert_eq!(ConfigId::parse("nope"), None);

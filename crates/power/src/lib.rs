@@ -1,15 +1,15 @@
 //! # valley-power
 //!
-//! Power models for the Valley simulator:
+//! Power models for the Valley simulator, their constants fixed for the
+//! 1 GB Hynix GDDR5 and the 12-SM GPU of Table I:
 //!
-//! * [`DramPowerModel`] — a Micron-methodology DRAM power model (the
-//!   paper uses Micron's DDR power calculator configured for Hynix
-//!   GDDR5): background, activate/precharge, read and write components
-//!   driven by the simulator's command counters. Address mapping mainly
-//!   moves the **activate** component (Figure 16) via the row-buffer hit
-//!   rate.
-//! * [`GpuPowerModel`] — a GPUWattch-style whole-GPU substitute: static
-//!   power plus SM activity-scaled dynamic power.
+//! * DRAM — a Micron-methodology model (the paper uses Micron's DDR
+//!   power calculator configured for Hynix GDDR5): background,
+//!   activate/precharge, read and write components driven by the
+//!   simulator's command counters. Address mapping mainly moves the
+//!   **activate** component (Figure 16) via the row-buffer hit rate.
+//! * GPU — a GPUWattch-style whole-GPU substitute: static power plus SM
+//!   activity-scaled dynamic power.
 //!
 //! Absolute Watts are calibrated to the paper's ballpark (total DRAM
 //! power in the tens of Watts, DRAM up to ~40% of system power); the
@@ -23,6 +23,18 @@ use valley_sim::SimReport;
 
 /// Bytes moved per DRAM column access (one coalesced transaction).
 const BYTES_PER_ACCESS: f64 = 128.0;
+/// Background power per GDDR5 channel (device cluster), Watts.
+const BACKGROUND_W_PER_CHANNEL: f64 = 6.0;
+/// Energy of one ACT+PRE pair, nanojoules.
+const ACT_ENERGY_NJ: f64 = 25.0;
+/// Read energy per byte, nanojoules.
+const READ_ENERGY_NJ_PER_BYTE: f64 = 0.08;
+/// Write energy per byte, nanojoules.
+const WRITE_ENERGY_NJ_PER_BYTE: f64 = 0.09;
+/// Static/idle GPU power (leakage, clocks, fans), Watts.
+const GPU_IDLE_W: f64 = 32.0;
+/// Dynamic power of one fully-busy SM, Watts.
+const SM_DYNAMIC_W: f64 = 4.5;
 
 /// DRAM power broken into the paper's four components (Figure 16).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -44,109 +56,33 @@ impl DramPower {
     }
 }
 
-/// Micron-style DRAM power model: energy-per-event constants applied to
-/// the simulator's command counters.
-///
-/// # Examples
-///
-/// ```
-/// use valley_power::DramPowerModel;
-///
-/// let model = DramPowerModel::gddr5();
-/// // 1e6 activates in 10 ms:
-/// let act_w = model.activate_power(1_000_000, 0.01);
-/// assert!(act_w > 0.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DramPowerModel {
-    /// Background power per channel (device cluster), Watts.
-    pub background_w_per_channel: f64,
-    /// Energy of one ACT+PRE pair, nanojoules.
-    pub act_energy_nj: f64,
-    /// Read energy per byte, nanojoules.
-    pub read_energy_nj_per_byte: f64,
-    /// Write energy per byte, nanojoules.
-    pub write_energy_nj_per_byte: f64,
-}
-
-impl DramPowerModel {
-    /// Constants for the 1 GB Hynix GDDR5 configuration (Table I).
-    pub const fn gddr5() -> Self {
-        DramPowerModel {
-            background_w_per_channel: 6.0,
-            act_energy_nj: 25.0,
-            read_energy_nj_per_byte: 0.08,
-            write_energy_nj_per_byte: 0.09,
-        }
-    }
-
-    /// Activate power for `activates` ACT commands over `seconds`.
-    pub fn activate_power(&self, activates: u64, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            return 0.0;
-        }
-        activates as f64 * self.act_energy_nj * 1e-9 / seconds
-    }
-
-    /// Evaluates the full breakdown from a simulation report.
-    pub fn evaluate(&self, r: &SimReport) -> DramPower {
-        let seconds = if r.dram_clock_ghz > 0.0 {
-            r.dram_cycles as f64 / (r.dram_clock_ghz * 1e9)
-        } else {
-            0.0
+/// The DRAM power breakdown of a simulation report: energy-per-event
+/// constants applied to its command counters over its DRAM time. A run
+/// of no DRAM time draws background power only.
+pub fn dram_power(r: &SimReport) -> DramPower {
+    let background = BACKGROUND_W_PER_CHANNEL * r.dram_channels as f64;
+    let seconds = if r.dram_clock_ghz > 0.0 {
+        r.dram_cycles as f64 / (r.dram_clock_ghz * 1e9)
+    } else {
+        0.0
+    };
+    if seconds <= 0.0 {
+        return DramPower {
+            background,
+            ..DramPower::default()
         };
-        if seconds <= 0.0 {
-            return DramPower {
-                background: self.background_w_per_channel * r.dram_channels as f64,
-                ..DramPower::default()
-            };
-        }
-        DramPower {
-            background: self.background_w_per_channel * r.dram_channels as f64,
-            activate: self.activate_power(r.dram.activates, seconds),
-            read: r.dram.reads as f64 * BYTES_PER_ACCESS * self.read_energy_nj_per_byte * 1e-9
-                / seconds,
-            write: r.dram.writes as f64 * BYTES_PER_ACCESS * self.write_energy_nj_per_byte * 1e-9
-                / seconds,
-        }
+    }
+    DramPower {
+        background,
+        activate: r.dram.activates as f64 * ACT_ENERGY_NJ * 1e-9 / seconds,
+        read: r.dram.reads as f64 * BYTES_PER_ACCESS * READ_ENERGY_NJ_PER_BYTE * 1e-9 / seconds,
+        write: r.dram.writes as f64 * BYTES_PER_ACCESS * WRITE_ENERGY_NJ_PER_BYTE * 1e-9 / seconds,
     }
 }
 
-impl Default for DramPowerModel {
-    fn default() -> Self {
-        DramPowerModel::gddr5()
-    }
-}
-
-/// GPUWattch-style whole-GPU power substitute: static leakage plus
-/// activity-scaled SM dynamic power.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GpuPowerModel {
-    /// Static/idle GPU power (leakage, clocks, fans), Watts.
-    pub idle_w: f64,
-    /// Dynamic power of one fully-busy SM, Watts.
-    pub sm_dynamic_w: f64,
-}
-
-impl GpuPowerModel {
-    /// Constants for the 12-SM baseline GPU.
-    pub const fn baseline() -> Self {
-        GpuPowerModel {
-            idle_w: 32.0,
-            sm_dynamic_w: 4.5,
-        }
-    }
-
-    /// GPU power for a simulation report.
-    pub fn evaluate(&self, r: &SimReport) -> f64 {
-        self.idle_w + self.sm_dynamic_w * r.num_sms as f64 * r.sm_busy_fraction
-    }
-}
-
-impl Default for GpuPowerModel {
-    fn default() -> Self {
-        GpuPowerModel::baseline()
-    }
+/// GPU power of a simulation report, Watts.
+fn gpu_power(r: &SimReport) -> f64 {
+    GPU_IDLE_W + SM_DYNAMIC_W * r.num_sms as f64 * r.sm_busy_fraction
 }
 
 /// Combined system power (GPU + DRAM) for one simulation run.
@@ -165,11 +101,11 @@ impl PowerSummary {
     }
 }
 
-/// Evaluates both models with their default constants.
+/// Evaluates both models.
 pub fn evaluate(r: &SimReport) -> PowerSummary {
     PowerSummary {
-        gpu_w: GpuPowerModel::baseline().evaluate(r),
-        dram: DramPowerModel::gddr5().evaluate(r),
+        gpu_w: gpu_power(r),
+        dram: dram_power(r),
     }
 }
 
@@ -223,17 +159,15 @@ mod tests {
 
     #[test]
     fn background_power_scales_with_channels() {
-        let m = DramPowerModel::gddr5();
-        let p = m.evaluate(&report(1_000_000, 0, 0));
+        let p = dram_power(&report(1_000_000, 0, 0));
         assert!((p.background - 24.0).abs() < 1e-9);
         assert_eq!(p.activate, 0.0);
     }
 
     #[test]
     fn activate_power_tracks_act_count() {
-        let m = DramPowerModel::gddr5();
-        let lo = m.evaluate(&report(1_000_000, 10_000, 50_000));
-        let hi = m.evaluate(&report(1_000_000, 40_000, 50_000));
+        let lo = dram_power(&report(1_000_000, 10_000, 50_000));
+        let hi = dram_power(&report(1_000_000, 40_000, 50_000));
         assert!((hi.activate / lo.activate - 4.0).abs() < 1e-9);
         // Reads identical -> read power identical.
         assert!((hi.read - lo.read).abs() < 1e-12);
@@ -252,9 +186,7 @@ mod tests {
 
     #[test]
     fn gpu_power_tracks_activity() {
-        let m = GpuPowerModel::baseline();
-        let r = report(1_000_000, 0, 0);
-        let p = m.evaluate(&r);
+        let p = gpu_power(&report(1_000_000, 0, 0));
         assert!((p - (32.0 + 4.5 * 12.0 * 0.8)).abs() < 1e-9);
     }
 
@@ -274,7 +206,7 @@ mod tests {
     fn zero_time_degrades_gracefully() {
         let mut r = report(0, 0, 0);
         r.dram_cycles = 0;
-        let p = DramPowerModel::gddr5().evaluate(&r);
+        let p = dram_power(&r);
         assert!(p.activate == 0.0 && p.background > 0.0);
     }
 }

@@ -15,7 +15,7 @@
 use crate::config::GpuConfig;
 use crate::llc::{has_room, LlcSlice};
 use crate::metrics::{ParallelismIntegrator, SimReport};
-use crate::sm::{Sm, SmOutbound, MAX_ISSUE};
+use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
@@ -127,13 +127,7 @@ impl TbScheduler {
     /// assign pending TBs round-robin to SMs with room, and advance past
     /// the kernel once every TB retired. Returns whether any TB was
     /// assigned (the only way a pass changes an SM).
-    fn tick(
-        &mut self,
-        sms: &mut [Sm],
-        workload: &dyn WorkloadSource,
-        cfg: &GpuConfig,
-        cycle: u64,
-    ) -> bool {
+    fn tick(&mut self, sms: &mut [Sm], workload: &dyn WorkloadSource, cycle: u64) -> bool {
         self.next = u64::MAX;
         if self.kernel.is_none() && self.kernel_idx < self.num_kernels {
             let k = workload.kernel(self.kernel_idx);
@@ -146,7 +140,7 @@ impl TbScheduler {
             return false;
         };
         let wpb = kernel.warps_per_block();
-        let tbs_limit = cfg.tbs_per_sm(wpb);
+        let tbs_limit = GpuConfig::tbs_per_sm(wpb);
 
         // Assign TBs round-robin while any SM has room.
         let first_tb = self.next_tb;
@@ -188,18 +182,17 @@ impl GpuSim {
     ///
     /// # Panics
     ///
-    /// Panics, naming the field, if an SM, warp or controller index would
-    /// not fit 16 bits, a slice or bank index 8 or a row index 32 — the
+    /// Panics, naming the field, if an SM or controller index would not
+    /// fit 16 bits, a slice or bank index 8 or a row index 32 — the
     /// widths of the per-transaction record — if there are more than 64
     /// LLC slices, the width of the drive loop's parked-slice mask, if a
     /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
-    /// injection stamp, if `issue_width` is not in `1..=8`, if `num_sms`,
-    /// `llc_slices`, `dram.queue_capacity` or the controller count is 0,
-    /// if fewer controllers than slices do not divide `llc_slices`, if
-    /// `line_bytes` is not the L1's, the LLC slice's and a data packet's
-    /// line (`(DATA_FLITS - 1) x 32` bytes), or if
-    /// a kernel's thread block does not fit an empty SM (more warps than
-    /// `max_warps_per_sm` or more threads than `max_threads_per_sm`).
+    /// injection stamp, if `num_sms`, `llc_slices`,
+    /// `dram.queue_capacity` or the controller count is 0, if fewer
+    /// controllers than slices do not divide `llc_slices`, if
+    /// `line_bytes` is not the L1's and a data packet's line or the LLC
+    /// slice's, or if a kernel's thread block has more warps than
+    /// [`GpuConfig::MAX_WARPS_PER_SM`] and so cannot fit an empty SM.
     pub fn new<M>(
         cfg: GpuConfig,
         mapper: AddressMapper,
@@ -228,11 +221,12 @@ impl GpuSim {
         };
         let (index8, index16) = (1 << 8, 1 << 16);
         fits("num_sms", cfg.num_sms, Self::MAX_SMS as u64);
-        fits(
-            "max_warps_per_sm (below the NO_WARP sentinel)",
-            cfg.max_warps_per_sm,
-            u64::from(NO_WARP),
-        );
+        const {
+            assert!(
+                GpuConfig::MAX_WARPS_PER_SM <= NO_WARP as usize,
+                "a warp slot would equal the NO_WARP sentinel"
+            )
+        };
         fits("llc_slices", slices, index8);
         fits("DRAM controllers", controllers, index16);
         fits(
@@ -260,10 +254,18 @@ impl GpuSim {
         );
         // The caches hold lines and a data packet carries one behind its
         // header, in 32-byte flits.
+        const {
+            assert!(
+                GpuConfig::L1.line_bytes() == (DATA_FLITS as u64 - 1) * 32,
+                "the L1's line differs from a data packet's"
+            )
+        };
         for (field, bytes) in [
-            ("l1.line_bytes()", cfg.l1.line_bytes()),
+            (
+                "the L1's and a data packet's line",
+                GpuConfig::L1.line_bytes(),
+            ),
             ("llc_slice.line_bytes()", cfg.llc_slice.line_bytes()),
-            ("(DATA_FLITS - 1) x 32", (u64::from(DATA_FLITS) - 1) * 32),
         ] {
             assert!(
                 cfg.line_bytes == bytes,
@@ -271,26 +273,15 @@ impl GpuSim {
                 cfg.line_bytes
             );
         }
-        assert!(
-            (1..=MAX_ISSUE).contains(&cfg.issue_width),
-            "issue_width = {} is outside the supported 1..={MAX_ISSUE}",
-            cfg.issue_width
-        );
         // A thread block is resident on one SM: one that cannot fit an
         // empty SM would never be assigned, and the run would idle to
         // `max_cycles`.
         for k in 0..workload.num_kernels() {
             let warps = workload.kernel(k).warps_per_block();
             assert!(
-                warps <= cfg.max_warps_per_sm,
-                "kernel {k}: {warps} warps per thread block exceed max_warps_per_sm = {}",
-                cfg.max_warps_per_sm
-            );
-            assert!(
-                warps * cfg.warp_size <= cfg.max_threads_per_sm,
-                "kernel {k}: {} threads per thread block exceed max_threads_per_sm = {}",
-                warps * cfg.warp_size,
-                cfg.max_threads_per_sm
+                warps <= GpuConfig::MAX_WARPS_PER_SM,
+                "kernel {k}: {warps} warps per thread block exceed MAX_WARPS_PER_SM = {}",
+                GpuConfig::MAX_WARPS_PER_SM
             );
         }
         let dram = DramSystem::new(Arc::new(map), cfg.dram);
@@ -486,7 +477,6 @@ impl GpuSim {
                         s.tick(
                             cycle,
                             &self.dram_clock,
-                            &self.cfg,
                             &mut self.dram,
                             &self.txns,
                             &mut replies,
@@ -552,7 +542,7 @@ impl GpuSim {
             if ticks(cycle, sched.cached_next_event()) {
                 due = true;
                 count(Counter::SchedulerPasses);
-                if sched.tick(&mut self.sms, self.workload.as_ref(), &self.cfg, cycle) {
+                if sched.tick(&mut self.sms, self.workload.as_ref(), cycle) {
                     // An assigned SM is due next cycle.
                     sms_next.lower(cycle + 1);
                 }
@@ -692,7 +682,7 @@ impl GpuSim {
             debug_assert_eq!(self.reply_net.queued_packets(), 0);
         }
         let delivered = req.delivered + rep.delivered;
-        let noc_to_core = self.cfg.core_clock_ghz / self.cfg.noc_clock_ghz;
+        let noc_to_core = GpuConfig::CORE_CLOCK_GHZ / self.cfg.noc_clock_ghz;
         let noc_latency = if delivered == 0 {
             0.0
         } else {
@@ -704,7 +694,7 @@ impl GpuSim {
             cycles,
             truncated,
             warp_instructions,
-            thread_instructions: warp_instructions * self.cfg.warp_size as u64,
+            thread_instructions: warp_instructions * GpuConfig::WARP_SIZE as u64,
             memory_transactions: self.txns.len(),
             l1,
             llc,
@@ -716,7 +706,7 @@ impl GpuSim {
             kernels: sched.kernel_idx,
             dram_cycles: self.dram_clock.cycle(),
             dram_channels: self.dram.num_channels(),
-            core_clock_ghz: self.cfg.core_clock_ghz,
+            core_clock_ghz: GpuConfig::CORE_CLOCK_GHZ,
             dram_clock_ghz: self.cfg.dram.clock_ghz,
             num_sms: self.cfg.num_sms,
             sm_busy_fraction: if cycles == 0 {

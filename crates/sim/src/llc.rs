@@ -185,7 +185,6 @@ impl LlcSlice {
         &mut self,
         cycle: u64,
         dram_clock: &DomainClock,
-        cfg: &GpuConfig,
         dram: &mut DramSystem,
         txns: &TxnTable,
         replies: &mut Vec<u64>,
@@ -223,14 +222,14 @@ impl LlcSlice {
         }
 
         // 3. Tag access: one transaction per cycle.
-        self.tag_access(cycle, cfg, txns);
+        self.tag_access(cycle, txns);
         self.cached_next = self.next_event_at(cycle + 1);
     }
 
     /// Step 3 of [`LlcSlice::tick`]: looks up the input head. A
     /// transaction's lookup is counted once, in the cycle it leaves the
     /// input head.
-    fn tag_access(&mut self, cycle: u64, cfg: &GpuConfig, txns: &TxnTable) {
+    fn tag_access(&mut self, cycle: u64, txns: &TxnTable) {
         let Some(&txn) = self.input.front() else {
             return;
         };
@@ -265,7 +264,7 @@ impl LlcSlice {
         } else if hit {
             let _audit_pause =
                 (self.hits.len() == self.hits.capacity()).then(valley_core::alloc_audit::pause);
-            self.hits.push_back((cycle + cfg.llc_latency, txn));
+            self.hits.push_back((cycle + GpuConfig::LLC_LATENCY, txn));
         }
     }
 }
@@ -309,14 +308,14 @@ mod tests {
         slice.deliver(first, 0);
         slice.deliver(second, 0);
         for cycle in 0..4 {
-            slice.tick(cycle, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
+            slice.tick(cycle, &dram_clock, &mut dram, &txns, &mut replies);
         }
         assert!(slice.input_stalled, "the merge list holds one waiter");
         assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
 
         slice.on_dram_completion(line, 4, &mut replies);
         assert_eq!(replies, [u64::from(first)]);
-        slice.tick(4, &dram_clock, &cfg, &mut dram, &txns, &mut replies);
+        slice.tick(4, &dram_clock, &mut dram, &txns, &mut replies);
         assert!(slice.input.is_empty());
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
     }
@@ -428,11 +427,11 @@ mod tests {
                 }
                 let Rig { slice, dram, replies, .. } = &mut parked;
                 if cycle >= slice.cached_next_event() {
-                    slice.tick(cycle, &dram_clock, &cfg, dram, &txns, replies);
+                    slice.tick(cycle, &dram_clock, dram, &txns, replies);
                 }
                 let Rig { slice, dram, replies, .. } = &mut shadow;
                 slice.unpark(cycle);
-                slice.tick(cycle, &dram_clock, &cfg, dram, &txns, replies);
+                slice.tick(cycle, &dram_clock, dram, &txns, replies);
 
                 if let Some(ch) = parked.slice.parked_on() {
                     prop_assert!(

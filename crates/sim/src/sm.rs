@@ -21,10 +21,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_core::{AddressMapper, PhysAddr};
 
-/// The widest issue [`Sm::tick`] supports: its per-cycle record of the
-/// warps issued is a stack array this long.
-pub(crate) const MAX_ISSUE: usize = 8;
-
 /// A NoC request emitted by an SM (to be injected by the GPU top level).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SmOutbound {
@@ -39,9 +35,9 @@ struct TbState {
 }
 
 /// The GTO ready set: (age, warp slot) pairs kept sorted ascending. At
-/// most `max_warps_per_sm` (48) entries, where a sorted `Vec` beats a
-/// `BTreeSet` soundly (contiguous memory, no node allocation) — these
-/// operations run per issue slot per SM per cycle.
+/// most [`GpuConfig::MAX_WARPS_PER_SM`] (48) entries, where a sorted
+/// `Vec` beats a `BTreeSet` soundly (contiguous memory, no node
+/// allocation) — these operations run per issue slot per SM per cycle.
 #[derive(Default)]
 struct ReadySet(Vec<(u64, u32)>);
 
@@ -138,19 +134,19 @@ impl Sm {
     pub(crate) fn new(id: u16, cfg: &GpuConfig) -> Self {
         Sm {
             id,
-            warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
-            free_warp_slots: (0..cfg.max_warps_per_sm as u32).rev().collect(),
+            warps: (0..GpuConfig::MAX_WARPS_PER_SM).map(|_| None).collect(),
+            free_warp_slots: (0..GpuConfig::MAX_WARPS_PER_SM as u32).rev().collect(),
             ready: ReadySet::default(),
-            wake: BinaryHeap::with_capacity(cfg.max_warps_per_sm),
+            wake: BinaryHeap::with_capacity(GpuConfig::MAX_WARPS_PER_SM),
             last_issued: None,
             mem_queue: VecDeque::with_capacity(64),
             lines_buf: Vec::with_capacity(32),
             waiter_buf: Vec::with_capacity(8),
-            l1: SetAssocCache::new(cfg.l1),
-            mshr: MshrFile::new(cfg.l1_mshrs, cfg.l1_mshr_merges),
+            l1: SetAssocCache::new(GpuConfig::L1),
+            mshr: MshrFile::new(cfg.l1_mshrs, GpuConfig::L1_MSHR_MERGES),
             hit_queue: VecDeque::with_capacity(32),
-            tb_slots: (0..cfg.max_tbs_per_sm).map(|_| None).collect(),
-            free_tb_slots: (0..cfg.max_tbs_per_sm as u32).rev().collect(),
+            tb_slots: (0..GpuConfig::MAX_TBS_PER_SM).map(|_| None).collect(),
+            free_tb_slots: (0..GpuConfig::MAX_TBS_PER_SM as u32).rev().collect(),
             resident_tbs: 0,
             resident_warps: 0,
             lsu_stalled: false,
@@ -347,8 +343,9 @@ impl Sm {
     }
 
     /// One core cycle: wake compute-stalled warps, finish L1 hits, run the
-    /// LSU, and issue up to `issue_width` instructions via GTO. Returns the
-    /// thread blocks retired, for the TB scheduler: only a tick retires one.
+    /// LSU, and issue up to [`GpuConfig::ISSUE_WIDTH`] instructions via
+    /// GTO. Returns the thread blocks retired, for the TB scheduler: only
+    /// a tick retires one.
     /// The driving loop may skip the cycles below [`Sm::cached_next_event`],
     /// which the tick republishes for the next cycle.
     pub(crate) fn tick(
@@ -382,7 +379,7 @@ impl Sm {
             self.complete_load(txn, txns);
         }
 
-        self.lsu_tick(cycle, cfg, mapper, txns, outbound);
+        self.lsu_tick(cycle, mapper, txns, outbound);
         let retired = self.issue_tick(cycle, cfg, mapper, txns, route);
         if was_busy && self.resident_warps == 0 {
             // The last warp retired: the busy span ends with this cycle.
@@ -398,7 +395,6 @@ impl Sm {
     fn lsu_tick(
         &mut self,
         cycle: u64,
-        cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         outbound: &mut Vec<SmOutbound>,
@@ -421,7 +417,7 @@ impl Sm {
         let line = txns.line(txn);
         let hit = self.l1.lookup(line);
         if hit {
-            let lat = cfg.l1_hit_latency + mapper.latency_cycles() as u64;
+            let lat = GpuConfig::L1_HIT_LATENCY + mapper.latency_cycles() as u64;
             self.hit_queue.push_back((cycle + lat, txn));
         } else {
             match self.mshr.allocate(line, u64::from(txn)) {
@@ -443,8 +439,9 @@ impl Sm {
         self.mem_queue.pop_front();
     }
 
-    /// Warp issue: pick by GTO (Table I), up to `issue_width` distinct
-    /// warps per cycle. Returns the thread blocks retired.
+    /// Warp issue: pick by GTO (Table I), up to
+    /// [`GpuConfig::ISSUE_WIDTH`] distinct warps per cycle. Returns the
+    /// thread blocks retired.
     fn issue_tick(
         &mut self,
         cycle: u64,
@@ -454,10 +451,10 @@ impl Sm {
         route: &dyn Fn(PhysAddr) -> Route,
     ) -> u64 {
         // Stack buffer: this runs for every SM every cycle — no heap
-        // traffic allowed here. `GpuSim::new` checked the width fits.
-        let mut issued = [u32::MAX; MAX_ISSUE];
+        // traffic allowed here.
+        let mut issued = [u32::MAX; GpuConfig::ISSUE_WIDTH];
         let mut retired = 0;
-        for slot in 0..cfg.issue_width {
+        for slot in 0..GpuConfig::ISSUE_WIDTH {
             let already = &issued[..slot];
             let Some(w) = self.pick_gto(already) else {
                 break;
@@ -664,7 +661,7 @@ mod tests {
                 }
             }
             if assigned < tbs && assign(cycle, emptied) {
-                assert!(sm.can_accept_tb(kernel.warps, cfg.max_tbs_per_sm));
+                assert!(sm.can_accept_tb(kernel.warps, GpuConfig::MAX_TBS_PER_SM));
                 sm.assign_tb(kernel, assigned, assigned, cycle);
                 assigned += 1;
                 edges.assigned_as_emptied += u64::from(emptied);

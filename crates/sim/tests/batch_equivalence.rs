@@ -40,10 +40,11 @@ fn micro_workload(seed: u64, tbs: u64) -> Workload {
     )
 }
 
-/// Lane `l`: its own workload, mapper seed and core clock.
+/// Lane `l`: its own workload, mapper seed, NoC clock and DRAM clock.
 fn build_lane(l: u64) -> GpuSim {
     let mut cfg = GpuConfig::table1().with_sms(2);
-    cfg.core_clock_ghz += 0.1 * l as f64;
+    cfg.noc_clock_ghz += 0.1 * l as f64;
+    cfg.dram.clock_ghz += 0.1 * l as f64;
     let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Fae, &map, l);
     GpuSim::new(cfg, mapper, map, Box::new(micro_workload(l, 3 + l)))

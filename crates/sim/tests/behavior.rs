@@ -162,7 +162,7 @@ fn more_tbs_than_slots_still_completes() {
 #[test]
 fn gto_prefers_greedy_then_oldest() {
     // Indirect check: with many independent compute warps the SM should
-    // sustain ~issue_width instructions per cycle per busy SM.
+    // sustain ~`GpuConfig::ISSUE_WIDTH` instructions per cycle per busy SM.
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }; 50]);
     let r = run_workload(single_kernel(gen, 12, 8));
     let total_insts = 12 * 8 * 50u64;
@@ -197,35 +197,21 @@ fn report_labels_carry_workload_and_scheme() {
     assert_eq!(r.num_sms, 12);
 }
 
-/// Builds a one-instruction machine under `cfg`.
+/// Builds a one-TB, one-warp, one-instruction machine under `cfg`.
 fn build(cfg: GpuConfig) -> GpuSim {
-    build_with(cfg, 1)
-}
-
-/// Builds a one-TB, one-instruction machine under `cfg` with `warps`
-/// warps in the TB.
-fn build_with(cfg: GpuConfig, warps: usize) -> GpuSim {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
     let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, warps)))
+    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, 1)))
 }
 
-/// A transaction record holds an SM or warp index in 16 bits: a machine
-/// whose indices would not fit is refused at construction, naming the
+/// A transaction record holds an SM index in 16 bits: a machine whose
+/// SM indices would not fit is refused at construction, naming the
 /// field, instead of silently aliasing SMs.
 #[test]
 #[should_panic(expected = "num_sms = 70000 does not fit")]
 fn an_sm_count_a_transaction_cannot_name_is_refused() {
     let _ = build(GpuConfig::table1().with_sms(70_000));
-}
-
-#[test]
-#[should_panic(expected = "max_warps_per_sm (below the NO_WARP sentinel) = 65536")]
-fn a_warp_slot_equal_to_the_store_sentinel_is_refused() {
-    let mut cfg = GpuConfig::table1();
-    cfg.max_warps_per_sm = 1 << 16;
-    let _ = build(cfg);
 }
 
 /// The drive loop tracks parked LLC slices in a 64-bit mask: a machine
@@ -246,27 +232,6 @@ fn more_slices_than_the_parked_mask_holds_are_refused() {
 fn a_slice_index_over_8_bits_is_refused() {
     let mut cfg = GpuConfig::table1();
     cfg.llc_slices = 257;
-    let _ = build(cfg);
-}
-
-/// An SM issues through a fixed 8-slot record per cycle, so a wider
-/// issue is refused at construction, naming the field, not at the first
-/// tick.
-#[test]
-#[should_panic(expected = "issue_width = 9 is outside the supported 1..=8")]
-fn an_issue_width_past_the_issue_record_is_refused() {
-    let mut cfg = GpuConfig::table1();
-    cfg.issue_width = 9;
-    let _ = build(cfg);
-}
-
-/// An SM that issues nothing would spin until the cycle limit and report
-/// a truncated run with no instruction: refused at construction.
-#[test]
-#[should_panic(expected = "issue_width = 0 is outside the supported 1..=8")]
-fn a_zero_issue_width_is_refused() {
-    let mut cfg = GpuConfig::table1();
-    cfg.issue_width = 0;
     let _ = build(cfg);
 }
 
@@ -392,9 +357,10 @@ fn a_machine_without_llc_slices_is_refused() {
 /// A transaction is one line: the L1 and the LLC index by it and a data
 /// packet carries it in 32-byte flits behind its header. A `line_bytes`
 /// any of them disagrees with is refused by name, not run against
-/// caches and packets of another line size.
+/// caches and packets of another line size. The L1's line and a data
+/// packet's are Table I constants that agree at compile time.
 #[test]
-#[should_panic(expected = "line_bytes = 64 differs from l1.line_bytes() = 128")]
+#[should_panic(expected = "line_bytes = 64 differs from the L1's and a data packet's line = 128")]
 fn a_line_size_the_l1_disagrees_with_is_refused() {
     let mut cfg = GpuConfig::table1();
     cfg.line_bytes = 64;
@@ -402,20 +368,20 @@ fn a_line_size_the_l1_disagrees_with_is_refused() {
 }
 
 #[test]
-#[should_panic(expected = "line_bytes = 64 differs from llc_slice.line_bytes() = 128")]
+#[should_panic(expected = "line_bytes = 128 differs from llc_slice.line_bytes() = 64")]
 fn a_line_size_the_llc_disagrees_with_is_refused() {
     let mut cfg = GpuConfig::table1();
-    cfg.line_bytes = 64;
-    cfg.l1 = CacheConfig::new(16 * 1024, 4, 64);
+    cfg.llc_slice = CacheConfig::new(64 * 1024, 8, 64);
     let _ = build(cfg);
 }
 
+/// A longer line the LLC agrees with is still refused: a data packet
+/// carries 128 bytes.
 #[test]
-#[should_panic(expected = "line_bytes = 256 differs from (DATA_FLITS - 1) x 32 = 128")]
+#[should_panic(expected = "line_bytes = 256 differs from the L1's and a data packet's line = 128")]
 fn a_line_size_a_data_packet_disagrees_with_is_refused() {
     let mut cfg = GpuConfig::table1();
     cfg.line_bytes = 256;
-    cfg.l1 = CacheConfig::new(16 * 1024, 4, 256);
     cfg.llc_slice = CacheConfig::new(64 * 1024, 8, 256);
     let _ = build(cfg);
 }
@@ -424,9 +390,9 @@ fn a_line_size_a_data_packet_disagrees_with_is_refused() {
 /// SM would never be assigned, and the run would idle to `max_cycles`
 /// and report a truncated run with no instruction: refused at
 /// construction, naming the kernel and the limit. Table I's SM holds 48
-/// warps and 1536 threads.
+/// warps of 32 threads.
 #[test]
-#[should_panic(expected = "kernel 1: 64 warps per thread block exceed max_warps_per_sm = 48")]
+#[should_panic(expected = "kernel 1: 64 warps per thread block exceed MAX_WARPS_PER_SM = 48")]
 fn a_thread_block_wider_than_an_sm_in_warps_is_refused() {
     let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
     let w = Workload::new(
@@ -437,16 +403,6 @@ fn a_thread_block_wider_than_an_sm_in_warps_is_refused() {
         ],
     );
     let _ = run_workload(w);
-}
-
-#[test]
-#[should_panic(
-    expected = "kernel 0: 1536 threads per thread block exceed max_threads_per_sm = 1024"
-)]
-fn a_thread_block_wider_than_an_sm_in_threads_is_refused() {
-    let mut cfg = GpuConfig::table1();
-    cfg.max_threads_per_sm = 1024;
-    let _ = build_with(cfg, 48);
 }
 
 /// The crossbars queue a packet with its injection NoC cycle in 32 bits:

@@ -168,7 +168,7 @@ impl std::fmt::Display for Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use valley_sim::{Instruction, WorkloadSource};
+    use valley_sim::{GpuConfig, Instruction, WorkloadSource};
 
     #[test]
     fn groups_partition_all() {
@@ -201,30 +201,40 @@ mod tests {
     }
 
     /// Every benchmark builds at test scale, has kernels, and every
-    /// address of its first TB fits the 30-bit physical address space.
+    /// load and store of each kernel's first TB fits the 30-bit physical
+    /// address space and a warp: the report's `thread_instructions`
+    /// counts `WARP_SIZE` threads per warp instruction.
     #[test]
     fn all_benchmarks_build_and_stay_in_address_space() {
         for b in Benchmark::ALL {
             let w = b.workload(Scale::Test);
             assert_eq!(w.name(), b.label());
             assert!(w.num_kernels() > 0, "{b} has no kernels");
-            let k = w.kernel(0);
-            assert!(k.num_thread_blocks() > 0, "{b} kernel 0 has no TBs");
-            for warp in 0..k.warps_per_block() {
-                let mut p = k.warp_program(0, warp);
-                let mut insts = 0;
-                while let Some(i) = p.next_instruction() {
-                    insts += 1;
-                    if let Instruction::Load(a) | Instruction::Store(a) = i {
-                        for addr in a.iter() {
+            for kn in 0..w.num_kernels() {
+                let k = w.kernel(kn);
+                assert!(k.num_thread_blocks() > 0, "{b} kernel {kn} has no TBs");
+                for warp in 0..k.warps_per_block() {
+                    let mut p = k.warp_program(0, warp);
+                    let mut insts = 0;
+                    while let Some(i) = p.next_instruction() {
+                        insts += 1;
+                        if let Instruction::Load(a) | Instruction::Store(a) = i {
                             assert!(
-                                addr < (1 << 30),
-                                "{b}: address {addr:#x} outside 1 GB space"
+                                a.len() <= GpuConfig::WARP_SIZE,
+                                "{b}: {} lanes in a {}-thread warp",
+                                a.len(),
+                                GpuConfig::WARP_SIZE
                             );
+                            for addr in a.iter() {
+                                assert!(
+                                    addr < (1 << 30),
+                                    "{b}: address {addr:#x} outside 1 GB space"
+                                );
+                            }
                         }
                     }
+                    assert!(insts > 0, "{b}: empty warp program");
                 }
-                assert!(insts > 0, "{b}: empty warp program");
             }
         }
     }

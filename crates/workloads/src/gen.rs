@@ -3,10 +3,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use valley_sim::{Instruction, LaneAddrs};
+use valley_sim::{GpuConfig, Instruction, LaneAddrs};
 
-/// Threads per warp (matches the simulated GPU).
-pub const WARP: usize = 32;
+/// Threads per warp: the simulated GPU's.
+pub const WARP: usize = GpuConfig::WARP_SIZE;
 /// Bytes in a `float`.
 pub const F32: u64 = 4;
 /// Bytes in a `double`.

@@ -3,7 +3,7 @@
 //! simulator's counters the way the paper describes.
 
 use valley::core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
-use valley::power::DramPowerModel;
+use valley::power::dram_power;
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{analysis, Benchmark, Scale};
 
@@ -85,7 +85,6 @@ fn activate_counts_drive_activate_power() {
     // same-row groups ALL scatters).
     let pae = run(Benchmark::Srad2, SchemeKind::Pae, 1);
     let all = run(Benchmark::Srad2, SchemeKind::All, 1);
-    let model = DramPowerModel::gddr5();
     if all.row_buffer_hit_rate() < pae.row_buffer_hit_rate() - 0.05 {
         // More misses -> more ACTs per access.
         let acts_per_access_pae = pae.dram.activates as f64 / pae.dram.accesses() as f64;
@@ -96,7 +95,7 @@ fn activate_counts_drive_activate_power() {
         );
     }
     // Power model monotonicity on raw counters regardless.
-    let p = model.evaluate(&pae);
+    let p = dram_power(&pae);
     assert!(p.total() > p.background);
 }
 
