@@ -191,18 +191,12 @@ impl DramSystem {
         self.channels.iter().filter(|c| c.is_busy()).count()
     }
 
-    /// Per-channel bank-level-parallelism samples: for each *busy*
-    /// channel, the number of banks with outstanding requests
-    /// (Figure 14c is the time-average of these). Clears and refills
-    /// `out` — the simulator samples in its hot loop, allocation-free.
-    pub fn busy_banks_per_busy_channel_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.channels
-                .iter()
-                .filter(|c| c.is_busy())
-                .map(DramChannel::busy_banks),
-        );
+    /// Number of banks with at least one outstanding request, summed
+    /// over all channels (an idle channel has none): over
+    /// [`DramSystem::busy_channels`], the bank-level parallelism sample
+    /// of Figure 14c.
+    pub fn busy_banks(&self) -> usize {
+        self.channels.iter().map(DramChannel::busy_banks).sum()
     }
 
     /// Statistics aggregated over all channels.
@@ -271,13 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn busy_banks_reported_per_busy_channel_only() {
+    fn busy_banks_sum_over_channels_and_idle_ones_add_none() {
         let mut s = sys();
-        // Two banks on channel 0 only.
+        // Two banks on channel 0, one on channel 1 (bits 13..10 are the
+        // bank), channels 2 and 3 idle.
         s.try_enqueue(PhysAddr::new(0 << 10), 1, false, 0);
         s.try_enqueue(PhysAddr::new(1 << 10), 2, false, 0);
-        let mut samples = Vec::new();
-        s.busy_banks_per_busy_channel_into(&mut samples);
-        assert_eq!(samples, vec![2]);
+        s.try_enqueue(PhysAddr::new(1 << 8 | 2 << 10), 3, false, 0);
+        assert_eq!(s.busy_channels(), 2);
+        assert_eq!(s.busy_banks(), 3);
+        assert_eq!(s.channel(2).busy_banks() + s.channel(3).busy_banks(), 0);
+        let mut done = Vec::new();
+        for c in 0..200 {
+            s.tick(c, &mut done, |_, _| true);
+        }
+        assert_eq!(done.len(), 3);
+        assert_eq!((s.busy_channels(), s.busy_banks()), (0, 0));
     }
 }

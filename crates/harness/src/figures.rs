@@ -628,10 +628,15 @@ fn table1() -> String {
         ),
         "  scheduling: FR-FCFS, open page".to_string(),
         "--- Address map (Figure 4, LSB -> MSB)".to_string(),
-        "  block[5:0] col_lo[7:6] channel[9:8] bank[13:10] col_hi[17:14] row[29:18]".to_string(),
+        format!("  {TABLE1_ADDRESS_MAP}"),
     ];
     lines.join("\n") + "\n"
 }
+
+/// `DramMap::baseline()`'s fields, LSB first, as Table I prints them
+/// (checked against the map by a unit test).
+const TABLE1_ADDRESS_MAP: &str =
+    "block[5:0] col_lo[7:6] channel[9:8] bank[13:10] col_hi[17:14] row[29:18]";
 
 /// Table II as the paper reports it: (APKI, MPKI, #kernels, #instructions
 /// in billions).
@@ -839,9 +844,13 @@ fn fig03() -> String {
 // The entropy profiles (Figures 5, 10, the window ablation)
 // ---------------------------------------------------------------------
 
-/// The window `w` of Section III-A: the SM count.
-const WINDOW: usize = 12;
+/// The window `w` of Section III-A: Table I's SM count.
+fn window() -> usize {
+    GpuConfig::table1().num_sms
+}
 
+/// The entropy charts' axis over `DramMap::baseline()` (checked against
+/// the map by a unit test).
 const ENTROPY_AXIS: &str = "bits 29 (left) .. 6 (right); bank+channel bits are 8-13\n\n";
 
 /// Figure 5: the per-bit window-based entropy of all 16 benchmarks plus
@@ -852,8 +861,9 @@ fn fig05(scale: Scale) -> String {
     let targets = map.target_field_bits();
     let candidates = map.non_block_bits();
 
+    let window = window();
     let mut out =
-        format!("Figure 5: per-bit window-based entropy (BASE map, w = {WINDOW})\n{ENTROPY_AXIS}");
+        format!("Figure 5: per-bit window-based entropy (BASE map, w = {window})\n{ENTROPY_AXIS}");
     let mut panels: Vec<(String, Box<dyn WorkloadSource>)> = Vec::new();
     for b in Benchmark::ALL {
         panels.push((b.label().to_string(), Box::new(b.workload(scale))));
@@ -863,7 +873,7 @@ fn fig05(scale: Scale) -> String {
         }
     }
     for (name, w) in panels {
-        let p = analysis::application_profile(w.as_ref(), WINDOW, None);
+        let p = analysis::application_profile(w.as_ref(), window, None);
         let score = p.valley_score(&targets, &candidates);
         let has = p.has_valley(&targets, &candidates, 0.25);
         out.push_str(&format!(
@@ -887,13 +897,14 @@ fn fig10(scale: Scale, seed: u64) -> String {
     let targets = map.target_field_bits();
     let mt = Benchmark::Mt.workload(scale);
 
+    let window = window();
     let mut out = format!(
-        "Figure 10: MT entropy under the six mapping schemes (w = {WINDOW})\n{ENTROPY_AXIS}"
+        "Figure 10: MT entropy under the six mapping schemes (w = {window})\n{ENTROPY_AXIS}"
     );
     let (mut base, mut pae, mut fae) = (0.0, 0.0, 0.0);
     for kind in SchemeKind::ALL_SCHEMES {
         let mapper = AddressMapper::build(kind, &map, seed);
-        let p = analysis::application_profile(&mt, WINDOW, Some(&mapper));
+        let p = analysis::application_profile(&mt, window, Some(&mapper));
         let h = p.mean_over(&targets);
         match kind {
             SchemeKind::Base => base = h,
@@ -964,6 +975,41 @@ mod tests {
         assert!(h.contains("BASE") && h.contains("PAE"));
         let r = row("MT", &[1.0, 2.5], 8, 2);
         assert!(r.contains("1.00") && r.contains("2.50"));
+    }
+
+    /// Table I's address-map line and the entropy charts' axis restate
+    /// `DramMap::baseline()`: every field's bit range, read off the text,
+    /// is the map's.
+    #[test]
+    fn the_printed_address_map_is_the_baseline_map() {
+        let map = DramMap::baseline();
+        let range = |lo: &str, hi: &str| -> Vec<u8> {
+            (lo.parse().unwrap()..=hi.parse().unwrap()).collect()
+        };
+        let mut fields: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
+        for field in TABLE1_ADDRESS_MAP.split_whitespace() {
+            let (name, bits) = field.split_once('[').unwrap();
+            let (hi, lo) = bits.trim_end_matches(']').split_once(':').unwrap();
+            let name = name.trim_end_matches("_lo").trim_end_matches("_hi");
+            fields.entry(name).or_default().extend(range(lo, hi));
+        }
+        fields.values_mut().for_each(|bits| bits.sort_unstable());
+        let block: Vec<u8> = (0..map.block_bits()).collect();
+        assert_eq!(fields["block"], block);
+        assert_eq!(fields["col"], map.column_bits());
+        assert_eq!(fields["channel"], map.controller_bits());
+        assert_eq!(fields["bank"], map.bank_bits());
+        assert_eq!(fields["row"], map.row_bits());
+        assert_eq!(fields.len(), 5);
+
+        let axis = format!(
+            "bits {} (left) .. {} (right); bank+channel bits are ",
+            map.addr_bits() - 1,
+            map.block_bits()
+        );
+        let targets = ENTROPY_AXIS.trim_end().strip_prefix(&axis).unwrap();
+        let (lo, hi) = targets.split_once('-').unwrap();
+        assert_eq!(range(lo, hi), map.target_field_bits());
     }
 
     #[test]

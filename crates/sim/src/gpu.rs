@@ -19,7 +19,7 @@ use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
-use crate::wake::{DomainClock, WakeGate};
+use crate::wake::DomainClock;
 use std::ops::Range;
 use std::sync::Arc;
 use valley_cache::CacheStats;
@@ -184,10 +184,9 @@ impl GpuSim {
     ///
     /// Panics, naming the field, if an SM or controller index would not
     /// fit 16 bits, a slice or bank index 8 or a row index 32 — the
-    /// widths of the per-transaction record — if there are more than 64
-    /// LLC slices, the width of the drive loop's parked-slice mask, if a
-    /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
-    /// injection stamp, if `num_sms`, `llc_slices`,
+    /// widths of the per-transaction record — if a NoC cycle before
+    /// `max_cycles` would not fit the crossbar's 32-bit injection stamp,
+    /// if `num_sms`, `llc_slices`,
     /// `dram.queue_capacity` or the controller count is 0, if fewer
     /// controllers than slices do not divide `llc_slices`, if
     /// `line_bytes` is not the L1's and a data packet's line or the LLC
@@ -235,10 +234,6 @@ impl GpuSim {
             index8,
         );
         fits("DRAM rows per bank", map.rows_per_bank(), 1 << 32);
-        assert!(
-            slices <= 64,
-            "llc_slices = {slices} exceeds the 64 slices of the parked-slice mask"
-        );
         // `GpuSim::route` never uses a remainder of slices.
         assert!(
             controllers >= slices || slices % controllers == 0,
@@ -360,22 +355,18 @@ impl GpuSim {
         // caller-provided Vecs, so steady state allocates nothing.
         let mut deliveries: Vec<valley_noc::Delivery> = Vec::with_capacity(64);
         let mut completions: Vec<valley_dram::DramCompletion> = Vec::with_capacity(64);
-        let mut banks_buf: Vec<usize> = Vec::with_capacity(self.dram.num_channels());
         let mut truncated = false;
         // The cycle of the previous iteration: the state it left is what
         // every parallelism sampling point in `[sampled_to, cycle)` sees.
         let mut sampled_to: u64 = 0;
         // Wake gates over the SM and LLC-slice populations (see
-        // `crate::wake`): rebuilt by their walk, lowered to a unit's fresh
-        // hint by every out-of-band source that moved it. Below a gate its
-        // walk is skipped, and the fast-forward reads the core-domain
-        // horizon in O(1).
-        let mut sms_next = WakeGate::new();
-        let mut slices_next = WakeGate::new();
-        // Bit `i` set: slice `i` is parked on a full DRAM channel. Set by
-        // the slice walk when a tick leaves the slice parked (only a tick
-        // parks one) and cleared by `GpuSim::unpark_freed`.
-        let mut parked: u64 = 0;
+        // `crate::wake`): the minimum of their hints, set by their walk and
+        // lowered to a unit's fresh hint by every out-of-band source that
+        // moved it. Below a gate its walk is skipped, and the fast-forward
+        // reads the core-domain horizon in O(1). At 0 every unit is offered
+        // its first tick.
+        let mut sms_next: u64 = 0;
+        let mut slices_next: u64 = 0;
 
         'outer: loop {
             crate::alloc_audit::note_cycle(cycle);
@@ -385,7 +376,7 @@ impl GpuSim {
             // copies, so the cycle in which either domain ticks a due
             // event leaves no trace and is run in full below. No unit owes
             // anything for the cycles skipped.
-            let core_next = (sms_next.get().min(slices_next.get())).min(sched.cached_next_event());
+            let core_next = sms_next.min(slices_next).min(sched.cached_next_event());
             let noc_next =
                 (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
             let dram_next = self.dram.cached_next_event();
@@ -401,7 +392,7 @@ impl GpuSim {
                     break 'outer;
                 }
             }
-            self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
+            self.sample_parallelism(&mut parallelism, sampled_to..cycle);
             sampled_to = cycle;
 
             // ---- Clock domains: what this core cycle ticks ----
@@ -423,7 +414,7 @@ impl GpuSim {
                     for d in &deliveries {
                         let slice = &mut self.slices[d.dst];
                         slice.deliver(id_of(d.payload), cycle);
-                        slices_next.lower(slice.cached_next_event());
+                        slices_next = slices_next.min(slice.cached_next_event());
                     }
                 }
                 if ticks(noc_cycle, self.reply_net.cached_next_event()) {
@@ -432,7 +423,7 @@ impl GpuSim {
                     for d in &deliveries {
                         let sm = &mut self.sms[d.dst];
                         sm.on_reply(id_of(d.payload), &mut self.txns, cycle);
-                        sms_next.lower(sm.cached_next_event());
+                        sms_next = sms_next.min(sm.cached_next_event());
                     }
                 }
             }
@@ -450,22 +441,22 @@ impl GpuSim {
                     } else {
                         let slice = &mut self.slices[usize::from(t.slice)];
                         slice.on_dram_completion(self.txns.line(id), cycle, &mut replies);
-                        slices_next.lower(slice.cached_next_event());
+                        slices_next = slices_next.min(slice.cached_next_event());
                     }
                 }
             }
-            if dram_due && parked != 0 {
-                parked = self.unpark_freed(parked, cycle, &mut slices_next);
+            if dram_due {
+                slices_next = slices_next.min(self.unpark_freed(cycle));
             }
 
             // ---- LLC slices ----
             // The hint gate ticks a slice at its hint, and skips the walk
             // below `slices_next`, where no slice is due.
-            if ticks(cycle, slices_next.get()) {
+            if ticks(cycle, slices_next) {
                 due = true;
                 count(Counter::SliceWalks);
                 let mut next = u64::MAX;
-                for (i, s) in self.slices.iter_mut().enumerate() {
+                for s in &mut self.slices {
                     // A parked head has no hint (`u64::MAX`): only the open
                     // gate retries it, every cycle — a refusal changes no
                     // state — which is the oracle for `unpark_freed`.
@@ -481,13 +472,10 @@ impl GpuSim {
                             &self.txns,
                             &mut replies,
                         );
-                        if s.parked_on().is_some() {
-                            parked |= 1 << i;
-                        }
                     }
                     next = next.min(s.cached_next_event());
                 }
-                slices_next.rebuild(next);
+                slices_next = next;
             }
             for txn in replies.drain(..) {
                 let t = self.txns.get(id_of(txn));
@@ -506,7 +494,7 @@ impl GpuSim {
                 let router = move |addr: PhysAddr| Self::route(dram, llc_slices, addr);
                 // The hint gate ticks an SM at its hint, and skips the walk
                 // below `sms_next`, where no SM is due.
-                if ticks(cycle, sms_next.get()) {
+                if ticks(cycle, sms_next) {
                     due = true;
                     count(Counter::SmWalks);
                     let mut next = u64::MAX;
@@ -524,7 +512,7 @@ impl GpuSim {
                         }
                         next = next.min(sm.cached_next_event());
                     }
-                    sms_next.rebuild(next);
+                    sms_next = next;
                 }
             }
             for o in outbound.drain(..) {
@@ -544,7 +532,7 @@ impl GpuSim {
                 count(Counter::SchedulerPasses);
                 if sched.tick(&mut self.sms, self.workload.as_ref(), cycle) {
                     // An assigned SM is due next cycle.
-                    sms_next.lower(cycle + 1);
+                    sms_next = sms_next.min(cycle + 1);
                 }
             }
             count(Counter::Iterations);
@@ -565,49 +553,43 @@ impl GpuSim {
         }
 
         crate::alloc_audit::window_close();
-        self.sample_parallelism(&mut parallelism, &mut banks_buf, sampled_to..cycle);
+        self.sample_parallelism(&mut parallelism, sampled_to..cycle);
         self.report(cycle, truncated, &parallelism, &sched)
     }
 
-    /// A DRAM phase may have freed the slot a parked slice waits for:
-    /// unparks every slice in the `parked` mask whose channel now has
-    /// room, due in `cycle`, and returns the mask of those still parked.
-    /// Out of line: it runs on few iterations, and keeping it out of
-    /// the drive loop keeps that loop's body small.
+    /// A DRAM phase that ran may have freed the slot a parked slice waits
+    /// for: unparks every slice whose channel now has room, due in
+    /// `cycle`, and returns the cycle the slice gate is lowered to —
+    /// `cycle` if a slice was unparked, else `u64::MAX`. Out of line: it
+    /// runs on every iteration with a DRAM event, yet inlining it into
+    /// the drive loop measured no faster, so the loop's body stays small.
     #[inline(never)]
-    fn unpark_freed(&mut self, parked: u64, cycle: u64, slices_next: &mut WakeGate) -> u64 {
-        let mut still = parked;
-        let mut waiting = parked;
-        while waiting != 0 {
-            let i = waiting.trailing_zeros() as usize;
-            waiting &= waiting - 1;
-            let slice = &mut self.slices[i];
+    fn unpark_freed(&mut self, cycle: u64) -> u64 {
+        let mut due = u64::MAX;
+        for slice in &mut self.slices {
             if slice.parked_on().is_some_and(|ch| has_room(&self.dram, ch)) {
                 slice.unpark(cycle);
-                slices_next.lower(cycle);
-                still &= !(1 << i);
+                due = cycle;
             }
         }
-        still
+        due
     }
 
     /// Records the parallelism sampling points (the multiples of
     /// [`METRIC_SAMPLE_INTERVAL`]) that fall in `cycles`, all of which see
     /// the state as it stands: the one the iteration at `cycles.start`
     /// left, unchanged until the loop next runs a cycle at `cycles.end`.
-    fn sample_parallelism(
-        &self,
-        parallelism: &mut ParallelismIntegrator,
-        banks_buf: &mut Vec<usize>,
-        cycles: Range<u64>,
-    ) {
+    fn sample_parallelism(&self, parallelism: &mut ParallelismIntegrator, cycles: Range<u64>) {
         let samples = cycles.end.div_ceil(METRIC_SAMPLE_INTERVAL)
             - cycles.start.div_ceil(METRIC_SAMPLE_INTERVAL);
         if samples > 0 {
             let busy_slices = self.slices.iter().filter(|s| !s.is_idle()).count();
-            let busy_channels = self.dram.busy_channels();
-            self.dram.busy_banks_per_busy_channel_into(banks_buf);
-            parallelism.sample_n(busy_slices, busy_channels, banks_buf, samples);
+            parallelism.sample_n(
+                busy_slices,
+                self.dram.busy_channels(),
+                self.dram.busy_banks(),
+                samples,
+            );
         }
     }
 

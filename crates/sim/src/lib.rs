@@ -37,7 +37,7 @@ pub use batch::BatchSim;
 pub use coalesce::{coalesce, coalesce_into};
 pub use config::GpuConfig;
 pub use gpu::GpuSim;
-pub use metrics::{ParallelismIntegrator, SimReport, REPORT_SCHEMA_VERSION};
+pub use metrics::{SimReport, REPORT_SCHEMA_VERSION};
 pub use trace::{
     tb_request_addresses, Instruction, KernelSource, LaneAddrs, WarpProgram, WorkloadSource,
 };

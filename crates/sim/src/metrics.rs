@@ -30,7 +30,7 @@ pub const REPORT_SCHEMA_VERSION: u32 = 4;
 /// one unit was busy. Bank-level parallelism is per *busy channel*
 /// (Figure 14c), giving the multiplier effect the paper describes.
 #[derive(Clone, Debug, Default)]
-pub struct ParallelismIntegrator {
+pub(crate) struct ParallelismIntegrator {
     llc_busy_sum: u64,
     llc_samples: u64,
     chan_busy_sum: u64,
@@ -41,21 +41,23 @@ pub struct ParallelismIntegrator {
 
 impl ParallelismIntegrator {
     /// Creates an empty integrator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records `n` identical samples: `busy_slices` LLC slices with
     /// outstanding requests, `busy_channels` DRAM channels with
-    /// outstanding requests, and per-busy-channel busy-bank counts. The
-    /// drive loop passes the sampling points that elapsed since it last
-    /// changed any state (one per dense cycle, a whole skipped window in
-    /// the evented loop).
-    pub fn sample_n(
+    /// outstanding requests, and `busy_banks` banks with outstanding
+    /// requests over all channels. Each busy channel is one bank sample,
+    /// busy banks or not, so the bank mean is per busy channel. The drive
+    /// loop passes the sampling points that elapsed since it last changed
+    /// any state (one per dense cycle, a whole skipped window in the
+    /// evented loop).
+    pub(crate) fn sample_n(
         &mut self,
         busy_slices: usize,
         busy_channels: usize,
-        banks_per_busy: &[usize],
+        busy_banks: usize,
         n: u64,
     ) {
         if busy_slices > 0 {
@@ -66,24 +68,22 @@ impl ParallelismIntegrator {
             self.chan_busy_sum += busy_channels as u64 * n;
             self.chan_samples += n;
         }
-        for &b in banks_per_busy {
-            self.bank_busy_sum += b as u64 * n;
-            self.bank_samples += n;
-        }
+        self.bank_busy_sum += busy_banks as u64 * n;
+        self.bank_samples += busy_channels as u64 * n;
     }
 
     /// Mean number of busy LLC slices over busy samples (Figure 14a).
-    pub fn llc_parallelism(&self) -> f64 {
+    pub(crate) fn llc_parallelism(&self) -> f64 {
         mean(self.llc_busy_sum, self.llc_samples)
     }
 
     /// Mean number of busy channels over busy samples (Figure 14b).
-    pub fn channel_parallelism(&self) -> f64 {
+    pub(crate) fn channel_parallelism(&self) -> f64 {
         mean(self.chan_busy_sum, self.chan_samples)
     }
 
     /// Mean busy banks per busy channel (Figure 14c).
-    pub fn bank_parallelism(&self) -> f64 {
+    pub(crate) fn bank_parallelism(&self) -> f64 {
         mean(self.bank_busy_sum, self.bank_samples)
     }
 }
@@ -331,12 +331,14 @@ mod tests {
     #[test]
     fn integrator_averages_over_busy_samples() {
         let mut p = ParallelismIntegrator::new();
-        p.sample_n(2, 1, &[4], 1);
-        p.sample_n(0, 0, &[], 1); // idle sample: ignored
-        p.sample_n(4, 3, &[2, 6, 4], 1);
-        assert!((p.llc_parallelism() - 3.0).abs() < 1e-12);
-        assert!((p.channel_parallelism() - 2.0).abs() < 1e-12);
-        assert!((p.bank_parallelism() - 4.0).abs() < 1e-12);
+        p.sample_n(2, 1, 4, 1);
+        // Idle samples are ignored.
+        p.sample_n(0, 0, 0, 3);
+        // Busy banks [2, 6, 4, 0]: the channel with none still counts.
+        p.sample_n(4, 4, 12, 2);
+        assert!((p.llc_parallelism() - 10.0 / 3.0).abs() < 1e-12);
+        assert!((p.channel_parallelism() - 3.0).abs() < 1e-12);
+        assert!((p.bank_parallelism() - 28.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]

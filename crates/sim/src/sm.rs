@@ -107,8 +107,6 @@ pub(crate) struct Sm {
     hit_queue: VecDeque<(u64, u32)>,
     tb_slots: Vec<Option<TbState>>,
     free_tb_slots: Vec<u32>,
-    resident_tbs: usize,
-    resident_warps: usize,
     /// The LSU head is MSHR-stalled and no reply has arrived since —
     /// replies are the only events that free MSHRs or fill lines, so
     /// retries cost nothing: the head is looked up again once a reply
@@ -121,7 +119,7 @@ pub(crate) struct Sm {
     /// SM something to do (see `crate::wake`).
     cached_next: u64,
     /// First core cycle of the current busy span: the first tick that saw
-    /// a resident warp since `resident_warps` last left 0.
+    /// a resident warp since the SM last had none.
     busy_since: u64,
     // Statistics.
     warp_instructions: u64,
@@ -147,8 +145,6 @@ impl Sm {
             hit_queue: VecDeque::with_capacity(32),
             tb_slots: (0..GpuConfig::MAX_TBS_PER_SM).map(|_| None).collect(),
             free_tb_slots: (0..GpuConfig::MAX_TBS_PER_SM as u32).rev().collect(),
-            resident_tbs: 0,
-            resident_warps: 0,
             lsu_stalled: false,
             cached_next: 0,
             busy_since: 0,
@@ -158,9 +154,10 @@ impl Sm {
     }
 
     /// Whether this SM can accept a TB of `warps_per_block` warps, given
-    /// the per-kernel residency limit.
+    /// the per-kernel residency limit: the TB slots off the free stack
+    /// are the resident ones.
     pub(crate) fn can_accept_tb(&self, warps_per_block: usize, tbs_limit: usize) -> bool {
-        self.resident_tbs < tbs_limit
+        GpuConfig::MAX_TBS_PER_SM - self.free_tb_slots.len() < tbs_limit
             && !self.free_tb_slots.is_empty()
             && self.free_warp_slots.len() >= warps_per_block
     }
@@ -175,7 +172,7 @@ impl Sm {
         // out of it). Declared to the allocation audit — this is the
         // workload handing the engine fresh input, not tick work.
         let _audit_pause = crate::alloc_audit::pause();
-        if self.resident_warps == 0 {
+        if self.resident_warps() == 0 {
             self.busy_since = cycle + 1;
         }
         let wpb = kernel.warps_per_block();
@@ -187,7 +184,6 @@ impl Sm {
         self.tb_slots[slot as usize] = Some(TbState {
             warps_left: wpb as u32,
         });
-        self.resident_tbs += 1;
         for w in 0..wpb {
             #[expect(
                 clippy::expect_used,
@@ -201,14 +197,19 @@ impl Sm {
                 outstanding_loads: 0,
             });
             self.ready.insert((age, ws));
-            self.resident_warps += 1;
         }
         self.lower_cached_next(cycle + 1);
     }
 
+    /// Warps resident: the warp slots not on the free stack.
+    #[inline]
+    fn resident_warps(&self) -> usize {
+        GpuConfig::MAX_WARPS_PER_SM - self.free_warp_slots.len()
+    }
+
     /// Whether the SM holds no warps and has no memory work in flight.
     pub(crate) fn is_idle(&self) -> bool {
-        self.resident_warps == 0
+        self.resident_warps() == 0
             && self.mem_queue.is_empty()
             && self.hit_queue.is_empty()
             && self.mshr.is_empty()
@@ -226,7 +227,7 @@ impl Sm {
     /// busy spans plus the open one, cut at `end` (the first cycle not
     /// ticked — the end of a run, truncated or not).
     pub(crate) fn busy_cycles(&self, end: u64) -> u64 {
-        let open = if self.resident_warps > 0 {
+        let open = if self.resident_warps() > 0 {
             end.saturating_sub(self.busy_since)
         } else {
             0
@@ -236,22 +237,21 @@ impl Sm {
 
     /// The earliest core cycle at or after `now` at which [`Sm::tick`]
     /// would do real work (wake a warp, finish a hit, run the LSU or issue
-    /// an instruction), or `None` when only off-SM events (NoC replies)
-    /// can make progress. Every tick before the returned cycle would
-    /// change nothing.
-    pub(crate) fn next_event_at(&self, now: u64) -> Option<u64> {
+    /// an instruction), or `u64::MAX` when only off-SM events (NoC
+    /// replies) can make progress. Every tick before the returned cycle
+    /// would change nothing.
+    fn next_event_at(&self, now: u64) -> u64 {
         // A non-empty LSU queue is only an every-cycle event while it can
         // make progress; a stall-cached head does nothing until a reply.
         if (!self.mem_queue.is_empty() && !self.lsu_stalled) || !self.ready.is_empty() {
-            return Some(now);
+            return now;
         }
-        let mut next: Option<u64> = None;
+        let mut next = u64::MAX;
         if let Some(&Reverse((when, _))) = self.wake.peek() {
-            next = Some(when.max(now));
+            next = when.max(now);
         }
         if let Some(&(ready, _)) = self.hit_queue.front() {
-            let at = ready.max(now);
-            next = Some(next.map_or(at, |n| n.min(at)));
+            next = next.min(ready.max(now));
         }
         next
     }
@@ -267,8 +267,7 @@ impl Sm {
     /// `now`, so a source that gave the SM nothing to do moves nothing.
     #[inline]
     fn lower_cached_next(&mut self, now: u64) {
-        let due = self.next_event_at(now).unwrap_or(u64::MAX);
-        self.cached_next = self.cached_next.min(due);
+        self.cached_next = self.cached_next.min(self.next_event_at(now));
     }
 
     /// Handles an LLC reply for `txn`: fills the L1 line and wakes every
@@ -323,7 +322,6 @@ impl Sm {
             .take()
             .expect("retiring a live warp");
         self.free_warp_slots.push(warp_idx);
-        self.resident_warps -= 1;
         let tb = warp.tb_slot;
         #[expect(
             clippy::expect_used,
@@ -337,7 +335,6 @@ impl Sm {
         if tb_done {
             self.tb_slots[tb as usize] = None;
             self.free_tb_slots.push(tb);
-            self.resident_tbs -= 1;
         }
         tb_done
     }
@@ -357,7 +354,7 @@ impl Sm {
         route: &dyn Fn(PhysAddr) -> Route,
         outbound: &mut Vec<SmOutbound>,
     ) -> u64 {
-        let was_busy = self.resident_warps > 0;
+        let was_busy = self.resident_warps() > 0;
 
         // Wake compute-stalled warps.
         while let Some(&Reverse((when, w))) = self.wake.peek() {
@@ -381,11 +378,11 @@ impl Sm {
 
         self.lsu_tick(cycle, mapper, txns, outbound);
         let retired = self.issue_tick(cycle, cfg, mapper, txns, route);
-        if was_busy && self.resident_warps == 0 {
+        if was_busy && self.resident_warps() == 0 {
             // The last warp retired: the busy span ends with this cycle.
             self.busy_cycles += cycle + 1 - self.busy_since;
         }
-        self.cached_next = self.next_event_at(cycle + 1).unwrap_or(u64::MAX);
+        self.cached_next = self.next_event_at(cycle + 1);
         retired
     }
 
@@ -637,21 +634,21 @@ mod tests {
                     break;
                 }
                 replies.pop_front();
-                let resident = sm.resident_warps;
+                let resident = sm.resident_warps();
                 sm.on_reply(txn, &mut txns, cycle);
-                assert_eq!(sm.resident_warps, resident, "a reply retired a warp");
+                assert_eq!(sm.resident_warps(), resident, "a reply retired a warp");
             }
             assert_eq!(
                 sm.busy_cycles(cycle),
                 ticked_busy,
                 "cut at {cycle}, before its tick"
             );
-            edges.cuts_mid_span += u64::from(sm.resident_warps > 0);
+            edges.cuts_mid_span += u64::from(sm.resident_warps() > 0);
 
-            let was_busy = sm.resident_warps > 0;
+            let was_busy = sm.resident_warps() > 0;
             ticked_busy += u64::from(was_busy);
             retired += sm.tick(cycle, &cfg, &mapper, &mut txns, &route, &mut outbound);
-            let emptied = was_busy && sm.resident_warps == 0;
+            let emptied = was_busy && sm.resident_warps() == 0;
             edges.emptied_by_tick += u64::from(emptied);
             for o in outbound.drain(..) {
                 if txns.get(o.txn).is_store() {

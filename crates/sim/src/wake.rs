@@ -25,12 +25,12 @@
 //! | [`DramChannel`] | [`DramSystem::tick`], through the loop's gate | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
 //! | | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
 //! | [`Crossbar`] | the NoC phase of the drive loop | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
-//! | LLC slice | the slice walk and its [`WakeGate`] | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
+//! | LLC slice | the slice walk and its gate, `slices_next` | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
 //! | | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
-//! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — the drive loop checks each parked slice's channel after the DRAM phase; the open gate retries a parked head every cycle instead, which is the oracle for this unpark |
+//! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — after a DRAM phase that ran, the drive loop asks every slice for the channel it is parked on; the open gate retries a parked head every cycle instead, which is the oracle for this unpark |
 //! | | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
 //! | | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
-//! | SM | the SM walk and its [`WakeGate`] | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
+//! | SM | the SM walk and its gate, `sms_next` | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
 //! | | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
 //! | | | a TB assignment | the cycle after the assignment |
 //! | TB scheduler | the drive loop's gate | a TB retirement, reported by the SM tick; a finished kernel, by its own pass | that cycle for a retirement, which alone frees room or finishes a kernel (a reply retires no warp); the next cycle for a finished kernel, to load the next one if any; else none — a pass assigns until no SM has room |
@@ -40,12 +40,14 @@
 //! one retires, a stalled queue head counts nothing, and its lookup is
 //! counted once, in the cycle it leaves the head.
 //!
-//! A [`WakeGate`] folds one population's hints into a scalar so the
-//! loop skips the whole walk — and its fast-forward reads the
-//! core-domain horizon in O(1) — while nothing in it is due. It is
-//! rebuilt exactly by the walk that ticked the units and *lowered* to a
-//! unit's own fresh hint by every out-of-band source above; a source
-//! that leaves the unit's hint alone leaves the gate alone.
+//! A walk's gate is a `u64`, the minimum of one population's hints, so
+//! the loop skips the whole walk — and its fast-forward reads the
+//! core-domain horizon in O(1) — while nothing in it is due. It starts
+//! at 0, offering every unit its first tick. The walk that ticked the
+//! units sets it to the exact minimum of their fresh hints, and every
+//! out-of-band source above lowers it with `min` to the unit's own
+//! fresh hint; a source that leaves the unit's hint alone leaves the
+//! gate alone.
 //!
 //! Clock domains advance through [`DomainClock`], which owns the
 //! accumulator arithmetic the dense loop performs: the run loop's
@@ -84,40 +86,6 @@
 )]
 
 use std::ops::Range;
-
-/// The wake gate over a population of units (see the module docs).
-/// Starts at cycle 0: every unit must be offered its first tick,
-/// matching the initial state of the units' own next-event caches.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct WakeGate(u64);
-
-impl WakeGate {
-    pub(crate) fn new() -> Self {
-        WakeGate(0)
-    }
-
-    /// The gate: no unit in the population changes state before this
-    /// cycle.
-    #[inline]
-    pub(crate) fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Out-of-band wake: a unit's hint may have moved to `at` (pass the
-    /// unit's own `cached_next_event()`); the gate follows it down and
-    /// is never raised.
-    #[inline]
-    pub(crate) fn lower(&mut self, at: u64) {
-        self.0 = self.0.min(at);
-    }
-
-    /// Walk rebuild: the walk that just ticked every due unit publishes
-    /// the exact minimum of the per-unit next-event caches.
-    #[inline]
-    pub(crate) fn rebuild(&mut self, min: u64) {
-        self.0 = min;
-    }
-}
 
 /// A second clock domain (NoC, DRAM) counted in core cycles: the
 /// fractional accumulator, the next domain cycle to tick and the clock
@@ -166,8 +134,8 @@ impl DomainClock {
 /// Wake-efficiency counters for `tests/wake_efficiency.rs` (feature
 /// `wake-audit`, test builds only — never part of a [`SimReport`]).
 /// Per thread: a simulation runs on the thread that called it, so
-/// concurrent tests do not see each other. Without the feature
-/// [`count`](audit::count) is an empty inline body.
+/// concurrent tests do not see each other. Without the feature the
+/// crate-private `count` hook is an empty inline body.
 ///
 /// [`SimReport`]: crate::SimReport
 pub mod audit {
@@ -215,85 +183,5 @@ pub mod audit {
     #[cfg(feature = "wake-audit")]
     pub fn take(counter: Counter) -> u64 {
         COUNTS.with(|c| c[counter as usize].replace(0))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn fresh_gate_admits_the_first_tick() {
-        let g = WakeGate::new();
-        assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    fn rebuild_publishes_and_lower_only_lowers() {
-        let mut g = WakeGate::new();
-        g.rebuild(50);
-        assert_eq!(g.get(), 50);
-        g.lower(70);
-        assert_eq!(g.get(), 50, "a later hint never raises the gate");
-        g.lower(12);
-        assert_eq!(g.get(), 12);
-        g.rebuild(u64::MAX);
-        assert_eq!(g.get(), u64::MAX, "an event-free population parks");
-    }
-
-    /// Model check of the maintenance discipline: drive a population of
-    /// fake units through random walks and out-of-band events; the gate
-    /// must stay a never-late lower bound on the units' true minimum,
-    /// and be exact right after every walk.
-    #[derive(Clone)]
-    struct Unit {
-        next: u64,
-    }
-
-    proptest! {
-        #[test]
-        fn gate_is_never_late_and_exact_after_walks(
-            n in 1usize..16,
-            ops in proptest::collection::vec((0usize..16, 0u64..64, any::<bool>()), 1..200),
-        ) {
-            let mut units = vec![Unit { next: 0 }; n];
-            let mut gate = WakeGate::new();
-            let mut cycle = 0u64;
-            for &(u, v, walk) in &ops {
-                if walk {
-                    // A walk at `cycle`: due units tick and recompute
-                    // their own caches (any future value); the gate is
-                    // rebuilt from the true minimum.
-                    if cycle >= gate.get() {
-                        for (i, unit) in units.iter_mut().enumerate() {
-                            if cycle >= unit.next {
-                                unit.next = cycle + 1 + (v + i as u64) % 16;
-                            }
-                        }
-                        let min = units.iter().map(|x| x.next).min().unwrap();
-                        gate.rebuild(min);
-                        prop_assert_eq!(gate.get(), min, "walk rebuild must be exact");
-                    }
-                    cycle += 1;
-                } else {
-                    // Out-of-band event: some unit's hint moves (down to
-                    // the current cycle, or — a source that changes
-                    // nothing — not at all); the gate is lowered to it.
-                    let unit = &mut units[u % n];
-                    if v % 3 != 0 {
-                        unit.next = unit.next.min(cycle);
-                    }
-                    gate.lower(unit.next);
-                }
-                let true_min = units.iter().map(|x| x.next).min().unwrap();
-                prop_assert!(
-                    gate.get() <= true_min,
-                    "gate {} ran past the true minimum {} (a late gate skips work)",
-                    gate.get(),
-                    true_min
-                );
-            }
-        }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use valley_cache::CacheConfig;
 use valley_core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
 use valley_sim::{GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
-use valley_workloads::{KernelSpec, Workload};
+use valley_workloads::{Benchmark, KernelSpec, Scale, Workload};
 
 type Gen = Arc<dyn Fn(u64, usize) -> Vec<Instruction> + Send + Sync>;
 
@@ -214,19 +214,46 @@ fn an_sm_count_a_transaction_cannot_name_is_refused() {
     let _ = build(GpuConfig::table1().with_sms(70_000));
 }
 
-/// The drive loop tracks parked LLC slices in a 64-bit mask: a machine
-/// with more slices is refused at construction, naming the field.
+/// More than 64 LLC slices: the stacked machine with two slices per
+/// vault (128) builds, and the hint gate agrees with the open gate, which
+/// retries every parked slice every cycle, on a valley and a streaming
+/// run.
 #[test]
-#[should_panic(expected = "llc_slices = 65 exceeds the 64 slices")]
-fn more_slices_than_the_parked_mask_holds_are_refused() {
-    let mut cfg = GpuConfig::table1();
-    cfg.llc_slices = 65;
-    let _ = build(cfg);
+fn a_machine_with_128_llc_slices_runs_gated_as_dense() {
+    let cfg = GpuConfig {
+        llc_slices: 128,
+        ..GpuConfig::stacked()
+    };
+    for (bench, scheme) in [
+        (Benchmark::Mt, SchemeKind::Base),
+        (Benchmark::Sp, SchemeKind::Pae),
+    ] {
+        let sim = || {
+            let map = DramMap::stacked();
+            let mapper = AddressMapper::build(scheme, &map, 1);
+            GpuSim::new(
+                cfg.clone(),
+                mapper,
+                map,
+                Box::new(bench.workload(Scale::Test)),
+            )
+        };
+        let (fast, dense) = (sim().run(), sim().run_dense());
+        assert!(
+            fast.memory_transactions > 0,
+            "{bench:?}/{scheme:?}: empty run"
+        );
+        assert_eq!(
+            fast.results_json(),
+            dense.results_json(),
+            "{bench:?}/{scheme:?} on 128 slices"
+        );
+    }
 }
 
 /// A transaction record holds its LLC slice and DRAM bank in 8 bits: a
-/// machine with more slices is refused by name before the parked-slice
-/// mask is consulted.
+/// machine with more slices is refused at construction, naming the
+/// field.
 #[test]
 #[should_panic(expected = "llc_slices = 257 does not fit a transaction record (at most 256)")]
 fn a_slice_index_over_8_bits_is_refused() {
