@@ -68,9 +68,9 @@ pub struct DramConfig {
     pub queue_capacity: usize,
     /// Command timing.
     pub timing: DramTiming,
-    /// DRAM clock frequency in GHz (used by callers for clock-domain
+    /// DRAM clock frequency in MHz (used by callers for clock-domain
     /// conversion and by the power model for cycle-to-time conversion).
-    pub clock_ghz: f64,
+    pub clock_mhz: u64,
 }
 
 impl DramConfig {
@@ -80,7 +80,7 @@ impl DramConfig {
         DramConfig {
             queue_capacity: 64,
             timing: DramTiming::gddr5(),
-            clock_ghz: 0.924,
+            clock_mhz: 924,
         }
     }
 
@@ -90,7 +90,7 @@ impl DramConfig {
         DramConfig {
             queue_capacity: 16,
             timing: DramTiming::stacked_vault(),
-            clock_ghz: 1.25,
+            clock_mhz: 1250,
         }
     }
 }
@@ -104,18 +104,18 @@ mod tests {
         let t = DramTiming::gddr5();
         assert_eq!((t.cl, t.trcd, t.trp), (12, 12, 12));
         let c = DramConfig::gddr5();
-        assert!((c.clock_ghz - 0.924).abs() < 1e-9);
-        // 32 B/cycle x 0.924 GHz x 4 channels = 118.3 GB/s.
-        let bw = 32.0 * c.clock_ghz * 4.0;
+        assert_eq!(c.clock_mhz, 924);
+        // 32 B/cycle x 924 MHz x 4 channels = 118.3 GB/s.
+        let bw = 32.0 * c.clock_mhz as f64 / 1000.0 * 4.0;
         assert!((bw - 118.3).abs() < 0.3);
     }
 
     #[test]
     fn stacked_bandwidth_is_640gbs() {
         let c = DramConfig::stacked_vault();
-        // 8 B/cycle x 1.25 GHz x 64 vaults = 640 GB/s.
+        // 8 B/cycle x 1250 MHz x 64 vaults = 640 GB/s.
         let per_vault_bytes = 128.0 / c.timing.tburst as f64;
-        let bw = per_vault_bytes * c.clock_ghz * 64.0;
+        let bw = per_vault_bytes * c.clock_mhz as f64 / 1000.0 * 64.0;
         assert!((bw - 640.0).abs() < 1.0);
     }
 }

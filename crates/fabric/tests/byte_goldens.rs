@@ -14,7 +14,8 @@ use valley_fabric::proto::{Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTO
 use valley_fabric::wire::{read_frame, write_frame};
 use valley_fabric::FailureNote;
 use valley_harness::{
-    ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, StoredResult, WallKind, STORE_FILE,
+    ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, SmCount, StoredResult, WallKind,
+    STORE_FILE,
 };
 use valley_sim::json;
 use valley_sim::SimReport;
@@ -36,7 +37,7 @@ fn spec() -> JobSpec {
         scheme: SchemeKind::Pae,
         seed: 3,
         scale: Scale::Ref,
-        config: ConfigId::Sms(24),
+        config: ConfigId::Sms(SmCount::new(24).unwrap()),
     }
 }
 
@@ -76,7 +77,6 @@ fn stored() -> StoredResult {
             kernels: 2,
             dram_cycles: 27_150,
             dram_channels: 6,
-            core_clock_ghz: 1.4,
             dram_clock_ghz: 0.924,
             num_sms: 24,
             sm_busy_fraction: 0.987_654_321,

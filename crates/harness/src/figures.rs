@@ -13,7 +13,7 @@
 //! Figures 11–17 over one [`Suite`]; `valley figures --set` and `valley
 //! fetch --figures` print it.
 
-use crate::{ConfigId, JobSpec, SweepSpec};
+use crate::{ConfigId, JobSpec, SmCount, SweepSpec};
 use std::collections::BTreeMap;
 use valley_core::hash::FastMap;
 use valley_core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
@@ -505,8 +505,14 @@ const SUBSET: [Benchmark; 4] = [
 /// its jobs with every other figure.
 const FIG18_CONFIGS: [(ConfigId, &str); 4] = [
     (ConfigId::Table1, "12 SMs conv. DRAM"),
-    (ConfigId::Sms(24), "24 SMs conv. DRAM"),
-    (ConfigId::Sms(48), "48 SMs conv. DRAM"),
+    (
+        ConfigId::Sms(SmCount::new(24).unwrap()),
+        "24 SMs conv. DRAM",
+    ),
+    (
+        ConfigId::Sms(SmCount::new(48).unwrap()),
+        "48 SMs conv. DRAM",
+    ),
     (ConfigId::Stacked, "64 SMs 3D DRAM"),
 ];
 
@@ -581,7 +587,10 @@ fn table1() -> String {
         "Table I: simulated GPU architecture".to_string(),
         "--- SM configuration".to_string(),
         format!("  SMs:                {}", c.num_sms),
-        format!("  core clock:         {} GHz", GpuConfig::CORE_CLOCK_GHZ),
+        format!(
+            "  core clock:         {} GHz",
+            ghz(GpuConfig::CORE_CLOCK_MHZ)
+        ),
         format!("  warp size:          {}", GpuConfig::WARP_SIZE),
         format!(
             "  max warps/threads:  {} warps, {} threads per SM",
@@ -607,7 +616,9 @@ fn table1() -> String {
         ),
         format!(
             "  NoC:                {}x{} crossbar @ {} GHz, 32 B channels",
-            c.num_sms, c.llc_slices, c.noc_clock_ghz
+            c.num_sms,
+            c.llc_slices,
+            ghz(c.noc_mhz)
         ),
         "--- DRAM configuration".to_string(),
         format!(
@@ -616,7 +627,7 @@ fn table1() -> String {
             map.banks_per_controller(),
             map.rows_per_bank(),
             map.columns_per_row(),
-            c.dram.clock_ghz
+            ghz(c.dram.clock_mhz)
         ),
         format!(
             "  timing: CL {} tRCD {} tRP {} tRAS {} tRRD {} tCCD {} burst {}",
@@ -624,13 +635,18 @@ fn table1() -> String {
         ),
         format!(
             "  bandwidth: {:.1} GB/s",
-            32.0 * c.dram.clock_ghz * map.num_controllers() as f64
+            32.0 * ghz(c.dram.clock_mhz) * map.num_controllers() as f64
         ),
         "  scheduling: FR-FCFS, open page".to_string(),
         "--- Address map (Figure 4, LSB -> MSB)".to_string(),
         format!("  {TABLE1_ADDRESS_MAP}"),
     ];
     lines.join("\n") + "\n"
+}
+
+/// A clock in whole MHz, in GHz.
+fn ghz(mhz: u64) -> f64 {
+    mhz as f64 / 1000.0
 }
 
 /// `DramMap::baseline()`'s fields, LSB first, as Table I prints them
@@ -849,6 +865,12 @@ fn window() -> usize {
     GpuConfig::table1().num_sms
 }
 
+/// The lowest and highest bit an entropy chart draws: `map`'s non-block
+/// bits, which [`ENTROPY_AXIS`] names.
+fn chart_bits(map: &DramMap) -> (u8, u8) {
+    (map.block_bits(), map.addr_bits() - 1)
+}
+
 /// The entropy charts' axis over `DramMap::baseline()` (checked against
 /// the map by a unit test).
 const ENTROPY_AXIS: &str = "bits 29 (left) .. 6 (right); bank+channel bits are 8-13\n\n";
@@ -860,6 +882,7 @@ fn fig05(scale: Scale) -> String {
     let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let candidates = map.non_block_bits();
+    let (lo, hi) = chart_bits(&map);
 
     let window = window();
     let mut out =
@@ -882,7 +905,7 @@ fn fig05(scale: Scale) -> String {
             p.mean_over(&targets),
             score,
             if has { ", VALLEY" } else { "" },
-            p.ascii_chart(6, 29)
+            p.ascii_chart(lo, hi)
         ));
     }
     out
@@ -896,6 +919,7 @@ fn fig10(scale: Scale, seed: u64) -> String {
     let map = DramMap::baseline();
     let targets = map.target_field_bits();
     let mt = Benchmark::Mt.workload(scale);
+    let (lo, hi) = chart_bits(&map);
 
     let window = window();
     let mut out = format!(
@@ -915,7 +939,7 @@ fn fig10(scale: Scale, seed: u64) -> String {
         out.push_str(&format!(
             "--- {} (mean H* over ch/bank bits: {h:.2})\n{}\n",
             kind.label(),
-            p.ascii_chart(6, 29)
+            p.ascii_chart(lo, hi)
         ));
     }
     out.push_str(&format!(
@@ -1002,11 +1026,10 @@ mod tests {
         assert_eq!(fields["row"], map.row_bits());
         assert_eq!(fields.len(), 5);
 
-        let axis = format!(
-            "bits {} (left) .. {} (right); bank+channel bits are ",
-            map.addr_bits() - 1,
-            map.block_bits()
-        );
+        // The axis label names the bits the charts draw.
+        let (lo, hi) = chart_bits(&map);
+        assert_eq!((lo..=hi).collect::<Vec<u8>>(), map.non_block_bits());
+        let axis = format!("bits {hi} (left) .. {lo} (right); bank+channel bits are ");
         let targets = ENTROPY_AXIS.trim_end().strip_prefix(&axis).unwrap();
         let (lo, hi) = targets.split_once('-').unwrap();
         assert_eq!(range(lo, hi), map.target_field_bits());

@@ -33,7 +33,14 @@ use valley_workloads::{Benchmark, Scale};
 ///
 /// v4: the report's `dram` object lost five counters nothing read
 /// (report schema v4), so v3 records no longer parse.
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: clock domains are exact MHz ratios of the core clock. The 24
+/// `stacked` ref records moved (−0.64 % to +5.46 % in cycles): the float
+/// accumulator of the vaults' `1.25 / 1.4` ratio ticked off their 25 per
+/// 28 schedule from core cycle 27 on. Table I's clocks were exact in
+/// floats too, and no other record moved. The report lost
+/// `core_clock_ghz` (report schema v5), so v4 records no longer parse.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The BIM seed used for the headline results (the paper generates three
 /// random BIMs per scheme and reports the best; Figure 19 shows the
@@ -47,8 +54,33 @@ pub enum ConfigId {
     Table1,
     /// The 3D-stacked memory configuration (Figure 18, rightmost group).
     Stacked,
-    /// Table I with a different SM count (Figure 18's scaling sweep).
-    Sms(u32),
+    /// Table I with a different SM count (Figure 18's scaling sweep),
+    /// built by [`SmCount::new`].
+    Sms(SmCount),
+}
+
+/// The SM count of a [`ConfigId::Sms`] machine: 1 to
+/// [`GpuSim::MAX_SMS`], and not Table I's own count, which is
+/// [`ConfigId::Table1`] — one machine has one job key. The field is
+/// private, so [`SmCount::new`] is the only way to make one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SmCount(u32);
+
+impl SmCount {
+    /// `n` SMs, or `None` for 0, for Table I's count and past
+    /// [`GpuSim::MAX_SMS`].
+    pub const fn new(n: u32) -> Option<SmCount> {
+        if n == 0 || n as usize == GpuConfig::table1().num_sms || n as usize > GpuSim::MAX_SMS {
+            None
+        } else {
+            Some(SmCount(n))
+        }
+    }
+
+    /// The count.
+    pub const fn get(self) -> u32 {
+        self.0
+    }
 }
 
 impl ConfigId {
@@ -57,7 +89,7 @@ impl ConfigId {
         match self {
             ConfigId::Table1 => "table1".to_string(),
             ConfigId::Stacked => "stacked".to_string(),
-            ConfigId::Sms(n) => format!("sms{n}"),
+            ConfigId::Sms(n) => format!("sms{}", n.get()),
         }
     }
 
@@ -74,9 +106,7 @@ impl ConfigId {
                 if n as usize == GpuConfig::table1().num_sms {
                     return Some(ConfigId::Table1);
                 }
-                (1..=GpuSim::MAX_SMS)
-                    .contains(&(n as usize))
-                    .then_some(ConfigId::Sms(n))
+                SmCount::new(n).map(ConfigId::Sms)
             }
         }
     }
@@ -86,7 +116,7 @@ impl ConfigId {
         match self {
             ConfigId::Table1 => GpuConfig::table1(),
             ConfigId::Stacked => GpuConfig::stacked(),
-            ConfigId::Sms(n) => GpuConfig::table1().with_sms(n as usize),
+            ConfigId::Sms(n) => GpuConfig::table1().with_sms(n.get() as usize),
         }
     }
 
@@ -424,7 +454,7 @@ mod tests {
                 ..base
             },
             JobSpec {
-                config: ConfigId::Sms(24),
+                config: ConfigId::Sms(SmCount::new(24).unwrap()),
                 ..base
             },
         ];
@@ -441,7 +471,11 @@ mod tests {
             schemes: SchemeKind::ALL_SCHEMES.to_vec(),
             seeds: vec![1, 2, 3],
             scale: Scale::Ref,
-            configs: vec![ConfigId::Table1, ConfigId::Stacked, ConfigId::Sms(24)],
+            configs: vec![
+                ConfigId::Table1,
+                ConfigId::Stacked,
+                ConfigId::Sms(SmCount::new(24).unwrap()),
+            ],
         };
         let jobs = spec.expand();
         assert_eq!(jobs.len(), 16 * 6 * 3 * 3);
@@ -491,14 +525,28 @@ mod tests {
 
     #[test]
     fn config_names_round_trip() {
-        for c in [ConfigId::Table1, ConfigId::Stacked, ConfigId::Sms(24)] {
+        // Every config that can be built: the two named machines and
+        // every SM count `SmCount::new` accepts, which is all of
+        // `1..=MAX_SMS` but Table I's 12.
+        let max = GpuSim::MAX_SMS as u32;
+        let mut built = vec![ConfigId::Table1, ConfigId::Stacked];
+        for n in 0..=max + 1 {
+            let sms = SmCount::new(n);
+            assert_eq!(sms.is_some(), n != 0 && n != 12 && n <= max, "sms{n}");
+            let want = if n == 12 {
+                Some(ConfigId::Table1)
+            } else {
+                sms.map(ConfigId::Sms)
+            };
+            assert_eq!(ConfigId::parse(&format!("sms{n}")), want);
+            built.extend(sms.map(ConfigId::Sms));
+        }
+        assert_eq!(built.len(), 2 + max as usize - 1);
+        for c in built {
             assert_eq!(ConfigId::parse(&c.name()), Some(c));
         }
-        assert_eq!(ConfigId::parse("sms0"), None);
-        assert_eq!(ConfigId::parse("sms12"), Some(ConfigId::Table1));
-        assert_eq!(ConfigId::parse("sms65536"), Some(ConfigId::Sms(65_536)));
-        assert_eq!(ConfigId::parse("sms65537"), None);
         assert_eq!(ConfigId::parse("nope"), None);
-        assert_eq!(ConfigId::Sms(48).gpu_config().num_sms, 48);
+        let sms48 = ConfigId::Sms(SmCount::new(48).unwrap());
+        assert_eq!(sms48.gpu_config().num_sms, 48);
     }
 }

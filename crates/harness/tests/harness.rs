@@ -523,7 +523,9 @@ fn gc_drops_orphaned_schema_records_and_truncated_tails() {
 ///   per stalled cycle;
 /// - before the unread DRAM counters left: job-key and report schema 3,
 ///   with `precharges`, `busy_cycles`, `data_bus_cycles`, `total_cycles`
-///   and `total_latency` in its `dram` object.
+///   and `total_latency` in its `dram` object;
+/// - before the clocks were integers: job-key and report schema 4, with
+///   `core_clock_ghz`.
 ///
 /// Strict readers refuse each by file, line and versions; `valley status`
 /// counts it; `valley gc` drops it.
@@ -531,8 +533,13 @@ fn gc_drops_orphaned_schema_records_and_truncated_tails() {
 fn a_v2_store_line_is_refused_by_open_counted_by_scan_and_dropped_by_gc() {
     const V2_LINE: &str = r#"{"v":2,"hash":"a57e9c069c65b681","bench":"MT","scheme":"BASE","seed":1,"scale":"test","config":"table1","wall_ms":2.152987,"wall":"measured","report":{"v":2,"benchmark":"MT","scheme":"BASE","cycles":41137,"truncated":false,"warp_instructions":512,"thread_instructions":16384,"memory_transactions":4224,"l1":{"hits":0,"misses":128,"evictions":64},"llc":{"hits":0,"misses":4224,"evictions":96},"noc_latency":13866.435661764706,"llc_parallelism":1.2830188679245282,"channel_parallelism":1.0471743993774925,"bank_parallelism":3.0889838380085455,"dram":{"activates":681,"precharges":676,"reads":128,"writes":4096,"row_hits":3543,"row_empties":5,"row_conflicts":676,"busy_cycles":28420,"data_bus_cycles":28414,"total_cycles":108600,"total_latency":281843},"kernels":2,"dram_cycles":27150,"dram_channels":4,"core_clock_ghz":1.4,"dram_clock_ghz":0.924,"num_sms":12,"sm_busy_fraction":0.1890714766106749,"epoch_hist":{"lengths":[0,0,0,0,0,0,0,0],"in_flight_multi":0}}}"#;
     const V3_LINE: &str = r#"{"v":2,"hash":"61c7b3f4ab8f7b1c","bench":"MT","scheme":"BASE","seed":1,"scale":"test","config":"table1","wall_ms":2.937795,"wall":"measured","report":{"v":3,"benchmark":"MT","scheme":"BASE","cycles":41137,"truncated":false,"warp_instructions":512,"thread_instructions":16384,"memory_transactions":4224,"l1":{"hits":0,"misses":128,"evictions":64},"llc":{"hits":0,"misses":4224,"evictions":96},"noc_latency":13866.435661764706,"llc_parallelism":1.2830188679245282,"channel_parallelism":1.0471743993774925,"bank_parallelism":3.0889838380085455,"dram":{"activates":681,"precharges":676,"reads":128,"writes":4096,"row_hits":3543,"row_empties":5,"row_conflicts":676,"busy_cycles":28420,"data_bus_cycles":28414,"total_cycles":108600,"total_latency":281843},"kernels":2,"dram_cycles":27150,"dram_channels":4,"core_clock_ghz":1.4,"dram_clock_ghz":0.924,"num_sms":12,"sm_busy_fraction":0.1890714766106749}}"#;
+    const V4_LINE: &str = r#"{"v":2,"hash":"61c94af680905f7b","bench":"MT","scheme":"BASE","seed":1,"scale":"test","config":"table1","wall_ms":2.343556,"wall":"measured","report":{"v":4,"benchmark":"MT","scheme":"BASE","cycles":41137,"truncated":false,"warp_instructions":512,"thread_instructions":16384,"memory_transactions":4224,"l1":{"hits":0,"misses":128,"evictions":64},"llc":{"hits":0,"misses":4224,"evictions":96},"noc_latency":13866.435661764706,"llc_parallelism":1.2830188679245282,"channel_parallelism":1.0471743993774925,"bank_parallelism":3.0889838380085455,"dram":{"activates":681,"reads":128,"writes":4096,"row_hits":3543,"row_empties":5,"row_conflicts":676},"kernels":2,"dram_cycles":27150,"dram_channels":4,"core_clock_ghz":1.4,"dram_clock_ghz":0.924,"num_sms":12,"sm_busy_fraction":0.1890714766106749}}"#;
     let spec = SweepSpec::new(&[Benchmark::Mt], &[SchemeKind::Base], Scale::Test);
-    for (name, line, version) in [("v2-line", V2_LINE, 2), ("v3-line", V3_LINE, 3)] {
+    for (name, line, version) in [
+        ("v2-line", V2_LINE, 2),
+        ("v3-line", V3_LINE, 3),
+        ("v4-line", V4_LINE, 4),
+    ] {
         let tmp = TempStore::new(name);
         {
             let store = tmp.open();
@@ -546,7 +553,7 @@ fn a_v2_store_line_is_refused_by_open_counted_by_scan_and_dropped_by_gc() {
         assert!(err.contains("results.jsonl line 2: "), "{err}");
         assert!(
             err.contains(&format!(
-                "SimReport schema version {version} is not the supported 4"
+                "SimReport schema version {version} is not the supported 5"
             )),
             "{err}"
         );

@@ -150,7 +150,6 @@ mod tests {
             kernels: 1,
             dram_cycles: (cycles as f64 * 0.66) as u64,
             dram_channels: 4,
-            core_clock_ghz: 1.4,
             dram_clock_ghz: 0.924,
             num_sms: 12,
             sm_busy_fraction: 0.8,

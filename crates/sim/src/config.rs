@@ -12,13 +12,13 @@ use valley_dram::DramConfig;
 /// hit latency, and the LLC latency. The scheduling and write policies
 /// are the paper's and not configurable either.
 ///
-/// The fields are what varies. A machine varies `num_sms`,
-/// `noc_clock_ghz` and `dram` (the `table1`, `with_sms` and `stacked`
-/// machines); a test varies the MSHR sizes and `max_cycles`. The line
-/// size, the LLC's slice count and geometry and the router latency hold
-/// one value everywhere, but stay fields while the benchmark's layer
-/// probes (`benchmark/src/layers.rs`, untouched until ROADMAP item 1)
-/// read them from a `GpuConfig`.
+/// The fields are what varies. A machine varies `num_sms`, `noc_mhz`
+/// and `dram` (the `table1`, `with_sms` and `stacked` machines); a test
+/// varies the MSHR sizes and `max_cycles`. The line size, the LLC's
+/// slice count and geometry and the router latency hold one value
+/// everywhere, but stay fields while the benchmark's layer probes
+/// (`benchmark/src/layers.rs`, untouched until ROADMAP item 1) read them
+/// from a `GpuConfig`.
 #[derive(Clone, Debug)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
@@ -35,8 +35,8 @@ pub struct GpuConfig {
     pub llc_mshr_merges: usize,
     /// NoC router pipeline latency in NoC cycles.
     pub noc_router_latency: u64,
-    /// NoC clock in GHz (half the core clock in Table I).
-    pub noc_clock_ghz: f64,
+    /// NoC clock in MHz (half the core clock in Table I).
+    pub noc_mhz: u64,
     /// DRAM channel configuration (also fixes the DRAM clock).
     pub dram: DramConfig,
     /// Cache line / memory transaction size in bytes.
@@ -46,8 +46,9 @@ pub struct GpuConfig {
 }
 
 impl GpuConfig {
-    /// Core clock in GHz.
-    pub const CORE_CLOCK_GHZ: f64 = 1.4;
+    /// Core clock in MHz. Every clock domain is a whole number of MHz,
+    /// so each runs an exact ratio of core cycles.
+    pub const CORE_CLOCK_MHZ: u64 = 1400;
     /// Threads per warp.
     pub const WARP_SIZE: usize = 32;
     /// Maximum resident warps per SM: 1536 threads at 32 per warp.
@@ -69,7 +70,7 @@ impl GpuConfig {
     /// MSHRs per SM, a 512 KB write-through LLC in 8 slices with 64
     /// MSHRs each, a 12×8 crossbar at 700 MHz, and 4 FR-FCFS GDDR5
     /// channels at 924 MHz.
-    pub fn table1() -> Self {
+    pub const fn table1() -> Self {
         GpuConfig {
             num_sms: 12,
             l1_mshrs: 32,
@@ -78,7 +79,7 @@ impl GpuConfig {
             llc_mshrs: 64,
             llc_mshr_merges: 8,
             noc_router_latency: 4,
-            noc_clock_ghz: 0.7,
+            noc_mhz: 700,
             dram: DramConfig::gddr5(),
             line_bytes: 128,
             max_cycles: 200_000_000,
@@ -104,7 +105,7 @@ impl GpuConfig {
         let mut cfg = GpuConfig::table1().with_sms(64);
         cfg.dram = DramConfig::stacked_vault();
         // "960 GB/s NoC": scale the NoC clock so 8 slices x 32 B keep up.
-        cfg.noc_clock_ghz = 1.4;
+        cfg.noc_mhz = 1400;
         cfg
     }
 
@@ -115,16 +116,6 @@ impl GpuConfig {
             "kernel must have at least one warp per TB"
         );
         (Self::MAX_WARPS_PER_SM / warps_per_block).clamp(1, Self::MAX_TBS_PER_SM)
-    }
-
-    /// DRAM cycles advanced per core cycle (clock-domain ratio).
-    pub fn dram_per_core(&self) -> f64 {
-        self.dram.clock_ghz / Self::CORE_CLOCK_GHZ
-    }
-
-    /// NoC cycles advanced per core cycle.
-    pub fn noc_per_core(&self) -> f64 {
-        self.noc_clock_ghz / Self::CORE_CLOCK_GHZ
     }
 }
 
@@ -140,8 +131,8 @@ mod tests {
         assert_eq!(c.llc_slice.sets(), 64);
         // 8 slices x 64 KB = 512 KB total LLC.
         assert_eq!(c.llc_slices as u64 * c.llc_slice.size_bytes(), 512 * 1024);
-        assert!((c.noc_per_core() - 0.5).abs() < 1e-12);
-        assert!((c.dram_per_core() - 0.924 / 1.4).abs() < 1e-12);
+        assert_eq!((GpuConfig::CORE_CLOCK_MHZ, c.noc_mhz), (1400, 700));
+        assert_eq!(c.dram.clock_mhz, 924);
     }
 
     #[test]
@@ -165,6 +156,6 @@ mod tests {
     fn stacked_config() {
         let c = GpuConfig::stacked();
         assert_eq!(c.num_sms, 64);
-        assert!((c.dram.clock_ghz - 1.25).abs() < 1e-9);
+        assert_eq!((c.noc_mhz, c.dram.clock_mhz), (1400, 1250));
     }
 }

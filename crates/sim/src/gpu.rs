@@ -58,9 +58,6 @@ pub struct GpuSim {
     dram: DramSystem,
     req_net: Crossbar,
     reply_net: Crossbar,
-    /// The NoC and DRAM clock domains, counted in core cycles.
-    noc_clock: DomainClock,
-    dram_clock: DomainClock,
     sms: Vec<Sm>,
     slices: Vec<LlcSlice>,
     txns: TxnTable,
@@ -185,10 +182,11 @@ impl GpuSim {
     /// Panics, naming the field, if an SM or controller index would not
     /// fit 16 bits, a slice or bank index 8 or a row index 32 — the
     /// widths of the per-transaction record — if a NoC cycle before
-    /// `max_cycles` would not fit the crossbar's 32-bit injection stamp,
-    /// if `num_sms`, `llc_slices`,
-    /// `dram.queue_capacity` or the controller count is 0, if fewer
-    /// controllers than slices do not divide `llc_slices`, if
+    /// `max_cycles` would not fit the crossbar's 32-bit injection stamp
+    /// or a DRAM cycle before it not a `u64`, if `num_sms`, `llc_slices`,
+    /// `noc_mhz`, `dram.clock_mhz`, `dram.queue_capacity` or the
+    /// controller count is 0, if fewer controllers than slices do not
+    /// divide `llc_slices`, if
     /// `line_bytes` is not the L1's and a data packet's line or the LLC
     /// slice's, or if a kernel's thread block has more warps than
     /// [`GpuConfig::MAX_WARPS_PER_SM`] and so cannot fit an empty SM.
@@ -205,6 +203,8 @@ impl GpuSim {
         for (field, n) in [
             ("num_sms", cfg.num_sms),
             ("llc_slices", slices),
+            ("noc_mhz", cfg.noc_mhz as usize),
+            ("dram.clock_mhz", cfg.dram.clock_mhz as usize),
             ("dram.queue_capacity", cfg.dram.queue_capacity),
             ("DRAM controllers", controllers),
         ] {
@@ -239,11 +239,20 @@ impl GpuSim {
             controllers >= slices || slices % controllers == 0,
             "{controllers} DRAM controllers do not divide llc_slices = {slices}"
         );
-        // The crossbars queue a packet with its injection NoC cycle in
-        // 32 bits; a run stops before core cycle `max_cycles`.
-        let last_stamp = (cfg.max_cycles as f64 * cfg.noc_per_core()).ceil();
+        // A domain at `mhz` reaches domain cycle `max_cycles·mhz/1400`
+        // (`crate::wake::DomainClock`) by the end of a run, which stops
+        // before core cycle `max_cycles`; the crossbars queue a packet
+        // with its injection NoC cycle in 32 bits.
         assert!(
-            last_stamp < f64::from(u32::MAX),
+            cfg.max_cycles.checked_mul(cfg.dram.clock_mhz).is_some(),
+            "max_cycles = {} at dram.clock_mhz = {} overflows a u64 of DRAM time",
+            cfg.max_cycles,
+            cfg.dram.clock_mhz
+        );
+        let last_stamp = (cfg.max_cycles.checked_mul(cfg.noc_mhz))
+            .map_or(u64::MAX, |t| t / GpuConfig::CORE_CLOCK_MHZ);
+        assert!(
+            last_stamp < u64::from(u32::MAX),
             "max_cycles = {} reaches NoC cycle {last_stamp}, past the crossbar's 32-bit injection stamp",
             cfg.max_cycles
         );
@@ -285,8 +294,6 @@ impl GpuSim {
         GpuSim {
             req_net: Crossbar::new(cfg.num_sms, cfg.llc_slices, cfg.noc_router_latency),
             reply_net: Crossbar::new(cfg.llc_slices, cfg.num_sms, cfg.noc_router_latency),
-            noc_clock: DomainClock::new(cfg.noc_per_core()),
-            dram_clock: DomainClock::new(cfg.dram_per_core()),
             sms,
             slices,
             txns: TxnTable::new(cfg.line_bytes),
@@ -342,10 +349,13 @@ impl GpuSim {
 
     /// The drive loop. `ticks(now, next)` is its one gate: whether a unit,
     /// a walk or the DRAM system whose hint is `next` ticks at `now`, and
-    /// whether the fast-forward stops there. Below its hint a tick
-    /// changes nothing, so any gate that admits the hint gives one result.
+    /// whether the fast-forward stops at `now` or jumps to the hint. Below
+    /// its hint a tick changes nothing, so any gate that admits the hint
+    /// gives one result.
     fn run_gated(mut self, ticks: impl Fn(u64, u64) -> bool + Copy) -> SimReport {
         let mut cycle: u64 = 0;
+        let noc_clock = DomainClock::new(self.cfg.noc_mhz);
+        let dram_clock = DomainClock::new(self.cfg.dram.clock_mhz);
 
         let mut sched = TbScheduler::new(self.workload.num_kernels());
         let mut parallelism = ParallelismIntegrator::new();
@@ -368,36 +378,34 @@ impl GpuSim {
         let mut sms_next: u64 = 0;
         let mut slices_next: u64 = 0;
 
-        'outer: loop {
+        loop {
             crate::alloc_audit::note_cycle(cycle);
             // ---- Fast-forward over globally event-free cycles ----
-            // Skip to the core-domain gate (the open gate skips nothing),
-            // advancing the NoC and DRAM clocks cycle by cycle — on
-            // copies, so the cycle in which either domain ticks a due
-            // event leaves no trace and is run in full below. No unit owes
-            // anything for the cycles skipped.
+            // Jump to the core-domain gate or to the first cycle that
+            // ticks a due NoC or DRAM event, whichever comes first (the
+            // open gate jumps nowhere). No unit owes anything for the
+            // cycles skipped.
             let core_next = sms_next.min(slices_next).min(sched.cached_next_event());
-            let noc_next =
-                (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
-            let dram_next = self.dram.cached_next_event();
-            while !ticks(cycle, core_next) {
-                let (mut noc, mut dram) = (self.noc_clock, self.dram_clock);
-                if noc.advance().end > noc_next || dram.advance().end > dram_next {
+            if !ticks(cycle, core_next) {
+                let noc_next =
+                    (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
+                let to = core_next
+                    .min(noc_clock.first_past(noc_next))
+                    .min(dram_clock.first_past(self.dram.cached_next_event()));
+                debug_assert!(to >= cycle, "a NoC or DRAM hint fell behind its clock");
+                if to >= self.cfg.max_cycles {
+                    cycle = self.cfg.max_cycles;
+                    truncated = true;
                     break;
                 }
-                (self.noc_clock, self.dram_clock) = (noc, dram);
-                cycle += 1;
-                if cycle >= self.cfg.max_cycles {
-                    truncated = true;
-                    break 'outer;
-                }
+                cycle = to;
             }
             self.sample_parallelism(&mut parallelism, sampled_to..cycle);
             sampled_to = cycle;
 
             // ---- Clock domains: what this core cycle ticks ----
-            let noc_cycles = self.noc_clock.advance();
-            let dram_cycles = self.dram_clock.advance();
+            let noc_cycles = noc_clock.ticked_in(cycle);
+            let dram_cycles = dram_clock.ticked_in(cycle);
             // Only a DRAM event frees a queue slot.
             let dram_due = dram_cycles.end > self.dram.cached_next_event();
             // Whether any unit is due this iteration (audited only: under
@@ -407,7 +415,7 @@ impl GpuSim {
                 || dram_due;
 
             // ---- NoC clock domain ----
-            for noc_cycle in noc_cycles {
+            for noc_cycle in noc_cycles.clone() {
                 if ticks(noc_cycle, self.req_net.cached_next_event()) {
                     deliveries.clear();
                     self.req_net.tick(noc_cycle, &mut deliveries);
@@ -429,7 +437,7 @@ impl GpuSim {
             }
 
             // ---- DRAM clock domain ----
-            for dram_cycle in dram_cycles {
+            for dram_cycle in dram_cycles.clone() {
                 completions.clear();
                 self.dram.tick(dram_cycle, &mut completions, ticks);
                 for c in &completions {
@@ -467,7 +475,7 @@ impl GpuSim {
                         count(Counter::SliceTicks);
                         s.tick(
                             cycle,
-                            &self.dram_clock,
+                            dram_cycles.end,
                             &mut self.dram,
                             &self.txns,
                             &mut replies,
@@ -484,7 +492,7 @@ impl GpuSim {
                     src: usize::from(t.slice),
                     dst: usize::from(t.sm),
                     flits: DATA_FLITS,
-                    injected_at: self.noc_clock.cycle(),
+                    injected_at: noc_cycles.end,
                 });
             }
 
@@ -522,7 +530,7 @@ impl GpuSim {
                     src: usize::from(t.sm),
                     dst: usize::from(t.slice),
                     flits: o.flits,
-                    injected_at: self.noc_clock.cycle(),
+                    injected_at: noc_cycles.end,
                 });
             }
 
@@ -664,7 +672,7 @@ impl GpuSim {
             debug_assert_eq!(self.reply_net.queued_packets(), 0);
         }
         let delivered = req.delivered + rep.delivered;
-        let noc_to_core = GpuConfig::CORE_CLOCK_GHZ / self.cfg.noc_clock_ghz;
+        let noc_to_core = GpuConfig::CORE_CLOCK_MHZ as f64 / self.cfg.noc_mhz as f64;
         let noc_latency = if delivered == 0 {
             0.0
         } else {
@@ -686,10 +694,9 @@ impl GpuSim {
             bank_parallelism: parallelism.bank_parallelism(),
             dram,
             kernels: sched.kernel_idx,
-            dram_cycles: self.dram_clock.cycle(),
+            dram_cycles: DomainClock::new(self.cfg.dram.clock_mhz).at(cycles),
             dram_channels: self.dram.num_channels(),
-            core_clock_ghz: GpuConfig::CORE_CLOCK_GHZ,
-            dram_clock_ghz: self.cfg.dram.clock_ghz,
+            dram_clock_ghz: self.cfg.dram.clock_mhz as f64 / 1000.0,
             num_sms: self.cfg.num_sms,
             sm_busy_fraction: if cycles == 0 {
                 0.0

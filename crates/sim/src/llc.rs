@@ -21,7 +21,6 @@
 use crate::config::GpuConfig;
 use crate::txn::TxnTable;
 use crate::wake::audit::{count, Counter};
-use crate::wake::DomainClock;
 use std::collections::VecDeque;
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_dram::DramSystem;
@@ -177,14 +176,15 @@ impl LlcSlice {
 
     /// One core cycle: complete hits, retry DRAM hand-offs, process one
     /// new transaction. Load hits produce replies; misses go to DRAM.
-    /// `dram_clock` is the DRAM domain as advanced through this cycle.
+    /// `dram_cycle` is the next DRAM cycle, the one after this core
+    /// cycle's DRAM phase: a hand-off arrives at its channel then.
     /// The driving loop may skip the cycles below
     /// [`LlcSlice::cached_next_event`], which the tick republishes for the
     /// next cycle.
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
-        dram_clock: &DomainClock,
+        dram_cycle: u64,
         dram: &mut DramSystem,
         txns: &TxnTable,
         replies: &mut Vec<u64>,
@@ -211,7 +211,7 @@ impl LlcSlice {
                 let t = txns.get(txn);
                 let (ctrl, bank) = (u32::from(t.ctrl), u32::from(t.bank));
                 let (id, is_store) = (u64::from(txn), t.is_store());
-                if dram.try_enqueue_at(ctrl, bank, t.row, id, is_store, dram_clock.cycle()) {
+                if dram.try_enqueue_at(ctrl, bank, t.row, id, is_store, dram_cycle) {
                     self.dram_retry.pop_front();
                 } else {
                     count(Counter::RefusedEnqueues);
@@ -273,6 +273,7 @@ impl LlcSlice {
 mod tests {
     use super::*;
     use crate::txn::{id_of, Route, NO_WARP};
+    use crate::wake::DomainClock;
     use proptest::prelude::*;
     use valley_core::{AddressMapper, DramMap, PhysAddr, SchemeKind};
     use valley_dram::DramConfig;
@@ -298,7 +299,6 @@ mod tests {
         let map = DramMap::baseline();
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
         let mut dram = DramSystem::new(std::sync::Arc::new(map), cfg.dram);
-        let dram_clock = DomainClock::new(cfg.dram_per_core());
         let mut txns = TxnTable::new(cfg.line_bytes);
         let mut slice = LlcSlice::new(&cfg);
         let mut replies = Vec::new();
@@ -308,14 +308,14 @@ mod tests {
         slice.deliver(first, 0);
         slice.deliver(second, 0);
         for cycle in 0..4 {
-            slice.tick(cycle, &dram_clock, &mut dram, &txns, &mut replies);
+            slice.tick(cycle, 0, &mut dram, &txns, &mut replies);
         }
         assert!(slice.input_stalled, "the merge list holds one waiter");
         assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
 
         slice.on_dram_completion(line, 4, &mut replies);
         assert_eq!(replies, [u64::from(first)]);
-        slice.tick(4, &dram_clock, &mut dram, &txns, &mut replies);
+        slice.tick(4, 0, &mut dram, &txns, &mut replies);
         assert!(slice.input.is_empty());
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
     }
@@ -400,9 +400,10 @@ mod tests {
                 s
             };
             let mut pending = txn_count;
-            let mut dram_clock = DomainClock::new(cfg.dram_per_core());
+            let dram_clock = DomainClock::new(cfg.dram.clock_mhz);
             for cycle in 0..6_000u64 {
-                let dram_cycles = dram_clock.advance();
+                let dram_cycles = dram_clock.ticked_in(cycle);
+                let dram_cycle = dram_cycles.end;
                 parked.tick_dram(dram_cycles.clone(), |now, next| now >= next, cycle, &txns);
                 shadow.tick_dram(dram_cycles, |_, _| true, cycle, &txns);
                 // Random delivery bursts (hot lines force MSHR merges and
@@ -427,11 +428,11 @@ mod tests {
                 }
                 let Rig { slice, dram, replies, .. } = &mut parked;
                 if cycle >= slice.cached_next_event() {
-                    slice.tick(cycle, &dram_clock, dram, &txns, replies);
+                    slice.tick(cycle, dram_cycle, dram, &txns, replies);
                 }
                 let Rig { slice, dram, replies, .. } = &mut shadow;
                 slice.unpark(cycle);
-                slice.tick(cycle, &dram_clock, dram, &txns, replies);
+                slice.tick(cycle, dram_cycle, dram, &txns, replies);
 
                 if let Some(ch) = parked.slice.parked_on() {
                     prop_assert!(

@@ -1,5 +1,6 @@
 //! Simulation metrics: everything the paper's evaluation figures report.
 
+use crate::config::GpuConfig;
 use crate::json::{self, Json};
 use crate::record::Codec;
 use valley_cache::CacheStats;
@@ -20,7 +21,10 @@ use valley_dram::DramStats;
 /// `total_cycles` (always `dram_cycles × dram_channels`), `busy_cycles`
 /// and `data_bus_cycles` (Figure 14b's channel parallelism carries the
 /// same occupancy) and `total_latency`, none of which anything read.
-pub const REPORT_SCHEMA_VERSION: u32 = 4;
+///
+/// v5 drops `core_clock_ghz`, always the constant
+/// [`GpuConfig::CORE_CLOCK_MHZ`] in GHz.
+pub const REPORT_SCHEMA_VERSION: u32 = 5;
 
 /// Incrementally-integrated occupancy metrics (Figures 13–14).
 ///
@@ -139,8 +143,6 @@ pub struct SimReport {
     pub dram_cycles: u64,
     /// Number of DRAM channels (for power-model per-device scaling).
     pub dram_channels: usize,
-    /// Core clock in GHz (for time conversion).
-    pub core_clock_ghz: f64,
     /// DRAM clock in GHz (for power-model time conversion).
     pub dram_clock_ghz: f64,
     /// Number of SMs (for the GPU power model).
@@ -151,9 +153,10 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Execution time in seconds at the configured core clock.
+    /// Execution time in seconds at the core clock,
+    /// [`GpuConfig::CORE_CLOCK_MHZ`].
     pub fn seconds(&self) -> f64 {
-        self.cycles as f64 / (self.core_clock_ghz * 1e9)
+        self.cycles as f64 / (GpuConfig::CORE_CLOCK_MHZ as f64 * 1e6)
     }
 
     /// Warp instructions per cycle, aggregated over the whole GPU.
@@ -225,7 +228,6 @@ crate::record! {
         kernels: usize = "kernels",
         dram_cycles: u64 = "dram_cycles",
         dram_channels: usize = "dram_channels",
-        core_clock_ghz: f64 = "core_clock_ghz",
         dram_clock_ghz: f64 = "dram_clock_ghz",
         num_sms: usize = "num_sms",
         sm_busy_fraction: f64 = "sm_busy_fraction",
@@ -303,7 +305,6 @@ mod tests {
             kernels: 1,
             dram_cycles: 0,
             dram_channels: 4,
-            core_clock_ghz: 1.4,
             dram_clock_ghz: 0.924,
             num_sms: 12,
             sm_busy_fraction: 0.9,

@@ -49,14 +49,15 @@
 //! fresh hint; a source that leaves the unit's hint alone leaves the
 //! gate alone.
 //!
-//! Clock domains advance through [`DomainClock`], which owns the
-//! accumulator arithmetic the dense loop performs: the run loop's
-//! per-cycle advance and the fast-forward's skip replay the same float
-//! operations, so they cannot drift apart (and `run() == run_dense()`
-//! stays exact). No horizon is translated between domains: the loop
-//! stops its fast-forward at any NoC or DRAM event and learns of the
-//! rest — a freed DRAM slot included — by looking after that domain's
-//! phase.
+//! Clock domains are exact integer ratios of the core clock
+//! ([`DomainClock`]): Table I clocks every domain in whole megahertz, and
+//! core cycle `c` ticks the domain cycles `c·mhz/1400 .. (c+1)·mhz/1400`
+//! (floor division). Domain time is a function of core time, so the loop
+//! carries no clock state, and the fast-forward is one jump to the
+//! earliest of the core-domain gate and the first core cycle that ticks
+//! the NoC's or the DRAM system's hint ([`DomainClock::first_past`]).
+//! What a NoC or DRAM event does to the core domain — a freed DRAM slot
+//! included — the loop learns by looking after that domain's phase.
 //!
 //! # Why gates are scalars
 //!
@@ -85,49 +86,51 @@
     clippy::unimplemented
 )]
 
+use crate::config::GpuConfig;
 use std::ops::Range;
 
-/// A second clock domain (NoC, DRAM) counted in core cycles: the
-/// fractional accumulator, the next domain cycle to tick and the clock
-/// ratio. One core cycle adds the ratio and ticks the domain once per
-/// whole unit accumulated — by repeated subtraction of 1.0, *not*
-/// `fract`/`floor`, whose float rounding differs — exactly as the dense
-/// loop always has.
+/// A second clock domain (NoC, DRAM) counted in core cycles: `mhz`
+/// domain cycles per [`GpuConfig::CORE_CLOCK_MHZ`] core cycles, exactly.
+/// Immutable: where a domain stands is a function of the core cycle.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DomainClock {
-    acc: f64,
-    cycle: u64,
-    per_core: f64,
+    mhz: u64,
 }
 
 impl DomainClock {
-    /// A clock at domain cycle 0 that runs `per_core` domain cycles per
-    /// core cycle.
-    pub(crate) fn new(per_core: f64) -> Self {
-        DomainClock {
-            acc: 0.0,
-            cycle: 0,
-            per_core,
-        }
+    /// A domain clocked at `mhz` (at least 1; [`GpuSim::new`] checks).
+    ///
+    /// [`GpuSim::new`]: crate::GpuSim::new
+    pub(crate) const fn new(mhz: u64) -> Self {
+        DomainClock { mhz }
     }
 
-    /// The next domain cycle to tick.
+    /// The domain cycles core cycles `0..core` ticked; the next one to
+    /// tick.
     #[inline]
-    pub(crate) fn cycle(&self) -> u64 {
-        self.cycle
+    pub(crate) fn at(self, core: u64) -> u64 {
+        core * self.mhz / GpuConfig::CORE_CLOCK_MHZ
     }
 
-    /// One core cycle elapses: returns the domain cycles to tick in it
-    /// (usually none or one), leaving [`DomainClock::cycle`] past them.
+    /// The domain cycles core cycle `core` ticks (none or one while the
+    /// domain is slower than the core).
     #[inline]
-    pub(crate) fn advance(&mut self) -> Range<u64> {
-        let start = self.cycle;
-        self.acc += self.per_core;
-        while self.acc >= 1.0 {
-            self.acc -= 1.0;
-            self.cycle += 1;
-        }
-        start..self.cycle
+    pub(crate) fn ticked_in(self, core: u64) -> Range<u64> {
+        self.at(core)..self.at(core + 1)
+    }
+
+    /// The first core cycle that ticks domain cycle `next` or a later
+    /// one: the least `c` with `at(c + 1) > next`, that is
+    /// `ceil((next + 1)·1400 / mhz) − 1`. `u64::MAX` where `(next +
+    /// 1)·1400` overflows: no run that [`GpuSim::new`] accepts reaches
+    /// such a domain cycle before `max_cycles`.
+    ///
+    /// [`GpuSim::new`]: crate::GpuSim::new
+    #[inline]
+    pub(crate) fn first_past(self, next: u64) -> u64 {
+        next.checked_add(1)
+            .and_then(|n| n.checked_mul(GpuConfig::CORE_CLOCK_MHZ))
+            .map_or(u64::MAX, |t| t.div_ceil(self.mhz) - 1)
     }
 }
 
@@ -183,5 +186,49 @@ pub mod audit {
     #[cfg(feature = "wake-audit")]
     pub fn take(counter: Counter) -> u64 {
         COUNTS.with(|c| c[counter as usize].replace(0))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Core cycles `0..c` tick the domain cycles `0..at(c)` once
+        /// each, in order, and `first_past` is the first core cycle whose
+        /// range reaches past a domain cycle — for clocks faster and
+        /// slower than the core.
+        #[test]
+        fn ticked_ranges_tile_domain_time(mhz in 1u64..=5_000, core in 0u64..3_000, next in 0u64..2_000) {
+            let clock = DomainClock::new(mhz);
+            let mut end = 0;
+            for c in 0..core {
+                let r = clock.ticked_in(c);
+                prop_assert_eq!(r.start, end, "gap or overlap at core cycle {}", c);
+                prop_assert!(r.end >= r.start);
+                end = r.end;
+            }
+            prop_assert_eq!(end, clock.at(core));
+            let scan = (0..).find(|&c| clock.ticked_in(c).end > next).unwrap();
+            prop_assert_eq!(clock.first_past(next), scan, "{} MHz, domain cycle {}", mhz, next);
+        }
+    }
+
+    /// The stacked vaults' 1250 MHz ticks exactly 25 DRAM cycles per 28
+    /// core cycles, from cycle 0 on; an accumulated `1.25 / 1.4` drifts
+    /// off that schedule at core cycle 27.
+    #[test]
+    fn the_stacked_dram_clock_ticks_25_cycles_per_28() {
+        let clock = DomainClock::new(1_250);
+        for c in 0..300_000u64 {
+            assert_eq!(clock.at(c), c * 25 / 28, "core cycle {c}");
+        }
+        assert_eq!(
+            clock.ticked_in(27),
+            24..25,
+            "the 25th cycle ticks in core cycle 27"
+        );
+        assert_eq!(clock.first_past(u64::MAX), u64::MAX);
     }
 }

@@ -43,8 +43,8 @@ fn micro_workload(seed: u64, tbs: u64) -> Workload {
 /// Lane `l`: its own workload, mapper seed, NoC clock and DRAM clock.
 fn build_lane(l: u64) -> GpuSim {
     let mut cfg = GpuConfig::table1().with_sms(2);
-    cfg.noc_clock_ghz += 0.1 * l as f64;
-    cfg.dram.clock_ghz += 0.1 * l as f64;
+    cfg.noc_mhz += 100 * l;
+    cfg.dram.clock_mhz += 100 * l;
     let map = DramMap::baseline();
     let mapper = AddressMapper::build(SchemeKind::Fae, &map, l);
     GpuSim::new(cfg, mapper, map, Box::new(micro_workload(l, 3 + l)))

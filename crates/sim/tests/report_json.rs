@@ -47,7 +47,6 @@ fn report(
         kernels: (cycles % 97) as usize,
         dram_cycles: big,
         dram_channels: 4,
-        core_clock_ghz: 1.4,
         dram_clock_ghz: 0.924,
         num_sms: 12,
         sm_busy_fraction: frac,

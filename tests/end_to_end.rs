@@ -137,7 +137,8 @@ fn stacked_memory_configuration_runs() {
 #[test]
 fn sm_count_sweep_runs() {
     for sms in [12, 24, 48] {
-        let r = run_on(ConfigId::Sms(sms), Benchmark::Hs, SchemeKind::Fae, 1);
+        let config = ConfigId::parse(&format!("sms{sms}")).unwrap();
+        let r = run_on(config, Benchmark::Hs, SchemeKind::Fae, 1);
         assert!(!r.truncated, "{sms} SMs truncated");
         assert_eq!(r.num_sms, sms as usize);
     }

@@ -158,10 +158,10 @@ fn wake_audit_runs_at_ref_scale() {
 /// fallback.
 #[test]
 fn dram_clocks_above_the_core_clock() {
-    for dram_ghz in [1.5, 2.0, 3.3] {
+    for dram_mhz in [1_500, 2_000, 3_300] {
         let mut cfg = GpuConfig::table1();
-        cfg.dram.clock_ghz = dram_ghz;
-        assert!(cfg.dram_per_core() > 1.0);
+        cfg.dram.clock_mhz = dram_mhz;
+        assert!(cfg.dram.clock_mhz > GpuConfig::CORE_CLOCK_MHZ);
         for (bench, scheme) in [
             (Benchmark::Mt, SchemeKind::Base),
             (Benchmark::Lps, SchemeKind::Base),
@@ -174,7 +174,7 @@ fn dram_clocks_above_the_core_clock() {
                 &cfg,
                 DramMap::baseline(),
                 Scale::Test,
-                &format!(" at DRAM {dram_ghz} GHz"),
+                &format!(" at DRAM {dram_mhz} MHz"),
             );
         }
     }
