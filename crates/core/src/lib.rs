@@ -6,9 +6,9 @@
 //!
 //! * [`PhysAddr`] / [`BitField`] — physical addresses and bit-field
 //!   manipulation over the 30-bit GDDR5 address space;
-//! * [`DramMap`] — the DRAM address map, built as the baseline Hynix
-//!   GDDR5 layout (Figure 4) or the 3D-stacked variant of Section VI-D,
-//!   behind the [`DramAddressMap`] trait;
+//! * [`DramMap`] — the DRAM address map, a plain value built as the
+//!   baseline Hynix GDDR5 layout (Figure 4) or the 3D-stacked variant of
+//!   Section VI-D;
 //! * [`Bim`] — Binary Invertible Matrices over GF(2), the unified
 //!   representation of all AND/XOR address mappings (Section IV-A);
 //! * [`AddressMapper`] / [`SchemeKind`] — the six mapping schemes evaluated
@@ -21,7 +21,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use valley_core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
+//! use valley_core::{AddressMapper, DramMap, PhysAddr, SchemeKind};
 //!
 //! let dram = DramMap::baseline();
 //! let pae = AddressMapper::build(SchemeKind::Pae, &dram, 1);

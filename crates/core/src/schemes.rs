@@ -14,7 +14,7 @@
 //! charged to all but the baseline scheme (Section V).
 
 use crate::addr::PhysAddr;
-use crate::addrmap::DramAddressMap;
+use crate::addrmap::DramMap;
 use crate::bim::Bim;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -123,7 +123,7 @@ impl AddressMapper {
     /// Panics if a valid invertible BIM cannot be constructed, which for
     /// the supported address maps cannot happen (rejection sampling always
     /// terminates with probability 1 and is bounded generously).
-    pub fn build(kind: SchemeKind, map: &dyn DramAddressMap, seed: u64) -> Self {
+    pub fn build(kind: SchemeKind, map: &DramMap, seed: u64) -> Self {
         let bim = match kind {
             SchemeKind::Base => Bim::identity(map.addr_bits()),
             SchemeKind::Pm => build_pm(map),
@@ -198,7 +198,7 @@ impl AddressMapper {
 
 /// Permutation-based mapping (Figure 8): the `k`-th target (channel/bank)
 /// bit is XORed with the `k`-th least-significant row bit.
-fn build_pm(map: &dyn DramAddressMap) -> Bim {
+fn build_pm(map: &DramMap) -> Bim {
     let mut bim = Bim::identity(map.addr_bits());
     let targets = map.target_field_bits();
     let rows = map.row_bits();
@@ -214,7 +214,7 @@ fn build_pm(map: &dyn DramAddressMap) -> Bim {
 
 /// The paper's RMP source bits for the baseline map: "the 6 bits with the
 /// highest average entropy ... (i.e., bits 8-11, 15, and 16)".
-fn default_rmp_sources(map: &dyn DramAddressMap) -> Vec<u8> {
+fn default_rmp_sources(map: &DramMap) -> Vec<u8> {
     let targets = map.target_field_bits();
     if map.addr_bits() == 30 && targets == vec![8, 9, 10, 11, 12, 13] {
         vec![8, 9, 10, 11, 15, 16]
@@ -229,7 +229,7 @@ fn default_rmp_sources(map: &dyn DramAddressMap) -> Vec<u8> {
 
 /// Remap strategy: a permutation matrix that routes `sources[k]` into
 /// `targets[k]` and the displaced bits back into the vacated positions.
-fn build_rmp(map: &dyn DramAddressMap, sources: &[u8]) -> Bim {
+fn build_rmp(map: &DramMap, sources: &[u8]) -> Bim {
     let targets = map.target_field_bits();
     assert_eq!(
         sources.len(),
@@ -255,7 +255,7 @@ fn build_rmp(map: &dyn DramAddressMap, sources: &[u8]) -> Bim {
 /// Broad strategy (PAE/FAE/ALL): each output bit in `targets` becomes the
 /// XOR of a random subset of `inputs`; all other bits pass through.
 /// Rejection-samples until the resulting matrix is invertible.
-fn build_broad(map: &dyn DramAddressMap, inputs: &[u8], targets: &[u8], seed: u64) -> Bim {
+fn build_broad(map: &DramMap, inputs: &[u8], targets: &[u8], seed: u64) -> Bim {
     assert!(!inputs.is_empty() && !targets.is_empty());
     let mut rng = StdRng::seed_from_u64(seed);
     // A random square matrix over GF(2) is invertible with probability
@@ -293,7 +293,6 @@ fn build_broad(map: &dyn DramAddressMap, inputs: &[u8], targets: &[u8], seed: u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addrmap::DramMap;
 
     fn map() -> DramMap {
         DramMap::baseline()

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use valley_core::entropy::{shannon_entropy, window_entropy, Bvr};
-use valley_core::{AddressMapper, Bim, DramAddressMap, DramMap, PhysAddr, SchemeKind};
+use valley_core::{AddressMapper, Bim, DramMap, PhysAddr, SchemeKind};
 
 const ADDR_MASK: u64 = (1 << 30) - 1;
 

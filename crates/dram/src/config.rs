@@ -61,7 +61,7 @@ impl DramTiming {
 /// the oldest row-buffer hit first, then the oldest request whose bank
 /// is ready. The policy is not configurable; the fields size and time
 /// the channel. Its bank count is the address map's
-/// (`DramAddressMap::banks_per_controller`).
+/// ([`valley_core::DramMap::banks_per_controller`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DramConfig {
     /// Scheduling queue capacity.

@@ -1,5 +1,5 @@
 //! A complete DRAM memory system: one [`DramChannel`] per controller,
-//! with addresses decoded through a [`DramAddressMap`].
+//! with addresses decoded through a [`DramMap`].
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -15,7 +15,7 @@ use crate::channel::{DramChannel, DramCompletion, DramRequest};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use std::sync::Arc;
-use valley_core::{DramAddressMap, PhysAddr};
+use valley_core::{DramMap, PhysAddr};
 
 /// A multi-controller DRAM system (4 GDDR5 channels in the baseline;
 /// 64 vaults in the 3D-stacked configuration).
@@ -41,9 +41,9 @@ use valley_core::{DramAddressMap, PhysAddr};
 /// ```
 #[derive(Debug)]
 pub struct DramSystem {
-    /// The (immutable) address map: [`DramSystem::decode`] is the one
-    /// place an address becomes DRAM coordinates.
-    map: Arc<dyn DramAddressMap + Send + Sync>,
+    /// The address map: [`DramSystem::decode`] is the one place an
+    /// address becomes DRAM coordinates.
+    map: DramMap,
     /// One channel per controller of `map`, indexed by controller.
     channels: Vec<DramChannel>,
     /// Cached minimum of the channels' next-event cycles: lets a gated
@@ -55,13 +55,14 @@ pub struct DramSystem {
 
 impl DramSystem {
     /// Creates a system with one channel per controller of `map`, each
-    /// with the map's banks.
+    /// with the map's banks. The system keeps its own copy of the map.
     ///
     /// # Panics
     ///
     /// Panics if the map has more than 64 banks per controller (see
     /// [`DramChannel::new`]).
-    pub fn new(map: Arc<dyn DramAddressMap + Send + Sync>, cfg: DramConfig) -> Self {
+    pub fn new(map: Arc<DramMap>, cfg: DramConfig) -> Self {
+        let map = *map;
         let banks = map.banks_per_controller();
         let channels = (0..map.num_controllers())
             .map(|_| DramChannel::new(cfg, banks))

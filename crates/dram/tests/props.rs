@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use valley_core::{DramAddressMap, DramMap, PhysAddr};
+use valley_core::{DramMap, PhysAddr};
 use valley_dram::{DramChannel, DramCompletion, DramConfig, DramRequest, DramSystem};
 
 fn run_to_completion(ch: &mut DramChannel, n: usize) -> Vec<DramCompletion> {

@@ -15,9 +15,7 @@
 
 use crate::proto::{Msg, PROTOCOL_VERSION};
 use valley_core::SchemeKind;
-use valley_harness::{
-    store_line_description, ConfigId, JobSpec, SmCount, SCHEMA_VERSION, STORE_VERSION,
-};
+use valley_harness::{store_line_description, ConfigId, JobSpec, SCHEMA_VERSION, STORE_VERSION};
 use valley_sim::record::{description, fingerprint, Codec};
 use valley_sim::{SimReport, REPORT_SCHEMA_VERSION};
 use valley_workloads::{Benchmark, Scale};
@@ -53,7 +51,7 @@ pub fn pins() -> [Pin; 4] {
         scheme: SchemeKind::Pae,
         seed: 1,
         scale: Scale::Ref,
-        config: ConfigId::Sms(SmCount::new(24).unwrap()),
+        config: ConfigId::with_sms(24).unwrap(),
     };
     let mut msgs = String::new();
     Msg::kind(&mut msgs);

@@ -14,8 +14,7 @@ use valley_fabric::proto::{Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTO
 use valley_fabric::wire::{read_frame, write_frame};
 use valley_fabric::FailureNote;
 use valley_harness::{
-    ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, SmCount, StoredResult, WallKind,
-    STORE_FILE,
+    ConfigId, FailureKind, JobFailure, JobSpec, ResultStore, StoredResult, WallKind, STORE_FILE,
 };
 use valley_sim::json;
 use valley_sim::SimReport;
@@ -37,7 +36,7 @@ fn spec() -> JobSpec {
         scheme: SchemeKind::Pae,
         seed: 3,
         scale: Scale::Ref,
-        config: ConfigId::Sms(SmCount::new(24).unwrap()),
+        config: ConfigId::with_sms(24).unwrap(),
     }
 }
 

@@ -13,7 +13,7 @@ use valley_fabric::proto::{Msg, QueryFilters, Role, Telemetry, WorkerStat, PROTO
 use valley_fabric::wire::{read_frame, write_frame, WireError};
 use valley_fabric::{FailureNote, WorkerOptions};
 use valley_harness::{
-    ConfigId, FailureKind, JobFailure, JobSpec, SmCount, StoredResult, SweepSpec, WallKind,
+    ConfigId, FailureKind, JobFailure, JobSpec, StoredResult, SweepSpec, WallKind,
 };
 
 const WALL_KINDS: [WallKind; 2] = [WallKind::Measured, WallKind::Cloned];
@@ -26,8 +26,8 @@ const SCALES: [Scale; 3] = [Scale::Test, Scale::Small, Scale::Ref];
 const CONFIGS: [ConfigId; 4] = [
     ConfigId::Table1,
     ConfigId::Stacked,
-    ConfigId::Sms(SmCount::new(24).unwrap()),
-    ConfigId::Sms(SmCount::new(48).unwrap()),
+    ConfigId::with_sms(24).unwrap(),
+    ConfigId::with_sms(48).unwrap(),
 ];
 
 fn job(bench: usize, scheme: usize, seed: u64, scale: usize, config: usize) -> JobSpec {

@@ -13,10 +13,10 @@
 //! Figures 11–17 over one [`Suite`]; `valley figures --set` and `valley
 //! fetch --figures` print it.
 
-use crate::{ConfigId, JobSpec, SmCount, SweepSpec};
+use crate::{ConfigId, JobSpec, SweepSpec};
 use std::collections::BTreeMap;
 use valley_core::hash::FastMap;
-use valley_core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
+use valley_core::{AddressMapper, DramMap, SchemeKind};
 use valley_power::{dram_power, perf_per_watt};
 use valley_sim::{GpuConfig, SimReport, WorkloadSource};
 use valley_workloads::{analysis, Benchmark, Scale};
@@ -505,14 +505,8 @@ const SUBSET: [Benchmark; 4] = [
 /// its jobs with every other figure.
 const FIG18_CONFIGS: [(ConfigId, &str); 4] = [
     (ConfigId::Table1, "12 SMs conv. DRAM"),
-    (
-        ConfigId::Sms(SmCount::new(24).unwrap()),
-        "24 SMs conv. DRAM",
-    ),
-    (
-        ConfigId::Sms(SmCount::new(48).unwrap()),
-        "48 SMs conv. DRAM",
-    ),
+    (ConfigId::with_sms(24).unwrap(), "24 SMs conv. DRAM"),
+    (ConfigId::with_sms(48).unwrap(), "48 SMs conv. DRAM"),
     (ConfigId::Stacked, "64 SMs 3D DRAM"),
 ];
 

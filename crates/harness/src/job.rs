@@ -55,28 +55,18 @@ pub enum ConfigId {
     /// The 3D-stacked memory configuration (Figure 18, rightmost group).
     Stacked,
     /// Table I with a different SM count (Figure 18's scaling sweep),
-    /// built by [`SmCount::new`].
+    /// built by [`ConfigId::with_sms`].
     Sms(SmCount),
 }
 
 /// The SM count of a [`ConfigId::Sms`] machine: 1 to
 /// [`GpuSim::MAX_SMS`], and not Table I's own count, which is
 /// [`ConfigId::Table1`] — one machine has one job key. The field is
-/// private, so [`SmCount::new`] is the only way to make one.
+/// private, so [`ConfigId::with_sms`] is the only way to make one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SmCount(u32);
 
 impl SmCount {
-    /// `n` SMs, or `None` for 0, for Table I's count and past
-    /// [`GpuSim::MAX_SMS`].
-    pub const fn new(n: u32) -> Option<SmCount> {
-        if n == 0 || n as usize == GpuConfig::table1().num_sms || n as usize > GpuSim::MAX_SMS {
-            None
-        } else {
-            Some(SmCount(n))
-        }
-    }
-
     /// The count.
     pub const fn get(self) -> u32 {
         self.0
@@ -84,6 +74,20 @@ impl SmCount {
 }
 
 impl ConfigId {
+    /// The Table I machine with `n` SMs: [`ConfigId::Table1`] for Table
+    /// I's own count, else [`ConfigId::Sms`], or `None` for 0 and past
+    /// [`GpuSim::MAX_SMS`]. The one place that reads Table I's SM count
+    /// and makes an [`SmCount`].
+    pub const fn with_sms(n: u32) -> Option<ConfigId> {
+        if n == 0 || n as usize > GpuSim::MAX_SMS {
+            None
+        } else if n as usize == GpuConfig::table1().num_sms {
+            Some(ConfigId::Table1)
+        } else {
+            Some(ConfigId::Sms(SmCount(n)))
+        }
+    }
+
     /// Stable identifier used in job keys and CLI flags.
     pub fn name(self) -> String {
         match self {
@@ -93,21 +97,13 @@ impl ConfigId {
         }
     }
 
-    /// Parses a [`ConfigId::name`] string. An SM count the simulator
-    /// cannot build (0, or more than [`GpuSim::MAX_SMS`]) names nothing,
-    /// and Table I's own SM count names [`ConfigId::Table1`]: one machine
-    /// has one job key.
+    /// Parses a [`ConfigId::name`] string; `smsN` goes through
+    /// [`ConfigId::with_sms`].
     pub fn parse(s: &str) -> Option<ConfigId> {
         match s {
             "table1" => Some(ConfigId::Table1),
             "stacked" => Some(ConfigId::Stacked),
-            _ => {
-                let n: u32 = s.strip_prefix("sms")?.parse().ok()?;
-                if n as usize == GpuConfig::table1().num_sms {
-                    return Some(ConfigId::Table1);
-                }
-                SmCount::new(n).map(ConfigId::Sms)
-            }
+            _ => ConfigId::with_sms(s.strip_prefix("sms")?.parse().ok()?),
         }
     }
 
@@ -454,7 +450,7 @@ mod tests {
                 ..base
             },
             JobSpec {
-                config: ConfigId::Sms(SmCount::new(24).unwrap()),
+                config: ConfigId::with_sms(24).unwrap(),
                 ..base
             },
         ];
@@ -474,7 +470,7 @@ mod tests {
             configs: vec![
                 ConfigId::Table1,
                 ConfigId::Stacked,
-                ConfigId::Sms(SmCount::new(24).unwrap()),
+                ConfigId::with_sms(24).unwrap(),
             ],
         };
         let jobs = spec.expand();
@@ -526,27 +522,27 @@ mod tests {
     #[test]
     fn config_names_round_trip() {
         // Every config that can be built: the two named machines and
-        // every SM count `SmCount::new` accepts, which is all of
-        // `1..=MAX_SMS` but Table I's 12.
+        // every SM count `ConfigId::with_sms` accepts, which is all of
+        // `1..=MAX_SMS`, Table I's 12 naming `table1`.
         let max = GpuSim::MAX_SMS as u32;
         let mut built = vec![ConfigId::Table1, ConfigId::Stacked];
         for n in 0..=max + 1 {
-            let sms = SmCount::new(n);
-            assert_eq!(sms.is_some(), n != 0 && n != 12 && n <= max, "sms{n}");
-            let want = if n == 12 {
-                Some(ConfigId::Table1)
-            } else {
-                sms.map(ConfigId::Sms)
+            let config = ConfigId::with_sms(n);
+            let want = match n {
+                12 => Some("table1".to_string()),
+                n if n == 0 || n > max => None,
+                n => Some(format!("sms{n}")),
             };
-            assert_eq!(ConfigId::parse(&format!("sms{n}")), want);
-            built.extend(sms.map(ConfigId::Sms));
+            assert_eq!(config.map(ConfigId::name), want, "sms{n}");
+            assert_eq!(ConfigId::parse(&format!("sms{n}")), config);
+            built.extend(config.filter(|&c| c != ConfigId::Table1));
         }
         assert_eq!(built.len(), 2 + max as usize - 1);
         for c in built {
             assert_eq!(ConfigId::parse(&c.name()), Some(c));
         }
         assert_eq!(ConfigId::parse("nope"), None);
-        let sms48 = ConfigId::Sms(SmCount::new(48).unwrap());
+        let sms48 = ConfigId::with_sms(48).unwrap();
         assert_eq!(sms48.gpu_config().num_sms, 48);
     }
 }

@@ -23,7 +23,7 @@ use crate::wake::DomainClock;
 use std::ops::Range;
 use std::sync::Arc;
 use valley_cache::CacheStats;
-use valley_core::{AddressMapper, DramAddressMap, PhysAddr};
+use valley_core::{AddressMapper, DramMap, PhysAddr};
 use valley_dram::DramSystem;
 use valley_noc::{Crossbar, Packet, DATA_FLITS, REQUEST_FLITS};
 
@@ -177,63 +177,60 @@ impl GpuSim {
     /// Creates a simulator for `workload` under the mapping scheme
     /// `mapper`, decoding DRAM coordinates through `map`.
     ///
+    /// Both maps fit the per-transaction record by construction: a
+    /// `const` block checks that each has a controller, that controller
+    /// indices fit 16 bits, bank indices 8 and rows 32.
+    ///
     /// # Panics
     ///
-    /// Panics, naming the field, if an SM or controller index would not
-    /// fit 16 bits, a slice or bank index 8 or a row index 32 — the
-    /// widths of the per-transaction record — if a NoC cycle before
-    /// `max_cycles` would not fit the crossbar's 32-bit injection stamp
-    /// or a DRAM cycle before it not a `u64`, if `num_sms`, `llc_slices`,
-    /// `noc_mhz`, `dram.clock_mhz`, `dram.queue_capacity` or the
-    /// controller count is 0, if fewer controllers than slices do not
-    /// divide `llc_slices`, if
-    /// `line_bytes` is not the L1's and a data packet's line or the LLC
-    /// slice's, or if a kernel's thread block has more warps than
-    /// [`GpuConfig::MAX_WARPS_PER_SM`] and so cannot fit an empty SM.
-    pub fn new<M>(
+    /// Panics, naming the field, if an SM index would not fit 16 bits or
+    /// a slice index 8 — the widths of the per-transaction record — if a
+    /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
+    /// injection stamp or a DRAM cycle before it not a `u64`, if
+    /// `num_sms`, `llc_slices`, `noc_mhz`, `dram.clock_mhz` or
+    /// `dram.queue_capacity` is 0, if fewer controllers than slices do
+    /// not divide `llc_slices`, if `line_bytes` is not the L1's and a
+    /// data packet's line or the LLC slice's, or if a kernel's thread
+    /// block has more warps than [`GpuConfig::MAX_WARPS_PER_SM`] and so
+    /// cannot fit an empty SM.
+    pub fn new(
         cfg: GpuConfig,
         mapper: AddressMapper,
-        map: M,
+        map: DramMap,
         workload: Box<dyn WorkloadSource>,
-    ) -> Self
-    where
-        M: DramAddressMap + Send + Sync + 'static,
-    {
-        let (controllers, slices) = (map.num_controllers(), cfg.llc_slices);
-        for (field, n) in [
-            ("num_sms", cfg.num_sms),
-            ("llc_slices", slices),
-            ("noc_mhz", cfg.noc_mhz as usize),
-            ("dram.clock_mhz", cfg.dram.clock_mhz as usize),
-            ("dram.queue_capacity", cfg.dram.queue_capacity),
-            ("DRAM controllers", controllers),
-        ] {
-            assert!(n >= 1, "{field} = 0: the machine needs at least one");
-        }
+    ) -> Self {
         // A transaction record names its SM, warp and controller in 16
         // bits, its slice and bank in 8 and its row in 32 (`crate::txn`).
-        let fits = |field: &str, n: usize, max: u64| {
-            assert!(
-                n as u64 <= max,
-                "{field} = {n} does not fit a transaction record (at most {max})"
-            );
-        };
-        let (index8, index16) = (1 << 8, 1 << 16);
-        fits("num_sms", cfg.num_sms, Self::MAX_SMS as u64);
         const {
+            let maps = [DramMap::baseline(), DramMap::stacked()];
+            let mut i = 0;
+            while i < maps.len() {
+                let m = maps[i];
+                assert!(m.num_controllers() >= 1, "a DRAM map has no controller");
+                assert!(m.num_controllers() <= 1 << 16, "controllers past 16 bits");
+                assert!(m.banks_per_controller() <= 1 << 8, "banks past 8 bits");
+                assert!(m.rows_per_bank() as u64 <= 1 << 32, "rows past 32 bits");
+                i += 1;
+            }
             assert!(
                 GpuConfig::MAX_WARPS_PER_SM <= NO_WARP as usize,
                 "a warp slot would equal the NO_WARP sentinel"
             )
         };
-        fits("llc_slices", slices, index8);
-        fits("DRAM controllers", controllers, index16);
-        fits(
-            "DRAM banks per controller",
-            map.banks_per_controller(),
-            index8,
-        );
-        fits("DRAM rows per bank", map.rows_per_bank(), 1 << 32);
+        let (controllers, slices) = (map.num_controllers(), cfg.llc_slices);
+        for (field, n, max) in [
+            ("num_sms", cfg.num_sms, Self::MAX_SMS),
+            ("llc_slices", slices, 1 << 8),
+            ("noc_mhz", cfg.noc_mhz as usize, usize::MAX),
+            ("dram.clock_mhz", cfg.dram.clock_mhz as usize, usize::MAX),
+            ("dram.queue_capacity", cfg.dram.queue_capacity, usize::MAX),
+        ] {
+            assert!(n >= 1, "{field} = 0: the machine needs at least one");
+            assert!(
+                n <= max,
+                "{field} = {n} does not fit a transaction record (at most {max})"
+            );
+        }
         // `GpuSim::route` never uses a remainder of slices.
         assert!(
             controllers >= slices || slices % controllers == 0,
@@ -728,17 +725,30 @@ mod tests {
 
     /// The issue-time route of `line` under every scheme over `map` is
     /// the map's own decode of the mapped address, plus the slice
-    /// oracle — with no index narrowed away.
+    /// oracle — with no index narrowed away. And the premise of
+    /// `tests/label_symmetry.rs`: XORing the line with `c = unmap(d)`,
+    /// for a mapped-space `d` (drawn from `flip`) that holds no
+    /// controller bit and no bank bit splitting a controller's slices,
+    /// keeps its controller and slice and XORs its bank and row by `d`'s.
     fn route_is_the_decode(
         map: DramMap,
         dram: DramConfig,
         seed: u64,
         line: u64,
+        flip: u64,
     ) -> Result<(), TestCaseError> {
         let llc_slices = GpuConfig::table1().llc_slices;
         let dram = DramSystem::new(Arc::new(map), dram);
+        let per = (llc_slices / map.num_controllers()).max(1);
+        let splits = map
+            .bank_bits()
+            .into_iter()
+            .take(per.trailing_zeros() as usize);
+        let d = (map.controller_bits().into_iter().chain(splits)).fold(flip, |d, b| d & !(1 << b));
+        let (d_bank, d_row) = (map.bank_of(PhysAddr::new(d)), map.row_of(PhysAddr::new(d)));
         for kind in SchemeKind::ALL_SCHEMES {
-            let mapped = AddressMapper::build(kind, &map, seed).map(PhysAddr::new(line));
+            let mapper = AddressMapper::build(kind, &map, seed);
+            let mapped = mapper.map(PhysAddr::new(line));
             let want = Route {
                 slice: u8::try_from(slice_oracle(&map, llc_slices, mapped)).unwrap(),
                 ctrl: u16::try_from(map.controller_of(mapped)).unwrap(),
@@ -747,16 +757,36 @@ mod tests {
             };
             let got = GpuSim::route(&dram, llc_slices, mapped);
             prop_assert_eq!(got, want, "{:?}, seed {}, line {:#x}", kind, seed, line);
+            let c = mapper.unmap(PhysAddr::new(d)).raw();
+            let renamed = GpuSim::route(&dram, llc_slices, mapper.map(PhysAddr::new(line ^ c)));
+            let want = Route {
+                bank: want.bank ^ d_bank as u8,
+                row: want.row ^ d_row as u32,
+                ..want
+            };
+            prop_assert_eq!(
+                renamed,
+                want,
+                "{:?}, seed {}, line {:#x}, d {:#x}",
+                kind,
+                seed,
+                line,
+                d
+            );
         }
         Ok(())
     }
 
     proptest! {
         #[test]
-        fn the_issue_time_route_is_the_dram_decode(seed in 0u64..1_000, line in 0u64..(1 << 23)) {
+        fn the_issue_time_route_is_the_dram_decode(
+            seed in 0u64..1_000,
+            line in 0u64..(1 << 23),
+            flip in 0u64..(1 << 30),
+        ) {
             let line = line << 7;
-            route_is_the_decode(DramMap::baseline(), DramConfig::gddr5(), seed, line)?;
-            route_is_the_decode(DramMap::stacked(), DramConfig::stacked_vault(), seed, line)?;
+            route_is_the_decode(DramMap::baseline(), DramConfig::gddr5(), seed, line, flip)?;
+            route_is_the_decode(DramMap::stacked(), DramConfig::stacked_vault(), seed, line, flip)?;
         }
     }
 }

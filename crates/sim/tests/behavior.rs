@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use valley_cache::CacheConfig;
-use valley_core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
+use valley_core::{AddressMapper, DramMap, SchemeKind};
 use valley_sim::{GpuConfig, GpuSim, Instruction, LaneAddrs, SimReport};
 use valley_workloads::{Benchmark, KernelSpec, Scale, Workload};
 
@@ -251,7 +251,7 @@ fn a_machine_with_128_llc_slices_runs_gated_as_dense() {
     }
 }
 
-/// A transaction record holds its LLC slice and DRAM bank in 8 bits: a
+/// A transaction record holds its LLC slice in 8 bits: a
 /// machine with more slices is refused at construction, naming the
 /// field.
 #[test]
@@ -262,88 +262,14 @@ fn a_slice_index_over_8_bits_is_refused() {
     let _ = build(cfg);
 }
 
-/// The baseline GDDR5 map, claiming `controllers` controllers of `banks`
-/// banks each.
-#[derive(Debug)]
-struct Reshaped {
-    map: DramMap,
-    controllers: usize,
-    banks: usize,
-}
-
-impl DramAddressMap for Reshaped {
-    fn addr_bits(&self) -> u8 {
-        self.map.addr_bits()
-    }
-    fn block_bits(&self) -> u8 {
-        self.map.block_bits()
-    }
-    fn controller_of(&self, addr: PhysAddr) -> usize {
-        self.map.controller_of(addr)
-    }
-    fn bank_of(&self, addr: PhysAddr) -> usize {
-        self.map.bank_of(addr)
-    }
-    fn row_of(&self, addr: PhysAddr) -> usize {
-        self.map.row_of(addr)
-    }
-    fn num_controllers(&self) -> usize {
-        self.controllers
-    }
-    fn banks_per_controller(&self) -> usize {
-        self.banks
-    }
-    fn rows_per_bank(&self) -> usize {
-        self.map.rows_per_bank()
-    }
-    fn controller_bits(&self) -> Vec<u8> {
-        self.map.controller_bits()
-    }
-    fn bank_bits(&self) -> Vec<u8> {
-        self.map.bank_bits()
-    }
-    fn row_bits(&self) -> Vec<u8> {
-        self.map.row_bits()
-    }
-}
-
-/// Builds a one-instruction Table I machine over the baseline map
-/// reshaped to `controllers` controllers of `banks` banks.
-fn build_reshaped(controllers: usize, banks: usize) -> GpuSim {
-    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1 }]);
-    let map = DramMap::baseline();
-    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
-    let cfg = GpuConfig::table1();
-    let map = Reshaped {
-        map,
-        controllers,
-        banks,
-    };
-    GpuSim::new(cfg, mapper, map, Box::new(single_kernel(gen, 1, 1)))
-}
-
-#[test]
-#[should_panic(
-    expected = "DRAM banks per controller = 512 does not fit a transaction record (at most 256)"
-)]
-fn a_bank_index_over_8_bits_is_refused() {
-    let _ = build_reshaped(4, 512);
-}
-
-/// `GpuSim::route` sends each controller's traffic to its own slices;
-/// with no controller there is nowhere to route.
-#[test]
-#[should_panic(expected = "DRAM controllers = 0: the machine needs at least one")]
-fn a_map_without_controllers_is_refused() {
-    let _ = build_reshaped(0, 16);
-}
-
 /// Fewer controllers than slices each own `llc_slices / controllers`
-/// slices: 3 controllers over 8 slices would leave slices 6 and 7 idle.
+/// slices: 4 channels over 6 slices would leave 2 slices over.
 #[test]
-#[should_panic(expected = "3 DRAM controllers do not divide llc_slices = 8")]
+#[should_panic(expected = "4 DRAM controllers do not divide llc_slices = 6")]
 fn controllers_that_leave_slices_unused_are_refused() {
-    let _ = build_reshaped(3, 16);
+    let mut cfg = GpuConfig::table1();
+    cfg.llc_slices = 6;
+    let _ = build(cfg);
 }
 
 /// A DRAM queue with no slot refuses every request: a slice would park

@@ -59,7 +59,7 @@ mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
     use crate::gen::Scale;
-    use valley_core::{DramAddressMap, DramMap, SchemeKind};
+    use valley_core::{DramMap, SchemeKind};
 
     /// Figures 5 and 10 as an assertion: the channel/bank bits of the
     /// valley benchmarks are starved under BASE and filled by PAE and FAE,

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example custom_mapping_scheme`
 
-use valley::core::{AddressMapper, Bim, DramAddressMap, DramMap, SchemeKind};
+use valley::core::{AddressMapper, Bim, DramMap, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim};
 use valley::workloads::{Benchmark, Scale};
 

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example entropy_analysis`
 
 use std::sync::Arc;
-use valley::core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
+use valley::core::{AddressMapper, DramMap, SchemeKind};
 use valley::sim::{Instruction, LaneAddrs};
 use valley::workloads::{analysis, KernelSpec, Workload};
 

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use valley::core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
+use valley::core::{AddressMapper, DramMap, PhysAddr, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim};
 use valley::workloads::{Benchmark, Scale};
 

@@ -19,7 +19,7 @@
 //! bank. A DRAM model that moves data faster than its bus or reopens a
 //! row faster than its array allows fails here, whatever the drive loop.
 
-use valley::core::{AddressMapper, DramAddressMap, DramMap, PhysAddr, SchemeKind};
+use valley::core::{AddressMapper, DramMap, PhysAddr, SchemeKind};
 use valley::harness::ConfigId;
 use valley::sim::{coalesce_into, GpuConfig, GpuSim, Instruction, WorkloadSource};
 use valley::workloads::{Benchmark, Scale};

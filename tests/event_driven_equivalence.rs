@@ -21,12 +21,15 @@ fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
     )
 }
 
-fn build_limited(bench: Benchmark, scheme: SchemeKind, max_cycles: u64) -> GpuSim {
+/// The `scale` workload of `bench` cut at core cycle `max_cycles`. At
+/// `Scale::Ref`, a prefix reaches the full DRAM queues and parked slices
+/// of a ref run in a fraction of its time.
+fn build_limited(bench: Benchmark, scheme: SchemeKind, scale: Scale, max_cycles: u64) -> GpuSim {
     let cfg = GpuConfig {
         max_cycles,
         ..GpuConfig::table1()
     };
-    build_with(bench, scheme, cfg, DramMap::baseline(), Scale::Test)
+    build_with(bench, scheme, cfg, DramMap::baseline(), scale)
 }
 
 /// The machine `cfg` over `map` (Table I over the baseline map, or the
@@ -217,9 +220,22 @@ fn stacked_runs_at_ref_scale() {
 /// fast-forward stopping at it, packets and DRAM bursts cut
 /// mid-transfer, each SM's open busy span counted up to the cut — must
 /// report what the dense loop reports for the same limit. Cut points are
-/// spread over the whole run and bracket the untruncated length.
+/// spread over the whole run and bracket the untruncated length; the
+/// wake audit's three ref runs are cut early, inside their first DRAM
+/// back-pressure.
 #[test]
 fn truncated_runs_match_dense_at_every_cut() {
+    for (bench, scheme, limit) in [
+        (Benchmark::Mt, SchemeKind::Base, 20_000),
+        (Benchmark::Lps, SchemeKind::Base, 50_000),
+        (Benchmark::Srad2, SchemeKind::Pae, 30_000),
+    ] {
+        let fast = build_limited(bench, scheme, Scale::Ref, limit).run();
+        let dense = build_limited(bench, scheme, Scale::Ref, limit).run_dense();
+        let tag = format!("{bench:?}/{scheme:?} at ref scale, cut at {limit}");
+        assert!(fast.truncated, "{tag}: ran to completion");
+        assert_eq!(fast.results_json(), dense.results_json(), "{tag}");
+    }
     for (bench, scheme) in [
         (Benchmark::Mt, SchemeKind::Base),
         (Benchmark::Sp, SchemeKind::Pae),
@@ -232,8 +248,8 @@ fn truncated_runs_match_dense_at_every_cut() {
             .step_by(step as usize)
             .chain([full - 1, full, full + 1]);
         for limit in cuts {
-            let fast = build_limited(bench, scheme, limit).run();
-            let dense = build_limited(bench, scheme, limit).run_dense();
+            let fast = build_limited(bench, scheme, Scale::Test, limit).run();
+            let dense = build_limited(bench, scheme, Scale::Test, limit).run_dense();
             let tag = format!("{bench:?}/{scheme:?} cut at {limit} of {full}");
             assert_eq!(fast.truncated, dense.truncated, "{tag}: truncation");
             assert_eq!(fast.truncated, limit < full, "{tag}: truncated flag");

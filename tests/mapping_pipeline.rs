@@ -2,7 +2,7 @@
 //! tell a consistent story, and the power model must react to the
 //! simulator's counters the way the paper describes.
 
-use valley::core::{AddressMapper, DramAddressMap, DramMap, SchemeKind};
+use valley::core::{AddressMapper, DramMap, SchemeKind};
 use valley::power::dram_power;
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{analysis, Benchmark, Scale};
