@@ -212,18 +212,16 @@ fn build_pm(map: &DramMap) -> Bim {
     bim
 }
 
-/// The paper's RMP source bits for the baseline map: "the 6 bits with the
-/// highest average entropy ... (i.e., bits 8-11, 15, and 16)".
+/// The RMP source bits. For the baseline map, the paper's: "the 6 bits
+/// with the highest average entropy ... (i.e., bits 8-11, 15, and 16)".
+/// The paper names none for any other map, so there each target bit is
+/// its own source: on [`DramMap::stacked()`] RMP is the identity, the
+/// BASE mapping under RMP's label and one cycle of mapper latency.
 fn default_rmp_sources(map: &DramMap) -> Vec<u8> {
-    let targets = map.target_field_bits();
-    if map.addr_bits() == 30 && targets == vec![8, 9, 10, 11, 12, 13] {
+    if *map == DramMap::baseline() {
         vec![8, 9, 10, 11, 15, 16]
     } else {
-        // For other maps (e.g. 3D-stacked) fall back to the lowest
-        // non-block bits, which for streaming-style workloads carry the
-        // most average entropy (Kaseridis et al.).
-        let nb = map.non_block_bits();
-        nb[..targets.len()].to_vec()
+        map.target_field_bits()
     }
 }
 
@@ -448,6 +446,16 @@ mod tests {
         // And the same seed reproduces the same BIM (determinism).
         let c = AddressMapper::build(SchemeKind::Pae, &map(), 1);
         assert_eq!(a.bim(), c.bim());
+    }
+
+    /// The paper gives RMP's source bits for the baseline map only; on
+    /// the stacked map each target is its own source.
+    #[test]
+    fn stacked_rmp_is_the_identity() {
+        let sm = DramMap::stacked();
+        let m = AddressMapper::build(SchemeKind::Rmp, &sm, 1);
+        assert_eq!(m.bim(), &Bim::identity(sm.addr_bits()));
+        assert_eq!(m.latency_cycles(), 1);
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl DramChannel {
     /// Panics if the request's bank index is out of range.
     pub fn try_enqueue(&mut self, req: DramRequest) -> bool {
         assert!(req.bank < self.banks.len(), "bank index out of range");
-        if self.queued >= self.cfg.queue_capacity {
+        if self.is_full() {
             return false;
         }
         let seq = self.next_seq;
@@ -258,6 +258,13 @@ impl DramChannel {
     #[inline]
     pub fn queue_len(&self) -> usize {
         self.queued
+    }
+
+    /// Whether the queue is full: [`DramChannel::try_enqueue`] refuses
+    /// until a dequeue frees a slot.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.queued >= self.cfg.queue_capacity
     }
 
     /// Whether any request is queued or in flight.
@@ -886,10 +893,10 @@ mod tests {
 
             /// The dequeue horizon is exact: under random traffic into
             /// a four-entry queue (so it is full most of the time, the
-            /// state a parked LLC slice waits in), the queue shrinks on
-            /// exactly the cycles the channel named beforehand — on the
-            /// dense path and on the evented one, which only ticks when
-            /// its own hint (the horizon's minimum with the next
+            /// state an LLC slice's DRAM queue head waits in), the queue
+            /// shrinks on exactly the cycles the channel named beforehand
+            /// — on the dense path and on the evented one, which only
+            /// ticks when its own hint (the horizon's minimum with the next
             /// retirement) says so.
             #[test]
             fn dequeue_horizon_is_the_cycle_the_queue_drops(

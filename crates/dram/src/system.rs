@@ -14,7 +14,7 @@
 use crate::channel::{DramChannel, DramCompletion, DramRequest};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
-use std::sync::Arc;
+use std::borrow::Borrow;
 use valley_core::{DramMap, PhysAddr};
 
 /// A multi-controller DRAM system (4 GDDR5 channels in the baseline;
@@ -31,7 +31,7 @@ use valley_core::{DramMap, PhysAddr};
 /// use valley_dram::{DramConfig, DramSystem};
 /// use valley_core::PhysAddr;
 ///
-/// let mut sys = DramSystem::new(std::sync::Arc::new(DramMap::baseline()), DramConfig::gddr5());
+/// let mut sys = DramSystem::new(DramMap::baseline(), DramConfig::gddr5());
 /// assert!(sys.try_enqueue(PhysAddr::new(0x1234_5678 & 0x3fff_ffff), 1, false, 0));
 /// let mut done = Vec::new();
 /// for cycle in 0..200 {
@@ -55,14 +55,15 @@ pub struct DramSystem {
 
 impl DramSystem {
     /// Creates a system with one channel per controller of `map`, each
-    /// with the map's banks. The system keeps its own copy of the map.
+    /// with the map's banks. The system keeps its own copy of the map,
+    /// so `map` may be a `DramMap`, a reference or an `Arc`.
     ///
     /// # Panics
     ///
     /// Panics if the map has more than 64 banks per controller (see
     /// [`DramChannel::new`]).
-    pub fn new(map: Arc<DramMap>, cfg: DramConfig) -> Self {
-        let map = *map;
+    pub fn new(map: impl Borrow<DramMap>, cfg: DramConfig) -> Self {
+        let map = *map.borrow();
         let banks = map.banks_per_controller();
         let channels = (0..map.num_controllers())
             .map(|_| DramChannel::new(cfg, banks))
@@ -227,7 +228,7 @@ mod tests {
     use valley_core::DramMap;
 
     fn sys() -> DramSystem {
-        DramSystem::new(Arc::new(DramMap::baseline()), DramConfig::gddr5())
+        DramSystem::new(DramMap::baseline(), DramConfig::gddr5())
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! it does the same thing.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use valley_core::{DramMap, PhysAddr};
 use valley_dram::{DramChannel, DramCompletion, DramConfig, DramRequest, DramSystem};
 
@@ -130,7 +129,7 @@ struct Gated {
 impl Gated {
     fn new(map: DramMap, cfg: DramConfig) -> Self {
         Gated {
-            sys: DramSystem::new(Arc::new(map), cfg),
+            sys: DramSystem::new(map, cfg),
             done: Vec::new(),
         }
     }

@@ -13,7 +13,7 @@
 )]
 
 use crate::config::GpuConfig;
-use crate::llc::{has_room, LlcSlice};
+use crate::llc::LlcSlice;
 use crate::metrics::{ParallelismIntegrator, SimReport};
 use crate::sm::{Sm, SmOutbound};
 use crate::trace::{KernelSource, WorkloadSource};
@@ -21,7 +21,6 @@ use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
 use crate::wake::DomainClock;
 use std::ops::Range;
-use std::sync::Arc;
 use valley_cache::CacheStats;
 use valley_core::{AddressMapper, DramMap, PhysAddr};
 use valley_dram::DramSystem;
@@ -285,7 +284,7 @@ impl GpuSim {
                 GpuConfig::MAX_WARPS_PER_SM
             );
         }
-        let dram = DramSystem::new(Arc::new(map), cfg.dram);
+        let dram = DramSystem::new(map, cfg.dram);
         let sms = (0..cfg.num_sms).map(|i| Sm::new(i as u16, &cfg)).collect();
         let slices = (0..cfg.llc_slices).map(|_| LlcSlice::new(&cfg)).collect();
         GpuSim {
@@ -374,6 +373,9 @@ impl GpuSim {
         // its first tick.
         let mut sms_next: u64 = 0;
         let mut slices_next: u64 = 0;
+        // The DRAM hand-off's gate besides a DRAM phase: the cycle after a
+        // slice tick gave its DRAM queue a new head, else `u64::MAX`.
+        let mut handoff_next = u64::MAX;
 
         loop {
             crate::alloc_audit::note_cycle(cycle);
@@ -382,7 +384,9 @@ impl GpuSim {
             // ticks a due NoC or DRAM event, whichever comes first (the
             // open gate jumps nowhere). No unit owes anything for the
             // cycles skipped.
-            let core_next = sms_next.min(slices_next).min(sched.cached_next_event());
+            let core_next = (sms_next.min(slices_next))
+                .min(handoff_next)
+                .min(sched.cached_next_event());
             if !ticks(cycle, core_next) {
                 let noc_next =
                     (self.req_net.cached_next_event()).min(self.reply_net.cached_next_event());
@@ -450,8 +454,18 @@ impl GpuSim {
                     }
                 }
             }
-            if dram_due {
-                slices_next = slices_next.min(self.unpark_freed(cycle));
+
+            // ---- DRAM hand-off ----
+            // Every slice offers its DRAM queue, in index order, arriving in
+            // the next DRAM cycle. A head that waits has a full channel,
+            // which only a DRAM phase can free; a new head is offered in
+            // the cycle after the tick that queued it.
+            if dram_due || ticks(cycle, handoff_next) {
+                due = true;
+                handoff_next = u64::MAX;
+                for s in &mut self.slices {
+                    s.hand_off(dram_cycles.end, &mut self.dram, &self.txns);
+                }
             }
 
             // ---- LLC slices ----
@@ -462,21 +476,11 @@ impl GpuSim {
                 count(Counter::SliceWalks);
                 let mut next = u64::MAX;
                 for s in &mut self.slices {
-                    // A parked head has no hint (`u64::MAX`): only the open
-                    // gate retries it, every cycle — a refusal changes no
-                    // state — which is the oracle for `unpark_freed`.
-                    if ticks(cycle, u64::MAX) && s.parked_on().is_some() {
-                        s.unpark(cycle);
-                    }
                     if ticks(cycle, s.cached_next_event()) {
                         count(Counter::SliceTicks);
-                        s.tick(
-                            cycle,
-                            dram_cycles.end,
-                            &mut self.dram,
-                            &self.txns,
-                            &mut replies,
-                        );
+                        if s.tick(cycle, &self.txns, &mut replies) {
+                            handoff_next = cycle + 1;
+                        }
                     }
                     next = next.min(s.cached_next_event());
                 }
@@ -560,24 +564,6 @@ impl GpuSim {
         crate::alloc_audit::window_close();
         self.sample_parallelism(&mut parallelism, sampled_to..cycle);
         self.report(cycle, truncated, &parallelism, &sched)
-    }
-
-    /// A DRAM phase that ran may have freed the slot a parked slice waits
-    /// for: unparks every slice whose channel now has room, due in
-    /// `cycle`, and returns the cycle the slice gate is lowered to —
-    /// `cycle` if a slice was unparked, else `u64::MAX`. Out of line: it
-    /// runs on every iteration with a DRAM event, yet inlining it into
-    /// the drive loop measured no faster, so the loop's body stays small.
-    #[inline(never)]
-    fn unpark_freed(&mut self, cycle: u64) -> u64 {
-        let mut due = u64::MAX;
-        for slice in &mut self.slices {
-            if slice.parked_on().is_some_and(|ch| has_room(&self.dram, ch)) {
-                slice.unpark(cycle);
-                due = cycle;
-            }
-        }
-        due
     }
 
     /// Records the parallelism sampling points (the multiples of
@@ -738,7 +724,7 @@ mod tests {
         flip: u64,
     ) -> Result<(), TestCaseError> {
         let llc_slices = GpuConfig::table1().llc_slices;
-        let dram = DramSystem::new(Arc::new(map), dram);
+        let dram = DramSystem::new(map, dram);
         let per = (llc_slices / map.num_controllers()).max(1);
         let splits = map
             .bank_bits()

@@ -25,14 +25,6 @@ use std::collections::VecDeque;
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_dram::DramSystem;
 
-/// Whether DRAM channel `ctrl`'s queue has a free slot: what a slice
-/// parked on it waits for.
-#[inline]
-pub(crate) fn has_room(dram: &DramSystem, ctrl: usize) -> bool {
-    let ch = dram.channel(ctrl);
-    ch.queue_len() < ch.config().queue_capacity
-}
-
 /// One LLC slice (64 KB, 8-way in the baseline; 120-cycle latency).
 pub(crate) struct LlcSlice {
     cache: SetAssocCache,
@@ -41,8 +33,9 @@ pub(crate) struct LlcSlice {
     input: VecDeque<u32>,
     /// Hits in flight: (ready cycle, txn).
     hits: VecDeque<(u64, u32)>,
-    /// Transactions waiting for a free DRAM queue slot.
-    dram_retry: VecDeque<u32>,
+    /// Misses and stores for DRAM, in order: [`LlcSlice::hand_off`]
+    /// offers the head first.
+    to_dram: VecDeque<u32>,
     /// MSHR entries opened, each by a load miss that goes on to DRAM as
     /// one read — checked against the DRAM read count, not reported.
     mshr_entries: u64,
@@ -55,16 +48,8 @@ pub(crate) struct LlcSlice {
     /// The exact next core cycle at which [`LlcSlice::tick`] changes
     /// anything (`u64::MAX` = nothing locally schedulable); republished
     /// by every tick and lowered by the deliveries and DRAM fills that
-    /// give the slice something to do, and by [`LlcSlice::unpark`] (see
-    /// `crate::wake`).
+    /// give the slice something to do (see `crate::wake`).
     cached_next: u64,
-    /// `Some(ctrl)` while the DRAM-retry head is parked: DRAM channel
-    /// `ctrl` refused it with a full queue, and only a dequeue there can
-    /// let it in. A parked head publishes no wake-up and is not offered
-    /// again, whatever else wakes the slice, until the drive loop sees a
-    /// free slot in that channel and calls [`LlcSlice::unpark`]. Set by
-    /// [`LlcSlice::tick`] step 2.
-    parked_on: Option<u16>,
 }
 
 impl LlcSlice {
@@ -77,11 +62,10 @@ impl LlcSlice {
             // doubling-realloc ladder per run, per slice.
             input: VecDeque::with_capacity(64),
             hits: VecDeque::with_capacity(32),
-            dram_retry: VecDeque::with_capacity(32),
+            to_dram: VecDeque::with_capacity(32),
             mshr_entries: 0,
             input_stalled: false,
             cached_next: 0,
-            parked_on: None,
         }
     }
 
@@ -98,7 +82,7 @@ impl LlcSlice {
     /// Outstanding requests in this slice (non-zero is what Figure 14a
     /// counts as busy).
     pub(crate) fn outstanding(&self) -> usize {
-        self.input.len() + self.hits.len() + self.dram_retry.len() + self.mshr.len()
+        self.input.len() + self.hits.len() + self.to_dram.len() + self.mshr.len()
     }
 
     pub(crate) fn is_idle(&self) -> bool {
@@ -116,9 +100,9 @@ impl LlcSlice {
 
     /// Queues `txn` for the DRAM hand-off.
     fn send_to_dram(&mut self, txn: u32) {
-        let _audit_pause = (self.dram_retry.len() == self.dram_retry.capacity())
-            .then(valley_core::alloc_audit::pause);
-        self.dram_retry.push_back(txn);
+        let _audit_pause =
+            (self.to_dram.len() == self.to_dram.capacity()).then(valley_core::alloc_audit::pause);
+        self.to_dram.push_back(txn);
     }
 
     /// A DRAM read of `line` completed in core cycle `cycle`: fill the
@@ -132,20 +116,6 @@ impl LlcSlice {
         self.cached_next = self.cached_next.min(self.next_event_at(cycle));
     }
 
-    /// The DRAM channel whose full queue the retry head is parked on.
-    #[inline]
-    pub(crate) fn parked_on(&self) -> Option<usize> {
-        self.parked_on.map(usize::from)
-    }
-
-    /// Offers the retry head again from core cycle `cycle`: the drive
-    /// loop calls this once the channel the slice is parked on has a free
-    /// slot, and under the open gate before every tick.
-    pub(crate) fn unpark(&mut self, cycle: u64) {
-        self.parked_on = None;
-        self.cached_next = self.cached_next.min(self.next_event_at(cycle));
-    }
-
     /// The cached next-event cycle republished by [`LlcSlice::tick`].
     #[inline]
     pub(crate) fn cached_next_event(&self) -> u64 {
@@ -153,43 +123,31 @@ impl LlcSlice {
     }
 
     /// The slice's hint as of core cycle `now` (the first cycle not yet
-    /// ticked): now while the input head can be looked up or an unparked
-    /// retry head waits, else the front of the hit pipeline. The one
-    /// definition of "when is this slice next due": the tick republishes
-    /// it for `cycle + 1`, and the out-of-band sources (a delivery, a
-    /// fill, an unpark) lower `cached_next` to it for their own cycle —
-    /// so a source that gives the slice nothing to do moves nothing.
+    /// ticked): now while the input head can be looked up, else the front
+    /// of the hit pipeline. The DRAM queue is not the slice's to wake for:
+    /// the drive loop's hand-off pass drains it. The one definition of
+    /// "when is this slice next due": the tick republishes it for `cycle +
+    /// 1`, and the out-of-band sources (a delivery, a fill) lower
+    /// `cached_next` to it for their own cycle — so a source that gives
+    /// the slice nothing to do moves nothing.
     #[inline]
     fn next_event_at(&self, now: u64) -> u64 {
         if !self.input.is_empty() && !self.input_stalled {
             return now;
         }
-        let mut next = u64::MAX;
-        if !self.dram_retry.is_empty() && self.parked_on.is_none() {
-            next = now;
-        }
-        if let Some(&(ready, _)) = self.hits.front() {
-            next = next.min(ready.max(now));
-        }
-        next
+        self.hits
+            .front()
+            .map_or(u64::MAX, |&(ready, _)| ready.max(now))
     }
 
-    /// One core cycle: complete hits, retry DRAM hand-offs, process one
-    /// new transaction. Load hits produce replies; misses go to DRAM.
-    /// `dram_cycle` is the next DRAM cycle, the one after this core
-    /// cycle's DRAM phase: a hand-off arrives at its channel then.
-    /// The driving loop may skip the cycles below
+    /// One core cycle: complete hits, then look up one new transaction.
+    /// Load hits produce replies; misses and stores join the DRAM queue,
+    /// which [`LlcSlice::hand_off`] drains. Returns whether that queue
+    /// gained a new head, which is due for a hand-off from the next cycle
+    /// on. The driving loop may skip the cycles below
     /// [`LlcSlice::cached_next_event`], which the tick republishes for the
     /// next cycle.
-    pub(crate) fn tick(
-        &mut self,
-        cycle: u64,
-        dram_cycle: u64,
-        dram: &mut DramSystem,
-        txns: &TxnTable,
-        replies: &mut Vec<u64>,
-    ) {
-        // 1. Hits whose latency elapsed.
+    pub(crate) fn tick(&mut self, cycle: u64, txns: &TxnTable, replies: &mut Vec<u64>) -> bool {
         while let Some(&(ready, txn)) = self.hits.front() {
             if ready > cycle {
                 break;
@@ -197,36 +155,31 @@ impl LlcSlice {
             self.hits.pop_front();
             replies.push(u64::from(txn));
         }
-
-        // 2. Drain the DRAM retry queue while the channel accepts. A
-        // refusal parks the slice on that channel: its queue is full, so
-        // the head is not offered again until the drive loop unparks it.
-        if let Some(ctrl) = self.parked_on {
-            debug_assert!(
-                !has_room(dram, usize::from(ctrl)),
-                "a parked slice's channel has room"
-            );
-        } else {
-            while let Some(&txn) = self.dram_retry.front() {
-                let t = txns.get(txn);
-                let (ctrl, bank) = (u32::from(t.ctrl), u32::from(t.bank));
-                let (id, is_store) = (u64::from(txn), t.is_store());
-                if dram.try_enqueue_at(ctrl, bank, t.row, id, is_store, dram_cycle) {
-                    self.dram_retry.pop_front();
-                } else {
-                    count(Counter::RefusedEnqueues);
-                    self.parked_on = Some(t.ctrl);
-                    break;
-                }
-            }
-        }
-
-        // 3. Tag access: one transaction per cycle.
+        let had_head = !self.to_dram.is_empty();
         self.tag_access(cycle, txns);
         self.cached_next = self.next_event_at(cycle + 1);
+        !had_head && !self.to_dram.is_empty()
     }
 
-    /// Step 3 of [`LlcSlice::tick`]: looks up the input head. A
+    /// Hands the DRAM queue to DRAM, head first, while the head's channel
+    /// has a free slot; each request arrives in DRAM cycle `dram_cycle`.
+    /// A head whose channel is full waits, and all behind it with it,
+    /// until a DRAM phase frees a slot there: no try is ever refused.
+    pub(crate) fn hand_off(&mut self, dram_cycle: u64, dram: &mut DramSystem, txns: &TxnTable) {
+        while let Some(&txn) = self.to_dram.front() {
+            let t = txns.get(txn);
+            if dram.channel(usize::from(t.ctrl)).is_full() {
+                break;
+            }
+            let (ctrl, bank) = (u32::from(t.ctrl), u32::from(t.bank));
+            let (id, is_store) = (u64::from(txn), t.is_store());
+            let accepted = dram.try_enqueue_at(ctrl, bank, t.row, id, is_store, dram_cycle);
+            debug_assert!(accepted, "a channel with a free slot refused a hand-off");
+            self.to_dram.pop_front();
+        }
+    }
+
+    /// [`LlcSlice::tick`]'s tag access: looks up the input head. A
     /// transaction's lookup is counted once, in the cycle it leaves the
     /// input head.
     fn tag_access(&mut self, cycle: u64, txns: &TxnTable) {
@@ -298,7 +251,7 @@ mod tests {
         cfg.llc_mshr_merges = 1;
         let map = DramMap::baseline();
         let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
-        let mut dram = DramSystem::new(std::sync::Arc::new(map), cfg.dram);
+        let dram = DramSystem::new(map, cfg.dram);
         let mut txns = TxnTable::new(cfg.line_bytes);
         let mut slice = LlcSlice::new(&cfg);
         let mut replies = Vec::new();
@@ -307,20 +260,21 @@ mod tests {
         let [first, second] = [0, 1].map(|warp| txns.alloc(0, warp, line, to));
         slice.deliver(first, 0);
         slice.deliver(second, 0);
-        for cycle in 0..4 {
-            slice.tick(cycle, 0, &mut dram, &txns, &mut replies);
-        }
+        let new_heads: Vec<bool> = (0..4)
+            .map(|cycle| slice.tick(cycle, &txns, &mut replies))
+            .collect();
+        assert_eq!(new_heads, [true, false, false, false], "one miss to DRAM");
         assert!(slice.input_stalled, "the merge list holds one waiter");
         assert_eq!((slice.stats().hits, slice.stats().misses), (0, 1));
 
         slice.on_dram_completion(line, 4, &mut replies);
         assert_eq!(replies, [u64::from(first)]);
-        slice.tick(4, 0, &mut dram, &txns, &mut replies);
+        slice.tick(4, &txns, &mut replies);
         assert!(slice.input.is_empty());
         assert_eq!((slice.stats().hits, slice.stats().misses), (1, 1));
     }
 
-    /// A slice with its own DRAM system: the unit the park property
+    /// A slice with its own DRAM system: the unit the hand-off property
     /// drives twice over the same traffic.
     struct Rig {
         slice: LlcSlice,
@@ -333,7 +287,7 @@ mod tests {
         fn new(cfg: &GpuConfig, dram_cfg: DramConfig) -> Self {
             Rig {
                 slice: LlcSlice::new(cfg),
-                dram: DramSystem::new(std::sync::Arc::new(DramMap::baseline()), dram_cfg),
+                dram: DramSystem::new(DramMap::baseline(), dram_cfg),
                 replies: Vec::new(),
                 completions: Vec::new(),
             }
@@ -363,22 +317,23 @@ mod tests {
 
         /// What the DRAM hand-off has done so far: the transactions still
         /// waiting in the slice, and each channel's queue.
-        fn hand_off(&self) -> (usize, Vec<usize>) {
+        fn handed(&self) -> (usize, Vec<usize>) {
             let queues = (0..self.dram.num_channels())
                 .map(|c| self.dram.channel(c).queue_len())
                 .collect();
-            (self.slice.dram_retry.len(), queues)
+            (self.slice.to_dram.len(), queues)
         }
     }
 
-    // Random slice traffic through a 2-entry DRAM queue, so refusals are
-    // common: the slice driven as the evented loop drives it — ticked at
-    // its own hint, parked by a refusal, unparked once its channel has
-    // room — must hand DRAM the same transactions in the same cycles as
-    // a shadow slice ticked densely that retries its head every cycle.
+    // Random slice traffic through a 2-entry DRAM queue, so full queues
+    // are common: the slice driven as the evented loop drives it —
+    // ticked at its own hint, its DRAM queue offered only after a DRAM
+    // phase that ran or in the cycle after a tick gave it a new head —
+    // must hand DRAM the same transactions in the same cycles as a
+    // shadow slice ticked and offered every cycle.
     proptest! {
         #[test]
-        fn a_parked_slice_enqueues_when_an_every_cycle_retry_does(
+        fn a_hand_off_gated_on_new_heads_and_dram_phases_matches_one_every_cycle(
             seed in 0u64..u64::MAX,
             txn_count in 1usize..200,
             burst in 1u64..6,
@@ -388,7 +343,7 @@ mod tests {
             let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
             let mut dram_cfg: DramConfig = cfg.dram;
             dram_cfg.queue_capacity = 2;
-            let mut parked = Rig::new(&cfg, dram_cfg);
+            let mut gated = Rig::new(&cfg, dram_cfg);
             let mut shadow = Rig::new(&cfg, dram_cfg);
             let mut txns = TxnTable::new(cfg.line_bytes);
 
@@ -400,11 +355,13 @@ mod tests {
                 s
             };
             let mut pending = txn_count;
+            let mut handoff_next = u64::MAX;
             let dram_clock = DomainClock::new(cfg.dram.clock_mhz);
             for cycle in 0..6_000u64 {
                 let dram_cycles = dram_clock.ticked_in(cycle);
                 let dram_cycle = dram_cycles.end;
-                parked.tick_dram(dram_cycles.clone(), |now, next| now >= next, cycle, &txns);
+                let dram_due = dram_cycles.end > gated.dram.cached_next_event();
+                gated.tick_dram(dram_cycles.clone(), |now, next| now >= next, cycle, &txns);
                 shadow.tick_dram(dram_cycles, |_, _| true, cycle, &txns);
                 // Random delivery bursts (hot lines force MSHR merges and
                 // stalls; random stores exercise the write-through path).
@@ -413,41 +370,43 @@ mod tests {
                         let r = next_mix();
                         let line = (r % 64) << 7;
                         let is_store = r % 5 == 0;
-                        let to = route(&mapper, &parked.dram, line);
+                        let to = route(&mapper, &gated.dram, line);
                         let id = txns.alloc(0, if is_store { NO_WARP } else { 0 }, line, to);
-                        parked.slice.deliver(id, cycle);
+                        gated.slice.deliver(id, cycle);
                         shadow.slice.deliver(id, cycle);
                         pending -= 1;
                     }
                 }
-                // The loop's unpark, after the DRAM phase.
-                if let Some(ch) = parked.slice.parked_on() {
-                    if has_room(&parked.dram, ch) {
-                        parked.slice.unpark(cycle);
-                    }
+                // The drive loop's hand-off pass, then the slice walk.
+                let Rig { slice, dram, replies, .. } = &mut gated;
+                if dram_due || cycle >= handoff_next {
+                    handoff_next = u64::MAX;
+                    slice.hand_off(dram_cycle, dram, &txns);
                 }
-                let Rig { slice, dram, replies, .. } = &mut parked;
-                if cycle >= slice.cached_next_event() {
-                    slice.tick(cycle, dram_cycle, dram, &txns, replies);
+                if cycle >= slice.cached_next_event() && slice.tick(cycle, &txns, replies) {
+                    handoff_next = cycle + 1;
                 }
                 let Rig { slice, dram, replies, .. } = &mut shadow;
-                slice.unpark(cycle);
-                slice.tick(cycle, dram_cycle, dram, &txns, replies);
+                slice.hand_off(dram_cycle, dram, &txns);
+                slice.tick(cycle, &txns, replies);
 
-                if let Some(ch) = parked.slice.parked_on() {
+                // What makes the gate exact: a head that is not new waits
+                // on a full channel, and only a DRAM phase empties one.
+                if let Some(&head) = gated.slice.to_dram.front() {
+                    let ctrl = usize::from(txns.get(head).ctrl);
                     prop_assert!(
-                        !has_room(&parked.dram, ch),
-                        "cycle {}: parked on channel {}, which has room", cycle, ch
+                        handoff_next == cycle + 1 || gated.dram.channel(ctrl).is_full(),
+                        "cycle {}: a waiting head's channel {} has room", cycle, ctrl
                     );
                 }
                 prop_assert_eq!(
-                    parked.hand_off(), shadow.hand_off(),
+                    gated.handed(), shadow.handed(),
                     "cycle {}: the DRAM hand-off diverged", cycle
                 );
-                prop_assert_eq!(&parked.replies, &shadow.replies, "cycle {}", cycle);
-                parked.replies.clear();
+                prop_assert_eq!(&gated.replies, &shadow.replies, "cycle {}", cycle);
+                gated.replies.clear();
                 shadow.replies.clear();
-                if pending == 0 && parked.slice.is_idle() && !parked.dram.is_busy() {
+                if pending == 0 && gated.slice.is_idle() && !gated.dram.is_busy() {
                     break;
                 }
             }

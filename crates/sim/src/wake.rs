@@ -25,11 +25,10 @@
 //! | [`DramChannel`] | [`DramSystem::tick`], through the loop's gate | its own tick | the earlier of the next *dequeue* (next cycle while a bank is ready, else the earliest `ready_at` of a bank with queued work) and the next retirement |
 //! | | | an accepted enqueue | lowered to `max(arrival, bank ready_at)` when the bank was empty |
 //! | [`Crossbar`] | the NoC phase of the drive loop | its own tick, an injection into an idle port | the next packet *delivery*: `max(previous delivery + 1, injected_at + router_latency) + flits - 1` — one event per packet, none per flit |
-//! | LLC slice | the slice walk and its gate, `slices_next` | its own tick | next cycle while the input head can be looked up or an unparked DRAM-retry head waits; else the front of the hit pipeline |
-//! | | | a refused DRAM enqueue | none: a refused DRAM enqueue parks the slice on that channel; a parked head publishes no wake-up and is not re-attempted, whatever else wakes the slice |
-//! | | | a free slot in its channel | that cycle: a free slot in its channel unparks it — after a DRAM phase that ran, the drive loop asks every slice for the channel it is parked on; the open gate retries a parked head every cycle instead, which is the oracle for this unpark |
+//! | LLC slice | the slice walk and its gate, `slices_next` | its own tick | next cycle while the input head can be looked up; else the front of the hit pipeline (its DRAM queue is the hand-off's) |
 //! | | | a request delivery | the delivery's cycle — unless the input head is MSHR-stalled, when a packet queued behind it changes nothing |
 //! | | | a DRAM fill | the fill's cycle when it un-stalls a waiting input head; else nothing (the replies leave directly) |
+//! | DRAM hand-off | the drive loop's pass over every slice's DRAM queue, in index order, head first while the head's channel has a free slot | a DRAM phase that ran; a slice tick that gave its DRAM queue a new head, through the gate `handoff_next` | that cycle for a DRAM phase, the next cycle for a new head: a head that waits has a full channel and only a dequeue frees a slot, so no try is ever refused; work queued behind a head waits for that head |
 //! | SM | the SM walk and its gate, `sms_next` | its own tick | next cycle while a warp can issue or the LSU head can move; else the earlier of the compute wake-up heap and the L1 hit pipeline |
 //! | | | a reply | the reply's cycle if a warp became ready or the LSU queue is non-empty (the fill un-stalls its head); else nothing |
 //! | | | a TB assignment | the cycle after the assignment |
@@ -159,15 +158,13 @@ pub mod audit {
         SliceTicks,
         /// LLC tag lookups (stall replays are not lookups).
         TagAccesses,
-        /// DRAM enqueue attempts refused by a full channel queue.
-        RefusedEnqueues,
         /// TB-scheduler passes the loop's gate let through.
         SchedulerPasses,
     }
 
     #[cfg(feature = "wake-audit")]
     thread_local! {
-        static COUNTS: [std::cell::Cell<u64>; 8] = Default::default();
+        static COUNTS: [std::cell::Cell<u64>; 7] = Default::default();
     }
 
     /// Adds one to `counter` on this thread.

@@ -216,8 +216,7 @@ fn an_sm_count_a_transaction_cannot_name_is_refused() {
 
 /// More than 64 LLC slices: the stacked machine with two slices per
 /// vault (128) builds, and the hint gate agrees with the open gate, which
-/// retries every parked slice every cycle, on a valley and a streaming
-/// run.
+/// runs the DRAM hand-off every cycle, on a valley and a streaming run.
 #[test]
 fn a_machine_with_128_llc_slices_runs_gated_as_dense() {
     let cfg = GpuConfig {
@@ -272,8 +271,8 @@ fn controllers_that_leave_slices_unused_are_refused() {
     let _ = build(cfg);
 }
 
-/// A DRAM queue with no slot refuses every request: a slice would park
-/// on it for good and the run idle to `max_cycles`.
+/// A DRAM queue with no slot refuses every request: a slice's DRAM
+/// queue head would wait on it for good and the run idle to `max_cycles`.
 #[test]
 #[should_panic(expected = "dram.queue_capacity = 0: the machine needs at least one")]
 fn a_dram_queue_without_slots_is_refused() {

@@ -6,11 +6,12 @@
 //!
 //! The three cases are the ones the wake-ups were tuned on, at
 //! `Scale::Ref`, where back-pressure is real: MT/BASE is the paper's
-//! valley at its worst (one channel saturated, every slice refused
-//! more often than DRAM issues a command — the regime where a slice
-//! woken by the wrong event is refused over and over), LPS/BASE is a
-//! milder valley with stores, SRAD2/PAE is spread traffic with the
-//! most transactions in flight.
+//! valley at its worst (one channel saturated, every slice's DRAM
+//! queue backed up behind it), LPS/BASE is a milder valley with stores,
+//! SRAD2/PAE is spread traffic with the most transactions in flight. A
+//! slice is not woken for its DRAM queue (the drive loop's hand-off
+//! pass drains it), so effective slice ticks stay close to tag
+//! accesses.
 //!
 //! Each count is pinned exactly. A change to when a unit wakes moves
 //! one of them, and the diff of this file then shows by how much; the
@@ -29,7 +30,6 @@ struct Wakes {
     idle_iterations: u64,
     slice_ticks: u64,
     tag_accesses: u64,
-    refused_enqueues: u64,
     scheduler_passes: u64,
 }
 
@@ -48,7 +48,6 @@ fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
         Counter::IdleIterations,
         Counter::SliceTicks,
         Counter::TagAccesses,
-        Counter::RefusedEnqueues,
         Counter::SchedulerPasses,
     ] {
         take(c);
@@ -60,7 +59,6 @@ fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
         idle_iterations: take(Counter::IdleIterations),
         slice_ticks: take(Counter::SliceTicks),
         tag_accesses: take(Counter::TagAccesses),
-        refused_enqueues: take(Counter::RefusedEnqueues),
         scheduler_passes: take(Counter::SchedulerPasses),
     };
     let issues = report.dram.reads + report.dram.writes;
@@ -82,11 +80,6 @@ fn assert_wakes(bench: Benchmark, scheme: SchemeKind, want: Wakes) {
         got.slice_ticks,
         got.tag_accesses
     );
-    assert!(
-        got.refused_enqueues <= 2 * issues + report.memory_transactions,
-        "{tag}: {} refused enqueues for {issues} DRAM issues",
-        got.refused_enqueues
-    );
     // A pass runs at the first load, in a cycle that retired a TB, and
     // in the cycle after a finished kernel.
     assert!(
@@ -105,9 +98,8 @@ fn saturated_valley_mt_base() {
         Wakes {
             iterations: 409_522,
             idle_iterations: 0,
-            slice_ticks: 380_312,
+            slice_ticks: 136_472,
             tag_accesses: 136_464,
-            refused_enqueues: 240_736,
             scheduler_passes: 514,
         },
     );
@@ -121,9 +113,8 @@ fn valley_with_stores_lps_base() {
         Wakes {
             iterations: 436_813,
             idle_iterations: 0,
-            slice_ticks: 213_279,
+            slice_ticks: 153_060,
             tag_accesses: 151_953,
-            refused_enqueues: 68_183,
             scheduler_passes: 2_038,
         },
     );
@@ -137,9 +128,8 @@ fn spread_traffic_srad2_pae() {
         Wakes {
             iterations: 522_064,
             idle_iterations: 0,
-            slice_ticks: 1_004_934,
+            slice_ticks: 532_777,
             tag_accesses: 519_598,
-            refused_enqueues: 243_001,
             scheduler_passes: 397,
         },
     );

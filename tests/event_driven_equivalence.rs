@@ -22,8 +22,8 @@ fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
 }
 
 /// The `scale` workload of `bench` cut at core cycle `max_cycles`. At
-/// `Scale::Ref`, a prefix reaches the full DRAM queues and parked slices
-/// of a ref run in a fraction of its time.
+/// `Scale::Ref`, a prefix reaches the full DRAM queues and backed-up
+/// LLC slices of a ref run in a fraction of its time.
 fn build_limited(bench: Benchmark, scheme: SchemeKind, scale: Scale, max_cycles: u64) -> GpuSim {
     let cfg = GpuConfig {
         max_cycles,
@@ -133,7 +133,8 @@ fn random_benchmark_fae_scheme() {
 }
 
 /// The wake audit's three runs at `Scale::Ref`, where DRAM back-pressure
-/// and parked LLC slices are the common case rather than the rare one:
+/// and LLC slices waiting on full DRAM queues are the common case rather
+/// than the rare one:
 /// MT/BASE saturates one channel, LPS/BASE is a milder valley with
 /// stores, SRAD2/PAE keeps the most transactions in flight. A few
 /// seconds in release; CI runs it with `--ignored`.
@@ -183,16 +184,35 @@ fn dram_clocks_above_the_core_clock() {
     }
 }
 
+/// The 64-vault machine: SP/PAE at test scale, and MT/BASE at
+/// `Scale::Ref` cut at core cycle 20,000. In that prefix each of the 8
+/// LLC slices hands off to 8 vaults, and a head waiting on a full vault
+/// holds up work behind it bound for the other 7: the hand-off's
+/// head-of-line wait, its gate opened by DRAM phases and new heads.
 #[test]
 fn stacked_memory_equivalence() {
-    assert_equivalent_with(
-        Benchmark::Sp,
-        SchemeKind::Pae,
-        &GpuConfig::stacked(),
-        DramMap::stacked(),
-        Scale::Test,
-        " stacked",
-    );
+    let prefix = GpuConfig {
+        max_cycles: 20_000,
+        ..GpuConfig::stacked()
+    };
+    for (bench, scheme, cfg, scale, note) in [
+        (
+            Benchmark::Sp,
+            SchemeKind::Pae,
+            GpuConfig::stacked(),
+            Scale::Test,
+            " stacked",
+        ),
+        (
+            Benchmark::Mt,
+            SchemeKind::Base,
+            prefix,
+            Scale::Ref,
+            " stacked, ref cut at 20,000",
+        ),
+    ] {
+        assert_equivalent_with(bench, scheme, &cfg, DramMap::stacked(), scale, note);
+    }
 }
 
 /// The 64-vault machine at `Scale::Ref` on the deepest valley (MT/BASE)
