@@ -5,6 +5,10 @@
 //! entry instead of issuing a duplicate memory request — essential for GPU
 //! L1s, where many warps touch the same lines in short order. The paper's
 //! L1 configuration provides 32 MSHR entries per SM (Table I).
+//!
+//! The waiters live in one `capacity × max_merges` array, indexed by the
+//! slot a map gives each outstanding line: no entry owns storage, and
+//! nothing grows after [`MshrFile::new`].
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -46,13 +50,15 @@ pub enum MshrAllocation {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MshrFile {
-    capacity: usize,
     max_merges: usize,
-    entries: FastMap<u64, Vec<u64>>,
-    /// Recycled waiter lists: completing an entry via
-    /// [`MshrFile::complete_into`] parks its `Vec` here so a later
-    /// allocation reuses it instead of hitting the allocator.
-    pool: Vec<Vec<u64>>,
+    /// Each outstanding line's slot.
+    lines: FastMap<u64, usize>,
+    /// Slot `s`'s waiters, in allocation order, are the first
+    /// `merged[s]` of the `max_merges` cells from `s * max_merges` on.
+    waiters: Box<[u64]>,
+    merged: Box<[usize]>,
+    /// The free slots, the last freed on top.
+    free: Vec<usize>,
 }
 
 impl MshrFile {
@@ -66,87 +72,79 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR capacity must be non-zero");
         assert!(max_merges > 0, "merge capacity must be non-zero");
         MshrFile {
-            capacity,
             max_merges,
-            entries: FastMap::with_capacity_and_hasher(capacity, Default::default()),
-            pool: Vec::new(),
+            lines: FastMap::with_capacity_and_hasher(capacity, Default::default()),
+            waiters: vec![0; capacity * max_merges].into(),
+            merged: vec![0; capacity].into(),
+            free: (0..capacity).rev().collect(),
         }
     }
 
     /// Number of entry slots.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.merged.len()
     }
 
     /// Number of outstanding lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// Whether no misses are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines.is_empty()
     }
 
     /// Whether `line` is already being fetched.
     pub fn contains(&self, line: u64) -> bool {
-        self.entries.contains_key(&line)
+        self.lines.contains_key(&line)
     }
 
     /// Tracks a miss on `line` for `waiter`. See [`MshrAllocation`] for the
     /// three possible outcomes.
     pub fn allocate(&mut self, line: u64, waiter: u64) -> MshrAllocation {
-        if let Some(waiters) = self.entries.get_mut(&line) {
-            if waiters.len() >= self.max_merges {
-                return MshrAllocation::Stalled;
+        let (slot, outcome) = match self.lines.get(&line) {
+            Some(&slot) if self.merged[slot] == self.max_merges => return MshrAllocation::Stalled,
+            Some(&slot) => (slot, MshrAllocation::Merged),
+            None => {
+                let Some(slot) = self.free.pop() else {
+                    return MshrAllocation::Stalled;
+                };
+                // The map's live size is bounded, but it may rehash under
+                // insert/remove churn; declare that to the allocation
+                // audit rather than count it as per-tick work.
+                let _audit_pause = (self.lines.len() == self.lines.capacity())
+                    .then(valley_core::alloc_audit::pause);
+                self.lines.insert(line, slot);
+                (slot, MshrAllocation::NewEntry)
             }
-            // Waiter-list growth (here and below) is amortized pool
-            // growth toward the merge-capacity high-water mark, and the
-            // map itself may rehash under insert/remove churn even though
-            // its live size is bounded; declare both to the allocation
-            // audit rather than counting them as per-tick work.
-            let _audit_pause =
-                (waiters.len() == waiters.capacity()).then(valley_core::alloc_audit::pause);
-            waiters.push(waiter);
-            return MshrAllocation::Merged;
-        }
-        if self.entries.len() >= self.capacity {
-            return MshrAllocation::Stalled;
-        }
-        let mut waiters = self.pool.pop().unwrap_or_default();
-        let _audit_pause = (waiters.len() == waiters.capacity()
-            || self.entries.len() == self.entries.capacity())
-        .then(valley_core::alloc_audit::pause);
-        waiters.push(waiter);
-        self.entries.insert(line, waiters);
-        MshrAllocation::NewEntry
+        };
+        self.waiters[slot * self.max_merges + self.merged[slot]] = waiter;
+        self.merged[slot] += 1;
+        outcome
     }
 
     /// Completes the fetch of `line`, freeing its entry and returning the
     /// waiters to wake (in allocation order), or `None` if the line was not
     /// outstanding.
     pub fn complete(&mut self, line: u64) -> Option<Vec<u64>> {
-        self.entries.remove(&line)
+        let mut waiters = Vec::new();
+        self.complete_into(line, &mut waiters).then_some(waiters)
     }
 
     /// Allocation-free [`MshrFile::complete`]: appends the waiters of
-    /// `line` to `out` (in allocation order) and recycles the entry's
-    /// storage. Returns whether the line was outstanding.
+    /// `line` to `out` (in allocation order) and frees its entry.
+    /// Returns whether the line was outstanding.
     pub fn complete_into(&mut self, line: u64, out: &mut Vec<u64>) -> bool {
-        match self.entries.remove(&line) {
-            Some(mut waiters) => {
-                // Caller-buffer and free-pool growth toward their
-                // high-water marks — declared to the allocation audit.
-                let _audit_pause = (out.len() + waiters.len() > out.capacity()
-                    || self.pool.len() == self.pool.capacity())
-                .then(valley_core::alloc_audit::pause);
-                out.extend_from_slice(&waiters);
-                waiters.clear();
-                self.pool.push(waiters);
-                true
-            }
-            None => false,
-        }
+        let Some(slot) = self.lines.remove(&line) else {
+            return false;
+        };
+        let n = std::mem::take(&mut self.merged[slot]);
+        // Caller-buffer growth is declared to the allocation audit.
+        let _audit_pause = (out.len() + n > out.capacity()).then(valley_core::alloc_audit::pause);
+        out.extend_from_slice(&self.waiters[slot * self.max_merges..][..n]);
+        self.free.push(slot);
+        true
     }
 }
 

@@ -195,6 +195,50 @@ proptest! {
         prop_assert!(m.is_empty());
     }
 
+    /// The MSHR file is a map from line to waiters, bounded twice: under
+    /// random allocations and completions, each outcome, the waiters a
+    /// completion hands back and their order, `len` and `contains` match
+    /// a `BTreeMap<u64, Vec<u64>>` that applies the capacity and merge
+    /// limits itself.
+    #[test]
+    fn mshr_matches_a_bounded_map(
+        capacity in 1usize..6,
+        max_merges in 1usize..5,
+        ops in proptest::collection::vec((any::<bool>(), 0u64..10), 1..200),
+    ) {
+        let mut m = MshrFile::new(capacity, max_merges);
+        let mut model: std::collections::BTreeMap<u64, Vec<u64>> =
+            std::collections::BTreeMap::new();
+        let mut out = Vec::new();
+        for (i, &(complete, l)) in ops.iter().enumerate() {
+            let line = l * 128;
+            let waiter = i as u64;
+            if complete {
+                out.clear();
+                let found = m.complete_into(line, &mut out);
+                let expected = model.remove(&line);
+                prop_assert_eq!(found, expected.is_some(), "op {}: complete {:#x}", i, line);
+                prop_assert_eq!(&out, &expected.unwrap_or_default(), "op {}: waiters", i);
+            } else {
+                let expected = match model.get(&line).map(Vec::len) {
+                    Some(n) if n == max_merges => MshrAllocation::Stalled,
+                    None if model.len() == capacity => MshrAllocation::Stalled,
+                    Some(_) => MshrAllocation::Merged,
+                    None => MshrAllocation::NewEntry,
+                };
+                if expected != MshrAllocation::Stalled {
+                    model.entry(line).or_default().push(waiter);
+                }
+                prop_assert_eq!(m.allocate(line, waiter), expected, "op {}: allocate {:#x}", i, line);
+            }
+            prop_assert_eq!(m.len(), model.len(), "op {}: len", i);
+            prop_assert_eq!(m.is_empty(), model.is_empty());
+            for probe in 0..10u64 {
+                prop_assert_eq!(m.contains(probe * 128), model.contains_key(&(probe * 128)));
+            }
+        }
+    }
+
     /// The MSHR never reports more outstanding lines than its capacity.
     #[test]
     fn mshr_capacity_respected(lines in proptest::collection::vec(0u64..1000, 1..100)) {

@@ -7,10 +7,14 @@
 //! row. Arbitration is **one pass over the banks with queued work**: a bank
 //! that can take a command offers its front (its oldest request) and its
 //! hit; the oldest hit wins, and without one the oldest front. The same
-//! pass notes whether a second bank was ready and the earliest `ready_at`
-//! of the rest, which is all the dequeue horizon needs. An issued request
-//! was the oldest of its row from its position on, so the bank's new hit
-//! is the first entry from there on to the now-open row.
+//! pass names the next cycle another bank can take a command (the next
+//! one if a second bank is ready), all the next dequeue needs. An issued
+//! request was the oldest of its row from its position on, so the bank's
+//! new hit is the first entry from there on to the now-open row.
+//!
+//! A queued entry holds what issuing it reads; its bank is the queue it
+//! waits in. The next dequeue is not stored: `tick` folds it and the next
+//! retirement into its one hint, [`DramChannel::cached_next_event`].
 //!
 //! The banks with queued work are a `u64` bitmask walked by its set bits:
 //! a variant that scanned every bank was slower on both ref-scale grids.
@@ -85,21 +89,21 @@ struct Bank {
     hit: Option<usize>,
 }
 
-/// A queued request plus its global arrival order.
+/// A queued request: its global arrival order and what issuing it reads.
 #[derive(Clone, Copy, Debug)]
 struct Queued {
     seq: u64,
-    req: DramRequest,
+    id: u64,
+    row: usize,
+    is_write: bool,
 }
 
 /// What one arbitration pass found.
 struct Arbitration {
     /// The FR-FCFS choice: bank and position within its queue.
     choice: Option<(usize, usize)>,
-    /// Whether a bank other than the chosen one can accept a command.
-    other_ready: bool,
-    /// The earliest `ready_at` among queued banks that cannot accept a
-    /// command yet (`u64::MAX` if none).
+    /// The first cycle after this one at which a queued bank other than
+    /// the chosen one can accept a command (`u64::MAX` if none).
     next_ready: u64,
 }
 
@@ -155,15 +159,6 @@ pub struct DramChannel {
     /// by [`DramChannel::try_enqueue`]; a tick below it changes nothing,
     /// so a gated [`crate::DramSystem::tick`] skips those.
     cached_next: u64,
-    /// The cycle of the next **dequeue** — the first tick whose `pick`
-    /// takes a request out of the scheduling queue (`u64::MAX` = nothing
-    /// queued). Exact: `tick` republishes it after arbitration (the next
-    /// cycle while another bank is ready, else the earliest `ready_at` of
-    /// a queued bank) and [`DramChannel::try_enqueue`] lowers it like
-    /// `cached_next`. It is the dequeue half of the channel's own
-    /// wake-up, `cached_next`; a caller refused by a full queue watches
-    /// [`DramChannel::queue_len`] instead.
-    next_dequeue: u64,
     /// Issued-but-uncompleted transactions, in issue order. The shared
     /// data bus serializes bursts, so `finish` times are strictly
     /// increasing in issue order and the retire queue is a plain FIFO —
@@ -199,7 +194,6 @@ impl DramChannel {
             busy_bank_count: 0,
             next_seq: 0,
             cached_next: 0,
-            next_dequeue: u64::MAX,
             inflight: VecDeque::with_capacity(32),
             next_act_at: 0,
             bus_free_at: 0,
@@ -236,21 +230,24 @@ impl DramChannel {
         // mark, not per-tick work; declare it to the allocation audit.
         let _audit_pause = (self.queues[b].len() == self.queues[b].capacity())
             .then(valley_core::alloc_audit::pause);
-        self.queues[b].push_back(Queued { seq, req });
+        self.queues[b].push_back(Queued {
+            seq,
+            id: req.id,
+            row: req.row,
+            is_write: req.is_write,
+        });
         self.queued += 1;
         self.queued_banks |= 1 << b;
         let bank = &mut self.banks[b];
         if bank.hit.is_none() && bank.open_row == Some(req.row) {
             bank.hit = Some(self.queues[b].len() - 1);
         }
-        // Evented cache and dequeue horizon: the earliest cycle this
-        // request could issue is when both it has arrived and its bank
-        // can take a command — every other potential event was already
-        // covered by what the last tick left behind, so both stay exact
-        // without a rescan.
+        // The earliest cycle this request could issue is when both it
+        // has arrived and its bank can take a command — every other
+        // potential event was already covered by what the last tick left
+        // behind, so the hint stays exact without a rescan.
         let event = req.arrival.max(self.banks[b].ready_at);
         self.cached_next = self.cached_next.min(event);
-        self.next_dequeue = self.next_dequeue.min(event);
         true
     }
 
@@ -302,7 +299,6 @@ impl DramChannel {
             // Idle: nothing to retire or schedule (and the bus went free
             // no later than the last retired burst).
             debug_assert!(self.bus_free_at <= cycle);
-            self.next_dequeue = u64::MAX;
             self.cached_next = u64::MAX;
             return;
         }
@@ -328,7 +324,9 @@ impl DramChannel {
         }
 
         let arb = self.pick(cycle);
-        let mut next_ready = arb.next_ready;
+        // The next dequeue: the first cycle any queued bank, the
+        // just-issued one included, can accept a command.
+        let mut next_dequeue = arb.next_ready;
         if let Some((bank, idx)) = arb.choice {
             #[expect(
                 clippy::expect_used,
@@ -338,30 +336,22 @@ impl DramChannel {
                 .remove(idx)
                 .expect("picked index is valid");
             self.queued -= 1;
-            self.issue(q.req, cycle);
+            self.issue(bank, q, cycle);
             // The issued request was the oldest of its row at or after
             // `idx` (the open row's oldest on a hit, else the front), and
             // its row is now the open one.
             let queue = &self.queues[bank];
-            self.banks[bank].hit = (idx..queue.len()).find(|&i| queue[i].req.row == q.req.row);
+            self.banks[bank].hit = (idx..queue.len()).find(|&i| queue[i].row == q.row);
             if queue.is_empty() {
                 self.queued_banks &= !(1 << bank);
             } else {
-                next_ready = next_ready.min(self.banks[bank].ready_at);
+                next_dequeue = next_dequeue.min(self.banks[bank].ready_at);
             }
         }
-        // Post-pick horizons: another ready bank issues at the very next
-        // tick; otherwise the earliest queued bank's `ready_at` (the
-        // just-issued one included) names the next dequeue.
-        self.next_dequeue = if arb.other_ready {
-            cycle + 1
-        } else {
-            next_ready
-        };
         self.cached_next = self
             .inflight
             .front()
-            .map_or(self.next_dequeue, |f| self.next_dequeue.min(f.finish));
+            .map_or(next_dequeue, |f| next_dequeue.min(f.finish));
     }
 
     /// FR-FCFS arbitration: among requests whose bank can accept a command
@@ -398,16 +388,17 @@ impl DramChannel {
             choice: best_hit
                 .map(|(_, b, i)| (b, i))
                 .or(oldest_ready.map(|(_, b)| (b, 0))),
-            other_ready: ready > 1,
-            next_ready,
+            // A second ready bank takes its command at the very next tick.
+            next_ready: if ready > 1 { cycle + 1 } else { next_ready },
         }
     }
 
-    /// Commits the command sequence for `req` starting no earlier than
-    /// `cycle`, updating bank, bus and statistics state.
-    fn issue(&mut self, req: DramRequest, cycle: u64) {
+    /// Commits the command sequence for `req`, taken from bank `b`'s
+    /// queue, starting no earlier than `cycle`, updating bank, bus and
+    /// statistics state.
+    fn issue(&mut self, b: usize, req: Queued, cycle: u64) {
         let t = &self.cfg.timing;
-        let bank = &mut self.banks[req.bank];
+        let bank = &mut self.banks[b];
         let outcome = match bank.open_row {
             Some(r) if r == req.row => RowBufferOutcome::Hit,
             Some(_) => RowBufferOutcome::Conflict,
@@ -465,7 +456,7 @@ impl DramChannel {
         self.inflight.push_back(InFlight {
             finish: data_end,
             id: req.id,
-            bank: req.bank,
+            bank: b,
             is_write: req.is_write,
         });
     }
@@ -473,11 +464,20 @@ impl DramChannel {
 
 #[cfg(test)]
 impl DramChannel {
-    /// The cycle of the next dequeue: the first tick at which
-    /// [`DramChannel::queue_len`] drops (`u64::MAX` while nothing is
-    /// queued) — what the horizon test pins.
-    pub(crate) fn next_dequeue_at(&self) -> u64 {
-        self.next_dequeue
+    /// The cycle of the next dequeue from `cycle` on, read off the banks:
+    /// the first cycle a bank with queued work can take a command
+    /// (`u64::MAX` while nothing is queued). Only an issue moves a
+    /// `ready_at`, so until a tick dequeues, that is the first tick at
+    /// which [`DramChannel::queue_len`] drops — what the horizon test
+    /// pins.
+    pub(crate) fn next_dequeue_at(&self, cycle: u64) -> u64 {
+        self.banks
+            .iter()
+            .zip(&self.queues)
+            .filter(|(_, queue)| !queue.is_empty())
+            .map(|(bank, _)| bank.ready_at.max(cycle))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// The pre-index linear arbitration — scans every bank and every
@@ -495,7 +495,7 @@ impl DramChannel {
                 oldest_ready = Some((front.seq, b));
             }
             if let Some(open) = bank.open_row {
-                if let Some((i, q)) = queue.iter().enumerate().find(|(_, q)| q.req.row == open) {
+                if let Some((i, q)) = queue.iter().enumerate().find(|(_, q)| q.row == open) {
                     if best_hit.is_none_or(|(seq, _, _)| q.seq < seq) {
                         best_hit = Some((q.seq, b, i));
                     }
@@ -526,7 +526,7 @@ impl DramChannel {
             }
             let hit = bank
                 .open_row
-                .and_then(|open| queue.iter().position(|q| q.req.row == open));
+                .and_then(|open| queue.iter().position(|q| q.row == open));
             assert_eq!(bank.hit, hit, "bank {b}: cached hit");
         }
         assert_eq!(self.queued_banks, queued_banks, "queued bank mask");
@@ -894,10 +894,11 @@ mod tests {
             /// The dequeue horizon is exact: under random traffic into
             /// a four-entry queue (so it is full most of the time, the
             /// state an LLC slice's DRAM queue head waits in), the queue
-            /// shrinks on exactly the cycles the channel named beforehand
-            /// — on the dense path and on the evented one, which only
-            /// ticks when its own hint (the horizon's minimum with the next
-            /// retirement) says so.
+            /// shrinks on exactly the cycles the banks name beforehand,
+            /// and after every tick the channel's hint is the earlier of
+            /// that horizon and the next retirement — on the dense path
+            /// and on the evented one, which only ticks when its own hint
+            /// says so, so a hint published late skips a dequeue.
             #[test]
             fn dequeue_horizon_is_the_cycle_the_queue_drops(
                 reqs in proptest::collection::vec(
@@ -923,9 +924,7 @@ mod tests {
                         }
                         ch.assert_index_invariants();
                     }
-                    let horizon = ch.next_dequeue_at();
-                    prop_assert!(horizon >= cycle, "cycle {}: horizon {} already passed", cycle, horizon);
-                    prop_assert_eq!(horizon == u64::MAX, ch.queue_len() == 0);
+                    let horizon = ch.next_dequeue_at(cycle);
                     let before = ch.queue_len();
                     if evented {
                         tick_gated(&mut ch, cycle, &mut done);
@@ -935,7 +934,12 @@ mod tests {
                     ch.assert_index_invariants();
                     prop_assert_eq!(
                         ch.queue_len() < before, horizon == cycle,
-                        "cycle {}: published dequeue at {}", cycle, horizon
+                        "cycle {}: the banks named a dequeue at {}", cycle, horizon
+                    );
+                    let retire = ch.inflight.front().map_or(u64::MAX, |f| f.finish);
+                    prop_assert_eq!(
+                        ch.cached_next_event(), ch.next_dequeue_at(cycle + 1).min(retire),
+                        "cycle {}: the hint is not the next dequeue or retirement", cycle
                     );
                     if next == reqs.len() && !ch.is_busy() {
                         break;

@@ -9,6 +9,7 @@
 //! `figures` and `fetch` read stored results only.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use valley_core::hash::FastMap;
@@ -360,8 +361,39 @@ fn results_dir(flags: &Flags) -> std::path::PathBuf {
         .unwrap_or_else(default_results_dir)
 }
 
+/// The `--results` store of `sweep` and `serve`, made if it is missing.
 fn open_store(flags: &Flags) -> Result<ResultStore, String> {
     ResultStore::open(results_dir(flags)).map_err(|e| e.to_string())
+}
+
+/// The `--results` directory of a command that only reads the store:
+/// one that is missing is refused, not made, so a mistyped path fails
+/// instead of reading as an empty store.
+fn existing_results_dir(flags: &Flags) -> Result<PathBuf, String> {
+    let dir = results_dir(flags);
+    if dir.is_dir() {
+        Ok(dir)
+    } else {
+        Err(format!(
+            "no result store at {} (only `sweep` and `serve` make one)",
+            dir.display()
+        ))
+    }
+}
+
+/// [`open_store`] for a command that only reads: see
+/// [`existing_results_dir`].
+fn open_existing_store(flags: &Flags) -> Result<ResultStore, String> {
+    ResultStore::open(existing_results_dir(flags)?).map_err(|e| e.to_string())
+}
+
+/// `--expect-cached`, a percentage: refused outside 0–100 before anything
+/// runs, since no run can fail a bound under 0 or meet one over 100.
+fn expect_cached(flags: &Flags) -> Result<Option<f64>, String> {
+    let percentage = |v: &str| v.parse().ok().filter(|p| (0.0..=100.0).contains(p));
+    flags
+        .parsed_with("expect-cached", percentage)
+        .map_err(|e| format!("{e}: a percentage is 0 to 100"))
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), String> {
@@ -369,7 +401,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let scale = spec.scale;
     let workers = flags.parsed("workers")?;
     flags.parsed::<usize>("batch")?; // inert, see BATCH
-    let expect_cached: Option<f64> = flags.parsed("expect-cached")?;
+    let expect_cached = expect_cached(flags)?;
 
     let store = open_store(flags)?;
     let opts = SweepOptions {
@@ -378,24 +410,16 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         force: flags.has("force"),
     };
     let outcome = run_sweep(&spec, &store, &opts).map_err(|e| e.to_string())?;
-
-    let executed_ms = outcome
-        .jobs
-        .iter()
-        .filter(|j| !j.cached)
-        .map(|j| j.wall_ms)
-        .sum::<f64>()
-        .max(0.0); // an empty sum can be -0.0, which formats as "-0"
     println!(
         "sweep: {} jobs at scale {} — {} cache hit(s), {} executed ({:.1}% hit rate) \
          in {:.2?} ({:.0} ms simulating)",
-        outcome.jobs.len(),
+        outcome.jobs,
         scale,
         outcome.cache_hits,
         outcome.executed,
         outcome.hit_rate() * 100.0,
         outcome.wall,
-        executed_ms,
+        outcome.simulated_ms,
     );
     println!(
         "store: {} result(s) in {}",
@@ -420,10 +444,10 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
     if let Some(addr) = flags.get("fabric") {
         return fabric_status_report(addr);
     }
+    let dir = existing_results_dir(flags)?;
     // One hash over every declared wire/store shape and its version: two
     // deployments printing the same line run under the same contract.
     println!("schema: {:016x}", valley_fabric::schema::identity());
-    let dir = results_dir(flags);
     // A lenient scan instead of a strict open: a store full of schema
     // orphans should *report* its state (and point at `gc`), not error.
     let scan = valley_harness::scan(&dir).map_err(|e| e.to_string())?;
@@ -476,7 +500,7 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_gc(flags: &Flags) -> Result<(), String> {
-    let dir = results_dir(flags);
+    let dir = existing_results_dir(flags)?;
     let report = valley_harness::gc(&dir).map_err(|e| e.to_string())?;
     println!(
         "gc: {} kept, {} removed ({} duplicate(s), {} orphan(s), {} truncated tail(s)) in {}",
@@ -511,7 +535,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         seed: flags.parsed("seed")?,
         config: flags.parsed_with("config", ConfigId::parse)?,
     };
-    let store = open_store(flags)?;
+    let store = open_existing_store(flags)?;
     let matching = store.entries_where(|e| filters.matches(e));
     print_result_table(&matching);
     println!("{} result(s)", matching.len());
@@ -552,10 +576,10 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
         let line = sweep_line(spec, flags.get("results"));
         format!("run `{line}` first — figures never simulate")
     };
-    let header = |store: &ResultStore| {
+    let header = |dir: &Path| {
         println!(
             "figures from store {} (scale {scale}, seed {seed}; pure cache read)",
-            store.dir().display()
+            dir.display()
         );
     };
     if let Some(names) = flags.get("fig") {
@@ -569,11 +593,16 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
                 specs.push(spec);
             }
         }
-        let store = open_store(flags)?;
-        let reports: Reports = collect(&specs, |job| store.get(job), hint)?
-            .into_iter()
-            .collect();
-        header(&store);
+        // A row that reads no jobs needs no store.
+        let reports: Reports = if specs.is_empty() {
+            Reports::default()
+        } else {
+            let store = open_existing_store(flags)?;
+            collect(&specs, |job| store.get(job), hint)?
+                .into_iter()
+                .collect()
+        };
+        header(&results_dir(flags));
         for row in rows {
             print!("{}", (row.render)(scale, seed, &reports));
         }
@@ -585,7 +614,7 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
         Some("all") => Benchmark::ALL.to_vec(),
         Some(other) => return Err(format!("unknown set '{other}' (valley|nonvalley|all)")),
     };
-    let store = open_store(flags)?;
+    let store = open_existing_store(flags)?;
     // `sweep` defaults to every benchmark, so that is the sweep it names.
     let every_bench = suite_spec(&Benchmark::ALL, scale, seed);
     let suite = collect_suite(
@@ -595,7 +624,7 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
         |job| store.get(job),
         &hint(&every_bench),
     )?;
-    header(&store);
+    header(store.dir());
     print!("{}", all_tables(&suite, FIG12_TITLE));
     Ok(())
 }
@@ -779,6 +808,7 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
 fn cmd_fetch(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").unwrap_or_default();
     let spec = parse_grid(flags)?;
+    let expect_cached = expect_cached(flags)?;
     let grid = spec.expand();
     // Every axis the grid pins to one value is filtered at the
     // coordinator; the exact grid intersection happens here.
@@ -794,7 +824,7 @@ fn cmd_fetch(flags: &Flags) -> Result<(), String> {
         have.len(),
         grid.len()
     );
-    if let Some(pct) = flags.parsed::<f64>("expect-cached")? {
+    if let Some(pct) = expect_cached {
         let actual = have.len() as f64 * 100.0 / grid.len().max(1) as f64;
         if actual < pct {
             return Err(format!(

@@ -5,7 +5,9 @@
 //! twice is an error, not the last value winning; a grid value given
 //! twice names the same jobs, not more jobs; the commands `figures`
 //! prints for missing results fill the gap, for every registry row; the
-//! rows that need no store render as the pinned paper has them; `valley help` is
+//! rows that need no store render as the pinned paper has them, and need
+//! none; a command that only reads a store refuses a missing one;
+//! `--expect-cached` takes a percentage; `valley help` is
 //! generated from the same table that parses the flags; and a `sweep`
 //! or a `serve` killed mid-grid keeps the prefix it finished, which the
 //! next run resumes from.
@@ -184,6 +186,7 @@ fn query_rejects_filter_values_that_name_nothing() {
         );
     }
     // Well-formed filters on an empty store are an empty answer.
+    std::fs::create_dir_all(&dir).expect("temp dir");
     let out = valley(&[
         "query",
         "--results",
@@ -199,6 +202,95 @@ fn query_rejects_filter_values_that_name_nothing() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).ends_with("0 result(s)\n"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `query` and `gc --expect-clean` on a mistyped `--results` path used to
+/// make the directory, find nothing and exit 0, so a gate on either read
+/// a store that is not there as a clean one. Only `sweep` and `serve`
+/// make a store; the commands that read one refuse a missing path in one
+/// line naming it, and leave nothing behind. A row that reads no jobs
+/// still renders without a store.
+#[test]
+fn read_side_commands_refuse_a_missing_store() {
+    let dir = fresh_dir("missing");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    for args in [
+        &["query", "--bench", "MT"][..],
+        &["figures", "--scale", "test"],
+        &["figures", "--fig", "fig12_speedup", "--scale", "test"],
+        &["gc", "--expect-clean"],
+        &["status"],
+    ] {
+        let out = valley(&[args, &["--results", results]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} read a missing store");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: no result store at {results} (only `sweep` and `serve` make one)"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed before refusing");
+        assert!(!dir.exists(), "{args:?} made the store it refused");
+    }
+    let args = ["figures", "--fig", "fig05_entropy", "--results", results];
+    let out = valley(&args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.exists(), "a row that reads no jobs made a store");
+}
+
+/// `--expect-cached -5` used to pass with nothing checked ("100.0% ≥
+/// -5%"), and `150` to run the whole grid before failing it. A bound
+/// that is no percentage is refused at the flags, before anything runs.
+#[test]
+fn expect_cached_takes_a_percentage() {
+    let dir = fresh_dir("expect-cached");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let sweep = [
+        "sweep",
+        "--scale",
+        "test",
+        "--benches",
+        "SP",
+        "--schemes",
+        "BASE",
+        "--quiet",
+        "--results",
+        results,
+    ];
+    // Nothing listens on the discard port: a fetch past its flags would
+    // fail to connect instead.
+    let fetch = ["fetch", "--addr", "127.0.0.1:9", "--scale", "test"];
+    for pct in ["-5", "150", "NaN"] {
+        for cmd in [&sweep[..], &fetch] {
+            let args = [cmd, &["--expect-cached", pct]].concat();
+            let out = valley(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?} succeeded");
+            assert!(
+                stderr.contains(&format!("bad value '{pct}' for --expect-cached")),
+                "{args:?}: {stderr}"
+            );
+            assert!(!dir.exists(), "{args:?} ran before refusing");
+        }
+    }
+    // 100 is a percentage: the sweep runs, then the check holds it to it.
+    let args = [&sweep[..], &["--expect-cached", "100"]].concat();
+    let cold = valley(&args);
+    let stderr = String::from_utf8_lossy(&cold.stderr);
+    assert!(!cold.status.success(), "a cold sweep was all cache hits");
+    assert!(stderr.contains("measured 0.0%"), "{stderr}");
+    let warm = valley(&args);
+    let stdout = String::from_utf8_lossy(&warm.stdout);
+    assert!(warm.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("cache-hit check passed: 100.0% ≥ 100%"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -300,6 +392,7 @@ fn repeated_grid_values_run_one_job_and_leave_a_clean_store() {
 fn figures_hint_is_the_sweep_that_fills_the_gap() {
     let dir = std::env::temp_dir().join(format!("valley-cli-hint-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
     // The default store too, so a hint without `--results` stays in `dir`.
     let run = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_valley"))

@@ -1,15 +1,16 @@
 //! Sweep orchestration: expand a [`SweepSpec`], serve what the store
-//! already has, run the rest on the thread pool, commit every fresh
-//! result in grid order as it finishes (the [`Committer`]), and hand
-//! back the full grid in deterministic order.
+//! already has, run the rest on the thread pool, and commit every fresh
+//! result in grid order as it finishes (the [`Committer`]). The store is
+//! the one home of the results: a sweep hands back counts and times
+//! ([`SweepOutcome`]), and a caller that wants a report reads it from
+//! the store.
 
-use crate::job::{execute_batch_timed, JobSpec, SweepSpec, WallKind};
+use crate::job::{execute_batch_timed, JobSpec, SweepSpec};
 use crate::pool;
 use crate::store::{ResultStore, StoreError, StoredResult};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use valley_sim::SimReport;
 
 /// Options controlling one sweep run.
 #[derive(Clone, Debug, Default)]
@@ -24,33 +25,19 @@ pub struct SweepOptions {
     pub force: bool,
 }
 
-/// One job's outcome within a sweep.
-#[derive(Clone, Debug)]
-pub struct JobOutcome {
-    /// The job.
-    pub spec: JobSpec,
-    /// Its report (from the store or freshly computed).
-    pub report: SimReport,
-    /// Wall time in milliseconds: the original execution time for cache
-    /// hits, this run's execution time for misses.
-    pub wall_ms: f64,
-    /// How `wall_ms` was obtained (see [`WallKind`]): a genuine per-job
-    /// measurement, or 0 for a lane cloned from an identical one.
-    pub wall: WallKind,
-    /// Whether the result came from the store.
-    pub cached: bool,
-}
-
-/// The result of a sweep: every job of the spec, in expansion order
-/// (independent of worker count and interleaving).
-#[derive(Clone, Debug)]
+/// What a successful sweep did. Every job of the grid is in the store
+/// by then; this counts how it got there.
+#[derive(Clone, Copy, Debug)]
 pub struct SweepOutcome {
-    /// Per-job outcomes in [`SweepSpec::expand`] order.
-    pub jobs: Vec<JobOutcome>,
+    /// Jobs in the grid, [`SweepSpec::expand`]'s length.
+    pub jobs: usize,
     /// Jobs served from the store.
     pub cache_hits: usize,
     /// Jobs executed by this run.
     pub executed: usize,
+    /// The summed `wall_ms` of the jobs this run executed: its time
+    /// spent simulating (a lane cloned from an identical one adds 0).
+    pub simulated_ms: f64,
     /// Wall time of the whole sweep (lookup + execution + persistence).
     pub wall: Duration,
 }
@@ -58,10 +45,10 @@ pub struct SweepOutcome {
 impl SweepOutcome {
     /// Fraction of jobs served from the store, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        if self.jobs.is_empty() {
+        if self.jobs == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / self.jobs.len() as f64
+            self.cache_hits as f64 / self.jobs as f64
         }
     }
 }
@@ -286,7 +273,7 @@ pub fn take_unit(
 /// simulation, misses run in parallel one simulation per pool unit (see
 /// [`take_unit`]) with per-unit panic isolation, and every fresh result
 /// is committed in grid order as its unit finishes — the store always
-/// holds the finished prefix of the grid.
+/// holds the finished prefix of the grid, and on success all of it.
 pub fn run_sweep(
     spec: &SweepSpec,
     store: &ResultStore,
@@ -307,12 +294,8 @@ pub fn run_sweep(
     let mut committer = Committer::new(store, jobs.len());
     let mut failures: Vec<JobFailure> = Vec::new();
     let mut pending: VecDeque<usize> = VecDeque::new();
-    let cached: Vec<bool> = jobs
-        .iter()
-        .map(|job| !opts.force && store.contains(job))
-        .collect();
-    for (i, &hit) in cached.iter().enumerate() {
-        if hit {
+    for (i, job) in jobs.iter().enumerate() {
+        if !opts.force && store.contains(job) {
             failures.extend(committer.skip(i));
         } else {
             pending.push_back(i);
@@ -323,7 +306,8 @@ pub fn run_sweep(
 
     // Phase 2: execute the misses on the thread pool, one pool unit per
     // simulation (see `take_unit`), each handing its lanes to the
-    // committer before it reports done.
+    // committer before it reports done. That is the last look at a
+    // fresh report, so a run the cycle limit cut is named there.
     let units: Vec<Vec<usize>> =
         std::iter::from_fn(|| Some(take_unit(&mut pending, &jobs, |_| true)))
             .take_while(|unit| !unit.is_empty())
@@ -347,7 +331,7 @@ pub fn run_sweep(
         [one] => jobs[*one].to_string(),
         _ => format!("{} (+{} seed(s))", jobs[unit[0]], unit.len() - 1),
     };
-    let commit = Mutex::new((committer, failures));
+    let commit = Mutex::new((committer, failures, 0.0));
     pool::run_jobs(
         units.len(),
         workers,
@@ -356,8 +340,13 @@ pub fn run_sweep(
             // Wall attribution happens inside: the executor knows which
             // lanes it ran and which it cloned.
             let lanes = execute_batch_timed(&specs);
-            let (committer, failures) = &mut *commit.lock().expect("committer poisoned");
+            let (committer, failures, simulated_ms) =
+                &mut *commit.lock().expect("committer poisoned");
             for (&idx, lane) in units[u].iter().zip(lanes) {
+                if opts.verbose && lane.report.truncated {
+                    eprintln!("  WARNING: {} hit the cycle limit", lane.spec);
+                }
+                *simulated_ms += lane.wall_ms;
                 failures.extend(committer.complete(idx, lane));
             }
         },
@@ -367,7 +356,7 @@ pub fn run_sweep(
                 // The whole unit is one simulation: every lane in it needs
                 // a re-run, so every lane reports the failure and gives up
                 // its turn at the store.
-                let (committer, failures) = &mut *commit.lock().expect("committer poisoned");
+                let (committer, failures, _) = &mut *commit.lock().expect("committer poisoned");
                 for &idx in unit {
                     failures.push(JobFailure::panic(jobs[idx], msg));
                     failures.extend(committer.skip(idx));
@@ -388,33 +377,15 @@ pub fn run_sweep(
             }
         },
     );
-    let (_, failures) = commit.into_inner().expect("committer poisoned");
+    let (_, failures, simulated_ms) = commit.into_inner().expect("committer poisoned");
     if !failures.is_empty() {
         return Err(SweepError::Failures(failures));
     }
-
-    // Phase 3: the full grid, read back from the store.
-    let outcomes = jobs
-        .iter()
-        .zip(cached)
-        .map(|(job, cached)| {
-            let stored = store.get(job).expect("every non-failed job is stored");
-            if opts.verbose && !cached && stored.report.truncated {
-                eprintln!("  WARNING: {job} hit the cycle limit");
-            }
-            JobOutcome {
-                spec: stored.spec,
-                report: stored.report,
-                wall_ms: stored.wall_ms,
-                wall: stored.wall,
-                cached,
-            }
-        })
-        .collect();
     Ok(SweepOutcome {
-        jobs: outcomes,
+        jobs: jobs.len(),
         cache_hits,
         executed: todo,
+        simulated_ms,
         wall: start.elapsed(),
     })
 }

@@ -4,8 +4,8 @@
 
 use valley_core::SchemeKind;
 use valley_harness::{
-    execute_batch_timed, execute_job, run_sweep, ConfigId, JobSpec, ResultStore, SweepOptions,
-    SweepSpec, WallKind, DEFAULT_SEED, STORE_FILE,
+    execute_batch_timed, execute_job, run_sweep, ConfigId, JobSpec, ResultStore, StoredResult,
+    SweepOptions, SweepSpec, WallKind, DEFAULT_SEED, STORE_FILE,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -31,6 +31,15 @@ impl Drop for TempStore {
     }
 }
 
+/// Every job of `spec` as `store` holds it, in grid order: a sweep
+/// hands back counts, and the results live in the store.
+fn stored(spec: &SweepSpec, store: &ResultStore) -> Vec<StoredResult> {
+    spec.expand()
+        .iter()
+        .map(|job| store.get(job).expect("a finished sweep stored every job"))
+        .collect()
+}
+
 fn small_spec() -> SweepSpec {
     SweepSpec::new(
         &[Benchmark::Sp, Benchmark::Mt],
@@ -46,17 +55,24 @@ fn second_sweep_is_all_cache_hits_with_identical_results() {
     let spec = small_spec();
 
     let first = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
-    assert_eq!(first.jobs.len(), 4);
+    assert_eq!(first.jobs, 4);
     assert_eq!(first.cache_hits, 0);
     assert_eq!(first.executed, 4);
+    let fresh = stored(&spec, &store);
 
     let second = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
     assert_eq!(second.cache_hits, 4);
     assert_eq!(second.executed, 0);
-    for (a, b) in first.jobs.iter().zip(&second.jobs) {
+    // What a later process reads back is what the first sweep ran.
+    for (a, b) in fresh.iter().zip(stored(&spec, &tmp.open())) {
         assert_eq!(a.spec, b.spec);
         assert_eq!(a.report, b.report, "{}: cached result differs", a.spec);
-        assert!(b.cached);
+        assert_eq!(
+            a.report.results_json(),
+            execute_job(&a.spec).results_json(),
+            "{}: stored result differs from a solo run",
+            a.spec
+        );
     }
 }
 
@@ -76,7 +92,7 @@ fn store_survives_reopen_and_serves_across_sweep_shapes() {
         Scale::Test,
     );
     let out = run_sweep(&bigger, &store, &SweepOptions::default()).unwrap();
-    assert_eq!(out.jobs.len(), 6);
+    assert_eq!(out.jobs, 6);
     assert_eq!(out.cache_hits, 4);
     assert_eq!(out.executed, 2);
 }
@@ -86,25 +102,17 @@ fn results_are_deterministic_across_worker_counts() {
     let tmp1 = TempStore::new("det1");
     let tmp8 = TempStore::new("det8");
     let spec = small_spec();
-    let serial = run_sweep(
-        &spec,
-        &tmp1.open(),
-        &SweepOptions {
-            workers: Some(1),
+    let swept = |tmp: &TempStore, workers| {
+        let store = tmp.open();
+        let opts = SweepOptions {
+            workers: Some(workers),
             ..Default::default()
-        },
-    )
-    .unwrap();
-    let parallel = run_sweep(
-        &spec,
-        &tmp8.open(),
-        &SweepOptions {
-            workers: Some(8),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    for (a, b) in serial.jobs.iter().zip(&parallel.jobs) {
+        };
+        run_sweep(&spec, &store, &opts).unwrap();
+        stored(&spec, &store)
+    };
+    let (serial, parallel) = (swept(&tmp1, 1), swept(&tmp8, 8));
+    for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.spec, b.spec, "job order depends on worker count");
         assert_eq!(
             a.report, b.report,
@@ -127,14 +135,16 @@ fn a_default_sweep_runs_each_distinct_simulation_once() {
     )
     .with_seeds(&[1, 2, 3])
     .with_configs(&[ConfigId::Table1, ConfigId::Stacked]);
-    let swept = run_sweep(&spec, &tmp.open(), &SweepOptions::default()).unwrap();
-    assert_eq!((swept.executed, swept.jobs.len()), (36, 36));
+    let store = tmp.open();
+    let swept = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+    assert_eq!((swept.executed, swept.jobs), (36, 36));
     let distinct: valley_core::hash::FastSet<JobSpec> =
         spec.expand().iter().map(JobSpec::simulation).collect();
     assert_eq!(distinct.len(), 2 * 3 + 2 * 3 * 3);
-    let measured = swept.jobs.iter().filter(|j| j.wall == WallKind::Measured);
+    let stored = stored(&spec, &store);
+    let measured = stored.iter().filter(|j| j.wall == WallKind::Measured);
     assert_eq!(measured.count(), distinct.len());
-    for j in &swept.jobs {
+    for j in &stored {
         assert_eq!(
             j.report.results_json(),
             execute_job(&j.spec).results_json(),
@@ -182,11 +192,19 @@ fn executed_lanes_are_measured_and_an_unknown_wall_kind_is_refused() {
         Scale::Test,
     )
     .with_seeds(&[1, 2, 3]);
-    let swept = run_sweep(&spec, &tmp.open(), &SweepOptions::default()).unwrap();
+    let store = tmp.open();
+    let swept = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+    let stored = stored(&spec, &store);
     // BASE never reads the seed: two of its three seeds per bench clone.
-    let cloned = swept.jobs.iter().filter(|j| j.wall == WallKind::Cloned);
+    let cloned = stored.iter().filter(|j| j.wall == WallKind::Cloned);
     assert_eq!(cloned.count(), 6);
-    for j in swept.jobs.iter().filter(|j| j.wall != WallKind::Cloned) {
+    let measured_ms: f64 = stored.iter().map(|j| j.wall_ms).sum();
+    assert!(
+        (swept.simulated_ms - measured_ms).abs() <= 1e-9 * measured_ms,
+        "the sweep simulated for {} ms, its records say {measured_ms}",
+        swept.simulated_ms
+    );
+    for j in stored.iter().filter(|j| j.wall != WallKind::Cloned) {
         assert_eq!(
             j.wall,
             WallKind::Measured,
@@ -245,7 +263,8 @@ fn force_reexecutes_but_preserves_determinism() {
     let tmp = TempStore::new("force");
     let store = tmp.open();
     let spec = SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Pae], Scale::Test);
-    let first = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+    run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+    let first = stored(&spec, &store);
     let forced = run_sweep(
         &spec,
         &store,
@@ -256,7 +275,7 @@ fn force_reexecutes_but_preserves_determinism() {
     )
     .unwrap();
     assert_eq!(forced.cache_hits, 0);
-    assert_eq!(forced.jobs[0].report, first.jobs[0].report);
+    assert_eq!(stored(&spec, &store)[0].report, first[0].report);
 }
 
 #[test]

@@ -39,9 +39,10 @@
 //! head packet's first flit and its last, so the port's next event is
 //! the delivery cycle
 //! `max(previous delivery + 1, injected_at + router_latency) + flits - 1`.
-//! [`Crossbar::cached_next_event`] names the earliest one, and a tick
-//! below it delivers nothing, so the drive loop gates the crossbar on it
-//! as it gates every other unit; the dense loop ticks it every cycle.
+//! [`Crossbar::cached_next_event`] is the earliest one, read off the
+//! calendar rather than kept beside it, and a tick below it delivers
+//! nothing, so the drive loop gates the crossbar on it as it gates
+//! every other unit; the dense loop ticks it every cycle.
 //! [`NocStats`] counts a packet, its latency and its flits when it is
 //! delivered. `tests/props.rs` checks the calendar against a
 //! flit-stepped reference.
@@ -166,12 +167,9 @@ pub struct Crossbar {
     /// arrives. A port moves one flit per cycle, so a head that starts
     /// at `s` is delivered at `s + flits - 1` with nothing observable in
     /// between — [`Crossbar::tick`] jumps from delivery to delivery
-    /// instead of stepping the flits.
+    /// instead of stepping the flits. Its minimum is the crossbar's
+    /// hint, [`Crossbar::cached_next_event`].
     events: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Cached earliest delivery cycle (`u64::MAX` = empty) — the fresh
-    /// minimum of `events`, maintained by [`Crossbar::tick`] and
-    /// [`Crossbar::inject`].
-    cached_next: u64,
     stats: NocStats,
 }
 
@@ -196,7 +194,6 @@ impl Crossbar {
             outputs: PortQueues::new(num_dst),
             queued: 0,
             events: BinaryHeap::with_capacity(num_dst),
-            cached_next: u64::MAX,
             stats: NocStats::default(),
         }
     }
@@ -246,7 +243,6 @@ impl Crossbar {
             // scheduled when it reaches the head).
             let at = pkt.injected_at + self.router_latency + u64::from(pkt.flits) - 1;
             self.events.push(Reverse((at, dst)));
-            self.cached_next = self.cached_next.min(at);
         }
     }
 
@@ -264,7 +260,7 @@ impl Crossbar {
     #[doc(hidden)]
     #[inline]
     pub fn tick_evented(&mut self, cycle: u64, done: &mut Vec<Delivery>) {
-        if cycle >= self.cached_next {
+        if cycle >= self.cached_next_event() {
             self.tick(cycle, done);
         }
     }
@@ -287,7 +283,6 @@ impl Crossbar {
             self.events.pop();
             self.deliver_head(dst, cycle, done);
         }
-        self.cached_next = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
     }
 
     /// Delivers the head packet of `dst`, whose last flit arrives at
@@ -342,11 +337,11 @@ impl Crossbar {
         self.stats
     }
 
-    /// The cycle of the next delivery, maintained by [`Crossbar::tick`]
-    /// and [`Crossbar::inject`] (`u64::MAX` = empty crossbar).
+    /// The cycle of the next delivery, the calendar's earliest event
+    /// (`u64::MAX` = empty crossbar).
     #[inline]
     pub fn cached_next_event(&self) -> u64 {
-        self.cached_next
+        self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t)
     }
 }
 

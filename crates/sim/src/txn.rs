@@ -20,9 +20,10 @@
 //! The free list lives in the released records: a released slot's
 //! `line` field names the slot released before it, so the table needs
 //! no side vector of free slots, which would grow to the most slots
-//! ever released at once. With the crossbar's pooled queues, a store
-//! in flight costs ≈ 34 heap bytes (`tests/alloc_audit.rs` pins it
-//! under 44).
+//! ever released at once, nor a count of them: the live count, read
+//! only by a report's debug check, walks the list. With the crossbar's
+//! pooled queues, a store in flight costs ≈ 34 heap bytes
+//! (`tests/alloc_audit.rs` pins it under 44).
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
 #![deny(
@@ -109,8 +110,6 @@ pub(crate) struct TxnTable {
     /// reused last-released-first (deterministic, and the warmest
     /// memory).
     free: u32,
-    /// Slots on the free list.
-    free_len: usize,
     /// log2 of the line size: a line address is its line number shifted
     /// left by this.
     line_shift: u32,
@@ -136,7 +135,6 @@ impl TxnTable {
             #[cfg(debug_assertions)]
             live: Vec::with_capacity(1 << 16),
             free: NO_SLOT,
-            free_len: 0,
             line_shift: line_bytes.trailing_zeros(),
             allocated: 0,
             stores: 0,
@@ -176,7 +174,6 @@ impl TxnTable {
         if self.free != NO_SLOT {
             let slot = self.free;
             self.free = self.txns[slot as usize].line;
-            self.free_len -= 1;
             self.txns[slot as usize] = txn;
             #[cfg(debug_assertions)]
             {
@@ -210,7 +207,6 @@ impl TxnTable {
         }
         self.txns[id as usize].line = self.free;
         self.free = id;
-        self.free_len += 1;
     }
 
     #[inline]
@@ -239,9 +235,12 @@ impl TxnTable {
         self.stores
     }
 
-    /// Transactions allocated and not yet released.
+    /// Transactions allocated and not yet released: the slots less
+    /// those on the free list, which this walks.
     pub(crate) fn live(&self) -> usize {
-        self.txns.len() - self.free_len
+        let next = |&slot: &u32| Some(self.txns[slot as usize].line).filter(|&s| s != NO_SLOT);
+        let released = std::iter::successors(Some(self.free).filter(|&s| s != NO_SLOT), next);
+        self.txns.len() - released.count()
     }
 }
 

@@ -3,8 +3,9 @@
 //! it. A new crate that forgets `[lints] workspace = true` would build,
 //! test and pass clippy with every rule off — so the opt-in is checked
 //! here, where the tier-1 suite sees it. So is the rule that nothing in
-//! the workspace depends on the `valley-compute` shell, and that no
-//! hidden shim kept for the frozen benchmark outlives its last call.
+//! the workspace depends on the `valley-compute` shell, that every
+//! hidden item is a listed shim kept for the frozen benchmark, and that
+//! no such shim outlives its last call.
 
 use std::path::{Path, PathBuf};
 
@@ -99,6 +100,114 @@ const BENCHMARK_SHIMS: [(&str, &str); 9] = [
     ("GddrMap", "GddrMap"),
     ("DramAddressMap", "DramAddressMap"),
 ];
+
+/// The name of the item a line declares (`pub fn tick_evented(..` is
+/// `tick_evented`), past its visibility and qualifiers.
+fn declared_name(line: &str) -> Option<&str> {
+    const KINDS: [&str; 8] = [
+        "fn", "type", "struct", "enum", "trait", "mod", "static", "const",
+    ];
+    let mut words = line.split_whitespace().skip_while(|w| {
+        w.starts_with("pub") || matches!(*w, "const" | "unsafe" | "async" | "extern")
+    });
+    let kind = words.next()?;
+    let name = words.next()?;
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    KINDS.contains(&kind).then_some(&name[..end])
+}
+
+/// The type an `impl` header line names: `impl Crossbar {` and
+/// `impl<T> Trait for Crossbar<T> {` are both `Crossbar`.
+fn impl_type(header: &str) -> &str {
+    let ty = header.trim_end().trim_end_matches('{').trim_end();
+    let ty = ty.rsplit(' ').next().unwrap_or(ty);
+    ty.split('<').next().unwrap_or(ty)
+}
+
+/// Every `.rs` file under `dir`, at any depth.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("source dir lists") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// Every `#[doc(hidden)]` item of `crates/*/src` outside the compute
+/// shell, named as [`BENCHMARK_SHIMS`] names it: `Type::item` inside an
+/// `impl Type` block, `item` at the top level.
+fn hidden_items(root: &Path) -> Vec<String> {
+    let mut items = Vec::new();
+    for package in packages(root) {
+        if package == root || package.ends_with("crates/compute") {
+            continue;
+        }
+        for file in rust_files(&package.join("src")) {
+            let text = std::fs::read_to_string(&file).expect("source reads");
+            let lines: Vec<&str> = text.lines().collect();
+            for i in (0..lines.len()).filter(|&i| lines[i].trim() == "#[doc(hidden)]") {
+                let decl = lines[i + 1..]
+                    .iter()
+                    .find(|l| {
+                        !l.trim_start().starts_with("#[") && !l.trim_start().starts_with("///")
+                    })
+                    .unwrap_or_else(|| panic!("{}:{}: nothing is hidden", file.display(), i + 1));
+                let name = declared_name(decl).unwrap_or_else(|| {
+                    panic!(
+                        "{}:{}: cannot name the hidden item `{decl}`",
+                        file.display(),
+                        i + 2
+                    )
+                });
+                let item = match lines[..i].iter().rev().find(|l| l.starts_with("impl")) {
+                    Some(header) if decl.starts_with(char::is_whitespace) => {
+                        format!("{}::{name}", impl_type(header))
+                    }
+                    _ => name.to_string(),
+                };
+                items.push(item);
+            }
+        }
+    }
+    items.sort();
+    items
+}
+
+/// A `#[doc(hidden)]` item is a shim the frozen benchmark keeps alive,
+/// and ROADMAP item one deletes them all: the list may shrink with it,
+/// never grow. So every hidden item in the product crates (the compute
+/// shell aside, which goes whole) is a [`BENCHMARK_SHIMS`] entry, and
+/// every entry is still a hidden item.
+#[test]
+fn every_hidden_item_is_a_listed_benchmark_shim() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let hidden = hidden_items(root);
+    let unlisted: Vec<&String> = hidden
+        .iter()
+        .filter(|item| !BENCHMARK_SHIMS.iter().any(|(shim, _)| shim == item))
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "{unlisted:?} are #[doc(hidden)] but no benchmark shim: document them, or name the \
+         benchmark call that keeps each in BENCHMARK_SHIMS"
+    );
+    let unhidden: Vec<&str> = BENCHMARK_SHIMS
+        .iter()
+        .map(|(shim, _)| *shim)
+        .filter(|shim| !hidden.iter().any(|item| item == shim))
+        .collect();
+    assert!(
+        unhidden.is_empty(),
+        "BENCHMARK_SHIMS lists {unhidden:?}, which are no #[doc(hidden)] item in crates/*/src"
+    );
+}
 
 #[test]
 fn every_benchmark_shim_still_has_a_caller() {
