@@ -84,8 +84,8 @@ pub fn pins() -> [Pin; 4] {
     ]
 }
 
-/// One number for the whole contract — what `valley status --lint`
-/// prints. It changes whenever a shape or a version does.
+/// One number for the whole contract — the `schema:` line `valley
+/// status` prints. It changes whenever a shape or a version does.
 pub fn identity() -> u64 {
     let lines: Vec<String> = pins().iter().map(Pin::line).collect();
     fingerprint(&lines.join("\n"))

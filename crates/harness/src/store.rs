@@ -17,9 +17,9 @@
 //! ([`crate::sweep::Committer`]) in grid order as jobs finish: a cold
 //! sweep's file *is* `SweepSpec::expand()` order, and a killed sweep
 //! keeps the prefix it finished. On open the file is read into an
-//! in-memory index; a re-run sweep then skips every job whose key is
-//! already present (*resume*), and figure regeneration is a pure cache
-//! read.
+//! in-memory index of each job's last record, keyed by the [`JobSpec`]
+//! itself; a re-run sweep then skips every job already present
+//! (*resume*), and figure regeneration is a pure cache read.
 //!
 //! Failure policy — **loud**: a record with an unknown store version, a
 //! report with a mismatched schema version, a hash that does not match
@@ -126,8 +126,9 @@ impl From<std::io::Error> for StoreError {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    /// Guards the file as well: an append happens under it.
-    index: Mutex<FastMap<u64, StoredResult>>,
+    /// Each job's last record. Guards the file as well: an append
+    /// happens under it.
+    index: Mutex<FastMap<JobSpec, StoredResult>>,
 }
 
 impl ResultStore {
@@ -141,8 +142,8 @@ impl ResultStore {
         let mut torn = false;
         for (n, class) in classify(&text) {
             match class {
-                Line::Record(hash, stored) => {
-                    index.insert(hash, stored);
+                Line::Record(stored) => {
+                    index.insert(stored.spec, stored);
                 }
                 Line::Blank => {}
                 // Dropped: the job simply re-runs.
@@ -209,21 +210,15 @@ impl ResultStore {
 
     /// Looks up the result of a job, if present.
     pub fn get(&self, spec: &JobSpec) -> Option<StoredResult> {
-        let key = spec.key();
         let index = self.index.lock().expect("store index poisoned");
-        let stored = index.get(&key.hash())?;
-        // A 64-bit collision between different experiments is
-        // astronomically unlikely but cheap to rule out entirely.
-        (stored.spec == *spec).then(|| stored.clone())
+        index.get(spec).cloned()
     }
 
     /// Whether the result of a job is present: [`get`](Self::get)'s
     /// answer without cloning the report.
     pub fn contains(&self, spec: &JobSpec) -> bool {
         let index = self.index.lock().expect("store index poisoned");
-        index
-            .get(&spec.key().hash())
-            .is_some_and(|stored| stored.spec == *spec)
+        index.contains_key(spec)
     }
 
     /// Appends one result and updates the index. The file is opened and
@@ -250,7 +245,7 @@ impl ResultStore {
             .append(true)
             .open(self.dir.join(STORE_FILE))?
             .write_all(line.as_bytes())?;
-        index.insert(spec.key().hash(), stored);
+        index.insert(*spec, stored);
         Ok(())
     }
 
@@ -347,8 +342,8 @@ fn read_store(dir: &Path) -> Result<String, StoreError> {
     reason = "one value exists at a time and nearly every line is a record; boxing it would allocate per line"
 )]
 enum Line {
-    /// A valid record and its key hash.
-    Record(u64, StoredResult),
+    /// A valid record.
+    Record(StoredResult),
     /// Whitespace only.
     Blank,
     /// An invalid final line without its newline: the signature of a run
@@ -371,7 +366,7 @@ fn classify(text: &str) -> impl Iterator<Item = (usize, Line)> + '_ {
             Line::Blank
         } else {
             match parse_record(line) {
-                Ok((hash, stored)) => Line::Record(hash, stored),
+                Ok(stored) => Line::Record(stored),
                 Err(cause) if lines.peek().is_none() && !text.ends_with('\n') => {
                     Line::TornTail(cause)
                 }
@@ -424,14 +419,14 @@ fn tally(text: &str, path: &Path) -> Result<(StoreScan, Vec<usize>), StoreError>
         bytes: text.len() as u64,
         ..StoreScan::default()
     };
-    // Line number of each key's last record.
-    let mut last_of: FastMap<u64, usize> = FastMap::default();
-    let mut found: Vec<(usize, u64, StoredResult)> = Vec::new();
+    // Line number of each job's last record.
+    let mut last_of: FastMap<JobSpec, usize> = FastMap::default();
+    let mut found: Vec<(usize, StoredResult)> = Vec::new();
     for (n, class) in classify(text) {
         match class {
-            Line::Record(hash, stored) => {
-                out.duplicates += usize::from(last_of.insert(hash, n).is_some());
-                found.push((n, hash, stored));
+            Line::Record(stored) => {
+                out.duplicates += usize::from(last_of.insert(stored.spec, n).is_some());
+                found.push((n, stored));
             }
             Line::Blank => {}
             Line::TornTail(_) => out.truncated += 1,
@@ -441,8 +436,7 @@ fn tally(text: &str, path: &Path) -> Result<(StoreScan, Vec<usize>), StoreError>
     }
     let (kept, records) = found
         .into_iter()
-        .filter(|(n, hash, _)| last_of[hash] == *n)
-        .map(|(n, _, stored)| (n, stored))
+        .filter(|(n, stored)| last_of[&stored.spec] == *n)
         .unzip();
     out.records = records;
     Ok((out, kept))
@@ -505,8 +499,8 @@ pub fn gc(dir: &Path) -> Result<GcReport, StoreError> {
     })
 }
 
-/// Parses one stored record line into `(key hash, result)`.
-fn parse_record(line: &str) -> Result<(u64, StoredResult), String> {
+/// Parses one stored record line.
+fn parse_record(line: &str) -> Result<StoredResult, String> {
     let Json::Obj(members) = json::parse(line).map_err(|e| e.to_string())? else {
         return Err(format!("{LINE} is not an object"));
     };
@@ -531,5 +525,5 @@ fn parse_record(line: &str) -> Result<(u64, StoredResult), String> {
             key.canonical()
         ));
     }
-    Ok((key.hash(), stored))
+    Ok(stored)
 }

@@ -64,18 +64,17 @@ pub struct GpuSim {
 }
 
 /// Kernel-serial TB scheduler: one kernel resident at a time, its thread
-/// blocks handed round-robin to the SMs with room. A unit like the others:
-/// the drive loop runs [`TbScheduler::tick`] where its gate admits
+/// blocks handed round-robin to the SMs with room. The SMs hold which TBs
+/// are resident; the kernel ends once every TB was assigned and no SM
+/// holds one. A unit like the others: the drive loop runs
+/// [`TbScheduler::tick`] where its gate admits
 /// [`TbScheduler::cached_next_event`].
 struct TbScheduler {
     kernel_idx: usize,
-    num_kernels: usize,
     kernel: Option<Box<dyn KernelSource>>,
     next_tb: u64,
-    total_tbs: u64,
-    /// TBs of the loaded kernel retired, as the SMs report them.
-    retired: u64,
     rr_sm: usize,
+    /// The next TB's age, unique per TB: an SM tells its TBs apart by it.
     age_counter: u64,
     /// The exact next cycle at which a pass changes anything: 0 (the
     /// first kernel to load), the cycle an SM retired a TB (room freed,
@@ -86,22 +85,19 @@ struct TbScheduler {
 }
 
 impl TbScheduler {
-    fn new(num_kernels: usize) -> Self {
+    fn new() -> Self {
         TbScheduler {
             kernel_idx: 0,
-            num_kernels,
             kernel: None,
             next_tb: 0,
-            total_tbs: 0,
-            retired: 0,
             rr_sm: 0,
             age_counter: 0,
             next: 0,
         }
     }
 
-    fn finished(&self) -> bool {
-        self.kernel.is_none() && self.kernel_idx >= self.num_kernels
+    fn finished(&self, workload: &dyn WorkloadSource) -> bool {
+        self.kernel.is_none() && self.kernel_idx >= workload.num_kernels()
     }
 
     #[inline]
@@ -114,37 +110,32 @@ impl TbScheduler {
     #[inline]
     fn retire(&mut self, tbs: u64, cycle: u64) {
         if tbs > 0 {
-            self.retired += tbs;
             self.next = self.next.min(cycle);
         }
     }
 
     /// One scheduling pass: load the next kernel if none is resident,
     /// assign pending TBs round-robin to SMs with room, and advance past
-    /// the kernel once every TB retired. Returns whether any TB was
-    /// assigned (the only way a pass changes an SM).
+    /// the kernel once every TB was assigned and retired. Returns whether
+    /// any TB was assigned (the only way a pass changes an SM).
     fn tick(&mut self, sms: &mut [Sm], workload: &dyn WorkloadSource, cycle: u64) -> bool {
         self.next = u64::MAX;
-        if self.kernel.is_none() && self.kernel_idx < self.num_kernels {
-            let k = workload.kernel(self.kernel_idx);
-            self.total_tbs = k.num_thread_blocks();
+        if self.kernel.is_none() && self.kernel_idx < workload.num_kernels() {
             self.next_tb = 0;
-            self.retired = 0;
-            self.kernel = Some(k);
+            self.kernel = Some(workload.kernel(self.kernel_idx));
         }
         let Some(kernel) = self.kernel.as_deref() else {
             return false;
         };
-        let wpb = kernel.warps_per_block();
-        let tbs_limit = GpuConfig::tbs_per_sm(wpb);
+        let (wpb, total_tbs) = (kernel.warps_per_block(), kernel.num_thread_blocks());
 
         // Assign TBs round-robin while any SM has room.
         let first_tb = self.next_tb;
-        'assign: while self.next_tb < self.total_tbs {
+        'assign: while self.next_tb < total_tbs {
             let n = sms.len();
             for probe in 0..n {
                 let sm = (self.rr_sm + probe) % n;
-                if sms[sm].can_accept_tb(wpb, tbs_limit) {
+                if sms[sm].can_accept_tb(wpb) {
                     sms[sm].assign_tb(kernel, self.next_tb, self.age_counter, cycle);
                     self.age_counter += 1;
                     self.next_tb += 1;
@@ -155,12 +146,13 @@ impl TbScheduler {
             break;
         }
 
-        // Advance to the next kernel when every TB retired; it loads in
+        // Advance to the next kernel when every TB was assigned and none
+        // is resident (the SMs hold this kernel's TBs only); it loads in
         // the next cycle's pass.
-        if self.next_tb == self.total_tbs && self.retired == self.total_tbs {
+        if self.next_tb == total_tbs && sms.iter().all(|sm| sm.resident_tbs() == 0) {
             self.kernel = None;
             self.kernel_idx += 1;
-            if self.kernel_idx < self.num_kernels {
+            if self.kernel_idx < workload.num_kernels() {
                 self.next = cycle + 1;
             }
         }
@@ -353,7 +345,7 @@ impl GpuSim {
         let noc_clock = DomainClock::new(self.cfg.noc_mhz);
         let dram_clock = DomainClock::new(self.cfg.dram.clock_mhz);
 
-        let mut sched = TbScheduler::new(self.workload.num_kernels());
+        let mut sched = TbScheduler::new();
         let mut parallelism = ParallelismIntegrator::new();
         let mut outbound: Vec<SmOutbound> = Vec::new();
         let mut replies: Vec<u64> = Vec::new();
@@ -511,7 +503,6 @@ impl GpuSim {
                         if ticks(cycle, sm.cached_next_event()) {
                             let retired = sm.tick(
                                 cycle,
-                                &self.cfg,
                                 &self.mapper,
                                 &mut self.txns,
                                 &router,
@@ -552,7 +543,7 @@ impl GpuSim {
             cycle += 1;
 
             // ---- Termination ----
-            if sched.finished() && self.is_drained() {
+            if sched.finished(self.workload.as_ref()) && self.is_drained() {
                 break;
             }
             if cycle >= self.cfg.max_cycles {
@@ -693,6 +684,7 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{Instruction, LaneAddrs, WarpProgram};
     use proptest::prelude::*;
     use valley_core::{DramMap, SchemeKind};
     use valley_dram::DramConfig;
@@ -761,6 +753,103 @@ mod tests {
             );
         }
         Ok(())
+    }
+
+    /// Warp `w` of TB `tb` computes for a length set by both, in two
+    /// steps, and stores one line in between.
+    struct Script(u32, u64, usize);
+
+    impl WarpProgram for Script {
+        fn next_instruction(&mut self) -> Option<Instruction> {
+            let Script(step, tb, w) = *self;
+            self.0 += 1;
+            match step {
+                0 | 2 => Some(Instruction::Compute {
+                    cycles: 1 + ((tb * 5 + w as u64 * 3 + u64::from(step)) % 13) as u32,
+                }),
+                1 => Some(Instruction::Store(LaneAddrs::contiguous(tb << 12, 32, 4))),
+                _ => None,
+            }
+        }
+    }
+
+    /// Kernels of `(thread blocks, warps per block)`.
+    struct Kernels(Vec<(u64, usize)>);
+
+    impl WorkloadSource for Kernels {
+        fn name(&self) -> String {
+            "kernels".into()
+        }
+        fn num_kernels(&self) -> usize {
+            self.0.len()
+        }
+        fn kernel(&self, index: usize) -> Box<dyn KernelSource> {
+            let (tbs, warps) = self.0[index];
+            Box::new(Kernel(tbs, warps))
+        }
+    }
+
+    struct Kernel(u64, usize);
+
+    impl KernelSource for Kernel {
+        fn name(&self) -> String {
+            "kernel".into()
+        }
+        fn num_thread_blocks(&self) -> u64 {
+            self.0
+        }
+        fn warps_per_block(&self) -> usize {
+            self.1
+        }
+        fn warp_program(&self, tb: u64, warp: usize) -> Box<dyn WarpProgram> {
+            Box::new(Script(0, tb, warp))
+        }
+    }
+
+    /// The scheduler over 3 SMs, ticked every cycle, against the rule it
+    /// replaced: a kernel ends exactly when the SM ticks have reported
+    /// every one of its TBs retired. Both kernels have more TBs than the
+    /// SMs hold at once, and their TBs run for different lengths.
+    #[test]
+    fn a_kernel_ends_once_the_sms_retired_its_every_tb() {
+        let cfg = GpuConfig::table1();
+        let map = DramMap::baseline();
+        let mapper = AddressMapper::build(SchemeKind::Base, &map, 1);
+        let dram = DramSystem::new(map, cfg.dram);
+        let route = |addr: PhysAddr| GpuSim::route(&dram, cfg.llc_slices, addr);
+        let mut sms: Vec<Sm> = (0..3).map(|i| Sm::new(i, &cfg)).collect();
+        let mut txns = TxnTable::new(cfg.line_bytes);
+        let mut outbound = Vec::new();
+        let workload = Kernels(vec![(20, 12), (9, 24)]);
+        let mut sched = TbScheduler::new();
+        // TBs of the loaded kernel the SM ticks reported retired.
+        let mut shadow = 0;
+        let mut ends = 0;
+        for cycle in 0..10_000 {
+            for sm in &mut sms {
+                let retired = sm.tick(cycle, &mapper, &mut txns, &route, &mut outbound);
+                shadow += retired;
+                sched.retire(retired, cycle);
+            }
+            for o in outbound.drain(..) {
+                txns.release(o.txn);
+            }
+            let k = sched.kernel_idx;
+            if sched.kernel.is_none() {
+                shadow = 0;
+            }
+            sched.tick(&mut sms, &workload, cycle);
+            let done = sched.kernel_idx > k;
+            let tbs = workload.kernel(k).num_thread_blocks();
+            assert_eq!(done, shadow == tbs, "kernel {k} at cycle {cycle}");
+            ends += u64::from(done);
+            if sched.finished(&workload) {
+                assert_eq!(ends, 2);
+                assert!(sms.iter().all(Sm::is_idle));
+                return;
+            }
+        }
+        panic!("the workload never finished");
     }
 
     proptest! {

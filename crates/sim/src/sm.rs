@@ -30,10 +30,6 @@ pub(crate) struct SmOutbound {
     pub flits: u32,
 }
 
-struct TbState {
-    warps_left: u32,
-}
-
 /// The GTO ready set: (age, warp slot) pairs kept sorted ascending. At
 /// most [`GpuConfig::MAX_WARPS_PER_SM`] (48) entries, where a sorted
 /// `Vec` beats a `BTreeSet` soundly (contiguous memory, no node
@@ -74,8 +70,9 @@ impl ReadySet {
 }
 
 struct Warp {
-    tb_slot: u32,
     /// TB assignment time: GTO's "oldest" order (ties broken by slot).
+    /// The scheduler gives every TB its own, so it also names the warp's
+    /// TB.
     age: u64,
     program: Box<dyn WarpProgram>,
     /// Loads in flight. A warp waiting on one is not ready, so it never
@@ -84,7 +81,8 @@ struct Warp {
     outstanding_loads: u32,
 }
 
-/// Per-SM issue and memory-path state.
+/// Per-SM issue and memory-path state. A resident thread block is the
+/// warps that carry its age: it retires with the last of them.
 pub(crate) struct Sm {
     id: u16,
     warps: Vec<Option<Warp>>,
@@ -105,8 +103,8 @@ pub(crate) struct Sm {
     mshr: MshrFile,
     /// L1 hits in flight: (ready cycle, txn).
     hit_queue: VecDeque<(u64, u32)>,
-    tb_slots: Vec<Option<TbState>>,
-    free_tb_slots: Vec<u32>,
+    /// Thread blocks resident: the distinct ages among the warps.
+    resident_tbs: usize,
     /// The LSU head is MSHR-stalled and no reply has arrived since —
     /// replies are the only events that free MSHRs or fill lines, so
     /// retries cost nothing: the head is looked up again once a reply
@@ -143,8 +141,7 @@ impl Sm {
             l1: SetAssocCache::new(GpuConfig::L1),
             mshr: MshrFile::new(cfg.l1_mshrs, GpuConfig::L1_MSHR_MERGES),
             hit_queue: VecDeque::with_capacity(32),
-            tb_slots: (0..GpuConfig::MAX_TBS_PER_SM).map(|_| None).collect(),
-            free_tb_slots: (0..GpuConfig::MAX_TBS_PER_SM as u32).rev().collect(),
+            resident_tbs: 0,
             lsu_stalled: false,
             cached_next: 0,
             busy_since: 0,
@@ -153,16 +150,21 @@ impl Sm {
         }
     }
 
-    /// Whether this SM can accept a TB of `warps_per_block` warps, given
-    /// the per-kernel residency limit: the TB slots off the free stack
-    /// are the resident ones.
-    pub(crate) fn can_accept_tb(&self, warps_per_block: usize, tbs_limit: usize) -> bool {
-        GpuConfig::MAX_TBS_PER_SM - self.free_tb_slots.len() < tbs_limit
-            && !self.free_tb_slots.is_empty()
+    /// Whether this SM can accept a TB of `warps_per_block` warps: one
+    /// more stays within [`GpuConfig::tbs_per_sm`] and its warps fit.
+    pub(crate) fn can_accept_tb(&self, warps_per_block: usize) -> bool {
+        self.resident_tbs < GpuConfig::tbs_per_sm(warps_per_block)
             && self.free_warp_slots.len() >= warps_per_block
     }
 
-    /// Assigns TB `tb` of `kernel`, creating its warps with age `age`.
+    /// Thread blocks resident.
+    #[inline]
+    pub(crate) fn resident_tbs(&self) -> usize {
+        self.resident_tbs
+    }
+
+    /// Assigns TB `tb` of `kernel`, creating its warps with age `age`,
+    /// which no other resident TB has.
     /// `cycle` is the current core cycle: TB assignment happens after the
     /// SM phase, so an SM that had no warp starts a busy span at the next
     /// cycle's tick.
@@ -175,23 +177,14 @@ impl Sm {
         if self.resident_warps() == 0 {
             self.busy_since = cycle + 1;
         }
-        let wpb = kernel.warps_per_block();
-        #[expect(
-            clippy::expect_used,
-            reason = "assign_tb is only called after can_accept_tb(); free slot stacks are non-empty by that check"
-        )]
-        let slot = self.free_tb_slots.pop().expect("caller checked capacity");
-        self.tb_slots[slot as usize] = Some(TbState {
-            warps_left: wpb as u32,
-        });
-        for w in 0..wpb {
+        self.resident_tbs += 1;
+        for w in 0..kernel.warps_per_block() {
             #[expect(
                 clippy::expect_used,
-                reason = "assign_tb is only called after can_accept_tb(); free slot stacks are non-empty by that check"
+                reason = "assign_tb is only called after can_accept_tb(); the free warp stack holds the TB by that check"
             )]
             let ws = self.free_warp_slots.pop().expect("caller checked capacity");
             self.warps[ws as usize] = Some(Warp {
-                tb_slot: slot,
                 age,
                 program: kernel.warp_program(tb, w),
                 outstanding_loads: 0,
@@ -312,30 +305,13 @@ impl Sm {
         }
     }
 
-    /// Retires a warp; returns whether it was its thread block's last.
-    fn retire_warp(&mut self, warp_idx: u32) -> bool {
-        #[expect(
-            clippy::expect_used,
-            reason = "the one caller, issue_one, looked this warp up in self.warps just before retiring it"
-        )]
-        let warp = self.warps[warp_idx as usize]
-            .take()
-            .expect("retiring a live warp");
+    /// Retires warp `warp_idx` of the TB aged `age`; returns whether it
+    /// was that TB's last, which no resident warp shares the age with.
+    fn retire_warp(&mut self, warp_idx: u32, age: u64) -> bool {
+        self.warps[warp_idx as usize] = None;
         self.free_warp_slots.push(warp_idx);
-        let tb = warp.tb_slot;
-        #[expect(
-            clippy::expect_used,
-            reason = "a live warp's thread block stays resident until its last warp retires; this is that accounting"
-        )]
-        let state = self.tb_slots[tb as usize]
-            .as_mut()
-            .expect("warp's TB is resident");
-        state.warps_left -= 1;
-        let tb_done = state.warps_left == 0;
-        if tb_done {
-            self.tb_slots[tb as usize] = None;
-            self.free_tb_slots.push(tb);
-        }
+        let tb_done = !self.warps.iter().flatten().any(|w| w.age == age);
+        self.resident_tbs -= usize::from(tb_done);
         tb_done
     }
 
@@ -348,7 +324,6 @@ impl Sm {
     pub(crate) fn tick(
         &mut self,
         cycle: u64,
-        cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
@@ -377,7 +352,7 @@ impl Sm {
         }
 
         self.lsu_tick(cycle, mapper, txns, outbound);
-        let retired = self.issue_tick(cycle, cfg, mapper, txns, route);
+        let retired = self.issue_tick(cycle, mapper, txns, route);
         if was_busy && self.resident_warps() == 0 {
             // The last warp retired: the busy span ends with this cycle.
             self.busy_cycles += cycle + 1 - self.busy_since;
@@ -442,7 +417,6 @@ impl Sm {
     fn issue_tick(
         &mut self,
         cycle: u64,
-        cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
@@ -457,7 +431,7 @@ impl Sm {
                 break;
             };
             issued[slot] = w;
-            retired += u64::from(self.issue_one(w, cycle, cfg, mapper, txns, route));
+            retired += u64::from(self.issue_one(w, cycle, mapper, txns, route));
         }
         retired
     }
@@ -485,7 +459,6 @@ impl Sm {
         &mut self,
         w: u32,
         cycle: u64,
-        cfg: &GpuConfig,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
@@ -503,7 +476,7 @@ impl Sm {
             None => {
                 debug_assert_eq!(warp.outstanding_loads, 0, "a ready warp waits on no load");
                 self.ready.remove(&(age, w));
-                return self.retire_warp(w);
+                return self.retire_warp(w, age);
             }
             Some(Instruction::Compute { cycles }) => {
                 self.warp_instructions += 1;
@@ -513,7 +486,7 @@ impl Sm {
             Some(Instruction::Load(lanes)) => {
                 self.warp_instructions += 1;
                 let mut lines = std::mem::take(&mut self.lines_buf);
-                coalesce_into(&lanes, cfg.line_bytes, &mut lines);
+                coalesce_into(&lanes, txns.line_bytes(), &mut lines);
                 if lines.is_empty() {
                     // Degenerate empty access behaves like a 1-cycle op.
                     self.lines_buf = lines;
@@ -534,7 +507,7 @@ impl Sm {
                 self.warp_instructions += 1;
                 // Fire-and-forget: the warp stays ready.
                 let mut lines = std::mem::take(&mut self.lines_buf);
-                coalesce_into(&lanes, cfg.line_bytes, &mut lines);
+                coalesce_into(&lanes, txns.line_bytes(), &mut lines);
                 for &line in &lines {
                     let to = route(mapper.map(PhysAddr::new(line)));
                     let txn = txns.alloc(self.id, NO_WARP, line, to);
@@ -591,6 +564,14 @@ mod tests {
         Instruction::Load(LaneAddrs::contiguous(line << 7, 32, 4))
     }
 
+    /// The distinct ages among the resident warps: the TBs resident.
+    fn ages_resident(sm: &Sm) -> usize {
+        let mut ages: Vec<u64> = sm.warps.iter().flatten().map(|w| w.age).collect();
+        ages.sort_unstable();
+        ages.dedup();
+        ages.len()
+    }
+
     /// How often each residency edge occurred in a drive.
     #[derive(Debug, Default)]
     struct Edges {
@@ -611,7 +592,8 @@ mod tests {
     /// The oracle counts the ticks that see a resident warp. Before and
     /// after every tick, the SM's busy cycles cut there must equal it. A
     /// reply never retires a warp: only a tick ends a busy span, and the
-    /// ticks report every thread block retired, once.
+    /// ticks report every thread block retired, once. After every tick
+    /// the SM's count of resident TBs is the distinct ages of its warps.
     fn drive(kernel: &Kernel, tbs: u64, assign: impl Fn(u64, bool) -> bool) -> Edges {
         let cfg = GpuConfig::table1();
         let map = DramMap::baseline();
@@ -647,7 +629,8 @@ mod tests {
 
             let was_busy = sm.resident_warps() > 0;
             ticked_busy += u64::from(was_busy);
-            retired += sm.tick(cycle, &cfg, &mapper, &mut txns, &route, &mut outbound);
+            retired += sm.tick(cycle, &mapper, &mut txns, &route, &mut outbound);
+            assert_eq!(sm.resident_tbs(), ages_resident(&sm), "cycle {cycle}");
             let emptied = was_busy && sm.resident_warps() == 0;
             edges.emptied_by_tick += u64::from(emptied);
             for o in outbound.drain(..) {
@@ -658,7 +641,7 @@ mod tests {
                 }
             }
             if assigned < tbs && assign(cycle, emptied) {
-                assert!(sm.can_accept_tb(kernel.warps, GpuConfig::MAX_TBS_PER_SM));
+                assert!(sm.can_accept_tb(kernel.warps));
                 sm.assign_tb(kernel, assigned, assigned, cycle);
                 assigned += 1;
                 edges.assigned_as_emptied += u64::from(emptied);

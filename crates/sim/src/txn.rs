@@ -225,6 +225,12 @@ impl TxnTable {
         u64::from(self.get(id).line) << self.line_shift
     }
 
+    /// The line size the table was made for.
+    #[inline]
+    pub(crate) fn line_bytes(&self) -> u64 {
+        1 << self.line_shift
+    }
+
     /// Transactions ever allocated — the report's transaction count.
     pub(crate) fn len(&self) -> u64 {
         self.allocated
