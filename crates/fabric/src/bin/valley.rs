@@ -9,6 +9,7 @@
 //! `figures` and `fetch` read stored results only.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -26,6 +27,33 @@ use valley_harness::{
 use valley_sim::SimReport;
 use valley_workloads::{Benchmark, Scale};
 
+// This file's `print!` and `println!` shadow std's: every stdout write
+// goes through `write_stdout`, including any added later.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Every write to stdout. A reader that went away (`valley status |
+/// head -1`) ends the command quietly with exit 0: nobody reads the rest.
+/// Any other write error ends it with an error naming stdout.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// One flag: its name without the dashes, the placeholder of the value
 /// it takes (empty for a switch) and one line of help.
 type Flag = (&'static str, &'static str, &'static str);
@@ -41,8 +69,8 @@ const SCHEMES: Flag = ("schemes", "all|BASE,PAE,..", "grid schemes (default all)
 const SEEDS: Flag = ("seeds", "1,2,3", "grid BIM seeds (default 1)");
 const CONFIGS: Flag = (
     "configs",
-    "table1,stacked,sms24",
-    "grid configurations (default table1)",
+    "table1,sms24,sms48,stacked",
+    "grid machines (default table1)",
 );
 const RESULTS: Flag = (
     "results",
@@ -457,10 +485,10 @@ fn cmd_status(flags: &Flags) -> Result<(), String> {
         scan.records.len()
     );
 
-    let mut by_group: BTreeMap<(String, String), usize> = BTreeMap::new();
+    let mut by_group: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     for e in &scan.records {
         *by_group
-            .entry((e.spec.scale.name().to_string(), e.spec.config.name()))
+            .entry((e.spec.scale.name(), e.spec.config.name()))
             .or_insert(0) += 1;
     }
     if !by_group.is_empty() {
@@ -666,7 +694,7 @@ fn sweep_line(spec: &SweepSpec, results: Option<&str>) -> String {
         line.push_str(&format!(" --seeds {}", csv(seeds.collect())));
     }
     if spec.configs != [ConfigId::Table1] {
-        let configs = spec.configs.iter().map(|c| c.name());
+        let configs = spec.configs.iter().map(|c| c.name().to_string());
         line.push_str(&format!(" --configs {}", csv(configs.collect())));
     }
     if let Some(dir) = results {

@@ -51,7 +51,7 @@ pub fn pins() -> [Pin; 4] {
         scheme: SchemeKind::Pae,
         seed: 1,
         scale: Scale::Ref,
-        config: ConfigId::with_sms(24).unwrap(),
+        config: ConfigId::Sms24,
     };
     let mut msgs = String::new();
     Msg::kind(&mut msgs);

@@ -36,7 +36,7 @@ fn spec() -> JobSpec {
         scheme: SchemeKind::Pae,
         seed: 3,
         scale: Scale::Ref,
-        config: ConfigId::with_sms(24).unwrap(),
+        config: ConfigId::Sms24,
     }
 }
 

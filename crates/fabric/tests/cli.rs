@@ -128,32 +128,77 @@ fn sweep_batch_is_inert_and_hidden() {
     }
 }
 
-/// An SM count the simulator refuses (a transaction record names its
-/// SM in 16 bits) is refused at the flag, before any job starts.
+/// A machine that is not one of the paper's four is refused at the flag,
+/// before any job starts: no SM count but 24 and 48 names one, and
+/// Table I's 12 is `table1`.
 #[test]
 fn an_unsupported_sm_count_fails_at_the_flag() {
     let dir = fresh_dir("sms-too-many");
     let results = dir.to_str().expect("utf-8");
-    let out = valley(&[
+    for config in ["sms70000", "sms32", "sms12"] {
+        let out = valley(&[
+            "sweep",
+            "--scale",
+            "test",
+            "--benches",
+            "SP",
+            "--schemes",
+            "BASE,PAE",
+            "--configs",
+            config,
+            "--quiet",
+            "--results",
+            results,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "the sweep ran: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad value '{config}' for --configs")),
+            "the sweep failed without naming the flag: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `valley status | head -1` used to exit 101 with "failed printing to
+/// stdout: Broken pipe" and a backtrace. A reader that goes away ends a
+/// read-side command quietly and successfully. The pipe's reader is
+/// dropped before the spawn, so every write fails, not just a late one.
+#[test]
+fn a_closed_stdout_ends_a_read_side_command_quietly() {
+    let dir = fresh_dir("closed-pipe");
+    let results = dir.to_str().expect("utf-8 temp dir");
+    let fill = [
         "sweep",
         "--scale",
         "test",
         "--benches",
         "SP",
         "--schemes",
-        "BASE,PAE",
-        "--configs",
-        "sms70000",
+        "BASE",
         "--quiet",
-        "--results",
-        results,
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "the sweep ran: {stderr}");
+    ];
+    let out = valley(&[&fill[..], &["--results", results]].concat());
     assert!(
-        stderr.contains("bad value 'sms70000' for --configs"),
-        "the sweep failed without naming the flag: {stderr}"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    for args in [
+        &["status", "--results", results][..],
+        &["figures", "--fig", "table1_config"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_valley"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("valley runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -23,12 +23,6 @@ use valley_sim::SimReport;
 use valley_workloads::{Benchmark, Scale};
 
 const SCALES: [Scale; 3] = [Scale::Test, Scale::Small, Scale::Ref];
-const CONFIGS: [ConfigId; 4] = [
-    ConfigId::Table1,
-    ConfigId::Stacked,
-    ConfigId::with_sms(24).unwrap(),
-    ConfigId::with_sms(48).unwrap(),
-];
 
 fn job(bench: usize, scheme: usize, seed: u64, scale: usize, config: usize) -> JobSpec {
     JobSpec {
@@ -36,7 +30,7 @@ fn job(bench: usize, scheme: usize, seed: u64, scale: usize, config: usize) -> J
         scheme: SchemeKind::ALL_SCHEMES[scheme % SchemeKind::ALL_SCHEMES.len()],
         seed,
         scale: SCALES[scale % SCALES.len()],
-        config: CONFIGS[config % CONFIGS.len()],
+        config: ConfigId::ALL[config % ConfigId::ALL.len()],
     }
 }
 
@@ -288,7 +282,7 @@ proptest! {
             schemes: schemes.iter().map(|&s| job(0, s, 0, 0, 0).scheme).collect(),
             seeds,
             scale: SCALES[scale],
-            configs: configs.iter().map(|&c| CONFIGS[c % CONFIGS.len()]).collect(),
+            configs: configs.iter().map(|&c| ConfigId::ALL[c % ConfigId::ALL.len()]).collect(),
         };
         let filters = QueryFilters::for_grid(&grid);
         let jobs = grid.expand();
@@ -299,7 +293,7 @@ proptest! {
         prop_assert_eq!(filters.bench.is_some(), distinct(&|j| j.bench.label().into()) == 1);
         prop_assert_eq!(filters.scheme.is_some(), distinct(&|j| j.scheme.label().into()) == 1);
         prop_assert_eq!(filters.seed.is_some(), distinct(&|j| j.seed.to_string()) == 1);
-        prop_assert_eq!(filters.config.is_some(), distinct(&|j| j.config.name()) == 1);
+        prop_assert_eq!(filters.config.is_some(), distinct(&|j| j.config.name().into()) == 1);
         for spec in jobs {
             let r = StoredResult {
                 spec,

@@ -120,9 +120,7 @@ pub const FIGURES: [Figure; 17] = [
     },
     Figure {
         name: "fig18_sensitivity",
-        grid: |scale, seed| {
-            vec![suite_spec(&SUBSET, scale, seed).with_configs(&FIG18_CONFIGS.map(|(c, _)| c))]
-        },
+        grid: |scale, seed| vec![suite_spec(&SUBSET, scale, seed).with_configs(&ConfigId::ALL)],
         render: fig18,
     },
     Figure {
@@ -501,16 +499,9 @@ const SUBSET: [Benchmark; 4] = [
     Benchmark::Sp,
 ];
 
-/// Figure 18's machines. Table I has 12 SMs, so the 12-SM point shares
-/// its jobs with every other figure.
-const FIG18_CONFIGS: [(ConfigId, &str); 4] = [
-    (ConfigId::Table1, "12 SMs conv. DRAM"),
-    (ConfigId::with_sms(24).unwrap(), "24 SMs conv. DRAM"),
-    (ConfigId::with_sms(48).unwrap(), "48 SMs conv. DRAM"),
-    (ConfigId::Stacked, "64 SMs 3D DRAM"),
-];
-
-/// Figure 18: HMEAN speedup over BASE by SM count and DRAM organization.
+/// Figure 18: HMEAN speedup over BASE by SM count and DRAM
+/// organization, one row per machine. Table I has 12 SMs, so the 12-SM
+/// row shares its jobs with every other figure.
 fn fig18(scale: Scale, seed: u64, reports: &Reports) -> String {
     let mut out =
         String::from("Figure 18: HMEAN speedup over BASE (subset: MT, NW, SRAD2, SP)\n\n");
@@ -519,7 +510,13 @@ fn fig18(scale: Scale, seed: u64, reports: &Reports) -> String {
         out.push_str(&format!("{:>8}", s.label()));
     }
     out.push('\n');
-    for (config, label) in FIG18_CONFIGS {
+    for config in ConfigId::ALL {
+        let dram = if config.dram_map() == DramMap::stacked() {
+            "3D"
+        } else {
+            "conv."
+        };
+        let label = format!("{} SMs {dram} DRAM", config.gpu_config().num_sms);
         out.push_str(&format!("{label:<24}"));
         for s in SchemeKind::ALL_SCHEMES {
             let speedups: Vec<f64> = SUBSET

@@ -47,80 +47,61 @@ pub const SCHEMA_VERSION: u32 = 5;
 /// spread).
 pub const DEFAULT_SEED: u64 = 1;
 
-/// Identifies the GPU/memory configuration a job runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The machine a job runs on: one of the paper's four, in Figure 18's
+/// order. Table I's GPU, the same GPU with 24 or 48 SMs (its memory
+/// system unchanged), and the 64-SM 3D-stacked GPU.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConfigId {
-    /// The paper's baseline GDDR5 GPU (Table I).
+    /// The paper's baseline GDDR5 GPU (Table I), 12 SMs.
     Table1,
-    /// The 3D-stacked memory configuration (Figure 18, rightmost group).
+    /// Table I with 24 SMs (Figure 18).
+    Sms24,
+    /// Table I with 48 SMs (Figure 18).
+    Sms48,
+    /// The 64-SM 3D-stacked memory configuration (Figure 18, rightmost
+    /// group).
     Stacked,
-    /// Table I with a different SM count (Figure 18's scaling sweep),
-    /// built by [`ConfigId::with_sms`].
-    Sms(SmCount),
-}
-
-/// The SM count of a [`ConfigId::Sms`] machine: 1 to
-/// [`GpuSim::MAX_SMS`], and not Table I's own count, which is
-/// [`ConfigId::Table1`] — one machine has one job key. The field is
-/// private, so [`ConfigId::with_sms`] is the only way to make one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SmCount(u32);
-
-impl SmCount {
-    /// The count.
-    pub const fn get(self) -> u32 {
-        self.0
-    }
 }
 
 impl ConfigId {
-    /// The Table I machine with `n` SMs: [`ConfigId::Table1`] for Table
-    /// I's own count, else [`ConfigId::Sms`], or `None` for 0 and past
-    /// [`GpuSim::MAX_SMS`]. The one place that reads Table I's SM count
-    /// and makes an [`SmCount`].
-    pub const fn with_sms(n: u32) -> Option<ConfigId> {
-        if n == 0 || n as usize > GpuSim::MAX_SMS {
-            None
-        } else if n as usize == GpuConfig::table1().num_sms {
-            Some(ConfigId::Table1)
-        } else {
-            Some(ConfigId::Sms(SmCount(n)))
-        }
-    }
+    /// Every machine, in Figure 18's order.
+    pub const ALL: [ConfigId; 4] = [
+        ConfigId::Table1,
+        ConfigId::Sms24,
+        ConfigId::Sms48,
+        ConfigId::Stacked,
+    ];
 
     /// Stable identifier used in job keys and CLI flags.
-    pub fn name(self) -> String {
+    pub fn name(self) -> &'static str {
         match self {
-            ConfigId::Table1 => "table1".to_string(),
-            ConfigId::Stacked => "stacked".to_string(),
-            ConfigId::Sms(n) => format!("sms{}", n.get()),
+            ConfigId::Table1 => "table1",
+            ConfigId::Sms24 => "sms24",
+            ConfigId::Sms48 => "sms48",
+            ConfigId::Stacked => "stacked",
         }
     }
 
-    /// Parses a [`ConfigId::name`] string; `smsN` goes through
-    /// [`ConfigId::with_sms`].
+    /// Parses a [`ConfigId::name`] string.
     pub fn parse(s: &str) -> Option<ConfigId> {
-        match s {
-            "table1" => Some(ConfigId::Table1),
-            "stacked" => Some(ConfigId::Stacked),
-            _ => ConfigId::with_sms(s.strip_prefix("sms")?.parse().ok()?),
-        }
+        ConfigId::ALL.into_iter().find(|c| c.name() == s)
     }
 
     /// The simulator configuration this id denotes.
     pub fn gpu_config(self) -> GpuConfig {
         match self {
             ConfigId::Table1 => GpuConfig::table1(),
+            ConfigId::Sms24 => GpuConfig::table1().with_sms(24),
+            ConfigId::Sms48 => GpuConfig::table1().with_sms(48),
             ConfigId::Stacked => GpuConfig::stacked(),
-            ConfigId::Sms(n) => GpuConfig::table1().with_sms(n.get() as usize),
         }
     }
 
     /// The DRAM address map of this configuration's memory system.
     pub fn dram_map(self) -> DramMap {
         match self {
+            ConfigId::Table1 | ConfigId::Sms24 | ConfigId::Sms48 => DramMap::baseline(),
             ConfigId::Stacked => DramMap::stacked(),
-            ConfigId::Table1 | ConfigId::Sms(_) => DramMap::baseline(),
         }
     }
 }
@@ -129,7 +110,7 @@ valley_sim::name_coded!(ConfigId, name, ConfigId::parse);
 
 impl std::fmt::Display for ConfigId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.name())
     }
 }
 
@@ -450,7 +431,7 @@ mod tests {
                 ..base
             },
             JobSpec {
-                config: ConfigId::with_sms(24).unwrap(),
+                config: ConfigId::Sms24,
                 ..base
             },
         ];
@@ -467,14 +448,10 @@ mod tests {
             schemes: SchemeKind::ALL_SCHEMES.to_vec(),
             seeds: vec![1, 2, 3],
             scale: Scale::Ref,
-            configs: vec![
-                ConfigId::Table1,
-                ConfigId::Stacked,
-                ConfigId::with_sms(24).unwrap(),
-            ],
+            configs: ConfigId::ALL.to_vec(),
         };
         let jobs = spec.expand();
-        assert_eq!(jobs.len(), 16 * 6 * 3 * 3);
+        assert_eq!(jobs.len(), 16 * 6 * 3 * 4);
         let mut seen: FastMap<u64, String> = FastMap::default();
         for j in jobs {
             let k = j.key();
@@ -521,28 +498,13 @@ mod tests {
 
     #[test]
     fn config_names_round_trip() {
-        // Every config that can be built: the two named machines and
-        // every SM count `ConfigId::with_sms` accepts, which is all of
-        // `1..=MAX_SMS`, Table I's 12 naming `table1`.
-        let max = GpuSim::MAX_SMS as u32;
-        let mut built = vec![ConfigId::Table1, ConfigId::Stacked];
-        for n in 0..=max + 1 {
-            let config = ConfigId::with_sms(n);
-            let want = match n {
-                12 => Some("table1".to_string()),
-                n if n == 0 || n > max => None,
-                n => Some(format!("sms{n}")),
-            };
-            assert_eq!(config.map(ConfigId::name), want, "sms{n}");
-            assert_eq!(ConfigId::parse(&format!("sms{n}")), config);
-            built.extend(config.filter(|&c| c != ConfigId::Table1));
+        for c in ConfigId::ALL {
+            assert_eq!(ConfigId::parse(c.name()), Some(c));
         }
-        assert_eq!(built.len(), 2 + max as usize - 1);
-        for c in built {
-            assert_eq!(ConfigId::parse(&c.name()), Some(c));
+        for name in ["nope", "sms0", "sms12", "sms32", "sms70000"] {
+            assert_eq!(ConfigId::parse(name), None, "{name}");
         }
-        assert_eq!(ConfigId::parse("nope"), None);
-        let sms48 = ConfigId::with_sms(48).unwrap();
-        assert_eq!(sms48.gpu_config().num_sms, 48);
+        let sms = ConfigId::ALL.map(|c| c.gpu_config().num_sms);
+        assert_eq!(sms, [12, 24, 48, 64]);
     }
 }

@@ -54,8 +54,8 @@ mod store;
 mod sweep;
 
 pub use job::{
-    execute_batch_timed, execute_job, ConfigId, JobKey, JobSpec, SmCount, SweepSpec, WallKind,
-    DEFAULT_SEED, SCHEMA_VERSION,
+    execute_batch_timed, execute_job, ConfigId, JobKey, JobSpec, SweepSpec, WallKind, DEFAULT_SEED,
+    SCHEMA_VERSION,
 };
 pub use store::{
     gc, scan, store_line_description, GcReport, ResultStore, StoreError, StoreScan, StoredResult,

@@ -12,13 +12,14 @@ use valley_dram::DramConfig;
 /// hit latency, and the LLC latency. The scheduling and write policies
 /// are the paper's and not configurable either.
 ///
-/// The fields are what varies. A machine varies `num_sms`, `noc_mhz`
-/// and `dram` (the `table1`, `with_sms` and `stacked` machines); a test
-/// varies the MSHR sizes and `max_cycles`. The line size, the LLC's
-/// slice count and geometry and the router latency hold one value
-/// everywhere, but stay fields while the benchmark's layer probes
-/// (`benchmark/src/layers.rs`, untouched until ROADMAP item 1) read them
-/// from a `GpuConfig`.
+/// The fields are what varies. The paper's four machines vary `num_sms`,
+/// `noc_mhz` and `dram`: `table1()`, `table1().with_sms(24)` and
+/// `with_sms(48)`, and `stacked()`, named by the harness's `ConfigId`.
+/// A test varies the SM count freely, the MSHR sizes and `max_cycles`.
+/// The line size, the LLC's slice count and geometry and the router
+/// latency hold one value everywhere, but stay fields while the
+/// benchmark's layer probes (`benchmark/src/layers.rs`, untouched until
+/// ROADMAP item 1) read them from a `GpuConfig`.
 #[derive(Clone, Debug)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.

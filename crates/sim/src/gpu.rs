@@ -15,7 +15,7 @@
 use crate::config::GpuConfig;
 use crate::llc::LlcSlice;
 use crate::metrics::{ParallelismIntegrator, SimReport};
-use crate::sm::{Sm, SmOutbound};
+use crate::sm::Sm;
 use crate::trace::{KernelSource, WorkloadSource};
 use crate::txn::{id_of, Route, TxnTable, NO_WARP};
 use crate::wake::audit::{count, Counter};
@@ -347,7 +347,7 @@ impl GpuSim {
 
         let mut sched = TbScheduler::new();
         let mut parallelism = ParallelismIntegrator::new();
-        let mut outbound: Vec<SmOutbound> = Vec::new();
+        let mut outbound: Vec<u32> = Vec::new();
         let mut replies: Vec<u64> = Vec::new();
         // Reusable hot-loop buffers: the per-tick component APIs append to
         // caller-provided Vecs, so steady state allocates nothing.
@@ -515,13 +515,18 @@ impl GpuSim {
                     sms_next = next;
                 }
             }
-            for o in outbound.drain(..) {
-                let t = self.txns.get(o.txn);
+            // A store carries its line; a load request its address only.
+            for txn in outbound.drain(..) {
+                let t = self.txns.get(txn);
                 self.req_net.inject(Packet {
-                    payload: u64::from(o.txn),
+                    payload: u64::from(txn),
                     src: usize::from(t.sm),
                     dst: usize::from(t.slice),
-                    flits: o.flits,
+                    flits: if t.is_store() {
+                        DATA_FLITS
+                    } else {
+                        REQUEST_FLITS
+                    },
                     injected_at: noc_cycles.end,
                 });
             }
@@ -831,8 +836,8 @@ mod tests {
                 shadow += retired;
                 sched.retire(retired, cycle);
             }
-            for o in outbound.drain(..) {
-                txns.release(o.txn);
+            for txn in outbound.drain(..) {
+                txns.release(txn);
             }
             let k = sched.kernel_idx;
             if sched.kernel.is_none() {

@@ -177,26 +177,6 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
-impl<T: Codec, const N: usize> Codec for [T; N] {
-    fn kind(out: &mut String) {
-        out.push('[');
-        T::kind(out);
-        out.push_str(&format!(";{N}]"));
-    }
-
-    fn encode(&self) -> Json {
-        Json::Arr(self.iter().map(T::encode).collect())
-    }
-
-    fn decode(v: &Json) -> Result<Self, String> {
-        let items = Vec::<T>::decode(v)?;
-        let found = items.len();
-        items
-            .try_into()
-            .map_err(|_| format!("expected {N} items, found {found}"))
-    }
-}
-
 /// Declares an enum that travels as one of its stable names:
 /// `name_coded!(Type, to_name, from_name)`, with `value.to_name()` the
 /// name and `from_name(&str) -> Option<Type>` its inverse.

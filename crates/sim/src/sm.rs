@@ -21,15 +21,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use valley_cache::{CacheStats, MshrAllocation, MshrFile, SetAssocCache};
 use valley_core::{AddressMapper, PhysAddr};
 
-/// A NoC request emitted by an SM (to be injected by the GPU top level).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SmOutbound {
-    /// Transaction id.
-    pub txn: u32,
-    /// Packet size in flits.
-    pub flits: u32,
-}
-
 /// The GTO ready set: (age, warp slot) pairs kept sorted ascending. At
 /// most [`GpuConfig::MAX_WARPS_PER_SM`] (48) entries, where a sorted
 /// `Vec` beats a `BTreeSet` soundly (contiguous memory, no node
@@ -327,7 +318,7 @@ impl Sm {
         mapper: &AddressMapper,
         txns: &mut TxnTable,
         route: &dyn Fn(PhysAddr) -> Route,
-        outbound: &mut Vec<SmOutbound>,
+        outbound: &mut Vec<u32>,
     ) -> u64 {
         let was_busy = self.resident_warps() > 0;
 
@@ -369,7 +360,7 @@ impl Sm {
         cycle: u64,
         mapper: &AddressMapper,
         txns: &mut TxnTable,
-        outbound: &mut Vec<SmOutbound>,
+        outbound: &mut Vec<u32>,
     ) {
         let Some(&txn) = self.mem_queue.front() else {
             return;
@@ -380,10 +371,7 @@ impl Sm {
         if txns.get(txn).is_store() {
             // Write-through, no-allocate: straight to the LLC, carrying data.
             self.mem_queue.pop_front();
-            outbound.push(SmOutbound {
-                txn,
-                flits: valley_noc::DATA_FLITS,
-            });
+            outbound.push(txn);
             return;
         }
         let line = txns.line(txn);
@@ -393,10 +381,7 @@ impl Sm {
             self.hit_queue.push_back((cycle + lat, txn));
         } else {
             match self.mshr.allocate(line, u64::from(txn)) {
-                MshrAllocation::NewEntry => outbound.push(SmOutbound {
-                    txn,
-                    flits: valley_noc::REQUEST_FLITS,
-                }),
+                MshrAllocation::NewEntry => outbound.push(txn),
                 MshrAllocation::Merged => {}
                 MshrAllocation::Stalled => {
                     // Head-of-line: resource stall. Cache the verdict — it
@@ -633,11 +618,11 @@ mod tests {
             assert_eq!(sm.resident_tbs(), ages_resident(&sm), "cycle {cycle}");
             let emptied = was_busy && sm.resident_warps() == 0;
             edges.emptied_by_tick += u64::from(emptied);
-            for o in outbound.drain(..) {
-                if txns.get(o.txn).is_store() {
-                    txns.release(o.txn);
+            for txn in outbound.drain(..) {
+                if txns.get(txn).is_store() {
+                    txns.release(txn);
                 } else {
-                    replies.push_back((cycle + REPLY_LATENCY, o.txn));
+                    replies.push_back((cycle + REPLY_LATENCY, txn));
                 }
             }
             if assigned < tbs && assign(cycle, emptied) {

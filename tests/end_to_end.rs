@@ -136,10 +136,13 @@ fn stacked_memory_configuration_runs() {
 
 #[test]
 fn sm_count_sweep_runs() {
-    for sms in [12, 24, 48] {
-        let config = ConfigId::parse(&format!("sms{sms}")).unwrap();
+    for (config, sms) in [
+        (ConfigId::Table1, 12),
+        (ConfigId::Sms24, 24),
+        (ConfigId::Sms48, 48),
+    ] {
         let r = run_on(config, Benchmark::Hs, SchemeKind::Fae, 1);
-        assert!(!r.truncated, "{sms} SMs truncated");
-        assert_eq!(r.num_sms, sms as usize);
+        assert!(!r.truncated, "{config} truncated");
+        assert_eq!(r.num_sms, sms);
     }
 }
