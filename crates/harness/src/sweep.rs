@@ -307,7 +307,8 @@ pub fn run_sweep(
     // Phase 2: execute the misses on the thread pool, one pool unit per
     // simulation (see `take_unit`), each handing its lanes to the
     // committer before it reports done. That is the last look at a
-    // fresh report, so a run the cycle limit cut is named there.
+    // fresh report, so a run cut at `GpuSim::CYCLE_CEILING` is named
+    // there.
     let units: Vec<Vec<usize>> =
         std::iter::from_fn(|| Some(take_unit(&mut pending, &jobs, |_| true)))
             .take_while(|unit| !unit.is_empty())
@@ -344,7 +345,11 @@ pub fn run_sweep(
                 &mut *commit.lock().expect("committer poisoned");
             for (&idx, lane) in units[u].iter().zip(lanes) {
                 if opts.verbose && lane.report.truncated {
-                    eprintln!("  WARNING: {} hit the cycle limit", lane.spec);
+                    eprintln!(
+                        "  WARNING: {} hit the cycle limit, GpuSim::CYCLE_CEILING = {}",
+                        lane.spec,
+                        valley_sim::GpuSim::CYCLE_CEILING
+                    );
                 }
                 *simulated_ms += lane.wall_ms;
                 failures.extend(committer.complete(idx, lane));

@@ -15,7 +15,9 @@ use valley_dram::DramConfig;
 /// The fields are what varies. The paper's four machines vary `num_sms`,
 /// `noc_mhz` and `dram`: `table1()`, `table1().with_sms(24)` and
 /// `with_sms(48)`, and `stacked()`, named by the harness's `ConfigId`.
-/// A test varies the SM count freely, the MSHR sizes and `max_cycles`.
+/// A test varies the SM count freely and the MSHR sizes. Where a run
+/// stops is not part of the machine: `GpuSim::run_to` cuts it at any
+/// core cycle up to `GpuSim::CYCLE_CEILING`.
 /// The line size, the LLC's slice count and geometry and the router
 /// latency hold one value everywhere, but stay fields while the
 /// benchmark's layer probes (`benchmark/src/layers.rs`, untouched until
@@ -42,8 +44,6 @@ pub struct GpuConfig {
     pub dram: DramConfig,
     /// Cache line / memory transaction size in bytes.
     pub line_bytes: u64,
-    /// Safety limit on simulated core cycles.
-    pub max_cycles: u64,
 }
 
 impl GpuConfig {
@@ -83,7 +83,6 @@ impl GpuConfig {
             noc_mhz: 700,
             dram: DramConfig::gddr5(),
             line_bytes: 128,
-            max_cycles: 200_000_000,
         }
     }
 

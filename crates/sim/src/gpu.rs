@@ -32,7 +32,8 @@ const METRIC_SAMPLE_INTERVAL: u64 = 4;
 /// The complete simulated GPU.
 ///
 /// Build one with [`GpuSim::new`], then call [`GpuSim::run`] to execute the
-/// workload to completion and collect a [`SimReport`].
+/// workload to completion and collect a [`SimReport`], or
+/// [`GpuSim::run_to`] to report at a core cycle and resume from there.
 ///
 /// # Examples
 ///
@@ -61,6 +62,45 @@ pub struct GpuSim {
     slices: Vec<LlcSlice>,
     txns: TxnTable,
     workload: Box<dyn WorkloadSource>,
+    /// Where the run stands between calls of the drive loop.
+    drive: Drive,
+}
+
+/// The drive loop's state across calls of [`GpuSim::run_to`]: the loop
+/// loads it into locals on entry and stores it back on exit, so a run
+/// resumed at a cut goes on as if it had never stopped. The default is a
+/// run at cycle 0 with every gate at 0, offering every unit and pass
+/// that cycle.
+#[derive(Default)]
+struct Drive {
+    /// The next core cycle to run; every earlier one ran or was skipped.
+    cycle: u64,
+    /// Whether the workload finished and the machine drained.
+    done: bool,
+    sched: TbScheduler,
+    parallelism: ParallelismIntegrator,
+    /// Parallelism is sampled up to this cycle: every sampling point in
+    /// `[sampled_to, cycle)` sees the state the iteration at `sampled_to`
+    /// left.
+    sampled_to: u64,
+    /// The wake gate over the SMs (see `crate::wake`): the minimum of
+    /// their hints, set by their walk and lowered to an SM's fresh hint
+    /// by every out-of-band source that moved it. Below it the walk is
+    /// skipped, and the fast-forward reads the core-domain horizon in
+    /// O(1).
+    sms_next: u64,
+    /// The same gate over the LLC slices.
+    slices_next: u64,
+    /// The DRAM hand-off's gate besides a DRAM phase: the cycle after a
+    /// slice tick gave its DRAM queue a new head, else `u64::MAX`. (At
+    /// cycle 0 the pass finds every queue empty.)
+    handoff_next: u64,
+    // Reusable hot-loop buffers: the per-tick component APIs append to
+    // caller-provided Vecs, so steady state allocates nothing.
+    outbound: Vec<u32>,
+    replies: Vec<u64>,
+    deliveries: Vec<valley_noc::Delivery>,
+    completions: Vec<valley_dram::DramCompletion>,
 }
 
 /// Kernel-serial TB scheduler: one kernel resident at a time, its thread
@@ -69,6 +109,7 @@ pub struct GpuSim {
 /// holds one. A unit like the others: the drive loop runs
 /// [`TbScheduler::tick`] where its gate admits
 /// [`TbScheduler::cached_next_event`].
+#[derive(Default)]
 struct TbScheduler {
     kernel_idx: usize,
     kernel: Option<Box<dyn KernelSource>>,
@@ -85,17 +126,6 @@ struct TbScheduler {
 }
 
 impl TbScheduler {
-    fn new() -> Self {
-        TbScheduler {
-            kernel_idx: 0,
-            kernel: None,
-            next_tb: 0,
-            rr_sm: 0,
-            age_counter: 0,
-            next: 0,
-        }
-    }
-
     fn finished(&self, workload: &dyn WorkloadSource) -> bool {
         self.kernel.is_none() && self.kernel_idx >= workload.num_kernels()
     }
@@ -165,6 +195,11 @@ impl GpuSim {
     /// in 16 bits.
     pub const MAX_SMS: usize = 1 << 16;
 
+    /// The latest core cycle a run may be cut at: [`GpuSim::run`] runs to
+    /// it, and [`GpuSim::new`] checks that every clock domain's time up to
+    /// it fits its counters.
+    pub const CYCLE_CEILING: u64 = 200_000_000;
+
     /// Creates a simulator for `workload` under the mapping scheme
     /// `mapper`, decoding DRAM coordinates through `map`.
     ///
@@ -176,8 +211,9 @@ impl GpuSim {
     ///
     /// Panics, naming the field, if an SM index would not fit 16 bits or
     /// a slice index 8 — the widths of the per-transaction record — if a
-    /// NoC cycle before `max_cycles` would not fit the crossbar's 32-bit
-    /// injection stamp or a DRAM cycle before it not a `u64`, if
+    /// NoC cycle before [`GpuSim::CYCLE_CEILING`] would not fit the
+    /// crossbar's 32-bit injection stamp or a DRAM cycle before it not a
+    /// `u64`, if
     /// `num_sms`, `llc_slices`, `noc_mhz`, `dram.clock_mhz` or
     /// `dram.queue_capacity` is 0, if fewer controllers than slices do
     /// not divide `llc_slices`, if `line_bytes` is not the L1's and a
@@ -227,22 +263,22 @@ impl GpuSim {
             controllers >= slices || slices % controllers == 0,
             "{controllers} DRAM controllers do not divide llc_slices = {slices}"
         );
-        // A domain at `mhz` reaches domain cycle `max_cycles·mhz/1400`
+        // A domain at `mhz` reaches domain cycle `CYCLE_CEILING·mhz/1400`
         // (`crate::wake::DomainClock`) by the end of a run, which stops
-        // before core cycle `max_cycles`; the crossbars queue a packet
+        // before core cycle `CYCLE_CEILING`; the crossbars queue a packet
         // with its injection NoC cycle in 32 bits.
+        let ceiling = Self::CYCLE_CEILING;
         assert!(
-            cfg.max_cycles.checked_mul(cfg.dram.clock_mhz).is_some(),
-            "max_cycles = {} at dram.clock_mhz = {} overflows a u64 of DRAM time",
-            cfg.max_cycles,
+            ceiling.checked_mul(cfg.dram.clock_mhz).is_some(),
+            "dram.clock_mhz = {} overflows a u64 of DRAM time by GpuSim::CYCLE_CEILING = {ceiling}",
             cfg.dram.clock_mhz
         );
-        let last_stamp = (cfg.max_cycles.checked_mul(cfg.noc_mhz))
-            .map_or(u64::MAX, |t| t / GpuConfig::CORE_CLOCK_MHZ);
+        let last_stamp =
+            (ceiling.checked_mul(cfg.noc_mhz)).map_or(u64::MAX, |t| t / GpuConfig::CORE_CLOCK_MHZ);
         assert!(
             last_stamp < u64::from(u32::MAX),
-            "max_cycles = {} reaches NoC cycle {last_stamp}, past the crossbar's 32-bit injection stamp",
-            cfg.max_cycles
+            "noc_mhz = {} reaches NoC cycle {last_stamp} by GpuSim::CYCLE_CEILING = {ceiling}, past the crossbar's 32-bit injection stamp",
+            cfg.noc_mhz
         );
         // The caches hold lines and a data packet carries one behind its
         // header, in 32-byte flits.
@@ -267,7 +303,7 @@ impl GpuSim {
         }
         // A thread block is resident on one SM: one that cannot fit an
         // empty SM would never be assigned, and the run would idle to
-        // `max_cycles`.
+        // its cycle limit.
         for k in 0..workload.num_kernels() {
             let warps = workload.kernel(k).warps_per_block();
             assert!(
@@ -289,6 +325,7 @@ impl GpuSim {
             mapper,
             dram,
             cfg,
+            drive: Drive::default(),
         }
     }
 
@@ -314,12 +351,12 @@ impl GpuSim {
         }
     }
 
-    /// Runs the workload to completion (or to the cycle safety limit),
+    /// Runs the workload to completion (or to [`GpuSim::CYCLE_CEILING`]),
     /// ticking each unit at its hint and skipping event-free cycles, and
     /// returns a report bit-identical to [`GpuSim::run_dense`]'s (see
     /// `tests/event_driven_equivalence.rs`).
-    pub fn run(self) -> SimReport {
-        self.run_gated(|now, next| now >= next)
+    pub fn run(mut self) -> SimReport {
+        self.run_to(Self::CYCLE_CEILING)
     }
 
     /// [`GpuSim::run`]; both arguments are ignored. Kept because the
@@ -331,8 +368,37 @@ impl GpuSim {
 
     /// The dense reference: [`GpuSim::run`] with every gate open, each
     /// unit ticked every cycle — the oracle the hints are checked against.
-    pub fn run_dense(self) -> SimReport {
-        self.run_gated(|_, _| true)
+    pub fn run_dense(mut self) -> SimReport {
+        self.run_dense_to(Self::CYCLE_CEILING)
+    }
+
+    /// Runs on from where the run stands to core cycle `limit`, or to
+    /// completion if that comes first, and reports there. The report is
+    /// the one a fresh simulator run to `limit` gives: the cycles before
+    /// `limit` ran (cycle 0 always runs, so a cut at 0 is a cut at 1),
+    /// the machine is cut mid-flight with each SM's open busy span and
+    /// the parallelism samples counted up to the cut, and `truncated`
+    /// says whether the workload was left unfinished. Nothing is closed:
+    /// a later call resumes as if the run had never stopped, so each of
+    /// ascending cuts reports what a fresh run cut there reports. Once
+    /// the run completed, a later call reports the completed run.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming both numbers, if `limit` is past
+    /// [`GpuSim::CYCLE_CEILING`] or behind the cycle the run stands at.
+    pub fn run_to(&mut self, limit: u64) -> SimReport {
+        self.drive(limit, |now, next| now >= next)
+    }
+
+    /// [`GpuSim::run_to`] with every gate open: the dense reference of a
+    /// cut, resumable like it.
+    ///
+    /// # Panics
+    ///
+    /// As [`GpuSim::run_to`].
+    pub fn run_dense_to(&mut self, limit: u64) -> SimReport {
+        self.drive(limit, |_, _| true)
     }
 
     /// The drive loop. `ticks(now, next)` is its one gate: whether a unit,
@@ -340,36 +406,39 @@ impl GpuSim {
     /// whether the fast-forward stops at `now` or jumps to the hint. Below
     /// its hint a tick changes nothing, so any gate that admits the hint
     /// gives one result.
-    fn run_gated(mut self, ticks: impl Fn(u64, u64) -> bool + Copy) -> SimReport {
-        let mut cycle: u64 = 0;
+    fn drive(&mut self, limit: u64, ticks: impl Fn(u64, u64) -> bool + Copy) -> SimReport {
+        assert!(
+            limit <= Self::CYCLE_CEILING,
+            "run_to({limit}) is past GpuSim::CYCLE_CEILING = {}",
+            Self::CYCLE_CEILING
+        );
+        // The loop runs a cycle before it checks the limit.
+        let end = limit.max(1);
+        let at = self.drive.cycle;
+        assert!(
+            end >= at,
+            "run_to({limit}) is behind the run, which stands at cycle {at}"
+        );
+        let Drive {
+            mut cycle,
+            mut done,
+            mut sched,
+            mut parallelism,
+            mut sampled_to,
+            mut sms_next,
+            mut slices_next,
+            mut handoff_next,
+            mut outbound,
+            mut replies,
+            mut deliveries,
+            mut completions,
+        } = std::mem::take(&mut self.drive);
         let noc_clock = DomainClock::new(self.cfg.noc_mhz);
         let dram_clock = DomainClock::new(self.cfg.dram.clock_mhz);
+        deliveries.reserve(64);
+        completions.reserve(64);
 
-        let mut sched = TbScheduler::new();
-        let mut parallelism = ParallelismIntegrator::new();
-        let mut outbound: Vec<u32> = Vec::new();
-        let mut replies: Vec<u64> = Vec::new();
-        // Reusable hot-loop buffers: the per-tick component APIs append to
-        // caller-provided Vecs, so steady state allocates nothing.
-        let mut deliveries: Vec<valley_noc::Delivery> = Vec::with_capacity(64);
-        let mut completions: Vec<valley_dram::DramCompletion> = Vec::with_capacity(64);
-        let mut truncated = false;
-        // The cycle of the previous iteration: the state it left is what
-        // every parallelism sampling point in `[sampled_to, cycle)` sees.
-        let mut sampled_to: u64 = 0;
-        // Wake gates over the SM and LLC-slice populations (see
-        // `crate::wake`): the minimum of their hints, set by their walk and
-        // lowered to a unit's fresh hint by every out-of-band source that
-        // moved it. Below a gate its walk is skipped, and the fast-forward
-        // reads the core-domain horizon in O(1). At 0 every unit is offered
-        // its first tick.
-        let mut sms_next: u64 = 0;
-        let mut slices_next: u64 = 0;
-        // The DRAM hand-off's gate besides a DRAM phase: the cycle after a
-        // slice tick gave its DRAM queue a new head, else `u64::MAX`.
-        let mut handoff_next = u64::MAX;
-
-        loop {
+        while !done && cycle < end {
             crate::alloc_audit::note_cycle(cycle);
             // ---- Fast-forward over globally event-free cycles ----
             // Jump to the core-domain gate or to the first cycle that
@@ -386,9 +455,8 @@ impl GpuSim {
                     .min(noc_clock.first_past(noc_next))
                     .min(dram_clock.first_past(self.dram.cached_next_event()));
                 debug_assert!(to >= cycle, "a NoC or DRAM hint fell behind its clock");
-                if to >= self.cfg.max_cycles {
-                    cycle = self.cfg.max_cycles;
-                    truncated = true;
+                if to >= end {
+                    cycle = end;
                     break;
                 }
                 cycle = to;
@@ -546,20 +614,26 @@ impl GpuSim {
             }
 
             cycle += 1;
-
-            // ---- Termination ----
-            if sched.finished(self.workload.as_ref()) && self.is_drained() {
-                break;
-            }
-            if cycle >= self.cfg.max_cycles {
-                truncated = true;
-                break;
-            }
+            done = sched.finished(self.workload.as_ref()) && self.is_drained();
         }
 
         crate::alloc_audit::window_close();
         self.sample_parallelism(&mut parallelism, sampled_to..cycle);
-        self.report(cycle, truncated, &parallelism, &sched)
+        self.drive = Drive {
+            cycle,
+            done,
+            sched,
+            parallelism,
+            sampled_to: cycle,
+            sms_next,
+            slices_next,
+            handoff_next,
+            outbound,
+            replies,
+            deliveries,
+            completions,
+        };
+        self.report()
     }
 
     /// Records the parallelism sampling points (the multiples of
@@ -588,13 +662,9 @@ impl GpuSim {
             && !self.reply_net.is_busy()
     }
 
-    fn report(
-        &self,
-        cycles: u64,
-        truncated: bool,
-        parallelism: &ParallelismIntegrator,
-        sched: &TbScheduler,
-    ) -> SimReport {
+    /// The report of the run as it stands.
+    fn report(&self) -> SimReport {
+        let (cycles, done) = (self.drive.cycle, self.drive.done);
         let mut l1 = CacheStats::default();
         let mut warp_instructions = 0;
         let mut busy = 0u64;
@@ -625,7 +695,7 @@ impl GpuSim {
         // the reply network. Every transaction ended exactly once. Every
         // DRAM column access finds its row open, idle or holding another
         // row, and the last two take one ACT each.
-        if !truncated {
+        if done {
             let stores = self.txns.stores();
             let loads_delivered = req.delivered - stores;
             debug_assert_eq!(l1.accesses(), self.txns.len() - stores);
@@ -661,18 +731,18 @@ impl GpuSim {
             benchmark: self.workload.name(),
             scheme: self.mapper.kind().label().to_string(),
             cycles,
-            truncated,
+            truncated: !done,
             warp_instructions,
             thread_instructions: warp_instructions * GpuConfig::WARP_SIZE as u64,
             memory_transactions: self.txns.len(),
             l1,
             llc,
             noc_latency,
-            llc_parallelism: parallelism.llc_parallelism(),
-            channel_parallelism: parallelism.channel_parallelism(),
-            bank_parallelism: parallelism.bank_parallelism(),
+            llc_parallelism: self.drive.parallelism.llc_parallelism(),
+            channel_parallelism: self.drive.parallelism.channel_parallelism(),
+            bank_parallelism: self.drive.parallelism.bank_parallelism(),
             dram,
-            kernels: sched.kernel_idx,
+            kernels: self.drive.sched.kernel_idx,
             dram_cycles: DomainClock::new(self.cfg.dram.clock_mhz).at(cycles),
             dram_channels: self.dram.num_channels(),
             dram_clock_ghz: self.cfg.dram.clock_mhz as f64 / 1000.0,
@@ -826,7 +896,7 @@ mod tests {
         let mut txns = TxnTable::new(cfg.line_bytes);
         let mut outbound = Vec::new();
         let workload = Kernels(vec![(20, 12), (9, 24)]);
-        let mut sched = TbScheduler::new();
+        let mut sched = TbScheduler::default();
         // TBs of the loaded kernel the SM ticks reported retired.
         let mut shadow = 0;
         let mut ends = 0;

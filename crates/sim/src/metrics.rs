@@ -44,11 +44,6 @@ pub(crate) struct ParallelismIntegrator {
 }
 
 impl ParallelismIntegrator {
-    /// Creates an empty integrator.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Records `n` identical samples: `busy_slices` LLC slices with
     /// outstanding requests, `busy_channels` DRAM channels with
     /// outstanding requests, and `busy_banks` banks with outstanding
@@ -113,7 +108,8 @@ pub struct SimReport {
     pub scheme: String,
     /// Execution time in core cycles.
     pub cycles: u64,
-    /// Whether the safety cycle limit truncated the run.
+    /// Whether the run was cut at its cycle limit (`GpuSim::run_to`'s,
+    /// at most `GpuSim::CYCLE_CEILING`) before the workload finished.
     pub truncated: bool,
     /// Warp-level instructions issued.
     pub warp_instructions: u64,
@@ -331,7 +327,7 @@ mod tests {
 
     #[test]
     fn integrator_averages_over_busy_samples() {
-        let mut p = ParallelismIntegrator::new();
+        let mut p = ParallelismIntegrator::default();
         p.sample_n(2, 1, 4, 1);
         // Idle samples are ignored.
         p.sample_n(0, 0, 0, 3);
@@ -344,7 +340,7 @@ mod tests {
 
     #[test]
     fn empty_integrator_is_zero() {
-        let p = ParallelismIntegrator::new();
+        let p = ParallelismIntegrator::default();
         assert_eq!(p.llc_parallelism(), 0.0);
         assert_eq!(p.bank_parallelism(), 0.0);
     }

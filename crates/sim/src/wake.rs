@@ -16,7 +16,9 @@
 //! and one gate, `ticks(now, hint)`: [`GpuSim::run`] passes `now >=
 //! hint`, and the dense reference [`GpuSim::run_dense`] is the same loop
 //! with the gate open (`true`), ticking every unit every cycle and
-//! skipping none.
+//! skipping none. Either stops at a cut and resumes from it
+//! ([`GpuSim::run_to`], [`GpuSim::run_dense_to`]): the gates are part of
+//! the state the simulator keeps between calls.
 //!
 //! # Wake sources and their horizons
 //!
@@ -73,6 +75,8 @@
 //! [`DramSystem::tick`]: valley_dram::DramSystem::tick
 //! [`GpuSim::run`]: crate::GpuSim::run
 //! [`GpuSim::run_dense`]: crate::GpuSim::run_dense
+//! [`GpuSim::run_to`]: crate::GpuSim::run_to
+//! [`GpuSim::run_dense_to`]: crate::GpuSim::run_dense_to
 //! [`Crossbar`]: valley_noc::Crossbar
 
 // no-panic-tick (docs/lint.md): this code runs every simulated cycle.
@@ -122,9 +126,12 @@ impl DomainClock {
     /// one: the least `c` with `at(c + 1) > next`, that is
     /// `ceil((next + 1)·1400 / mhz) − 1`. `u64::MAX` where `(next +
     /// 1)·1400` overflows: no run that [`GpuSim::new`] accepts reaches
-    /// such a domain cycle before `max_cycles`.
+    /// such a domain cycle before [`GpuSim::CYCLE_CEILING`], the latest
+    /// cut [`GpuSim::run_to`] takes.
     ///
     /// [`GpuSim::new`]: crate::GpuSim::new
+    /// [`GpuSim::CYCLE_CEILING`]: crate::GpuSim::CYCLE_CEILING
+    /// [`GpuSim::run_to`]: crate::GpuSim::run_to
     #[inline]
     pub(crate) fn first_past(self, next: u64) -> u64 {
         next.checked_add(1)

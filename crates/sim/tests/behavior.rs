@@ -272,7 +272,7 @@ fn controllers_that_leave_slices_unused_are_refused() {
 }
 
 /// A DRAM queue with no slot refuses every request: a slice's DRAM
-/// queue head would wait on it for good and the run idle to `max_cycles`.
+/// queue head would wait on it for good and the run idle to its limit.
 #[test]
 #[should_panic(expected = "dram.queue_capacity = 0: the machine needs at least one")]
 fn a_dram_queue_without_slots_is_refused() {
@@ -339,7 +339,7 @@ fn a_line_size_a_data_packet_disagrees_with_is_refused() {
 }
 
 /// A thread block is resident on one SM. One that cannot fit an empty
-/// SM would never be assigned, and the run would idle to `max_cycles`
+/// SM would never be assigned, and the run would idle to its limit
 /// and report a truncated run with no instruction: refused at
 /// construction, naming the kernel and the limit. Table I's SM holds 48
 /// warps of 32 threads.
@@ -358,23 +358,44 @@ fn a_thread_block_wider_than_an_sm_in_warps_is_refused() {
 }
 
 /// The crossbars queue a packet with its injection NoC cycle in 32 bits:
-/// a cycle limit whose NoC cycles would pass that is refused. At Table
-/// I's clocks (NoC at half the core clock) 2^33 core cycles reach NoC
-/// cycle 2^32 and are refused; a limit just below is accepted.
+/// a NoC clock whose cycles would pass that before the cycle ceiling is
+/// refused. By `GpuSim::CYCLE_CEILING` = 200,000,000 core cycles a
+/// 30,065 MHz NoC reaches NoC cycle 4,295,000,000, past `u32::MAX`, and
+/// is refused; 30,064 MHz reaches 4,294,857,142 and is accepted.
 #[test]
 #[should_panic(
-    expected = "max_cycles = 8589934592 reaches NoC cycle 4294967296, past the crossbar's 32-bit injection stamp"
+    expected = "noc_mhz = 30065 reaches NoC cycle 4295000000 by GpuSim::CYCLE_CEILING = 200000000, past the crossbar's 32-bit injection stamp"
 )]
 fn a_cycle_limit_past_the_32_bit_noc_stamp_is_refused() {
     let mut cfg = GpuConfig::table1();
-    cfg.max_cycles = 1 << 33;
+    cfg.noc_mhz = 30_065;
     let _ = build(cfg);
 }
 
 #[test]
 fn the_last_cycle_limit_the_noc_stamp_holds_is_accepted() {
     let mut cfg = GpuConfig::table1();
-    cfg.max_cycles = (1 << 33) - 4;
+    cfg.noc_mhz = 30_064;
     let r = build(cfg).run();
     assert!(!r.truncated);
+}
+
+/// A cut is at most the ceiling every clock domain was checked against.
+#[test]
+#[should_panic(expected = "run_to(200000001) is past GpuSim::CYCLE_CEILING = 200000000")]
+fn a_cut_past_the_cycle_ceiling_is_refused() {
+    let _ = build(GpuConfig::table1()).run_to(GpuSim::CYCLE_CEILING + 1);
+}
+
+/// A run only goes forward: a cut behind where it stands is refused.
+#[test]
+#[should_panic(expected = "run_to(5) is behind the run, which stands at cycle 10")]
+fn a_cut_behind_the_run_is_refused() {
+    let gen: Gen = Arc::new(|_, _| vec![Instruction::Compute { cycles: 1_000 }]);
+    let map = DramMap::baseline();
+    let mapper = AddressMapper::build(SchemeKind::Base, &map, 0);
+    let w = Box::new(single_kernel(gen, 1, 1));
+    let mut sim = GpuSim::new(GpuConfig::table1(), mapper, map, w);
+    assert!(sim.run_to(10).truncated);
+    let _ = sim.run_to(5);
 }

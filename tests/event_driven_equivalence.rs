@@ -1,35 +1,26 @@
 //! The event-driven fast path must be an *exact* optimization: for any
 //! (benchmark, scheme) pair, `GpuSim::run` and the dense reference loop
 //! `GpuSim::run_dense` must produce bit-identical results — cycle
-//! counts, every counter, and the full `SimReport` JSON. These tests pin
+//! counts, every counter, and the full `SimReport` JSON, whole and at
+//! any cut (`GpuSim::run_to`, `GpuSim::run_dense_to`). These tests pin
 //! that contract for a spread of workload behaviors: streaming (SP),
 //! the paper's headline valley benchmark (MT), and a pointer-chasing
 //! random workload (MUM), on the Table I machine and the 64-vault
-//! stacked one.
+//! stacked one; and that a run resumed at a cut reports what a fresh one
+//! does.
 
 use valley::core::{AddressMapper, DramMap, SchemeKind};
 use valley::sim::{GpuConfig, GpuSim, SimReport};
 use valley::workloads::{Benchmark, Scale};
 
-fn build(bench: Benchmark, scheme: SchemeKind) -> GpuSim {
+fn build(bench: Benchmark, scheme: SchemeKind, scale: Scale) -> GpuSim {
     build_with(
         bench,
         scheme,
         GpuConfig::table1(),
         DramMap::baseline(),
-        Scale::Test,
+        scale,
     )
-}
-
-/// The `scale` workload of `bench` cut at core cycle `max_cycles`. At
-/// `Scale::Ref`, a prefix reaches the full DRAM queues and backed-up
-/// LLC slices of a ref run in a fraction of its time.
-fn build_limited(bench: Benchmark, scheme: SchemeKind, scale: Scale, max_cycles: u64) -> GpuSim {
-    let cfg = GpuConfig {
-        max_cycles,
-        ..GpuConfig::table1()
-    };
-    build_with(bench, scheme, cfg, DramMap::baseline(), scale)
 }
 
 /// The machine `cfg` over `map` (Table I over the baseline map, or the
@@ -69,6 +60,17 @@ fn assert_equivalent_with(
 fn assert_same(build: impl Fn() -> GpuSim, tag: &str) {
     let fast: SimReport = build().run();
     let dense: SimReport = build().run_dense();
+    assert_reports_match(&fast, &dense, tag);
+    // And the fast path must not be a trivial no-op either: the run did
+    // real work.
+    assert!(
+        fast.cycles > 0 && fast.memory_transactions > 0,
+        "{tag}: empty run"
+    );
+}
+
+/// The hint gate's report `fast` equals the open gate's `dense`.
+fn assert_reports_match(fast: &SimReport, dense: &SimReport, tag: &str) {
     assert_eq!(fast.cycles, dense.cycles, "{tag}: cycle count diverged");
     assert_eq!(fast.dram, dense.dram, "{tag}: DRAM stats diverged");
     assert_eq!(fast.l1, dense.l1, "{tag}: L1 stats diverged");
@@ -108,12 +110,50 @@ fn assert_same(build: impl Fn() -> GpuSim, tag: &str) {
         dense.results_json(),
         "{tag}: report JSON diverged"
     );
-    // And the fast path must not be a trivial no-op either: the run did
-    // real work.
-    assert!(
-        fast.cycles > 0 && fast.memory_transactions > 0,
-        "{tag}: empty run"
-    );
+}
+
+/// One simulator per loop, advanced together through ascending cuts:
+/// the hint gate (`GpuSim::run_to`) and the open gate
+/// (`GpuSim::run_dense_to`).
+struct Pair {
+    fast: GpuSim,
+    dense: GpuSim,
+    tag: String,
+}
+
+impl Pair {
+    fn new(build: impl Fn() -> GpuSim, tag: String) -> Self {
+        Pair {
+            fast: build(),
+            dense: build(),
+            tag,
+        }
+    }
+
+    /// Runs both on to `cut` and asserts that they report alike there;
+    /// returns the report.
+    fn cut_at(&mut self, cut: u64) -> SimReport {
+        let fast = self.fast.run_to(cut);
+        let dense = self.dense.run_dense_to(cut);
+        assert_reports_match(&fast, &dense, &format!("{}, cut at {cut}", self.tag));
+        fast
+    }
+}
+
+/// The seam of a resumable run: a simulator from `build`, resumed
+/// through five cuts spread over `0..=end`, reports at each what a fresh
+/// simulator run to that cut reports.
+fn assert_resumable(build: impl Fn() -> GpuSim, end: u64, tag: &str) {
+    let mut resumed = build();
+    for k in 0..=4 {
+        let cut = end * k / 4;
+        let fresh = build().run_to(cut);
+        assert_eq!(
+            resumed.run_to(cut).results_json(),
+            fresh.results_json(),
+            "{tag}: resumed to {cut} of {end}"
+        );
+    }
 }
 
 #[test]
@@ -136,7 +176,8 @@ fn random_benchmark_fae_scheme() {
 /// and LLC slices waiting on full DRAM queues are the common case rather
 /// than the rare one:
 /// MT/BASE saturates one channel, LPS/BASE is a milder valley with
-/// stores, SRAD2/PAE keeps the most transactions in flight. A few
+/// stores, SRAD2/PAE keeps the most transactions in flight. Each pair is
+/// compared at every 100,000-cycle cut up to and past its end. A few
 /// seconds in release; CI runs it with `--ignored`.
 #[test]
 #[ignore = "ref scale: run in release with --ignored"]
@@ -146,14 +187,10 @@ fn wake_audit_runs_at_ref_scale() {
         (Benchmark::Lps, SchemeKind::Base),
         (Benchmark::Srad2, SchemeKind::Pae),
     ] {
-        assert_equivalent_with(
-            bench,
-            scheme,
-            &GpuConfig::table1(),
-            DramMap::baseline(),
-            Scale::Ref,
-            " at ref scale",
-        );
+        let tag = format!("{bench:?}/{scheme:?} at ref scale");
+        let mut pair = Pair::new(|| build(bench, scheme, Scale::Ref), tag);
+        let mut cuts = (1..).map(|k| k * 100_000);
+        while pair.cut_at(cuts.next().unwrap()).truncated {}
     }
 }
 
@@ -191,28 +228,22 @@ fn dram_clocks_above_the_core_clock() {
 /// head-of-line wait, its gate opened by DRAM phases and new heads.
 #[test]
 fn stacked_memory_equivalence() {
-    let prefix = GpuConfig {
-        max_cycles: 20_000,
-        ..GpuConfig::stacked()
-    };
-    for (bench, scheme, cfg, scale, note) in [
-        (
-            Benchmark::Sp,
-            SchemeKind::Pae,
-            GpuConfig::stacked(),
-            Scale::Test,
-            " stacked",
-        ),
-        (
-            Benchmark::Mt,
-            SchemeKind::Base,
-            prefix,
-            Scale::Ref,
-            " stacked, ref cut at 20,000",
-        ),
-    ] {
-        assert_equivalent_with(bench, scheme, &cfg, DramMap::stacked(), scale, note);
-    }
+    let (stacked, map) = (GpuConfig::stacked(), DramMap::stacked());
+    assert_equivalent_with(
+        Benchmark::Sp,
+        SchemeKind::Pae,
+        &stacked,
+        map,
+        Scale::Test,
+        " stacked",
+    );
+    let (bench, scheme) = (Benchmark::Mt, SchemeKind::Base);
+    let tag = format!("{bench:?}/{scheme:?} stacked at ref scale");
+    let mut prefix = Pair::new(
+        || build_with(bench, scheme, stacked.clone(), map, Scale::Ref),
+        tag,
+    );
+    assert!(prefix.cut_at(20_000).truncated, "ran to completion");
 }
 
 /// The 64-vault machine at `Scale::Ref` on the deepest valley (MT/BASE)
@@ -236,12 +267,13 @@ fn stacked_runs_at_ref_scale() {
     }
 }
 
-/// The truncation exit: a run cut at the cycle safety limit — the
-/// fast-forward stopping at it, packets and DRAM bursts cut
-/// mid-transfer, each SM's open busy span counted up to the cut — must
-/// report what the dense loop reports for the same limit. Cut points are
-/// spread over the whole run and bracket the untruncated length; the
-/// wake audit's three ref runs are cut early, inside their first DRAM
+/// The truncation exit: a run cut at a cycle limit — the fast-forward
+/// stopping at it, packets and DRAM bursts cut mid-transfer, each SM's
+/// open busy span counted up to the cut — must report what the dense
+/// loop reports for the same limit. Each pair of runs is one simulator
+/// per loop, resumed from cut to cut. Cut points are spread over the
+/// whole run and bracket the untruncated length; the wake audit's three
+/// ref runs are cut every 5,000 cycles inside their first DRAM
 /// back-pressure.
 #[test]
 fn truncated_runs_match_dense_at_every_cut() {
@@ -250,11 +282,15 @@ fn truncated_runs_match_dense_at_every_cut() {
         (Benchmark::Lps, SchemeKind::Base, 50_000),
         (Benchmark::Srad2, SchemeKind::Pae, 30_000),
     ] {
-        let fast = build_limited(bench, scheme, Scale::Ref, limit).run();
-        let dense = build_limited(bench, scheme, Scale::Ref, limit).run_dense();
-        let tag = format!("{bench:?}/{scheme:?} at ref scale, cut at {limit}");
-        assert!(fast.truncated, "{tag}: ran to completion");
-        assert_eq!(fast.results_json(), dense.results_json(), "{tag}");
+        let tag = format!("{bench:?}/{scheme:?} at ref scale");
+        let mut pair = Pair::new(|| build(bench, scheme, Scale::Ref), tag);
+        for cut in (5_000..=limit).step_by(5_000) {
+            assert!(
+                pair.cut_at(cut).truncated,
+                "{}: ran to completion",
+                pair.tag
+            );
+        }
     }
     for (bench, scheme) in [
         (Benchmark::Mt, SchemeKind::Base),
@@ -262,18 +298,51 @@ fn truncated_runs_match_dense_at_every_cut() {
         (Benchmark::Mum, SchemeKind::Fae),
         (Benchmark::Lps, SchemeKind::Base),
     ] {
-        let full = build(bench, scheme).run().cycles;
+        let full = build(bench, scheme, Scale::Test).run().cycles;
         let step = (full / 100).max(1);
         let cuts = (0..full)
             .step_by(step as usize)
             .chain([full - 1, full, full + 1]);
+        let tag = format!("{bench:?}/{scheme:?} of {full}");
+        let mut pair = Pair::new(|| build(bench, scheme, Scale::Test), tag);
         for limit in cuts {
-            let fast = build_limited(bench, scheme, Scale::Test, limit).run();
-            let dense = build_limited(bench, scheme, Scale::Test, limit).run_dense();
-            let tag = format!("{bench:?}/{scheme:?} cut at {limit} of {full}");
-            assert_eq!(fast.truncated, dense.truncated, "{tag}: truncation");
-            assert_eq!(fast.truncated, limit < full, "{tag}: truncated flag");
-            assert_eq!(fast.results_json(), dense.results_json(), "{tag}");
+            let truncated = pair.cut_at(limit).truncated;
+            assert_eq!(truncated, limit < full, "{}, cut at {limit}", pair.tag);
         }
     }
+}
+
+/// The seam itself, which the loops' agreement cannot see: both loops
+/// keep the same state across a cut, so a fault in what a cut keeps
+/// passes `truncated_runs_match_dense_at_every_cut` when both loops
+/// share it (a parallelism integrator that restarts at every call does).
+/// At five cuts over each run, a resumed simulator reports what a fresh
+/// one cut there does: four test-scale runs and the stacked MT/BASE ref
+/// prefix.
+#[test]
+fn a_resumed_run_reports_what_a_fresh_run_cut_there_reports() {
+    for (bench, scheme) in [
+        (Benchmark::Mt, SchemeKind::Base),
+        (Benchmark::Sp, SchemeKind::Pae),
+        (Benchmark::Mum, SchemeKind::Fae),
+        (Benchmark::Lps, SchemeKind::Base),
+    ] {
+        let sim = || build(bench, scheme, Scale::Test);
+        let full = sim().run().cycles;
+        assert_resumable(sim, full, &format!("{bench:?}/{scheme:?}"));
+    }
+    let (bench, scheme) = (Benchmark::Mt, SchemeKind::Base);
+    assert_resumable(
+        || {
+            build_with(
+                bench,
+                scheme,
+                GpuConfig::stacked(),
+                DramMap::stacked(),
+                Scale::Ref,
+            )
+        },
+        20_000,
+        "MT/BASE stacked at ref scale",
+    );
 }

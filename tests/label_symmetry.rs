@@ -61,20 +61,17 @@ impl WarpProgram for Xored<Box<dyn WarpProgram>> {
     }
 }
 
-/// One machine: its configuration and DRAM map.
-type Machine = (GpuConfig, DramMap);
+/// One machine: its configuration, its DRAM map and the core cycle its
+/// runs are cut at.
+type Machine = (GpuConfig, DramMap, u64);
 
 fn table1() -> Machine {
-    (GpuConfig::table1(), DramMap::baseline())
+    table1_cut_at(GpuSim::CYCLE_CEILING)
 }
 
-/// Table I cut at core cycle `max_cycles`.
-fn table1_cut_at(max_cycles: u64) -> Machine {
-    let cfg = GpuConfig {
-        max_cycles,
-        ..GpuConfig::table1()
-    };
-    (cfg, DramMap::baseline())
+/// Table I cut at core cycle `cut`.
+fn table1_cut_at(cut: u64) -> Machine {
+    (GpuConfig::table1(), DramMap::baseline(), cut)
 }
 
 /// `value`'s low bits placed on the address bits `bits`, LSB first.
@@ -102,7 +99,7 @@ fn flips(map: &DramMap) -> [u64; 4] {
 /// `c`, must leave a run on `machine` bit-identical: `c` moves no lane out
 /// of its line, and `d` keeps every line's controller and LLC slice (the
 /// slices of one controller split on its low bank bits).
-fn is_exact((cfg, map): &Machine, c: u64, d: u64) -> bool {
+fn is_exact((cfg, map, _): &Machine, c: u64, d: u64) -> bool {
     let d = PhysAddr::new(d);
     let slices_per_controller = (cfg.llc_slices / map.num_controllers()).max(1);
     c.is_multiple_of(cfg.line_bytes)
@@ -111,9 +108,9 @@ fn is_exact((cfg, map): &Machine, c: u64, d: u64) -> bool {
 }
 
 fn results(machine: &Machine, mapper: &AddressMapper, workload: Box<dyn WorkloadSource>) -> String {
-    let (cfg, map) = machine;
+    let (cfg, map, cut) = machine;
     GpuSim::new(cfg.clone(), mapper.clone(), *map, workload)
-        .run()
+        .run_to(*cut)
         .results_json()
 }
 
@@ -174,7 +171,11 @@ fn renaming_rows_or_banks_moves_no_result() {
 /// the high bank flip does.
 #[test]
 fn renaming_rows_or_banks_moves_no_result_on_the_stacked_machine() {
-    let machine = (GpuConfig::stacked(), DramMap::stacked());
+    let machine = (
+        GpuConfig::stacked(),
+        DramMap::stacked(),
+        GpuSim::CYCLE_CEILING,
+    );
     let flips = flips(&machine.1);
     let exact = assert_symmetric(
         &machine,
