@@ -95,12 +95,6 @@ struct Drive {
     /// slice tick gave its DRAM queue a new head, else `u64::MAX`. (At
     /// cycle 0 the pass finds every queue empty.)
     handoff_next: u64,
-    // Reusable hot-loop buffers: the per-tick component APIs append to
-    // caller-provided Vecs, so steady state allocates nothing.
-    outbound: Vec<u32>,
-    replies: Vec<u64>,
-    deliveries: Vec<valley_noc::Delivery>,
-    completions: Vec<valley_dram::DramCompletion>,
 }
 
 /// Kernel-serial TB scheduler: one kernel resident at a time, its thread
@@ -428,15 +422,16 @@ impl GpuSim {
             mut sms_next,
             mut slices_next,
             mut handoff_next,
-            mut outbound,
-            mut replies,
-            mut deliveries,
-            mut completions,
         } = std::mem::take(&mut self.drive);
         let noc_clock = DomainClock::new(self.cfg.noc_mhz);
         let dram_clock = DomainClock::new(self.cfg.dram.clock_mhz);
-        deliveries.reserve(64);
-        completions.reserve(64);
+        // Reusable hot-loop buffers: the per-tick component APIs append to
+        // caller-provided Vecs, so steady state allocates nothing. Every
+        // iteration leaves them empty.
+        let mut outbound: Vec<u32> = Vec::new();
+        let mut replies: Vec<u64> = Vec::new();
+        let mut deliveries: Vec<valley_noc::Delivery> = Vec::with_capacity(64);
+        let mut completions: Vec<valley_dram::DramCompletion> = Vec::with_capacity(64);
 
         while !done && cycle < end {
             crate::alloc_audit::note_cycle(cycle);
@@ -628,10 +623,6 @@ impl GpuSim {
             sms_next,
             slices_next,
             handoff_next,
-            outbound,
-            replies,
-            deliveries,
-            completions,
         };
         self.report()
     }

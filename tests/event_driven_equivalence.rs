@@ -61,10 +61,14 @@ fn assert_same(build: impl Fn() -> GpuSim, tag: &str) {
     let fast: SimReport = build().run();
     let dense: SimReport = build().run_dense();
     assert_reports_match(&fast, &dense, tag);
-    // And the fast path must not be a trivial no-op either: the run did
-    // real work.
+    assert_nonempty(&fast, tag);
+}
+
+/// The fast path must not be a trivial no-op either: the run did real
+/// work, so the loops' agreement checked something.
+fn assert_nonempty(report: &SimReport, tag: &str) {
     assert!(
-        fast.cycles > 0 && fast.memory_transactions > 0,
+        report.cycles > 0 && report.memory_transactions > 0,
         "{tag}: empty run"
     );
 }
@@ -190,7 +194,11 @@ fn wake_audit_runs_at_ref_scale() {
         let tag = format!("{bench:?}/{scheme:?} at ref scale");
         let mut pair = Pair::new(|| build(bench, scheme, Scale::Ref), tag);
         let mut cuts = (1..).map(|k| k * 100_000);
-        while pair.cut_at(cuts.next().unwrap()).truncated {}
+        let mut report = pair.cut_at(cuts.next().unwrap());
+        while report.truncated {
+            report = pair.cut_at(cuts.next().unwrap());
+        }
+        assert_nonempty(&report, &pair.tag);
     }
 }
 
@@ -243,7 +251,9 @@ fn stacked_memory_equivalence() {
         || build_with(bench, scheme, stacked.clone(), map, Scale::Ref),
         tag,
     );
-    assert!(prefix.cut_at(20_000).truncated, "ran to completion");
+    let report = prefix.cut_at(20_000);
+    assert!(report.truncated, "{}: ran to completion", prefix.tag);
+    assert_nonempty(&report, &prefix.tag);
 }
 
 /// The 64-vault machine at `Scale::Ref` on the deepest valley (MT/BASE)
